@@ -7,6 +7,12 @@
 //! execution order, a sharded run produces bit-identical per-site results
 //! to the serial loop, and [`parallel_map`] returns them in input order so
 //! downstream summaries are byte-identical too.
+//!
+//! Workers claim the next unclaimed index from a shared counter rather
+//! than owning a fixed stride: site costs are heavy-tailed, and a fixed
+//! split leaves a core idle while the unlucky one works through its share.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Apply `f` to every item, sharded across the machine's cores, returning
 /// results in input order. `f` receives `(index, &item)` — seed anything
@@ -31,22 +37,35 @@ where
             .unwrap_or(1)
             .min(n.max(1))
     };
+    map_on_threads(threads, items, f)
+}
+
+fn map_on_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
     if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
+    let n = items.len();
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    // Relaxed: the counter hands out indices and publishes nothing else;
+    // results travel back through `join`.
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let f = &f;
-                scope.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(tid)
-                        .step_by(threads)
-                        .map(|(i, item)| (i, f(i, item)))
-                        .collect::<Vec<(usize, R)>>()
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return done;
+                        };
+                        done.push((i, f(i, item)));
+                    }
                 })
             })
             .collect();
@@ -89,6 +108,27 @@ mod tests {
         });
         std::env::remove_var("MM_BENCH_SERIAL");
         assert_eq!(out, (1..=32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_slow_item_does_not_hold_back_a_fixed_share() {
+        // Item 0 blocks until every other item has run. With a fixed
+        // stride, the worker holding item 0 also owns items it can only
+        // reach afterwards, and this deadlocks; with claiming, the other
+        // workers take them.
+        let items: Vec<usize> = (0..64).collect();
+        let finished = AtomicUsize::new(0);
+        let out = map_on_threads(2, &items, |i, &x| {
+            if i == 0 {
+                while finished.load(Ordering::SeqCst) < items.len() - 1 {
+                    std::thread::yield_now();
+                }
+            } else {
+                finished.fetch_add(1, Ordering::SeqCst);
+            }
+            x
+        });
+        assert_eq!(out, items);
     }
 
     #[test]

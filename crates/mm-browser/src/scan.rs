@@ -44,6 +44,10 @@ pub fn likely_scannable_url(url: &Url) -> bool {
 /// Extract all absolute URLs from a body. Terminators are whitespace,
 /// quotes and markup delimiters; malformed URLs are skipped.
 pub fn extract_urls(body: &[u8]) -> Vec<Url> {
+    extract_urls_with(body, find_scheme)
+}
+
+fn extract_urls_with(body: &[u8], find_scheme: impl Fn(&[u8]) -> Option<usize>) -> Vec<Url> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < body.len() {
@@ -66,15 +70,19 @@ pub fn extract_urls(body: &[u8]) -> Vec<Url> {
     out
 }
 
+/// Offset of the first `http://` or `https://` in `hay`, in one pass:
+/// each `http` found is accepted if `://` or `s://` follows it.
 fn find_scheme(hay: &[u8]) -> Option<usize> {
-    let h = hay.windows(7).position(|w| w == b"http://");
-    let s = hay.windows(8).position(|w| w == b"https://");
-    match (h, s) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (Some(a), None) => Some(a),
-        (None, Some(b)) => Some(b),
-        (None, None) => None,
+    let mut from = 0;
+    while let Some(off) = hay[from..].windows(4).position(|w| w == b"http") {
+        let at = from + off;
+        let tail = &hay[at + 4..];
+        if tail.starts_with(b"://") || tail.starts_with(b"s://") {
+            return Some(at);
+        }
+        from = at + 1;
     }
+    None
 }
 
 fn is_terminator(b: u8) -> bool {
@@ -85,6 +93,82 @@ fn is_terminator(b: u8) -> bool {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use proptest::prelude::*;
+
+    /// The scheme search this module shipped with: two whole-haystack
+    /// scans per call, so extraction was quadratic in the URL count when
+    /// one of the two schemes was rare. Kept as the reference the
+    /// one-pass search must agree with.
+    fn find_scheme_two_scans(hay: &[u8]) -> Option<usize> {
+        let h = hay.windows(7).position(|w| w == b"http://");
+        let s = hay.windows(8).position(|w| w == b"https://");
+        match (h, s) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Bodies built from the fragments that decide the search: whole and
+    /// truncated schemes, near misses, terminators, hosts and noise.
+    fn arb_body() -> impl Strategy<Value = Vec<u8>> {
+        let fragment = prop_oneof![
+            Just(b"http://".to_vec()),
+            Just(b"https://".to_vec()),
+            Just(b"httpx".to_vec()),
+            Just(b"https:/".to_vec()),
+            Just(b"http:/".to_vec()),
+            Just(b"https".to_vec()),
+            Just(b"http".to_vec()),
+            Just(b"htt".to_vec()),
+            Just(b"h".to_vec()),
+            Just(b"s://".to_vec()),
+            Just(b"://".to_vec()),
+            Just(b"10.0.0.7:8080/a/b.js?q=1".to_vec()),
+            Just(b"example.com/".to_vec()),
+            Just(b" ".to_vec()),
+            Just(b"\"".to_vec()),
+            Just(b"<".to_vec()),
+            Just(b",".to_vec()),
+            prop::collection::vec(any::<u8>(), 0..6),
+        ];
+        prop::collection::vec(fragment, 0..40).prop_map(|parts| parts.concat())
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_scan_matches_two_scan_reference(body in arb_body()) {
+            prop_assert_eq!(find_scheme(&body), find_scheme_two_scans(&body));
+            prop_assert_eq!(
+                extract_urls(&body),
+                extract_urls_with(&body, find_scheme_two_scans)
+            );
+        }
+    }
+
+    #[test]
+    fn scan_is_linear_in_url_count() {
+        // 50 000 `http://` URLs and not one `https://`: the two-scan
+        // search walked the rest of the body once per URL looking for
+        // the scheme that never comes (minutes for these 4 MB in a debug
+        // build); one pass takes well under a second.
+        let mut body = Vec::with_capacity(5 << 20);
+        for i in 0..50_000u32 {
+            let link = format!(
+                "<a href=\"http://10.1.{}.{}/r{i}\">",
+                (i >> 8) & 255,
+                i & 255
+            );
+            body.extend_from_slice(link.as_bytes());
+            body.extend_from_slice(&[b'x'; 52]);
+        }
+        assert!(body.len() >= 4_000_000, "body is {} bytes", body.len());
+        let started = std::time::Instant::now();
+        let urls = extract_urls(&body);
+        let took = started.elapsed();
+        assert_eq!(urls.len(), 50_000);
+        assert_eq!(urls[49_999].target, "/r49999");
+        assert!(took.as_secs_f64() < 2.0, "scan took {took:?}");
+    }
 
     #[test]
     fn extracts_urls_from_html_like_body() {

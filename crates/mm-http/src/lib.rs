@@ -17,5 +17,5 @@ pub mod url;
 pub use headers::{Header, HeaderMap};
 pub use message::{Method, Request, Response, Version};
 pub use parser::{ParseError, RequestParser, ResponseParser};
-pub use serialize::{chunk_body, write_request, write_response};
+pub use serialize::{chunk_body, write_request, write_response, write_response_parts};
 pub use url::{Url, UrlParseError};

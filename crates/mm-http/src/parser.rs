@@ -9,7 +9,7 @@
 //! (with trailers), bodyless statuses (1xx/204/304 and HEAD responses), and
 //! read-until-close for HTTP/1.0-style responses.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
 use crate::headers::HeaderMap;
 use crate::message::{Method, Request, Response, Version};
@@ -152,8 +152,37 @@ impl Machine {
         }
     }
 
-    fn push(&mut self, data: &[u8]) {
+    /// Most body bytes reserved on the strength of a declared length
+    /// alone; longer bodies grow as they arrive.
+    const MAX_BODY_RESERVE: u64 = 1 << 24;
+
+    /// A head has been parsed: expect its body next.
+    fn begin_body(&mut self, body: BodyState) {
+        if let BodyState::Sized { remaining } = body {
+            self.body_acc
+                .reserve(remaining.min(Self::MAX_BODY_RESERVE) as usize);
+        }
+        self.body = Some(body);
+    }
+
+    fn push(&mut self, mut data: &[u8]) {
+        // In the middle of a sized body with nothing buffered, the bytes
+        // belong to the body: skip the staging buffer.
+        if self.buf.is_empty() {
+            if let Some(BodyState::Sized { remaining }) = &mut self.body {
+                let take = (*remaining).min(data.len() as u64) as usize;
+                self.body_acc.extend_from_slice(&data[..take]);
+                *remaining -= take as u64;
+                data = &data[take..];
+            }
+        }
         self.buf.extend_from_slice(data);
+    }
+
+    /// Move the first `take` buffered bytes to the body.
+    fn take_body(&mut self, take: usize) {
+        self.body_acc.extend_from_slice(&self.buf[..take]);
+        self.buf.advance(take);
     }
 
     /// Try to advance the body machine; returns Some(body) when complete.
@@ -170,18 +199,17 @@ impl Machine {
                 }
                 BodyState::Sized { remaining } => {
                     let take = (*remaining).min(self.buf.len() as u64) as usize;
-                    if take > 0 {
-                        self.body_acc.extend_from_slice(&self.buf.split_to(take));
-                        *remaining -= take as u64;
-                    }
-                    if *remaining == 0 {
+                    *remaining -= take as u64;
+                    let done = *remaining == 0;
+                    self.take_body(take);
+                    if done {
                         self.body = None;
                         return Ok(Some(self.body_acc.split().freeze()));
                     }
                     return Ok(None); // need more bytes
                 }
                 BodyState::UntilClose => {
-                    self.body_acc.extend_from_slice(&self.buf.split());
+                    self.take_body(self.buf.len());
                     return Ok(None); // completes only on EOF
                 }
                 BodyState::Chunked(chunk) => match chunk {
@@ -204,13 +232,13 @@ impl Machine {
                     }
                     ChunkState::Data { remaining } => {
                         let take = (*remaining).min(self.buf.len() as u64) as usize;
-                        if take > 0 {
-                            self.body_acc.extend_from_slice(&self.buf.split_to(take));
-                            *remaining -= take as u64;
-                        }
-                        if *remaining == 0 {
+                        *remaining -= take as u64;
+                        let done = *remaining == 0;
+                        if done {
                             *chunk = ChunkState::DataCrlf;
-                        } else {
+                        }
+                        self.take_body(take);
+                        if !done {
                             return Ok(None);
                         }
                     }
@@ -221,8 +249,8 @@ impl Machine {
                         if &self.buf[..2] != b"\r\n" {
                             return err("missing CRLF after chunk data");
                         }
-                        let _ = self.buf.split_to(2);
                         *chunk = ChunkState::Size;
+                        self.buf.advance(2);
                     }
                     ChunkState::Trailers => {
                         // Trailers end at an empty line. We discard them
@@ -276,8 +304,9 @@ impl RequestParser {
                 let Some(end) = find_header_end(&self.machine.buf) else {
                     break;
                 };
-                let head_bytes = self.machine.buf.split_to(end);
-                let (start, headers) = parse_head(&head_bytes[..end - 4])?;
+                let parsed = parse_head(&self.machine.buf[..end - 4]);
+                self.machine.buf.advance(end);
+                let (start, headers) = parsed?;
                 let mut parts = start.split(' ');
                 let (m, t, v) = (parts.next(), parts.next(), parts.next());
                 let (Some(m), Some(t), Some(v)) = (m, t, v) else {
@@ -286,7 +315,7 @@ impl RequestParser {
                 let version = Version::from_token(v)
                     .ok_or_else(|| ParseError(format!("bad version {v:?}")))?;
                 let framing = request_framing(&headers)?;
-                self.machine.body = Some(framing.body);
+                self.machine.begin_body(framing.body);
                 self.pending_head = Some((Method::from_token(m), t.to_string(), version, headers));
             }
             match self.machine.drive_body()? {
@@ -356,8 +385,9 @@ impl ResponseParser {
                 let Some(end) = find_header_end(&self.machine.buf) else {
                     break;
                 };
-                let head_bytes = self.machine.buf.split_to(end);
-                let (start, headers) = parse_head(&head_bytes[..end - 4])?;
+                let parsed = parse_head(&self.machine.buf[..end - 4]);
+                self.machine.buf.advance(end);
+                let (start, headers) = parsed?;
                 let mut parts = start.splitn(3, ' ');
                 let (v, code, reason) = (parts.next(), parts.next(), parts.next());
                 let (Some(v), Some(code)) = (v, code) else {
@@ -370,7 +400,7 @@ impl ResponseParser {
                     .map_err(|_| ParseError(format!("bad status {code:?}")))?;
                 let to_head = self.head_queue.pop_front().unwrap_or(false);
                 let framing = response_framing(status, &headers, to_head)?;
-                self.machine.body = Some(framing.body);
+                self.machine.begin_body(framing.body);
                 self.pending_head =
                     Some((version, status, reason.unwrap_or("").to_string(), headers));
             }

@@ -29,6 +29,30 @@ pub fn write_request(req: &Request) -> Bytes {
 /// terminator (the recorded body is already de-chunked).
 pub fn write_response(resp: &Response) -> Bytes {
     let mut out = BytesMut::with_capacity(256 + resp.body.len());
+    let trailer = put_response_head(&mut out, resp);
+    out.put_slice(&resp.body);
+    out.put_slice(trailer);
+    out.freeze()
+}
+
+/// The wire form of [`write_response`] as the pieces to send in order —
+/// head, body, trailer — where the body *is* `resp.body` (shared, not
+/// copied). Sending the pieces back to back puts the same byte stream on
+/// a connection as sending their concatenation.
+pub fn write_response_parts(resp: &Response) -> [Bytes; 3] {
+    let mut head = BytesMut::with_capacity(256);
+    let trailer = put_response_head(&mut head, resp);
+    [
+        head.freeze(),
+        resp.body.clone(),
+        Bytes::from_static(trailer),
+    ]
+}
+
+/// Everything that precedes the body: status line, headers, blank line
+/// and, for a chunked response, the size line of its one chunk. Returns
+/// what must follow the body.
+fn put_response_head(out: &mut BytesMut, resp: &Response) -> &'static [u8] {
     out.put_slice(resp.version.as_str().as_bytes());
     out.put_u8(b' ');
     out.put_slice(resp.status.to_string().as_bytes());
@@ -44,12 +68,10 @@ pub fn write_response(resp: &Response) -> Bytes {
     out.put_slice(b"\r\n");
     if resp.headers.is_chunked() && !resp.body.is_empty() {
         out.put_slice(format!("{:x}\r\n", resp.body.len()).as_bytes());
-        out.put_slice(&resp.body);
-        out.put_slice(b"\r\n0\r\n\r\n");
+        b"\r\n0\r\n\r\n"
     } else {
-        out.put_slice(&resp.body);
+        b""
     }
-    out.freeze()
 }
 
 /// Encode a body as chunked transfer coding with the given chunk size
@@ -116,6 +138,21 @@ mod tests {
         p.expect_head(false);
         let back = p.feed(&wire).unwrap();
         assert_eq!(&back[0].body[..], b"streaming body");
+    }
+
+    #[test]
+    fn response_parts_concatenate_to_the_wire_form_and_share_the_body() {
+        let plain = Response::ok(Bytes::from(vec![b'x'; 5000]), "text/plain");
+        let mut chunked = plain.clone();
+        chunked.headers.remove("Content-Length");
+        chunked.headers.set("Transfer-Encoding", "chunked");
+        let mut empty_chunked = chunked.clone();
+        empty_chunked.body = Bytes::new();
+        for resp in [plain, chunked, empty_chunked] {
+            let parts = write_response_parts(&resp);
+            assert_eq!(parts.concat(), write_response(&resp).to_vec());
+            assert_eq!(parts[1].as_ptr(), resp.body.as_ptr(), "body must be shared");
+        }
     }
 
     #[test]

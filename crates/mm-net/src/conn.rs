@@ -17,9 +17,8 @@
 //! ever point-queried and its iteration order is never observed, keeping
 //! the slab refactor invisible to simulation event ordering.
 
-use std::collections::HashMap;
-
 use crate::addr::SocketAddr;
+use crate::hash::AddrMap;
 use crate::tcp::socket::TcpHandle;
 
 /// Stable, generation-checked identity of one connection slot in a
@@ -51,7 +50,7 @@ pub struct ConnTable {
     slots: Vec<Slot>,
     free: Vec<u32>,
     live: usize,
-    demux: HashMap<(SocketAddr, SocketAddr), ConnId>,
+    demux: AddrMap<(SocketAddr, SocketAddr), ConnId>,
 }
 
 impl ConnTable {

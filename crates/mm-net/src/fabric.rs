@@ -18,12 +18,12 @@
 //! testable: two sibling namespaces never exchange packets.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use mm_sim::Simulator;
 
 use crate::addr::IpAddr;
+use crate::hash::AddrMap;
 use crate::packet::Packet;
 use crate::sink::{PacketSink, SinkRef};
 
@@ -49,10 +49,10 @@ impl NsCounters {
 
 struct NsInner {
     name: String,
-    hosts: HashMap<IpAddr, SinkRef>,
+    hosts: AddrMap<IpAddr, SinkRef>,
     /// Destination IP → entry sink of the downlink chain toward the child
     /// namespace owning that IP (transitively).
-    child_routes: HashMap<IpAddr, SinkRef>,
+    child_routes: AddrMap<IpAddr, SinkRef>,
     /// Entry sink of the uplink chain toward the parent, if attached.
     uplink: Option<SinkRef>,
     /// Parent namespace, for propagating host registrations upward.
@@ -76,8 +76,8 @@ impl Namespace {
         Namespace {
             inner: Rc::new(RefCell::new(NsInner {
                 name: name.to_string(),
-                hosts: HashMap::new(),
-                child_routes: HashMap::new(),
+                hosts: AddrMap::default(),
+                child_routes: AddrMap::default(),
                 uplink: None,
                 parent: None,
                 downlink_entry_hint: None,

@@ -2,7 +2,6 @@
 //! optional per-host processing noise (the "two machines" of Table 1).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use mm_sim::dist::Distribution;
@@ -11,6 +10,7 @@ use mm_sim::{RngStream, SimDuration, Simulator, TimerMux};
 use crate::addr::{IpAddr, SocketAddr};
 use crate::conn::{ConnId, ConnTable};
 use crate::fabric::Namespace;
+use crate::hash::AddrMap;
 use crate::packet::{Packet, TcpFlags, TcpSegment};
 use crate::sink::{BlackHole, PacketSink, SinkRef};
 use crate::tcp::socket::{SocketApp, TcpConfig, TcpHandle};
@@ -77,7 +77,7 @@ struct HostInner {
     /// plus the `(local, remote)` demux map) — point lookups only, so the
     /// storage layout is invisible to event ordering.
     sockets: ConnTable,
-    listeners: HashMap<u16, Rc<dyn Listener>>,
+    listeners: AddrMap<u16, Rc<dyn Listener>>,
     /// Transparent-intercept listener: accepts a SYN to *any* (ip, port),
     /// binding the socket to the packet's original destination — the
     /// simulated equivalent of an iptables REDIRECT + SO_ORIGINAL_DST
@@ -115,7 +115,7 @@ impl Host {
                 ip,
                 egress: BlackHole::new(),
                 sockets: ConnTable::new(),
-                listeners: HashMap::new(),
+                listeners: AddrMap::default(),
                 catch_all: None,
                 next_ephemeral: 32768,
                 ids,

@@ -15,6 +15,7 @@ pub mod addr;
 pub mod conn;
 pub mod fabric;
 pub mod fault;
+mod hash;
 pub mod host;
 pub mod packet;
 pub mod sink;

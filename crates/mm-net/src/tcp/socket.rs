@@ -28,7 +28,7 @@
 //! produced packets, and only then fires application events.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
@@ -340,7 +340,7 @@ pub struct TcpInner {
     /// Peer's advertised window.
     snd_wnd: u64,
     /// App data accepted but not yet segmented, FIFO of chunks.
-    send_queue: Vec<Bytes>,
+    send_queue: VecDeque<Bytes>,
     /// Bytes queued in `send_queue`.
     send_queued_bytes: u64,
     /// Transmitted, unacknowledged segments keyed by starting seq.
@@ -468,7 +468,7 @@ pub struct TcpInner {
     pacing_timer: Timer,
     app: Option<Rc<dyn SocketApp>>,
     /// Events waiting to be dispatched once the borrow is released.
-    pending_events: Vec<SocketEvent>,
+    pending_events: VecDeque<SocketEvent>,
     /// Statistics.
     pub(crate) stats: TcpStats,
     /// Flow id in the sink's tracer, when `config.metrics` carries one.
@@ -568,7 +568,7 @@ impl TcpInner {
             snd_una: 0,
             snd_nxt: 0,
             snd_wnd: u64::MAX,
-            send_queue: Vec::new(),
+            send_queue: VecDeque::new(),
             send_queued_bytes: 0,
             retx: BTreeMap::new(),
             fin_pending: false,
@@ -615,7 +615,7 @@ impl TcpInner {
             reo_timer: new_timer(),
             pacing_timer: new_timer(),
             app: None,
-            pending_events: Vec::new(),
+            pending_events: VecDeque::new(),
             stats: TcpStats::default(),
             trace_flow,
             conn_t0: None,
@@ -830,22 +830,38 @@ impl TcpInner {
         self.cc.cwnd().min(self.snd_wnd)
     }
 
-    /// Pull up to `max` bytes off the send queue as one payload.
+    /// Pull up to `max` bytes off the send queue as one payload. A
+    /// payload that lies within the head chunk is a view of the caller's
+    /// buffer; bytes are copied only to join a segment across chunks.
     fn dequeue_payload(&mut self, max: usize) -> Bytes {
-        let mut out = BytesMut::with_capacity(max.min(self.send_queued_bytes as usize));
-        while out.len() < max && !self.send_queue.is_empty() {
-            let need = max - out.len();
-            let head = &mut self.send_queue[0];
-            if head.len() <= need {
-                out.extend_from_slice(head);
-                self.send_queue.remove(0);
-            } else {
-                out.extend_from_slice(&head.slice(..need));
-                *head = head.slice(need..);
+        let Some(head) = self.send_queue.front_mut() else {
+            return Bytes::new();
+        };
+        let payload = if head.len() > max {
+            let payload = head.slice(..max);
+            *head = head.slice(max..);
+            payload
+        } else if head.len() == max || self.send_queue.len() == 1 {
+            self.send_queue.pop_front().expect("front exists")
+        } else {
+            let mut joined = BytesMut::with_capacity(max.min(self.send_queued_bytes as usize));
+            while joined.len() < max {
+                let Some(head) = self.send_queue.front_mut() else {
+                    break;
+                };
+                let need = max - joined.len();
+                if head.len() > need {
+                    joined.extend_from_slice(&head[..need]);
+                    *head = head.slice(need..);
+                } else {
+                    joined.extend_from_slice(head);
+                    self.send_queue.pop_front();
+                }
             }
-        }
-        self.send_queued_bytes -= out.len() as u64;
-        out.freeze()
+            joined.freeze()
+        };
+        self.send_queued_bytes -= payload.len() as u64;
+        payload
     }
 
     /// Transmit as much new data as the window allows — released one
@@ -942,7 +958,7 @@ impl TcpInner {
             }
         }
         if had_backlog && self.send_queued_bytes == 0 {
-            self.pending_events.push(SocketEvent::SendQueueDrained);
+            self.pending_events.push_back(SocketEvent::SendQueueDrained);
         }
         if out.len() > out_before {
             // Window-gated sends only: limited transmit, PRR and TLP
@@ -1563,7 +1579,7 @@ impl TcpInner {
         self.insert_retx(seq, seg, now);
         out.push(pkt);
         if self.send_queued_bytes == 0 {
-            self.pending_events.push(SocketEvent::SendQueueDrained);
+            self.pending_events.push_back(SocketEvent::SendQueueDrained);
         }
         len
     }
@@ -1575,7 +1591,7 @@ impl TcpInner {
         self.last_seen = Some(now);
         if seg.flags.rst {
             self.teardown();
-            self.pending_events.push(SocketEvent::Reset);
+            self.pending_events.push_back(SocketEvent::Reset);
             return;
         }
         match self.state {
@@ -1591,7 +1607,7 @@ impl TcpInner {
                 if seg.flags.ack && seg.ack > self.snd_una {
                     self.handle_ack(now, &seg, out);
                     self.state = TcpState::Established;
-                    self.pending_events.push(SocketEvent::Connected);
+                    self.pending_events.push_back(SocketEvent::Connected);
                 }
                 if !seg.payload.is_empty() || seg.flags.fin {
                     self.handle_data(now, &seg, out);
@@ -1632,7 +1648,7 @@ impl TcpInner {
             // Completing ACK (may carry data below via transmit_new).
             let ack = self.make_packet(TcpFlags::ACK, self.snd_nxt, Bytes::new());
             out.push(ack);
-            self.pending_events.push(SocketEvent::Connected);
+            self.pending_events.push_back(SocketEvent::Connected);
             self.transmit_new(now, out);
         }
         // A bare SYN here would be simultaneous-open; out of scope.
@@ -1989,7 +2005,7 @@ impl TcpInner {
             if !payload.is_empty() {
                 self.rcv_nxt += payload.len() as u64;
                 self.stats.bytes_received += payload.len() as u64;
-                self.pending_events.push(SocketEvent::Data(payload));
+                self.pending_events.push_back(SocketEvent::Data(payload));
             }
             while let Some((&oseq, _)) = self.ooo.iter().next() {
                 if oseq > self.rcv_nxt {
@@ -2001,7 +2017,7 @@ impl TcpInner {
                     let chunk = odata.slice(skip..);
                     self.rcv_nxt += chunk.len() as u64;
                     self.stats.bytes_received += chunk.len() as u64;
-                    self.pending_events.push(SocketEvent::Data(chunk));
+                    self.pending_events.push_back(SocketEvent::Data(chunk));
                 }
             }
             // Reassembly gap closed: the parked bytes waited this long
@@ -2050,7 +2066,7 @@ impl TcpInner {
     }
 
     fn on_peer_fin(&mut self) {
-        self.pending_events.push(SocketEvent::PeerClosed);
+        self.pending_events.push_back(SocketEvent::PeerClosed);
         self.state = match self.state {
             TcpState::Established => TcpState::CloseWait,
             TcpState::FinWait1 => TcpState::Closing,
@@ -2205,7 +2221,16 @@ impl TcpHandle {
 
     /// Queue bytes for transmission.
     pub fn send(&self, sim: &mut Simulator, data: Bytes) {
-        if data.is_empty() {
+        self.send_vectored(sim, [data]);
+    }
+
+    /// Queue several buffers for transmission as one write: on the wire
+    /// exactly `send` of their concatenation, without building it. (Two
+    /// `send`s are not: the first may put a short segment on the wire
+    /// before the second is queued.)
+    pub fn send_vectored(&self, sim: &mut Simulator, chunks: impl IntoIterator<Item = Bytes>) {
+        let mut chunks = chunks.into_iter().filter(|c| !c.is_empty()).peekable();
+        if chunks.peek().is_none() {
             return;
         }
         let now = sim.now();
@@ -2219,8 +2244,10 @@ impl TcpHandle {
                 !inner.fin_pending && inner.fin_seq.is_none(),
                 "send after close"
             );
-            inner.send_queued_bytes += data.len() as u64;
-            inner.send_queue.push(data);
+            for data in chunks {
+                inner.send_queued_bytes += data.len() as u64;
+                inner.send_queue.push_back(data);
+            }
             if inner.state != TcpState::SynSent && inner.state != TcpState::SynReceived {
                 inner.transmit_new(now, &mut packets);
             }
@@ -2663,7 +2690,7 @@ impl TcpHandle {
             inner.metric_count("tcp_rto_total");
             if inner.consecutive_timeouts > inner.config.max_retries {
                 inner.teardown();
-                inner.pending_events.push(SocketEvent::Reset);
+                inner.pending_events.push_back(SocketEvent::Reset);
                 dead = true;
             } else {
                 let flight = inner.flight_size();
@@ -2748,10 +2775,10 @@ impl TcpHandle {
         loop {
             let (event, app) = {
                 let mut inner = self.inner.borrow_mut();
-                if inner.pending_events.is_empty() {
+                let Some(event) = inner.pending_events.pop_front() else {
                     return;
-                }
-                (inner.pending_events.remove(0), inner.app.clone())
+                };
+                (event, inner.app.clone())
             };
             if let Some(app) = app {
                 app.on_event(sim, self, event);
@@ -2935,7 +2962,7 @@ mod tests {
         assert_eq!(inner.state(), TcpState::CloseWait);
         assert_eq!(inner.rcv_nxt, 1);
         assert!(matches!(
-            inner.pending_events.last(),
+            inner.pending_events.back(),
             Some(SocketEvent::PeerClosed)
         ));
         // Our ACK of the FIN.
@@ -2996,7 +3023,7 @@ mod tests {
         inner.on_segment(Timestamp::ZERO, rst, &mut out);
         assert_eq!(inner.state(), TcpState::Closed);
         assert!(matches!(
-            inner.pending_events.last(),
+            inner.pending_events.back(),
             Some(SocketEvent::Reset)
         ));
         assert!(out.is_empty(), "no reply to an RST");
@@ -3016,7 +3043,7 @@ mod tests {
         // Queue far more than IW10 allows.
         let big = vec![0u8; 100_000];
         inner.send_queued_bytes = big.len() as u64;
-        inner.send_queue.push(Bytes::from(big));
+        inner.send_queue.push_back(Bytes::from(big));
         let mut out = Vec::new();
         inner.transmit_new(Timestamp::ZERO, &mut out);
         let sent: u64 = out.iter().map(|p| p.segment.payload.len() as u64).sum();
@@ -3028,11 +3055,113 @@ mod tests {
         }
     }
 
+    /// Queue `chunks` as one write, mark the close, then drive the
+    /// sender to completion against a peer that acks everything and
+    /// always advertises `window`. Returns every segment put on the wire
+    /// as `(seq, flags, payload)`.
+    fn wire_of(chunks: Vec<Bytes>, window: u64) -> Vec<(u64, TcpFlags, Vec<u8>)> {
+        let mut inner = make_inner(TcpState::Established);
+        inner.snd_wnd = window;
+        for chunk in chunks {
+            inner.send_queued_bytes += chunk.len() as u64;
+            inner.send_queue.push_back(chunk);
+        }
+        inner.fin_pending = true;
+        let mut wire = Vec::new();
+        let mut now = Timestamp::ZERO;
+        let mut out = Vec::new();
+        inner.transmit_new(now, &mut out);
+        while !out.is_empty() {
+            for pkt in out.drain(..) {
+                let seg = pkt.segment;
+                wire.push((seg.seq, seg.flags, seg.payload.to_vec()));
+            }
+            now += SimDuration::from_millis(10);
+            let ack = TcpSegment {
+                flags: TcpFlags::ACK,
+                seq: 0,
+                ack: inner.snd_nxt,
+                window,
+                sack: Default::default(),
+                payload: Bytes::new(),
+            };
+            // What `handle_segment` does with an arriving ack.
+            inner.on_segment(now, ack, &mut out);
+            inner.transmit_new(now, &mut out);
+        }
+        assert_eq!(inner.send_queued_bytes, 0);
+        assert!(inner.send_queue.is_empty());
+        wire
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn segment_stream_ignores_how_the_write_was_chunked(
+            sizes in proptest::collection::vec(1usize..5_000, 1..12),
+            window in 1u64..40_000,
+            salt in 0u8..255,
+        ) {
+            let total: usize = sizes.iter().sum();
+            let data: Vec<u8> = (0..total).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect();
+            let mut chunks = Vec::new();
+            let mut off = 0;
+            for len in sizes {
+                chunks.push(Bytes::copy_from_slice(&data[off..off + len]));
+                off += len;
+            }
+            let chunked = wire_of(chunks, window);
+            let coalesced = wire_of(vec![Bytes::from(data.clone())], window);
+            proptest::prop_assert_eq!(&chunked, &coalesced);
+            // And the stream is the data, in order, then the FIN.
+            let sent: Vec<u8> = chunked.iter().flat_map(|(_, _, p)| p.iter().copied()).collect();
+            proptest::prop_assert_eq!(sent, data);
+            proptest::prop_assert!(chunked.last().expect("at least the FIN").1.fin);
+        }
+    }
+
+    #[test]
+    fn segments_of_one_large_write_share_the_callers_buffer() {
+        let mut inner = make_inner(TcpState::Established);
+        let data = Bytes::from(vec![9u8; 12 * crate::packet::MSS + 100]);
+        let base = data.as_ptr();
+        inner.send_queued_bytes = data.len() as u64;
+        inner.send_queue.push_back(data);
+        let mut out = Vec::new();
+        inner.transmit_new(Timestamp::ZERO, &mut out);
+        assert!(out.len() >= 10, "IW10 worth of segments, got {}", out.len());
+        for pkt in &out {
+            let seg = &pkt.segment;
+            // A view into the application's allocation, not a copy of it…
+            assert_eq!(seg.payload.as_ptr(), base.wrapping_add(seg.seq as usize));
+            // …and the retransmission queue holds the same view.
+            let kept = &inner
+                .retx
+                .get(&seg.seq)
+                .expect("retx entry")
+                .segment
+                .payload;
+            assert_eq!(kept.as_ptr(), seg.payload.as_ptr());
+        }
+    }
+
+    #[test]
+    fn a_segment_spanning_two_chunks_carries_both() {
+        let mut inner = make_inner(TcpState::Established);
+        for chunk in [&b"head: "[..], &b"body"[..]] {
+            inner.send_queued_bytes += chunk.len() as u64;
+            inner.send_queue.push_back(Bytes::copy_from_slice(chunk));
+        }
+        let mut out = Vec::new();
+        inner.transmit_new(Timestamp::ZERO, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(&out[0].segment.payload[..], b"head: body");
+    }
+
     #[test]
     fn partial_ack_trims_retx_entry() {
         let mut inner = make_inner(TcpState::Established);
         inner.send_queued_bytes = 1000;
-        inner.send_queue.push(Bytes::from(vec![7u8; 1000]));
+        inner.send_queue.push_back(Bytes::from(vec![7u8; 1000]));
         let mut out = Vec::new();
         inner.transmit_new(Timestamp::ZERO, &mut out);
         // Ack half of the single segment.

@@ -79,6 +79,68 @@ proptest! {
     }
 }
 
+/// Connect, write once on `Connected` through `write`, run to the end;
+/// returns what the receiver saw as `(instant, bytes)` per delivery plus
+/// the engine's event count.
+fn deliveries_of(
+    write: impl Fn(&mut Simulator, &TcpHandle) + 'static,
+) -> (Vec<(Timestamp, usize)>, u64) {
+    struct Timeline(Rc<RefCell<Vec<(Timestamp, usize)>>>);
+    impl SocketApp for Timeline {
+        fn on_event(&self, sim: &mut Simulator, _h: &TcpHandle, ev: SocketEvent) {
+            if let SocketEvent::Data(b) = ev {
+                self.0.borrow_mut().push((sim.now(), b.len()));
+            }
+        }
+    }
+    impl Listener for Timeline {
+        fn on_connection(&self, _sim: &mut Simulator, _h: TcpHandle) -> Rc<dyn SocketApp> {
+            Rc::new(Timeline(self.0.clone()))
+        }
+    }
+    struct WriteOnce<F>(F);
+    impl<F: Fn(&mut Simulator, &TcpHandle)> SocketApp for WriteOnce<F> {
+        fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
+            if matches!(ev, SocketEvent::Connected) {
+                (self.0)(sim, h);
+            }
+        }
+    }
+    let mut sim = Simulator::new();
+    let ns = Namespace::root("w");
+    let ids = PacketIdGen::new();
+    let client = Host::new_in(IpAddr::new(10, 0, 0, 1), ids.clone(), &ns);
+    let server = Host::new_in(IpAddr::new(10, 0, 0, 2), ids, &ns);
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    server.listen(80, Rc::new(Timeline(seen.clone())));
+    client.connect(
+        &mut sim,
+        SocketAddr::new(server.ip(), 80),
+        Rc::new(WriteOnce(write)),
+    );
+    sim.run();
+    let seen = seen.borrow().clone();
+    (seen, sim.events_executed())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn vectored_send_is_send_of_the_concatenation(
+        sizes in prop::collection::vec(0usize..4000, 1..6),
+    ) {
+        let chunks: Vec<Bytes> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| Bytes::from(vec![i as u8; n]))
+            .collect();
+        let whole = Bytes::from(chunks.iter().flat_map(|c| c.iter().copied()).collect::<Vec<u8>>());
+        let vectored = deliveries_of(move |sim, h| h.send_vectored(sim, chunks.clone()));
+        let coalesced = deliveries_of(move |sim, h| h.send(sim, whole.clone()));
+        prop_assert_eq!(vectored, coalesced);
+    }
+}
+
 /// One scoreboard operation: merge a SACK block or advance the
 /// cumulative ack.
 #[derive(Debug, Clone)]

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use mm_capture::{HttpEvent, HttpPhase, TapHandle, NO_RESOURCE};
-use mm_http::{write_response, Request, RequestParser, Response};
+use mm_http::{write_response_parts, Request, RequestParser, Response};
 use mm_mux::{MuxConfig, MuxHandler, MuxResponder, MuxServerConn};
 use mm_net::{
     Host, Listener, Namespace, Origin, PacketIdGen, SocketAddr, SocketApp, SocketEvent, TcpHandle,
@@ -395,7 +395,9 @@ impl SocketApp for ReplayConn {
                         .unwrap_or_else(Response::not_found);
                     let status = resp.status;
                     let body_len = resp.body.len() as u64;
-                    let wire = write_response(&resp);
+                    // Head and recorded body go out as one write; the body
+                    // is the store's buffer, never copied.
+                    let wire = write_response_parts(&resp);
                     let conn = span_conn_id(h.remote_addr());
                     if self.think_time.is_zero() {
                         tap_http(
@@ -407,7 +409,7 @@ impl SocketApp for ReplayConn {
                             body_len,
                         );
                         span_think(&self.span, conn, &req.target, recv_at, sim.now());
-                        h.send(sim, wire);
+                        h.send_vectored(sim, wire);
                     } else {
                         // Serialize the matching work on this server's CPU.
                         let start = self.cpu.get().max(sim.now());
@@ -426,7 +428,7 @@ impl SocketApp for ReplayConn {
                                 body_len,
                             );
                             span_think(&span, conn, &req.target, recv_at, sim.now());
-                            h2.send(sim, wire);
+                            h2.send_vectored(sim, wire);
                         });
                     }
                 }

@@ -1,18 +1,16 @@
 //! The discrete-event engine.
 //!
-//! A [`Simulator`] owns a priority queue of scheduled events. Each event is a
+//! A [`Simulator`] owns a queue of scheduled events. Each event is a
 //! boxed closure that receives `&mut Simulator`, so handlers can schedule
 //! further events; actor state lives in `Rc<RefCell<_>>` handles captured by
 //! the closures (the simulation is single-threaded by design — determinism is
 //! a core requirement).
 //!
-//! Ties in timestamp are broken by insertion order (a monotonically
-//! increasing sequence number), which makes runs bit-identical for a given
-//! seed regardless of heap internals.
+//! Ties in timestamp are broken by insertion order, which makes runs
+//! bit-identical for a given seed. The queue (`queue.rs`) keeps
+//! that order by construction rather than by comparing sequence numbers.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
+use crate::queue::{EventQueue, Scheduled};
 use crate::time::{SimDuration, Timestamp};
 
 /// An event handler: a one-shot closure run at its scheduled instant.
@@ -24,16 +22,9 @@ pub type EventFn = Box<dyn FnOnce(&mut Simulator)>;
 /// `sim_events_<component>_total` convention.
 pub const UNTAGGED_EVENT: &str = "sim_events_untagged_total";
 
-struct Scheduled {
-    at: Timestamp,
-    seq: u64,
-    tag: &'static str,
-    f: EventFn,
-}
-
 /// Event-loop profile: per-component dispatch counts (keyed by the tag
 /// each component passes to [`Simulator::schedule_at_tagged`]) and the
-/// high-water occupancy of the timer heap. Collected only while
+/// high-water occupancy of the event queue. Collected only while
 /// [`Simulator::enable_profiler`] is on; profiling observes dispatch
 /// and never perturbs event order.
 #[derive(Debug, Default, Clone)]
@@ -70,7 +61,7 @@ impl EngineProfile {
             .map_or(0, |(_, n)| *n)
     }
 
-    /// Most events ever pending in the timer heap at once.
+    /// Most events ever pending in the event queue at once.
     pub fn heap_high_water(&self) -> usize {
         self.heap_high_water
     }
@@ -83,30 +74,6 @@ impl EngineProfile {
             sink.counter_add(tag, *n);
         }
         sink.gauge_set("sim_heap_high_water_events", self.heap_high_water as f64);
-    }
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (then
-        // lowest-sequence) event pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -142,8 +109,7 @@ pub enum RunResult {
 /// ```
 pub struct Simulator {
     now: Timestamp,
-    queue: BinaryHeap<Scheduled>,
-    next_seq: u64,
+    queue: EventQueue,
     events_executed: u64,
     event_limit: u64,
     stop_requested: bool,
@@ -164,8 +130,7 @@ impl Simulator {
     pub fn new() -> Self {
         Simulator {
             now: Timestamp::ZERO,
-            queue: BinaryHeap::new(),
-            next_seq: 0,
+            queue: EventQueue::new(),
             events_executed: 0,
             event_limit: Self::DEFAULT_EVENT_LIMIT,
             stop_requested: false,
@@ -233,11 +198,8 @@ impl Simulator {
             "cannot schedule event in the past: {at} < {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.queue.push(Scheduled {
             at,
-            seq,
             tag,
             f: Box::new(f),
         });
@@ -309,7 +271,7 @@ impl Simulator {
             if self.events_executed >= self.event_limit {
                 return RunResult::EventLimit;
             }
-            let Some(next_at) = self.queue.peek().map(|ev| ev.at) else {
+            let Some(next_at) = self.queue.next_deadline() else {
                 return RunResult::QueueEmpty;
             };
             if next_at > horizon {
@@ -366,6 +328,79 @@ mod tests {
             });
         }
         sim.run();
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_hundred_thousand_ties_keep_insertion_order() {
+        let mut sim = Simulator::new();
+        let (log, handle) = recorder();
+        // An earlier event first, so the ties are filed, re-filed when the
+        // clock reaches them, and joined by latecomers from a handler.
+        let late = handle.clone();
+        sim.schedule_at(Timestamp::from_millis(1), move |sim| {
+            for tag in 100_000u64..100_010 {
+                let h = late.clone();
+                sim.schedule_at(Timestamp::from_millis(7), move |_| h.borrow_mut().push(tag));
+            }
+        });
+        for tag in 0u64..100_000 {
+            let h = handle.clone();
+            sim.schedule_at(Timestamp::from_millis(7), move |_| h.borrow_mut().push(tag));
+        }
+        sim.run();
+        assert_eq!(sim.events_executed(), 100_011);
+        assert!(log.borrow().iter().copied().eq(0u64..100_010));
+    }
+
+    #[test]
+    fn deadline_zero_and_never_are_ordinary_deadlines() {
+        let mut sim = Simulator::new();
+        let (log, handle) = recorder();
+        for (tag, at) in [
+            (3u64, Timestamp::NEVER),
+            (0, Timestamp::ZERO),
+            (2, Timestamp::from_nanos(u64::MAX - 1)),
+            (1, Timestamp::ZERO),
+        ] {
+            let h = handle.clone();
+            sim.schedule_at(at, move |sim| {
+                h.borrow_mut().push(tag);
+                if tag == 3 {
+                    // Even at the end of time, "now" is a legal deadline.
+                    let h = h.clone();
+                    sim.schedule_now(move |_| h.borrow_mut().push(4));
+                }
+            });
+        }
+        assert!(sim.step());
+        assert_eq!(sim.now(), Timestamp::ZERO);
+        assert_eq!(sim.run(), RunResult::QueueEmpty);
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(sim.now(), Timestamp::NEVER);
+    }
+
+    #[test]
+    fn may_schedule_below_the_next_deadline_after_a_bounded_run() {
+        let mut sim = Simulator::new();
+        let (log, handle) = recorder();
+        let at = |ms: u64, tag: u64, sim: &mut Simulator| {
+            let h = handle.clone();
+            sim.schedule_at(Timestamp::from_millis(ms), move |_| {
+                h.borrow_mut().push(tag)
+            });
+        };
+        at(5, 0, &mut sim);
+        at(900, 3, &mut sim);
+        // Stops at 10 ms having looked at, but not reached, 900 ms.
+        assert_eq!(
+            sim.run_until(Timestamp::from_millis(10)),
+            RunResult::HorizonReached
+        );
+        at(10, 1, &mut sim);
+        at(400, 2, &mut sim);
+        at(900, 4, &mut sim);
+        assert_eq!(sim.run(), RunResult::QueueEmpty);
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
     }
 

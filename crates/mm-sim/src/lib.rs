@@ -14,6 +14,7 @@
 
 pub mod dist;
 pub mod engine;
+mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -34,17 +34,25 @@ use crate::time::{SimDuration, Timestamp};
 /// ```
 #[derive(Clone)]
 pub struct Timer {
-    generation: Rc<Cell<u64>>,
-    deadline: Rc<Cell<Timestamp>>,
+    /// Everything a pending firing has to see, in one shared cell block.
+    state: Rc<TimerState>,
     /// When set, this timer registers into a shared [`TimerMux`] instead of
-    /// the simulator's global heap; cancellation then physically removes the
-    /// pending entry rather than leaving a dead closure behind.
+    /// the simulator's global queue; cancellation then physically removes
+    /// the pending entry rather than leaving a dead closure behind.
     mux: Option<Rc<MuxInner>>,
-    /// The mux map key of the currently pending entry, if any.
-    mux_key: Rc<Cell<Option<(Timestamp, u64)>>>,
     /// Dispatch tag for the event-loop profiler (doubles as the metric
     /// name the firing count exports under).
     tag: &'static str,
+}
+
+struct TimerState {
+    /// Bumped by every arm and cancel; a queued firing runs only if the
+    /// generation it was armed under is still current.
+    generation: Cell<u64>,
+    /// The instant the timer will fire, `Timestamp::NEVER` while unarmed.
+    deadline: Cell<Timestamp>,
+    /// The mux map key of the currently pending entry, if any.
+    mux_key: Cell<Option<(Timestamp, u64)>>,
 }
 
 impl Default for Timer {
@@ -70,10 +78,12 @@ impl Timer {
     /// [`Simulator::schedule_at_tagged`]).
     pub fn tagged(tag: &'static str) -> Self {
         Timer {
-            generation: Rc::new(Cell::new(0)),
-            deadline: Rc::new(Cell::new(Timestamp::NEVER)),
+            state: Rc::new(TimerState {
+                generation: Cell::new(0),
+                deadline: Cell::new(Timestamp::NEVER),
+                mux_key: Cell::new(None),
+            }),
             mux: None,
-            mux_key: Rc::new(Cell::new(None)),
             tag,
         }
     }
@@ -104,33 +114,30 @@ impl Timer {
         at: Timestamp,
         f: impl FnOnce(&mut Simulator) + 'static,
     ) {
-        let gen = self.generation.get() + 1;
-        self.generation.set(gen);
-        self.deadline.set(at);
+        let state = self.state.clone();
+        let gen = state.generation.get() + 1;
+        state.generation.set(gen);
+        state.deadline.set(at);
         if let Some(mux) = &self.mux {
-            if let Some(old) = self.mux_key.take() {
+            if let Some(old) = state.mux_key.take() {
                 mux.pending.borrow_mut().remove(&old);
             }
             let key = (at, mux.next_entry_seq());
-            let deadline = self.deadline.clone();
-            let mux_key = self.mux_key.clone();
+            state.mux_key.set(Some(key));
             mux.pending.borrow_mut().insert(
                 key,
                 Box::new(move |sim| {
-                    mux_key.set(None);
-                    deadline.set(Timestamp::NEVER);
+                    state.mux_key.set(None);
+                    state.deadline.set(Timestamp::NEVER);
                     f(sim);
                 }),
             );
-            self.mux_key.set(Some(key));
             mux.reschedule(sim);
             return;
         }
-        let generation = self.generation.clone();
-        let deadline = self.deadline.clone();
         sim.schedule_at_tagged(self.tag, at, move |sim| {
-            if generation.get() == gen {
-                deadline.set(Timestamp::NEVER);
+            if state.generation.get() == gen {
+                state.deadline.set(Timestamp::NEVER);
                 f(sim);
             }
         });
@@ -138,38 +145,39 @@ impl Timer {
 
     /// Cancel any pending firing. Idempotent.
     pub fn cancel(&self) {
-        self.generation.set(self.generation.get() + 1);
-        self.deadline.set(Timestamp::NEVER);
-        if let (Some(mux), Some(key)) = (&self.mux, self.mux_key.take()) {
+        let state = &self.state;
+        state.generation.set(state.generation.get() + 1);
+        state.deadline.set(Timestamp::NEVER);
+        if let (Some(mux), Some(key)) = (&self.mux, state.mux_key.take()) {
             mux.pending.borrow_mut().remove(&key);
         }
     }
 
     /// True if the timer is armed and has not yet fired or been cancelled.
     pub fn is_armed(&self) -> bool {
-        self.deadline.get() != Timestamp::NEVER
+        self.state.deadline.get() != Timestamp::NEVER
     }
 
     /// The instant the timer will fire, or `Timestamp::NEVER` if unarmed.
     pub fn deadline(&self) -> Timestamp {
-        self.deadline.get()
+        self.state.deadline.get()
     }
 }
 
 /// A shared timer multiplexer: many [`Timer`]s created via
 /// [`Timer::in_mux`] funnel through ONE dispatcher slot in the simulator's
-/// global heap instead of each `arm()` pushing its own closure.
+/// global event queue instead of each `arm()` pushing its own closure.
 ///
 /// Two wins at population scale (thousands of sockets, five timers each):
-/// the global heap holds at most one entry per mux regardless of how many
-/// timers are armed, and cancellation/rearm *removes* the pending entry
+/// the global event queue holds at most one entry per mux regardless of how
+/// many timers are armed, and cancellation/rearm *removes* the pending entry
 /// from the mux's map — no dead-generation closures accumulate for the
 /// engine to grind through.
 ///
 /// Ordering: entries at the same instant fire in arm order (a per-mux
 /// sequence number mirrors the engine's insertion-order tie-break).
 /// Note that relative ordering *between* mux-backed timers and other
-/// same-instant events differs from the global-heap path — all firings
+/// same-instant events differs from the global-queue path — all firings
 /// due at `t` run back-to-back when the dispatcher pops — so worlds that
 /// must stay byte-identical to pre-mux baselines leave the mux off.
 ///
