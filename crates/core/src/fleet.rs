@@ -354,6 +354,9 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
         .map(|_| Rc::new(RefCell::new(None)))
         .collect();
     let mut bulk_clients: Vec<Rc<BulkClient>> = Vec::with_capacity(spec.n_users);
+    // The world owns its users: a browser (and through it the user's host)
+    // lives until the run is over, not until its arrival event has fired.
+    let mut browsers: Vec<Browser> = Vec::with_capacity(spec.n_users);
     for (i, plt_slot) in plt_slots.iter().enumerate() {
         let start = Timestamp::ZERO
             + SimDuration::from_nanos(
@@ -364,6 +367,7 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
         let mut browser_config = spec.load.browser.clone();
         browser_config.tcp = Some(base_tcp.to_builder().cc(spec.cc_mix.cc_for(i)).build());
         let browser = Browser::new(host.clone(), resolver.clone(), browser_config);
+        browsers.push(browser.clone());
         let slot = plt_slot.clone();
         let root_url = spec.load.site.root_url.clone();
         sim.schedule_at(start, move |sim| {

@@ -211,6 +211,9 @@ struct SoakWorld {
     free_slots: RefCell<Vec<usize>>,
     /// Per-slot client hosts, created lazily and reused across sessions.
     client_hosts: RefCell<Vec<Option<Host>>>,
+    /// Per-slot browser of the session in flight; dropped, pools and
+    /// parsers with it, when the session finishes.
+    browsers: RefCell<Vec<Option<Browser>>>,
     live: Cell<usize>,
     plts_ms: RefCell<Vec<f64>>,
     per_origin: RefCell<BTreeMap<String, OriginAcc>>,
@@ -249,9 +252,14 @@ impl SoakWorld {
         };
 
         let browser = Browser::new(host, self.resolver.clone(), self.browser_cfg.clone());
-        let world = self.clone();
+        self.browsers.borrow_mut()[slot] = Some(browser.clone());
+        // The world owns the browser, so its completion callback only
+        // refers back.
+        let world = Rc::downgrade(self);
         browser.navigate(sim, &self.root_url, move |sim, r| {
-            world.finish_session(sim, slot, r);
+            if let Some(world) = world.upgrade() {
+                world.finish_session(sim, slot, r);
+            }
         });
     }
 
@@ -303,6 +311,7 @@ impl SoakWorld {
             }
         }
 
+        self.browsers.borrow_mut()[slot] = None;
         self.live.set(self.live.get() - 1);
         self.free_slots.borrow_mut().push(slot);
     }
@@ -548,6 +557,7 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
         counters,
         free_slots: RefCell::new((0..spec.max_live_sessions).rev().collect()),
         client_hosts: RefCell::new(vec![None; spec.max_live_sessions]),
+        browsers: RefCell::new(vec![None; spec.max_live_sessions]),
         live: Cell::new(0),
         plts_ms: RefCell::new(Vec::new()),
         per_origin: RefCell::new(BTreeMap::new()),

@@ -17,7 +17,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use bytes::Bytes;
 use mm_capture::{HttpEvent, HttpPhase, TapHandle};
@@ -272,9 +272,26 @@ struct BrowserInner {
 }
 
 /// A browser instance bound to a virtual host.
+///
+/// The browser owns its host handle, its connection pools and (through
+/// the host) its sockets; the socket applications and mux callbacks it
+/// installs refer back to it weakly. A load therefore runs for as long as
+/// the caller holds the `Browser` (or a clone): events for a browser that
+/// was dropped are ignored.
 #[derive(Clone)]
 pub struct Browser {
     inner: Rc<RefCell<BrowserInner>>,
+}
+
+/// What a callback owned by the browser's own sockets or mux clients
+/// holds instead of a [`Browser`].
+#[derive(Clone)]
+struct WeakBrowser(Weak<RefCell<BrowserInner>>);
+
+impl WeakBrowser {
+    fn upgrade(&self) -> Option<Browser> {
+        self.0.upgrade().map(|inner| Browser { inner })
+    }
 }
 
 impl Browser {
@@ -292,6 +309,10 @@ impl Browser {
                 load: None,
             })),
         }
+    }
+
+    fn downgrade(&self) -> WeakBrowser {
+        WeakBrowser(Rc::downgrade(&self.inner))
     }
 
     /// Install per-resource CPU jitter: each resource's main-thread cost
@@ -536,11 +557,13 @@ impl Browser {
                         0,
                     );
                     self.stamp_mux_submit(sim.now(), job.timing_idx, &client);
-                    let me = self.clone();
+                    let me = self.downgrade();
                     let auth = authority.to_string();
                     let tag = job.timing_idx as u32;
                     client.request_tagged(sim, req, priority, tag, move |sim, result| {
-                        me.on_mux_result(sim, &auth, job, result);
+                        if let Some(me) = me.upgrade() {
+                            me.on_mux_result(sim, &auth, job, result);
+                        }
                     });
                 }
                 Step::Connect(addr, config) => {
@@ -548,10 +571,12 @@ impl Browser {
                     let client = MuxClient::connect(sim, &host, addr, config);
                     let mut inner = self.inner.borrow_mut();
                     if inner.config.span.is_some() {
-                        let me = self.clone();
+                        let me = self.downgrade();
                         let auth = authority.to_string();
                         client.set_observer(Rc::new(move |tag, ev, t| {
-                            me.on_mux_stream_event(&auth, tag, ev, t);
+                            if let Some(me) = me.upgrade() {
+                                me.on_mux_stream_event(&auth, tag, ev, t);
+                            }
                         }));
                     }
                     if let Some(load) = inner.load.as_mut() {
@@ -670,8 +695,8 @@ impl Browser {
             connected_at: None,
         }));
         let app = Rc::new(ConnApp {
-            browser: self.clone(),
-            conn: conn.clone(),
+            browser: self.downgrade(),
+            conn: Rc::downgrade(&conn),
             authority: authority.to_string(),
             parser: RefCell::new(ResponseParser::new()),
         });
@@ -1096,22 +1121,28 @@ impl Browser {
     }
 }
 
-/// The per-connection socket app.
+/// The per-connection socket app. Owned by the socket, so it only
+/// *refers* to the browser and to the pool's connection record (which
+/// holds the socket): once the load has dropped the record, or the caller
+/// the browser, further socket events have no one to report to.
 struct ConnApp {
-    browser: Browser,
-    conn: ConnRef,
+    browser: WeakBrowser,
+    conn: Weak<RefCell<Conn>>,
     authority: String,
     parser: RefCell<ResponseParser>,
 }
 
 impl SocketApp for ConnApp {
     fn on_event(&self, sim: &mut Simulator, _h: &TcpHandle, ev: SocketEvent) {
+        let (Some(browser), Some(conn)) = (self.browser.upgrade(), self.conn.upgrade()) else {
+            return;
+        };
         match ev {
             SocketEvent::Connected => {
-                self.browser.on_conn_ready(sim, &self.authority, &self.conn);
+                browser.on_conn_ready(sim, &self.authority, &conn);
             }
             SocketEvent::Data(bytes) => {
-                self.browser.on_first_bytes(sim.now(), &self.conn);
+                browser.on_first_bytes(sim.now(), &conn);
                 // The browser only issues GETs, and the parser defaults to
                 // "not a HEAD response" when its queue is empty, so no
                 // expect_head bookkeeping is required.
@@ -1119,17 +1150,16 @@ impl SocketApp for ConnApp {
                 match resps {
                     Ok(resps) => {
                         for resp in resps {
-                            self.browser
-                                .on_response(sim, &self.authority, &self.conn, resp);
+                            browser.on_response(sim, &self.authority, &conn, resp);
                         }
                     }
                     Err(_) => {
-                        self.browser.on_conn_dead(sim, &self.authority, &self.conn);
+                        browser.on_conn_dead(sim, &self.authority, &conn);
                     }
                 }
             }
             SocketEvent::PeerClosed | SocketEvent::Reset => {
-                self.browser.on_conn_dead(sim, &self.authority, &self.conn);
+                browser.on_conn_dead(sim, &self.authority, &conn);
             }
             // Requests are tiny; the browser never paces its writes.
             SocketEvent::SendQueueDrained => {}

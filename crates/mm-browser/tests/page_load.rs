@@ -4,11 +4,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use mm_browser::{Browser, BrowserConfig, PageLoadResult};
+use mm_browser::{Browser, BrowserConfig, MuxConfig, PageLoadResult, ProtocolMode};
 use mm_http::{Request, Response, Url};
 use mm_net::{Host, IpAddr, Namespace, PacketIdGen, SocketAddr};
 use mm_record::{RequestResponsePair, Scheme, StoredSite};
-use mm_replay::{ReplayConfig, ReplayMode, ReplayShell};
+use mm_replay::{ReplayConfig, ReplayMode, ReplayShell, ServerProtocol};
 use mm_sim::{SimDuration, Simulator};
 
 fn pair(ip: IpAddr, port: u16, target: &str, body: &str, ctype: &str) -> RequestResponsePair {
@@ -55,6 +55,12 @@ struct World {
 }
 
 fn world(mode: ReplayMode) -> World {
+    world_speaking(mode, ProtocolMode::default()).0
+}
+
+/// The world, plus handles of its own to the client host and the servers
+/// (which the world reaches only through the browser).
+fn world_speaking(mode: ReplayMode, protocol: ProtocolMode) -> (World, Host, Rc<ReplayShell>) {
     let sim = Simulator::new();
     let root = Namespace::root("world");
     let ids = PacketIdGen::new();
@@ -64,6 +70,10 @@ fn world(mode: ReplayMode) -> World {
         ReplayConfig {
             mode,
             think_time: SimDuration::ZERO,
+            protocol: match &protocol {
+                ProtocolMode::Http1 { .. } => ServerProtocol::Http1,
+                ProtocolMode::Mux(mux) => ServerProtocol::Mux(mux.clone()),
+            },
             ..ReplayConfig::default()
         },
         &ids,
@@ -77,12 +87,20 @@ fn world(mode: ReplayMode) -> World {
             shell.resolve(origin)
         })
     };
-    let browser = Browser::new(client_host, resolver, BrowserConfig::default());
-    World {
+    let browser = Browser::new(
+        client_host.clone(),
+        resolver,
+        BrowserConfig {
+            protocol,
+            ..BrowserConfig::default()
+        },
+    );
+    let world = World {
         sim,
         browser,
         result: Rc::new(RefCell::new(None)),
-    }
+    };
+    (world, client_host, shell)
 }
 
 fn run_load(w: &mut World) -> PageLoadResult {
@@ -110,6 +128,41 @@ fn loads_full_dependency_closure() {
         .unwrap();
     assert_eq!(font.status, 200);
     assert_eq!(font.body_bytes, 4);
+}
+
+/// The browser owns its sockets, not the other way round: once the caller
+/// lets go of it mid-load, what its connections still receive has no one
+/// to report to, and the load simply never completes.
+#[test]
+fn events_for_a_dropped_browser_are_ignored() {
+    for mode in [
+        ProtocolMode::default(),
+        ProtocolMode::Mux(MuxConfig::default()),
+    ] {
+        let (world, client_host, servers) = world_speaking(ReplayMode::MultiOrigin, mode);
+        let World {
+            mut sim,
+            browser,
+            result,
+        } = world;
+        let slot = result.clone();
+        browser.navigate(&mut sim, "http://10.0.0.1:80/", move |_sim, r| {
+            *slot.borrow_mut() = Some(r);
+        });
+        // Far enough for the root document's connection to be up and its
+        // request out, not far enough for the page to finish.
+        for _ in 0..6 {
+            assert!(sim.step());
+        }
+        assert!(client_host.socket_count() >= 1);
+        let heard = client_host.stats().packets_in;
+        drop(browser);
+        assert_eq!(sim.run(), mm_sim::RunResult::QueueEmpty);
+        assert!(result.borrow().is_none());
+        // The servers did answer; nobody was listening.
+        assert!(client_host.stats().packets_in > heard);
+        assert_eq!(servers.server_count(), 3);
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use bytes::{Bytes, BytesMut};
 use mm_http::{Request, Response};
@@ -118,7 +118,10 @@ impl ClientInner {
     }
 }
 
-/// A multiplexed connection to one origin.
+/// A multiplexed connection to one origin. The client owns its socket;
+/// the socket's application only refers back to it, so the connection
+/// lives exactly as long as the caller holds the client (or a clone):
+/// events for a client that was dropped are ignored.
 #[derive(Clone)]
 pub struct MuxClient {
     inner: Rc<RefCell<ClientInner>>,
@@ -150,7 +153,7 @@ impl MuxClient {
             })),
         };
         let app = Rc::new(ClientApp {
-            client: client.clone(),
+            client: Rc::downgrade(&client.inner),
         });
         let handle = host.connect(sim, addr, app);
         client.inner.borrow_mut().handle = Some(handle);
@@ -457,15 +460,19 @@ impl ClientInner {
 }
 
 struct ClientApp {
-    client: MuxClient,
+    client: Weak<RefCell<ClientInner>>,
 }
 
 impl SocketApp for ClientApp {
     fn on_event(&self, sim: &mut Simulator, handle: &TcpHandle, ev: SocketEvent) {
+        let Some(inner) = self.client.upgrade() else {
+            return;
+        };
+        let client = MuxClient { inner };
         match ev {
             SocketEvent::Connected => {
                 let (wire, observer) = {
-                    let mut inner = self.client.inner.borrow_mut();
+                    let mut inner = client.inner.borrow_mut();
                     inner.connected = true;
                     let wire = Frame::Settings {
                         max_concurrent_streams: inner.config.max_concurrent_streams,
@@ -481,11 +488,11 @@ impl SocketApp for ClientApp {
                     obs(NO_TAG, StreamEvent::ConnReady, sim.now());
                 }
                 handle.send(sim, wire);
-                self.client.pump(sim);
+                client.pump(sim);
             }
-            SocketEvent::Data(bytes) => self.client.on_data(sim, &bytes),
+            SocketEvent::Data(bytes) => client.on_data(sim, &bytes),
             SocketEvent::PeerClosed | SocketEvent::Reset => {
-                self.client.fail_all(sim, MuxError::ConnectionClosed);
+                client.fail_all(sim, MuxError::ConnectionClosed);
             }
             // The client's writes (requests, WINDOW_UPDATEs) are small
             // and unpaced; drain edges carry no information for it.

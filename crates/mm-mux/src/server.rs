@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
 use mm_http::{Request, Response};
-use mm_net::{SocketApp, SocketEvent, TcpHandle};
+use mm_net::{SocketApp, SocketEvent, TcpHandle, WeakTcpHandle};
 use mm_sim::Simulator;
 
 use crate::flow::FlowWindow;
@@ -51,6 +51,9 @@ impl MuxResponder {
             if inner.dead {
                 return;
             }
+            let Some(handle) = inner.handle.upgrade() else {
+                return;
+            };
             let Some(stream) = inner.streams.get_mut(&self.stream) else {
                 return;
             };
@@ -68,7 +71,7 @@ impl MuxResponder {
                 stream.out = body;
                 stream.responded = true;
             }
-            (inner.handle.clone(), headers)
+            (handle, headers)
         };
         handle.send(sim, headers);
         pump(&self.inner, sim);
@@ -80,17 +83,21 @@ impl MuxResponder {
 /// `SendQueueDrained` edge firing inside one of our own sends) defer to
 /// the active loop, so frames always hit the wire in schedule order.
 fn pump(inner_rc: &Rc<RefCell<ServerInner>>, sim: &mut Simulator) {
-    {
+    let handle = {
         let mut inner = inner_rc.borrow_mut();
         if inner.pumping || inner.dead {
             return;
         }
+        let Some(handle) = inner.handle.upgrade() else {
+            return;
+        };
         inner.pumping = true;
-    }
+        handle
+    };
     loop {
-        let (handle, wires) = {
-            let mut inner = inner_rc.borrow_mut();
-            (inner.handle.clone(), inner.schedule_data())
+        let wires = {
+            let unsent = handle.unsent_bytes() as usize;
+            inner_rc.borrow_mut().schedule_data(unsent)
         };
         if wires.is_empty() {
             break;
@@ -119,7 +126,10 @@ struct Stream {
 
 struct ServerInner {
     config: MuxConfig,
-    handle: TcpHandle,
+    /// The connection this state speaks on. Weak: the socket owns its
+    /// application (this), never the reverse; a responder that outlives
+    /// the socket finds nothing to write to.
+    handle: WeakTcpHandle,
     decoder: FrameDecoder,
     dead: bool,
     /// Connection-level send window.
@@ -148,14 +158,15 @@ impl ServerInner {
     const YIELD_INTERVAL: u32 = 4;
 
     /// Cut the next DATA frames from eligible streams until windows,
-    /// queues, or the TCP backlog budget run out. Pure scheduling beyond
-    /// the backlog probe: returns the wire bytes for the caller to send
-    /// outside the borrow. Emission is self-clocked: each
-    /// `SendQueueDrained` edge re-enters here for the next budget.
-    fn schedule_data(&mut self) -> Vec<Bytes> {
+    /// queues, or the TCP backlog budget (less the `unsent` bytes already
+    /// sitting in the send buffer) run out. Pure scheduling: returns the
+    /// wire bytes for the caller to send outside the borrow. Emission is
+    /// self-clocked: each `SendQueueDrained` edge re-enters here for the
+    /// next budget.
+    fn schedule_data(&mut self, unsent: usize) -> Vec<Bytes> {
         let mut wires = Vec::new();
-        let mut budget = (self.config.frame_max_data * Self::SEND_BUDGET_FRAMES)
-            .saturating_sub(self.handle.unsent_bytes() as usize);
+        let mut budget =
+            (self.config.frame_max_data * Self::SEND_BUDGET_FRAMES).saturating_sub(unsent);
         loop {
             if budget == 0 || self.conn_window.is_blocked() {
                 break;
@@ -241,7 +252,7 @@ impl MuxServerConn {
         MuxServerConn {
             inner: Rc::new(RefCell::new(ServerInner {
                 config,
-                handle,
+                handle: handle.downgrade(),
                 decoder: FrameDecoder::new(),
                 dead: false,
                 conn_window: FlowWindow::new(conn_window),
@@ -254,10 +265,10 @@ impl MuxServerConn {
         }
     }
 
-    fn on_data(&self, sim: &mut Simulator, bytes: &[u8]) {
+    fn on_data(&self, sim: &mut Simulator, handle: &TcpHandle, bytes: &[u8]) {
         let mut requests: Vec<(u32, Request)> = Vec::new();
         let mut protocol_error = false;
-        let handle = {
+        {
             let mut inner = self.inner.borrow_mut();
             let frames = match inner.decoder.feed(bytes) {
                 Ok(frames) => frames,
@@ -337,8 +348,7 @@ impl MuxServerConn {
                     }
                 }
             }
-            inner.handle.clone()
-        };
+        }
         if protocol_error {
             handle.abort(sim);
             self.inner.borrow_mut().dead = true;
@@ -387,7 +397,7 @@ impl SocketApp for MuxServerConn {
                 };
                 handle.send(sim, wire);
             }
-            SocketEvent::Data(bytes) => self.on_data(sim, &bytes),
+            SocketEvent::Data(bytes) => self.on_data(sim, handle, &bytes),
             SocketEvent::SendQueueDrained => {
                 // The connection drained its backlog: emit the next
                 // budget of DATA frames.

@@ -62,6 +62,9 @@ impl Listener for MuxListener {
 
 struct World {
     sim: Simulator,
+    /// Held, not used: a namespace only knows its hosts, it does not
+    /// keep them.
+    _server: Host,
     client_host: Host,
     server_addr: SocketAddr,
     in_flight: Rc<RefCell<(usize, usize)>>,
@@ -86,6 +89,7 @@ fn world(config: &MuxConfig, server_delay: SimDuration) -> World {
     );
     World {
         sim,
+        _server: server,
         client_host,
         server_addr: SocketAddr::new(IpAddr::new(10, 0, 0, 1), 80),
         in_flight,
@@ -286,4 +290,59 @@ fn mismatched_connection_windows_negotiate() {
     let results = out.borrow();
     let resp = results[0].1.as_ref().expect("completed despite mismatch");
     assert_eq!(resp.body.len(), 500_000);
+}
+
+/// The client owns its connection, not the other way round: once the
+/// caller lets go of it, what the socket still receives has no one to
+/// report to, and the outstanding requests are simply never answered.
+#[test]
+fn events_for_a_dropped_client_are_ignored() {
+    let cfg = MuxConfig::default();
+    let mut w = world(&cfg, SimDuration::from_millis(5));
+    let client = MuxClient::connect(&mut w.sim, &w.client_host, w.server_addr, cfg);
+    let out: Results = Rc::new(RefCell::new(Vec::new()));
+    fetch(&mut w, &client, "/echo/50000", 1, &out);
+    // Handshake done and the request out; the server is thinking.
+    w.sim.run_until(mm_sim::Timestamp::from_millis(2));
+    assert_eq!(client.active_streams(), 1);
+    let heard = w.client_host.stats().packets_in;
+    drop(client);
+    assert_eq!(w.sim.run(), mm_sim::RunResult::QueueEmpty);
+    assert!(
+        w.client_host.stats().packets_in > heard,
+        "the server answered"
+    );
+    assert!(out.borrow().is_empty(), "nobody was listening");
+}
+
+/// A responder held across think time does not own the connection: if
+/// the server host is gone when the answer is ready, it goes nowhere.
+#[test]
+fn a_responder_that_outlives_its_connection_writes_nothing() {
+    let cfg = MuxConfig::default();
+    let World {
+        mut sim,
+        _server: server,
+        client_host,
+        server_addr,
+        in_flight,
+    } = world(&cfg, SimDuration::from_millis(5));
+    let client = MuxClient::connect(&mut sim, &client_host, server_addr, cfg);
+    let out: Results = Rc::new(RefCell::new(Vec::new()));
+    let slot = out.clone();
+    client.request(
+        &mut sim,
+        Request::get("/echo/50000", "10.0.0.1"),
+        1,
+        move |_sim, result| slot.borrow_mut().push(("/echo/50000".to_string(), result)),
+    );
+    sim.run_until(mm_sim::Timestamp::from_millis(2));
+    assert_eq!(in_flight.borrow().0, 1, "the handler holds a responder");
+    drop(server);
+    assert_eq!(sim.run(), mm_sim::RunResult::QueueEmpty);
+    assert_eq!(in_flight.borrow().0, 0, "the handler did try to respond");
+    // Nothing was written, so the client (its request long acknowledged)
+    // is still waiting.
+    assert!(out.borrow().is_empty());
+    assert_eq!(client.active_streams(), 1);
 }

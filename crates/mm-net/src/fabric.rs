@@ -3,7 +3,7 @@
 //! Mahimahi's isolation story: each shell runs inside a private Linux
 //! network namespace, connected to its parent by a veth pair, so traffic
 //! inside one shell can never touch the host network or another shell.
-//! Here a [`Namespace`] is the simulated equivalent: it owns a set of hosts
+//! Here a [`Namespace`] is the simulated equivalent: it knows a set of hosts
 //! (by IP), optional child namespaces (reached through shell processor
 //! chains), and an optional parent uplink.
 //!
@@ -16,9 +16,16 @@
 //!
 //! Per-namespace counters make the paper's isolation property directly
 //! testable: two sibling namespaces never exchange packets.
+//!
+//! Ownership (DESIGN.md §13): a namespace holds its parent and both shell
+//! chains strongly, and is itself held by its hosts and by whoever built
+//! it. Nothing points back down strongly — a [`Namespace::router`] sink and
+//! a host's delivery sink hold their actor weakly — so a world is freed
+//! when its handles are dropped, and a packet for an actor that is gone is
+//! counted `unroutable`, never a panic.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use mm_sim::Simulator;
 
@@ -36,7 +43,7 @@ pub struct NsCounters {
     pub forwarded_down: u64,
     /// Packets routed up to the parent namespace.
     pub forwarded_up: u64,
-    /// Packets with no route (dropped).
+    /// Packets with no route, or whose next hop no longer exists (dropped).
     pub unroutable: u64,
 }
 
@@ -55,7 +62,8 @@ struct NsInner {
     child_routes: AddrMap<IpAddr, SinkRef>,
     /// Entry sink of the uplink chain toward the parent, if attached.
     uplink: Option<SinkRef>,
-    /// Parent namespace, for propagating host registrations upward.
+    /// Parent namespace: for propagating host registrations upward, and
+    /// what keeps every ancestor of a live host alive.
     parent: Option<Namespace>,
     /// The downlink entry the parent uses to reach this namespace; stored so
     /// that hosts registered after attachment can propagate routes upward.
@@ -63,48 +71,59 @@ struct NsInner {
     counters: NsCounters,
 }
 
+/// What every handle to one namespace shares.
+struct NsShared {
+    state: RefCell<NsInner>,
+    /// The namespace's one router sink, handed out by [`Namespace::router`].
+    router: SinkRef,
+}
+
 /// A virtual network namespace. Cloning yields another handle to the same
 /// namespace.
 #[derive(Clone)]
 pub struct Namespace {
-    inner: Rc<RefCell<NsInner>>,
+    inner: Rc<NsShared>,
 }
 
 impl Namespace {
     /// Create a root (detached) namespace.
     pub fn root(name: &str) -> Self {
         Namespace {
-            inner: Rc::new(RefCell::new(NsInner {
-                name: name.to_string(),
-                hosts: AddrMap::default(),
-                child_routes: AddrMap::default(),
-                uplink: None,
-                parent: None,
-                downlink_entry_hint: None,
-                counters: NsCounters::default(),
-            })),
+            inner: Rc::new_cyclic(|ns: &Weak<NsShared>| NsShared {
+                state: RefCell::new(NsInner {
+                    name: name.to_string(),
+                    hosts: AddrMap::default(),
+                    child_routes: AddrMap::default(),
+                    uplink: None,
+                    parent: None,
+                    downlink_entry_hint: None,
+                    counters: NsCounters::default(),
+                }),
+                router: Rc::new(Router { ns: ns.clone() }),
+            }),
         }
     }
 
     /// The namespace's name (diagnostics only).
     pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
+        self.inner.state.borrow().name.clone()
     }
 
     /// Snapshot of this namespace's counters.
     pub fn counters(&self) -> NsCounters {
-        self.inner.borrow().counters
+        self.inner.state.borrow().counters
     }
 
     /// Register a host's delivery sink under `ip`. The registration
     /// propagates to ancestors so packets from anywhere in the tree can
-    /// route here. Panics if the IP is already taken in this namespace —
-    /// two hosts claiming one address is a configuration bug.
+    /// route here. Panics if the IP is already taken in this namespace by
+    /// a host that still exists — two hosts claiming one address is a
+    /// configuration bug.
     pub fn add_host(&self, ip: IpAddr, sink: SinkRef) {
         {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.inner.state.borrow_mut();
             assert!(
-                !inner.hosts.contains_key(&ip),
+                inner.hosts.get(&ip).is_none_or(|old| !old.is_live()),
                 "namespace {}: duplicate host {ip}",
                 inner.name
             );
@@ -113,16 +132,23 @@ impl Namespace {
         self.propagate_route_up(ip);
     }
 
-    /// Remove a host (e.g. when a shell tears down). No-op if absent.
+    /// Remove a host (e.g. when a shell tears down), withdrawing the route
+    /// its registration propagated to every ancestor. No-op if absent.
     pub fn remove_host(&self, ip: IpAddr) {
-        self.inner.borrow_mut().hosts.remove(&ip);
-        // Ancestor child_routes entries are left in place; they become
-        // unroutable at this namespace, which the counters surface.
+        if self.inner.state.borrow_mut().hosts.remove(&ip).is_none() {
+            return;
+        }
+        let mut parent = self.inner.state.borrow().parent.clone();
+        while let Some(ns) = parent {
+            let mut inner = ns.inner.state.borrow_mut();
+            inner.child_routes.remove(&ip);
+            parent = inner.parent.clone();
+        }
     }
 
     /// True if `ip` is a host directly inside this namespace.
     pub fn has_host(&self, ip: IpAddr) -> bool {
-        self.inner.borrow().hosts.contains_key(&ip)
+        self.inner.state.borrow().hosts.contains_key(&ip)
     }
 
     /// Attach `child` under this namespace.
@@ -133,10 +159,12 @@ impl Namespace {
     ///   must terminate at the child's router.
     ///
     /// All addresses already registered inside `child` are routed through
-    /// `downlink_entry`, as are any registered later.
+    /// `downlink_entry`, as are any registered later. From here on `child`
+    /// keeps this namespace alive; this namespace reaches `child` only
+    /// through the downlink chain, whose terminal router holds it weakly.
     pub fn attach_child(&self, child: &Namespace, uplink_entry: SinkRef, downlink_entry: SinkRef) {
         {
-            let mut c = child.inner.borrow_mut();
+            let mut c = child.inner.state.borrow_mut();
             assert!(c.parent.is_none(), "namespace {} already attached", c.name);
             c.uplink = Some(uplink_entry);
             c.parent = Some(self.clone());
@@ -144,7 +172,7 @@ impl Namespace {
         // Route all of the child's current addresses (its own hosts and its
         // transitive children) through the downlink chain.
         let addrs: Vec<IpAddr> = {
-            let c = child.inner.borrow();
+            let c = child.inner.state.borrow();
             c.hosts
                 .keys()
                 .copied()
@@ -155,12 +183,12 @@ impl Namespace {
             self.register_child_route(ip, downlink_entry.clone());
         }
         // Remember the entry for future registrations from this child.
-        child.inner.borrow_mut().downlink_entry_hint = Some(downlink_entry);
+        child.inner.state.borrow_mut().downlink_entry_hint = Some(downlink_entry);
     }
 
     fn register_child_route(&self, ip: IpAddr, via: SinkRef) {
         {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.inner.state.borrow_mut();
             inner.child_routes.insert(ip, via);
         }
         self.propagate_route_up(ip);
@@ -168,7 +196,7 @@ impl Namespace {
 
     fn propagate_route_up(&self, ip: IpAddr) {
         let (parent, hint) = {
-            let inner = self.inner.borrow();
+            let inner = self.inner.state.borrow();
             (inner.parent.clone(), inner.downlink_entry_hint.clone())
         };
         if let (Some(parent), Some(hint)) = (parent, hint) {
@@ -177,52 +205,59 @@ impl Namespace {
     }
 
     /// The router sink for this namespace: where hosts send egress packets
-    /// and where shell chains terminate.
+    /// and where shell chains terminate. One per namespace; it holds the
+    /// namespace weakly, so wiring it into any chain can never form an
+    /// ownership cycle.
     pub fn router(&self) -> SinkRef {
-        Rc::new(Router { ns: self.clone() })
-    }
-
-    fn route(&self, sim: &mut Simulator, pkt: Packet) {
-        let (next, kind) = {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(host) = inner.hosts.get(&pkt.dst.ip).cloned() {
-                inner.counters.delivered_local += 1;
-                (Some(host), "local")
-            } else if let Some(down) = inner.child_routes.get(&pkt.dst.ip).cloned() {
-                inner.counters.forwarded_down += 1;
-                (Some(down), "down")
-            } else if let Some(up) = inner.uplink.clone() {
-                inner.counters.forwarded_up += 1;
-                (Some(up), "up")
-            } else {
-                inner.counters.unroutable += 1;
-                (None, "drop")
-            }
-        };
-        let _ = kind;
-        if let Some(next) = next {
-            next.deliver(sim, pkt);
-        }
+        self.inner.router.clone()
     }
 }
 
-// `downlink_entry_hint` lives on NsInner but is set post-construction; add
-// the field via a second impl block to keep the constructor readable.
+impl NsShared {
+    fn route(&self, sim: &mut Simulator, pkt: Packet) {
+        let next = {
+            let mut guard = self.state.borrow_mut();
+            let inner = &mut *guard;
+            let ip = pkt.dst.ip;
+            let (next, taken) = if let Some(host) = inner.hosts.get(&ip) {
+                (host, &mut inner.counters.delivered_local)
+            } else if let Some(down) = inner.child_routes.get(&ip) {
+                (down, &mut inner.counters.forwarded_down)
+            } else if let Some(up) = &inner.uplink {
+                (up, &mut inner.counters.forwarded_up)
+            } else {
+                inner.counters.unroutable += 1;
+                return;
+            };
+            // The host (or directly attached namespace) behind the entry
+            // was dropped: its address is as unreachable as an unknown one.
+            if !next.is_live() {
+                inner.counters.unroutable += 1;
+                return;
+            }
+            *taken += 1;
+            next.clone()
+        };
+        next.deliver(sim, pkt);
+    }
+}
+
 struct Router {
-    ns: Namespace,
+    ns: Weak<NsShared>,
 }
 
 impl PacketSink for Router {
     fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
-        self.ns.route(sim, pkt);
+        // A namespace nobody holds has no host left to deliver to: a packet
+        // still inside a shell chain when it went is dropped here, already
+        // counted as forwarded by the last router that saw it.
+        if let Some(ns) = self.ns.upgrade() {
+            ns.route(sim, pkt);
+        }
     }
-}
 
-// -- NsInner needs the hint field; declared here to keep related code close.
-impl NsInner {
-    #[allow(dead_code)]
-    fn name(&self) -> &str {
-        &self.name
+    fn is_live(&self) -> bool {
+        self.ns.strong_count() > 0
     }
 }
 
@@ -231,7 +266,7 @@ mod tests {
     use super::*;
     use crate::addr::SocketAddr;
     use crate::packet::{TcpFlags, TcpSegment};
-    use crate::sink::{BlackHole, FnSink};
+    use crate::sink::{delayed, BlackHole, FnSink};
     use bytes::Bytes;
     use std::cell::RefCell;
 
@@ -382,6 +417,104 @@ mod tests {
         assert!(a_seen.borrow().is_empty());
         assert_eq!(a.counters().delivered_local, 0);
         assert_eq!(b.counters().delivered_local, 1);
+    }
+
+    #[test]
+    fn one_router_per_namespace() {
+        let ns = Namespace::root("test");
+        assert!(Rc::ptr_eq(&ns.router(), &ns.router()));
+    }
+
+    #[test]
+    fn remove_host_withdraws_the_route_from_every_ancestor() {
+        let mut sim = Simulator::new();
+        let root = Namespace::root("root");
+        let mid = Namespace::root("mid");
+        let leaf = Namespace::root("leaf");
+        root.attach_child(&mid, root.router(), mid.router());
+        mid.attach_child(&leaf, mid.router(), leaf.router());
+        let deep_ip = IpAddr::new(100, 64, 1, 1);
+        let other_ip = IpAddr::new(100, 64, 1, 2);
+        let (seen, sink) = collector();
+        leaf.add_host(deep_ip, sink.clone());
+        leaf.add_host(other_ip, sink);
+        root.router().deliver(&mut sim, pkt(deep_ip));
+        assert_eq!(*seen.borrow(), vec![deep_ip]);
+
+        leaf.remove_host(deep_ip);
+        root.router().deliver(&mut sim, pkt(deep_ip));
+        // Stopped at the root: nothing went down the chain to bounce off
+        // the leaf's uplink.
+        assert_eq!(root.counters().unroutable, 1);
+        assert_eq!(root.counters().forwarded_down, 1);
+        assert_eq!(mid.counters().total(), 1);
+        assert_eq!(leaf.counters().total(), 1);
+        // The sibling address still routes; removing twice is a no-op.
+        leaf.remove_host(deep_ip);
+        root.router().deliver(&mut sim, pkt(other_ip));
+        assert_eq!(*seen.borrow(), vec![deep_ip, other_ip]);
+    }
+
+    #[test]
+    fn a_namespace_does_not_keep_its_children_alive() {
+        let parent = Namespace::root("parent");
+        let child = Namespace::root("child");
+        parent.attach_child(&child, parent.router(), child.router());
+        let child_router = child.router();
+        assert!(child_router.is_live());
+        drop(child);
+        assert!(!child_router.is_live());
+    }
+
+    #[test]
+    fn a_child_keeps_its_ancestors_alive() {
+        let mut sim = Simulator::new();
+        let root = Namespace::root("root");
+        let leaf = Namespace::root("leaf");
+        let (seen, sink) = collector();
+        let root_ip = IpAddr::new(1, 1, 1, 1);
+        root.add_host(root_ip, sink);
+        root.attach_child(&leaf, root.router(), leaf.router());
+        drop(root);
+        leaf.router().deliver(&mut sim, pkt(root_ip));
+        assert_eq!(*seen.borrow(), vec![root_ip]);
+    }
+
+    #[test]
+    fn packets_for_a_dropped_namespace_are_counted_not_fatal() {
+        let mut sim = Simulator::new();
+        let parent = Namespace::root("parent");
+        let ms = mm_sim::SimDuration::from_millis;
+
+        // Directly attached: the parent sees the dead router and counts.
+        let near = Namespace::root("near");
+        let near_ip = IpAddr::new(100, 64, 0, 1);
+        near.add_host(near_ip, BlackHole::new());
+        parent.attach_child(&near, parent.router(), near.router());
+        drop(near);
+        parent.router().deliver(&mut sim, pkt(near_ip));
+        assert_eq!(parent.counters().unroutable, 1);
+
+        // Behind a chain, with packets in flight when the last handle
+        // goes: they reach the chain's end and stop there.
+        let far = Namespace::root("far");
+        let far_ip = IpAddr::new(100, 65, 0, 1);
+        let (seen, sink) = collector();
+        far.add_host(far_ip, sink);
+        parent.attach_child(
+            &far,
+            delayed(parent.router(), ms(10)),
+            delayed(far.router(), ms(10)),
+        );
+        parent.router().deliver(&mut sim, pkt(far_ip));
+        sim.run();
+        assert_eq!(*seen.borrow(), vec![far_ip]);
+        parent.router().deliver(&mut sim, pkt(far_ip));
+        drop(far);
+        parent.router().deliver(&mut sim, pkt(far_ip));
+        assert_eq!(sim.run(), mm_sim::RunResult::QueueEmpty);
+        assert_eq!(seen.borrow().len(), 1);
+        assert_eq!(parent.counters().forwarded_down, 3);
     }
 
     #[test]

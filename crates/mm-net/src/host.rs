@@ -2,7 +2,7 @@
 //! optional per-host processing noise (the "two machines" of Table 1).
 
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use mm_sim::dist::Distribution;
 use mm_sim::{RngStream, SimDuration, Simulator, TimerMux};
@@ -73,6 +73,10 @@ impl HostNoise {
 struct HostInner {
     ip: IpAddr,
     egress: SinkRef,
+    /// The namespace this host is attached to. The egress router holds it
+    /// only weakly; this is what keeps a host's way out — its namespace,
+    /// and through it every ancestor — alive for as long as the host is.
+    ns: Option<Namespace>,
     /// Live sockets in a flat slab (stable generation-checked [`ConnId`]s
     /// plus the `(local, remote)` demux map) — point lookups only, so the
     /// storage layout is invisible to event ordering.
@@ -114,6 +118,7 @@ impl Host {
             inner: Rc::new(RefCell::new(HostInner {
                 ip,
                 egress: BlackHole::new(),
+                ns: None,
                 sockets: ConnTable::new(),
                 listeners: AddrMap::default(),
                 catch_all: None,
@@ -177,9 +182,16 @@ impl Host {
     }
 
     /// Register this host in a namespace: sets the egress to the
-    /// namespace's router and registers the delivery sink.
+    /// namespace's router and registers the delivery sink. The host keeps
+    /// the namespace alive from here on; the namespace only *knows* the
+    /// host, so whoever created the host must hold it for as long as it
+    /// should receive packets.
     pub fn attach(&self, ns: &Namespace) {
-        self.inner.borrow_mut().egress = ns.router();
+        {
+            let mut inner = self.inner.borrow_mut();
+            inner.egress = ns.router();
+            inner.ns = Some(ns.clone());
+        }
         ns.add_host(self.ip(), self.sink());
     }
 
@@ -190,8 +202,13 @@ impl Host {
     }
 
     /// The sink through which the network delivers packets to this host.
+    /// It does not keep the host alive: once the last [`Host`] handle is
+    /// dropped it reports [`PacketSink::is_live`] false and drops what it
+    /// is given.
     pub fn sink(&self) -> SinkRef {
-        Rc::new(HostSink { host: self.clone() })
+        Rc::new(HostSink {
+            host: Rc::downgrade(&self.inner),
+        })
     }
 
     /// Listen for connections on `port`. Panics if the port is taken.
@@ -400,16 +417,19 @@ impl HostInner {
 }
 
 struct HostSink {
-    host: Host,
+    host: Weak<RefCell<HostInner>>,
 }
 
 impl PacketSink for HostSink {
     fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
+        let Some(inner) = self.host.upgrade() else {
+            return;
+        };
         // Defer through the event queue so application logic never runs
         // inside another element's borrow, applying host noise if any.
-        let host = self.host.clone();
+        let host = Host { inner };
         let at = {
-            let mut inner = self.host.inner.borrow_mut();
+            let mut inner = host.inner.borrow_mut();
             let delay = match inner.noise.as_mut() {
                 Some(n) => n.sample(),
                 None => SimDuration::ZERO,
@@ -422,11 +442,16 @@ impl PacketSink for HostSink {
             host.dispatch(sim, pkt)
         });
     }
+
+    fn is_live(&self) -> bool {
+        self.host.strong_count() > 0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::delayed;
     use crate::tcp::socket::{SocketEvent, TcpState};
     use bytes::Bytes;
 
@@ -643,6 +668,115 @@ mod tests {
         assert_eq!(client.socket_count(), 1);
         client.reap_closed();
         assert_eq!(client.socket_count(), 0);
+    }
+
+    #[test]
+    fn a_host_keeps_its_namespace_alive() {
+        let (mut sim, ns, client, server) = two_host_world();
+        drop(ns);
+        server.listen(80, Rc::new(EchoListener));
+        let (app, _events, data) = Recorder::new();
+        let h = client.connect(&mut sim, SocketAddr::new(server.ip(), 80), app);
+        h.send(&mut sim, Bytes::from_static(b"ping"));
+        sim.run();
+        assert_eq!(&data.borrow()[..], b"ping");
+    }
+
+    #[test]
+    fn dropping_a_host_mid_transfer_is_counted_not_fatal() {
+        // 10 ms each way between the hosts, so there are always packets
+        // in flight and both ends have retransmission timers armed.
+        let mut sim = Simulator::new();
+        let ns = Namespace::root("world");
+        let ids = PacketIdGen::new();
+        let client = Host::new_in(IpAddr::new(10, 0, 0, 1), ids.clone(), &ns);
+        let server = Host::new_in(IpAddr::new(10, 0, 0, 2), ids, &ns);
+        let ms = SimDuration::from_millis;
+        client.set_egress(delayed(ns.router(), ms(10)));
+        server.set_egress(delayed(ns.router(), ms(10)));
+        server.listen(80, Rc::new(EchoListener));
+        let (app, events, _data) = Recorder::new();
+        let h = client.connect(&mut sim, SocketAddr::new(server.ip(), 80), app);
+        h.send(&mut sim, Bytes::from(vec![7u8; 200_000]));
+        sim.run_until(mm_sim::Timestamp::from_millis(75));
+        assert_eq!(h.state(), TcpState::Established);
+        assert_eq!(ns.counters().unroutable, 0);
+
+        // The last handle to the server goes: its sockets, their apps and
+        // their armed timers go with it.
+        drop(server);
+        assert_eq!(sim.run(), mm_sim::RunResult::QueueEmpty);
+        // Everything the client had in flight, and every retransmission
+        // until it gave up, found no one there.
+        assert!(ns.counters().unroutable > 10, "{:?}", ns.counters());
+        assert_eq!(h.state(), TcpState::Closed);
+        assert_eq!(events.borrow().last().map(String::as_str), Some("reset"));
+    }
+
+    #[test]
+    fn a_dead_hosts_address_can_be_taken_again() {
+        let (mut sim, ns, client, server) = two_host_world();
+        let ip = server.ip();
+        drop(server);
+        let again = Host::new_in(ip, PacketIdGen::new(), &ns);
+        again.listen(80, Rc::new(EchoListener));
+        let (app, events, _) = Recorder::new();
+        let _h = client.connect(&mut sim, SocketAddr::new(ip, 80), app);
+        sim.run();
+        assert_eq!(*events.borrow(), vec!["connected"]);
+    }
+
+    #[test]
+    fn a_closed_socket_lets_go_of_its_app() {
+        let (mut sim, _ns, client, server) = two_host_world();
+        let (app, events, _) = Recorder::new();
+        // Connect to a closed port: reset, and closed, at once.
+        let h = client.connect(&mut sim, SocketAddr::new(server.ip(), 81), app.clone());
+        assert_eq!(Rc::strong_count(&app), 2);
+        sim.run_until(mm_sim::Timestamp::from_secs(2));
+        assert_eq!(*events.borrow(), vec!["reset"]);
+        assert_eq!(Rc::strong_count(&app), 1, "only the test still holds it");
+        // The handle keeps answering, and the table entry stays until
+        // it is reaped.
+        assert_eq!(h.state(), TcpState::Closed);
+        assert_eq!(h.local_addr().ip, client.ip());
+        assert_eq!(h.stats().segments_sent, 1);
+        assert_eq!(client.socket_count(), 1);
+    }
+
+    #[test]
+    fn a_gracefully_closed_pair_lets_go_of_both_apps() {
+        let (mut sim, _ns, client, server) = two_host_world();
+        struct CloseBack(Rc<Cell<usize>>);
+        impl Drop for CloseBack {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        impl SocketApp for CloseBack {
+            fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
+                if matches!(ev, SocketEvent::Connected | SocketEvent::PeerClosed) {
+                    h.close(sim);
+                }
+            }
+        }
+        struct Accept(Rc<Cell<usize>>);
+        impl Listener for Accept {
+            fn on_connection(&self, _: &mut Simulator, _: TcpHandle) -> Rc<dyn SocketApp> {
+                Rc::new(CloseBack(self.0.clone()))
+            }
+        }
+        let dropped = Rc::new(Cell::new(0));
+        server.listen(80, Rc::new(Accept(dropped.clone())));
+        let h = client.connect(
+            &mut sim,
+            SocketAddr::new(server.ip(), 80),
+            Rc::new(CloseBack(dropped.clone())),
+        );
+        sim.run();
+        assert_eq!(h.state(), TcpState::Closed);
+        assert_eq!(dropped.get(), 2, "both ends released their app at Closed");
+        assert_eq!(client.socket_count() + server.socket_count(), 2);
     }
 
     #[test]

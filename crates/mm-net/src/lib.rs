@@ -29,5 +29,5 @@ pub use packet::{Packet, SackBlock, SackOption, TcpFlags, TcpSegment, HEADER_BYT
 pub use sink::{BlackHole, Capture, FnSink, PacketSink, SinkRef, Tap};
 pub use tcp::{
     CcAlgorithm, RecoveryTier, SocketApp, SocketEvent, TcpConfig, TcpConfigBuilder, TcpHandle,
-    TcpState, TcpStats,
+    TcpState, TcpStats, WeakTcpHandle,
 };

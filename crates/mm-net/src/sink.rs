@@ -22,6 +22,15 @@ use crate::packet::Packet;
 pub trait PacketSink {
     /// Hand `pkt` to this element at the current simulation time.
     fn deliver(&self, sim: &mut Simulator, pkt: Packet);
+
+    /// False once the actor this sink delivers into no longer exists.
+    /// Only the two sinks that end at an actor — a host's delivery sink
+    /// and a namespace's router — hold it weakly and can go dead; a router
+    /// asks before forwarding so the packet is counted `unroutable`
+    /// instead of vanishing. Forwarding elements keep the default.
+    fn is_live(&self) -> bool {
+        true
+    }
 }
 
 /// Shared handle to a sink.
@@ -156,6 +165,16 @@ impl PacketSink for Tap {
         self.capture.record(sim.now(), &pkt);
         self.next.deliver(sim, pkt);
     }
+}
+
+/// Test support: forwards to `next` after `by` — a one-element shell
+/// chain, for tests that need packets in flight.
+#[cfg(test)]
+pub(crate) fn delayed(next: SinkRef, by: mm_sim::SimDuration) -> SinkRef {
+    FnSink::new(move |sim: &mut Simulator, pkt: Packet| {
+        let next = next.clone();
+        sim.schedule_in(by, move |sim| next.deliver(sim, pkt));
+    })
 }
 
 #[cfg(test)]

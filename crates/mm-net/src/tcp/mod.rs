@@ -27,5 +27,5 @@ pub use rtt::RttEstimator;
 pub use sack::{ReceiverSack, Scoreboard, DUP_THRESH};
 pub use socket::{
     RecoveryTier, SocketApp, SocketEvent, TcpConfig, TcpConfigBuilder, TcpHandle, TcpState,
-    TcpStats,
+    TcpStats, WeakTcpHandle,
 };

@@ -29,7 +29,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use bytes::{Bytes, BytesMut};
 use mm_metrics::{FlowSample, MetricsHandle};
@@ -526,6 +526,22 @@ pub struct TcpStats {
 #[derive(Clone)]
 pub struct TcpHandle {
     pub(crate) inner: Rc<RefCell<TcpInner>>,
+}
+
+/// A [`TcpHandle`] that does not keep the connection alive. This is what
+/// anything the socket owns — its application, its own timers — holds
+/// when it needs the socket outside an event callback: a strong handle
+/// there would be a cycle no one ever breaks (DESIGN.md §13).
+#[derive(Clone)]
+pub struct WeakTcpHandle {
+    inner: Weak<RefCell<TcpInner>>,
+}
+
+impl WeakTcpHandle {
+    /// The connection, unless its host has let it go.
+    pub fn upgrade(&self) -> Option<TcpHandle> {
+        self.inner.upgrade().map(|inner| TcpHandle { inner })
+    }
 }
 
 impl TcpInner {
@@ -1590,17 +1606,20 @@ impl TcpInner {
         self.stats.segments_received += 1;
         self.last_seen = Some(now);
         if seg.flags.rst {
-            self.teardown();
-            self.pending_events.push_back(SocketEvent::Reset);
+            // A reset for a socket that is already closed (a FIN lost and
+            // retransmitted at a peer that has gone) has nothing left to
+            // reset and no application left to tell.
+            if self.state != TcpState::Closed {
+                self.teardown();
+                self.pending_events.push_back(SocketEvent::Reset);
+            }
             return;
         }
         match self.state {
             TcpState::Closed => {
                 // Stray segment to a dead socket: answer with RST.
-                if !seg.flags.rst {
-                    let pkt = self.make_packet(TcpFlags::RST, seg.ack, Bytes::new());
-                    out.push(pkt);
-                }
+                let pkt = self.make_packet(TcpFlags::RST, seg.ack, Bytes::new());
+                out.push(pkt);
             }
             TcpState::SynSent => self.on_segment_syn_sent(now, seg, out),
             TcpState::SynReceived => {
@@ -2115,7 +2134,7 @@ impl TcpInner {
         self.tlp_timer.cancel();
         self.reo_timer.cancel();
         self.pacing_timer.cancel();
-        self.send_queue.clear();
+        self.send_queue = VecDeque::new();
         self.send_queued_bytes = 0;
         self.retx.clear();
         self.pipe_count = 0;
@@ -2130,6 +2149,20 @@ impl TcpInner {
         self.scoreboard.clear();
     }
 
+    /// A socket that has reached `Closed` and told its application so has
+    /// no further use for it: hand the app back for the caller to drop
+    /// (outside the borrow), so parsers and session state go when the
+    /// connection does rather than when the world does. `teardown`
+    /// already released the queues; the handle itself keeps answering
+    /// `state`/`stats`/`local_addr`.
+    fn release_app(&mut self) -> Option<Rc<dyn SocketApp>> {
+        if self.state != TcpState::Closed || !self.pending_events.is_empty() {
+            return None;
+        }
+        self.pending_events = VecDeque::new();
+        self.app.take()
+    }
+
     /// Current state (tests/diagnostics).
     pub fn state(&self) -> TcpState {
         self.state
@@ -2142,6 +2175,32 @@ impl TcpInner {
 }
 
 impl TcpHandle {
+    /// A handle that does not keep the connection alive.
+    pub fn downgrade(&self) -> WeakTcpHandle {
+        WeakTcpHandle {
+            inner: Rc::downgrade(&self.inner),
+        }
+    }
+
+    /// Arm `timer` to call `fire` on this socket. The pending firing holds
+    /// the socket weakly — a timer is the socket's own, and a shared
+    /// [`TimerMux`] is reachable from the socket — so a socket whose host
+    /// is gone is freed with it and the stale firing does nothing.
+    fn arm_timer(
+        &self,
+        sim: &mut Simulator,
+        timer: &Timer,
+        at: Timestamp,
+        fire: impl Fn(&TcpHandle, &mut Simulator) + 'static,
+    ) {
+        let me = self.downgrade();
+        timer.arm_at(sim, at, move |sim| {
+            if let Some(me) = me.upgrade() {
+                fire(&me, sim);
+            }
+        });
+    }
+
     /// Create the client half of a connection and emit its SYN.
     /// `egress` is where packets go (normally the namespace router).
     #[allow(clippy::too_many_arguments)]
@@ -2289,6 +2348,11 @@ impl TcpHandle {
             let egress = self.inner.borrow().egress.clone();
             egress.deliver(sim, pkt);
         }
+        // An abort reports nothing to the app. (Called from inside an event
+        // callback with more events queued, the dispatch loop that is
+        // running delivers them and releases the app itself.)
+        let released = self.inner.borrow_mut().release_app();
+        drop(released);
     }
 
     /// Current connection state.
@@ -2432,24 +2496,26 @@ impl TcpHandle {
         self.manage_rack_timers(sim);
         self.manage_pacing_timer(sim);
         if let Some(delay) = delayed_ack {
-            let me = self.clone();
             let timer = self.inner.borrow().ack_timer.clone();
-            timer.arm(sim, delay, move |sim| {
-                let pkt = {
-                    let mut inner = me.inner.borrow_mut();
-                    if inner.unacked_segments == 0 || inner.state == TcpState::Closed {
-                        None
-                    } else {
-                        inner.unacked_segments = 0;
-                        let now = sim.now();
-                        Some(inner.make_ack_packet(now))
-                    }
-                };
-                if let Some(pkt) = pkt {
-                    let egress = me.inner.borrow().egress.clone();
-                    egress.deliver(sim, pkt);
-                }
-            });
+            self.arm_timer(sim, &timer, sim.now() + delay, TcpHandle::on_ack_timer);
+        }
+    }
+
+    /// Delayed-ACK timer fire: acknowledge whatever is still unacked.
+    fn on_ack_timer(&self, sim: &mut Simulator) {
+        let pkt = {
+            let mut inner = self.inner.borrow_mut();
+            if inner.unacked_segments == 0 || inner.state == TcpState::Closed {
+                None
+            } else {
+                inner.unacked_segments = 0;
+                let now = sim.now();
+                Some(inner.make_ack_packet(now))
+            }
+        };
+        if let Some(pkt) = pkt {
+            let egress = self.inner.borrow().egress.clone();
+            egress.deliver(sim, pkt);
         }
     }
 
@@ -2458,8 +2524,7 @@ impl TcpHandle {
             let inner = self.inner.borrow();
             (inner.rtt.rto(), inner.rto_timer.clone())
         };
-        let me = self.clone();
-        timer.arm(sim, rto, move |sim| me.on_rto(sim));
+        self.arm_timer(sim, &timer, sim.now() + rto, TcpHandle::on_rto);
     }
 
     /// Arm or cancel the RackTlp-tier timers: the Tail Loss Probe (only
@@ -2532,18 +2597,12 @@ impl TcpHandle {
             )
         };
         match tlp_plan {
-            TimerPlan::Arm(at) => {
-                let me = self.clone();
-                tlp_timer.arm_at(sim, at, move |sim| me.on_tlp(sim));
-            }
+            TimerPlan::Arm(at) => self.arm_timer(sim, &tlp_timer, at, TcpHandle::on_tlp),
             TimerPlan::Keep => {}
             TimerPlan::Cancel => tlp_timer.cancel(),
         }
         match reo_plan {
-            TimerPlan::Arm(at) => {
-                let me = self.clone();
-                reo_timer.arm_at(sim, at, move |sim| me.on_reo_timer(sim));
-            }
+            TimerPlan::Arm(at) => self.arm_timer(sim, &reo_timer, at, TcpHandle::on_reo_timer),
             TimerPlan::Keep => {}
             TimerPlan::Cancel => reo_timer.cancel(),
         }
@@ -2563,10 +2622,7 @@ impl TcpHandle {
         };
         match deadline {
             Some(at) if timer.is_armed() && timer.deadline() == at => {}
-            Some(at) => {
-                let me = self.clone();
-                timer.arm_at(sim, at, move |sim| me.on_pace_timer(sim));
-            }
+            Some(at) => self.arm_timer(sim, &timer, at, TcpHandle::on_pace_timer),
             None => timer.cancel(),
         }
     }
@@ -2613,9 +2669,8 @@ impl TcpHandle {
             };
             if desired > now {
                 let timer = inner.tlp_timer.clone();
-                let me = self.clone();
                 drop(inner);
-                timer.arm_at(sim, desired, move |sim| me.on_tlp(sim));
+                self.arm_timer(sim, &timer, desired, TcpHandle::on_tlp);
                 return;
             }
             debug_assert!(
@@ -2776,6 +2831,9 @@ impl TcpHandle {
             let (event, app) = {
                 let mut inner = self.inner.borrow_mut();
                 let Some(event) = inner.pending_events.pop_front() else {
+                    let released = inner.release_app();
+                    drop(inner);
+                    drop(released);
                     return;
                 };
                 (event, inner.app.clone())
@@ -3020,13 +3078,18 @@ mod tests {
             sack: Default::default(),
             payload: Bytes::new(),
         };
-        inner.on_segment(Timestamp::ZERO, rst, &mut out);
+        inner.on_segment(Timestamp::ZERO, rst.clone(), &mut out);
         assert_eq!(inner.state(), TcpState::Closed);
         assert!(matches!(
             inner.pending_events.back(),
             Some(SocketEvent::Reset)
         ));
         assert!(out.is_empty(), "no reply to an RST");
+        // A second one finds a closed socket: nothing to reset, no one
+        // to tell.
+        inner.on_segment(Timestamp::ZERO, rst, &mut out);
+        assert_eq!(inner.pending_events.len(), 1);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -19,7 +19,10 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use mm_http::{write_request, Request, RequestParser, ResponseParser};
-use mm_net::{Host, IpAddr, Listener, Namespace, PacketIdGen, SocketApp, SocketEvent, TcpHandle};
+use mm_net::{
+    Host, IpAddr, Listener, Namespace, PacketIdGen, SocketApp, SocketEvent, TcpHandle,
+    WeakTcpHandle,
+};
 use mm_sim::Simulator;
 
 use crate::store::{RequestResponsePair, Scheme, StoredSite};
@@ -105,7 +108,7 @@ impl Listener for InterceptListener {
             } else {
                 Scheme::Http
             },
-            lan: lan.clone(),
+            lan: lan.downgrade(),
             wan: None,
             wan_connected: false,
             to_wan_buffer: Vec::new(),
@@ -119,17 +122,19 @@ impl Listener for InterceptListener {
             state: state.clone(),
         });
         let wan = self.wan_host.connect(sim, origin, wan_app);
-        state.borrow_mut().wan = Some(wan);
+        state.borrow_mut().wan = Some(wan.downgrade());
         Rc::new(LanSide { state })
     }
 }
 
-/// One intercepted connection's proxy state.
+/// One intercepted connection's proxy state, shared by the applications
+/// of its two sockets — which is why it holds both sockets weakly: each
+/// is owned by its host's connection table, never by its own application.
 struct ProxyConn {
     origin: mm_net::SocketAddr,
     scheme: Scheme,
-    lan: TcpHandle,
-    wan: Option<TcpHandle>,
+    lan: WeakTcpHandle,
+    wan: Option<WeakTcpHandle>,
     wan_connected: bool,
     /// Browser bytes buffered until the WAN connection completes.
     to_wan_buffer: Vec<Bytes>,
@@ -151,9 +156,13 @@ enum Action {
 
 fn run_actions(state: &Rc<RefCell<ProxyConn>>, sim: &mut Simulator, actions: Vec<Action>) {
     for a in actions {
+        // A side whose socket is gone has nothing to be done to it.
         let (lan, wan) = {
             let s = state.borrow();
-            (s.lan.clone(), s.wan.clone())
+            (
+                s.lan.upgrade(),
+                s.wan.as_ref().and_then(WeakTcpHandle::upgrade),
+            )
         };
         match a {
             Action::SendWan(b) => {
@@ -161,15 +170,25 @@ fn run_actions(state: &Rc<RefCell<ProxyConn>>, sim: &mut Simulator, actions: Vec
                     w.send(sim, b);
                 }
             }
-            Action::SendLan(b) => lan.send(sim, b),
+            Action::SendLan(b) => {
+                if let Some(l) = lan {
+                    l.send(sim, b);
+                }
+            }
             Action::CloseWan => {
                 if let Some(w) = wan {
                     w.close(sim);
                 }
             }
-            Action::CloseLan => lan.close(sim),
+            Action::CloseLan => {
+                if let Some(l) = lan {
+                    l.close(sim);
+                }
+            }
             Action::AbortBoth => {
-                lan.abort(sim);
+                if let Some(l) = lan {
+                    l.abort(sim);
+                }
                 if let Some(w) = wan {
                     w.abort(sim);
                 }

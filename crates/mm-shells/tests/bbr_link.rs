@@ -66,6 +66,9 @@ struct World {
     stack: ShellStack,
     received: Rc<RefCell<u64>>,
     client: TcpHandle,
+    /// Held, not used: a namespace only knows its hosts, it does not
+    /// keep them.
+    _hosts: [Host; 2],
 }
 
 /// A bulk upload through `mm-delay <one_way> mm-link <rate>` with the
@@ -112,6 +115,7 @@ fn bulk_upload(
         stack,
         received,
         client: handle,
+        _hosts: [server, client],
     }
 }
 

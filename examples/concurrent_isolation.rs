@@ -19,14 +19,18 @@ use mm_replay::{ReplayConfig, ReplayShell};
 use mm_shells::ShellStack;
 use mm_sim::{RngStream, SimDuration, Simulator};
 
+/// One running measurement stack. The browser owns the stack — its host,
+/// and through the resolver the replay servers — so the load runs for as
+/// long as this is held.
+struct Stack {
+    plt: Rc<RefCell<Option<PageLoadResult>>>,
+    inner: Namespace,
+    _browser: Browser,
+}
+
 /// Build one measurement stack (replay servers + delay shell + browser)
-/// inside `world`, as a child namespace subtree. Returns the PLT slot.
-fn build_stack(
-    sim_seed: u64,
-    site_idx: usize,
-    world: &Namespace,
-    sim: &mut Simulator,
-) -> (Rc<RefCell<Option<PageLoadResult>>>, Namespace) {
+/// inside `world`, as a child namespace subtree.
+fn build_stack(sim_seed: u64, site_idx: usize, world: &Namespace, sim: &mut Simulator) -> Stack {
     let plan = corpus::plan_site(
         site_idx,
         &corpus::SiteParams {
@@ -64,41 +68,45 @@ fn build_stack(
     let s2 = slot.clone();
     let root_url = site.root_url.clone();
     browser.navigate(sim, &root_url, move |_s, r| *s2.borrow_mut() = Some(r));
-    (slot, inner)
+    Stack {
+        plt: slot,
+        inner,
+        _browser: browser,
+    }
 }
 
 fn main() {
     // Run 1: the measurement alone.
     let mut sim = Simulator::new();
     let world = Namespace::root("host-machine");
-    let (alone, _) = build_stack(1, 10, &world, &mut sim);
+    let alone = build_stack(1, 10, &world, &mut sim);
     sim.run();
-    let alone_plt = alone.borrow().as_ref().unwrap().plt;
+    let alone_plt = alone.plt.borrow().as_ref().unwrap().plt;
     println!("measurement alone:        PLT {alone_plt}");
 
     // Run 2: the same measurement with 7 concurrent stacks.
     let mut sim = Simulator::new();
     let world = Namespace::root("host-machine");
-    let (measured, inner) = build_stack(1, 10, &world, &mut sim);
+    let measured = build_stack(1, 10, &world, &mut sim);
     let mut others = Vec::new();
     for k in 0..7 {
         others.push(build_stack(100 + k, 20 + k as usize, &world, &mut sim));
     }
     sim.run();
-    let busy_plt = measured.borrow().as_ref().unwrap().plt;
+    let busy_plt = measured.plt.borrow().as_ref().unwrap().plt;
     println!("with 7 concurrent stacks: PLT {busy_plt}");
     assert_eq!(alone_plt, busy_plt, "isolation violated!");
     println!("=> bit-identical: namespaces fully isolate concurrent tests\n");
 
     // Counters: the measured stack's namespace never saw foreign packets.
-    let c = inner.counters();
+    let c = measured.inner.counters();
     println!(
         "measured stack's inner namespace counters: local={} up={} down={} unroutable={}",
         c.delivered_local, c.forwarded_up, c.forwarded_down, c.unroutable
     );
-    for (k, (slot, ns)) in others.iter().enumerate() {
-        let done = slot.borrow().is_some();
-        let c = ns.counters();
+    for (k, other) in others.iter().enumerate() {
+        let done = other.plt.borrow().is_some();
+        let c = other.inner.counters();
         println!(
             "background stack {k}: completed={done} (its own traffic: {} pkts)",
             c.total()
