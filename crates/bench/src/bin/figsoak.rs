@@ -35,10 +35,7 @@ fn main() {
             if smoke {
                 println!("  (smoke configuration: {minutes} simulated minutes)");
             }
-            // Smoke runs double as a conformance check: an online
-            // auditor rides the TCP metrics stream and its violation
-            // total lands in the Prometheus snapshot.
-            let report = figsoak(minutes, seed, smoke);
+            let report = figsoak(minutes, seed);
             let r = &report.result;
             println!(
                 "  sessions: {} started, {} completed, {} shed | {} resources, {} failures",

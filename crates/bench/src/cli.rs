@@ -3,6 +3,10 @@
 //! around a different experiment body. [`ExperimentSpec`] owns that
 //! boilerplate so a new experiment binary is just a spec literal.
 
+use std::path::{Path, PathBuf};
+
+use mahimahi::obs::Artefact;
+
 use crate::report::{header, write_bench_json};
 
 /// The corpus-wide experiment seed (the paper's publication year).
@@ -11,6 +15,52 @@ pub const DEFAULT_SEED: u64 = 2014;
 /// Flat `(key, value)` metrics an experiment body hands back for the
 /// BENCH JSON file.
 pub type Metrics = Vec<(String, f64)>;
+
+/// How one artefact channel appears on every binary's command line.
+struct Output {
+    artefact: Artefact,
+    /// The flag; its value says where to write.
+    flag: &'static str,
+    /// The file written inside the flag's directory; `None` when the
+    /// flag's value is itself the file.
+    file: Option<&'static str>,
+    /// What the completion message counts: lines containing `counted`,
+    /// called `noun`.
+    counted: &'static str,
+    noun: &'static str,
+}
+
+/// The observer flags, one row per [`Artefact`].
+const OUTPUTS: [Output; 4] = [
+    Output {
+        artefact: Artefact::Trace,
+        flag: "--trace-out",
+        file: None,
+        counted: "",
+        noun: "flow samples",
+    },
+    Output {
+        artefact: Artefact::Capture,
+        flag: "--capture-out",
+        file: Some("capture.jsonl"),
+        counted: "",
+        noun: "capture events",
+    },
+    Output {
+        artefact: Artefact::Span,
+        flag: "--span-out",
+        file: Some("spans.jsonl"),
+        counted: "",
+        noun: "spans",
+    },
+    Output {
+        artefact: Artefact::Audit,
+        flag: "--audit-out",
+        file: Some("audit.jsonl"),
+        counted: "\"ev\":\"violation\"",
+        noun: "violation(s)",
+    },
+];
 
 /// One experiment binary: name, default scale, and the body.
 pub struct ExperimentSpec {
@@ -31,154 +81,71 @@ impl ExperimentSpec {
     /// header, run the body, and write `BENCH_<name>.json` if the body
     /// returned metrics. Binaries call this from `main`.
     ///
-    /// Every binary also accepts `--trace-out <path>` (after any
-    /// positional arguments): it turns on the harness's process-global
-    /// flow tracing, so every page load records per-flow TCP samples
-    /// (cwnd, srtt, in-flight, delivered, state transitions), and the
-    /// accumulated JSONL is written to `<path>` after the run. Tracing
-    /// only observes — the BENCH output is unchanged.
+    /// Every binary also accepts the observer flags of `OUTPUTS`
+    /// (after any positional arguments). Each turns on one
+    /// process-global channel of [`mahimahi::obs::Artefact`], so the
+    /// first [`Artefact::budget`] worlds the body builds — page loads,
+    /// fleets and soaks alike — record that artefact, and the
+    /// accumulated JSONL is written after the run:
     ///
-    /// Likewise `--capture-out <dir>` turns on the process-global packet
-    /// tap for the first [`mahimahi::obs::DEFAULT_CAPTURE_LOADS`] page
-    /// loads (per-packet enqueue/dequeue/drop/deliver at every shell,
-    /// plus request/response events at the browser and replay
-    /// boundaries) and writes `<dir>/capture.jsonl` after the run —
-    /// render it with `mmgraph <dir>`. Taps only observe — the BENCH
-    /// output is byte-identical with capture on or off.
+    /// - `--trace-out <file>`: per-flow TCP samples (cwnd, srtt,
+    ///   in-flight, delivered, state transitions);
+    /// - `--capture-out <dir>`: per-packet enqueue/dequeue/drop/deliver
+    ///   at every shell plus request/response events at the browser and
+    ///   replay boundaries, as `<dir>/capture.jsonl` — render it with
+    ///   `mmgraph <dir>`;
+    /// - `--span-out <dir>`: page/resource/phase spans from the browser,
+    ///   `ServerThink` from the replay servers, `ConnSetup`/`HolWait`/
+    ///   `Conn` from the TCP layer, as `<dir>/spans.jsonl` — analyze it
+    ///   with `mmpath <dir>/spans.jsonl`;
+    /// - `--audit-out <dir>` (or bare `--audit`, meaning `.`):
+    ///   packet-conservation ledgers, TCP invariants and HTTP/span
+    ///   consistency checked online, the per-world reports plus
+    ///   order-insensitive equivalence digests as `<dir>/audit.jsonl` —
+    ///   render or gate with `mmaudit <dir>`, compare runs with
+    ///   `mmaudit --compare`.
     ///
-    /// And `--span-out <dir>` turns on the process-global causal-span
-    /// channel for the first [`mahimahi::obs::DEFAULT_SPAN_LOADS`] page
-    /// loads (page/resource/phase spans from the browser, `ServerThink`
-    /// from the replay servers, `ConnSetup`/`HolWait`/`Conn` from the
-    /// TCP layer) and writes `<dir>/spans.jsonl` after the run —
-    /// analyze it with `mmpath <dir>/spans.jsonl`. Sinks only observe —
-    /// the BENCH output is byte-identical with spans on or off.
-    ///
-    /// Finally `--audit` (optionally with `--audit-out <dir>`) turns on
-    /// the process-global conformance auditor for every page load:
-    /// packet-conservation ledgers, TCP invariants and HTTP/span
-    /// consistency are checked online, and the per-load reports plus
-    /// order-insensitive equivalence digests are written to
-    /// `<dir>/audit.jsonl` (default `.`) after the run — render or gate
-    /// with `mmaudit <dir>`, compare runs with `mmaudit --compare`.
-    /// Auditors only observe — the BENCH output is byte-identical with
-    /// auditing on or off.
+    /// Observers only observe — the BENCH output is byte-identical with
+    /// any of them on or off.
     pub fn main(&self) {
         let args: Vec<String> = std::env::args().collect();
-        let trace_out = args.iter().position(|a| a == "--trace-out").map(|i| {
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .unwrap_or_else(|| {
-                    eprintln!("--trace-out requires a path argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        });
-        if trace_out.is_some() {
-            mahimahi::obs::enable_trace();
-        }
-        let capture_out = args.iter().position(|a| a == "--capture-out").map(|i| {
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .unwrap_or_else(|| {
-                    eprintln!("--capture-out requires a directory argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        });
-        if capture_out.is_some() {
-            mahimahi::obs::enable_capture(mahimahi::obs::DEFAULT_CAPTURE_LOADS);
-        }
-        let span_out = args.iter().position(|a| a == "--span-out").map(|i| {
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .unwrap_or_else(|| {
-                    eprintln!("--span-out requires a directory argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        });
-        if span_out.is_some() {
-            mahimahi::obs::enable_spans(mahimahi::obs::DEFAULT_SPAN_LOADS);
-        }
-        let audit_out = args.iter().position(|a| a == "--audit-out").map(|i| {
-            args.get(i + 1)
-                .filter(|p| !p.starts_with("--"))
-                .unwrap_or_else(|| {
-                    eprintln!("--audit-out requires a directory argument");
-                    std::process::exit(2);
-                })
-                .clone()
-        });
-        let audit = audit_out.is_some() || args.iter().any(|a| a == "--audit");
-        let audit_out = audit.then(|| audit_out.unwrap_or_else(|| ".".to_string()));
-        if audit {
-            mahimahi::obs::enable_audit();
-        }
+        let outputs: Vec<(&Output, String)> = OUTPUTS
+            .iter()
+            .filter_map(|out| {
+                // Bare `--audit` audits into the current directory.
+                let bare = out.artefact == Artefact::Audit && args.iter().any(|a| a == "--audit");
+                let value = match args.iter().position(|a| a == out.flag) {
+                    Some(i) => match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+                        Some(value) => value.clone(),
+                        None => {
+                            eprintln!("{} requires a value: where to write", out.flag);
+                            std::process::exit(2);
+                        }
+                    },
+                    None if bare => ".".to_string(),
+                    None => return None,
+                };
+                out.artefact.enable();
+                Some((out, value))
+            })
+            .collect();
         let n = args
             .get(1)
             .and_then(|s| s.parse().ok())
             .unwrap_or(self.default_sites);
         header(&(self.title)(n));
         let metrics = (self.run)(n, DEFAULT_SEED);
-        if let Some(path) = &trace_out {
-            let jsonl = mahimahi::obs::take_trace_jsonl();
-            match std::fs::write(path, &jsonl) {
-                Ok(()) => println!(
-                    "\n  wrote {} ({} flow samples)",
-                    path,
-                    jsonl.lines().count()
-                ),
-                Err(e) => eprintln!("\n  could not write trace {path}: {e}"),
+        for (out, value) in &outputs {
+            let jsonl = out.artefact.take();
+            let count = jsonl.lines().filter(|l| l.contains(out.counted)).count();
+            let write = match out.file {
+                Some(file) => std::fs::create_dir_all(value).map(|()| Path::new(value).join(file)),
+                None => Ok(PathBuf::from(value)),
             }
-        }
-        if let Some(dir) = &capture_out {
-            let jsonl = mahimahi::obs::take_capture_jsonl();
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                let path = std::path::Path::new(dir).join("capture.jsonl");
-                std::fs::write(&path, &jsonl).map(|()| path)
-            });
+            .and_then(|path| std::fs::write(&path, &jsonl).map(|()| path));
             match write {
-                Ok(path) => println!(
-                    "\n  wrote {} ({} capture events)",
-                    path.display(),
-                    jsonl.lines().count()
-                ),
-                Err(e) => eprintln!("\n  could not write capture into {dir}: {e}"),
-            }
-        }
-        if let Some(dir) = &span_out {
-            let jsonl = mahimahi::obs::take_span_jsonl();
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                let path = std::path::Path::new(dir).join("spans.jsonl");
-                std::fs::write(&path, &jsonl).map(|()| path)
-            });
-            match write {
-                Ok(path) => println!(
-                    "\n  wrote {} ({} spans)",
-                    path.display(),
-                    jsonl.lines().count()
-                ),
-                Err(e) => eprintln!("\n  could not write spans into {dir}: {e}"),
-            }
-        }
-        if let Some(dir) = &audit_out {
-            let jsonl = mahimahi::obs::take_audit_jsonl();
-            let violations = jsonl
-                .lines()
-                .filter(|l| l.contains("\"ev\":\"violation\""))
-                .count();
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                let path = std::path::Path::new(dir).join("audit.jsonl");
-                std::fs::write(&path, &jsonl).map(|()| path)
-            });
-            match write {
-                Ok(path) => println!(
-                    "\n  wrote {} ({violations} violation{})",
-                    path.display(),
-                    if violations == 1 { "" } else { "s" }
-                ),
-                Err(e) => eprintln!("\n  could not write audit report into {dir}: {e}"),
+                Ok(path) => println!("\n  wrote {} ({count} {})", path.display(), out.noun),
+                Err(e) => eprintln!("\n  could not write {} output to {value}: {e}", out.flag),
             }
         }
         if let Some(metrics) = metrics {

@@ -1004,15 +1004,11 @@ pub const FIGSOAK_CONN_BOUND: usize = FIGSOAK_MAX_LIVE * 200;
 /// if the world leaks — connections still tabled after the drain, or a
 /// connection-table high-water mark beyond the concurrency bound — or
 /// if the metrics snapshot fails Prometheus text validation, so every
-/// invocation (CI smoke included) is a memory-bounds assertion.
-///
-/// With `audit`, an [`mm_audit::Auditor`] rides the soak's TCP metrics
-/// stream (metrics-only: the soak has no packet tap or span recorder),
-/// checking the window, pipe, RACK, pacing and SACK invariants on every
-/// sampled connection, and the violation total is exported into the
-/// snapshot as `audit_violations_total`.
-pub fn figsoak(minutes: usize, seed: u64, audit: bool) -> FigSoakReport {
-    use mahimahi::metrics::{validate_text, FanoutSink, MetricsHandle, Registry, RegistrySink};
+/// invocation (CI smoke included) is a memory-bounds assertion. The
+/// world is audited like every other bin's: `--audit-out`, gated by
+/// `mmaudit`.
+pub fn figsoak(minutes: usize, seed: u64) -> FigSoakReport {
+    use mahimahi::metrics::{validate_text, Registry};
     use mahimahi::soak::{run_soak, SoakSpec};
 
     let plan = corpus_subset(1, seed).remove(0);
@@ -1029,34 +1025,8 @@ pub fn figsoak(minutes: usize, seed: u64, audit: bool) -> FigSoakReport {
     spec.duration = SimDuration::from_secs(minutes as u64 * 60);
     spec.max_live_sessions = FIGSOAK_MAX_LIVE;
     spec.seed = seed;
-    let auditor = audit.then(|| mm_audit::Auditor::for_load(0));
-    if let Some(a) = &auditor {
-        // The sink run_soak would install, with the auditor fanned in
-        // behind it (sinks only observe either way).
-        spec.tcp = Some(
-            mahimahi::net::TcpConfig::default()
-                .to_builder()
-                .metrics(MetricsHandle::new(FanoutSink::new(vec![
-                    MetricsHandle::new(RegistrySink::new(registry.clone())),
-                    a.metrics_handle(),
-                ])))
-                .build(),
-        );
-    }
 
     let result = run_soak(&spec, &registry);
-    if let Some(a) = &auditor {
-        let report = a.finish();
-        registry
-            .counter(
-                "audit_violations_total",
-                "Conformance violations observed by the soak's online auditor.",
-            )
-            .add(report.violations.len() as u64 + report.dropped_violations);
-        for v in report.violations.iter().take(8) {
-            eprintln!("  audit violation [{}] {}: {}", v.code, v.scope, v.detail);
-        }
-    }
     let snapshot = registry.encode();
     validate_text(&snapshot).expect("soak snapshot must be valid Prometheus text");
 

@@ -8,32 +8,27 @@
 //! per-user bulk goodputs), per-user PLT percentiles under cross traffic,
 //! and bottleneck queue occupancy, swept over qdisc × CC mix × protocol.
 //!
-//! Topology (mahimahi nesting order preserved):
-//!
-//! ```text
-//! root ns: replay servers (shared) + one bulk server per user
-//!   └─ delay / link / loss shells          (the shared bottleneck)
-//!        └─ inner ns: n_users browser hosts
-//! ```
-//!
-//! Per-user congestion control lives on the user's dedicated bulk server
-//! (the data sender), so a 50/50 BBR+Reno population genuinely races
-//! BBRv1 against NewReno through one queue. Every host in a fleet world
-//! runs its socket timers through a shared per-host
-//! [`mm_net::Host::enable_timer_mux`] mux rather than the simulator's
-//! global heap.
+//! The world is the one every runner builds (`world.rs`, DESIGN.md §14)
+//! — shared replay servers outermost, the shells as the shared
+//! bottleneck, the users innermost — plus one bulk server per user next
+//! to the replay servers. Per-user congestion control lives on that
+//! dedicated bulk server (the data sender), so a 50/50 BBR+Reno
+//! population genuinely races BBRv1 against NewReno through one queue.
+//! The embedded [`LoadSpec`]'s observers (`capture`, `span`, `audit`, or
+//! the process-global channels) see the whole world: one recorder, one
+//! id, however many users.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use mm_browser::{Browser, PageLoadResult, ProtocolMode, Resolver};
-use mm_net::{CcAlgorithm, Host, IpAddr, Listener, SocketAddr, SocketApp, SocketEvent, TcpHandle};
-use mm_replay::{ReplayShell, ServerProtocol};
-use mm_shells::{ShellLayer, ShellStack};
-use mm_sim::{jain_fairness, RngStream, SimDuration, Simulator, Summary, Timestamp};
+use mm_browser::{Browser, PageLoadResult};
+use mm_net::{CcAlgorithm, IpAddr, Listener, SocketAddr, SocketApp, SocketEvent, TcpHandle};
+use mm_shells::ShellLayer;
+use mm_sim::{jain_fairness, SimDuration, Simulator, Summary, Timestamp};
 
 use crate::harness::LoadSpec;
+use crate::world::{Runner, World};
 
 /// A fleet world: one shared [`LoadSpec`]-shaped environment plus the
 /// population knobs. The embedded `load` describes the site, network,
@@ -255,58 +250,28 @@ impl BulkClient {
 pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
     assert!(spec.n_users >= 1, "a fleet needs at least one user");
     let mut sim = Simulator::new();
-    let rng = RngStream::from_seed(spec.load.seed);
-    let ids = mm_net::PacketIdGen::new();
 
-    let base_tcp = spec.load.tcp.clone().unwrap_or_default();
-
-    // Shared replay servers, outermost — same protocol passthrough as the
-    // single-load harness.
-    let mut replay_config = spec.load.replay.clone();
-    if let ProtocolMode::Mux(mux) = &spec.load.browser.protocol {
-        replay_config.protocol = ServerProtocol::Mux(mux.clone());
+    // A uniform population's algorithm also drives the shared replay
+    // servers (an explicit `replay.tcp` still wins); a split mix cannot
+    // — shared servers have one config — so web flows keep the base.
+    let mut load = spec.load.clone();
+    if let Some(cc) = spec.cc_mix.uniform() {
+        load.tcp = Some(load.tcp.unwrap_or_default().to_builder().cc(cc).build());
     }
-    if replay_config.tcp.is_none() {
-        replay_config.tcp = match spec.cc_mix.uniform() {
-            Some(cc) => Some(base_tcp.to_builder().cc(cc).build()),
-            None => Some(base_tcp.clone()),
-        };
-    }
-    let shell = {
-        let root_ns = mm_net::Namespace::root("replayshell");
-        Rc::new(ReplayShell::new(
-            &root_ns,
-            spec.load.site,
-            replay_config,
-            &ids,
-        ))
+    let runner = Runner {
+        timer_mux: true,
+        ..Runner::default()
     };
-    let root_ns = shell.ns.clone();
-    shell.enable_timer_mux();
-    let explicit_iw = spec.load.tcp.as_ref().and_then(|t| t.initial_cwnd_segments);
-    if let ProtocolMode::Mux(mux) = &spec.load.browser.protocol {
-        if explicit_iw.is_none() {
-            if let Some(iw) = mux.server_initial_cwnd_segments {
-                for host in &shell.hosts {
-                    host.set_tcp_config(
-                        host.tcp_config()
-                            .to_builder()
-                            .initial_cwnd_segments(iw)
-                            .build(),
-                    );
-                }
-            }
-        }
-    }
+    let world = World::build(&load, runner);
+    let user_tcp = |i: usize| world.tcp.to_builder().cc(spec.cc_mix.cc_for(i)).build();
 
     // One bulk server per user, also outermost: the user's long-running
     // sender, carrying that user's congestion control.
     let mut bulk_servers = Vec::with_capacity(spec.n_users);
     if spec.bulk_bytes > 0 {
         for i in 0..spec.n_users {
-            let host = Host::new_in(bulk_ip(i), ids.clone(), &root_ns);
-            host.enable_timer_mux();
-            host.set_tcp_config(base_tcp.to_builder().cc(spec.cc_mix.cc_for(i)).build());
+            let host = world.host(&world.shell.ns, bulk_ip(i));
+            host.set_tcp_config(user_tcp(i));
             host.listen(
                 BULK_PORT,
                 Rc::new(BulkListener {
@@ -316,36 +281,7 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
             bulk_servers.push(host);
         }
     }
-
-    // The shared bottleneck: delay / link / loss in mahimahi order.
-    let mut stack = ShellStack::new(&root_ns);
-    if let Some(overhead) = spec.load.net.shell_overhead {
-        stack = stack.with_shell_overhead(overhead);
-    }
-    if let Some(delay) = spec.load.net.delay {
-        stack = stack.delay(delay);
-    }
-    if let Some(link) = &spec.load.net.link {
-        let qdisc = link.qdisc;
-        stack = stack.link_asymmetric(link.uplink.clone(), link.downlink.clone(), &move || {
-            qdisc.build()
-        });
-    }
-    if let Some((up, down)) = spec.load.net.loss {
-        stack = stack.loss(up, down, &rng.fork("loss"));
-    }
-    let inner_ns = stack.innermost();
-
-    let resolver: Resolver = {
-        let shell = shell.clone();
-        Rc::new(move |url: &mm_http::Url| {
-            let ip: IpAddr = url
-                .host
-                .parse()
-                .expect("replay corpora address hosts by IP literal");
-            shell.resolve(SocketAddr::new(ip, url.port))
-        })
-    };
+    let inner_ns = world.stack.innermost();
 
     // Users: staggered deterministic arrivals across the window, so the
     // same user index arrives at the same time in every cell of a sweep
@@ -354,7 +290,7 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
         .map(|_| Rc::new(RefCell::new(None)))
         .collect();
     let mut bulk_clients: Vec<Rc<BulkClient>> = Vec::with_capacity(spec.n_users);
-    // The world owns its users: a browser (and through it the user's host)
+    // The runner holds its users: a browser (and through it the user's host)
     // lives until the run is over, not until its arrival event has fired.
     let mut browsers: Vec<Browser> = Vec::with_capacity(spec.n_users);
     for (i, plt_slot) in plt_slots.iter().enumerate() {
@@ -362,11 +298,10 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
             + SimDuration::from_nanos(
                 spec.arrival_window.as_nanos() * i as u64 / spec.n_users as u64,
             );
-        let host = Host::new_in(user_ip(i), ids.clone(), &inner_ns);
-        host.enable_timer_mux();
-        let mut browser_config = spec.load.browser.clone();
-        browser_config.tcp = Some(base_tcp.to_builder().cc(spec.cc_mix.cc_for(i)).build());
-        let browser = Browser::new(host.clone(), resolver.clone(), browser_config);
+        let host = world.host(&inner_ns, user_ip(i));
+        let mut browser_config = world.browser.clone();
+        browser_config.tcp = Some(user_tcp(i));
+        let browser = Browser::new(host.clone(), world.resolver.clone(), browser_config);
         browsers.push(browser.clone());
         let slot = plt_slot.clone();
         let root_url = spec.load.site.root_url.clone();
@@ -392,6 +327,7 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
     }
 
     sim.run();
+    world.finish();
 
     let users = (0..spec.n_users)
         .map(|i| {
@@ -415,7 +351,7 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
 
     let (mut max_up, mut max_down) = (0, 0);
     let (mut max_up_bytes, mut max_down_bytes) = (0, 0);
-    for layer in stack.layers() {
+    for layer in world.stack.layers() {
         if let ShellLayer::Link(link) = layer {
             let up = link.uplink.qdisc_stats();
             let down = link.downlink.qdisc_stats();
@@ -449,7 +385,7 @@ mod tests {
             median_objects: 10.0,
             ..SiteParams::default()
         };
-        let plan = plan_site(960, &params, &mut RngStream::from_seed(17));
+        let plan = plan_site(960, &params, &mut mm_sim::RngStream::from_seed(17));
         materialize(&plan)
     }
 

@@ -9,14 +9,16 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mm_browser::{Browser, BrowserConfig, PageLoadResult, ProtocolMode, Resolver};
-use mm_net::{Host, IpAddr, Namespace, PacketIdGen, SocketAddr};
+use mm_browser::{Browser, BrowserConfig, PageLoadResult};
+use mm_net::IpAddr;
 use mm_record::StoredSite;
-use mm_replay::{ReplayConfig, ReplayShell, ServerProtocol};
-use mm_shells::{CoDel, DropHead, DropTail, Pie, Qdisc, QueueLimit, ShellStack};
+use mm_replay::ReplayConfig;
+use mm_shells::{CoDel, DropHead, DropTail, Pie, Qdisc, QueueLimit};
 use mm_sim::{RngStream, SimDuration, Simulator};
 use mm_trace::Trace;
 use mm_web::{apply_live_web_variability, HostProfile, LiveWebConfig};
+
+use crate::world::{Runner, World};
 
 /// Queue discipline selection for LinkShell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,6 +98,7 @@ impl NetSpec {
 }
 
 /// Everything that defines one measured page load.
+#[derive(Clone)]
 pub struct LoadSpec<'a> {
     /// The recorded site to replay.
     pub site: &'a StoredSite,
@@ -116,14 +119,14 @@ pub struct LoadSpec<'a> {
     /// Explicit per-packet/per-request tap for this load, attached to
     /// every shell layer plus the browser and replay boundaries. `None`
     /// falls back to the process-global `--capture-out` capture (see
-    /// [`crate::obs::enable_capture`]). Taps only observe: results are
+    /// [`crate::obs::Artefact::Capture`]). Taps only observe: results are
     /// byte-identical with or without one.
     pub capture: Option<mm_capture::TapHandle>,
     /// Explicit causal-span sink for this load, attached to the browser
     /// (page/resource/phase spans), the replay servers (`ServerThink`)
     /// and every host's TCP layer (`ConnSetup`/`HolWait`/`Conn`). `None`
     /// falls back to the process-global `--span-out` channel (see
-    /// [`crate::obs::enable_spans`]). Sinks only observe: results are
+    /// [`crate::obs::Artefact::Span`]). Sinks only observe: results are
     /// byte-identical with or without one.
     pub span: Option<mm_trace::SpanHandle>,
     /// Explicit conformance auditor for this load, registered as the
@@ -131,7 +134,7 @@ pub struct LoadSpec<'a> {
     /// out alongside any other sinks). The caller keeps the auditor and
     /// calls [`mm_audit::Auditor::finish`] after the load. `None` falls
     /// back to the process-global `--audit` channel (see
-    /// [`crate::obs::enable_audit`]). Auditors only observe: results
+    /// [`crate::obs::Artefact::Audit`]). Auditors only observe: results
     /// are byte-identical with or without one.
     pub audit: Option<mm_audit::Auditor>,
     /// Seed for all stochastic elements of this load.
@@ -166,237 +169,21 @@ const BROWSER_IP: IpAddr = IpAddr::new(100, 64, 0, 2);
 /// is a harness bug).
 pub fn run_page_load(spec: &LoadSpec<'_>) -> PageLoadResult {
     let mut sim = Simulator::new();
-    let rng = RngStream::from_seed(spec.seed);
-    let ids = PacketIdGen::new();
-
-    // Per-flow trace capture (the experiment bins' `--trace-out`
-    // plumbing): when the process-global trace is on and this spec
-    // carries no explicit sink, give the load a private tracer and
-    // merge its samples on completion. The substituted config differs
-    // from the untraced path only in the sink field — hosts fall back
-    // to `TcpConfig::default()` when no config flows in, and sinks only
-    // observe — so the simulation itself is unchanged.
-    let trace = (crate::obs::trace_enabled()
-        && spec.tcp.as_ref().is_none_or(|t| t.metrics.is_none()))
-    .then(mm_metrics::FlowTracer::new);
-    let spec_tcp = match &trace {
-        Some(tracer) => Some(
-            spec.tcp
-                .clone()
-                .unwrap_or_default()
-                .to_builder()
-                .metrics(mm_metrics::MetricsHandle::new(
-                    mm_metrics::RegistrySink::with_tracer(
-                        mm_metrics::Registry::new(),
-                        tracer.clone(),
-                    ),
-                ))
-                .build(),
-        ),
-        None => spec.tcp.clone(),
-    };
-
-    // Per-packet capture (the experiment bins' `--capture-out`
-    // plumbing): an explicit tap on the spec wins; otherwise, when the
-    // process-global capture is on and its load budget allows, this
-    // load records into a private `Capture` merged on completion. Taps
-    // only observe, so the simulation is byte-identical either way.
-    let claimed = if spec.capture.is_none() {
-        crate::obs::claim_capture_load().map(mm_capture::Capture::for_load)
-    } else {
-        None
-    };
-    let tap = spec
-        .capture
-        .clone()
-        .or_else(|| claimed.as_ref().map(mm_capture::Capture::handle));
-
-    // Conformance auditing (the experiment bins' `--audit` plumbing):
-    // an explicit auditor on the spec wins (its owner calls `finish`);
-    // otherwise, when the process-global audit channel is on, this load
-    // gets a private auditor whose report is merged on completion. The
-    // same auditor instance is fanned into the metrics, tap and span
-    // hooks below — the cross-stream checks (qdisc gauge vs packet
-    // ledger, server bytes vs browser bytes) need one shared view.
-    let audit_claimed = if spec.audit.is_none() {
-        crate::obs::claim_audit_load().map(mm_audit::Auditor::for_load)
-    } else {
-        None
-    };
-    let audit = spec.audit.clone().or_else(|| audit_claimed.clone());
-    let tap = match (&tap, &audit) {
-        (Some(t), Some(a)) => Some(mm_capture::TapHandle::new(mm_capture::FanoutTap::new(
-            vec![t.clone(), a.tap_handle()],
-        ))),
-        (None, Some(a)) => Some(a.tap_handle()),
-        _ => tap,
-    };
-
-    // Causal spans (the experiment bins' `--span-out` plumbing): an
-    // explicit sink on the spec wins; otherwise, when the process-global
-    // span channel is on and its load budget allows, this load records
-    // into a private `TraceBuffer` merged on completion. Sinks only
-    // observe, so the simulation is byte-identical either way.
-    let span_claimed = if spec.span.is_none() {
-        crate::obs::claim_span_load().map(mm_trace::TraceBuffer::for_load)
-    } else {
-        None
-    };
-    let span = spec
-        .span
-        .clone()
-        .or_else(|| span_claimed.as_ref().map(mm_trace::TraceBuffer::handle));
-    // The auditor's span view rides the same handle: alone, or fanned
-    // out behind a recorder (the fanout allocates the ids both see).
-    let span = match (&span, &audit) {
-        (Some(s), Some(a)) => {
-            Some(mm_trace::FanoutSpan::new(vec![s.clone(), a.span_handle()]).handle())
-        }
-        (None, Some(a)) => Some(a.span_handle()),
-        _ => span,
-    };
-    // The TCP-layer spans ride the same per-load TCP config as flow
-    // tracing; like the tracer substitution above, the sink field is the
-    // only difference from the unspanned config.
-    let spec_tcp = match &span {
-        Some(sp) if spec_tcp.as_ref().is_none_or(|t| t.span.is_none()) => Some(
-            spec_tcp
-                .clone()
-                .unwrap_or_default()
-                .to_builder()
-                .span(sp.clone())
-                .build(),
-        ),
-        _ => spec_tcp,
-    };
-    // The auditor's TCP-conformance view: fan its metrics sink in next
-    // to whatever sink the config already carries (the flow tracer's
-    // RegistrySink, or an experimenter's own).
-    let spec_tcp = match &audit {
-        Some(a) => {
-            let base = spec_tcp.unwrap_or_default();
-            let metrics = match &base.metrics {
-                Some(m) => mm_metrics::MetricsHandle::new(mm_metrics::FanoutSink::new(vec![
-                    m.clone(),
-                    a.metrics_handle(),
-                ])),
-                None => a.metrics_handle(),
-            };
-            Some(base.to_builder().metrics(metrics).build())
-        }
-        None => spec_tcp,
-    };
-
-    // Outermost: ReplayShell's world. The browser's protocol choice is
-    // passed through to the servers so both ends of the connection speak
-    // the same wire format — one knob on the spec drives the whole stack.
-    let mut replay_config = spec.replay.clone();
-    if let ProtocolMode::Mux(mux) = &spec.browser.protocol {
-        replay_config.protocol = ServerProtocol::Mux(mux.clone());
-    }
-    // The per-load TCP knob flows through ReplayConfig/BrowserConfig so
-    // replay worlds and browsers built outside this harness wire up the
-    // same way; an explicit config on either side wins.
-    if replay_config.tcp.is_none() {
-        replay_config.tcp = spec_tcp.clone();
-    }
-    if replay_config.capture.is_none() {
-        replay_config.capture = tap.clone();
-    }
-    if replay_config.span.is_none() {
-        replay_config.span = span.clone();
-    }
-    let shell = {
-        let root_ns = Namespace::root("replayshell");
-        Rc::new(ReplayShell::new(&root_ns, spec.site, replay_config, &ids))
-    };
-    let root_ns = shell.ns.clone();
-    // An explicit IW in `spec.tcp` is the experimenter's ablation knob and
-    // must win over the mux deployment default.
-    let explicit_iw = spec_tcp.as_ref().and_then(|t| t.initial_cwnd_segments);
-    if let ProtocolMode::Mux(mux) = &spec.browser.protocol {
-        if explicit_iw.is_none() {
-            if let Some(iw) = mux.server_initial_cwnd_segments {
-                // Model the deployed SPDY-era server stack: a raised
-                // initial cwnd on the servers (only), so one multiplexed
-                // connection can match the burst capacity of an HTTP/1.1
-                // pool.
-                for host in &shell.hosts {
-                    host.set_tcp_config(
-                        host.tcp_config()
-                            .to_builder()
-                            .initial_cwnd_segments(iw)
-                            .build(),
-                    );
-                }
-            }
-        }
-    }
+    let world = World::build(spec, Runner::default());
     if let Some(live) = &spec.live_web {
-        apply_live_web_variability(&shell, live, &rng.fork("live-web"));
+        apply_live_web_variability(&world.shell, live, &world.rng.fork("live-web"));
     }
+    let browser_host = world.host(&world.stack.innermost(), BROWSER_IP);
+    let browser = Browser::new(
+        browser_host.clone(),
+        world.resolver.clone(),
+        world.browser.clone(),
+    );
     if let Some(profile) = &spec.host_profile {
-        for (i, host) in shell.hosts.iter().enumerate() {
+        for (i, host) in world.shell.hosts.iter().enumerate() {
             host.set_noise(profile.noise(spec.seed, &format!("server-{i}")));
         }
-    }
-
-    // Nested emulation shells. The tap must attach before any layer is
-    // added so every shell's direction reports under its point.
-    let mut stack = ShellStack::new(&root_ns);
-    if let Some(tap) = &tap {
-        stack = stack.with_tap(tap.clone());
-    }
-    // The auditor also observes the qdiscs' own depth gauges and
-    // counters, cross-checked against the packet ledger its tap builds.
-    if let Some(a) = &audit {
-        stack = stack.with_qdisc_metrics(a.metrics_handle());
-    }
-    if let Some(overhead) = spec.net.shell_overhead {
-        stack = stack.with_shell_overhead(overhead);
-    }
-    if let Some(delay) = spec.net.delay {
-        stack = stack.delay(delay);
-    }
-    if let Some(link) = &spec.net.link {
-        let qdisc = link.qdisc;
-        stack = stack.link_asymmetric(link.uplink.clone(), link.downlink.clone(), &move || {
-            qdisc.build()
-        });
-    }
-    if let Some((up, down)) = spec.net.loss {
-        stack = stack.loss(up, down, &rng.fork("loss"));
-    }
-    let inner_ns = stack.innermost();
-
-    // The browser host, innermost.
-    let browser_host = Host::new_in(BROWSER_IP, ids, &inner_ns);
-    if let Some(profile) = &spec.host_profile {
         browser_host.set_noise(profile.noise(spec.seed, "browser"));
-    }
-    let mut browser_config = spec.browser.clone();
-    if browser_config.tcp.is_none() {
-        browser_config.tcp = spec_tcp.clone();
-    }
-    if browser_config.capture.is_none() {
-        browser_config.capture = tap.clone();
-    }
-    if browser_config.span.is_none() {
-        browser_config.span = span.clone();
-    }
-
-    let resolver: Resolver = {
-        let shell = shell.clone();
-        Rc::new(move |url: &mm_http::Url| {
-            let ip: IpAddr = url
-                .host
-                .parse()
-                .expect("replay corpora address hosts by IP literal");
-            shell.resolve(SocketAddr::new(ip, url.port))
-        })
-    };
-    let browser = Browser::new(browser_host, resolver, browser_config);
-    if let Some(profile) = &spec.host_profile {
         let rng = RngStream::from_seed(spec.seed)
             .fork(&profile.name)
             .fork("browser-cpu");
@@ -405,23 +192,11 @@ pub fn run_page_load(spec: &LoadSpec<'_>) -> PageLoadResult {
 
     let result: Rc<RefCell<Option<PageLoadResult>>> = Rc::new(RefCell::new(None));
     let slot = result.clone();
-    let root_url = spec.site.root_url.clone();
-    browser.navigate(&mut sim, &root_url, move |_sim, r| {
+    browser.navigate(&mut sim, &spec.site.root_url, move |_sim, r| {
         *slot.borrow_mut() = Some(r);
     });
     sim.run();
-    if let Some(tracer) = &trace {
-        crate::obs::merge_tracer(tracer);
-    }
-    if let Some(capture) = &claimed {
-        crate::obs::merge_capture(capture);
-    }
-    if let Some(buf) = &span_claimed {
-        crate::obs::merge_spans(buf);
-    }
-    if let Some(a) = &audit_claimed {
-        crate::obs::append_audit_jsonl(&a.finish().to_jsonl());
-    }
+    world.finish();
     let r = result
         .borrow_mut()
         .take()
@@ -434,18 +209,10 @@ pub fn run_page_load(spec: &LoadSpec<'_>) -> PageLoadResult {
 pub fn run_loads(spec: &LoadSpec<'_>, n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| {
+            let seed = spec.seed.wrapping_mul(1_000_003).wrapping_add(i as u64);
             let load_spec = LoadSpec {
-                site: spec.site,
-                replay: spec.replay.clone(),
-                browser: spec.browser.clone(),
-                net: spec.net.clone(),
-                host_profile: spec.host_profile.clone(),
-                live_web: spec.live_web.clone(),
-                tcp: spec.tcp.clone(),
-                capture: spec.capture.clone(),
-                span: spec.span.clone(),
-                audit: spec.audit.clone(),
-                seed: spec.seed.wrapping_mul(1_000_003).wrapping_add(i as u64),
+                seed,
+                ..spec.clone()
             };
             run_page_load(&load_spec).plt.as_millis_f64()
         })

@@ -32,6 +32,7 @@ pub mod fleet;
 pub mod harness;
 pub mod obs;
 pub mod soak;
+mod world;
 
 /// Re-exports of every subsystem, one module per shell/substrate.
 pub use mm_browser as browser;

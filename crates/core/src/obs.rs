@@ -1,36 +1,36 @@
 //! Observability glue for the harness layers: registry export helpers
-//! for page-load and fleet results, and the process-global collectors
-//! behind the experiment binaries' `--trace-out`, `--capture-out` and
-//! `--span-out` flags.
+//! for page-load and fleet results, and the process-global channel
+//! table behind the experiment binaries' `--trace-out`, `--capture-out`,
+//! `--span-out` and `--audit[-out]` flags.
 //!
-//! The collectors are process-global because experiment bodies shard
-//! site loops across threads (`bench::parallel_map`) and each load
-//! builds its own world: every instrumented load gets a private
-//! single-threaded recorder ([`FlowTracer`], [`mm_capture::Capture`],
-//! [`mm_trace::TraceBuffer`]) and drains its JSONL into the shared
-//! buffer when the load completes. All three channels share one
-//! [`ObsChannel`] shape — an enable flag, a CAS-claimed load budget
-//! handing out process-unique load ids, and the merge buffer — so
-//! adding a consumer is a static and three thin wrappers. Recorders
-//! only observe; simulation results (and therefore BENCH outputs) are
-//! byte-identical with them on or off.
+//! The channels are process-global because experiment bodies shard
+//! site loops across threads (`bench::parallel_map`) and every world is
+//! built on its own thread: [`crate::world::World`] gives each
+//! instrumented world a private single-threaded recorder
+//! ([`mm_metrics::FlowTracer`], [`mm_capture::Capture`],
+//! [`mm_trace::TraceBuffer`], [`mm_audit::Auditor`]) and drains its JSONL
+//! into the shared buffer when the world ends. All four artefacts share
+//! one [`ObsChannel`] shape — an enable flag, a CAS-claimed budget
+//! handing out process-unique ids, and the merge buffer — in one table
+//! keyed by [`Artefact`]. Recorders only observe; simulation results
+//! (and therefore BENCH outputs) are byte-identical with them on or off.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::fleet::FleetResult;
-use mm_metrics::{FlowTracer, Registry, LATENCY_BUCKETS_S};
+use mm_metrics::{Registry, LATENCY_BUCKETS_S};
 use mm_sim::SimDuration;
-use mm_trace::{Span, SpanKind, SpanSink};
+use mm_trace::{Span, SpanKind, SpanSink, NO_RESOURCE};
 
 /// One process-global observability channel: an on/off flag, a budget
-/// of page loads still to record (claimed by CAS so threaded site
-/// loops never over-record), a process-unique load-id allocator, and
-/// the buffer completed loads merge their JSONL into.
+/// of worlds still to record (claimed by CAS so threaded site loops
+/// never over-record), a process-unique id allocator, and the buffer
+/// finished worlds merge their JSONL into.
 struct ObsChannel {
     enabled: AtomicBool,
     budget: AtomicU64,
-    next_load: AtomicU64,
+    next_id: AtomicU64,
     buffer: Mutex<String>,
 }
 
@@ -39,219 +39,108 @@ impl ObsChannel {
         ObsChannel {
             enabled: AtomicBool::new(false),
             budget: AtomicU64::new(0),
-            next_load: AtomicU64::new(0),
+            next_id: AtomicU64::new(0),
             buffer: Mutex::new(String::new()),
         }
     }
+}
 
-    fn enable(&self, max_loads: u64) {
-        self.budget.store(max_loads, Ordering::SeqCst);
-        self.enabled.store(true, Ordering::SeqCst);
+static CHANNELS: [ObsChannel; 4] = [const { ObsChannel::new() }; 4];
+
+/// What a run can leave behind besides its results — the key of the
+/// channel table. One *world* spends one claim per artefact, however
+/// many users it holds: a 64-user fleet is one capture slot and one id,
+/// not 64, and the recorders' own bounds ([`mm_capture::Capture`]'s
+/// event caps, [`mm_trace::TraceBuffer`]'s span cap) count what
+/// overflows them as they do for a single load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artefact {
+    /// Per-flow TCP time series (`--trace-out`).
+    Trace,
+    /// Per-packet and per-request events (`--capture-out`).
+    Capture,
+    /// Causal spans (`--span-out`).
+    Span,
+    /// Conformance reports and equivalence digests (`--audit[-out]`).
+    Audit,
+}
+
+impl Artefact {
+    fn channel(self) -> &'static ObsChannel {
+        &CHANNELS[self as usize]
     }
 
-    fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::SeqCst)
+    /// How many worlds an enabled channel records. Flow traces are a few
+    /// samples per ack and auditors keep bounded ledgers rather than
+    /// logs, so neither is rationed. Packet captures are far denser
+    /// (every enqueue/dequeue/deliver at every shell): eight worlds keep
+    /// a many-hundred-load sweep from writing gigabytes while still
+    /// giving `mmgraph` several complete loads to draw. Spans are
+    /// per-resource (a few hundred per load), so 64 worlds is affordable
+    /// — enough for `mmpath --diff` to pair both arms of a protocol
+    /// comparison across several sites.
+    pub fn budget(self) -> u64 {
+        match self {
+            Artefact::Trace | Artefact::Audit => u64::MAX,
+            Artefact::Capture => 8,
+            Artefact::Span => 64,
+        }
     }
 
-    /// Claim a recording slot for one page load, returning its
-    /// process-unique load id, or `None` when the channel is off or
-    /// the budget is spent.
-    fn claim_load(&self) -> Option<u64> {
-        if !self.enabled() {
+    /// Turn the channel on: the next [`Artefact::budget`] worlds built
+    /// without an explicit handle for this artefact on their spec get a
+    /// private recorder whose output accumulates for [`Artefact::take`].
+    pub fn enable(self) {
+        let ch = self.channel();
+        ch.budget.store(self.budget(), Ordering::SeqCst);
+        ch.enabled.store(true, Ordering::SeqCst);
+    }
+
+    /// Claim a recording slot for one world, returning its
+    /// process-unique id, or `None` when the channel is off or the
+    /// budget is spent.
+    pub fn claim(self) -> Option<u64> {
+        let ch = self.channel();
+        if !ch.enabled.load(Ordering::SeqCst) {
             return None;
         }
-        let mut budget = self.budget.load(Ordering::SeqCst);
+        let mut budget = ch.budget.load(Ordering::SeqCst);
         loop {
             if budget == 0 {
                 return None;
             }
-            match self.budget.compare_exchange(
-                budget,
-                budget - 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return Some(self.next_load.fetch_add(1, Ordering::SeqCst)),
+            match ch
+                .budget
+                .compare_exchange(budget, budget - 1, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => return Some(ch.next_id.fetch_add(1, Ordering::SeqCst)),
                 Err(seen) => budget = seen,
             }
         }
     }
 
-    fn append(&self, jsonl: &str) {
+    /// Append one finished world's JSONL to the channel's buffer.
+    pub fn append(self, jsonl: &str) {
         if !jsonl.is_empty() {
-            self.buffer
-                .lock()
-                .expect("obs buffer poisoned")
-                .push_str(jsonl);
+            let mut buffer = self.channel().buffer.lock().expect("obs buffer poisoned");
+            buffer.push_str(jsonl);
         }
     }
 
-    fn take(&self) -> String {
-        std::mem::take(&mut *self.buffer.lock().expect("obs buffer poisoned"))
+    /// Take everything merged so far (the `--*-out` writers).
+    pub fn take(self) -> String {
+        std::mem::take(&mut *self.channel().buffer.lock().expect("obs buffer poisoned"))
     }
-}
-
-static TRACE: ObsChannel = ObsChannel::new();
-static CAPTURE: ObsChannel = ObsChannel::new();
-static SPAN: ObsChannel = ObsChannel::new();
-static AUDIT: ObsChannel = ObsChannel::new();
-
-/// Default number of page loads a `--capture-out` run captures. Packet
-/// captures are far denser than flow traces (every enqueue/dequeue/
-/// deliver at every shell), so the budget keeps a many-hundred-load
-/// sweep from writing gigabytes while still giving `mmgraph` several
-/// complete loads to draw.
-pub const DEFAULT_CAPTURE_LOADS: u64 = 8;
-
-/// Default number of page loads a `--span-out` run records. Spans are
-/// per-resource rather than per-packet (a few hundred per load), so
-/// the budget can afford more loads than packet capture — enough for
-/// `mmpath --diff` to pair both arms of a protocol comparison across
-/// several sites.
-pub const DEFAULT_SPAN_LOADS: u64 = 64;
-
-/// Turn on process-global flow tracing: subsequent
-/// [`run_page_load`](crate::harness::run_page_load) calls whose spec
-/// carries no explicit metrics sink get a private tracer whose samples
-/// accumulate for [`take_trace_jsonl`]. Flow traces are cheap (a few
-/// samples per ack), so the budget is effectively unbounded — the
-/// claim exists so all channels share one idiom.
-pub fn enable_trace() {
-    TRACE.enable(u64::MAX);
-}
-
-/// Whether [`enable_trace`] has been called.
-pub fn trace_enabled() -> bool {
-    TRACE.enabled()
-}
-
-/// Claim a flow-trace slot for one page load (see [`ObsChannel::claim_load`]).
-pub fn claim_trace_load() -> Option<u64> {
-    TRACE.claim_load()
-}
-
-/// Append one world's drained trace to the global buffer.
-pub fn append_trace_jsonl(jsonl: &str) {
-    TRACE.append(jsonl);
-}
-
-/// Drain a per-world tracer into the global buffer.
-pub fn merge_tracer(tracer: &FlowTracer) {
-    TRACE.append(&tracer.take_jsonl());
-}
-
-/// Take everything traced so far (the `--trace-out` writer).
-pub fn take_trace_jsonl() -> String {
-    TRACE.take()
-}
-
-/// Turn on process-global packet capture for the first `max_loads`
-/// page loads: each captured load gets a private [`mm_capture::Capture`]
-/// tapped into its shells, browser and replay servers, whose JSONL is
-/// merged into the buffer behind [`take_capture_jsonl`] when the load
-/// completes. Taps only observe, so simulation results — and therefore
-/// BENCH outputs — are byte-identical with capture on or off.
-pub fn enable_capture(max_loads: u64) {
-    CAPTURE.enable(max_loads);
-}
-
-/// Whether [`enable_capture`] has been called.
-pub fn capture_enabled() -> bool {
-    CAPTURE.enabled()
-}
-
-/// Claim a capture slot for one page load, returning its process-unique
-/// load id, or `None` when capture is off or the budget is spent.
-pub fn claim_capture_load() -> Option<u64> {
-    CAPTURE.claim_load()
-}
-
-/// Append one load's capture JSONL to the global buffer.
-pub fn append_capture_jsonl(jsonl: &str) {
-    CAPTURE.append(jsonl);
-}
-
-/// Drain a per-load capture into the global buffer.
-pub fn merge_capture(capture: &mm_capture::Capture) {
-    CAPTURE.append(&capture.take_jsonl());
-}
-
-/// Take everything captured so far (the `--capture-out` writer).
-pub fn take_capture_jsonl() -> String {
-    CAPTURE.take()
-}
-
-/// Turn on process-global span recording for the first `max_loads`
-/// page loads: each recorded load gets a private
-/// [`mm_trace::TraceBuffer`] wired through the browser, sockets, mux
-/// client and replay servers, whose JSONL is merged into the buffer
-/// behind [`take_span_jsonl`] when the load completes. Sinks only
-/// observe, so BENCH outputs are byte-identical with spans on or off.
-pub fn enable_spans(max_loads: u64) {
-    SPAN.enable(max_loads);
-}
-
-/// Whether [`enable_spans`] has been called.
-pub fn spans_enabled() -> bool {
-    SPAN.enabled()
-}
-
-/// Claim a span slot for one page load, returning its process-unique
-/// load id, or `None` when recording is off or the budget is spent.
-pub fn claim_span_load() -> Option<u64> {
-    SPAN.claim_load()
-}
-
-/// Append one load's span JSONL to the global buffer.
-pub fn append_span_jsonl(jsonl: &str) {
-    SPAN.append(jsonl);
-}
-
-/// Drain a per-load span buffer into the global buffer.
-pub fn merge_spans(buffer: &mm_trace::TraceBuffer) {
-    SPAN.append(&buffer.to_jsonl());
-}
-
-/// Take everything recorded so far (the `--span-out` writer).
-pub fn take_span_jsonl() -> String {
-    SPAN.take()
-}
-
-/// Turn on process-global conformance auditing: every subsequent
-/// [`run_page_load`](crate::harness::run_page_load) wires an
-/// [`mm_audit::Auditor`] into the load's metrics, tap and span hooks
-/// and merges its report into the buffer behind [`take_audit_jsonl`].
-/// Auditors validate instead of record, so their state is a bounded
-/// set of ledgers rather than a per-packet log — the budget is
-/// unbounded, matching `--trace-out`.
-pub fn enable_audit() {
-    AUDIT.enable(u64::MAX);
-}
-
-/// Whether [`enable_audit`] has been called.
-pub fn audit_enabled() -> bool {
-    AUDIT.enabled()
-}
-
-/// Claim an audit slot for one page load (see [`ObsChannel::claim_load`]).
-pub fn claim_audit_load() -> Option<u64> {
-    AUDIT.claim_load()
-}
-
-/// Append one load's audit report JSONL to the global buffer.
-pub fn append_audit_jsonl(jsonl: &str) {
-    AUDIT.append(jsonl);
-}
-
-/// Take every audit report merged so far (the `--audit-out` writer).
-pub fn take_audit_jsonl() -> String {
-    AUDIT.take()
 }
 
 /// A [`SpanSink`] that turns per-resource phase spans into labeled
 /// duration histograms in a [`Registry`] — the soak harness's view of
 /// the span layer: no buffering, no ids, just which phase's tail grows
-/// as the offered load approaches the knee. Histogram names follow
+/// as the offered load approaches the knee. Spans not attached to a
+/// browser resource (the TCP layer's own `ConnSetup`, the servers'
+/// `ServerThink`) are not resource phases and are ignored, so the
+/// histograms read the same whether or not a recorder or auditor has
+/// the other layers emitting into the same fan-out. Histogram names follow
 /// `<prefix>_phase_<kind>_seconds` so the `_seconds` suffix picks up
 /// the latency bucket ladder downstream.
 pub struct PhaseSink {
@@ -264,17 +153,21 @@ impl PhaseSink {
         PhaseSink { registry, prefix }
     }
 
-    fn name_for(&self, kind: SpanKind) -> Option<String> {
-        if !kind.is_phase() || kind == SpanKind::Failed {
+    fn name_for(&self, span: &Span) -> Option<String> {
+        if span.res == NO_RESOURCE || !span.kind.is_phase() || span.kind == SpanKind::Failed {
             return None;
         }
-        Some(format!("{}_phase_{}_seconds", self.prefix, kind.as_str()))
+        Some(format!(
+            "{}_phase_{}_seconds",
+            self.prefix,
+            span.kind.as_str()
+        ))
     }
 }
 
 impl SpanSink for PhaseSink {
     fn record(&self, span: Span) {
-        let Some(name) = self.name_for(span.kind) else {
+        let Some(name) = self.name_for(&span) else {
             return;
         };
         self.registry
@@ -347,37 +240,33 @@ pub fn export_fleet_metrics(result: &FleetResult, registry: &Registry) {
 mod tests {
     use super::*;
 
+    /// One marker line through one channel's buffer and out again.
+    /// The flags are process-global, so unit tests leave every channel
+    /// off (enabling one here would leak recording work into every
+    /// concurrently running harness test; `tests/audit_every_world.rs`
+    /// turns them on in a process of its own) and only assert on their
+    /// own marker surviving the round trip.
+    fn roundtrip(artefact: Artefact, marker: &str) {
+        assert!(artefact.claim().is_none(), "{artefact:?} must start off");
+        artefact.append(&format!("{{\"load\":{marker}}}\n"));
+        assert!(artefact.take().contains(marker));
+        assert!(!artefact.take().contains(marker));
+    }
+
     #[test]
     fn trace_buffer_accumulates_and_drains() {
-        // Note: shares process-global state with other tests, so only
-        // assert on our own marker line surviving the round trip.
-        append_trace_jsonl("{\"flow\":999999}\n");
-        let drained = take_trace_jsonl();
-        assert!(drained.contains("{\"flow\":999999}"));
-        assert!(!take_trace_jsonl().contains("999999"));
+        roundtrip(Artefact::Trace, "999999");
     }
 
     #[test]
     fn capture_claim_requires_enable_and_buffer_roundtrips() {
-        // The capture flag is process-global, so unit tests leave it
-        // off (enabling here would leak capture work into every other
-        // concurrently-running harness test).
-        assert!(claim_capture_load().is_none());
-        append_capture_jsonl("{\"ev\":\"pkt\",\"load\":123456}\n");
-        let drained = take_capture_jsonl();
-        assert!(drained.contains("123456"));
-        assert!(!take_capture_jsonl().contains("123456"));
+        roundtrip(Artefact::Capture, "123456");
     }
 
     #[test]
     fn span_claim_requires_enable_and_buffer_roundtrips() {
-        // Like capture, the span flag is process-global; unit tests
-        // leave it off and only exercise the buffer round trip.
-        assert!(claim_span_load().is_none());
-        append_span_jsonl("{\"ev\":\"span\",\"load\":654321}\n");
-        let drained = take_span_jsonl();
-        assert!(drained.contains("654321"));
-        assert!(!take_span_jsonl().contains("654321"));
+        roundtrip(Artefact::Span, "654321");
+        roundtrip(Artefact::Audit, "424242");
     }
 
     #[test]
@@ -400,6 +289,10 @@ mod tests {
         sink.record(span(SpanKind::Transfer));
         sink.record(span(SpanKind::Page)); // not a phase: ignored
         sink.record(span(SpanKind::Conn)); // not a phase: ignored
+        sink.record(Span {
+            res: NO_RESOURCE, // the TCP layer's handshake, not a resource's
+            ..span(SpanKind::ConnSetup)
+        });
         let text = registry.encode();
         assert!(text.contains("soak_phase_queued_seconds_count 1"));
         assert!(text.contains("soak_phase_transfer_seconds_count 1"));

@@ -23,6 +23,9 @@
 //! instruments when a link shell is configured, and the full
 //! `tcp_*` counter set (a [`RegistrySink`] is installed into the
 //! world's TCP configs unless the caller supplied an explicit sink).
+//! The registry's sinks are members of the world's observer fan-outs
+//! like any other (`world.rs`), so the process-global trace, capture,
+//! span and audit channels reach a soak as they reach a page load.
 //!
 //! [`TcpStats`]: mm_net::TcpStats
 
@@ -30,16 +33,16 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use mm_browser::{Browser, BrowserConfig, PageLoadResult, ProtocolMode, Resolver};
+use mm_browser::{Browser, BrowserConfig, PageLoadResult};
 use mm_metrics::{Counter, MetricsHandle, Registry, RegistrySink, LATENCY_BUCKETS_S};
-use mm_net::{Host, IpAddr, Namespace, PacketIdGen, SocketAddr, TcpConfig};
+use mm_net::{Host, IpAddr, TcpConfig};
 use mm_record::StoredSite;
-use mm_replay::{ReplayConfig, ReplayShell, ServerProtocol};
-use mm_shells::{InstrumentedQdisc, ShellStack};
+use mm_replay::ReplayConfig;
 use mm_sim::dist::{Distribution, Exponential};
 use mm_sim::{RngStream, SimDuration, Simulator, Summary, Timestamp};
 
-use crate::harness::LinkSpec;
+use crate::harness::{LinkSpec, LoadSpec, NetSpec};
+use crate::world::{Runner, World};
 
 /// How long after the arrival window closes the maintenance loop keeps
 /// running, waiting for in-flight sessions to drain. Bounds simulated
@@ -60,8 +63,8 @@ pub struct SoakSpec<'a> {
     /// Fixed one-way propagation delay (None = none).
     pub delay: Option<SimDuration>,
     /// Trace-driven bottleneck link (None = unconstrained). Its qdiscs
-    /// are wrapped in [`InstrumentedQdisc`], so backlog/sojourn/drop
-    /// metrics land in the registry.
+    /// are instrumented ([`mm_shells::ShellStack::with_qdisc_metrics`]),
+    /// so backlog/sojourn/drop metrics land in the registry.
     pub link: Option<LinkSpec>,
     /// Mean of the exponential inter-arrival time between sessions.
     pub arrival_mean: SimDuration,
@@ -192,11 +195,7 @@ struct SoakCounters {
 /// The shared world: everything a session start/finish or maintenance
 /// pass needs, behind one `Rc` threaded through simulator callbacks.
 struct SoakWorld {
-    shell: Rc<ReplayShell>,
-    resolver: Resolver,
-    inner_ns: Namespace,
-    ids: PacketIdGen,
-    browser_cfg: BrowserConfig,
+    world: World,
     root_url: String,
     /// End of the arrival window.
     end: Timestamp,
@@ -243,15 +242,20 @@ impl SoakWorld {
                     h.clone()
                 }
                 None => {
-                    let h = Host::new_in(slot_ip(slot), self.ids.clone(), &self.inner_ns);
-                    h.enable_timer_mux();
+                    let h = self
+                        .world
+                        .host(&self.world.stack.innermost(), slot_ip(slot));
                     hosts[slot] = Some(h.clone());
                     h
                 }
             }
         };
 
-        let browser = Browser::new(host, self.resolver.clone(), self.browser_cfg.clone());
+        let browser = Browser::new(
+            host,
+            self.world.resolver.clone(),
+            self.world.browser.clone(),
+        );
         self.browsers.borrow_mut()[slot] = Some(browser.clone());
         // The world owns the browser, so its completion callback only
         // refers back.
@@ -349,7 +353,7 @@ impl SoakWorld {
     /// are scanned before removal, so lifetime stats are never lost.
     fn scan_and_reap(&self) {
         let mut server_conns = 0;
-        for host in &self.shell.hosts {
+        for host in &self.world.shell.hosts {
             server_conns += host.socket_count();
             self.fold_host_stats(host);
             host.reap_closed();
@@ -402,7 +406,8 @@ impl SoakWorld {
 
     /// Final server-side occupancy (post-drain, post-reap).
     fn server_conns_final(&self) -> usize {
-        self.shell.hosts.iter().map(|h| h.socket_count()).sum()
+        let hosts = &self.world.shell.hosts;
+        hosts.iter().map(|h| h.socket_count()).sum()
     }
 
     /// Final client-pool occupancy (post-drain, post-reap).
@@ -432,86 +437,36 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
     // high-water, exported into the registry after the run. Profiling
     // only observes dispatch, so the soak is byte-identical either way.
     sim.enable_profiler();
-    let ids = PacketIdGen::new();
-    let rng = RngStream::from_seed(spec.seed);
 
-    // Unless the caller brought an explicit sink, every host's TCP
-    // stack reports into the soak registry (sinks only observe, so
-    // this changes nothing but the exported metrics).
-    let tcp = {
-        let base = spec.tcp.clone().unwrap_or_default();
-        if base.metrics.is_none() {
-            base.to_builder()
-                .metrics(MetricsHandle::new(RegistrySink::new(registry.clone())))
-                .build()
-        } else {
-            base
-        }
-    };
-
-    // The serving side, outermost — same protocol passthrough as the
-    // single-load harness.
-    let mut replay_config = spec.replay.clone();
-    if let ProtocolMode::Mux(mux) = &spec.browser.protocol {
-        replay_config.protocol = ServerProtocol::Mux(mux.clone());
-    }
-    if replay_config.tcp.is_none() {
-        replay_config.tcp = Some(tcp.clone());
-    }
-    let shell = {
-        let root_ns = mm_net::Namespace::root("replayshell");
-        Rc::new(ReplayShell::new(&root_ns, spec.site, replay_config, &ids))
-    };
-    let root_ns = shell.ns.clone();
-    shell.enable_timer_mux();
-
-    // The emulated network, with instrumented qdiscs when a link shell
-    // is present. `link_shell` builds the uplink qdisc first, so the
-    // factory labels by call parity.
-    let mut stack = ShellStack::new(&root_ns);
-    if let Some(delay) = spec.delay {
-        stack = stack.delay(delay);
-    }
-    if let Some(link) = &spec.link {
-        let qdisc = link.qdisc;
-        let sink = MetricsHandle::new(RegistrySink::new(registry.clone()));
-        let builds = Cell::new(0u32);
-        stack = stack.link_asymmetric(link.uplink.clone(), link.downlink.clone(), &move || {
-            let dir = if builds.get().is_multiple_of(2) {
-                "up"
-            } else {
-                "down"
-            };
-            builds.set(builds.get() + 1);
-            Box::new(InstrumentedQdisc::new(qdisc.build(), sink.clone(), dir))
-        });
-    }
-    let inner_ns = stack.innermost();
-
-    let resolver: Resolver = {
-        let shell = shell.clone();
-        Rc::new(move |url: &mm_http::Url| {
-            let ip: IpAddr = url
-                .host
-                .parse()
-                .expect("replay corpora address hosts by IP literal");
-            shell.resolve(SocketAddr::new(ip, url.port))
-        })
-    };
-
-    let mut browser_cfg = spec.browser.clone();
-    if browser_cfg.tcp.is_none() {
-        browser_cfg.tcp = Some(tcp);
-    }
-    // Per-phase duration histograms (`soak_phase_*_seconds`): every
-    // session's span stream feeds the registry instead of a buffer, so
-    // the soak's Prometheus snapshot shows which phase's tail grows as
-    // offered load approaches the knee.
-    if browser_cfg.span.is_none() {
-        browser_cfg.span = Some(mm_trace::SpanHandle::new(Rc::new(
-            crate::obs::PhaseSink::new(registry.clone(), "soak"),
-        )));
-    }
+    // The soak's registry joins the world's observer fan-outs: unless
+    // the caller brought an explicit sink, every host's TCP stack
+    // reports into it, and so do the link's qdiscs (sinks only observe,
+    // so this changes nothing but the exported metrics). Per-phase
+    // duration histograms (`soak_phase_*_seconds`): every session's
+    // span stream feeds the registry instead of a buffer, so the soak's
+    // Prometheus snapshot shows which phase's tail grows as offered
+    // load approaches the knee.
+    let world = World::build(
+        &LoadSpec {
+            replay: spec.replay.clone(),
+            browser: spec.browser.clone(),
+            tcp: spec.tcp.clone(),
+            net: NetSpec {
+                delay: spec.delay,
+                link: spec.link.clone(),
+                ..NetSpec::default()
+            },
+            seed: spec.seed,
+            ..LoadSpec::new(spec.site)
+        },
+        Runner {
+            timer_mux: true,
+            metrics: Some(MetricsHandle::new(RegistrySink::new(registry.clone()))),
+            span: Some(mm_trace::SpanHandle::new(Rc::new(
+                crate::obs::PhaseSink::new(registry.clone(), "soak"),
+            ))),
+        },
+    );
 
     // Pre-register the TCP counter families the sockets report into,
     // so the exported snapshot carries every series at zero instead of
@@ -542,16 +497,11 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
 
     let end = Timestamp::ZERO + spec.duration;
     let world = Rc::new(SoakWorld {
-        shell,
-        resolver,
-        inner_ns,
-        ids,
-        browser_cfg,
         root_url: spec.site.root_url.clone(),
         end,
         horizon: end + DRAIN_GRACE,
         arrival: Exponential::with_mean(spec.arrival_mean.as_secs_f64()),
-        rng: RefCell::new(rng.fork("soak-arrivals")),
+        rng: RefCell::new(world.rng.fork("soak-arrivals")),
         reap_interval: spec.reap_interval,
         registry: registry.clone(),
         counters,
@@ -565,6 +515,7 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
         client_socket_high: Cell::new(0),
         max_retx_queue: Cell::new(0),
         max_scoreboard_ranges: Cell::new(0),
+        world,
     });
 
     // First session at t=0, then open-loop Poisson; maintenance on its
@@ -582,6 +533,7 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
 
     // Final sweep: catch anything that closed after the last pass.
     world.scan_and_reap();
+    world.world.finish();
 
     if let Some(profile) = sim.profile() {
         profile.export(&RegistrySink::new(registry.clone()));

@@ -257,18 +257,32 @@ struct State {
     http_events: u64,
     packets: u64,
     spans: u64,
-    /// Per-resource phase intervals and resource envelopes for the
-    /// finish-time tiling check.
-    phase_spans: BTreeMap<u32, Vec<(u64, u64)>>,
-    resource_spans: BTreeMap<u32, (u64, u64)>,
-    span_overflow: bool,
+    /// The resource whose phase chain is arriving (tiling check).
+    chain: Option<Chain>,
+}
+
+/// One resource's phase chain, checked as it arrives. The browser emits
+/// a `Resource` span and then its phases contiguously and in time order
+/// (`mm-browser`'s `emit_resource_chain`), so one open chain — verified
+/// and forgotten when the next resource starts — is all the state the
+/// tiling check needs, however many spans a world emits. Chains are
+/// keyed by the resource span's *id* (its phases carry it as `parent`):
+/// `Span::res` is a per-browser index and aliases across the users of a
+/// shared world.
+struct Chain {
+    id: u64,
+    res: u32,
+    t0: u64,
+    t1: u64,
+    /// Where the next phase must start.
+    cursor: u64,
+    /// A gap or overlap was already reported for this chain.
+    broken: bool,
 }
 
 /// Hard cap on retained violations; a systematically broken run should
 /// produce a bounded report, not an unbounded allocation.
 const MAX_VIOLATIONS: usize = 1024;
-/// Hard cap on retained span intervals (matches `TraceBuffer`'s bound).
-const MAX_SPANS: u64 = 64 * 1024;
 /// Gauge mismatches retained per direction — one is diagnostic, a
 /// thousand is noise.
 const MAX_GAUGE_VIOLATIONS: usize = 8;
@@ -284,6 +298,20 @@ impl State {
             scope,
             detail,
         });
+    }
+
+    /// The open chain has ended (the next resource began, or the run is
+    /// over): its phases must have reached the end of its span.
+    fn close_chain(&mut self) {
+        if let Some(c) = self.chain.take() {
+            if !c.broken && c.cursor != c.t1 {
+                let detail = format!(
+                    "phases cover [{},{}], resource span is [{},{}]",
+                    c.t0, c.cursor, c.t0, c.t1
+                );
+                self.push("span-tiling", format!("res:{}", c.res), detail);
+            }
+        }
     }
 }
 
@@ -319,9 +347,7 @@ impl Auditor {
                 http_events: 0,
                 packets: 0,
                 spans: 0,
-                phase_spans: BTreeMap::new(),
-                resource_spans: BTreeMap::new(),
-                span_overflow: false,
+                chain: None,
             })),
             next_span_id: Rc::new(Cell::new(0)),
         }
@@ -352,7 +378,7 @@ impl Auditor {
     pub fn finish(&self) -> AuditReport {
         let mut st = self.inner.borrow_mut();
         self.finish_ledgers(&mut st);
-        self.finish_spans(&mut st);
+        st.close_chain();
         let mut digests = BTreeMap::new();
         for led in st.points.values() {
             digests.insert(led.point.label(), led.digest);
@@ -474,46 +500,6 @@ impl Auditor {
         }
         for (code, scope, detail) in pending {
             st.push(code, scope, detail);
-        }
-    }
-
-    fn finish_spans(&self, st: &mut State) {
-        if st.span_overflow {
-            st.push(
-                "span-overflow",
-                "spans".to_string(),
-                format!("more than {MAX_SPANS} spans; tiling not checked"),
-            );
-            return;
-        }
-        let phase_spans = std::mem::take(&mut st.phase_spans);
-        for (res, mut phases) in phase_spans {
-            let scope = format!("res:{res}");
-            phases.sort_unstable();
-            let mut broken = None;
-            for w in phases.windows(2) {
-                if w[0].1 != w[1].0 {
-                    broken = Some(format!(
-                        "phase gap/overlap: [{},{}] then [{},{}]",
-                        w[0].0, w[0].1, w[1].0, w[1].1
-                    ));
-                    break;
-                }
-            }
-            if broken.is_none() {
-                if let Some(&(t0, t1)) = st.resource_spans.get(&res) {
-                    let first = phases.first().map(|p| p.0).unwrap_or(t0);
-                    let last = phases.last().map(|p| p.1).unwrap_or(t1);
-                    if first != t0 || last != t1 {
-                        broken = Some(format!(
-                            "phases cover [{first},{last}], resource span is [{t0},{t1}]"
-                        ));
-                    }
-                }
-            }
-            if let Some(detail) = broken {
-                st.push("span-tiling", scope, detail);
-            }
         }
     }
 }
@@ -858,17 +844,39 @@ impl SpanSink for Auditor {
         if span.res == NO_RESOURCE {
             return;
         }
-        if st.spans > MAX_SPANS {
-            st.span_overflow = true;
-            return;
-        }
         if span.kind == SpanKind::Resource {
-            st.resource_spans.insert(span.res, (span.t0_ns, span.t1_ns));
+            st.close_chain();
+            st.chain = Some(Chain {
+                id: span.id,
+                res: span.res,
+                t0: span.t0_ns,
+                t1: span.t1_ns,
+                cursor: span.t0_ns,
+                broken: false,
+            });
         } else if span.kind.is_phase() {
-            st.phase_spans
-                .entry(span.res)
-                .or_default()
-                .push((span.t0_ns, span.t1_ns));
+            let detail = match &mut st.chain {
+                Some(c) if c.id == span.parent => {
+                    let at = std::mem::replace(&mut c.cursor, span.t1_ns);
+                    // One report per chain: past a break the cursor
+                    // only resynchronises.
+                    let first_break = at != span.t0_ns && !c.broken;
+                    c.broken |= first_break;
+                    first_break.then(|| {
+                        format!(
+                            "phase gap/overlap: chain reached {at}, next phase is [{},{}]",
+                            span.t0_ns, span.t1_ns
+                        )
+                    })
+                }
+                _ => Some(format!(
+                    "phase [{},{}] of resource span {} arrived outside its chain",
+                    span.t0_ns, span.t1_ns, span.parent
+                )),
+            };
+            if let Some(detail) = detail {
+                st.push("span-tiling", format!("res:{}", span.res), detail);
+            }
         }
     }
 }

@@ -15,6 +15,7 @@ use mm_shells::{
     DropTail, EnqueueResult, InstrumentedQdisc, Qdisc, QdiscStats, QueueLimit, TappedQdisc,
 };
 use mm_sim::Timestamp;
+use mm_trace::{Span, SpanKind, SpanSink};
 
 fn pkt(id: u64, payload: usize) -> Packet {
     Packet {
@@ -240,4 +241,96 @@ fn truncated_capture_stream_is_flagged_and_changes_the_digest() {
         whole.digests["conn:0000000000000042"],
         truncated.digests["conn:0000000000000042"]
     );
+}
+
+/// One resource's span and phase chain as a browser emits them: the
+/// `Resource` span over `[cuts[0], cuts[last]]`, then one phase per
+/// consecutive pair of `cuts`, ids drawn from the sink. `skip` removes
+/// the start of one phase (the mutation: a gap in the chain).
+fn emit_chain(sink: &Auditor, res: u32, cuts: &[u64], skip: u64) {
+    let span = |id, parent, kind, t0_ns, t1_ns| Span {
+        load: 0,
+        id,
+        parent,
+        kind,
+        t0_ns,
+        t1_ns,
+        res,
+        conn: 0,
+        url: String::new(),
+        detail: String::new(),
+    };
+    let id = sink.next_id();
+    let (first, last) = (cuts[0], cuts[cuts.len() - 1]);
+    sink.record(span(id, 0, SpanKind::Resource, first, last));
+    let kinds = [SpanKind::Queued, SpanKind::Transfer, SpanKind::Parse];
+    for (w, kind) in cuts.windows(2).zip(kinds) {
+        let t0 = if w[0] == skip { w[0] + 1 } else { w[0] };
+        sink.record(span(sink.next_id(), id, kind, t0, w[1]));
+    }
+}
+
+#[test]
+fn two_browsers_chains_with_equal_res_tile_independently() {
+    // A shared world: two users' browsers number their resources from 0
+    // each, and their chains arrive interleaved through one sink. Each
+    // chain tiles its own resource span; only `res` collides.
+    let auditor = Auditor::for_load(5);
+    for res in 0..4u32 {
+        let t = 1_000 * res as u64;
+        emit_chain(&auditor, res, &[t, t + 100, t + 400, t + 450], u64::MAX);
+        emit_chain(&auditor, res, &[t + 7, t + 300, t + 310, t + 900], u64::MAX);
+    }
+    let report = auditor.finish();
+    assert!(report.is_clean(), "violations: {:?}", report.violations);
+    assert_eq!(report.spans, 32);
+
+    // Mutation: the same streams with a 1 ns gap in the second
+    // browser's chain for resource 2 — caught, once, under its scope.
+    let auditor = Auditor::for_load(5);
+    for res in 0..4u32 {
+        let t = 1_000 * res as u64;
+        emit_chain(&auditor, res, &[t, t + 100, t + 400, t + 450], u64::MAX);
+        emit_chain(&auditor, res, &[t + 7, t + 300, t + 310, t + 900], 2_300);
+    }
+    let report = auditor.finish();
+    assert_eq!(codes(&report), vec!["span-tiling"]);
+    assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+    assert_eq!(report.violations[0].scope, "res:2");
+}
+
+#[test]
+fn tiling_is_checked_however_many_spans_a_world_emits() {
+    // A soak-sized stream (> 65 536 spans) of well-tiled chains audits
+    // clean in bounded memory, and a short last chain is still seen.
+    let soak_sized = || {
+        let auditor = Auditor::for_load(6);
+        for i in 0..20_000u64 {
+            let cuts = [i, i + 3, i + 9, i + 10];
+            emit_chain(&auditor, (i % 50) as u32, &cuts, u64::MAX);
+        }
+        auditor
+    };
+    let auditor = soak_sized();
+    let report = auditor.finish();
+    assert!(report.is_clean(), "violations: {:?}", report.violations);
+    assert_eq!(report.spans, 80_000);
+
+    let auditor = soak_sized();
+    let id = auditor.next_id();
+    auditor.record(Span {
+        load: 0,
+        id,
+        parent: 0,
+        kind: SpanKind::Resource,
+        t0_ns: 5,
+        t1_ns: 50,
+        res: 3,
+        conn: 0,
+        url: String::new(),
+        detail: String::new(),
+    });
+    let report = auditor.finish();
+    assert_eq!(codes(&report), vec!["span-tiling"]);
+    assert_eq!(report.violations[0].scope, "res:3");
 }
