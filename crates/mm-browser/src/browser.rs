@@ -452,7 +452,7 @@ impl Browser {
                         sim.now(),
                         HttpPhase::Sent,
                         job.timing_idx,
-                        &job.url.to_string(),
+                        &load.timings[job.timing_idx].url,
                         0,
                         0,
                     );

@@ -10,16 +10,16 @@ use mm_http::{Response, Url};
 
 /// True if the response's content type can reference subresources.
 pub fn is_scannable(resp: &Response) -> bool {
-    match resp.headers.get("content-type") {
-        Some(ct) => {
-            let ct = ct.to_ascii_lowercase();
-            ct.starts_with("text/")
-                || ct.contains("javascript")
-                || ct.contains("json")
-                || ct.contains("xml")
-        }
-        None => false,
-    }
+    let Some(ct) = resp.headers.get("content-type") else {
+        return false;
+    };
+    let ct = ct.as_bytes();
+    let contains = |word: &[u8]| ct.windows(word.len()).any(|w| w.eq_ignore_ascii_case(word));
+    ct.get(..5)
+        .is_some_and(|p| p.eq_ignore_ascii_case(b"text/"))
+        || contains(b"javascript")
+        || contains(b"json")
+        || contains(b"xml")
 }
 
 /// Guess, at request time, whether a URL names a resource that can
@@ -71,18 +71,40 @@ fn extract_urls_with(body: &[u8], find_scheme: impl Fn(&[u8]) -> Option<usize>) 
 }
 
 /// Offset of the first `http://` or `https://` in `hay`, in one pass:
-/// each `http` found is accepted if `://` or `s://` follows it.
+/// each `h` found is accepted if `ttp://` or `ttps://` follows it.
 fn find_scheme(hay: &[u8]) -> Option<usize> {
     let mut from = 0;
-    while let Some(off) = hay[from..].windows(4).position(|w| w == b"http") {
+    while let Some(off) = find_h(&hay[from..]) {
         let at = from + off;
-        let tail = &hay[at + 4..];
-        if tail.starts_with(b"://") || tail.starts_with(b"s://") {
+        let tail = &hay[at + 1..];
+        if tail.starts_with(b"ttp://") || tail.starts_with(b"ttps://") {
             return Some(at);
         }
         from = at + 1;
     }
     None
+}
+
+/// Offset of the first `h` in `hay`, eight bytes per step: XOR turns
+/// every `h` of a word into a zero byte, and `(x - 0x01…) & !x & 0x80…`
+/// is non-zero exactly when `x` has one, its lowest set bit in the
+/// first. (Bits above that may be borrow artefacts, hence little-endian:
+/// the first byte of the haystack is the lowest of the word.)
+fn find_h(hay: &[u8]) -> Option<usize> {
+    const LO: u64 = u64::from_le_bytes([0x01; 8]);
+    const HI: u64 = u64::from_le_bytes([0x80; 8]);
+    const HS: u64 = u64::from_le_bytes([b'h'; 8]);
+    let mut words = hay.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("chunks of 8")) ^ HS;
+        let zeros = x.wrapping_sub(LO) & !x & HI;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let rest = words.remainder();
+    let at = rest.iter().position(|&b| b == b'h')?;
+    Some(hay.len() - rest.len() + at)
 }
 
 fn is_terminator(b: u8) -> bool {
@@ -130,8 +152,26 @@ mod tests {
             Just(b"<".to_vec()),
             Just(b",".to_vec()),
             prop::collection::vec(any::<u8>(), 0..6),
+            // Padding that walks `h`/`http` across every offset of the
+            // eight-byte words the search reads.
+            (0usize..=8).prop_map(|n| vec![b'.'; n]),
+            (0usize..=8).prop_map(|n| [vec![b'.'; n], b"h".to_vec()].concat()),
+            (0usize..=8).prop_map(|n| [vec![b'.'; n], b"http://".to_vec()].concat()),
         ];
-        prop::collection::vec(fragment, 0..40).prop_map(|parts| parts.concat())
+        // ... and a tail that ends the haystack on an `h`, an `http` or a
+        // whole scheme within its last seven bytes (the bytewise remainder).
+        let tail = (
+            prop_oneof![
+                Just(&b"h"[..]),
+                Just(&b"http"[..]),
+                Just(&b"https://"[..]),
+                Just(&b""[..])
+            ],
+            0usize..7,
+        )
+            .prop_map(|(word, pad)| [word, &b"......"[..pad]].concat());
+        (prop::collection::vec(fragment, 0..40), tail)
+            .prop_map(|(parts, tail)| [parts.concat(), tail].concat())
     }
 
     proptest! {

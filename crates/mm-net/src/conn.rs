@@ -172,8 +172,7 @@ impl ConnTable {
 mod tests {
     use super::*;
     use crate::addr::IpAddr;
-    use crate::sink::BlackHole;
-    use crate::tcp::socket::{SocketApp, SocketEvent, TcpConfig};
+    use crate::tcp::socket::{HostLinks, SocketApp, SocketEvent, TcpConfig};
     use mm_sim::Simulator;
     use std::rc::Rc;
 
@@ -193,10 +192,8 @@ mod tests {
             key.0,
             key.1,
             TcpConfig::default(),
-            BlackHole::new(),
-            Rc::new(std::cell::Cell::new(0)),
+            HostLinks::detached(),
             Rc::new(NoApp),
-            None,
         );
         (key, h)
     }

@@ -2,10 +2,11 @@
 //! optional per-host processing noise (the "two machines" of Table 1).
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use mm_sim::dist::Distribution;
-use mm_sim::{RngStream, SimDuration, Simulator, TimerMux};
+use mm_sim::{EventTarget, RngStream, SimDuration, Simulator, TimerMux};
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::conn::{ConnId, ConnTable};
@@ -13,7 +14,7 @@ use crate::fabric::Namespace;
 use crate::hash::AddrMap;
 use crate::packet::{Packet, TcpFlags, TcpSegment};
 use crate::sink::{BlackHole, PacketSink, SinkRef};
-use crate::tcp::socket::{SocketApp, TcpConfig, TcpHandle};
+use crate::tcp::socket::{HostLinks, SocketApp, TcpConfig, TcpHandle};
 
 /// Generates simulation-unique packet ids. One per experiment world,
 /// shared by every host.
@@ -101,13 +102,30 @@ struct HostInner {
     /// softirq queue, it does not swap packets), so dispatch times are
     /// monotone per host.
     last_dispatch_at: mm_sim::Timestamp,
+    /// Packets delivered to this host and not yet dispatched, oldest
+    /// first: one pending dispatch event each. Dispatch times are
+    /// monotone (`last_dispatch_at`), so the events pop in this order.
+    inbox: VecDeque<Packet>,
+    /// The out-buffer this host's sockets share ([`HostLinks::out`]).
+    out: Rc<RefCell<Vec<Packet>>>,
     stats: HostStats,
+}
+
+/// What every handle to one host shares. A type of this crate, so that it
+/// can be the target of the host's dispatch events.
+struct HostCell(RefCell<HostInner>);
+
+impl std::ops::Deref for HostCell {
+    type Target = RefCell<HostInner>;
+    fn deref(&self) -> &RefCell<HostInner> {
+        &self.0
+    }
 }
 
 /// A virtual host. Cloning yields another handle to the same host.
 #[derive(Clone)]
 pub struct Host {
-    inner: Rc<RefCell<HostInner>>,
+    inner: Rc<HostCell>,
 }
 
 impl Host {
@@ -115,7 +133,7 @@ impl Host {
     /// namespace (or given an egress) before its packets go anywhere.
     pub fn new(ip: IpAddr, ids: PacketIdGen) -> Self {
         Host {
-            inner: Rc::new(RefCell::new(HostInner {
+            inner: Rc::new(HostCell(RefCell::new(HostInner {
                 ip,
                 egress: BlackHole::new(),
                 ns: None,
@@ -128,8 +146,10 @@ impl Host {
                 timer_mux: None,
                 noise: None,
                 last_dispatch_at: mm_sim::Timestamp::ZERO,
+                inbox: VecDeque::new(),
+                out: Rc::default(),
                 stats: HostStats::default(),
-            })),
+            }))),
         }
     }
 
@@ -243,19 +263,14 @@ impl Host {
         remote: SocketAddr,
         app: Rc<dyn SocketApp>,
     ) -> TcpHandle {
-        let (local, egress, ids, config, mux) = {
+        let (local, config, links) = {
             let mut inner = self.inner.borrow_mut();
             let port = inner.alloc_ephemeral(remote);
             inner.stats.connections_initiated += 1;
-            (
-                SocketAddr::new(inner.ip, port),
-                inner.egress.clone(),
-                inner.ids.shared(),
-                inner.config.clone(),
-                inner.timer_mux.clone(),
-            )
+            let local = SocketAddr::new(inner.ip, port);
+            (local, inner.config.clone(), inner.links())
         };
-        let handle = TcpHandle::connect(sim, local, remote, config, egress, ids, app, mux.as_ref());
+        let handle = TcpHandle::connect(sim, local, remote, config, links, app);
         self.inner
             .borrow_mut()
             .sockets
@@ -353,15 +368,10 @@ impl Host {
     }
 
     fn accept(&self, sim: &mut Simulator, listener: Rc<dyn Listener>, pkt: Packet) {
-        let (egress, ids, config, mux) = {
+        let (config, links) = {
             let mut inner = self.inner.borrow_mut();
             inner.stats.connections_accepted += 1;
-            (
-                inner.egress.clone(),
-                inner.ids.shared(),
-                inner.config.clone(),
-                inner.timer_mux.clone(),
-            )
+            (inner.config.clone(), inner.links())
         };
         // Two-phase accept: the placeholder app is replaced before any
         // event can fire (SYN-ACK produces no app events).
@@ -381,10 +391,8 @@ impl Host {
             pkt.src,
             &pkt.segment,
             config,
-            egress,
-            ids,
+            links,
             Rc::new(NoApp),
-            mux.as_ref(),
         );
         let app = listener.on_connection(sim, handle.clone());
         handle.set_app(app);
@@ -396,6 +404,16 @@ impl Host {
 }
 
 impl HostInner {
+    /// What this host lends a socket it is about to create.
+    fn links(&self) -> HostLinks {
+        HostLinks {
+            egress: self.egress.clone(),
+            packet_ids: self.ids.shared(),
+            out: self.out.clone(),
+            timer_mux: self.timer_mux.clone(),
+        }
+    }
+
     fn alloc_ephemeral(&mut self, remote: SocketAddr) -> u16 {
         // Linear probe from the cursor; 28k ports is far more than any
         // page load needs.
@@ -417,34 +435,43 @@ impl HostInner {
 }
 
 struct HostSink {
-    host: Weak<RefCell<HostInner>>,
+    host: Weak<HostCell>,
 }
 
 impl PacketSink for HostSink {
     fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
-        let Some(inner) = self.host.upgrade() else {
+        let Some(host) = self.host.upgrade() else {
             return;
         };
         // Defer through the event queue so application logic never runs
         // inside another element's borrow, applying host noise if any.
-        let host = Host { inner };
+        // The packet waits in the host's inbox; the event holds the host.
         let at = {
-            let mut inner = host.inner.borrow_mut();
+            let mut inner = host.borrow_mut();
             let delay = match inner.noise.as_mut() {
                 Some(n) => n.sample(),
                 None => SimDuration::ZERO,
             };
             let at = (sim.now() + delay).max(inner.last_dispatch_at);
             inner.last_dispatch_at = at;
+            inner.inbox.push_back(pkt);
             at
         };
-        sim.schedule_at_tagged("sim_events_host_total", at, move |sim| {
-            host.dispatch(sim, pkt)
-        });
+        sim.schedule_target_at("sim_events_host_total", at, host, 0);
     }
 
     fn is_live(&self) -> bool {
         self.host.strong_count() > 0
+    }
+}
+
+/// A dispatch event came due: hand the oldest waiting packet to its
+/// socket, listener or reset path.
+impl EventTarget for HostCell {
+    fn on_event(self: Rc<Self>, sim: &mut Simulator, _token: u64) {
+        let head = self.borrow_mut().inbox.pop_front();
+        let pkt = head.expect("one dispatch event per waiting packet");
+        Host { inner: self }.dispatch(sim, pkt);
     }
 }
 
@@ -711,6 +738,50 @@ mod tests {
         assert!(ns.counters().unroutable > 10, "{:?}", ns.counters());
         assert_eq!(h.state(), TcpState::Closed);
         assert_eq!(events.borrow().last().map(String::as_str), Some("reset"));
+    }
+
+    #[test]
+    fn a_host_dropped_with_packets_in_its_inbox_still_dispatches_them() {
+        let (mut sim, ns, client, server) = two_host_world();
+        let accepted = Rc::new(Cell::new(0));
+        struct Count(Rc<Cell<u32>>);
+        impl Listener for Count {
+            fn on_connection(&self, sim: &mut Simulator, h: TcpHandle) -> Rc<dyn SocketApp> {
+                self.0.set(self.0.get() + 1);
+                EchoListener.on_connection(sim, h)
+            }
+        }
+        server.listen(80, Rc::new(Count(accepted.clone())));
+        // 1 ms of noise: what is delivered waits in the inbox.
+        server.set_noise(HostNoise::new(
+            RngStream::from_seed(1),
+            Box::new(mm_sim::dist::Constant(1000.0)),
+        ));
+        let remote = SocketAddr::new(server.ip(), 80);
+        for _ in 0..3 {
+            let (app, _, _) = Recorder::new();
+            client.connect(&mut sim, remote, app);
+        }
+        assert_eq!(
+            sim.pending_events(),
+            3 + 3,
+            "three SYNs waiting, three RTOs armed"
+        );
+        // A pending dispatch holds the host, as the closure it replaces
+        // did: the SYNs are accepted (in order), then the host is gone.
+        drop(server);
+        sim.run_until(mm_sim::Timestamp::from_millis(5));
+        assert_eq!(accepted.get(), 3);
+        assert_eq!(
+            ns.counters().unroutable,
+            3,
+            "the clients' ACKs found no one"
+        );
+        assert_eq!(
+            Rc::strong_count(&accepted),
+            1,
+            "the host and its listener were freed"
+        );
     }
 
     #[test]

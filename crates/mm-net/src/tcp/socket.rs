@@ -33,7 +33,7 @@ use std::rc::{Rc, Weak};
 
 use bytes::{Bytes, BytesMut};
 use mm_metrics::{FlowSample, MetricsHandle};
-use mm_sim::{SimDuration, Simulator, Timer, TimerMux, Timestamp};
+use mm_sim::{SimDuration, Simulator, Timer, TimerHandler, TimerMux, Timestamp};
 use mm_trace::{Span, SpanHandle, SpanKind, NO_RESOURCE};
 
 use crate::addr::SocketAddr;
@@ -453,19 +453,23 @@ pub struct TcpInner {
     // --- plumbing ---
     egress: SinkRef,
     packet_ids: Rc<std::cell::Cell<u64>>,
-    rto_timer: Timer,
+    /// Where an entry point collects the packets it emits: taken, handed
+    /// to [`TcpHandle::flush`], put back empty. One per host, kept for
+    /// its capacity — a host runs one socket's entry point at a time.
+    out: Rc<RefCell<Vec<Packet>>>,
+    rto_timer: SocketTimer,
     /// Set when new data was acked: RFC 6298 (5.3) restarts the RTO timer
     /// so it measures time since the *latest* forward progress, not since
     /// the oldest transmission — otherwise deep queues cause spurious
     /// timeouts.
     rearm_rto: bool,
-    ack_timer: Timer,
+    ack_timer: SocketTimer,
     /// Tail Loss Probe timer (RackTlp tier only).
-    tlp_timer: Timer,
+    tlp_timer: SocketTimer,
     /// RACK reordering-window timer (RackTlp tier only).
-    reo_timer: Timer,
+    reo_timer: SocketTimer,
     /// Pacing release timer (pacing only).
-    pacing_timer: Timer,
+    pacing_timer: SocketTimer,
     app: Option<Rc<dyn SocketApp>>,
     /// Events waiting to be dispatched once the borrow is released.
     pending_events: VecDeque<SocketEvent>,
@@ -544,15 +548,61 @@ impl WeakTcpHandle {
     }
 }
 
+/// One of a socket's five timers: bound at construction to the method it
+/// runs, so re-arming it allocates nothing.
+type SocketTimer = Timer<SocketFire>;
+
+/// What a [`SocketTimer`] does when it fires. It holds the socket weakly —
+/// a timer is the socket's own, and a shared [`TimerMux`] is reachable
+/// from the socket — so a socket whose host is gone is freed with it and
+/// the stale firing does nothing.
+struct SocketFire {
+    socket: WeakTcpHandle,
+    fire: fn(&TcpHandle, &mut Simulator),
+}
+
+impl TimerHandler for SocketFire {
+    fn on_fire(&self, sim: &mut Simulator) {
+        if let Some(socket) = self.socket.upgrade() {
+            (self.fire)(&socket, sim);
+        }
+    }
+}
+
+/// What a host lends each of its sockets.
+pub(crate) struct HostLinks {
+    /// Where packets go (normally the namespace router).
+    pub egress: SinkRef,
+    /// The world's packet-id counter.
+    pub packet_ids: Rc<std::cell::Cell<u64>>,
+    /// The host's one out-buffer (see `TcpInner::out`).
+    pub out: Rc<RefCell<Vec<Packet>>>,
+    /// The host's timer mux, if it runs its sockets' timers on one.
+    pub timer_mux: Option<TimerMux>,
+}
+
+#[cfg(test)]
+impl HostLinks {
+    /// Test support: the links of a host attached to nothing.
+    pub(crate) fn detached() -> HostLinks {
+        HostLinks {
+            egress: crate::sink::BlackHole::new(),
+            packet_ids: Rc::default(),
+            out: Rc::default(),
+            timer_mux: None,
+        }
+    }
+}
+
 impl TcpInner {
+    /// `me` is the socket under construction (see [`TcpHandle::open`]).
     fn new(
+        me: &Weak<RefCell<TcpInner>>,
         local: SocketAddr,
         remote: SocketAddr,
         state: TcpState,
         config: TcpConfig,
-        egress: SinkRef,
-        packet_ids: Rc<std::cell::Cell<u64>>,
-        timer_mux: Option<&TimerMux>,
+        host: HostLinks,
     ) -> Self {
         let cc = make_controller(
             config.cc,
@@ -564,10 +614,10 @@ impl TcpInner {
         let rtt = RttEstimator::new(config.initial_rto, config.min_rto);
         // All five per-socket timers share the host's mux when one is
         // installed — one dispatcher slot in the global heap per host
-        // instead of a dead closure per (re)arm per socket.
-        let new_timer = || match timer_mux {
-            Some(mux) => Timer::in_mux(mux),
-            None => Timer::new(),
+        // instead of a dead entry per (re)arm per socket.
+        let timer = |fire| {
+            let socket = WeakTcpHandle { inner: me.clone() };
+            Timer::bound(SocketFire { socket, fire }, host.timer_mux.as_ref())
         };
         // Register with the flow tracer (if the sink carries one) before
         // any samples can fire; the id is `None` when tracing is off so
@@ -622,14 +672,15 @@ impl TcpInner {
             rcv_sack: ReceiverSack::new(),
             peer_fin_seq: None,
             unacked_segments: 0,
-            egress,
-            packet_ids,
-            rto_timer: new_timer(),
+            egress: host.egress,
+            packet_ids: host.packet_ids,
+            out: host.out,
+            rto_timer: timer(TcpHandle::on_rto),
             rearm_rto: false,
-            ack_timer: new_timer(),
-            tlp_timer: new_timer(),
-            reo_timer: new_timer(),
-            pacing_timer: new_timer(),
+            ack_timer: timer(TcpHandle::on_ack_timer),
+            tlp_timer: timer(TcpHandle::on_tlp),
+            reo_timer: timer(TcpHandle::on_reo_timer),
+            pacing_timer: timer(TcpHandle::on_pace_timer),
             app: None,
             pending_events: VecDeque::new(),
             stats: TcpStats::default(),
@@ -1742,17 +1793,14 @@ impl TcpInner {
             // algorithm would give up (DESIGN.md §3).
             let mut frto_evidence = 0u64;
             let frto_armed = rack_active && !matches!(self.frto, FrtoState::Inactive);
-            let acked_keys: Vec<u64> = self.retx.range(..ack).map(|(&k, _)| k).collect();
-            for k in acked_keys {
-                let fully_acked = {
-                    let e = &self.retx[&k];
-                    e.segment.seq_end() <= ack
-                };
-                if fully_acked {
-                    let was_sacked = {
-                        let e = &self.retx[&k];
-                        self.scoreboard.is_sacked(k, e.segment.seq_end())
-                    };
+            // Entries are disjoint and ordered, so everything this ack
+            // covers is at the front of the queue: walk from the head.
+            while let Some((&k, e)) = self.retx.first_key_value() {
+                if k >= ack {
+                    break;
+                }
+                if e.segment.seq_end() <= ack {
+                    let was_sacked = self.scoreboard.is_sacked(k, e.segment.seq_end());
                     let e = self.remove_retx(k).unwrap();
                     if !e.retransmitted {
                         sample = Some(now.duration_since(e.sent_at));
@@ -1789,33 +1837,20 @@ impl TcpInner {
                 } else {
                     // Partial ack into this segment: trim the acked prefix
                     // so a future retransmit resends only what's missing.
-                    let e = self.retx.get_mut(&k).unwrap();
+                    // It straddles `ack`, so it is the last one covered.
                     let cut = (ack - e.segment.seq) as usize;
                     if cut > 0 && cut <= e.segment.payload.len() {
-                        let mut seg2 = e.segment.clone();
-                        seg2.payload = seg2.payload.slice(cut..);
-                        seg2.seq = ack;
-                        let sent_at = e.sent_at;
-                        let first_sent_at = e.first_sent_at;
-                        let retransmitted = e.retransmitted;
-                        let tx = e.tx;
-                        self.remove_retx(k);
-                        self.retx.insert(
-                            ack,
-                            RetxEntry {
-                                segment: seg2,
-                                sent_at,
-                                first_sent_at,
-                                retransmitted,
-                                in_pipe: false,
-                                tx,
-                            },
-                        );
+                        let mut e = self.remove_retx(k).unwrap();
+                        e.segment.payload = e.segment.payload.slice(cut..);
+                        e.segment.seq = ack;
+                        e.in_pipe = false;
+                        self.retx.insert(ack, e);
                         if self.rack_lost.remove(&k) {
                             self.rack_lost.insert(ack);
                         }
                         self.refresh_pipe_entry(ack);
                     }
+                    break;
                 }
             }
             // Sacked coverage the cumulative ack swallows was already
@@ -2182,100 +2217,80 @@ impl TcpHandle {
         }
     }
 
-    /// Arm `timer` to call `fire` on this socket. The pending firing holds
-    /// the socket weakly — a timer is the socket's own, and a shared
-    /// [`TimerMux`] is reachable from the socket — so a socket whose host
-    /// is gone is freed with it and the stale firing does nothing.
-    fn arm_timer(
-        &self,
+    /// Build a socket whose timers are bound to it, let `init` put it in
+    /// its opening state, and send the opening segment `init` returns.
+    #[allow(clippy::too_many_arguments)]
+    fn open(
         sim: &mut Simulator,
-        timer: &Timer,
-        at: Timestamp,
-        fire: impl Fn(&TcpHandle, &mut Simulator) + 'static,
-    ) {
-        let me = self.downgrade();
-        timer.arm_at(sim, at, move |sim| {
-            if let Some(me) = me.upgrade() {
-                fire(&me, sim);
-            }
+        local: SocketAddr,
+        remote: SocketAddr,
+        state: TcpState,
+        config: TcpConfig,
+        host: HostLinks,
+        app: Rc<dyn SocketApp>,
+        init: impl FnOnce(&mut TcpInner, Timestamp) -> Packet,
+    ) -> TcpHandle {
+        let now = sim.now();
+        let mut first = None;
+        let inner = Rc::new_cyclic(|me| {
+            let mut inner = TcpInner::new(me, local, remote, state, config, host);
+            inner.app = Some(app);
+            let pkt = init(&mut inner, now);
+            inner.snd_nxt = 1;
+            inner.insert_retx(0, pkt.segment.clone(), now);
+            first = Some(pkt);
+            RefCell::new(inner)
         });
+        let handle = TcpHandle { inner };
+        let egress = handle.inner.borrow().egress.clone();
+        egress.deliver(sim, first.expect("set while building"));
+        handle.arm_rto(sim);
+        handle
     }
 
     /// Create the client half of a connection and emit its SYN.
-    /// `egress` is where packets go (normally the namespace router).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn connect(
         sim: &mut Simulator,
         local: SocketAddr,
         remote: SocketAddr,
         config: TcpConfig,
-        egress: SinkRef,
-        packet_ids: Rc<std::cell::Cell<u64>>,
+        host: HostLinks,
         app: Rc<dyn SocketApp>,
-        timer_mux: Option<&TimerMux>,
     ) -> TcpHandle {
-        let mut inner = TcpInner::new(
+        let state = TcpState::SynSent;
+        TcpHandle::open(
+            sim,
             local,
             remote,
-            TcpState::SynSent,
+            state,
             config,
-            egress,
-            packet_ids,
-            timer_mux,
-        );
-        inner.app = Some(app);
-        let now = sim.now();
-        inner.conn_t0 = Some(now);
-        let syn = inner.make_packet(TcpFlags::SYN, 0, Bytes::new());
-        inner.snd_nxt = 1;
-        inner.insert_retx(0, syn.segment.clone(), now);
-        let handle = TcpHandle {
-            inner: Rc::new(RefCell::new(inner)),
-        };
-        let egress = handle.inner.borrow().egress.clone();
-        egress.deliver(sim, syn);
-        handle.arm_rto(sim);
-        handle
+            host,
+            app,
+            |inner, now| {
+                inner.conn_t0 = Some(now);
+                inner.make_packet(TcpFlags::SYN, 0, Bytes::new())
+            },
+        )
     }
 
     /// Create the server half in response to a SYN; emits SYN-ACK.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn accept(
         sim: &mut Simulator,
         local: SocketAddr,
         remote: SocketAddr,
         syn: &TcpSegment,
         config: TcpConfig,
-        egress: SinkRef,
-        packet_ids: Rc<std::cell::Cell<u64>>,
+        host: HostLinks,
         app: Rc<dyn SocketApp>,
-        timer_mux: Option<&TimerMux>,
     ) -> TcpHandle {
-        let mut inner = TcpInner::new(
-            local,
-            remote,
-            TcpState::SynReceived,
-            config,
-            egress,
-            packet_ids,
-            timer_mux,
-        );
-        inner.app = Some(app);
-        inner.rcv_nxt = syn.seq + 1;
-        inner.snd_wnd = syn.window;
-        // Settle SACK before the SYN-ACK so it carries the confirmation.
-        inner.sack_enabled = inner.config.recovery.uses_sack() && syn.sack.permitted;
-        let now = sim.now();
-        let syn_ack = inner.make_packet(TcpFlags::SYN_ACK, 0, Bytes::new());
-        inner.snd_nxt = 1;
-        inner.insert_retx(0, syn_ack.segment.clone(), now);
-        let handle = TcpHandle {
-            inner: Rc::new(RefCell::new(inner)),
-        };
-        let egress = handle.inner.borrow().egress.clone();
-        egress.deliver(sim, syn_ack);
-        handle.arm_rto(sim);
-        handle
+        let state = TcpState::SynReceived;
+        TcpHandle::open(sim, local, remote, state, config, host, app, |inner, _| {
+            inner.rcv_nxt = syn.seq + 1;
+            inner.snd_wnd = syn.window;
+            // Settle SACK before the SYN-ACK so it carries the confirmation.
+            inner.sack_enabled = inner.config.recovery.uses_sack() && syn.sack.permitted;
+            inner.make_packet(TcpFlags::SYN_ACK, 0, Bytes::new())
+        })
     }
 
     /// Queue bytes for transmission.
@@ -2293,8 +2308,7 @@ impl TcpHandle {
             return;
         }
         let now = sim.now();
-        let mut packets = Vec::new();
-        {
+        let packets = {
             let mut inner = self.inner.borrow_mut();
             if matches!(inner.state, TcpState::Closed) {
                 return;
@@ -2307,27 +2321,30 @@ impl TcpHandle {
                 inner.send_queued_bytes += data.len() as u64;
                 inner.send_queue.push_back(data);
             }
+            let mut packets = inner.out.take();
             if inner.state != TcpState::SynSent && inner.state != TcpState::SynReceived {
                 inner.transmit_new(now, &mut packets);
             }
-        }
+            packets
+        };
         self.flush(sim, packets);
     }
 
     /// Graceful close of our direction (FIN after queued data).
     pub fn close(&self, sim: &mut Simulator) {
         let now = sim.now();
-        let mut packets = Vec::new();
-        {
+        let packets = {
             let mut inner = self.inner.borrow_mut();
             if matches!(inner.state, TcpState::Closed) || inner.fin_pending {
                 return;
             }
             inner.fin_pending = true;
+            let mut packets = inner.out.take();
             if inner.state != TcpState::SynSent && inner.state != TcpState::SynReceived {
                 inner.transmit_new(now, &mut packets);
             }
-        }
+            packets
+        };
         self.flush(sim, packets);
     }
 
@@ -2451,9 +2468,9 @@ impl TcpHandle {
     /// Process one incoming segment (called by the host).
     pub(crate) fn handle_segment(&self, sim: &mut Simulator, seg: TcpSegment) {
         let now = sim.now();
-        let mut packets = Vec::new();
-        {
+        let packets = {
             let mut inner = self.inner.borrow_mut();
+            let mut packets = inner.out.take();
             inner.on_segment(now, seg, &mut packets);
             // Opportunistic transmission: the window may have opened.
             if matches!(
@@ -2462,18 +2479,26 @@ impl TcpHandle {
             ) {
                 inner.transmit_new(now, &mut packets);
             }
-        }
+            packets
+        };
         self.flush(sim, packets);
     }
 
     /// Send packets, manage timers, then dispatch pending app events.
     fn flush(&self, sim: &mut Simulator, packets: Vec<Packet>) {
-        let egress = self.inner.borrow().egress.clone();
-        for pkt in packets {
-            egress.deliver(sim, pkt);
-        }
+        self.send_out(sim, packets);
         self.manage_timers(sim);
         self.dispatch_events(sim);
+    }
+
+    /// Hand `packets` — the out-buffer, taken by the caller — to the
+    /// egress, and put the emptied buffer back for the next caller.
+    fn send_out(&self, sim: &mut Simulator, mut packets: Vec<Packet>) {
+        let egress = self.inner.borrow().egress.clone();
+        for pkt in packets.drain(..) {
+            egress.deliver(sim, pkt);
+        }
+        self.inner.borrow().out.replace(packets);
     }
 
     fn manage_timers(&self, sim: &mut Simulator) {
@@ -2496,8 +2521,8 @@ impl TcpHandle {
         self.manage_rack_timers(sim);
         self.manage_pacing_timer(sim);
         if let Some(delay) = delayed_ack {
-            let timer = self.inner.borrow().ack_timer.clone();
-            self.arm_timer(sim, &timer, sim.now() + delay, TcpHandle::on_ack_timer);
+            let at = sim.now() + delay;
+            self.inner.borrow().ack_timer.rearm_at(sim, at);
         }
     }
 
@@ -2520,11 +2545,9 @@ impl TcpHandle {
     }
 
     fn arm_rto(&self, sim: &mut Simulator) {
-        let (rto, timer) = {
-            let inner = self.inner.borrow();
-            (inner.rtt.rto(), inner.rto_timer.clone())
-        };
-        self.arm_timer(sim, &timer, sim.now() + rto, TcpHandle::on_rto);
+        let inner = self.inner.borrow();
+        let at = sim.now() + inner.rtt.rto();
+        inner.rto_timer.rearm_at(sim, at);
     }
 
     /// Arm or cancel the RackTlp-tier timers: the Tail Loss Probe (only
@@ -2546,7 +2569,7 @@ impl TcpHandle {
             Keep,
             Cancel,
         }
-        let (tlp_timer, tlp_plan, reo_timer, reo_plan) = {
+        let (tlp_plan, reo_plan) = {
             let mut inner = self.inner.borrow_mut();
             if !inner.rack_active() {
                 return;
@@ -2589,22 +2612,15 @@ impl TcpHandle {
                 Some(at) => TimerPlan::Arm(at),
                 None => TimerPlan::Cancel,
             };
-            (
-                inner.tlp_timer.clone(),
-                tlp_plan,
-                inner.reo_timer.clone(),
-                reo_plan,
-            )
+            (tlp_plan, reo_plan)
         };
-        match tlp_plan {
-            TimerPlan::Arm(at) => self.arm_timer(sim, &tlp_timer, at, TcpHandle::on_tlp),
-            TimerPlan::Keep => {}
-            TimerPlan::Cancel => tlp_timer.cancel(),
-        }
-        match reo_plan {
-            TimerPlan::Arm(at) => self.arm_timer(sim, &reo_timer, at, TcpHandle::on_reo_timer),
-            TimerPlan::Keep => {}
-            TimerPlan::Cancel => reo_timer.cancel(),
+        let inner = self.inner.borrow();
+        for (timer, plan) in [(&inner.tlp_timer, tlp_plan), (&inner.reo_timer, reo_plan)] {
+            match plan {
+                TimerPlan::Arm(at) => timer.rearm_at(sim, at),
+                TimerPlan::Keep => {}
+                TimerPlan::Cancel => timer.cancel(),
+            }
         }
     }
 
@@ -2613,16 +2629,14 @@ impl TcpHandle {
     /// entry, so a deadline here is always from the latest transmission
     /// opportunity); the fire handler simply re-runs the transmit loop.
     fn manage_pacing_timer(&self, sim: &mut Simulator) {
-        let (timer, deadline) = {
-            let inner = self.inner.borrow();
-            let deadline = inner
-                .pace_deadline
-                .filter(|_| inner.state != TcpState::Closed);
-            (inner.pacing_timer.clone(), deadline)
-        };
+        let inner = self.inner.borrow();
+        let timer = &inner.pacing_timer;
+        let deadline = inner
+            .pace_deadline
+            .filter(|_| inner.state != TcpState::Closed);
         match deadline {
             Some(at) if timer.is_armed() && timer.deadline() == at => {}
-            Some(at) => self.arm_timer(sim, &timer, at, TcpHandle::on_pace_timer),
+            Some(at) => timer.rearm_at(sim, at),
             None => timer.cancel(),
         }
     }
@@ -2631,18 +2645,18 @@ impl TcpHandle {
     /// re-checks the window — an ack may have shrunk it meanwhile).
     fn on_pace_timer(&self, sim: &mut Simulator) {
         let now = sim.now();
-        let mut packets = Vec::new();
-        {
+        let packets = {
             let mut inner = self.inner.borrow_mut();
-            if matches!(
+            if !matches!(
                 inner.state,
                 TcpState::Established | TcpState::CloseWait | TcpState::FinWait1
             ) {
-                inner.transmit_new(now, &mut packets);
-            } else {
                 return;
             }
-        }
+            let mut packets = inner.out.take();
+            inner.transmit_new(now, &mut packets);
+            packets
+        };
         self.flush(sim, packets);
     }
 
@@ -2652,8 +2666,7 @@ impl TcpHandle {
     /// feedback RACK recovery needs instead of waiting out the RTO.
     fn on_tlp(&self, sim: &mut Simulator) {
         let now = sim.now();
-        let mut packets = Vec::new();
-        {
+        let packets = {
             let mut inner = self.inner.borrow_mut();
             if !inner.rack_active()
                 || inner.retx.is_empty()
@@ -2668,11 +2681,10 @@ impl TcpHandle {
                 return;
             };
             if desired > now {
-                let timer = inner.tlp_timer.clone();
-                drop(inner);
-                self.arm_timer(sim, &timer, desired, TcpHandle::on_tlp);
+                inner.tlp_timer.rearm_at(sim, desired);
                 return;
             }
+            let mut packets = inner.out.take();
             debug_assert!(
                 !inner.rto_timer.is_armed() || inner.rto_timer.deadline() >= now,
                 "TLP fired past an armed, nearer RTO"
@@ -2701,7 +2713,8 @@ impl TcpHandle {
             }
             // The probe restarts the RTO clock (RFC 8985 §7.3).
             inner.rearm_rto = true;
-        }
+            packets
+        };
         self.flush(sim, packets);
     }
 
@@ -2710,12 +2723,12 @@ impl TcpHandle {
     /// passage of time, with no ack to trigger re-detection.
     fn on_reo_timer(&self, sim: &mut Simulator) {
         let now = sim.now();
-        let mut packets = Vec::new();
-        {
+        let packets = {
             let mut inner = self.inner.borrow_mut();
             if !inner.rack_active() || inner.retx.is_empty() || inner.state == TcpState::Closed {
                 return;
             }
+            let mut packets = inner.out.take();
             // `reo_deadline` is left set: its being due is what lets
             // `rack_detect` through the dirty-gate; detection then
             // replaces it with the next pending expiry (or clears it).
@@ -2727,19 +2740,20 @@ impl TcpHandle {
             } else {
                 inner.sack_transmit(now, &mut packets);
             }
-        }
+            packets
+        };
         self.flush(sim, packets);
     }
 
     fn on_rto(&self, sim: &mut Simulator) {
-        let mut packets = Vec::new();
         let now = sim.now();
         let mut dead = false;
-        {
+        let packets = {
             let mut inner = self.inner.borrow_mut();
             if inner.retx.is_empty() || inner.state == TcpState::Closed {
                 return;
             }
+            let mut packets = inner.out.take();
             inner.consecutive_timeouts += 1;
             inner.stats.timeouts += 1;
             inner.metric_count("tcp_rto_total");
@@ -2815,12 +2829,11 @@ impl TcpHandle {
                     inner.retransmit_head(now, &mut packets);
                 }
             }
-        }
+            packets
+        };
+        // A socket that gave up emitted nothing; its buffer goes back too.
+        self.send_out(sim, packets);
         if !dead {
-            let egress = self.inner.borrow().egress.clone();
-            for pkt in packets {
-                egress.deliver(sim, pkt);
-            }
             self.arm_rto(sim);
         }
         self.dispatch_events(sim);
@@ -2858,13 +2871,12 @@ mod tests {
 
     fn make_inner(state: TcpState) -> TcpInner {
         TcpInner::new(
+            &Weak::new(),
             addr(1, 1000),
             addr(2, 80),
             state,
             TcpConfig::default(),
-            crate::sink::BlackHole::new(),
-            Rc::new(std::cell::Cell::new(0)),
-            None,
+            HostLinks::detached(),
         )
     }
 

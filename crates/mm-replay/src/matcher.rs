@@ -17,7 +17,6 @@
 
 use mm_http::{Request, Response};
 
-use crate::normalize::normalize_for_replay;
 use crate::store_index::StoreIndex;
 
 /// Statistics from matching (for diagnostics and tests).
@@ -52,6 +51,12 @@ impl Matcher {
     /// The returned response is normalized for replay (sized body,
     /// no chunked framing).
     pub fn lookup(&self, req: &Request) -> Option<Response> {
+        self.lookup_ref(req).cloned()
+    }
+
+    /// [`lookup`](Self::lookup) without the copy: the index's own
+    /// response, normalized when the index was built.
+    pub fn lookup_ref(&self, req: &Request) -> Option<&Response> {
         let host = req.host().unwrap_or("");
         let candidates = self.index.candidates(host, req.path());
         if candidates.is_empty() {
@@ -65,7 +70,7 @@ impl Matcher {
             if cand.request.method == req.method && cand.request.query().unwrap_or("") == want_query
             {
                 self.stats.borrow_mut().exact += 1;
-                return Some(normalize_for_replay(&cand.response));
+                return Some(&cand.response);
             }
         }
         // Longest-common-prefix of query string.
@@ -87,7 +92,7 @@ impl Matcher {
         match best {
             Some((_, idx)) => {
                 self.stats.borrow_mut().prefix += 1;
-                Some(normalize_for_replay(&self.index.pair(idx).response))
+                Some(&self.index.pair(idx).response)
             }
             None => {
                 self.stats.borrow_mut().miss += 1;

@@ -11,6 +11,12 @@ use mm_http::Response;
 /// Produce a wire-consistent copy of a recorded response.
 pub fn normalize_for_replay(recorded: &Response) -> Response {
     let mut resp = recorded.clone();
+    normalize_in_place(&mut resp);
+    resp
+}
+
+/// [`normalize_for_replay`] on a response the caller already owns.
+pub(crate) fn normalize_in_place(resp: &mut Response) {
     resp.headers.remove("transfer-encoding");
     resp.headers.remove("connection");
     if Response::bodyless_status(resp.status) {
@@ -19,7 +25,6 @@ pub fn normalize_for_replay(recorded: &Response) -> Response {
         resp.headers
             .set("Content-Length", resp.body.len().to_string());
     }
-    resp
 }
 
 #[cfg(test)]

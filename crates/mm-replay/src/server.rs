@@ -389,15 +389,21 @@ impl SocketApp for ReplayConn {
                 for req in reqs {
                     let recv_at = sim.now();
                     tap_http(&self.tap, recv_at, HttpPhase::ServerRecv, &req.target, 0, 0);
-                    let resp = self
-                        .matcher
-                        .lookup(&req)
-                        .unwrap_or_else(Response::not_found);
+                    // The index's own response, serialised where it
+                    // stands; only a miss builds one.
+                    let not_found;
+                    let resp = match self.matcher.lookup_ref(&req) {
+                        Some(stored) => stored,
+                        None => {
+                            not_found = Response::not_found();
+                            &not_found
+                        }
+                    };
                     let status = resp.status;
                     let body_len = resp.body.len() as u64;
                     // Head and recorded body go out as one write; the body
                     // is the store's buffer, never copied.
-                    let wire = write_response_parts(&resp);
+                    let wire = write_response_parts(resp);
                     let conn = span_conn_id(h.remote_addr());
                     if self.think_time.is_zero() {
                         tap_http(

@@ -8,7 +8,11 @@ use std::collections::HashMap;
 
 use mm_record::{RequestResponsePair, StoredSite};
 
-/// Immutable (host, path) → candidate-pair-indices index.
+use crate::normalize::normalize_in_place;
+
+/// Immutable (host, path) → candidate-pair-indices index. Its copy of each
+/// recorded response is already normalized for replay
+/// ([`crate::normalize_for_replay`]), so a server sends it as it stands.
 pub struct StoreIndex {
     pairs: Vec<RequestResponsePair>,
     by_host_path: HashMap<(String, String), Vec<usize>>,
@@ -18,7 +22,10 @@ pub struct StoreIndex {
 impl StoreIndex {
     /// Build the index (clones the pairs out of the site).
     pub fn build(site: &StoredSite) -> StoreIndex {
-        let pairs = site.pairs.clone();
+        let mut pairs = site.pairs.clone();
+        for p in &mut pairs {
+            normalize_in_place(&mut p.response);
+        }
         let mut by_host_path: HashMap<(String, String), Vec<usize>> = HashMap::new();
         for (i, p) in pairs.iter().enumerate() {
             let host = p.request.host().unwrap_or("").to_ascii_lowercase();

@@ -9,14 +9,17 @@
 //! namespace wrapper.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::collections::VecDeque;
+use std::rc::{Rc, Weak};
 
 use mm_capture::{PacketEvent, PacketEventKind, TapHandle, TapPoint};
 use mm_net::{Namespace, Packet, PacketSink, SinkRef};
-use mm_sim::{SimDuration, Simulator};
+use mm_sim::{EventTarget, SimDuration, Simulator};
 
-/// One direction of a DelayShell: releases each packet `delay` after it
-/// arrives, preserving order (same delay + FIFO event tie-breaking).
+/// One direction of a DelayShell: the paper's packet queue. Each arrival
+/// joins the queue and files one "release the head" event `delay` later;
+/// the delay is the same for every packet, so release order *is* arrival
+/// order and the event needs to carry nothing (DESIGN.md §15).
 pub struct DelayLink {
     delay: SimDuration,
     /// Fixed per-packet processing overhead, modelling the cost of the
@@ -24,6 +27,10 @@ pub struct DelayLink {
     /// process; this is what Figure 2 measures).
     overhead: SimDuration,
     next: SinkRef,
+    /// Packets in flight, oldest first: one pending release event each.
+    queue: RefCell<VecDeque<Packet>>,
+    /// This link, to file as the target of its release events.
+    me: Weak<DelayLink>,
     stats: RefCell<DelayStats>,
     /// Per-packet observability hook ([`DelayLink::set_tap`]); `None`
     /// (the default) costs one branch per packet.
@@ -45,10 +52,12 @@ impl DelayLink {
 
     /// Delay direction with explicit forwarding overhead.
     pub fn with_overhead(delay: SimDuration, overhead: SimDuration, next: SinkRef) -> Rc<Self> {
-        Rc::new(DelayLink {
+        Rc::new_cyclic(|me| DelayLink {
             delay,
             overhead,
             next,
+            queue: RefCell::new(VecDeque::new()),
+            me: me.clone(),
             stats: RefCell::new(DelayStats::default()),
             tap: RefCell::new(None),
         })
@@ -81,36 +90,40 @@ impl PacketSink for DelayLink {
             s.forwarded += 1;
             s.bytes += pkt.wire_size() as u64;
         }
-        let next = self.next.clone();
         let total = self.delay + self.overhead;
-        let tap = self.tap.borrow().clone();
         if total.is_zero() {
-            if let Some((tap, point)) = &tap {
-                Self::tap_deliver(tap, *point, sim.now(), &pkt);
-            }
-            next.deliver(sim, pkt);
+            self.release(sim, pkt);
         } else {
-            sim.schedule_in_tagged("sim_events_delay_total", total, move |sim| {
-                if let Some((tap, point)) = &tap {
-                    DelayLink::tap_deliver(tap, *point, sim.now(), &pkt);
-                }
-                next.deliver(sim, pkt);
-            });
+            self.queue.borrow_mut().push_back(pkt);
+            let me = self.me.upgrade().expect("a DelayLink lives in an Rc");
+            sim.schedule_target_at("sim_events_delay_total", sim.now() + total, me, 0);
         }
     }
 }
 
+impl EventTarget for DelayLink {
+    fn on_event(self: Rc<Self>, sim: &mut Simulator, _token: u64) {
+        let head = self.queue.borrow_mut().pop_front();
+        let pkt = head.expect("one release event per queued packet");
+        self.release(sim, pkt);
+    }
+}
+
 impl DelayLink {
-    fn tap_deliver(tap: &TapHandle, point: TapPoint, now: mm_sim::Timestamp, pkt: &Packet) {
-        tap.on_packet(&PacketEvent {
-            t_ns: now.as_nanos(),
-            kind: PacketEventKind::Deliver,
-            point,
-            pkt_id: pkt.id,
-            size_bytes: pkt.wire_size() as u32,
-            sojourn_ns: 0,
-            flow: pkt.flow_key(),
-        });
+    /// Hand `pkt` to the next hop, reporting it to the tap if attached.
+    fn release(&self, sim: &mut Simulator, pkt: Packet) {
+        if let Some((tap, point)) = &*self.tap.borrow() {
+            tap.on_packet(&PacketEvent {
+                t_ns: sim.now().as_nanos(),
+                kind: PacketEventKind::Deliver,
+                point: *point,
+                pkt_id: pkt.id,
+                size_bytes: pkt.wire_size() as u32,
+                sojourn_ns: 0,
+                flow: pkt.flow_key(),
+            });
+        }
+        self.next.deliver(sim, pkt);
     }
 }
 
@@ -205,6 +218,105 @@ mod tests {
         });
         sim.run();
         assert_eq!(*arrivals.borrow(), (0..10).collect::<Vec<_>>());
+    }
+
+    /// The delay leg this module shipped with — a one-shot closure per
+    /// packet, carrying the packet — kept as the reference the queue must
+    /// agree with: same packets, same instants, same place among the
+    /// other events of those instants.
+    fn closure_per_packet(total: SimDuration, next: SinkRef) -> SinkRef {
+        FnSink::new(move |sim: &mut Simulator, p: Packet| {
+            let next = next.clone();
+            sim.schedule_in(total, move |sim| next.deliver(sim, p));
+        })
+    }
+
+    #[test]
+    fn queue_releases_what_a_closure_per_packet_released() {
+        let total = SimDuration::from_millis(10);
+        // (arrival ns, packets arriving then): a burst at one instant,
+        // then a trickle — gaps shorter and longer than the delay, two
+        // instants 1 ns apart, and a second burst while the first drains.
+        let arrivals: [(u64, u64); 8] = [
+            (0, 40),
+            (1, 1),
+            (2, 1),
+            (3_000_000, 2),
+            (9_999_999, 1),
+            (10_000_000, 25),
+            (10_000_001, 1),
+            (45_000_000, 3),
+        ];
+        let run = |queue: bool| {
+            let mut sim = Simulator::new();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let l = log.clone();
+            let sink: SinkRef = FnSink::new(move |sim: &mut Simulator, p: Packet| {
+                l.borrow_mut().push((p.id, sim.now()));
+            });
+            let leg: SinkRef = if queue {
+                DelayLink::with_overhead(total, SimDuration::ZERO, sink)
+            } else {
+                closure_per_packet(total, sink)
+            };
+            let mut id = 0;
+            for (at, n) in arrivals {
+                for _ in 0..n {
+                    let (leg, l) = (leg.clone(), log.clone());
+                    sim.schedule_at(Timestamp::from_nanos(at), move |sim| {
+                        leg.deliver(sim, pkt(id));
+                        // A bystander due at the packet's release instant,
+                        // filed right after it: it must run right after.
+                        sim.schedule_in(total, move |sim| {
+                            l.borrow_mut().push((1_000 + id, sim.now()));
+                        });
+                    });
+                    id += 1;
+                }
+            }
+            assert_eq!(sim.run(), mm_sim::RunResult::QueueEmpty);
+            let log = log.borrow().clone();
+            (log, sim.events_executed())
+        };
+        let (by_queue, by_closure) = (run(true), run(false));
+        assert_eq!(by_queue.0.len(), 2 * 74);
+        assert_eq!(by_queue, by_closure);
+    }
+
+    #[test]
+    fn a_namespace_dropped_with_packets_in_the_queue_is_not_fatal() {
+        let mut sim = Simulator::new();
+        let parent = Namespace::root("parent");
+        let shell = delay_shell(&parent, "delayed", SimDuration::from_millis(10));
+        let inner_ip = IpAddr::new(100, 64, 0, 2);
+        let seen = Rc::new(RefCell::new(0));
+        let s = seen.clone();
+        shell.inner_ns.add_host(
+            inner_ip,
+            FnSink::new(move |_: &mut Simulator, _| *s.borrow_mut() += 1),
+        );
+        let to_inner = |id| {
+            let mut p = pkt(id);
+            p.dst = SocketAddr::new(inner_ip, 80);
+            p
+        };
+        parent.router().deliver(&mut sim, to_inner(1));
+        sim.run();
+        assert_eq!(*seen.borrow(), 1);
+        // Two more enter the downlink queue; then every handle to the
+        // shell goes. The parent's route still holds the downlink, so the
+        // queue drains on schedule — into a router that is gone.
+        parent.router().deliver(&mut sim, to_inner(2));
+        parent.router().deliver(&mut sim, to_inner(3));
+        let downlink = Rc::downgrade(&shell.downlink);
+        drop(shell);
+        assert_eq!(sim.pending_events(), 2);
+        assert_eq!(sim.run(), mm_sim::RunResult::QueueEmpty);
+        assert_eq!(*seen.borrow(), 1);
+        assert_eq!(parent.counters().forwarded_down, 3);
+        let downlink = downlink.upgrade().expect("held by the parent's route");
+        assert_eq!(downlink.stats().forwarded, 3);
+        assert!(downlink.queue.borrow().is_empty());
     }
 
     #[test]

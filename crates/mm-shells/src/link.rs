@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use mm_capture::{LinkMeta, PacketEvent, PacketEventKind, TapHandle, TapPoint};
 use mm_net::{Namespace, Packet, PacketSink, SinkRef, MTU};
-use mm_sim::{Simulator, Timer, Timestamp};
+use mm_sim::{EventTarget, Simulator, Timestamp};
 use mm_trace::Trace;
 
 use crate::queue::{DropTail, EnqueueResult, Qdisc, QdiscStats};
@@ -50,8 +50,10 @@ struct LinkInner {
     qdisc: Box<dyn Qdisc>,
     policy: OpportunityPolicy,
     next: SinkRef,
-    timer: Timer,
     wakeup_armed: bool,
+    /// What one wakeup hands to `next`, kept between wakeups for its
+    /// capacity (empty outside [`TraceLink::on_opportunity`]).
+    out: Vec<Packet>,
     stats: LinkStats,
     /// Per-packet observability hook ([`TraceLink::set_tap`]); `None`
     /// (the default) costs one branch per delivery.
@@ -78,8 +80,8 @@ impl TraceLink {
                 qdisc,
                 policy,
                 next,
-                timer: Timer::tagged("sim_events_link_total"),
                 wakeup_armed: false,
+                out: Vec::new(),
                 stats: LinkStats::default(),
                 tap: None,
             })),
@@ -149,18 +151,15 @@ impl TraceLink {
         }
     }
 
-    /// Arm the wakeup timer for opportunity `cursor` (must not already be
-    /// armed). `self_rc` is this link, for the timer closure.
-    fn arm(self_rc: &Rc<Self>, sim: &mut Simulator) {
-        let (at, timer) = {
-            let mut inner = self_rc.inner.borrow_mut();
-            debug_assert!(!inner.wakeup_armed);
-            inner.wakeup_armed = true;
-            let at = Self::opportunity_time(&inner.trace, inner.cursor).max(sim.now());
-            (at, inner.timer.clone())
-        };
-        let me = self_rc.clone();
-        timer.arm_at(sim, at, move |sim| TraceLink::on_opportunity(&me, sim));
+    /// File the wakeup for opportunity `cursor` (must not already be
+    /// armed). A wakeup is never cancelled or moved — it is armed only
+    /// while none is pending — so the link files itself: the event needs
+    /// no generation and no closure.
+    fn arm(self_rc: &Rc<Self>, sim: &mut Simulator, inner: &mut LinkInner) {
+        debug_assert!(!inner.wakeup_armed);
+        inner.wakeup_armed = true;
+        let at = Self::opportunity_time(&inner.trace, inner.cursor).max(sim.now());
+        sim.schedule_target_at(LINK_EVENT, at, self_rc.clone(), 0);
     }
 
     /// Consume one delivery opportunity from the queue into `to_deliver`.
@@ -213,9 +212,9 @@ impl TraceLink {
 
     fn on_opportunity(self_rc: &Rc<Self>, sim: &mut Simulator) {
         let now = sim.now();
-        let mut to_deliver: Vec<Packet> = Vec::new();
-        {
+        let (mut to_deliver, next) = {
             let mut inner = self_rc.inner.borrow_mut();
+            let mut to_deliver = std::mem::take(&mut inner.out);
             inner.wakeup_armed = false;
             // Batch every same-timestamp opportunity into this one wakeup:
             // high-rate traces put tens of opportunities on one
@@ -233,18 +232,23 @@ impl TraceLink {
             }
             if inner.qdisc.len_packets() > 0 {
                 // More work: rearm for the next (future) opportunity.
-                inner.wakeup_armed = true;
-                let at = Self::opportunity_time(&inner.trace, inner.cursor).max(now);
-                let timer = inner.timer.clone();
-                drop(inner);
-                let me = self_rc.clone();
-                timer.arm_at(sim, at, move |sim| TraceLink::on_opportunity(&me, sim));
+                Self::arm(self_rc, sim, &mut inner);
             }
-        }
-        let next = self_rc.inner.borrow().next.clone();
-        for pkt in to_deliver {
+            (to_deliver, inner.next.clone())
+        };
+        for pkt in to_deliver.drain(..) {
             next.deliver(sim, pkt);
         }
+        self_rc.inner.borrow_mut().out = to_deliver;
+    }
+}
+
+/// Dispatch tag of a link's delivery-opportunity wakeups.
+const LINK_EVENT: &str = "sim_events_link_total";
+
+impl EventTarget for TraceLink {
+    fn on_event(self: Rc<Self>, sim: &mut Simulator, _token: u64) {
+        TraceLink::on_opportunity(&self, sim);
     }
 }
 
@@ -256,27 +260,19 @@ impl PacketSink for TraceLinkSink {
     fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
         let now = sim.now();
         let link = &self.0;
-        let need_arm = {
-            let mut inner = link.inner.borrow_mut();
-            inner.stats.arrived += 1;
-            let accepted = inner.qdisc.enqueue(now, pkt);
-            if accepted == EnqueueResult::Dropped {
-                inner.stats.dropped_by_queue += 1;
-                false
-            } else if !inner.wakeup_armed {
-                // Find the first usable opportunity: opportunities are
-                // use-it-or-lose-it, so skip everything before "now"
-                // (sub-millisecond remainders round up — the trace has
-                // millisecond granularity).
-                let now_ms = now.as_nanos().div_ceil(1_000_000);
-                inner.cursor = inner.trace.first_opportunity_at_or_after(now_ms);
-                true
-            } else {
-                false
-            }
-        };
-        if need_arm {
-            TraceLink::arm(link, sim);
+        let mut inner = link.inner.borrow_mut();
+        inner.stats.arrived += 1;
+        let accepted = inner.qdisc.enqueue(now, pkt);
+        if accepted == EnqueueResult::Dropped {
+            inner.stats.dropped_by_queue += 1;
+        } else if !inner.wakeup_armed {
+            // Find the first usable opportunity: opportunities are
+            // use-it-or-lose-it, so skip everything before "now"
+            // (sub-millisecond remainders round up — the trace has
+            // millisecond granularity).
+            let now_ms = now.as_nanos().div_ceil(1_000_000);
+            inner.cursor = inner.trace.first_opportunity_at_or_after(now_ms);
+            TraceLink::arm(link, sim, &mut inner);
         }
     }
 }

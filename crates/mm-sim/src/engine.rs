@@ -1,20 +1,49 @@
 //! The discrete-event engine.
 //!
-//! A [`Simulator`] owns a queue of scheduled events. Each event is a
-//! boxed closure that receives `&mut Simulator`, so handlers can schedule
-//! further events; actor state lives in `Rc<RefCell<_>>` handles captured by
-//! the closures (the simulation is single-threaded by design — determinism is
-//! a core requirement).
+//! A [`Simulator`] owns a queue of scheduled events. An event is either a
+//! boxed closure that receives `&mut Simulator` — the general form, one
+//! allocation per event — or a long-lived [`EventTarget`] plus a token,
+//! which the per-packet senders file without allocating (DESIGN.md §15).
+//! Handlers can schedule further events; actor state lives in
+//! `Rc<RefCell<_>>` handles (the simulation is single-threaded by design —
+//! determinism is a core requirement).
 //!
 //! Ties in timestamp are broken by insertion order, which makes runs
 //! bit-identical for a given seed. The queue (`queue.rs`) keeps
 //! that order by construction rather than by comparing sequence numbers.
+
+use std::rc::Rc;
 
 use crate::queue::{EventQueue, Scheduled};
 use crate::time::{SimDuration, Timestamp};
 
 /// An event handler: a one-shot closure run at its scheduled instant.
 pub type EventFn = Box<dyn FnOnce(&mut Simulator)>;
+
+/// A long-lived receiver of events: an actor that files *itself* with
+/// [`Simulator::schedule_target_at`] instead of boxing a closure per
+/// event. What the event means is the actor's own state (the head of a
+/// FIFO, say) plus the `token` it filed.
+pub trait EventTarget {
+    /// Run the event filed with `token`, at its scheduled instant.
+    fn on_event(self: Rc<Self>, sim: &mut Simulator, token: u64);
+}
+
+/// What a queue entry runs. Both forms occupy the same queue slot, so
+/// they interleave in insertion order at one timestamp like any events.
+pub(crate) enum Event {
+    Call(EventFn),
+    Notify(Rc<dyn EventTarget>, u64),
+}
+
+impl Event {
+    pub(crate) fn run(self, sim: &mut Simulator) {
+        match self {
+            Event::Call(f) => f(sim),
+            Event::Notify(target, token) => target.on_event(sim, token),
+        }
+    }
+}
 
 /// The dispatch tag given to events scheduled through the untagged
 /// `schedule_*` methods. Tags double as metric names (see
@@ -193,16 +222,30 @@ impl Simulator {
         at: Timestamp,
         f: impl FnOnce(&mut Simulator) + 'static,
     ) {
+        self.file(tag, at, Event::Call(Box::new(f)));
+    }
+
+    /// File `target` to receive [`EventTarget::on_event`] with `token` at
+    /// `at`: [`schedule_at_tagged`](Self::schedule_at_tagged) without the
+    /// allocation. The entry holds `target` until it runs, as a closure
+    /// holds what it captured.
+    pub fn schedule_target_at(
+        &mut self,
+        tag: &'static str,
+        at: Timestamp,
+        target: Rc<dyn EventTarget>,
+        token: u64,
+    ) {
+        self.file(tag, at, Event::Notify(target, token));
+    }
+
+    fn file(&mut self, tag: &'static str, at: Timestamp, event: Event) {
         assert!(
             at >= self.now,
             "cannot schedule event in the past: {at} < {}",
             self.now
         );
-        self.queue.push(Scheduled {
-            at,
-            tag,
-            f: Box::new(f),
-        });
+        self.queue.push(Scheduled { at, tag, event });
         if let Some(p) = &mut self.profile {
             p.heap_high_water = p.heap_high_water.max(self.queue.len());
         }
@@ -246,7 +289,7 @@ impl Simulator {
                 if let Some(p) = &mut self.profile {
                     p.bump(ev.tag);
                 }
-                (ev.f)(self);
+                ev.event.run(self);
                 true
             }
             None => false,

@@ -20,8 +20,10 @@ pub mod stats;
 pub mod time;
 pub mod timer;
 
-pub use engine::{EngineProfile, EventFn, RunResult, Simulator, UNTAGGED_EVENT};
+pub use engine::{EngineProfile, EventFn, EventTarget, RunResult, Simulator, UNTAGGED_EVENT};
 pub use rng::RngStream;
 pub use stats::{jain_fairness, Summary};
 pub use time::{SimDuration, Timestamp};
-pub use timer::{PeriodicTimer, Timer, TimerMux, TIMER_EVENT, TIMER_MUX_EVENT};
+pub use timer::{
+    PeriodicTimer, Timer, TimerHandler, TimerMux, Unbound, TIMER_EVENT, TIMER_MUX_EVENT,
+};

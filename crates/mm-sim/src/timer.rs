@@ -1,17 +1,42 @@
 //! Cancellable timers on top of the event engine.
 //!
-//! The raw engine only supports fire-and-forget closures. Protocol code (TCP
+//! The raw engine only supports fire-and-forget events. Protocol code (TCP
 //! retransmission, delayed ACK, CoDel's interval timer...) needs timers that
 //! can be cancelled or rearmed. A [`Timer`] wraps a generation counter: each
-//! `arm()` bumps the generation and the scheduled closure only fires if its
+//! arm bumps the generation and the filed event only fires if its
 //! generation is still current.
+//!
+//! A timer is armed one of two ways. [`Timer::arm_at`] takes a closure per
+//! arm — the general form, one allocation each. A timer built with
+//! [`Timer::bound`] was given its handler once, so [`Timer::rearm_at`]
+//! files `(timer state, generation)` with the engine and allocates nothing
+//! (DESIGN.md §15) — what a socket does with its five timers on every ack.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 use std::rc::Rc;
 
-use crate::engine::{EventFn, Simulator};
+use crate::engine::{Event, EventTarget, Simulator};
 use crate::time::{SimDuration, Timestamp};
+
+/// What a [`Timer::bound`] timer runs each time it fires. Closures
+/// implement it; an owner that keeps its timers in a struct field names a
+/// type of its own instead. A handler that needs the timer's owner holds
+/// it weakly — the owner owns the timer, the timer its handler.
+pub trait TimerHandler {
+    /// The timer fired (it was not cancelled or re-armed since).
+    fn on_fire(&self, sim: &mut Simulator);
+}
+
+impl<F: Fn(&mut Simulator)> TimerHandler for F {
+    fn on_fire(&self, sim: &mut Simulator) {
+        self(sim)
+    }
+}
+
+/// The handler of a timer that has none: armed by closure only.
+pub struct Unbound;
 
 /// A cancellable, rearmable one-shot timer.
 ///
@@ -32,27 +57,63 @@ use crate::time::{SimDuration, Timestamp};
 /// sim.run();
 /// assert!(!fired.get());
 /// ```
-#[derive(Clone)]
-pub struct Timer {
+pub struct Timer<H = Unbound> {
     /// Everything a pending firing has to see, in one shared cell block.
-    state: Rc<TimerState>,
+    state: Rc<TimerState<H>>,
     /// When set, this timer registers into a shared [`TimerMux`] instead of
     /// the simulator's global queue; cancellation then physically removes
-    /// the pending entry rather than leaving a dead closure behind.
+    /// the pending entry rather than leaving a dead event behind.
     mux: Option<Rc<MuxInner>>,
     /// Dispatch tag for the event-loop profiler (doubles as the metric
     /// name the firing count exports under).
     tag: &'static str,
 }
 
-struct TimerState {
+struct TimerState<H> {
     /// Bumped by every arm and cancel; a queued firing runs only if the
     /// generation it was armed under is still current.
     generation: Cell<u64>,
     /// The instant the timer will fire, `Timestamp::NEVER` while unarmed.
     deadline: Cell<Timestamp>,
-    /// The mux map key of the currently pending entry, if any.
-    mux_key: Cell<Option<(Timestamp, u64)>>,
+    /// The pending mux entry's sequence number, if there is one; its map
+    /// key is `(deadline, sequence)`.
+    mux_seq: Cell<Option<NonZeroU64>>,
+    handler: H,
+}
+
+impl<H> TimerState<H> {
+    /// A firing armed under `gen` came due: true if it is still the
+    /// current one, in which case the timer is now unarmed. A superseded
+    /// generation still pops from the queue — and counts as an executed
+    /// event — it just does nothing.
+    fn take_fire(&self, gen: u64) -> bool {
+        let current = self.generation.get() == gen;
+        if current {
+            self.mux_seq.set(None);
+            self.deadline.set(Timestamp::NEVER);
+        }
+        current
+    }
+}
+
+/// A bound timer's state is the event target; the token is the
+/// generation the firing was armed under.
+impl<H: TimerHandler> EventTarget for TimerState<H> {
+    fn on_event(self: Rc<Self>, sim: &mut Simulator, gen: u64) {
+        if self.take_fire(gen) {
+            self.handler.on_fire(sim);
+        }
+    }
+}
+
+impl<H> Clone for Timer<H> {
+    fn clone(&self) -> Self {
+        Timer {
+            state: self.state.clone(),
+            mux: self.mux.clone(),
+            tag: self.tag,
+        }
+    }
 }
 
 impl Default for Timer {
@@ -77,23 +138,50 @@ impl Timer {
     /// in the event-loop profiler (see
     /// [`Simulator::schedule_at_tagged`]).
     pub fn tagged(tag: &'static str) -> Self {
-        Timer {
-            state: Rc::new(TimerState {
-                generation: Cell::new(0),
-                deadline: Cell::new(Timestamp::NEVER),
-                mux_key: Cell::new(None),
-            }),
-            mux: None,
-            tag,
-        }
+        Timer::build(Unbound, None, tag)
     }
 
     /// Create an unarmed timer whose firings route through `mux`.
     pub fn in_mux(mux: &TimerMux) -> Self {
+        Timer::build(Unbound, Some(mux), TIMER_EVENT)
+    }
+}
+
+impl<H> Timer<H> {
+    fn build(handler: H, mux: Option<&TimerMux>, tag: &'static str) -> Self {
         Timer {
-            mux: Some(mux.inner.clone()),
-            ..Timer::new()
+            state: Rc::new(TimerState {
+                generation: Cell::new(0),
+                deadline: Cell::new(Timestamp::NEVER),
+                mux_seq: Cell::new(None),
+                handler,
+            }),
+            mux: mux.map(|m| m.inner.clone()),
+            tag,
         }
+    }
+
+    /// Supersede any pending firing — bump the generation, and take the
+    /// pending entry out of the mux (before `deadline`, half of its key,
+    /// moves) — and record the new deadline. Returns the new generation.
+    fn supersede(&self, deadline: Timestamp) -> u64 {
+        let state = &self.state;
+        if let (Some(mux), Some(seq)) = (&self.mux, state.mux_seq.take()) {
+            let key = (state.deadline.get(), seq.get());
+            mux.pending.borrow_mut().remove(&key);
+        }
+        let gen = state.generation.get() + 1;
+        state.generation.set(gen);
+        state.deadline.set(deadline);
+        gen
+    }
+
+    /// File `event` in this timer's mux.
+    fn arm_in_mux(&self, mux: &Rc<MuxInner>, sim: &mut Simulator, at: Timestamp, event: Event) {
+        let seq = mux.next_entry_seq();
+        self.state.mux_seq.set(Some(seq));
+        mux.pending.borrow_mut().insert((at, seq.get()), event);
+        mux.reschedule(sim);
     }
 
     /// Arm (or rearm) the timer to fire `delay` from now. Any previously
@@ -103,7 +191,9 @@ impl Timer {
         sim: &mut Simulator,
         delay: SimDuration,
         f: impl FnOnce(&mut Simulator) + 'static,
-    ) {
+    ) where
+        H: 'static,
+    {
         self.arm_at(sim, sim.now() + delay, f)
     }
 
@@ -113,44 +203,25 @@ impl Timer {
         sim: &mut Simulator,
         at: Timestamp,
         f: impl FnOnce(&mut Simulator) + 'static,
-    ) {
+    ) where
+        H: 'static,
+    {
+        let gen = self.supersede(at);
         let state = self.state.clone();
-        let gen = state.generation.get() + 1;
-        state.generation.set(gen);
-        state.deadline.set(at);
-        if let Some(mux) = &self.mux {
-            if let Some(old) = state.mux_key.take() {
-                mux.pending.borrow_mut().remove(&old);
-            }
-            let key = (at, mux.next_entry_seq());
-            state.mux_key.set(Some(key));
-            mux.pending.borrow_mut().insert(
-                key,
-                Box::new(move |sim| {
-                    state.mux_key.set(None);
-                    state.deadline.set(Timestamp::NEVER);
-                    f(sim);
-                }),
-            );
-            mux.reschedule(sim);
-            return;
-        }
-        sim.schedule_at_tagged(self.tag, at, move |sim| {
-            if state.generation.get() == gen {
-                state.deadline.set(Timestamp::NEVER);
+        let fire = move |sim: &mut Simulator| {
+            if state.take_fire(gen) {
                 f(sim);
             }
-        });
+        };
+        match &self.mux {
+            Some(mux) => self.arm_in_mux(mux, sim, at, Event::Call(Box::new(fire))),
+            None => sim.schedule_at_tagged(self.tag, at, fire),
+        }
     }
 
     /// Cancel any pending firing. Idempotent.
     pub fn cancel(&self) {
-        let state = &self.state;
-        state.generation.set(state.generation.get() + 1);
-        state.deadline.set(Timestamp::NEVER);
-        if let (Some(mux), Some(key)) = (&self.mux, state.mux_key.take()) {
-            mux.pending.borrow_mut().remove(&key);
-        }
+        self.supersede(Timestamp::NEVER);
     }
 
     /// True if the timer is armed and has not yet fired or been cancelled.
@@ -161,6 +232,26 @@ impl Timer {
     /// The instant the timer will fire, or `Timestamp::NEVER` if unarmed.
     pub fn deadline(&self) -> Timestamp {
         self.state.deadline.get()
+    }
+}
+
+impl<H: TimerHandler + 'static> Timer<H> {
+    /// Create an unarmed timer that runs `handler` whenever it fires,
+    /// routed through `mux` if given.
+    pub fn bound(handler: H, mux: Option<&TimerMux>) -> Self {
+        Timer::build(handler, mux, TIMER_EVENT)
+    }
+
+    /// Arm (or rearm) the timer to run its bound handler at `at`: the
+    /// same queue entry, in the same place, as [`Timer::arm_at`] files —
+    /// without allocating.
+    pub fn rearm_at(&self, sim: &mut Simulator, at: Timestamp) {
+        let gen = self.supersede(at);
+        let target: Rc<dyn EventTarget> = self.state.clone();
+        match &self.mux {
+            Some(mux) => self.arm_in_mux(mux, sim, at, Event::Notify(target, gen)),
+            None => sim.schedule_target_at(self.tag, at, target, gen),
+        }
     }
 }
 
@@ -188,17 +279,22 @@ pub struct TimerMux {
 }
 
 struct MuxInner {
-    pending: RefCell<BTreeMap<(Timestamp, u64), EventFn>>,
-    next_seq: Cell<u64>,
-    dispatcher: Timer,
+    pending: RefCell<BTreeMap<(Timestamp, u64), Event>>,
+    next_seq: Cell<NonZeroU64>,
+    /// The dispatcher slot: the mux files *itself* with the engine under
+    /// a generation, as a timer does — a superseded slot pops as a no-op.
+    dispatch_gen: Cell<u64>,
+    /// The instant of the current slot, `Timestamp::NEVER` while none.
+    dispatch_at: Cell<Timestamp>,
 }
 
 impl Default for MuxInner {
     fn default() -> Self {
         MuxInner {
             pending: RefCell::new(BTreeMap::new()),
-            next_seq: Cell::new(0),
-            dispatcher: Timer::tagged(TIMER_MUX_EVENT),
+            next_seq: Cell::new(NonZeroU64::MIN),
+            dispatch_gen: Cell::new(0),
+            dispatch_at: Cell::new(Timestamp::NEVER),
         }
     }
 }
@@ -222,42 +318,51 @@ impl TimerMux {
 }
 
 impl MuxInner {
-    fn next_entry_seq(&self) -> u64 {
+    fn next_entry_seq(&self) -> NonZeroU64 {
         let seq = self.next_seq.get();
-        self.next_seq.set(seq + 1);
+        self.next_seq
+            .set(seq.checked_add(1).expect("2^64 timer arms"));
         seq
     }
 
     /// Keep the dispatcher armed at the earliest pending deadline (or
     /// unarmed when the map is empty).
     fn reschedule(self: &Rc<Self>, sim: &mut Simulator) {
-        let first = self.pending.borrow().keys().next().copied();
-        match first {
-            None => self.dispatcher.cancel(),
-            Some((at, _)) => {
-                if self.dispatcher.deadline() != at {
-                    let mux = self.clone();
-                    self.dispatcher.arm_at(sim, at, move |sim| mux.fire(sim));
-                }
-            }
+        let first = self
+            .pending
+            .borrow()
+            .first_key_value()
+            .map(|(key, _)| key.0);
+        if first == Some(self.dispatch_at.get()) {
+            return;
+        }
+        let gen = self.dispatch_gen.get() + 1;
+        self.dispatch_gen.set(gen);
+        self.dispatch_at.set(first.unwrap_or(Timestamp::NEVER));
+        if let Some(at) = first {
+            sim.schedule_target_at(TIMER_MUX_EVENT, at, self.clone(), gen);
         }
     }
+}
 
-    /// Run every entry due at the current instant, one at a time so a
-    /// firing may arm further timers (including into this mux) safely.
-    fn fire(self: Rc<Self>, sim: &mut Simulator) {
+/// The dispatcher slot came due: run every entry due at the current
+/// instant, one at a time so a firing may arm further timers (including
+/// into this mux) safely.
+impl EventTarget for MuxInner {
+    fn on_event(self: Rc<Self>, sim: &mut Simulator, gen: u64) {
+        if self.dispatch_gen.get() != gen {
+            return;
+        }
+        self.dispatch_at.set(Timestamp::NEVER);
         loop {
             let due = {
                 let mut pending = self.pending.borrow_mut();
-                match pending.keys().next().copied() {
-                    Some(key) if key.0 <= sim.now() => pending.remove(&key),
-                    _ => None,
+                match pending.first_entry() {
+                    Some(first) if first.key().0 <= sim.now() => first.remove(),
+                    _ => break,
                 }
             };
-            match due {
-                Some(f) => f(sim),
-                None => break,
-            }
+            due.run(sim);
         }
         self.reschedule(sim);
     }
@@ -490,6 +595,88 @@ mod tests {
         });
         sim.run();
         assert_eq!(*log.borrow(), vec!["plain", "muxed"]);
+    }
+
+    /// Arm a timer five times for ever-later deadlines, by closure or by
+    /// its bound handler, and report (firings, events executed).
+    fn rearm_five_times(bound: bool, mux: Option<&TimerMux>) -> (u32, u64) {
+        let mut sim = Simulator::new();
+        let fired = Rc::new(Cell::new(0u32));
+        let f = fired.clone();
+        let handler = move |_: &mut Simulator| f.set(f.get() + 1);
+        let timer = Timer::bound(handler.clone(), mux);
+        for ms in 1..=5u64 {
+            let at = Timestamp::from_millis(ms);
+            if bound {
+                timer.rearm_at(&mut sim, at);
+            } else {
+                timer.arm_at(&mut sim, at, handler.clone());
+            }
+        }
+        assert_eq!(timer.deadline(), Timestamp::from_millis(5));
+        assert_eq!(sim.run(), crate::RunResult::QueueEmpty);
+        assert_eq!(sim.now(), Timestamp::from_millis(5));
+        assert!(!timer.is_armed());
+        (fired.get(), sim.events_executed())
+    }
+
+    #[test]
+    fn bound_rearm_files_what_a_closure_arm_files() {
+        // Five arms are five queue entries; the four superseded ones
+        // still pop, and count, and do nothing.
+        assert_eq!(rearm_five_times(false, None), (1, 5));
+        assert_eq!(rearm_five_times(true, None), (1, 5));
+    }
+
+    #[test]
+    fn bound_rearm_through_a_mux_files_what_a_closure_arm_files() {
+        // In a mux a rearm replaces the entry; what is left to count is
+        // the dispatcher slot, re-filed once per new earliest deadline.
+        let by_closure = rearm_five_times(false, Some(&TimerMux::new()));
+        assert_eq!(by_closure.0, 1);
+        assert_eq!(rearm_five_times(true, Some(&TimerMux::new())), by_closure);
+    }
+
+    #[test]
+    fn bound_and_closure_arms_supersede_each_other() {
+        let mut sim = Simulator::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = log.clone();
+        let timer = Timer::bound(move |_: &mut Simulator| l.borrow_mut().push("bound"), None);
+        let l = log.clone();
+        timer.arm(&mut sim, SimDuration::from_millis(2), move |_| {
+            l.borrow_mut().push("closure")
+        });
+        timer.rearm_at(&mut sim, Timestamp::from_millis(4));
+        sim.run();
+        assert_eq!(*log.borrow(), vec!["bound"]);
+        timer.rearm_at(&mut sim, Timestamp::from_millis(6));
+        timer.cancel();
+        sim.run();
+        assert_eq!(*log.borrow(), vec!["bound"]);
+        assert_eq!(sim.events_executed(), 3);
+    }
+
+    #[test]
+    fn same_instant_bound_and_closure_timers_fire_in_arm_order() {
+        for mux in [None, Some(TimerMux::new())] {
+            let mut sim = Simulator::new();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let at = Timestamp::from_millis(3);
+            let push = |tag: u32| {
+                let l = log.clone();
+                move |_: &mut Simulator| l.borrow_mut().push(tag)
+            };
+            let timers: Vec<_> = (0..4)
+                .map(|i| Timer::bound(push(i), mux.as_ref()))
+                .collect();
+            timers[0].rearm_at(&mut sim, at);
+            timers[1].arm_at(&mut sim, at, push(11));
+            timers[2].rearm_at(&mut sim, at);
+            timers[3].arm_at(&mut sim, at, push(13));
+            sim.run();
+            assert_eq!(*log.borrow(), vec![0, 11, 2, 13]);
+        }
     }
 
     #[test]

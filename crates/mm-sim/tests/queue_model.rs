@@ -7,13 +7,19 @@
 //! pending deadline after a bounded run stopped short of it — must
 //! produce the same dispatch order, the same clock and the same event
 //! count from both.
+//!
+//! The engine files an event in one of two forms — a boxed closure, or a
+//! long-lived target plus a token — and the script alternates between
+//! them (even event ids are closures, odd ones go to a target), so equal
+//! logs also mean the two forms share one insertion order: at a single
+//! timestamp, from inside handlers, and across queue redistributions.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 
-use mm_sim::{RunResult, SimDuration, Simulator, Timestamp};
+use mm_sim::{EventTarget, RunResult, SimDuration, Simulator, Timestamp, UNTAGGED_EVENT};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -112,43 +118,60 @@ impl Model {
 /// schedule order on both sides, so equal logs mean equal dispatch order.
 struct Real {
     sim: Simulator,
-    next_id: Rc<Cell<u64>>,
-    log: Rc<RefCell<Log>>,
+    script: Rc<Script>,
+}
+
+/// What the events of one run share: the id counter, the log, and — for
+/// the events filed as `(target, token)` — what each token stands for.
+#[derive(Default)]
+struct Script {
+    next_id: Cell<u64>,
+    log: RefCell<Log>,
+    /// Token (= event id) → delays of the children that event schedules.
+    filed: RefCell<HashMap<u64, Vec<u64>>>,
+}
+
+impl Script {
+    /// File one event at `at`: as a closure if its id is even, as this
+    /// script plus the id as token if it is odd.
+    fn schedule(self: &Rc<Self>, sim: &mut Simulator, at: Timestamp, children: Vec<u64>) {
+        let id = self.next_id.get();
+        self.next_id.set(id + 1);
+        if id.is_multiple_of(2) {
+            let me = self.clone();
+            sim.schedule_at(at, move |sim| me.run(sim, id, children));
+        } else {
+            self.filed.borrow_mut().insert(id, children);
+            sim.schedule_target_at(UNTAGGED_EVENT, at, self.clone(), id);
+        }
+    }
+
+    fn run(self: &Rc<Self>, sim: &mut Simulator, id: u64, children: Vec<u64>) {
+        self.log.borrow_mut().push((id, sim.now().as_nanos()));
+        for delay in children {
+            self.schedule(sim, sim.now() + SimDuration::from_nanos(delay), Vec::new());
+        }
+    }
+}
+
+impl EventTarget for Script {
+    fn on_event(self: Rc<Self>, sim: &mut Simulator, id: u64) {
+        let children = self.filed.borrow_mut().remove(&id).expect("filed once");
+        self.run(sim, id, children);
+    }
 }
 
 impl Real {
     fn new() -> Real {
         Real {
             sim: Simulator::new(),
-            next_id: Rc::new(Cell::new(0)),
-            log: Rc::new(RefCell::new(Vec::new())),
+            script: Rc::default(),
         }
     }
 
-    fn take_id(next_id: &Cell<u64>) -> u64 {
-        let id = next_id.get();
-        next_id.set(id + 1);
-        id
-    }
-
     fn schedule(&mut self, at: u64, children: Vec<u64>) {
-        let id = Real::take_id(&self.next_id);
-        let (log, next_id) = (self.log.clone(), self.next_id.clone());
-        self.sim.schedule_at(Timestamp::from_nanos(at), move |sim| {
-            log.borrow_mut().push((id, sim.now().as_nanos()));
-            for delay in children {
-                let child = Real::take_id(&next_id);
-                let log = log.clone();
-                let run = move |sim: &mut Simulator| {
-                    log.borrow_mut().push((child, sim.now().as_nanos()));
-                };
-                if delay == 0 {
-                    sim.schedule_now(run);
-                } else {
-                    sim.schedule_in(SimDuration::from_nanos(delay), run);
-                }
-            }
-        });
+        self.script
+            .schedule(&mut self.sim, Timestamp::from_nanos(at), children);
     }
 }
 
@@ -177,11 +200,33 @@ proptest! {
             prop_assert_eq!(real.sim.now().as_nanos(), model.now);
             prop_assert_eq!(real.sim.events_executed(), model.executed);
             prop_assert_eq!(real.sim.pending_events(), model.heap.len());
-            prop_assert_eq!(&*real.log.borrow(), &model.log);
+            prop_assert_eq!(&*real.script.log.borrow(), &model.log);
         }
         prop_assert_eq!(real.sim.run(), model.run_until(u64::MAX));
         prop_assert_eq!(real.sim.now().as_nanos(), model.now);
         prop_assert_eq!(real.sim.events_executed(), model.executed);
-        prop_assert_eq!(&*real.log.borrow(), &model.log);
+        prop_assert_eq!(&*real.script.log.borrow(), &model.log);
     }
+}
+
+/// The fixed case behind the property: ties filed in both forms while
+/// their deadline is still far (so they are re-filed when the clock gets
+/// there), joined by latecomers filed from inside a handler.
+#[test]
+fn both_forms_tie_in_insertion_order_across_a_redistribution() {
+    let mut real = Real::new();
+    let ms = 1_000_000u64;
+    // Event 0 runs at 1 ms and files ten more for 7 ms.
+    real.schedule(ms, vec![6 * ms; 10]);
+    for _ in 1..=1_000 {
+        real.schedule(7 * ms, Vec::new());
+    }
+    assert_eq!(real.sim.run(), RunResult::QueueEmpty);
+    assert_eq!(real.sim.events_executed(), 1_011);
+    let log = real.script.log.borrow();
+    assert_eq!(log[0], (0, ms));
+    assert!(log[1..]
+        .iter()
+        .copied()
+        .eq((1..=1_010).map(|id| (id, 7 * ms))));
 }

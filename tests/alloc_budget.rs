@@ -1,0 +1,379 @@
+//! The packet path's allocator traffic, as exact counts (DESIGN.md §15).
+//!
+//! A packet crossing a delay leg, a trace-driven link and a host's
+//! dispatch, a socket timer being re-armed, an ack advancing the
+//! retransmission queue: none of these carries simulated meaning in an
+//! allocation, so in steady state none of them makes one. Counted with an
+//! allocator local to this test binary — calls, not bytes — so the numbers
+//! repeat exactly and a regression is a failed assertion, not a slower
+//! benchmark.
+//!
+//! The counter is per thread (cargo runs tests on parallel threads), so
+//! each `#[test]` measures only itself.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use bytes::Bytes;
+use mahimahi::corpus::{generate_plans, materialize, CorpusConfig};
+use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
+use mm_net::{
+    FnSink, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, SinkRef, SocketAddr, SocketApp,
+    SocketEvent, TcpFlags, TcpHandle, TcpSegment,
+};
+use mm_shells::{
+    DelayLink, DropTail, OpportunityPolicy, Qdisc, ShellStack, TraceLink, TraceLinkSink,
+};
+use mm_sim::{SimDuration, Simulator, Timer, TimerMux, Timestamp};
+use mm_trace::constant_rate;
+
+// ------------------------------------------------------------ allocator
+
+thread_local! {
+    // A `const` initialiser on a type without a destructor: reading it
+    // from inside the allocator can never allocate or register a dtor.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // `try_with`: during thread teardown the slot may be gone.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// integer and never influences the returned pointers.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: caller's contract is passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: caller's contract is passed through unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: caller's contract is passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: caller's contract is passed through unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) this thread made
+/// while `f` ran.
+fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (CALLS.with(Cell::get) - before, out)
+}
+
+// ------------------------------------------------------- the whole load
+
+/// `pageload_http1`'s world: 40 ms each way, 14 Mbit/s, infinite queue.
+fn wired_net() -> NetSpec {
+    NetSpec {
+        delay: Some(SimDuration::from_millis(40)),
+        link: Some(LinkSpec {
+            uplink: constant_rate(14.0, 1000),
+            downlink: constant_rate(14.0, 1000),
+            qdisc: QdiscKind::Infinite,
+        }),
+        ..NetSpec::default()
+    }
+}
+
+/// One load of the default corpus's median-size site made 22 121
+/// allocator calls with a closure boxed per packet per hop and per timer
+/// arm, a fresh out-buffer per wakeup and per segment, and a response
+/// cloned per request; it makes 7 392 now. The budget is that plus ~10 %.
+#[test]
+fn a_page_load_stays_within_its_allocation_budget() {
+    const BUDGET: u64 = 8_100;
+    let mut plans = generate_plans(&CorpusConfig {
+        n_sites: 500,
+        seed: 2014,
+        ..CorpusConfig::default()
+    });
+    plans.sort_by_key(|p| p.total_bytes());
+    let site = materialize(&plans[plans.len() / 2]);
+    let load = || {
+        let mut spec = LoadSpec::new(&site);
+        spec.net = wired_net();
+        let r = run_page_load(&spec);
+        assert_eq!(r.failures, 0);
+        r.resource_count()
+    };
+    load(); // lazily grown statics settle
+    let (allocs, resources) = allocs_of(load);
+    println!("page load: {allocs} allocator calls, {resources} resources");
+    assert!(resources > 20, "a mid-size page, not a stub: {resources}");
+    assert!(
+        allocs <= BUDGET,
+        "one page load ({resources} resources) made {allocs} allocator calls, budget {BUDGET}"
+    );
+}
+
+// ---------------------------------------------------- the bulk transfer
+
+/// Server side: on the client's request, push the payload.
+struct PushOnRequest {
+    payload: Bytes,
+    sender: Rc<RefCell<Option<TcpHandle>>>,
+}
+
+impl Listener for PushOnRequest {
+    fn on_connection(&self, _sim: &mut Simulator, handle: TcpHandle) -> Rc<dyn SocketApp> {
+        struct Push(RefCell<Option<Bytes>>);
+        impl SocketApp for Push {
+            fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
+                if let SocketEvent::Data(_) = ev {
+                    if let Some(data) = self.0.borrow_mut().take() {
+                        h.send(sim, data);
+                    }
+                }
+            }
+        }
+        *self.sender.borrow_mut() = Some(handle);
+        Rc::new(Push(RefCell::new(Some(self.payload.clone()))))
+    }
+}
+
+struct CountingReceiver {
+    received: Cell<usize>,
+}
+
+impl SocketApp for CountingReceiver {
+    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
+        match ev {
+            SocketEvent::Connected => h.send(sim, Bytes::from_static(b"GET /bulk\r\n\r\n")),
+            SocketEvent::Data(b) => self.received.set(self.received.get() + b.len()),
+            _ => {}
+        }
+    }
+}
+
+/// 1 MB, clean, through delay + link: between the first and the last
+/// quarter of the transfer — windows open, queues and buffers at their
+/// working size — every data segment crosses two delay legs, two links
+/// and two hosts, is acknowledged, advances the sender's retransmission
+/// queue and re-arms its RTO. That used to cost 8.99 allocator calls per
+/// data segment (3 588 for 399); it costs 0.27 now (106 for 399).
+#[test]
+fn a_bulk_transfer_allocates_less_than_once_per_data_segment() {
+    const SERVER_IP: IpAddr = IpAddr::new(10, 0, 0, 2);
+    const CLIENT_IP: IpAddr = IpAddr::new(10, 0, 0, 1);
+    let payload = Bytes::from(vec![7u8; 1_000_000]);
+    let mut sim = Simulator::new();
+    let root = Namespace::root("w");
+    let ids = PacketIdGen::new();
+    let server = Host::new_in(SERVER_IP, ids.clone(), &root);
+    let stack = ShellStack::new(&root)
+        .delay(SimDuration::from_millis(20))
+        .link(constant_rate(20.0, 1000), &|| {
+            Box::new(DropTail::infinite()) as Box<dyn Qdisc>
+        });
+    let client = Host::new_in(CLIENT_IP, ids, &stack.innermost());
+    let sender = Rc::new(RefCell::new(None));
+    server.listen(
+        80,
+        Rc::new(PushOnRequest {
+            payload: payload.clone(),
+            sender: sender.clone(),
+        }),
+    );
+    let receiver = Rc::new(CountingReceiver {
+        received: Cell::new(0),
+    });
+    client.connect(&mut sim, SocketAddr::new(SERVER_IP, 80), receiver.clone());
+
+    let run_to = |sim: &mut Simulator, bytes: usize| {
+        while receiver.received.get() < bytes {
+            assert!(
+                sim.step(),
+                "transfer stalled at {}",
+                receiver.received.get()
+            );
+        }
+    };
+    let sent = || {
+        sender
+            .borrow()
+            .as_ref()
+            .map_or(0, |h| h.stats().segments_sent)
+    };
+    run_to(&mut sim, payload.len() / 4);
+    let sent_before = sent();
+    let (allocs, ()) = allocs_of(|| run_to(&mut sim, 3 * payload.len() / 4));
+    let segments = sent() - sent_before;
+    assert!(segments > 300, "half a megabyte is {segments} segments");
+    let per_segment = allocs as f64 / segments as f64;
+    println!("bulk transfer: {allocs} allocator calls, {segments} data segments");
+    assert!(
+        per_segment <= 1.0,
+        "{allocs} allocator calls for {segments} data segments = {per_segment:.2} each"
+    );
+    sim.run();
+    assert_eq!(receiver.received.get(), payload.len());
+}
+
+// ------------------------------------------------- the pieces, one each
+
+/// "Nothing per packet": what a forwarding element may still allocate is
+/// the engine's queue buckets reaching working size as the clock crosses
+/// into them — 0 to 13 calls per run below, against one per packet or per
+/// arm (800–805 for these 800 packets) when every event was a box.
+fn assert_none_per_packet(what: &str, allocs: u64, packets: u64) {
+    println!("{what}: {allocs} allocator calls, {packets} packets");
+    assert!(
+        allocs * 100 <= packets,
+        "{what}: {allocs} allocator calls for {packets} packets"
+    );
+}
+
+/// A 1 000-byte data packet from 1.1.1.1 to 2.2.2.2.
+fn data_packet() -> Packet {
+    Packet {
+        id: 0,
+        src: SocketAddr::new(IpAddr::new(1, 1, 1, 1), 1),
+        dst: SocketAddr::new(IpAddr::new(2, 2, 2, 2), 2),
+        segment: TcpSegment {
+            flags: TcpFlags::ACK,
+            seq: 0,
+            ack: 0,
+            window: 0,
+            sack: Default::default(),
+            payload: Bytes::from(vec![0u8; 1000]),
+        },
+        corrupted: false,
+    }
+}
+
+/// Feed `sink` forty 20-packet bursts of `packet`, 5 ms apart, and run
+/// the world dry — twice. Returns the allocator calls of the second
+/// time, when every queue on the way has reached its working size.
+fn steady_state_allocs(sim: &mut Simulator, sink: &SinkRef, packet: &Packet) -> u64 {
+    let feed = |sim: &mut Simulator| {
+        let start = sim.now();
+        for round in 0..40 {
+            sim.run_until(start + SimDuration::from_millis(5 * round));
+            for _ in 0..20 {
+                sink.deliver(sim, packet.clone());
+            }
+        }
+        sim.run();
+    };
+    feed(sim);
+    allocs_of(|| feed(sim)).0
+}
+
+/// A sink that counts what reaches it.
+fn counting_sink() -> (Rc<Cell<u64>>, SinkRef) {
+    let delivered = Rc::new(Cell::new(0u64));
+    let d = delivered.clone();
+    let sink = FnSink::new(move |_: &mut Simulator, _: Packet| d.set(d.get() + 1));
+    (delivered, sink)
+}
+
+/// Once its queue has reached working size, a delay leg neither
+/// allocates to take a packet in nor to release it.
+#[test]
+fn a_delay_leg_forwards_without_allocating() {
+    let mut sim = Simulator::new();
+    let (delivered, sink) = counting_sink();
+    let leg: SinkRef = DelayLink::new(SimDuration::from_millis(12), sink);
+    let allocs = steady_state_allocs(&mut sim, &leg, &data_packet());
+    assert_eq!(delivered.get(), 1_600);
+    assert_none_per_packet("delay leg", allocs, 800);
+}
+
+/// The same for a trace-driven link: enqueue, wakeup, hand-over.
+#[test]
+fn a_link_wakeup_forwards_without_allocating() {
+    let mut sim = Simulator::new();
+    let (delivered, sink) = counting_sink();
+    let link = TraceLink::new(
+        constant_rate(24.0, 1000),
+        Box::new(DropTail::infinite()),
+        OpportunityPolicy::ByteBudget,
+        sink,
+    );
+    let ingress: SinkRef = Rc::new(TraceLinkSink(link));
+    let allocs = steady_state_allocs(&mut sim, &ingress, &data_packet());
+    assert_eq!(delivered.get(), 1_600);
+    assert_none_per_packet("link", allocs, 800);
+}
+
+/// A host takes packets into its inbox and dispatches them (here: to the
+/// corrupted-packet counter, the one dispatch arm with no socket behind
+/// it) without allocating.
+#[test]
+fn a_host_inbox_dispatches_without_allocating() {
+    let mut sim = Simulator::new();
+    let ns = Namespace::root("w");
+    let host = Host::new_in(IpAddr::new(2, 2, 2, 2), PacketIdGen::new(), &ns);
+    let corrupted = Packet {
+        corrupted: true,
+        ..data_packet()
+    };
+    let allocs = steady_state_allocs(&mut sim, &ns.router(), &corrupted);
+    assert_eq!(host.stats().corrupted_dropped, 1_600);
+    assert_none_per_packet("host inbox", allocs, 800);
+}
+
+/// Re-arming a bound timer — directly, or through a mux that already
+/// holds its entry's node — files no allocation; arming by closure files
+/// one box per arm, which is why sockets no longer do.
+#[test]
+fn a_bound_timer_rearms_without_allocating() {
+    let rearm = |mux: Option<&TimerMux>| {
+        let mut sim = Simulator::new();
+        let fired = Rc::new(Cell::new(0u32));
+        let f = fired.clone();
+        let timer = Timer::bound(move |_: &mut Simulator| f.set(f.get() + 1), mux);
+        let round = |sim: &mut Simulator| {
+            let start = sim.now();
+            for ms in 1..=200u64 {
+                sim.run_until(start + SimDuration::from_millis(ms));
+                for _ in 0..10 {
+                    timer.rearm_at(sim, sim.now() + SimDuration::from_millis(30));
+                }
+            }
+            sim.run();
+        };
+        round(&mut sim);
+        let (allocs, ()) = allocs_of(|| round(&mut sim));
+        assert_eq!(fired.get(), 2);
+        allocs
+    };
+    assert_none_per_packet("timer rearm", rearm(None), 2_000);
+    assert_none_per_packet("timer rearm in a mux", rearm(Some(&TimerMux::new())), 2_000);
+
+    let mut sim = Simulator::new();
+    let timer = Timer::new();
+    timer.arm_at(&mut sim, Timestamp::from_millis(1), |_| {});
+    sim.run();
+    let (allocs, ()) = allocs_of(|| {
+        for ms in 2..=101u64 {
+            timer.arm_at(&mut sim, Timestamp::from_millis(ms), |_| {});
+        }
+    });
+    assert!(
+        allocs >= 100,
+        "a closure per arm is a box per arm: {allocs}"
+    );
+}
