@@ -45,9 +45,9 @@ fn render_body(plan: &SitePlan, idx: usize) -> Bytes {
 /// Build the recorded response for object `idx`.
 fn render_response(plan: &SitePlan, idx: usize, body: Bytes) -> Response {
     let obj = &plan.objects[idx];
-    let mut headers = HeaderMap::new();
+    let mut headers = HeaderMap::with_capacity(4, 128);
     headers.append("Content-Type", obj.kind.content_type());
-    headers.append("Content-Length", body.len().to_string());
+    headers.set_content_length(body.len());
     headers.append("Server", "mm-corpus/0.1");
     headers.append("Cache-Control", "max-age=0");
     Response {

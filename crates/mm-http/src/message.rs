@@ -102,8 +102,10 @@ pub struct Request {
 impl Request {
     /// A GET request for `target` on `host`, HTTP/1.1.
     pub fn get(target: impl Into<String>, host: impl Into<String>) -> Request {
-        let mut headers = HeaderMap::new();
-        headers.append("Host", host.into());
+        let host = host.into();
+        // Room for the field or two a caller usually adds.
+        let mut headers = HeaderMap::with_capacity(4, "Host".len() + host.len() + 32);
+        headers.append("Host", host);
         Request {
             method: Method::Get,
             target: target.into(),
@@ -160,7 +162,7 @@ impl Response {
     pub fn ok(body: Bytes, content_type: &str) -> Response {
         let mut headers = HeaderMap::new();
         headers.append("Content-Type", content_type);
-        headers.append("Content-Length", body.len().to_string());
+        headers.set_content_length(body.len());
         Response {
             version: Version::Http11,
             status: 200,

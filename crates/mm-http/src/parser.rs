@@ -37,14 +37,16 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 
 /// Split raw header bytes (without the trailing blank line) into the start
 /// line and a HeaderMap.
-fn parse_head(raw: &[u8]) -> Result<(String, HeaderMap), ParseError> {
+fn parse_head(raw: &[u8]) -> Result<(&str, HeaderMap), ParseError> {
     let text = std::str::from_utf8(raw).map_err(|_| ParseError("non-UTF8 header".into()))?;
     let mut lines = text.split("\r\n");
-    let start = lines.next().unwrap_or("").to_string();
+    let start = lines.next().unwrap_or("");
     if start.is_empty() {
         return err("empty start line");
     }
-    let mut headers = HeaderMap::new();
+    // One field per line after the first, none longer than the head.
+    let fields = raw.iter().filter(|&&b| b == b'\n').count();
+    let mut headers = HeaderMap::with_capacity(fields, raw.len() - start.len());
     for line in lines {
         if line.is_empty() {
             continue;
@@ -58,6 +60,33 @@ fn parse_head(raw: &[u8]) -> Result<(String, HeaderMap), ParseError> {
         headers.append(name, value.trim());
     }
     Ok((start, headers))
+}
+
+/// A request head: request line and fields.
+fn parse_request_head(raw: &[u8]) -> Result<(Method, String, Version, HeaderMap), ParseError> {
+    let (start, headers) = parse_head(raw)?;
+    let mut parts = start.split(' ');
+    let (m, t, v) = (parts.next(), parts.next(), parts.next());
+    let (Some(m), Some(t), Some(v)) = (m, t, v) else {
+        return err(format!("malformed request line: {start:?}"));
+    };
+    let version = Version::from_token(v).ok_or_else(|| ParseError(format!("bad version {v:?}")))?;
+    Ok((Method::from_token(m), t.to_string(), version, headers))
+}
+
+/// A response head: status line and fields.
+fn parse_response_head(raw: &[u8]) -> Result<(Version, u16, String, HeaderMap), ParseError> {
+    let (start, headers) = parse_head(raw)?;
+    let mut parts = start.splitn(3, ' ');
+    let (v, code, reason) = (parts.next(), parts.next(), parts.next());
+    let (Some(v), Some(code)) = (v, code) else {
+        return err(format!("malformed status line: {start:?}"));
+    };
+    let version = Version::from_token(v).ok_or_else(|| ParseError(format!("bad version {v:?}")))?;
+    let status: u16 = code
+        .parse()
+        .map_err(|_| ParseError(format!("bad status {code:?}")))?;
+    Ok((version, status, reason.unwrap_or("").to_string(), headers))
 }
 
 /// Body-framing state shared by both parsers.
@@ -304,19 +333,12 @@ impl RequestParser {
                 let Some(end) = find_header_end(&self.machine.buf) else {
                     break;
                 };
-                let parsed = parse_head(&self.machine.buf[..end - 4]);
+                let parsed = parse_request_head(&self.machine.buf[..end - 4]);
                 self.machine.buf.advance(end);
-                let (start, headers) = parsed?;
-                let mut parts = start.split(' ');
-                let (m, t, v) = (parts.next(), parts.next(), parts.next());
-                let (Some(m), Some(t), Some(v)) = (m, t, v) else {
-                    return err(format!("malformed request line: {start:?}"));
-                };
-                let version = Version::from_token(v)
-                    .ok_or_else(|| ParseError(format!("bad version {v:?}")))?;
-                let framing = request_framing(&headers)?;
+                let head = parsed?;
+                let framing = request_framing(&head.3)?;
                 self.machine.begin_body(framing.body);
-                self.pending_head = Some((Method::from_token(m), t.to_string(), version, headers));
+                self.pending_head = Some(head);
             }
             match self.machine.drive_body()? {
                 Some(body) => {
@@ -385,24 +407,13 @@ impl ResponseParser {
                 let Some(end) = find_header_end(&self.machine.buf) else {
                     break;
                 };
-                let parsed = parse_head(&self.machine.buf[..end - 4]);
+                let parsed = parse_response_head(&self.machine.buf[..end - 4]);
                 self.machine.buf.advance(end);
-                let (start, headers) = parsed?;
-                let mut parts = start.splitn(3, ' ');
-                let (v, code, reason) = (parts.next(), parts.next(), parts.next());
-                let (Some(v), Some(code)) = (v, code) else {
-                    return err(format!("malformed status line: {start:?}"));
-                };
-                let version = Version::from_token(v)
-                    .ok_or_else(|| ParseError(format!("bad version {v:?}")))?;
-                let status: u16 = code
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad status {code:?}")))?;
+                let head = parsed?;
                 let to_head = self.head_queue.pop_front().unwrap_or(false);
-                let framing = response_framing(status, &headers, to_head)?;
+                let framing = response_framing(head.1, &head.3, to_head)?;
                 self.machine.begin_body(framing.body);
-                self.pending_head =
-                    Some((version, status, reason.unwrap_or("").to_string(), headers));
+                self.pending_head = Some(head);
             }
             match self.machine.drive_body()? {
                 Some(body) => {

@@ -5,7 +5,7 @@
 //! Hostnames are also carried verbatim (the `Host` header keeps the
 //! original name); resolution is the browser's concern.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A parsed absolute URL (scheme://host[:port]/target).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -79,7 +79,9 @@ impl Url {
 
     /// The `host:port` authority string.
     pub fn authority(&self) -> String {
-        format!("{}:{}", self.host, self.port)
+        let mut authority = String::with_capacity(self.host.len() + ":65535".len());
+        write!(authority, "{}:{}", self.host, self.port).expect("writing to a String");
+        authority
     }
 }
 

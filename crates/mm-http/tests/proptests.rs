@@ -136,3 +136,81 @@ proptest! {
         let _ = p.feed(&data);
     }
 }
+
+proptest! {
+    /// `HeaderMap` — one buffer plus spans — behaves as the list of owned
+    /// (name, value) pairs it used to be: case-insensitive, order-
+    /// preserving, duplicates kept; clones and JSON round trips are equal
+    /// to it however many removed fields its buffer still holds.
+    #[test]
+    fn header_map_matches_a_vec_of_pairs(
+        ops in prop::collection::vec((0u8..5, "[a-cA-C]{1,2}", arb_header_value()), 0..40),
+    ) {
+        let mut map = HeaderMap::new();
+        let mut model: Vec<(String, String)> = Vec::new();
+        let named = |model: &[(String, String)], name: &str| -> Vec<String> {
+            let same = model.iter().filter(|(n, _)| n.eq_ignore_ascii_case(name));
+            same.map(|(_, v)| v.clone()).collect()
+        };
+        for (op, name, value) in ops {
+            match op {
+                0 | 1 => {
+                    map.append(&name, &value);
+                    model.push((name.clone(), value));
+                }
+                2 => {
+                    map.set(&name, &value);
+                    model.retain(|(n, _)| !n.eq_ignore_ascii_case(&name));
+                    model.push((name.clone(), value));
+                }
+                3 => {
+                    let before = model.len();
+                    model.retain(|(n, _)| !n.eq_ignore_ascii_case(&name));
+                    prop_assert_eq!(map.remove(&name), before - model.len());
+                }
+                _ => {}
+            }
+            let values = named(&model, &name);
+            prop_assert_eq!(map.get(&name), values.first().map(String::as_str));
+            prop_assert_eq!(map.get_all(&name), values);
+            prop_assert_eq!(map.contains(&name), !values.is_empty());
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+            let fields: Vec<_> = map.iter().map(|h| (h.name.to_string(), h.value.to_string())).collect();
+            prop_assert_eq!(&fields, &model);
+        }
+        // The same fields reached by appends alone.
+        let mut fresh = HeaderMap::new();
+        for (n, v) in &model {
+            fresh.append(n, v);
+        }
+        prop_assert_eq!(&map, &fresh);
+        prop_assert_eq!(&map.clone(), &fresh);
+        let json = serde_json::to_string(&map).unwrap();
+        prop_assert_eq!(&json, &serde_json::to_string(&fresh).unwrap());
+        prop_assert_eq!(&serde_json::from_str::<HeaderMap>(&json).unwrap(), &map);
+    }
+}
+
+/// The wire form of a message is its fields in order, whatever the map
+/// holding them looks like inside.
+#[test]
+fn wire_bytes_are_the_fields_in_order() {
+    let mut req = Request::get("/a?b=1", "example.com");
+    req.headers.append("X-Gone", "soon");
+    req.headers.append("Accept", "*/*");
+    req.headers.remove("x-gone");
+    assert_eq!(
+        &write_request(&req)[..],
+        b"GET /a?b=1 HTTP/1.1\r\nHost: example.com\r\nAccept: */*\r\n\r\n"
+    );
+    let mut resp = Response::ok(Bytes::from_static(b"hi"), "text/plain");
+    resp.headers.append("Set-Cookie", "a=1");
+    resp.headers.append("set-cookie", "b=2");
+    resp.headers.set("Content-Length", "2");
+    assert_eq!(
+        &write_response(&resp)[..],
+        &b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nSet-Cookie: a=1\r\n\
+           set-cookie: b=2\r\nContent-Length: 2\r\n\r\nhi"[..]
+    );
+}

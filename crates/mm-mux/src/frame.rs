@@ -302,7 +302,7 @@ pub fn request_fields(req: &Request) -> Vec<(String, String)> {
     ];
     for h in req.headers.iter() {
         if !h.name.eq_ignore_ascii_case("host") {
-            fields.push((h.name.clone(), h.value.clone()));
+            fields.push((h.name.to_string(), h.value.to_string()));
         }
     }
     fields
@@ -323,7 +323,7 @@ pub fn request_from_fields(fields: &[(String, String)]) -> Result<Request, Decod
     headers.append("Host", authority);
     for (name, value) in fields {
         if !name.starts_with(':') {
-            headers.append(name.clone(), value.clone());
+            headers.append(name, value);
         }
     }
     Ok(Request {
@@ -342,7 +342,7 @@ pub fn response_fields(resp: &Response) -> Vec<(String, String)> {
         (":reason".to_string(), resp.reason.clone()),
     ];
     for h in resp.headers.iter() {
-        fields.push((h.name.clone(), h.value.clone()));
+        fields.push((h.name.to_string(), h.value.to_string()));
     }
     fields
 }
@@ -363,7 +363,7 @@ pub fn response_from_fields(fields: &[(String, String)]) -> Result<Response, Dec
     let mut headers = HeaderMap::new();
     for (name, value) in fields {
         if !name.starts_with(':') {
-            headers.append(name.clone(), value.clone());
+            headers.append(name, value);
         }
     }
     Ok(Response {

@@ -15,6 +15,7 @@ pub mod cc;
 pub mod pacing;
 pub mod rack;
 pub mod rate;
+pub mod retx;
 pub mod rtt;
 pub mod sack;
 pub mod socket;

@@ -83,6 +83,53 @@ pub struct RateSample {
     pub is_app_limited: bool,
 }
 
+/// The queue under both windowed filters: a deque whose front lives
+/// inline. A filter is a monotone deque, and most of a short connection's
+/// samples displace everything before them, so most sockets never hold
+/// more than one — and then never allocate here.
+#[derive(Debug, Clone)]
+struct FrontInline<T> {
+    /// `None` only while the whole queue is empty.
+    front: Option<T>,
+    rest: VecDeque<T>,
+}
+
+impl<T> Default for FrontInline<T> {
+    fn default() -> Self {
+        FrontInline {
+            front: None,
+            rest: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> FrontInline<T> {
+    fn front(&self) -> Option<&T> {
+        self.front.as_ref()
+    }
+
+    fn back(&self) -> Option<&T> {
+        self.rest.back().or(self.front.as_ref())
+    }
+
+    fn push_back(&mut self, item: T) {
+        match self.front {
+            None => self.front = Some(item),
+            Some(_) => self.rest.push_back(item),
+        }
+    }
+
+    fn pop_back(&mut self) {
+        if self.rest.pop_back().is_none() {
+            self.front = None;
+        }
+    }
+
+    fn pop_front(&mut self) {
+        self.front = self.rest.pop_front();
+    }
+}
+
 /// Windowed minimum filter over RTT samples: a monotone deque keyed by
 /// sample time. Within a window the reported minimum is non-increasing
 /// as samples arrive (property-tested); old minima expire after
@@ -92,7 +139,7 @@ pub struct MinRttFilter {
     window: SimDuration,
     /// (sample time, rtt), increasing in both fields: front is the
     /// current minimum, later entries are successors-in-waiting.
-    samples: VecDeque<(Timestamp, SimDuration)>,
+    samples: FrontInline<(Timestamp, SimDuration)>,
 }
 
 impl MinRttFilter {
@@ -100,7 +147,7 @@ impl MinRttFilter {
     pub fn new(window: SimDuration) -> Self {
         MinRttFilter {
             window,
-            samples: VecDeque::new(),
+            samples: FrontInline::default(),
         }
     }
 
@@ -151,13 +198,13 @@ impl Default for MinRttFilter {
 #[derive(Debug, Clone, Default)]
 pub struct WindowedMaxBw<K> {
     /// (key, bw), increasing in key, decreasing in bw: front is the max.
-    samples: VecDeque<(K, u64)>,
+    samples: FrontInline<(K, u64)>,
 }
 
 impl<K: Copy + PartialOrd> WindowedMaxBw<K> {
     pub fn new() -> Self {
         WindowedMaxBw {
-            samples: VecDeque::new(),
+            samples: FrontInline::default(),
         }
     }
 

@@ -28,12 +28,12 @@
 //! produced packets, and only then fires application events.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 use bytes::{Bytes, BytesMut};
 use mm_metrics::{FlowSample, MetricsHandle};
-use mm_sim::{SimDuration, Simulator, Timer, TimerHandler, TimerMux, Timestamp};
+use mm_sim::{BankHandler, SimDuration, Simulator, TimerBank, TimerMux, Timestamp};
 use mm_trace::{Span, SpanHandle, SpanKind, NO_RESOURCE};
 
 use crate::addr::SocketAddr;
@@ -43,6 +43,7 @@ use crate::tcp::cc::{make_controller, CcAlgorithm, CongestionControl};
 use crate::tcp::pacing::{Pacer, PACING_GAIN_CA, PACING_GAIN_SS};
 use crate::tcp::rack::{FrtoState, RackState, TLP_SLACK};
 use crate::tcp::rate::{RateEstimator, TxRecord};
+use crate::tcp::retx::{SeqRing, Sequenced};
 use crate::tcp::rtt::RttEstimator;
 use crate::tcp::sack::{ReceiverSack, Scoreboard, DUP_THRESH};
 
@@ -320,9 +321,20 @@ struct RetxEntry {
     /// Whether this entry currently counts toward the incremental pipe
     /// estimate (see [`TcpInner::pipe`]).
     in_pipe: bool,
+    /// RACK has deemed this segment lost. The mark stays with the entry
+    /// through partial-ack trims and goes when the segment is delivered
+    /// (which also widens the adaptive reordering window — the mark was
+    /// wrong).
+    rack_lost: bool,
     /// Delivery-rate bookkeeping stamped at first transmission
     /// (draft-cheng per-packet state; see [`crate::tcp::rate`]).
     tx: TxRecord,
+}
+
+impl Sequenced for RetxEntry {
+    fn seq(&self) -> u64 {
+        self.segment.seq
+    }
 }
 
 /// Full connection state. Public API lives on [`TcpHandle`].
@@ -343,8 +355,8 @@ pub struct TcpInner {
     send_queue: VecDeque<Bytes>,
     /// Bytes queued in `send_queue`.
     send_queued_bytes: u64,
-    /// Transmitted, unacknowledged segments keyed by starting seq.
-    retx: BTreeMap<u64, RetxEntry>,
+    /// Transmitted, unacknowledged segments in sequence order.
+    retx: SeqRing<RetxEntry>,
     /// FIN requested by the app; sent once the queue drains.
     fin_pending: bool,
     /// Sequence number of our FIN, once sent.
@@ -390,11 +402,6 @@ pub struct TcpInner {
     /// RACK delivery-time state (active only at the `RackTlp` tier once
     /// SACK negotiates).
     rack: RackState,
-    /// Starting seqs of entries RACK has deemed lost. Marks move with
-    /// partial-ack trims and are dropped when the segment is delivered
-    /// (which also widens the adaptive reordering window — the mark was
-    /// wrong).
-    rack_lost: BTreeSet<u64>,
     /// Earliest pending RACK reordering-window expiry, consumed by
     /// `manage_timers` (timer arming needs the simulator, which segment
     /// processing does not hold).
@@ -457,19 +464,14 @@ pub struct TcpInner {
     /// to [`TcpHandle::flush`], put back empty. One per host, kept for
     /// its capacity — a host runs one socket's entry point at a time.
     out: Rc<RefCell<Vec<Packet>>>,
-    rto_timer: SocketTimer,
+    /// The socket's five timers (`RTO` … `PACING`), bound at construction
+    /// to the methods they run.
+    timers: TimerBank<SocketFire, 5>,
     /// Set when new data was acked: RFC 6298 (5.3) restarts the RTO timer
     /// so it measures time since the *latest* forward progress, not since
     /// the oldest transmission — otherwise deep queues cause spurious
     /// timeouts.
     rearm_rto: bool,
-    ack_timer: SocketTimer,
-    /// Tail Loss Probe timer (RackTlp tier only).
-    tlp_timer: SocketTimer,
-    /// RACK reordering-window timer (RackTlp tier only).
-    reo_timer: SocketTimer,
-    /// Pacing release timer (pacing only).
-    pacing_timer: SocketTimer,
     app: Option<Rc<dyn SocketApp>>,
     /// Events waiting to be dispatched once the borrow is released.
     pending_events: VecDeque<SocketEvent>,
@@ -548,23 +550,37 @@ impl WeakTcpHandle {
     }
 }
 
-/// One of a socket's five timers: bound at construction to the method it
-/// runs, so re-arming it allocates nothing.
-type SocketTimer = Timer<SocketFire>;
+/// Slots of [`TcpInner::timers`].
+const RTO: usize = 0;
+/// Delayed ACK.
+const ACK: usize = 1;
+/// Tail Loss Probe (RackTlp tier only).
+const TLP: usize = 2;
+/// RACK reordering window (RackTlp tier only).
+const REO: usize = 3;
+/// Pacing release (pacing only).
+const PACING: usize = 4;
 
-/// What a [`SocketTimer`] does when it fires. It holds the socket weakly —
-/// a timer is the socket's own, and a shared [`TimerMux`] is reachable
+/// What a socket's timers do when they fire. It holds the socket weakly —
+/// the timers are the socket's own, and a shared [`TimerMux`] is reachable
 /// from the socket — so a socket whose host is gone is freed with it and
 /// the stale firing does nothing.
 struct SocketFire {
     socket: WeakTcpHandle,
-    fire: fn(&TcpHandle, &mut Simulator),
 }
 
-impl TimerHandler for SocketFire {
-    fn on_fire(&self, sim: &mut Simulator) {
-        if let Some(socket) = self.socket.upgrade() {
-            (self.fire)(&socket, sim);
+impl BankHandler for SocketFire {
+    fn on_fire(&self, sim: &mut Simulator, slot: usize) {
+        let Some(socket) = self.socket.upgrade() else {
+            return;
+        };
+        match slot {
+            RTO => socket.on_rto(sim),
+            ACK => socket.on_ack_timer(sim),
+            TLP => socket.on_tlp(sim),
+            REO => socket.on_reo_timer(sim),
+            PACING => socket.on_pace_timer(sim),
+            _ => unreachable!("a socket has five timers"),
         }
     }
 }
@@ -615,10 +631,8 @@ impl TcpInner {
         // All five per-socket timers share the host's mux when one is
         // installed — one dispatcher slot in the global heap per host
         // instead of a dead entry per (re)arm per socket.
-        let timer = |fire| {
-            let socket = WeakTcpHandle { inner: me.clone() };
-            Timer::bound(SocketFire { socket, fire }, host.timer_mux.as_ref())
-        };
+        let socket = WeakTcpHandle { inner: me.clone() };
+        let timers = TimerBank::bound(SocketFire { socket }, host.timer_mux.as_ref());
         // Register with the flow tracer (if the sink carries one) before
         // any samples can fire; the id is `None` when tracing is off so
         // the sample path short-circuits.
@@ -636,7 +650,7 @@ impl TcpInner {
             snd_wnd: u64::MAX,
             send_queue: VecDeque::new(),
             send_queued_bytes: 0,
-            retx: BTreeMap::new(),
+            retx: SeqRing::new(),
             fin_pending: false,
             fin_seq: None,
             cc,
@@ -654,7 +668,6 @@ impl TcpInner {
             pipe_count: 0,
             loss_frontier: 0,
             rack: RackState::new(),
-            rack_lost: BTreeSet::new(),
             reo_deadline: None,
             rack_mark_high: None,
             rack_dirty: false,
@@ -675,12 +688,8 @@ impl TcpInner {
             egress: host.egress,
             packet_ids: host.packet_ids,
             out: host.out,
-            rto_timer: timer(TcpHandle::on_rto),
+            timers,
             rearm_rto: false,
-            ack_timer: timer(TcpHandle::on_ack_timer),
-            tlp_timer: timer(TcpHandle::on_tlp),
-            reo_timer: timer(TcpHandle::on_reo_timer),
-            pacing_timer: timer(TcpHandle::on_pace_timer),
             app: None,
             pending_events: VecDeque::new(),
             stats: TcpStats::default(),
@@ -1006,7 +1015,7 @@ impl TcpInner {
                     self.enter_fin_state();
                 }
                 let len = seg.seq_len();
-                self.insert_retx(seq, seg, now);
+                self.insert_retx(seg, now);
                 if let Some(rate) = pace_rate {
                     self.pacer.on_sent(now, len, rate);
                 }
@@ -1019,7 +1028,7 @@ impl TcpInner {
                 self.snd_nxt += 1;
                 self.fin_seq = Some(seq);
                 self.enter_fin_state();
-                self.insert_retx(seq, seg, now);
+                self.insert_retx(seg, now);
                 out.push(pkt);
                 break;
             }
@@ -1045,25 +1054,23 @@ impl TcpInner {
 
     /// Retransmit the earliest unacknowledged segment.
     fn retransmit_head(&mut self, now: Timestamp, out: &mut Vec<Packet>) {
-        let Some((&seq, _)) = self.retx.iter().next() else {
-            return;
-        };
-        self.retransmit_seq(seq, now, out);
+        if !self.retx.is_empty() {
+            self.retransmit_at(0, now, out);
+        }
     }
 
-    /// Retransmit the retx entry starting at `seq`. Returns the sequence
-    /// space re-sent (0 if there is no such entry).
-    fn retransmit_seq(&mut self, seq: u64, now: Timestamp, out: &mut Vec<Packet>) -> u64 {
+    /// Retransmit the retx entry at `index`. Returns the sequence space
+    /// re-sent.
+    fn retransmit_at(&mut self, index: usize, now: Timestamp, out: &mut Vec<Packet>) -> u64 {
         let rack_active = self.rack_active();
-        let Some(entry) = self.retx.get_mut(&seq) else {
-            return 0;
-        };
+        let entry = &mut self.retx[index];
         entry.retransmitted = true;
         if rack_active {
             // RACK keys loss inference off *last* transmission times.
             entry.sent_at = now;
         }
         let seg = entry.segment.clone();
+        let seq = seg.seq;
         let seq_len = seg.seq_len();
         self.stats.retransmissions += 1;
         self.metric_count("tcp_retransmits_total");
@@ -1101,7 +1108,7 @@ impl TcpInner {
         // regardless of any loss presumption about the original. The
         // refresh must precede the sample, or observers see the
         // retransmitted flag flipped with the pipe counter still stale.
-        self.refresh_pipe_entry(seq);
+        self.refresh_pipe_entry(index);
         self.metric_sample(now);
         seq_len
     }
@@ -1137,8 +1144,8 @@ impl TcpInner {
     fn pipe_walk(&self) -> u64 {
         self.retx
             .iter()
-            .filter(|&(&seq, e)| self.entry_counts(seq, e.segment.seq_end(), e.retransmitted))
-            .map(|(_, e)| e.segment.seq_len())
+            .filter(|e| self.entry_counts(e))
+            .map(|e| e.segment.seq_len())
             .sum()
     }
 
@@ -1148,63 +1155,57 @@ impl TcpInner {
     /// reader — the definitional walk, the per-entry refresh, and the
     /// bulk rebuild — goes through here, so the incremental counter and
     /// the walk cannot drift apart by a one-sided edit.
-    fn entry_counts(&self, seq: u64, end: u64, retransmitted: bool) -> bool {
-        if self.scoreboard.is_sacked(seq, end) {
+    fn entry_counts(&self, e: &RetxEntry) -> bool {
+        if self
+            .scoreboard
+            .is_sacked(e.segment.seq, e.segment.seq_end())
+        {
             return false;
         }
-        retransmitted || !self.entry_is_lost(seq, end)
+        e.retransmitted || !self.entry_is_lost(e)
     }
 
     /// Insert a freshly transmitted segment into the retransmission
     /// queue. A new transmission always counts toward pipe: nothing
     /// above it can be sacked and no loss evidence about it can exist.
-    fn insert_retx(&mut self, seq: u64, segment: TcpSegment, sent_at: Timestamp) {
+    fn insert_retx(&mut self, segment: TcpSegment, sent_at: Timestamp) {
         // Delivery-rate stamp (the flight-empty check must precede the
         // insert: an idle restart resets the sample window).
         let tx = self.rate.on_send(sent_at, self.retx.is_empty());
         self.pipe_count += segment.seq_len();
-        self.retx.insert(
-            seq,
-            RetxEntry {
-                segment,
-                sent_at,
-                first_sent_at: sent_at,
-                retransmitted: false,
-                in_pipe: true,
-                tx,
-            },
-        );
+        self.retx.push_back(RetxEntry {
+            segment,
+            sent_at,
+            first_sent_at: sent_at,
+            retransmitted: false,
+            in_pipe: true,
+            rack_lost: false,
+            tx,
+        });
         self.stats.max_retx_queue = self.stats.max_retx_queue.max(self.retx.len() as u64);
     }
 
-    /// Remove a retx entry, keeping the pipe counter in step.
-    fn remove_retx(&mut self, seq: u64) -> Option<RetxEntry> {
-        let e = self.retx.remove(&seq)?;
+    /// `e` has left the retx queue: keep the pipe counter in step.
+    fn uncount_retx(&mut self, e: &RetxEntry) {
         if e.in_pipe {
             self.pipe_count -= e.segment.seq_len();
         }
-        Some(e)
     }
 
-    /// Recompute one entry's pipe contribution after a state transition
-    /// (sacked, marked lost, retransmitted, trimmed) and adjust the
-    /// counter by the difference.
-    fn refresh_pipe_entry(&mut self, seq: u64) {
-        let Some(e) = self.retx.get(&seq) else {
-            return;
-        };
-        let end = e.segment.seq_end();
+    /// Recompute the pipe contribution of the entry at `index` after a
+    /// state transition (sacked, marked lost, retransmitted, trimmed) and
+    /// adjust the counter by the difference.
+    fn refresh_pipe_entry(&mut self, index: usize) {
+        let e = &self.retx[index];
         let len = e.segment.seq_len();
-        let retransmitted = e.retransmitted;
-        let was = e.in_pipe;
-        let counts = self.entry_counts(seq, end, retransmitted);
-        if counts != was {
+        let counts = self.entry_counts(e);
+        if counts != e.in_pipe {
             if counts {
                 self.pipe_count += len;
             } else {
                 self.pipe_count -= len;
             }
-            self.retx.get_mut(&seq).unwrap().in_pipe = counts;
+            self.retx[index].in_pipe = counts;
         }
     }
 
@@ -1213,16 +1214,13 @@ impl TcpInner {
     /// would touch every entry anyway.
     fn rebuild_pipe(&mut self) {
         let mut total = 0;
-        let keys: Vec<u64> = self.retx.keys().copied().collect();
-        for seq in keys {
-            let e = &self.retx[&seq];
-            let end = e.segment.seq_end();
-            let len = e.segment.seq_len();
-            let counts = self.entry_counts(seq, end, e.retransmitted);
+        for index in 0..self.retx.len() {
+            let e = &self.retx[index];
+            let counts = self.entry_counts(e);
             if counts {
-                total += len;
+                total += e.segment.seq_len();
             }
-            self.retx.get_mut(&seq).unwrap().in_pipe = counts;
+            self.retx[index].in_pipe = counts;
         }
         self.pipe_count = total;
     }
@@ -1238,17 +1236,12 @@ impl TcpInner {
         for d in delta {
             // Entries are disjoint; the one containing d.start may begin
             // below it.
-            let first = self
-                .retx
-                .range(..=d.start)
-                .next_back()
-                .map(|(&s, _)| s)
-                .unwrap_or(d.start);
-            let keys: Vec<u64> = self.retx.range(first..d.end).map(|(&s, _)| s).collect();
-            for seq in keys {
-                let (end, sent_at, retransmitted, tx) = {
-                    let e = &self.retx[&seq];
-                    (e.segment.seq_end(), e.sent_at, e.retransmitted, e.tx)
+            let first = self.retx.lower_bound(d.start + 1).saturating_sub(1);
+            for index in first..self.retx.lower_bound(d.end) {
+                let (seq, end, sent_at, retransmitted, tx) = {
+                    let e = &self.retx[index];
+                    let seg = &e.segment;
+                    (seg.seq, seg.seq_end(), e.sent_at, e.retransmitted, e.tx)
                 };
                 if self.scoreboard.is_sacked(seq, end) {
                     if !retransmitted {
@@ -1266,13 +1259,14 @@ impl TcpInner {
                             self.rack_dirty |=
                                 self.rack.on_delivered(sent_at, end, retransmitted, now);
                         }
-                        if self.rack_lost.remove(&seq) && !retransmitted {
+                        let marked = std::mem::take(&mut self.retx[index].rack_lost);
+                        if marked && !retransmitted {
                             // The "lost" original was merely reordered.
                             self.rack.on_spurious_mark();
                         }
                     }
                 }
-                self.refresh_pipe_entry(seq);
+                self.refresh_pipe_entry(index);
             }
         }
         if !delta.is_empty() {
@@ -1285,36 +1279,29 @@ impl TcpInner {
     /// first unsacked entry that is not lost: `IsLost` is monotone
     /// downward, so nothing above it can be lost either.
     fn advance_loss_frontier(&mut self) {
-        loop {
-            let Some((&seq, e)) = self.retx.range(self.loss_frontier..).next() else {
-                return;
-            };
+        for index in self.retx.lower_bound(self.loss_frontier)..self.retx.len() {
+            let e = &self.retx[index];
             let end = e.segment.seq_end();
-            if self.scoreboard.is_sacked(seq, end) {
+            if self.scoreboard.is_sacked(e.segment.seq, end) {
                 self.loss_frontier = end;
-                continue;
-            }
-            if self.entry_is_lost(seq, end) {
+            } else if self.entry_is_lost(e) {
                 self.loss_frontier = end;
-                self.refresh_pipe_entry(seq);
-                continue;
+                self.refresh_pipe_entry(index);
+            } else {
+                return;
             }
-            return;
         }
     }
 
-    /// Is the outstanding segment `[seq, end)` presumed lost — by the
-    /// scoreboard's DupThresh evidence, by a timeout having declared
-    /// everything below `lost_point` gone, or by a RACK delivery-time
-    /// mark?
-    fn entry_is_lost(&self, seq: u64, end: u64) -> bool {
+    /// Is the outstanding segment `e` presumed lost — by the scoreboard's
+    /// DupThresh evidence, by a timeout having declared everything below
+    /// `lost_point` gone, or by a RACK delivery-time mark?
+    fn entry_is_lost(&self, e: &RetxEntry) -> bool {
+        let (seq, end) = (e.segment.seq, e.segment.seq_end());
         if seq < self.lost_point && !self.scoreboard.is_sacked(seq, end) {
             return true;
         }
-        if self.rack_lost.contains(&seq) {
-            return true;
-        }
-        self.scoreboard.is_lost(seq, end)
+        e.rack_lost || self.scoreboard.is_lost(seq, end)
     }
 
     /// Whether the RACK-TLP machinery runs on this connection: the
@@ -1420,10 +1407,7 @@ impl TcpInner {
     /// Is the first outstanding segment presumed lost? (RFC 6675's
     /// recovery trigger alongside the DupThresh rule.)
     fn head_is_lost(&self) -> bool {
-        match self.retx.iter().next() {
-            Some((&seq, e)) => self.entry_is_lost(seq, e.segment.seq_end()),
-            None => false,
-        }
+        self.retx.front().is_some_and(|e| self.entry_is_lost(e))
     }
 
     /// RACK loss detection (RFC 8985): mark outstanding segments lost
@@ -1447,10 +1431,10 @@ impl TcpInner {
         let Some((clock_ts, clock_end)) = self.rack.clock() else {
             return;
         };
-        let mut marks: Vec<(u64, Timestamp, u64)> = Vec::new();
         let mut next: Option<Timestamp> = None;
-        for (&seq, e) in &self.retx {
-            let end = e.segment.seq_end();
+        for index in 0..self.retx.len() {
+            let e = &self.retx[index];
+            let (seq, end) = (e.segment.seq, e.segment.seq_end());
             // First-transmission (time, end) pairs are monotone in
             // sequence order: once an entry's first transmission is at
             // or past the delivery clock (same tiebreak as
@@ -1462,29 +1446,28 @@ impl TcpInner {
             if e.first_sent_at > clock_ts || (e.first_sent_at == clock_ts && end >= clock_end) {
                 break;
             }
-            if self.rack_lost.contains(&seq)
+            if e.rack_lost
                 || self.scoreboard.is_sacked(seq, end)
                 || !self.rack.sent_after(e.sent_at, end)
             {
                 continue;
             }
-            let deadline = self.rack.lost_deadline(e.sent_at);
+            let sent_at = e.sent_at;
+            let deadline = self.rack.lost_deadline(sent_at);
             if deadline <= now {
-                marks.push((seq, e.sent_at, end));
+                // A mark touches nothing the rest of the scan reads.
+                self.retx[index].rack_lost = true;
+                self.stats.rack_loss_marks += 1;
+                if self.rack_mark_high.is_none_or(|high| high < (sent_at, end)) {
+                    self.rack_mark_high = Some((sent_at, end));
+                }
+                self.refresh_pipe_entry(index);
             } else {
                 next = Some(match next {
                     Some(d) => d.min(deadline),
                     None => deadline,
                 });
             }
-        }
-        for (seq, sent_at, end) in marks {
-            self.rack_lost.insert(seq);
-            self.stats.rack_loss_marks += 1;
-            if self.rack_mark_high.is_none_or(|high| high < (sent_at, end)) {
-                self.rack_mark_high = Some((sent_at, end));
-            }
-            self.refresh_pipe_entry(seq);
         }
         self.reo_deadline = next;
     }
@@ -1579,22 +1562,16 @@ impl TcpInner {
             return 0;
         };
         // Rule 1.
-        let mut rule1: Option<u64> = None;
-        for (&seq, e) in self.retx.range(..rp) {
-            if e.retransmitted {
-                continue;
-            }
-            let end = e.segment.seq_end();
-            if self.scoreboard.is_sacked(seq, end) {
-                continue;
-            }
-            if self.entry_is_lost(seq, end) {
-                rule1 = Some(seq);
-                break;
-            }
-        }
-        if let Some(seq) = rule1 {
-            return self.retransmit_seq(seq, now, out);
+        let below_rp = self.retx.lower_bound(rp);
+        let rule1 = self.retx.iter().take(below_rp).position(|e| {
+            !e.retransmitted
+                && !self
+                    .scoreboard
+                    .is_sacked(e.segment.seq, e.segment.seq_end())
+                && self.entry_is_lost(e)
+        });
+        if let Some(index) = rule1 {
+            return self.retransmit_at(index, now, out);
         }
         // Rule 2 (gated by the peer's advertised window; PRR owns the
         // congestion budget).
@@ -1603,18 +1580,22 @@ impl TcpInner {
         }
         // Rescue.
         if !self.rescue_done {
-            let rescue = self
-                .retx
-                .range(..rp)
-                .rev()
-                .find(|(&seq, e)| !self.scoreboard.is_sacked(seq, e.segment.seq_end()))
-                .map(|(&seq, _)| seq);
-            if let Some(seq) = rescue {
+            let rescue = self.highest_unsacked_below(below_rp);
+            if let Some(index) = rescue {
                 self.rescue_done = true;
-                return self.retransmit_seq(seq, now, out);
+                return self.retransmit_at(index, now, out);
             }
         }
         0
+    }
+
+    /// Index of the highest of the first `n` retx entries that the
+    /// scoreboard does not cover.
+    fn highest_unsacked_below(&self, n: usize) -> Option<usize> {
+        (0..n).rev().find(|&i| {
+            let seg = &self.retx[i].segment;
+            !self.scoreboard.is_sacked(seg.seq, seg.seq_end())
+        })
     }
 
     /// Send exactly one segment of new data (≤ MSS), bypassing the cwnd
@@ -1643,7 +1624,7 @@ impl TcpInner {
             self.enter_fin_state();
         }
         let len = seg.seq_len();
-        self.insert_retx(seq, seg, now);
+        self.insert_retx(seg, now);
         out.push(pkt);
         if self.send_queued_bytes == 0 {
             self.pending_events.push_back(SocketEvent::SendQueueDrained);
@@ -1700,8 +1681,11 @@ impl TcpInner {
         if seg.flags.syn && seg.flags.ack && seg.ack == self.snd_nxt {
             // SACK is on only if we offered and the SYN-ACK confirmed.
             self.sack_enabled = self.config.recovery.uses_sack() && seg.sack.permitted;
-            // Our SYN is acked; record RTT if not retransmitted.
-            if let Some(entry) = self.remove_retx(self.snd_nxt - 1) {
+            // Our SYN — all a socket in this state has sent — is acked;
+            // record RTT if not retransmitted.
+            if let Some(entry) = self.retx.pop_back() {
+                debug_assert_eq!(entry.segment.seq, self.snd_nxt - 1);
+                self.uncount_retx(&entry);
                 if !entry.retransmitted {
                     self.rtt.on_measurement(now.duration_since(entry.sent_at));
                 }
@@ -1711,7 +1695,7 @@ impl TcpInner {
             self.snd_wnd = seg.window;
             self.state = TcpState::Established;
             self.consecutive_timeouts = 0;
-            self.rto_timer.cancel();
+            self.timers.cancel(RTO);
             if let Some(t0) = self.conn_t0 {
                 self.span_emit(SpanKind::ConnSetup, t0, now, "handshake");
             }
@@ -1795,13 +1779,15 @@ impl TcpInner {
             let frto_armed = rack_active && !matches!(self.frto, FrtoState::Inactive);
             // Entries are disjoint and ordered, so everything this ack
             // covers is at the front of the queue: walk from the head.
-            while let Some((&k, e)) = self.retx.first_key_value() {
+            while let Some(e) = self.retx.front() {
+                let k = e.segment.seq;
                 if k >= ack {
                     break;
                 }
                 if e.segment.seq_end() <= ack {
                     let was_sacked = self.scoreboard.is_sacked(k, e.segment.seq_end());
-                    let e = self.remove_retx(k).unwrap();
+                    let e = self.retx.pop_front().expect("front exists");
+                    self.uncount_retx(&e);
                     if !e.retransmitted {
                         sample = Some(now.duration_since(e.sent_at));
                         // Unambiguous delivery: rate-sample candidate.
@@ -1826,29 +1812,25 @@ impl TcpInner {
                                 now,
                             );
                         }
-                        if self.rack_lost.remove(&k) && !e.retransmitted {
+                        if e.rack_lost && !e.retransmitted {
                             // Cumulatively acked without a retransmission:
                             // the RACK mark was reordering, not loss.
                             self.rack.on_spurious_mark();
                         }
-                    } else {
-                        self.rack_lost.remove(&k);
                     }
                 } else {
                     // Partial ack into this segment: trim the acked prefix
                     // so a future retransmit resends only what's missing.
                     // It straddles `ack`, so it is the last one covered.
-                    let cut = (ack - e.segment.seq) as usize;
+                    let cut = (ack - k) as usize;
                     if cut > 0 && cut <= e.segment.payload.len() {
-                        let mut e = self.remove_retx(k).unwrap();
+                        let e = self.retx.front_mut().expect("front exists");
+                        if std::mem::take(&mut e.in_pipe) {
+                            self.pipe_count -= e.segment.seq_len();
+                        }
                         e.segment.payload = e.segment.payload.slice(cut..);
                         e.segment.seq = ack;
-                        e.in_pipe = false;
-                        self.retx.insert(ack, e);
-                        if self.rack_lost.remove(&k) {
-                            self.rack_lost.insert(ack);
-                        }
-                        self.refresh_pipe_entry(ack);
+                        self.refresh_pipe_entry(0);
                     }
                     break;
                 }
@@ -1966,7 +1948,7 @@ impl TcpInner {
             }
 
             if self.retx.is_empty() {
-                self.rto_timer.cancel();
+                self.timers.cancel(RTO);
             }
             // FIN acked?
             if let Some(fin_seq) = self.fin_seq {
@@ -2140,7 +2122,7 @@ impl TcpInner {
                 self.unacked_segments += 1;
                 if self.unacked_segments >= 2 {
                     self.unacked_segments = 0;
-                    self.ack_timer.cancel();
+                    self.timers.cancel(ACK);
                     let pkt = self.make_ack_packet(now);
                     out.push(pkt);
                 }
@@ -2164,16 +2146,13 @@ impl TcpInner {
         }
         self.hole_since = None;
         self.state = TcpState::Closed;
-        self.rto_timer.cancel();
-        self.ack_timer.cancel();
-        self.tlp_timer.cancel();
-        self.reo_timer.cancel();
-        self.pacing_timer.cancel();
+        for slot in [RTO, ACK, TLP, REO, PACING] {
+            self.timers.cancel(slot);
+        }
         self.send_queue = VecDeque::new();
         self.send_queued_bytes = 0;
-        self.retx.clear();
+        self.retx.release();
         self.pipe_count = 0;
-        self.rack_lost.clear();
         self.reo_deadline = None;
         self.tlp_deadline = None;
         self.pace_deadline = None;
@@ -2237,7 +2216,7 @@ impl TcpHandle {
             inner.app = Some(app);
             let pkt = init(&mut inner, now);
             inner.snd_nxt = 1;
-            inner.insert_retx(0, pkt.segment.clone(), now);
+            inner.insert_retx(pkt.segment.clone(), now);
             first = Some(pkt);
             RefCell::new(inner)
         });
@@ -2506,23 +2485,23 @@ impl TcpHandle {
             let mut inner = self.inner.borrow_mut();
             let needs = !inner.retx.is_empty() && inner.state != TcpState::Closed;
             let rearm = std::mem::take(&mut inner.rearm_rto);
-            let dack = if inner.unacked_segments > 0 && !inner.ack_timer.is_armed() {
+            let dack = if inner.unacked_segments > 0 && !inner.timers.is_armed(ACK) {
                 inner.config.delayed_ack
             } else {
                 None
             };
             (needs, rearm, dack)
         };
-        if needs_rto && (rearm || !self.inner.borrow().rto_timer.is_armed()) {
+        if needs_rto && (rearm || !self.inner.borrow().timers.is_armed(RTO)) {
             self.arm_rto(sim);
         } else if !needs_rto {
-            self.inner.borrow().rto_timer.cancel();
+            self.inner.borrow().timers.cancel(RTO);
         }
         self.manage_rack_timers(sim);
         self.manage_pacing_timer(sim);
         if let Some(delay) = delayed_ack {
             let at = sim.now() + delay;
-            self.inner.borrow().ack_timer.rearm_at(sim, at);
+            self.inner.borrow().timers.rearm_at(sim, ACK, at);
         }
     }
 
@@ -2547,7 +2526,7 @@ impl TcpHandle {
     fn arm_rto(&self, sim: &mut Simulator) {
         let inner = self.inner.borrow();
         let at = sim.now() + inner.rtt.rto();
-        inner.rto_timer.rearm_at(sim, at);
+        inner.timers.rearm_at(sim, RTO, at);
     }
 
     /// Arm or cancel the RackTlp-tier timers: the Tail Loss Probe (only
@@ -2588,13 +2567,13 @@ impl TcpHandle {
                         // ack to return, plus slack for ack jitter.
                         now + srtt.saturating_mul(2) + TLP_SLACK
                     })
-                    .filter(|&at| at < inner.rto_timer.deadline())
+                    .filter(|&at| at < inner.timers.deadline(RTO))
             } else {
                 None
             };
             inner.tlp_deadline = desired;
             let tlp_plan = match desired {
-                Some(at) if inner.tlp_timer.is_armed() && inner.tlp_timer.deadline() <= at => {
+                Some(at) if inner.timers.is_armed(TLP) && inner.timers.deadline(TLP) <= at => {
                     TimerPlan::Keep
                 }
                 Some(at) => TimerPlan::Arm(at),
@@ -2608,18 +2587,18 @@ impl TcpHandle {
                 .filter(|_| outstanding)
                 .map(|at| at.max(now))
             {
-                Some(at) if inner.reo_timer.deadline() == at => TimerPlan::Keep,
+                Some(at) if inner.timers.deadline(REO) == at => TimerPlan::Keep,
                 Some(at) => TimerPlan::Arm(at),
                 None => TimerPlan::Cancel,
             };
             (tlp_plan, reo_plan)
         };
-        let inner = self.inner.borrow();
-        for (timer, plan) in [(&inner.tlp_timer, tlp_plan), (&inner.reo_timer, reo_plan)] {
+        let timers = &self.inner.borrow().timers;
+        for (slot, plan) in [(TLP, tlp_plan), (REO, reo_plan)] {
             match plan {
-                TimerPlan::Arm(at) => timer.rearm_at(sim, at),
+                TimerPlan::Arm(at) => timers.rearm_at(sim, slot, at),
                 TimerPlan::Keep => {}
-                TimerPlan::Cancel => timer.cancel(),
+                TimerPlan::Cancel => timers.cancel(slot),
             }
         }
     }
@@ -2630,14 +2609,14 @@ impl TcpHandle {
     /// opportunity); the fire handler simply re-runs the transmit loop.
     fn manage_pacing_timer(&self, sim: &mut Simulator) {
         let inner = self.inner.borrow();
-        let timer = &inner.pacing_timer;
+        let timers = &inner.timers;
         let deadline = inner
             .pace_deadline
             .filter(|_| inner.state != TcpState::Closed);
         match deadline {
-            Some(at) if timer.is_armed() && timer.deadline() == at => {}
-            Some(at) => timer.rearm_at(sim, at),
-            None => timer.cancel(),
+            Some(at) if timers.is_armed(PACING) && timers.deadline(PACING) == at => {}
+            Some(at) => timers.rearm_at(sim, PACING, at),
+            None => timers.cancel(PACING),
         }
     }
 
@@ -2681,12 +2660,12 @@ impl TcpHandle {
                 return;
             };
             if desired > now {
-                inner.tlp_timer.rearm_at(sim, desired);
+                inner.timers.rearm_at(sim, TLP, desired);
                 return;
             }
             let mut packets = inner.out.take();
             debug_assert!(
-                !inner.rto_timer.is_armed() || inner.rto_timer.deadline() >= now,
+                !inner.timers.is_armed(RTO) || inner.timers.deadline(RTO) >= now,
                 "TLP fired past an armed, nearer RTO"
             );
             inner.tlp_fired = true;
@@ -2701,14 +2680,8 @@ impl TcpHandle {
                 0
             };
             if sent == 0 {
-                let probe = inner
-                    .retx
-                    .iter()
-                    .rev()
-                    .find(|(&seq, e)| !inner.scoreboard.is_sacked(seq, e.segment.seq_end()))
-                    .map(|(&seq, _)| seq);
-                if let Some(seq) = probe {
-                    inner.retransmit_seq(seq, now, &mut packets);
+                if let Some(index) = inner.highest_unsacked_below(inner.retx.len()) {
+                    inner.retransmit_at(index, now, &mut packets);
                 }
             }
             // The probe restarts the RTO clock (RFC 8985 §7.3).
@@ -2786,8 +2759,8 @@ impl TcpHandle {
                 inner.recovery_point = Some(inner.snd_nxt);
                 inner.dup_acks = 0;
                 // Timers subordinate to the RTO are void once it fires.
-                inner.tlp_timer.cancel();
-                inner.reo_timer.cancel();
+                inner.timers.cancel(TLP);
+                inner.timers.cancel(REO);
                 inner.reo_deadline = None;
                 inner.tlp_deadline = None;
                 inner.tlp_fired = false;
@@ -2800,7 +2773,7 @@ impl TcpHandle {
                     // alone could never flag it. Recovery restarts PRR
                     // from the post-timeout flight and resends the first
                     // actual hole.
-                    for e in inner.retx.values_mut() {
+                    for e in inner.retx.iter_mut() {
                         e.retransmitted = false;
                     }
                     inner.lost_point = inner.snd_nxt;
@@ -2812,13 +2785,14 @@ impl TcpHandle {
                     // rebuild the incremental pipe rather than diffing.
                     inner.rebuild_pipe();
                     inner.loss_frontier = inner.snd_nxt;
-                    let first_hole = inner
-                        .retx
-                        .iter()
-                        .find(|&(&seq, e)| !inner.scoreboard.is_sacked(seq, e.segment.seq_end()))
-                        .map(|(&seq, _)| seq);
-                    if let Some(seq) = first_hole {
-                        let len = inner.retransmit_seq(seq, now, &mut packets);
+                    let first_hole = inner.retx.iter().position(|e| {
+                        !inner
+                            .scoreboard
+                            .is_sacked(e.segment.seq, e.segment.seq_end())
+                    });
+                    if let Some(index) = first_hole {
+                        let seq = inner.retx[index].segment.seq;
+                        let len = inner.retransmit_at(index, now, &mut packets);
                         if frto_eligible {
                             inner.frto = FrtoState::RtoSent {
                                 retx_end: seq + len,
@@ -2953,7 +2927,6 @@ mod tests {
         inner.snd_una = 0;
         inner.snd_nxt = 3000;
         inner.insert_retx(
-            0,
             TcpSegment {
                 flags: TcpFlags::ACK,
                 seq: 0,
@@ -2989,7 +2962,7 @@ mod tests {
     fn new_ack_clears_dupack_count() {
         let mut inner = make_inner(TcpState::Established);
         inner.snd_nxt = 100;
-        inner.insert_retx(0, data_seg(0, &[0u8; 100]), Timestamp::ZERO);
+        inner.insert_retx(data_seg(0, &[0u8; 100]), Timestamp::ZERO);
         let mut out = Vec::new();
         let dup = TcpSegment {
             flags: TcpFlags::ACK,

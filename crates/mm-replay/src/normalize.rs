@@ -22,8 +22,7 @@ pub(crate) fn normalize_in_place(resp: &mut Response) {
     if Response::bodyless_status(resp.status) {
         resp.headers.remove("content-length");
     } else {
-        resp.headers
-            .set("Content-Length", resp.body.len().to_string());
+        resp.headers.set_content_length(resp.body.len());
     }
 }
 

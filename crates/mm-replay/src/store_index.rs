@@ -4,6 +4,7 @@
 //! 500-site corpus and hundreds of loads we index by (host, path) once per
 //! site instead. The observable matching semantics are identical.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use mm_record::{RequestResponsePair, StoredSite};
@@ -15,8 +16,18 @@ use crate::normalize::normalize_in_place;
 /// ([`crate::normalize_for_replay`]), so a server sends it as it stands.
 pub struct StoreIndex {
     pairs: Vec<RequestResponsePair>,
-    by_host_path: HashMap<(String, String), Vec<usize>>,
-    empty: Vec<usize>,
+    /// Lower-cased host → path → pair indices. Two levels, so a lookup
+    /// borrows its key parts instead of building a `(String, String)`.
+    by_host_path: HashMap<String, HashMap<String, Vec<usize>>>,
+}
+
+/// `host` in lower case — itself, when it already is.
+fn lower(host: &str) -> Cow<'_, str> {
+    if host.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(host.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(host)
+    }
 }
 
 impl StoreIndex {
@@ -26,24 +37,32 @@ impl StoreIndex {
         for p in &mut pairs {
             normalize_in_place(&mut p.response);
         }
-        let mut by_host_path: HashMap<(String, String), Vec<usize>> = HashMap::new();
+        let mut by_host_path: HashMap<String, HashMap<String, Vec<usize>>> = HashMap::new();
         for (i, p) in pairs.iter().enumerate() {
-            let host = p.request.host().unwrap_or("").to_ascii_lowercase();
-            let path = p.request.path().to_string();
-            by_host_path.entry((host, path)).or_default().push(i);
+            let host = lower(p.request.host().unwrap_or(""));
+            if !by_host_path.contains_key(host.as_ref()) {
+                by_host_path.insert(host.to_string(), HashMap::new());
+            }
+            let by_path = by_host_path.get_mut(host.as_ref()).expect("just ensured");
+            match by_path.get_mut(p.request.path()) {
+                Some(indices) => indices.push(i),
+                None => {
+                    by_path.insert(p.request.path().to_string(), vec![i]);
+                }
+            }
         }
         StoreIndex {
             pairs,
             by_host_path,
-            empty: Vec::new(),
         }
     }
 
     /// Candidate pair indices for a (host, path), in recording order.
     pub fn candidates(&self, host: &str, path: &str) -> &[usize] {
         self.by_host_path
-            .get(&(host.to_ascii_lowercase(), path.to_string()))
-            .unwrap_or(&self.empty)
+            .get(lower(host).as_ref())
+            .and_then(|by_path| by_path.get(path))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Fetch a pair by index.

@@ -25,5 +25,6 @@ pub use rng::RngStream;
 pub use stats::{jain_fairness, Summary};
 pub use time::{SimDuration, Timestamp};
 pub use timer::{
-    PeriodicTimer, Timer, TimerHandler, TimerMux, Unbound, TIMER_EVENT, TIMER_MUX_EVENT,
+    BankHandler, PeriodicTimer, Timer, TimerBank, TimerHandler, TimerMux, Unbound, TIMER_EVENT,
+    TIMER_MUX_EVENT,
 };

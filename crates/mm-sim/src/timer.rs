@@ -10,7 +10,9 @@
 //! arm — the general form, one allocation each. A timer built with
 //! [`Timer::bound`] was given its handler once, so [`Timer::rearm_at`]
 //! files `(timer state, generation)` with the engine and allocates nothing
-//! (DESIGN.md §15) — what a socket does with its five timers on every ack.
+//! (DESIGN.md §15). An owner of several timers that run one handler keeps
+//! them in a [`TimerBank`]: the same entries in the queue, one allocation
+//! for the lot (DESIGN.md §16) — what a socket does with its five.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -32,6 +34,20 @@ pub trait TimerHandler {
 impl<F: Fn(&mut Simulator)> TimerHandler for F {
     fn on_fire(&self, sim: &mut Simulator) {
         self(sim)
+    }
+}
+
+/// What a [`TimerBank`] runs when one of its timers fires: one handler
+/// for all of them, told which. A [`TimerHandler`] is the bank handler of
+/// a bank of one.
+pub trait BankHandler {
+    /// Timer `slot` fired (it was not cancelled or re-armed since).
+    fn on_fire(&self, sim: &mut Simulator, slot: usize);
+}
+
+impl<H: TimerHandler> BankHandler for H {
+    fn on_fire(&self, sim: &mut Simulator, _slot: usize) {
+        TimerHandler::on_fire(self, sim)
     }
 }
 
@@ -58,18 +74,35 @@ pub struct Unbound;
 /// assert!(!fired.get());
 /// ```
 pub struct Timer<H = Unbound> {
+    bank: TimerBank<H, 1>,
+}
+
+/// `N` timers that share one handler and one allocation: each slot is
+/// armed, re-armed and cancelled on its own, and files exactly the queue
+/// entries a [`Timer::bound`] timer of its own would — `(bank, slot and
+/// generation)` under the same tag — so `N` timers and a bank of `N` are
+/// indistinguishable from the queue's side (DESIGN.md §16).
+///
+/// Cloning a `TimerBank` yields a handle to the same timers.
+pub struct TimerBank<H, const N: usize> {
     /// Everything a pending firing has to see, in one shared cell block.
-    state: Rc<TimerState<H>>,
-    /// When set, this timer registers into a shared [`TimerMux`] instead of
-    /// the simulator's global queue; cancellation then physically removes
-    /// the pending entry rather than leaving a dead event behind.
+    state: Rc<BankState<H, N>>,
+    /// When set, these timers register into a shared [`TimerMux`] instead
+    /// of the simulator's global queue; cancellation then physically
+    /// removes the pending entry rather than leaving a dead event behind.
     mux: Option<Rc<MuxInner>>,
     /// Dispatch tag for the event-loop profiler (doubles as the metric
     /// name the firing count exports under).
     tag: &'static str,
 }
 
-struct TimerState<H> {
+struct BankState<H, const N: usize> {
+    slots: [Slot; N],
+    handler: H,
+}
+
+/// One timer's state.
+struct Slot {
     /// Bumped by every arm and cancel; a queued firing runs only if the
     /// generation it was armed under is still current.
     generation: Cell<u64>,
@@ -78,10 +111,9 @@ struct TimerState<H> {
     /// The pending mux entry's sequence number, if there is one; its map
     /// key is `(deadline, sequence)`.
     mux_seq: Cell<Option<NonZeroU64>>,
-    handler: H,
 }
 
-impl<H> TimerState<H> {
+impl Slot {
     /// A firing armed under `gen` came due: true if it is still the
     /// current one, in which case the timer is now unarmed. A superseded
     /// generation still pops from the queue — and counts as an executed
@@ -96,12 +128,24 @@ impl<H> TimerState<H> {
     }
 }
 
-/// A bound timer's state is the event target; the token is the
-/// generation the firing was armed under.
-impl<H: TimerHandler> EventTarget for TimerState<H> {
-    fn on_event(self: Rc<Self>, sim: &mut Simulator, gen: u64) {
-        if self.take_fire(gen) {
-            self.handler.on_fire(sim);
+/// A bank's state is the event target; the token is the slot and the
+/// generation the firing was armed under, `generation * N + slot` — for a
+/// lone timer, the generation.
+impl<H: BankHandler, const N: usize> EventTarget for BankState<H, N> {
+    fn on_event(self: Rc<Self>, sim: &mut Simulator, token: u64) {
+        let (gen, slot) = (token / N as u64, (token % N as u64) as usize);
+        if self.slots[slot].take_fire(gen) {
+            self.handler.on_fire(sim, slot);
+        }
+    }
+}
+
+impl<H, const N: usize> Clone for TimerBank<H, N> {
+    fn clone(&self) -> Self {
+        TimerBank {
+            state: self.state.clone(),
+            mux: self.mux.clone(),
+            tag: self.tag,
         }
     }
 }
@@ -109,9 +153,7 @@ impl<H: TimerHandler> EventTarget for TimerState<H> {
 impl<H> Clone for Timer<H> {
     fn clone(&self) -> Self {
         Timer {
-            state: self.state.clone(),
-            mux: self.mux.clone(),
-            tag: self.tag,
+            bank: self.bank.clone(),
         }
     }
 }
@@ -138,52 +180,20 @@ impl Timer {
     /// in the event-loop profiler (see
     /// [`Simulator::schedule_at_tagged`]).
     pub fn tagged(tag: &'static str) -> Self {
-        Timer::build(Unbound, None, tag)
+        Timer {
+            bank: TimerBank::build(Unbound, None, tag),
+        }
     }
 
     /// Create an unarmed timer whose firings route through `mux`.
     pub fn in_mux(mux: &TimerMux) -> Self {
-        Timer::build(Unbound, Some(mux), TIMER_EVENT)
+        Timer {
+            bank: TimerBank::build(Unbound, Some(mux), TIMER_EVENT),
+        }
     }
 }
 
 impl<H> Timer<H> {
-    fn build(handler: H, mux: Option<&TimerMux>, tag: &'static str) -> Self {
-        Timer {
-            state: Rc::new(TimerState {
-                generation: Cell::new(0),
-                deadline: Cell::new(Timestamp::NEVER),
-                mux_seq: Cell::new(None),
-                handler,
-            }),
-            mux: mux.map(|m| m.inner.clone()),
-            tag,
-        }
-    }
-
-    /// Supersede any pending firing — bump the generation, and take the
-    /// pending entry out of the mux (before `deadline`, half of its key,
-    /// moves) — and record the new deadline. Returns the new generation.
-    fn supersede(&self, deadline: Timestamp) -> u64 {
-        let state = &self.state;
-        if let (Some(mux), Some(seq)) = (&self.mux, state.mux_seq.take()) {
-            let key = (state.deadline.get(), seq.get());
-            mux.pending.borrow_mut().remove(&key);
-        }
-        let gen = state.generation.get() + 1;
-        state.generation.set(gen);
-        state.deadline.set(deadline);
-        gen
-    }
-
-    /// File `event` in this timer's mux.
-    fn arm_in_mux(&self, mux: &Rc<MuxInner>, sim: &mut Simulator, at: Timestamp, event: Event) {
-        let seq = mux.next_entry_seq();
-        self.state.mux_seq.set(Some(seq));
-        mux.pending.borrow_mut().insert((at, seq.get()), event);
-        mux.reschedule(sim);
-    }
-
     /// Arm (or rearm) the timer to fire `delay` from now. Any previously
     /// armed firing is superseded.
     pub fn arm(
@@ -206,32 +216,33 @@ impl<H> Timer<H> {
     ) where
         H: 'static,
     {
-        let gen = self.supersede(at);
-        let state = self.state.clone();
+        let bank = &self.bank;
+        let gen = bank.supersede(0, at);
+        let state = bank.state.clone();
         let fire = move |sim: &mut Simulator| {
-            if state.take_fire(gen) {
+            if state.slots[0].take_fire(gen) {
                 f(sim);
             }
         };
-        match &self.mux {
-            Some(mux) => self.arm_in_mux(mux, sim, at, Event::Call(Box::new(fire))),
-            None => sim.schedule_at_tagged(self.tag, at, fire),
+        match &bank.mux {
+            Some(mux) => bank.arm_in_mux(0, mux, sim, at, Event::Call(Box::new(fire))),
+            None => sim.schedule_at_tagged(bank.tag, at, fire),
         }
     }
 
     /// Cancel any pending firing. Idempotent.
     pub fn cancel(&self) {
-        self.supersede(Timestamp::NEVER);
+        self.bank.cancel(0);
     }
 
     /// True if the timer is armed and has not yet fired or been cancelled.
     pub fn is_armed(&self) -> bool {
-        self.state.deadline.get() != Timestamp::NEVER
+        self.bank.is_armed(0)
     }
 
     /// The instant the timer will fire, or `Timestamp::NEVER` if unarmed.
     pub fn deadline(&self) -> Timestamp {
-        self.state.deadline.get()
+        self.bank.deadline(0)
     }
 }
 
@@ -239,18 +250,99 @@ impl<H: TimerHandler + 'static> Timer<H> {
     /// Create an unarmed timer that runs `handler` whenever it fires,
     /// routed through `mux` if given.
     pub fn bound(handler: H, mux: Option<&TimerMux>) -> Self {
-        Timer::build(handler, mux, TIMER_EVENT)
+        Timer {
+            bank: TimerBank::bound(handler, mux),
+        }
     }
 
     /// Arm (or rearm) the timer to run its bound handler at `at`: the
     /// same queue entry, in the same place, as [`Timer::arm_at`] files —
     /// without allocating.
     pub fn rearm_at(&self, sim: &mut Simulator, at: Timestamp) {
-        let gen = self.supersede(at);
+        self.bank.rearm_at(sim, 0, at);
+    }
+}
+
+impl<H, const N: usize> TimerBank<H, N> {
+    fn build(handler: H, mux: Option<&TimerMux>, tag: &'static str) -> Self {
+        let slot = || Slot {
+            generation: Cell::new(0),
+            deadline: Cell::new(Timestamp::NEVER),
+            mux_seq: Cell::new(None),
+        };
+        TimerBank {
+            state: Rc::new(BankState {
+                slots: std::array::from_fn(|_| slot()),
+                handler,
+            }),
+            mux: mux.map(|m| m.inner.clone()),
+            tag,
+        }
+    }
+
+    /// Supersede any pending firing of `slot` — bump the generation, and
+    /// take the pending entry out of the mux (before `deadline`, half of
+    /// its key, moves) — and record the new deadline. Returns the new
+    /// generation.
+    fn supersede(&self, slot: usize, deadline: Timestamp) -> u64 {
+        let state = &self.state.slots[slot];
+        if let (Some(mux), Some(seq)) = (&self.mux, state.mux_seq.take()) {
+            let key = (state.deadline.get(), seq.get());
+            mux.pending.borrow_mut().remove(&key);
+        }
+        let gen = state.generation.get() + 1;
+        state.generation.set(gen);
+        state.deadline.set(deadline);
+        gen
+    }
+
+    /// File `event`, a firing of `slot`, in this bank's mux.
+    fn arm_in_mux(
+        &self,
+        slot: usize,
+        mux: &Rc<MuxInner>,
+        sim: &mut Simulator,
+        at: Timestamp,
+        event: Event,
+    ) {
+        let seq = mux.next_entry_seq();
+        self.state.slots[slot].mux_seq.set(Some(seq));
+        mux.pending.borrow_mut().insert((at, seq.get()), event);
+        mux.reschedule(sim);
+    }
+
+    /// Cancel any pending firing of timer `slot`. Idempotent.
+    pub fn cancel(&self, slot: usize) {
+        self.supersede(slot, Timestamp::NEVER);
+    }
+
+    /// True if timer `slot` is armed and has not yet fired or been
+    /// cancelled.
+    pub fn is_armed(&self, slot: usize) -> bool {
+        self.deadline(slot) != Timestamp::NEVER
+    }
+
+    /// The instant timer `slot` will fire, or `Timestamp::NEVER` if
+    /// unarmed.
+    pub fn deadline(&self, slot: usize) -> Timestamp {
+        self.state.slots[slot].deadline.get()
+    }
+}
+
+impl<H: BankHandler + 'static, const N: usize> TimerBank<H, N> {
+    /// Create `N` unarmed timers that run `handler` whenever one fires,
+    /// routed through `mux` if given.
+    pub fn bound(handler: H, mux: Option<&TimerMux>) -> Self {
+        TimerBank::build(handler, mux, TIMER_EVENT)
+    }
+
+    /// Arm (or rearm) timer `slot` to fire at `at`, without allocating.
+    pub fn rearm_at(&self, sim: &mut Simulator, slot: usize, at: Timestamp) {
+        let token = self.supersede(slot, at) * N as u64 + slot as u64;
         let target: Rc<dyn EventTarget> = self.state.clone();
         match &self.mux {
-            Some(mux) => self.arm_in_mux(mux, sim, at, Event::Notify(target, gen)),
-            None => sim.schedule_target_at(self.tag, at, target, gen),
+            Some(mux) => self.arm_in_mux(slot, mux, sim, at, Event::Notify(target, token)),
+            None => sim.schedule_target_at(self.tag, at, target, token),
         }
     }
 }

@@ -1,7 +1,11 @@
 //! Property tests on the simulation substrate: event ordering, summary
-//! statistics invariants, RNG stream independence.
+//! statistics invariants, RNG stream independence, and a timer bank filing
+//! what its timers would.
 
-use mm_sim::{jain_fairness, RngStream, SimDuration, Simulator, Summary, Timestamp};
+use mm_sim::{
+    jain_fairness, BankHandler, RngStream, SimDuration, Simulator, Summary, Timer, TimerBank,
+    TimerHandler, TimerMux, Timestamp,
+};
 use proptest::prelude::*;
 use rand::RngCore;
 use std::cell::RefCell;
@@ -97,4 +101,159 @@ proptest! {
         let t = Timestamp::ZERO + da + db;
         prop_assert_eq!(t.as_nanos(), a + b);
     }
+}
+
+// ------------------------------------------------------------ timer bank
+
+type FireLog = Rc<RefCell<Vec<(usize, u64)>>>;
+
+/// The bank's handler: log which slot fired, and when.
+struct LogSlot(FireLog);
+
+impl BankHandler for LogSlot {
+    fn on_fire(&self, sim: &mut Simulator, slot: usize) {
+        self.0.borrow_mut().push((slot, sim.now().as_nanos()));
+    }
+}
+
+/// A lone timer's handler: log its number, and when.
+struct LogOne(usize, FireLog);
+
+impl TimerHandler for LogOne {
+    fn on_fire(&self, sim: &mut Simulator) {
+        self.1.borrow_mut().push((self.0, sim.now().as_nanos()));
+    }
+}
+
+/// Five timers, as a bank or as five bound timers of their own.
+enum Five {
+    Bank(TimerBank<LogSlot, 5>),
+    Timers(Vec<Timer<LogOne>>),
+}
+
+impl Five {
+    fn rearm_at(&self, sim: &mut Simulator, slot: usize, at: Timestamp) {
+        match self {
+            Five::Bank(bank) => bank.rearm_at(sim, slot, at),
+            Five::Timers(timers) => timers[slot].rearm_at(sim, at),
+        }
+    }
+
+    fn cancel(&self, slot: usize) {
+        match self {
+            Five::Bank(bank) => bank.cancel(slot),
+            Five::Timers(timers) => timers[slot].cancel(),
+        }
+    }
+
+    fn deadline(&self, slot: usize) -> Timestamp {
+        match self {
+            Five::Bank(bank) => bank.deadline(slot),
+            Five::Timers(timers) => timers[slot].deadline(),
+        }
+    }
+
+    fn is_armed(&self, slot: usize) -> bool {
+        match self {
+            Five::Bank(bank) => bank.is_armed(slot),
+            Five::Timers(timers) => timers[slot].is_armed(),
+        }
+    }
+}
+
+/// A world with five timers in it.
+struct FiveWorld {
+    sim: Simulator,
+    mux: Option<TimerMux>,
+    five: Five,
+    log: FireLog,
+}
+
+impl FiveWorld {
+    fn new(bank: bool, muxed: bool) -> FiveWorld {
+        let log = FireLog::default();
+        let mux = muxed.then(TimerMux::new);
+        let five = if bank {
+            Five::Bank(TimerBank::bound(LogSlot(log.clone()), mux.as_ref()))
+        } else {
+            let timer = |slot| Timer::bound(LogOne(slot, log.clone()), mux.as_ref());
+            Five::Timers((0..5).map(timer).collect())
+        };
+        FiveWorld {
+            sim: Simulator::new(),
+            mux,
+            five,
+            log,
+        }
+    }
+
+    /// Everything about the world an outsider can see.
+    fn observed(&self) -> impl PartialEq + std::fmt::Debug {
+        let slots: Vec<_> = (0..5)
+            .map(|s| (self.five.is_armed(s), self.five.deadline(s)))
+            .collect();
+        (
+            self.sim.now(),
+            self.sim.events_executed(),
+            self.sim.pending_events(),
+            self.mux.as_ref().map(TimerMux::pending_count),
+            slots,
+            self.log.borrow().clone(),
+        )
+    }
+}
+
+proptest! {
+    /// A bank of five files exactly the queue entries five bound timers
+    /// file: armed, re-armed, cancelled and run in any interleaving — in
+    /// the engine's queue or through a `TimerMux` — the two worlds show
+    /// the same clock, the same executed-event count (superseded
+    /// generations pop and count in both), the same pending entries and
+    /// the same firings in the same order, after every step.
+    #[test]
+    fn a_timer_bank_files_what_five_timers_file(
+        ops in prop::collection::vec((0u8..4, 0usize..5, 0u64..20), 1..120),
+        muxed in any::<bool>(),
+    ) {
+        let mut bank = FiveWorld::new(true, muxed);
+        let mut timers = FiveWorld::new(false, muxed);
+        for (op, slot, ms) in ops {
+            for world in [&mut bank, &mut timers] {
+                let at = world.sim.now() + SimDuration::from_millis(ms);
+                match op {
+                    0 | 1 => world.five.rearm_at(&mut world.sim, slot, at),
+                    2 => world.five.cancel(slot),
+                    _ => {
+                        world.sim.run_until(at);
+                    }
+                }
+            }
+            prop_assert_eq!(bank.observed(), timers.observed());
+        }
+        bank.sim.run();
+        timers.sim.run();
+        prop_assert_eq!(bank.observed(), timers.observed());
+        prop_assert_eq!(bank.sim.pending_events(), 0);
+    }
+}
+
+/// A slot's superseded generations are still in the queue: they pop, they
+/// count as executed events, and they run nothing — and they never
+/// disturb another slot armed for the same instant.
+#[test]
+fn a_bank_slots_dead_generations_pop_as_counted_no_ops() {
+    let log = FireLog::default();
+    let bank: TimerBank<LogSlot, 5> = TimerBank::bound(LogSlot(log.clone()), None);
+    let mut sim = Simulator::new();
+    for ms in [3, 5, 5, 9] {
+        bank.rearm_at(&mut sim, 2, Timestamp::from_millis(ms));
+    }
+    bank.rearm_at(&mut sim, 4, Timestamp::from_millis(5));
+    bank.rearm_at(&mut sim, 0, Timestamp::from_millis(7));
+    bank.cancel(0);
+    assert_eq!(sim.pending_events(), 6);
+    sim.run();
+    assert_eq!(sim.events_executed(), 6);
+    let ms = |t: u64| Timestamp::from_millis(t).as_nanos();
+    assert_eq!(*log.borrow(), vec![(4, ms(5)), (2, ms(9))]);
 }

@@ -3,10 +3,11 @@
 //! A packet crossing a delay leg, a trace-driven link and a host's
 //! dispatch, a socket timer being re-armed, an ack advancing the
 //! retransmission queue: none of these carries simulated meaning in an
-//! allocation, so in steady state none of them makes one. Counted with an
-//! allocator local to this test binary — calls, not bytes — so the numbers
-//! repeat exactly and a regression is a failed assertion, not a slower
-//! benchmark.
+//! allocation, so in steady state none of them makes one; nor does a
+//! socket need a block per timer or a message head a `String` per field
+//! (DESIGN.md §16). Counted with an allocator local to this test binary —
+//! calls, not bytes — so the numbers repeat exactly and a regression is a
+//! failed assertion, not a slower benchmark.
 //!
 //! The counter is per thread (cargo runs tests on parallel threads), so
 //! each `#[test]` measures only itself.
@@ -18,6 +19,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use mahimahi::corpus::{generate_plans, materialize, CorpusConfig};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
+use mm_http::RequestParser;
 use mm_net::{
     FnSink, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, SinkRef, SocketAddr, SocketApp,
     SocketEvent, TcpFlags, TcpHandle, TcpSegment,
@@ -100,10 +102,12 @@ fn wired_net() -> NetSpec {
 /// One load of the default corpus's median-size site made 22 121
 /// allocator calls with a closure boxed per packet per hop and per timer
 /// arm, a fresh out-buffer per wakeup and per segment, and a response
-/// cloned per request; it makes 7 392 now. The budget is that plus ~10 %.
+/// cloned per request; 7 392 with five timer blocks per socket and two
+/// `String`s per header field; it makes 4 935 now. The budget is that
+/// plus ~10 %.
 #[test]
 fn a_page_load_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 8_100;
+    const BUDGET: u64 = 5_400;
     let mut plans = generate_plans(&CorpusConfig {
         n_sites: 500,
         seed: 2014,
@@ -172,7 +176,8 @@ impl SocketApp for CountingReceiver {
 /// working size — every data segment crosses two delay legs, two links
 /// and two hosts, is acknowledged, advances the sender's retransmission
 /// queue and re-arms its RTO. That used to cost 8.99 allocator calls per
-/// data segment (3 588 for 399); it costs 0.27 now (106 for 399).
+/// data segment (3 588 for 399), then 0.27 (106, most of them the
+/// retransmission queue's tree nodes); it costs 0.11 now (42 for 399).
 #[test]
 fn a_bulk_transfer_allocates_less_than_once_per_data_segment() {
     const SERVER_IP: IpAddr = IpAddr::new(10, 0, 0, 2);
@@ -229,6 +234,108 @@ fn a_bulk_transfer_allocates_less_than_once_per_data_segment() {
     );
     sim.run();
     assert_eq!(receiver.received.get(), payload.len());
+}
+
+// ------------------------------------------------------- one connection
+
+/// Answers each request with a fixed reply and closes when the peer does.
+struct EchoOnce;
+
+impl Listener for EchoOnce {
+    fn on_connection(&self, _sim: &mut Simulator, _handle: TcpHandle) -> Rc<dyn SocketApp> {
+        struct Reply;
+        impl SocketApp for Reply {
+            fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
+                match ev {
+                    SocketEvent::Data(_) => h.send(sim, Bytes::from_static(b"pong")),
+                    SocketEvent::PeerClosed => h.close(sim),
+                    _ => {}
+                }
+            }
+        }
+        Rc::new(Reply)
+    }
+}
+
+/// Sends one request, closes on the reply.
+struct AskOnce;
+
+impl SocketApp for AskOnce {
+    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
+        match ev {
+            SocketEvent::Connected => h.send(sim, Bytes::from_static(b"ping")),
+            SocketEvent::Data(_) => h.close(sim),
+            _ => {}
+        }
+    }
+}
+
+/// A connection opened, used for one request and one response, and closed
+/// by both ends — two sockets, born and torn down — makes 17 allocator
+/// calls: per socket the socket itself, its congestion controller, its
+/// one block of five timers (DESIGN.md §16), its retransmission ring and
+/// its event queue, plus the applications and the hosts' table entries.
+/// With a block per timer and a deque per rate filter it made 27.
+#[test]
+fn a_connection_costs_one_timer_block_per_socket() {
+    const BUDGET: u64 = 20;
+    let mut sim = Simulator::new();
+    let ns = Namespace::root("w");
+    let ids = PacketIdGen::new();
+    let server = Host::new_in(IpAddr::new(10, 0, 0, 2), ids.clone(), &ns);
+    let client = Host::new_in(IpAddr::new(10, 0, 0, 1), ids, &ns);
+    server.listen(80, Rc::new(EchoOnce));
+    let connection = |sim: &mut Simulator| {
+        let h = client.connect(sim, SocketAddr::new(server.ip(), 80), Rc::new(AskOnce));
+        sim.run();
+        assert_eq!(h.state(), mm_net::TcpState::Closed);
+        assert_eq!(h.stats().bytes_received, 4);
+    };
+    connection(&mut sim); // tables, inboxes and out-buffers reach their size
+    let (allocs, ()) = allocs_of(|| connection(&mut sim));
+    println!("one connection: {allocs} allocator calls");
+    assert!(
+        allocs <= BUDGET,
+        "one connection made {allocs} allocator calls, budget {BUDGET}"
+    );
+}
+
+// ------------------------------------------------------ one message head
+
+/// A request on the wire: `Host` plus `extra` more fields (short ones: a
+/// serialiser starts with room for 256 bytes of head).
+fn request_wire(extra: usize) -> String {
+    let mut wire = String::from("GET /index.html?x=1 HTTP/1.1\r\nHost: example.com\r\n");
+    for i in 0..extra {
+        wire.push_str(&format!("X-{i}: v{i}\r\n"));
+    }
+    wire + "\r\n"
+}
+
+/// Parsing, copying and serialising a message head cost the same number
+/// of allocator calls for twelve fields as for one. A parse is five — the
+/// parser's staging buffer (given back when it drains), the target, the
+/// header map's buffer, its spans, and the list `feed` returns — where a
+/// `String` per name and per value, and one for the request line, made it
+/// 30 for twelve fields.
+#[test]
+fn a_message_head_allocates_the_same_for_twelve_fields_as_for_one() {
+    let costs = |extra: usize| {
+        let wire = request_wire(extra);
+        let mut parser = RequestParser::new();
+        let (parse, requests) = allocs_of(|| parser.feed(wire.as_bytes()).expect("well-formed"));
+        let request = &requests[0];
+        assert_eq!(request.headers.len(), 1 + extra);
+        let (copy, copied) = allocs_of(|| request.headers.clone());
+        assert_eq!(copied, request.headers);
+        let (write, bytes) = allocs_of(|| mm_http::write_request(request));
+        assert_eq!(&bytes[..], wire.as_bytes());
+        [parse, copy, write]
+    };
+    let twelve = costs(11);
+    println!("12-field head: parse, copy, write = {twelve:?} allocator calls");
+    assert_eq!(twelve, costs(0));
+    assert!(twelve[0] <= 5 && twelve[1] == 2, "{twelve:?}");
 }
 
 // ------------------------------------------------- the pieces, one each
