@@ -12,71 +12,14 @@
 //! figrack's racktlp column cell-for-cell. Writes `BENCH_figbbr.json`.
 
 use bench::cli::ExperimentSpec;
-use bench::report::{cell_key, ms, summary_metrics};
-use bench::{figbbr, FIGCELL_DELAY_MS};
+use bench::FIGBBR;
 
 fn main() {
     ExperimentSpec {
         name: "figbbr",
         default_sites: 24,
-        title: |n| {
-            format!(
-                "figbbr — CC × recovery × buffer depth over cellular traces, mux protocol ({n} sites, {}ms RTT)",
-                FIGCELL_DELAY_MS * 2
-            )
-        },
-        run: |n_sites, seed| {
-            let mut r = figbbr(n_sites, seed);
-            println!(
-                "  {:<15} {:<12} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9}",
-                "regime", "qdisc", "reno", "cubic", "bbr", "bbr:reno%", "cub:reno%", "bbr:cub%"
-            );
-            println!("  (PLT medians at the racktlp tier; full CC × tier grid in the JSON)");
-            let mut metrics: Vec<(String, f64)> = Vec::new();
-            for cell in &mut r.cells {
-                let prefix = cell_key(&cell.regime, &cell.qdisc);
-                let racktlp_medians: Vec<f64> = ["reno", "cubic", "bbr"]
-                    .iter()
-                    .map(|cc| cell.arm_mut(cc, "racktlp").unwrap().median())
-                    .collect();
-                println!(
-                    "  {:<15} {:<12} | {:>9} {:>9} {:>9} | {:>8.1}% {:>8.1}% {:>8.1}%",
-                    cell.regime,
-                    cell.qdisc,
-                    ms(racktlp_medians[0]),
-                    ms(racktlp_medians[1]),
-                    ms(racktlp_medians[2]),
-                    cell.bbr_vs_reno_pct.median(),
-                    cell.cubic_vs_reno_pct.median(),
-                    cell.bbr_vs_cubic_pct.median(),
-                );
-                for arm in &mut cell.arms {
-                    metrics.extend(summary_metrics(
-                        &format!("{}_{}_{prefix}", arm.cc, arm.tier),
-                        &mut arm.plt,
-                    ));
-                }
-                metrics.push((
-                    format!("bbr_vs_reno_pct_{prefix}"),
-                    cell.bbr_vs_reno_pct.median(),
-                ));
-                metrics.push((
-                    format!("cubic_vs_reno_pct_{prefix}"),
-                    cell.cubic_vs_reno_pct.median(),
-                ));
-                metrics.push((
-                    format!("bbr_vs_cubic_pct_{prefix}"),
-                    cell.bbr_vs_cubic_pct.median(),
-                ));
-            }
-            println!();
-            println!("  bbr:reno% = median per-site paired speedup of BBR (paced, model-based)");
-            println!("              over Reno CC, recovery held at the racktlp tier; cub:reno%");
-            println!("              and bbr:cub% are the same pairing for the other CC pairs.");
-            println!("  Every site is loaded under all nine (cc, tier) arms with the same seed");
-            println!("  and trace; droptail256 is the deep-buffer bufferbloat column.");
-            Some(metrics)
-        },
+        title: |n| FIGBBR.title(n),
+        run: |n_sites, seed| Some(FIGBBR.report(n_sites, seed)),
     }
     .main()
 }

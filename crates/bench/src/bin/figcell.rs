@@ -9,77 +9,14 @@
 //! bounded-buffer cellular conditions? Writes `BENCH_figcell.json`.
 
 use bench::cli::ExperimentSpec;
-use bench::report::{cell_key, ms, summary_metrics};
-use bench::{figcell, FIGCELL_DELAY_MS};
+use bench::FIGCELL;
 
 fn main() {
     ExperimentSpec {
         name: "figcell",
         default_sites: 24,
-        title: |n| {
-            format!(
-                "figcell — protocol × recovery over cellular traces ({n} sites, {}ms RTT)",
-                FIGCELL_DELAY_MS * 2
-            )
-        },
-        run: |n_sites, seed| {
-            let mut r = figcell(n_sites, seed);
-            println!(
-                "  {:<15} {:<12} | {:>10} {:>10} {:>10} {:>10} | {:>9} {:>9}",
-                "regime",
-                "qdisc",
-                "http1",
-                "http1+sack",
-                "mux",
-                "mux+sack",
-                "mux:sack%",
-                "h1:sack%"
-            );
-            let mut metrics: Vec<(String, f64)> = Vec::new();
-            for cell in &mut r.cells {
-                println!(
-                    "  {:<15} {:<12} | {:>10} {:>10} {:>10} {:>10} | {:>8.1}% {:>8.1}%",
-                    cell.regime,
-                    cell.qdisc,
-                    ms(cell.http1.median()),
-                    ms(cell.http1_sack.median()),
-                    ms(cell.mux.median()),
-                    ms(cell.mux_sack.median()),
-                    cell.mux_sack_speedup_pct.median(),
-                    cell.http1_sack_speedup_pct.median(),
-                );
-                let prefix = cell_key(&cell.regime, &cell.qdisc);
-                metrics.extend(summary_metrics(&format!("http1_{prefix}"), &mut cell.http1));
-                metrics.extend(summary_metrics(
-                    &format!("http1_sack_{prefix}"),
-                    &mut cell.http1_sack,
-                ));
-                metrics.extend(summary_metrics(&format!("mux_{prefix}"), &mut cell.mux));
-                metrics.extend(summary_metrics(
-                    &format!("mux_sack_{prefix}"),
-                    &mut cell.mux_sack,
-                ));
-                metrics.push((
-                    format!("mux_sack_speedup_pct_{prefix}"),
-                    cell.mux_sack_speedup_pct.median(),
-                ));
-                metrics.push((
-                    format!("http1_sack_speedup_pct_{prefix}"),
-                    cell.http1_sack_speedup_pct.median(),
-                ));
-                metrics.push((
-                    format!("mux_vs_http1_sack_pct_{prefix}"),
-                    cell.mux_vs_http1_sack_pct.median(),
-                ));
-            }
-            println!();
-            println!("  mux:sack% = median per-site paired speedup of SACK over NewReno under mux");
-            println!(
-                "  h1:sack%  = the same pairing for the HTTP/1.1 pool (positive = SACK faster);"
-            );
-            println!("  every site is loaded under all four arms with the same seed and trace.");
-            Some(metrics)
-        },
+        title: |n| FIGCELL.title(n),
+        run: |n_sites, seed| Some(FIGCELL.report(n_sites, seed)),
     }
     .main()
 }

@@ -12,89 +12,14 @@
 //! flip those cells non-negative? Writes `BENCH_figrack.json`.
 
 use bench::cli::ExperimentSpec;
-use bench::report::{cell_key, ms, summary_metrics};
-use bench::{figrack, FIGCELL_DELAY_MS};
+use bench::FIGRACK;
 
 fn main() {
     ExperimentSpec {
         name: "figrack",
         default_sites: 24,
-        title: |n| {
-            format!(
-                "figrack — recovery tier × qdisc over cellular traces, mux protocol ({n} sites, {}ms RTT)",
-                FIGCELL_DELAY_MS * 2
-            )
-        },
-        run: |n_sites, seed| {
-            let mut r = figrack(n_sites, seed);
-            println!(
-                "  {:<15} {:<12} | {:>10} {:>10} {:>10} {:>10} | {:>8} {:>8} {:>8} {:>8}",
-                "regime",
-                "qdisc",
-                "reno",
-                "sack",
-                "racktlp",
-                "cubic",
-                "sack%",
-                "rack%",
-                "rack:sack%",
-                "cubic%"
-            );
-            let mut metrics: Vec<(String, f64)> = Vec::new();
-            for cell in &mut r.cells {
-                println!(
-                    "  {:<15} {:<12} | {:>10} {:>10} {:>10} {:>10} | {:>7.1}% {:>7.1}% {:>9.1}% {:>7.1}%",
-                    cell.regime,
-                    cell.qdisc,
-                    ms(cell.reno.median()),
-                    ms(cell.sack.median()),
-                    ms(cell.racktlp.median()),
-                    ms(cell.cubic_racktlp.median()),
-                    cell.sack_speedup_pct.median(),
-                    cell.racktlp_speedup_pct.median(),
-                    cell.racktlp_vs_sack_pct.median(),
-                    cell.cubic_vs_reno_cc_pct.median(),
-                );
-                let prefix = cell_key(&cell.regime, &cell.qdisc);
-                metrics.extend(summary_metrics(&format!("reno_{prefix}"), &mut cell.reno));
-                metrics.extend(summary_metrics(&format!("sack_{prefix}"), &mut cell.sack));
-                metrics.extend(summary_metrics(
-                    &format!("racktlp_{prefix}"),
-                    &mut cell.racktlp,
-                ));
-                metrics.push((
-                    format!("sack_speedup_pct_{prefix}"),
-                    cell.sack_speedup_pct.median(),
-                ));
-                metrics.push((
-                    format!("racktlp_speedup_pct_{prefix}"),
-                    cell.racktlp_speedup_pct.median(),
-                ));
-                metrics.push((
-                    format!("racktlp_vs_sack_pct_{prefix}"),
-                    cell.racktlp_vs_sack_pct.median(),
-                ));
-                // The CUBIC-CC arm rides after the PR 4 metrics so the
-                // pre-existing keys keep their values and relative order.
-                metrics.extend(summary_metrics(
-                    &format!("cubic_racktlp_{prefix}"),
-                    &mut cell.cubic_racktlp,
-                ));
-                metrics.push((
-                    format!("cubic_vs_reno_cc_pct_{prefix}"),
-                    cell.cubic_vs_reno_cc_pct.median(),
-                ));
-            }
-            println!();
-            println!("  sack%      = median per-site paired speedup of SACK over NewReno (figcell's");
-            println!("               mux:sack%, reproduced cell-for-cell as the baseline);");
-            println!("  rack%      = the same pairing for RACK-TLP + F-RTO over NewReno;");
-            println!("  rack:sack% = RACK-TLP over SACK (positive = the time-based machinery pays);");
-            println!("  cubic      = CUBIC congestion control at the RackTlp tier (other columns");
-            println!("               run Reno CC); cubic% pairs it against reno-CC racktlp;");
-            println!("  every site is loaded under all four arms with the same seed and trace.");
-            Some(metrics)
-        },
+        title: |n| FIGRACK.title(n),
+        run: |n_sites, seed| Some(FIGRACK.report(n_sites, seed)),
     }
     .main()
 }

@@ -9,13 +9,18 @@
 //!   25 Mbit/s  21.4%, 111.6%  6.3%, 51.8%   2.6%, 15.0%
 
 use bench::cli::ExperimentSpec;
-use bench::table2;
+use bench::{table2, FIGMUX_DELAYS_MS};
 
 const PAPER: [[(f64, f64); 3]; 3] = [
     [(1.6, 27.6), (1.7, 10.8), (2.1, 9.7)],
     [(19.3, 127.3), (6.2, 42.4), (3.3, 20.3)],
     [(21.4, 111.6), (6.3, 51.8), (2.6, 15.0)],
 ];
+
+fn print_row(head: &str, cols: impl Iterator<Item = String>) {
+    let cols: String = cols.map(|c| format!(" {c:>24}")).collect();
+    println!("  {head:<11}{cols}");
+}
 
 fn main() {
     ExperimentSpec {
@@ -24,31 +29,17 @@ fn main() {
         title: |n| format!("Table 2 — PLT inflation without multi-origin preservation ({n} sites)"),
         run: |n_sites, seed| {
             let r = table2(n_sites, seed);
-            println!(
-                "  {:<11} {:>24} {:>24} {:>24}",
-                "", "30 ms", "120 ms", "300 ms"
-            );
-            for (row, &mbps) in [1.0, 14.0, 25.0].iter().enumerate() {
-                let mut cols = Vec::new();
-                for (col, &delay) in [30u64, 120, 300].iter().enumerate() {
-                    let cell = r
-                        .cells
-                        .iter()
-                        .find(|c| c.mbps == mbps && c.delay_ms == delay)
-                        .unwrap();
-                    let (pm, pp) = PAPER[row][col];
-                    cols.push(format!(
+            let delays = FIGMUX_DELAYS_MS.iter().map(|d| format!("{d} ms"));
+            print_row("", delays);
+            // `table2` returns the grid rate-major: one row per rate.
+            for (row, cells) in r.cells.chunks(FIGMUX_DELAYS_MS.len()).enumerate() {
+                let measured = cells.iter().zip(PAPER[row]).map(|(cell, (pm, pp))| {
+                    format!(
                         "{:.1}%,{:.1}% (p:{pm},{pp})",
                         cell.median_diff_pct, cell.p95_diff_pct
-                    ));
-                }
-                println!(
-                    "  {:<11} {:>24} {:>24} {:>24}",
-                    format!("{mbps} Mbit/s"),
-                    cols[0],
-                    cols[1],
-                    cols[2]
-                );
+                    )
+                });
+                print_row(&format!("{} Mbit/s", cells[0].mbps), measured);
             }
             println!("\n  each cell: measured median%,p95% (p: paper values)");
             let mut metrics = Vec::new();

@@ -2,16 +2,16 @@
 
 use mahimahi::browser::{MuxConfig, ProtocolMode};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
-use mahimahi::net::{CcAlgorithm, RecoveryTier, TcpConfig};
 use mm_corpus::{
     cnbc_like, generate_plans, materialize, nytimes_like, server_distribution, wikihow_like,
     CorpusConfig, ServerDistribution, SitePlan,
 };
 use mm_replay::{ReplayConfig, ReplayMode};
 use mm_sim::{RngStream, SimDuration, Summary};
-use mm_trace::{cellular, constant_rate, CellularParams};
+use mm_trace::constant_rate;
 use mm_web::{HostProfile, LiveWebConfig};
 
+use crate::cellular::{FIGBBR, FIGCELL_DELAY_MS};
 use crate::parallel::parallel_map;
 
 /// E1/E6 — Figure 2: PLT CDFs for bare ReplayShell, ReplayShell inside
@@ -148,44 +148,59 @@ pub struct Table2Result {
     pub cells: Vec<Table2Cell>,
 }
 
-/// Run Table 2 over `n_sites` corpus sites.
+/// Run Table 2 over `n_sites` corpus sites, on the
+/// [`FIGMUX_RATES_MBPS`] × [`FIGMUX_DELAYS_MS`] grid (rate-major).
+/// Sites shard across threads; each site is materialized once and
+/// loaded under both replay modes in all nine cells with one seed
+/// derived from the site index, so the cells are byte-identical to a
+/// serial run.
 pub fn table2(n_sites: usize, seed: u64) -> Table2Result {
     let plans = corpus_subset(n_sites, seed);
-    let mut cells = Vec::new();
-    for &mbps in &[1.0, 14.0, 25.0] {
+    let mut grid = Vec::new();
+    for &mbps in &FIGMUX_RATES_MBPS {
         let trace = constant_rate(mbps, 1000);
-        for &delay_ms in &[30u64, 120, 300] {
-            let mut diffs = Vec::new();
-            for (i, plan) in plans.iter().enumerate() {
-                let site = materialize(plan);
-                let net = NetSpec {
-                    delay: Some(SimDuration::from_millis(delay_ms)),
-                    link: Some(LinkSpec::symmetric(trace.clone())),
-                    ..NetSpec::default()
-                };
-                let mut multi = LoadSpec::new(&site);
-                multi.net = net.clone();
-                multi.seed = seed.wrapping_add(i as u64);
-                let m = run_page_load(&multi).plt.as_millis_f64();
-                let mut single = LoadSpec::new(&site);
-                single.net = net;
-                single.replay = ReplayConfig {
-                    mode: ReplayMode::SingleServer,
-                    ..ReplayConfig::default()
-                };
-                single.seed = multi.seed;
-                let s = run_page_load(&single).plt.as_millis_f64();
-                diffs.push((s - m) / m * 100.0);
-            }
-            let mut summary = Summary::from_samples(diffs);
-            cells.push(Table2Cell {
+        for &delay_ms in &FIGMUX_DELAYS_MS {
+            let net = NetSpec {
+                delay: Some(SimDuration::from_millis(delay_ms)),
+                link: Some(LinkSpec::symmetric(trace.clone())),
+                ..NetSpec::default()
+            };
+            grid.push((mbps, delay_ms, net));
+        }
+    }
+    // Per site, the single-vs-multi PLT difference in each grid cell.
+    let per_site = parallel_map(&plans, |i, plan| {
+        let site = materialize(plan);
+        let diff = |(_, _, net): &(f64, u64, NetSpec)| {
+            let mut multi = LoadSpec::new(&site);
+            multi.net = net.clone();
+            multi.seed = seed.wrapping_add(i as u64);
+            let m = run_page_load(&multi).plt.as_millis_f64();
+            let mut single = LoadSpec::new(&site);
+            single.net = net.clone();
+            single.replay = ReplayConfig {
+                mode: ReplayMode::SingleServer,
+                ..ReplayConfig::default()
+            };
+            single.seed = multi.seed;
+            let s = run_page_load(&single).plt.as_millis_f64();
+            (s - m) / m * 100.0
+        };
+        grid.iter().map(diff).collect::<Vec<f64>>()
+    });
+    let cells = grid
+        .iter()
+        .enumerate()
+        .map(|(k, &(mbps, delay_ms, _))| {
+            let mut summary = Summary::from_samples(per_site.iter().map(|diffs| diffs[k]));
+            Table2Cell {
                 mbps,
                 delay_ms,
                 median_diff_pct: summary.percentile(50.0),
                 p95_diff_pct: summary.percentile(95.0),
-            });
-        }
-    }
+            }
+        })
+        .collect();
     Table2Result { cells }
 }
 
@@ -296,15 +311,6 @@ pub struct FigMuxResult {
     pub cells: Vec<FigMuxCell>,
 }
 
-impl FigMuxResult {
-    /// The cell for a given operating point.
-    pub fn cell_mut(&mut self, mbps: f64, delay_ms: u64) -> Option<&mut FigMuxCell> {
-        self.cells
-            .iter_mut()
-            .find(|c| c.mbps == mbps && c.delay_ms == delay_ms)
-    }
-}
-
 /// The (link rate, one-way delay) grid figmux sweeps — the same grid as
 /// Table 2, so the two experiments share operating points.
 pub const FIGMUX_RATES_MBPS: [f64; 3] = [1.0, 14.0, 25.0];
@@ -352,469 +358,6 @@ pub fn figmux(n_sites: usize, seed: u64) -> FigMuxResult {
         }
     }
     FigMuxResult { cells }
-}
-
-/// E8 — figcell: the cellular workload. Mahimahi's headline use case is
-/// evaluating protocols over recorded cellular links (bursty rate
-/// variation, outages, deep buffers); the paper's Verizon/AT&T LTE traces
-/// are not redistributable, so seeded Markov-modulated traces with the
-/// same qualitative structure stand in (see `mm-trace::generate::cellular`
-/// and DESIGN.md). The sweep crosses cellular regime × queue discipline ×
-/// protocol × SACK, loading every site under all four
-/// (protocol, recovery) arms with the same seed so the per-site paired
-/// differences are the primary statistic.
-pub struct FigCellCell {
-    /// Cellular regime name (see [`figcell_regimes`]).
-    pub regime: String,
-    /// Queue-discipline label (see [`figcell_qdiscs`]).
-    pub qdisc: String,
-    pub http1: Summary,
-    pub http1_sack: Summary,
-    pub mux: Summary,
-    pub mux_sack: Summary,
-    /// Per-site paired speedup of SACK over NewReno under mux, percent
-    /// (positive = SACK faster) — the experiment's headline number: does
-    /// modern loss recovery restore the multiplexing win under loss?
-    pub mux_sack_speedup_pct: Summary,
-    /// Same pairing for the HTTP/1.1 pool.
-    pub http1_sack_speedup_pct: Summary,
-    /// Paired speedup of mux+SACK over HTTP/1.1+SACK, percent.
-    pub mux_vs_http1_sack_pct: Summary,
-}
-
-pub struct FigCellResult {
-    pub cells: Vec<FigCellCell>,
-}
-
-impl FigCellResult {
-    /// The cell for a given (regime, qdisc) operating point.
-    pub fn cell_mut(&mut self, regime: &str, qdisc: &str) -> Option<&mut FigCellCell> {
-        self.cells
-            .iter_mut()
-            .find(|c| c.regime == regime && c.qdisc == qdisc)
-    }
-}
-
-/// One-way propagation delay of the figcell sweep (cellular RTTs sat
-/// around 60–120 ms in the paper's era).
-pub const FIGCELL_DELAY_MS: u64 = 40;
-
-/// The cellular regimes figcell sweeps: (name, trace parameters).
-pub fn figcell_regimes() -> Vec<(&'static str, CellularParams)> {
-    vec![
-        (
-            // Healthy LTE: high mean rate, mild variation, rare outages.
-            "lte-good",
-            CellularParams {
-                mean_mbps: 14.0,
-                volatility: 0.4,
-                state_ms: 200,
-                outage_prob: 0.01,
-                period_ms: 60_000,
-            },
-        ),
-        (
-            // Loaded LTE: moderate rate, strong variation, real outages.
-            "lte-variable",
-            CellularParams {
-                mean_mbps: 6.0,
-                volatility: 0.8,
-                state_ms: 150,
-                outage_prob: 0.05,
-                period_ms: 60_000,
-            },
-        ),
-        (
-            // Congested 3G-ish tail: low rate, deep fades.
-            "umts-congested",
-            CellularParams {
-                mean_mbps: 2.2,
-                volatility: 0.7,
-                state_ms: 250,
-                outage_prob: 0.08,
-                period_ms: 60_000,
-            },
-        ),
-    ]
-}
-
-/// The queue disciplines figcell sweeps: (label, kind). Infinite droptail
-/// is the paper's configuration (no loss, deep bufferbloat); 32-packet
-/// droptail models a bounded device buffer (loss under bursts — where
-/// loss recovery matters); CoDel is the AQM answer.
-pub fn figcell_qdiscs() -> Vec<(&'static str, QdiscKind)> {
-    vec![
-        ("inf-droptail", QdiscKind::Infinite),
-        ("droptail32", QdiscKind::DropTailPackets(32)),
-        ("codel", QdiscKind::Codel),
-    ]
-}
-
-/// Run the cellular sweep over `n_sites` corpus sites. Per (regime,
-/// qdisc) cell every site is loaded four times — {HTTP/1.1, mux} ×
-/// {NewReno, SACK} — with the same seed, server think time, network and
-/// trace. Sites shard across threads with per-site seeds
-/// (serial-identical). The downlink follows the regime's cellular trace;
-/// the uplink is a 1 Mbit/s CBR (uplink-limited requests are not the
-/// phenomenon under study).
-pub fn figcell(n_sites: usize, seed: u64) -> FigCellResult {
-    let plans = corpus_subset(n_sites, seed);
-    let uplink = constant_rate(1.0, 1000);
-    let mut cells = Vec::new();
-    for (regime_name, params) in figcell_regimes() {
-        // One trace realization per regime, shared by every arm and site
-        // so the pairing isolates protocol/recovery, not trace luck.
-        let mut trace_rng = RngStream::from_seed(seed).fork("figcell").fork(regime_name);
-        let downlink = cellular(&params, &mut trace_rng);
-        for (qdisc_name, qdisc) in figcell_qdiscs() {
-            let uplink = uplink.clone();
-            let downlink = downlink.clone();
-            let per_site = parallel_map(&plans, move |i, plan| {
-                let site = materialize(plan);
-                let load = |mux: bool, sack: bool| {
-                    let mut spec = LoadSpec::new(&site);
-                    spec.net = NetSpec {
-                        delay: Some(SimDuration::from_millis(FIGCELL_DELAY_MS)),
-                        link: Some(LinkSpec {
-                            uplink: uplink.clone(),
-                            downlink: downlink.clone(),
-                            qdisc,
-                        }),
-                        ..NetSpec::default()
-                    };
-                    if mux {
-                        spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
-                    }
-                    spec.tcp = Some(
-                        TcpConfig::builder()
-                            .recovery(if sack {
-                                RecoveryTier::Sack
-                            } else {
-                                RecoveryTier::Reno
-                            })
-                            .build(),
-                    );
-                    spec.seed = seed.wrapping_add(i as u64);
-                    run_page_load(&spec).plt.as_millis_f64()
-                };
-                (
-                    load(false, false),
-                    load(false, true),
-                    load(true, false),
-                    load(true, true),
-                )
-            });
-            cells.push(FigCellCell {
-                regime: regime_name.to_string(),
-                qdisc: qdisc_name.to_string(),
-                http1: Summary::from_samples(per_site.iter().map(|s| s.0)),
-                http1_sack: Summary::from_samples(per_site.iter().map(|s| s.1)),
-                mux: Summary::from_samples(per_site.iter().map(|s| s.2)),
-                mux_sack: Summary::from_samples(per_site.iter().map(|s| s.3)),
-                mux_sack_speedup_pct: Summary::from_samples(
-                    per_site.iter().map(|&(_, _, m, ms)| (m - ms) / m * 100.0),
-                ),
-                http1_sack_speedup_pct: Summary::from_samples(
-                    per_site.iter().map(|&(h, hs, _, _)| (h - hs) / h * 100.0),
-                ),
-                mux_vs_http1_sack_pct: Summary::from_samples(
-                    per_site
-                        .iter()
-                        .map(|&(_, hs, _, ms)| (hs - ms) / hs * 100.0),
-                ),
-            });
-        }
-    }
-    FigCellResult { cells }
-}
-
-/// E9 — figrack: does modern time-based loss detection (RACK-TLP +
-/// F-RTO, `RecoveryTier::RackTlp`) fix the cells where plain SACK did
-/// not pay? The figcell sweep left an honest mixed result under CoDel
-/// (0%, −23%, +5% across cellular regimes): AQM keeps queues short, so
-/// recovery *speed* buys little, and without spurious-RTO detection the
-/// RTO tail — and its unrecoverable backoff — dominates serial mux
-/// chains. figrack reruns the figcell cellular regimes over the two
-/// loss-producing qdiscs with the recovery *tier* as the swept axis,
-/// under the mux protocol (one connection per origin: the configuration
-/// most exposed to tail loss and spurious timeouts). Traces, seeds and
-/// per-site pairing are identical to figcell, so the Sack column here
-/// reproduces figcell's mux numbers exactly and the RackTlp column is
-/// directly comparable.
-pub struct FigRackCell {
-    pub regime: String,
-    pub qdisc: String,
-    /// PLT summaries per recovery tier, all under mux.
-    pub reno: Summary,
-    pub sack: Summary,
-    pub racktlp: Summary,
-    /// Per-site paired speedup of SACK over NewReno, percent (positive =
-    /// SACK faster) — figcell's `mux_sack_speedup_pct`, the PR 3
-    /// baseline the RackTlp column must not fall below.
-    pub sack_speedup_pct: Summary,
-    /// Per-site paired speedup of RackTlp over NewReno, percent.
-    pub racktlp_speedup_pct: Summary,
-    /// Per-site paired speedup of RackTlp over SACK, percent (positive =
-    /// the time-based machinery pays on top of selective retransmission).
-    pub racktlp_vs_sack_pct: Summary,
-    /// PLT under CUBIC congestion control at the RackTlp tier (same
-    /// traces/seeds) — the arm that exercises CUBIC's F-RTO
-    /// `on_spurious_timeout` undo in an experiment, not just unit tests
-    /// (every other column runs Reno CC).
-    pub cubic_racktlp: Summary,
-    /// Per-site paired speedup of CUBIC over Reno CC, both at the
-    /// RackTlp tier, percent (positive = CUBIC faster).
-    pub cubic_vs_reno_cc_pct: Summary,
-}
-
-pub struct FigRackResult {
-    pub cells: Vec<FigRackCell>,
-}
-
-impl FigRackResult {
-    /// The cell for a given (regime, qdisc) operating point.
-    pub fn cell_mut(&mut self, regime: &str, qdisc: &str) -> Option<&mut FigRackCell> {
-        self.cells
-            .iter_mut()
-            .find(|c| c.regime == regime && c.qdisc == qdisc)
-    }
-}
-
-/// The loss-producing queue disciplines figrack sweeps (infinite
-/// droptail never drops, so recovery tiers cannot differ there beyond
-/// outage-RTO tails figcell already measures).
-pub fn figrack_qdiscs() -> Vec<(&'static str, QdiscKind)> {
-    vec![
-        ("droptail32", QdiscKind::DropTailPackets(32)),
-        ("codel", QdiscKind::Codel),
-    ]
-}
-
-/// Run the recovery-tier sweep over `n_sites` corpus sites. Per (regime,
-/// qdisc) cell every site is loaded three times — mux × {Reno, Sack,
-/// RackTlp} — with the same seed, think time, network and trace
-/// realization as figcell (same RNG forks), so cross-experiment columns
-/// line up. Sites shard across threads with per-site seeds
-/// (serial-identical).
-pub fn figrack(n_sites: usize, seed: u64) -> FigRackResult {
-    let plans = corpus_subset(n_sites, seed);
-    let uplink = constant_rate(1.0, 1000);
-    let mut cells = Vec::new();
-    for (regime_name, params) in figcell_regimes() {
-        // Identical trace realization to figcell: same forks, same seed.
-        let mut trace_rng = RngStream::from_seed(seed).fork("figcell").fork(regime_name);
-        let downlink = cellular(&params, &mut trace_rng);
-        for (qdisc_name, qdisc) in figrack_qdiscs() {
-            let uplink = uplink.clone();
-            let downlink = downlink.clone();
-            let per_site = parallel_map(&plans, move |i, plan| {
-                let site = materialize(plan);
-                let load = |cc: CcAlgorithm, recovery: RecoveryTier| {
-                    let mut spec = LoadSpec::new(&site);
-                    spec.net = NetSpec {
-                        delay: Some(SimDuration::from_millis(FIGCELL_DELAY_MS)),
-                        link: Some(LinkSpec {
-                            uplink: uplink.clone(),
-                            downlink: downlink.clone(),
-                            qdisc,
-                        }),
-                        ..NetSpec::default()
-                    };
-                    spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
-                    spec.tcp = Some(TcpConfig::builder().cc(cc).recovery(recovery).build());
-                    spec.seed = seed.wrapping_add(i as u64);
-                    run_page_load(&spec).plt.as_millis_f64()
-                };
-                (
-                    load(CcAlgorithm::Reno, RecoveryTier::Reno),
-                    load(CcAlgorithm::Reno, RecoveryTier::Sack),
-                    load(CcAlgorithm::Reno, RecoveryTier::RackTlp),
-                    load(CcAlgorithm::Cubic, RecoveryTier::RackTlp),
-                )
-            });
-            cells.push(FigRackCell {
-                regime: regime_name.to_string(),
-                qdisc: qdisc_name.to_string(),
-                reno: Summary::from_samples(per_site.iter().map(|s| s.0)),
-                sack: Summary::from_samples(per_site.iter().map(|s| s.1)),
-                racktlp: Summary::from_samples(per_site.iter().map(|s| s.2)),
-                sack_speedup_pct: Summary::from_samples(
-                    per_site.iter().map(|&(r, s, _, _)| (r - s) / r * 100.0),
-                ),
-                racktlp_speedup_pct: Summary::from_samples(
-                    per_site.iter().map(|&(r, _, k, _)| (r - k) / r * 100.0),
-                ),
-                racktlp_vs_sack_pct: Summary::from_samples(
-                    per_site.iter().map(|&(_, s, k, _)| (s - k) / s * 100.0),
-                ),
-                cubic_racktlp: Summary::from_samples(per_site.iter().map(|s| s.3)),
-                cubic_vs_reno_cc_pct: Summary::from_samples(
-                    per_site.iter().map(|&(_, _, k, c)| (k - c) / k * 100.0),
-                ),
-            });
-        }
-    }
-    FigRackResult { cells }
-}
-
-/// E10 — figbbr: the buffer-sweep for model-based congestion control.
-/// The figcell/figrack story so far is loss-*recovery*: how fast a
-/// loss-based sender repairs the damage its own bursts cause. figbbr
-/// asks the question one layer down — does a sender that never causes
-/// the damage (delivery-rate model + pacing, `CcAlgorithm::Bbr`) beat
-/// loss-based CC where the damage is worst (deep droptail buffers),
-/// without giving back the AQM column, and how does CUBIC (the era's
-/// Linux default, previously unswept — ROADMAP's open question) slot
-/// in? The sweep crosses the figcell cellular regimes × {droptail32,
-/// droptail256, CoDel} × CC {Reno, Cubic, Bbr} × the full recovery-tier
-/// ladder, under mux, with figcell's exact traces, seeds and per-site
-/// pairing — so the (Reno CC, RackTlp) column over droptail32/CoDel
-/// reproduces figrack's racktlp column cell-for-cell.
-pub struct FigBbrArm {
-    /// Congestion-control label ("reno" | "cubic" | "bbr").
-    pub cc: &'static str,
-    /// Recovery-tier label ("reno" | "sack" | "racktlp").
-    pub tier: &'static str,
-    pub plt: Summary,
-}
-
-pub struct FigBbrCell {
-    pub regime: String,
-    pub qdisc: String,
-    /// One PLT summary per (cc, tier) arm, cc-major in
-    /// [`FIGBBR_CCS`] × [`FIGBBR_TIERS`] order.
-    pub arms: Vec<FigBbrArm>,
-    /// Per-site paired speedup of BBR over Reno CC (both at the RackTlp
-    /// tier), percent — the headline: model-based pacing vs loss-based
-    /// CC with recovery held at the modern tier.
-    pub bbr_vs_reno_pct: Summary,
-    /// Per-site paired speedup of CUBIC over Reno CC (both RackTlp).
-    pub cubic_vs_reno_pct: Summary,
-    /// Per-site paired speedup of BBR over CUBIC (both RackTlp).
-    pub bbr_vs_cubic_pct: Summary,
-}
-
-impl FigBbrCell {
-    /// The PLT summary for a (cc, tier) arm.
-    pub fn arm_mut(&mut self, cc: &str, tier: &str) -> Option<&mut Summary> {
-        self.arms
-            .iter_mut()
-            .find(|a| a.cc == cc && a.tier == tier)
-            .map(|a| &mut a.plt)
-    }
-}
-
-pub struct FigBbrResult {
-    pub cells: Vec<FigBbrCell>,
-}
-
-impl FigBbrResult {
-    /// The cell for a given (regime, qdisc) operating point.
-    pub fn cell_mut(&mut self, regime: &str, qdisc: &str) -> Option<&mut FigBbrCell> {
-        self.cells
-            .iter_mut()
-            .find(|c| c.regime == regime && c.qdisc == qdisc)
-    }
-}
-
-/// The congestion controllers figbbr sweeps. BBR implies pacing (see
-/// `TcpConfig::pacing`); the loss-based arms run unpaced, as deployed.
-pub const FIGBBR_CCS: [(&str, CcAlgorithm); 3] = [
-    ("reno", CcAlgorithm::Reno),
-    ("cubic", CcAlgorithm::Cubic),
-    ("bbr", CcAlgorithm::Bbr),
-];
-
-/// The recovery tiers figbbr sweeps (the full ladder: CUBIC × recovery
-/// interactions are half the experiment's point).
-pub const FIGBBR_TIERS: [(&str, RecoveryTier); 3] = [
-    ("reno", RecoveryTier::Reno),
-    ("sack", RecoveryTier::Sack),
-    ("racktlp", RecoveryTier::RackTlp),
-];
-
-/// The queue disciplines figbbr sweeps: figrack's two loss-producing
-/// qdiscs plus a *deep* bounded buffer — 256 packets ≈ several seconds
-/// at cellular rates, the bufferbloat regime where a loss-based sender
-/// must fill the whole queue before it learns anything and a
-/// model-based one should never build the queue at all.
-pub fn figbbr_qdiscs() -> Vec<(&'static str, QdiscKind)> {
-    vec![
-        ("droptail32", QdiscKind::DropTailPackets(32)),
-        ("droptail256", QdiscKind::DropTailPackets(256)),
-        ("codel", QdiscKind::Codel),
-    ]
-}
-
-/// Run the CC × recovery buffer sweep over `n_sites` corpus sites. Per
-/// (regime, qdisc) cell every site is loaded nine times — CC {Reno,
-/// Cubic, Bbr} × tier {Reno, Sack, RackTlp}, mux — with figcell's seed,
-/// think time, network and trace realization (same RNG forks), so
-/// figrack/figcell columns line up cell-for-cell. Sites shard across
-/// threads with per-site seeds (serial-identical).
-pub fn figbbr(n_sites: usize, seed: u64) -> FigBbrResult {
-    let plans = corpus_subset(n_sites, seed);
-    let uplink = constant_rate(1.0, 1000);
-    let mut cells = Vec::new();
-    for (regime_name, params) in figcell_regimes() {
-        // Identical trace realization to figcell/figrack: same forks.
-        let mut trace_rng = RngStream::from_seed(seed).fork("figcell").fork(regime_name);
-        let downlink = cellular(&params, &mut trace_rng);
-        for (qdisc_name, qdisc) in figbbr_qdiscs() {
-            let uplink = uplink.clone();
-            let downlink = downlink.clone();
-            let per_site = parallel_map(&plans, move |i, plan| {
-                let site = materialize(plan);
-                let load = |cc: CcAlgorithm, recovery: RecoveryTier| {
-                    let mut spec = LoadSpec::new(&site);
-                    spec.net = NetSpec {
-                        delay: Some(SimDuration::from_millis(FIGCELL_DELAY_MS)),
-                        link: Some(LinkSpec {
-                            uplink: uplink.clone(),
-                            downlink: downlink.clone(),
-                            qdisc,
-                        }),
-                        ..NetSpec::default()
-                    };
-                    spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
-                    spec.tcp = Some(TcpConfig::builder().cc(cc).recovery(recovery).build());
-                    spec.seed = seed.wrapping_add(i as u64);
-                    run_page_load(&spec).plt.as_millis_f64()
-                };
-                let mut plts = Vec::with_capacity(FIGBBR_CCS.len() * FIGBBR_TIERS.len());
-                for (_, cc) in FIGBBR_CCS {
-                    for (_, tier) in FIGBBR_TIERS {
-                        plts.push(load(cc, tier));
-                    }
-                }
-                plts
-            });
-            // cc-major arm index; the RackTlp tier is index 2.
-            let idx = |cc: usize, tier: usize| cc * FIGBBR_TIERS.len() + tier;
-            let paired = |a: usize, b: usize| {
-                Summary::from_samples(per_site.iter().map(|s| (s[a] - s[b]) / s[a] * 100.0))
-            };
-            let mut arms = Vec::new();
-            for (ci, (cc_name, _)) in FIGBBR_CCS.iter().enumerate() {
-                for (ti, (tier_name, _)) in FIGBBR_TIERS.iter().enumerate() {
-                    arms.push(FigBbrArm {
-                        cc: cc_name,
-                        tier: tier_name,
-                        plt: Summary::from_samples(per_site.iter().map(|s| s[idx(ci, ti)])),
-                    });
-                }
-            }
-            cells.push(FigBbrCell {
-                regime: regime_name.to_string(),
-                qdisc: qdisc_name.to_string(),
-                arms,
-                bbr_vs_reno_pct: paired(idx(0, 2), idx(2, 2)),
-                cubic_vs_reno_pct: paired(idx(0, 2), idx(1, 2)),
-                bbr_vs_cubic_pct: paired(idx(1, 2), idx(2, 2)),
-            });
-        }
-    }
-    FigBbrResult { cells }
 }
 
 /// E5 — §4's corpus statistic: the distribution of physical servers per
@@ -909,7 +452,7 @@ pub fn figshare(n: usize, smoke: bool, seed: u64) -> FigShareResult {
     }
     let mut grid = Vec::new();
     for &n_users in &populations {
-        for (qdisc_name, qdisc) in figbbr_qdiscs() {
+        for &(qdisc_name, qdisc) in FIGBBR.qdiscs {
             for mix in figshare_mixes() {
                 for protocol in ["http1", "mux"] {
                     if smoke

@@ -1,13 +1,15 @@
 //! Experiment implementations reproducing every table and figure in the
-//! paper's evaluation. Each experiment is a plain function so the same
-//! code runs from the `fig2`/`table1`/`table2`/`fig3`/`corpus_stats`
-//! binaries, from criterion benches, and (in reduced form) from the smoke
-//! tests in `tests/`.
+//! paper's evaluation. Each experiment is a plain function — or, for the
+//! cellular sweeps, a `const` table over one engine ([`cellular`]) — so
+//! the same code runs from the binaries in `src/bin/` and (in reduced
+//! form) from the smoke tests in `tests/`.
 
+pub mod cellular;
 pub mod cli;
 pub mod experiments;
 pub mod parallel;
 pub mod report;
 
+pub use cellular::*;
 pub use experiments::*;
 pub use parallel::parallel_map;
