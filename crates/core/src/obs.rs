@@ -5,12 +5,12 @@
 //!
 //! The channels are process-global because experiment bodies shard
 //! site loops across threads (`bench::parallel_map`) and every world is
-//! built on its own thread: [`crate::world::World`] gives each
+//! built on its own thread: `crate::world::World` gives each
 //! instrumented world a private single-threaded recorder
 //! ([`mm_metrics::FlowTracer`], [`mm_capture::Capture`],
 //! [`mm_trace::TraceBuffer`], [`mm_audit::Auditor`]) and drains its JSONL
 //! into the shared buffer when the world ends. All four artefacts share
-//! one [`ObsChannel`] shape — an enable flag, a CAS-claimed budget
+//! one `ObsChannel` shape — an enable flag, a CAS-claimed budget
 //! handing out process-unique ids, and the merge buffer — in one table
 //! keyed by [`Artefact`]. Recorders only observe; simulation results
 //! (and therefore BENCH outputs) are byte-identical with them on or off.

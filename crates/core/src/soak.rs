@@ -69,7 +69,7 @@ pub struct SoakSpec<'a> {
     /// Mean of the exponential inter-arrival time between sessions.
     pub arrival_mean: SimDuration,
     /// Length of the arrival window in simulated time. Sessions in
-    /// flight at the end are given [`DRAIN_GRACE`] to finish.
+    /// flight at the end are given `DRAIN_GRACE` to finish.
     pub duration: SimDuration,
     /// Cadence of the maintenance pass (occupancy sampling + reaping).
     pub reap_interval: SimDuration,

@@ -85,7 +85,7 @@ pub struct BrowserConfig {
     /// Causal-span sink: emits a `Page` span per load, a `Resource`
     /// span per fetch parented to the resource whose parse discovered
     /// it, and the contiguous per-resource phase chain (`Queued` →
-    /// [`ConnSetup`] → [`MuxWait`] → `RequestTx` → `Transfer` →
+    /// `ConnSetup` → `MuxWait` → `RequestTx` → `Transfer` →
     /// `RenderQueue` → `Parse`) that tiles queued → parse-complete —
     /// the exact-tiling property `mmpath`'s critical-path walk sums to
     /// PLT. `None` (the default) costs one branch per transition;

@@ -1,14 +1,14 @@
 //! # mm-corpus — the synthetic Alexa-like corpus
 //!
 //! The paper's experiments run over a recorded corpus of the Alexa US Top
-//! 500 (https://github.com/ravinet/sites), which is not redistributable
+//! 500 (<https://github.com/ravinet/sites>), which is not redistributable
 //! here. This crate synthesizes a 500-site corpus calibrated to every
 //! corpus-level statistic the paper reports (median 20 servers/site, 95th
 //! percentile 51, exactly 9 single-server pages) plus presets for the
 //! specific pages it measures (CNBC, wikiHow, nytimes).
 //!
 //! Structure ([`plan`]) is cheap and generated for the whole corpus at
-//! once; bodies ([`materialize`]) are rendered per site on demand.
+//! once; bodies ([`materialize()`]) are rendered per site on demand.
 
 pub mod corpus;
 pub mod materialize;

@@ -4,7 +4,7 @@
 //! origins, objects, sizes, types, and the reference graph — without the
 //! body bytes. Plans are cheap (the whole 500-site corpus fits in memory),
 //! and are materialized into full [`mm_record::StoredSite`]s one at a time
-//! by [`crate::materialize`].
+//! by [`crate::materialize()`].
 //!
 //! Calibration targets from the paper (§4, "Multi-origin Web pages"):
 //! across the Alexa US Top 500, the median number of physical servers per

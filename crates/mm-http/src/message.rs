@@ -197,7 +197,7 @@ impl Response {
     }
 }
 
-/// serde helper: encode `Bytes` as base64-free Vec<u8> (JSON arrays would
+/// serde helper: encode `Bytes` as base64-free `Vec<u8>` (JSON arrays would
 /// be huge; we store as a lossless latin-1 string for readability of text
 /// bodies, falling back transparently for binary).
 pub(crate) mod serde_bytes {

@@ -7,7 +7,7 @@
 
 use std::fmt::{self, Write};
 
-/// A parsed absolute URL (scheme://host[:port]/target).
+/// A parsed absolute URL (`scheme://host[:port]/target`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Url {
     /// `http` or `https`.

@@ -8,16 +8,25 @@
 //! estimation ([`rate`]), timer-driven packet pacing ([`pacing`],
 //! `TcpConfig::pacing`), and the model-based [`cc::Bbr`] controller
 //! built on both — layers on without touching the loss-based defaults.
-//! See [`socket`] for the state machine and DESIGN.md for the
-//! documented simplifications.
+//!
+//! One connection is one `TcpInner`, implemented along the RFCs' seams
+//! (DESIGN.md §18): [`socket`] holds the public types, the handshake and
+//! close state machine and the five timers; `sender.rs` the send queue,
+//! window and pacing gates, retransmission queue and ACK processing;
+//! `receiver.rs` reassembly and ACK generation; `recovery.rs` the one
+//! `LossRecovery` that makes every decision of the negotiated tier. See
+//! DESIGN.md §2–§4 for the documented simplifications.
 
 pub mod cc;
 pub mod pacing;
 pub mod rack;
 pub mod rate;
+mod receiver;
+mod recovery;
 pub mod retx;
 pub mod rtt;
 pub mod sack;
+mod sender;
 pub mod socket;
 
 pub use cc::{Bbr, CcAlgorithm, CongestionControl, Cubic, Reno, INITIAL_WINDOW};

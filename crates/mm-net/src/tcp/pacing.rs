@@ -11,7 +11,7 @@
 //! TSO-style burst quantum (one segment per release; DESIGN.md §4).
 //!
 //! The pacer does not own a rate: the socket derives one per transmission
-//! opportunity — [`CongestionControl::pacing_rate`] when the controller
+//! opportunity — [`CongestionControl::pacing_rate`](crate::tcp::cc::CongestionControl::pacing_rate) when the controller
 //! models one (BBR), else `gain × bw_estimate` from the delivery-rate
 //! estimator ([`PACING_GAIN_SS`]/[`PACING_GAIN_CA`], the Linux sysctl
 //! defaults). With no bandwidth estimate yet there is nothing to pace

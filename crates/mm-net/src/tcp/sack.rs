@@ -3,7 +3,7 @@
 //!
 //! * [`ReceiverSack`] — the receiver's block generator: folds the
 //!   out-of-order reassembly queue into at most
-//!   [`MAX_SACK_BLOCKS`](crate::packet::MAX_SACK_BLOCKS) disjoint ranges,
+//!   [`MAX_SACK_BLOCKS`] disjoint ranges,
 //!   with the block containing the most recently arrived segment first
 //!   (RFC 2018 §4's ordering rule, which is what lets a sender survive
 //!   option-space truncation).

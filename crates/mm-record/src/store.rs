@@ -1,6 +1,6 @@
 //! The recorded-site store format.
 //!
-//! Mahimahi's RecordShell leaves behind "a recorded folder [containing] a
+//! Mahimahi's RecordShell leaves behind "a recorded folder \[containing\] a
 //! file for each request-response pair seen during that record session".
 //! [`StoredSite`] is that folder: a named collection of
 //! [`RequestResponsePair`]s, each tagged with the origin server's address —

@@ -3,7 +3,7 @@
 //! Where [`crate::queue::InstrumentedQdisc`] aggregates queue behavior
 //! into metrics, `TappedQdisc` reports every individual packet
 //! milestone — enqueue, dequeue (with exact sojourn), drop (attributed
-//! to the *right* packet) — to a [`PacketTap`]. Attribution needs care
+//! to the *right* packet) — to a [`PacketTap`](mm_capture::PacketTap). Attribution needs care
 //! because the [`Qdisc`] trait only exposes counter deltas: DropHead
 //! evicts its oldest packet to admit the newest, and CoDel drops heads
 //! at dequeue time. The decorator keeps a shadow FIFO of

@@ -1,6 +1,6 @@
 //! # mm-trace — Mahimahi packet-delivery traces and causal spans
 //!
-//! The trace file format ([`format`]: parse, validate, serialize, wrap
+//! The trace file format ([`format`](mod@format): parse, validate, serialize, wrap
 //! semantics) and synthetic generators ([`generate`]: constant-bit-rate,
 //! cellular-like Markov-modulated, on-off). LinkShell consumes these.
 //!

@@ -1,7 +1,7 @@
 //! Causal spans: typed, parented time intervals over a page load.
 //!
-//! PRs 7–8 gave the stack counters ([`mm-metrics`]) and per-packet
-//! captures ([`mm-capture`]) — signals that say *that* a PLT moved, not
+//! PRs 7–8 gave the stack counters (`mm-metrics`) and per-packet
+//! captures (`mm-capture`) — signals that say *that* a PLT moved, not
 //! *which milliseconds* moved. This module is the third observer layer:
 //! every component that makes a resource wait (the browser's request
 //! scheduler, the TCP handshake and reassembly queue, the mux stream
