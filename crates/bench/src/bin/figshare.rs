@@ -6,7 +6,7 @@
 //! Reports Jain's fairness index over per-user bulk goodputs, the
 //! population's PLT p50/p95/p99, the BBR share of aggregate goodput
 //! (the 50/50 coexistence measurement — recorded as measured, see
-//! DESIGN.md §7), and the bottleneck queue's high-water mark.
+//! DESIGN.md §6), and the bottleneck queue's high-water mark.
 //!
 //! `figshare <n>` runs populations {2, 16, 64} up to `n` (plus `n`
 //! itself, so `figshare 1024` adds a 1024-user arm); `figshare <n>

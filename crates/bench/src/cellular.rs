@@ -312,7 +312,7 @@ pub struct SweepCell {
 
 impl SweepCell {
     /// The per-site samples a column summarizes.
-    pub fn samples(&self, column: Column) -> Summary {
+    pub(crate) fn samples(&self, column: Column) -> Summary {
         match column {
             Plt(arm) => Summary::from_samples(self.plts.iter().map(|site| site[arm])),
             Column::Paired { base, other, .. } => Summary::from_samples(
@@ -433,7 +433,7 @@ impl CellularSweep {
     /// Print one block per regime (`run` emits cells regime-major): a
     /// row per column, the qdiscs across — PLT medians for arms, median
     /// paired speedups for pairs.
-    pub fn print(&self, cells: &[SweepCell]) {
+    pub(crate) fn print(&self, cells: &[SweepCell]) {
         for block in cells.chunks(self.qdiscs.len()) {
             print!("  {:<24}", block[0].regime);
             for cell in block {

@@ -10,11 +10,11 @@ use mahimahi::obs::Artefact;
 use crate::report::{header, write_bench_json};
 
 /// The corpus-wide experiment seed (the paper's publication year).
-pub const DEFAULT_SEED: u64 = 2014;
+pub(crate) const DEFAULT_SEED: u64 = 2014;
 
 /// Flat `(key, value)` metrics an experiment body hands back for the
 /// BENCH JSON file.
-pub type Metrics = Vec<(String, f64)>;
+pub(crate) type Metrics = Vec<(String, f64)>;
 
 /// How one artefact channel appears on every binary's command line.
 struct Output {

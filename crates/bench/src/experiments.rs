@@ -149,7 +149,7 @@ pub struct Table2Result {
 }
 
 /// Run Table 2 over `n_sites` corpus sites, on the
-/// [`FIGMUX_RATES_MBPS`] × [`FIGMUX_DELAYS_MS`] grid (rate-major).
+/// `FIGMUX_RATES_MBPS` × [`FIGMUX_DELAYS_MS`] grid (rate-major).
 /// Sites shard across threads; each site is materialized once and
 /// loaded under both replay modes in all nine cells with one seed
 /// derived from the site index, so the cells are byte-identical to a
@@ -290,7 +290,7 @@ pub struct FigMuxCell {
     /// each site is loaded under both protocols with the same seed, so
     /// the paired difference is the experiment's primary statistic (the
     /// same design as Table 2's per-site single-vs-multi comparison).
-    pub paired_speedup_pct: Summary,
+    pub(crate) paired_speedup_pct: Summary,
 }
 
 impl FigMuxCell {
@@ -313,7 +313,7 @@ pub struct FigMuxResult {
 
 /// The (link rate, one-way delay) grid figmux sweeps — the same grid as
 /// Table 2, so the two experiments share operating points.
-pub const FIGMUX_RATES_MBPS: [f64; 3] = [1.0, 14.0, 25.0];
+pub(crate) const FIGMUX_RATES_MBPS: [f64; 3] = [1.0, 14.0, 25.0];
 /// One-way delays of the figmux sweep, ms.
 pub const FIGMUX_DELAYS_MS: [u64; 3] = [30, 120, 300];
 
@@ -402,7 +402,7 @@ pub const FIGSHARE_BULK_BYTES: u64 = 2_000_000;
 pub const FIGSHARE_DOWN_MBPS: f64 = 40.0;
 pub const FIGSHARE_UP_MBPS: f64 = 12.0;
 /// Users arrive staggered across this window.
-pub const FIGSHARE_ARRIVAL_WINDOW_MS: u64 = 2_000;
+pub(crate) const FIGSHARE_ARRIVAL_WINDOW_MS: u64 = 2_000;
 
 /// The swept CC population mixes.
 pub fn figshare_mixes() -> Vec<mahimahi::fleet::CcMix> {
@@ -413,7 +413,7 @@ pub fn figshare_mixes() -> Vec<mahimahi::fleet::CcMix> {
 /// The population sizes run for a `figshare <n>` invocation: every
 /// default rung (2, 16, 64) no larger than `n`, plus `n` itself — so
 /// `figshare 1024` adds the 1024-user arm behind the size flag.
-pub fn figshare_populations(n: usize) -> Vec<usize> {
+pub(crate) fn figshare_populations(n: usize) -> Vec<usize> {
     let mut ns: Vec<usize> = [2usize, 16, 64]
         .iter()
         .copied()
@@ -530,7 +530,7 @@ pub struct FigSoakReport {
 }
 
 /// Mean session inter-arrival time (open loop).
-pub const FIGSOAK_ARRIVAL_MEAN_MS: u64 = 1_000;
+pub(crate) const FIGSOAK_ARRIVAL_MEAN_MS: u64 = 1_000;
 /// Client slot-pool size: the admission limit on concurrent sessions.
 pub const FIGSOAK_MAX_LIVE: usize = 32;
 /// Bound on the sampled server connection-table high-water mark: the
@@ -540,7 +540,7 @@ pub const FIGSOAK_MAX_LIVE: usize = 32;
 /// maintenance pass, so the budget is ~200 per concurrent session. The
 /// point of the assertion is that occupancy is bounded by concurrency
 /// — a 4x longer soak peaks at the same mark — not by run length.
-pub const FIGSOAK_CONN_BOUND: usize = FIGSOAK_MAX_LIVE * 200;
+pub(crate) const FIGSOAK_CONN_BOUND: usize = FIGSOAK_MAX_LIVE * 200;
 
 /// Run the soak for `minutes` of simulated time over the figshare
 /// bottleneck (40/12 Mbit/s, 80 ms RTT, deep droptail buffer). Panics

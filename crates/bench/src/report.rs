@@ -6,7 +6,7 @@ use mm_sim::stats::ascii_cdf_plot;
 use mm_sim::Summary;
 
 /// Print a section header.
-pub fn header(title: &str) {
+pub(crate) fn header(title: &str) {
     println!("\n{}", "=".repeat(74));
     println!("{title}");
     println!("{}", "=".repeat(74));
@@ -41,7 +41,7 @@ pub fn pct(v: f64) -> String {
 /// perf trajectory accumulates in a machine-readable form. Metric names
 /// are code-controlled identifiers (no escaping needed); non-finite
 /// values serialize as `null`. Returns the path written.
-pub fn write_bench_json(
+pub(crate) fn write_bench_json(
     name: &str,
     seed: u64,
     sites: usize,
@@ -77,7 +77,7 @@ pub fn key_fragment(label: &str) -> String {
 
 /// The `<regime>_<qdisc>` metric-key suffix every cellular sweep
 /// (figcell/figrack/figbbr) names its cells by.
-pub fn cell_key(regime: &str, qdisc: &str) -> String {
+pub(crate) fn cell_key(regime: &str, qdisc: &str) -> String {
     format!("{}_{}", key_fragment(regime), key_fragment(qdisc))
 }
 

@@ -8,7 +8,7 @@
 //! per-user bulk goodputs), per-user PLT percentiles under cross traffic,
 //! and bottleneck queue occupancy, swept over qdisc × CC mix × protocol.
 //!
-//! The world is the one every runner builds (`world.rs`, DESIGN.md §14)
+//! The world is the one every runner builds (`world.rs`, DESIGN.md §6)
 //! — shared replay servers outermost, the shells as the shared
 //! bottleneck, the users innermost — plus one bulk server per user next
 //! to the replay servers. Per-user congestion control lives on that
@@ -61,7 +61,7 @@ pub enum CcMix {
 
 impl CcMix {
     /// The algorithm user `i` drives its bulk sender with.
-    pub fn cc_for(&self, user: usize) -> CcAlgorithm {
+    pub(crate) fn cc_for(&self, user: usize) -> CcAlgorithm {
         match self {
             CcMix::AllReno => CcAlgorithm::Reno,
             CcMix::AllBbr => CcAlgorithm::Bbr,
@@ -78,8 +78,8 @@ impl CcMix {
     /// When the whole population runs one algorithm, that algorithm —
     /// it then also applies to the shared replay servers. A split mix
     /// cannot (shared servers have one config), so web flows keep the
-    /// base config; see DESIGN.md §7.
-    pub fn uniform(&self) -> Option<CcAlgorithm> {
+    /// base config; see DESIGN.md §6.
+    pub(crate) fn uniform(&self) -> Option<CcAlgorithm> {
         match self {
             CcMix::AllReno => Some(CcAlgorithm::Reno),
             CcMix::AllBbr => Some(CcAlgorithm::Bbr),
@@ -100,8 +100,6 @@ impl CcMix {
 /// What one user experienced inside the shared world.
 #[derive(Debug, Clone)]
 pub struct UserOutcome {
-    /// User index (0-based).
-    pub user: usize,
     /// The congestion control its bulk sender ran.
     pub cc: CcAlgorithm,
     /// Page load time of the user's single page load, in milliseconds.
@@ -120,19 +118,13 @@ pub struct FleetResult {
     pub max_downlink_queue_packets: usize,
     /// High-water backlog of the bottleneck uplink queue, in packets.
     pub max_uplink_queue_packets: usize,
-    /// High-water backlog of the bottleneck downlink queue, in wire
-    /// bytes (same peaks, byte-denominated — see
-    /// `QdiscStats::max_backlog_bytes`).
-    pub max_downlink_queue_bytes: usize,
-    /// High-water backlog of the bottleneck uplink queue, in wire bytes.
-    pub max_uplink_queue_bytes: usize,
     /// Virtual time at which the last event ran.
     pub completed_at: SimDuration,
 }
 
 impl FleetResult {
     /// Per-user bulk goodputs, user order.
-    pub fn goodputs(&self) -> Vec<f64> {
+    pub(crate) fn goodputs(&self) -> Vec<f64> {
         self.users.iter().map(|u| u.goodput_bps).collect()
     }
 
@@ -340,7 +332,6 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
                 None => (0.0, 0),
             };
             UserOutcome {
-                user: i,
                 cc: spec.cc_mix.cc_for(i),
                 plt_ms: plt.plt.as_millis_f64(),
                 goodput_bps,
@@ -350,15 +341,12 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
         .collect();
 
     let (mut max_up, mut max_down) = (0, 0);
-    let (mut max_up_bytes, mut max_down_bytes) = (0, 0);
     for layer in world.stack.layers() {
         if let ShellLayer::Link(link) = layer {
             let up = link.uplink.qdisc_stats();
             let down = link.downlink.qdisc_stats();
             max_up = max_up.max(up.max_backlog_packets);
             max_down = max_down.max(down.max_backlog_packets);
-            max_up_bytes = max_up_bytes.max(up.max_backlog_bytes);
-            max_down_bytes = max_down_bytes.max(down.max_backlog_bytes);
         }
     }
 
@@ -366,8 +354,6 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
         users,
         max_downlink_queue_packets: max_down,
         max_uplink_queue_packets: max_up,
-        max_downlink_queue_bytes: max_down_bytes,
-        max_uplink_queue_bytes: max_up_bytes,
         completed_at: sim.now() - Timestamp::ZERO,
     }
 }
@@ -411,9 +397,9 @@ mod tests {
         let site = small_site();
         let r = run_fleet(&base_spec(&site, 2));
         assert_eq!(r.users.len(), 2);
-        for u in &r.users {
-            assert!(u.plt_ms > 0.0, "user {} plt {}", u.user, u.plt_ms);
-            assert!(u.goodput_bps > 0.0, "user {} goodput", u.user);
+        for (i, u) in r.users.iter().enumerate() {
+            assert!(u.plt_ms > 0.0, "user {i} plt {}", u.plt_ms);
+            assert!(u.goodput_bps > 0.0, "user {i} goodput");
             assert_eq!(u.bulk_bytes, 200_000);
         }
         let j = r.fairness();

@@ -84,7 +84,7 @@ pub struct NetSpec {
 
 impl NetSpec {
     /// No emulation at all: bare ReplayShell.
-    pub fn none() -> NetSpec {
+    pub(crate) fn none() -> NetSpec {
         NetSpec::default()
     }
 
@@ -101,7 +101,7 @@ impl NetSpec {
 #[derive(Clone)]
 pub struct LoadSpec<'a> {
     /// The recorded site to replay.
-    pub site: &'a StoredSite,
+    pub(crate) site: &'a StoredSite,
     /// Replay topology and server think time.
     pub replay: ReplayConfig,
     /// Browser parameters.

@@ -34,19 +34,10 @@ pub mod obs;
 pub mod soak;
 mod world;
 
-/// Re-exports of every subsystem, one module per shell/substrate.
+/// Re-exports of the subsystems measurements are built from.
 pub use mm_browser as browser;
 pub use mm_corpus as corpus;
-pub use mm_http as http;
 pub use mm_metrics as metrics;
 pub use mm_net as net;
 pub use mm_record as record;
-pub use mm_replay as replay;
-pub use mm_shells as shells;
-pub use mm_sim as sim;
 pub use mm_trace as trace;
-pub use mm_web as web;
-
-pub use fleet::{run_fleet, CcMix, FleetResult, FleetSpec, UserOutcome};
-pub use harness::{run_loads, run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
-pub use soak::{run_soak, SoakResult, SoakSpec};

@@ -18,9 +18,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::fleet::FleetResult;
 use mm_metrics::{Registry, LATENCY_BUCKETS_S};
-use mm_sim::SimDuration;
 use mm_trace::{Span, SpanKind, SpanSink, NO_RESOURCE};
 
 /// One process-global observability channel: an on/off flag, a budget
@@ -79,7 +77,7 @@ impl Artefact {
     /// per-resource (a few hundred per load), so 64 worlds is affordable
     /// — enough for `mmpath --diff` to pair both arms of a protocol
     /// comparison across several sites.
-    pub fn budget(self) -> u64 {
+    pub(crate) fn budget(self) -> u64 {
         match self {
             Artefact::Trace | Artefact::Audit => u64::MAX,
             Artefact::Capture => 8,
@@ -87,7 +85,7 @@ impl Artefact {
         }
     }
 
-    /// Turn the channel on: the next [`Artefact::budget`] worlds built
+    /// Turn the channel on: the next `Artefact::budget` worlds built
     /// without an explicit handle for this artefact on their spec get a
     /// private recorder whose output accumulates for [`Artefact::take`].
     pub fn enable(self) {
@@ -99,7 +97,7 @@ impl Artefact {
     /// Claim a recording slot for one world, returning its
     /// process-unique id, or `None` when the channel is off or the
     /// budget is spent.
-    pub fn claim(self) -> Option<u64> {
+    pub(crate) fn claim(self) -> Option<u64> {
         let ch = self.channel();
         if !ch.enabled.load(Ordering::SeqCst) {
             return None;
@@ -120,7 +118,7 @@ impl Artefact {
     }
 
     /// Append one finished world's JSONL to the channel's buffer.
-    pub fn append(self, jsonl: &str) {
+    pub(crate) fn append(self, jsonl: &str) {
         if !jsonl.is_empty() {
             let mut buffer = self.channel().buffer.lock().expect("obs buffer poisoned");
             buffer.push_str(jsonl);
@@ -143,13 +141,13 @@ impl Artefact {
 /// the other layers emitting into the same fan-out. Histogram names follow
 /// `<prefix>_phase_<kind>_seconds` so the `_seconds` suffix picks up
 /// the latency bucket ladder downstream.
-pub struct PhaseSink {
+pub(crate) struct PhaseSink {
     registry: Registry,
     prefix: &'static str,
 }
 
 impl PhaseSink {
-    pub fn new(registry: Registry, prefix: &'static str) -> PhaseSink {
+    pub(crate) fn new(registry: Registry, prefix: &'static str) -> PhaseSink {
         PhaseSink { registry, prefix }
     }
 
@@ -178,62 +176,6 @@ impl SpanSink for PhaseSink {
             )
             .observe(span.dur_ns() as f64 / 1e9);
     }
-}
-
-/// Record one page-load time into the `plt_seconds` histogram.
-pub fn record_plt(registry: &Registry, plt: SimDuration) {
-    registry
-        .histogram(
-            "plt_seconds",
-            "Page load time distribution.",
-            &LATENCY_BUCKETS_S,
-        )
-        .observe(plt.as_secs_f64());
-}
-
-/// Export a fleet world's outcome: the population PLT histogram,
-/// per-user goodput gauges, and the bottleneck-queue high-water marks
-/// in both denominations.
-pub fn export_fleet_metrics(result: &FleetResult, registry: &Registry) {
-    let plt = registry.histogram(
-        "fleet_plt_seconds",
-        "Per-user page load times in the shared world.",
-        &LATENCY_BUCKETS_S,
-    );
-    for user in &result.users {
-        plt.observe(user.plt_ms / 1e3);
-        registry
-            .gauge_with(
-                "fleet_user_goodput_bps",
-                "Bulk goodput of one user's download.",
-                &[("user", &user.user.to_string())],
-            )
-            .set(user.goodput_bps);
-    }
-    registry
-        .gauge(
-            "fleet_queue_max_downlink_packets",
-            "High-water backlog of the bottleneck downlink queue.",
-        )
-        .set(result.max_downlink_queue_packets as f64);
-    registry
-        .gauge(
-            "fleet_queue_max_uplink_packets",
-            "High-water backlog of the bottleneck uplink queue.",
-        )
-        .set(result.max_uplink_queue_packets as f64);
-    registry
-        .gauge(
-            "fleet_queue_max_downlink_bytes",
-            "Byte-denominated downlink backlog high-water mark.",
-        )
-        .set(result.max_downlink_queue_bytes as f64);
-    registry
-        .gauge(
-            "fleet_queue_max_uplink_bytes",
-            "Byte-denominated uplink backlog high-water mark.",
-        )
-        .set(result.max_uplink_queue_bytes as f64);
 }
 
 #[cfg(test)]
@@ -298,15 +240,5 @@ mod tests {
         assert!(text.contains("soak_phase_transfer_seconds_count 1"));
         assert!(!text.contains("soak_phase_page"));
         assert!(!text.contains("soak_phase_conn"));
-    }
-
-    #[test]
-    fn record_plt_fills_buckets() {
-        let registry = Registry::new();
-        record_plt(&registry, SimDuration::from_millis(300));
-        record_plt(&registry, SimDuration::from_millis(1500));
-        let text = registry.encode();
-        assert!(text.contains("plt_seconds_count 2"));
-        assert!(text.contains("plt_seconds_bucket{le=\"0.5\"} 1"));
     }
 }

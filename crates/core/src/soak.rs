@@ -52,14 +52,14 @@ const DRAIN_GRACE: SimDuration = SimDuration::from_secs(300);
 /// Everything that defines one soak run.
 pub struct SoakSpec<'a> {
     /// The recorded site the world serves.
-    pub site: &'a StoredSite,
+    pub(crate) site: &'a StoredSite,
     /// Replay topology and server think time.
     pub replay: ReplayConfig,
     /// Browser parameters for every session.
     pub browser: BrowserConfig,
     /// TCP configuration for every host (None = defaults). A metrics
     /// sink already present here wins over the soak's own registry sink.
-    pub tcp: Option<TcpConfig>,
+    pub(crate) tcp: Option<TcpConfig>,
     /// Fixed one-way propagation delay (None = none).
     pub delay: Option<SimDuration>,
     /// Trace-driven bottleneck link (None = unconstrained). Its qdiscs
@@ -72,7 +72,7 @@ pub struct SoakSpec<'a> {
     /// flight at the end are given `DRAIN_GRACE` to finish.
     pub duration: SimDuration,
     /// Cadence of the maintenance pass (occupancy sampling + reaping).
-    pub reap_interval: SimDuration,
+    pub(crate) reap_interval: SimDuration,
     /// Client slot-pool size: the admission limit on concurrent
     /// sessions. Arrivals beyond it are shed, not queued (open loop).
     pub max_live_sessions: usize,

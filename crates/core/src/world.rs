@@ -22,7 +22,7 @@
 //!
 //! The world holds the serving side and the shells; the runner holds
 //! the hosts and browsers it places for as long as they must route
-//! (DESIGN.md §13). Nothing here points back at the world, so dropping
+//! (DESIGN.md §6). Nothing here points back at the world, so dropping
 //! it and them frees everything.
 
 use std::rc::Rc;
@@ -49,29 +49,29 @@ pub(crate) struct Runner {
     /// they place: fleet and soak worlds set it, a single page load does
     /// not — pinned by the host-time benchmark's recorded digests until
     /// the issue that deletes `TimerMux` (ROADMAP, "One timer path").
-    pub timer_mux: bool,
+    pub(crate) timer_mux: bool,
     /// The runner's own metrics sink (the soak's registry): the TCP sink
     /// unless the spec carries an explicit one, and the qdisc sink.
-    pub metrics: Option<MetricsHandle>,
+    pub(crate) metrics: Option<MetricsHandle>,
     /// The runner's own span sink (the soak's phase histograms).
-    pub span: Option<SpanHandle>,
+    pub(crate) span: Option<SpanHandle>,
 }
 
 /// A built world, ready for users.
 pub(crate) struct World {
     /// Root of the world's randomness (`spec.seed`).
-    pub rng: RngStream,
+    pub(crate) rng: RngStream,
     ids: PacketIdGen,
     /// The serving side, outermost; `shell.ns` is the root namespace.
-    pub shell: Rc<ReplayShell>,
+    pub(crate) shell: Rc<ReplayShell>,
     /// The emulated network; `stack.innermost()` is where users live.
-    pub stack: ShellStack,
+    pub(crate) stack: ShellStack,
     /// The browsers' "DNS": recorded origin → serving address.
-    pub resolver: Resolver,
+    pub(crate) resolver: Resolver,
     /// The spec's TCP configuration with the world's observers wired in.
-    pub tcp: TcpConfig,
+    pub(crate) tcp: TcpConfig,
     /// The spec's browser configuration, wired likewise.
-    pub browser: BrowserConfig,
+    pub(crate) browser: BrowserConfig,
     timer_mux: bool,
     /// Recorders this world claimed from the global channels, merged
     /// back by [`World::finish`]. Explicit handles are their owner's.

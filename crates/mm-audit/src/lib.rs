@@ -47,6 +47,7 @@ use mm_capture::{
     TapPoint,
 };
 use mm_metrics::{FlowSample, MetricsHandle, MetricsSink};
+use mm_trace::jsonl::{escape, get_str, get_u64};
 use mm_trace::{Span, SpanHandle, SpanKind, SpanSink, NO_RESOURCE};
 
 /// One invariant breach. `code` is a stable machine-readable slug
@@ -57,7 +58,7 @@ use mm_trace::{Span, SpanHandle, SpanKind, SpanSink, NO_RESOURCE};
 pub struct Violation {
     pub code: &'static str,
     pub scope: String,
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// Everything one audited load produced.
@@ -65,7 +66,7 @@ pub struct Violation {
 pub struct AuditReport {
     /// Process-unique load id (claim-order-dependent; excluded from
     /// digests).
-    pub load: u64,
+    pub(crate) load: u64,
     pub violations: Vec<Violation>,
     /// Violations discarded past the in-memory cap.
     pub dropped_violations: u64,
@@ -73,7 +74,7 @@ pub struct AuditReport {
     /// labels (`link1-down`) and connections (`conn:<flow key>`).
     pub digests: BTreeMap<String, u64>,
     pub packets: u64,
-    pub http_events: u64,
+    pub(crate) http_events: u64,
     pub samples: u64,
     pub spans: u64,
 }
@@ -92,16 +93,16 @@ impl AuditReport {
             out.push_str(&format!(
                 "{{\"ev\":\"violation\",\"load\":{},\"code\":\"{}\",\"scope\":\"{}\",\"detail\":\"{}\"}}\n",
                 self.load,
-                escape_json(v.code),
-                escape_json(&v.scope),
-                escape_json(&v.detail),
+                escape(v.code),
+                escape(&v.scope),
+                escape(&v.detail),
             ));
         }
         for (scope, hash) in &self.digests {
             out.push_str(&format!(
                 "{{\"ev\":\"digest\",\"load\":{},\"scope\":\"{}\",\"hash\":{}}}\n",
                 self.load,
-                escape_json(scope),
+                escape(scope),
                 hash,
             ));
         }
@@ -881,19 +882,6 @@ impl SpanSink for Auditor {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Report parsing (the `mmaudit` side).
 
@@ -920,65 +908,6 @@ pub struct ParsedAudit {
     pub dropped_violations: u64,
 }
 
-fn find_key(line: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    while let Some(rel) = line[start..].find(&pat) {
-        let pos = start + rel;
-        if pos == 0 || bytes[pos - 1] != b'\\' {
-            return Some(pos + pat.len());
-        }
-        start = pos + 1;
-    }
-    None
-}
-
-fn get_u64(line: &str, key: &str) -> Result<u64, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let digits = &line[at..];
-    let end = digits
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return Err(format!("field {key:?} is not a number"));
-    }
-    digits[..end]
-        .parse()
-        .map_err(|e| format!("field {key:?}: {e}"))
-}
-
-fn get_str(line: &str, key: &str) -> Result<String, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = &line[at..];
-    if !rest.starts_with('"') {
-        return Err(format!("field {key:?} is not a string"));
-    }
-    let mut out = String::new();
-    let mut chars = rest[1..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|e| format!("field {key:?}: bad \\u escape: {e}"))?;
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| format!("field {key:?}: bad codepoint {code}"))?,
-                    );
-                }
-                other => return Err(format!("field {key:?}: bad escape {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err(format!("field {key:?}: unterminated string"))
-}
-
 /// Parse audit-report JSONL (any concatenation of per-load reports).
 pub fn parse_audit_jsonl(text: &str) -> Result<ParsedAudit, String> {
     let mut out = ParsedAudit::default();
@@ -1003,10 +932,18 @@ pub fn parse_audit_jsonl(text: &str) -> Result<ParsedAudit, String> {
             }
             "audit_summary" => {
                 out.loads += 1;
-                out.packets += get_u64(line, "packets").map_err(&fail)?;
-                out.samples += get_u64(line, "samples").map_err(&fail)?;
-                out.spans += get_u64(line, "spans").map_err(&fail)?;
-                out.dropped_violations += get_u64(line, "dropped_violations").map_err(&fail)?;
+                out.packets = out
+                    .packets
+                    .saturating_add(get_u64(line, "packets").map_err(&fail)?);
+                out.samples = out
+                    .samples
+                    .saturating_add(get_u64(line, "samples").map_err(&fail)?);
+                out.spans = out
+                    .spans
+                    .saturating_add(get_u64(line, "spans").map_err(&fail)?);
+                out.dropped_violations = out
+                    .dropped_violations
+                    .saturating_add(get_u64(line, "dropped_violations").map_err(&fail)?);
             }
             other => return Err(fail(format!("unknown event type {other:?}"))),
         }

@@ -70,9 +70,6 @@ pub struct BrowserConfig {
     pub parse_delay_base: SimDuration,
     /// Additional main-thread cost per KiB of body.
     pub parse_delay_per_kb: SimDuration,
-    /// Cap on resources fetched per page (runaway guard; real pages in the
-    /// corpus stay far below it).
-    pub max_resources: usize,
     /// TCP configuration for the browser's connections (`None` keeps the
     /// host default) — the client half of the harness's per-load TCP
     /// knob, e.g. `TcpConfig::recovery`.
@@ -93,13 +90,16 @@ pub struct BrowserConfig {
     pub span: Option<SpanHandle>,
 }
 
+/// Cap on resources fetched per page (runaway guard; real pages in the
+/// corpus stay far below it).
+const MAX_RESOURCES: usize = 10_000;
+
 impl Default for BrowserConfig {
     fn default() -> Self {
         BrowserConfig {
             protocol: ProtocolMode::default(),
             parse_delay_base: SimDuration::from_millis(18),
             parse_delay_per_kb: SimDuration::from_micros(150),
-            max_resources: 10_000,
             tcp: None,
             capture: None,
             span: None,
@@ -360,7 +360,6 @@ impl Browser {
         let (authority, mux) = {
             let mut inner = self.inner.borrow_mut();
             let resolver = inner.resolver.clone();
-            let max = inner.config.max_resources;
             let mux = matches!(inner.config.protocol, ProtocolMode::Mux(_));
             let tap = inner.config.capture.clone();
             let span_id = inner.config.span.as_ref().map_or(0, |s| s.next_id());
@@ -368,7 +367,7 @@ impl Browser {
                 return;
             };
             let key = url.to_string();
-            if load.seen.contains(&key) || load.seen.len() >= max {
+            if load.seen.contains(&key) || load.seen.len() >= MAX_RESOURCES {
                 return;
             }
             load.seen.insert(key.clone());

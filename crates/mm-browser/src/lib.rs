@@ -11,4 +11,4 @@ pub mod scan;
 
 pub use browser::{Browser, BrowserConfig, PageLoadResult, ProtocolMode, Resolver, ResourceTiming};
 pub use mm_mux::MuxConfig;
-pub use scan::{extract_urls, is_scannable, likely_scannable_url};
+pub use scan::extract_urls;

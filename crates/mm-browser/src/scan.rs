@@ -9,7 +9,7 @@
 use mm_http::{Response, Url};
 
 /// True if the response's content type can reference subresources.
-pub fn is_scannable(resp: &Response) -> bool {
+pub(crate) fn is_scannable(resp: &Response) -> bool {
     let Some(ct) = resp.headers.get("content-type") else {
         return false;
     };
@@ -28,7 +28,7 @@ pub fn is_scannable(resp: &Response) -> bool {
 /// priorities: discovery-bearing resources (markup, styles, scripts) are
 /// requested ahead of leaf content so the dependency closure unrolls as
 /// fast as possible.
-pub fn likely_scannable_url(url: &Url) -> bool {
+pub(crate) fn likely_scannable_url(url: &Url) -> bool {
     let path = url.target.split('?').next().unwrap_or("");
     let last_segment = path.rsplit('/').next().unwrap_or("");
     match last_segment.rsplit_once('.') {

@@ -1,29 +1,24 @@
-//! The standard bounded capture sink and its two serializations.
+//! The standard bounded capture sink and its JSONL serialization.
 //!
 //! [`Capture`] implements [`PacketTap`] by appending events to in-memory
 //! vectors with hard caps (the `FlowTracer` policy from `mm-metrics`):
 //! once a stream hits its cap, further events increment a `dropped`
 //! counter instead of allocating, so a pathological run cannot consume
-//! unbounded memory. Captures serialize to JSONL (one self-describing
-//! object per line — what `--capture-out` writes and `mm-graph` parses)
-//! or to a compact length-prefixed binary form with an exact
-//! round-trip, for workloads where the text encoding dominates.
+//! unbounded memory. Captures serialize to JSONL: one self-describing
+//! object per line, what `--capture-out` writes and `mm-graph` parses.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::{
-    Dir, HttpEvent, HttpPhase, LinkMeta, PacketEvent, PacketEventKind, PacketTap, PointKind,
-    TapHandle, TapPoint,
-};
+use crate::{HttpEvent, LinkMeta, PacketEvent, PacketTap, TapHandle};
 
 /// Default cap on stored packet events (~9.4 MB of JSONL).
-pub const DEFAULT_MAX_PACKET_EVENTS: usize = 1 << 18;
+pub(crate) const DEFAULT_MAX_PACKET_EVENTS: usize = 1 << 18;
 /// Default cap on stored HTTP events.
-pub const DEFAULT_MAX_HTTP_EVENTS: usize = 1 << 14;
+pub(crate) const DEFAULT_MAX_HTTP_EVENTS: usize = 1 << 14;
 
-/// Everything one capture holds, as plain data: what binary decoding
-/// and the `mm-graph` JSONL parser both produce.
+/// Everything one capture holds, as plain data: what the `mm-graph`
+/// JSONL parser produces.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CaptureData {
     /// Which page load (or experiment unit) the events belong to.
@@ -73,7 +68,11 @@ impl Capture {
     }
 
     /// A capture with explicit stream caps.
-    pub fn with_limits(load: u64, max_packet_events: usize, max_http_events: usize) -> Capture {
+    pub(crate) fn with_limits(
+        load: u64,
+        max_packet_events: usize,
+        max_http_events: usize,
+    ) -> Capture {
         Capture {
             inner: Rc::new(RefCell::new(Inner {
                 data: CaptureData {
@@ -110,7 +109,8 @@ impl Capture {
     }
 
     /// Events discarded because a cap was hit.
-    pub fn dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dropped(&self) -> u64 {
         self.inner.borrow().data.dropped
     }
 
@@ -137,11 +137,6 @@ impl Capture {
             ..CaptureData::default()
         };
         out
-    }
-
-    /// Compact binary encoding of the store (see module docs).
-    pub fn to_binary(&self) -> Vec<u8> {
-        encode_binary(&self.inner.borrow().data)
     }
 
     /// Drop all stored events and link metas, keeping the load tag and
@@ -256,255 +251,10 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Binary encoding: magic, header, then fixed-width little-endian records.
-// ---------------------------------------------------------------------------
-
-/// File magic for the binary capture format (versioned in the last
-/// byte; v2 added the packet record's `flow` field).
-pub const BINARY_MAGIC: &[u8; 6] = b"MMCAP\x02";
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn dir_code(d: Dir) -> u8 {
-    match d {
-        Dir::Up => 0,
-        Dir::Down => 1,
-    }
-}
-
-fn point_kind_code(k: PointKind) -> u8 {
-    match k {
-        PointKind::Link => 0,
-        PointKind::Delay => 1,
-        PointKind::Loss => 2,
-    }
-}
-
-fn event_kind_code(k: PacketEventKind) -> u8 {
-    match k {
-        PacketEventKind::Enqueue => 0,
-        PacketEventKind::Dequeue => 1,
-        PacketEventKind::Drop => 2,
-        PacketEventKind::Deliver => 3,
-    }
-}
-
-fn phase_code(p: HttpPhase) -> u8 {
-    match p {
-        HttpPhase::Queued => 0,
-        HttpPhase::Sent => 1,
-        HttpPhase::Done => 2,
-        HttpPhase::Failed => 3,
-        HttpPhase::ServerRecv => 4,
-        HttpPhase::ServerSent => 5,
-    }
-}
-
-fn put_point(out: &mut Vec<u8>, p: &TapPoint) {
-    out.push(point_kind_code(p.kind));
-    out.push(dir_code(p.dir));
-    put_u32(out, p.index);
-}
-
-/// Encode a capture to the binary format.
-pub fn encode_binary(data: &CaptureData) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(BINARY_MAGIC);
-    put_u64(&mut out, data.load);
-    put_u64(&mut out, data.dropped);
-    put_u32(&mut out, data.links.len() as u32);
-    put_u32(&mut out, data.packets.len() as u32);
-    put_u32(&mut out, data.https.len() as u32);
-    for m in &data.links {
-        put_point(&mut out, &m.point);
-        put_u64(&mut out, m.period_ms);
-        put_u32(&mut out, m.mtu_bytes);
-        put_u32(&mut out, m.deliveries_ms.len() as u32);
-        for ms in m.deliveries_ms.iter() {
-            put_u64(&mut out, *ms);
-        }
-    }
-    for p in &data.packets {
-        put_u64(&mut out, p.t_ns);
-        out.push(event_kind_code(p.kind));
-        put_point(&mut out, &p.point);
-        put_u64(&mut out, p.pkt_id);
-        put_u32(&mut out, p.size_bytes);
-        put_u64(&mut out, p.sojourn_ns);
-        put_u64(&mut out, p.flow);
-    }
-    for h in &data.https {
-        put_u64(&mut out, h.t_ns);
-        out.push(phase_code(h.phase));
-        put_u32(&mut out, h.resource);
-        put_u16(&mut out, h.status);
-        put_u64(&mut out, h.bytes);
-        put_u32(&mut out, h.url.len() as u32);
-        out.extend_from_slice(h.url.as_bytes());
-    }
-    out
-}
-
-/// Cursor over the binary format; every read is bounds-checked.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.buf.len() {
-            return Err(format!(
-                "truncated capture: need {} bytes at offset {}, have {}",
-                n,
-                self.pos,
-                self.buf.len() - self.pos
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn point(&mut self) -> Result<TapPoint, String> {
-        let kind = match self.u8()? {
-            0 => PointKind::Link,
-            1 => PointKind::Delay,
-            2 => PointKind::Loss,
-            k => return Err(format!("bad point kind {k}")),
-        };
-        let dir = match self.u8()? {
-            0 => Dir::Up,
-            1 => Dir::Down,
-            d => return Err(format!("bad direction {d}")),
-        };
-        let index = self.u32()?;
-        Ok(TapPoint { kind, index, dir })
-    }
-}
-
-/// Decode the binary format back into a [`CaptureData`]. Exact inverse
-/// of [`encode_binary`].
-pub fn decode_binary(buf: &[u8]) -> Result<CaptureData, String> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(BINARY_MAGIC.len())? != BINARY_MAGIC {
-        return Err("not a binary capture (bad magic)".to_string());
-    }
-    let load = r.u64()?;
-    let dropped = r.u64()?;
-    let n_links = r.u32()? as usize;
-    let n_packets = r.u32()? as usize;
-    let n_https = r.u32()? as usize;
-    let mut data = CaptureData {
-        load,
-        dropped,
-        ..CaptureData::default()
-    };
-    for _ in 0..n_links {
-        let point = r.point()?;
-        let period_ms = r.u64()?;
-        let mtu_bytes = r.u32()?;
-        let n = r.u32()? as usize;
-        let mut deliveries_ms = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            deliveries_ms.push(r.u64()?);
-        }
-        data.links.push(LinkMeta {
-            point,
-            deliveries_ms: deliveries_ms.into(),
-            period_ms,
-            mtu_bytes,
-        });
-    }
-    for _ in 0..n_packets {
-        let t_ns = r.u64()?;
-        let kind = match r.u8()? {
-            0 => PacketEventKind::Enqueue,
-            1 => PacketEventKind::Dequeue,
-            2 => PacketEventKind::Drop,
-            3 => PacketEventKind::Deliver,
-            k => return Err(format!("bad packet event kind {k}")),
-        };
-        let point = r.point()?;
-        let pkt_id = r.u64()?;
-        let size_bytes = r.u32()?;
-        let sojourn_ns = r.u64()?;
-        let flow = r.u64()?;
-        data.packets.push(PacketEvent {
-            t_ns,
-            kind,
-            point,
-            pkt_id,
-            size_bytes,
-            sojourn_ns,
-            flow,
-        });
-    }
-    for _ in 0..n_https {
-        let t_ns = r.u64()?;
-        let phase = match r.u8()? {
-            0 => HttpPhase::Queued,
-            1 => HttpPhase::Sent,
-            2 => HttpPhase::Done,
-            3 => HttpPhase::Failed,
-            4 => HttpPhase::ServerRecv,
-            5 => HttpPhase::ServerSent,
-            p => return Err(format!("bad http phase {p}")),
-        };
-        let resource = r.u32()?;
-        let status = r.u16()?;
-        let bytes = r.u64()?;
-        let url_len = r.u32()? as usize;
-        let url = String::from_utf8(r.take(url_len)?.to_vec())
-            .map_err(|e| format!("bad url utf-8: {e}"))?;
-        data.https.push(HttpEvent {
-            t_ns,
-            phase,
-            resource,
-            url,
-            status,
-            bytes,
-        });
-    }
-    if r.pos != buf.len() {
-        return Err(format!(
-            "{} trailing bytes after capture",
-            buf.len() - r.pos
-        ));
-    }
-    Ok(data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dir, HttpPhase, PacketEventKind, PointKind, TapPoint};
 
     fn point(kind: PointKind, index: u32, dir: Dir) -> TapPoint {
         TapPoint { kind, index, dir }
@@ -620,110 +370,5 @@ mod tests {
         cap.on_link_meta(&meta);
         cap.on_link_meta(&meta);
         assert_eq!(cap.data().links.len(), 1);
-    }
-
-    #[test]
-    fn binary_roundtrip_exact() {
-        let cap = Capture::for_load(9);
-        cap.on_link_meta(&LinkMeta {
-            point: point(PointKind::Link, 2, Dir::Up),
-            deliveries_ms: vec![0, 5, 5, 9].into(),
-            period_ms: 10,
-            mtu_bytes: 1500,
-        });
-        cap.on_packet(&pkt_event(42, PacketEventKind::Drop, 11));
-        cap.on_http(&HttpEvent {
-            t_ns: 77,
-            phase: HttpPhase::ServerSent,
-            resource: NO_RESOURCE,
-            url: "http://10.0.0.1/π".to_string(),
-            status: 200,
-            bytes: 12345,
-        });
-        let data = cap.data();
-        let decoded = decode_binary(&cap.to_binary()).unwrap();
-        assert_eq!(decoded, data);
-    }
-
-    #[test]
-    fn binary_decode_rejects_garbage() {
-        assert!(decode_binary(b"not a capture").is_err());
-        let mut good = encode_binary(&CaptureData::default());
-        good.push(0);
-        assert!(decode_binary(&good).is_err(), "trailing bytes accepted");
-    }
-
-    use crate::NO_RESOURCE;
-    use proptest::prelude::*;
-
-    fn arb_point() -> impl Strategy<Value = TapPoint> {
-        (0u8..3, any::<u32>(), any::<bool>()).prop_map(|(k, index, up)| TapPoint {
-            kind: match k {
-                0 => PointKind::Link,
-                1 => PointKind::Delay,
-                _ => PointKind::Loss,
-            },
-            index,
-            dir: if up { Dir::Up } else { Dir::Down },
-        })
-    }
-
-    fn arb_packet() -> impl Strategy<Value = PacketEvent> {
-        // The vendored proptest implements Strategy for tuples up to
-        // arity 4, so nest the fields.
-        (
-            (any::<u64>(), 0u8..4),
-            (arb_point(), any::<u64>()),
-            (any::<u32>(), any::<u64>(), any::<u64>()),
-        )
-            .prop_map(
-                |((t_ns, k), (point, pkt_id), (size_bytes, sojourn_ns, flow))| PacketEvent {
-                    t_ns,
-                    kind: match k {
-                        0 => PacketEventKind::Enqueue,
-                        1 => PacketEventKind::Dequeue,
-                        2 => PacketEventKind::Drop,
-                        _ => PacketEventKind::Deliver,
-                    },
-                    point,
-                    pkt_id,
-                    size_bytes,
-                    sojourn_ns,
-                    flow,
-                },
-            )
-    }
-
-    proptest! {
-        #[test]
-        fn binary_roundtrip_arbitrary(
-            load in any::<u64>(),
-            dropped in any::<u64>(),
-            packets in proptest::collection::vec(arb_packet(), 0..64),
-            deliveries in proptest::collection::vec(any::<u64>(), 0..32),
-            url in "[a-z0-9/:.]{0,40}",
-        ) {
-            let data = CaptureData {
-                load,
-                dropped,
-                links: vec![LinkMeta {
-                    point: TapPoint { kind: PointKind::Link, index: 1, dir: Dir::Down },
-                    deliveries_ms: deliveries.into(),
-                    period_ms: 1000,
-                    mtu_bytes: 1500,
-                }],
-                packets,
-                https: vec![HttpEvent {
-                    t_ns: 1,
-                    phase: HttpPhase::Done,
-                    resource: 0,
-                    url,
-                    status: 200,
-                    bytes: 10,
-                }],
-            };
-            let decoded = decode_binary(&encode_binary(&data)).unwrap();
-            prop_assert_eq!(decoded, data);
-        }
     }
 }

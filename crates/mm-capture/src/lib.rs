@@ -7,8 +7,8 @@
 //! [`PacketTap`] with one event per packet milestone (enqueue, dequeue,
 //! drop, delivery), the browser/replay boundary reports HTTP
 //! request/response milestones, and the standard [`Capture`] sink
-//! stores them in a bounded buffer that serializes to JSONL or a
-//! compact binary form for offline analysis by `mm-graph`.
+//! stores them in a bounded buffer that serializes to JSONL for offline
+//! analysis by `mm-graph`.
 //!
 //! The hook mirrors the `MetricsSink` pattern from `mm-metrics`: every
 //! trait method defaults to a no-op, instrumented code holds
@@ -18,10 +18,7 @@
 
 mod capture;
 
-pub use capture::{
-    data_to_jsonl, decode_binary, encode_binary, Capture, CaptureData, BINARY_MAGIC,
-    DEFAULT_MAX_HTTP_EVENTS, DEFAULT_MAX_PACKET_EVENTS,
-};
+pub use capture::{data_to_jsonl, Capture, CaptureData};
 
 use std::fmt;
 use std::rc::Rc;
@@ -36,7 +33,7 @@ pub enum Dir {
 
 impl Dir {
     /// Short label used in JSONL and artifact file names.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Dir::Up => "up",
             Dir::Down => "down",
@@ -57,7 +54,7 @@ pub enum PointKind {
 
 impl PointKind {
     /// Short label used in JSONL and artifact file names.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             PointKind::Link => "link",
             PointKind::Delay => "delay",
@@ -100,7 +97,7 @@ pub enum PacketEventKind {
 
 impl PacketEventKind {
     /// Short label used in JSONL.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             PacketEventKind::Enqueue => "enq",
             PacketEventKind::Dequeue => "deq",
@@ -148,7 +145,7 @@ pub enum HttpPhase {
 
 impl HttpPhase {
     /// Short label used in JSONL.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             HttpPhase::Queued => "queued",
             HttpPhase::Sent => "sent",

@@ -7,17 +7,15 @@
 //! percentile 51, exactly 9 single-server pages) plus presets for the
 //! specific pages it measures (CNBC, wikiHow, nytimes).
 //!
-//! Structure ([`plan`]) is cheap and generated for the whole corpus at
+//! Structure ([`plan_site`]) is cheap and generated for the whole corpus at
 //! once; bodies ([`materialize()`]) are rendered per site on demand.
 
-pub mod corpus;
-pub mod materialize;
-pub mod plan;
-pub mod presets;
+mod corpus;
+mod materialize;
+mod plan;
+mod presets;
 
 pub use corpus::{generate_plans, server_distribution, CorpusConfig, ServerDistribution};
 pub use materialize::materialize;
-pub use plan::{
-    draw_server_count, plan_site, ObjectKind, PlannedObject, PlannedOrigin, SiteParams, SitePlan,
-};
+pub use plan::{plan_site, PlannedObject, PlannedOrigin, SiteParams, SitePlan};
 pub use presets::{cnbc_like, nytimes_like, wikihow_like};

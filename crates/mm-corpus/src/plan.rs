@@ -16,7 +16,7 @@ use mm_sim::RngStream;
 
 /// Resource types with distinct size distributions and reference behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObjectKind {
+pub(crate) enum ObjectKind {
     Html,
     Css,
     Js,
@@ -27,7 +27,7 @@ pub enum ObjectKind {
 
 impl ObjectKind {
     /// The content type served for this kind.
-    pub fn content_type(self) -> &'static str {
+    pub(crate) fn content_type(self) -> &'static str {
         match self {
             ObjectKind::Html => "text/html; charset=utf-8",
             ObjectKind::Css => "text/css",
@@ -39,12 +39,12 @@ impl ObjectKind {
     }
 
     /// Can bodies of this kind reference further resources?
-    pub fn scannable(self) -> bool {
+    pub(crate) fn scannable(self) -> bool {
         matches!(self, ObjectKind::Html | ObjectKind::Css | ObjectKind::Js)
     }
 
     /// File extension used in generated paths.
-    pub fn ext(self) -> &'static str {
+    pub(crate) fn ext(self) -> &'static str {
         match self {
             ObjectKind::Html => "html",
             ObjectKind::Css => "css",
@@ -60,23 +60,23 @@ impl ObjectKind {
 #[derive(Debug, Clone)]
 pub struct PlannedObject {
     /// Index of the origin serving this object (into `SitePlan::origins`).
-    pub origin_idx: usize,
-    pub kind: ObjectKind,
+    pub(crate) origin_idx: usize,
+    pub(crate) kind: ObjectKind,
     /// Body size in bytes.
-    pub size: usize,
+    pub(crate) size: usize,
     /// Path (unique per site), e.g. `/asset/17.jpg`.
-    pub path: String,
+    pub(crate) path: String,
     /// Indices of objects this object's body references (its children in
     /// the discovery DAG).
-    pub references: Vec<usize>,
+    pub(crate) references: Vec<usize>,
 }
 
 /// A planned origin server.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannedOrigin {
     /// Server IP, allocated deterministically per site.
-    pub ip: mm_net::IpAddr,
-    pub port: u16,
+    pub(crate) ip: mm_net::IpAddr,
+    pub(crate) port: u16,
 }
 
 /// The structural plan for one site.
@@ -103,13 +103,13 @@ impl SitePlan {
     }
 
     /// The root document's absolute URL.
-    pub fn root_url(&self) -> String {
+    pub(crate) fn root_url(&self) -> String {
         let o = self.origins[self.objects[0].origin_idx];
         format!("http://{}:{}{}", o.ip, o.port, self.objects[0].path)
     }
 
     /// Absolute URL of object `idx`.
-    pub fn url_of(&self, idx: usize) -> String {
+    pub(crate) fn url_of(&self, idx: usize) -> String {
         let obj = &self.objects[idx];
         let o = self.origins[obj.origin_idx];
         format!("http://{}:{}{}", o.ip, o.port, obj.path)
@@ -151,7 +151,7 @@ impl Default for SiteParams {
 
 /// Draw a server count from the calibrated Alexa-like distribution
 /// (lognormal with median 20; σ chosen so the 95th percentile ≈ 51).
-pub fn draw_server_count(rng: &mut RngStream) -> usize {
+pub(crate) fn draw_server_count(rng: &mut RngStream) -> usize {
     // q95/median = exp(1.645 σ) = 51/20 ⇒ σ ≈ 0.5688.
     let d = LogNormal::with_median(20.0, 0.5688);
     (d.sample(rng).round() as usize).clamp(2, 120)

@@ -13,33 +13,33 @@ const NS_PER_MS: u64 = 1_000_000;
 
 /// One time bin of a throughput series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThroughputBin {
+pub(crate) struct ThroughputBin {
     /// Bin start, in sim milliseconds.
-    pub t_ms: u64,
+    pub(crate) t_ms: u64,
     /// Bytes the link delivered in this bin.
-    pub delivered_bytes: u64,
+    pub(crate) delivered_bytes: u64,
     /// Bytes the trace *offered* in this bin (delivery opportunities ×
     /// MTU) — mahimahi's shaded capacity region.
-    pub capacity_bytes: u64,
+    pub(crate) capacity_bytes: u64,
 }
 
 /// Binned delivered-vs-capacity series for one link direction.
 #[derive(Debug, Clone)]
-pub struct ThroughputSeries {
-    pub point: TapPoint,
-    pub bin_ms: u64,
-    pub bins: Vec<ThroughputBin>,
+pub(crate) struct ThroughputSeries {
+    pub(crate) point: TapPoint,
+    pub(crate) bin_ms: u64,
+    pub(crate) bins: Vec<ThroughputBin>,
 }
 
 impl ThroughputSeries {
     /// Total bytes delivered across all bins.
-    pub fn delivered_total(&self) -> u64 {
+    pub(crate) fn delivered_total(&self) -> u64 {
         self.bins.iter().map(|b| b.delivered_bytes).sum()
     }
 }
 
 /// Megabits per second a byte count over `bin_ms` corresponds to.
-pub fn mbps(bytes: u64, bin_ms: u64) -> f64 {
+pub(crate) fn mbps(bytes: u64, bin_ms: u64) -> f64 {
     if bin_ms == 0 {
         return 0.0;
     }
@@ -63,7 +63,7 @@ fn opportunities_before(meta: &LinkMeta, t_ms: u64) -> u64 {
 /// pairing each bin with the capacity its trace offered over the same
 /// window. The sum of `delivered_bytes` across bins equals the total
 /// bytes delivered (no event is lost to binning).
-pub fn throughput(data: &CaptureData, bin_ms: u64) -> Vec<ThroughputSeries> {
+pub(crate) fn throughput(data: &CaptureData, bin_ms: u64) -> Vec<ThroughputSeries> {
     assert!(bin_ms > 0, "bin width must be positive");
     let mut out = Vec::new();
     for meta in &data.links {
@@ -98,13 +98,13 @@ pub fn throughput(data: &CaptureData, bin_ms: u64) -> Vec<ThroughputSeries> {
 
 /// One per-packet queueing-delay observation (a Dequeue event).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelaySample {
-    pub t_ns: u64,
-    pub sojourn_ns: u64,
+pub(crate) struct DelaySample {
+    pub(crate) t_ns: u64,
+    pub(crate) sojourn_ns: u64,
 }
 
 /// Per-packet queueing delays observed at `point`, in event order.
-pub fn delay_samples(data: &CaptureData, point: TapPoint) -> Vec<DelaySample> {
+pub(crate) fn delay_samples(data: &CaptureData, point: TapPoint) -> Vec<DelaySample> {
     data.packets
         .iter()
         .filter(|p| p.point == point && p.kind == PacketEventKind::Dequeue)
@@ -117,18 +117,18 @@ pub fn delay_samples(data: &CaptureData, point: TapPoint) -> Vec<DelaySample> {
 
 /// Percentile summary of one delay bin.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayBand {
+pub(crate) struct DelayBand {
     /// Bin start, in sim milliseconds.
-    pub t_ms: u64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-    pub max_ms: f64,
+    pub(crate) t_ms: u64,
+    pub(crate) p50_ms: f64,
+    pub(crate) p95_ms: f64,
+    pub(crate) max_ms: f64,
     /// Samples in the bin.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -138,7 +138,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// Summarize delay samples into per-bin percentile bands. Bins with no
 /// samples are omitted (an idle queue has no sojourn to report).
-pub fn delay_bands(samples: &[DelaySample], bin_ms: u64) -> Vec<DelayBand> {
+pub(crate) fn delay_bands(samples: &[DelaySample], bin_ms: u64) -> Vec<DelayBand> {
     assert!(bin_ms > 0, "bin width must be positive");
     let mut by_bin: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
     for s in samples {
@@ -165,25 +165,25 @@ pub fn delay_bands(samples: &[DelaySample], bin_ms: u64) -> Vec<DelayBand> {
 
 /// One resource's row in the page-load waterfall.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WaterfallRow {
-    pub resource: u32,
-    pub url: String,
+pub(crate) struct WaterfallRow {
+    pub(crate) resource: u32,
+    pub(crate) url: String,
     /// Discovery time (the `Queued` event).
-    pub queued_ns: u64,
+    pub(crate) queued_ns: u64,
     /// First request-on-the-wire time, if the request was ever sent.
-    pub sent_ns: Option<u64>,
+    pub(crate) sent_ns: Option<u64>,
     /// Completion (`Done`) or final-failure (`Failed`) time.
-    pub finished_ns: Option<u64>,
-    pub status: u16,
-    pub bytes: u64,
-    pub failed: bool,
+    pub(crate) finished_ns: Option<u64>,
+    pub(crate) status: u16,
+    pub(crate) bytes: u64,
+    pub(crate) failed: bool,
 }
 
 /// Assemble the browser-side HTTP events into per-resource waterfall
 /// rows, ordered by discovery time. Server-side events (tagged
 /// [`NO_RESOURCE`]) are skipped — they carry no resource index; join on
 /// URL if server-side timing is wanted.
-pub fn waterfall(data: &CaptureData) -> Vec<WaterfallRow> {
+pub(crate) fn waterfall(data: &CaptureData) -> Vec<WaterfallRow> {
     let mut rows: BTreeMap<u32, WaterfallRow> = BTreeMap::new();
     for h in &data.https {
         if h.resource == NO_RESOURCE {

@@ -15,19 +15,14 @@
 //! directory; each graph also gets a CSV twin so numbers stay
 //! machine-checkable.
 
-pub mod analyze;
-pub mod parse;
-pub mod render;
+mod analyze;
+mod parse;
+mod render;
 pub mod svg;
 
-pub use analyze::{
-    delay_bands, delay_samples, mbps, percentile, throughput, waterfall, DelayBand, DelaySample,
-    ThroughputBin, ThroughputSeries, WaterfallRow,
-};
-pub use parse::{parse_capture_bytes, parse_jsonl};
-pub use render::{
-    delay_csv, delay_svg, throughput_csv, throughput_svg, waterfall_csv, waterfall_svg,
-};
+use analyze::{delay_bands, delay_samples, throughput, waterfall};
+pub use parse::parse_capture_bytes;
+use render::{delay_csv, delay_svg, throughput_csv, throughput_svg, waterfall_csv, waterfall_svg};
 
 use mm_capture::CaptureData;
 

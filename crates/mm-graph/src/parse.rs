@@ -1,98 +1,18 @@
 //! Parse capture files back into [`CaptureData`].
 //!
-//! The JSONL parser is a hand-rolled scanner over the flat, fixed-shape
-//! objects `mm_capture::data_to_jsonl` emits — not a general JSON
-//! parser. Every line carries a `load` tag; lines are grouped into one
-//! [`CaptureData`] per load (loads run in separate simulations with
-//! separate clocks, so they must never be mixed). Binary captures are
-//! recognized by magic and delegated to [`mm_capture::decode_binary`].
+//! Capture JSONL is the flat, fixed-shape objects
+//! `mm_capture::data_to_jsonl` emits, read with the shared scanner in
+//! `mm_trace::jsonl`. Every line carries a `load` tag; lines are grouped
+//! into one [`CaptureData`] per load (loads run in separate simulations
+//! with separate clocks, so they must never be mixed).
 
 use std::collections::BTreeMap;
 
 use mm_capture::{
-    decode_binary, CaptureData, Dir, HttpEvent, HttpPhase, LinkMeta, PacketEvent, PacketEventKind,
-    PointKind, TapPoint, BINARY_MAGIC,
+    CaptureData, Dir, HttpEvent, HttpPhase, LinkMeta, PacketEvent, PacketEventKind, PointKind,
+    TapPoint,
 };
-
-/// Find the value start of `"key":` in a flat JSON object, skipping
-/// occurrences embedded in string values (their quote is escaped, so
-/// the preceding byte is a backslash).
-fn find_key(line: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    while let Some(rel) = line[start..].find(&pat) {
-        let pos = start + rel;
-        if pos == 0 || bytes[pos - 1] != b'\\' {
-            return Some(pos + pat.len());
-        }
-        start = pos + 1;
-    }
-    None
-}
-
-fn get_u64(line: &str, key: &str) -> Result<u64, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let digits: &str = &line[at..];
-    let end = digits
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return Err(format!("field {key:?} is not a number"));
-    }
-    digits[..end]
-        .parse()
-        .map_err(|e| format!("field {key:?}: {e}"))
-}
-
-fn get_str(line: &str, key: &str) -> Result<String, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = &line[at..];
-    if !rest.starts_with('"') {
-        return Err(format!("field {key:?} is not a string"));
-    }
-    let mut out = String::new();
-    let mut chars = rest[1..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|e| format!("field {key:?}: bad \\u escape: {e}"))?;
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| format!("field {key:?}: bad codepoint {code}"))?,
-                    );
-                }
-                other => return Err(format!("field {key:?}: bad escape {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err(format!("field {key:?}: unterminated string"))
-}
-
-fn get_u64_array(line: &str, key: &str) -> Result<Vec<u64>, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = &line[at..];
-    if !rest.starts_with('[') {
-        return Err(format!("field {key:?} is not an array"));
-    }
-    let close = rest
-        .find(']')
-        .ok_or_else(|| format!("field {key:?}: unterminated array"))?;
-    let body = &rest[1..close];
-    if body.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split(',')
-        .map(|s| s.trim().parse().map_err(|e| format!("field {key:?}: {e}")))
-        .collect()
-}
+use mm_trace::jsonl::{get_str, get_u16, get_u32, get_u64, get_u64_array};
 
 fn get_point(line: &str) -> Result<TapPoint, String> {
     let kind = match get_str(line, "at")?.as_str() {
@@ -108,7 +28,7 @@ fn get_point(line: &str) -> Result<TapPoint, String> {
     };
     Ok(TapPoint {
         kind,
-        index: get_u64(line, "i")? as u32,
+        index: get_u32(line, "i")?,
         dir,
     })
 }
@@ -125,7 +45,7 @@ fn parse_line(line: &str, by_load: &mut BTreeMap<u64, CaptureData>) -> Result<()
             point: get_point(line)?,
             deliveries_ms: get_u64_array(line, "deliveries_ms")?.into(),
             period_ms: get_u64(line, "period_ms")?,
-            mtu_bytes: get_u64(line, "mtu")? as u32,
+            mtu_bytes: get_u32(line, "mtu")?,
         }),
         "pkt" => data.packets.push(PacketEvent {
             t_ns: get_u64(line, "t_ns")?,
@@ -138,7 +58,7 @@ fn parse_line(line: &str, by_load: &mut BTreeMap<u64, CaptureData>) -> Result<()
             },
             point: get_point(line)?,
             pkt_id: get_u64(line, "pkt")?,
-            size_bytes: get_u64(line, "size")? as u32,
+            size_bytes: get_u32(line, "size")?,
             sojourn_ns: get_u64(line, "sojourn_ns")?,
             // Absent in pre-flow capture files; 0 means "no identity".
             flow: get_u64(line, "flow").unwrap_or(0),
@@ -154,9 +74,9 @@ fn parse_line(line: &str, by_load: &mut BTreeMap<u64, CaptureData>) -> Result<()
                 "srv_sent" => HttpPhase::ServerSent,
                 other => return Err(format!("unknown http phase {other:?}")),
             },
-            resource: get_u64(line, "res")? as u32,
+            resource: get_u32(line, "res")?,
             url: get_str(line, "url")?,
-            status: get_u64(line, "status")? as u16,
+            status: get_u16(line, "status")?,
             bytes: get_u64(line, "bytes")?,
         }),
         other => return Err(format!("unknown event type {other:?}")),
@@ -166,7 +86,7 @@ fn parse_line(line: &str, by_load: &mut BTreeMap<u64, CaptureData>) -> Result<()
 
 /// Parse a JSONL capture, grouping events into one [`CaptureData`] per
 /// load, ordered by load id.
-pub fn parse_jsonl(text: &str) -> Result<Vec<CaptureData>, String> {
+pub(crate) fn parse_jsonl(text: &str) -> Result<Vec<CaptureData>, String> {
     let mut by_load = BTreeMap::new();
     for (idx, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -178,11 +98,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<CaptureData>, String> {
     Ok(by_load.into_values().collect())
 }
 
-/// Parse either capture serialization: binary (by magic) or JSONL.
+/// Parse a capture file's bytes.
 pub fn parse_capture_bytes(bytes: &[u8]) -> Result<Vec<CaptureData>, String> {
-    if bytes.starts_with(BINARY_MAGIC) {
-        return Ok(vec![decode_binary(bytes)?]);
-    }
     let text = std::str::from_utf8(bytes).map_err(|e| format!("capture is not UTF-8: {e}"))?;
     parse_jsonl(text)
 }
@@ -190,7 +107,7 @@ pub fn parse_capture_bytes(bytes: &[u8]) -> Result<Vec<CaptureData>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_capture::{data_to_jsonl, encode_binary, Capture, PacketTap, NO_RESOURCE};
+    use mm_capture::{data_to_jsonl, Capture, PacketTap, NO_RESOURCE};
 
     fn sample_data(load: u64) -> CaptureData {
         let cap = Capture::for_load(load);
@@ -256,13 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_bytes_detected_by_magic() {
-        let data = sample_data(3);
-        let parsed = parse_capture_bytes(&encode_binary(&data)).unwrap();
-        assert_eq!(parsed, vec![data]);
-    }
-
-    #[test]
     fn url_containing_key_pattern_does_not_confuse_scanner() {
         // A URL whose text contains `","t_ns":` style fragments: the
         // embedded quotes are escaped on write, so the scanner must skip
@@ -282,6 +192,17 @@ mod tests {
         let parsed = parse_jsonl(&data_to_jsonl(&data)).unwrap();
         assert_eq!(parsed, vec![data]);
         assert_eq!(parsed[0].https[0].t_ns, 4);
+    }
+
+    #[test]
+    fn a_size_past_32_bits_is_an_error() {
+        let line = data_to_jsonl(&sample_data(1))
+            .lines()
+            .find(|l| l.contains("\"ev\":\"pkt\""))
+            .unwrap()
+            .replace("\"size\":1460,", "\"size\":4294967301,");
+        let err = parse_jsonl(&line).unwrap_err();
+        assert!(err.contains("\"size\""), "{err}");
     }
 
     #[test]

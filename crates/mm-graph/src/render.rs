@@ -39,7 +39,7 @@ fn chart_plot(xmax: f64, ymax: f64) -> Plot {
 
 /// Throughput-vs-capacity timeseries for one link direction: shaded
 /// capacity region, achieved-throughput line, utilization in the title.
-pub fn throughput_svg(s: &ThroughputSeries, title: &str) -> String {
+pub(crate) fn throughput_svg(s: &ThroughputSeries, title: &str) -> String {
     let xmax = s.bins.last().map(|b| b.t_ms + s.bin_ms).unwrap_or(1) as f64;
     let ymax = s
         .bins
@@ -94,7 +94,7 @@ pub fn throughput_svg(s: &ThroughputSeries, title: &str) -> String {
 }
 
 /// Per-packet queueing-delay scatter with p50/p95 band lines.
-pub fn delay_svg(samples: &[DelaySample], bands: &[DelayBand], title: &str) -> String {
+pub(crate) fn delay_svg(samples: &[DelaySample], bands: &[DelayBand], title: &str) -> String {
     const NS_PER_MS: f64 = 1_000_000.0;
     let xmax = samples
         .iter()
@@ -221,7 +221,7 @@ pub fn waterfall_svg(rows: &[WaterfallRow], title: &str) -> String {
 }
 
 /// CSV for a throughput series: one row per bin.
-pub fn throughput_csv(s: &ThroughputSeries) -> String {
+pub(crate) fn throughput_csv(s: &ThroughputSeries) -> String {
     let mut out =
         String::from("t_ms,delivered_bytes,capacity_bytes,delivered_mbps,capacity_mbps\n");
     for b in &s.bins {
@@ -238,7 +238,7 @@ pub fn throughput_csv(s: &ThroughputSeries) -> String {
 }
 
 /// CSV for delay bands: one row per bin.
-pub fn delay_csv(bands: &[DelayBand]) -> String {
+pub(crate) fn delay_csv(bands: &[DelayBand]) -> String {
     let mut out = String::from("t_ms,n,p50_ms,p95_ms,max_ms\n");
     for b in bands {
         out.push_str(&format!(
@@ -254,7 +254,7 @@ pub fn delay_csv(bands: &[DelayBand]) -> String {
 }
 
 /// CSV for a waterfall: one row per resource.
-pub fn waterfall_csv(rows: &[WaterfallRow]) -> String {
+pub(crate) fn waterfall_csv(rows: &[WaterfallRow]) -> String {
     let mut out = String::from("resource,queued_ns,sent_ns,finished_ns,status,bytes,failed,url\n");
     for r in rows {
         out.push_str(&format!(

@@ -89,7 +89,7 @@ impl Svg {
         ));
     }
 
-    pub fn polyline(&mut self, pts: &[(f64, f64)], stroke: &str, width: f64) {
+    pub(crate) fn polyline(&mut self, pts: &[(f64, f64)], stroke: &str, width: f64) {
         if pts.is_empty() {
             return;
         }
@@ -108,7 +108,7 @@ impl Svg {
     }
 
     /// A closed filled polygon (used for capacity areas and bands).
-    pub fn polygon(&mut self, pts: &[(f64, f64)], fill: &str) {
+    pub(crate) fn polygon(&mut self, pts: &[(f64, f64)], fill: &str) {
         if pts.is_empty() {
             return;
         }
@@ -123,7 +123,7 @@ impl Svg {
             .push_str(&format!("<polygon points=\"{points}\" fill=\"{fill}\"/>\n"));
     }
 
-    pub fn circle(&mut self, x: f64, y: f64, r: f64, fill: &str) {
+    pub(crate) fn circle(&mut self, x: f64, y: f64, r: f64, fill: &str) {
         self.body.push_str(&format!(
             "<circle cx=\"{}\" cy=\"{}\" r=\"{}\" fill=\"{}\"/>\n",
             fnum(x),
@@ -159,32 +159,32 @@ impl Svg {
 
 /// A rectangular plot area with data-space → pixel-space mapping and a
 /// standard frame (border, ticks, axis labels).
-pub struct Plot {
-    pub x: f64,
-    pub y: f64,
-    pub w: f64,
-    pub h: f64,
-    pub xmin: f64,
-    pub xmax: f64,
-    pub ymin: f64,
-    pub ymax: f64,
+pub(crate) struct Plot {
+    pub(crate) x: f64,
+    pub(crate) y: f64,
+    pub(crate) w: f64,
+    pub(crate) h: f64,
+    pub(crate) xmin: f64,
+    pub(crate) xmax: f64,
+    pub(crate) ymin: f64,
+    pub(crate) ymax: f64,
 }
 
 impl Plot {
     /// Data x → pixel x.
-    pub fn sx(&self, v: f64) -> f64 {
+    pub(crate) fn sx(&self, v: f64) -> f64 {
         let span = (self.xmax - self.xmin).max(f64::MIN_POSITIVE);
         self.x + (v - self.xmin) / span * self.w
     }
 
     /// Data y → pixel y (inverted: larger values are higher).
-    pub fn sy(&self, v: f64) -> f64 {
+    pub(crate) fn sy(&self, v: f64) -> f64 {
         let span = (self.ymax - self.ymin).max(f64::MIN_POSITIVE);
         self.y + self.h - (v - self.ymin) / span * self.h
     }
 
     /// Draw the plot frame: border, 5 ticks per axis, axis labels.
-    pub fn frame(&self, svg: &mut Svg, xlabel: &str, ylabel: &str) {
+    pub(crate) fn frame(&self, svg: &mut Svg, xlabel: &str, ylabel: &str) {
         svg.line(self.x, self.y, self.x, self.y + self.h, "#404040", 1.0);
         svg.line(
             self.x,

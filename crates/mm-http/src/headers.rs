@@ -5,7 +5,7 @@
 //! header order is part of that.
 //!
 //! A map is one `String` holding every field's name and value back to
-//! back, plus one span per field saying where they are (DESIGN.md §16):
+//! back, plus one span per field saying where they are (DESIGN.md §4):
 //! building, cloning and dropping a map costs a constant number of
 //! allocations, not two per field.
 

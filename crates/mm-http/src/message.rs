@@ -64,7 +64,7 @@ pub enum Version {
 
 impl Version {
     /// The wire form, e.g. `HTTP/1.1`.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             Version::Http10 => "HTTP/1.0",
             Version::Http11 => "HTTP/1.1",
@@ -72,7 +72,7 @@ impl Version {
     }
 
     /// Parse the wire form.
-    pub fn from_token(tok: &str) -> Option<Version> {
+    pub(crate) fn from_token(tok: &str) -> Option<Version> {
         match tok {
             "HTTP/1.0" => Some(Version::Http10),
             "HTTP/1.1" => Some(Version::Http11),
@@ -204,13 +204,13 @@ pub(crate) mod serde_bytes {
     use bytes::Bytes;
     use serde::{Deserialize, Deserializer, Serializer};
 
-    pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
+    pub(crate) fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
         // Lossless: every byte maps to one char in U+0000..U+00FF.
         let text: String = b.iter().map(|&x| x as char).collect();
         s.serialize_str(&text)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
+    pub(crate) fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
         let text = String::deserialize(d)?;
         let out: Result<Vec<u8>, _> = text
             .chars()

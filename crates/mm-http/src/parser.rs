@@ -454,11 +454,6 @@ impl ResponseParser {
         }
         Ok(None)
     }
-
-    /// Bytes buffered but not yet consumed by a complete message.
-    pub fn buffered(&self) -> usize {
-        self.machine.buf.len()
-    }
 }
 
 #[cfg(test)]

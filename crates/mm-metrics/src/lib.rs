@@ -39,6 +39,6 @@ pub const LATENCY_BUCKETS_S: [f64; 12] = [
 
 /// Default histogram buckets for queue-backlog-shaped metrics, in
 /// packets (powers of two up to a deep 1024-packet buffer).
-pub const BACKLOG_BUCKETS_PKTS: [f64; 11] = [
+pub(crate) const BACKLOG_BUCKETS_PKTS: [f64; 11] = [
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
 ];

@@ -40,16 +40,8 @@ impl Gauge {
         self.0.set(value);
     }
 
-    /// Set the gauge to `value` if it exceeds the current value
-    /// (high-water-mark semantics).
-    pub fn set_max(&self, value: f64) {
-        if value > self.0.get() {
-            self.0.set(value);
-        }
-    }
-
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         self.0.get()
     }
 }
@@ -109,7 +101,7 @@ impl Histogram {
     }
 
     /// Finite bucket upper bounds.
-    pub fn bounds(&self) -> Vec<f64> {
+    pub(crate) fn bounds(&self) -> Vec<f64> {
         self.0.borrow().bounds.clone()
     }
 }
@@ -244,7 +236,7 @@ impl Registry {
     }
 
     /// Get or create a histogram with label pairs.
-    pub fn histogram_with(
+    pub(crate) fn histogram_with(
         &self,
         name: &str,
         help: &str,
@@ -405,7 +397,6 @@ mod tests {
         assert_eq!(c.get(), 3);
         let g = registry.gauge("cwnd_bytes", "Current cwnd.");
         g.set(14600.0);
-        g.set_max(10.0);
         assert_eq!(g.get(), 14600.0);
         let text = registry.encode();
         assert!(text.contains("# TYPE requests_total counter"));

@@ -144,11 +144,6 @@ impl RegistrySink {
             ..RegistrySink::new(registry)
         }
     }
-
-    /// The registry this sink writes into.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
 }
 
 impl MetricsSink for RegistrySink {

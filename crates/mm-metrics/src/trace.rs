@@ -158,7 +158,8 @@ impl FlowTracer {
     }
 
     /// Number of flows opened.
-    pub fn flow_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn flow_count(&self) -> usize {
         self.inner.borrow().flows.len()
     }
 
@@ -178,7 +179,7 @@ impl FlowTracer {
     }
 
     /// Encode every kept sample as one JSON object per line.
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (id, record) in self.inner.borrow().flows.iter().enumerate() {
             for s in record.samples.iter().chain(record.pending.iter()) {

@@ -44,17 +44,17 @@ impl std::fmt::Display for MuxError {
 impl std::error::Error for MuxError {}
 
 /// Completion callback for one request.
-pub type DoneFn = Box<dyn FnOnce(&mut Simulator, Result<Response, MuxError>)>;
+pub(crate) type DoneFn = Box<dyn FnOnce(&mut Simulator, Result<Response, MuxError>)>;
 
 /// Caller tag meaning "untagged" (observer notifications suppressed).
-pub const NO_TAG: u32 = u32::MAX;
+pub(crate) const NO_TAG: u32 = u32::MAX;
 
-/// Stream-scheduler milestones surfaced to a [`StreamObserver`]: the
+/// Stream-scheduler milestones surfaced to a `StreamObserver`: the
 /// edges a span layer needs to split "waiting for a stream slot" from
 /// "request on the wire" without reaching into the client's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamEvent {
-    /// The connection finished its handshake (tag is [`NO_TAG`]).
+    /// The connection finished its handshake (tag is `NO_TAG`).
     ConnReady,
     /// A queued request left the scheduler: its HEADERS hit the socket.
     Opened,
@@ -65,7 +65,7 @@ pub enum StreamEvent {
 /// Observer of per-stream scheduling milestones, keyed by the caller's
 /// request tag. Purely observational: called after the client releases
 /// its borrow, must not touch the client.
-pub type StreamObserver = Rc<dyn Fn(u32, StreamEvent, Timestamp)>;
+pub(crate) type StreamObserver = Rc<dyn Fn(u32, StreamEvent, Timestamp)>;
 
 struct PendingRequest {
     req: Request,
@@ -174,7 +174,7 @@ impl MuxClient {
     }
 
     /// [`MuxClient::request`] with a caller tag the installed
-    /// [`StreamObserver`] receives on each milestone, so callers can
+    /// `StreamObserver` receives on each milestone, so callers can
     /// attribute scheduler waits to their own request identities.
     pub fn request_tagged(
         &self,

@@ -2,10 +2,10 @@
 //!
 //! Two small state machines, used on both ends of a connection:
 //!
-//! * [`FlowWindow`] — the sender's view of how many DATA bytes it may
+//! * `FlowWindow` — the sender's view of how many DATA bytes it may
 //!   still put on the wire (per stream and per connection). Consumed as
 //!   frames are sent, replenished by WINDOW_UPDATE.
-//! * [`WindowRefill`] — the receiver's accounting of consumed bytes,
+//! * `WindowRefill` — the receiver's accounting of consumed bytes,
 //!   deciding when to emit a WINDOW_UPDATE. Updates are batched until
 //!   half the window has been consumed, halving update traffic versus
 //!   per-frame acks while never letting the sender's window run dry as
@@ -13,30 +13,30 @@
 
 /// A sender-side flow-control window.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowWindow {
+pub(crate) struct FlowWindow {
     available: u64,
 }
 
 impl FlowWindow {
     /// A window with `initial` bytes of credit.
-    pub fn new(initial: u64) -> FlowWindow {
+    pub(crate) fn new(initial: u64) -> FlowWindow {
         FlowWindow { available: initial }
     }
 
     /// Bytes that may still be sent.
-    pub fn available(&self) -> u64 {
+    pub(crate) fn available(&self) -> u64 {
         self.available
     }
 
     /// True when no DATA may be sent.
-    pub fn is_blocked(&self) -> bool {
+    pub(crate) fn is_blocked(&self) -> bool {
         self.available == 0
     }
 
     /// Spend `n` bytes of credit. Panics if `n` exceeds the available
     /// window — callers size frames from [`Self::available`] first, so
     /// overspending is a protocol-logic bug, not a wire condition.
-    pub fn consume(&mut self, n: u64) {
+    pub(crate) fn consume(&mut self, n: u64) {
         assert!(
             n <= self.available,
             "flow-control overspend: {} > {}",
@@ -47,21 +47,21 @@ impl FlowWindow {
     }
 
     /// Add `n` bytes of credit (a WINDOW_UPDATE arrived).
-    pub fn grant(&mut self, n: u64) {
+    pub(crate) fn grant(&mut self, n: u64) {
         self.available = self.available.saturating_add(n);
     }
 }
 
 /// Receiver-side accounting that batches WINDOW_UPDATEs.
 #[derive(Debug, Clone)]
-pub struct WindowRefill {
+pub(crate) struct WindowRefill {
     window: u64,
     consumed_since_update: u64,
 }
 
 impl WindowRefill {
     /// Accounting for a window of `window` bytes.
-    pub fn new(window: u64) -> WindowRefill {
+    pub(crate) fn new(window: u64) -> WindowRefill {
         WindowRefill {
             window,
             consumed_since_update: 0,
@@ -71,7 +71,7 @@ impl WindowRefill {
     /// Record `n` consumed bytes. Returns the increment to advertise in a
     /// WINDOW_UPDATE once at least half the window has been consumed
     /// since the last one, `None` while batching.
-    pub fn consumed(&mut self, n: u64) -> Option<u64> {
+    pub(crate) fn consumed(&mut self, n: u64) -> Option<u64> {
         self.consumed_since_update += n;
         if self.consumed_since_update * 2 >= self.window {
             Some(std::mem::take(&mut self.consumed_since_update))

@@ -38,7 +38,7 @@ const FLAG_END_STREAM: u8 = 0x1;
 /// Upper bound on a frame payload the decoder will buffer. DATA payloads
 /// are bounded by `MuxConfig::frame_max_data` at the sender; anything
 /// beyond this is garbage on the wire.
-pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
+pub(crate) const MAX_FRAME_PAYLOAD: usize = 1 << 20;
 
 /// One protocol frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +78,7 @@ pub enum DecodeError {
     UnknownType(u8),
     /// Structurally invalid payload for the declared type.
     Malformed(&'static str),
-    /// Declared payload length exceeds [`MAX_FRAME_PAYLOAD`].
+    /// Declared payload length exceeds `MAX_FRAME_PAYLOAD`.
     Oversized(usize),
 }
 
@@ -107,16 +107,6 @@ fn put_field(out: &mut BytesMut, name: &str, value: &str) {
 }
 
 impl Frame {
-    /// The stream this frame belongs to (0 for connection-level frames).
-    pub fn stream(&self) -> u32 {
-        match *self {
-            Frame::Data { stream, .. }
-            | Frame::Headers { stream, .. }
-            | Frame::WindowUpdate { stream, .. } => stream,
-            Frame::Settings { .. } => 0,
-        }
-    }
-
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut payload = BytesMut::new();
@@ -291,7 +281,7 @@ fn take_field(bytes: &[u8]) -> Result<(String, &[u8]), DecodeError> {
 
 /// Header-block fields for `req` (pseudo-fields first, Host elided in
 /// favour of `:authority`).
-pub fn request_fields(req: &Request) -> Vec<(String, String)> {
+pub(crate) fn request_fields(req: &Request) -> Vec<(String, String)> {
     let mut fields = vec![
         (":method".to_string(), req.method.as_str().to_string()),
         (":path".to_string(), req.target.clone()),
@@ -309,7 +299,7 @@ pub fn request_fields(req: &Request) -> Vec<(String, String)> {
 }
 
 /// Rebuild a request from a header block (body arrives via DATA frames).
-pub fn request_from_fields(fields: &[(String, String)]) -> Result<Request, DecodeError> {
+pub(crate) fn request_from_fields(fields: &[(String, String)]) -> Result<Request, DecodeError> {
     let pseudo = |name: &str| {
         fields
             .iter()
@@ -336,7 +326,7 @@ pub fn request_from_fields(fields: &[(String, String)]) -> Result<Request, Decod
 }
 
 /// Header-block fields for a response head (the body travels as DATA).
-pub fn response_fields(resp: &Response) -> Vec<(String, String)> {
+pub(crate) fn response_fields(resp: &Response) -> Vec<(String, String)> {
     let mut fields = vec![
         (":status".to_string(), resp.status.to_string()),
         (":reason".to_string(), resp.reason.clone()),
@@ -349,7 +339,7 @@ pub fn response_fields(resp: &Response) -> Vec<(String, String)> {
 
 /// Rebuild a response head from a header block; the returned response has
 /// an empty body for DATA frames to fill.
-pub fn response_from_fields(fields: &[(String, String)]) -> Result<Response, DecodeError> {
+pub(crate) fn response_from_fields(fields: &[(String, String)]) -> Result<Response, DecodeError> {
     let status = fields
         .iter()
         .find(|(n, _)| n == ":status")

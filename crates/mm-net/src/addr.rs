@@ -30,7 +30,7 @@ impl IpAddr {
     }
 
     /// The four octets, most significant first.
-    pub const fn octets(self) -> [u8; 4] {
+    pub(crate) const fn octets(self) -> [u8; 4] {
         [
             (self.0 >> 24) as u8,
             (self.0 >> 16) as u8,

@@ -29,13 +29,6 @@ pub struct ConnId {
     generation: u32,
 }
 
-impl ConnId {
-    /// The slot index (diagnostics; reused across generations).
-    pub fn index(self) -> u32 {
-        self.index
-    }
-}
-
 struct Slot {
     generation: u32,
     /// The connection occupying the slot, or `None` while on the free
@@ -60,13 +53,8 @@ impl ConnTable {
     }
 
     /// Number of live connections.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
-    }
-
-    /// True if no connections are live.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     /// Insert a connection under its address pair, returning its id.
@@ -112,12 +100,12 @@ impl ConnTable {
     }
 
     /// The connection bound to an address pair.
-    pub fn get_by_addr(&self, key: &(SocketAddr, SocketAddr)) -> Option<&TcpHandle> {
+    pub(crate) fn get_by_addr(&self, key: &(SocketAddr, SocketAddr)) -> Option<&TcpHandle> {
         self.lookup(key).and_then(|id| self.get(id))
     }
 
     /// True if an address pair is bound.
-    pub fn contains_addr(&self, key: &(SocketAddr, SocketAddr)) -> bool {
+    pub(crate) fn contains_addr(&self, key: &(SocketAddr, SocketAddr)) -> bool {
         self.demux.contains_key(key)
     }
 
@@ -139,7 +127,7 @@ impl ConnTable {
     /// Drop every connection failing the predicate (slab `retain`). Slots
     /// are scanned in index order; the predicate must not call back into
     /// the table.
-    pub fn retain(&mut self, mut keep: impl FnMut(&TcpHandle) -> bool) {
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&TcpHandle) -> bool) {
         for index in 0..self.slots.len() {
             let dead = match &self.slots[index].entry {
                 Some((_, h)) => !keep(h),
@@ -158,7 +146,7 @@ impl ConnTable {
     }
 
     /// Iterate live connection ids in slot order (diagnostics).
-    pub fn ids(&self) -> impl Iterator<Item = ConnId> + '_ {
+    pub(crate) fn ids(&self) -> impl Iterator<Item = ConnId> + '_ {
         self.slots.iter().enumerate().filter_map(|(i, s)| {
             s.entry.as_ref().map(|_| ConnId {
                 index: i as u32,
@@ -224,7 +212,7 @@ mod tests {
         // The slot is reused for a different connection...
         let (k2, h2) = handle(&mut sim, 1001);
         let new = table.insert(k2, h2);
-        assert_eq!(new.index(), old.index());
+        assert_eq!(new.index, old.index);
         // ...but the stale id stays dead: generation check.
         assert!(table.get(old).is_none());
         assert!(table.remove(old).is_none());

@@ -17,7 +17,7 @@
 //! Per-namespace counters make the paper's isolation property directly
 //! testable: two sibling namespaces never exchange packets.
 //!
-//! Ownership (DESIGN.md §13): a namespace holds its parent and both shell
+//! Ownership (DESIGN.md §6): a namespace holds its parent and both shell
 //! chains strongly, and is itself held by its hosts and by whoever built
 //! it. Nothing points back down strongly — a [`Namespace::router`] sink and
 //! a host's delivery sink hold their actor weakly — so a world is freed
@@ -130,25 +130,6 @@ impl Namespace {
             inner.hosts.insert(ip, sink);
         }
         self.propagate_route_up(ip);
-    }
-
-    /// Remove a host (e.g. when a shell tears down), withdrawing the route
-    /// its registration propagated to every ancestor. No-op if absent.
-    pub fn remove_host(&self, ip: IpAddr) {
-        if self.inner.state.borrow_mut().hosts.remove(&ip).is_none() {
-            return;
-        }
-        let mut parent = self.inner.state.borrow().parent.clone();
-        while let Some(ns) = parent {
-            let mut inner = ns.inner.state.borrow_mut();
-            inner.child_routes.remove(&ip);
-            parent = inner.parent.clone();
-        }
-    }
-
-    /// True if `ip` is a host directly inside this namespace.
-    pub fn has_host(&self, ip: IpAddr) -> bool {
-        self.inner.state.borrow().hosts.contains_key(&ip)
     }
 
     /// Attach `child` under this namespace.
@@ -423,36 +404,6 @@ mod tests {
     fn one_router_per_namespace() {
         let ns = Namespace::root("test");
         assert!(Rc::ptr_eq(&ns.router(), &ns.router()));
-    }
-
-    #[test]
-    fn remove_host_withdraws_the_route_from_every_ancestor() {
-        let mut sim = Simulator::new();
-        let root = Namespace::root("root");
-        let mid = Namespace::root("mid");
-        let leaf = Namespace::root("leaf");
-        root.attach_child(&mid, root.router(), mid.router());
-        mid.attach_child(&leaf, mid.router(), leaf.router());
-        let deep_ip = IpAddr::new(100, 64, 1, 1);
-        let other_ip = IpAddr::new(100, 64, 1, 2);
-        let (seen, sink) = collector();
-        leaf.add_host(deep_ip, sink.clone());
-        leaf.add_host(other_ip, sink);
-        root.router().deliver(&mut sim, pkt(deep_ip));
-        assert_eq!(*seen.borrow(), vec![deep_ip]);
-
-        leaf.remove_host(deep_ip);
-        root.router().deliver(&mut sim, pkt(deep_ip));
-        // Stopped at the root: nothing went down the chain to bounce off
-        // the leaf's uplink.
-        assert_eq!(root.counters().unroutable, 1);
-        assert_eq!(root.counters().forwarded_down, 1);
-        assert_eq!(mid.counters().total(), 1);
-        assert_eq!(leaf.counters().total(), 1);
-        // The sibling address still routes; removing twice is a no-op.
-        leaf.remove_host(deep_ip);
-        root.router().deliver(&mut sim, pkt(other_ip));
-        assert_eq!(*seen.borrow(), vec![deep_ip, other_ip]);
     }
 
     #[test]

@@ -44,9 +44,9 @@ pub trait Listener {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostStats {
     pub packets_in: u64,
-    pub packets_out: u64,
+    pub(crate) packets_out: u64,
     pub corrupted_dropped: u64,
-    pub rst_sent: u64,
+    pub(crate) rst_sent: u64,
     pub connections_accepted: u64,
     pub connections_initiated: u64,
 }
@@ -206,7 +206,7 @@ impl Host {
     /// the namespace alive from here on; the namespace only *knows* the
     /// host, so whoever created the host must hold it for as long as it
     /// should receive packets.
-    pub fn attach(&self, ns: &Namespace) {
+    pub(crate) fn attach(&self, ns: &Namespace) {
         {
             let mut inner = self.inner.borrow_mut();
             inner.egress = ns.router();
@@ -249,11 +249,6 @@ impl Host {
         let mut inner = self.inner.borrow_mut();
         assert!(inner.catch_all.is_none(), "catch-all listener already set");
         inner.catch_all = Some(listener);
-    }
-
-    /// Stop listening on `port`.
-    pub fn unlisten(&self, port: u16) {
-        self.inner.borrow_mut().listeners.remove(&port);
     }
 
     /// Open a connection to `remote`; `app` receives socket events.

@@ -15,7 +15,7 @@ use crate::addr::SocketAddr;
 pub const MTU: usize = 1500;
 
 /// Combined IP + TCP header overhead per packet.
-pub const HEADER_BYTES: usize = 40;
+pub(crate) const HEADER_BYTES: usize = 40;
 
 /// Maximum segment size: MTU minus headers.
 pub const MSS: usize = MTU - HEADER_BYTES;
@@ -31,14 +31,14 @@ pub struct TcpFlags {
 
 impl TcpFlags {
     /// A pure SYN.
-    pub const SYN: TcpFlags = TcpFlags {
+    pub(crate) const SYN: TcpFlags = TcpFlags {
         syn: true,
         ack: false,
         fin: false,
         rst: false,
     };
     /// SYN+ACK.
-    pub const SYN_ACK: TcpFlags = TcpFlags {
+    pub(crate) const SYN_ACK: TcpFlags = TcpFlags {
         syn: true,
         ack: true,
         fin: false,
@@ -52,14 +52,14 @@ impl TcpFlags {
         rst: false,
     };
     /// FIN+ACK.
-    pub const FIN_ACK: TcpFlags = TcpFlags {
+    pub(crate) const FIN_ACK: TcpFlags = TcpFlags {
         syn: false,
         ack: true,
         fin: true,
         rst: false,
     };
     /// RST.
-    pub const RST: TcpFlags = TcpFlags {
+    pub(crate) const RST: TcpFlags = TcpFlags {
         syn: false,
         ack: false,
         fin: false,
@@ -105,20 +105,15 @@ impl SackBlock {
     }
 
     /// Bytes covered by this block.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.end - self.start
-    }
-
-    /// Blocks are never empty; kept for clippy's len-without-is-empty.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
 /// A real TCP header fits at most 4 SACK blocks in its options (3 when a
 /// timestamp option is present, as it was on era Linux). The model keeps
 /// the era-Linux limit.
-pub const MAX_SACK_BLOCKS: usize = 3;
+pub(crate) const MAX_SACK_BLOCKS: usize = 3;
 
 /// The SACK portion of the segment header's option space (RFC 2018).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -127,19 +122,9 @@ pub struct SackOption {
     /// willing to receive SACK blocks.
     pub permitted: bool,
     /// On ACKs while the receiver holds out-of-order data: up to
-    /// [`MAX_SACK_BLOCKS`] received-above-cumulative ranges, the block
+    /// `MAX_SACK_BLOCKS` received-above-cumulative ranges, the block
     /// containing the most recently received segment first.
     pub blocks: Vec<SackBlock>,
-}
-
-impl SackOption {
-    /// A SYN option advertising SACK support.
-    pub fn permitted() -> SackOption {
-        SackOption {
-            permitted: true,
-            blocks: Vec::new(),
-        }
-    }
 }
 
 /// A TCP segment. Sequence numbers are 64-bit byte offsets into the flow
@@ -164,14 +149,14 @@ pub struct TcpSegment {
 impl TcpSegment {
     /// Sequence space consumed by this segment (payload plus one slot each
     /// for SYN and FIN).
-    pub fn seq_len(&self) -> u64 {
+    pub(crate) fn seq_len(&self) -> u64 {
         self.payload.len() as u64
             + if self.flags.syn { 1 } else { 0 }
             + if self.flags.fin { 1 } else { 0 }
     }
 
     /// The sequence number immediately after this segment.
-    pub fn seq_end(&self) -> u64 {
+    pub(crate) fn seq_end(&self) -> u64 {
         self.seq + self.seq_len()
     }
 }
@@ -197,11 +182,6 @@ impl Packet {
         HEADER_BYTES + self.segment.payload.len()
     }
 
-    /// True if this packet carries no application payload (pure control).
-    pub fn is_control(&self) -> bool {
-        self.segment.payload.is_empty()
-    }
-
     /// Direction-insensitive fingerprint of the packet's 4-tuple: both
     /// directions of one connection hash identically, so captures and
     /// conformance audits can group a flow's packets without parsing
@@ -217,20 +197,6 @@ impl Packet {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h.max(1)
-    }
-
-    /// One-line human-readable summary for captures and debugging.
-    pub fn summary(&self) -> String {
-        format!(
-            "#{} {}->{} {} seq={} ack={} len={}",
-            self.id,
-            self.src,
-            self.dst,
-            self.segment.flags,
-            self.segment.seq,
-            self.segment.ack,
-            self.segment.payload.len()
-        )
     }
 }
 
@@ -279,21 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn control_packets_detected() {
-        assert!(pkt(0, TcpFlags::SYN).is_control());
-        assert!(!pkt(5, TcpFlags::ACK).is_control());
-    }
-
-    #[test]
     fn flags_display() {
         assert_eq!(TcpFlags::SYN_ACK.to_string(), "SYN|ACK");
         assert_eq!(TcpFlags::default().to_string(), "-");
-    }
-
-    #[test]
-    fn summary_mentions_endpoints() {
-        let s = pkt(3, TcpFlags::ACK).summary();
-        assert!(s.contains("10.0.0.1:40000"));
-        assert!(s.contains("93.184.216.34:80"));
     }
 }

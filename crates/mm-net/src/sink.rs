@@ -14,7 +14,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mm_sim::{Simulator, Timestamp};
+use mm_sim::Simulator;
 
 use crate::packet::Packet;
 
@@ -39,18 +39,19 @@ pub type SinkRef = Rc<dyn PacketSink>;
 /// A sink that drops everything (the default route of an unattached
 /// namespace) while counting what it dropped.
 #[derive(Default)]
-pub struct BlackHole {
+pub(crate) struct BlackHole {
     dropped: RefCell<u64>,
 }
 
 impl BlackHole {
     /// New black hole with a zeroed counter.
-    pub fn new() -> Rc<Self> {
+    pub(crate) fn new() -> Rc<Self> {
         Rc::new(BlackHole::default())
     }
 
     /// Packets swallowed so far.
-    pub fn dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dropped(&self) -> u64 {
         *self.dropped.borrow()
     }
 }
@@ -76,94 +77,6 @@ impl<F: Fn(&mut Simulator, Packet) + 'static> FnSink<F> {
 impl<F: Fn(&mut Simulator, Packet)> PacketSink for FnSink<F> {
     fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
         (self.f)(sim, pkt)
-    }
-}
-
-/// One observed packet in a capture.
-#[derive(Debug, Clone)]
-pub struct CaptureEntry {
-    pub at: Timestamp,
-    pub summary: String,
-    pub wire_size: usize,
-    pub packet_id: u64,
-}
-
-/// Shared, growable packet capture — the simulator's stand-in for a pcap
-/// file. Attach via [`Tap`].
-#[derive(Clone, Default)]
-pub struct Capture {
-    entries: Rc<RefCell<Vec<CaptureEntry>>>,
-}
-
-impl Capture {
-    /// Fresh empty capture.
-    pub fn new() -> Self {
-        Capture::default()
-    }
-
-    /// Record one packet.
-    pub fn record(&self, at: Timestamp, pkt: &Packet) {
-        self.entries.borrow_mut().push(CaptureEntry {
-            at,
-            summary: pkt.summary(),
-            wire_size: pkt.wire_size(),
-            packet_id: pkt.id,
-        });
-    }
-
-    /// Number of packets captured.
-    pub fn len(&self) -> usize {
-        self.entries.borrow().len()
-    }
-
-    /// True if nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total wire bytes captured.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries
-            .borrow()
-            .iter()
-            .map(|e| e.wire_size as u64)
-            .sum()
-    }
-
-    /// Clone the entries out (test/report use).
-    pub fn entries(&self) -> Vec<CaptureEntry> {
-        self.entries.borrow().clone()
-    }
-
-    /// Render as text, one packet per line, like `tcpdump` output.
-    pub fn dump(&self) -> String {
-        self.entries
-            .borrow()
-            .iter()
-            .map(|e| format!("{} {}", e.at, e.summary))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-}
-
-/// A transparent tap: records every packet to a [`Capture`] and forwards
-/// unchanged.
-pub struct Tap {
-    capture: Capture,
-    next: SinkRef,
-}
-
-impl Tap {
-    /// Insert a tap in front of `next`.
-    pub fn new(capture: Capture, next: SinkRef) -> Rc<Self> {
-        Rc::new(Tap { capture, next })
-    }
-}
-
-impl PacketSink for Tap {
-    fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
-        self.capture.record(sim.now(), &pkt);
-        self.next.deliver(sim, pkt);
     }
 }
 
@@ -218,31 +131,5 @@ mod tests {
         let sink = FnSink::new(move |_, p: Packet| s.borrow_mut().push(p.id));
         sink.deliver(&mut sim, test_packet(7));
         assert_eq!(*seen.borrow(), vec![7]);
-    }
-
-    #[test]
-    fn tap_records_and_forwards() {
-        let mut sim = Simulator::new();
-        let cap = Capture::new();
-        let bh = BlackHole::new();
-        let tap = Tap::new(cap.clone(), bh.clone());
-        tap.deliver(&mut sim, test_packet(3));
-        assert_eq!(cap.len(), 1);
-        assert_eq!(bh.dropped(), 1);
-        assert_eq!(cap.total_bytes(), 45); // 40 header + 5 payload
-        assert!(cap.dump().contains("#3"));
-    }
-
-    #[test]
-    fn capture_entries_clone_out() {
-        let mut sim = Simulator::new();
-        let cap = Capture::new();
-        let tap = Tap::new(cap.clone(), BlackHole::new());
-        for i in 0..5 {
-            tap.deliver(&mut sim, test_packet(i));
-        }
-        let entries = cap.entries();
-        assert_eq!(entries.len(), 5);
-        assert_eq!(entries[4].packet_id, 4);
     }
 }

@@ -30,7 +30,7 @@ pub enum CcAlgorithm {
 }
 
 /// Congestion-controller interface. All window values are bytes.
-pub trait CongestionControl {
+pub(crate) trait CongestionControl {
     /// Current congestion window.
     fn cwnd(&self) -> u64;
     /// Current slow-start threshold.
@@ -80,12 +80,12 @@ pub trait CongestionControl {
 const MSS64: u64 = MSS as u64;
 /// Initial window: 10 segments (RFC 6928, the Linux default since 2011,
 /// i.e. the paper's era).
-pub const INITIAL_WINDOW: u64 = 10 * MSS64;
+pub(crate) const INITIAL_WINDOW: u64 = 10 * MSS64;
 const MIN_CWND: u64 = 2 * MSS64;
 
 /// TCP NewReno.
 #[derive(Debug, Clone)]
-pub struct Reno {
+pub(crate) struct Reno {
     cwnd: u64,
     ssthresh: u64,
     /// Fractional-MSS accumulator for congestion avoidance.
@@ -96,12 +96,12 @@ pub struct Reno {
 
 impl Reno {
     /// Standard initial state (IW10, effectively-infinite ssthresh).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_initial_window(INITIAL_WINDOW)
     }
 
     /// Initial state with an explicit initial window in bytes.
-    pub fn with_initial_window(iw: u64) -> Self {
+    pub(crate) fn with_initial_window(iw: u64) -> Self {
         Reno {
             cwnd: iw.max(MIN_CWND),
             ssthresh: u64::MAX,
@@ -167,7 +167,7 @@ impl CongestionControl for Reno {
 /// CUBIC window growth (simplified RFC 8312: no TCP-friendly region clamp
 /// beyond the Reno-equivalent lower bound, no HyStart).
 #[derive(Debug, Clone)]
-pub struct Cubic {
+pub(crate) struct Cubic {
     cwnd: u64,
     ssthresh: u64,
     /// Window size before the last reduction.
@@ -199,12 +199,12 @@ const CUBIC_BETA: f64 = 0.7;
 
 impl Cubic {
     /// Standard initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_initial_window(INITIAL_WINDOW)
     }
 
     /// Initial state with an explicit initial window in bytes.
-    pub fn with_initial_window(iw: u64) -> Self {
+    pub(crate) fn with_initial_window(iw: u64) -> Self {
         Cubic {
             cwnd: iw.max(MIN_CWND),
             ssthresh: u64::MAX,
@@ -354,7 +354,7 @@ enum BbrMode {
     ProbeRtt,
 }
 
-/// BBRv1 (simplified; deviations in DESIGN.md §4): a model-based
+/// BBRv1 (simplified; deviations in DESIGN.md §3): a model-based
 /// controller that estimates the bottleneck bandwidth (windowed max of
 /// delivery-rate samples over 10 rounds) and the round-trip propagation
 /// delay (windowed min RTT), paces at `gain × bw`, and caps inflight at
@@ -362,7 +362,7 @@ enum BbrMode {
 /// conserves packets (ssthresh stays at `u64::MAX`, so the socket's PRR
 /// runs in its conservative branch) and the window snaps back on exit.
 #[derive(Debug)]
-pub struct Bbr {
+pub(crate) struct Bbr {
     mode: BbrMode,
     cwnd: u64,
     initial_cwnd: u64,
@@ -400,12 +400,12 @@ pub struct Bbr {
 
 impl Bbr {
     /// Standard initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_initial_window(INITIAL_WINDOW)
     }
 
     /// Initial state with an explicit initial window in bytes.
-    pub fn with_initial_window(iw: u64) -> Self {
+    pub(crate) fn with_initial_window(iw: u64) -> Self {
         let iw = iw.max(BBR_MIN_CWND);
         Bbr {
             mode: BbrMode::Startup,
@@ -431,7 +431,7 @@ impl Bbr {
     }
 
     /// Windowed-max bottleneck bandwidth estimate, bytes/second.
-    pub fn max_bw(&self) -> Option<u64> {
+    pub(crate) fn max_bw(&self) -> Option<u64> {
         self.bw_filter.max()
     }
 
@@ -692,7 +692,7 @@ impl CongestionControl for Bbr {
 
 /// Construct a boxed controller for the given algorithm with the given
 /// initial window in bytes.
-pub fn make_controller(alg: CcAlgorithm, initial_window: u64) -> Box<dyn CongestionControl> {
+pub(crate) fn make_controller(alg: CcAlgorithm, initial_window: u64) -> Box<dyn CongestionControl> {
     match alg {
         CcAlgorithm::Reno => Box::new(Reno::with_initial_window(initial_window)),
         CcAlgorithm::Cubic => Box::new(Cubic::with_initial_window(initial_window)),
@@ -838,7 +838,6 @@ mod tests {
             delivered,
             prior_delivered,
             rtt: SimDuration::from_millis(rtt_ms),
-            min_rtt: Some(SimDuration::from_millis(rtt_ms)),
             is_app_limited: false,
         }
     }

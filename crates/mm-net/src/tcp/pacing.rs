@@ -8,12 +8,12 @@
 //! released segment advances `next_release` by `bytes / rate`, and the
 //! socket may only transmit while `now ≥ next_release` — the release
 //! schedule a fair-queue qdisc (Linux `fq`) would impose, minus any
-//! TSO-style burst quantum (one segment per release; DESIGN.md §4).
+//! TSO-style burst quantum (one segment per release; DESIGN.md §3).
 //!
 //! The pacer does not own a rate: the socket derives one per transmission
-//! opportunity — [`CongestionControl::pacing_rate`](crate::tcp::cc::CongestionControl::pacing_rate) when the controller
+//! opportunity — `CongestionControl::pacing_rate` when the controller
 //! models one (BBR), else `gain × bw_estimate` from the delivery-rate
-//! estimator ([`PACING_GAIN_SS`]/[`PACING_GAIN_CA`], the Linux sysctl
+//! estimator (`PACING_GAIN_SS`/`PACING_GAIN_CA`, the Linux sysctl
 //! defaults). With no bandwidth estimate yet there is nothing to pace
 //! against and transmission is immediate (the initial window leaves as a
 //! burst, as deployed stacks do before the first RTT of feedback).
@@ -27,12 +27,12 @@ use mm_sim::{SimDuration, Timestamp};
 /// Pacing gain while the controller reports slow start: transmit at
 /// twice the estimated bandwidth so the window can still grow
 /// exponentially (Linux `sysctl_tcp_pacing_ss_ratio` = 200%).
-pub const PACING_GAIN_SS: f64 = 2.0;
+pub(crate) const PACING_GAIN_SS: f64 = 2.0;
 
 /// Pacing gain in congestion avoidance: 20% headroom over the estimate
 /// so pacing never becomes the clamp that starves window growth (Linux
 /// `sysctl_tcp_pacing_ca_ratio` = 120%).
-pub const PACING_GAIN_CA: f64 = 1.2;
+pub(crate) const PACING_GAIN_CA: f64 = 1.2;
 
 /// The token clock. `next_release` is the earliest instant the next
 /// segment may leave; it only moves forward while transmissions happen,
@@ -60,7 +60,7 @@ impl Pacer {
 
     /// The earliest instant the next segment may leave (arm the pacing
     /// timer here when [`can_send`](Self::can_send) says no).
-    pub fn ready_at(&self) -> Timestamp {
+    pub(crate) fn ready_at(&self) -> Timestamp {
         self.next_release
     }
 
@@ -84,14 +84,14 @@ impl Pacer {
 
     /// High-water mark of bytes released ahead of the token clock
     /// (0 unless some transmission ignored [`can_send`](Self::can_send)).
-    pub fn max_excess_bytes(&self) -> u64 {
+    pub(crate) fn max_excess_bytes(&self) -> u64 {
         self.max_excess_bytes
     }
 
     /// Forget any pending schedule (connection teardown). The excess
     /// high-water mark survives: it records a conformance fact, not
     /// schedule state.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.next_release = Timestamp::ZERO;
     }
 }

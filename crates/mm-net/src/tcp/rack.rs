@@ -13,7 +13,7 @@
 //!   RACK loss mark is later disproven by the segment's original arriving
 //!   (this model's stand-in for DSACK evidence), monotonically within a
 //!   connection.
-//! * [`FrtoState`] — F-RTO (RFC 5682): after a retransmission timeout,
+//! * `FrtoState` — F-RTO (RFC 5682): after a retransmission timeout,
 //!   before blindly resending everything, probe whether the timeout was
 //!   *spurious* (the acknowledgments were merely delayed). If the first
 //!   post-RTO cumulative ACK covers data that was never retransmitted,
@@ -21,7 +21,7 @@
 //!   advances over never-retransmitted data, the original flight is
 //!   arriving — the timeout was spurious, and the socket undoes the
 //!   congestion-window collapse and the RTO backoff
-//!   ([`RttEstimator::reset_backoff`](crate::tcp::rtt::RttEstimator::reset_backoff),
+//!   (`RttEstimator::reset_backoff`,
 //!   unwired until this subsystem existed — DESIGN.md §3).
 //!
 //! The Tail Loss Probe timer itself lives in the socket (it needs the
@@ -33,11 +33,11 @@ use mm_sim::{SimDuration, Timestamp};
 /// Cap on the adaptive reordering-window multiplier (quarters of
 /// `min_rtt`): 16 quarters = 4 × min_rtt, the most reordering tolerance
 /// that can still detect loss faster than the RTO.
-pub const REO_WND_MAX_QUARTERS: u32 = 16;
+pub(crate) const REO_WND_MAX_QUARTERS: u32 = 16;
 
 /// Extra slack added to the Tail Loss Probe timeout over `2 × SRTT`,
 /// absorbing ack-processing jitter (Linux uses 2 ms).
-pub const TLP_SLACK: SimDuration = SimDuration::from_millis(2);
+pub(crate) const TLP_SLACK: SimDuration = SimDuration::from_millis(2);
 
 /// RACK per-connection state: delivery-time tracking and the adaptive
 /// reordering window (RFC 8985, simplified — deviations in DESIGN.md §3).
@@ -121,7 +121,7 @@ impl RackState {
 
     /// A RACK loss mark was disproven (the marked segment's original
     /// transmission arrived after all): widen the reordering window one
-    /// quarter-RTT, up to [`REO_WND_MAX_QUARTERS`]. Monotone.
+    /// quarter-RTT, up to `REO_WND_MAX_QUARTERS`. Monotone.
     pub fn on_spurious_mark(&mut self) {
         self.reordering_seen = true;
         self.reo_wnd_quarters = (self.reo_wnd_quarters + 1).min(REO_WND_MAX_QUARTERS);
@@ -141,7 +141,7 @@ impl RackState {
     /// at `sent_at` ending at `end_seq`? Only such segments can be deemed
     /// lost — a segment sent after every delivered one has had no chance
     /// to be overtaken.
-    pub fn sent_after(&self, sent_at: Timestamp, end_seq: u64) -> bool {
+    pub(crate) fn sent_after(&self, sent_at: Timestamp, end_seq: u64) -> bool {
         match self.xmit_ts {
             None => false,
             Some(ts) => ts > sent_at || (ts == sent_at && self.end_seq > end_seq),
@@ -151,7 +151,7 @@ impl RackState {
     /// The instant at which an undelivered segment sent at `sent_at`
     /// crosses from "possibly reordered" to "lost": one delivery RTT plus
     /// the reordering window past its transmission.
-    pub fn lost_deadline(&self, sent_at: Timestamp) -> Timestamp {
+    pub(crate) fn lost_deadline(&self, sent_at: Timestamp) -> Timestamp {
         sent_at + self.rtt + self.reo_wnd()
     }
 
@@ -162,7 +162,7 @@ impl RackState {
     }
 
     /// True once any delivery has been recorded (detection can run).
-    pub fn has_delivery(&self) -> bool {
+    pub(crate) fn has_delivery(&self) -> bool {
         self.xmit_ts.is_some()
     }
 
@@ -176,17 +176,12 @@ impl RackState {
     pub fn reordering_seen(&self) -> bool {
         self.reordering_seen
     }
-
-    /// Minimum observed RTT, if any.
-    pub fn min_rtt(&self) -> Option<SimDuration> {
-        self.min_rtt
-    }
 }
 
 /// F-RTO (RFC 5682) detection phase, advanced by the socket on RTO and on
 /// each subsequent cumulative ACK.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrtoState {
+pub(crate) enum FrtoState {
     /// No detection in progress.
     #[default]
     Inactive,

@@ -1,6 +1,6 @@
 //! Per-connection delivery-rate estimation (the model behind
 //! [`TcpConfig::pacing`](crate::tcp::socket::TcpConfig) and the
-//! [`Bbr`](crate::tcp::cc::Bbr) congestion controller).
+//! `Bbr` congestion controller).
 //!
 //! Implements the sampler of draft-cheng-iccrg-delivery-rate-estimation
 //! (the algorithm Linux ships as `tcp_rate.c`, and the measurement layer
@@ -50,14 +50,14 @@ pub const BW_WINDOW: SimDuration = SimDuration::from_secs(10);
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TxRecord {
     /// Connection `delivered` count when this segment was sent.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Time of the most recent delivery when this segment was sent.
-    pub delivered_time: Timestamp,
+    pub(crate) delivered_time: Timestamp,
     /// Send time of the first segment of the current flight (equals the
     /// segment's own send time when it starts a flight).
-    pub first_sent_time: Timestamp,
+    pub(crate) first_sent_time: Timestamp,
     /// Whether the sender was application-limited at send time.
-    pub is_app_limited: bool,
+    pub(crate) is_app_limited: bool,
 }
 
 /// One delivery-rate sample, generated per ACK/SACK that delivered data.
@@ -70,17 +70,15 @@ pub struct RateSample {
     /// The sample interval (max of send- and ack-elapsed).
     pub interval: SimDuration,
     /// Connection total delivered bytes after this delivery.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// `delivered` count when the sampled segment was sent (BBR's
     /// round-trip accounting keys off this).
-    pub prior_delivered: u64,
+    pub(crate) prior_delivered: u64,
     /// RTT of the sampled segment (now − its send time).
-    pub rtt: SimDuration,
-    /// Windowed minimum RTT at sample time.
-    pub min_rtt: Option<SimDuration>,
+    pub(crate) rtt: SimDuration,
     /// The sampled segment was sent while application-limited: the
     /// sample is a lower bound on the path, not a measurement of it.
-    pub is_app_limited: bool,
+    pub(crate) is_app_limited: bool,
 }
 
 /// The queue under both windowed filters: a deque whose front lives
@@ -196,20 +194,20 @@ impl Default for MinRttFilter {
 /// sample measures the app, not the path, and may only *raise* the
 /// maximum.
 #[derive(Debug, Clone, Default)]
-pub struct WindowedMaxBw<K> {
+pub(crate) struct WindowedMaxBw<K> {
     /// (key, bw), increasing in key, decreasing in bw: front is the max.
     samples: FrontInline<(K, u64)>,
 }
 
 impl<K: Copy + PartialOrd> WindowedMaxBw<K> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WindowedMaxBw {
             samples: FrontInline::default(),
         }
     }
 
     /// Admit one sample at `key`.
-    pub fn update(&mut self, key: K, bw: u64, is_app_limited: bool) {
+    pub(crate) fn update(&mut self, key: K, bw: u64, is_app_limited: bool) {
         if is_app_limited && Some(bw) <= self.max() {
             return;
         }
@@ -221,14 +219,14 @@ impl<K: Copy + PartialOrd> WindowedMaxBw<K> {
     }
 
     /// Drop samples whose key fell below `floor`.
-    pub fn expire_before(&mut self, floor: K) {
+    pub(crate) fn expire_before(&mut self, floor: K) {
         while self.samples.front().is_some_and(|&(k, _)| k < floor) {
             self.samples.pop_front();
         }
     }
 
     /// The windowed maximum, if any in-window sample exists.
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         self.samples.front().map(|&(_, b)| b)
     }
 }
@@ -250,8 +248,6 @@ pub struct RateEstimator {
     min_rtt: MinRttFilter,
     /// Windowed-max bandwidth over sample time.
     bw: WindowedMaxBw<Timestamp>,
-    /// Total rate samples generated (diagnostics).
-    samples: u64,
 }
 
 impl RateEstimator {
@@ -263,7 +259,6 @@ impl RateEstimator {
             app_limited_until: 0,
             min_rtt: MinRttFilter::default(),
             bw: WindowedMaxBw::new(),
-            samples: 0,
         }
     }
 
@@ -287,7 +282,7 @@ impl RateEstimator {
     /// The sender ran out of application data with window to spare:
     /// every sample taken until the current flight is fully delivered
     /// measures the app, not the path (draft-cheng §3.4).
-    pub fn on_app_limited(&mut self, inflight: u64) {
+    pub(crate) fn on_app_limited(&mut self, inflight: u64) {
         self.app_limited_until = (self.delivered + inflight).max(1);
     }
 
@@ -302,7 +297,7 @@ impl RateEstimator {
     }
 
     /// Feed one RTT measurement into the windowed min filter.
-    pub fn on_rtt(&mut self, rtt: SimDuration, now: Timestamp) {
+    pub(crate) fn on_rtt(&mut self, rtt: SimDuration, now: Timestamp) {
         self.min_rtt.update(rtt, now);
     }
 
@@ -350,7 +345,6 @@ impl RateEstimator {
         self.bw.expire_before(Timestamp::from_nanos(
             now.as_nanos().saturating_sub(BW_WINDOW.as_nanos()),
         ));
-        self.samples += 1;
         Some(RateSample {
             bw,
             delivered_delta,
@@ -358,34 +352,28 @@ impl RateEstimator {
             delivered: self.delivered,
             prior_delivered: rec.delivered,
             rtt: now.saturating_duration_since(sent_at),
-            min_rtt: self.min_rtt.min(),
             is_app_limited,
         })
     }
 
     /// Windowed-max delivery-rate estimate, bytes per second.
-    pub fn bw_estimate(&self) -> Option<u64> {
+    pub(crate) fn bw_estimate(&self) -> Option<u64> {
         self.bw.max()
     }
 
     /// Windowed minimum RTT.
-    pub fn min_rtt(&self) -> Option<SimDuration> {
+    pub(crate) fn min_rtt(&self) -> Option<SimDuration> {
         self.min_rtt.min()
     }
 
     /// Total bytes delivered on this connection.
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.delivered
     }
 
     /// Whether the estimator currently considers the sender app-limited.
     pub fn app_limited(&self) -> bool {
         self.app_limited_until > self.delivered
-    }
-
-    /// Rate samples generated so far (diagnostics/tests).
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 }
 

@@ -1,19 +1,9 @@
 //! Loss recovery: every decision the negotiated [`RecoveryTier`] makes,
-//! in one struct rather than a type per tier — `Sack` ⊂ `RackTlp` share
-//! nearly all of their code, and `Reno` is the same struct with the
-//! scoreboard left untouched.
-//!
-//! [`LossRecovery`] owns the duplicate-ACK count, the recovery point, the
-//! RFC 6675 scoreboard with its `lost_point`/`loss_frontier` watermarks,
-//! RFC 6937 PRR and the one rescue retransmission, RACK (RFC 8985), the
-//! Tail Loss Probe and F-RTO (RFC 5682). It decides what a cumulative or
-//! duplicate ACK does, which segment NextSeg sends, which segments RACK
-//! marks lost, when the TLP and reordering timers are due, what an RTO
-//! marks (RFC 6675 §5.1) and whether F-RTO undoes it. It never builds a
-//! packet or touches the congestion controller: its methods return a
-//! verdict ([`NextSeg`], [`DupAck`], [`CumAck`], [`Frto`]) and the
-//! sender acts on it. So everything here runs against a bare
-//! [`RetxQueue`] — no host, simulator or socket (the tests below).
+//! in one struct for all three tiers (`Reno` leaves the scoreboard
+//! untouched). It never builds a packet or touches the congestion
+//! controller: its methods return a verdict ([`NextSeg`], [`Verdict`],
+//! [`Frto`]) the sender acts on, so it runs against a bare [`RetxQueue`]
+//! — no host, simulator or socket (the tests below). DESIGN.md §3.
 
 use mm_sim::{SimDuration, Timestamp};
 
@@ -97,34 +87,24 @@ pub(super) enum NextSeg {
     Nothing,
 }
 
-/// What a duplicate ACK asks of the sender.
+/// What a duplicate or cumulative ACK asks of the sender.
 #[derive(Debug, PartialEq)]
-pub(super) enum DupAck {
+pub(super) enum Verdict {
     /// Enter SACK recovery (DupThresh reached, or the head is lost).
     EnterRecovery,
     /// RFC 3042: one new segment past cwnd, peer window permitting.
     LimitedTransmit,
-    /// NewReno's third duplicate: retransmit the head (the recovery
-    /// point is already set).
-    FastRetransmit,
+    /// NewReno recovery: retransmit the head at once — on the third
+    /// duplicate, and on each partial ack so go-back-N accelerates past
+    /// stop-and-wait.
+    RetransmitHead,
     /// In SACK recovery: send what PRR allows.
     Prr,
-    Nothing,
-}
-
-/// What a cumulative ACK asks of the sender, after F-RTO has judged it.
-#[derive(Debug, PartialEq)]
-pub(super) enum CumAck {
-    /// It covered the recovery point: recovery is over.
+    /// The ack covered the recovery point: recovery is over.
     Done,
-    /// A partial ack in SACK recovery: send what PRR allows.
-    Prr,
-    /// A partial ack in NewReno recovery: retransmit the next hole at
-    /// once and let the window grow, so go-back-N accelerates past
-    /// stop-and-wait.
-    GoBackN,
     /// Not in recovery: grow the window; the ack may still reveal a loss.
     Open,
+    Nothing,
 }
 
 /// F-RTO's reading of a cumulative ACK.
@@ -421,23 +401,23 @@ impl LossRecovery {
 
     /// What a cumulative ACK to `ack` does to recovery, `delivered` being
     /// its DeliveredData (RFC 6937).
-    pub(super) fn on_cumulative_ack(&mut self, ack: u64, delivered: u64) -> CumAck {
+    pub(super) fn on_cumulative_ack(&mut self, ack: u64, delivered: u64) -> Verdict {
         match self.recovery_point {
             Some(rp) if ack >= rp => {
                 self.recovery_point = None;
                 self.dup_acks = 0;
-                CumAck::Done
+                Verdict::Done
             }
             Some(_) if self.tier.uses_sack() => {
                 // Feed PRR with the delivered bytes and let the scoreboard
                 // pick the selective retransmissions — no go-back-N.
                 self.prr_delivered += delivered;
-                CumAck::Prr
+                Verdict::Prr
             }
-            Some(_) => CumAck::GoBackN,
+            Some(_) => Verdict::RetransmitHead,
             None => {
                 self.dup_acks = 0;
-                CumAck::Open
+                Verdict::Open
             }
         }
     }
@@ -450,7 +430,7 @@ impl LossRecovery {
         newly_sacked: u64,
         now: Timestamp,
         stats: &mut TcpStats,
-    ) -> DupAck {
+    ) -> Verdict {
         self.dup_acks += 1;
         // A dup ack is conventional-recovery evidence: any F-RTO probe in
         // flight concludes "not spurious" (RFC 5682 step 3).
@@ -458,18 +438,18 @@ impl LossRecovery {
         self.rack_detect(retx, now, stats);
         match (self.recovery_point, self.tier.uses_sack()) {
             (None, true) if self.dup_acks >= DUP_THRESH as u32 || self.head_is_lost(retx) => {
-                DupAck::EnterRecovery
+                Verdict::EnterRecovery
             }
-            (None, true) => DupAck::LimitedTransmit,
+            (None, true) => Verdict::LimitedTransmit,
             (None, false) if self.dup_acks == 3 => {
                 self.recovery_point = Some(snd_nxt);
-                DupAck::FastRetransmit
+                Verdict::RetransmitHead
             }
             (Some(_), true) => {
                 self.prr_delivered += newly_sacked;
-                DupAck::Prr
+                Verdict::Prr
             }
-            _ => DupAck::Nothing,
+            _ => Verdict::Nothing,
         }
     }
 
@@ -800,7 +780,7 @@ mod tests {
         let mut rec = LossRecovery::new(RecoveryTier::Sack);
         let ssthresh = 5 * M;
         rec.enter(10 * M, 10 * M);
-        assert_eq!(rec.on_cumulative_ack(M, 2 * M), CumAck::Prr);
+        assert_eq!(rec.on_cumulative_ack(M, 2 * M), Verdict::Prr);
         // pipe > ssthresh: delivered × ssthresh / RecoverFS − out.
         assert_eq!(rec.prr_budget(8 * M, ssthresh), M);
         rec.on_sent(M);
@@ -855,9 +835,9 @@ mod tests {
         for dup in 1..=3 {
             let verdict = rec.on_dup_ack(&mut retx, 6 * M, 0, T0, &mut stats);
             let expect = if dup == 3 {
-                DupAck::FastRetransmit
+                Verdict::RetransmitHead
             } else {
-                DupAck::Nothing
+                Verdict::Nothing
             };
             assert_eq!(verdict, expect);
         }

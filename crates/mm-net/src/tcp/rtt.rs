@@ -5,7 +5,7 @@ use mm_sim::SimDuration;
 /// Smoothed RTT estimator producing RTO values per RFC 6298, with the
 /// Linux-style 200 ms floor mahimahi-era kernels used.
 #[derive(Debug, Clone)]
-pub struct RttEstimator {
+pub(crate) struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
     rto: SimDuration,
@@ -15,7 +15,7 @@ pub struct RttEstimator {
 
 impl RttEstimator {
     /// Estimator with the given initial RTO (RFC 6298 says 1 s) and floor.
-    pub fn new(initial_rto: SimDuration, min_rto: SimDuration) -> Self {
+    pub(crate) fn new(initial_rto: SimDuration, min_rto: SimDuration) -> Self {
         RttEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
@@ -25,14 +25,9 @@ impl RttEstimator {
         }
     }
 
-    /// Defaults: initial RTO 1 s, floor 200 ms, ceiling 60 s.
-    pub fn default_config() -> Self {
-        RttEstimator::new(SimDuration::from_secs(1), SimDuration::from_millis(200))
-    }
-
     /// Feed one RTT measurement (must be from a non-retransmitted segment —
     /// Karn's algorithm is the caller's responsibility).
-    pub fn on_measurement(&mut self, rtt: SimDuration) {
+    pub(crate) fn on_measurement(&mut self, rtt: SimDuration) {
         match self.srtt {
             None => {
                 self.srtt = Some(rtt);
@@ -61,7 +56,7 @@ impl RttEstimator {
     }
 
     /// Exponential backoff after a retransmission timeout.
-    pub fn backoff(&mut self) {
+    pub(crate) fn backoff(&mut self) {
         self.rto = self.rto.saturating_mul(2).min(self.max_rto);
     }
 
@@ -70,12 +65,12 @@ impl RttEstimator {
     /// forward progress, but Linux also detects spurious timeouts
     /// (F-RTO); without that counterpart an eagerly-reset RTO fires
     /// during cellular outages and floods the recovering link with
-    /// presumed-lost data (the measured regression DESIGN.md §2
+    /// presumed-lost data (the measured regression DESIGN.md §3
     /// records). The socket therefore reaches this exclusively through
     /// the `RackTlp` tier's F-RTO machinery, on a validated
     /// spurious-timeout verdict — never on bare forward progress. No-op
     /// until a first measurement exists.
-    pub fn reset_backoff(&mut self) {
+    pub(crate) fn reset_backoff(&mut self) {
         if let Some(srtt) = self.srtt {
             let var_term = self.rttvar.saturating_mul(4).max(self.min_rto);
             self.rto = (srtt + var_term).min(self.max_rto);
@@ -83,12 +78,12 @@ impl RttEstimator {
     }
 
     /// Current retransmission timeout.
-    pub fn rto(&self) -> SimDuration {
+    pub(crate) fn rto(&self) -> SimDuration {
         self.rto
     }
 
     /// Smoothed RTT, if any measurement has been taken.
-    pub fn srtt(&self) -> Option<SimDuration> {
+    pub(crate) fn srtt(&self) -> Option<SimDuration> {
         self.srtt
     }
 }
@@ -97,9 +92,14 @@ impl RttEstimator {
 mod tests {
     use super::*;
 
+    /// Initial RTO 1 s, floor 200 ms.
+    fn estimator() -> RttEstimator {
+        RttEstimator::new(SimDuration::from_secs(1), SimDuration::from_millis(200))
+    }
+
     #[test]
     fn first_measurement_initializes() {
-        let mut e = RttEstimator::default_config();
+        let mut e = estimator();
         e.on_measurement(SimDuration::from_millis(100));
         assert_eq!(e.srtt(), Some(SimDuration::from_millis(100)));
         // RTO = SRTT + 4*RTTVAR = 100 + 4*50 = 300ms
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn steady_rtt_converges_to_srtt_plus_floor() {
-        let mut e = RttEstimator::default_config();
+        let mut e = estimator();
         for _ in 0..100 {
             e.on_measurement(SimDuration::from_millis(40));
         }
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn variance_raises_rto() {
-        let mut e = RttEstimator::default_config();
+        let mut e = estimator();
         for i in 0..50 {
             let rtt = if i % 2 == 0 { 50 } else { 250 };
             e.on_measurement(SimDuration::from_millis(rtt));
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let mut e = RttEstimator::default_config();
+        let mut e = estimator();
         assert_eq!(e.rto(), SimDuration::from_secs(1));
         e.backoff();
         assert_eq!(e.rto(), SimDuration::from_secs(2));
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn rto_never_below_floor() {
-        let mut e = RttEstimator::default_config();
+        let mut e = estimator();
         e.on_measurement(SimDuration::from_micros(500));
         assert!(e.rto() >= SimDuration::from_millis(200));
         assert!(e.rto() <= SimDuration::from_millis(201));

@@ -1,9 +1,9 @@
 //! Selective acknowledgment (RFC 2018) and SACK-based loss recovery
 //! (RFC 6675), split into the two halves a real stack has:
 //!
-//! * [`ReceiverSack`] — the receiver's block generator: folds the
+//! * `ReceiverSack` — the receiver's block generator: folds the
 //!   out-of-order reassembly queue into at most
-//!   [`MAX_SACK_BLOCKS`] disjoint ranges,
+//!   `MAX_SACK_BLOCKS` disjoint ranges,
 //!   with the block containing the most recently arrived segment first
 //!   (RFC 2018 §4's ordering rule, which is what lets a sender survive
 //!   option-space truncation).
@@ -22,13 +22,13 @@
 use crate::packet::{SackBlock, MAX_SACK_BLOCKS, MSS};
 
 /// RFC 6675's DupThresh: the classic three duplicate ACKs.
-pub const DUP_THRESH: u64 = 3;
+pub(crate) const DUP_THRESH: u64 = 3;
 
 /// The receiver half: generates SACK blocks describing the out-of-order
 /// queue. Kept as its own small state machine because RFC 2018's ordering
 /// rule needs memory of which range changed most recently.
 #[derive(Debug, Default)]
-pub struct ReceiverSack {
+pub(crate) struct ReceiverSack {
     /// The range most recently extended by an arriving segment; reported
     /// first so a sender with truncated option space still learns about
     /// the newest hole edge.
@@ -36,12 +36,12 @@ pub struct ReceiverSack {
 }
 
 impl ReceiverSack {
-    pub fn new() -> ReceiverSack {
+    pub(crate) fn new() -> ReceiverSack {
         ReceiverSack::default()
     }
 
     /// Record an out-of-order arrival covering `[seq, seq_end)`.
-    pub fn on_arrival(&mut self, seq: u64, seq_end: u64) {
+    pub(crate) fn on_arrival(&mut self, seq: u64, seq_end: u64) {
         if seq < seq_end {
             self.recent = Some(SackBlock::new(seq, seq_end));
         }
@@ -49,7 +49,7 @@ impl ReceiverSack {
 
     /// Everything below `rcv_nxt` is cumulatively acked; forget a recent
     /// block the cumulative ACK has swallowed.
-    pub fn on_advance(&mut self, rcv_nxt: u64) {
+    pub(crate) fn on_advance(&mut self, rcv_nxt: u64) {
         if let Some(r) = self.recent {
             if r.end <= rcv_nxt {
                 self.recent = None;
@@ -61,7 +61,11 @@ impl ReceiverSack {
     /// (`ooo` iterates `(seq, len)` in ascending seq order). Contiguous
     /// and overlapping entries coalesce; the block containing the most
     /// recent arrival goes first; at most `MAX_SACK_BLOCKS` are reported.
-    pub fn blocks(&self, ooo: impl Iterator<Item = (u64, u64)>, rcv_nxt: u64) -> Vec<SackBlock> {
+    pub(crate) fn blocks(
+        &self,
+        ooo: impl Iterator<Item = (u64, u64)>,
+        rcv_nxt: u64,
+    ) -> Vec<SackBlock> {
         let mut ranges: Vec<SackBlock> = Vec::new();
         for (seq, len) in ooo {
             let start = seq.max(rcv_nxt);
@@ -119,7 +123,7 @@ impl Scoreboard {
     /// counter and RACK's delivery clock — feed on: re-reported coverage
     /// costs nothing, so per-ack work is bounded by newly sacked bytes,
     /// not by how much old coverage the peer repeats.
-    pub fn add_blocks_delta(
+    pub(crate) fn add_blocks_delta(
         &mut self,
         blocks: &[SackBlock],
         snd_una: u64,
@@ -184,7 +188,7 @@ impl Scoreboard {
     }
 
     /// Forget everything (connection teardown or full recovery exit).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.ranges.clear();
     }
 
@@ -204,7 +208,7 @@ impl Scoreboard {
     }
 
     /// Is `[start, end)` entirely sacked?
-    pub fn is_sacked(&self, start: u64, end: u64) -> bool {
+    pub(crate) fn is_sacked(&self, start: u64, end: u64) -> bool {
         let i = self.ranges.partition_point(|r| r.end < end);
         match self.ranges.get(i) {
             Some(r) => r.start <= start && end <= r.end,
@@ -212,14 +216,8 @@ impl Scoreboard {
         }
     }
 
-    /// Highest sacked sequence number plus one, if anything is sacked
-    /// ("FACK" in the literature).
-    pub fn highest_sacked(&self) -> Option<u64> {
-        self.ranges.last().map(|r| r.end)
-    }
-
     /// Bytes sacked strictly above `seq`.
-    pub fn sacked_above(&self, seq: u64) -> u64 {
+    pub(crate) fn sacked_above(&self, seq: u64) -> u64 {
         let i = self.ranges.partition_point(|r| r.end <= seq);
         self.ranges[i..]
             .iter()
@@ -228,7 +226,7 @@ impl Scoreboard {
     }
 
     /// Discontiguous sacked ranges lying entirely above `seq`.
-    pub fn ranges_above(&self, seq: u64) -> u64 {
+    pub(crate) fn ranges_above(&self, seq: u64) -> u64 {
         (self.ranges.len() - self.ranges.partition_point(|r| r.start <= seq)) as u64
     }
 
@@ -236,7 +234,7 @@ impl Scoreboard {
     /// when DupThresh discontiguous sacked ranges sit entirely above it,
     /// or when more than `(DupThresh - 1) * MSS` bytes are sacked above
     /// it. Already-sacked segments are never lost.
-    pub fn is_lost(&self, start: u64, end: u64) -> bool {
+    pub(crate) fn is_lost(&self, start: u64, end: u64) -> bool {
         if self.is_sacked(start, end) {
             return false;
         }

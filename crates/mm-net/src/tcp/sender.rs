@@ -4,7 +4,8 @@
 //! ACK processing and rate-sample closing. What an ACK means for loss
 //! recovery is [`LossRecovery`]'s call; this file acts on its verdicts.
 
-use std::ops::{Deref, DerefMut};
+use std::collections::VecDeque;
+use std::ops::{Index, IndexMut};
 
 use bytes::{Bytes, BytesMut};
 use mm_metrics::FlowSample;
@@ -14,8 +15,7 @@ use crate::packet::{Packet, SackBlock, SackOption, TcpFlags, TcpSegment, MSS};
 use crate::tcp::cc::CcAlgorithm;
 use crate::tcp::pacing::{PACING_GAIN_CA, PACING_GAIN_SS};
 use crate::tcp::rate::TxRecord;
-use crate::tcp::recovery::{CumAck, DupAck, Frto, LossRecovery, NextSeg};
-use crate::tcp::retx::{SeqRing, Sequenced};
+use crate::tcp::recovery::{Frto, LossRecovery, NextSeg, Verdict};
 use crate::tcp::socket::{SocketEvent, TcpHandle, TcpInner, RTO};
 
 /// Retransmission-queue entry.
@@ -44,35 +44,32 @@ pub(super) struct RetxEntry {
     tx: TxRecord,
 }
 
-impl Sequenced for RetxEntry {
-    fn seq(&self) -> u64 {
-        self.segment.seq
-    }
-}
-
-/// Transmitted, unacknowledged segments in sequence order, with the
-/// RFC 6675 pipe estimate kept alongside. Reads go straight to the ring;
-/// adding and removing entries go through here so the count stays in
-/// step, and an edit to an entry's pipe-relevant state is followed by
-/// [`refresh`](RetxQueue::refresh).
+/// Transmitted, unacknowledged segments with the RFC 6675 pipe estimate
+/// kept alongside: a ring indexed by position, `retx[0]` the lowest.
+/// Segments are appended at `snd_nxt` and removed from the head as
+/// cumulative acks arrive, so order by starting sequence *is* insertion
+/// order and a binary search stands in for a map keyed by sequence
+/// (DESIGN.md §3). Adding and removing entries go through here so the
+/// count stays in step, and an edit to an entry's pipe-relevant state is
+/// followed by [`refresh`](RetxQueue::refresh).
 #[derive(Default)]
 pub(super) struct RetxQueue {
-    ring: SeqRing<RetxEntry>,
+    q: VecDeque<RetxEntry>,
     /// The sum of `seq_len` over entries with `in_pipe` set.
     pipe: u64,
 }
 
-impl Deref for RetxQueue {
-    type Target = SeqRing<RetxEntry>;
+impl Index<usize> for RetxQueue {
+    type Output = RetxEntry;
 
-    fn deref(&self) -> &SeqRing<RetxEntry> {
-        &self.ring
+    fn index(&self, index: usize) -> &RetxEntry {
+        &self.q[index]
     }
 }
 
-impl DerefMut for RetxQueue {
-    fn deref_mut(&mut self) -> &mut SeqRing<RetxEntry> {
-        &mut self.ring
+impl IndexMut<usize> for RetxQueue {
+    fn index_mut(&mut self, index: usize) -> &mut RetxEntry {
+        &mut self.q[index]
     }
 }
 
@@ -87,12 +84,46 @@ fn counts(e: &RetxEntry, rec: &LossRecovery) -> bool {
 }
 
 impl RetxQueue {
-    /// Queue a freshly transmitted segment. A new transmission always
-    /// counts toward pipe: nothing above it can be sacked and no loss
-    /// evidence about it can exist.
+    pub(super) fn len(&self) -> usize {
+        self.q.len()
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.q.is_empty()
+    }
+
+    pub(super) fn front(&self) -> Option<&RetxEntry> {
+        self.q.front()
+    }
+
+    pub(super) fn iter(&self) -> std::collections::vec_deque::Iter<'_, RetxEntry> {
+        self.q.iter()
+    }
+
+    /// Entries to edit in place (anything but their starts).
+    pub(super) fn iter_mut(&mut self) -> std::collections::vec_deque::IterMut<'_, RetxEntry> {
+        self.q.iter_mut()
+    }
+
+    /// Index of the first entry starting at or above `seq` — `len()` if
+    /// every entry starts below it. `0..lower_bound(seq)` is a map's
+    /// `range(..seq)`, `lower_bound(seq)..` its `range(seq..)`.
+    pub(super) fn lower_bound(&self, seq: u64) -> usize {
+        self.q.partition_point(|e| e.segment.seq < seq)
+    }
+
+    /// Queue a freshly transmitted segment, which must start above every
+    /// queued one. A new transmission always counts toward pipe: nothing
+    /// above it can be sacked and no loss evidence about it can exist.
     pub(super) fn push(&mut self, segment: TcpSegment, sent_at: Timestamp, tx: TxRecord) {
+        assert!(
+            self.q
+                .back()
+                .is_none_or(|last| last.segment.seq < segment.seq),
+            "retransmission queue entries are appended in sequence order"
+        );
         self.pipe += segment.seq_len();
-        self.ring.push_back(RetxEntry {
+        self.q.push_back(RetxEntry {
             segment,
             sent_at,
             first_sent_at: sent_at,
@@ -105,12 +136,12 @@ impl RetxQueue {
 
     /// Remove the lowest entry.
     pub(super) fn pop_front(&mut self) -> Option<RetxEntry> {
-        self.ring.pop_front().inspect(|e| self.uncount(e))
+        self.q.pop_front().inspect(|e| self.uncount(e))
     }
 
     /// Remove the highest entry.
     pub(super) fn pop_back(&mut self) -> Option<RetxEntry> {
-        self.ring.pop_back().inspect(|e| self.uncount(e))
+        self.q.pop_back().inspect(|e| self.uncount(e))
     }
 
     fn uncount(&mut self, e: &RetxEntry) {
@@ -121,14 +152,14 @@ impl RetxQueue {
 
     /// Drop every entry and give the buffer back.
     pub(super) fn release(&mut self) {
-        self.ring.release();
+        self.q = VecDeque::new();
         self.pipe = 0;
     }
 
     /// Partial ack into the head segment: trim the acked prefix so a
     /// future retransmit resends only what's missing.
     fn trim_front(&mut self, ack: u64, rec: &LossRecovery) {
-        let Some(e) = self.ring.front_mut() else {
+        let Some(e) = self.q.front_mut() else {
             return;
         };
         let cut = (ack - e.segment.seq) as usize;
@@ -171,7 +202,7 @@ impl RetxQueue {
     /// The definitional O(n) pipe walk the incremental counter must
     /// always agree with (debug assertions and property tests).
     pub(super) fn walk(&self, rec: &LossRecovery) -> u64 {
-        self.ring
+        self.q
             .iter()
             .filter(|e| counts(e, rec))
             .map(|e| e.segment.seq_len())
@@ -182,7 +213,7 @@ impl RetxQueue {
     /// state transition (sacked, marked lost, retransmitted, trimmed) and
     /// adjust the counter by the difference.
     pub(super) fn refresh(&mut self, index: usize, rec: &LossRecovery) {
-        let e = &mut self.ring[index];
+        let e = &mut self.q[index];
         let counts = counts(e, rec);
         if counts != e.in_pipe {
             if counts {
@@ -199,7 +230,7 @@ impl RetxQueue {
     /// would touch every entry anyway.
     pub(super) fn rebuild(&mut self, rec: &LossRecovery) {
         let mut total = 0;
-        for e in self.ring.iter_mut() {
+        for e in self.q.iter_mut() {
             e.in_pipe = counts(e, rec);
             if e.in_pipe {
                 total += e.segment.seq_len();
@@ -549,8 +580,8 @@ impl TcpInner {
                 now,
                 &mut self.stats,
             ) {
-                DupAck::EnterRecovery => self.enter_recovery(now, out),
-                DupAck::LimitedTransmit => {
+                Verdict::EnterRecovery => self.enter_recovery(now, out),
+                Verdict::LimitedTransmit => {
                     // RFC 3042 limited transmit: the first two dup acks
                     // each send one new segment past cwnd (but never past
                     // the peer's advertised window), so a small window
@@ -559,14 +590,14 @@ impl TcpInner {
                         self.stats.limited_transmits += 1;
                     }
                 }
-                DupAck::FastRetransmit => {
+                Verdict::RetransmitHead => {
                     self.stats.fast_retransmits += 1;
                     self.metric_count("tcp_fast_retransmits_total");
                     self.cc.on_fast_retransmit(self.flight_size(), now);
                     self.retransmit_head(now, out);
                 }
-                DupAck::Prr => self.prr_send(now, out),
-                DupAck::Nothing => {}
+                Verdict::Prr => self.prr_send(now, out),
+                Verdict::Nothing | Verdict::Done | Verdict::Open => {}
             }
         }
         self.metric_sample(now, false);
@@ -650,17 +681,17 @@ impl TcpInner {
         };
 
         match self.recovery.on_cumulative_ack(ack, delivered) {
-            CumAck::Done => self.cc.on_recovery_exit(),
-            CumAck::Prr if probing => {}
-            CumAck::Prr => self.detect_and_recover(now, out),
-            CumAck::GoBackN => {
+            Verdict::Done => self.cc.on_recovery_exit(),
+            Verdict::Prr if !probing => self.detect_and_recover(now, out),
+            Verdict::RetransmitHead => {
                 self.cc.on_ack(newly_acked, now, self.rtt.srtt());
                 self.retransmit_head(now, out);
             }
-            CumAck::Open => {
+            Verdict::Open => {
                 self.cc.on_ack(newly_acked, now, self.rtt.srtt());
                 self.detect_and_recover(now, out);
             }
+            _ => {}
         }
 
         if self.retx.is_empty() {
@@ -705,29 +736,10 @@ impl TcpInner {
     /// the controller's own model when it has one, else `gain ×
     /// bw_estimate` from the delivery-rate estimator ([`PACING_GAIN_SS`]
     /// in slow start, [`PACING_GAIN_CA`] after — the Linux defaults).
-    /// `None` (pacing off, or no estimate yet) means unpaced.
-    ///
-    /// Floored at one initial window per smoothed RTT: pacing exists to
-    /// spread bursts, never to throttle a connection below what a fresh
-    /// unpaced sender would move in one round trip. Without the floor,
-    /// the *request* direction of an application-limited connection is
-    /// poisoned by its own model — every sample is a tiny app-limited
-    /// trickle, the windowed-max bandwidth settles at a few kB/s, and a
-    /// burst of requests then leaks out one per "serialization" delay of
-    /// that garbage rate, multiplying page load time (Linux expresses
-    /// the same intent through its IW/srtt initial pacing rate).
-    ///
-    /// The floor is deliberately *unconditional* — a known deviation
-    /// from Linux, which replaces the initial rate once the model has
-    /// samples. Replay connections are perpetually app-limited, their
-    /// windowed estimates decay between object bursts, and a
-    /// lift-once-validated variant re-poisons the request path the
-    /// moment one full-window write validates a model that later
-    /// expires (measured: the page-load regression came straight back).
-    /// The cost is bounded: on a path whose BDP is below one initial
-    /// window, BBR's below-rate phases (DRAIN, PROBE_RTT) cannot pace
-    /// under the floor, leaving at most ~one IW of standing queue
-    /// (DESIGN.md §4; the cwnd floor of PROBE_RTT still caps inflight).
+    /// `None` (pacing off, or no estimate yet) means unpaced. Floored,
+    /// unconditionally, at one initial window per smoothed RTT — a
+    /// deliberate deviation from Linux, for the measured reason in
+    /// DESIGN.md §3.
     fn current_pacing_rate(&self) -> Option<u64> {
         if !self.pacing_active() {
             return None;
@@ -911,10 +923,126 @@ impl TcpHandle {
     pub fn min_rtt_estimate(&self) -> Option<SimDuration> {
         self.inner.borrow().rate.min_rtt()
     }
+}
 
-    /// The rate the pacer would release at right now, if pacing is
-    /// active and a rate is known (diagnostics/tests).
-    pub fn pacing_rate(&self) -> Option<u64> {
-        self.inner.borrow().current_pacing_rate()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tcp::socket::RecoveryTier;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// A data segment of `len` bytes at `seq`.
+    fn segment(seq: u64, len: u64) -> TcpSegment {
+        TcpSegment {
+            flags: TcpFlags::ACK,
+            seq,
+            ack: 0,
+            window: 0,
+            sack: Default::default(),
+            payload: Bytes::from(vec![0; len as usize]),
+        }
+    }
+
+    /// An entry's place in sequence space.
+    fn span(e: &RetxEntry) -> (u64, u64) {
+        (e.segment.seq, e.segment.payload.len() as u64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The retransmission ring answers every question the socket asks of
+        /// it exactly as the `BTreeMap<u64, _>` keyed by starting sequence it
+        /// replaced — under the operations the socket performs: push at the
+        /// tail, pop the heads an ack covers, trim (and, for the map, re-key)
+        /// the head an ack straddles, pop the tail; lookups by sequence at,
+        /// inside, between and above the entries.
+        #[test]
+        fn retx_ring_matches_a_btreemap_model(
+            ops in prop::collection::vec((0u8..6, 0u64..100_000), 1..200),
+        ) {
+            let rec = LossRecovery::new(RecoveryTier::Reno);
+            let mut ring = RetxQueue::default();
+            let mut model: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+            let (mut una, mut nxt) = (0u64, 0u64);
+            for (op, arg) in ops {
+                match op {
+                    // Transmit: a segment at snd_nxt.
+                    0 | 1 => {
+                        let len = 1 + arg % 1460;
+                        model.insert(nxt, (nxt, len));
+                        ring.push(segment(nxt, len), Timestamp::ZERO, TxRecord::default());
+                        nxt += len;
+                    }
+                    // Cumulative ack somewhere in the flight.
+                    2 | 3 => {
+                        let ack = una + arg % (nxt - una + 1);
+                        una = ack;
+                        while let Some((&k, &(_, len))) = model.first_key_value() {
+                            if k >= ack {
+                                break;
+                            }
+                            model.remove(&k);
+                            if k + len > ack {
+                                model.insert(ack, (ack, len - (ack - k)));
+                            }
+                        }
+                        while let Some(e) = ring.front() {
+                            if e.segment.seq >= ack {
+                                break;
+                            }
+                            if e.segment.seq_end() <= ack {
+                                ring.pop_front();
+                            } else {
+                                ring.trim_front(ack, &rec);
+                            }
+                        }
+                    }
+                    // The handshake's removal of the newest entry.
+                    4 => {
+                        let popped = ring.pop_back().map(|e| span(&e));
+                        prop_assert_eq!(popped, model.pop_last().map(|(_, e)| e));
+                        if let Some((seq, _)) = popped {
+                            nxt = seq;
+                        }
+                    }
+                    // A lookup, at a sequence that may fall on an entry's
+                    // start, inside one, or above the tail.
+                    _ => {
+                        let probe = una + arg % (nxt - una + 50);
+                        let below = ring.lower_bound(probe);
+                        let at = (below < ring.len() && ring[below].segment.seq == probe)
+                            .then(|| span(&ring[below]));
+                        prop_assert_eq!(at.as_ref(), model.get(&probe));
+                        prop_assert!(ring.iter().take(below).map(span).eq(model.range(..probe).map(|(_, e)| *e)));
+                        prop_assert!(ring.iter().skip(below).map(span).eq(model.range(probe..).map(|(_, e)| *e)));
+                        prop_assert!(ring
+                            .iter()
+                            .take(below)
+                            .rev()
+                            .map(span)
+                            .eq(model.range(..probe).rev().map(|(_, e)| *e)));
+                        // The entry containing `probe` "may begin below it".
+                        let containing = ring.lower_bound(probe + 1).checked_sub(1).map(|i| span(&ring[i]));
+                        prop_assert_eq!(containing.as_ref(), model.range(..=probe).next_back().map(|(_, e)| e));
+                    }
+                }
+                prop_assert_eq!(ring.len(), model.len());
+                prop_assert_eq!(ring.is_empty(), model.is_empty());
+                prop_assert_eq!(ring.front().map(span).as_ref(), model.values().next());
+                prop_assert!(ring.iter().map(span).eq(model.values().copied()));
+            }
+        }
+    }
+
+    /// Out-of-order insertion is the one thing the ring cannot represent, and
+    /// the one thing a sender never does.
+    #[test]
+    #[should_panic(expected = "appended in sequence order")]
+    fn retx_ring_rejects_an_entry_below_its_tail() {
+        let mut ring = RetxQueue::default();
+        ring.push(segment(100, 10), Timestamp::ZERO, TxRecord::default());
+        ring.push(segment(100, 10), Timestamp::ZERO, TxRecord::default());
     }
 }

@@ -5,14 +5,12 @@
 //! incremental pipe estimate equal to the definitional walk and bounded
 //! by the bytes in flight; the RACK state machine keeps its
 //! reordering-window and delivery-clock invariants; delayed-ACK × SACK
-//! interaction acks immediately, with blocks, while holes exist; and the
-//! retransmission ring answers as the `BTreeMap` it replaced did.
+//! interaction acks immediately, with blocks, while holes exist.
 
 use bytes::Bytes;
 use mm_net::tcp::pacing::Pacer;
 use mm_net::tcp::rack::RackState;
 use mm_net::tcp::rate::{MinRttFilter, RateEstimator};
-use mm_net::tcp::retx::{SeqRing, Sequenced};
 use mm_net::tcp::sack::Scoreboard;
 use mm_net::{
     CcAlgorithm, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, PacketSink, RecoveryTier,
@@ -21,7 +19,6 @@ use mm_net::{
 use mm_sim::{SimDuration, Simulator, Timestamp};
 use proptest::prelude::*;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 struct Collect {
@@ -908,115 +905,4 @@ proptest! {
             violations.borrow()
         );
     }
-}
-
-/// What the ring test queues: a segment's place in sequence space.
-#[derive(Debug, Clone, PartialEq)]
-struct Span {
-    seq: u64,
-    len: u64,
-}
-
-impl Sequenced for Span {
-    fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The retransmission ring answers every question the socket asks of
-    /// it exactly as the `BTreeMap<u64, _>` keyed by starting sequence it
-    /// replaced — under the operations the socket performs: push at the
-    /// tail, pop the heads an ack covers, trim (and, for the map, re-key)
-    /// the head an ack straddles, pop the tail; lookups by sequence at,
-    /// inside, between and above the entries.
-    #[test]
-    fn retx_ring_matches_a_btreemap_model(
-        ops in prop::collection::vec((0u8..6, 0u64..100_000), 1..200),
-    ) {
-        let mut ring: SeqRing<Span> = SeqRing::new();
-        let mut model: BTreeMap<u64, Span> = BTreeMap::new();
-        let (mut una, mut nxt) = (0u64, 0u64);
-        for (op, arg) in ops {
-            match op {
-                // Transmit: a segment at snd_nxt.
-                0 | 1 => {
-                    let span = Span { seq: nxt, len: 1 + arg % 1460 };
-                    nxt += span.len;
-                    model.insert(span.seq, span.clone());
-                    ring.push_back(span);
-                }
-                // Cumulative ack somewhere in the flight.
-                2 | 3 => {
-                    let ack = una + arg % (nxt - una + 1);
-                    una = ack;
-                    while let Some((&k, e)) = model.first_key_value() {
-                        if k >= ack {
-                            break;
-                        }
-                        let mut e = e.clone();
-                        model.remove(&k);
-                        if k + e.len > ack {
-                            e.len -= ack - k;
-                            e.seq = ack;
-                            model.insert(ack, e);
-                        }
-                    }
-                    while let Some(e) = ring.front() {
-                        if e.seq >= ack {
-                            break;
-                        }
-                        if e.seq + e.len <= ack {
-                            ring.pop_front();
-                        } else {
-                            let e = ring.front_mut().unwrap();
-                            e.len -= ack - e.seq;
-                            e.seq = ack;
-                        }
-                    }
-                }
-                // The handshake's removal of the newest entry.
-                4 => {
-                    let popped = ring.pop_back();
-                    prop_assert_eq!(&popped, &model.pop_last().map(|(_, e)| e));
-                    if let Some(e) = popped {
-                        nxt = e.seq;
-                    }
-                }
-                // A lookup, at a sequence that may fall on an entry's
-                // start, inside one, or above the tail.
-                _ => {
-                    let probe = una + arg % (nxt - una + 50);
-                    prop_assert_eq!(ring.get(&probe), model.get(&probe));
-                    let below = ring.lower_bound(probe);
-                    prop_assert!(ring.iter().take(below).eq(model.range(..probe).map(|(_, e)| e)));
-                    prop_assert!(ring.iter().skip(below).eq(model.range(probe..).map(|(_, e)| e)));
-                    prop_assert!(ring
-                        .iter()
-                        .take(below)
-                        .rev()
-                        .eq(model.range(..probe).rev().map(|(_, e)| e)));
-                    // The entry containing `probe` "may begin below it".
-                    let containing = ring.lower_bound(probe + 1).checked_sub(1).map(|i| &ring[i]);
-                    prop_assert_eq!(containing, model.range(..=probe).next_back().map(|(_, e)| e));
-                }
-            }
-            prop_assert_eq!(ring.len(), model.len());
-            prop_assert_eq!(ring.is_empty(), model.is_empty());
-            prop_assert_eq!(ring.front(), model.values().next());
-            prop_assert!(ring.iter().eq(model.values()));
-        }
-    }
-}
-
-/// Out-of-order insertion is the one thing the ring cannot represent, and
-/// the one thing a sender never does.
-#[test]
-#[should_panic(expected = "appended in sequence order")]
-fn retx_ring_rejects_an_entry_below_its_tail() {
-    let mut ring = SeqRing::new();
-    ring.push_back(Span { seq: 100, len: 10 });
-    ring.push_back(Span { seq: 100, len: 10 });
 }

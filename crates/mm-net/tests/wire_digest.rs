@@ -1,7 +1,7 @@
 //! The TCP wire oracle: every packet both ends put on the wire, and both
 //! ends' final counters, folded into one fnv1a64 digest per (world,
 //! scenario) and pinned to constants recorded before the socket was split
-//! into its four files (DESIGN.md §18). A refactor of `tcp/` that changes
+//! into its four files (DESIGN.md §3). A refactor of `tcp/` that changes
 //! one byte, one timestamp or one counter anywhere in this table fails
 //! here, in tier-1, instead of only in perf's `sim_digest`.
 //!

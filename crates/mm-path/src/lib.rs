@@ -48,15 +48,13 @@ pub struct PageTree {
     /// The `Page` span (PLT = its duration; `detail` = experiment arm).
     pub page: Span,
     /// `Resource` spans, in id order.
-    pub resources: Vec<Span>,
+    pub(crate) resources: Vec<Span>,
     /// Phase spans per resource span id, sorted by start time.
-    pub phases: HashMap<u64, Vec<Span>>,
-    /// Connection lifecycle spans (initiator side).
-    pub conns: Vec<Span>,
+    pub(crate) phases: HashMap<u64, Vec<Span>>,
     /// TCP reassembly-gap waits, joined to resources by `conn`.
-    pub hol_waits: Vec<Span>,
+    pub(crate) hol_waits: Vec<Span>,
     /// Replay-server service windows, joined by `conn` + `url`.
-    pub thinks: Vec<Span>,
+    pub(crate) thinks: Vec<Span>,
 }
 
 impl PageTree {
@@ -70,11 +68,11 @@ impl PageTree {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathSeg {
     /// Browser resource index the segment belongs to.
-    pub res: u32,
-    pub url: String,
-    pub kind: SpanKind,
-    pub t0_ns: u64,
-    pub t1_ns: u64,
+    pub(crate) res: u32,
+    pub(crate) url: String,
+    pub(crate) kind: SpanKind,
+    pub(crate) t0_ns: u64,
+    pub(crate) t1_ns: u64,
 }
 
 impl PathSeg {
@@ -86,8 +84,8 @@ impl PathSeg {
 /// Group a span set into per-load page trees, ordered by load id.
 ///
 /// Loads without a `Page` span (e.g. truncated by a buffer bound) are
-/// skipped. Spans of unknown parentage still land in the tree's side
-/// tables (`conns`/`hol_waits`/`thinks`) — [`validate`] reports orphans.
+/// skipped. Connection spans are dropped; hol waits and server thinks
+/// land in side tables joined by `conn` — [`validate`] reports orphans.
 pub fn build_pages(spans: &[Span]) -> Vec<PageTree> {
     let mut by_load: BTreeMap<u64, Vec<&Span>> = BTreeMap::new();
     for s in spans {
@@ -109,33 +107,29 @@ pub fn build_pages(spans: &[Span]) -> Vec<PageTree> {
             .collect();
         resources.sort_by_key(|s| s.id);
         let mut phases: HashMap<u64, Vec<Span>> = HashMap::new();
-        let mut conns = Vec::new();
         let mut hol_waits = Vec::new();
         let mut thinks = Vec::new();
         for s in &load_spans {
             match s.kind {
-                SpanKind::Page | SpanKind::Resource => {}
-                SpanKind::Conn => conns.push((*s).clone()),
+                SpanKind::Page | SpanKind::Resource | SpanKind::Conn => {}
                 SpanKind::HolWait => hol_waits.push((*s).clone()),
                 SpanKind::ServerThink => thinks.push((*s).clone()),
                 // Transport-level spans (the socket's own handshake
                 // `ConnSetup`, parent 0) are connection lifecycle, not
                 // part of any resource's phase chain.
-                _ if s.parent == 0 => conns.push((*s).clone()),
+                _ if s.parent == 0 => {}
                 _ => phases.entry(s.parent).or_default().push((*s).clone()),
             }
         }
         for v in phases.values_mut() {
             v.sort_by_key(|s| (s.t0_ns, s.t1_ns, s.id));
         }
-        conns.sort_by_key(|s| (s.t0_ns, s.conn));
         hol_waits.sort_by_key(|s| (s.t0_ns, s.conn));
         thinks.sort_by_key(|s| (s.t0_ns, s.conn));
         out.push(PageTree {
             page,
             resources,
             phases,
-            conns,
             hol_waits,
             thinks,
         });
@@ -314,7 +308,7 @@ pub fn critical_path(tree: &PageTree) -> Vec<PathSeg> {
 }
 
 /// Stable display order for attribution rows.
-pub const PHASE_ORDER: [SpanKind; 9] = [
+pub(crate) const PHASE_ORDER: [SpanKind; 9] = [
     SpanKind::Queued,
     SpanKind::ConnSetup,
     SpanKind::MuxWait,
@@ -327,7 +321,7 @@ pub const PHASE_ORDER: [SpanKind; 9] = [
 ];
 
 /// Sum critical-path segment durations per phase kind.
-pub fn attribute(path: &[PathSeg]) -> Vec<(SpanKind, u64, usize)> {
+pub(crate) fn attribute(path: &[PathSeg]) -> Vec<(SpanKind, u64, usize)> {
     let mut totals: HashMap<SpanKind, (u64, usize)> = HashMap::new();
     for seg in path {
         let e = totals.entry(seg.kind).or_insert((0, 0));
@@ -342,7 +336,7 @@ pub fn attribute(path: &[PathSeg]) -> Vec<(SpanKind, u64, usize)> {
 
 /// Sum *all* phase spans of the page per kind (not just the critical
 /// path), plus transport `HolWait` time — the page-wide waiting budget.
-pub fn aggregate(tree: &PageTree) -> Vec<(SpanKind, u64, usize)> {
+pub(crate) fn aggregate(tree: &PageTree) -> Vec<(SpanKind, u64, usize)> {
     let mut totals: HashMap<SpanKind, (u64, usize)> = HashMap::new();
     for phases in tree.phases.values() {
         for p in phases {

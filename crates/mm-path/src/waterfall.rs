@@ -11,7 +11,7 @@ use mm_trace::SpanKind;
 use crate::{critical_path, PageTree, PHASE_ORDER};
 
 /// Fill color per phase kind (ColorBrewer-ish, print-safe).
-pub fn phase_color(kind: SpanKind) -> &'static str {
+pub(crate) fn phase_color(kind: SpanKind) -> &'static str {
     match kind {
         SpanKind::Queued => "#bdbdbd",
         SpanKind::ConnSetup => "#f28e2b",

@@ -31,8 +31,9 @@ use crate::store::{RequestResponsePair, Scheme, StoredSite};
 pub struct RecordShell {
     /// The namespace the recorded application (browser) runs inside.
     pub inner_ns: Namespace,
-    /// The MITM intercept host (LAN side).
-    pub lan_host: Host,
+    /// The MITM intercept host (LAN side), held so it lives as long as
+    /// the shell: a namespace does not keep its hosts alive.
+    _lan_host: Host,
     /// The outbound host in the parent namespace (WAN side).
     pub wan_host: Host,
     store: Rc<RefCell<StoredSite>>,
@@ -73,7 +74,7 @@ impl RecordShell {
 
         RecordShell {
             inner_ns,
-            lan_host,
+            _lan_host: lan_host,
             wan_host,
             store,
         }

@@ -1,17 +1,16 @@
 //! # mm-replay — ReplayShell
 //!
 //! The replay half of the toolkit: per-origin virtual servers bound to the
-//! recorded addresses ([`server`]), mahimahi's request-matching algorithm
-//! ([`matcher`]) over an indexed store ([`store_index`]), and response
-//! normalization for the wire ([`normalize`]). The single-server ablation
+//! recorded addresses ([`ReplayShell`]), mahimahi's request-matching
+//! algorithm ([`Matcher`]) over an indexed store ([`StoreIndex`]), and
+//! response normalization for the wire. The single-server ablation
 //! the paper evaluates is a mode, not a fork.
 
-pub mod matcher;
-pub mod normalize;
-pub mod server;
-pub mod store_index;
+mod matcher;
+mod normalize;
+mod server;
+mod store_index;
 
-pub use matcher::{MatchStats, Matcher};
-pub use normalize::normalize_for_replay;
+pub use matcher::Matcher;
 pub use server::{ReplayConfig, ReplayMode, ReplayShell, ServerProtocol};
 pub use store_index::StoreIndex;

@@ -21,10 +21,10 @@ use crate::store_index::StoreIndex;
 
 /// Statistics from matching (for diagnostics and tests).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MatchStats {
-    pub exact: u64,
-    pub prefix: u64,
-    pub miss: u64,
+pub(crate) struct MatchStats {
+    pub(crate) exact: u64,
+    pub(crate) prefix: u64,
+    pub(crate) miss: u64,
 }
 
 /// A compiled matcher over one recorded site.
@@ -43,7 +43,8 @@ impl Matcher {
     }
 
     /// Counters snapshot.
-    pub fn stats(&self) -> MatchStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> MatchStats {
         *self.stats.borrow()
     }
 
@@ -56,7 +57,7 @@ impl Matcher {
 
     /// [`lookup`](Self::lookup) without the copy: the index's own
     /// response, normalized when the index was built.
-    pub fn lookup_ref(&self, req: &Request) -> Option<&Response> {
+    pub(crate) fn lookup_ref(&self, req: &Request) -> Option<&Response> {
         let host = req.host().unwrap_or("");
         let candidates = self.index.candidates(host, req.path());
         if candidates.is_empty() {

@@ -8,14 +8,7 @@
 
 use mm_http::Response;
 
-/// Produce a wire-consistent copy of a recorded response.
-pub fn normalize_for_replay(recorded: &Response) -> Response {
-    let mut resp = recorded.clone();
-    normalize_in_place(&mut resp);
-    resp
-}
-
-/// [`normalize_for_replay`] on a response the caller already owns.
+/// Make a recorded response wire-consistent, in place.
 pub(crate) fn normalize_in_place(resp: &mut Response) {
     resp.headers.remove("transfer-encoding");
     resp.headers.remove("connection");
@@ -30,6 +23,12 @@ pub(crate) fn normalize_in_place(resp: &mut Response) {
 mod tests {
     use super::*;
     use bytes::Bytes;
+
+    fn normalize_for_replay(recorded: &Response) -> Response {
+        let mut resp = recorded.clone();
+        normalize_in_place(&mut resp);
+        resp
+    }
 
     #[test]
     fn chunked_recording_becomes_sized() {

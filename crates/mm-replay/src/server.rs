@@ -154,8 +154,6 @@ pub struct ReplayShell {
     /// Origin → actual server address. Identity for multi-origin replay;
     /// all-to-one for single-server. This is the browser's "DNS".
     address_map: HashMap<Origin, SocketAddr>,
-    /// The shared matcher (all servers see the whole recording).
-    pub matcher: Rc<Matcher>,
 }
 
 impl ReplayShell {
@@ -240,7 +238,6 @@ impl ReplayShell {
             ns: ns.clone(),
             hosts,
             address_map,
-            matcher,
         }
     }
 

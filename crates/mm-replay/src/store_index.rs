@@ -13,7 +13,7 @@ use crate::normalize::normalize_in_place;
 
 /// Immutable (host, path) → candidate-pair-indices index. Its copy of each
 /// recorded response is already normalized for replay
-/// ([`crate::normalize_for_replay`]), so a server sends it as it stands.
+/// (`crate::normalize_for_replay`), so a server sends it as it stands.
 pub struct StoreIndex {
     pairs: Vec<RequestResponsePair>,
     /// Lower-cased host → path → pair indices. Two levels, so a lookup
@@ -58,7 +58,7 @@ impl StoreIndex {
     }
 
     /// Candidate pair indices for a (host, path), in recording order.
-    pub fn candidates(&self, host: &str, path: &str) -> &[usize] {
+    pub(crate) fn candidates(&self, host: &str, path: &str) -> &[usize] {
         self.by_host_path
             .get(lower(host).as_ref())
             .and_then(|by_path| by_path.get(path))
@@ -66,18 +66,14 @@ impl StoreIndex {
     }
 
     /// Fetch a pair by index.
-    pub fn pair(&self, idx: usize) -> &RequestResponsePair {
+    pub(crate) fn pair(&self, idx: usize) -> &RequestResponsePair {
         &self.pairs[idx]
     }
 
     /// Number of pairs indexed.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.pairs.len()
-    }
-
-    /// True if the site had no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
     }
 }
 

@@ -24,7 +24,8 @@ pub enum ShellLayer {
 
 impl ShellLayer {
     /// The namespace inside this layer.
-    pub fn inner_ns(&self) -> &Namespace {
+    #[cfg(test)]
+    pub(crate) fn inner_ns(&self) -> &Namespace {
         match self {
             ShellLayer::Delay(s) => &s.inner_ns,
             ShellLayer::Link(s) => &s.inner_ns,

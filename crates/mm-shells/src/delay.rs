@@ -19,7 +19,7 @@ use mm_sim::{EventTarget, SimDuration, Simulator};
 /// One direction of a DelayShell: the paper's packet queue. Each arrival
 /// joins the queue and files one "release the head" event `delay` later;
 /// the delay is the same for every packet, so release order *is* arrival
-/// order and the event needs to carry nothing (DESIGN.md §15).
+/// order and the event needs to carry nothing (DESIGN.md §2).
 pub struct DelayLink {
     delay: SimDuration,
     /// Fixed per-packet processing overhead, modelling the cost of the
@@ -39,9 +39,9 @@ pub struct DelayLink {
 
 /// Counters for one delay-link direction.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DelayStats {
-    pub forwarded: u64,
-    pub bytes: u64,
+pub(crate) struct DelayStats {
+    pub(crate) forwarded: u64,
+    pub(crate) bytes: u64,
 }
 
 impl DelayLink {
@@ -51,7 +51,11 @@ impl DelayLink {
     }
 
     /// Delay direction with explicit forwarding overhead.
-    pub fn with_overhead(delay: SimDuration, overhead: SimDuration, next: SinkRef) -> Rc<Self> {
+    pub(crate) fn with_overhead(
+        delay: SimDuration,
+        overhead: SimDuration,
+        next: SinkRef,
+    ) -> Rc<Self> {
         Rc::new_cyclic(|me| DelayLink {
             delay,
             overhead,
@@ -66,12 +70,13 @@ impl DelayLink {
     /// Attach a per-packet tap: every packet reports a
     /// [`PacketEventKind::Deliver`] event at the moment it exits the
     /// delay leg toward the next hop. Taps observe only.
-    pub fn set_tap(&self, tap: TapHandle, point: TapPoint) {
+    pub(crate) fn set_tap(&self, tap: TapHandle, point: TapPoint) {
         *self.tap.borrow_mut() = Some((tap, point));
     }
 
     /// Counters snapshot.
-    pub fn stats(&self) -> DelayStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> DelayStats {
         *self.stats.borrow()
     }
 }
@@ -81,7 +86,7 @@ impl DelayLink {
 /// sockets — tens of microseconds on 2014 hardware). Calibrated so
 /// DelayShell-0ms imposes a fraction of a percent on median page load
 /// time, as Figure 2 reports.
-pub const DEFAULT_SHELL_OVERHEAD: SimDuration = SimDuration::from_micros(20);
+pub(crate) const DEFAULT_SHELL_OVERHEAD: SimDuration = SimDuration::from_micros(20);
 
 impl PacketSink for DelayLink {
     fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
@@ -133,9 +138,9 @@ pub struct DelayShell {
     /// The namespace applications run inside.
     pub inner_ns: Namespace,
     /// Child → parent direction.
-    pub uplink: Rc<DelayLink>,
+    pub(crate) uplink: Rc<DelayLink>,
     /// Parent → child direction.
-    pub downlink: Rc<DelayLink>,
+    pub(crate) downlink: Rc<DelayLink>,
 }
 
 /// Build a DelayShell: creates a child namespace of `parent` whose traffic
@@ -146,7 +151,7 @@ pub fn delay_shell(parent: &Namespace, name: &str, delay: SimDuration) -> DelayS
 
 /// [`delay_shell`] with an explicit per-packet forwarding overhead
 /// (0 to model an ideal shell).
-pub fn delay_shell_with_overhead(
+pub(crate) fn delay_shell_with_overhead(
     parent: &Namespace,
     name: &str,
     delay: SimDuration,

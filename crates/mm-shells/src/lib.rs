@@ -1,25 +1,22 @@
 //! # mm-shells — composable network-emulation shells
 //!
-//! The Rust rendering of Mahimahi's emulation shells: [`delay`] (DelayShell,
-//! fixed one-way delay), [`link`] (LinkShell, trace-driven delivery
-//! opportunities with pluggable [`queue`] disciplines), [`loss`] (LossShell,
-//! i.i.d. loss) and [`compose`] (nesting, like nesting mahimahi processes).
+//! The Rust rendering of Mahimahi's emulation shells: [`DelayShell`]
+//! (fixed one-way delay), [`LinkShell`] (trace-driven delivery
+//! opportunities with pluggable [`Qdisc`] disciplines), [`LossShell`]
+//! (i.i.d. loss) and [`ShellStack`] (nesting, like nesting mahimahi
+//! processes).
 
-pub mod compose;
-pub mod delay;
-pub mod link;
-pub mod loss;
-pub mod queue;
-pub mod tap;
+mod compose;
+mod delay;
+mod link;
+mod loss;
+mod queue;
+mod tap;
 
 pub use compose::{ShellLayer, ShellStack};
-pub use delay::{
-    delay_shell, delay_shell_with_overhead, DelayLink, DelayShell, DEFAULT_SHELL_OVERHEAD,
-};
-pub use link::{
-    link_shell, LinkShell, LinkShellConfig, LinkStats, OpportunityPolicy, TraceLink, TraceLinkSink,
-};
-pub use loss::{loss_shell, LossLink, LossShell, LossStats};
+pub use delay::{delay_shell, DelayLink, DelayShell};
+pub use link::{LinkShell, OpportunityPolicy, TraceLink, TraceLinkSink};
+pub use loss::{LossLink, LossShell, LossStats};
 pub use queue::{
     factories, CoDel, DropHead, DropTail, EnqueueResult, InstrumentedQdisc, Pie, Qdisc,
     QdiscFactory, QdiscStats, QueueLimit,

@@ -35,13 +35,13 @@ pub enum OpportunityPolicy {
 
 /// Counters for one trace-link direction.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LinkStats {
-    pub arrived: u64,
-    pub delivered: u64,
-    pub delivered_bytes: u64,
-    pub dropped_by_queue: u64,
+pub(crate) struct LinkStats {
+    pub(crate) arrived: u64,
+    pub(crate) delivered: u64,
+    pub(crate) delivered_bytes: u64,
+    pub(crate) dropped_by_queue: u64,
     /// Delivery opportunities consumed (for utilization reporting).
-    pub opportunities_used: u64,
+    pub(crate) opportunities_used: u64,
 }
 
 struct LinkInner {
@@ -94,7 +94,7 @@ impl TraceLink {
     /// opportunity schedule is reported once as [`LinkMeta`] so offline
     /// analyzers can reconstruct the capacity series. Call before any
     /// traffic flows; taps observe only and never change behavior.
-    pub fn set_tap(&self, tap: TapHandle, point: TapPoint) {
+    pub(crate) fn set_tap(&self, tap: TapHandle, point: TapPoint) {
         let mut inner = self.inner.borrow_mut();
         tap.on_link_meta(&LinkMeta {
             point,
@@ -111,25 +111,21 @@ impl TraceLink {
     /// reporting into `sink` under `dir` (`"up"`/`"down"`). Call before
     /// [`TraceLink::set_tap`] so a tap's events stay outermost; like
     /// taps, instrumentation observes only and never changes behavior.
-    pub fn set_qdisc_metrics(&self, sink: mm_metrics::MetricsHandle, dir: &'static str) {
+    pub(crate) fn set_qdisc_metrics(&self, sink: mm_metrics::MetricsHandle, dir: &'static str) {
         let mut inner = self.inner.borrow_mut();
         let old = std::mem::replace(&mut inner.qdisc, Box::new(DropTail::infinite()));
         inner.qdisc = Box::new(crate::queue::InstrumentedQdisc::new(old, sink, dir));
     }
 
     /// Counters snapshot.
-    pub fn stats(&self) -> LinkStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> LinkStats {
         self.inner.borrow().stats
     }
 
     /// Queue-discipline counters.
     pub fn qdisc_stats(&self) -> QdiscStats {
         self.inner.borrow().qdisc.stats()
-    }
-
-    /// Current queue backlog in packets.
-    pub fn backlog_packets(&self) -> usize {
-        self.inner.borrow().qdisc.len_packets()
     }
 
     fn opportunity_time(trace: &Trace, i: u64) -> Timestamp {
@@ -280,7 +276,7 @@ impl PacketSink for TraceLinkSink {
 /// Handle to a constructed link shell.
 pub struct LinkShell {
     /// The namespace applications run inside.
-    pub inner_ns: Namespace,
+    pub(crate) inner_ns: Namespace,
     /// Child → parent direction.
     pub uplink: Rc<TraceLink>,
     /// Parent → child direction.
@@ -288,15 +284,16 @@ pub struct LinkShell {
 }
 
 /// Configuration for [`link_shell`].
-pub struct LinkShellConfig {
-    pub uplink_trace: Trace,
-    pub downlink_trace: Trace,
-    pub policy: OpportunityPolicy,
+pub(crate) struct LinkShellConfig {
+    pub(crate) uplink_trace: Trace,
+    pub(crate) downlink_trace: Trace,
+    pub(crate) policy: OpportunityPolicy,
 }
 
 impl LinkShellConfig {
     /// Symmetric link from one trace.
-    pub fn symmetric(trace: Trace) -> Self {
+    #[cfg(test)]
+    pub(crate) fn symmetric(trace: Trace) -> Self {
         LinkShellConfig {
             uplink_trace: trace.clone(),
             downlink_trace: trace,
@@ -307,7 +304,7 @@ impl LinkShellConfig {
 
 /// Build a LinkShell under `parent` (the paper's
 /// `mm-link <up.trace> <down.trace>`), with fresh qdiscs from `make_qdisc`.
-pub fn link_shell(
+pub(crate) fn link_shell(
     parent: &Namespace,
     name: &str,
     config: LinkShellConfig,

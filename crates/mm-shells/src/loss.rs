@@ -11,7 +11,7 @@ use mm_sim::{RngStream, Simulator};
 /// Counters for one loss direction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LossStats {
-    pub seen: u64,
+    pub(crate) seen: u64,
     pub dropped: u64,
 }
 
@@ -28,7 +28,7 @@ pub struct LossLink {
 
 impl LossLink {
     /// Drop each packet independently with probability `p`.
-    pub fn new(p: f64, rng: RngStream, next: SinkRef) -> Rc<Self> {
+    pub(crate) fn new(p: f64, rng: RngStream, next: SinkRef) -> Rc<Self> {
         assert!((0.0..=1.0).contains(&p), "loss rate out of range: {p}");
         Rc::new(LossLink {
             p,
@@ -42,7 +42,7 @@ impl LossLink {
     /// Attach a per-packet tap: each Bernoulli loss reports a
     /// [`PacketEventKind::Drop`] event. Taps observe only — the RNG
     /// stream and drop decisions are untouched.
-    pub fn set_tap(&self, tap: TapHandle, point: TapPoint) {
+    pub(crate) fn set_tap(&self, tap: TapHandle, point: TapPoint) {
         *self.tap.borrow_mut() = Some((tap, point));
     }
 
@@ -83,7 +83,7 @@ impl PacketSink for LossLink {
 /// Handle to a constructed loss shell.
 pub struct LossShell {
     /// The namespace applications run inside.
-    pub inner_ns: Namespace,
+    pub(crate) inner_ns: Namespace,
     pub uplink: Rc<LossLink>,
     pub downlink: Rc<LossLink>,
 }
@@ -91,7 +91,7 @@ pub struct LossShell {
 /// Build a LossShell under `parent` with independent loss rates per
 /// direction. RNG streams are forked per direction from `rng` so uplink
 /// and downlink decisions are independent.
-pub fn loss_shell(
+pub(crate) fn loss_shell(
     parent: &Namespace,
     name: &str,
     uplink_loss: f64,

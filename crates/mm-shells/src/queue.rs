@@ -24,7 +24,7 @@ pub struct QdiscStats {
     pub dequeued: u64,
     pub dropped: u64,
     /// Sum of sojourn times of dequeued packets, for mean-delay reporting.
-    pub total_sojourn: SimDuration,
+    pub(crate) total_sojourn: SimDuration,
     /// High-water mark of the backlog in packets — the standing-queue
     /// measurement the pacing/BBR experiments compare senders by.
     pub max_backlog_packets: usize,
@@ -37,7 +37,8 @@ pub struct QdiscStats {
 
 impl QdiscStats {
     /// Mean queueing delay of dequeued packets.
-    pub fn mean_sojourn(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn mean_sojourn(&self) -> SimDuration {
         match self.total_sojourn.as_nanos().checked_div(self.dequeued) {
             None => SimDuration::ZERO,
             Some(mean) => SimDuration::from_nanos(mean),
@@ -248,7 +249,7 @@ pub struct CoDel {
 
 impl CoDel {
     /// CoDel with explicit parameters.
-    pub fn new(target: SimDuration, interval: SimDuration) -> Self {
+    pub(crate) fn new(target: SimDuration, interval: SimDuration) -> Self {
         CoDel {
             q: VecDeque::new(),
             bytes: 0,
@@ -406,7 +407,7 @@ pub struct Pie {
 impl Pie {
     /// PIE with explicit target delay; `depart_rate` is the link's rate in
     /// bytes/sec, used to estimate delay from backlog.
-    pub fn new(target: SimDuration, depart_rate: f64) -> Self {
+    pub(crate) fn new(target: SimDuration, depart_rate: f64) -> Self {
         assert!(depart_rate > 0.0);
         Pie {
             q: VecDeque::new(),

@@ -23,27 +23,6 @@ impl Distribution for Constant {
     }
 }
 
-/// Uniform on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Panics if `lo >= hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi, "Uniform: lo {lo} >= hi {hi}");
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut RngStream) -> f64 {
-        rng.gen_range_f64(self.lo, self.hi)
-    }
-}
-
 /// Exponential with the given mean (inverse-transform sampling).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
@@ -55,12 +34,6 @@ impl Exponential {
     pub fn with_mean(mean: f64) -> Self {
         assert!(mean > 0.0, "Exponential mean must be positive: {mean}");
         Exponential { mean }
-    }
-
-    /// Construct from rate λ (= 1/mean).
-    pub fn with_rate(rate: f64) -> Self {
-        assert!(rate > 0.0, "Exponential rate must be positive: {rate}");
-        Exponential { mean: 1.0 / rate }
     }
 }
 
@@ -75,14 +48,14 @@ impl Distribution for Exponential {
 /// Normal via Box–Muller. One value per draw (the companion draw is
 /// discarded to keep the stream consumption pattern simple and stable).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
+pub(crate) struct Normal {
     mu: f64,
     sigma: f64,
 }
 
 impl Normal {
     /// Panics if `sigma < 0`.
-    pub fn new(mu: f64, sigma: f64) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Self {
         assert!(sigma >= 0.0, "Normal sigma must be non-negative: {sigma}");
         Normal { mu, sigma }
     }
@@ -111,7 +84,7 @@ pub struct LogNormal {
 
 impl LogNormal {
     /// From the underlying normal's parameters.
-    pub fn new(mu: f64, sigma: f64) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Self {
         LogNormal {
             normal: Normal::new(mu, sigma),
         }
@@ -124,53 +97,11 @@ impl LogNormal {
         assert!(median > 0.0, "LogNormal median must be positive");
         LogNormal::new(median.ln(), sigma)
     }
-
-    /// The distribution's median (= e^μ).
-    pub fn median(&self) -> f64 {
-        self.normal.mu.exp()
-    }
 }
 
 impl Distribution for LogNormal {
     fn sample(&self, rng: &mut RngStream) -> f64 {
         self.normal.sample(rng).exp()
-    }
-}
-
-/// Pareto (type I) with scale `x_min` and shape `alpha`, optionally capped.
-///
-/// Used for heavy-tailed object-size tails; the cap keeps single synthetic
-/// objects from dwarfing a whole page.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-    cap: f64,
-}
-
-impl Pareto {
-    /// Panics unless `x_min > 0` and `alpha > 0`.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0 && alpha > 0.0, "invalid Pareto parameters");
-        Pareto {
-            x_min,
-            alpha,
-            cap: f64::INFINITY,
-        }
-    }
-
-    /// Cap samples at `cap` (rejection-free: clamped).
-    pub fn capped(mut self, cap: f64) -> Self {
-        assert!(cap >= self.x_min, "Pareto cap below x_min");
-        self.cap = cap;
-        self
-    }
-}
-
-impl Distribution for Pareto {
-    fn sample(&self, rng: &mut RngStream) -> f64 {
-        let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-        (self.x_min / u.powf(1.0 / self.alpha)).min(self.cap)
     }
 }
 
@@ -210,11 +141,6 @@ impl<T: Clone> Weighted<T> {
     }
 }
 
-/// Helper: draw from `dist`, clamped to `[lo, hi]`.
-pub fn sample_clamped(dist: &dyn Distribution, rng: &mut RngStream, lo: f64, hi: f64) -> f64 {
-    dist.sample(rng).clamp(lo, hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,13 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_rate_equivalence() {
-        let a = Exponential::with_mean(4.0);
-        let b = Exponential::with_rate(0.25);
-        assert_eq!(mean_of(&a, 9, 1000), mean_of(&b, 9, 1000));
-    }
-
-    #[test]
     fn normal_moments() {
         let d = Normal::new(10.0, 2.0);
         let mut rng = RngStream::from_seed(4);
@@ -262,22 +181,11 @@ mod tests {
     #[test]
     fn lognormal_median() {
         let d = LogNormal::with_median(500.0, 1.0);
-        assert!((d.median() - 500.0).abs() < 1e-9);
         let mut rng = RngStream::from_seed(5);
         let mut samples: Vec<f64> = (0..20_001).map(|_| d.sample(&mut rng)).collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let med = samples[10_000];
         assert!((med - 500.0).abs() / 500.0 < 0.05, "median {med}");
-    }
-
-    #[test]
-    fn pareto_respects_min_and_cap() {
-        let d = Pareto::new(100.0, 1.2).capped(10_000.0);
-        let mut rng = RngStream::from_seed(6);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((100.0..=10_000.0).contains(&x), "sample {x}");
-        }
     }
 
     #[test]
@@ -294,15 +202,5 @@ mod tests {
     #[should_panic]
     fn weighted_rejects_zero_total() {
         let _ = Weighted::new(vec![("a", 0.0)]);
-    }
-
-    #[test]
-    fn clamped_sampling() {
-        let d = Exponential::with_mean(1000.0);
-        let mut rng = RngStream::from_seed(8);
-        for _ in 0..1000 {
-            let x = sample_clamped(&d, &mut rng, 10.0, 50.0);
-            assert!((10.0..=50.0).contains(&x));
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! A [`Simulator`] owns a queue of scheduled events. An event is either a
 //! boxed closure that receives `&mut Simulator` — the general form, one
 //! allocation per event — or a long-lived [`EventTarget`] plus a token,
-//! which the per-packet senders file without allocating (DESIGN.md §15).
+//! which the per-packet senders file without allocating (DESIGN.md §1).
 //! Handlers can schedule further events; actor state lives in
 //! `Rc<RefCell<_>>` handles (the simulation is single-threaded by design —
 //! determinism is a core requirement).
@@ -18,7 +18,7 @@ use crate::queue::{EventQueue, Scheduled};
 use crate::time::{SimDuration, Timestamp};
 
 /// An event handler: a one-shot closure run at its scheduled instant.
-pub type EventFn = Box<dyn FnOnce(&mut Simulator)>;
+pub(crate) type EventFn = Box<dyn FnOnce(&mut Simulator)>;
 
 /// A long-lived receiver of events: an actor that files *itself* with
 /// [`Simulator::schedule_target_at`] instead of boxing a closure per
@@ -52,7 +52,7 @@ impl Event {
 pub const UNTAGGED_EVENT: &str = "sim_events_untagged_total";
 
 /// Event-loop profile: per-component dispatch counts (keyed by the tag
-/// each component passes to [`Simulator::schedule_at_tagged`]) and the
+/// each component passes to `Simulator::schedule_at_tagged`) and the
 /// high-water occupancy of the event queue. Collected only while
 /// [`Simulator::enable_profiler`] is on; profiling observes dispatch
 /// and never perturbs event order.
@@ -75,19 +75,6 @@ impl EngineProfile {
             }
         }
         self.counts.push((tag, 1));
-    }
-
-    /// Dispatch counts per tag, in first-seen order.
-    pub fn dispatched(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counts.iter().copied()
-    }
-
-    /// Dispatch count for one tag (0 if never seen).
-    pub fn dispatched_for(&self, tag: &str) -> u64 {
-        self.counts
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map_or(0, |(_, n)| *n)
     }
 
     /// Most events ever pending in the event queue at once.
@@ -153,7 +140,7 @@ impl Default for Simulator {
 
 impl Simulator {
     /// A generous default guard against runaway event loops.
-    pub const DEFAULT_EVENT_LIMIT: u64 = 2_000_000_000;
+    const DEFAULT_EVENT_LIMIT: u64 = 2_000_000_000;
 
     /// Create a simulator at t = 0 with an empty queue.
     pub fn new() -> Self {
@@ -197,12 +184,6 @@ impl Simulator {
         self.queue.len()
     }
 
-    /// Replace the runaway-loop guard (events executed per `run*` call
-    /// across the simulator's lifetime).
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
-    }
-
     /// Schedule `f` to run at absolute time `at`.
     ///
     /// Panics if `at` is in the past — an event scheduled before `now`
@@ -216,7 +197,7 @@ impl Simulator {
     /// event-loop profiler. The tag doubles as the metric name the
     /// dispatch count exports under, so use the
     /// `sim_events_<component>_total` convention.
-    pub fn schedule_at_tagged(
+    pub(crate) fn schedule_at_tagged(
         &mut self,
         tag: &'static str,
         at: Timestamp,
@@ -226,7 +207,7 @@ impl Simulator {
     }
 
     /// File `target` to receive [`EventTarget::on_event`] with `token` at
-    /// `at`: [`schedule_at_tagged`](Self::schedule_at_tagged) without the
+    /// `at`: `schedule_at_tagged` without the
     /// allocation. The entry holds `target` until it runs, as a closure
     /// holds what it captured.
     pub fn schedule_target_at(
@@ -257,7 +238,7 @@ impl Simulator {
     }
 
     /// [`schedule_in`](Self::schedule_in) with a component tag for the
-    /// event-loop profiler (see [`schedule_at_tagged`](Self::schedule_at_tagged)).
+    /// event-loop profiler (see `schedule_at_tagged`).
     pub fn schedule_in_tagged(
         &mut self,
         tag: &'static str,
@@ -325,11 +306,6 @@ impl Simulator {
             }
             self.step();
         }
-    }
-
-    /// Run for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: SimDuration) -> RunResult {
-        self.run_until(self.now + span)
     }
 }
 
@@ -518,7 +494,7 @@ mod tests {
     #[test]
     fn event_limit_guards_runaway_loops() {
         let mut sim = Simulator::new();
-        sim.set_event_limit(100);
+        sim.event_limit = 100;
         fn reschedule(sim: &mut Simulator) {
             sim.schedule_in(SimDuration::from_nanos(1), reschedule);
         }
@@ -551,12 +527,11 @@ mod tests {
         sim.schedule_at(Timestamp::from_millis(4), |_| {});
         assert_eq!(sim.run(), RunResult::QueueEmpty);
         let p = sim.profile().expect("profiler enabled");
-        assert_eq!(p.dispatched_for("sim_events_link_total"), 3);
-        assert_eq!(p.dispatched_for(UNTAGGED_EVENT), 1);
-        assert_eq!(p.dispatched_for("never_scheduled"), 0);
+        assert_eq!(
+            p.counts,
+            [("sim_events_link_total", 3), (UNTAGGED_EVENT, 1)]
+        );
         assert_eq!(p.heap_high_water(), 4);
-        let collected: Vec<_> = p.dispatched().collect();
-        assert_eq!(collected.iter().map(|(_, n)| n).sum::<u64>(), 4);
     }
 
     #[test]
@@ -592,7 +567,7 @@ mod tests {
         sim.run();
         assert_eq!(sim.now().as_millis(), 5);
         sim.schedule_in(SimDuration::from_millis(20), |_| {});
-        let r = sim.run_for(SimDuration::from_millis(10));
+        let r = sim.run_until(sim.now() + SimDuration::from_millis(10));
         assert_eq!(r, RunResult::HorizonReached);
         assert_eq!(sim.now().as_millis(), 15);
     }

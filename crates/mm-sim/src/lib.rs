@@ -6,7 +6,7 @@
 //! ([`RngStream`]), the sampling distributions the workload models need
 //! ([`dist`]), and the summary statistics the experiments report ([`stats`]).
 //!
-//! Design rules (see DESIGN.md §5):
+//! Design rules (see DESIGN.md §1):
 //! * **Bit-identical runs.** Integer time, tie-breaking by insertion order,
 //!   and label-forked RNG streams make a run a pure function of its seed.
 //! * **Single-threaded.** Actor state lives in `Rc<RefCell<_>>` captured by
@@ -20,11 +20,8 @@ pub mod stats;
 pub mod time;
 pub mod timer;
 
-pub use engine::{EngineProfile, EventFn, EventTarget, RunResult, Simulator, UNTAGGED_EVENT};
+pub use engine::{EngineProfile, EventTarget, RunResult, Simulator, UNTAGGED_EVENT};
 pub use rng::RngStream;
 pub use stats::{jain_fairness, Summary};
 pub use time::{SimDuration, Timestamp};
-pub use timer::{
-    BankHandler, PeriodicTimer, Timer, TimerBank, TimerHandler, TimerMux, Unbound, TIMER_EVENT,
-    TIMER_MUX_EVENT,
-};
+pub use timer::{BankHandler, PeriodicTimer, Timer, TimerBank, TimerHandler, TimerMux, Unbound};

@@ -76,12 +76,6 @@ impl RngStream {
         self.rng.gen_range(lo..=hi)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub fn gen_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi, "gen_range_f64: empty range");
-        self.rng.gen_range(lo..hi)
-    }
-
     /// Bernoulli draw with probability `p` of `true`.
     pub fn gen_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
@@ -189,8 +183,6 @@ mod tests {
         for _ in 0..1000 {
             let v = r.gen_range_inclusive(3, 9);
             assert!((3..=9).contains(&v));
-            let f = r.gen_range_f64(-1.0, 2.0);
-            assert!((-1.0..2.0).contains(&f));
         }
         assert_eq!(r.gen_range_inclusive(4, 4), 4);
     }

@@ -40,12 +40,12 @@ impl Summary {
     }
 
     /// Number of samples.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.samples.len()
     }
 
     /// True if no samples have been added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
 

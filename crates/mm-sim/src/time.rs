@@ -20,9 +20,6 @@ impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// Largest representable duration; used as an "infinite" timeout.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
-
     /// Construct from nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
@@ -55,11 +52,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole microseconds (truncated).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Whole milliseconds (truncated).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -80,11 +72,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition.
-    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(rhs.0).map(SimDuration)
-    }
-
     /// Multiply by an integer factor (saturating).
     pub fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
@@ -103,24 +90,6 @@ impl SimDuration {
     /// True if this is the zero duration.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -226,11 +195,6 @@ impl Timestamp {
     /// Time elapsed since `earlier`, or zero if `earlier` is in the future.
     pub fn saturating_duration_since(self, earlier: Timestamp) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<Timestamp> {
-        self.0.checked_add(d.as_nanos()).map(Timestamp)
     }
 }
 

@@ -10,9 +10,9 @@
 //! arm — the general form, one allocation each. A timer built with
 //! [`Timer::bound`] was given its handler once, so [`Timer::rearm_at`]
 //! files `(timer state, generation)` with the engine and allocates nothing
-//! (DESIGN.md §15). An owner of several timers that run one handler keeps
+//! (DESIGN.md §1). An owner of several timers that run one handler keeps
 //! them in a [`TimerBank`]: the same entries in the queue, one allocation
-//! for the lot (DESIGN.md §16) — what a socket does with its five.
+//! for the lot (DESIGN.md §1) — what a socket does with its five.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -81,7 +81,7 @@ pub struct Timer<H = Unbound> {
 /// armed, re-armed and cancelled on its own, and files exactly the queue
 /// entries a [`Timer::bound`] timer of its own would — `(bank, slot and
 /// generation)` under the same tag — so `N` timers and a bank of `N` are
-/// indistinguishable from the queue's side (DESIGN.md §16).
+/// indistinguishable from the queue's side (DESIGN.md §1).
 ///
 /// Cloning a `TimerBank` yields a handle to the same timers.
 pub struct TimerBank<H, const N: usize> {
@@ -165,10 +165,10 @@ impl Default for Timer {
 }
 
 /// Default dispatch tag of [`Timer`] firings.
-pub const TIMER_EVENT: &str = "sim_events_timer_total";
+pub(crate) const TIMER_EVENT: &str = "sim_events_timer_total";
 
 /// Dispatch tag of the shared [`TimerMux`] dispatcher slot.
-pub const TIMER_MUX_EVENT: &str = "sim_events_timer_mux_total";
+pub(crate) const TIMER_MUX_EVENT: &str = "sim_events_timer_mux_total";
 
 impl Timer {
     /// Create an unarmed timer.
@@ -179,14 +179,14 @@ impl Timer {
     /// Create an unarmed timer whose firings are dispatched under `tag`
     /// in the event-loop profiler (see
     /// [`Simulator::schedule_at_tagged`]).
-    pub fn tagged(tag: &'static str) -> Self {
+    pub(crate) fn tagged(tag: &'static str) -> Self {
         Timer {
             bank: TimerBank::build(Unbound, None, tag),
         }
     }
 
     /// Create an unarmed timer whose firings route through `mux`.
-    pub fn in_mux(mux: &TimerMux) -> Self {
+    pub(crate) fn in_mux(mux: &TimerMux) -> Self {
         Timer {
             bank: TimerBank::build(Unbound, Some(mux), TIMER_EVENT),
         }
@@ -348,7 +348,7 @@ impl<H: BankHandler + 'static, const N: usize> TimerBank<H, N> {
 }
 
 /// A shared timer multiplexer: many [`Timer`]s created via
-/// [`Timer::in_mux`] funnel through ONE dispatcher slot in the simulator's
+/// `Timer::in_mux` funnel through ONE dispatcher slot in the simulator's
 /// global event queue instead of each `arm()` pushing its own closure.
 ///
 /// Two wins at population scale (thousands of sockets, five timers each):
@@ -398,7 +398,7 @@ impl TimerMux {
     }
 
     /// Create an unarmed timer backed by this mux (alias for
-    /// [`Timer::in_mux`]).
+    /// `Timer::in_mux`).
     pub fn timer(&self) -> Timer {
         Timer::in_mux(self)
     }

@@ -10,7 +10,7 @@
 use std::fmt;
 
 /// The MTU assumed by the trace format, bytes per delivery opportunity.
-pub const TRACE_MTU: usize = 1500;
+pub(crate) const TRACE_MTU: usize = 1500;
 
 /// Errors loading a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,15 +7,16 @@
 //! The crate also hosts the causal span layer ([`span`]): a [`SpanSink`]
 //! observer trait plus a bounded [`TraceBuffer`] the whole stack records
 //! typed, parented wait intervals into — the raw material for `mmpath`'s
-//! critical-path PLT attribution.
+//! critical-path PLT attribution. Its JSONL, the audit report's and the
+//! capture reader's share one flat-object scanner ([`jsonl`]).
 
 pub mod format;
 pub mod generate;
+pub mod jsonl;
 pub mod span;
 
-pub use format::{Trace, TraceError, TRACE_MTU};
+pub use format::{Trace, TraceError};
 pub use generate::{cellular, constant_rate, on_off, CellularParams};
 pub use span::{
-    parse_span_line, parse_spans_jsonl, span_to_jsonl_line, spans_to_jsonl, FanoutSpan, Span,
-    SpanHandle, SpanKind, SpanSink, TraceBuffer, NO_RESOURCE,
+    parse_spans_jsonl, FanoutSpan, Span, SpanHandle, SpanKind, SpanSink, TraceBuffer, NO_RESOURCE,
 };

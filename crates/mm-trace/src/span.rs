@@ -30,6 +30,8 @@ use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
+use crate::jsonl::{escape, get_str, get_u32, get_u64};
+
 /// `res` value for spans not attached to a browser resource.
 pub const NO_RESOURCE: u32 = u32::MAX;
 
@@ -95,7 +97,7 @@ impl SpanKind {
     /// Inverse of [`SpanKind::as_str`]. An inherent method (not
     /// `FromStr`) so call sites get `Option` without an error type.
     #[allow(clippy::should_implement_trait)]
-    pub fn from_str(s: &str) -> Option<SpanKind> {
+    pub(crate) fn from_str(s: &str) -> Option<SpanKind> {
         Some(match s {
             "page" => SpanKind::Page,
             "resource" => SpanKind::Resource,
@@ -223,13 +225,13 @@ pub struct TraceBuffer {
 impl TraceBuffer {
     /// Default span cap per load; generous (a heavy page emits a few
     /// hundred spans) while bounding soak memory.
-    pub const DEFAULT_MAX_SPANS: usize = 64 * 1024;
+    pub(crate) const DEFAULT_MAX_SPANS: usize = 64 * 1024;
 
     pub fn for_load(load: u64) -> Rc<TraceBuffer> {
         TraceBuffer::with_capacity(load, TraceBuffer::DEFAULT_MAX_SPANS)
     }
 
-    pub fn with_capacity(load: u64, max_spans: usize) -> Rc<TraceBuffer> {
+    pub(crate) fn with_capacity(load: u64, max_spans: usize) -> Rc<TraceBuffer> {
         Rc::new(TraceBuffer {
             load,
             max_spans,
@@ -242,11 +244,6 @@ impl TraceBuffer {
     /// A [`SpanHandle`] feeding this buffer.
     pub fn handle(self: &Rc<Self>) -> SpanHandle {
         SpanHandle(self.clone() as Rc<dyn SpanSink>)
-    }
-
-    /// The load id this buffer stamps onto recorded spans.
-    pub fn load(&self) -> u64 {
-        self.load
     }
 
     /// Snapshot of the recorded spans, in record order.
@@ -323,21 +320,8 @@ impl SpanSink for FanoutSpan {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One span as a flat JSONL object (the shape `mm-path` parses).
-pub fn span_to_jsonl_line(s: &Span) -> String {
+pub(crate) fn span_to_jsonl_line(s: &Span) -> String {
     format!(
         "{{\"ev\":\"span\",\"load\":{},\"id\":{},\"parent\":{},\"kind\":\"{}\",\
          \"t0_ns\":{},\"t1_ns\":{},\"res\":{},\"conn\":{},\"url\":\"{}\",\"detail\":\"{}\"}}\n",
@@ -349,13 +333,13 @@ pub fn span_to_jsonl_line(s: &Span) -> String {
         s.t1_ns,
         s.res,
         s.conn,
-        escape_json(&s.url),
-        escape_json(&s.detail),
+        escape(&s.url),
+        escape(&s.detail),
     )
 }
 
 /// Serialize spans as JSONL, one object per line.
-pub fn spans_to_jsonl(spans: &[Span]) -> String {
+pub(crate) fn spans_to_jsonl(spans: &[Span]) -> String {
     let mut out = String::new();
     for s in spans {
         out.push_str(&span_to_jsonl_line(s));
@@ -363,70 +347,8 @@ pub fn spans_to_jsonl(spans: &[Span]) -> String {
     out
 }
 
-// --- JSONL scanner (same restricted-shape approach as mm-graph's
-// capture parser: flat objects, known keys, escape-aware key search) ---
-
-fn find_key(line: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let bytes = line.as_bytes();
-    let mut start = 0;
-    while let Some(rel) = line[start..].find(&pat) {
-        let pos = start + rel;
-        if pos == 0 || bytes[pos - 1] != b'\\' {
-            return Some(pos + pat.len());
-        }
-        start = pos + 1;
-    }
-    None
-}
-
-fn get_u64(line: &str, key: &str) -> Result<u64, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let digits: &str = &line[at..];
-    let end = digits
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return Err(format!("field {key:?} is not a number"));
-    }
-    digits[..end]
-        .parse()
-        .map_err(|e| format!("field {key:?}: {e}"))
-}
-
-fn get_str(line: &str, key: &str) -> Result<String, String> {
-    let at = find_key(line, key).ok_or_else(|| format!("missing field {key:?}"))?;
-    let rest = &line[at..];
-    if !rest.starts_with('"') {
-        return Err(format!("field {key:?} is not a string"));
-    }
-    let mut out = String::new();
-    let mut chars = rest[1..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|e| format!("field {key:?}: bad \\u escape: {e}"))?;
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| format!("field {key:?}: bad codepoint {code}"))?,
-                    );
-                }
-                other => return Err(format!("field {key:?}: bad escape {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err(format!("field {key:?}: unterminated string"))
-}
-
 /// Parse one JSONL span line.
-pub fn parse_span_line(line: &str) -> Result<Span, String> {
+pub(crate) fn parse_span_line(line: &str) -> Result<Span, String> {
     let ev = get_str(line, "ev")?;
     if ev != "span" {
         return Err(format!("unknown event type {ev:?}"));
@@ -441,7 +363,7 @@ pub fn parse_span_line(line: &str) -> Result<Span, String> {
         kind,
         t0_ns: get_u64(line, "t0_ns")?,
         t1_ns: get_u64(line, "t1_ns")?,
-        res: get_u64(line, "res")? as u32,
+        res: get_u32(line, "res")?,
         conn: get_u64(line, "conn")?,
         url: get_str(line, "url")?,
         detail: get_str(line, "detail")?,
@@ -554,6 +476,14 @@ mod tests {
         assert_eq!(h.next_id(), 0);
         h.record(sample(0, 0, SpanKind::Page));
         assert_eq!(format!("{h:?}"), "SpanHandle");
+    }
+
+    #[test]
+    fn a_resource_index_past_32_bits_is_an_error() {
+        let line = spans_to_jsonl(&[sample(1, 1, SpanKind::Queued)])
+            .replace("\"res\":2,", "\"res\":4294967301,");
+        let err = parse_spans_jsonl(&line).unwrap_err();
+        assert!(err.contains("\"res\""), "{err}");
     }
 
     #[test]

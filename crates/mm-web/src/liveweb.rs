@@ -19,13 +19,13 @@ use mm_sim::{RngStream, SimDuration};
 pub struct LiveWebConfig {
     /// Median extra one-way latency a real origin adds beyond the
     /// measured minimum RTT path (CDN hops, queueing), microseconds.
-    pub median_extra_us: f64,
+    pub(crate) median_extra_us: f64,
     /// Lognormal sigma of the per-packet extra latency.
-    pub jitter_sigma: f64,
+    pub(crate) jitter_sigma: f64,
     /// Median server think time per request, microseconds. Real CDN edge
     /// servers answer cached content faster than mahimahi's CGI matcher —
     /// the source of replay's small positive bias in Figure 3.
-    pub median_think_us: f64,
+    pub(crate) median_think_us: f64,
 }
 
 impl Default for LiveWebConfig {

@@ -17,9 +17,9 @@ pub struct HostProfile {
     /// Label, e.g. `machine-1`.
     pub name: String,
     /// Median per-packet processing jitter, microseconds.
-    pub median_jitter_us: f64,
+    pub(crate) median_jitter_us: f64,
     /// Lognormal sigma of the jitter.
-    pub sigma: f64,
+    pub(crate) sigma: f64,
     /// Sigma of the browser's per-resource CPU-cost jitter (mean-one
     /// lognormal): renderer GC/scheduling variability, the dominant PLT
     /// variance source on one machine.

@@ -1,11 +1,11 @@
-//! The packet path's allocator traffic, as exact counts (DESIGN.md §15).
+//! The packet path's allocator traffic, as exact counts (DESIGN.md §1–§2).
 //!
 //! A packet crossing a delay leg, a trace-driven link and a host's
 //! dispatch, a socket timer being re-armed, an ack advancing the
 //! retransmission queue: none of these carries simulated meaning in an
 //! allocation, so in steady state none of them makes one; nor does a
 //! socket need a block per timer or a message head a `String` per field
-//! (DESIGN.md §16). Counted with an allocator local to this test binary —
+//! (DESIGN.md §1, §3, §4). Counted with an allocator local to this test binary —
 //! calls, not bytes — so the numbers repeat exactly and a regression is a
 //! failed assertion, not a slower benchmark.
 //!
@@ -273,7 +273,7 @@ impl SocketApp for AskOnce {
 /// A connection opened, used for one request and one response, and closed
 /// by both ends — two sockets, born and torn down — makes 17 allocator
 /// calls: per socket the socket itself, its congestion controller, its
-/// one block of five timers (DESIGN.md §16), its retransmission ring and
+/// one block of five timers (DESIGN.md §1), its retransmission ring and
 /// its event queue, plus the applications and the hosts' table entries.
 /// With a block per timer and a deque per rate filter it made 27.
 #[test]

@@ -1,5 +1,5 @@
 //! Every world the repo can build is reachable by every observer, and
-//! audits clean (DESIGN.md §14).
+//! audits clean (DESIGN.md §6).
 //!
 //! `run_page_load`, `run_fleet` and `run_soak` build their worlds with
 //! one builder, so the explicit observer handles on a spec and the

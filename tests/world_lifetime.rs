@@ -1,4 +1,4 @@
-//! Worlds that end give their memory back (DESIGN.md §13).
+//! Worlds that end give their memory back (DESIGN.md §6).
 //!
 //! Every world the toolkit can build — a page load, a fleet, a soak, a
 //! transfer assembled by hand from `Host`/`Namespace`/`ShellStack` — must
