@@ -39,7 +39,8 @@
 //! they are claim-order-dependent and would differ across shardings.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use mm_capture::{
@@ -153,6 +154,33 @@ fn packet_digest(ev: &PacketEvent) -> u64 {
     fnv1a64(&buf)
 }
 
+/// The per-event maps' hasher: one multiply of the `u64` key (a packet
+/// id or a flow fingerprint) by an odd constant. The keys come from the
+/// simulation, never from outside input, so there are no crafted
+/// collisions to resist. Nothing is ever read out of these maps in
+/// iteration order — digests are re-keyed into a `BTreeMap` and backlog
+/// is a sum — so their order reaches no report.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+type U64Map<V> = HashMap<u64, V, BuildHasherDefault<MulHasher>>;
+
 /// Per-tap-point packet ledger.
 struct Ledger {
     point: TapPoint,
@@ -165,9 +193,9 @@ struct Ledger {
     evicted_bytes: u64,
     delivered: u64,
     /// pkt id → wire size, for packets currently inside the queue.
-    outstanding: BTreeMap<u64, u32>,
+    outstanding: U64Map<u32>,
     /// Dequeued but not yet delivered (queue points only).
-    in_transit: BTreeMap<u64, u32>,
+    in_transit: U64Map<u32>,
     digest: u64,
 }
 
@@ -183,8 +211,8 @@ impl Ledger {
             evicted: 0,
             evicted_bytes: 0,
             delivered: 0,
-            outstanding: BTreeMap::new(),
-            in_transit: BTreeMap::new(),
+            outstanding: U64Map::default(),
+            in_transit: U64Map::default(),
             digest: 0,
         }
     }
@@ -238,13 +266,34 @@ fn dir_index(d: Dir) -> usize {
     }
 }
 
+/// The bounded violation list: past [`MAX_VIOLATIONS`] only a count.
+#[derive(Clone, Default)]
+struct Violations {
+    list: Vec<Violation>,
+    dropped: u64,
+}
+
+impl Violations {
+    fn push(&mut self, code: &'static str, scope: String, detail: String) {
+        if self.list.len() >= MAX_VIOLATIONS {
+            self.dropped += 1;
+            return;
+        }
+        self.list.push(Violation {
+            code,
+            scope,
+            detail,
+        });
+    }
+}
+
 struct State {
     load: u64,
-    violations: Vec<Violation>,
-    dropped_violations: u64,
+    violations: Violations,
+    /// Points are reported in key order at finish, so they stay a tree.
     points: BTreeMap<PointKey, Ledger>,
     /// Per-connection digests keyed by the packet flow fingerprint.
-    conn_digests: BTreeMap<u64, u64>,
+    conn_digests: U64Map<u64>,
     /// The single instrumented link point per direction, if unique.
     link_point: [Option<u32>; 2],
     gauges: [GaugeTrack; 2],
@@ -281,40 +330,26 @@ struct Chain {
     broken: bool,
 }
 
+impl Chain {
+    /// The chain has ended (the next resource began, or the run is
+    /// over): its phases must have reached the end of its span.
+    fn check_end(&self, out: &mut Violations) {
+        if !self.broken && self.cursor != self.t1 {
+            let detail = format!(
+                "phases cover [{},{}], resource span is [{},{}]",
+                self.t0, self.cursor, self.t0, self.t1
+            );
+            out.push("span-tiling", format!("res:{}", self.res), detail);
+        }
+    }
+}
+
 /// Hard cap on retained violations; a systematically broken run should
 /// produce a bounded report, not an unbounded allocation.
 const MAX_VIOLATIONS: usize = 1024;
 /// Gauge mismatches retained per direction — one is diagnostic, a
 /// thousand is noise.
 const MAX_GAUGE_VIOLATIONS: usize = 8;
-
-impl State {
-    fn push(&mut self, code: &'static str, scope: String, detail: String) {
-        if self.violations.len() >= MAX_VIOLATIONS {
-            self.dropped_violations += 1;
-            return;
-        }
-        self.violations.push(Violation {
-            code,
-            scope,
-            detail,
-        });
-    }
-
-    /// The open chain has ended (the next resource began, or the run is
-    /// over): its phases must have reached the end of its span.
-    fn close_chain(&mut self) {
-        if let Some(c) = self.chain.take() {
-            if !c.broken && c.cursor != c.t1 {
-                let detail = format!(
-                    "phases cover [{},{}], resource span is [{},{}]",
-                    c.t0, c.cursor, c.t0, c.t1
-                );
-                self.push("span-tiling", format!("res:{}", c.res), detail);
-            }
-        }
-    }
-}
 
 /// The conformance auditor: one per audited page load. Clones share
 /// state, so one auditor can be registered as the metrics sink, the
@@ -336,10 +371,9 @@ impl Auditor {
         Auditor {
             inner: Rc::new(RefCell::new(State {
                 load,
-                violations: Vec::new(),
-                dropped_violations: 0,
+                violations: Violations::default(),
                 points: BTreeMap::new(),
-                conn_digests: BTreeMap::new(),
+                conn_digests: U64Map::default(),
                 link_point: [None, None],
                 gauges: [GaugeTrack::default(), GaugeTrack::default()],
                 counters: BTreeMap::new(),
@@ -371,15 +405,20 @@ impl Auditor {
 
     /// Violations recorded so far (finish-time checks not included).
     pub fn violation_count(&self) -> usize {
-        self.inner.borrow().violations.len()
+        self.inner.borrow().violations.list.len()
     }
 
     /// Run the end-of-load checks (conservation, counter and gauge
-    /// cross-checks, span tiling) and assemble the report.
+    /// cross-checks, span tiling) and assemble the report. The checks
+    /// report into the report's copy of the violation list, never the
+    /// live one, so calling `finish` again returns the same report.
     pub fn finish(&self) -> AuditReport {
-        let mut st = self.inner.borrow_mut();
-        self.finish_ledgers(&mut st);
-        st.close_chain();
+        let st = self.inner.borrow();
+        let mut violations = st.violations.clone();
+        st.finish_ledgers(&mut violations);
+        if let Some(c) = &st.chain {
+            c.check_end(&mut violations);
+        }
         let mut digests = BTreeMap::new();
         for led in st.points.values() {
             digests.insert(led.point.label(), led.digest);
@@ -389,8 +428,8 @@ impl Auditor {
         }
         AuditReport {
             load: st.load,
-            violations: st.violations.clone(),
-            dropped_violations: st.dropped_violations,
+            violations: violations.list,
+            dropped_violations: violations.dropped,
             digests,
             packets: st.packets,
             http_events: st.http_events,
@@ -398,20 +437,20 @@ impl Auditor {
             spans: st.spans,
         }
     }
+}
 
-    fn finish_ledgers(&self, st: &mut State) {
-        let mut pending: Vec<(&'static str, String, String)> = Vec::new();
-        for led in st.points.values() {
-            let scope = led.point.label();
+impl State {
+    fn finish_ledgers(&self, out: &mut Violations) {
+        for led in self.points.values() {
             // Packet/byte conservation. With a consistent event stream
             // these hold by construction; they fail exactly when the
             // per-event checks saw untracked or duplicated ids, and
             // state the imbalance in one line.
             let accounted = led.deq + led.evicted + led.backlog_packets();
             if led.enq != accounted {
-                pending.push((
+                out.push(
                     "conservation",
-                    scope.clone(),
+                    led.point.label(),
                     format!(
                         "enqueued {} != dequeued {} + evicted {} + backlog {}",
                         led.enq,
@@ -419,13 +458,13 @@ impl Auditor {
                         led.evicted,
                         led.backlog_packets()
                     ),
-                ));
+                );
             }
             let accounted_bytes = led.deq_bytes + led.evicted_bytes + led.backlog_bytes();
             if led.enq_bytes != accounted_bytes {
-                pending.push((
+                out.push(
                     "conservation-bytes",
-                    scope.clone(),
+                    led.point.label(),
                     format!(
                         "enqueued {} B != dequeued {} B + evicted {} B + backlog {} B",
                         led.enq_bytes,
@@ -433,17 +472,16 @@ impl Auditor {
                         led.evicted_bytes,
                         led.backlog_bytes()
                     ),
-                ));
+                );
             }
         }
         // Qdisc cross-checks, per direction, only when exactly one link
         // point exists there (the qdisc metric names carry no index).
-        for di in 0..2 {
-            let track = std::mem::take(&mut st.gauges[di]);
+        for (di, track) in self.gauges.iter().enumerate() {
             if track.ambiguous {
                 continue;
             }
-            let Some(index) = st.link_point[di] else {
+            let Some(index) = self.link_point[di] else {
                 continue;
             };
             let dir = if di == 0 { Dir::Up } else { Dir::Down };
@@ -452,23 +490,22 @@ impl Auditor {
                 index,
                 dir,
             });
-            let Some(led) = st.points.get(&key) else {
+            let Some(led) = self.points.get(&key) else {
                 continue;
             };
-            let scope = led.point.label();
-            for v in track.bad {
-                pending.push((v.code, v.scope, v.detail));
+            for v in &track.bad {
+                out.push(v.code, v.scope.clone(), v.detail.clone());
             }
             if let Some(last) = track.last {
                 if last != led.backlog_packets() as f64 {
-                    pending.push((
+                    out.push(
                         "gauge-final-mismatch",
-                        scope.clone(),
+                        led.point.label(),
                         format!(
                             "final backlog gauge {last} != ledger backlog {}",
                             led.backlog_packets()
                         ),
-                    ));
+                    );
                 }
             }
             let (enq_name, drop_name) = if di == 0 {
@@ -478,29 +515,26 @@ impl Auditor {
             };
             // An instrumented qdisc always counts enqueues; only check
             // when one reported (the tap can run without instruments).
-            if let Some(&enq_total) = st.counters.get(enq_name) {
+            if let Some(&enq_total) = self.counters.get(enq_name) {
                 // The instrument counts every offer; refusals included.
                 let offered = led.enq + led.refused;
                 if enq_total != offered {
-                    pending.push((
+                    out.push(
                         "counter-enqueues-mismatch",
-                        scope.clone(),
+                        led.point.label(),
                         format!("{enq_name} {enq_total} != tap enqueue+refused {offered}"),
-                    ));
+                    );
                 }
-                let drops_total = st.counters.get(drop_name).copied().unwrap_or(0);
+                let drops_total = self.counters.get(drop_name).copied().unwrap_or(0);
                 let dropped = led.refused + led.evicted;
                 if drops_total != dropped {
-                    pending.push((
+                    out.push(
                         "counter-drops-mismatch",
-                        scope.clone(),
+                        led.point.label(),
                         format!("{drop_name} {drops_total} != tap drops {dropped}"),
-                    ));
+                    );
                 }
             }
-        }
-        for (code, scope, detail) in pending {
-            st.push(code, scope, detail);
         }
     }
 }
@@ -592,8 +626,7 @@ impl PacketTap for Auditor {
             }
         }
         if let Some((code, detail)) = bad {
-            let scope = ev.point.label();
-            st.push(code, scope, detail);
+            st.violations.push(code, ev.point.label(), detail);
         }
     }
 
@@ -608,7 +641,7 @@ impl PacketTap for Auditor {
             HttpPhase::Done => match st.srv_sent.get(url_path(&ev.url)) {
                 None => {
                     let scope = ev.url.clone();
-                    st.push(
+                    st.violations.push(
                         "http-done-unmatched",
                         scope,
                         format!("browser finished {} B but no server send seen", ev.bytes),
@@ -620,7 +653,7 @@ impl PacketTap for Auditor {
                 Some(sent) if !sent.contains(&ev.bytes) => {
                     let detail = format!("browser finished {} B, server sent {sent:?} B", ev.bytes);
                     let scope = ev.url.clone();
-                    st.push("http-bytes-mismatch", scope, detail);
+                    st.violations.push("http-bytes-mismatch", scope, detail);
                 }
                 Some(_) => {}
             },
@@ -684,33 +717,37 @@ impl MetricsSink for Auditor {
 
     fn flow_sample(&self, flow: u64, sample: &FlowSample) {
         let mut st = self.inner.borrow_mut();
-        let Some(fs) = st.flows.get_mut(flow as usize) else {
+        let State {
+            flows, violations, ..
+        } = &mut *st;
+        let Some(fs) = flows.get_mut(flow as usize) else {
             return;
         };
         fs.samples += 1;
-        let scope = fs.desc.clone();
-        let mut bad: Vec<(&'static str, String)> = Vec::new();
+        // Checks report breaches only: a conforming sample copies nothing,
+        // not even its flow's name.
+        let mut report = |code, detail| violations.push(code, fs.desc.clone(), detail);
         if sample.snd_una > sample.snd_nxt {
-            bad.push((
+            report(
                 "seq-order",
                 format!("snd_una {} > snd_nxt {}", sample.snd_una, sample.snd_nxt),
-            ));
+            );
         }
         if sample.pipe != sample.pipe_walk {
-            bad.push((
+            report(
                 "pipe-divergence",
                 format!(
                     "incremental pipe {} != retransmission-queue walk {}",
                     sample.pipe, sample.pipe_walk
                 ),
-            ));
+            );
         }
         // RACK's loss clock: a mark records the (sent-time, end-seq) of
         // a segment declared lost, which must predate the most recently
         // delivered segment that drives the clock.
         let mark = (sample.rack_mark_ns, sample.rack_mark_end);
         if mark != (0, 0) && mark >= (sample.rack_clock_ns, sample.rack_clock_end) {
-            bad.push((
+            report(
                 "rack-mark-order",
                 format!(
                     "mark ({},{}) at-or-after clock ({},{})",
@@ -719,48 +756,53 @@ impl MetricsSink for Auditor {
                     sample.rack_clock_ns,
                     sample.rack_clock_end
                 ),
-            ));
+            );
         }
         if sample.event == "tx" {
             // Samples tagged "tx" come only from window-gated new-data
             // bursts; loss-recovery paths with their own budgets
             // (limited transmit, TLP, PRR) are deliberately untagged.
             if sample.bytes_in_flight > sample.cwnd {
-                bad.push((
+                report(
                     "cwnd-overfill",
                     format!(
                         "{} B in flight after transmit, cwnd {} B",
                         sample.bytes_in_flight, sample.cwnd
                     ),
-                ));
+                );
             }
             if sample.bytes_in_flight > sample.rwnd {
-                bad.push((
+                report(
                     "rwnd-overfill",
                     format!(
                         "{} B in flight after transmit, peer window {} B",
                         sample.bytes_in_flight, sample.rwnd
                     ),
-                ));
+                );
             }
             if sample.pacing_excess > sample.mss {
-                bad.push((
+                report(
                     "pacing-excess",
                     format!(
                         "released {} B ahead of the pacer clock (> 1 MSS = {} B)",
                         sample.pacing_excess, sample.mss
                     ),
-                ));
+                );
             }
         }
         if sample.event == "sack" {
-            check_sack_blocks(&sample.sack_blocks, sample.rcv_nxt, sample.rwnd, &mut bad);
-        }
-        for (code, detail) in bad {
-            st.push(code, scope.clone(), detail);
+            check_sack_blocks(
+                &sample.sack_blocks,
+                sample.rcv_nxt,
+                sample.rwnd,
+                &mut report,
+            );
         }
     }
 }
+
+/// Most SACK blocks one ack may carry.
+const MAX_SACK_BLOCKS: usize = 3;
 
 /// Validate one ack's SACK blocks. The receiver reports blocks in
 /// RFC 2018 most-recent-first order, so the auditor sort-normalizes
@@ -769,48 +811,64 @@ fn check_sack_blocks(
     blocks: &[(u64, u64)],
     rcv_nxt: u64,
     window: u64,
-    bad: &mut Vec<(&'static str, String)>,
+    report: &mut impl FnMut(&'static str, String),
 ) {
-    if blocks.len() > 3 {
-        bad.push((
+    if blocks.len() > MAX_SACK_BLOCKS {
+        report(
             "sack-count",
-            format!("{} SACK blocks on one ack (max 3)", blocks.len()),
-        ));
+            format!(
+                "{} SACK blocks on one ack (max {MAX_SACK_BLOCKS})",
+                blocks.len()
+            ),
+        );
     }
-    let mut sorted = blocks.to_vec();
+    // Sorted on the stack; only an ack already over the count pays
+    // for a heap copy.
+    let mut stack = [(0, 0); MAX_SACK_BLOCKS];
+    let mut heap = Vec::new();
+    let sorted: &mut [(u64, u64)] = match stack.get_mut(..blocks.len()) {
+        Some(s) => {
+            s.copy_from_slice(blocks);
+            s
+        }
+        None => {
+            heap.extend_from_slice(blocks);
+            &mut heap
+        }
+    };
     sorted.sort_unstable();
-    for &(start, end) in &sorted {
+    for &(start, end) in &*sorted {
         if start >= end {
-            bad.push((
+            report(
                 "sack-empty-block",
                 format!("block [{start},{end}) is empty"),
-            ));
+            );
         }
         if start < rcv_nxt {
-            bad.push((
+            report(
                 "sack-below-ack",
                 format!("block [{start},{end}) starts below rcv_nxt {rcv_nxt}"),
-            ));
+            );
         }
         if end > rcv_nxt.saturating_add(window) {
-            bad.push((
+            report(
                 "sack-beyond-window",
                 format!(
                     "block [{start},{end}) ends beyond window edge {}",
                     rcv_nxt.saturating_add(window)
                 ),
-            ));
+            );
         }
     }
     for w in sorted.windows(2) {
         if w[1].0 < w[0].1 {
-            bad.push((
+            report(
                 "sack-overlap",
                 format!(
                     "blocks [{},{}) and [{},{}) overlap",
                     w[0].0, w[0].1, w[1].0, w[1].1
                 ),
-            ));
+            );
         }
     }
 }
@@ -846,7 +904,10 @@ impl SpanSink for Auditor {
             return;
         }
         if span.kind == SpanKind::Resource {
-            st.close_chain();
+            let st = &mut *st;
+            if let Some(c) = &st.chain {
+                c.check_end(&mut st.violations);
+            }
             st.chain = Some(Chain {
                 id: span.id,
                 res: span.res,
@@ -876,7 +937,8 @@ impl SpanSink for Auditor {
                 )),
             };
             if let Some(detail) = detail {
-                st.push("span-tiling", format!("res:{}", span.res), detail);
+                st.violations
+                    .push("span-tiling", format!("res:{}", span.res), detail);
             }
         }
     }
@@ -1036,12 +1098,53 @@ mod tests {
     #[test]
     fn sack_most_recent_first_order_is_normalized() {
         let mut bad = Vec::new();
+        let mut report = |code, detail| bad.push((code, detail));
         // RFC 2018 receiver order: newest block first.
-        check_sack_blocks(&[(3000, 4000), (1000, 2000)], 500, 1 << 20, &mut bad);
-        assert!(bad.is_empty(), "{bad:?}");
-        check_sack_blocks(&[(1000, 2500), (2000, 3000)], 500, 1 << 20, &mut bad);
-        assert_eq!(bad.len(), 1);
+        check_sack_blocks(&[(3000, 4000), (1000, 2000)], 500, 1 << 20, &mut report);
+        check_sack_blocks(&[(1000, 2500), (2000, 3000)], 500, 1 << 20, &mut report);
+        assert_eq!(bad.len(), 1, "{bad:?}");
         assert_eq!(bad[0].0, "sack-overlap");
+    }
+
+    #[test]
+    fn more_blocks_than_an_ack_carries_are_still_each_checked() {
+        let mut bad = Vec::new();
+        let blocks = [(4000, 5000), (3000, 3000), (1000, 2000), (1500, 2500)];
+        check_sack_blocks(&blocks, 500, 1 << 20, &mut |code, _| bad.push(code));
+        assert_eq!(bad, ["sack-count", "sack-empty-block", "sack-overlap"]);
+    }
+
+    #[test]
+    fn finish_twice_returns_the_same_report() {
+        let a = Auditor::for_load(0);
+        a.on_packet(&ev(PacketEventKind::Dequeue, 9, 20)); // untracked
+        a.gauge_set("qdisc_down_backlog_now_packets", 5.0); // ledger holds 0
+        a.record(Span {
+            load: 0,
+            id: 1,
+            parent: 0,
+            kind: SpanKind::Resource,
+            t0_ns: 100,
+            t1_ns: 400,
+            res: 0,
+            conn: 0,
+            url: String::new(),
+            detail: String::new(),
+        }); // no phases by the end
+        let first = a.finish();
+        let codes: Vec<&str> = first.violations.iter().map(|v| v.code).collect();
+        assert_eq!(
+            codes,
+            [
+                "untracked-dequeue",
+                "conservation",
+                "conservation-bytes",
+                "gauge-final-mismatch",
+                "span-tiling"
+            ]
+        );
+        assert_eq!(a.finish(), first);
+        assert_eq!(a.violation_count(), 1);
     }
 
     #[test]

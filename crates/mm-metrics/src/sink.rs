@@ -191,8 +191,9 @@ impl MetricsSink for RegistrySink {
 /// child's own id for it, so children keep their private numbering.
 pub struct FanoutSink {
     sinks: Vec<MetricsHandle>,
-    /// flow id handed to the caller → each child's id (if it opted in).
-    flows: RefCell<Vec<Vec<Option<u64>>>>,
+    /// Each child's id (if it opted in) for every flow id handed to the
+    /// caller: flow `f`'s ids are `flows[f * sinks.len()..][..sinks.len()]`.
+    flows: RefCell<Vec<Option<u64>>>,
 }
 
 impl FanoutSink {
@@ -225,21 +226,27 @@ impl MetricsSink for FanoutSink {
     }
 
     fn flow_open(&self, desc: &str) -> Option<u64> {
-        let per_child: Vec<Option<u64>> = self.sinks.iter().map(|s| s.flow_open(desc)).collect();
-        if per_child.iter().all(Option::is_none) {
+        let n = self.sinks.len();
+        let mut flows = self.flows.borrow_mut();
+        let start = flows.len();
+        flows.extend(self.sinks.iter().map(|s| s.flow_open(desc)));
+        if flows[start..].iter().all(Option::is_none) {
+            flows.truncate(start);
             return None;
         }
-        let mut flows = self.flows.borrow_mut();
-        flows.push(per_child);
-        Some((flows.len() - 1) as u64)
+        Some((start / n) as u64)
     }
 
     fn flow_sample(&self, flow: u64, sample: &FlowSample) {
+        let n = self.sinks.len();
         let flows = self.flows.borrow();
-        let Some(per_child) = flows.get(flow as usize) else {
+        let per_child = (flow as usize)
+            .checked_mul(n)
+            .and_then(|start| flows.get(start..)?.get(..n));
+        let Some(per_child) = per_child else {
             return;
         };
-        for (s, id) in self.sinks.iter().zip(per_child.iter()) {
+        for (s, id) in self.sinks.iter().zip(per_child) {
             if let Some(id) = id {
                 s.flow_sample(*id, sample);
             }
@@ -303,5 +310,18 @@ mod tests {
         fanout.flow_sample(flow, &FlowSample::default());
         assert_eq!(tracer.sample_count(), 1);
         assert_eq!(tracer.flow_count(), 2);
+        // A second flow gets the next id; an id never handed out reaches
+        // no child.
+        assert_eq!(fanout.flow_open("c-d"), Some(1));
+        fanout.flow_sample(1, &FlowSample::default());
+        fanout.flow_sample(2, &FlowSample::default());
+        fanout.flow_sample(u64::MAX, &FlowSample::default());
+        assert_eq!(tracer.sample_count(), 2);
+        // No child tracing: no id, and no slot taken.
+        let declining = FanoutSink::new(vec![MetricsHandle::new(RegistrySink::new(
+            registry.clone(),
+        ))]);
+        assert_eq!(declining.flow_open("a-b"), None);
+        assert!(declining.flows.borrow().is_empty());
     }
 }

@@ -13,6 +13,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write;
 use std::rc::{Rc, Weak};
 
 use bytes::Bytes;
@@ -471,11 +472,13 @@ impl TcpInner {
         let timers = TimerBank::bound(SocketFire { socket }, host.timer_mux.as_ref());
         // Register with the flow tracer (if the sink carries one) before
         // any samples can fire; the id is `None` when tracing is off so
-        // the sample path short-circuits.
-        let trace_flow = config
-            .metrics
-            .as_ref()
-            .and_then(|m| m.flow_open(&format!("{local}-{remote}")));
+        // the sample path short-circuits. The description is built in
+        // one buffer sized for the longest `a.b.c.d:port` pair.
+        let trace_flow = config.metrics.as_ref().and_then(|m| {
+            let mut desc = String::with_capacity(2 * "255.255.255.255:65535".len() + 1);
+            write!(desc, "{local}-{remote}").expect("writing to a String");
+            m.flow_open(&desc)
+        });
         TcpInner {
             local,
             remote,

@@ -19,16 +19,20 @@ use std::rc::Rc;
 use bytes::Bytes;
 use mahimahi::corpus::{generate_plans, materialize, CorpusConfig};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
+use mm_audit::Auditor;
+use mm_capture::{Capture, Dir, PacketEvent, PacketEventKind, PacketTap, PointKind, TapPoint};
 use mm_http::RequestParser;
+use mm_metrics::{FlowSample, FlowTracer, MetricsHandle, MetricsSink, Registry, RegistrySink};
 use mm_net::{
     FnSink, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, SinkRef, SocketAddr, SocketApp,
-    SocketEvent, TcpFlags, TcpHandle, TcpSegment,
+    SocketEvent, TcpConfig, TcpFlags, TcpHandle, TcpSegment,
 };
+use mm_record::StoredSite;
 use mm_shells::{
     DelayLink, DropTail, OpportunityPolicy, Qdisc, ShellStack, TraceLink, TraceLinkSink,
 };
 use mm_sim::{SimDuration, Simulator, Timer, TimerMux, Timestamp};
-use mm_trace::constant_rate;
+use mm_trace::{constant_rate, TraceBuffer};
 
 // ------------------------------------------------------------ allocator
 
@@ -99,6 +103,17 @@ fn wired_net() -> NetSpec {
     }
 }
 
+/// The default corpus's median-size site.
+fn median_site() -> StoredSite {
+    let mut plans = generate_plans(&CorpusConfig {
+        n_sites: 500,
+        seed: 2014,
+        ..CorpusConfig::default()
+    });
+    plans.sort_by_key(|p| p.total_bytes());
+    materialize(&plans[plans.len() / 2])
+}
+
 /// One load of the default corpus's median-size site made 22 121
 /// allocator calls with a closure boxed per packet per hop and per timer
 /// arm, a fresh out-buffer per wakeup and per segment, and a response
@@ -108,13 +123,7 @@ fn wired_net() -> NetSpec {
 #[test]
 fn a_page_load_stays_within_its_allocation_budget() {
     const BUDGET: u64 = 5_400;
-    let mut plans = generate_plans(&CorpusConfig {
-        n_sites: 500,
-        seed: 2014,
-        ..CorpusConfig::default()
-    });
-    plans.sort_by_key(|p| p.total_bytes());
-    let site = materialize(&plans[plans.len() / 2]);
+    let site = median_site();
     let load = || {
         let mut spec = LoadSpec::new(&site);
         spec.net = wired_net();
@@ -129,6 +138,52 @@ fn a_page_load_stays_within_its_allocation_budget() {
     assert!(
         allocs <= BUDGET,
         "one page load ({resources} resources) made {allocs} allocator calls, budget {BUDGET}"
+    );
+}
+
+/// The same load with every observer on, wired as `pageload_observed`
+/// wires them: a reused capture, a span recorder, the auditor, and a
+/// `RegistrySink` feeding a `FlowTracer`. It made 11 013 allocator calls
+/// while the auditor kept its packet ledgers in trees and copied a flow's
+/// name into every sample, each span was copied once per sink, and a
+/// flow's name regrew as it was formatted; it makes 7 383 now. The
+/// budget is that plus ~10 %.
+#[test]
+fn an_observed_page_load_stays_within_its_allocation_budget() {
+    const BUDGET: u64 = 8_100;
+    let site = median_site();
+    let capture = Capture::for_load(0);
+    let load = || {
+        let mut spec = LoadSpec::new(&site);
+        spec.net = wired_net();
+        capture.clear();
+        spec.capture = Some(capture.handle());
+        let spans = TraceBuffer::for_load(0);
+        spec.span = Some(spans.handle());
+        let auditor = Auditor::for_load(0);
+        spec.audit = Some(auditor.clone());
+        let tracer = FlowTracer::new();
+        let metrics = RegistrySink::with_tracer(Registry::new(), tracer.clone());
+        spec.tcp = Some(
+            TcpConfig::builder()
+                .metrics(MetricsHandle::new(metrics))
+                .build(),
+        );
+        let r = run_page_load(&spec);
+        assert_eq!(r.failures, 0);
+        let report = auditor.finish();
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert!(report.packets > 0 && report.samples > 0 && report.spans > 0);
+        assert!(capture.packet_count() > 0 && tracer.sample_count() > 0);
+        r.resource_count()
+    };
+    load(); // lazily grown statics and the reused capture settle
+    let (allocs, resources) = allocs_of(load);
+    println!("observed page load: {allocs} allocator calls, {resources} resources");
+    assert!(
+        allocs <= BUDGET,
+        "one observed page load ({resources} resources) made {allocs} allocator calls, \
+         budget {BUDGET}"
     );
 }
 
@@ -483,4 +538,76 @@ fn a_bound_timer_rearms_without_allocating() {
         allocs >= 100,
         "a closure per arm is a box per arm: {allocs}"
     );
+}
+
+// ------------------------------------------------ the auditor's hot paths
+
+/// A link's packets, queued in bursts of 20, sent and delivered, across
+/// eight flows: once the auditor's ledgers have reached working size,
+/// checking and digesting them allocates nothing. With the ledgers kept
+/// in trees, every burst built and freed their nodes.
+#[test]
+fn the_auditor_ledgers_a_conforming_packet_stream_without_allocating() {
+    let auditor = Auditor::for_load(0);
+    let point = TapPoint {
+        kind: PointKind::Link,
+        index: 1,
+        dir: Dir::Down,
+    };
+    let event = |kind, pkt_id: u64| PacketEvent {
+        t_ns: pkt_id * 1_000,
+        kind,
+        point,
+        pkt_id,
+        size_bytes: 1_040,
+        sojourn_ns: 0,
+        flow: 1 + pkt_id % 8,
+    };
+    let bursts = |rounds: std::ops::Range<u64>| {
+        for round in rounds {
+            let ids = round * 20..(round + 1) * 20;
+            for id in ids.clone() {
+                auditor.on_packet(&event(PacketEventKind::Enqueue, id));
+            }
+            for id in ids {
+                auditor.on_packet(&event(PacketEventKind::Dequeue, id));
+                auditor.on_packet(&event(PacketEventKind::Deliver, id));
+            }
+        }
+    };
+    bursts(0..40);
+    let (allocs, ()) = allocs_of(|| bursts(40..80));
+    assert_none_per_packet("auditor packet events", allocs, 40 * 20 * 3);
+    assert!(auditor.finish().is_clean());
+}
+
+/// A flow's transmit and SACK samples, all conforming: checking them
+/// allocates nothing. Every sample used to copy the flow's name, and
+/// every SACK sample its blocks.
+#[test]
+fn the_auditor_checks_conforming_flow_samples_without_allocating() {
+    let auditor = Auditor::for_load(0);
+    let flow = MetricsSink::flow_open(&auditor, "100.64.0.2:3300-10.0.0.1:80").unwrap();
+    let samples: Vec<FlowSample> = (0..2_000u64)
+        .map(|i| FlowSample {
+            event: if i % 2 == 0 { "tx" } else { "sack" },
+            snd_una: 1_000 + i,
+            snd_nxt: 15_600 + i,
+            cwnd: 14_600,
+            bytes_in_flight: 14_600,
+            rwnd: 65_535,
+            mss: 1_460,
+            rcv_nxt: 1_000,
+            // Most recent first, as a receiver reports them.
+            sack_blocks: vec![(4_000, 5_000), (2_000, 3_000)],
+            ..FlowSample::default()
+        })
+        .collect();
+    let (allocs, ()) = allocs_of(|| {
+        for s in &samples {
+            auditor.flow_sample(flow, s);
+        }
+    });
+    assert_none_per_packet("auditor flow samples", allocs, samples.len() as u64);
+    assert!(auditor.finish().is_clean());
 }
