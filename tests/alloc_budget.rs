@@ -20,7 +20,9 @@ use bytes::Bytes;
 use mahimahi::corpus::{generate_plans, materialize, CorpusConfig};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
 use mm_audit::Auditor;
-use mm_capture::{Capture, Dir, PacketEvent, PacketEventKind, PacketTap, PointKind, TapPoint};
+use mm_capture::{
+    Capture, Dir, PacketEvent, PacketEventKind, PacketTap, PointKind, TapHandle, TapPoint,
+};
 use mm_http::RequestParser;
 use mm_metrics::{FlowSample, FlowTracer, MetricsHandle, MetricsSink, Registry, RegistrySink};
 use mm_net::{
@@ -29,7 +31,8 @@ use mm_net::{
 };
 use mm_record::StoredSite;
 use mm_shells::{
-    DelayLink, DropTail, OpportunityPolicy, Qdisc, ShellStack, TraceLink, TraceLinkSink,
+    DelayLink, DropTail, InstrumentedQdisc, OpportunityPolicy, Qdisc, ShellStack, TappedQdisc,
+    TraceLink, TraceLinkSink,
 };
 use mm_sim::{SimDuration, Simulator, Timer, TimerMux, Timestamp};
 use mm_trace::{constant_rate, TraceBuffer};
@@ -478,6 +481,56 @@ fn a_link_wakeup_forwards_without_allocating() {
     let allocs = steady_state_allocs(&mut sim, &ingress, &data_packet());
     assert_eq!(delivered.get(), 1_600);
     assert_none_per_packet("link", allocs, 800);
+}
+
+/// A tap that counts the events it sees, by kind; clones share counts.
+#[derive(Clone, Default)]
+struct CountingTap {
+    enqueued: Rc<Cell<u64>>,
+    dequeued: Rc<Cell<u64>>,
+}
+
+impl PacketTap for CountingTap {
+    fn on_packet(&self, ev: &PacketEvent) {
+        let kind = match ev.kind {
+            PacketEventKind::Enqueue => &self.enqueued,
+            PacketEventKind::Dequeue => &self.dequeued,
+            _ => return,
+        };
+        kind.set(kind.get() + 1);
+    }
+}
+
+/// The same link with its queue observed as a world observes it: a tap
+/// for the per-packet events and a registry for the queue's instruments.
+#[test]
+fn an_observed_link_forwards_without_allocating() {
+    let mut sim = Simulator::new();
+    let (delivered, sink) = counting_sink();
+    let tap = CountingTap::default();
+    let registry = Registry::new();
+    let metrics = MetricsHandle::new(RegistrySink::new(registry.clone()));
+    let point = TapPoint {
+        kind: PointKind::Link,
+        index: 1,
+        dir: Dir::Down,
+    };
+    let instrumented = InstrumentedQdisc::new(Box::new(DropTail::infinite()), metrics, "down");
+    let observed = TappedQdisc::new(Box::new(instrumented), TapHandle::new(tap.clone()), point);
+    let link = TraceLink::new(
+        constant_rate(24.0, 1000),
+        Box::new(observed),
+        OpportunityPolicy::ByteBudget,
+        sink,
+    );
+    let ingress: SinkRef = Rc::new(TraceLinkSink(link));
+    let allocs = steady_state_allocs(&mut sim, &ingress, &data_packet());
+    assert_eq!(delivered.get(), 1_600);
+    assert_eq!((tap.enqueued.get(), tap.dequeued.get()), (1_600, 1_600));
+    assert!(registry
+        .encode()
+        .contains("qdisc_down_sojourn_seconds_count 1600"));
+    assert_none_per_packet("observed link", allocs, 800);
 }
 
 /// A host takes packets into its inbox and dispatches them (here: to the

@@ -7,9 +7,11 @@
 //! world, in tier-1. `crates/mm-net/tests/wire_digest.rs` is the same
 //! oracle for the TCP layer alone.
 //!
-//! The observed mux row runs the bare mux world with all four observers
+//! The observed rows run their bare world with all four observers
 //! attached (flow trace, capture, spans, audit) and must equal the bare
-//! row's constant: observers only observe.
+//! row's constant: observers only observe. The soak row also folds the
+//! registry's Prometheus text, which pins the qdisc instruments' backlog
+//! and sojourn histograms byte for byte.
 //!
 //! On a mismatch the assertion prints the value the row now reads. Only
 //! a declared behaviour change re-records a constant, and says so.
@@ -17,9 +19,11 @@
 use mahimahi::corpus;
 use mahimahi::fleet::{run_fleet, CcMix, FleetResult, FleetSpec};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
-use mm_audit::{AuditReport, Auditor};
+use mahimahi::obs::Artefact;
+use mahimahi::soak::{run_soak, SoakResult, SoakSpec};
+use mm_audit::{parse_audit_jsonl, AuditReport, Auditor};
 use mm_browser::{MuxConfig, PageLoadResult, ProtocolMode};
-use mm_capture::Capture;
+use mm_capture::{Capture, PacketEventKind};
 use mm_metrics::{FlowTracer, MetricsHandle, Registry, RegistrySink};
 use mm_net::TcpConfig;
 use mm_record::StoredSite;
@@ -29,6 +33,9 @@ use mm_trace::{cellular, constant_rate, CellularParams, TraceBuffer};
 const HTTP1_PAGE_LOAD: u64 = 0x69c6_2fa0_7c85_a266;
 const MUX_CELLULAR_CODEL: u64 = 0x1469_574c_ff61_fd7a;
 const FLEET_8_USERS: u64 = 0xebbe_9966_de7a_1b48;
+const DROPHEAD_PAGE_LOAD: u64 = 0x5bcf_82c9_4f8c_a1d0;
+const PIE_PAGE_LOAD: u64 = 0x50bf_e238_fd37_029c;
+const SOAK_DROPTAIL: u64 = 0xbd29_7d7f_4137_02c9;
 
 /// fnv1a64 over the little-endian bytes of everything folded in.
 struct Fold(u64);
@@ -92,6 +99,73 @@ impl Fold {
         self.u64(r.max_downlink_queue_packets as u64)
             .u64(r.max_uplink_queue_packets as u64)
             .u64(r.completed_at.as_nanos())
+    }
+
+    fn soak(&mut self, r: &SoakResult) -> &mut Fold {
+        self.u64(r.sessions_started)
+            .u64(r.sessions_completed)
+            .u64(r.sessions_shed)
+            .u64(r.resources_fetched)
+            .u64(r.failures)
+            .u64(r.requests_per_sec.to_bits())
+            .u64(r.plt_p50_ms.to_bits())
+            .u64(r.plt_p95_ms.to_bits())
+            .u64(r.plt_p99_ms.to_bits())
+            .u64(r.server_conn_high_water as u64)
+            .u64(r.server_conns_final as u64)
+            .u64(r.client_socket_high_water as u64)
+            .u64(r.client_sockets_final as u64)
+            .u64(r.max_retx_queue)
+            .u64(r.max_scoreboard_ranges)
+            .u64(r.completed_at.as_nanos());
+        for o in &r.per_origin {
+            self.str(&o.origin)
+                .u64(o.requests)
+                .u64(o.failures)
+                .u64(o.body_bytes)
+                .u64(o.svc_p50_ms.to_bits())
+                .u64(o.svc_p95_ms.to_bits())
+                .u64(o.svc_p99_ms.to_bits());
+        }
+        self
+    }
+}
+
+/// The observer channels besides the auditor, attached to one load.
+struct Observers {
+    tracer: FlowTracer,
+    capture: Capture,
+    spans: std::rc::Rc<TraceBuffer>,
+}
+
+impl Observers {
+    fn attach(spec: &mut LoadSpec<'_>) -> Observers {
+        let tracer = FlowTracer::new();
+        let sink = RegistrySink::with_tracer(Registry::new(), tracer.clone());
+        spec.tcp = Some(
+            TcpConfig::builder()
+                .metrics(MetricsHandle::new(sink))
+                .build(),
+        );
+        let capture = Capture::for_load(0);
+        let spans = TraceBuffer::for_load(0);
+        spec.capture = Some(capture.handle());
+        spec.span = Some(spans.handle());
+        Observers {
+            tracer,
+            capture,
+            spans,
+        }
+    }
+
+    /// Every channel saw the run.
+    fn check(&self) {
+        assert!(
+            !self.tracer.take_jsonl().is_empty(),
+            "flow trace saw nothing"
+        );
+        assert!(self.capture.packet_count() > 0, "capture saw nothing");
+        assert!(!self.spans.spans().is_empty(), "span buffer saw nothing");
     }
 }
 
@@ -158,25 +232,10 @@ fn mux_cellular_codel(observed: bool) -> u64 {
     };
     spec.seed = 5;
     spec.audit = Some(auditor.clone());
-    let observers = observed.then(|| {
-        let tracer = FlowTracer::new();
-        let sink = RegistrySink::with_tracer(Registry::new(), tracer.clone());
-        spec.tcp = Some(
-            TcpConfig::builder()
-                .metrics(MetricsHandle::new(sink))
-                .build(),
-        );
-        let capture = Capture::for_load(0);
-        let spans = TraceBuffer::for_load(0);
-        spec.capture = Some(capture.handle());
-        spec.span = Some(spans.handle());
-        (tracer, capture, spans)
-    });
+    let observers = observed.then(|| Observers::attach(&mut spec));
     let result = run_page_load(&spec);
-    if let Some((tracer, capture, spans)) = observers {
-        assert!(!tracer.take_jsonl().is_empty(), "flow trace saw nothing");
-        assert!(capture.packet_count() > 0, "capture saw nothing");
-        assert!(!spans.spans().is_empty(), "span buffer saw nothing");
+    if let Some(observers) = observers {
+        observers.check();
     }
     Fold::new().page(&result).report(&auditor.finish()).0
 }
@@ -226,4 +285,119 @@ fn fleet_of_eight_users() {
     });
     let digest = Fold::new().fleet(&result).report(&auditor.finish()).0;
     check("fleet_of_eight_users", digest, FLEET_8_USERS);
+}
+
+/// HTTP/1.1 through a queue that drops — drop-head evictions or PIE's
+/// early drops — on a link tight enough that it must; with `observed`,
+/// every observer channel is attached as well.
+fn dropping_page_load(qdisc: QdiscKind, observed: bool) -> u64 {
+    let site = site(31);
+    let auditor = Auditor::for_load(0);
+    let mut spec = LoadSpec::new(&site);
+    spec.net = NetSpec {
+        delay: Some(SimDuration::from_millis(20)),
+        link: Some(LinkSpec {
+            uplink: constant_rate(1.0, 1_000),
+            downlink: constant_rate(3.0, 1_000),
+            qdisc,
+        }),
+        ..NetSpec::default()
+    };
+    spec.seed = 11;
+    spec.audit = Some(auditor.clone());
+    let observers = observed.then(|| Observers::attach(&mut spec));
+    let result = run_page_load(&spec);
+    if let Some(observers) = observers {
+        observers.check();
+        let drops = observers
+            .capture
+            .data()
+            .packets
+            .iter()
+            .any(|e| e.kind == PacketEventKind::Drop);
+        assert!(drops, "{qdisc:?} dropped nothing");
+    }
+    Fold::new().page(&result).report(&auditor.finish()).0
+}
+
+#[test]
+fn drophead_page_load() {
+    let digest = dropping_page_load(QdiscKind::DropHeadPackets(8), false);
+    check("drophead_page_load", digest, DROPHEAD_PAGE_LOAD);
+}
+
+#[test]
+fn drophead_page_load_observed() {
+    let digest = dropping_page_load(QdiscKind::DropHeadPackets(8), true);
+    check("drophead_page_load_observed", digest, DROPHEAD_PAGE_LOAD);
+}
+
+#[test]
+fn pie_page_load() {
+    check(
+        "pie_page_load",
+        dropping_page_load(QdiscKind::Pie(3.0), false),
+        PIE_PAGE_LOAD,
+    );
+}
+
+#[test]
+fn pie_page_load_observed() {
+    let digest = dropping_page_load(QdiscKind::Pie(3.0), true);
+    check("pie_page_load_observed", digest, PIE_PAGE_LOAD);
+}
+
+/// A soak world over a bounded droptail link, whose qdiscs report into
+/// the soak's registry. It runs twice: bare, so the queue carries the
+/// instruments alone, then audited through the process-global channel
+/// (a soak has no explicit auditor). Both runs must read the same result
+/// and the same registry text; the row folds the audited run's result,
+/// its audit report and that text.
+#[test]
+fn soak_over_droptail() {
+    let site = site(29);
+    let spec = || {
+        let mut spec = SoakSpec::new(&site);
+        spec.link = Some(LinkSpec {
+            uplink: constant_rate(2.0, 1_000),
+            downlink: constant_rate(6.0, 1_000),
+            qdisc: QdiscKind::DropTailPackets(16),
+        });
+        spec.arrival_mean = SimDuration::from_secs(1);
+        spec.duration = SimDuration::from_secs(30);
+        spec.max_live_sessions = 4;
+        spec.seed = 3;
+        spec
+    };
+    let bare = Registry::new();
+    let bare_result = run_soak(&spec(), &bare);
+    // Only this row builds a world without an explicit auditor.
+    Artefact::Audit.enable();
+    let registry = Registry::new();
+    let result = run_soak(&spec(), &registry);
+    let audit = parse_audit_jsonl(&Artefact::Audit.take()).expect("the auditor's own JSONL");
+    let text = registry.encode();
+    assert_eq!(bare.encode(), text, "the auditor moved the registry");
+    let fold_result = |r: &SoakResult| Fold::new().soak(r).0;
+    assert_eq!(fold_result(&bare_result), fold_result(&result));
+    assert!(text.contains("qdisc_down_sojourn_seconds_count"));
+    assert!(
+        text.contains("qdisc_down_drops_total"),
+        "the soak dropped nothing"
+    );
+    assert!(result.sessions_completed > 10, "{result:?}");
+    assert_eq!(audit.loads, 1);
+    assert!(
+        audit.violations.is_empty(),
+        "violations: {:?}",
+        audit.violations
+    );
+    assert_eq!(audit.dropped_violations, 0);
+    let mut fold = Fold::new();
+    fold.soak(&result).str(&text);
+    for (scope, digest) in &audit.digests {
+        fold.str(scope).u64(*digest);
+    }
+    fold.u64(audit.packets).u64(audit.samples).u64(audit.spans);
+    check("soak_over_droptail", fold.0, SOAK_DROPTAIL);
 }
