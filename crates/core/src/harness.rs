@@ -77,9 +77,6 @@ pub struct NetSpec {
     pub link: Option<LinkSpec>,
     /// `mm-loss <up> <down>`: i.i.d. loss rates.
     pub loss: Option<(f64, f64)>,
-    /// Per-packet forwarding overhead of each shell process
-    /// (None = the calibrated default).
-    pub shell_overhead: Option<SimDuration>,
 }
 
 impl NetSpec {
@@ -333,7 +330,6 @@ mod tests {
             delay: Some(SimDuration::from_millis(20)),
             link: Some(LinkSpec::symmetric(constant_rate(8.0, 1000))),
             loss: Some((0.01, 0.01)),
-            ..NetSpec::default()
         };
         let mut bare = LoadSpec::new(&site);
         bare.net = net.clone();

@@ -63,8 +63,8 @@ pub struct SoakSpec<'a> {
     /// Fixed one-way propagation delay (None = none).
     pub delay: Option<SimDuration>,
     /// Trace-driven bottleneck link (None = unconstrained). Its qdiscs
-    /// are instrumented ([`mm_shells::ShellStack::with_qdisc_metrics`]),
-    /// so backlog/sojourn/drop metrics land in the registry.
+    /// are instrumented ([`mm_shells::ShellStack::observed`]), so
+    /// backlog/sojourn/drop metrics land in the registry.
     pub link: Option<LinkSpec>,
     /// Mean of the exponential inter-arrival time between sessions.
     pub arrival_mean: SimDuration,

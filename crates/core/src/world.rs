@@ -191,16 +191,7 @@ impl World {
         // Nested emulation shells in mahimahi order. The tap and the
         // qdisc instruments must attach before any layer is added so
         // every shell's direction reports under its point.
-        let mut stack = ShellStack::new(&shell.ns);
-        if let Some(tap) = &tap {
-            stack = stack.with_tap(tap.clone());
-        }
-        if let Some(sink) = qdisc_metrics {
-            stack = stack.with_qdisc_metrics(sink);
-        }
-        if let Some(overhead) = spec.net.shell_overhead {
-            stack = stack.with_shell_overhead(overhead);
-        }
+        let mut stack = ShellStack::new(&shell.ns).observed(tap.clone(), qdisc_metrics);
         if let Some(delay) = spec.net.delay {
             stack = stack.delay(delay);
         }

@@ -229,7 +229,6 @@ impl Ledger {
 /// Gauge cross-check state for one direction's instrumented qdisc.
 #[derive(Default)]
 struct GaugeTrack {
-    last: Option<f64>,
     /// Deferred gauge-vs-ledger mismatches (dropped wholesale if the
     /// direction turns out to have several links — the per-direction
     /// gauge names cannot be attributed then).
@@ -496,18 +495,6 @@ impl State {
             for v in &track.bad {
                 out.push(v.code, v.scope.clone(), v.detail.clone());
             }
-            if let Some(last) = track.last {
-                if last != led.backlog_packets() as f64 {
-                    out.push(
-                        "gauge-final-mismatch",
-                        led.point.label(),
-                        format!(
-                            "final backlog gauge {last} != ledger backlog {}",
-                            led.backlog_packets()
-                        ),
-                    );
-                }
-            }
             let (enq_name, drop_name) = if di == 0 {
                 ("qdisc_up_enqueues_total", "qdisc_up_drops_total")
             } else {
@@ -678,12 +665,9 @@ impl MetricsSink for Auditor {
         if st.gauges[di].ambiguous {
             return;
         }
-        // Event order within one qdisc operation: the instrumented
-        // qdisc (inner) publishes its new depth *before* the tap
-        // (outer) emits the operation's packet events. So at each
-        // gauge update, the ledger has digested everything up to the
-        // *previous* operation — whose closing gauge value it must
-        // match exactly.
+        // The observed qdisc reports an operation's packet events
+        // before its depth, so the ledger has digested the operation
+        // this gauge closes.
         let ledger_backlog = st.link_point[di].and_then(|index| {
             let dir = if di == 0 { Dir::Up } else { Dir::Down };
             let key = point_key(TapPoint {
@@ -694,16 +678,15 @@ impl MetricsSink for Auditor {
             st.points.get(&key).map(Ledger::backlog_packets)
         });
         let track = &mut st.gauges[di];
-        if let (Some(prev), Some(backlog)) = (track.last, ledger_backlog) {
-            if prev != backlog as f64 && track.bad.len() < MAX_GAUGE_VIOLATIONS {
+        if let Some(backlog) = ledger_backlog {
+            if value != backlog as f64 && track.bad.len() < MAX_GAUGE_VIOLATIONS {
                 track.bad.push(Violation {
                     code: "gauge-ledger-mismatch",
                     scope: name.to_string(),
-                    detail: format!("qdisc reported depth {prev}, packet ledger holds {backlog}"),
+                    detail: format!("qdisc reported depth {value}, packet ledger holds {backlog}"),
                 });
             }
         }
-        track.last = Some(value);
     }
 
     fn flow_open(&self, desc: &str) -> Option<u64> {
@@ -1139,7 +1122,7 @@ mod tests {
                 "untracked-dequeue",
                 "conservation",
                 "conservation-bytes",
-                "gauge-final-mismatch",
+                "gauge-ledger-mismatch",
                 "span-tiling"
             ]
         );

@@ -11,9 +11,7 @@ use mm_audit::Auditor;
 use mm_capture::{Dir, PacketEvent, PacketEventKind, PacketTap, PointKind, TapPoint};
 use mm_metrics::{FlowSample, MetricsSink};
 use mm_net::{IpAddr, Packet, SocketAddr, TcpFlags, TcpSegment};
-use mm_shells::{
-    DropTail, EnqueueResult, InstrumentedQdisc, Qdisc, QdiscStats, QueueLimit, TappedQdisc,
-};
+use mm_shells::{DropTail, EnqueueResult, ObservedQdisc, Qdisc, QdiscStats, QueueLimit};
 use mm_sim::Timestamp;
 use mm_trace::{Span, SpanKind, SpanSink};
 
@@ -61,8 +59,8 @@ fn codes(report: &mm_audit::AuditReport) -> Vec<&'static str> {
 /// discards every second one — the packet is never stored, and
 /// `stats.dropped` never counts it. Exactly the defect the auditor's
 /// qdisc cross-checks (gauge-vs-ledger, drop-counter-vs-tap) exist to
-/// catch, because neither the tap decorator nor the instrument can see
-/// a loss the discipline refuses to admit to.
+/// catch, because the observing decorator cannot see a loss the
+/// discipline refuses to admit to.
 struct LeakyQdisc {
     q: VecDeque<Packet>,
     bytes: usize,
@@ -119,12 +117,11 @@ impl Qdisc for LeakyQdisc {
 }
 
 /// Drive three enqueues then drain, through the production decorator
-/// stack (tap outside, instrument inside) with both event streams
-/// feeding one auditor — mirroring exactly how the harness wires a
-/// shell's queue.
+/// with both of its streams (packet events and instruments) feeding one
+/// auditor — mirroring exactly how the harness wires a shell's queue.
 fn drive(auditor: &Auditor, inner: Box<dyn Qdisc>) {
-    let instrumented = InstrumentedQdisc::new(inner, auditor.metrics_handle(), "down");
-    let mut q = TappedQdisc::new(Box::new(instrumented), auditor.tap_handle(), link_down());
+    let tap = Some(auditor.tap_handle());
+    let mut q = ObservedQdisc::new(inner, link_down(), tap, Some(auditor.metrics_handle()));
     for i in 0..3u64 {
         q.enqueue(t(i), pkt(i, 1000));
     }

@@ -5,15 +5,17 @@
 //! the previous one and returns the stack; `innermost()` yields the
 //! namespace applications (the browser) run in.
 
-use mm_capture::{Dir, PointKind, TapHandle, TapPoint};
+use mm_capture::TapHandle;
+use mm_metrics::MetricsHandle;
 use mm_net::Namespace;
 use mm_sim::{RngStream, SimDuration};
 use mm_trace::Trace;
 
-use crate::delay::{delay_shell_with_overhead, DelayShell, DEFAULT_SHELL_OVERHEAD};
-use crate::link::{link_shell, LinkShell, LinkShellConfig, OpportunityPolicy};
+use crate::delay::{observed_delay_shell, DelayShell};
+use crate::link::{link_shell, LinkShell};
 use crate::loss::{loss_shell, LossShell};
 use crate::queue::Qdisc;
+use crate::tap::Observers;
 
 /// A layer in a built stack, exposing per-shell stats handles.
 pub enum ShellLayer {
@@ -38,13 +40,8 @@ impl ShellLayer {
 pub struct ShellStack {
     layers: Vec<ShellLayer>,
     current: Namespace,
-    /// Per-packet forwarding overhead applied by delay shells.
-    overhead: SimDuration,
-    counter: usize,
-    /// Per-packet tap attached to subsequently added shells.
-    tap: Option<TapHandle>,
-    /// Metrics sink wired into subsequently added links' qdiscs.
-    qdisc_metrics: Option<mm_metrics::MetricsHandle>,
+    /// What observes each shell added next; its index counts the layers.
+    observers: Observers,
 }
 
 impl ShellStack {
@@ -53,64 +50,36 @@ impl ShellStack {
         ShellStack {
             layers: Vec::new(),
             current: outer.clone(),
-            overhead: DEFAULT_SHELL_OVERHEAD,
-            counter: 0,
-            tap: None,
-            qdisc_metrics: None,
+            observers: Observers::default(),
         }
     }
 
-    /// Override the per-packet forwarding overhead for subsequently added
-    /// delay shells (0 models an ideal shell).
-    pub fn with_shell_overhead(mut self, overhead: SimDuration) -> Self {
-        self.overhead = overhead;
+    /// Observe every shell added *after* this call (so call it first):
+    /// `tap` sees each direction's packets, under a [`mm_capture::TapPoint`]
+    /// whose index matches the layer's namespace suffix (`link-2` ⇒
+    /// index 2), and `qdisc_metrics` each link queue's instruments (the
+    /// `qdisc_up_*`/`qdisc_down_*` metric families). Observers observe
+    /// only: a stack built with them produces the byte-identical
+    /// simulation of one built without.
+    pub fn observed(
+        mut self,
+        tap: Option<TapHandle>,
+        qdisc_metrics: Option<MetricsHandle>,
+    ) -> Self {
+        self.observers.tap = tap;
+        self.observers.metrics = qdisc_metrics;
         self
-    }
-
-    /// Attach a per-packet tap to every shell added *after* this call
-    /// (so call it first). Each direction of each layer reports under a
-    /// [`TapPoint`] whose index matches the layer's namespace suffix
-    /// (`link-2` ⇒ index 2). Taps observe only: a stack built with a
-    /// tap produces the byte-identical simulation of one built without.
-    pub fn with_tap(mut self, tap: TapHandle) -> Self {
-        self.tap = Some(tap);
-        self
-    }
-
-    /// Wrap the qdisc of every link added *after* this call in an
-    /// [`crate::queue::InstrumentedQdisc`] reporting into `sink` (the
-    /// `qdisc_up_*`/`qdisc_down_*` metric families). Like taps,
-    /// instrumentation observes only.
-    pub fn with_qdisc_metrics(mut self, sink: mm_metrics::MetricsHandle) -> Self {
-        self.qdisc_metrics = Some(sink);
-        self
-    }
-
-    fn point(&self, kind: PointKind, dir: Dir) -> TapPoint {
-        TapPoint {
-            kind,
-            index: self.counter as u32,
-            dir,
-        }
     }
 
     fn next_name(&mut self, kind: &str) -> String {
-        self.counter += 1;
-        format!("{kind}-{}", self.counter)
+        self.observers.index += 1;
+        format!("{kind}-{}", self.observers.index)
     }
 
     /// Nest a DelayShell (fixed one-way delay each direction).
     pub fn delay(mut self, delay: SimDuration) -> Self {
         let name = self.next_name("delay");
-        let shell = delay_shell_with_overhead(&self.current, &name, delay, self.overhead);
-        if let Some(tap) = &self.tap {
-            shell
-                .uplink
-                .set_tap(tap.clone(), self.point(PointKind::Delay, Dir::Up));
-            shell
-                .downlink
-                .set_tap(tap.clone(), self.point(PointKind::Delay, Dir::Down));
-        }
+        let shell = observed_delay_shell(&self.current, &name, delay, &self.observers);
         self.current = shell.inner_ns.clone();
         self.layers.push(ShellLayer::Delay(shell));
         self
@@ -129,31 +98,8 @@ impl ShellStack {
         make_qdisc: &dyn Fn() -> Box<dyn Qdisc>,
     ) -> Self {
         let name = self.next_name("link");
-        let shell = link_shell(
-            &self.current,
-            &name,
-            LinkShellConfig {
-                uplink_trace: uplink,
-                downlink_trace: downlink,
-                policy: OpportunityPolicy::default(),
-            },
-            make_qdisc,
-        );
-        // Instrumentation goes innermost so a tap added below wraps it:
-        // the tap's per-packet events then describe exactly the qdisc
-        // the instruments aggregate.
-        if let Some(sink) = &self.qdisc_metrics {
-            shell.uplink.set_qdisc_metrics(sink.clone(), "up");
-            shell.downlink.set_qdisc_metrics(sink.clone(), "down");
-        }
-        if let Some(tap) = &self.tap {
-            shell
-                .uplink
-                .set_tap(tap.clone(), self.point(PointKind::Link, Dir::Up));
-            shell
-                .downlink
-                .set_tap(tap.clone(), self.point(PointKind::Link, Dir::Down));
-        }
+        let traces = (uplink, downlink);
+        let shell = link_shell(&self.current, &name, traces, make_qdisc, &self.observers);
         self.current = shell.inner_ns.clone();
         self.layers.push(ShellLayer::Link(shell));
         self
@@ -162,15 +108,8 @@ impl ShellStack {
     /// Nest a LossShell.
     pub fn loss(mut self, uplink_loss: f64, downlink_loss: f64, rng: &RngStream) -> Self {
         let name = self.next_name("loss");
-        let shell = loss_shell(&self.current, &name, uplink_loss, downlink_loss, rng);
-        if let Some(tap) = &self.tap {
-            shell
-                .uplink
-                .set_tap(tap.clone(), self.point(PointKind::Loss, Dir::Up));
-            shell
-                .downlink
-                .set_tap(tap.clone(), self.point(PointKind::Loss, Dir::Down));
-        }
+        let rates = (uplink_loss, downlink_loss);
+        let shell = loss_shell(&self.current, &name, rates, rng, &self.observers);
         self.current = shell.inner_ns.clone();
         self.layers.push(ShellLayer::Loss(shell));
         self
@@ -203,7 +142,6 @@ mod tests {
         let mut sim = Simulator::new();
         let root = Namespace::root("root");
         let stack = ShellStack::new(&root)
-            .with_shell_overhead(SimDuration::ZERO)
             .delay(SimDuration::from_millis(30))
             .link(
                 constant_rate(12.0, 1000),
@@ -258,12 +196,8 @@ mod tests {
         // increment counters in the other (the paper's isolation claim).
         let mut sim = Simulator::new();
         let root = Namespace::root("root");
-        let stack_a = ShellStack::new(&root)
-            .with_shell_overhead(SimDuration::ZERO)
-            .delay(SimDuration::from_millis(10));
-        let stack_b = ShellStack::new(&root)
-            .with_shell_overhead(SimDuration::ZERO)
-            .delay(SimDuration::from_millis(10));
+        let stack_a = ShellStack::new(&root).delay(SimDuration::from_millis(10));
+        let stack_b = ShellStack::new(&root).delay(SimDuration::from_millis(10));
         let sink_count = Rc::new(RefCell::new(0));
         let sc = sink_count.clone();
         root.add_host(

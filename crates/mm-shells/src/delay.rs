@@ -12,9 +12,11 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use mm_capture::{PacketEvent, PacketEventKind, TapHandle, TapPoint};
+use mm_capture::{Dir, PacketEventKind, PointKind};
 use mm_net::{Namespace, Packet, PacketSink, SinkRef};
 use mm_sim::{EventTarget, SimDuration, Simulator};
+
+use crate::tap::{Observers, Reporter};
 
 /// One direction of a DelayShell: the paper's packet queue. Each arrival
 /// joins the queue and files one "release the head" event `delay` later;
@@ -22,86 +24,49 @@ use mm_sim::{EventTarget, SimDuration, Simulator};
 /// order and the event needs to carry nothing (DESIGN.md §2).
 pub struct DelayLink {
     delay: SimDuration,
-    /// Fixed per-packet processing overhead, modelling the cost of the
-    /// shell's forwarding process (mahimahi forwards through a user-space
-    /// process; this is what Figure 2 measures).
-    overhead: SimDuration,
     next: SinkRef,
     /// Packets in flight, oldest first: one pending release event each.
     queue: RefCell<VecDeque<Packet>>,
     /// This link, to file as the target of its release events.
     me: Weak<DelayLink>,
-    stats: RefCell<DelayStats>,
-    /// Per-packet observability hook ([`DelayLink::set_tap`]); `None`
-    /// (the default) costs one branch per packet.
-    tap: RefCell<Option<(TapHandle, TapPoint)>>,
-}
-
-/// Counters for one delay-link direction.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DelayStats {
-    pub(crate) forwarded: u64,
-    pub(crate) bytes: u64,
+    /// Reports each packet as [`PacketEventKind::Deliver`] when it exits
+    /// toward the next hop; `None` (the default) costs one branch per
+    /// packet.
+    report: Option<Reporter>,
 }
 
 impl DelayLink {
-    /// Delay direction with the default forwarding overhead (5 µs/packet).
+    /// Delay direction releasing each packet `delay` after it arrives.
     pub fn new(delay: SimDuration, next: SinkRef) -> Rc<Self> {
-        DelayLink::with_overhead(delay, DEFAULT_SHELL_OVERHEAD, next)
+        DelayLink::reporting(delay, next, None)
     }
 
-    /// Delay direction with explicit forwarding overhead.
-    pub(crate) fn with_overhead(
-        delay: SimDuration,
-        overhead: SimDuration,
-        next: SinkRef,
-    ) -> Rc<Self> {
+    fn reporting(delay: SimDuration, next: SinkRef, report: Option<Reporter>) -> Rc<Self> {
         Rc::new_cyclic(|me| DelayLink {
             delay,
-            overhead,
             next,
             queue: RefCell::new(VecDeque::new()),
             me: me.clone(),
-            stats: RefCell::new(DelayStats::default()),
-            tap: RefCell::new(None),
+            report,
         })
-    }
-
-    /// Attach a per-packet tap: every packet reports a
-    /// [`PacketEventKind::Deliver`] event at the moment it exits the
-    /// delay leg toward the next hop. Taps observe only.
-    pub(crate) fn set_tap(&self, tap: TapHandle, point: TapPoint) {
-        *self.tap.borrow_mut() = Some((tap, point));
-    }
-
-    /// Counters snapshot.
-    #[cfg(test)]
-    pub(crate) fn stats(&self) -> DelayStats {
-        *self.stats.borrow()
     }
 }
 
 /// Per-packet cost of traversing a shell's forwarding process (the real
 /// mm-delay forwards every packet through a user-space process over raw
-/// sockets — tens of microseconds on 2014 hardware). Calibrated so
-/// DelayShell-0ms imposes a fraction of a percent on median page load
-/// time, as Figure 2 reports.
-pub(crate) const DEFAULT_SHELL_OVERHEAD: SimDuration = SimDuration::from_micros(20);
+/// sockets — tens of microseconds on 2014 hardware), added to each
+/// direction's delay. Calibrated so DelayShell-0ms imposes a fraction of
+/// a percent on median page load time, as Figure 2 reports.
+const SHELL_OVERHEAD: SimDuration = SimDuration::from_micros(20);
 
 impl PacketSink for DelayLink {
     fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
-        {
-            let mut s = self.stats.borrow_mut();
-            s.forwarded += 1;
-            s.bytes += pkt.wire_size() as u64;
-        }
-        let total = self.delay + self.overhead;
-        if total.is_zero() {
+        if self.delay.is_zero() {
             self.release(sim, pkt);
         } else {
             self.queue.borrow_mut().push_back(pkt);
             let me = self.me.upgrade().expect("a DelayLink lives in an Rc");
-            sim.schedule_target_at("sim_events_delay_total", sim.now() + total, me, 0);
+            sim.schedule_target_at("sim_events_delay_total", sim.now() + self.delay, me, 0);
         }
     }
 }
@@ -115,57 +80,44 @@ impl EventTarget for DelayLink {
 }
 
 impl DelayLink {
-    /// Hand `pkt` to the next hop, reporting it to the tap if attached.
+    /// Hand `pkt` to the next hop, reporting it if observed.
     fn release(&self, sim: &mut Simulator, pkt: Packet) {
-        if let Some((tap, point)) = &*self.tap.borrow() {
-            tap.on_packet(&PacketEvent {
-                t_ns: sim.now().as_nanos(),
-                kind: PacketEventKind::Deliver,
-                point: *point,
-                pkt_id: pkt.id,
-                size_bytes: pkt.wire_size() as u32,
-                sojourn_ns: 0,
-                flow: pkt.flow_key(),
-            });
+        if let Some(report) = &self.report {
+            report.packet(sim.now(), PacketEventKind::Deliver, &pkt);
         }
         self.next.deliver(sim, pkt);
     }
 }
 
-/// Handle to a constructed delay shell: the inner namespace plus both
-/// direction links for stats.
+/// Handle to a constructed delay shell. Its two direction links live as
+/// long as the routes between its namespaces that hold them.
 pub struct DelayShell {
     /// The namespace applications run inside.
     pub inner_ns: Namespace,
-    /// Child → parent direction.
-    pub(crate) uplink: Rc<DelayLink>,
-    /// Parent → child direction.
-    pub(crate) downlink: Rc<DelayLink>,
 }
 
 /// Build a DelayShell: creates a child namespace of `parent` whose traffic
-/// in each direction is delayed by `delay` (the paper's `mm-delay <ms>`).
+/// in each direction is delayed by `delay` (the paper's `mm-delay <ms>`)
+/// plus the forwarding overhead.
 pub fn delay_shell(parent: &Namespace, name: &str, delay: SimDuration) -> DelayShell {
-    delay_shell_with_overhead(parent, name, delay, DEFAULT_SHELL_OVERHEAD)
+    observed_delay_shell(parent, name, delay, &Observers::default())
 }
 
-/// [`delay_shell`] with an explicit per-packet forwarding overhead
-/// (0 to model an ideal shell).
-pub(crate) fn delay_shell_with_overhead(
+/// [`delay_shell`] with both directions observed by `observers`.
+pub(crate) fn observed_delay_shell(
     parent: &Namespace,
     name: &str,
     delay: SimDuration,
-    overhead: SimDuration,
+    observers: &Observers,
 ) -> DelayShell {
     let inner_ns = Namespace::root(name);
-    let uplink = DelayLink::with_overhead(delay, overhead, parent.router());
-    let downlink = DelayLink::with_overhead(delay, overhead, inner_ns.router());
-    parent.attach_child(&inner_ns, uplink.clone(), downlink.clone());
-    DelayShell {
-        inner_ns,
-        uplink,
-        downlink,
-    }
+    let delay = delay + SHELL_OVERHEAD;
+    let direction =
+        |dir, next| DelayLink::reporting(delay, next, observers.reporter(PointKind::Delay, dir));
+    let uplink = direction(Dir::Up, parent.router());
+    let downlink = direction(Dir::Down, inner_ns.router());
+    parent.attach_child(&inner_ns, uplink, downlink);
+    DelayShell { inner_ns }
 }
 
 #[cfg(test)]
@@ -200,12 +152,12 @@ mod tests {
         let sink = FnSink::new(move |sim: &mut Simulator, p: Packet| {
             a.borrow_mut().push((p.id, sim.now()));
         });
-        let link = DelayLink::with_overhead(SimDuration::from_millis(30), SimDuration::ZERO, sink);
-        let l = link.clone();
-        sim.schedule_at(Timestamp::from_millis(5), move |sim| l.deliver(sim, pkt(1)));
+        let link = DelayLink::new(SimDuration::from_millis(30), sink);
+        sim.schedule_at(Timestamp::from_millis(5), move |sim| {
+            link.deliver(sim, pkt(1))
+        });
         sim.run();
         assert_eq!(*arrivals.borrow(), vec![(1, Timestamp::from_millis(35))]);
-        assert_eq!(link.stats().forwarded, 1);
     }
 
     #[test]
@@ -260,7 +212,7 @@ mod tests {
                 l.borrow_mut().push((p.id, sim.now()));
             });
             let leg: SinkRef = if queue {
-                DelayLink::with_overhead(total, SimDuration::ZERO, sink)
+                DelayLink::new(total, sink)
             } else {
                 closure_per_packet(total, sink)
             };
@@ -313,15 +265,11 @@ mod tests {
         // queue drains on schedule — into a router that is gone.
         parent.router().deliver(&mut sim, to_inner(2));
         parent.router().deliver(&mut sim, to_inner(3));
-        let downlink = Rc::downgrade(&shell.downlink);
         drop(shell);
         assert_eq!(sim.pending_events(), 2);
         assert_eq!(sim.run(), mm_sim::RunResult::QueueEmpty);
         assert_eq!(*seen.borrow(), 1);
         assert_eq!(parent.counters().forwarded_down, 3);
-        let downlink = downlink.upgrade().expect("held by the parent's route");
-        assert_eq!(downlink.stats().forwarded, 3);
-        assert!(downlink.queue.borrow().is_empty());
     }
 
     #[test]
@@ -330,7 +278,7 @@ mod tests {
         let count = Rc::new(RefCell::new(0));
         let c = count.clone();
         let sink = FnSink::new(move |_: &mut Simulator, _| *c.borrow_mut() += 1);
-        let link = DelayLink::with_overhead(SimDuration::ZERO, SimDuration::ZERO, sink);
+        let link = DelayLink::new(SimDuration::ZERO, sink);
         link.deliver(&mut sim, pkt(0));
         assert_eq!(*count.borrow(), 1, "no event round-trip needed");
     }
@@ -339,12 +287,7 @@ mod tests {
     fn shell_wires_both_directions() {
         let mut sim = Simulator::new();
         let parent = Namespace::root("parent");
-        let shell = delay_shell_with_overhead(
-            &parent,
-            "delayed",
-            SimDuration::from_millis(25),
-            SimDuration::ZERO,
-        );
+        let shell = delay_shell(&parent, "delayed", SimDuration::from_millis(25));
         // A host in the parent and one inside the shell.
         let outer_arrivals = Rc::new(RefCell::new(Vec::new()));
         let oa = outer_arrivals.clone();
@@ -359,18 +302,17 @@ mod tests {
             FnSink::new(move |sim: &mut Simulator, _| ia.borrow_mut().push(sim.now())),
         );
 
-        // Inner → outer takes 25 ms.
+        // Inner → outer takes 25 ms plus the forwarding overhead.
         let mut p = pkt(1);
         p.dst = SocketAddr::new(IpAddr::new(8, 8, 8, 8), 80);
         shell.inner_ns.router().deliver(&mut sim, p);
-        // Outer → inner takes 25 ms.
+        // And so does outer → inner.
         let mut q = pkt(2);
         q.dst = SocketAddr::new(IpAddr::new(100, 64, 0, 2), 80);
         parent.router().deliver(&mut sim, q);
         sim.run();
-        assert_eq!(*outer_arrivals.borrow(), vec![Timestamp::from_millis(25)]);
-        assert_eq!(*inner_arrivals.borrow(), vec![Timestamp::from_millis(25)]);
-        assert_eq!(shell.uplink.stats().forwarded, 1);
-        assert_eq!(shell.downlink.stats().forwarded, 1);
+        let exit = Timestamp::from_millis(25) + SHELL_OVERHEAD;
+        assert_eq!(*outer_arrivals.borrow(), vec![exit]);
+        assert_eq!(*inner_arrivals.borrow(), vec![exit]);
     }
 }

@@ -4,7 +4,7 @@
 //! (fixed one-way delay), [`LinkShell`] (trace-driven delivery
 //! opportunities with pluggable [`Qdisc`] disciplines), [`LossShell`]
 //! (i.i.d. loss) and [`ShellStack`] (nesting, like nesting mahimahi
-//! processes).
+//! processes). [`ObservedQdisc`] is how a link's queue is observed.
 
 mod compose;
 mod delay;
@@ -15,10 +15,7 @@ mod tap;
 
 pub use compose::{ShellLayer, ShellStack};
 pub use delay::{delay_shell, DelayLink, DelayShell};
-pub use link::{LinkShell, OpportunityPolicy, TraceLink, TraceLinkSink};
+pub use link::{LinkShell, TraceLink, TraceLinkSink};
 pub use loss::{LossLink, LossShell, LossStats};
-pub use queue::{
-    factories, CoDel, DropHead, DropTail, EnqueueResult, InstrumentedQdisc, Pie, Qdisc,
-    QdiscFactory, QdiscStats, QueueLimit,
-};
-pub use tap::TappedQdisc;
+pub use queue::{CoDel, DropHead, DropTail, EnqueueResult, Pie, Qdisc, QdiscStats, QueueLimit};
+pub use tap::{InstrumentedQdisc, ObservedQdisc, TappedQdisc};

@@ -8,56 +8,32 @@
 //!
 //! Opportunities are use-it-or-lose-it: while the queue is empty they pass
 //! unused; the emulator walks the (wrapping) trace lazily, arming a timer
-//! only while packets are queued.
+//! only while packets are queued. One opportunity carries up to MTU bytes,
+//! so several small packets may share it (mm-link's byte accounting).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mm_capture::{LinkMeta, PacketEvent, PacketEventKind, TapHandle, TapPoint};
+use mm_capture::{Dir, PacketEventKind, PointKind};
 use mm_net::{Namespace, Packet, PacketSink, SinkRef, MTU};
 use mm_sim::{EventTarget, Simulator, Timestamp};
 use mm_trace::Trace;
 
-use crate::queue::{DropTail, EnqueueResult, Qdisc, QdiscStats};
-use crate::tap::TappedQdisc;
-
-/// How much a single delivery opportunity can carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OpportunityPolicy {
-    /// Up to MTU bytes per opportunity: several small packets may share
-    /// one opportunity (mm-link's byte-accounting behaviour).
-    #[default]
-    ByteBudget,
-    /// Exactly one packet per opportunity regardless of size
-    /// (conservative ablation).
-    PacketPerOpportunity,
-}
-
-/// Counters for one trace-link direction.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LinkStats {
-    pub(crate) arrived: u64,
-    pub(crate) delivered: u64,
-    pub(crate) delivered_bytes: u64,
-    pub(crate) dropped_by_queue: u64,
-    /// Delivery opportunities consumed (for utilization reporting).
-    pub(crate) opportunities_used: u64,
-}
+use crate::queue::{EnqueueResult, Qdisc, QdiscStats};
+use crate::tap::{Observers, Reporter};
 
 struct LinkInner {
     trace: Trace,
     cursor: u64,
     qdisc: Box<dyn Qdisc>,
-    policy: OpportunityPolicy,
     next: SinkRef,
     wakeup_armed: bool,
     /// What one wakeup hands to `next`, kept between wakeups for its
     /// capacity (empty outside [`TraceLink::on_opportunity`]).
     out: Vec<Packet>,
-    stats: LinkStats,
-    /// Per-packet observability hook ([`TraceLink::set_tap`]); `None`
-    /// (the default) costs one branch per delivery.
-    tap: Option<(TapHandle, TapPoint)>,
+    /// Reports each delivery to the next hop; `None` (the default) costs
+    /// one branch per delivery.
+    report: Option<Reporter>,
 }
 
 /// One direction of a LinkShell.
@@ -67,60 +43,33 @@ pub struct TraceLink {
 
 impl TraceLink {
     /// A trace-driven direction feeding `next`.
-    pub fn new(
+    pub fn new(trace: Trace, qdisc: Box<dyn Qdisc>, next: SinkRef) -> Rc<Self> {
+        TraceLink::reporting(trace, qdisc, next, None)
+    }
+
+    /// [`TraceLink::new`], reporting each delivery to the next hop as
+    /// [`PacketEventKind::Deliver`] and, once, the trace's schedule. The
+    /// caller observes `qdisc` itself.
+    fn reporting(
         trace: Trace,
         qdisc: Box<dyn Qdisc>,
-        policy: OpportunityPolicy,
         next: SinkRef,
+        report: Option<Reporter>,
     ) -> Rc<Self> {
+        if let Some(report) = &report {
+            report.link_meta(&trace);
+        }
         Rc::new(TraceLink {
             inner: Rc::new(RefCell::new(LinkInner {
                 trace,
                 cursor: 0,
                 qdisc,
-                policy,
                 next,
                 wakeup_armed: false,
                 out: Vec::new(),
-                stats: LinkStats::default(),
-                tap: None,
+                report,
             })),
         })
-    }
-
-    /// Attach a per-packet tap at `point`: the qdisc is wrapped in a
-    /// [`TappedQdisc`] (enqueue/dequeue/drop events), deliveries to the
-    /// next hop report as [`PacketEventKind::Deliver`], and the trace's
-    /// opportunity schedule is reported once as [`LinkMeta`] so offline
-    /// analyzers can reconstruct the capacity series. Call before any
-    /// traffic flows; taps observe only and never change behavior.
-    pub(crate) fn set_tap(&self, tap: TapHandle, point: TapPoint) {
-        let mut inner = self.inner.borrow_mut();
-        tap.on_link_meta(&LinkMeta {
-            point,
-            deliveries_ms: inner.trace.deliveries_ms().into(),
-            period_ms: inner.trace.period_ms(),
-            mtu_bytes: MTU as u32,
-        });
-        let old = std::mem::replace(&mut inner.qdisc, Box::new(DropTail::infinite()));
-        inner.qdisc = Box::new(TappedQdisc::new(old, tap.clone(), point));
-        inner.tap = Some((tap, point));
-    }
-
-    /// Wrap the qdisc in an [`crate::queue::InstrumentedQdisc`]
-    /// reporting into `sink` under `dir` (`"up"`/`"down"`). Call before
-    /// [`TraceLink::set_tap`] so a tap's events stay outermost; like
-    /// taps, instrumentation observes only and never changes behavior.
-    pub(crate) fn set_qdisc_metrics(&self, sink: mm_metrics::MetricsHandle, dir: &'static str) {
-        let mut inner = self.inner.borrow_mut();
-        let old = std::mem::replace(&mut inner.qdisc, Box::new(DropTail::infinite()));
-        inner.qdisc = Box::new(crate::queue::InstrumentedQdisc::new(old, sink, dir));
-    }
-
-    /// Counters snapshot.
-    #[cfg(test)]
-    pub(crate) fn stats(&self) -> LinkStats {
-        self.inner.borrow().stats
     }
 
     /// Queue-discipline counters.
@@ -130,21 +79,6 @@ impl TraceLink {
 
     fn opportunity_time(trace: &Trace, i: u64) -> Timestamp {
         Timestamp::from_millis(trace.opportunity_ms(i))
-    }
-
-    /// Report one delivery to the tap, if attached.
-    fn tap_deliver(tap: &Option<(TapHandle, TapPoint)>, now: Timestamp, pkt: &Packet) {
-        if let Some((tap, point)) = tap {
-            tap.on_packet(&PacketEvent {
-                t_ns: now.as_nanos(),
-                kind: PacketEventKind::Deliver,
-                point: *point,
-                pkt_id: pkt.id,
-                size_bytes: pkt.wire_size() as u32,
-                sojourn_ns: 0,
-                flow: pkt.flow_key(),
-            });
-        }
     }
 
     /// File the wakeup for opportunity `cursor` (must not already be
@@ -160,48 +94,19 @@ impl TraceLink {
 
     /// Consume one delivery opportunity from the queue into `to_deliver`.
     fn consume_opportunity(inner: &mut LinkInner, now: Timestamp, to_deliver: &mut Vec<Packet>) {
-        let before = to_deliver.len();
         let mut budget = MTU;
-        loop {
-            // Peek via len; qdisc has no peek, so dequeue and decide.
-            if inner.qdisc.len_packets() == 0 {
+        // All model packets are ≤ MTU, so the head always fits in a fresh
+        // opportunity; stop once the next packet would exceed the
+        // remaining budget.
+        while inner.qdisc.peek_size().is_some_and(|sz| sz <= budget) {
+            let Some(pkt) = inner.qdisc.dequeue(now) else {
                 break;
+            };
+            budget = budget.saturating_sub(pkt.wire_size());
+            if let Some(report) = &inner.report {
+                report.packet(now, PacketEventKind::Deliver, &pkt);
             }
-            match inner.policy {
-                OpportunityPolicy::PacketPerOpportunity => {
-                    if let Some(pkt) = inner.qdisc.dequeue(now) {
-                        inner.stats.delivered += 1;
-                        inner.stats.delivered_bytes += pkt.wire_size() as u64;
-                        Self::tap_deliver(&inner.tap, now, &pkt);
-                        to_deliver.push(pkt);
-                    }
-                    break;
-                }
-                OpportunityPolicy::ByteBudget => {
-                    // All model packets are ≤ MTU, so the head always
-                    // fits in a fresh opportunity; stop once the next
-                    // packet would exceed the remaining budget.
-                    match inner.qdisc.peek_size() {
-                        Some(sz) if sz <= budget => {}
-                        _ => break,
-                    }
-                    let Some(pkt) = inner.qdisc.dequeue(now) else {
-                        break;
-                    };
-                    let sz = pkt.wire_size();
-                    budget = budget.saturating_sub(sz);
-                    inner.stats.delivered += 1;
-                    inner.stats.delivered_bytes += sz as u64;
-                    Self::tap_deliver(&inner.tap, now, &pkt);
-                    to_deliver.push(pkt);
-                    if budget == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-        if to_deliver.len() > before {
-            inner.stats.opportunities_used += 1;
+            to_deliver.push(pkt);
         }
         inner.cursor += 1;
     }
@@ -257,11 +162,8 @@ impl PacketSink for TraceLinkSink {
         let now = sim.now();
         let link = &self.0;
         let mut inner = link.inner.borrow_mut();
-        inner.stats.arrived += 1;
         let accepted = inner.qdisc.enqueue(now, pkt);
-        if accepted == EnqueueResult::Dropped {
-            inner.stats.dropped_by_queue += 1;
-        } else if !inner.wakeup_armed {
+        if accepted == EnqueueResult::Accepted && !inner.wakeup_armed {
             // Find the first usable opportunity: opportunities are
             // use-it-or-lose-it, so skip everything before "now"
             // (sub-millisecond remainders round up — the trace has
@@ -283,46 +185,23 @@ pub struct LinkShell {
     pub downlink: Rc<TraceLink>,
 }
 
-/// Configuration for [`link_shell`].
-pub(crate) struct LinkShellConfig {
-    pub(crate) uplink_trace: Trace,
-    pub(crate) downlink_trace: Trace,
-    pub(crate) policy: OpportunityPolicy,
-}
-
-impl LinkShellConfig {
-    /// Symmetric link from one trace.
-    #[cfg(test)]
-    pub(crate) fn symmetric(trace: Trace) -> Self {
-        LinkShellConfig {
-            uplink_trace: trace.clone(),
-            downlink_trace: trace,
-            policy: OpportunityPolicy::default(),
-        }
-    }
-}
-
 /// Build a LinkShell under `parent` (the paper's
-/// `mm-link <up.trace> <down.trace>`), with fresh qdiscs from `make_qdisc`.
+/// `mm-link <up.trace> <down.trace>`), with fresh qdiscs from
+/// `make_qdisc`, both directions observed by `observers`.
 pub(crate) fn link_shell(
     parent: &Namespace,
     name: &str,
-    config: LinkShellConfig,
+    traces: (Trace, Trace),
     make_qdisc: &dyn Fn() -> Box<dyn Qdisc>,
+    observers: &Observers,
 ) -> LinkShell {
     let inner_ns = Namespace::root(name);
-    let uplink = TraceLink::new(
-        config.uplink_trace,
-        make_qdisc(),
-        config.policy,
-        parent.router(),
-    );
-    let downlink = TraceLink::new(
-        config.downlink_trace,
-        make_qdisc(),
-        config.policy,
-        inner_ns.router(),
-    );
+    let direction = |trace, dir, next| {
+        let qdisc = observers.queue(make_qdisc(), dir);
+        TraceLink::reporting(trace, qdisc, next, observers.reporter(PointKind::Link, dir))
+    };
+    let uplink = direction(traces.0, Dir::Up, parent.router());
+    let downlink = direction(traces.1, Dir::Down, inner_ns.router());
     parent.attach_child(
         &inner_ns,
         Rc::new(TraceLinkSink(uplink.clone())),
@@ -372,12 +251,7 @@ mod tests {
     }
 
     fn make_link(trace: Trace, next: SinkRef) -> (Rc<TraceLink>, SinkRef) {
-        let link = TraceLink::new(
-            trace,
-            Box::new(DropTail::infinite()),
-            OpportunityPolicy::ByteBudget,
-            next,
-        );
+        let link = TraceLink::new(trace, Box::new(DropTail::infinite()), next);
         let sink: SinkRef = Rc::new(TraceLinkSink(link.clone()));
         (link, sink)
     }
@@ -440,32 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn packet_per_opportunity_policy() {
-        let mut sim = Simulator::new();
-        let (arrivals, sink) = arrivals_sink();
-        let trace = Trace::from_timestamps(vec![10, 20, 30]).unwrap();
-        let link = TraceLink::new(
-            trace,
-            Box::new(DropTail::infinite()),
-            OpportunityPolicy::PacketPerOpportunity,
-            sink,
-        );
-        let ingress: SinkRef = Rc::new(TraceLinkSink(link));
-        sim.schedule_now(move |sim| {
-            for i in 0..3 {
-                ingress.deliver(sim, pkt(i, 0)); // tiny, but one per opp
-            }
-        });
-        sim.run();
-        let times: Vec<u64> = arrivals
-            .borrow()
-            .iter()
-            .map(|&(_, t)| t.as_millis())
-            .collect();
-        assert_eq!(times, vec![10, 20, 30]);
-    }
-
-    #[test]
     fn trace_wraps_for_long_runs() {
         let mut sim = Simulator::new();
         let (arrivals, sink) = arrivals_sink();
@@ -512,12 +360,11 @@ mod tests {
     #[test]
     fn queue_drops_counted() {
         let mut sim = Simulator::new();
-        let (_arrivals, sink) = arrivals_sink();
+        let (arrivals, sink) = arrivals_sink();
         let trace = Trace::from_timestamps(vec![100]).unwrap();
         let link = TraceLink::new(
             trace,
             Box::new(DropTail::new(crate::queue::QueueLimit::Packets(2))),
-            OpportunityPolicy::ByteBudget,
             sink,
         );
         let ingress: SinkRef = Rc::new(TraceLinkSink(link.clone()));
@@ -527,19 +374,21 @@ mod tests {
             }
         });
         sim.run();
-        assert_eq!(link.stats().dropped_by_queue, 3);
-        assert_eq!(link.stats().delivered, 2);
+        assert_eq!(link.qdisc_stats().dropped, 3);
+        assert_eq!(arrivals.borrow().len(), 2);
     }
 
     #[test]
     fn link_shell_wires_namespace() {
         let mut sim = Simulator::new();
         let parent = Namespace::root("parent");
+        let trace = constant_rate(12.0, 1000);
         let shell = link_shell(
             &parent,
             "linked",
-            LinkShellConfig::symmetric(constant_rate(12.0, 1000)),
+            (trace.clone(), trace),
             &|| Box::new(DropTail::infinite()),
+            &Observers::default(),
         );
         let (arrivals, sink) = arrivals_sink();
         parent.add_host(IpAddr::new(8, 8, 8, 8), sink);
@@ -548,8 +397,8 @@ mod tests {
         shell.inner_ns.router().deliver(&mut sim, p);
         sim.run();
         assert_eq!(arrivals.borrow().len(), 1);
-        assert_eq!(shell.uplink.stats().delivered, 1);
-        assert_eq!(shell.downlink.stats().delivered, 0);
+        assert_eq!(shell.uplink.qdisc_stats().dequeued, 1);
+        assert_eq!(shell.downlink.qdisc_stats().enqueued, 0);
     }
 
     #[test]
@@ -561,7 +410,7 @@ mod tests {
         let mut sim = Simulator::new();
         let (arrivals, sink) = arrivals_sink();
         let trace = constant_rate(1000.0, 1000);
-        let (link, ingress) = make_link(trace, sink);
+        let (_link, ingress) = make_link(trace, sink);
         sim.schedule_now(move |sim| {
             for i in 0..80 {
                 ingress.deliver(sim, pkt(i, 1460));
@@ -577,7 +426,6 @@ mod tests {
             got.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
             (0..80).collect::<Vec<_>>()
         );
-        assert_eq!(link.stats().opportunities_used, 80);
         // One enqueue event + ONE wakeup for the whole burst (the lazy
         // walker arms no further timers once the queue drains).
         assert!(

@@ -1,17 +1,18 @@
 //! LossShell: independent (Bernoulli) packet loss per direction, the
 //! equivalent of mahimahi's `mm-loss <uplink|downlink> <rate>`.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use mm_capture::{PacketEvent, PacketEventKind, TapHandle, TapPoint};
+use mm_capture::{Dir, PacketEventKind, PointKind};
 use mm_net::{Namespace, Packet, PacketSink, SinkRef};
 use mm_sim::{RngStream, Simulator};
+
+use crate::tap::{Observers, Reporter};
 
 /// Counters for one loss direction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LossStats {
-    pub(crate) seen: u64,
     pub dropped: u64,
 }
 
@@ -20,59 +21,40 @@ pub struct LossLink {
     p: f64,
     rng: RefCell<RngStream>,
     next: SinkRef,
-    stats: RefCell<LossStats>,
-    /// Per-packet observability hook ([`LossLink::set_tap`]); reports
-    /// drops only (pass-through is synchronous and uneventful).
-    tap: RefCell<Option<(TapHandle, TapPoint)>>,
+    dropped: Cell<u64>,
+    /// Reports each Bernoulli loss as [`PacketEventKind::Drop`]
+    /// (pass-through is synchronous and uneventful). The RNG stream and
+    /// drop decisions are the same with or without it.
+    report: Option<Reporter>,
 }
 
 impl LossLink {
     /// Drop each packet independently with probability `p`.
-    pub(crate) fn new(p: f64, rng: RngStream, next: SinkRef) -> Rc<Self> {
+    fn new(p: f64, rng: RngStream, next: SinkRef, report: Option<Reporter>) -> Rc<Self> {
         assert!((0.0..=1.0).contains(&p), "loss rate out of range: {p}");
         Rc::new(LossLink {
             p,
             rng: RefCell::new(rng),
             next,
-            stats: RefCell::new(LossStats::default()),
-            tap: RefCell::new(None),
+            dropped: Cell::new(0),
+            report,
         })
-    }
-
-    /// Attach a per-packet tap: each Bernoulli loss reports a
-    /// [`PacketEventKind::Drop`] event. Taps observe only — the RNG
-    /// stream and drop decisions are untouched.
-    pub(crate) fn set_tap(&self, tap: TapHandle, point: TapPoint) {
-        *self.tap.borrow_mut() = Some((tap, point));
     }
 
     /// Counters snapshot.
     pub fn stats(&self) -> LossStats {
-        *self.stats.borrow()
+        LossStats {
+            dropped: self.dropped.get(),
+        }
     }
 }
 
 impl PacketSink for LossLink {
     fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
-        let drop = self.p > 0.0 && self.rng.borrow_mut().gen_bool(self.p);
-        {
-            let mut s = self.stats.borrow_mut();
-            s.seen += 1;
-            if drop {
-                s.dropped += 1;
-            }
-        }
-        if drop {
-            if let Some((tap, point)) = &*self.tap.borrow() {
-                tap.on_packet(&PacketEvent {
-                    t_ns: sim.now().as_nanos(),
-                    kind: PacketEventKind::Drop,
-                    point: *point,
-                    pkt_id: pkt.id,
-                    size_bytes: pkt.wire_size() as u32,
-                    sojourn_ns: 0,
-                    flow: pkt.flow_key(),
-                });
+        if self.p > 0.0 && self.rng.borrow_mut().gen_bool(self.p) {
+            self.dropped.set(self.dropped.get() + 1);
+            if let Some(report) = &self.report {
+                report.packet(sim.now(), PacketEventKind::Drop, &pkt);
             }
         } else {
             self.next.deliver(sim, pkt);
@@ -89,18 +71,29 @@ pub struct LossShell {
 }
 
 /// Build a LossShell under `parent` with independent loss rates per
-/// direction. RNG streams are forked per direction from `rng` so uplink
-/// and downlink decisions are independent.
+/// direction, both observed by `observers`. RNG streams are forked per
+/// direction from `rng` so uplink and downlink decisions are independent.
 pub(crate) fn loss_shell(
     parent: &Namespace,
     name: &str,
-    uplink_loss: f64,
-    downlink_loss: f64,
+    (uplink_loss, downlink_loss): (f64, f64),
     rng: &RngStream,
+    observers: &Observers,
 ) -> LossShell {
     let inner_ns = Namespace::root(name);
-    let uplink = LossLink::new(uplink_loss, rng.fork("loss-up"), parent.router());
-    let downlink = LossLink::new(downlink_loss, rng.fork("loss-down"), inner_ns.router());
+    let report = |dir| observers.reporter(PointKind::Loss, dir);
+    let uplink = LossLink::new(
+        uplink_loss,
+        rng.fork("loss-up"),
+        parent.router(),
+        report(Dir::Up),
+    );
+    let downlink = LossLink::new(
+        downlink_loss,
+        rng.fork("loss-down"),
+        inner_ns.router(),
+        report(Dir::Down),
+    );
     parent.attach_child(&inner_ns, uplink.clone(), downlink.clone());
     LossShell {
         inner_ns,
@@ -138,15 +131,14 @@ mod tests {
         let delivered = Rc::new(RefCell::new(0u64));
         let d = delivered.clone();
         let sink = FnSink::new(move |_: &mut Simulator, _| *d.borrow_mut() += 1);
-        let link = LossLink::new(0.25, RngStream::from_seed(5), sink);
+        let link = LossLink::new(0.25, RngStream::from_seed(5), sink, None);
         for i in 0..20_000 {
             link.deliver(&mut sim, pkt(i));
         }
-        let s = link.stats();
-        assert_eq!(s.seen, 20_000);
-        let rate = s.dropped as f64 / s.seen as f64;
+        let dropped = link.stats().dropped;
+        let rate = dropped as f64 / 20_000.0;
         assert!((rate - 0.25).abs() < 0.02, "loss rate {rate}");
-        assert_eq!(*delivered.borrow(), s.seen - s.dropped);
+        assert_eq!(*delivered.borrow(), 20_000 - dropped);
     }
 
     #[test]
@@ -155,7 +147,7 @@ mod tests {
         let delivered = Rc::new(RefCell::new(0u64));
         let d = delivered.clone();
         let sink = FnSink::new(move |_: &mut Simulator, _| *d.borrow_mut() += 1);
-        let link = LossLink::new(0.0, RngStream::from_seed(5), sink);
+        let link = LossLink::new(0.0, RngStream::from_seed(5), sink, None);
         for i in 0..100 {
             link.deliver(&mut sim, pkt(i));
         }
@@ -168,7 +160,7 @@ mod tests {
         let mut sim = Simulator::new();
         let parent = Namespace::root("parent");
         let rng = RngStream::from_seed(9);
-        let shell = loss_shell(&parent, "lossy", 1.0, 0.0, &rng);
+        let shell = loss_shell(&parent, "lossy", (1.0, 0.0), &rng, &Observers::default());
         // Outer host and inner host.
         let outer_got = Rc::new(RefCell::new(0u64));
         let og = outer_got.clone();

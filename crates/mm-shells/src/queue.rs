@@ -3,7 +3,9 @@
 //! Mahimahi's `mm-link` ships several: an infinite droptail queue (the
 //! default the paper uses), bounded droptail/drophead, and the AQMs CoDel
 //! and PIE. All are implemented here behind one [`Qdisc`] trait so benches
-//! can ablate them.
+//! can ablate them. Every one is a FIFO: the queue, its byte count and its
+//! counters are one core (`Fifo`), and a discipline adds only its drop
+//! policy.
 
 use std::collections::VecDeque;
 
@@ -23,8 +25,6 @@ pub struct QdiscStats {
     pub enqueued: u64,
     pub dequeued: u64,
     pub dropped: u64,
-    /// Sum of sojourn times of dequeued packets, for mean-delay reporting.
-    pub(crate) total_sojourn: SimDuration,
     /// High-water mark of the backlog in packets — the standing-queue
     /// measurement the pacing/BBR experiments compare senders by.
     pub max_backlog_packets: usize,
@@ -33,17 +33,6 @@ pub struct QdiscStats {
     /// byte-limited buffers and for judging mixed small-ack/full-MTU
     /// traffic, where packet counts flatter the queue.
     pub max_backlog_bytes: usize,
-}
-
-impl QdiscStats {
-    /// Mean queueing delay of dequeued packets.
-    #[cfg(test)]
-    pub(crate) fn mean_sojourn(&self) -> SimDuration {
-        match self.total_sojourn.as_nanos().checked_div(self.dequeued) {
-            None => SimDuration::ZERO,
-            Some(mean) => SimDuration::from_nanos(mean),
-        }
-    }
 }
 
 /// A packet queue with a drop policy.
@@ -74,27 +63,109 @@ pub enum QueueLimit {
     Bytes(usize),
 }
 
+impl QueueLimit {
+    /// Would a backlog of `packets` packets and `bytes` bytes break it?
+    fn exceeded_by(self, packets: usize, bytes: usize) -> bool {
+        match self {
+            QueueLimit::Infinite => false,
+            QueueLimit::Packets(n) => packets > n,
+            QueueLimit::Bytes(b) => bytes > b,
+        }
+    }
+}
+
 struct Entry {
     pkt: Packet,
     enqueued_at: Timestamp,
 }
 
-/// FIFO with tail drop on overflow (or never, if infinite).
-pub struct DropTail {
+/// The bookkeeping every discipline shares: the packets in arrival
+/// order with their arrival times, their byte count, and the counters.
+#[derive(Default)]
+struct Fifo {
     q: VecDeque<Entry>,
     bytes: usize,
-    limit: QueueLimit,
     stats: QdiscStats,
+}
+
+impl Fifo {
+    /// Append `pkt`, counting it enqueued.
+    fn push(&mut self, now: Timestamp, pkt: Packet) {
+        self.bytes += pkt.wire_size();
+        self.stats.enqueued += 1;
+        self.q.push_back(Entry {
+            pkt,
+            enqueued_at: now,
+        });
+    }
+
+    /// Fold the current backlog into the high-water marks.
+    fn mark_high_water(&mut self) {
+        self.stats.max_backlog_packets = self.stats.max_backlog_packets.max(self.q.len());
+        self.stats.max_backlog_bytes = self.stats.max_backlog_bytes.max(self.bytes);
+    }
+
+    /// Append `pkt` and accept it.
+    fn admit(&mut self, now: Timestamp, pkt: Packet) -> EnqueueResult {
+        self.push(now, pkt);
+        self.mark_high_water();
+        EnqueueResult::Accepted
+    }
+
+    /// Count an offered packet dropped at the door.
+    fn refuse(&mut self) -> EnqueueResult {
+        self.stats.dropped += 1;
+        EnqueueResult::Dropped
+    }
+
+    /// Remove the head; the caller counts it dequeued or dropped.
+    fn pop(&mut self) -> Option<Entry> {
+        let e = self.q.pop_front()?;
+        self.bytes -= e.pkt.wire_size();
+        Some(e)
+    }
+
+    /// Remove the head as transmitted.
+    fn dequeue(&mut self) -> Option<Packet> {
+        let e = self.pop()?;
+        self.stats.dequeued += 1;
+        Some(e.pkt)
+    }
+}
+
+/// The `Qdisc` methods a discipline answers from its `Fifo` alone.
+macro_rules! fifo_accessors {
+    () => {
+        fn peek_size(&self) -> Option<usize> {
+            self.fifo.q.front().map(|e| e.pkt.wire_size())
+        }
+
+        fn len_packets(&self) -> usize {
+            self.fifo.q.len()
+        }
+
+        fn len_bytes(&self) -> usize {
+            self.fifo.bytes
+        }
+
+        fn stats(&self) -> QdiscStats {
+            self.fifo.stats
+        }
+    };
+}
+
+/// FIFO with tail drop on overflow (or never, if infinite).
+pub struct DropTail {
+    fifo: Fifo,
+    limit: QueueLimit,
 }
 
 impl DropTail {
     /// Bounded or infinite droptail queue.
     pub fn new(limit: QueueLimit) -> Self {
         DropTail {
-            q: VecDeque::new(),
-            bytes: 0,
+            fifo: Fifo::default(),
             limit,
-            stats: QdiscStats::default(),
         }
     }
 
@@ -102,65 +173,29 @@ impl DropTail {
     pub fn infinite() -> Self {
         DropTail::new(QueueLimit::Infinite)
     }
-
-    fn would_overflow(&self, pkt: &Packet) -> bool {
-        match self.limit {
-            QueueLimit::Infinite => false,
-            QueueLimit::Packets(n) => self.q.len() + 1 > n,
-            QueueLimit::Bytes(b) => self.bytes + pkt.wire_size() > b,
-        }
-    }
 }
 
 impl Qdisc for DropTail {
     fn enqueue(&mut self, now: Timestamp, pkt: Packet) -> EnqueueResult {
-        if self.would_overflow(&pkt) {
-            self.stats.dropped += 1;
-            return EnqueueResult::Dropped;
+        let (packets, bytes) = (self.fifo.q.len() + 1, self.fifo.bytes + pkt.wire_size());
+        if self.limit.exceeded_by(packets, bytes) {
+            return self.fifo.refuse();
         }
-        self.bytes += pkt.wire_size();
-        self.stats.enqueued += 1;
-        self.q.push_back(Entry {
-            pkt,
-            enqueued_at: now,
-        });
-        self.stats.max_backlog_packets = self.stats.max_backlog_packets.max(self.q.len());
-        self.stats.max_backlog_bytes = self.stats.max_backlog_bytes.max(self.bytes);
-        EnqueueResult::Accepted
+        self.fifo.admit(now, pkt)
     }
 
-    fn dequeue(&mut self, now: Timestamp) -> Option<Packet> {
-        let e = self.q.pop_front()?;
-        self.bytes -= e.pkt.wire_size();
-        self.stats.dequeued += 1;
-        self.stats.total_sojourn += now.saturating_duration_since(e.enqueued_at);
-        Some(e.pkt)
+    fn dequeue(&mut self, _now: Timestamp) -> Option<Packet> {
+        self.fifo.dequeue()
     }
 
-    fn peek_size(&self) -> Option<usize> {
-        self.q.front().map(|e| e.pkt.wire_size())
-    }
-
-    fn len_packets(&self) -> usize {
-        self.q.len()
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn stats(&self) -> QdiscStats {
-        self.stats
-    }
+    fifo_accessors!();
 }
 
 /// FIFO that evicts the *head* (oldest packet) on overflow — keeps queue
 /// latency bounded at the cost of in-flight data.
 pub struct DropHead {
-    q: VecDeque<Entry>,
-    bytes: usize,
+    fifo: Fifo,
     limit: QueueLimit,
-    stats: QdiscStats,
 }
 
 impl DropHead {
@@ -171,73 +206,34 @@ impl DropHead {
             "infinite drophead is meaningless; use DropTail::infinite()"
         );
         DropHead {
-            q: VecDeque::new(),
-            bytes: 0,
+            fifo: Fifo::default(),
             limit,
-            stats: QdiscStats::default(),
         }
     }
 }
 
 impl Qdisc for DropHead {
     fn enqueue(&mut self, now: Timestamp, pkt: Packet) -> EnqueueResult {
-        self.bytes += pkt.wire_size();
-        self.stats.enqueued += 1;
-        self.q.push_back(Entry {
-            pkt,
-            enqueued_at: now,
-        });
-        loop {
-            let overflow = match self.limit {
-                QueueLimit::Infinite => false,
-                QueueLimit::Packets(n) => self.q.len() > n,
-                QueueLimit::Bytes(b) => self.bytes > b,
-            };
-            if !overflow {
-                break;
-            }
-            if let Some(victim) = self.q.pop_front() {
-                self.bytes -= victim.pkt.wire_size();
-                self.stats.dropped += 1;
-            } else {
-                break;
-            }
+        self.fifo.push(now, pkt);
+        while self.limit.exceeded_by(self.fifo.q.len(), self.fifo.bytes)
+            && self.fifo.pop().is_some()
+        {
+            self.fifo.stats.dropped += 1;
         }
-        self.stats.max_backlog_packets = self.stats.max_backlog_packets.max(self.q.len());
-        self.stats.max_backlog_bytes = self.stats.max_backlog_bytes.max(self.bytes);
+        self.fifo.mark_high_water();
         EnqueueResult::Accepted
     }
 
-    fn dequeue(&mut self, now: Timestamp) -> Option<Packet> {
-        let e = self.q.pop_front()?;
-        self.bytes -= e.pkt.wire_size();
-        self.stats.dequeued += 1;
-        self.stats.total_sojourn += now.saturating_duration_since(e.enqueued_at);
-        Some(e.pkt)
+    fn dequeue(&mut self, _now: Timestamp) -> Option<Packet> {
+        self.fifo.dequeue()
     }
 
-    fn peek_size(&self) -> Option<usize> {
-        self.q.front().map(|e| e.pkt.wire_size())
-    }
-
-    fn len_packets(&self) -> usize {
-        self.q.len()
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn stats(&self) -> QdiscStats {
-        self.stats
-    }
+    fifo_accessors!();
 }
 
 /// CoDel AQM (ACM Queue 2012 / RFC 8289), operating on sojourn time.
 pub struct CoDel {
-    q: VecDeque<Entry>,
-    bytes: usize,
-    stats: QdiscStats,
+    fifo: Fifo,
     target: SimDuration,
     interval: SimDuration,
     /// Time at which the sojourn first exceeded target, if tracking.
@@ -251,9 +247,7 @@ impl CoDel {
     /// CoDel with explicit parameters.
     pub(crate) fn new(target: SimDuration, interval: SimDuration) -> Self {
         CoDel {
-            q: VecDeque::new(),
-            bytes: 0,
-            stats: QdiscStats::default(),
+            fifo: Fifo::default(),
             target,
             interval,
             first_above: None,
@@ -277,10 +271,9 @@ impl CoDel {
     /// Pop the head and decide whether CoDel considers it "OK to send".
     /// Returns (packet, sojourn_was_below_target).
     fn do_dequeue(&mut self, now: Timestamp) -> Option<(Packet, bool)> {
-        let e = self.q.pop_front()?;
-        self.bytes -= e.pkt.wire_size();
+        let e = self.fifo.pop()?;
         let sojourn = now.saturating_duration_since(e.enqueued_at);
-        let ok = if sojourn < self.target || self.bytes <= mm_net::MTU {
+        let ok = if sojourn < self.target || self.fifo.bytes <= mm_net::MTU {
             self.first_above = None;
             true
         } else {
@@ -292,22 +285,13 @@ impl CoDel {
                 Some(fa) => now < fa,
             }
         };
-        self.stats.total_sojourn += sojourn;
         Some((e.pkt, ok))
     }
 }
 
 impl Qdisc for CoDel {
     fn enqueue(&mut self, now: Timestamp, pkt: Packet) -> EnqueueResult {
-        self.bytes += pkt.wire_size();
-        self.stats.enqueued += 1;
-        self.q.push_back(Entry {
-            pkt,
-            enqueued_at: now,
-        });
-        self.stats.max_backlog_packets = self.stats.max_backlog_packets.max(self.q.len());
-        self.stats.max_backlog_bytes = self.stats.max_backlog_bytes.max(self.bytes);
-        EnqueueResult::Accepted
+        self.fifo.admit(now, pkt)
     }
 
     fn dequeue(&mut self, now: Timestamp) -> Option<Packet> {
@@ -322,7 +306,7 @@ impl Qdisc for CoDel {
             } else {
                 // Drop packets on schedule while above target.
                 while self.dropping && now >= self.drop_next {
-                    self.stats.dropped += 1;
+                    self.fifo.stats.dropped += 1;
                     self.drop_count += 1;
                     match self.do_dequeue(now) {
                         Some((next_pkt, next_ok)) => {
@@ -346,7 +330,7 @@ impl Qdisc for CoDel {
         {
             // Re-enter dropping state.
             self.dropping = true;
-            self.stats.dropped += 1;
+            self.fifo.stats.dropped += 1;
             self.drop_count = if now.saturating_duration_since(self.drop_next) < self.interval {
                 (self.drop_count.saturating_sub(2)).max(1)
             } else {
@@ -356,41 +340,25 @@ impl Qdisc for CoDel {
             self.drop_next = self.control_law(now);
         } else if !ok {
             self.dropping = true;
-            self.stats.dropped += 1;
+            self.fifo.stats.dropped += 1;
             self.drop_count = 1;
             pkt = self.do_dequeue(now).map(|(p, _)| Some(p)).unwrap_or(None);
             self.drop_next = self.control_law(now);
         }
         if pkt.is_some() {
-            self.stats.dequeued += 1;
+            self.fifo.stats.dequeued += 1;
         }
         pkt
     }
 
-    fn peek_size(&self) -> Option<usize> {
-        self.q.front().map(|e| e.pkt.wire_size())
-    }
-
-    fn len_packets(&self) -> usize {
-        self.q.len()
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn stats(&self) -> QdiscStats {
-        self.stats
-    }
+    fifo_accessors!();
 }
 
 /// PIE AQM (RFC 8033, simplified): drop probability updated from the
 /// estimated queueing delay on each enqueue, using the deterministic
 /// stream of arrival times rather than a separate update timer.
 pub struct Pie {
-    q: VecDeque<Entry>,
-    bytes: usize,
-    stats: QdiscStats,
+    fifo: Fifo,
     target: SimDuration,
     update_period: SimDuration,
     alpha: f64,
@@ -410,9 +378,7 @@ impl Pie {
     pub(crate) fn new(target: SimDuration, depart_rate: f64) -> Self {
         assert!(depart_rate > 0.0);
         Pie {
-            q: VecDeque::new(),
-            bytes: 0,
-            stats: QdiscStats::default(),
+            fifo: Fifo::default(),
             target,
             update_period: SimDuration::from_millis(15),
             alpha: 0.125,
@@ -441,7 +407,7 @@ impl Pie {
     }
 
     fn current_delay(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.bytes as f64 / self.depart_rate)
+        SimDuration::from_secs_f64(self.fifo.bytes as f64 / self.depart_rate)
     }
 
     fn maybe_update(&mut self, now: Timestamp) {
@@ -481,197 +447,26 @@ impl Qdisc for Pie {
     fn enqueue(&mut self, now: Timestamp, pkt: Packet) -> EnqueueResult {
         self.maybe_update(now);
         // Never drop when the backlog is trivial (burst allowance).
-        let tiny = self.bytes <= 2 * mm_net::MTU;
+        let tiny = self.fifo.bytes <= 2 * mm_net::MTU;
         if !tiny && self.drop_prob > 0.0 && self.next_rand() < self.drop_prob {
-            self.stats.dropped += 1;
-            return EnqueueResult::Dropped;
+            return self.fifo.refuse();
         }
-        self.bytes += pkt.wire_size();
-        self.stats.enqueued += 1;
-        self.q.push_back(Entry {
-            pkt,
-            enqueued_at: now,
-        });
-        self.stats.max_backlog_packets = self.stats.max_backlog_packets.max(self.q.len());
-        self.stats.max_backlog_bytes = self.stats.max_backlog_bytes.max(self.bytes);
-        EnqueueResult::Accepted
+        self.fifo.admit(now, pkt)
     }
 
-    fn dequeue(&mut self, now: Timestamp) -> Option<Packet> {
-        let e = self.q.pop_front()?;
-        self.bytes -= e.pkt.wire_size();
-        self.stats.dequeued += 1;
-        self.stats.total_sojourn += now.saturating_duration_since(e.enqueued_at);
-        Some(e.pkt)
+    fn dequeue(&mut self, _now: Timestamp) -> Option<Packet> {
+        self.fifo.dequeue()
     }
 
-    fn peek_size(&self) -> Option<usize> {
-        self.q.front().map(|e| e.pkt.wire_size())
-    }
-
-    fn len_packets(&self) -> usize {
-        self.q.len()
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn stats(&self) -> QdiscStats {
-        self.stats
-    }
-}
-
-/// Factory for building fresh qdiscs (each link direction needs its own).
-pub type QdiscFactory = Box<dyn Fn() -> Box<dyn Qdisc>>;
-
-/// Convenience factories.
-pub mod factories {
-    use super::*;
-
-    /// Infinite droptail (the paper's configuration).
-    pub fn infinite() -> QdiscFactory {
-        Box::new(|| Box::new(DropTail::infinite()))
-    }
-
-    /// Bounded droptail.
-    pub fn droptail(limit: QueueLimit) -> QdiscFactory {
-        Box::new(move || Box::new(DropTail::new(limit)))
-    }
-
-    /// Bounded drophead.
-    pub fn drophead(limit: QueueLimit) -> QdiscFactory {
-        Box::new(move || Box::new(DropHead::new(limit)))
-    }
-
-    /// CoDel with RFC defaults.
-    pub fn codel() -> QdiscFactory {
-        Box::new(|| Box::new(CoDel::default_params()))
-    }
-
-    /// PIE with RFC default target, given the link rate in Mbit/s.
-    pub fn pie(link_mbps: f64) -> QdiscFactory {
-        Box::new(move || Box::new(Pie::default_params(link_mbps * 1e6 / 8.0)))
-    }
-
-    /// Wrap a factory so every qdisc it builds reports into `sink`
-    /// under the given direction label (see [`super::InstrumentedQdisc`]).
-    pub fn instrumented(
-        inner: QdiscFactory,
-        sink: mm_metrics::MetricsHandle,
-        dir: &'static str,
-    ) -> QdiscFactory {
-        Box::new(move || Box::new(InstrumentedQdisc::new(inner(), sink.clone(), dir)))
-    }
-}
-
-/// A [`Qdisc`] decorator exporting queue behavior to a metrics sink:
-/// a backlog histogram observed at every enqueue, a sojourn-time
-/// histogram observed at every dequeue, and drop/enqueue counters.
-/// Opt-in via [`factories::instrumented`] — nothing in the default
-/// experiment paths constructs one, and the decorator never alters
-/// accept/drop decisions or packet order, so enabling it changes
-/// metrics output only.
-pub struct InstrumentedQdisc {
-    inner: Box<dyn Qdisc>,
-    sink: mm_metrics::MetricsHandle,
-    /// Direction label baked into the metric names (metric names must
-    /// be static, so we select between two fixed name sets).
-    dir: &'static str,
-}
-
-impl InstrumentedQdisc {
-    /// Wrap `inner`, labeling metrics for `dir` (`"up"` or `"down"`;
-    /// anything else reports under the `"down"` names).
-    pub fn new(inner: Box<dyn Qdisc>, sink: mm_metrics::MetricsHandle, dir: &'static str) -> Self {
-        InstrumentedQdisc { inner, sink, dir }
-    }
-
-    #[rustfmt::skip]
-    fn names(&self) -> (&'static str, &'static str, &'static str, &'static str, &'static str) {
-        if self.dir == "up" {
-            (
-                "qdisc_up_backlog_packets",
-                "qdisc_up_sojourn_seconds",
-                "qdisc_up_drops_total",
-                "qdisc_up_enqueues_total",
-                "qdisc_up_backlog_now_packets",
-            )
-        } else {
-            (
-                "qdisc_down_backlog_packets",
-                "qdisc_down_sojourn_seconds",
-                "qdisc_down_drops_total",
-                "qdisc_down_enqueues_total",
-                "qdisc_down_backlog_now_packets",
-            )
-        }
-    }
-}
-
-impl Qdisc for InstrumentedQdisc {
-    fn enqueue(&mut self, now: Timestamp, pkt: Packet) -> EnqueueResult {
-        let drops_before = self.inner.stats().dropped;
-        let result = self.inner.enqueue(now, pkt);
-        let (backlog, _, drops, enqueues, backlog_now) = self.names();
-        self.sink.observe(backlog, self.inner.len_packets() as f64);
-        // The instantaneous backlog as a gauge, so conformance audits
-        // can cross-check a tap's packet ledger against the qdisc's own
-        // view of its depth.
-        self.sink
-            .gauge_set(backlog_now, self.inner.len_packets() as f64);
-        self.sink.counter_add(enqueues, 1);
-        // Count via the stats delta, not the enqueue result: AQMs can
-        // accept this packet while dropping another (DropHead evicts
-        // the oldest packet to admit the newest).
-        let dropped = self.inner.stats().dropped - drops_before;
-        if dropped > 0 {
-            self.sink.counter_add(drops, dropped);
-        }
-        result
-    }
-
-    fn dequeue(&mut self, now: Timestamp) -> Option<Packet> {
-        let (_, sojourn, drops, _, backlog_now) = self.names();
-        let before = self.inner.stats();
-        let pkt = self.inner.dequeue(now);
-        let after = self.inner.stats();
-        if pkt.is_some() {
-            // The per-packet sojourn is the total-sojourn delta — the
-            // trait exposes sums, not per-packet stamps.
-            let delta = after.total_sojourn.saturating_sub(before.total_sojourn);
-            self.sink.observe(sojourn, delta.as_secs_f64());
-        }
-        // CoDel drops at dequeue time.
-        if after.dropped > before.dropped {
-            self.sink.counter_add(drops, after.dropped - before.dropped);
-        }
-        self.sink
-            .gauge_set(backlog_now, self.inner.len_packets() as f64);
-        pkt
-    }
-
-    fn peek_size(&self) -> Option<usize> {
-        self.inner.peek_size()
-    }
-
-    fn len_packets(&self) -> usize {
-        self.inner.len_packets()
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.inner.len_bytes()
-    }
-
-    fn stats(&self) -> QdiscStats {
-        self.inner.stats()
-    }
+    fifo_accessors!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tap::InstrumentedQdisc;
     use bytes::Bytes;
+    use mm_metrics::{MetricsHandle, Registry, RegistrySink};
     use mm_net::{IpAddr, SocketAddr, TcpFlags, TcpSegment};
 
     fn pkt(id: u64, payload: usize) -> Packet {
@@ -728,14 +523,22 @@ mod tests {
 
     #[test]
     fn droptail_sojourn_accounting() {
-        let mut q = DropTail::infinite();
+        // A sojourn is the observer's to measure: each dequeued packet's
+        // own wait, from its shadow.
+        let registry = Registry::new();
+        let sink = MetricsHandle::new(RegistrySink::new(registry.clone()));
+        let mut q = InstrumentedQdisc::new(Box::new(DropTail::infinite()), sink, "down");
         q.enqueue(t(10), pkt(0, 0));
         q.enqueue(t(20), pkt(1, 0));
         q.dequeue(t(30));
         q.dequeue(t(30));
-        let stats = q.stats();
-        // Sojourns 20ms and 10ms → mean 15ms.
-        assert_eq!(stats.mean_sojourn(), SimDuration::from_millis(15));
+        // Sojourns 20 ms and 10 ms.
+        let text = registry.encode();
+        assert!(text.contains("qdisc_down_sojourn_seconds_count 2"));
+        assert!(
+            text.contains("qdisc_down_sojourn_seconds_sum 0.03\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -759,7 +562,6 @@ mod tests {
 
     #[test]
     fn instrumented_qdisc_observes_without_meddling() {
-        use mm_metrics::{MetricsHandle, Registry, RegistrySink};
         let registry = Registry::new();
         let sink = MetricsHandle::new(RegistrySink::new(registry.clone()));
         let mut q = InstrumentedQdisc::new(
@@ -859,17 +661,5 @@ mod tests {
         }
         assert!(q.stats().dropped > 100, "dropped {}", q.stats().dropped);
         assert!(accepted > 0);
-    }
-
-    #[test]
-    fn factories_produce_fresh_instances() {
-        let f = factories::infinite();
-        let mut a = f();
-        let mut b = f();
-        a.enqueue(t(0), pkt(0, 0));
-        assert_eq!(a.len_packets(), 1);
-        assert_eq!(b.len_packets(), 0);
-        b.enqueue(t(0), pkt(1, 0));
-        assert_eq!(b.len_packets(), 1);
     }
 }

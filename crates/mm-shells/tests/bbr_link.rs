@@ -96,7 +96,6 @@ fn bulk_upload(
         }),
     );
     let stack = ShellStack::new(&root)
-        .with_shell_overhead(SimDuration::ZERO)
         .delay(one_way)
         .link(constant_rate(mbps, 1000), &move || {
             Box::new(DropTail::new(queue))

@@ -30,10 +30,7 @@ use mm_net::{
     SocketEvent, TcpConfig, TcpFlags, TcpHandle, TcpSegment,
 };
 use mm_record::StoredSite;
-use mm_shells::{
-    DelayLink, DropTail, InstrumentedQdisc, OpportunityPolicy, Qdisc, ShellStack, TappedQdisc,
-    TraceLink, TraceLinkSink,
-};
+use mm_shells::{DelayLink, DropTail, ObservedQdisc, Qdisc, ShellStack, TraceLink, TraceLinkSink};
 use mm_sim::{SimDuration, Simulator, Timer, TimerMux, Timestamp};
 use mm_trace::{constant_rate, TraceBuffer};
 
@@ -474,7 +471,6 @@ fn a_link_wakeup_forwards_without_allocating() {
     let link = TraceLink::new(
         constant_rate(24.0, 1000),
         Box::new(DropTail::infinite()),
-        OpportunityPolicy::ByteBudget,
         sink,
     );
     let ingress: SinkRef = Rc::new(TraceLinkSink(link));
@@ -515,14 +511,14 @@ fn an_observed_link_forwards_without_allocating() {
         index: 1,
         dir: Dir::Down,
     };
-    let instrumented = InstrumentedQdisc::new(Box::new(DropTail::infinite()), metrics, "down");
-    let observed = TappedQdisc::new(Box::new(instrumented), TapHandle::new(tap.clone()), point);
-    let link = TraceLink::new(
-        constant_rate(24.0, 1000),
-        Box::new(observed),
-        OpportunityPolicy::ByteBudget,
-        sink,
+    let tap_handle = Some(TapHandle::new(tap.clone()));
+    let queue = ObservedQdisc::new(
+        Box::new(DropTail::infinite()),
+        point,
+        tap_handle,
+        Some(metrics),
     );
+    let link = TraceLink::new(constant_rate(24.0, 1000), Box::new(queue), sink);
     let ingress: SinkRef = Rc::new(TraceLinkSink(link));
     let allocs = steady_state_allocs(&mut sim, &ingress, &data_packet());
     assert_eq!(delivered.get(), 1_600);

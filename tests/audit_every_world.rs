@@ -183,7 +183,6 @@ fn page_load_writes_every_global_channel(site: &StoredSite) {
             delay: Some(SimDuration::from_millis(20)),
             link: Some(bottleneck()),
             loss: Some((0.01, 0.01)),
-            ..NetSpec::default()
         };
         spec.seed = 42;
         spec

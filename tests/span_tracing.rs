@@ -34,7 +34,6 @@ fn lossy_net(loss: f64) -> NetSpec {
         delay: Some(SimDuration::from_millis(40)),
         link: Some(LinkSpec::symmetric(trace::constant_rate(12.0, 1_500))),
         loss: if loss > 0.0 { Some((loss, loss)) } else { None },
-        ..NetSpec::default()
     }
 }
 
