@@ -132,18 +132,6 @@ impl Request {
     pub fn query(&self) -> Option<&str> {
         self.target.split_once('?').map(|(_, q)| q)
     }
-
-    /// Does this request expect the connection to persist afterwards?
-    pub fn keep_alive(&self) -> bool {
-        match self.version {
-            Version::Http11 => !self.headers.connection_close(),
-            Version::Http10 => self
-                .headers
-                .get("connection")
-                .map(|v| v.eq_ignore_ascii_case("keep-alive"))
-                .unwrap_or(false),
-        }
-    }
 }
 
 /// An HTTP response.
@@ -247,19 +235,6 @@ mod tests {
         let bare = Request::get("/plain", "example.com");
         assert_eq!(bare.path(), "/plain");
         assert_eq!(bare.query(), None);
-    }
-
-    #[test]
-    fn keep_alive_defaults() {
-        let mut r = Request::get("/", "h");
-        assert!(r.keep_alive(), "1.1 defaults to persistent");
-        r.headers.set("Connection", "close");
-        assert!(!r.keep_alive());
-        r.version = Version::Http10;
-        r.headers.remove("Connection");
-        assert!(!r.keep_alive(), "1.0 defaults to close");
-        r.headers.set("Connection", "Keep-Alive");
-        assert!(r.keep_alive());
     }
 
     #[test]

@@ -69,14 +69,6 @@ impl Url {
         })
     }
 
-    /// The path component (before `?`).
-    pub fn path(&self) -> &str {
-        match self.target.split_once('?') {
-            Some((p, _)) => p,
-            None => &self.target,
-        }
-    }
-
     /// The `host:port` authority string.
     pub fn authority(&self) -> String {
         let mut authority = String::with_capacity(self.host.len() + ":65535".len());
@@ -106,7 +98,6 @@ mod tests {
         assert_eq!(u.host, "10.0.0.3");
         assert_eq!(u.port, 8080);
         assert_eq!(u.target, "/a/b?x=1");
-        assert_eq!(u.path(), "/a/b");
         assert_eq!(u.authority(), "10.0.0.3:8080");
     }
 

@@ -18,12 +18,6 @@ use std::str::FromStr;
 pub struct IpAddr(pub u32);
 
 impl IpAddr {
-    /// The unspecified address 0.0.0.0.
-    pub const UNSPECIFIED: IpAddr = IpAddr(0);
-
-    /// Loopback 127.0.0.1.
-    pub const LOOPBACK: IpAddr = IpAddr(0x7f00_0001);
-
     /// Construct from dotted-quad octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         IpAddr(((a as u32) << 24) | ((b as u32) << 16) | ((c as u32) << 8) | d as u32)
@@ -37,17 +31,6 @@ impl IpAddr {
             (self.0 >> 8) as u8,
             self.0 as u8,
         ]
-    }
-
-    /// The next sequential address (used by the replay allocator when
-    /// assigning virtual interfaces).
-    pub const fn successor(self) -> IpAddr {
-        IpAddr(self.0.wrapping_add(1))
-    }
-
-    /// True for 0.0.0.0.
-    pub const fn is_unspecified(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -163,22 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn successor_increments() {
-        let a = IpAddr::new(10, 0, 0, 255);
-        assert_eq!(a.successor(), IpAddr::new(10, 0, 1, 0));
-    }
-
-    #[test]
     fn octets_round_trip() {
         let a = IpAddr::new(1, 2, 3, 4);
         assert_eq!(a.octets(), [1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn loopback_and_unspecified() {
-        assert_eq!(IpAddr::LOOPBACK.to_string(), "127.0.0.1");
-        assert!(IpAddr::UNSPECIFIED.is_unspecified());
-        assert!(!IpAddr::LOOPBACK.is_unspecified());
     }
 
     #[test]

@@ -833,8 +833,6 @@ mod tests {
     fn rs(bw: u64, rtt_ms: u64, prior_delivered: u64, delivered: u64) -> RateSample {
         RateSample {
             bw,
-            delivered_delta: delivered - prior_delivered,
-            interval: SimDuration::from_millis(rtt_ms.max(1)),
             delivered,
             prior_delivered,
             rtt: SimDuration::from_millis(rtt_ms),

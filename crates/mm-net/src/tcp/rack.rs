@@ -51,13 +51,9 @@ pub struct RackState {
     rtt: SimDuration,
     /// Minimum RTT over never-retransmitted deliveries.
     min_rtt: Option<SimDuration>,
-    /// Highest delivered ending sequence (reordering detection).
-    highest_delivered: u64,
     /// Reordering window in quarters of `min_rtt`; starts at 1 (RTT/4),
     /// widened — never narrowed — by disproven loss marks.
     reo_wnd_quarters: u32,
-    /// Whether any out-of-order delivery has been observed.
-    reordering_seen: bool,
 }
 
 impl RackState {
@@ -102,9 +98,6 @@ impl RackState {
                 Some(m) => m.min(rtt),
                 None => rtt,
             });
-            if end_seq < self.highest_delivered {
-                self.reordering_seen = true;
-            }
         }
         let newer = match self.xmit_ts {
             None => true,
@@ -115,7 +108,6 @@ impl RackState {
             self.end_seq = end_seq;
             self.rtt = rtt;
         }
-        self.highest_delivered = self.highest_delivered.max(end_seq);
         newer || min_shrunk
     }
 
@@ -123,7 +115,6 @@ impl RackState {
     /// transmission arrived after all): widen the reordering window one
     /// quarter-RTT, up to `REO_WND_MAX_QUARTERS`. Monotone.
     pub fn on_spurious_mark(&mut self) {
-        self.reordering_seen = true;
         self.reo_wnd_quarters = (self.reo_wnd_quarters + 1).min(REO_WND_MAX_QUARTERS);
     }
 
@@ -170,11 +161,6 @@ impl RackState {
     /// recently sent segment known delivered (diagnostics/tests).
     pub fn clock(&self) -> Option<(Timestamp, u64)> {
         self.xmit_ts.map(|ts| (ts, self.end_seq))
-    }
-
-    /// Whether out-of-order delivery has ever been observed.
-    pub fn reordering_seen(&self) -> bool {
-        self.reordering_seen
     }
 }
 
@@ -249,7 +235,6 @@ mod tests {
             r.reo_wnd(),
             SimDuration::from_millis(10).saturating_mul(REO_WND_MAX_QUARTERS as u64)
         );
-        assert!(r.reordering_seen());
     }
 
     #[test]
@@ -275,14 +260,5 @@ mod tests {
         // A plausible retransmission RTT does advance it.
         r.on_delivered(ms(100), 2000, true, ms(145));
         assert!(r.sent_after(ms(50), 1500));
-    }
-
-    #[test]
-    fn out_of_order_delivery_sets_reordering_seen() {
-        let mut r = RackState::new();
-        r.on_delivered(ms(10), 3000, false, ms(50));
-        assert!(!r.reordering_seen());
-        r.on_delivered(ms(5), 1000, false, ms(51));
-        assert!(r.reordering_seen());
     }
 }

@@ -65,10 +65,6 @@ pub struct TxRecord {
 pub struct RateSample {
     /// Estimated delivery rate, bytes per second.
     pub bw: u64,
-    /// Bytes delivered over the sample interval.
-    pub delivered_delta: u64,
-    /// The sample interval (max of send- and ack-elapsed).
-    pub interval: SimDuration,
     /// Connection total delivered bytes after this delivery.
     pub(crate) delivered: u64,
     /// `delivered` count when the sampled segment was sent (BBR's
@@ -347,8 +343,6 @@ impl RateEstimator {
         ));
         Some(RateSample {
             bw,
-            delivered_delta,
-            interval,
             delivered: self.delivered,
             prior_delivered: rec.delivered,
             rtt: now.saturating_duration_since(sent_at),
@@ -369,11 +363,6 @@ impl RateEstimator {
     /// Total bytes delivered on this connection.
     pub(crate) fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// Whether the estimator currently considers the sender app-limited.
-    pub fn app_limited(&self) -> bool {
-        self.app_limited_until > self.delivered
     }
 }
 
@@ -410,7 +399,6 @@ mod tests {
         // not the instantaneous burst rate of the last segment.
         e.on_delivery(1000, ms(110));
         let s1 = e.sample(&r1, ms(0), ms(110)).unwrap();
-        assert_eq!(s1.delivered_delta, 2000);
         assert_eq!(s1.bw, 2000 * 1000 / 110);
     }
 
@@ -442,7 +430,7 @@ mod tests {
         let r1 = e.on_send(ms(10_050), true);
         e.on_delivery(1000, ms(10_100));
         let s = e.sample(&r1, ms(10_050), ms(10_100)).unwrap();
-        assert_eq!(s.interval, SimDuration::from_millis(50));
+        // 1000 B over the fresh flight's 50 ms.
         assert_eq!(s.bw, 20_000);
     }
 
@@ -451,14 +439,13 @@ mod tests {
         let mut e = RateEstimator::new();
         let _r0 = e.on_send(ms(0), true);
         e.on_app_limited(1000); // 1000 bytes in flight, queue empty
-        assert!(e.app_limited());
         let r1 = e.on_send(ms(1), false);
         assert!(r1.is_app_limited);
         // Delivering past delivered+inflight clears the mark.
         e.on_delivery(2000, ms(100));
         let s = e.sample(&r1, ms(1), ms(100)).unwrap();
         assert!(s.is_app_limited, "the stamped sample keeps its mark");
-        assert!(!e.app_limited(), "estimator mark cleared after delivery");
+        // Delivery cleared the estimator's mark: the next send is clean.
         let r2 = e.on_send(ms(101), false);
         assert!(!r2.is_app_limited);
     }

@@ -830,7 +830,7 @@ mod tests {
         let mut rec = LossRecovery::new(RecoveryTier::Reno);
         let mut retx = flight(6);
         assert_eq!(sack(&mut rec, &mut retx, 3, 6), 0);
-        assert!(rec.scoreboard.is_empty());
+        assert!(rec.scoreboard.ranges().is_empty());
         let mut stats = TcpStats::default();
         for dup in 1..=3 {
             let verdict = rec.on_dup_ack(&mut retx, 6 * M, 0, T0, &mut stats);
@@ -843,7 +843,7 @@ mod tests {
         }
         assert_eq!(rec.on_rto(&mut retx, 6 * M, 6 * M, true), Some(0));
         assert_eq!(rec.lost_point, 0, "no §5.1 marking below SACK");
-        assert!(rec.scoreboard.is_empty());
+        assert!(rec.scoreboard.ranges().is_empty());
         assert_eq!(retx.pipe(&rec), 6 * M);
     }
 
@@ -854,7 +854,7 @@ mod tests {
         // Three segments' worth reported above the four ever sent.
         let bogus = SackBlock::new(4 * M, 7 * M);
         assert_eq!(rec.on_sack(&mut retx, &[bogus], 0, 4 * M, T0, |_| {}), 0);
-        assert!(rec.scoreboard.is_empty());
+        assert!(rec.scoreboard.ranges().is_empty());
         assert!(!rec.head_is_lost(&retx));
         // A valid block in the same option still counts.
         let valid = SackBlock::new(2 * M, 3 * M);

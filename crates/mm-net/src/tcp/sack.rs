@@ -197,11 +197,6 @@ impl Scoreboard {
         self.ranges.iter().map(|r| r.len()).sum()
     }
 
-    /// True when no coverage is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
     /// The current ranges (tests and diagnostics).
     pub fn ranges(&self) -> &[SackBlock] {
         &self.ranges
@@ -296,14 +291,14 @@ mod tests {
         s.advance(25);
         assert_eq!(s.ranges(), &[sb(30, 40)]);
         s.advance(100);
-        assert!(s.is_empty());
+        assert!(s.ranges().is_empty());
     }
 
     #[test]
     fn blocks_below_una_ignored() {
         let mut s = Scoreboard::new();
         assert_eq!(s.add_blocks(&[sb(10, 20)], 20), 0);
-        assert!(s.is_empty());
+        assert!(s.ranges().is_empty());
         assert_eq!(s.add_blocks(&[sb(10, 30)], 20), 10);
         assert_eq!(s.ranges(), &[sb(20, 30)]);
     }

@@ -102,8 +102,6 @@ pub enum RunResult {
     HorizonReached,
     /// The event-count limit was hit (runaway-loop guard).
     EventLimit,
-    /// A handler requested an early stop via [`Simulator::request_stop`].
-    Stopped,
 }
 
 /// Deterministic single-threaded discrete-event simulator.
@@ -128,7 +126,6 @@ pub struct Simulator {
     queue: EventQueue,
     events_executed: u64,
     event_limit: u64,
-    stop_requested: bool,
     profile: Option<Box<EngineProfile>>,
 }
 
@@ -149,7 +146,6 @@ impl Simulator {
             queue: EventQueue::new(),
             events_executed: 0,
             event_limit: Self::DEFAULT_EVENT_LIMIT,
-            stop_requested: false,
             profile: None,
         }
     }
@@ -254,11 +250,6 @@ impl Simulator {
         self.schedule_at(self.now, f);
     }
 
-    /// Ask the run loop to stop after the current handler returns.
-    pub fn request_stop(&mut self) {
-        self.stop_requested = true;
-    }
-
     /// Pop and run a single event, advancing the clock to its timestamp.
     /// Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
@@ -277,21 +268,16 @@ impl Simulator {
         }
     }
 
-    /// Run until the queue drains, a stop is requested, or the event limit
-    /// trips.
+    /// Run until the queue drains or the event limit trips.
     pub fn run(&mut self) -> RunResult {
         self.run_until(Timestamp::NEVER)
     }
 
     /// Run until `horizon` (inclusive of events *at* the horizon), the queue
-    /// drains, a stop is requested, or the event limit trips. The clock is
-    /// left at the horizon if it was reached with events still pending.
+    /// drains, or the event limit trips. The clock is left at the horizon
+    /// if it was reached with events still pending.
     pub fn run_until(&mut self, horizon: Timestamp) -> RunResult {
-        self.stop_requested = false;
         loop {
-            if self.stop_requested {
-                return RunResult::Stopped;
-            }
             if self.events_executed >= self.event_limit {
                 return RunResult::EventLimit;
             }
@@ -474,21 +460,6 @@ mod tests {
             sim.schedule_at(Timestamp::from_millis(5), |_| {});
         });
         sim.run();
-    }
-
-    #[test]
-    fn request_stop_halts_loop() {
-        let mut sim = Simulator::new();
-        let (log, handle) = recorder();
-        sim.schedule_at(Timestamp::from_millis(1), |sim| sim.request_stop());
-        sim.schedule_at(Timestamp::from_millis(2), move |_| {
-            handle.borrow_mut().push(99);
-        });
-        assert_eq!(sim.run(), RunResult::Stopped);
-        assert!(log.borrow().is_empty());
-        // A subsequent run resumes.
-        assert_eq!(sim.run(), RunResult::QueueEmpty);
-        assert_eq!(*log.borrow(), vec![99]);
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub use engine::{EngineProfile, EventTarget, RunResult, Simulator, UNTAGGED_EVEN
 pub use rng::RngStream;
 pub use stats::{jain_fairness, Summary};
 pub use time::{SimDuration, Timestamp};
-pub use timer::{BankHandler, PeriodicTimer, Timer, TimerBank, TimerHandler, TimerMux, Unbound};
+pub use timer::{BankHandler, Timer, TimerBank, TimerHandler, TimerMux, Unbound};

@@ -181,13 +181,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// Relative difference `(a - b) / b`, reported as a percentage. Used for the
-/// "X% larger than" comparisons throughout the paper.
-pub fn percent_diff(a: f64, b: f64) -> f64 {
-    assert!(b != 0.0, "percent_diff with zero baseline");
-    (a - b) / b * 100.0
-}
-
 /// Jain's fairness index over per-flow allocations:
 /// `(Σxᵢ)² / (n · Σxᵢ²)`. 1.0 = perfectly equal shares; `1/n` = one flow
 /// holds everything; always in `(0, 1]` for positive allocations. The
@@ -374,12 +367,6 @@ mod tests {
         assert_eq!(s.cdf_at(0.0), 0.0);
         assert_eq!(s.cdf_at(2.0), 0.5);
         assert_eq!(s.cdf_at(10.0), 1.0);
-    }
-
-    #[test]
-    fn percent_diff_signs() {
-        assert!((percent_diff(110.0, 100.0) - 10.0).abs() < 1e-12);
-        assert!((percent_diff(90.0, 100.0) + 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -460,46 +460,6 @@ impl EventTarget for MuxInner {
     }
 }
 
-/// A repeating timer that invokes a callback at a fixed period until
-/// cancelled. Used for polling processes (e.g. link pacing diagnostics).
-pub struct PeriodicTimer {
-    inner: Timer,
-}
-
-impl PeriodicTimer {
-    /// Start a periodic timer with the given period. The callback returns
-    /// `true` to keep ticking, `false` to stop.
-    pub fn start(
-        sim: &mut Simulator,
-        period: SimDuration,
-        mut f: impl FnMut(&mut Simulator) -> bool + 'static,
-    ) -> Self {
-        assert!(!period.is_zero(), "periodic timer period must be non-zero");
-        let inner = Timer::new();
-        let handle = inner.clone();
-        fn tick(
-            sim: &mut Simulator,
-            timer: Timer,
-            period: SimDuration,
-            mut f: impl FnMut(&mut Simulator) -> bool + 'static,
-        ) {
-            let t2 = timer.clone();
-            timer.arm(sim, period, move |sim| {
-                if f(sim) {
-                    tick(sim, t2, period, f);
-                }
-            });
-        }
-        tick(sim, handle, period, move |sim| f(sim));
-        PeriodicTimer { inner }
-    }
-
-    /// Stop ticking.
-    pub fn cancel(&self) {
-        self.inner.cancel();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,19 +527,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(count.get(), 11);
-    }
-
-    #[test]
-    fn periodic_ticks_until_false() {
-        let mut sim = Simulator::new();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let l = log.clone();
-        let _p = PeriodicTimer::start(&mut sim, SimDuration::from_millis(10), move |sim| {
-            l.borrow_mut().push(sim.now().as_millis());
-            sim.now().as_millis() < 30
-        });
-        sim.run();
-        assert_eq!(*log.borrow(), vec![10, 20, 30]);
     }
 
     #[test]
@@ -769,20 +716,5 @@ mod tests {
             sim.run();
             assert_eq!(*log.borrow(), vec![0, 11, 2, 13]);
         }
-    }
-
-    #[test]
-    fn periodic_cancel_stops_ticks() {
-        let mut sim = Simulator::new();
-        let count = Rc::new(Cell::new(0u32));
-        let c = count.clone();
-        let p = PeriodicTimer::start(&mut sim, SimDuration::from_millis(10), move |_| {
-            c.set(c.get() + 1);
-            true
-        });
-        sim.run_until(Timestamp::from_millis(35));
-        p.cancel();
-        sim.run_until(Timestamp::from_millis(100));
-        assert_eq!(count.get(), 3);
     }
 }
