@@ -20,16 +20,17 @@ use bytes::Bytes;
 use mahimahi::corpus::{generate_plans, materialize, CorpusConfig};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
 use mm_audit::Auditor;
+use mm_browser::{MuxConfig, ProtocolMode};
 use mm_capture::{
     Capture, Dir, PacketEvent, PacketEventKind, PacketTap, PointKind, TapHandle, TapPoint,
 };
-use mm_http::RequestParser;
+use mm_http::{Request, RequestParser, Response};
 use mm_metrics::{FlowSample, FlowTracer, MetricsHandle, MetricsSink, Registry, RegistrySink};
 use mm_net::{
     FnSink, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, SinkRef, SocketAddr, SocketApp,
     SocketEvent, TcpConfig, TcpFlags, TcpHandle, TcpSegment,
 };
-use mm_record::StoredSite;
+use mm_record::{RequestResponsePair, Scheme, StoredSite};
 use mm_shells::{DelayLink, DropTail, ObservedQdisc, Qdisc, ShellStack, TraceLink, TraceLinkSink};
 use mm_sim::{SimDuration, Simulator, Timer, TimerMux, Timestamp};
 use mm_trace::{constant_rate, TraceBuffer};
@@ -184,6 +185,74 @@ fn an_observed_page_load_stays_within_its_allocation_budget() {
         allocs <= BUDGET,
         "one observed page load ({resources} resources) made {allocs} allocator calls, \
          budget {BUDGET}"
+    );
+}
+
+/// The same load over mux, one connection per origin. It makes 9 553
+/// allocator calls now. The budget is that plus ~10 %.
+#[test]
+fn a_mux_page_load_stays_within_its_allocation_budget() {
+    const BUDGET: u64 = 10_500;
+    let site = median_site();
+    let load = || {
+        let mut spec = LoadSpec::new(&site);
+        spec.net = wired_net();
+        spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
+        let r = run_page_load(&spec);
+        assert_eq!(r.failures, 0);
+        r.resource_count()
+    };
+    load(); // lazily grown statics settle
+    let (allocs, resources) = allocs_of(load);
+    println!("mux page load: {allocs} allocator calls, {resources} resources");
+    assert!(
+        allocs <= BUDGET,
+        "one mux page load ({resources} resources) made {allocs} allocator calls, \
+         budget {BUDGET}"
+    );
+}
+
+/// A site of one `bytes`-byte document, served from 10.0.0.1.
+fn one_document(bytes: usize) -> StoredSite {
+    let mut site = StoredSite::new("one.example", "http://10.0.0.1:80/");
+    site.push(RequestResponsePair {
+        origin: SocketAddr::new(IpAddr::new(10, 0, 0, 1), 80),
+        scheme: Scheme::Http,
+        request: Request::get("/", "10.0.0.1"),
+        response: Response::ok(Bytes::from(vec![b'x'; bytes]), "application/octet-stream"),
+    });
+    site
+}
+
+/// One 4 MiB response on one mux stream between two hosts, less the same
+/// load with an empty body: what the 256 DATA frames cost, with their
+/// TCP segments and window updates. It makes 13.96 allocator calls per
+/// frame now. The budget is that plus ~10 %.
+#[test]
+fn a_mux_response_allocates_little_per_data_frame() {
+    const BODY: usize = 4 << 20;
+    const FRAMES: u64 = (BODY / (16 << 10)) as u64;
+    const BUDGET_PER_FRAME: f64 = 15.4;
+    let load = |site: &StoredSite| {
+        let mut spec = LoadSpec::new(site);
+        spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
+        let r = run_page_load(&spec);
+        assert_eq!(r.failures, 0);
+        r.total_body_bytes
+    };
+    let (large, empty) = (one_document(BODY), one_document(0));
+    load(&large); // lazily grown statics settle
+    let (with_body, bytes) = allocs_of(|| load(&large));
+    assert_eq!(bytes, BODY as u64);
+    let (without_body, _) = allocs_of(|| load(&empty));
+    let per_frame = (with_body - without_body) as f64 / FRAMES as f64;
+    println!(
+        "mux response: {with_body} allocator calls with a 4 MiB body, {without_body} without: \
+         {per_frame:.2} per DATA frame"
+    );
+    assert!(
+        per_frame <= BUDGET_PER_FRAME,
+        "{per_frame:.2} allocator calls per DATA frame, budget {BUDGET_PER_FRAME}"
     );
 }
 

@@ -33,6 +33,8 @@ use mm_trace::{cellular, constant_rate, CellularParams, TraceBuffer};
 const HTTP1_PAGE_LOAD: u64 = 0x69c6_2fa0_7c85_a266;
 const MUX_CELLULAR_CODEL: u64 = 0x1469_574c_ff61_fd7a;
 const FLEET_8_USERS: u64 = 0xebbe_9966_de7a_1b48;
+const MUX_FLEET_8_USERS: u64 = 0x9ee1_4fa6_6bfa_6ba4;
+const MUX_NO_THINK_TIME: u64 = 0x5f6a_8e30_60bb_c71e;
 const DROPHEAD_PAGE_LOAD: u64 = 0x5bcf_82c9_4f8c_a1d0;
 const PIE_PAGE_LOAD: u64 = 0x50bf_e238_fd37_029c;
 const SOAK_DROPTAIL: u64 = 0xbd29_7d7f_4137_02c9;
@@ -210,8 +212,9 @@ fn http1_page_load() {
 }
 
 /// One mux connection per origin over a cellular trace with CoDel; with
-/// `observed`, every observer channel is attached as well.
-fn mux_cellular_codel(observed: bool) -> u64 {
+/// `observed`, every observer channel is attached as well. The replay
+/// servers think for `think_time` before each response.
+fn mux_cellular_codel(observed: bool, think_time: SimDuration) -> u64 {
     let site = site(23);
     let mut rng = RngStream::from_seed(2014);
     let params = CellularParams {
@@ -221,6 +224,7 @@ fn mux_cellular_codel(observed: bool) -> u64 {
     let auditor = Auditor::for_load(0);
     let mut spec = LoadSpec::new(&site);
     spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
+    spec.replay.think_time = think_time;
     spec.net = NetSpec {
         delay: Some(SimDuration::from_millis(30)),
         link: Some(LinkSpec {
@@ -240,11 +244,14 @@ fn mux_cellular_codel(observed: bool) -> u64 {
     Fold::new().page(&result).report(&auditor.finish()).0
 }
 
+/// The replay servers' default think time.
+const THINK_TIME: SimDuration = SimDuration::from_millis(25);
+
 #[test]
 fn mux_over_cellular_with_codel() {
     check(
         "mux_over_cellular_with_codel",
-        mux_cellular_codel(false),
+        mux_cellular_codel(false, THINK_TIME),
         MUX_CELLULAR_CODEL,
     );
 }
@@ -253,24 +260,38 @@ fn mux_over_cellular_with_codel() {
 fn mux_over_cellular_with_codel_observed() {
     check(
         "mux_over_cellular_with_codel_observed",
-        mux_cellular_codel(true),
+        mux_cellular_codel(true, THINK_TIME),
         MUX_CELLULAR_CODEL,
     );
 }
 
-/// Eight users, half BBR and half Reno bulk senders, sharing one
-/// bottleneck: the multi-flow world with per-host timer muxes.
+/// The same world with servers that answer at once: the replay handler's
+/// branch that responds inside the request's own event.
 #[test]
-fn fleet_of_eight_users() {
+fn mux_over_cellular_without_think_time() {
+    check(
+        "mux_over_cellular_without_think_time",
+        mux_cellular_codel(false, SimDuration::ZERO),
+        MUX_NO_THINK_TIME,
+    );
+}
+
+/// Eight users sharing one bottleneck, each loading the page (over
+/// HTTP/1.1, or one mux connection per origin with `mux`) beside a bulk
+/// download: the multi-flow world with per-host timer muxes.
+fn fleet_of_eight(qdisc: QdiscKind, cc_mix: CcMix, mux: bool) -> u64 {
     let site = site(17);
     let auditor = Auditor::for_load(0);
     let mut load = LoadSpec::new(&site);
+    if mux {
+        load.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
+    }
     load.net = NetSpec {
         delay: Some(SimDuration::from_millis(20)),
         link: Some(LinkSpec {
             uplink: constant_rate(6.0, 1_000),
             downlink: constant_rate(20.0, 1_000),
-            qdisc: QdiscKind::DropTailPackets(32),
+            qdisc,
         }),
         ..NetSpec::default()
     };
@@ -279,12 +300,26 @@ fn fleet_of_eight_users() {
     let result = run_fleet(&FleetSpec {
         load,
         n_users: 8,
-        cc_mix: CcMix::BbrRenoSplit,
+        cc_mix,
         bulk_bytes: 200_000,
         arrival_window: SimDuration::from_millis(500),
     });
-    let digest = Fold::new().fleet(&result).report(&auditor.finish()).0;
+    Fold::new().fleet(&result).report(&auditor.finish()).0
+}
+
+/// Half BBR and half Reno bulk senders over droptail.
+#[test]
+fn fleet_of_eight_users() {
+    let digest = fleet_of_eight(QdiscKind::DropTailPackets(32), CcMix::BbrRenoSplit, false);
     check("fleet_of_eight_users", digest, FLEET_8_USERS);
+}
+
+/// `fleet_64`'s second world scaled down: all-Reno users over CoDel, each
+/// page loaded over mux.
+#[test]
+fn mux_fleet_of_eight_users() {
+    let digest = fleet_of_eight(QdiscKind::Codel, CcMix::AllReno, true);
+    check("mux_fleet_of_eight_users", digest, MUX_FLEET_8_USERS);
 }
 
 /// HTTP/1.1 through a queue that drops — drop-head evictions or PIE's
