@@ -19,8 +19,13 @@ use mm_net::{Host, SocketAddr, SocketApp, SocketEvent, TcpHandle};
 use mm_sim::{Simulator, Timestamp};
 
 use crate::flow::WindowRefill;
-use crate::frame::{request_fields, response_from_fields, Frame, FrameDecoder};
+use crate::frame::{request_headers, Frame, FrameDecoder, FrameRef};
 use crate::MuxConfig;
+
+/// Most body bytes reserved on the strength of a declared
+/// `Content-Length` alone (the HTTP/1.1 parser's cap); longer bodies grow
+/// as they arrive.
+const MAX_BODY_RESERVE: u64 = 1 << 24;
 
 /// Why a request could not be completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,13 +250,8 @@ impl MuxClient {
                         Some(p) => {
                             let stream = inner.next_stream;
                             inner.next_stream += 2;
-                            let headers = Frame::Headers {
-                                stream,
-                                end_stream: p.req.body.is_empty(),
-                                priority: p.priority,
-                                fields: request_fields(&p.req),
-                            }
-                            .encode();
+                            let headers =
+                                request_headers(stream, p.req.body.is_empty(), p.priority, &p.req);
                             // Request bodies ride un-flow-controlled DATA:
                             // the page-load workload only sends GETs, and
                             // upload flow control would model a direction
@@ -306,38 +306,43 @@ impl MuxClient {
         let mut first_bytes: Vec<u32> = Vec::new();
         let mut protocol_error = false;
         let (handle, observer) = {
-            let mut inner = self.inner.borrow_mut();
-            let frames = match inner.decoder.feed(bytes) {
-                Ok(frames) => frames,
-                Err(_) => {
-                    protocol_error = true;
-                    Vec::new()
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
+            let mut decoder = std::mem::take(&mut inner.decoder);
+            let fed = decoder.feed_with(bytes, |frame| {
+                if protocol_error {
+                    return;
                 }
-            };
-            for frame in frames {
                 match frame {
-                    Frame::Settings {
+                    FrameRef::Control(Frame::Settings {
                         max_concurrent_streams,
                         ..
-                    } => {
+                    }) => {
                         inner.peer_max_streams = max_concurrent_streams;
                     }
-                    Frame::Headers {
+                    FrameRef::Headers {
                         stream,
                         end_stream,
                         fields,
                         ..
                     } => {
-                        let Ok(head) = response_from_fields(&fields) else {
+                        let Ok(head) = fields.to_response() else {
                             protocol_error = true;
-                            break;
+                            return;
                         };
                         let Some(active) = inner.active.get_mut(&stream) else {
-                            continue; // stale stream; ignore
+                            return; // stale stream; ignore
                         };
                         if active.head.is_none() && active.tag != NO_TAG {
                             first_bytes.push(active.tag);
                         }
+                        // Room for the declared body, so DATA lands in it
+                        // without regrowing.
+                        let declared = head.headers.content_length().unwrap_or(0);
+                        let declared = declared.min(MAX_BODY_RESERVE) as usize;
+                        active
+                            .body
+                            .reserve(declared.saturating_sub(active.body.len()));
                         active.head = Some(head);
                         if end_stream {
                             if let Some(c) = inner.complete_stream(stream) {
@@ -345,36 +350,22 @@ impl MuxClient {
                             }
                         }
                     }
-                    Frame::Data {
+                    FrameRef::Data {
                         stream,
                         end_stream,
                         payload,
                     } => {
                         let n = payload.len() as u64;
                         let Some(active) = inner.active.get_mut(&stream) else {
-                            continue;
+                            return;
                         };
-                        active.body.extend_from_slice(&payload);
+                        active.body.extend_from_slice(payload);
                         if !end_stream {
-                            if let Some(inc) = active.refill.consumed(n) {
-                                outgoing.push(
-                                    Frame::WindowUpdate {
-                                        stream,
-                                        increment: inc.min(u32::MAX as u64) as u32,
-                                    }
-                                    .encode(),
-                                );
-                            }
+                            let inc = active.refill.consumed(n);
+                            outgoing.extend(inc.map(|inc| window_update(stream, inc)));
                         }
-                        if let Some(inc) = inner.conn_refill.consumed(n) {
-                            outgoing.push(
-                                Frame::WindowUpdate {
-                                    stream: 0,
-                                    increment: inc.min(u32::MAX as u64) as u32,
-                                }
-                                .encode(),
-                            );
-                        }
+                        let inc = inner.conn_refill.consumed(n);
+                        outgoing.extend(inc.map(|inc| window_update(0, inc)));
                         if end_stream {
                             if let Some(c) = inner.complete_stream(stream) {
                                 completions.push(c);
@@ -383,9 +374,11 @@ impl MuxClient {
                     }
                     // The client sends nothing flow controlled, so inbound
                     // WINDOW_UPDATEs carry no information for it.
-                    Frame::WindowUpdate { .. } => {}
+                    FrameRef::Control(_) => {}
                 }
-            }
+            });
+            inner.decoder = decoder;
+            protocol_error |= fed.is_err();
             (inner.handle.clone(), inner.observer.clone())
         };
         if let Some(obs) = &observer {
@@ -443,6 +436,13 @@ impl MuxClient {
     }
 }
 
+/// A WINDOW_UPDATE granting `inc` more bytes on `stream` (0: the
+/// connection).
+fn window_update(stream: u32, inc: u64) -> Bytes {
+    let increment = inc.min(u32::MAX as u64) as u32;
+    Frame::WindowUpdate { stream, increment }.encode()
+}
+
 impl ClientInner {
     /// Retire `stream`, producing its completion callback and response.
     fn complete_stream(&mut self, stream: u32) -> Option<(DoneFn, Result<Response, MuxError>)> {
@@ -474,15 +474,7 @@ impl SocketApp for ClientApp {
                 let (wire, observer) = {
                     let mut inner = client.inner.borrow_mut();
                     inner.connected = true;
-                    let wire = Frame::Settings {
-                        max_concurrent_streams: inner.config.max_concurrent_streams,
-                        initial_window: inner.config.initial_stream_window.min(u32::MAX as u64)
-                            as u32,
-                        connection_window: inner.config.connection_window.min(u32::MAX as u64)
-                            as u32,
-                    }
-                    .encode();
-                    (wire, inner.observer.clone())
+                    (inner.config.settings(), inner.observer.clone())
                 };
                 if let Some(obs) = observer {
                     obs(NO_TAG, StreamEvent::ConnReady, sim.now());

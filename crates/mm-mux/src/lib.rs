@@ -63,6 +63,19 @@ pub struct MuxConfig {
     pub server_initial_cwnd_segments: Option<u32>,
 }
 
+impl MuxConfig {
+    /// The SETTINGS frame advertising these limits to the peer.
+    pub(crate) fn settings(&self) -> bytes::Bytes {
+        let window = |bytes: u64| bytes.min(u32::MAX as u64) as u32;
+        Frame::Settings {
+            max_concurrent_streams: self.max_concurrent_streams,
+            initial_window: window(self.initial_stream_window),
+            connection_window: window(self.connection_window),
+        }
+        .encode()
+    }
+}
+
 impl Default for MuxConfig {
     fn default() -> Self {
         MuxConfig {

@@ -16,6 +16,7 @@
 //! at enqueue time.
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -25,7 +26,7 @@ use mm_net::{SocketApp, SocketEvent, TcpHandle, WeakTcpHandle};
 use mm_sim::Simulator;
 
 use crate::flow::FlowWindow;
-use crate::frame::{request_from_fields, response_fields, Frame, FrameDecoder};
+use crate::frame::{data_head, response_headers, Frame, FrameDecoder, FrameRef};
 use crate::MuxConfig;
 
 /// Application logic behind a mux server connection.
@@ -43,9 +44,10 @@ pub struct MuxResponder {
 
 impl MuxResponder {
     /// Send `resp` on this stream. The header block goes out at once;
-    /// the body drains through flow-controlled DATA frames. No-op if the
+    /// the body drains through flow-controlled DATA frames, each a view
+    /// of `resp.body` behind its own head, never a copy. No-op if the
     /// connection died in the meantime.
-    pub fn respond(self, sim: &mut Simulator, resp: Response) {
+    pub fn respond(self, sim: &mut Simulator, resp: &Response) {
         let (handle, headers) = {
             let mut inner = self.inner.borrow_mut();
             if inner.dead {
@@ -57,18 +59,12 @@ impl MuxResponder {
             let Some(stream) = inner.streams.get_mut(&self.stream) else {
                 return;
             };
-            let body = resp.body.clone();
-            let headers = Frame::Headers {
-                stream: self.stream,
-                end_stream: body.is_empty(),
-                priority: stream.priority,
-                fields: response_fields(&resp),
-            }
-            .encode();
-            if body.is_empty() {
+            let end_stream = resp.body.is_empty();
+            let headers = response_headers(self.stream, end_stream, stream.priority, resp);
+            if end_stream {
                 inner.streams.remove(&self.stream);
             } else {
-                stream.out = body;
+                stream.out = resp.body.clone();
                 stream.responded = true;
             }
             (handle, headers)
@@ -102,8 +98,9 @@ fn pump(inner_rc: &Rc<RefCell<ServerInner>>, sim: &mut Simulator) {
         if wires.is_empty() {
             break;
         }
-        for wire in wires {
-            handle.send(sim, wire);
+        for (head, payload) in wires {
+            // One write, so the wire sees exactly the joined frame.
+            handle.send_vectored(sim, [head, payload]);
         }
         // A nested drain edge during those sends hit the guard and
         // returned; looping re-probes the backlog and sends its frames.
@@ -159,11 +156,11 @@ impl ServerInner {
 
     /// Cut the next DATA frames from eligible streams until windows,
     /// queues, or the TCP backlog budget (less the `unsent` bytes already
-    /// sitting in the send buffer) run out. Pure scheduling: returns the
-    /// wire bytes for the caller to send outside the borrow. Emission is
-    /// self-clocked: each `SendQueueDrained` edge re-enters here for the
-    /// next budget.
-    fn schedule_data(&mut self, unsent: usize) -> Vec<Bytes> {
+    /// sitting in the send buffer) run out. Pure scheduling: returns each
+    /// frame as its head and a view of the stream's body, for the caller
+    /// to send outside the borrow. Emission is self-clocked: each
+    /// `SendQueueDrained` edge re-enters here for the next budget.
+    fn schedule_data(&mut self, unsent: usize) -> Vec<(Bytes, Bytes)> {
         let mut wires = Vec::new();
         let mut budget =
             (self.config.frame_max_data * Self::SEND_BUDGET_FRAMES).saturating_sub(unsent);
@@ -183,23 +180,29 @@ impl ServerInner {
             // with later transfers; stream id breaks ties.
             let eligible =
                 |s: &Stream| s.responded && s.out_pos < s.out.len() && !s.window.is_blocked();
-            let mut classes: Vec<u8> = self
+            // The most urgent class present and the one after it.
+            let mut classes = self
                 .streams
                 .values()
                 .filter(|s| eligible(s))
-                .map(|s| s.priority)
-                .collect();
-            classes.sort_unstable();
-            classes.dedup();
-            let Some(&top) = classes.first() else {
+                .map(|s| s.priority);
+            let Some(first) = classes.next() else {
                 break;
             };
-            let class = if classes.len() > 1 && self.frames_since_yield >= Self::YIELD_INTERVAL {
-                self.frames_since_yield = 0;
-                classes[1]
-            } else {
-                self.frames_since_yield += 1;
-                top
+            let (top, next) = classes.fold((first, None), |(top, next), p| match p.cmp(&top) {
+                Ordering::Less => (p, Some(top)),
+                Ordering::Equal => (top, next),
+                Ordering::Greater => (top, Some(next.map_or(p, |n: u8| n.min(p)))),
+            });
+            let class = match next {
+                Some(next) if self.frames_since_yield >= Self::YIELD_INTERVAL => {
+                    self.frames_since_yield = 0;
+                    next
+                }
+                _ => {
+                    self.frames_since_yield += 1;
+                    top
+                }
             };
             let id = self
                 .streams
@@ -221,14 +224,7 @@ impl ServerInner {
             stream.out_pos += n;
             stream.window.consume(n as u64);
             self.conn_window.consume(n as u64);
-            wires.push(
-                Frame::Data {
-                    stream: id,
-                    end_stream,
-                    payload,
-                }
-                .encode(),
-            );
+            wires.push((data_head(id, end_stream, n), payload));
             budget = budget.saturating_sub(n);
             if end_stream {
                 self.streams.remove(&id);
@@ -269,21 +265,19 @@ impl MuxServerConn {
         let mut requests: Vec<(u32, Request)> = Vec::new();
         let mut protocol_error = false;
         {
-            let mut inner = self.inner.borrow_mut();
-            let frames = match inner.decoder.feed(bytes) {
-                Ok(frames) => frames,
-                Err(_) => {
-                    protocol_error = true;
-                    Vec::new()
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
+            let mut decoder = std::mem::take(&mut inner.decoder);
+            let fed = decoder.feed_with(bytes, |frame| {
+                if protocol_error {
+                    return;
                 }
-            };
-            for frame in frames {
                 match frame {
-                    Frame::Settings {
+                    FrameRef::Control(Frame::Settings {
                         initial_window,
                         connection_window,
                         ..
-                    } => {
+                    }) => {
                         inner.peer_initial_window = initial_window as u64;
                         // The client's SETTINGS precede its first request
                         // on the byte stream, so no DATA credit has been
@@ -293,15 +287,15 @@ impl MuxServerConn {
                         // WINDOW_UPDATE cadence of the receiver).
                         inner.conn_window = FlowWindow::new(connection_window as u64);
                     }
-                    Frame::Headers {
+                    FrameRef::Headers {
                         stream,
                         end_stream,
                         priority,
                         fields,
                     } => {
-                        let Ok(req) = request_from_fields(&fields) else {
+                        let Ok(req) = fields.to_request() else {
                             protocol_error = true;
-                            break;
+                            return;
                         };
                         let window = inner.peer_initial_window;
                         inner.streams.insert(
@@ -321,16 +315,16 @@ impl MuxServerConn {
                             }
                         }
                     }
-                    Frame::Data {
+                    FrameRef::Data {
                         stream,
                         end_stream,
                         payload,
                     } => {
                         let Some(s) = inner.streams.get_mut(&stream) else {
-                            continue;
+                            return;
                         };
                         if let Some((_, body)) = s.recv.as_mut() {
-                            body.extend_from_slice(&payload);
+                            body.extend_from_slice(payload);
                         }
                         if end_stream {
                             if let Some(r) = inner.finish_request(stream) {
@@ -338,7 +332,7 @@ impl MuxServerConn {
                             }
                         }
                     }
-                    Frame::WindowUpdate { stream, increment } => {
+                    FrameRef::Control(Frame::WindowUpdate { stream, increment }) => {
                         if stream == 0 {
                             inner.conn_window.grant(increment as u64);
                         } else if let Some(s) = inner.streams.get_mut(&stream) {
@@ -346,8 +340,12 @@ impl MuxServerConn {
                         }
                         // Fresh credit may unblock queued DATA.
                     }
+                    // The decoder lends DATA and HEADERS as views.
+                    FrameRef::Control(_) => {}
                 }
-            }
+            });
+            inner.decoder = decoder;
+            protocol_error |= fed.is_err();
         }
         if protocol_error {
             handle.abort(sim);
@@ -384,17 +382,7 @@ impl SocketApp for MuxServerConn {
     fn on_event(&self, sim: &mut Simulator, handle: &TcpHandle, ev: SocketEvent) {
         match ev {
             SocketEvent::Connected => {
-                let wire = {
-                    let inner = self.inner.borrow();
-                    Frame::Settings {
-                        max_concurrent_streams: inner.config.max_concurrent_streams,
-                        initial_window: inner.config.initial_stream_window.min(u32::MAX as u64)
-                            as u32,
-                        connection_window: inner.config.connection_window.min(u32::MAX as u64)
-                            as u32,
-                    }
-                    .encode()
-                };
+                let wire = self.inner.borrow().config.settings();
                 handle.send(sim, wire);
             }
             SocketEvent::Data(bytes) => self.on_data(sim, handle, &bytes),

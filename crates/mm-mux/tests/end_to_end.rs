@@ -34,12 +34,12 @@ impl MuxHandler for TestHandler {
         let in_flight = self.in_flight.clone();
         if self.delay.is_zero() {
             in_flight.borrow_mut().0 -= 1;
-            responder.respond(sim, resp);
+            responder.respond(sim, &resp);
         } else {
             let at = sim.now() + self.delay;
             sim.schedule_at(at, move |sim| {
                 in_flight.borrow_mut().0 -= 1;
-                responder.respond(sim, resp);
+                responder.respond(sim, &resp);
             });
         }
     }

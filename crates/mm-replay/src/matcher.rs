@@ -50,7 +50,9 @@ impl Matcher {
 
     /// Locate the recorded response for `req`, or `None` (404).
     /// The returned response is normalized for replay (sized body,
-    /// no chunked framing).
+    /// no chunked framing). The servers answer from `lookup_ref`; this
+    /// copy is kept only because the host-time benchmark's
+    /// `match_exact_ns` probe (`perf/src/api.rs`) names it.
     pub fn lookup(&self, req: &Request) -> Option<Response> {
         self.lookup_ref(req).cloned()
     }

@@ -307,6 +307,7 @@ impl Listener for ReplayListener {
 /// Request handler behind a mux-speaking replay server: the same matcher
 /// lookup and CPU-serialized think time as the HTTP/1.1 path, so a
 /// protocol A/B study varies the wire protocol and nothing else.
+#[derive(Clone)]
 struct MuxReplayHandler {
     matcher: Rc<Matcher>,
     think_time: SimDuration,
@@ -321,44 +322,50 @@ impl MuxHandler for MuxReplayHandler {
     fn handle(&self, sim: &mut Simulator, req: Request, responder: MuxResponder) {
         let recv_at = sim.now();
         tap_http(&self.tap, recv_at, HttpPhase::ServerRecv, &req.target, 0, 0);
-        let resp = self
-            .matcher
-            .lookup(&req)
-            .unwrap_or_else(Response::not_found);
-        if self.think_time.is_zero() {
+        let me = self.clone();
+        after_think(sim, self.think_time, &self.cpu, move |sim| {
+            // The index's own response, looked up now: the index never
+            // changes, so this finds what a lookup on receipt would have.
+            // Only a miss builds one.
+            let not_found;
+            let resp = match me.matcher.lookup_ref(&req) {
+                Some(stored) => stored,
+                None => {
+                    not_found = Response::not_found();
+                    &not_found
+                }
+            };
+            let bytes = resp.body.len() as u64;
+            let now = sim.now();
             tap_http(
-                &self.tap,
-                sim.now(),
+                &me.tap,
+                now,
                 HttpPhase::ServerSent,
                 &req.target,
                 resp.status,
-                resp.body.len() as u64,
+                bytes,
             );
-            span_think(&self.span, self.conn, &req.target, recv_at, sim.now());
+            span_think(&me.span, me.conn, &req.target, recv_at, now);
             responder.respond(sim, resp);
-        } else {
-            // Serialize the matching work on this server's CPU, exactly
-            // like the HTTP/1.1 replay path.
-            let start = self.cpu.get().max(sim.now());
-            let done = start + self.think_time;
-            self.cpu.set(done);
-            let tap = self.tap.clone();
-            let span = self.span.clone();
-            let conn = self.conn;
-            sim.schedule_at(done, move |sim| {
-                tap_http(
-                    &tap,
-                    sim.now(),
-                    HttpPhase::ServerSent,
-                    &req.target,
-                    resp.status,
-                    resp.body.len() as u64,
-                );
-                span_think(&span, conn, &req.target, recv_at, sim.now());
-                responder.respond(sim, resp);
-            });
-        }
+        });
     }
+}
+
+/// Run `send` once this server's CPU has done a request's matching work:
+/// at once without think time, else after the work of every request
+/// before it on this host.
+fn after_think(
+    sim: &mut Simulator,
+    think_time: SimDuration,
+    cpu: &Cell<Timestamp>,
+    send: impl FnOnce(&mut Simulator) + 'static,
+) {
+    if think_time.is_zero() {
+        return send(sim);
+    }
+    let done = cpu.get().max(sim.now()) + think_time;
+    cpu.set(done);
+    sim.schedule_at(done, send);
 }
 
 struct ReplayConn {
@@ -396,44 +403,18 @@ impl SocketApp for ReplayConn {
                             &not_found
                         }
                     };
-                    let status = resp.status;
-                    let body_len = resp.body.len() as u64;
+                    let (status, bytes) = (resp.status, resp.body.len() as u64);
                     // Head and recorded body go out as one write; the body
                     // is the store's buffer, never copied.
                     let wire = write_response_parts(resp);
                     let conn = span_conn_id(h.remote_addr());
-                    if self.think_time.is_zero() {
-                        tap_http(
-                            &self.tap,
-                            sim.now(),
-                            HttpPhase::ServerSent,
-                            &req.target,
-                            status,
-                            body_len,
-                        );
-                        span_think(&self.span, conn, &req.target, recv_at, sim.now());
+                    let (h, tap, span) = (h.clone(), self.tap.clone(), self.span.clone());
+                    after_think(sim, self.think_time, &self.cpu, move |sim| {
+                        let now = sim.now();
+                        tap_http(&tap, now, HttpPhase::ServerSent, &req.target, status, bytes);
+                        span_think(&span, conn, &req.target, recv_at, now);
                         h.send_vectored(sim, wire);
-                    } else {
-                        // Serialize the matching work on this server's CPU.
-                        let start = self.cpu.get().max(sim.now());
-                        let done = start + self.think_time;
-                        self.cpu.set(done);
-                        let h2 = h.clone();
-                        let tap = self.tap.clone();
-                        let span = self.span.clone();
-                        sim.schedule_at(done, move |sim| {
-                            tap_http(
-                                &tap,
-                                sim.now(),
-                                HttpPhase::ServerSent,
-                                &req.target,
-                                status,
-                                body_len,
-                            );
-                            span_think(&span, conn, &req.target, recv_at, sim.now());
-                            h2.send_vectored(sim, wire);
-                        });
-                    }
+                    });
                 }
             }
             SocketEvent::PeerClosed => h.close(sim),

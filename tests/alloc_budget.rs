@@ -188,11 +188,15 @@ fn an_observed_page_load_stays_within_its_allocation_budget() {
     );
 }
 
-/// The same load over mux, one connection per origin. It makes 9 553
-/// allocator calls now. The budget is that plus ~10 %.
+/// The same load over mux, one connection per origin. It made 9 553
+/// allocator calls while every frame was encoded into a growing buffer
+/// and copied again, every decoded frame was copied out of the decoder
+/// twice, every header field was two `String`s and every response was
+/// cloned out of the index; it makes 4 642 now. The budget is that plus
+/// ~10 %.
 #[test]
 fn a_mux_page_load_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 10_500;
+    const BUDGET: u64 = 5_100;
     let site = median_site();
     let load = || {
         let mut spec = LoadSpec::new(&site);
@@ -226,13 +230,16 @@ fn one_document(bytes: usize) -> StoredSite {
 
 /// One 4 MiB response on one mux stream between two hosts, less the same
 /// load with an empty body: what the 256 DATA frames cost, with their
-/// TCP segments and window updates. It makes 13.96 allocator calls per
-/// frame now. The budget is that plus ~10 %.
+/// TCP segments and window updates. That was 13.96 allocator calls per
+/// frame while the server encoded each frame twice and the client copied
+/// each out of its decoder twice into a body that grew by doubling; it
+/// is 6.86 now, most of it the frame's 9-byte head and the TCP segments
+/// that join a head to its body. The budget is that plus ~10 %.
 #[test]
 fn a_mux_response_allocates_little_per_data_frame() {
     const BODY: usize = 4 << 20;
     const FRAMES: u64 = (BODY / (16 << 10)) as u64;
-    const BUDGET_PER_FRAME: f64 = 15.4;
+    const BUDGET_PER_FRAME: f64 = 7.5;
     let load = |site: &StoredSite| {
         let mut spec = LoadSpec::new(site);
         spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());

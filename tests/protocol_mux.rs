@@ -125,3 +125,28 @@ fn sharded_fig2_matches_serial_run() {
         mm_sim::Summary::from_samples(replay).median()
     );
 }
+
+/// A recorded response with a 70 000-byte `Set-Cookie` — longer than a
+/// two-byte field length can say — replays over mux as over HTTP/1.1,
+/// instead of aborting its origin's connection.
+#[test]
+fn a_header_field_past_64_kib_replays_over_mux() {
+    let mut site = many_small_objects_site();
+    // The corpus writes the root document first.
+    site.pairs[0]
+        .response
+        .headers
+        .append("Set-Cookie", "c".repeat(70_000));
+    let load = |protocol| {
+        let mut spec = LoadSpec::new(&site);
+        spec.browser.protocol = protocol;
+        spec.seed = 7;
+        run_page_load(&spec)
+    };
+    let http1 = load(ProtocolMode::Http1 { pool_size: 6 });
+    let mux = load(ProtocolMode::Mux(MuxConfig::default()));
+    assert_eq!(http1.failures, 0);
+    assert_eq!(mux.failures, 0);
+    assert!(mux.resource_count() > 1, "the root was parsed");
+    assert_eq!(mux.total_body_bytes, http1.total_body_bytes);
+}
