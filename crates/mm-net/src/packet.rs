@@ -245,6 +245,15 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_packet_is_two_cache_lines() {
+        // Every hop moves a packet by value. Storing three `u64` SACK
+        // blocks inline made it 160 bytes, and `transfer_clean` ran 17–20 %
+        // fewer transfers per second for it.
+        assert_eq!(std::mem::size_of::<Packet>(), 128);
+    }
+
+    #[test]
     fn flags_display() {
         assert_eq!(TcpFlags::SYN_ACK.to_string(), "SYN|ACK");
         assert_eq!(TcpFlags::default().to_string(), "-");

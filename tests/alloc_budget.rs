@@ -27,12 +27,12 @@ use mm_capture::{
 use mm_http::{Request, RequestParser, Response};
 use mm_metrics::{FlowSample, FlowTracer, MetricsHandle, MetricsSink, Registry, RegistrySink};
 use mm_net::{
-    FnSink, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, SinkRef, SocketAddr, SocketApp,
-    SocketEvent, TcpConfig, TcpFlags, TcpHandle, TcpSegment,
+    FnSink, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, RecoveryTier, SinkRef,
+    SocketAddr, SocketApp, SocketEvent, TcpConfig, TcpFlags, TcpHandle, TcpSegment,
 };
 use mm_record::{RequestResponsePair, Scheme, StoredSite};
 use mm_shells::{DelayLink, DropTail, ObservedQdisc, Qdisc, ShellStack, TraceLink, TraceLinkSink};
-use mm_sim::{SimDuration, Simulator, Timer, TimerMux, Timestamp};
+use mm_sim::{RngStream, SimDuration, Simulator, Timer, TimerMux, Timestamp};
 use mm_trace::{constant_rate, TraceBuffer};
 
 // ------------------------------------------------------------ allocator
@@ -365,6 +365,77 @@ fn a_bulk_transfer_allocates_less_than_once_per_data_segment() {
     );
     sim.run();
     assert_eq!(receiver.received.get(), payload.len());
+}
+
+/// One 1 MB transfer at the SACK tier through delay + link + a seeded
+/// `loss` each way, from the connect to the last event. Returns the
+/// allocator calls and the segments the server retransmitted.
+fn sack_transfer(loss: f64) -> (u64, u64) {
+    const SERVER_IP: IpAddr = IpAddr::new(10, 0, 0, 2);
+    const CLIENT_IP: IpAddr = IpAddr::new(10, 0, 0, 1);
+    let config = TcpConfig::builder().recovery(RecoveryTier::Sack).build();
+    let payload = Bytes::from(vec![7u8; 1_000_000]);
+    let mut sim = Simulator::new();
+    let root = Namespace::root("w");
+    let ids = PacketIdGen::new();
+    let server = Host::new_in(SERVER_IP, ids.clone(), &root);
+    server.set_tcp_config(config.clone());
+    let stack = ShellStack::new(&root)
+        .delay(SimDuration::from_millis(20))
+        .link(constant_rate(20.0, 1000), &|| {
+            Box::new(DropTail::infinite()) as Box<dyn Qdisc>
+        })
+        .loss(loss, loss, &RngStream::from_seed(7).fork("loss"));
+    let client = Host::new_in(CLIENT_IP, ids, &stack.innermost());
+    client.set_tcp_config(config);
+    let sender = Rc::new(RefCell::new(None));
+    server.listen(
+        80,
+        Rc::new(PushOnRequest {
+            payload: payload.clone(),
+            sender: sender.clone(),
+        }),
+    );
+    let receiver = Rc::new(CountingReceiver {
+        received: Cell::new(0),
+    });
+    let (allocs, ()) = allocs_of(|| {
+        client.connect(&mut sim, SocketAddr::new(SERVER_IP, 80), receiver.clone());
+        sim.run();
+    });
+    assert_eq!(receiver.received.get(), payload.len());
+    let stats = sender.borrow().as_ref().expect("accepted").stats();
+    assert_eq!(
+        stats.sack_recoveries > 0,
+        loss > 0.0,
+        "loss is repaired by SACK"
+    );
+    (allocs, stats.retransmissions)
+}
+
+/// The same 1 MB at the SACK tier with 2 % loss each way, less the
+/// lossless transfer: what loss recovery costs, per retransmitted
+/// segment. Every ACK sent while a hole was open builds a `Vec` of SACK
+/// blocks and every hole builds reassembly-tree nodes: 12.70 calls per
+/// retransmission (851 for 67). The budget is that plus ~10 %.
+#[test]
+fn loss_recovery_allocates_little_per_retransmission() {
+    const BUDGET_PER_RETRANSMISSION: f64 = 14.0;
+    sack_transfer(0.02); // lazily grown statics settle
+    let (clean, none) = sack_transfer(0.0);
+    assert_eq!(none, 0);
+    let (lossy, retransmissions) = sack_transfer(0.02);
+    assert!(retransmissions >= 10, "{retransmissions} retransmissions");
+    let per_retransmission = lossy.saturating_sub(clean) as f64 / retransmissions as f64;
+    println!(
+        "lossy SACK transfer: {lossy} allocator calls, {clean} lossless, {retransmissions} \
+         retransmissions: {per_retransmission:.2} per retransmission"
+    );
+    assert!(
+        per_retransmission <= BUDGET_PER_RETRANSMISSION,
+        "{per_retransmission:.2} allocator calls per retransmission, budget \
+         {BUDGET_PER_RETRANSMISSION}"
+    );
 }
 
 // ------------------------------------------------------- one connection
