@@ -24,7 +24,7 @@ pub use addr::{IpAddr, Origin, SocketAddr};
 pub use conn::{ConnId, ConnTable};
 pub use fabric::{Namespace, NsCounters};
 pub use host::{Host, HostNoise, HostStats, Listener, PacketIdGen};
-pub use packet::{Packet, SackBlock, SackOption, TcpFlags, TcpSegment, MSS, MTU};
+pub use packet::{Packet, SackBlock, SackBlocks, SackOption, TcpFlags, TcpSegment, MSS, MTU};
 pub use sink::{FnSink, PacketSink, SinkRef};
 pub use tcp::{
     CcAlgorithm, RecoveryTier, SocketApp, SocketEvent, TcpConfig, TcpConfigBuilder, TcpHandle,

@@ -115,8 +115,56 @@ impl SackBlock {
 /// the era-Linux limit.
 pub(crate) const MAX_SACK_BLOCKS: usize = 3;
 
+/// Up to `MAX_SACK_BLOCKS` SACK blocks as the option carries them on the
+/// wire: 32-bit edges, read against the segment's `ack`. Inline, so an ACK
+/// with blocks allocates nothing and a [`Packet`] stays 128 bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SackBlocks {
+    edges: [[u32; 2]; MAX_SACK_BLOCKS],
+    len: u8,
+}
+
+impl SackBlocks {
+    /// Blocks carried, as encoded (before [`decode`](SackBlocks::decode)
+    /// drops empty or inverted pairs).
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append a block: its edges' low 32 bits, as a real option keeps
+    /// them. Exact for edges within 2³¹ bytes of the `ack` it is decoded
+    /// against.
+    pub(crate) fn push(&mut self, b: SackBlock) {
+        self.edges[self.len as usize] = [b.start as u32, b.end as u32];
+        self.len += 1;
+    }
+
+    /// The blocks as `[start, end)` byte offsets: each edge is the offset
+    /// nearest `ack` with those low 32 bits (serial arithmetic, RFC 1982).
+    /// Pairs that decode empty or inverted are skipped; the first `n` of
+    /// the array are the blocks.
+    pub fn decode(&self, ack: u64) -> ([SackBlock; MAX_SACK_BLOCKS], usize) {
+        let unwrap =
+            |edge: u32| ack.wrapping_add_signed(edge.wrapping_sub(ack as u32) as i32 as i64);
+        let mut out = [SackBlock { start: 0, end: 0 }; MAX_SACK_BLOCKS];
+        let mut n = 0;
+        for &[start, end] in &self.edges[..self.len()] {
+            let (start, end) = (unwrap(start), unwrap(end));
+            if start < end {
+                out[n] = SackBlock { start, end };
+                n += 1;
+            }
+        }
+        (out, n)
+    }
+}
+
 /// The SACK portion of the segment header's option space (RFC 2018).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SackOption {
     /// On SYN / SYN-ACK: the "SACK-permitted" option — this endpoint is
     /// willing to receive SACK blocks.
@@ -124,7 +172,7 @@ pub struct SackOption {
     /// On ACKs while the receiver holds out-of-order data: up to
     /// `MAX_SACK_BLOCKS` received-above-cumulative ranges, the block
     /// containing the most recently received segment first.
-    pub blocks: Vec<SackBlock>,
+    pub blocks: SackBlocks,
 }
 
 /// A TCP segment. Sequence numbers are 64-bit byte offsets into the flow
@@ -251,6 +299,53 @@ mod tests {
         // blocks inline made it 160 bytes, and `transfer_clean` ran 17–20 %
         // fewer transfers per second for it.
         assert_eq!(std::mem::size_of::<Packet>(), 128);
+    }
+
+    proptest::proptest! {
+        /// Blocks whose edges lie within 2^31 bytes of the ack — above it,
+        /// or below it, as a retransmission carries its original's blocks
+        /// under a newer ack — decode to exactly the blocks encoded, across
+        /// a 2^32 boundary.
+        #[test]
+        fn sack_blocks_round_trip_near_the_ack(
+            ack in (1u64 << 31)..(1 << 48),
+            offsets in proptest::collection::vec((-(1i64 << 31)..(1 << 31) - 1, 1u64..1 << 20), 0..4),
+        ) {
+            let sent: Vec<SackBlock> = offsets
+                .iter()
+                .map(|&(offset, len)| {
+                    let start = ack.wrapping_add_signed(offset);
+                    SackBlock::new(start, (start + len).min(ack + (1 << 31) - 1))
+                })
+                .collect();
+            let mut blocks = SackBlocks::default();
+            for b in &sent {
+                blocks.push(*b);
+            }
+            let (decoded, n) = blocks.decode(ack);
+            proptest::prop_assert_eq!(blocks.len(), sent.len());
+            proptest::prop_assert_eq!(&decoded[..n], &sent[..]);
+        }
+
+        /// Whatever 32-bit edges a peer sends decode without panicking, to
+        /// non-empty blocks only.
+        #[test]
+        fn any_sack_edges_decode_to_nonempty_blocks(
+            ack in proptest::strategy::any::<u64>(),
+            edges in proptest::collection::vec(
+                (proptest::strategy::any::<u32>(), proptest::strategy::any::<u32>()),
+                0..4,
+            ),
+        ) {
+            let mut blocks = SackBlocks::default();
+            for (slot, &(start, end)) in blocks.edges.iter_mut().zip(&edges) {
+                *slot = [start, end];
+            }
+            blocks.len = edges.len() as u8;
+            let (decoded, n) = blocks.decode(ack);
+            proptest::prop_assert!(n <= edges.len());
+            proptest::prop_assert!(decoded[..n].iter().all(|b| b.start < b.end));
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use mm_sim::Timestamp;
 use mm_trace::SpanKind;
 
 use crate::packet::{Packet, SackOption, TcpFlags, TcpSegment};
-use crate::tcp::socket::{SocketEvent, TcpInner, ACK};
+use crate::tcp::socket::{SocketEvent, TcpInner, ACK, RECV_WINDOW};
 
 impl TcpInner {
     /// Take in the payload (and FIN) of `seg`, acknowledging it.
@@ -27,6 +27,13 @@ impl TcpInner {
             payload = payload.slice(overlap.min(payload.len())..);
             seq = self.rcv_nxt;
         }
+        if seq >= self.rcv_nxt + RECV_WINDOW {
+            // Beyond the window (RFC 793 §3.3): not acceptable. Never
+            // parked, so nothing a peer sends grows the queue past the
+            // window, and every SACK edge stays within 2^31 of the ack.
+            self.queue_ack(now, out, true);
+            return;
+        }
         if seg.flags.fin {
             let fin_seq = seg.seq + seg.payload.len() as u64;
             self.peer_fin_seq = Some(fin_seq);
@@ -41,7 +48,14 @@ impl TcpInner {
                 if self.ooo.is_empty() && self.hole_since.is_none() {
                     self.hole_since = Some(now);
                 }
-                self.ooo.entry(seq).or_insert(payload);
+                if self.ooo.capacity() == 0 {
+                    self.ooo.reserve(16);
+                }
+                // Almost always the tail; an equal start keeps the first.
+                let at = self.ooo.partition_point(|&(s, _)| s < seq);
+                if self.ooo.get(at).is_none_or(|&(s, _)| s != seq) {
+                    self.ooo.insert(at, (seq, payload));
+                }
             }
             self.queue_ack(now, out, true);
             return;
@@ -50,11 +64,12 @@ impl TcpInner {
         if !payload.is_empty() {
             self.deliver(payload);
         }
-        while let Some((&oseq, _)) = self.ooo.iter().next() {
-            if oseq > self.rcv_nxt {
-                break;
-            }
-            let (oseq, odata) = self.ooo.pop_first().unwrap();
+        while self
+            .ooo
+            .front()
+            .is_some_and(|&(oseq, _)| oseq <= self.rcv_nxt)
+        {
+            let (oseq, odata) = self.ooo.pop_front().unwrap();
             let skip = (self.rcv_nxt - oseq) as usize;
             if skip < odata.len() {
                 self.deliver(odata.slice(skip..));
@@ -126,14 +141,12 @@ impl TcpInner {
     pub(super) fn ack_packet(&mut self, now: Timestamp) -> Packet {
         let mut sack = SackOption::default();
         if self.recovery.tier.uses_sack() && !self.ooo.is_empty() {
-            let blocks = self.rcv_sack.blocks(
-                self.ooo.iter().map(|(&seq, data)| (seq, data.len() as u64)),
-                self.rcv_nxt,
-            );
-            if !blocks.is_empty() {
-                self.metric_sample_event(now, "sack", &blocks);
+            let ooo = self.ooo.iter().map(|(seq, data)| (*seq, data.len() as u64));
+            sack.blocks = self.rcv_sack.blocks(ooo, self.rcv_nxt);
+            if !sack.blocks.is_empty() {
+                let (blocks, n) = sack.blocks.decode(self.rcv_nxt);
+                self.metric_sample_event(now, "sack", &blocks[..n]);
             }
-            sack.blocks = blocks;
         }
         self.packet(TcpFlags::ACK, self.snd_nxt, Bytes::new(), sack)
     }

@@ -19,7 +19,7 @@
 //! reneges in this model (delivered bytes are never dropped), so the
 //! sender may safely treat sacked ranges as delivered.
 
-use crate::packet::{SackBlock, MAX_SACK_BLOCKS, MSS};
+use crate::packet::{SackBlock, SackBlocks, MAX_SACK_BLOCKS, MSS};
 
 /// RFC 6675's DupThresh: the classic three duplicate ACKs.
 pub(crate) const DUP_THRESH: u64 = 3;
@@ -57,42 +57,49 @@ impl ReceiverSack {
         }
     }
 
-    /// Build the option's block list from the out-of-order queue
-    /// (`ooo` iterates `(seq, len)` in ascending seq order). Contiguous
-    /// and overlapping entries coalesce; the block containing the most
-    /// recent arrival goes first; at most `MAX_SACK_BLOCKS` are reported.
-    pub(crate) fn blocks(
-        &self,
-        ooo: impl Iterator<Item = (u64, u64)>,
-        rcv_nxt: u64,
-    ) -> Vec<SackBlock> {
-        let mut ranges: Vec<SackBlock> = Vec::new();
+    /// Build the option's blocks from the out-of-order queue (`ooo`
+    /// iterates `(seq, len)` in ascending seq order). Contiguous and
+    /// overlapping entries coalesce; the block containing the most recent
+    /// arrival goes first, then the others in order, at most
+    /// `MAX_SACK_BLOCKS` in all.
+    pub(crate) fn blocks(&self, ooo: impl Iterator<Item = (u64, u64)>, rcv_nxt: u64) -> SackBlocks {
+        let mut first = None;
+        let mut rest = [SackBlock { start: 0, end: 0 }; MAX_SACK_BLOCKS];
+        let mut n = 0;
+        let mut emit = |r: SackBlock| match self.recent {
+            Some(x) if first.is_none() && r.start <= x.start && x.end <= r.end => first = Some(r),
+            _ if n < MAX_SACK_BLOCKS => {
+                rest[n] = r;
+                n += 1;
+            }
+            _ => {}
+        };
+        // The range still growing as the walk goes up the queue.
+        let mut open: Option<SackBlock> = None;
         for (seq, len) in ooo {
-            let start = seq.max(rcv_nxt);
-            let end = seq + len;
-            if start >= end {
-                continue;
-            }
-            match ranges.last_mut() {
-                Some(last) if start <= last.end => last.end = last.end.max(end),
-                _ => ranges.push(SackBlock::new(start, end)),
-            }
-        }
-        if ranges.is_empty() {
-            return ranges;
-        }
-        // Most-recent block first.
-        if let Some(recent) = self.recent {
-            if let Some(i) = ranges
-                .iter()
-                .position(|r| r.start <= recent.start && recent.end <= r.end)
-            {
-                let r = ranges.remove(i);
-                ranges.insert(0, r);
+            let (start, end) = (seq.max(rcv_nxt), seq + len);
+            match &mut open {
+                _ if start >= end => {}
+                Some(r) if start <= r.end => r.end = r.end.max(end),
+                _ => {
+                    if let Some(done) = open.replace(SackBlock { start, end }) {
+                        emit(done);
+                    }
+                }
             }
         }
-        ranges.truncate(MAX_SACK_BLOCKS);
-        ranges
+        if let Some(done) = open {
+            emit(done);
+        }
+        let mut blocks = SackBlocks::default();
+        for r in first
+            .into_iter()
+            .chain(rest[..n].iter().copied())
+            .take(MAX_SACK_BLOCKS)
+        {
+            blocks.push(r);
+        }
+        blocks
     }
 }
 
@@ -348,29 +355,40 @@ mod tests {
         assert!(s.is_lost(100, 200));
     }
 
+    /// `r`'s blocks over `ooo`, decoded against `rcv_nxt`.
+    fn receiver_blocks(r: &ReceiverSack, ooo: &[(u64, u64)], rcv_nxt: u64) -> Vec<SackBlock> {
+        let (blocks, n) = r.blocks(ooo.iter().copied(), rcv_nxt).decode(rcv_nxt);
+        blocks[..n].to_vec()
+    }
+
     #[test]
     fn receiver_blocks_coalesce_and_order() {
         let mut r = ReceiverSack::new();
         let ooo = [(10u64, 10u64), (20, 10), (50, 5)];
         r.on_arrival(50, 55);
-        let blocks = r.blocks(ooo.iter().copied(), 0);
         // [10,30) coalesced, [50,55) first because it arrived last.
-        assert_eq!(blocks, vec![sb(50, 55), sb(10, 30)]);
+        assert_eq!(receiver_blocks(&r, &ooo, 0), vec![sb(50, 55), sb(10, 30)]);
     }
 
     #[test]
     fn receiver_blocks_respect_limit() {
-        let r = ReceiverSack::new();
+        let mut r = ReceiverSack::new();
         let ooo = [(10u64, 1u64), (20, 1), (30, 1), (40, 1), (50, 1)];
-        let blocks = r.blocks(ooo.iter().copied(), 0);
-        assert_eq!(blocks.len(), MAX_SACK_BLOCKS);
+        assert_eq!(
+            receiver_blocks(&r, &ooo, 0),
+            vec![sb(10, 11), sb(20, 21), sb(30, 31)]
+        );
+        // The most recent arrival first, then the lowest others.
+        r.on_arrival(40, 41);
+        assert_eq!(
+            receiver_blocks(&r, &ooo, 0),
+            vec![sb(40, 41), sb(10, 11), sb(20, 21)]
+        );
     }
 
     #[test]
     fn receiver_trims_below_rcv_nxt() {
         let r = ReceiverSack::new();
-        let ooo = [(10u64, 20u64)];
-        let blocks = r.blocks(ooo.iter().copied(), 15);
-        assert_eq!(blocks, vec![sb(15, 30)]);
+        assert_eq!(receiver_blocks(&r, &[(10, 20)], 15), vec![sb(15, 30)]);
     }
 }

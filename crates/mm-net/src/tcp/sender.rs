@@ -540,10 +540,10 @@ impl TcpInner {
         // and the newly covered ranges drive the incremental pipe and
         // RACK bookkeeping.
         let (floor, snd_nxt) = (self.snd_una.max(ack), self.snd_nxt);
-        let blocks = &seg.sack.blocks;
+        let (blocks, n) = seg.sack.blocks.decode(ack);
         let newly_sacked =
             self.recovery
-                .on_sack(&mut self.retx, blocks, floor, snd_nxt, now, |e| {
+                .on_sack(&mut self.retx, &blocks[..n], floor, snd_nxt, now, |e| {
                     note_delivered(&mut self.rate_candidate, e);
                     self.rate
                         .on_rtt(now.saturating_duration_since(e.sent_at), now);

@@ -12,7 +12,7 @@
 //! nothing (the delayed-ACK timer and `abort`), which use `send_one`.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write;
 use std::rc::{Rc, Weak};
 
@@ -61,7 +61,7 @@ impl RecoveryTier {
 
 /// Receive window advertised to the peer, bytes. The model's
 /// applications consume data immediately, so it is always fully open.
-const RECV_WINDOW: u64 = 1 << 20;
+pub(super) const RECV_WINDOW: u64 = 1 << 20;
 
 /// Initial retransmission timeout before any RTT sample exists. RFC 6298
 /// suggests 1 s; this is the conservative 3 s of RFC 1122 / pre-2011
@@ -285,8 +285,9 @@ pub(crate) struct TcpInner {
     // --- receive side (receiver.rs) ---
     /// Next in-order byte expected from the peer.
     pub(super) rcv_nxt: u64,
-    /// Out-of-order segments awaiting the gap to fill.
-    pub(super) ooo: BTreeMap<u64, Bytes>,
+    /// Out-of-order segments awaiting the gap to fill, sorted by
+    /// sequence, one per starting sequence (DESIGN.md §3).
+    pub(super) ooo: VecDeque<(u64, Bytes)>,
     /// SACK block generator over the out-of-order queue.
     pub(super) rcv_sack: ReceiverSack,
     /// Peer FIN's sequence number, if received out of order.
@@ -502,7 +503,7 @@ impl TcpInner {
             pacer: Pacer::new(),
             pace_deadline: None,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
+            ooo: VecDeque::new(),
             rcv_sack: ReceiverSack::new(),
             peer_fin_seq: None,
             unacked_segments: 0,
@@ -728,7 +729,7 @@ impl TcpInner {
         self.pacer.reset();
         self.rate_candidate = None;
         self.recovery.clear();
-        self.ooo.clear();
+        self.ooo = VecDeque::new();
     }
 
     /// A socket that has reached `Closed` and told its application so has
@@ -865,7 +866,7 @@ impl TcpHandle {
                 // The SYN offers SACK whenever the configured tier uses it.
                 let offer = SackOption {
                     permitted: inner.config.recovery.uses_sack(),
-                    blocks: Vec::new(),
+                    ..SackOption::default()
                 };
                 inner.packet(TcpFlags::SYN, 0, Bytes::new(), offer)
             },
@@ -891,7 +892,7 @@ impl TcpHandle {
             inner.negotiate(syn.sack.permitted);
             let confirm = SackOption {
                 permitted: inner.recovery.tier.uses_sack(),
-                blocks: Vec::new(),
+                ..SackOption::default()
             };
             inner.packet(TcpFlags::SYN_ACK, 0, Bytes::new(), confirm)
         })
@@ -1181,6 +1182,7 @@ impl TcpHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     // State-machine unit tests that don't need a host: drive TcpInner
     // directly with synthetic segments.
@@ -1270,6 +1272,151 @@ mod tests {
         inner.on_segment(Timestamp::ZERO, data_seg(2, b"cdef"), &mut out);
         assert_eq!(collect_data(&mut inner), b"ef");
         assert_eq!(inner.rcv_nxt, 6);
+    }
+
+    #[test]
+    fn a_segment_beyond_the_receive_window_is_not_parked() {
+        let mut inner = make_inner(TcpState::Established);
+        inner.recovery.tier = RecoveryTier::Sack;
+        let mut out = Vec::new();
+        inner.on_segment(Timestamp::ZERO, data_seg(10, b"hole below"), &mut out);
+        // 3 GiB above rcv_nxt: answered, never parked.
+        inner.on_segment(Timestamp::ZERO, data_seg(3 << 30, b"far"), &mut out);
+        assert_eq!(inner.ooo.len(), 1, "only the in-window segment is parked");
+        assert_eq!(out.len(), 2);
+        let dup = &out[1].segment;
+        assert_eq!((dup.ack, dup.payload.len()), (0, 0));
+        let (blocks, n) = dup.sack.blocks.decode(dup.ack);
+        assert_eq!(&blocks[..n], &[crate::packet::SackBlock::new(10, 20)]);
+        // The window's last byte is still acceptable.
+        inner.on_segment(Timestamp::ZERO, data_seg(RECV_WINDOW - 1, b"x"), &mut out);
+        assert_eq!(inner.ooo.len(), 2);
+        assert!(collect_data(&mut inner).is_empty());
+    }
+
+    /// The receive side as it was with a tree for the reassembly queue and
+    /// a `Vec` per SACK option: `handle_data` and `ReceiverSack` before
+    /// the sorted deque and the inline blocks.
+    #[derive(Default)]
+    struct ReassemblyModel {
+        rcv_nxt: u64,
+        ooo: BTreeMap<u64, Bytes>,
+        fin_seq: Option<u64>,
+        recent: Option<(u64, u64)>,
+        delivered: Vec<u8>,
+    }
+
+    impl ReassemblyModel {
+        fn on_data(&mut self, seq: u64, payload: &Bytes, fin: bool) {
+            let (mut seq, mut payload) = (seq, payload.clone());
+            if fin {
+                self.fin_seq = Some(seq + payload.len() as u64);
+            }
+            if seq < self.rcv_nxt {
+                let overlap = (self.rcv_nxt - seq) as usize;
+                if overlap >= payload.len() && !fin {
+                    return;
+                }
+                payload = payload.slice(overlap.min(payload.len())..);
+                seq = self.rcv_nxt;
+            }
+            if seq != self.rcv_nxt {
+                if !payload.is_empty() {
+                    self.recent = Some((seq, seq + payload.len() as u64));
+                    self.ooo.entry(seq).or_insert(payload);
+                }
+                return;
+            }
+            self.deliver(&payload);
+            while let Some((&oseq, _)) = self.ooo.iter().next() {
+                if oseq > self.rcv_nxt {
+                    break;
+                }
+                let (oseq, odata) = self.ooo.pop_first().unwrap();
+                let skip = (self.rcv_nxt - oseq) as usize;
+                if skip < odata.len() {
+                    self.deliver(&odata[skip..]);
+                }
+            }
+            if self.recent.is_some_and(|(_, end)| end <= self.rcv_nxt) {
+                self.recent = None;
+            }
+            if self.fin_seq == Some(self.rcv_nxt) {
+                self.rcv_nxt += 1;
+            }
+        }
+
+        fn deliver(&mut self, data: &[u8]) {
+            self.rcv_nxt += data.len() as u64;
+            self.delivered.extend_from_slice(data);
+        }
+
+        fn blocks(&self) -> Vec<crate::packet::SackBlock> {
+            let mut ranges: Vec<crate::packet::SackBlock> = Vec::new();
+            for (&seq, data) in &self.ooo {
+                let (start, end) = (seq.max(self.rcv_nxt), seq + data.len() as u64);
+                if start >= end {
+                    continue;
+                }
+                match ranges.last_mut() {
+                    Some(last) if start <= last.end => last.end = last.end.max(end),
+                    _ => ranges.push(crate::packet::SackBlock::new(start, end)),
+                }
+            }
+            if let Some((start, end)) = self.recent {
+                if let Some(i) = ranges.iter().position(|r| r.start <= start && end <= r.end) {
+                    let r = ranges.remove(i);
+                    ranges.insert(0, r);
+                }
+            }
+            ranges.truncate(crate::packet::MAX_SACK_BLOCKS);
+            ranges
+        }
+    }
+
+    proptest::proptest! {
+        /// A SACK socket's reassembly matches the tree-and-`Vec` model
+        /// segment by segment, over arrivals in any order: duplicates
+        /// (and equal starts with different lengths), overlaps, arrivals
+        /// wholly or partly below `rcv_nxt`, many holes at once, and a FIN
+        /// that arrives early, late or alone.
+        #[test]
+        fn reassembly_matches_a_tree_model(
+            total in 1u64..12_000,
+            arrivals in proptest::collection::vec((0u64..12_000, 1u64..3_000, 0u8..10), 1..60),
+        ) {
+            let stream: Vec<u8> = (0..total).map(|i| (i * 31 + 7) as u8).collect();
+            let mut inner = make_inner(TcpState::Established);
+            inner.recovery.tier = RecoveryTier::Sack;
+            let mut model = ReassemblyModel::default();
+            let mut delivered = Vec::new();
+            let mut out = Vec::new();
+            for (at, len, kind) in arrivals {
+                let (start, end, fin) = match kind {
+                    0 => (total, total, true),
+                    1 => (at % total, total, true),
+                    // Starts on a coarse grid repeat.
+                    2..=5 => (at % total / 512 * 512, total.min(at % total / 512 * 512 + len), false),
+                    _ => (at % total, total.min(at % total + len), false),
+                };
+                let flags = if fin { TcpFlags::FIN_ACK } else { TcpFlags::ACK };
+                let segment = seg(flags, start, 0, &stream[start as usize..end as usize]);
+                model.on_data(start, &segment.payload, fin);
+                inner.handle_data(Timestamp::ZERO, &segment, &mut out);
+                delivered.extend(collect_data(&mut inner));
+                proptest::prop_assert_eq!(&delivered, &model.delivered);
+                let ack = &out.pop().expect("every arrival is acked").segment;
+                proptest::prop_assert!(out.is_empty());
+                proptest::prop_assert_eq!(ack.ack, model.rcv_nxt);
+                let (blocks, n) = ack.sack.blocks.decode(ack.ack);
+                proptest::prop_assert_eq!(&blocks[..n], &model.blocks()[..]);
+                proptest::prop_assert!(inner
+                    .ooo
+                    .iter()
+                    .map(|(seq, data)| (*seq, data.len()))
+                    .eq(model.ooo.iter().map(|(seq, data)| (*seq, data.len()))));
+            }
+        }
     }
 
     #[test]
@@ -1519,7 +1666,9 @@ mod tests {
         // A duplicate ACK whose one block claims three segments never sent.
         let mut dup = seg(TcpFlags::ACK, 0, 0, b"");
         let end = inner.snd_nxt + 3 * crate::packet::MSS as u64;
-        dup.sack.blocks = vec![crate::packet::SackBlock::new(inner.snd_nxt, end)];
+        dup.sack
+            .blocks
+            .push(crate::packet::SackBlock::new(inner.snd_nxt, end));
         inner.on_segment(Timestamp::from_millis(1), dup, &mut out);
         assert!(out.is_empty(), "no loss, no retransmission");
         assert_eq!(inner.stats.sack_recoveries, 0);

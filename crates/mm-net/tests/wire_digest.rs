@@ -115,7 +115,8 @@ impl PacketSink for Wire {
         ] {
             h = fnv(h, v);
         }
-        for b in &seg.sack.blocks {
+        let (blocks, n) = seg.sack.blocks.decode(seg.ack);
+        for b in &blocks[..n] {
             h = fnv(fnv(h, b.start), b.end);
         }
         self.digest.set(h);
