@@ -1395,8 +1395,13 @@ mod tests {
                 let (start, end, fin) = match kind {
                     0 => (total, total, true),
                     1 => (at % total, total, true),
-                    // Starts on a coarse grid repeat.
-                    2..=5 => (at % total / 512 * 512, total.min(at % total / 512 * 512 + len), false),
+                    // One to three cells of a 512-byte grid, as a sender
+                    // cuts segments: neighbours abut exactly, and one
+                    // start recurs with different lengths.
+                    2..=5 => {
+                        let start = at % total / 512 * 512;
+                        (start, total.min(start + 512 * (1 + len % 3)), false)
+                    }
                     _ => (at % total, total.min(at % total + len), false),
                 };
                 let flags = if fin { TcpFlags::FIN_ACK } else { TcpFlags::ACK };
