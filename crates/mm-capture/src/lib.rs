@@ -6,9 +6,9 @@
 //! log's home in the reimplementation: instrumented shells call a
 //! [`PacketTap`] with one event per packet milestone (enqueue, dequeue,
 //! drop, delivery), the browser/replay boundary reports HTTP
-//! request/response milestones, and the standard [`Capture`] sink
-//! stores them in a bounded buffer that serializes to JSONL for offline
-//! analysis by `mm-graph`.
+//! request/response milestones (the auditor matches their byte counts),
+//! and the standard [`Capture`] sink stores them in a bounded buffer that
+//! serializes to JSONL for `mmgraph`'s throughput and delay graphs.
 //!
 //! The hook mirrors the `MetricsSink` pattern from `mm-metrics`: every
 //! trait method defaults to a no-op, instrumented code holds

@@ -1,5 +1,5 @@
-//! Offline capture analysis: throughput-vs-capacity binning, queueing-
-//! delay percentile bands, and HTTP resource waterfalls.
+//! Offline capture analysis: throughput-vs-capacity binning and
+//! queueing-delay percentile bands.
 //!
 //! All functions work on one [`CaptureData`] at a time — loads run in
 //! separate simulations with separate clocks, so events from different
@@ -7,9 +7,14 @@
 
 use std::collections::BTreeMap;
 
-use mm_capture::{CaptureData, HttpPhase, LinkMeta, PacketEventKind, TapPoint, NO_RESOURCE};
+use mm_capture::{CaptureData, PacketEventKind, TapPoint};
 
 const NS_PER_MS: u64 = 1_000_000;
+
+/// Most bins one throughput series may hold: 55 simulated hours at the
+/// default 200 ms. A capture whose last delivery lies further out is an
+/// error, not an allocation sized by its timestamp.
+pub(crate) const MAX_BINS: u64 = 1_000_000;
 
 /// One time bin of a throughput series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,22 +53,24 @@ pub(crate) fn mbps(bytes: u64, bin_ms: u64) -> f64 {
 
 /// Number of trace delivery opportunities strictly before `t_ms`,
 /// honoring the trace's indefinite wrap (`t(i) = (i/n)·period + d[i%n]`).
-fn opportunities_before(meta: &LinkMeta, t_ms: u64) -> u64 {
-    let n = meta.deliveries_ms.len() as u64;
-    if n == 0 || meta.period_ms == 0 {
+/// `sorted` holds one period's delivery offsets in ascending order.
+/// Saturates rather than overflows, so it stays monotone in `t_ms`.
+fn opportunities_before(sorted: &[u64], period_ms: u64, t_ms: u64) -> u64 {
+    if sorted.is_empty() || period_ms == 0 {
         return 0;
     }
-    let full = t_ms / meta.period_ms;
-    let rem = t_ms % meta.period_ms;
-    let in_partial = meta.deliveries_ms.iter().filter(|&&d| d < rem).count() as u64;
-    full * n + in_partial
+    let in_partial = sorted.partition_point(|&d| d < t_ms % period_ms) as u64;
+    (t_ms / period_ms)
+        .saturating_mul(sorted.len() as u64)
+        .saturating_add(in_partial)
 }
 
 /// Bin every instrumented link's Deliver events into `bin_ms` windows,
 /// pairing each bin with the capacity its trace offered over the same
 /// window. The sum of `delivered_bytes` across bins equals the total
-/// bytes delivered (no event is lost to binning).
-pub(crate) fn throughput(data: &CaptureData, bin_ms: u64) -> Vec<ThroughputSeries> {
+/// bytes delivered (no event is lost to binning). A series longer than
+/// [`MAX_BINS`] is an error naming its link.
+pub(crate) fn throughput(data: &CaptureData, bin_ms: u64) -> Result<Vec<ThroughputSeries>, String> {
     assert!(bin_ms > 0, "bin width must be positive");
     let mut out = Vec::new();
     for meta in &data.links {
@@ -73,14 +80,23 @@ pub(crate) fn throughput(data: &CaptureData, bin_ms: u64) -> Vec<ThroughputSerie
             .filter(|p| p.point == meta.point && p.kind == PacketEventKind::Deliver)
             .collect();
         let end_ns = delivers.iter().map(|p| p.t_ns).max().unwrap_or(0);
-        let n_bins = (end_ns / NS_PER_MS / bin_ms + 1) as usize;
-        let mut bins: Vec<ThroughputBin> = (0..n_bins as u64)
+        let n_bins = end_ns / NS_PER_MS / bin_ms + 1;
+        if n_bins > MAX_BINS {
+            return Err(format!(
+                "link {}: a delivery at {end_ns} ns needs {n_bins} bins of {bin_ms} ms, \
+                 more than {MAX_BINS}",
+                meta.point.label()
+            ));
+        }
+        let mut sorted = meta.deliveries_ms.to_vec();
+        sorted.sort_unstable();
+        let before = |t_ms| opportunities_before(&sorted, meta.period_ms, t_ms);
+        let mut bins: Vec<ThroughputBin> = (0..n_bins)
             .map(|i| ThroughputBin {
                 t_ms: i * bin_ms,
                 delivered_bytes: 0,
-                capacity_bytes: (opportunities_before(meta, (i + 1) * bin_ms)
-                    - opportunities_before(meta, i * bin_ms))
-                    * meta.mtu_bytes as u64,
+                capacity_bytes: (before((i + 1) * bin_ms) - before(i * bin_ms))
+                    .saturating_mul(meta.mtu_bytes as u64),
             })
             .collect();
         for p in delivers {
@@ -93,7 +109,7 @@ pub(crate) fn throughput(data: &CaptureData, bin_ms: u64) -> Vec<ThroughputSerie
             bins,
         });
     }
-    out
+    Ok(out)
 }
 
 /// One per-packet queueing-delay observation (a Dequeue event).
@@ -163,76 +179,10 @@ pub(crate) fn delay_bands(samples: &[DelaySample], bin_ms: u64) -> Vec<DelayBand
         .collect()
 }
 
-/// One resource's row in the page-load waterfall.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WaterfallRow {
-    pub(crate) resource: u32,
-    pub(crate) url: String,
-    /// Discovery time (the `Queued` event).
-    pub(crate) queued_ns: u64,
-    /// First request-on-the-wire time, if the request was ever sent.
-    pub(crate) sent_ns: Option<u64>,
-    /// Completion (`Done`) or final-failure (`Failed`) time.
-    pub(crate) finished_ns: Option<u64>,
-    pub(crate) status: u16,
-    pub(crate) bytes: u64,
-    pub(crate) failed: bool,
-}
-
-/// Assemble the browser-side HTTP events into per-resource waterfall
-/// rows, ordered by discovery time. Server-side events (tagged
-/// [`NO_RESOURCE`]) are skipped — they carry no resource index; join on
-/// URL if server-side timing is wanted.
-pub(crate) fn waterfall(data: &CaptureData) -> Vec<WaterfallRow> {
-    let mut rows: BTreeMap<u32, WaterfallRow> = BTreeMap::new();
-    for h in &data.https {
-        if h.resource == NO_RESOURCE {
-            continue;
-        }
-        let row = rows.entry(h.resource).or_insert_with(|| WaterfallRow {
-            resource: h.resource,
-            url: h.url.clone(),
-            queued_ns: h.t_ns,
-            sent_ns: None,
-            finished_ns: None,
-            status: 0,
-            bytes: 0,
-            failed: false,
-        });
-        match h.phase {
-            HttpPhase::Queued => {
-                row.queued_ns = h.t_ns;
-                row.url = h.url.clone();
-            }
-            // First send starts the network phase; a retried request
-            // keeps its original start (the wait was real).
-            HttpPhase::Sent => {
-                if row.sent_ns.is_none() {
-                    row.sent_ns = Some(h.t_ns);
-                }
-            }
-            HttpPhase::Done => {
-                row.finished_ns = Some(h.t_ns);
-                row.status = h.status;
-                row.bytes = h.bytes;
-                row.failed = false;
-            }
-            HttpPhase::Failed => {
-                row.finished_ns = Some(h.t_ns);
-                row.failed = true;
-            }
-            HttpPhase::ServerRecv | HttpPhase::ServerSent => {}
-        }
-    }
-    let mut rows: Vec<WaterfallRow> = rows.into_values().collect();
-    rows.sort_by_key(|r| (r.queued_ns, r.resource));
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_capture::{Dir, HttpEvent, PacketEvent, PointKind};
+    use mm_capture::{Dir, LinkMeta, PacketEvent, PointKind};
 
     fn point() -> TapPoint {
         TapPoint {
@@ -273,7 +223,7 @@ mod tests {
             https: vec![],
             dropped: 0,
         };
-        let series = throughput(&data, 10);
+        let series = throughput(&data, 10).unwrap();
         assert_eq!(series.len(), 1);
         let s = &series[0];
         assert_eq!(s.bins.len(), 3);
@@ -302,42 +252,6 @@ mod tests {
         assert_eq!(b.max_ms, 100.0);
         assert!((b.p50_ms - 51.0).abs() < 1.5, "p50 {}", b.p50_ms);
         assert!((b.p95_ms - 95.0).abs() < 1.5, "p95 {}", b.p95_ms);
-    }
-
-    #[test]
-    fn waterfall_rows_track_phases() {
-        let mk = |t_ns, phase, resource, url: &str, status, bytes| HttpEvent {
-            t_ns,
-            phase,
-            resource,
-            url: url.to_string(),
-            status,
-            bytes,
-        };
-        let data = CaptureData {
-            load: 0,
-            links: vec![],
-            packets: vec![],
-            https: vec![
-                mk(10, HttpPhase::Queued, 0, "http://a/", 0, 0),
-                mk(12, HttpPhase::Sent, 0, "http://a/", 0, 0),
-                mk(90, HttpPhase::Done, 0, "http://a/", 200, 5000),
-                mk(20, HttpPhase::Queued, 1, "http://a/x.js", 0, 0),
-                mk(22, HttpPhase::Sent, 1, "http://a/x.js", 0, 0),
-                mk(99, HttpPhase::Failed, 1, "http://a/x.js", 0, 0),
-                // Server-side events must be ignored here.
-                mk(15, HttpPhase::ServerRecv, NO_RESOURCE, "/", 0, 0),
-            ],
-            dropped: 0,
-        };
-        let rows = waterfall(&data);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].resource, 0);
-        assert_eq!(rows[0].sent_ns, Some(12));
-        assert_eq!(rows[0].finished_ns, Some(90));
-        assert_eq!(rows[0].status, 200);
-        assert!(!rows[0].failed);
-        assert!(rows[1].failed);
     }
 
     #[test]

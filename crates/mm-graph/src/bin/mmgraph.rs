@@ -3,40 +3,21 @@
 //! Usage:
 //!
 //! ```text
-//! mmgraph <capture.jsonl | capture.bin | dir> [--out <dir>] [--bin-ms <n>]
+//! mmgraph <capture.jsonl | dir> [--out <dir>] [--bin-ms <n>]
 //! ```
 //!
-//! Given a directory (e.g. an experiment's `--capture-out` dir), looks
-//! for `capture.jsonl` then `capture.bin` inside it. Artifacts are
-//! written next to the input unless `--out` says otherwise.
+//! Given a directory (e.g. an experiment's `--capture-out` dir), reads
+//! the `capture.jsonl` inside it. Artifacts are written next to the
+//! input unless `--out` says otherwise.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use mm_graph::{parse_capture_bytes, render_capture, DEFAULT_BIN_MS};
+use mm_graph::{parse_capture_bytes, render_capture, write_artifact, DEFAULT_BIN_MS};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: mmgraph <capture.jsonl|capture.bin|dir> [--out <dir>] [--bin-ms <n>]");
+    eprintln!("usage: mmgraph <capture.jsonl|dir> [--out <dir>] [--bin-ms <n>]");
     ExitCode::from(2)
-}
-
-fn resolve_input(path: &Path) -> Result<PathBuf, String> {
-    if path.is_dir() {
-        for name in ["capture.jsonl", "capture.bin"] {
-            let candidate = path.join(name);
-            if candidate.is_file() {
-                return Ok(candidate);
-            }
-        }
-        return Err(format!(
-            "no capture.jsonl or capture.bin in {}",
-            path.display()
-        ));
-    }
-    if path.is_file() {
-        return Ok(path.to_path_buf());
-    }
-    Err(format!("no such file or directory: {}", path.display()))
 }
 
 fn main() -> ExitCode {
@@ -80,42 +61,32 @@ fn main() -> ExitCode {
     let Some(input) = input else {
         return usage();
     };
-
-    let file = match resolve_input(&input) {
-        Ok(f) => f,
+    match run(&input, out_dir, bin_ms) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("mmgraph: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let bytes = match std::fs::read(&file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mmgraph: read {}: {e}", file.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let captures = match parse_capture_bytes(&bytes) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("mmgraph: parse {}: {e}", file.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if captures.is_empty() {
-        eprintln!("mmgraph: {} holds no events", file.display());
-        return ExitCode::FAILURE;
     }
+}
 
+fn run(input: &Path, out_dir: Option<PathBuf>, bin_ms: u64) -> Result<(), String> {
+    let file = if input.is_dir() {
+        input.join("capture.jsonl")
+    } else {
+        input.to_path_buf()
+    };
+    let bytes = std::fs::read(&file).map_err(|e| format!("read {}: {e}", file.display()))?;
+    let captures =
+        parse_capture_bytes(&bytes).map_err(|e| format!("parse {}: {e}", file.display()))?;
+    if captures.is_empty() {
+        return Err(format!("{} holds no events", file.display()));
+    }
     let out_dir = out_dir.unwrap_or_else(|| {
         file.parent()
             .map(Path::to_path_buf)
             .unwrap_or_else(|| PathBuf::from("."))
     });
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("mmgraph: create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
 
     let mut written = 0usize;
     for data in &captures {
@@ -126,13 +97,10 @@ fn main() -> ExitCode {
                 data.load, data.dropped
             );
         }
-        for artifact in render_capture(data, bin_ms) {
-            let path = out_dir.join(&artifact.name);
-            if let Err(e) = std::fs::write(&path, artifact.content.as_bytes()) {
-                eprintln!("mmgraph: write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {}", path.display());
+        let artifacts =
+            render_capture(data, bin_ms).map_err(|e| format!("load {}: {e}", data.load))?;
+        for artifact in artifacts {
+            write_artifact(&out_dir, &artifact.name, &artifact.content)?;
             written += 1;
         }
     }
@@ -142,5 +110,5 @@ fn main() -> ExitCode {
         written,
         bin_ms
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

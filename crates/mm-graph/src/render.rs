@@ -3,9 +3,9 @@
 //! The graphs mirror mahimahi's `mm-throughput-graph` / `mm-delay-graph`
 //! conventions: capacity as a shaded region with achieved throughput as
 //! a line on top; queueing delay as a per-packet scatter with p50/p95
-//! band lines; plus a browser-style resource waterfall per page load.
+//! band lines.
 
-use crate::analyze::{mbps, DelayBand, DelaySample, ThroughputSeries, WaterfallRow};
+use crate::analyze::{mbps, DelayBand, DelaySample, ThroughputSeries};
 use crate::svg::{fnum, Plot, Svg};
 
 const W: u32 = 720;
@@ -20,9 +20,6 @@ const THROUGHPUT_STROKE: &str = "#2266bb";
 const P50_STROKE: &str = "#2266bb";
 const P95_STROKE: &str = "#dd8822";
 const SCATTER_FILL: &str = "#b0b0b0";
-const QUEUED_FILL: &str = "#c8c8c8";
-const OK_FILL: &str = "#4477cc";
-const FAIL_FILL: &str = "#cc4444";
 
 fn chart_plot(xmax: f64, ymax: f64) -> Plot {
     Plot {
@@ -138,88 +135,6 @@ pub(crate) fn delay_svg(samples: &[DelaySample], bands: &[DelayBand], title: &st
     svg.finish()
 }
 
-/// HTTP resource waterfall: one bar per resource, light segment from
-/// discovery to first byte on the wire, solid segment to completion.
-pub fn waterfall_svg(rows: &[WaterfallRow], title: &str) -> String {
-    const NS_PER_MS: f64 = 1_000_000.0;
-    const ROW_H: f64 = 14.0;
-    const LABEL_W: f64 = 240.0;
-    let height = (MARGIN_T + MARGIN_B + rows.len() as f64 * ROW_H).ceil() as u32;
-    let xmax = rows
-        .iter()
-        .filter_map(|r| r.finished_ns)
-        .map(|t| t as f64 / NS_PER_MS)
-        .fold(1.0_f64, f64::max);
-    let p = Plot {
-        x: LABEL_W,
-        y: MARGIN_T,
-        w: W as f64 - LABEL_W - MARGIN_R,
-        h: rows.len() as f64 * ROW_H,
-        xmin: 0.0,
-        xmax,
-        ymin: 0.0,
-        ymax: 1.0,
-    };
-    let mut svg = Svg::new(W, height.max(H.min(120)));
-
-    for (i, r) in rows.iter().enumerate() {
-        let y = MARGIN_T + i as f64 * ROW_H;
-        let queued = r.queued_ns as f64 / NS_PER_MS;
-        let sent = r.sent_ns.map(|t| t as f64 / NS_PER_MS).unwrap_or(queued);
-        let finished = r.finished_ns.map(|t| t as f64 / NS_PER_MS).unwrap_or(sent);
-        let chars: Vec<char> = r.url.chars().collect();
-        let label = if chars.len() > 36 {
-            format!("…{}", chars[chars.len() - 35..].iter().collect::<String>())
-        } else {
-            r.url.clone()
-        };
-        svg.text(LABEL_W - 6.0, y + ROW_H - 4.0, 9, "end", "#404040", &label);
-        svg.rect(
-            p.sx(queued),
-            y + 3.0,
-            p.sx(sent) - p.sx(queued),
-            ROW_H - 6.0,
-            QUEUED_FILL,
-        );
-        let fill = if r.failed { FAIL_FILL } else { OK_FILL };
-        svg.rect_titled(
-            p.sx(sent),
-            y + 2.0,
-            (p.sx(finished) - p.sx(sent)).max(1.0),
-            ROW_H - 4.0,
-            fill,
-            &format!(
-                "{} · status {} · {} bytes · {} → {} ms",
-                r.url,
-                r.status,
-                r.bytes,
-                fnum(queued),
-                fnum(finished)
-            ),
-        );
-    }
-    // Time axis along the bottom of the bars.
-    let axis_y = MARGIN_T + rows.len() as f64 * ROW_H;
-    svg.line(LABEL_W, axis_y, W as f64 - MARGIN_R, axis_y, "#404040", 1.0);
-    for i in 0..=5u32 {
-        let f = i as f64 / 5.0;
-        let xv = f * xmax;
-        let px = p.sx(xv);
-        svg.line(px, axis_y, px, axis_y + 4.0, "#404040", 1.0);
-        svg.text(px, axis_y + 16.0, 10, "middle", "#404040", &fnum(xv));
-    }
-    svg.text(
-        LABEL_W + p.w / 2.0,
-        axis_y + 32.0,
-        11,
-        "middle",
-        "#202020",
-        "time (ms)",
-    );
-    svg.text(MARGIN_L, 16.0, 12, "start", "#202020", title);
-    svg.finish()
-}
-
 /// CSV for a throughput series: one row per bin.
 pub(crate) fn throughput_csv(s: &ThroughputSeries) -> String {
     let mut out =
@@ -248,25 +163,6 @@ pub(crate) fn delay_csv(bands: &[DelayBand]) -> String {
             fnum(b.p50_ms),
             fnum(b.p95_ms),
             fnum(b.max_ms),
-        ));
-    }
-    out
-}
-
-/// CSV for a waterfall: one row per resource.
-pub(crate) fn waterfall_csv(rows: &[WaterfallRow]) -> String {
-    let mut out = String::from("resource,queued_ns,sent_ns,finished_ns,status,bytes,failed,url\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            r.resource,
-            r.queued_ns,
-            r.sent_ns.map(|t| t.to_string()).unwrap_or_default(),
-            r.finished_ns.map(|t| t.to_string()).unwrap_or_default(),
-            r.status,
-            r.bytes,
-            r.failed,
-            r.url.replace(',', "%2C"),
         ));
     }
     out
@@ -326,23 +222,5 @@ mod tests {
         assert_eq!(lines.len(), 2);
         // 625 kB in 50 ms = 100 Mbit/s.
         assert_eq!(lines[1], "0,625000,1250000,100,200");
-    }
-
-    #[test]
-    fn waterfall_handles_unfinished_rows() {
-        let rows = vec![WaterfallRow {
-            resource: 0,
-            url: "http://a/".into(),
-            queued_ns: 0,
-            sent_ns: None,
-            finished_ns: None,
-            status: 0,
-            bytes: 0,
-            failed: false,
-        }];
-        let svg = waterfall_svg(&rows, "t");
-        assert!(svg.contains("http://a/"));
-        let csv = waterfall_csv(&rows);
-        assert!(csv.lines().nth(1).unwrap().contains(",,"));
     }
 }

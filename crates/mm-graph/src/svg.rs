@@ -6,10 +6,11 @@
 //! golden-file tests and for diffable CI archives. SVG rather than a
 //! raster format because it needs no image codec (keeping the crate
 //! dependency-free), stays legible at any zoom, and diffs as text.
+//! Both the capture graphs and the span waterfall draw through it.
 
 /// Deterministic float formatting: fixed two decimals, then trailing
 /// zeros and a bare point trimmed (`12.50` → `12.5`, `3.00` → `3`).
-pub fn fnum(v: f64) -> String {
+pub(crate) fn fnum(v: f64) -> String {
     let v = if v.is_finite() { v } else { 0.0 };
     let s = format!("{v:.2}");
     let s = s.trim_end_matches('0').trim_end_matches('.');
@@ -34,8 +35,17 @@ fn esc_xml(s: &str) -> String {
     out
 }
 
+/// A `points` attribute: `x,y` pairs separated by spaces.
+fn points(pts: &[(f64, f64)]) -> String {
+    let pairs: Vec<String> = pts
+        .iter()
+        .map(|(x, y)| format!("{},{}", fnum(*x), fnum(*y)))
+        .collect();
+    pairs.join(" ")
+}
+
 /// An SVG document under construction.
-pub struct Svg {
+pub(crate) struct Svg {
     width: u32,
     height: u32,
     body: String,
@@ -43,7 +53,7 @@ pub struct Svg {
 
 impl Svg {
     /// A document of the given pixel size with a white background.
-    pub fn new(width: u32, height: u32) -> Svg {
+    pub(crate) fn new(width: u32, height: u32) -> Svg {
         let mut svg = Svg {
             width,
             height,
@@ -53,7 +63,7 @@ impl Svg {
         svg
     }
 
-    pub fn rect(&mut self, x: f64, y: f64, w: f64, h: f64, fill: &str) {
+    pub(crate) fn rect(&mut self, x: f64, y: f64, w: f64, h: f64, fill: &str) {
         self.body.push_str(&format!(
             "<rect x=\"{}\" y=\"{}\" width=\"{}\" height=\"{}\" fill=\"{}\"/>\n",
             fnum(x),
@@ -65,7 +75,7 @@ impl Svg {
     }
 
     /// A rect with a `<title>` child (hover tooltip in browsers).
-    pub fn rect_titled(&mut self, x: f64, y: f64, w: f64, h: f64, fill: &str, title: &str) {
+    pub(crate) fn rect_titled(&mut self, x: f64, y: f64, w: f64, h: f64, fill: &str, title: &str) {
         self.body.push_str(&format!(
             "<rect x=\"{}\" y=\"{}\" width=\"{}\" height=\"{}\" fill=\"{}\"><title>{}</title></rect>\n",
             fnum(x),
@@ -77,7 +87,7 @@ impl Svg {
         ));
     }
 
-    pub fn line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
+    pub(crate) fn line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
         self.body.push_str(&format!(
             "<line x1=\"{}\" y1=\"{}\" x2=\"{}\" y2=\"{}\" stroke=\"{}\" stroke-width=\"{}\"/>\n",
             fnum(x1),
@@ -90,37 +100,23 @@ impl Svg {
     }
 
     pub(crate) fn polyline(&mut self, pts: &[(f64, f64)], stroke: &str, width: f64) {
-        if pts.is_empty() {
-            return;
+        if !pts.is_empty() {
+            self.body.push_str(&format!(
+                "<polyline points=\"{}\" fill=\"none\" stroke=\"{stroke}\" stroke-width=\"{}\"/>\n",
+                points(pts),
+                fnum(width),
+            ));
         }
-        let mut points = String::new();
-        for (i, (x, y)) in pts.iter().enumerate() {
-            if i > 0 {
-                points.push(' ');
-            }
-            points.push_str(&format!("{},{}", fnum(*x), fnum(*y)));
-        }
-        self.body.push_str(&format!(
-            "<polyline points=\"{points}\" fill=\"none\" stroke=\"{}\" stroke-width=\"{}\"/>\n",
-            stroke,
-            fnum(width),
-        ));
     }
 
     /// A closed filled polygon (used for capacity areas and bands).
     pub(crate) fn polygon(&mut self, pts: &[(f64, f64)], fill: &str) {
-        if pts.is_empty() {
-            return;
+        if !pts.is_empty() {
+            self.body.push_str(&format!(
+                "<polygon points=\"{}\" fill=\"{fill}\"/>\n",
+                points(pts)
+            ));
         }
-        let mut points = String::new();
-        for (i, (x, y)) in pts.iter().enumerate() {
-            if i > 0 {
-                points.push(' ');
-            }
-            points.push_str(&format!("{},{}", fnum(*x), fnum(*y)));
-        }
-        self.body
-            .push_str(&format!("<polygon points=\"{points}\" fill=\"{fill}\"/>\n"));
     }
 
     pub(crate) fn circle(&mut self, x: f64, y: f64, r: f64, fill: &str) {
@@ -134,7 +130,7 @@ impl Svg {
     }
 
     /// Text anchored `start`, `middle`, or `end` at (x, y).
-    pub fn text(&mut self, x: f64, y: f64, size: u32, anchor: &str, fill: &str, s: &str) {
+    pub(crate) fn text(&mut self, x: f64, y: f64, size: u32, anchor: &str, fill: &str, s: &str) {
         self.body.push_str(&format!(
             "<text x=\"{}\" y=\"{}\" font-size=\"{}\" font-family=\"sans-serif\" \
              text-anchor=\"{}\" fill=\"{}\">{}</text>\n",
@@ -148,7 +144,7 @@ impl Svg {
     }
 
     /// The finished document.
-    pub fn finish(self) -> String {
+    pub(crate) fn finish(self) -> String {
         format!(
             "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{}\" height=\"{}\" \
              viewBox=\"0 0 {} {}\">\n{}</svg>\n",

@@ -1,13 +1,13 @@
 //! Waterfall rendering: one row per resource, phases as colored
 //! segments, critical-path rows marked — the browser-devtools view of a
-//! replayed load, drawn with `mm-graph`'s deterministic SVG writer so
-//! the artifact is byte-stable and diffable in CI.
+//! replayed load, drawn with the deterministic SVG writer so the
+//! artifact is byte-stable and diffable in CI.
 
 use std::collections::HashSet;
 
-use mm_graph::svg::{fnum, Svg};
 use mm_trace::SpanKind;
 
+use crate::svg::{fnum, Svg};
 use crate::{critical_path, PageTree, PHASE_ORDER};
 
 /// Fill color per phase kind (ColorBrewer-ish, print-safe).
@@ -80,11 +80,9 @@ pub fn waterfall_svg(tree: &PageTree) -> String {
         } else {
             ""
         };
-        let label = if r.url.len() > 24 {
-            format!("{mark}{}", &r.url[r.url.len() - 24..])
-        } else {
-            format!("{mark}{}", r.url)
-        };
+        // The URL's last 24 characters (not bytes: a URL may hold any text).
+        let skip = r.url.chars().count().saturating_sub(24);
+        let label = format!("{mark}{}", r.url.chars().skip(skip).collect::<String>());
         svg.text(LEFT - 6.0, y + ROW_H - 3.0, 9, "end", "#303030", &label);
         if let Some(phases) = tree.phases.get(&r.id) {
             for p in phases {
@@ -175,5 +173,30 @@ mod tests {
         assert!(a.starts_with("<svg"));
         assert!(a.contains("hol_wait"));
         assert!(a.contains("<title>res 0 transfer"));
+    }
+
+    #[test]
+    fn a_multi_byte_url_is_cut_at_a_character() {
+        let mk = |id, parent, kind, url: &str| Span {
+            load: 1,
+            id,
+            parent,
+            kind,
+            t0_ns: 0,
+            t1_ns: 100,
+            res: 0,
+            conn: 5,
+            url: url.to_string(),
+            detail: String::new(),
+        };
+        // 25 bytes from the end is the middle of a `π`.
+        let url = format!("http://h/{}x", "π".repeat(30));
+        let spans = vec![
+            mk(1, 0, SpanKind::Page, "http://h/"),
+            mk(2, 1, SpanKind::Resource, &url),
+        ];
+        let svg = waterfall_svg(&crate::build_pages(&spans)[0]);
+        let label = format!(">{}x</text>", "π".repeat(23));
+        assert!(svg.contains(&label), "{svg}");
     }
 }

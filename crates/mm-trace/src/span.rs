@@ -7,7 +7,7 @@
 //! scheduler, the TCP handshake and reassembly queue, the mux stream
 //! scheduler, the replay server's think time) emits a [`Span`] naming
 //! the wait, bounded in time, and linked to its causal parent. The
-//! `mmpath` analyzer (`crates/mm-path`) rebuilds the tree and walks the
+//! `mmpath` analyzer (`crates/mm-graph`) rebuilds the tree and walks the
 //! chain of blocking spans whose durations sum *exactly* to the page's
 //! PLT — WProf-style critical-path attribution over Dapper-style spans.
 //!
@@ -325,7 +325,7 @@ impl SpanSink for FanoutSpan {
     }
 }
 
-/// One span as a flat JSONL object (the shape `mm-path` parses).
+/// One span as a flat JSONL object (the shape `mmpath` parses).
 pub(crate) fn span_to_jsonl_line(s: &Span) -> String {
     format!(
         "{{\"ev\":\"span\",\"load\":{},\"id\":{},\"parent\":{},\"kind\":\"{}\",\

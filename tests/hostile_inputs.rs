@@ -1,16 +1,20 @@
 //! Hostile input for the artefact readers that share the flat-JSONL
 //! scanner (`mm_trace::jsonl`): span traces, captures and audit reports.
 //! Arbitrary text, and truncations and byte flips of valid files, must
-//! come back `Ok` or `Err` — never a panic. And whatever a string holds —
-//! quotes, backslashes, control characters, text that looks like a key —
-//! what the writers emit reads back exactly.
+//! come back `Ok` or `Err` — never a panic. Whatever a reader accepts
+//! must also go through every renderer the analysers draw it with. And
+//! whatever a string holds — quotes, backslashes, control characters,
+//! text that looks like a key — what the writers emit reads back exactly.
 
 use mm_audit::{parse_audit_jsonl, Auditor};
 use mm_capture::{
     data_to_jsonl, CaptureData, Dir, HttpEvent, HttpPhase, LinkMeta, PacketEvent, PacketEventKind,
     PacketTap, PointKind, TapPoint,
 };
-use mm_graph::parse_capture_bytes;
+use mm_graph::{
+    build_pages, critical_path, parse_capture_bytes, render_attribution, render_capture,
+    render_diff, validate, waterfall_svg, DEFAULT_BIN_MS,
+};
 use mm_trace::jsonl::{escape, get_str, get_u64};
 use mm_trace::{parse_spans_jsonl, Span, SpanKind, SpanSink, TraceBuffer};
 use proptest::prelude::*;
@@ -44,18 +48,37 @@ fn hostile() -> impl Strategy<Value = String> {
     })
 }
 
-/// Feed `bytes` to every reader; each must return, not panic.
+/// Feed `bytes` to every reader, and what each accepts to every
+/// renderer of it; each must return, not panic.
 fn read_all(bytes: &[u8]) {
     let text = String::from_utf8_lossy(bytes);
-    let _ = parse_spans_jsonl(&text);
+    if let Ok(spans) = parse_spans_jsonl(&text) {
+        render_spans(&spans);
+    }
     let _ = parse_audit_jsonl(&text);
-    let _ = parse_capture_bytes(bytes);
-    let _ = parse_capture_bytes(text.as_bytes());
+    for input in [bytes, text.as_bytes()] {
+        for data in parse_capture_bytes(input).into_iter().flatten() {
+            let _ = render_capture(&data, DEFAULT_BIN_MS);
+        }
+    }
 }
 
-/// `text` cut at `cut` and, separately, with the byte at `at` set to `to`.
+/// Everything `mmpath` draws from a span set.
+fn render_spans(spans: &[Span]) {
+    let pages = build_pages(spans);
+    for tree in &pages {
+        let _ = validate(tree);
+        let _ = render_attribution(tree, &critical_path(tree));
+        let _ = waterfall_svg(tree);
+    }
+    let _ = render_diff(&pages, &pages, "a", "b");
+}
+
+/// `text` as written, cut at `cut` and, separately, with the byte at
+/// `at` set to `to`.
 fn mutate(text: &str, cut: usize, at: usize, to: u8) {
     let bytes = text.as_bytes();
+    read_all(bytes);
     read_all(&bytes[..cut % (bytes.len() + 1)]);
     let mut flipped = bytes.to_vec();
     if !flipped.is_empty() {
@@ -65,19 +88,31 @@ fn mutate(text: &str, cut: usize, at: usize, to: u8) {
     read_all(&flipped);
 }
 
-fn span(url: String, detail: String, res: u32) -> Span {
+fn span(kind: SpanKind, id: u64, parent: u64, (t0_ns, t1_ns): (u64, u64), url: &str) -> Span {
     Span {
-        load: 0,
-        id: 1,
-        parent: 0,
-        kind: SpanKind::Resource,
-        t0_ns: 10,
-        t1_ns: 30,
-        res,
+        load: 2,
+        id,
+        parent,
+        kind,
+        t0_ns,
+        t1_ns,
+        res: 4,
         conn: 0x0a00_0001_0d05,
-        url,
-        detail,
+        url: url.to_string(),
+        detail: "mux".to_string(),
     }
+}
+
+/// One page load whose resource has a hostile URL, two overlapping
+/// transfers and a reassembly wait, at any times.
+fn page(url: &str, t: [u64; 4]) -> Vec<Span> {
+    vec![
+        span(SpanKind::Page, 1, 0, (0, t[0]), "http://10.0.0.1/"),
+        span(SpanKind::Resource, 2, 1, (0, t[0]), url),
+        span(SpanKind::Transfer, 3, 2, (0, t[1]), url),
+        span(SpanKind::Transfer, 4, 2, (0, t[2]), url),
+        span(SpanKind::HolWait, 5, 0, (t[1], t[3]), ""),
+    ]
 }
 
 fn point() -> TapPoint {
@@ -100,7 +135,8 @@ fn packet(pkt_id: u64, size_bytes: u32) -> PacketEvent {
     }
 }
 
-fn capture(url: String, pkt_id: u64) -> CaptureData {
+/// A capture of one dequeue and one delivery at `deliver_ns`.
+fn capture(url: String, pkt_id: u64, deliver_ns: u64) -> CaptureData {
     CaptureData {
         load: 3,
         links: vec![LinkMeta {
@@ -109,7 +145,14 @@ fn capture(url: String, pkt_id: u64) -> CaptureData {
             period_ms: 4,
             mtu_bytes: 1500,
         }],
-        packets: vec![packet(pkt_id, 1460)],
+        packets: vec![
+            packet(pkt_id, 1460),
+            PacketEvent {
+                t_ns: deliver_ns,
+                kind: PacketEventKind::Deliver,
+                ..packet(pkt_id, 1460)
+            },
+        ],
         https: vec![HttpEvent {
             t_ns: 9,
             phase: HttpPhase::Done,
@@ -144,23 +187,27 @@ proptest! {
     #[test]
     fn broken_span_lines_are_ok_or_err(
         url in hostile(),
+        t in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         cut in any::<usize>(),
         at in any::<usize>(),
         to in any::<u8>(),
     ) {
         let buf = TraceBuffer::for_load(2);
-        buf.record(span(url, "mux".to_string(), 4));
+        for s in page(&url, [t.0, t.1, t.2, t.3]) {
+            buf.record(s);
+        }
         mutate(&buf.to_jsonl(), cut, at, to);
     }
 
     #[test]
     fn broken_capture_lines_are_ok_or_err(
         url in hostile(),
+        deliver_ns in prop_oneof![0u64..60_000_000_000, any::<u64>()],
         cut in any::<usize>(),
         at in any::<usize>(),
         to in any::<u8>(),
     ) {
-        mutate(&data_to_jsonl(&capture(url, 42)), cut, at, to);
+        mutate(&data_to_jsonl(&capture(url, 42, deliver_ns)), cut, at, to);
     }
 
     #[test]
@@ -187,10 +234,10 @@ proptest! {
         pkt_id in any::<u64>(),
     ) {
         let buf = TraceBuffer::for_load(2);
-        let written = Span { load: 2, ..span(url.clone(), detail, 4) };
+        let written = Span { detail, ..span(SpanKind::Resource, 1, 0, (10, 30), &url) };
         buf.record(written.clone());
         prop_assert_eq!(parse_spans_jsonl(&buf.to_jsonl()), Ok(vec![written]));
-        let data = capture(url, pkt_id);
+        let data = capture(url, pkt_id, 2_000_000);
         let parsed = parse_capture_bytes(data_to_jsonl(&data).as_bytes());
         prop_assert_eq!(parsed, Ok(vec![data]));
     }

@@ -14,7 +14,7 @@
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec};
 use mahimahi::{corpus, trace};
 use mm_browser::{MuxConfig, ProtocolMode};
-use mm_path::{build_pages, critical_path, validate};
+use mm_graph::{build_pages, critical_path, validate};
 use mm_sim::{RngStream, SimDuration};
 use mm_trace::{SpanKind, TraceBuffer};
 use proptest::prelude::*;
