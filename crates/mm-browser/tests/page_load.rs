@@ -4,12 +4,17 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use mm_audit::Auditor;
 use mm_browser::{Browser, BrowserConfig, MuxConfig, PageLoadResult, ProtocolMode};
+use mm_capture::{Capture, FanoutTap, HttpPhase, TapHandle};
 use mm_http::{Request, Response, Url};
-use mm_net::{Host, IpAddr, Namespace, PacketIdGen, SocketAddr};
+use mm_net::{
+    Host, IpAddr, Listener, Namespace, PacketIdGen, SocketAddr, SocketApp, SocketEvent, TcpHandle,
+};
 use mm_record::{RequestResponsePair, Scheme, StoredSite};
 use mm_replay::{ReplayConfig, ReplayMode, ReplayShell, ServerProtocol};
 use mm_sim::{SimDuration, Simulator};
+use mm_trace::{FanoutSpan, SpanKind, TraceBuffer};
 
 fn pair(ip: IpAddr, port: u16, target: &str, body: &str, ctype: &str) -> RequestResponsePair {
     RequestResponsePair {
@@ -415,4 +420,173 @@ fn mux_load_uses_one_connection_per_origin() {
     // One multiplexed connection per distinct origin (3 origins here),
     // versus up to 6 each for HTTP/1.1.
     assert_eq!(client_host.stats().connections_initiated, 3);
+}
+
+/// What the server of the rogue origin (10.0.0.9) does once a request
+/// arrives.
+#[derive(Clone, Copy)]
+enum Rogue {
+    /// Abort the connection.
+    Abort,
+}
+
+const ROGUE: SocketAddr = SocketAddr {
+    ip: IpAddr::new(10, 0, 0, 9),
+    port: 80,
+};
+
+impl Listener for Rogue {
+    fn on_connection(&self, _sim: &mut Simulator, _handle: TcpHandle) -> Rc<dyn SocketApp> {
+        Rc::new(*self)
+    }
+}
+
+impl SocketApp for Rogue {
+    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
+        if let SocketEvent::Data(_) = ev {
+            match self {
+                Rogue::Abort => h.abort(sim),
+            }
+        }
+    }
+}
+
+/// A load observed by a capture, a span buffer and an auditor, all
+/// attached to the browser and the replay servers.
+struct Observed {
+    result: PageLoadResult,
+    capture: Capture,
+    spans: Rc<TraceBuffer>,
+    auditor: Auditor,
+}
+
+/// Load `root_url` in a world where [`ROGUE`] is served by `rogue` and
+/// every other origin by a replay of `site`.
+fn load_with_rogue(
+    site: &StoredSite,
+    root_url: &str,
+    rogue: Rogue,
+    protocol: ProtocolMode,
+) -> Observed {
+    let mut sim = Simulator::new();
+    let root = Namespace::root("world");
+    let ids = PacketIdGen::new();
+    let capture = Capture::for_load(0);
+    let spans = TraceBuffer::for_load(0);
+    let auditor = Auditor::for_load(0);
+    let tap = TapHandle::new(FanoutTap::new(vec![capture.handle(), auditor.tap_handle()]));
+    let span = FanoutSpan::new(vec![spans.handle(), auditor.span_handle()]).handle();
+    let shell = Rc::new(ReplayShell::new(
+        &root,
+        site,
+        ReplayConfig {
+            think_time: SimDuration::ZERO,
+            protocol: match &protocol {
+                ProtocolMode::Http1 { .. } => ServerProtocol::Http1,
+                ProtocolMode::Mux(mux) => ServerProtocol::Mux(mux.clone()),
+            },
+            capture: Some(tap.clone()),
+            span: Some(span.clone()),
+            ..ReplayConfig::default()
+        },
+        &ids,
+    ));
+    let rogue_host = Host::new_in(ROGUE.ip, ids.clone(), &root);
+    rogue_host.listen(ROGUE.port, Rc::new(rogue));
+    let client = Host::new_in(IpAddr::new(100, 64, 0, 2), ids, &root);
+    let resolver: mm_browser::Resolver = Rc::new(move |url: &Url| {
+        let origin = SocketAddr::new(url.host.parse().unwrap(), url.port);
+        if origin == ROGUE {
+            origin
+        } else {
+            shell.resolve(origin)
+        }
+    });
+    let browser = Browser::new(
+        client,
+        resolver,
+        BrowserConfig {
+            protocol,
+            capture: Some(tap),
+            span: Some(span),
+            ..BrowserConfig::default()
+        },
+    );
+    let slot = Rc::new(RefCell::new(None));
+    let out = slot.clone();
+    browser.navigate(&mut sim, root_url, move |_sim, r| {
+        *out.borrow_mut() = Some(r);
+    });
+    sim.run();
+    let result = slot.borrow_mut().take().expect("page load completed");
+    Observed {
+        result,
+        capture,
+        spans,
+        auditor,
+    }
+}
+
+/// A resource whose every connection dies once its request is out is
+/// retried once on a fresh connection, then given up; the rest of the
+/// page loads, and every observer sees one well-formed failure.
+#[test]
+fn a_resource_whose_connections_die_is_retried_once_then_failed() {
+    // test_site, its root also referencing a script on the rogue origin.
+    let mut site = StoredSite::new("rogue-script", "http://10.0.0.1:80/");
+    for mut pair in test_site().pairs {
+        if pair.request.target == "/" {
+            let html = String::from_utf8(pair.response.body.to_vec()).unwrap();
+            let html = html.replace("</html>", "<script src=\"http://10.0.0.9/gone.js\"></html>");
+            pair.response = Response::ok(Bytes::from(html), "text/html");
+        }
+        site.push(pair);
+    }
+    for protocol in [
+        ProtocolMode::default(),
+        ProtocolMode::Mux(MuxConfig::default()),
+    ] {
+        let o = load_with_rogue(&site, "http://10.0.0.1:80/", Rogue::Abort, protocol.clone());
+        let r = &o.result;
+        assert_eq!(r.resource_count(), 6, "{protocol:?}");
+        assert_eq!(r.failures, 1, "{protocol:?}");
+        let gone = r
+            .resources
+            .iter()
+            .position(|t| t.url.contains("gone.js"))
+            .expect("the rogue resource was fetched");
+        assert!(r.resources[gone].failed);
+        assert_eq!(r.resources[gone].status, 0);
+        let events: Vec<(HttpPhase, u16)> = o
+            .capture
+            .data()
+            .https
+            .iter()
+            .filter(|e| e.url.contains("gone.js"))
+            .map(|e| (e.phase, e.status))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                (HttpPhase::Queued, 0),
+                (HttpPhase::Sent, 0),
+                (HttpPhase::Sent, 0),
+                (HttpPhase::Failed, 0)
+            ],
+            "{protocol:?}"
+        );
+        let spans: Vec<_> = o
+            .spans
+            .spans()
+            .into_iter()
+            .filter(|s| s.res == gone as u32)
+            .collect();
+        assert_eq!(spans.len(), 2, "{protocol:?}: {spans:?}");
+        assert_eq!(spans[0].kind, SpanKind::Resource);
+        assert_eq!(spans[0].detail, "failed");
+        assert_eq!(spans[1].kind, SpanKind::Failed);
+        assert_eq!(spans[1].parent, spans[0].id);
+        let report = o.auditor.finish();
+        assert!(report.is_clean(), "{protocol:?}: {:?}", report.violations);
+    }
 }

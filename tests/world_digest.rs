@@ -9,7 +9,9 @@
 //!
 //! The observed rows run their bare world with all four observers
 //! attached (flow trace, capture, spans, audit) and must equal the bare
-//! row's constant: observers only observe. The soak row also folds the
+//! row's constant: observers only observe. One row folds the observer
+//! artefacts themselves — capture, span and flow-trace JSONL — so what
+//! the observers write is pinned byte for byte as well. The soak row also folds the
 //! registry's Prometheus text, which pins the qdisc instruments' backlog
 //! and sojourn histograms byte for byte.
 //!
@@ -38,6 +40,7 @@ const MUX_NO_THINK_TIME: u64 = 0x5f6a_8e30_60bb_c71e;
 const DROPHEAD_PAGE_LOAD: u64 = 0x5bcf_82c9_4f8c_a1d0;
 const PIE_PAGE_LOAD: u64 = 0x50bf_e238_fd37_029c;
 const SOAK_DROPTAIL: u64 = 0xbd29_7d7f_4137_02c9;
+const OBSERVER_ARTEFACTS: u64 = 0xad66_43af_a766_b01a;
 
 /// fnv1a64 over the little-endian bytes of everything folded in.
 struct Fold(u64);
@@ -169,6 +172,20 @@ impl Observers {
         assert!(self.capture.packet_count() > 0, "capture saw nothing");
         assert!(!self.spans.spans().is_empty(), "span buffer saw nothing");
     }
+
+    /// Fold the artefacts themselves: the capture's, the span buffer's
+    /// and the flow trace's JSONL, each of which saw the run.
+    fn fold_artefacts(&self, fold: &mut Fold) {
+        let artefacts = [
+            ("capture", self.capture.take_jsonl()),
+            ("span buffer", self.spans.to_jsonl()),
+            ("flow trace", self.tracer.take_jsonl()),
+        ];
+        for (channel, jsonl) in artefacts {
+            assert!(!jsonl.is_empty(), "{channel} saw nothing");
+            fold.str(&jsonl);
+        }
+    }
 }
 
 fn site(seed: u64) -> StoredSite {
@@ -189,9 +206,9 @@ fn check(row: &str, got: u64, want: u64) {
 }
 
 /// The paper's measurement: HTTP/1.1 over a delay shell and a link shell,
-/// here with a 24-packet droptail so loss recovery runs too.
-#[test]
-fn http1_page_load() {
+/// here with a 24-packet droptail so loss recovery runs too. With
+/// `observed`, every observer channel is attached as well, and returned.
+fn http1_world(observed: bool) -> (u64, Option<Observers>) {
     let site = site(41);
     let auditor = Auditor::for_load(0);
     let mut spec = LoadSpec::new(&site);
@@ -206,15 +223,21 @@ fn http1_page_load() {
     };
     spec.seed = 9;
     spec.audit = Some(auditor.clone());
+    let observers = observed.then(|| Observers::attach(&mut spec));
     let result = run_page_load(&spec);
     let digest = Fold::new().page(&result).report(&auditor.finish()).0;
-    check("http1_page_load", digest, HTTP1_PAGE_LOAD);
+    (digest, observers)
+}
+
+#[test]
+fn http1_page_load() {
+    check("http1_page_load", http1_world(false).0, HTTP1_PAGE_LOAD);
 }
 
 /// One mux connection per origin over a cellular trace with CoDel; with
-/// `observed`, every observer channel is attached as well. The replay
-/// servers think for `think_time` before each response.
-fn mux_cellular_codel(observed: bool, think_time: SimDuration) -> u64 {
+/// `observed`, every observer channel is attached as well, and returned.
+/// The replay servers think for `think_time` before each response.
+fn mux_cellular_codel(observed: bool, think_time: SimDuration) -> (u64, Option<Observers>) {
     let site = site(23);
     let mut rng = RngStream::from_seed(2014);
     let params = CellularParams {
@@ -238,10 +261,8 @@ fn mux_cellular_codel(observed: bool, think_time: SimDuration) -> u64 {
     spec.audit = Some(auditor.clone());
     let observers = observed.then(|| Observers::attach(&mut spec));
     let result = run_page_load(&spec);
-    if let Some(observers) = observers {
-        observers.check();
-    }
-    Fold::new().page(&result).report(&auditor.finish()).0
+    let digest = Fold::new().page(&result).report(&auditor.finish()).0;
+    (digest, observers)
 }
 
 /// The replay servers' default think time.
@@ -251,16 +272,18 @@ const THINK_TIME: SimDuration = SimDuration::from_millis(25);
 fn mux_over_cellular_with_codel() {
     check(
         "mux_over_cellular_with_codel",
-        mux_cellular_codel(false, THINK_TIME),
+        mux_cellular_codel(false, THINK_TIME).0,
         MUX_CELLULAR_CODEL,
     );
 }
 
 #[test]
 fn mux_over_cellular_with_codel_observed() {
+    let (digest, observers) = mux_cellular_codel(true, THINK_TIME);
+    observers.expect("observed").check();
     check(
         "mux_over_cellular_with_codel_observed",
-        mux_cellular_codel(true, THINK_TIME),
+        digest,
         MUX_CELLULAR_CODEL,
     );
 }
@@ -271,9 +294,31 @@ fn mux_over_cellular_with_codel_observed() {
 fn mux_over_cellular_without_think_time() {
     check(
         "mux_over_cellular_without_think_time",
-        mux_cellular_codel(false, SimDuration::ZERO),
+        mux_cellular_codel(false, SimDuration::ZERO).0,
         MUX_NO_THINK_TIME,
     );
+}
+
+/// The observer artefacts byte for byte: the HTTP/1.1 world and the mux
+/// cellular CoDel world, each observed, fold their capture, span and
+/// flow-trace JSONL. Each world's own digest must still equal its bare
+/// row's constant.
+#[test]
+fn observer_artefacts() {
+    let mut fold = Fold::new();
+    let worlds = [
+        ("http1_page_load", http1_world(true), HTTP1_PAGE_LOAD),
+        (
+            "mux_over_cellular_with_codel",
+            mux_cellular_codel(true, THINK_TIME),
+            MUX_CELLULAR_CODEL,
+        ),
+    ];
+    for (row, (digest, observers), want) in worlds {
+        check(row, digest, want);
+        observers.expect("observed").fold_artefacts(&mut fold);
+    }
+    check("observer_artefacts", fold.0, OBSERVER_ARTEFACTS);
 }
 
 /// Eight users sharing one bottleneck, each loading the page (over
