@@ -312,7 +312,7 @@ struct State {
 
 /// One resource's phase chain, checked as it arrives. The browser emits
 /// a `Resource` span and then its phases contiguously and in time order
-/// (`mm-browser`'s `emit_resource_chain`), so one open chain — verified
+/// (`mm-browser`'s `record_resource`), so one open chain — verified
 /// and forgotten when the next resource starts — is all the state the
 /// tiling check needs, however many spans a world emits. Chains are
 /// keyed by the resource span's *id* (its phases carry it as `parent`):

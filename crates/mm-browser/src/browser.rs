@@ -15,15 +15,14 @@
 //! single machine, whose serialized request matching (one Apache + CGI)
 //! becomes the bottleneck Table 2 and Figure 3 quantify.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::{Rc, Weak};
 
-use bytes::Bytes;
 use mm_capture::{HttpEvent, HttpPhase, TapHandle};
 use mm_http::{write_request, Request, Response, ResponseParser, Url};
 use mm_mux::{
-    MuxClient, MuxConfig, MuxError, StreamEvent, PRIORITY_BULK, PRIORITY_ROOT, PRIORITY_SUBRESOURCE,
+    MuxClient, MuxConfig, StreamEvent, PRIORITY_BULK, PRIORITY_ROOT, PRIORITY_SUBRESOURCE,
 };
 use mm_net::{Host, SocketAddr, SocketApp, SocketEvent, TcpHandle};
 use mm_sim::{SimDuration, Simulator, Timestamp};
@@ -114,29 +113,6 @@ fn span_conn_id(addr: SocketAddr) -> u64 {
     ((addr.ip.0 as u64) << 16) | addr.port as u64
 }
 
-/// Emit an [`HttpEvent`] if a tap is attached (browser side: `resource`
-/// carries the timing index).
-fn tap_http(
-    tap: &Option<TapHandle>,
-    now: Timestamp,
-    phase: HttpPhase,
-    resource: usize,
-    url: &str,
-    status: u16,
-    bytes: u64,
-) {
-    if let Some(tap) = tap {
-        tap.on_http(&HttpEvent {
-            t_ns: now.as_nanos(),
-            phase,
-            resource: resource as u32,
-            url: url.to_string(),
-            status,
-            bytes,
-        });
-    }
-}
-
 /// Maps a URL's origin to the address actually serving it (the browser's
 /// stand-in for DNS). Identity in multi-origin replay; all-to-one in the
 /// single-server ablation; arbitrary for live-web models.
@@ -172,15 +148,19 @@ impl PageLoadResult {
     }
 }
 
-/// The host header a URL implies (port elided when default).
-fn host_header(url: &Url) -> String {
+/// The GET the browser sends for `url` (`Host` with the port elided
+/// when default).
+fn request_for(url: &Url) -> Request {
     let default =
         (url.scheme == "http" && url.port == 80) || (url.scheme == "https" && url.port == 443);
-    if default {
+    let host = if default {
         url.host.clone()
     } else {
         format!("{}:{}", url.host, url.port)
-    }
+    };
+    let mut req = Request::get(url.target.clone(), host);
+    req.headers.append("Accept", "*/*");
+    req
 }
 
 struct FetchJob {
@@ -188,10 +168,32 @@ struct FetchJob {
     timing_idx: usize,
 }
 
+/// A fetch's lifecycle milestones. Each goes through [`Browser::stamp`],
+/// which emits the capture event it maps to and marks the span record.
+#[derive(Clone, Copy)]
+enum Milestone {
+    /// Discovered (capture `Queued`).
+    Queued,
+    /// Handed to the transport on connection `conn` (capture `Sent`):
+    /// HTTP/1.1 wrote the request to a socket, mux submitted a stream.
+    Sent { conn: u64 },
+    /// The request waited on its connection's handshake, which completed
+    /// now, from `since` (`None`: from when it was sent).
+    HandshakeWait { since: Option<Timestamp> },
+    /// Mux only: the stream left the client's queue (HEADERS sent).
+    StreamOpened,
+    /// First response bytes.
+    FirstByte,
+    /// Response complete (capture `Done`); its parse runs on the main
+    /// thread over `parse`.
+    Done { parse: (Timestamp, Timestamp) },
+    /// Given up after its retry (capture `Failed`).
+    Failed,
+}
+
 /// Per-resource span bookkeeping: ids allocated at fetch time plus the
-/// phase-boundary stamps the emitters fill in along the way. Index-
-/// parallel with `LoadState::timings`; inert (all zero) when no sink is
-/// attached.
+/// milestone stamps. Index-parallel with `LoadState::timings`; inert (all
+/// zero) when no sink is attached.
 #[derive(Clone, Copy, Default)]
 struct ResSpanRec {
     span_id: u64,
@@ -199,43 +201,47 @@ struct ResSpanRec {
     /// `Page` span for the root document).
     parent_span: u64,
     conn: u64,
-    /// HTTP/1.1: request written to the socket. Mux: stream submitted.
     sent_at: Option<Timestamp>,
     /// Connection-setup wait interval, when this resource paid one.
-    setup_t0: Option<Timestamp>,
-    setup_t1: Option<Timestamp>,
-    /// Mux only: HEADERS actually sent (stream left the client's queue).
+    setup: Option<(Timestamp, Timestamp)>,
     opened_at: Option<Timestamp>,
     first_byte_at: Option<Timestamp>,
 }
 
+/// One HTTP/1.1 connection, carrying one request at a time (no
+/// pipelining).
 struct Conn {
-    /// None only during the instant between allocation and `connect`.
-    handle: Option<TcpHandle>,
-    /// In-flight jobs in request order (HTTP/1.1: one at a time here).
-    active: VecDeque<FetchJob>,
-    connected: bool,
-    dead: bool,
-    /// When `connect` was issued (span layer: ConnSetup start).
+    handle: TcpHandle,
+    job: Option<FetchJob>,
     connect_started: Timestamp,
-    /// When the handshake completed; a request written at exactly this
-    /// instant waited on the handshake (span layer: ConnSetup end).
+    /// When the handshake completed.
     connected_at: Option<Timestamp>,
+    dead: bool,
 }
 
 type ConnRef = Rc<RefCell<Conn>>;
 
+/// How an origin's requests reach it.
+enum Transport {
+    /// Up to `pool_size` connections, opened while jobs wait.
+    Http1 {
+        conns: Vec<ConnRef>,
+        pool_size: usize,
+    },
+    /// One multiplexed connection, opened on first use and replaced once
+    /// dead; the client enforces the concurrent-stream cap and queues
+    /// streams beyond it in priority order.
+    Mux {
+        client: Option<MuxClient>,
+        config: MuxConfig,
+    },
+}
+
 struct Pool {
     /// Where this origin's connections actually go (post-resolver).
     addr: SocketAddr,
-    /// HTTP/1.1 connections (unused in mux mode).
-    conns: Vec<ConnRef>,
-    /// The origin's single multiplexed connection (mux mode only).
-    mux: Option<MuxClient>,
-    /// When the mux connection's handshake completed (span layer: a
-    /// stream whose HEADERS left at exactly this instant waited on it).
-    mux_ready_at: Option<Timestamp>,
-    /// Jobs not yet handed to a connection.
+    transport: Transport,
+    /// Jobs not yet handed to the transport.
     queue: VecDeque<FetchJob>,
 }
 
@@ -357,13 +363,17 @@ impl Browser {
     /// `Page` span for the root document, the discovering resource's
     /// span for everything else (0 when no sink is attached).
     fn fetch(&self, sim: &mut Simulator, url: Url, parent_span: u64) {
-        let (authority, mux) = {
+        let now = sim.now();
+        let (authority, idx) = {
             let mut inner = self.inner.borrow_mut();
-            let resolver = inner.resolver.clone();
-            let mux = matches!(inner.config.protocol, ProtocolMode::Mux(_));
-            let tap = inner.config.capture.clone();
-            let span_id = inner.config.span.as_ref().map_or(0, |s| s.next_id());
-            let Some(load) = inner.load.as_mut() else {
+            let BrowserInner {
+                config,
+                resolver,
+                load,
+                ..
+            } = &mut *inner;
+            let span_id = config.span.as_ref().map_or(0, |s| s.next_id());
+            let Some(load) = load.as_mut() else {
                 return;
             };
             let key = url.to_string();
@@ -374,12 +384,11 @@ impl Browser {
             load.outstanding += 1;
             let authority = url.authority();
             let addr = resolver(&url);
-            let timing_idx = load.timings.len();
-            tap_http(&tap, sim.now(), HttpPhase::Queued, timing_idx, &key, 0, 0);
+            let idx = load.timings.len();
             load.timings.push(ResourceTiming {
                 url: key,
-                queued_at: sim.now(),
-                finished_at: sim.now(),
+                queued_at: now,
+                finished_at: now,
                 status: 0,
                 body_bytes: 0,
                 failed: false,
@@ -391,150 +400,106 @@ impl Browser {
             });
             let pool = load.pools.entry(authority.clone()).or_insert_with(|| Pool {
                 addr,
-                conns: Vec::new(),
-                mux: None,
-                mux_ready_at: None,
+                transport: match &config.protocol {
+                    ProtocolMode::Http1 { pool_size } => Transport::Http1 {
+                        conns: Vec::new(),
+                        pool_size: *pool_size,
+                    },
+                    ProtocolMode::Mux(mux) => Transport::Mux {
+                        client: None,
+                        config: mux.clone(),
+                    },
+                },
                 queue: VecDeque::new(),
             });
-            pool.queue.push_back(FetchJob { url, timing_idx });
-            (authority, mux)
+            pool.queue.push_back(FetchJob {
+                url,
+                timing_idx: idx,
+            });
+            (authority, idx)
         };
-        if mux {
-            self.pump_mux(sim, &authority);
-        } else {
-            self.pump_pool(sim, &authority);
-        }
+        self.stamp(now, idx, Milestone::Queued);
+        self.pump(sim, &authority);
     }
 
-    /// Dispatch queued jobs in the pool for `authority`: reuse idle
-    /// connections, open new ones up to the per-origin limit.
-    fn pump_pool(&self, sim: &mut Simulator, authority: &str) {
+    /// Hand `authority`'s queued jobs to its transport. HTTP/1.1 writes
+    /// each to an idle connection, and opens connections up to the pool
+    /// size while none is idle; mux submits every job as a stream on the
+    /// origin's one connection, (re)opening it when missing or dead.
+    fn pump(&self, sim: &mut Simulator, authority: &str) {
         loop {
-            // Find one assignment to perform, then do socket work outside
-            // the borrow.
+            // Find one step under the borrow; do socket work outside it.
             enum Step {
-                Send(TcpHandle, Bytes),
+                Send(ConnRef, FetchJob),
+                Submit(MuxClient, FetchJob),
                 Open(SocketAddr),
-                Done,
+                Connect(SocketAddr, MuxConfig),
             }
             let step = {
                 let mut inner = self.inner.borrow_mut();
-                let max_conns = match &inner.config.protocol {
-                    ProtocolMode::Http1 { pool_size } => *pool_size,
-                    ProtocolMode::Mux(_) => unreachable!("pump_pool is HTTP/1.1-only"),
-                };
-                let tap = inner.config.capture.clone();
-                let span_on = inner.config.span.is_some();
-                let Some(load) = inner.load.as_mut() else {
+                let Some(pool) = inner.load.as_mut().and_then(|l| l.pools.get_mut(authority))
+                else {
                     return;
                 };
-                let Some(pool) = load.pools.get_mut(authority) else {
-                    return;
-                };
-                pool.conns.retain(|c| !c.borrow().dead);
-                if pool.queue.is_empty() {
-                    Step::Done
-                } else if let Some(conn) = pool
-                    .conns
-                    .iter()
-                    .find(|c| {
-                        let c = c.borrow();
-                        c.connected && c.active.is_empty()
-                    })
-                    .cloned()
-                {
-                    let job = pool.queue.pop_front().unwrap();
-                    let req = Self::build_request(&job.url);
-                    let wire = write_request(&req);
-                    tap_http(
-                        &tap,
-                        sim.now(),
-                        HttpPhase::Sent,
-                        job.timing_idx,
-                        &load.timings[job.timing_idx].url,
-                        0,
-                        0,
-                    );
-                    let mut c = conn.borrow_mut();
-                    if span_on {
-                        let now = sim.now();
-                        let queued = load.timings[job.timing_idx].queued_at;
-                        let rec = &mut load.spans[job.timing_idx];
-                        rec.sent_at = Some(now);
-                        if let Some(h) = &c.handle {
-                            rec.conn = span_conn_id(h.local_addr());
+                let Pool {
+                    addr,
+                    transport,
+                    queue,
+                } = pool;
+                match transport {
+                    Transport::Http1 { conns, pool_size } => {
+                        conns.retain(|c| !c.borrow().dead);
+                        if queue.is_empty() {
+                            return;
                         }
-                        // A request written at the very instant the
-                        // handshake completed waited on that handshake.
-                        if c.connected_at == Some(now) {
-                            rec.setup_t0 = Some(c.connect_started.max(queued));
-                            rec.setup_t1 = Some(now);
+                        let idle = conns.iter().find(|c| {
+                            let c = c.borrow();
+                            c.connected_at.is_some() && c.job.is_none()
+                        });
+                        match idle {
+                            Some(conn) => {
+                                Step::Send(conn.clone(), queue.pop_front().expect("queued"))
+                            }
+                            None if conns.len() < *pool_size => Step::Open(*addr),
+                            None => return, // every conn busy or still connecting
                         }
                     }
-                    c.active.push_back(job);
-                    let handle = c.handle.clone().expect("connected conn has a handle");
-                    Step::Send(handle, wire)
-                } else if pool.conns.len() < max_conns {
-                    Step::Open(pool.addr)
-                } else {
-                    Step::Done // every conn busy or still connecting
+                    Transport::Mux { client, config } => {
+                        if queue.is_empty() {
+                            return;
+                        }
+                        match client {
+                            Some(c) if !c.is_dead() => {
+                                Step::Submit(c.clone(), queue.pop_front().expect("queued"))
+                            }
+                            _ => Step::Connect(*addr, config.clone()),
+                        }
+                    }
                 }
             };
+            let now = sim.now();
             match step {
-                Step::Done => return,
-                Step::Send(handle, wire) => {
+                Step::Send(conn, job) => {
+                    let (handle, connect_started, connected_at) = {
+                        let c = conn.borrow();
+                        (c.handle.clone(), c.connect_started, c.connected_at)
+                    };
+                    let idx = job.timing_idx;
+                    let wire = write_request(&request_for(&job.url));
+                    let conn_id = span_conn_id(handle.local_addr());
+                    self.stamp(now, idx, Milestone::Sent { conn: conn_id });
+                    // Written the instant the handshake completed: the
+                    // request waited on it.
+                    if connected_at == Some(now) {
+                        let since = Some(connect_started);
+                        self.stamp(now, idx, Milestone::HandshakeWait { since });
+                    }
+                    conn.borrow_mut().job = Some(job);
                     handle.send(sim, wire);
                 }
-                Step::Open(addr) => {
-                    self.open_connection(sim, authority, addr);
-                }
-            }
-        }
-    }
-
-    fn build_request(url: &Url) -> Request {
-        let mut req = Request::get(url.target.clone(), host_header(url));
-        req.headers.append("Accept", "*/*");
-        req
-    }
-
-    /// Dispatch queued jobs for `authority` over its single multiplexed
-    /// connection, opening it on first use. The client enforces the
-    /// concurrent-stream cap internally, so every job is handed over at
-    /// once and queues there in priority order.
-    fn pump_mux(&self, sim: &mut Simulator, authority: &str) {
-        loop {
-            enum Step {
-                Submit(MuxClient, FetchJob),
-                Connect(SocketAddr, MuxConfig),
-                Done,
-            }
-            let step = {
-                let mut inner = self.inner.borrow_mut();
-                let config = match &inner.config.protocol {
-                    ProtocolMode::Mux(c) => c.clone(),
-                    ProtocolMode::Http1 { .. } => unreachable!("pump_mux is mux-only"),
-                };
-                let Some(load) = inner.load.as_mut() else {
-                    return;
-                };
-                let Some(pool) = load.pools.get_mut(authority) else {
-                    return;
-                };
-                if pool.queue.is_empty() {
-                    Step::Done
-                } else {
-                    match &pool.mux {
-                        Some(client) if !client.is_dead() => {
-                            Step::Submit(client.clone(), pool.queue.pop_front().unwrap())
-                        }
-                        _ => Step::Connect(pool.addr, config),
-                    }
-                }
-            };
-            match step {
-                Step::Done => return,
                 Step::Submit(client, job) => {
+                    let conn_id = client.local_addr().map_or(0, span_conn_id);
+                    self.stamp(now, job.timing_idx, Milestone::Sent { conn: conn_id });
                     // The root document preempts everything; discovery-
                     // bearing subresources preempt leaf content.
                     let priority = if job.timing_idx == 0 {
@@ -544,279 +509,186 @@ impl Browser {
                     } else {
                         PRIORITY_BULK
                     };
-                    let req = Self::build_request(&job.url);
-                    let tap = self.inner.borrow().config.capture.clone();
-                    tap_http(
-                        &tap,
-                        sim.now(),
-                        HttpPhase::Sent,
-                        job.timing_idx,
-                        &job.url.to_string(),
-                        0,
-                        0,
-                    );
-                    self.stamp_mux_submit(sim.now(), job.timing_idx, &client);
-                    let me = self.downgrade();
-                    let auth = authority.to_string();
+                    let req = request_for(&job.url);
                     let tag = job.timing_idx as u32;
-                    client.request_tagged(sim, req, priority, tag, move |sim, result| {
+                    let (me, auth) = (self.downgrade(), authority.to_string());
+                    client.request(sim, req, priority, tag, move |sim, result| {
                         if let Some(me) = me.upgrade() {
-                            me.on_mux_result(sim, &auth, job, result);
+                            me.settle(sim, &auth, job, result.ok());
                         }
                     });
                 }
-                Step::Connect(addr, config) => {
-                    let host = self.inner.borrow().host.clone();
-                    let client = MuxClient::connect(sim, &host, addr, config);
-                    let mut inner = self.inner.borrow_mut();
-                    if inner.config.span.is_some() {
-                        let me = self.downgrade();
-                        let auth = authority.to_string();
-                        client.set_observer(Rc::new(move |tag, ev, t| {
-                            if let Some(me) = me.upgrade() {
-                                me.on_mux_stream_event(&auth, tag, ev, t);
-                            }
-                        }));
-                    }
-                    if let Some(load) = inner.load.as_mut() {
-                        if let Some(pool) = load.pools.get_mut(authority) {
-                            pool.mux = Some(client);
-                            pool.mux_ready_at = None;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// A mux stream settled (response or connection failure).
-    fn on_mux_result(
-        &self,
-        sim: &mut Simulator,
-        authority: &str,
-        job: FetchJob,
-        result: Result<Response, MuxError>,
-    ) {
-        match result {
-            Ok(resp) => self.complete_resource(sim, job.timing_idx, resp),
-            Err(_) => {
-                // One automatic retry per job on a fresh connection,
-                // matching the HTTP/1.1 path's policy.
-                let retry = {
-                    let mut inner = self.inner.borrow_mut();
-                    let tap = inner.config.capture.clone();
-                    let span = inner.config.span.clone();
-                    let Some(load) = inner.load.as_mut() else {
-                        return;
-                    };
-                    if load.timings[job.timing_idx].failed {
-                        load.timings[job.timing_idx].finished_at = sim.now();
-                        load.outstanding -= 1;
-                        let t = &load.timings[job.timing_idx];
-                        tap_http(
-                            &tap,
-                            sim.now(),
-                            HttpPhase::Failed,
-                            job.timing_idx,
-                            &t.url,
-                            0,
-                            0,
-                        );
-                        Self::span_failed(
-                            &span,
-                            &load.spans[job.timing_idx],
-                            job.timing_idx,
-                            t.queued_at,
-                            &t.url,
-                            sim.now(),
-                        );
-                        false
-                    } else {
-                        load.timings[job.timing_idx].failed = true;
-                        // Reset the span stamps so the retry re-times its
-                        // phases from a clean slate.
-                        let rec = &mut load.spans[job.timing_idx];
-                        *rec = ResSpanRec {
-                            span_id: rec.span_id,
-                            parent_span: rec.parent_span,
-                            ..ResSpanRec::default()
-                        };
-                        match load.pools.get_mut(authority) {
-                            Some(pool) => {
-                                if pool.mux.as_ref().is_some_and(|c| c.is_dead()) {
-                                    pool.mux = None;
-                                }
-                                pool.queue.push_back(job);
-                                true
-                            }
-                            None => {
-                                load.timings[job.timing_idx].finished_at = sim.now();
-                                load.outstanding -= 1;
-                                let t = &load.timings[job.timing_idx];
-                                tap_http(
-                                    &tap,
-                                    sim.now(),
-                                    HttpPhase::Failed,
-                                    job.timing_idx,
-                                    &t.url,
-                                    0,
-                                    0,
-                                );
-                                Self::span_failed(
-                                    &span,
-                                    &load.spans[job.timing_idx],
-                                    job.timing_idx,
-                                    t.queued_at,
-                                    &t.url,
-                                    sim.now(),
-                                );
-                                false
-                            }
-                        }
-                    }
-                };
-                if retry {
-                    self.pump_mux(sim, authority);
-                }
-                self.maybe_finish(sim);
+                Step::Open(addr) => self.open_connection(sim, authority, addr),
+                Step::Connect(addr, config) => self.connect_mux(sim, authority, addr, config),
             }
         }
     }
 
     fn open_connection(&self, sim: &mut Simulator, authority: &str, addr: SocketAddr) {
         let host = self.inner.borrow().host.clone();
-        let conn: ConnRef = Rc::new(RefCell::new(Conn {
-            handle: None,
-            active: VecDeque::new(),
-            connected: false,
-            dead: false,
-            connect_started: sim.now(),
-            connected_at: None,
-        }));
-        let app = Rc::new(ConnApp {
-            browser: self.downgrade(),
-            conn: Rc::downgrade(&conn),
-            authority: authority.to_string(),
-            parser: RefCell::new(ResponseParser::new()),
+        let browser = self.downgrade();
+        let conn: ConnRef = Rc::new_cyclic(|conn| {
+            let app = Rc::new(ConnApp {
+                browser,
+                conn: conn.clone(),
+                authority: authority.to_string(),
+                parser: RefCell::new(ResponseParser::new()),
+            });
+            RefCell::new(Conn {
+                handle: host.connect(sim, addr, app),
+                job: None,
+                connect_started: sim.now(),
+                connected_at: None,
+                dead: false,
+            })
         });
-        let handle = host.connect(sim, addr, app);
-        conn.borrow_mut().handle = Some(handle);
-        if let Some(load) = self.inner.borrow_mut().load.as_mut() {
-            if let Some(pool) = load.pools.get_mut(authority) {
-                pool.conns.push(conn);
-            }
+        let mut inner = self.inner.borrow_mut();
+        if let Some(Transport::Http1 { conns, .. }) = inner
+            .load
+            .as_mut()
+            .and_then(|l| l.pools.get_mut(authority))
+            .map(|p| &mut p.transport)
+        {
+            conns.push(conn);
         }
     }
 
-    /// A connection finished its handshake.
-    fn on_conn_ready(&self, sim: &mut Simulator, authority: &str, conn: &ConnRef) {
-        {
-            let mut c = conn.borrow_mut();
-            c.connected = true;
-            c.connected_at = Some(sim.now());
-        }
-        self.pump_pool(sim, authority);
-    }
-
-    /// A connection died (reset or closed by the server). Re-queue any
-    /// in-flight jobs so they are retried on a fresh connection; if the
-    /// job was already retried, fail it.
-    fn on_conn_dead(&self, sim: &mut Simulator, authority: &str, conn: &ConnRef) {
-        let jobs: Vec<FetchJob> = {
-            let mut c = conn.borrow_mut();
-            c.dead = true;
-            c.connected = false;
-            c.active.drain(..).collect()
-        };
-        {
-            let mut inner = self.inner.borrow_mut();
-            let tap = inner.config.capture.clone();
-            let span = inner.config.span.clone();
-            if let Some(load) = inner.load.as_mut() {
-                if let Some(pool) = load.pools.get_mut(authority) {
-                    for job in jobs {
-                        // One automatic retry per job: track via timing
-                        // status sentinel (status stays 0 until success).
-                        if load.timings[job.timing_idx].failed {
-                            // Second failure: give up below.
-                            load.timings[job.timing_idx].finished_at = sim.now();
-                            load.outstanding -= 1;
-                            let t = &load.timings[job.timing_idx];
-                            tap_http(
-                                &tap,
-                                sim.now(),
-                                HttpPhase::Failed,
-                                job.timing_idx,
-                                &t.url,
-                                0,
-                                0,
-                            );
-                            Self::span_failed(
-                                &span,
-                                &load.spans[job.timing_idx],
-                                job.timing_idx,
-                                t.queued_at,
-                                &t.url,
-                                sim.now(),
-                            );
-                            continue;
+    /// Open `authority`'s multiplexed connection. With a span sink, its
+    /// observer stamps each stream's opening (and the handshake wait of
+    /// a stream opened the instant the handshake completed) and first
+    /// byte.
+    fn connect_mux(
+        &self,
+        sim: &mut Simulator,
+        authority: &str,
+        addr: SocketAddr,
+        config: MuxConfig,
+    ) {
+        let host = self.inner.borrow().host.clone();
+        let client = MuxClient::connect(sim, &host, addr, config);
+        let mut inner = self.inner.borrow_mut();
+        if inner.config.span.is_some() {
+            let (me, ready_at) = (self.downgrade(), Cell::new(None));
+            client.set_observer(Rc::new(move |ev, t| {
+                let Some(me) = me.upgrade() else {
+                    return;
+                };
+                match ev {
+                    StreamEvent::ConnReady => ready_at.set(Some(t)),
+                    StreamEvent::Opened(tag) => {
+                        me.stamp(t, tag as usize, Milestone::StreamOpened);
+                        if ready_at.get() == Some(t) {
+                            let wait = Milestone::HandshakeWait { since: None };
+                            me.stamp(t, tag as usize, wait);
                         }
-                        load.timings[job.timing_idx].failed = true;
-                        let rec = &mut load.spans[job.timing_idx];
-                        *rec = ResSpanRec {
-                            span_id: rec.span_id,
-                            parent_span: rec.parent_span,
-                            ..ResSpanRec::default()
-                        };
-                        pool.queue.push_back(job);
                     }
+                    StreamEvent::FirstByte(tag) => me.stamp(t, tag as usize, Milestone::FirstByte),
                 }
-            }
+            }));
         }
-        self.pump_pool(sim, authority);
-        self.maybe_finish(sim);
+        if let Some(Transport::Mux { client: slot, .. }) = inner
+            .load
+            .as_mut()
+            .and_then(|l| l.pools.get_mut(authority))
+            .map(|p| &mut p.transport)
+        {
+            *slot = Some(client);
+        }
     }
 
-    /// A complete response arrived for the oldest in-flight job on `conn`.
-    fn on_response(&self, sim: &mut Simulator, authority: &str, conn: &ConnRef, resp: Response) {
-        let job = conn.borrow_mut().active.pop_front();
-        let Some(job) = job else {
-            return; // unsolicited response; ignore
-        };
-        // This connection is free again.
-        self.pump_pool(sim, authority);
-        self.complete_resource(sim, job.timing_idx, resp);
-    }
-
-    /// Record a fetched resource, charge its parse cost to the renderer
-    /// main thread, and scan it for subresources once parsed. Shared by
-    /// the HTTP/1.1 and mux paths.
-    fn complete_resource(&self, sim: &mut Simulator, timing_idx: usize, resp: Response) {
-        let span_sink = self.inner.borrow().config.span.clone();
-        let (parse_done_at, parse_start, span_rec) = {
+    /// A response completed `job`, or (`None`) its transport lost the
+    /// request: the connection died or the stream failed. A lost job is
+    /// requeued once, for a fresh connection, and failed the second time.
+    fn settle(
+        &self,
+        sim: &mut Simulator,
+        authority: &str,
+        job: FetchJob,
+        response: Option<Response>,
+    ) {
+        let idx = job.timing_idx;
+        if let Some(resp) = response {
+            return self.complete_resource(sim, idx, resp);
+        }
+        let give_up = {
             let mut inner = self.inner.borrow_mut();
-            let cfg_base = inner.config.parse_delay_base;
-            let cfg_kb = inner.config.parse_delay_per_kb;
-            let tap = inner.config.capture.clone();
             let Some(load) = inner.load.as_mut() else {
                 return;
             };
-            let t = &mut load.timings[timing_idx];
-            t.finished_at = sim.now();
+            let t = &mut load.timings[idx];
+            if t.failed {
+                t.finished_at = sim.now();
+                load.outstanding -= 1;
+                true
+            } else {
+                t.failed = true;
+                // The retry re-times its phases from a clean slate.
+                let rec = &mut load.spans[idx];
+                *rec = ResSpanRec {
+                    span_id: rec.span_id,
+                    parent_span: rec.parent_span,
+                    ..ResSpanRec::default()
+                };
+                let pool = load.pools.get_mut(authority).expect("the load's pool");
+                pool.queue.push_back(job);
+                false
+            }
+        };
+        if give_up {
+            self.stamp(sim.now(), idx, Milestone::Failed);
+        }
+        self.pump(sim, authority);
+        self.maybe_finish(sim);
+    }
+
+    /// A complete response arrived on `conn`.
+    fn on_response(&self, sim: &mut Simulator, authority: &str, conn: &ConnRef, resp: Response) {
+        let Some(job) = conn.borrow_mut().job.take() else {
+            return; // unsolicited response; ignore
+        };
+        // This connection is free again.
+        self.pump(sim, authority);
+        self.settle(sim, authority, job, Some(resp));
+    }
+
+    /// `conn` died (reset, closed by the server, or failed to parse).
+    fn on_conn_dead(&self, sim: &mut Simulator, authority: &str, conn: &ConnRef) {
+        let job = {
+            let mut c = conn.borrow_mut();
+            c.dead = true;
+            c.job.take()
+        };
+        match job {
+            Some(job) => self.settle(sim, authority, job, None),
+            None => self.pump(sim, authority),
+        }
+    }
+
+    /// Record a fetched resource, charge its parse cost to the renderer
+    /// main thread, and scan it for subresources once parsed.
+    fn complete_resource(&self, sim: &mut Simulator, idx: usize, resp: Response) {
+        let now = sim.now();
+        let (parse, parent_span) = {
+            let mut inner = self.inner.borrow_mut();
+            let BrowserInner {
+                config,
+                cpu_jitter,
+                load: Some(load),
+                ..
+            } = &mut *inner
+            else {
+                return;
+            };
+            let t = &mut load.timings[idx];
+            t.finished_at = now;
             t.status = resp.status;
             t.body_bytes = resp.body.len() as u64;
             t.failed = false;
-            tap_http(
-                &tap,
-                sim.now(),
-                HttpPhase::Done,
-                timing_idx,
-                &t.url,
-                resp.status,
-                resp.body.len() as u64,
-            );
-            let mut cost = cfg_base + cfg_kb.saturating_mul(resp.body.len() as u64 / 1024);
-            if let Some((rng, sigma)) = inner.cpu_jitter.as_mut() {
+            let mut cost = config.parse_delay_base
+                + config
+                    .parse_delay_per_kb
+                    .saturating_mul(t.body_bytes / 1024);
+            if let Some((rng, sigma)) = cpu_jitter {
                 if *sigma > 0.0 {
                     // Mean-one lognormal factor (mu = -sigma^2/2).
                     let u1 = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
@@ -826,37 +698,18 @@ impl Browser {
                     cost = cost.mul_f64(factor);
                 }
             }
-            let load = inner.load.as_mut().unwrap();
             // Serialize on the renderer main thread.
-            let start = load.cpu_busy_until.max(sim.now());
+            let start = load.cpu_busy_until.max(now);
             load.cpu_busy_until = start + cost;
-            let span_rec = span_sink.as_ref().map(|_| {
-                let t = &load.timings[timing_idx];
-                (load.spans[timing_idx], t.queued_at, t.url.clone())
-            });
-            (load.cpu_busy_until, start, span_rec)
+            ((start, load.cpu_busy_until), load.spans[idx].span_id)
         };
-        let parent_span = if let (Some(sp), Some((rec, queued_at, url))) = (&span_sink, span_rec) {
-            Self::emit_resource_chain(
-                sp,
-                &rec,
-                timing_idx,
-                queued_at,
-                sim.now(),
-                parse_start,
-                parse_done_at,
-                &url,
-            );
-            rec.span_id
-        } else {
-            0
-        };
+        self.stamp(now, idx, Milestone::Done { parse });
         // Parse for subresources once the main thread has processed this
         // resource, then retire it.
         let me = self.clone();
         let scannable = is_scannable(&resp) && resp.status == 200;
         let body = resp.body;
-        sim.schedule_at(parse_done_at, move |sim| {
+        sim.schedule_at(parse.1, move |sim| {
             if scannable {
                 for url in extract_urls(&body) {
                     me.fetch(sim, url, parent_span);
@@ -873,193 +726,66 @@ impl Browser {
         });
     }
 
-    /// Stamp a mux stream submission (span layer; no-op without a sink).
-    fn stamp_mux_submit(&self, now: Timestamp, timing_idx: usize, client: &MuxClient) {
+    /// Stamp milestone `m` of resource `idx` at `now`: emit its capture
+    /// event, if it maps to one and a tap is attached, and mark the span
+    /// record, recording the resource's spans once it is done or failed.
+    /// Without observers this costs a branch each.
+    fn stamp(&self, now: Timestamp, idx: usize, m: Milestone) {
         let mut inner = self.inner.borrow_mut();
-        if inner.config.span.is_none() {
-            return;
-        }
-        let conn = client.local_addr().map_or(0, span_conn_id);
-        let Some(load) = inner.load.as_mut() else {
+        let BrowserInner {
+            config,
+            load: Some(load),
+            ..
+        } = &mut *inner
+        else {
             return;
         };
-        let rec = &mut load.spans[timing_idx];
-        rec.sent_at = Some(now);
-        rec.conn = conn;
-    }
-
-    /// Mux stream milestone from the client's observer hook (span layer).
-    ///
-    /// `Opened` at the very instant the connection became ready means the
-    /// stream waited on the handshake: that wait is `ConnSetup`, and the
-    /// residual `MuxWait` collapses to zero. `Opened` later than both
-    /// submit and ready is time spent queued behind the concurrent-stream
-    /// cap — the HoL-style wait `mmpath` attributes to `MuxWait`.
-    fn on_mux_stream_event(&self, authority: &str, tag: u32, ev: StreamEvent, t: Timestamp) {
-        let mut inner = self.inner.borrow_mut();
-        let Some(load) = inner.load.as_mut() else {
-            return;
+        let t = &load.timings[idx];
+        let phase = match m {
+            Milestone::Queued => Some(HttpPhase::Queued),
+            Milestone::Sent { .. } => Some(HttpPhase::Sent),
+            Milestone::Done { .. } => Some(HttpPhase::Done),
+            Milestone::Failed => Some(HttpPhase::Failed),
+            _ => None,
         };
-        match ev {
-            StreamEvent::ConnReady => {
-                if let Some(pool) = load.pools.get_mut(authority) {
-                    pool.mux_ready_at = Some(t);
-                }
-            }
-            StreamEvent::Opened => {
-                let ready = load.pools.get(authority).and_then(|p| p.mux_ready_at);
-                if let Some(rec) = load.spans.get_mut(tag as usize) {
-                    rec.opened_at = Some(t);
-                    if ready == Some(t) {
-                        if let Some(sent) = rec.sent_at {
-                            if t > sent {
-                                rec.setup_t0 = Some(sent);
-                                rec.setup_t1 = Some(t);
-                            }
-                        }
-                    }
-                }
-            }
-            StreamEvent::FirstByte => {
-                if let Some(rec) = load.spans.get_mut(tag as usize) {
-                    if rec.first_byte_at.is_none() {
-                        rec.first_byte_at = Some(t);
-                    }
-                }
-            }
+        if let (Some(tap), Some(phase)) = (&config.capture, phase) {
+            tap.on_http(&HttpEvent {
+                t_ns: now.as_nanos(),
+                phase,
+                resource: idx as u32,
+                url: t.url.clone(),
+                status: t.status,
+                bytes: t.body_bytes,
+            });
         }
-    }
-
-    /// First response bytes on an HTTP/1.1 connection: stamp the front
-    /// in-flight job's first-byte instant (span layer; no-op without a
-    /// sink). Safe to call per Data event: without pipelining the next
-    /// request is only written after the previous response completes, so
-    /// every Data event's bytes belong to the front job.
-    fn on_first_bytes(&self, now: Timestamp, conn: &ConnRef) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.config.span.is_none() {
-            return;
-        }
-        let idx = match conn.borrow().active.front() {
-            Some(job) => job.timing_idx,
-            None => return,
-        };
-        let Some(load) = inner.load.as_mut() else {
+        let Some(sp) = &config.span else {
             return;
         };
         let rec = &mut load.spans[idx];
-        if rec.first_byte_at.is_none() && rec.sent_at.is_some() {
-            rec.first_byte_at = Some(now);
-        }
-    }
-
-    /// Record the span pair for a permanently failed resource: its
-    /// `Resource` span plus one `Failed` phase covering queued → give-up.
-    fn span_failed(
-        span: &Option<SpanHandle>,
-        rec: &ResSpanRec,
-        timing_idx: usize,
-        queued_at: Timestamp,
-        url: &str,
-        now: Timestamp,
-    ) {
-        let Some(sp) = span else { return };
-        sp.record(Span {
-            load: 0,
-            id: rec.span_id,
-            parent: rec.parent_span,
-            kind: SpanKind::Resource,
-            t0_ns: queued_at.as_nanos(),
-            t1_ns: now.as_nanos(),
-            res: timing_idx as u32,
-            conn: rec.conn,
-            url: url.to_string(),
-            detail: "failed".to_string(),
-        });
-        sp.record(Span {
-            load: 0,
-            id: sp.next_id(),
-            parent: rec.span_id,
-            kind: SpanKind::Failed,
-            t0_ns: queued_at.as_nanos(),
-            t1_ns: now.as_nanos(),
-            res: timing_idx as u32,
-            conn: rec.conn,
-            url: String::new(),
-            detail: String::new(),
-        });
-    }
-
-    /// Record a completed resource's `Resource` span and its phase chain.
-    ///
-    /// The phases tile `[queued_at, parse_end]` contiguously: each starts
-    /// where the previous ended and zero-width phases are elided, so the
-    /// phase durations of any one resource sum *exactly* to its span —
-    /// the invariant `mmpath`'s critical-path walk relies on to
-    /// reconstruct PLT without residue.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_resource_chain(
-        sp: &SpanHandle,
-        rec: &ResSpanRec,
-        timing_idx: usize,
-        queued_at: Timestamp,
-        done_at: Timestamp,
-        parse_start: Timestamp,
-        parse_end: Timestamp,
-        url: &str,
-    ) {
-        let res = timing_idx as u32;
-        sp.record(Span {
-            load: 0,
-            id: rec.span_id,
-            parent: rec.parent_span,
-            kind: SpanKind::Resource,
-            t0_ns: queued_at.as_nanos(),
-            t1_ns: parse_end.as_nanos(),
-            res,
-            conn: rec.conn,
-            url: url.to_string(),
-            detail: String::new(),
-        });
-        let mut phases: Vec<(SpanKind, Timestamp, Timestamp)> = Vec::with_capacity(7);
-        let sent = rec.sent_at.unwrap_or(done_at).min(done_at).max(queued_at);
-        let mut t = queued_at;
-        match (rec.setup_t0, rec.setup_t1) {
-            (Some(a), Some(b)) if b > a => {
-                let a = a.max(queued_at);
-                phases.push((SpanKind::Queued, t, a));
-                phases.push((SpanKind::ConnSetup, a, b));
-                t = b;
+        match m {
+            Milestone::Queued => {}
+            Milestone::Sent { conn } => {
+                rec.sent_at = Some(now);
+                rec.conn = conn;
             }
-            _ => {
-                phases.push((SpanKind::Queued, t, sent));
-                t = sent;
+            Milestone::HandshakeWait { since } => {
+                if let Some(since) = since.or(rec.sent_at) {
+                    rec.setup = Some((since.max(t.queued_at), now));
+                }
             }
-        }
-        if let Some(opened) = rec.opened_at {
-            let opened = opened.max(t).min(done_at);
-            phases.push((SpanKind::MuxWait, t, opened));
-            t = opened;
-        }
-        let fb = rec.first_byte_at.unwrap_or(done_at).max(t).min(done_at);
-        phases.push((SpanKind::RequestTx, t, fb));
-        phases.push((SpanKind::Transfer, fb, done_at));
-        phases.push((SpanKind::RenderQueue, done_at, parse_start));
-        phases.push((SpanKind::Parse, parse_start, parse_end));
-        for (kind, a, b) in phases {
-            if b > a {
-                sp.record(Span {
-                    load: 0,
-                    id: sp.next_id(),
-                    parent: rec.span_id,
-                    kind,
-                    t0_ns: a.as_nanos(),
-                    t1_ns: b.as_nanos(),
-                    res,
-                    conn: rec.conn,
-                    url: String::new(),
-                    detail: String::new(),
-                });
+            Milestone::StreamOpened => rec.opened_at = Some(now),
+            Milestone::FirstByte => {
+                if rec.first_byte_at.is_none() && rec.sent_at.is_some() {
+                    rec.first_byte_at = Some(now);
+                }
+            }
+            Milestone::Done { parse } => {
+                let phases = phase_chain(rec, t, now, parse);
+                record_resource(sp, rec, idx, t, parse.1, "", &phases);
+            }
+            Milestone::Failed => {
+                let phases = [(SpanKind::Failed, t.queued_at, now)];
+                record_resource(sp, rec, idx, t, now, "failed", &phases);
             }
         }
     }
@@ -1120,6 +846,87 @@ impl Browser {
     }
 }
 
+/// A completed resource's phases. They tile `[queued_at, parse end]`
+/// contiguously: each starts where the previous ended and zero-width
+/// phases are elided, so the phase durations of any one resource sum
+/// *exactly* to its span — the invariant `mmpath`'s critical-path walk
+/// relies on to reconstruct PLT without residue.
+fn phase_chain(
+    rec: &ResSpanRec,
+    timing: &ResourceTiming,
+    done_at: Timestamp,
+    (parse_start, parse_end): (Timestamp, Timestamp),
+) -> Vec<(SpanKind, Timestamp, Timestamp)> {
+    let queued_at = timing.queued_at;
+    let mut phases = Vec::with_capacity(7);
+    let sent = rec.sent_at.unwrap_or(done_at).min(done_at).max(queued_at);
+    let mut t = queued_at;
+    match rec.setup {
+        Some((a, b)) if b > a => {
+            let a = a.max(queued_at);
+            phases.push((SpanKind::Queued, t, a));
+            phases.push((SpanKind::ConnSetup, a, b));
+            t = b;
+        }
+        _ => {
+            phases.push((SpanKind::Queued, t, sent));
+            t = sent;
+        }
+    }
+    if let Some(opened) = rec.opened_at {
+        let opened = opened.max(t).min(done_at);
+        phases.push((SpanKind::MuxWait, t, opened));
+        t = opened;
+    }
+    let fb = rec.first_byte_at.unwrap_or(done_at).max(t).min(done_at);
+    phases.push((SpanKind::RequestTx, t, fb));
+    phases.push((SpanKind::Transfer, fb, done_at));
+    phases.push((SpanKind::RenderQueue, done_at, parse_start));
+    phases.push((SpanKind::Parse, parse_start, parse_end));
+    phases.retain(|&(_, a, b)| b > a);
+    phases
+}
+
+/// Record resource `idx`'s `Resource` span over `[queued_at, end]`, then
+/// each of `phases` as its child.
+fn record_resource(
+    sp: &SpanHandle,
+    rec: &ResSpanRec,
+    idx: usize,
+    timing: &ResourceTiming,
+    end: Timestamp,
+    detail: &str,
+    phases: &[(SpanKind, Timestamp, Timestamp)],
+) {
+    let res = idx as u32;
+    sp.record(Span {
+        load: 0,
+        id: rec.span_id,
+        parent: rec.parent_span,
+        kind: SpanKind::Resource,
+        t0_ns: timing.queued_at.as_nanos(),
+        t1_ns: end.as_nanos(),
+        res,
+        conn: rec.conn,
+        url: timing.url.clone(),
+        detail: detail.to_string(),
+    });
+    for &(kind, a, b) in phases {
+        sp.record(Span {
+            load: 0,
+            id: sp.next_id(),
+            parent: rec.span_id,
+            kind,
+            t0_ns: a.as_nanos(),
+            t1_ns: b.as_nanos(),
+            res,
+            conn: rec.conn,
+            url: String::new(),
+            detail: String::new(),
+        });
+    }
+}
+
 /// The per-connection socket app. Owned by the socket, so it only
 /// *refers* to the browser and to the pool's connection record (which
 /// holds the socket): once the load has dropped the record, or the caller
@@ -1132,16 +939,22 @@ struct ConnApp {
 }
 
 impl SocketApp for ConnApp {
-    fn on_event(&self, sim: &mut Simulator, _h: &TcpHandle, ev: SocketEvent) {
+    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
         let (Some(browser), Some(conn)) = (self.browser.upgrade(), self.conn.upgrade()) else {
             return;
         };
         match ev {
             SocketEvent::Connected => {
-                browser.on_conn_ready(sim, &self.authority, &conn);
+                conn.borrow_mut().connected_at = Some(sim.now());
+                browser.pump(sim, &self.authority);
             }
             SocketEvent::Data(bytes) => {
-                browser.on_first_bytes(sim.now(), &conn);
+                // Without pipelining, every byte belongs to the one
+                // request in flight.
+                let front = conn.borrow().job.as_ref().map(|j| j.timing_idx);
+                if let Some(idx) = front {
+                    browser.stamp(sim.now(), idx, Milestone::FirstByte);
+                }
                 // The browser only issues GETs, and the parser defaults to
                 // "not a HEAD response" when its queue is empty, so no
                 // expect_head bookkeeping is required.
@@ -1152,7 +965,10 @@ impl SocketApp for ConnApp {
                             browser.on_response(sim, &self.authority, &conn, resp);
                         }
                     }
+                    // A transport that fails aborts its socket, as the
+                    // mux client does on a protocol error.
                     Err(_) => {
+                        h.abort(sim);
                         browser.on_conn_dead(sim, &self.authority, &conn);
                     }
                 }

@@ -428,7 +428,13 @@ fn mux_load_uses_one_connection_per_origin() {
 enum Rogue {
     /// Abort the connection.
     Abort,
+    /// Answer with bytes that are neither an HTTP/1.1 response nor mux
+    /// frames.
+    Garbage,
 }
+
+/// Neither an HTTP/1.1 status line nor a mux frame head.
+const GARBAGE: &[u8] = b"NONSENSE\xff\xff\xff\xff\xff\xff\xff\xff\r\n\r\n";
 
 const ROGUE: SocketAddr = SocketAddr {
     ip: IpAddr::new(10, 0, 0, 9),
@@ -446,6 +452,7 @@ impl SocketApp for Rogue {
         if let SocketEvent::Data(_) = ev {
             match self {
                 Rogue::Abort => h.abort(sim),
+                Rogue::Garbage => h.send(sim, Bytes::from_static(GARBAGE)),
             }
         }
     }
@@ -455,6 +462,7 @@ impl SocketApp for Rogue {
 /// attached to the browser and the replay servers.
 struct Observed {
     result: PageLoadResult,
+    client: Host,
     capture: Capture,
     spans: Rc<TraceBuffer>,
     auditor: Auditor,
@@ -503,7 +511,7 @@ fn load_with_rogue(
         }
     });
     let browser = Browser::new(
-        client,
+        client.clone(),
         resolver,
         BrowserConfig {
             protocol,
@@ -521,6 +529,7 @@ fn load_with_rogue(
     let result = slot.borrow_mut().take().expect("page load completed");
     Observed {
         result,
+        client,
         capture,
         spans,
         auditor,
@@ -588,5 +597,28 @@ fn a_resource_whose_connections_die_is_retried_once_then_failed() {
         assert_eq!(spans[1].parent, spans[0].id);
         let report = o.auditor.finish();
         assert!(report.is_clean(), "{protocol:?}: {:?}", report.violations);
+    }
+}
+
+/// A server that answers with garbage fails its transport, and a failed
+/// transport aborts its socket: once the load is over, the browser's
+/// host holds no socket. (A pool of one, because an HTTP/1.1 pool opens
+/// every connection it may while a job waits, and the idle ones stay.)
+#[test]
+fn a_garbage_response_aborts_its_connection() {
+    for protocol in [
+        ProtocolMode::Http1 { pool_size: 1 },
+        ProtocolMode::Mux(MuxConfig::default()),
+    ] {
+        let o = load_with_rogue(
+            &test_site(),
+            "http://10.0.0.9:80/",
+            Rogue::Garbage,
+            protocol.clone(),
+        );
+        assert_eq!(o.result.resource_count(), 1, "{protocol:?}");
+        assert_eq!(o.result.failures, 1, "{protocol:?}");
+        o.client.reap_closed();
+        assert_eq!(o.client.socket_count(), 0, "{protocol:?}");
     }
 }

@@ -51,26 +51,24 @@ impl std::error::Error for MuxError {}
 /// Completion callback for one request.
 pub(crate) type DoneFn = Box<dyn FnOnce(&mut Simulator, Result<Response, MuxError>)>;
 
-/// Caller tag meaning "untagged" (observer notifications suppressed).
-pub(crate) const NO_TAG: u32 = u32::MAX;
-
 /// Stream-scheduler milestones surfaced to a `StreamObserver`: the
 /// edges a span layer needs to split "waiting for a stream slot" from
-/// "request on the wire" without reaching into the client's state.
+/// "request on the wire" without reaching into the client's state. A
+/// stream's milestones carry the tag its request was submitted with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamEvent {
-    /// The connection finished its handshake (tag is `NO_TAG`).
+    /// The connection finished its handshake.
     ConnReady,
     /// A queued request left the scheduler: its HEADERS hit the socket.
-    Opened,
+    Opened(u32),
     /// The first response byte (the response HEADERS frame) arrived.
-    FirstByte,
+    FirstByte(u32),
 }
 
-/// Observer of per-stream scheduling milestones, keyed by the caller's
-/// request tag. Purely observational: called after the client releases
-/// its borrow, must not touch the client.
-pub(crate) type StreamObserver = Rc<dyn Fn(u32, StreamEvent, Timestamp)>;
+/// Observer of the connection's and its streams' scheduling milestones.
+/// Purely observational: called after the client releases its borrow,
+/// must not touch the client.
+pub(crate) type StreamObserver = Rc<dyn Fn(StreamEvent, Timestamp)>;
 
 struct PendingRequest {
     req: Request,
@@ -167,21 +165,10 @@ impl MuxClient {
 
     /// Submit `req` as a new stream; `done` fires with the response (or
     /// the error that killed the connection). Queues behind the
-    /// concurrent-stream limit in `priority` order.
+    /// concurrent-stream limit in `priority` order. The installed
+    /// `StreamObserver` sees the stream's milestones under `tag`, so
+    /// callers can attribute scheduler waits to their own requests.
     pub fn request(
-        &self,
-        sim: &mut Simulator,
-        req: Request,
-        priority: u8,
-        done: impl FnOnce(&mut Simulator, Result<Response, MuxError>) + 'static,
-    ) {
-        self.request_tagged(sim, req, priority, NO_TAG, done);
-    }
-
-    /// [`MuxClient::request`] with a caller tag the installed
-    /// `StreamObserver` receives on each milestone, so callers can
-    /// attribute scheduler waits to their own request identities.
-    pub fn request_tagged(
         &self,
         sim: &mut Simulator,
         req: Request,
@@ -276,9 +263,7 @@ impl MuxClient {
                                 },
                             );
                             let handle = inner.handle.clone().expect("connected client has handle");
-                            let observer =
-                                (p.tag != NO_TAG).then(|| inner.observer.clone()).flatten();
-                            Some((handle, headers, body, p.tag, observer))
+                            Some((handle, headers, body, p.tag, inner.observer.clone()))
                         }
                     }
                 }
@@ -291,7 +276,7 @@ impl MuxClient {
                         handle.send(sim, body);
                     }
                     if let Some(obs) = observer {
-                        obs(tag, StreamEvent::Opened, sim.now());
+                        obs(StreamEvent::Opened(tag), sim.now());
                     }
                 }
             }
@@ -308,6 +293,7 @@ impl MuxClient {
         let (handle, observer) = {
             let mut guard = self.inner.borrow_mut();
             let inner = &mut *guard;
+            let observed = inner.observer.is_some();
             let mut decoder = std::mem::take(&mut inner.decoder);
             let fed = decoder.feed_with(bytes, |frame| {
                 if protocol_error {
@@ -333,7 +319,7 @@ impl MuxClient {
                         let Some(active) = inner.active.get_mut(&stream) else {
                             return; // stale stream; ignore
                         };
-                        if active.head.is_none() && active.tag != NO_TAG {
+                        if active.head.is_none() && observed {
                             first_bytes.push(active.tag);
                         }
                         // Room for the declared body, so DATA lands in it
@@ -384,7 +370,7 @@ impl MuxClient {
         if let Some(obs) = &observer {
             let now = sim.now();
             for tag in first_bytes {
-                obs(tag, StreamEvent::FirstByte, now);
+                obs(StreamEvent::FirstByte(tag), now);
             }
         }
         if protocol_error {
@@ -477,7 +463,7 @@ impl SocketApp for ClientApp {
                     (inner.config.settings(), inner.observer.clone())
                 };
                 if let Some(obs) = observer {
-                    obs(NO_TAG, StreamEvent::ConnReady, sim.now());
+                    obs(StreamEvent::ConnReady, sim.now());
                 }
                 handle.send(sim, wire);
                 client.pump(sim);

@@ -105,6 +105,7 @@ fn fetch(w: &mut World, client: &MuxClient, path: &str, priority: u8, out: &Resu
         &mut w.sim,
         Request::get(path, "10.0.0.1"),
         priority,
+        0,
         move |_sim, result| {
             slot.borrow_mut().push((label, result));
         },
@@ -334,6 +335,7 @@ fn a_responder_that_outlives_its_connection_writes_nothing() {
         &mut sim,
         Request::get("/echo/50000", "10.0.0.1"),
         1,
+        0,
         move |_sim, result| slot.borrow_mut().push(("/echo/50000".to_string(), result)),
     );
     sim.run_until(mm_sim::Timestamp::from_millis(2));

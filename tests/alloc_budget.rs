@@ -119,7 +119,8 @@ fn median_site() -> StoredSite {
 /// allocator calls with a closure boxed per packet per hop and per timer
 /// arm, a fresh out-buffer per wakeup and per segment, and a response
 /// cloned per request; 7 392 with five timer blocks per socket and two
-/// `String`s per header field; it makes 4 935 now. The budget is that
+/// `String`s per header field; 4 935 while each connection that carried
+/// a request grew a queue for it; it makes 4 890 now. The budget is that
 /// plus ~10 %.
 #[test]
 fn a_page_load_stays_within_its_allocation_budget() {
@@ -147,8 +148,9 @@ fn a_page_load_stays_within_its_allocation_budget() {
 /// `RegistrySink` feeding a `FlowTracer`. It made 11 013 allocator calls
 /// while the auditor kept its packet ledgers in trees and copied a flow's
 /// name into every sample, each span was copied once per sink, and a
-/// flow's name regrew as it was formatted; it makes 7 383 now. The
-/// budget is that plus ~10 %.
+/// flow's name regrew as it was formatted; 7 377 with that per-connection
+/// queue and each resource span's URL copied twice; it makes 7 274 now.
+/// The budget is that plus ~10 %.
 #[test]
 fn an_observed_page_load_stays_within_its_allocation_budget() {
     const BUDGET: u64 = 8_100;
@@ -192,8 +194,9 @@ fn an_observed_page_load_stays_within_its_allocation_budget() {
 /// allocator calls while every frame was encoded into a growing buffer
 /// and copied again, every decoded frame was copied out of the decoder
 /// twice, every header field was two `String`s and every response was
-/// cloned out of the index; it makes 4 642 now. The budget is that plus
-/// ~10 %.
+/// cloned out of the index; 4 642 while each request's URL was formatted
+/// for a tap none had attached; it makes 4 410 now. The budget is that
+/// plus ~10 %.
 #[test]
 fn a_mux_page_load_stays_within_its_allocation_budget() {
     const BUDGET: u64 = 5_100;
