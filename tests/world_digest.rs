@@ -29,8 +29,10 @@ use mm_capture::{Capture, PacketEventKind};
 use mm_metrics::{FlowTracer, MetricsHandle, Registry, RegistrySink};
 use mm_net::TcpConfig;
 use mm_record::StoredSite;
+use mm_replay::ReplayMode;
 use mm_sim::{RngStream, SimDuration};
 use mm_trace::{cellular, constant_rate, CellularParams, TraceBuffer};
+use mm_web::{live_think_time, HostProfile, LiveWebConfig};
 
 const HTTP1_PAGE_LOAD: u64 = 0x69c6_2fa0_7c85_a266;
 const MUX_CELLULAR_CODEL: u64 = 0x1469_574c_ff61_fd7a;
@@ -41,6 +43,7 @@ const DROPHEAD_PAGE_LOAD: u64 = 0x5bcf_82c9_4f8c_a1d0;
 const PIE_PAGE_LOAD: u64 = 0x50bf_e238_fd37_029c;
 const SOAK_DROPTAIL: u64 = 0xbd29_7d7f_4137_02c9;
 const OBSERVER_ARTEFACTS: u64 = 0xad66_43af_a766_b01a;
+const REPLAY_TOPOLOGIES: u64 = 0xccbc_5730_92ea_0157;
 
 /// fnv1a64 over the little-endian bytes of everything folded in.
 struct Fold(u64);
@@ -319,6 +322,64 @@ fn observer_artefacts() {
         observers.expect("observed").fold_artefacts(&mut fold);
     }
     check("observer_artefacts", fold.0, OBSERVER_ARTEFACTS);
+}
+
+/// The replay topologies besides plain multi-origin, each audited: the
+/// single-server ablation (Table 2, Figure 3) over HTTP/1.1 and over mux,
+/// Figure 3's live-web arm, whose noise forks by server host index, and
+/// Table 1's host profile, whose noise is labelled by it. One row folds
+/// all four loads.
+#[test]
+fn replay_topologies() {
+    // Three servers on ports 80, 443 and 80: the single server binds two.
+    let site = site(33);
+    let ports = |port| site.origins().iter().filter(|o| o.port == port).count();
+    assert_eq!((ports(80), ports(443)), (2, 1));
+    let delay_and_link = NetSpec {
+        delay: Some(SimDuration::from_millis(30)),
+        link: Some(LinkSpec {
+            uplink: constant_rate(4.0, 1_000),
+            downlink: constant_rate(12.0, 1_000),
+            qdisc: QdiscKind::DropTailPackets(32),
+        }),
+        ..NetSpec::default()
+    };
+    let single_server = |protocol: ProtocolMode| {
+        let mut spec = LoadSpec::new(&site);
+        spec.replay.mode = ReplayMode::SingleServer;
+        spec.browser.protocol = protocol;
+        spec.net = delay_and_link.clone();
+        spec
+    };
+    let live_web = {
+        let mut spec = LoadSpec::new(&site);
+        spec.live_web = Some(LiveWebConfig::default());
+        spec.replay.think_time = live_think_time(&LiveWebConfig::default());
+        spec.net = NetSpec::delay_ms(30);
+        spec
+    };
+    let host_profile = {
+        let mut spec = LoadSpec::new(&site);
+        spec.host_profile = Some(HostProfile::machine_1());
+        spec.net = NetSpec::delay_ms(30);
+        spec
+    };
+    let loads = [
+        single_server(ProtocolMode::default()),
+        single_server(ProtocolMode::Mux(MuxConfig::default())),
+        live_web,
+        host_profile,
+    ];
+    let mut fold = Fold::new();
+    for (seed, mut spec) in (0..).zip(loads) {
+        let auditor = Auditor::for_load(0);
+        spec.seed = 13 + seed;
+        spec.audit = Some(auditor.clone());
+        let result = run_page_load(&spec);
+        assert_eq!(result.failures, 0);
+        fold.page(&result).report(&auditor.finish());
+    }
+    check("replay_topologies", fold.0, REPLAY_TOPOLOGIES);
 }
 
 /// Eight users sharing one bottleneck, each loading the page (over
