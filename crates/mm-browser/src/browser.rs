@@ -106,13 +106,6 @@ impl Default for BrowserConfig {
     }
 }
 
-/// The span layer's connection id: the browser-side (initiator) local
-/// address packed as `ip << 16 | port` — the same id the socket layer
-/// and the replay servers stamp.
-fn span_conn_id(addr: SocketAddr) -> u64 {
-    ((addr.ip.0 as u64) << 16) | addr.port as u64
-}
-
 /// Maps a URL's origin to the address actually serving it (the browser's
 /// stand-in for DNS). Identity in multi-origin replay; all-to-one in the
 /// single-server ablation; arbitrary for live-web models.
@@ -486,7 +479,7 @@ impl Browser {
                     };
                     let idx = job.timing_idx;
                     let wire = write_request(&request_for(&job.url));
-                    let conn_id = span_conn_id(handle.local_addr());
+                    let conn_id = handle.local_addr().conn_id();
                     self.stamp(now, idx, Milestone::Sent { conn: conn_id });
                     // Written the instant the handshake completed: the
                     // request waited on it.
@@ -498,7 +491,7 @@ impl Browser {
                     handle.send(sim, wire);
                 }
                 Step::Submit(client, job) => {
-                    let conn_id = client.local_addr().map_or(0, span_conn_id);
+                    let conn_id = client.local_addr().map_or(0, SocketAddr::conn_id);
                     self.stamp(now, job.timing_idx, Milestone::Sent { conn: conn_id });
                     // The root document preempts everything; discovery-
                     // bearing subresources preempt leaf content.

@@ -87,6 +87,15 @@ impl SocketAddr {
     pub const fn new(ip: IpAddr, port: u16) -> Self {
         SocketAddr { ip, port }
     }
+
+    /// This endpoint packed as `ip << 16 | port`. Of a connection's
+    /// initiator, it is the span layer's connection id: the browser and
+    /// the socket stamp it from their local address, a server from its
+    /// peer's, which is how `mmpath` joins the two sides. A packet's
+    /// flow key hashes the pair of them.
+    pub const fn conn_id(self) -> u64 {
+        ((self.ip.0 as u64) << 16) | self.port as u64
+    }
 }
 
 impl fmt::Display for SocketAddr {

@@ -236,8 +236,7 @@ impl Packet {
     /// addresses. FNV-1a over the (min, max)-ordered endpoints; 0 is
     /// never returned (reserved for "no flow identity").
     pub fn flow_key(&self) -> u64 {
-        let endpoint = |a: &SocketAddr| ((a.ip.0 as u64) << 16) | a.port as u64;
-        let (a, b) = (endpoint(&self.src), endpoint(&self.dst));
+        let (a, b) = (self.src.conn_id(), self.dst.conn_id());
         let (lo, hi) = (a.min(b), a.max(b));
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for byte in lo.to_le_bytes().iter().chain(hi.to_le_bytes().iter()) {

@@ -523,14 +523,6 @@ impl TcpInner {
         }
     }
 
-    /// Span-layer connection id: the initiator's local address packed
-    /// as `ip << 16 | port`. The same id is computable from the remote
-    /// address on the server side, which is how `mmpath` joins server
-    /// think-time spans to browser-side connections without URL tricks.
-    fn span_conn_id(&self) -> u64 {
-        ((self.local.ip.0 as u64) << 16) | self.local.port as u64
-    }
-
     /// Emit one connection-scoped span. A single branch when off.
     pub(super) fn span_emit(&self, kind: SpanKind, t0: Timestamp, t1: Timestamp, detail: &str) {
         if let Some(sp) = &self.config.span {
@@ -543,7 +535,7 @@ impl TcpInner {
                 t0_ns: t0.as_nanos(),
                 t1_ns: t1.as_nanos(),
                 res: NO_RESOURCE,
-                conn: self.span_conn_id(),
+                conn: self.local.conn_id(),
                 url: String::new(),
                 detail: detail.to_string(),
             });
