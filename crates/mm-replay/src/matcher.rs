@@ -19,33 +19,15 @@ use mm_http::{Request, Response};
 
 use crate::store_index::StoreIndex;
 
-/// Statistics from matching (for diagnostics and tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MatchStats {
-    pub(crate) exact: u64,
-    pub(crate) prefix: u64,
-    pub(crate) miss: u64,
-}
-
 /// A compiled matcher over one recorded site.
 pub struct Matcher {
     index: StoreIndex,
-    stats: std::cell::RefCell<MatchStats>,
 }
 
 impl Matcher {
     /// Build from a store index.
     pub fn new(index: StoreIndex) -> Self {
-        Matcher {
-            index,
-            stats: std::cell::RefCell::new(MatchStats::default()),
-        }
-    }
-
-    /// Counters snapshot.
-    #[cfg(test)]
-    pub(crate) fn stats(&self) -> MatchStats {
-        *self.stats.borrow()
+        Matcher { index }
     }
 
     /// Locate the recorded response for `req`, or `None` (404).
@@ -63,7 +45,6 @@ impl Matcher {
         let host = req.host().unwrap_or("");
         let candidates = self.index.candidates(host, req.path());
         if candidates.is_empty() {
-            self.stats.borrow_mut().miss += 1;
             return None;
         }
         let want_query = req.query().unwrap_or("");
@@ -72,7 +53,6 @@ impl Matcher {
             let cand = self.index.pair(idx);
             if cand.request.method == req.method && cand.request.query().unwrap_or("") == want_query
             {
-                self.stats.borrow_mut().exact += 1;
                 return Some(&cand.response);
             }
         }
@@ -92,16 +72,7 @@ impl Matcher {
                 best = Some((lcp, idx));
             }
         }
-        match best {
-            Some((_, idx)) => {
-                self.stats.borrow_mut().prefix += 1;
-                Some(&self.index.pair(idx).response)
-            }
-            None => {
-                self.stats.borrow_mut().miss += 1;
-                None
-            }
-        }
+        best.map(|(_, idx)| &self.index.pair(idx).response)
     }
 }
 
@@ -146,7 +117,32 @@ mod tests {
             .lookup(&Request::get("/search?q=cats&page=2", "example.com"))
             .unwrap();
         assert_eq!(&r.body[..], b"cats2");
-        assert_eq!(m.stats().exact, 1);
+    }
+
+    #[test]
+    fn exact_match_beats_an_earlier_longer_query() {
+        // `q=cats22` is recorded first and shares all of `q=cats2`: the
+        // prefix walk alone would answer it. The exact pair must win.
+        let mut s = site();
+        let origin = s.pairs[0].origin;
+        for (target, body) in [("/find?q=cats22", "longer"), ("/find?q=cats2", "exact")] {
+            s.push(RequestResponsePair {
+                origin,
+                scheme: Scheme::Http,
+                request: Request::get(target, "example.com"),
+                response: Response::ok(Bytes::copy_from_slice(body.as_bytes()), "text/plain"),
+            });
+        }
+        let m = Matcher::new(StoreIndex::build(&s));
+        let r = m
+            .lookup(&Request::get("/find?q=cats2", "example.com"))
+            .unwrap();
+        assert_eq!(&r.body[..], b"exact");
+        // And the walk itself still answers an unrecorded query.
+        let r = m
+            .lookup(&Request::get("/find?q=cats2x", "example.com"))
+            .unwrap();
+        assert_eq!(&r.body[..], b"longer");
     }
 
     #[test]
@@ -158,7 +154,6 @@ mod tests {
             .lookup(&Request::get("/search?q=cats&page=9", "example.com"))
             .unwrap();
         assert_eq!(&r.body[..], b"cats1");
-        assert_eq!(m.stats().prefix, 1);
         // q=dogs&extra=1 is closest to the dogs recording.
         let r = m
             .lookup(&Request::get("/search?q=dogs&extra=1", "example.com"))
@@ -170,7 +165,6 @@ mod tests {
     fn path_mismatch_is_404() {
         let m = matcher();
         assert!(m.lookup(&Request::get("/missing", "example.com")).is_none());
-        assert_eq!(m.stats().miss, 1);
     }
 
     #[test]
