@@ -13,7 +13,9 @@
 //! stream never blocks the others. Emission is self-clocked on the TCP
 //! [`SocketEvent::SendQueueDrained`] writability edge, so scheduling
 //! decisions track the connection's real drain rate instead of freezing
-//! at enqueue time.
+//! at enqueue time. A peer that closes its direction is still answered:
+//! every request it completed before its FIN gets its whole response,
+//! and the server's FIN follows the last one.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -22,7 +24,7 @@ use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
 use mm_http::{Request, Response};
-use mm_net::{SocketApp, SocketEvent, TcpHandle, WeakTcpHandle};
+use mm_net::{SocketAddr, SocketApp, SocketEvent, TcpHandle, TcpState, WeakTcpHandle};
 use mm_sim::Simulator;
 
 use crate::flow::FlowWindow;
@@ -31,9 +33,10 @@ use crate::MuxConfig;
 
 /// Application logic behind a mux server connection.
 pub trait MuxHandler {
-    /// A complete request arrived on a stream. Answer by calling
-    /// [`MuxResponder::respond`], now or from a scheduled event.
-    fn handle(&self, sim: &mut Simulator, req: Request, responder: MuxResponder);
+    /// A complete request arrived on a stream of the connection from
+    /// `peer`. Answer by calling [`MuxResponder::respond`], now or from a
+    /// scheduled event.
+    fn handle(&self, sim: &mut Simulator, peer: SocketAddr, req: Request, responder: MuxResponder);
 }
 
 /// The write half of one server stream; consumed by responding.
@@ -78,6 +81,8 @@ impl MuxResponder {
 /// through here: the `pumping` guard makes nested invocations (a
 /// `SendQueueDrained` edge firing inside one of our own sends) defer to
 /// the active loop, so frames always hit the wire in schedule order.
+/// Once the peer has closed, the FIN goes out behind the last frame of
+/// the last stream.
 fn pump(inner_rc: &Rc<RefCell<ServerInner>>, sim: &mut Simulator) {
     let handle = {
         let mut inner = inner_rc.borrow_mut();
@@ -105,7 +110,14 @@ fn pump(inner_rc: &Rc<RefCell<ServerInner>>, sim: &mut Simulator) {
         // A nested drain edge during those sends hit the guard and
         // returned; looping re-probes the backlog and sends its frames.
     }
-    inner_rc.borrow_mut().pumping = false;
+    let idle = {
+        let mut inner = inner_rc.borrow_mut();
+        inner.pumping = false;
+        inner.streams.is_empty()
+    };
+    if idle && handle.state() == TcpState::CloseWait {
+        handle.close(sim);
+    }
 }
 
 /// One stream's server-side state.
@@ -128,6 +140,7 @@ struct ServerInner {
     /// the socket finds nothing to write to.
     handle: WeakTcpHandle,
     decoder: FrameDecoder,
+    /// Reset, or aborted on a protocol error: nothing more is sent.
     dead: bool,
     /// Connection-level send window.
     conn_window: FlowWindow,
@@ -354,9 +367,11 @@ impl MuxServerConn {
         }
         // Window grants may have unblocked queued DATA.
         pump(&self.inner, sim);
+        let peer = handle.remote_addr();
         for (stream, req) in requests {
             self.handler.handle(
                 sim,
+                peer,
                 req,
                 MuxResponder {
                     inner: self.inner.clone(),
@@ -392,8 +407,13 @@ impl SocketApp for MuxServerConn {
                 pump(&self.inner, sim);
             }
             SocketEvent::PeerClosed => {
-                self.inner.borrow_mut().dead = true;
-                handle.close(sim);
+                // A request still incomplete at the FIN never will be;
+                // the rest are answered before the connection closes.
+                self.inner
+                    .borrow_mut()
+                    .streams
+                    .retain(|_, s| s.recv.is_none());
+                pump(&self.inner, sim);
             }
             SocketEvent::Reset => {
                 self.inner.borrow_mut().dead = true;

@@ -17,7 +17,13 @@ struct TestHandler {
 }
 
 impl MuxHandler for TestHandler {
-    fn handle(&self, sim: &mut Simulator, req: Request, responder: MuxResponder) {
+    fn handle(
+        &self,
+        sim: &mut Simulator,
+        _peer: SocketAddr,
+        req: Request,
+        responder: MuxResponder,
+    ) {
         let n: usize = req
             .path()
             .rsplit('/')

@@ -11,16 +11,20 @@
 //! The single-server ablation (§4, Table 2, Figure 3) is [`ReplayMode::SingleServer`]:
 //! all recorded content is served from one host, and the address map —
 //! the browser's stand-in for DNS — points every origin at it.
+//!
+//! Either way there is one [`Server`] per serving IP, and every request
+//! it takes, over either protocol, lives through [`Server::serve`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use mm_capture::{HttpEvent, HttpPhase, TapHandle, NO_RESOURCE};
 use mm_http::{write_response_parts, Request, RequestParser, Response};
 use mm_mux::{MuxConfig, MuxHandler, MuxResponder, MuxServerConn};
 use mm_net::{
     Host, Listener, Namespace, Origin, PacketIdGen, SocketAddr, SocketApp, SocketEvent, TcpHandle,
+    TcpState,
 };
 use mm_sim::{SimDuration, Simulator, Timestamp};
 use mm_trace::{Span, SpanHandle, SpanKind};
@@ -98,53 +102,6 @@ impl Default for ReplayConfig {
     }
 }
 
-/// Emit an [`HttpEvent`] if a tap is attached (server side: no resource
-/// index, the URL target is the join key).
-fn tap_http(
-    tap: &Option<TapHandle>,
-    now: Timestamp,
-    phase: HttpPhase,
-    url: &str,
-    status: u16,
-    bytes: u64,
-) {
-    if let Some(tap) = tap {
-        tap.on_http(&HttpEvent {
-            t_ns: now.as_nanos(),
-            phase,
-            resource: NO_RESOURCE,
-            url: url.to_string(),
-            status,
-            bytes,
-        });
-    }
-}
-
-/// The span layer's connection id for the peer at `addr` (the browser
-/// side packs its *local* address the same way, which is the join).
-fn span_conn_id(addr: SocketAddr) -> u64 {
-    ((addr.ip.0 as u64) << 16) | addr.port as u64
-}
-
-/// Emit one `ServerThink` span if a sink is attached.
-fn span_think(span: &Option<SpanHandle>, conn: u64, url: &str, t0: Timestamp, t1: Timestamp) {
-    if let Some(sp) = span {
-        let id = sp.next_id();
-        sp.record(Span {
-            load: 0, // stamped by the recording buffer
-            id,
-            parent: 0,
-            kind: SpanKind::ServerThink,
-            t0_ns: t0.as_nanos(),
-            t1_ns: t1.as_nanos(),
-            res: mm_trace::NO_RESOURCE,
-            conn,
-            url: url.to_string(),
-            detail: String::new(),
-        });
-    }
-}
-
 /// A running ReplayShell: virtual servers bound to recorded addresses.
 pub struct ReplayShell {
     /// The namespace the servers live in (ReplayShell is outermost).
@@ -164,74 +121,36 @@ impl ReplayShell {
     pub fn new(ns: &Namespace, site: &StoredSite, config: ReplayConfig, ids: &PacketIdGen) -> Self {
         assert!(!site.pairs.is_empty(), "cannot replay an empty recording");
         let matcher = Rc::new(Matcher::new(StoreIndex::build(site)));
-        let apply_tcp = |host: &Host| {
-            if let Some(tcp) = &config.tcp {
-                host.set_tcp_config(tcp.clone());
-            }
-        };
+        // Sorted by IP, then port: the origins one IP serves are adjacent,
+        // and the first holds the lowest recorded IP.
         let origins = site.origins();
-
         let mut hosts: Vec<Host> = Vec::new();
-        let mut by_ip: HashMap<mm_net::IpAddr, Host> = HashMap::new();
         let mut address_map = HashMap::new();
-
-        match config.mode {
-            ReplayMode::MultiOrigin => {
-                let mut cpus: HashMap<mm_net::IpAddr, Rc<Cell<Timestamp>>> = HashMap::new();
-                for origin in &origins {
-                    let host = by_ip.entry(origin.ip).or_insert_with(|| {
-                        let h = Host::new_in(origin.ip, ids.clone(), ns);
-                        apply_tcp(&h);
-                        hosts.push(h.clone());
-                        h
-                    });
-                    let cpu = cpus
-                        .entry(origin.ip)
-                        .or_insert_with(|| Rc::new(Cell::new(Timestamp::ZERO)))
-                        .clone();
-                    host.listen(
-                        origin.port,
-                        Rc::new(ReplayListener {
-                            matcher: matcher.clone(),
-                            think_time: config.think_time,
-                            protocol: config.protocol.clone(),
-                            tap: config.capture.clone(),
-                            span: config.span.clone(),
-                            cpu,
-                        }),
-                    );
-                    address_map.insert(*origin, *origin);
+        let mut serving: Option<(Host, Rc<Server>)> = None;
+        for origin in &origins {
+            // The single server answers at the lowest recorded IP (on
+            // every corpus site, the root document's), on every recorded
+            // port.
+            let ip = match config.mode {
+                ReplayMode::MultiOrigin => origin.ip,
+                ReplayMode::SingleServer => origins[0].ip,
+            };
+            if serving.as_ref().is_none_or(|(host, _)| host.ip() != ip) {
+                let host = Host::new_in(ip, ids.clone(), ns);
+                if let Some(tcp) = &config.tcp {
+                    host.set_tcp_config(tcp.clone());
                 }
-            }
-            ReplayMode::SingleServer => {
-                // Serve everything from the root document's IP (or the
-                // first origin if the root is alien), on every recorded
-                // port.
-                let the_ip = origins[0].ip;
-                let host = Host::new_in(the_ip, ids.clone(), ns);
-                apply_tcp(&host);
                 hosts.push(host.clone());
-                // One CPU shared by everything: the whole point of the
-                // ablation is that a single machine serves the site.
-                let cpu = Rc::new(Cell::new(Timestamp::ZERO));
-                let mut ports_bound = std::collections::BTreeSet::new();
-                for origin in &origins {
-                    if ports_bound.insert(origin.port) {
-                        host.listen(
-                            origin.port,
-                            Rc::new(ReplayListener {
-                                matcher: matcher.clone(),
-                                think_time: config.think_time,
-                                protocol: config.protocol.clone(),
-                                tap: config.capture.clone(),
-                                span: config.span.clone(),
-                                cpu: cpu.clone(),
-                            }),
-                        );
-                    }
-                    address_map.insert(*origin, SocketAddr::new(the_ip, origin.port));
-                }
+                serving = Some((host, Server::new(&matcher, &config)));
             }
+            let (host, server) = serving.as_ref().expect("a server for every serving IP");
+            let addr = SocketAddr::new(ip, origin.port);
+            // Every port is bound once, though the single server meets
+            // one again on each origin that shares it.
+            if !address_map.values().any(|bound| *bound == addr) {
+                host.listen(origin.port, server.clone());
+            }
+            address_map.insert(*origin, addr);
         }
 
         ReplayShell {
@@ -261,163 +180,179 @@ impl ReplayShell {
     }
 }
 
-struct ReplayListener {
+/// One replay server: what every port of one serving IP, and every
+/// connection those ports accept, share. The host holds it as each
+/// port's listener; it does not hold the host back, or the two would
+/// keep each other alive after the world's last handle drops.
+struct Server {
     matcher: Rc<Matcher>,
     think_time: SimDuration,
     protocol: ServerProtocol,
     tap: Option<TapHandle>,
     span: Option<SpanHandle>,
-    /// The server machine's CPU: request matching (Apache + CGI in the
-    /// real system) serializes per host. Under the single-server ablation
-    /// every connection shares one CPU — the contention this models is a
-    /// large part of why consolidating origins hurts.
-    cpu: Rc<Cell<Timestamp>>,
+    /// The server machine's CPU, busy until this instant: request
+    /// matching (Apache + CGI in the real system) serializes per server.
+    /// Under the single-server ablation every connection shares one —
+    /// the contention this models is a large part of why consolidating
+    /// origins hurts.
+    cpu: Cell<Timestamp>,
+    /// This server, for the connections it accepts and the answers it
+    /// schedules.
+    me: Weak<Server>,
 }
 
-impl Listener for ReplayListener {
-    fn on_connection(&self, _sim: &mut Simulator, h: TcpHandle) -> Rc<dyn SocketApp> {
-        match &self.protocol {
-            ServerProtocol::Http1 => Rc::new(ReplayConn {
-                matcher: self.matcher.clone(),
-                think_time: self.think_time,
-                cpu: self.cpu.clone(),
-                tap: self.tap.clone(),
-                span: self.span.clone(),
-                parser: RefCell::new(RequestParser::new()),
-            }),
-            ServerProtocol::Mux(config) => {
-                let conn = span_conn_id(h.remote_addr());
-                Rc::new(MuxServerConn::new(
-                    h,
-                    config.clone(),
-                    Rc::new(MuxReplayHandler {
-                        matcher: self.matcher.clone(),
-                        think_time: self.think_time,
-                        cpu: self.cpu.clone(),
-                        tap: self.tap.clone(),
-                        span: self.span.clone(),
-                        conn,
-                    }),
-                ))
-            }
-        }
+impl Server {
+    fn new(matcher: &Rc<Matcher>, config: &ReplayConfig) -> Rc<Server> {
+        Rc::new_cyclic(|me| Server {
+            matcher: matcher.clone(),
+            think_time: config.think_time,
+            protocol: config.protocol.clone(),
+            tap: config.capture.clone(),
+            span: config.span.clone(),
+            cpu: Cell::new(Timestamp::ZERO),
+            me: me.clone(),
+        })
     }
-}
 
-/// Request handler behind a mux-speaking replay server: the same matcher
-/// lookup and CPU-serialized think time as the HTTP/1.1 path, so a
-/// protocol A/B study varies the wire protocol and nothing else.
-#[derive(Clone)]
-struct MuxReplayHandler {
-    matcher: Rc<Matcher>,
-    think_time: SimDuration,
-    cpu: Rc<Cell<Timestamp>>,
-    tap: Option<TapHandle>,
-    span: Option<SpanHandle>,
-    /// Span-layer id of this connection's initiator.
-    conn: u64,
-}
-
-impl MuxHandler for MuxReplayHandler {
-    fn handle(&self, sim: &mut Simulator, req: Request, responder: MuxResponder) {
+    /// A request's whole life, for either transport: stamp `ServerRecv`;
+    /// wait until the CPU has done its matching work, after that of
+    /// every request before it on this server (at once without think
+    /// time); look the request up; stamp `ServerSent` and the
+    /// `ServerThink` span; hand the response to the transport's `send`.
+    /// `conn` is the span layer's id of the connection's initiator.
+    fn serve(
+        &self,
+        sim: &mut Simulator,
+        req: Request,
+        conn: u64,
+        send: impl FnOnce(&mut Simulator, &Response) + 'static,
+    ) {
         let recv_at = sim.now();
-        tap_http(&self.tap, recv_at, HttpPhase::ServerRecv, &req.target, 0, 0);
-        let me = self.clone();
-        after_think(sim, self.think_time, &self.cpu, move |sim| {
+        self.stamp_http(recv_at, HttpPhase::ServerRecv, &req.target, 0, 0);
+        let server = self.me.upgrade().expect("a serving server is alive");
+        let answer = move |sim: &mut Simulator| {
             // The index's own response, looked up now: the index never
             // changes, so this finds what a lookup on receipt would have.
             // Only a miss builds one.
             let not_found;
-            let resp = match me.matcher.lookup_ref(&req) {
+            let resp = match server.matcher.lookup_ref(&req) {
                 Some(stored) => stored,
                 None => {
                     not_found = Response::not_found();
                     &not_found
                 }
             };
-            let bytes = resp.body.len() as u64;
             let now = sim.now();
-            tap_http(
-                &me.tap,
-                now,
-                HttpPhase::ServerSent,
-                &req.target,
-                resp.status,
+            let bytes = resp.body.len() as u64;
+            server.stamp_http(now, HttpPhase::ServerSent, &req.target, resp.status, bytes);
+            if let Some(sp) = &server.span {
+                sp.record(Span {
+                    load: 0, // stamped by the recording buffer
+                    id: sp.next_id(),
+                    parent: 0,
+                    kind: SpanKind::ServerThink,
+                    t0_ns: recv_at.as_nanos(),
+                    t1_ns: now.as_nanos(),
+                    res: mm_trace::NO_RESOURCE,
+                    conn,
+                    url: req.target.clone(),
+                    detail: String::new(),
+                });
+            }
+            send(sim, resp);
+        };
+        if self.think_time.is_zero() {
+            return answer(sim);
+        }
+        let done = self.cpu.get().max(recv_at) + self.think_time;
+        self.cpu.set(done);
+        sim.schedule_at(done, answer);
+    }
+
+    /// Emit an [`HttpEvent`] if a tap is attached (server side: no
+    /// resource index, the URL target is the join key).
+    fn stamp_http(&self, now: Timestamp, phase: HttpPhase, url: &str, status: u16, bytes: u64) {
+        if let Some(tap) = &self.tap {
+            tap.on_http(&HttpEvent {
+                t_ns: now.as_nanos(),
+                phase,
+                resource: NO_RESOURCE,
+                url: url.to_string(),
+                status,
                 bytes,
-            );
-            span_think(&me.span, me.conn, &req.target, recv_at, now);
-            responder.respond(sim, resp);
+            });
+        }
+    }
+}
+
+impl Listener for Server {
+    fn on_connection(&self, _sim: &mut Simulator, h: TcpHandle) -> Rc<dyn SocketApp> {
+        let server = self.me.upgrade().expect("a listening server is alive");
+        match &self.protocol {
+            ServerProtocol::Http1 => Rc::new_cyclic(|me| Http1Conn {
+                server,
+                me: me.clone(),
+                parser: RefCell::new(RequestParser::new()),
+                unanswered: Cell::new(0),
+            }),
+            ServerProtocol::Mux(config) => Rc::new(MuxServerConn::new(h, config.clone(), server)),
+        }
+    }
+}
+
+impl MuxHandler for Server {
+    fn handle(&self, sim: &mut Simulator, peer: SocketAddr, req: Request, responder: MuxResponder) {
+        self.serve(sim, req, peer.conn_id(), |sim, resp| {
+            responder.respond(sim, resp)
         });
     }
 }
 
-/// Run `send` once this server's CPU has done a request's matching work:
-/// at once without think time, else after the work of every request
-/// before it on this host.
-fn after_think(
-    sim: &mut Simulator,
-    think_time: SimDuration,
-    cpu: &Cell<Timestamp>,
-    send: impl FnOnce(&mut Simulator) + 'static,
-) {
-    if think_time.is_zero() {
-        return send(sim);
-    }
-    let done = cpu.get().max(sim.now()) + think_time;
-    cpu.set(done);
-    sim.schedule_at(done, send);
-}
-
-struct ReplayConn {
-    matcher: Rc<Matcher>,
-    think_time: SimDuration,
-    cpu: Rc<Cell<Timestamp>>,
-    tap: Option<TapHandle>,
-    span: Option<SpanHandle>,
+/// An HTTP/1.1 connection: its requests are served in the order they
+/// parse, and the FIN follows the last answer.
+struct Http1Conn {
+    server: Rc<Server>,
+    /// This connection, for the answers its requests schedule.
+    me: Weak<Http1Conn>,
     parser: RefCell<RequestParser>,
+    /// Requests read and not yet answered.
+    unanswered: Cell<u32>,
 }
 
-impl SocketApp for ReplayConn {
+impl Http1Conn {
+    /// Close once the peer has closed and every request it sent before
+    /// its FIN has been answered.
+    fn close_when_answered(&self, sim: &mut Simulator, h: &TcpHandle) {
+        if self.unanswered.get() == 0 && h.state() == TcpState::CloseWait {
+            h.close(sim);
+        }
+    }
+}
+
+impl SocketApp for Http1Conn {
     fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
         match ev {
             SocketEvent::Data(bytes) => {
-                let reqs = match self.parser.borrow_mut().feed(&bytes) {
-                    Ok(reqs) => reqs,
-                    Err(_) => {
-                        // Garbage on a replay connection: reset, like a
-                        // real server would.
-                        h.abort(sim);
-                        return;
-                    }
+                let Ok(reqs) = self.parser.borrow_mut().feed(&bytes) else {
+                    // Garbage on a replay connection: reset, like a real
+                    // server would.
+                    return h.abort(sim);
                 };
+                let conn = h.remote_addr().conn_id();
                 for req in reqs {
-                    let recv_at = sim.now();
-                    tap_http(&self.tap, recv_at, HttpPhase::ServerRecv, &req.target, 0, 0);
-                    // The index's own response, serialised where it
-                    // stands; only a miss builds one.
-                    let not_found;
-                    let resp = match self.matcher.lookup_ref(&req) {
-                        Some(stored) => stored,
-                        None => {
-                            not_found = Response::not_found();
-                            &not_found
-                        }
-                    };
-                    let (status, bytes) = (resp.status, resp.body.len() as u64);
-                    // Head and recorded body go out as one write; the body
-                    // is the store's buffer, never copied.
-                    let wire = write_response_parts(resp);
-                    let conn = span_conn_id(h.remote_addr());
-                    let (h, tap, span) = (h.clone(), self.tap.clone(), self.span.clone());
-                    after_think(sim, self.think_time, &self.cpu, move |sim| {
-                        let now = sim.now();
-                        tap_http(&tap, now, HttpPhase::ServerSent, &req.target, status, bytes);
-                        span_think(&span, conn, &req.target, recv_at, now);
-                        h.send_vectored(sim, wire);
+                    self.unanswered.set(self.unanswered.get() + 1);
+                    let me = self.me.upgrade().expect("a connection in use is alive");
+                    let h = h.clone();
+                    self.server.serve(sim, req, conn, move |sim, resp| {
+                        // Head and recorded body go out as one write; the
+                        // body is the store's buffer, never copied.
+                        h.send_vectored(sim, write_response_parts(resp));
+                        me.unanswered.set(me.unanswered.get() - 1);
+                        me.close_when_answered(sim, &h);
                     });
                 }
             }
-            SocketEvent::PeerClosed => h.close(sim),
+            SocketEvent::PeerClosed => self.close_when_answered(sim, h),
             _ => {}
         }
     }

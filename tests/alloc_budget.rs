@@ -120,8 +120,9 @@ fn median_site() -> StoredSite {
 /// arm, a fresh out-buffer per wakeup and per segment, and a response
 /// cloned per request; 7 392 with five timer blocks per socket and two
 /// `String`s per header field; 4 935 while each connection that carried
-/// a request grew a queue for it; it makes 4 890 now. The budget is that
-/// plus ~10 %.
+/// a request grew a queue for it; 4 890 while the replay shell built two
+/// maps and a listener per origin (15 here); it makes 4 867 now. The
+/// budget is that plus ~10 %.
 #[test]
 fn a_page_load_stays_within_its_allocation_budget() {
     const BUDGET: u64 = 5_400;
@@ -149,8 +150,9 @@ fn a_page_load_stays_within_its_allocation_budget() {
 /// while the auditor kept its packet ledgers in trees and copied a flow's
 /// name into every sample, each span was copied once per sink, and a
 /// flow's name regrew as it was formatted; 7 377 with that per-connection
-/// queue and each resource span's URL copied twice; it makes 7 274 now.
-/// The budget is that plus ~10 %.
+/// queue and each resource span's URL copied twice; 7 274 with the replay
+/// shell's two maps and listener per origin; it makes 7 251 now. The
+/// budget is that plus ~10 %.
 #[test]
 fn an_observed_page_load_stays_within_its_allocation_budget() {
     const BUDGET: u64 = 8_100;
@@ -195,8 +197,9 @@ fn an_observed_page_load_stays_within_its_allocation_budget() {
 /// and copied again, every decoded frame was copied out of the decoder
 /// twice, every header field was two `String`s and every response was
 /// cloned out of the index; 4 642 while each request's URL was formatted
-/// for a tap none had attached; it makes 4 410 now. The budget is that
-/// plus ~10 %.
+/// for a tap none had attached; 4 410 with the replay shell's two maps
+/// and listener per origin and a request handler per connection; it
+/// makes 4 372 now. The budget is that plus ~10 %.
 #[test]
 fn a_mux_page_load_stays_within_its_allocation_budget() {
     const BUDGET: u64 = 5_100;
