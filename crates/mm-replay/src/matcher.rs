@@ -44,9 +44,6 @@ impl Matcher {
     pub(crate) fn lookup_ref(&self, req: &Request) -> Option<&Response> {
         let host = req.host().unwrap_or("");
         let candidates = self.index.candidates(host, req.path());
-        if candidates.is_empty() {
-            return None;
-        }
         let want_query = req.query().unwrap_or("");
         // Exact query match first.
         for &idx in candidates {
