@@ -1,7 +1,7 @@
 //! `benchdiff` — guard the BENCH trajectory.
 //!
 //! ```text
-//! benchdiff <baseline-dir> <candidate-dir> [--threshold <pct>]
+//! benchdiff <baseline-dir> <candidate-dir>
 //! ```
 //!
 //! Compares every `BENCH_*.json` in the baseline directory against the
@@ -11,7 +11,7 @@
 //! - a baseline metric key that disappeared from the candidate
 //!   (renames must update the committed baseline in the same change),
 //! - a paired-median regression: a `*_median_ms` key whose candidate
-//!   value exceeds baseline by more than the threshold (default 25%),
+//!   value exceeds baseline by more than 25% (`THRESHOLD_PCT`),
 //!   checked only when `seed` and `sites` match — medians from
 //!   different scales are not comparable.
 //!
@@ -21,6 +21,9 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
+
+/// How far, in percent, a candidate median may exceed its baseline.
+const THRESHOLD_PCT: f64 = 25.0;
 
 /// One parsed BENCH file: flat key → numeric value (null → NaN,
 /// strings only for the `bench` name which we keep separately).
@@ -65,21 +68,8 @@ fn load(path: &Path) -> Option<BenchFile> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let threshold: f64 = args
-        .iter()
-        .position(|a| a == "--threshold")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(25.0);
-    let dirs: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let dirs: Vec<&String> = dirs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !matches!(args.iter().position(|a| a == "--threshold"), Some(p) if *i == p + 1))
-        .map(|(_, a)| *a)
-        .collect();
-    let [baseline_dir, candidate_dir] = dirs.as_slice() else {
-        eprintln!("usage: benchdiff <baseline-dir> <candidate-dir> [--threshold <pct>]");
+    let [baseline_dir, candidate_dir] = args.as_slice() else {
+        eprintln!("usage: benchdiff <baseline-dir> <candidate-dir>");
         return ExitCode::from(2);
     };
 
@@ -138,13 +128,13 @@ fn main() -> ExitCode {
                     continue;
                 };
                 let pct = (cval - bval) / bval * 100.0;
-                if pct > threshold {
+                if pct > THRESHOLD_PCT {
                     println!(
                         "FAIL {name}: {key} regressed {pct:+.1}% \
-                         ({bval:.1} ms -> {cval:.1} ms, threshold {threshold}%)"
+                         ({bval:.1} ms -> {cval:.1} ms, threshold {THRESHOLD_PCT}%)"
                     );
                     file_fail = true;
-                } else if pct < -threshold {
+                } else if pct < -THRESHOLD_PCT {
                     println!(
                         "note {name}: {key} improved {pct:+.1}% \
                          ({bval:.1} ms -> {cval:.1} ms)"

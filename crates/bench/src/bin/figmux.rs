@@ -10,47 +10,14 @@
 //! and p95s for the perf trajectory.
 
 use bench::cli::ExperimentSpec;
-use bench::figmux;
-use bench::report::{ms, summary_metrics};
+use bench::FIGMUX;
 
 fn main() {
     ExperimentSpec {
         name: "figmux",
         default_sites: 40,
-        title: |n| {
-            format!("figmux — HTTP/1.1 vs multiplexed transport across link rate × RTT ({n} sites)")
-        },
-        run: |n_sites, seed| {
-            let mut r = figmux(n_sites, seed);
-            println!(
-                "  {:>8} {:>8} | {:>12} {:>12} | {:>7} {:>9}",
-                "rate", "RTT", "http1 median", "mux median", "ratio", "paired"
-            );
-            let mut metrics: Vec<(String, f64)> = Vec::new();
-            for cell in &mut r.cells {
-                let ratio = cell.median_ratio();
-                let speedup = cell.median_speedup_pct();
-                println!(
-                    "  {:>6.0}Mb {:>6}ms | {:>12} {:>12} | {:>7.2} {:>8.1}%",
-                    cell.mbps,
-                    cell.rtt_ms,
-                    ms(cell.http1.median()),
-                    ms(cell.mux.median()),
-                    ratio,
-                    speedup,
-                );
-                let prefix = format!("{:.0}mbps_{}ms", cell.mbps, cell.delay_ms);
-                metrics.extend(summary_metrics(&format!("http1_{prefix}"), &mut cell.http1));
-                metrics.extend(summary_metrics(&format!("mux_{prefix}"), &mut cell.mux));
-                metrics.push((format!("ratio_{prefix}"), ratio));
-                metrics.push((format!("paired_speedup_pct_{prefix}"), speedup));
-            }
-            println!();
-            println!("  ratio  = http1 median / mux median over the per-site PLT distributions;");
-            println!("  paired = median per-site speedup (each site loaded under both protocols");
-            println!("  with the same seed; positive means mux is faster on the median site).");
-            Some(metrics)
-        },
+        title: |n| FIGMUX.title(n),
+        run: |n_sites, seed| Some(FIGMUX.report(n_sites, seed)),
     }
     .main()
 }

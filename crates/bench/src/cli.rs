@@ -77,8 +77,8 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// Parse `argv[1]` (falling back to `default_sites`), print the
-    /// header, run the body, and write `BENCH_<name>.json` if the body
+    /// Parse `argv[1]` (falling back to `default_sites`; a scale of 0
+    /// exits 2), print the header, run the body, and write `BENCH_<name>.json` if the body
     /// returned metrics. Binaries call this from `main`.
     ///
     /// Every binary also accepts the observer flags of `OUTPUTS`
@@ -133,6 +133,10 @@ impl ExperimentSpec {
             .get(1)
             .and_then(|s| s.parse().ok())
             .unwrap_or(self.default_sites);
+        if n == 0 {
+            eprintln!("the scale (sites, loads, users or minutes) must be at least 1");
+            std::process::exit(2);
+        }
         header(&(self.title)(n));
         let metrics = (self.run)(n, DEFAULT_SEED);
         for (out, value) in &outputs {

@@ -6,13 +6,13 @@ use mm_corpus::{
     cnbc_like, generate_plans, materialize, nytimes_like, server_distribution, wikihow_like,
     CorpusConfig, ServerDistribution, SitePlan,
 };
-use mm_replay::{ReplayConfig, ReplayMode};
+use mm_replay::ReplayMode;
 use mm_sim::{RngStream, SimDuration, Summary};
 use mm_trace::constant_rate;
 use mm_web::{HostProfile, LiveWebConfig};
 
-use crate::cellular::{FIGBBR, FIGCELL_DELAY_MS};
 use crate::parallel::parallel_map;
+use crate::sweep::{FIGBBR_QDISCS, FIGCELL_DELAY_MS};
 
 /// E1/E6 — Figure 2: PLT CDFs for bare ReplayShell, ReplayShell inside
 /// DelayShell 0 ms, and ReplayShell inside LinkShell at 1000 Mbit/s.
@@ -134,76 +134,6 @@ pub fn table1(loads: usize, seed: u64) -> Table1Result {
     Table1Result { cells }
 }
 
-/// E3 — Table 2: {50th, 95th} percentile PLT difference between
-/// single-server and multi-origin replay, across 9 (rate × delay)
-/// configurations.
-pub struct Table2Cell {
-    pub mbps: f64,
-    pub delay_ms: u64,
-    pub median_diff_pct: f64,
-    pub p95_diff_pct: f64,
-}
-
-pub struct Table2Result {
-    pub cells: Vec<Table2Cell>,
-}
-
-/// Run Table 2 over `n_sites` corpus sites, on the
-/// `FIGMUX_RATES_MBPS` × [`FIGMUX_DELAYS_MS`] grid (rate-major).
-/// Sites shard across threads; each site is materialized once and
-/// loaded under both replay modes in all nine cells with one seed
-/// derived from the site index, so the cells are byte-identical to a
-/// serial run.
-pub fn table2(n_sites: usize, seed: u64) -> Table2Result {
-    let plans = corpus_subset(n_sites, seed);
-    let mut grid = Vec::new();
-    for &mbps in &FIGMUX_RATES_MBPS {
-        let trace = constant_rate(mbps, 1000);
-        for &delay_ms in &FIGMUX_DELAYS_MS {
-            let net = NetSpec {
-                delay: Some(SimDuration::from_millis(delay_ms)),
-                link: Some(LinkSpec::symmetric(trace.clone())),
-                ..NetSpec::default()
-            };
-            grid.push((mbps, delay_ms, net));
-        }
-    }
-    // Per site, the single-vs-multi PLT difference in each grid cell.
-    let per_site = parallel_map(&plans, |i, plan| {
-        let site = materialize(plan);
-        let diff = |(_, _, net): &(f64, u64, NetSpec)| {
-            let mut multi = LoadSpec::new(&site);
-            multi.net = net.clone();
-            multi.seed = seed.wrapping_add(i as u64);
-            let m = run_page_load(&multi).plt.as_millis_f64();
-            let mut single = LoadSpec::new(&site);
-            single.net = net.clone();
-            single.replay = ReplayConfig {
-                mode: ReplayMode::SingleServer,
-                ..ReplayConfig::default()
-            };
-            single.seed = multi.seed;
-            let s = run_page_load(&single).plt.as_millis_f64();
-            (s - m) / m * 100.0
-        };
-        grid.iter().map(diff).collect::<Vec<f64>>()
-    });
-    let cells = grid
-        .iter()
-        .enumerate()
-        .map(|(k, &(mbps, delay_ms, _))| {
-            let mut summary = Summary::from_samples(per_site.iter().map(|diffs| diffs[k]));
-            Table2Cell {
-                mbps,
-                delay_ms,
-                median_diff_pct: summary.percentile(50.0),
-                p95_diff_pct: summary.percentile(95.0),
-            }
-        })
-        .collect();
-    Table2Result { cells }
-}
-
 /// E4 — Figure 3: PLT CDFs for an nytimes-like page on the "actual web"
 /// versus multi-origin and single-server replay.
 pub struct Fig3Result {
@@ -273,91 +203,6 @@ pub fn fig3(loads: usize, seed: u64) -> Fig3Result {
         multi: Summary::from_samples(per_load.iter().map(|s| s.1)),
         single: Summary::from_samples(per_load.iter().map(|s| s.2)),
     }
-}
-
-/// E7 — the protocol-comparison experiment (the shape of the paper's §5
-/// SPDY case study): PLT for HTTP/1.1 vs the mm-mux multiplexed
-/// transport, swept over link rate × RTT, under otherwise-identical
-/// emulated conditions.
-pub struct FigMuxCell {
-    pub mbps: f64,
-    pub delay_ms: u64,
-    /// One-way delay doubled: the RTT this cell emulates.
-    pub rtt_ms: u64,
-    pub http1: Summary,
-    pub mux: Summary,
-    /// Per-site paired speedup samples, percent (positive = mux faster):
-    /// each site is loaded under both protocols with the same seed, so
-    /// the paired difference is the experiment's primary statistic (the
-    /// same design as Table 2's per-site single-vs-multi comparison).
-    pub(crate) paired_speedup_pct: Summary,
-}
-
-impl FigMuxCell {
-    /// Median PLT ratio HTTP/1.1 : mux. Above 1.0 means multiplexing is
-    /// faster at this operating point.
-    pub fn median_ratio(&mut self) -> f64 {
-        self.http1.median() / self.mux.median()
-    }
-
-    /// Median of the per-site paired speedups, percent (positive = mux
-    /// faster on the median site).
-    pub fn median_speedup_pct(&mut self) -> f64 {
-        self.paired_speedup_pct.median()
-    }
-}
-
-pub struct FigMuxResult {
-    pub cells: Vec<FigMuxCell>,
-}
-
-/// The (link rate, one-way delay) grid figmux sweeps — the same grid as
-/// Table 2, so the two experiments share operating points.
-pub(crate) const FIGMUX_RATES_MBPS: [f64; 3] = [1.0, 14.0, 25.0];
-/// One-way delays of the figmux sweep, ms.
-pub const FIGMUX_DELAYS_MS: [u64; 3] = [30, 120, 300];
-
-/// Run the protocol comparison over `n_sites` corpus sites. Per cell,
-/// every site is loaded twice — HTTP/1.1 pools and one mux connection
-/// per origin — with the same seed, server think time, and network.
-/// Sites shard across threads with per-site seeds (serial-identical).
-pub fn figmux(n_sites: usize, seed: u64) -> FigMuxResult {
-    let plans = corpus_subset(n_sites, seed);
-    let mut cells = Vec::new();
-    for &mbps in &FIGMUX_RATES_MBPS {
-        let trace = constant_rate(mbps, 1000);
-        for &delay_ms in &FIGMUX_DELAYS_MS {
-            let per_site = parallel_map(&plans, |i, plan| {
-                let site = materialize(plan);
-                let net = NetSpec {
-                    delay: Some(SimDuration::from_millis(delay_ms)),
-                    link: Some(LinkSpec::symmetric(trace.clone())),
-                    ..NetSpec::default()
-                };
-                let mut h1 = LoadSpec::new(&site);
-                h1.net = net.clone();
-                h1.seed = seed.wrapping_add(i as u64);
-                let http1 = run_page_load(&h1).plt.as_millis_f64();
-                let mut mx = LoadSpec::new(&site);
-                mx.net = net;
-                mx.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
-                mx.seed = h1.seed;
-                let mux = run_page_load(&mx).plt.as_millis_f64();
-                (http1, mux)
-            });
-            cells.push(FigMuxCell {
-                mbps,
-                delay_ms,
-                rtt_ms: delay_ms * 2,
-                http1: Summary::from_samples(per_site.iter().map(|s| s.0)),
-                mux: Summary::from_samples(per_site.iter().map(|s| s.1)),
-                paired_speedup_pct: Summary::from_samples(
-                    per_site.iter().map(|&(h, m)| (h - m) / h * 100.0),
-                ),
-            });
-        }
-    }
-    FigMuxResult { cells }
 }
 
 /// E5 — §4's corpus statistic: the distribution of physical servers per
@@ -452,7 +297,7 @@ pub fn figshare(n: usize, smoke: bool, seed: u64) -> FigShareResult {
     }
     let mut grid = Vec::new();
     for &n_users in &populations {
-        for &(qdisc_name, qdisc) in FIGBBR.qdiscs {
+        for &(qdisc_name, qdisc) in FIGBBR_QDISCS {
             for mix in figshare_mixes() {
                 for protocol in ["http1", "mux"] {
                     if smoke

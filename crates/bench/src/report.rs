@@ -75,12 +75,6 @@ pub fn key_fragment(label: &str) -> String {
     label.replace('-', "_")
 }
 
-/// The `<regime>_<qdisc>` metric-key suffix every cellular sweep
-/// (figcell/figrack/figbbr) names its cells by.
-pub(crate) fn cell_key(regime: &str, qdisc: &str) -> String {
-    format!("{}_{}", key_fragment(regime), key_fragment(qdisc))
-}
-
 /// Metric rows for one PLT summary: `<prefix>_median_ms` and
 /// `<prefix>_p95_ms`.
 pub fn summary_metrics(prefix: &str, s: &mut Summary) -> Vec<(String, f64)> {

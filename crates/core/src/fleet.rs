@@ -244,8 +244,8 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
     let mut sim = Simulator::new();
 
     // A uniform population's algorithm also drives the shared replay
-    // servers (an explicit `replay.tcp` still wins); a split mix cannot
-    // — shared servers have one config — so web flows keep the base.
+    // servers; a split mix cannot — shared servers have one config — so
+    // web flows keep the base.
     let mut load = spec.load.clone();
     if let Some(cc) = spec.cc_mix.uniform() {
         load.tcp = Some(load.tcp.unwrap_or_default().to_builder().cc(cc).build());
@@ -291,9 +291,8 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
                 spec.arrival_window.as_nanos() * i as u64 / spec.n_users as u64,
             );
         let host = world.host(&inner_ns, user_ip(i));
-        let mut browser_config = world.browser.clone();
-        browser_config.tcp = Some(user_tcp(i));
-        let browser = Browser::new(host.clone(), world.resolver.clone(), browser_config);
+        host.set_tcp_config(user_tcp(i));
+        let browser = Browser::new(host.clone(), world.resolver.clone(), world.browser.clone());
         browsers.push(browser.clone());
         let slot = plt_slot.clone();
         let root_url = spec.load.site.root_url.clone();

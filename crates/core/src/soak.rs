@@ -35,7 +35,7 @@ use std::rc::Rc;
 
 use mm_browser::{Browser, BrowserConfig, PageLoadResult};
 use mm_metrics::{Counter, MetricsHandle, Registry, RegistrySink, LATENCY_BUCKETS_S};
-use mm_net::{Host, IpAddr, TcpConfig};
+use mm_net::{Host, IpAddr};
 use mm_record::StoredSite;
 use mm_replay::ReplayConfig;
 use mm_sim::dist::{Distribution, Exponential};
@@ -49,6 +49,9 @@ use crate::world::{Runner, World};
 /// time even if a session wedges.
 const DRAIN_GRACE: SimDuration = SimDuration::from_secs(300);
 
+/// Cadence of the maintenance pass (occupancy sampling + reaping).
+const REAP_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
 /// Everything that defines one soak run.
 pub struct SoakSpec<'a> {
     /// The recorded site the world serves.
@@ -57,9 +60,6 @@ pub struct SoakSpec<'a> {
     pub replay: ReplayConfig,
     /// Browser parameters for every session.
     pub browser: BrowserConfig,
-    /// TCP configuration for every host (None = defaults). A metrics
-    /// sink already present here wins over the soak's own registry sink.
-    pub(crate) tcp: Option<TcpConfig>,
     /// Fixed one-way propagation delay (None = none).
     pub delay: Option<SimDuration>,
     /// Trace-driven bottleneck link (None = unconstrained). Its qdiscs
@@ -71,8 +71,6 @@ pub struct SoakSpec<'a> {
     /// Length of the arrival window in simulated time. Sessions in
     /// flight at the end are given `DRAIN_GRACE` to finish.
     pub duration: SimDuration,
-    /// Cadence of the maintenance pass (occupancy sampling + reaping).
-    pub(crate) reap_interval: SimDuration,
     /// Client slot-pool size: the admission limit on concurrent
     /// sessions. Arrivals beyond it are shed, not queued (open loop).
     pub max_live_sessions: usize,
@@ -88,12 +86,10 @@ impl<'a> SoakSpec<'a> {
             site,
             replay: ReplayConfig::default(),
             browser: BrowserConfig::default(),
-            tcp: None,
             delay: Some(SimDuration::from_millis(20)),
             link: None,
             arrival_mean: SimDuration::from_secs(2),
             duration: SimDuration::from_secs(600),
-            reap_interval: SimDuration::from_secs(5),
             max_live_sessions: 64,
             seed: 0,
         }
@@ -120,7 +116,7 @@ pub struct SoakResult {
     pub plt_p95_ms: f64,
     pub plt_p99_ms: f64,
     /// High-water mark of total server-side connection-table occupancy,
-    /// sampled every `reap_interval`.
+    /// sampled every maintenance pass (5 s).
     pub server_conn_high_water: usize,
     /// Server-side connections still tabled when the world drained.
     pub server_conns_final: usize,
@@ -203,7 +199,6 @@ struct SoakWorld {
     horizon: Timestamp,
     arrival: Exponential,
     rng: RefCell<RngStream>,
-    reap_interval: SimDuration,
     registry: Registry,
     counters: SoakCounters,
     /// Pool slots not currently running a session.
@@ -338,14 +333,14 @@ impl SoakWorld {
 
     /// Maintenance pass: sample occupancy into the high-water marks and
     /// gauges, fold per-socket stats, then reap closed connections on
-    /// every host. Runs every `reap_interval` until the world drains
+    /// every host. Runs every [`REAP_INTERVAL`] until the world drains
     /// (or the drain grace expires).
     fn maintain(self: &Rc<Self>, sim: &mut Simulator) {
         self.scan_and_reap();
         let now = sim.now();
         if now < self.horizon && (now < self.end || self.live.get() > 0) {
             let world = self.clone();
-            sim.schedule_in(self.reap_interval, move |sim| world.maintain(sim));
+            sim.schedule_in(REAP_INTERVAL, move |sim| world.maintain(sim));
         }
     }
 
@@ -450,7 +445,6 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
         &LoadSpec {
             replay: spec.replay.clone(),
             browser: spec.browser.clone(),
-            tcp: spec.tcp.clone(),
             net: NetSpec {
                 delay: spec.delay,
                 link: spec.link.clone(),
@@ -502,7 +496,6 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
         horizon: end + DRAIN_GRACE,
         arrival: Exponential::with_mean(spec.arrival_mean.as_secs_f64()),
         rng: RefCell::new(world.rng.fork("soak-arrivals")),
-        reap_interval: spec.reap_interval,
         registry: registry.clone(),
         counters,
         free_slots: RefCell::new((0..spec.max_live_sessions).rev().collect()),
@@ -527,7 +520,7 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
             w.schedule_next_arrival(sim);
         });
         let w = world.clone();
-        sim.schedule_in(spec.reap_interval, move |sim| w.maintain(sim));
+        sim.schedule_in(REAP_INTERVAL, move |sim| w.maintain(sim));
     }
     sim.run();
 
@@ -647,7 +640,6 @@ mod tests {
         let mut spec = SoakSpec::new(site);
         spec.duration = SimDuration::from_secs(30);
         spec.arrival_mean = SimDuration::from_secs(2);
-        spec.reap_interval = SimDuration::from_secs(5);
         spec.max_live_sessions = 8;
         spec.seed = 77;
         spec

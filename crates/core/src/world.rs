@@ -68,7 +68,8 @@ pub(crate) struct World {
     pub(crate) stack: ShellStack,
     /// The browsers' "DNS": recorded origin → serving address.
     pub(crate) resolver: Resolver,
-    /// The spec's TCP configuration with the world's observers wired in.
+    /// The spec's TCP configuration with the world's observers wired in,
+    /// run by the servers and by every host [`World::host`] places.
     pub(crate) tcp: TcpConfig,
     /// The spec's browser configuration, wired likewise.
     pub(crate) browser: BrowserConfig,
@@ -153,15 +154,14 @@ impl World {
         // Outermost: ReplayShell's world. The browser's protocol choice
         // is passed through to the servers so both ends of a connection
         // speak the same wire format — one knob on the spec drives the
-        // whole stack. The TCP knob and the observers flow through
-        // ReplayConfig/BrowserConfig so replay worlds and browsers built
-        // outside this builder wire up the same way; an explicit config
-        // on either side wins.
+        // whole stack. The observers flow through ReplayConfig/
+        // BrowserConfig so replay worlds and browsers built outside this
+        // builder wire up the same way; an explicit handle on either
+        // side wins.
         let mut replay = spec.replay.clone();
         if let ProtocolMode::Mux(mux) = &spec.browser.protocol {
             replay.protocol = ServerProtocol::Mux(mux.clone());
         }
-        replay.tcp.get_or_insert_with(|| tcp.clone());
         replay.capture = replay.capture.or_else(|| tap.clone());
         replay.span = replay.span.or_else(|| span.clone());
         let shell = Rc::new(ReplayShell::new(
@@ -173,19 +173,20 @@ impl World {
         if runner.timer_mux {
             shell.enable_timer_mux();
         }
-        // Model the deployed SPDY-era server stack: a raised initial
+        // The servers run the world's TCP configuration, modelling the
+        // deployed SPDY-era server stack under mux: a raised initial
         // cwnd on the servers (only), so one multiplexed connection can
         // match the burst capacity of an HTTP/1.1 pool. An explicit IW
         // in `spec.tcp` is the experimenter's ablation knob and wins
         // over this deployment default.
-        if let (ProtocolMode::Mux(mux), None) = (&spec.browser.protocol, tcp.initial_cwnd_segments)
-        {
-            if let Some(iw) = mux.server_initial_cwnd_segments {
-                for host in &shell.hosts {
-                    let config = host.tcp_config().to_builder();
-                    host.set_tcp_config(config.initial_cwnd_segments(iw).build());
-                }
-            }
+        let mut server_tcp = tcp.clone();
+        if let ProtocolMode::Mux(mux) = &spec.browser.protocol {
+            server_tcp.initial_cwnd_segments = server_tcp
+                .initial_cwnd_segments
+                .or(mux.server_initial_cwnd_segments);
+        }
+        for host in &shell.hosts {
+            host.set_tcp_config(server_tcp.clone());
         }
 
         // Nested emulation shells in mahimahi order. The tap and the
@@ -217,7 +218,6 @@ impl World {
         };
 
         let mut browser = spec.browser.clone();
-        browser.tcp.get_or_insert_with(|| tcp.clone());
         browser.capture = browser.capture.or(tap);
         browser.span = browser.span.or(span).or(runner.span);
 
@@ -237,9 +237,11 @@ impl World {
         }
     }
 
-    /// A new host at `ip` in `ns`, on this world's timer path.
+    /// A new host at `ip` in `ns`, on this world's TCP configuration and
+    /// timer path.
     pub(crate) fn host(&self, ns: &Namespace, ip: IpAddr) -> Host {
         let host = Host::new_in(ip, self.ids.clone(), ns);
+        host.set_tcp_config(self.tcp.clone());
         if self.timer_mux {
             host.enable_timer_mux();
         }
@@ -261,5 +263,58 @@ impl World {
         if let Some(audit) = &self.audit {
             Artefact::Audit.append(&audit.finish().to_jsonl());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mm_browser::MuxConfig;
+    use mm_corpus::{materialize, plan_site, SiteParams};
+    use mm_net::RecoveryTier;
+
+    /// The TCP configurations of a world built from `spec`: its servers',
+    /// then that of a user host placed in it.
+    fn configs(spec: &LoadSpec<'_>) -> (Vec<TcpConfig>, TcpConfig) {
+        let world = World::build(spec, Runner::default());
+        let user = world.host(&world.stack.innermost(), IpAddr::new(100, 64, 0, 2));
+        let servers = world.shell.hosts.iter().map(Host::tcp_config).collect();
+        (servers, user.tcp_config())
+    }
+
+    #[test]
+    fn the_spec_tcp_config_reaches_every_host() {
+        let params = SiteParams {
+            servers: Some(4),
+            ..SiteParams::default()
+        };
+        let site = materialize(&plan_site(970, &params, &mut RngStream::from_seed(23)));
+        let mut spec = LoadSpec::new(&site);
+        let rack = TcpConfig::builder().recovery(RecoveryTier::RackTlp);
+        spec.tcp = Some(rack.clone().build());
+        let tier_and_iw = |config: &TcpConfig| (config.recovery, config.initial_cwnd_segments);
+        let rack_with = |segments| (RecoveryTier::RackTlp, segments);
+
+        // HTTP/1.1: the spec's configuration everywhere.
+        let (servers, user) = configs(&spec);
+        assert!(servers.len() > 1);
+        assert!(servers.iter().all(|c| tier_and_iw(c) == rack_with(None)));
+        assert_eq!(tier_and_iw(&user), rack_with(None));
+
+        // Mux: the deployment IW on the servers only.
+        let deployed = MuxConfig::default().server_initial_cwnd_segments;
+        assert!(deployed.is_some());
+        spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
+        let (servers, user) = configs(&spec);
+        assert!(servers
+            .iter()
+            .all(|c| tier_and_iw(c) == rack_with(deployed)));
+        assert_eq!(tier_and_iw(&user), rack_with(None));
+
+        // An IW the spec names wins over the deployment's, everywhere.
+        spec.tcp = Some(rack.initial_cwnd_segments(4).build());
+        let (servers, user) = configs(&spec);
+        assert!(servers.iter().all(|c| tier_and_iw(c) == rack_with(Some(4))));
+        assert_eq!(tier_and_iw(&user), rack_with(Some(4)));
     }
 }

@@ -69,10 +69,6 @@ pub struct BrowserConfig {
     pub parse_delay_base: SimDuration,
     /// Additional main-thread cost per KiB of body.
     pub parse_delay_per_kb: SimDuration,
-    /// TCP configuration for the browser's connections (`None` keeps the
-    /// host default) — the client half of the harness's per-load TCP
-    /// knob, e.g. `TcpConfig::recovery`.
-    pub tcp: Option<mm_net::TcpConfig>,
     /// Per-request observability tap: reports `Queued`/`Sent`/`Done`/
     /// `Failed` [`HttpEvent`]s at the browser boundary, keyed by the
     /// resource's index in [`PageLoadResult::resources`]. `None` (the
@@ -99,7 +95,6 @@ impl Default for BrowserConfig {
             protocol: ProtocolMode::default(),
             parse_delay_base: SimDuration::from_millis(18),
             parse_delay_per_kb: SimDuration::from_micros(150),
-            tcp: None,
             capture: None,
             span: None,
         }
@@ -294,11 +289,9 @@ impl WeakBrowser {
 }
 
 impl Browser {
-    /// A browser on `host` resolving origins through `resolver`.
+    /// A browser on `host` resolving origins through `resolver`. Its
+    /// connections take the host's TCP configuration.
     pub fn new(host: Host, resolver: Resolver, config: BrowserConfig) -> Browser {
-        if let Some(tcp) = &config.tcp {
-            host.set_tcp_config(tcp.clone());
-        }
         Browser {
             inner: Rc::new(RefCell::new(BrowserInner {
                 host,

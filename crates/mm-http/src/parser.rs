@@ -114,53 +114,30 @@ enum ChunkState {
     Trailers,
 }
 
-/// What the framing decision needs to know about the message head.
-struct Framing {
-    body: BodyState,
-}
-
-fn response_framing(
-    status: u16,
-    headers: &HeaderMap,
-    responding_to_head: bool,
-) -> Result<Framing, ParseError> {
+/// How a response's body is framed, from its status, its head and the
+/// request it answers.
+fn response_framing(status: u16, headers: &HeaderMap, responding_to_head: bool) -> BodyState {
     if Response::bodyless_status(status) || responding_to_head {
-        return Ok(Framing {
-            body: BodyState::None,
-        });
+        return BodyState::None;
     }
     if headers.is_chunked() {
-        return Ok(Framing {
-            body: BodyState::Chunked(ChunkState::Size),
-        });
-    }
-    if let Some(n) = headers.content_length() {
-        return Ok(Framing {
-            body: if n == 0 {
-                BodyState::None
-            } else {
-                BodyState::Sized { remaining: n }
-            },
-        });
-    }
-    Ok(Framing {
-        body: BodyState::UntilClose,
-    })
-}
-
-fn request_framing(headers: &HeaderMap) -> Result<Framing, ParseError> {
-    if headers.is_chunked() {
-        return Ok(Framing {
-            body: BodyState::Chunked(ChunkState::Size),
-        });
+        return BodyState::Chunked(ChunkState::Size);
     }
     match headers.content_length() {
-        Some(0) | None => Ok(Framing {
-            body: BodyState::None,
-        }),
-        Some(n) => Ok(Framing {
-            body: BodyState::Sized { remaining: n },
-        }),
+        Some(0) => BodyState::None,
+        Some(n) => BodyState::Sized { remaining: n },
+        None => BodyState::UntilClose,
+    }
+}
+
+/// How a request's body is framed: a request without a length has none.
+fn request_framing(headers: &HeaderMap) -> BodyState {
+    if headers.is_chunked() {
+        return BodyState::Chunked(ChunkState::Size);
+    }
+    match headers.content_length() {
+        Some(0) | None => BodyState::None,
+        Some(n) => BodyState::Sized { remaining: n },
     }
 }
 
@@ -336,8 +313,7 @@ impl RequestParser {
                 let parsed = parse_request_head(&self.machine.buf[..end - 4]);
                 self.machine.buf.advance(end);
                 let head = parsed?;
-                let framing = request_framing(&head.3)?;
-                self.machine.begin_body(framing.body);
+                self.machine.begin_body(request_framing(&head.3));
                 self.pending_head = Some(head);
             }
             match self.machine.drive_body()? {
@@ -411,8 +387,8 @@ impl ResponseParser {
                 self.machine.buf.advance(end);
                 let head = parsed?;
                 let to_head = self.head_queue.pop_front().unwrap_or(false);
-                let framing = response_framing(head.1, &head.3, to_head)?;
-                self.machine.begin_body(framing.body);
+                self.machine
+                    .begin_body(response_framing(head.1, &head.3, to_head));
                 self.pending_head = Some(head);
             }
             match self.machine.drive_body()? {

@@ -256,19 +256,14 @@ impl SocketApp for WanSide {
                     buffered.into_iter().map(Action::SendWan).collect()
                 }
                 SocketEvent::Data(bytes) => {
-                    let mut actions = vec![Action::SendLan(bytes.clone())];
-                    match s.resp_parser.feed(&bytes) {
-                        Ok(resps) => {
-                            for resp in resps {
-                                s.record_response(resp);
-                            }
-                        }
-                        Err(_) => {
-                            actions.clear();
-                            actions.push(Action::SendLan(bytes));
+                    // Forwarding is unconditional: an unparseable
+                    // response is simply not recorded.
+                    if let Ok(resps) = s.resp_parser.feed(&bytes) {
+                        for resp in resps {
+                            s.record_response(resp);
                         }
                     }
-                    actions
+                    vec![Action::SendLan(bytes)]
                 }
                 SocketEvent::PeerClosed => {
                     // Close-delimited bodies complete at EOF.

@@ -67,12 +67,6 @@ pub struct ReplayConfig {
     pub think_time: SimDuration,
     /// Wire protocol spoken on every listening port.
     pub protocol: ServerProtocol,
-    /// TCP configuration for every replay server host (`None` keeps the
-    /// host default). The harness passes its per-load TCP knob — e.g.
-    /// `TcpConfig::recovery` for the figcell/figrack experiments —
-    /// through here so a replay world built outside the harness gets
-    /// the same wiring.
-    pub tcp: Option<mm_net::TcpConfig>,
     /// Per-request observability tap: every server reports `ServerRecv`
     /// when a request parses and `ServerSent` when its response goes on
     /// the wire (after think time). `resource` is [`NO_RESOURCE`] — the
@@ -95,7 +89,6 @@ impl Default for ReplayConfig {
             mode: ReplayMode::MultiOrigin,
             think_time: SimDuration::from_millis(25),
             protocol: ServerProtocol::Http1,
-            tcp: None,
             capture: None,
             span: None,
         }
@@ -106,7 +99,8 @@ impl Default for ReplayConfig {
 pub struct ReplayShell {
     /// The namespace the servers live in (ReplayShell is outermost).
     pub ns: Namespace,
-    /// One host per distinct server IP.
+    /// One host per distinct server IP, on the host default TCP
+    /// configuration until its owner sets one.
     pub hosts: Vec<Host>,
     /// Origin → actual server address. Identity for multi-origin replay;
     /// all-to-one for single-server. This is the browser's "DNS".
@@ -137,9 +131,6 @@ impl ReplayShell {
             };
             if serving.as_ref().is_none_or(|(host, _)| host.ip() != ip) {
                 let host = Host::new_in(ip, ids.clone(), ns);
-                if let Some(tcp) = &config.tcp {
-                    host.set_tcp_config(tcp.clone());
-                }
                 hosts.push(host.clone());
                 serving = Some((host, Server::new(&matcher, &config)));
             }

@@ -1,25 +1,21 @@
-//! The cellular sweeps are three tables over one engine
-//! (`bench::cellular`): what the tables promise each other, and what
-//! they promise readers of the committed `BENCH_*.json` baselines.
+//! The paired-arm sweeps are five tables over one engine
+//! (`bench::sweep`): what the tables promise each other, and what they
+//! promise readers of the committed `BENCH_*.json` baselines.
 
-use bench::{figcell_regimes, CellularSweep, Column, SweepCell, FIGBBR, FIGCELL, FIGRACK};
+use bench::{Column, Sweep, SweepCell, FIGBBR, FIGCELL, FIGMUX, FIGRACK, TABLE2};
 
 /// A cell with made-up PLTs — one site, arm `k` took `1000 + k` ms —
-/// per (regime, qdisc) of `table`: enough to derive metrics from
-/// without simulating anything.
-fn placeholder_cells(table: &CellularSweep) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for (regime, _) in figcell_regimes() {
-        for &(qdisc, _) in table.qdiscs {
-            let plts = vec![(0..table.arms.len()).map(|k| 1000.0 + k as f64).collect()];
-            cells.push(SweepCell {
-                regime,
-                qdisc,
-                plts,
-            });
-        }
-    }
+/// per grid cell of `table`: enough to derive metrics from without
+/// simulating anything.
+fn placeholder_cells(table: &Sweep) -> Vec<SweepCell> {
+    let plts: Vec<Vec<f64>> = vec![(0..table.arms.len()).map(|k| 1000.0 + k as f64).collect()];
+    let cells = table.grid.cells(2014).into_iter();
     cells
+        .map(|(cell, _)| SweepCell {
+            plts: plts.clone(),
+            ..cell
+        })
+        .collect()
 }
 
 /// The metric keys of a BENCH file, in file order (run metadata skipped).
@@ -31,29 +27,27 @@ fn bench_file_keys(json: &str) -> Vec<&str> {
         .collect()
 }
 
-/// figcell ⊂ figrack ⊂ figbbr: an arm two tables share — the same
-/// (protocol, CC, recovery tier) — yields identical per-site PLTs on
-/// every (regime, qdisc) cell both tables sweep. A load depends on its
-/// configuration, site and seed only, never on which table ran it or
-/// at which position.
+/// Table 2 ⊂ figmux and figcell ⊂ figrack ⊂ figbbr: an arm two tables
+/// share — the same (protocol, CC, recovery tier, replay mode) — yields
+/// identical per-site PLTs on every cell both tables sweep. A load
+/// depends on its configuration, site and seed only, never on which
+/// table ran it or at which position.
 #[test]
 fn shared_arms_reproduce_across_tables() {
-    let runs = [&FIGCELL, &FIGRACK, &FIGBBR].map(|table| (table, table.run(2, 2014)));
+    let tables = [&TABLE2, &FIGMUX, &FIGCELL, &FIGRACK, &FIGBBR];
+    let runs = tables.map(|table| (table, table.run(2, 2014)));
     let mut compared = 0;
     for (a, (table_a, cells_a)) in runs.iter().enumerate() {
         for (table_b, cells_b) in &runs[a + 1..] {
             for (ia, arm_a) in table_a.arms.iter().enumerate() {
                 for (ib, arm_b) in table_b.arms.iter().enumerate() {
-                    if (arm_a.protocol, arm_a.cc, arm_a.recovery)
-                        != (arm_b.protocol, arm_b.cc, arm_b.recovery)
+                    if (arm_a.protocol, arm_a.cc, arm_a.recovery, arm_a.mode)
+                        != (arm_b.protocol, arm_b.cc, arm_b.recovery, arm_b.mode)
                     {
                         continue;
                     }
                     for cell_a in cells_a {
-                        let Some(cell_b) = cells_b
-                            .iter()
-                            .find(|c| (c.regime, c.qdisc) == (cell_a.regime, cell_a.qdisc))
-                        else {
+                        let Some(cell_b) = cells_b.iter().find(|c| c.key() == cell_a.key()) else {
                             continue;
                         };
                         let plts = |cell: &SweepCell, arm: usize| -> Vec<f64> {
@@ -62,11 +56,10 @@ fn shared_arms_reproduce_across_tables() {
                         assert_eq!(
                             plts(cell_a, ia),
                             plts(cell_b, ib),
-                            "{} vs {} on {}/{}",
+                            "{} vs {} on {}",
                             arm_a.label,
                             arm_b.label,
-                            cell_a.regime,
-                            cell_a.qdisc
+                            cell_a.key()
                         );
                         compared += 1;
                     }
@@ -74,9 +67,11 @@ fn shared_arms_reproduce_across_tables() {
             }
         }
     }
-    // Two arms shared by all three tables, two more by figrack and
-    // figbbr; every pair of tables shares 3 regimes × {droptail32, codel}.
-    assert_eq!(compared, (2 + 2 + 4) * 6);
+    // Table 2's `multi` is figmux's `http1` on all 9 (rate, delay)
+    // cells. Two arms shared by all three cellular tables, two more by
+    // figrack and figbbr; every pair of them shares 3 regimes ×
+    // {droptail32, codel}.
+    assert_eq!(compared, 9 + (2 + 2 + 4) * 6);
 }
 
 /// The keys each table emits, in order, are the keys of its committed
@@ -84,6 +79,8 @@ fn shared_arms_reproduce_across_tables() {
 #[test]
 fn emitted_keys_match_committed_baselines() {
     for (table, baseline) in [
+        (&TABLE2, include_str!("../BENCH_table2.json")),
+        (&FIGMUX, include_str!("../BENCH_figmux.json")),
         (&FIGCELL, include_str!("../BENCH_figcell.json")),
         (&FIGRACK, include_str!("../BENCH_figrack.json")),
         (&FIGBBR, include_str!("../BENCH_figbbr.json")),
@@ -96,7 +93,7 @@ fn emitted_keys_match_committed_baselines() {
 
 #[test]
 fn an_arm_paired_with_itself_gains_nothing() {
-    let table = CellularSweep {
+    let table = Sweep {
         columns: &[Column::Paired {
             key: "self_pct",
             base: 1,
@@ -105,8 +102,9 @@ fn an_arm_paired_with_itself_gains_nothing() {
         ..FIGRACK
     }
     .checked();
-    let metrics = table.metrics(&placeholder_cells(&table));
-    assert_eq!(metrics.len(), 3 * FIGRACK.qdiscs.len());
+    let cells = placeholder_cells(&table);
+    let metrics = table.metrics(&cells);
+    assert_eq!(metrics.len(), cells.len());
     assert!(metrics.iter().all(|&(_, pct)| pct == 0.0), "{metrics:?}");
 }
 
@@ -115,7 +113,7 @@ fn an_arm_paired_with_itself_gains_nothing() {
 #[should_panic(expected = "column names an arm outside the table")]
 fn a_column_outside_the_table_is_rejected() {
     assert_eq!(FIGCELL.arms.len(), 4);
-    let _ = CellularSweep {
+    let _ = Sweep {
         columns: &[Column::Plt(4)],
         ..FIGCELL
     }
