@@ -242,6 +242,32 @@ mod tests {
         assert!(r.plt > SimDuration::from_millis(50), "plt {}", r.plt);
     }
 
+    /// A recording whose HTML links a host name: the world's resolver
+    /// knows the recorded IP literals only, so that one fetch fails like
+    /// an NXDOMAIN, the audited load completes, and nothing panics.
+    #[test]
+    fn a_host_name_link_fails_one_resource() {
+        let mut site = small_site();
+        let root = &mut site.pairs_mut()[0].response;
+        let html = String::from_utf8(root.body.to_vec()).expect("HTML");
+        let linked = html.replacen(
+            "<html>",
+            "<html><img src=\"http://cdn.example.com/a.png\">",
+            1,
+        );
+        assert_ne!(linked, html, "the root document opens with <html>");
+        *root = mm_http::Response::ok(linked.into(), "text/html");
+        let clean = run_page_load(&LoadSpec::new(&small_site()));
+        let mut spec = LoadSpec::new(&site);
+        let auditor = mm_audit::Auditor::for_load(0);
+        spec.audit = Some(auditor.clone());
+        let r = run_page_load(&spec);
+        assert_eq!(r.failures, 1);
+        assert_eq!(r.resource_count(), clean.resource_count() + 1);
+        let report = auditor.finish();
+        assert!(report.is_clean(), "{:?}", report.violations);
+    }
+
     #[test]
     fn delay_shell_increases_plt() {
         let site = small_site();

@@ -103,8 +103,9 @@ impl Default for BrowserConfig {
 
 /// Maps a URL's origin to the address actually serving it (the browser's
 /// stand-in for DNS). Identity in multi-origin replay; all-to-one in the
-/// single-server ablation; arbitrary for live-web models.
-pub type Resolver = Rc<dyn Fn(&Url) -> SocketAddr>;
+/// single-server ablation; arbitrary for live-web models. `None` is an
+/// NXDOMAIN: that resource fails at once, and the rest of the page loads.
+pub type Resolver = Rc<dyn Fn(&Url) -> Option<SocketAddr>>;
 
 /// Outcome of one resource fetch.
 #[derive(Debug, Clone)]
@@ -342,15 +343,18 @@ impl Browser {
             page_span
         };
         self.fetch(sim, url, page_span);
+        // A root that does not resolve has already failed.
+        self.maybe_finish(sim);
     }
 
-    /// Queue a fetch for `url` (no-op if already seen this load).
-    /// `parent_span` is the span id of whatever discovered this URL: the
-    /// `Page` span for the root document, the discovering resource's
-    /// span for everything else (0 when no sink is attached).
+    /// Queue a fetch for `url` (no-op if already seen this load), or
+    /// fail it at once if its host does not resolve. `parent_span` is the
+    /// span id of whatever discovered this URL: the `Page` span for the
+    /// root document, the discovering resource's span for everything
+    /// else (0 when no sink is attached).
     fn fetch(&self, sim: &mut Simulator, url: Url, parent_span: u64) {
         let now = sim.now();
-        let (authority, idx) = {
+        let (authority, idx, queued) = 'queue: {
             let mut inner = self.inner.borrow_mut();
             let BrowserInner {
                 config,
@@ -367,7 +371,6 @@ impl Browser {
                 return;
             }
             load.seen.insert(key.clone());
-            load.outstanding += 1;
             let authority = url.authority();
             let addr = resolver(&url);
             let idx = load.timings.len();
@@ -377,13 +380,18 @@ impl Browser {
                 finished_at: now,
                 status: 0,
                 body_bytes: 0,
-                failed: false,
+                failed: addr.is_none(),
             });
             load.spans.push(ResSpanRec {
                 span_id,
                 parent_span,
                 ..ResSpanRec::default()
             });
+            let Some(addr) = addr else {
+                // Failed already: the load has nothing to wait for.
+                break 'queue (authority, idx, false);
+            };
+            load.outstanding += 1;
             let pool = load.pools.entry(authority.clone()).or_insert_with(|| Pool {
                 addr,
                 transport: match &config.protocol {
@@ -402,10 +410,14 @@ impl Browser {
                 url,
                 timing_idx: idx,
             });
-            (authority, idx)
+            (authority, idx, true)
         };
         self.stamp(now, idx, Milestone::Queued);
-        self.pump(sim, &authority);
+        if queued {
+            self.pump(sim, &authority);
+        } else {
+            self.stamp(now, idx, Milestone::Failed);
+        }
     }
 
     /// Hand `authority`'s queued jobs to its transport. HTTP/1.1 writes

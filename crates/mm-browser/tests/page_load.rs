@@ -60,18 +60,23 @@ struct World {
 }
 
 fn world(mode: ReplayMode) -> World {
-    world_speaking(mode, ProtocolMode::default()).0
+    world_speaking(&test_site(), mode, ProtocolMode::default()).0
 }
 
-/// The world, plus handles of its own to the client host and the servers
-/// (which the world reaches only through the browser).
-fn world_speaking(mode: ReplayMode, protocol: ProtocolMode) -> (World, Host, Rc<ReplayShell>) {
+/// A world replaying `site`, plus handles of its own to the client host
+/// and the servers (which the world reaches only through the browser).
+/// Its resolver, like the harness's, knows IP literals only.
+fn world_speaking(
+    site: &StoredSite,
+    mode: ReplayMode,
+    protocol: ProtocolMode,
+) -> (World, Host, Rc<ReplayShell>) {
     let sim = Simulator::new();
     let root = Namespace::root("world");
     let ids = PacketIdGen::new();
     let shell = ReplayShell::new(
         &root,
-        &test_site(),
+        site,
         ReplayConfig {
             mode,
             think_time: SimDuration::ZERO,
@@ -88,8 +93,8 @@ fn world_speaking(mode: ReplayMode, protocol: ProtocolMode) -> (World, Host, Rc<
     let resolver: mm_browser::Resolver = {
         let shell = shell.clone();
         Rc::new(move |url: &Url| {
-            let origin = SocketAddr::new(url.host.parse().unwrap(), url.port);
-            shell.resolve(origin)
+            let origin = SocketAddr::new(url.host.parse().ok()?, url.port);
+            Some(shell.resolve(origin))
         })
     };
     let browser = Browser::new(
@@ -144,7 +149,8 @@ fn events_for_a_dropped_browser_are_ignored() {
         ProtocolMode::default(),
         ProtocolMode::Mux(MuxConfig::default()),
     ] {
-        let (world, client_host, servers) = world_speaking(ReplayMode::MultiOrigin, mode);
+        let (world, client_host, servers) =
+            world_speaking(&test_site(), ReplayMode::MultiOrigin, mode);
         let World {
             mut sim,
             browser,
@@ -203,7 +209,7 @@ fn unrecorded_subresource_is_404_not_hang() {
     let resolver: mm_browser::Resolver = {
         let shell = shell.clone();
         Rc::new(move |url: &Url| {
-            shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port))
+            Some(shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
         })
     };
     let browser = Browser::new(client, resolver, BrowserConfig::default());
@@ -269,7 +275,7 @@ fn connection_pool_respects_limit() {
     let resolver: mm_browser::Resolver = {
         let shell = shell.clone();
         Rc::new(move |url: &Url| {
-            shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port))
+            Some(shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
         })
     };
     let browser = Browser::new(client.clone(), resolver, BrowserConfig::default());
@@ -339,7 +345,7 @@ fn more_origins_means_more_parallelism() {
         let resolver: mm_browser::Resolver = {
             let shell = shell.clone();
             Rc::new(move |url: &Url| {
-                shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port))
+                Some(shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
             })
         };
         // Minimal CPU model so the test isolates the *network* effect of
@@ -394,7 +400,7 @@ fn mux_load_uses_one_connection_per_origin() {
     let resolver: mm_browser::Resolver = {
         let shell = shell.clone();
         Rc::new(move |url: &Url| {
-            shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port))
+            Some(shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
         })
     };
     let browser = Browser::new(
@@ -505,9 +511,9 @@ fn load_with_rogue(
     let resolver: mm_browser::Resolver = Rc::new(move |url: &Url| {
         let origin = SocketAddr::new(url.host.parse().unwrap(), url.port);
         if origin == ROGUE {
-            origin
+            Some(origin)
         } else {
-            shell.resolve(origin)
+            Some(shell.resolve(origin))
         }
     });
     let browser = Browser::new(
@@ -543,7 +549,7 @@ fn load_with_rogue(
 fn a_resource_whose_connections_die_is_retried_once_then_failed() {
     // test_site, its root also referencing a script on the rogue origin.
     let mut site = StoredSite::new("rogue-script", "http://10.0.0.1:80/");
-    for mut pair in test_site().pairs {
+    for mut pair in test_site().pairs.iter().cloned() {
         if pair.request.target == "/" {
             let html = String::from_utf8(pair.response.body.to_vec()).unwrap();
             let html = html.replace("</html>", "<script src=\"http://10.0.0.9/gone.js\"></html>");
@@ -597,6 +603,47 @@ fn a_resource_whose_connections_die_is_retried_once_then_failed() {
         assert_eq!(spans[1].parent, spans[0].id);
         let report = o.auditor.finish();
         assert!(report.is_clean(), "{protocol:?}: {:?}", report.violations);
+    }
+}
+
+/// A one-page site whose HTML links a host name, not an IP literal. The
+/// recorded origins are addresses, so the name resolves to nothing: that
+/// one image fails at once, as after an NXDOMAIN, and the page completes.
+#[test]
+fn a_link_to_an_unresolvable_host_name_fails_only_that_resource() {
+    let mut site = StoredSite::new("named-link", "http://10.0.0.1:80/");
+    site.push(pair(
+        IpAddr::new(10, 0, 0, 1),
+        80,
+        "/",
+        "<html><img src=\"http://cdn.example.com/a.png\">\
+         <img src=\"http://10.0.0.1/b.png\"></html>",
+        "text/html",
+    ));
+    site.push(pair(
+        IpAddr::new(10, 0, 0, 1),
+        80,
+        "/b.png",
+        "BBBB",
+        "image/png",
+    ));
+    for protocol in [
+        ProtocolMode::default(),
+        ProtocolMode::Mux(MuxConfig::default()),
+    ] {
+        let (mut w, _client, _servers) =
+            world_speaking(&site, ReplayMode::MultiOrigin, protocol.clone());
+        let r = run_load(&mut w);
+        assert_eq!(r.resource_count(), 3, "{protocol:?}");
+        assert_eq!(r.failures, 1, "{protocol:?}");
+        let named = r
+            .resources
+            .iter()
+            .find(|t| t.url.contains("cdn.example.com"))
+            .expect("the named image was queued");
+        assert!(named.failed && named.status == 0, "{protocol:?}: {named:?}");
+        assert_eq!(named.finished_at, named.queued_at, "failed at once");
+        assert_eq!(r.total_body_bytes, r.resources[0].body_bytes + 4);
     }
 }
 

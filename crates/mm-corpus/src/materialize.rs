@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn body_sizes_match_plan() {
         let (plan, site) = sample();
-        for (obj, pair) in plan.objects.iter().zip(&site.pairs) {
+        for (obj, pair) in plan.objects.iter().zip(site.pairs.iter()) {
             // Body is at least the planned size and within slack of it.
             assert!(pair.response.body.len() >= obj.size);
             assert!(pair.response.body.len() <= obj.size + 64);
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn responses_have_consistent_framing() {
         let (_, site) = sample();
-        for p in &site.pairs {
+        for p in site.pairs.iter() {
             assert_eq!(
                 p.response.headers.content_length(),
                 Some(p.response.body.len() as u64)
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn https_origins_tagged() {
         let (plan, site) = sample();
-        for (obj, pair) in plan.objects.iter().zip(&site.pairs) {
+        for (obj, pair) in plan.objects.iter().zip(site.pairs.iter()) {
             let port = plan.origins[obj.origin_idx].port;
             assert_eq!(pair.scheme == Scheme::Https, port == 443);
         }

@@ -10,7 +10,7 @@
 //! allocations, not two per field.
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
-use std::fmt::{self, Write};
+use std::fmt;
 
 /// One header field (name, value), borrowed from its map. Name comparison
 /// is ASCII case-insensitive; the original spelling is preserved.
@@ -123,7 +123,7 @@ impl HeaderMap {
     }
 
     /// Iterate fields in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = Header<'_>> {
+    pub fn iter(&self) -> impl Iterator<Item = Header<'_>> + Clone {
         self.spans.iter().map(|span| self.field(span))
     }
 
@@ -132,7 +132,7 @@ impl HeaderMap {
     pub fn set_content_length(&mut self, len: usize) {
         self.remove("content-length");
         self.push_field("Content-Length", |buf| {
-            write!(buf, "{len}").expect("writing to a String")
+            buf.push_str(Decimal::new(len as u64).as_str())
         });
     }
 
@@ -144,12 +144,7 @@ impl HeaderMap {
 
     /// True if `Transfer-Encoding` includes `chunked`.
     pub fn is_chunked(&self) -> bool {
-        self.get("transfer-encoding")
-            .map(|v| {
-                v.split(',')
-                    .any(|t| t.trim().eq_ignore_ascii_case("chunked"))
-            })
-            .unwrap_or(false)
+        self.get("transfer-encoding").is_some_and(names_chunked)
     }
 
     /// True if `Connection: close` is declared.
@@ -157,6 +152,47 @@ impl HeaderMap {
         self.get("connection")
             .map(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close")))
             .unwrap_or(false)
+    }
+}
+
+/// True if a `Transfer-Encoding` value lists `chunked`.
+pub(crate) fn names_chunked(value: &str) -> bool {
+    value
+        .split(',')
+        .any(|t| t.trim().eq_ignore_ascii_case("chunked"))
+}
+
+/// A number's decimal digits, written on the stack: a status code or a
+/// `Content-Length` value on its way into a head, without a `String`.
+#[derive(Debug, Clone, Copy)]
+pub struct Decimal {
+    buf: [u8; 20],
+    /// The digits are `buf[start..]`.
+    start: u8,
+}
+
+impl Decimal {
+    /// The digits of `n`.
+    pub fn new(mut n: u64) -> Decimal {
+        let mut buf = [0u8; 20];
+        let mut start = buf.len();
+        loop {
+            start -= 1;
+            buf[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        Decimal {
+            buf,
+            start: start as u8,
+        }
+    }
+
+    /// The digits, as text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[usize::from(self.start)..]).expect("ASCII digits")
     }
 }
 
@@ -269,6 +305,13 @@ mod tests {
         h.set_content_length(42);
         assert_eq!(h.content_length(), Some(42));
         assert_eq!(h.to_string(), "X-After: 1\nContent-Length: 42\n");
+    }
+
+    #[test]
+    fn decimal_spells_what_to_string_spells() {
+        for n in [0, 7, 10, 204, 65_535, 1_000_000, u64::MAX] {
+            assert_eq!(Decimal::new(n).as_str(), n.to_string());
+        }
     }
 
     #[test]

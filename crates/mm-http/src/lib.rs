@@ -14,8 +14,10 @@ pub mod parser;
 pub mod serialize;
 pub mod url;
 
-pub use headers::{Header, HeaderMap};
+pub use headers::{Decimal, Header, HeaderMap};
 pub use message::{Method, Request, Response, Version};
 pub use parser::{ParseError, RequestParser, ResponseParser};
-pub use serialize::{chunk_body, write_request, write_response, write_response_parts};
+pub use serialize::{
+    chunk_body, write_request, write_response, write_response_fields, write_response_parts,
+};
 pub use url::{Url, UrlParseError};

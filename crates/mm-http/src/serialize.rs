@@ -2,6 +2,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+use crate::headers::{names_chunked, Decimal, Header};
 use crate::message::{Request, Response};
 
 /// Serialize a request (start line, headers, body) to wire form.
@@ -29,7 +30,7 @@ pub fn write_request(req: &Request) -> Bytes {
 /// terminator (the recorded body is already de-chunked).
 pub fn write_response(resp: &Response) -> Bytes {
     let mut out = BytesMut::with_capacity(256 + resp.body.len());
-    let trailer = put_response_head(&mut out, resp);
+    let trailer = put_response_head(&mut out, resp, resp.headers.iter());
     out.put_slice(&resp.body);
     out.put_slice(trailer);
     out.freeze()
@@ -40,8 +41,18 @@ pub fn write_response(resp: &Response) -> Bytes {
 /// copied). Sending the pieces back to back puts the same byte stream on
 /// a connection as sending their concatenation.
 pub fn write_response_parts(resp: &Response) -> [Bytes; 3] {
+    write_response_fields(resp, resp.headers.iter())
+}
+
+/// [`write_response_parts`] with `fields` as the header block in place
+/// of `resp.headers`: how a server sends a stored response under a
+/// rewritten head (ReplayShell's normalization) without copying it.
+pub fn write_response_fields<'a>(
+    resp: &Response,
+    fields: impl Iterator<Item = Header<'a>>,
+) -> [Bytes; 3] {
     let mut head = BytesMut::with_capacity(256);
-    let trailer = put_response_head(&mut head, resp);
+    let trailer = put_response_head(&mut head, resp, fields);
     [
         head.freeze(),
         resp.body.clone(),
@@ -49,24 +60,32 @@ pub fn write_response_parts(resp: &Response) -> [Bytes; 3] {
     ]
 }
 
-/// Everything that precedes the body: status line, headers, blank line
-/// and, for a chunked response, the size line of its one chunk. Returns
-/// what must follow the body.
-fn put_response_head(out: &mut BytesMut, resp: &Response) -> &'static [u8] {
+/// Everything that precedes the body: status line, `fields`, blank line
+/// and, when the first `Transfer-Encoding` field names `chunked`, the
+/// size line of the body's one chunk. Returns what must follow the body.
+fn put_response_head<'a>(
+    out: &mut BytesMut,
+    resp: &Response,
+    fields: impl Iterator<Item = Header<'a>>,
+) -> &'static [u8] {
     out.put_slice(resp.version.as_str().as_bytes());
     out.put_u8(b' ');
-    out.put_slice(resp.status.to_string().as_bytes());
+    out.put_slice(Decimal::new(u64::from(resp.status)).as_str().as_bytes());
     out.put_u8(b' ');
     out.put_slice(resp.reason.as_bytes());
     out.put_slice(b"\r\n");
-    for h in resp.headers.iter() {
+    let mut chunked = None;
+    for h in fields {
+        if chunked.is_none() && h.name.eq_ignore_ascii_case("transfer-encoding") {
+            chunked = Some(names_chunked(h.value));
+        }
         out.put_slice(h.name.as_bytes());
         out.put_slice(b": ");
         out.put_slice(h.value.as_bytes());
         out.put_slice(b"\r\n");
     }
     out.put_slice(b"\r\n");
-    if resp.headers.is_chunked() && !resp.body.is_empty() {
+    if chunked == Some(true) && !resp.body.is_empty() {
         out.put_slice(format!("{:x}\r\n", resp.body.len()).as_bytes());
         b"\r\n0\r\n\r\n"
     } else {

@@ -214,3 +214,51 @@ fn wire_bytes_are_the_fields_in_order() {
            set-cookie: b=2\r\nContent-Length: 2\r\n\r\nhi"[..]
     );
 }
+
+/// The response writer as it was before it took a field sequence: the
+/// status through `to_string`, chunking read off the map.
+fn reference_response_wire(resp: &Response) -> Vec<u8> {
+    let version = match resp.version {
+        Version::Http10 => "HTTP/1.0",
+        Version::Http11 => "HTTP/1.1",
+    };
+    let mut out = format!("{version} {} {}\r\n", resp.status, resp.reason);
+    for h in resp.headers.iter() {
+        out.push_str(&format!("{}: {}\r\n", h.name, h.value));
+    }
+    out.push_str("\r\n");
+    let mut out = out.into_bytes();
+    if resp.headers.is_chunked() && !resp.body.is_empty() {
+        out.extend_from_slice(format!("{:x}\r\n", resp.body.len()).as_bytes());
+        out.extend_from_slice(&resp.body);
+        out.extend_from_slice(b"\r\n0\r\n\r\n");
+    } else {
+        out.extend_from_slice(&resp.body);
+    }
+    out
+}
+
+proptest! {
+    /// Any status, and `Transfer-Encoding` fields that do and do not name
+    /// `chunked` in any position: the writer's bytes are the reference's.
+    #[test]
+    fn the_response_writer_spells_status_and_chunking_as_before(
+        status in any::<u16>(),
+        fields in prop::collection::vec(
+            prop_oneof![
+                ("[Tt]ransfer-[Ee]ncoding", prop_oneof!["chunked", "gzip, Chunked", "gzip"]),
+                (arb_token(), arb_header_value()),
+            ],
+            0..6,
+        ),
+        body in arb_body(),
+    ) {
+        let mut resp = Response::status_only(status, "Some Reason");
+        resp.headers = HeaderMap::new();
+        for (n, v) in &fields {
+            resp.headers.append(n, v);
+        }
+        resp.body = Bytes::from(body);
+        prop_assert_eq!(write_response(&resp).to_vec(), reference_response_wire(&resp));
+    }
+}

@@ -27,10 +27,8 @@
 //! boundaries and partial frames stay buffered until complete, which the
 //! crate's property tests exercise by re-chunking encoded streams.
 
-use std::io::Write;
-
 use bytes::{Buf, Bytes, BytesMut};
-use mm_http::{HeaderMap, Method, Request, Response, Version};
+use mm_http::{Decimal, Header, HeaderMap, Method, Request, Response, Version};
 
 /// Frame type codes (the HTTP/2 values, for familiarity).
 const TYPE_DATA: u8 = 0x0;
@@ -202,19 +200,26 @@ pub(crate) fn request_headers(stream: u32, end: bool, priority: u8, req: &Reques
     })
 }
 
-/// The HEADERS frame answering `stream` with `resp`'s head (its body
-/// travels as DATA).
-pub(crate) fn response_headers(stream: u32, end: bool, priority: u8, resp: &Response) -> Bytes {
-    // `:status` in decimal, as `to_string` would spell it, off the heap.
-    let mut digits = std::io::Cursor::new([0u8; 5]);
-    write!(digits, "{}", resp.status).expect("a u16 has at most five digits");
-    let len = digits.position() as usize;
-    let status = std::str::from_utf8(&digits.get_ref()[..len]).expect("ASCII digits");
+/// The HEADERS frame answering `stream` with `resp`'s status and
+/// reason and `fields` as its header block (its body travels as DATA).
+/// A server answers with `resp.headers.iter()`, or with a rewritten view
+/// of them.
+pub fn response_headers<'a>(
+    stream: u32,
+    end: bool,
+    priority: u8,
+    resp: &Response,
+    fields: impl Iterator<Item = Header<'a>> + Clone,
+) -> Bytes {
+    let status = Decimal::new(u64::from(resp.status));
     write_headers(stream, end, priority, || {
-        let pseudo = [(":status", status), (":reason", resp.reason.as_str())];
+        let pseudo = [
+            (":status", status.as_str()),
+            (":reason", resp.reason.as_str()),
+        ];
         pseudo
             .into_iter()
-            .chain(resp.headers.iter().map(|h| (h.name, h.value)))
+            .chain(fields.clone().map(|h| (h.name, h.value)))
     })
 }
 
@@ -716,7 +721,11 @@ mod tests {
     #[test]
     fn response_maps_through_fields() {
         let resp = Response::ok(Bytes::from_static(b"body"), "text/html");
-        let back = with_block(&response_headers(1, false, 0, &resp), |b| b.to_response()).unwrap();
+        let back = with_block(
+            &response_headers(1, false, 0, &resp, resp.headers.iter()),
+            |b| b.to_response(),
+        )
+        .unwrap();
         assert_eq!(back.status, 200);
         assert_eq!(back.reason, "OK");
         assert_eq!(back.headers.get("content-type"), Some("text/html"));
@@ -833,7 +842,7 @@ mod tests {
                 priority,
                 fields: owned_response_fields(&resp),
             };
-            prop_assert_eq!(response_headers(stream, end_stream, priority, &resp), owned.encode());
+            prop_assert_eq!(response_headers(stream, end_stream, priority, &resp, resp.headers.iter()), owned.encode());
         }
 
         /// Any field block maps to a request or a response, or to an

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
-use mm_http::{Request, Response};
+use mm_http::{Header, Request, Response};
 use mm_net::{SocketAddr, SocketApp, SocketEvent, TcpHandle, TcpState, WeakTcpHandle};
 use mm_sim::Simulator;
 
@@ -51,6 +51,18 @@ impl MuxResponder {
     /// of `resp.body` behind its own head, never a copy. No-op if the
     /// connection died in the meantime.
     pub fn respond(self, sim: &mut Simulator, resp: &Response) {
+        self.respond_with(sim, resp, resp.headers.iter());
+    }
+
+    /// [`respond`](Self::respond) with `fields` as the header block in
+    /// place of `resp.headers`: how a server sends a stored response
+    /// under a rewritten head without copying it.
+    pub fn respond_with<'a>(
+        self,
+        sim: &mut Simulator,
+        resp: &Response,
+        fields: impl Iterator<Item = Header<'a>> + Clone,
+    ) {
         let (handle, headers) = {
             let mut inner = self.inner.borrow_mut();
             if inner.dead {
@@ -63,7 +75,7 @@ impl MuxResponder {
                 return;
             };
             let end_stream = resp.body.is_empty();
-            let headers = response_headers(self.stream, end_stream, stream.priority, resp);
+            let headers = response_headers(self.stream, end_stream, stream.priority, resp, fields);
             if end_stream {
                 inner.streams.remove(&self.stream);
             } else {

@@ -62,17 +62,31 @@ impl std::error::Error for AddrParseError {}
 impl FromStr for IpAddr {
     type Err = AddrParseError;
 
+    /// Dotted quad: exactly four octets of decimal digits, read in
+    /// place.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split('.').collect();
-        if parts.len() != 4 {
-            return Err(AddrParseError(s.into()));
-        }
+        let err = || AddrParseError(s.into());
+        let mut parts = s.split('.');
         let mut octets = [0u8; 4];
-        for (i, p) in parts.iter().enumerate() {
-            octets[i] = p.parse().map_err(|_| AddrParseError(s.into()))?;
+        for octet in &mut octets {
+            *octet = parts.next().and_then(parse_octet).ok_or_else(err)?;
+        }
+        if parts.next().is_some() {
+            return Err(err());
         }
         Ok(IpAddr::new(octets[0], octets[1], octets[2], octets[3]))
     }
+}
+
+/// One or more ASCII digits — no sign, no space — worth at most 255.
+fn parse_octet(part: &str) -> Option<u8> {
+    if part.is_empty() {
+        return None;
+    }
+    part.bytes().try_fold(0u8, |n, b| {
+        let digit = b.checked_sub(b'0').filter(|d| *d <= 9)?;
+        n.checked_mul(10)?.checked_add(digit)
+    })
 }
 
 /// An (IP, port) endpoint.
@@ -150,6 +164,18 @@ mod tests {
         assert!("1.2.3".parse::<IpAddr>().is_err());
         assert!("1.2.3.256".parse::<IpAddr>().is_err());
         assert!("a.b.c.d".parse::<IpAddr>().is_err());
+        for bad in [
+            "",
+            "1.2.3",
+            "1.2.3.4.5",
+            "1..2.3",
+            "256.0.0.1",
+            "+1.2.3.4",
+            "1.2.3.4 ",
+        ] {
+            assert!(bad.parse::<IpAddr>().is_err(), "{bad:?} parsed");
+        }
+        assert_eq!("0.01.255.9".parse(), Ok(IpAddr::new(0, 1, 255, 9)));
         assert!("1.2.3.4".parse::<SocketAddr>().is_err());
         assert!("1.2.3.4:99999".parse::<SocketAddr>().is_err());
     }

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use mm_http::{Request, Response};
 use mm_net::{IpAddr, Origin, SocketAddr};
@@ -40,7 +41,11 @@ pub struct StoredSite {
     pub name: String,
     /// URL (absolute) of the page's root document.
     pub root_url: String,
-    pub pairs: Vec<RequestResponsePair>,
+    /// The exchanges, in recording order. Shared, not copied, by a clone
+    /// of the site and by every replay index built over it; an edit
+    /// ([`push`](Self::push), [`pairs_mut`](Self::pairs_mut)) copies the
+    /// list first only if something else still shares it.
+    pub pairs: Arc<Vec<RequestResponsePair>>,
 }
 
 impl StoredSite {
@@ -49,13 +54,18 @@ impl StoredSite {
         StoredSite {
             name: name.into(),
             root_url: root_url.into(),
-            pairs: Vec::new(),
+            pairs: Arc::default(),
         }
     }
 
     /// Append one exchange.
     pub fn push(&mut self, pair: RequestResponsePair) {
-        self.pairs.push(pair);
+        self.pairs_mut().push(pair);
+    }
+
+    /// The exchanges, to edit in place (copy-on-write).
+    pub fn pairs_mut(&mut self) -> &mut Vec<RequestResponsePair> {
+        Arc::make_mut(&mut self.pairs)
     }
 
     /// The distinct origins (ip:port) seen while recording — one replay
@@ -115,6 +125,7 @@ impl StoredSite {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use proptest::prelude::*;
 
     fn pair(ip: [u8; 4], port: u16, target: &str, body: &str) -> RequestResponsePair {
         let origin = SocketAddr::new(IpAddr::new(ip[0], ip[1], ip[2], ip[3]), port);
@@ -179,6 +190,38 @@ mod tests {
             s.total_body_bytes(),
             ("<html>root</html>".len() + "body{}".len() + "PNG".len() + "{}".len()) as u64
         );
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let mut s = sample_site();
+        s.pairs_mut()[0]
+            .response
+            .headers
+            .append("X-Quote", "a \"q\" \\ \u{e9}");
+        let json = s.to_json();
+        for (cut, _) in json.char_indices() {
+            assert!(StoredSite::from_json(&json[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    proptest! {
+        /// A store file with bytes overwritten loads or is refused:
+        /// never a panic.
+        #[test]
+        fn a_mutated_store_file_never_panics(
+            edits in prop::collection::vec((any::<u64>(), 0u8..128), 1..6),
+        ) {
+            let mut bytes = sample_site().to_json().into_bytes();
+            for (at, b) in edits {
+                let at = (at % bytes.len() as u64) as usize;
+                bytes[at] = b;
+            }
+            let text = String::from_utf8(bytes).expect("ASCII edits of ASCII JSON");
+            if let Ok(site) = StoredSite::from_json(&text) {
+                prop_assert_eq!(StoredSite::from_json(&site.to_json()).ok(), Some(site));
+            }
+        }
     }
 
     #[test]

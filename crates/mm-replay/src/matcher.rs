@@ -17,6 +17,7 @@
 
 use mm_http::{Request, Response};
 
+use crate::normalize::Replayed;
 use crate::store_index::StoreIndex;
 
 /// A compiled matcher over one recorded site.
@@ -31,45 +32,38 @@ impl Matcher {
     }
 
     /// Locate the recorded response for `req`, or `None` (404).
-    /// The returned response is normalized for replay (sized body,
-    /// no chunked framing). The servers answer from `lookup_ref`; this
-    /// copy is kept only because the host-time benchmark's
+    /// The returned response is an owned copy, normalized for replay
+    /// (sized body, no chunked framing). The servers send what `find`
+    /// returns through the same normalization, without the copy; this
+    /// one is kept because the host-time benchmark's
     /// `match_exact_ns` probe (`perf/src/api.rs`) names it.
     pub fn lookup(&self, req: &Request) -> Option<Response> {
-        self.lookup_ref(req).cloned()
+        self.find(req).map(|resp| Replayed::new(resp).to_response())
     }
 
-    /// [`lookup`](Self::lookup) without the copy: the index's own
-    /// response, normalized when the index was built.
-    pub(crate) fn lookup_ref(&self, req: &Request) -> Option<&Response> {
+    /// The recorded response that answers `req`, as recorded.
+    pub(crate) fn find(&self, req: &Request) -> Option<&Response> {
         let host = req.host().unwrap_or("");
         let candidates = self.index.candidates(host, req.path());
         let want_query = req.query().unwrap_or("");
         // Exact query match first.
-        for &idx in candidates {
-            let cand = self.index.pair(idx);
-            if cand.request.method == req.method && cand.request.query().unwrap_or("") == want_query
-            {
-                return Some(&cand.response);
-            }
+        let same_method = candidates.filter(|cand| cand.request.method == req.method);
+        if let Some(exact) = same_method
+            .clone()
+            .find(|cand| cand.request.query().unwrap_or("") == want_query)
+        {
+            return Some(&exact.response);
         }
-        // Longest-common-prefix of query string.
-        let mut best: Option<(usize, usize)> = None; // (lcp, idx)
-        for &idx in candidates {
-            let cand = self.index.pair(idx);
-            if cand.request.method != req.method {
-                continue;
-            }
+        // Longest-common-prefix of query string; the earliest recording
+        // wins a tie.
+        let mut best: Option<(usize, &Response)> = None;
+        for cand in same_method {
             let lcp = common_prefix_len(want_query, cand.request.query().unwrap_or(""));
-            let better = match best {
-                None => true,
-                Some((best_lcp, _)) => lcp > best_lcp,
-            };
-            if better {
-                best = Some((lcp, idx));
+            if best.is_none_or(|(best_lcp, _)| lcp > best_lcp) {
+                best = Some((lcp, &cand.response));
             }
         }
-        best.map(|(_, idx)| &self.index.pair(idx).response)
+        best.map(|(_, resp)| resp)
     }
 }
 

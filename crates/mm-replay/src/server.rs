@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
 use mm_capture::{HttpEvent, HttpPhase, TapHandle, NO_RESOURCE};
-use mm_http::{write_response_parts, Request, RequestParser, Response};
+use mm_http::{write_response_fields, Request, RequestParser, Response};
 use mm_mux::{MuxConfig, MuxHandler, MuxResponder, MuxServerConn};
 use mm_net::{
     Host, Listener, Namespace, Origin, PacketIdGen, SocketAddr, SocketApp, SocketEvent, TcpHandle,
@@ -30,6 +30,7 @@ use mm_sim::{SimDuration, Simulator, Timestamp};
 use mm_trace::{Span, SpanHandle, SpanKind};
 
 use crate::matcher::Matcher;
+use crate::normalize::Replayed;
 use crate::store_index::StoreIndex;
 use mm_record::StoredSite;
 
@@ -209,24 +210,25 @@ impl Server {
     /// wait until the CPU has done its matching work, after that of
     /// every request before it on this server (at once without think
     /// time); look the request up; stamp `ServerSent` and the
-    /// `ServerThink` span; hand the response to the transport's `send`.
-    /// `conn` is the span layer's id of the connection's initiator.
+    /// `ServerThink` span; hand the response, normalized for replay, to
+    /// the transport's `send`. `conn` is the span layer's id of the
+    /// connection's initiator.
     fn serve(
         &self,
         sim: &mut Simulator,
         req: Request,
         conn: u64,
-        send: impl FnOnce(&mut Simulator, &Response) + 'static,
+        send: impl FnOnce(&mut Simulator, &Replayed<'_>) + 'static,
     ) {
         let recv_at = sim.now();
         self.stamp_http(recv_at, HttpPhase::ServerRecv, &req.target, 0, 0);
         let server = self.me.upgrade().expect("a serving server is alive");
         let answer = move |sim: &mut Simulator| {
-            // The index's own response, looked up now: the index never
-            // changes, so this finds what a lookup on receipt would have.
-            // Only a miss builds one.
+            // The recording's own response, looked up now: the recording
+            // never changes, so this finds what a lookup on receipt would
+            // have. Only a miss builds one.
             let not_found;
-            let resp = match server.matcher.lookup_ref(&req) {
+            let resp = match server.matcher.find(&req) {
                 Some(stored) => stored,
                 None => {
                     not_found = Response::not_found();
@@ -250,7 +252,7 @@ impl Server {
                     detail: String::new(),
                 });
             }
-            send(sim, resp);
+            send(sim, &Replayed::new(resp));
         };
         if self.think_time.is_zero() {
             return answer(sim);
@@ -294,7 +296,7 @@ impl Listener for Server {
 impl MuxHandler for Server {
     fn handle(&self, sim: &mut Simulator, peer: SocketAddr, req: Request, responder: MuxResponder) {
         self.serve(sim, req, peer.conn_id(), |sim, resp| {
-            responder.respond(sim, resp)
+            responder.respond_with(sim, resp.resp, resp.fields())
         });
     }
 }
@@ -337,7 +339,7 @@ impl SocketApp for Http1Conn {
                     self.server.serve(sim, req, conn, move |sim, resp| {
                         // Head and recorded body go out as one write; the
                         // body is the store's buffer, never copied.
-                        h.send_vectored(sim, write_response_parts(resp));
+                        h.send_vectored(sim, write_response_fields(resp.resp, resp.fields()));
                         me.unanswered.set(me.unanswered.get() - 1);
                         me.close_when_answered(sim, &h);
                     });

@@ -3,71 +3,71 @@
 //! Real mahimahi's CGI scans all recorded pairs per request; with a
 //! 500-site corpus and hundreds of loads we index by (host, path) once per
 //! site instead. The observable matching semantics are identical.
+//!
+//! The index reads the recording where it lies: it shares the site's
+//! pairs and keeps one sorted list of path hashes, so building it copies
+//! no request, no response and no key.
 
-use std::borrow::Cow;
-use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::Arc;
 
 use mm_record::{RequestResponsePair, StoredSite};
 
-use crate::normalize::normalize_in_place;
-
-/// Immutable (host, path) → candidate-pair-indices index. Its copy of each
-/// recorded response is already normalized for replay
-/// (`crate::normalize_for_replay`), so a server sends it as it stands.
+/// Immutable (host, path) → candidate-pairs index over a shared
+/// recording. The pairs are the recording's own, not normalized:
+/// replay rewrites a response's framing as it sends it
+/// (`crate::normalize::Replayed`).
 pub struct StoreIndex {
-    pairs: Vec<RequestResponsePair>,
-    /// Lower-cased host → path → pair indices. Two levels, so a lookup
-    /// borrows its key parts instead of building a `(String, String)`.
-    by_host_path: HashMap<String, HashMap<String, Vec<usize>>>,
+    pairs: Arc<Vec<RequestResponsePair>>,
+    /// `(key(path), pair index)` for every pair, sorted. The pairs of one
+    /// key are adjacent and in recording order; another host's pair of
+    /// the same path, or a hash collision, is only a pair that
+    /// [`candidates`](Self::candidates) then skips.
+    keys: Vec<(u64, usize)>,
 }
 
-/// `host` in lower case — itself, when it already is.
-fn lower(host: &str) -> Cow<'_, str> {
-    if host.bytes().any(|b| b.is_ascii_uppercase()) {
-        Cow::Owned(host.to_ascii_lowercase())
-    } else {
-        Cow::Borrowed(host)
-    }
+/// The sort key of a request path. Only the path is hashed: the pairs
+/// of one path are adjacent, and the host sorts them out.
+fn key(path: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    path.hash(&mut hasher);
+    hasher.finish()
 }
 
 impl StoreIndex {
-    /// Build the index (clones the pairs out of the site).
+    /// Build the index. It shares the site's pairs; its one allocation is
+    /// the key list.
     pub fn build(site: &StoredSite) -> StoreIndex {
-        let mut pairs = site.pairs.clone();
-        for p in &mut pairs {
-            normalize_in_place(&mut p.response);
-        }
-        let mut by_host_path: HashMap<String, HashMap<String, Vec<usize>>> = HashMap::new();
-        for (i, p) in pairs.iter().enumerate() {
-            let host = lower(p.request.host().unwrap_or(""));
-            if !by_host_path.contains_key(host.as_ref()) {
-                by_host_path.insert(host.to_string(), HashMap::new());
-            }
-            let by_path = by_host_path.get_mut(host.as_ref()).expect("just ensured");
-            match by_path.get_mut(p.request.path()) {
-                Some(indices) => indices.push(i),
-                None => {
-                    by_path.insert(p.request.path().to_string(), vec![i]);
-                }
-            }
-        }
-        StoreIndex {
-            pairs,
-            by_host_path,
-        }
+        let pairs = Arc::clone(&site.pairs);
+        let mut keys: Vec<(u64, usize)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (key(p.request.path()), i))
+            .collect();
+        keys.sort_unstable();
+        StoreIndex { pairs, keys }
     }
 
-    /// Candidate pair indices for a (host, path), in recording order.
-    pub(crate) fn candidates(&self, host: &str, path: &str) -> &[usize] {
-        self.by_host_path
-            .get(lower(host).as_ref())
-            .and_then(|by_path| by_path.get(path))
-            .map_or(&[], Vec::as_slice)
-    }
-
-    /// Fetch a pair by index.
-    pub(crate) fn pair(&self, idx: usize) -> &RequestResponsePair {
-        &self.pairs[idx]
+    /// The pairs recorded for (`host`, `path`), in recording order: the
+    /// host compared ASCII case-insensitively, the path exactly.
+    pub(crate) fn candidates<'s, 'q>(
+        &'s self,
+        host: &'q str,
+        path: &'q str,
+    ) -> impl Iterator<Item = &'s RequestResponsePair> + Clone + 'q
+    where
+        's: 'q,
+    {
+        let k = key(path);
+        let first = self.keys.partition_point(|&(h, _)| h < k);
+        self.keys[first..]
+            .iter()
+            .take_while(move |&&(h, _)| h == k)
+            .map(|&(_, i)| &self.pairs[i])
+            .filter(move |p| {
+                let recorded = &p.request;
+                recorded.path() == path && recorded.host().unwrap_or("").eq_ignore_ascii_case(host)
+            })
     }
 
     /// Number of pairs indexed.
@@ -108,25 +108,34 @@ mod tests {
     fn groups_by_host_and_path() {
         let idx = StoreIndex::build(&site());
         assert_eq!(idx.len(), 4);
-        assert_eq!(idx.candidates("a.com", "/x").len(), 2);
-        assert_eq!(idx.candidates("b.com", "/x").len(), 1);
-        assert_eq!(idx.candidates("c.com", "/x").len(), 0);
-        assert_eq!(idx.candidates("a.com", "/z").len(), 0);
+        assert_eq!(idx.candidates("a.com", "/x").count(), 2);
+        assert_eq!(idx.candidates("b.com", "/x").count(), 1);
+        assert_eq!(idx.candidates("c.com", "/x").count(), 0);
+        assert_eq!(idx.candidates("a.com", "/z").count(), 0);
+        assert_eq!(idx.candidates("a.com", "/X").count(), 0, "paths are exact");
     }
 
     #[test]
     fn host_lookup_case_insensitive() {
         let idx = StoreIndex::build(&site());
-        assert_eq!(idx.candidates("a.com", "/y").len(), 1);
-        assert_eq!(idx.candidates("A.com", "/y").len(), 1);
+        assert_eq!(idx.candidates("a.com", "/y").count(), 1);
+        assert_eq!(idx.candidates("A.com", "/y").count(), 1);
     }
 
     #[test]
     fn candidates_in_recording_order() {
         let idx = StoreIndex::build(&site());
-        let c = idx.candidates("a.com", "/x");
-        assert!(c[0] < c[1]);
-        assert_eq!(idx.pair(c[0]).request.target, "/x");
-        assert_eq!(idx.pair(c[1]).request.target, "/x?q=1");
+        let targets: Vec<&str> = idx
+            .candidates("a.com", "/x")
+            .map(|p| p.request.target.as_str())
+            .collect();
+        assert_eq!(targets, ["/x", "/x?q=1"]);
+    }
+
+    #[test]
+    fn the_index_shares_the_recording() {
+        let site = site();
+        let idx = StoreIndex::build(&site);
+        assert!(Arc::ptr_eq(&idx.pairs, &site.pairs));
     }
 }

@@ -8,6 +8,7 @@
 //! last timestamp as the period — exactly `mm-link`'s semantics.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The MTU assumed by the trace format, bytes per delivery opportunity.
 pub(crate) const TRACE_MTU: usize = 1500;
@@ -42,11 +43,12 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// An immutable, validated packet-delivery trace.
+/// An immutable, validated packet-delivery trace. A clone shares its
+/// timestamps: a link per direction and per load reads one copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Millisecond timestamps, non-decreasing.
-    deliveries_ms: Vec<u64>,
+    deliveries_ms: Arc<[u64]>,
     /// Period of the trace: its last timestamp.
     period_ms: u64,
 }
@@ -68,7 +70,7 @@ impl Trace {
             return Err(TraceError::ZeroDuration);
         }
         Ok(Trace {
-            deliveries_ms,
+            deliveries_ms: deliveries_ms.into(),
             period_ms,
         })
     }
@@ -94,7 +96,7 @@ impl Trace {
     /// Serialize to the on-disk format.
     pub fn to_file_format(&self) -> String {
         let mut s = String::with_capacity(self.deliveries_ms.len() * 6);
-        for ts in &self.deliveries_ms {
+        for ts in self.deliveries_ms.iter() {
             s.push_str(&ts.to_string());
             s.push('\n');
         }
@@ -164,7 +166,7 @@ impl Trace {
         assert!(window_ms > 0);
         let windows = self.period_ms.div_ceil(window_ms);
         let mut counts = vec![0u64; windows as usize];
-        for &d in &self.deliveries_ms {
+        for &d in self.deliveries_ms.iter() {
             let w = (d.min(self.period_ms - 1)) / window_ms;
             counts[w as usize] += 1;
         }

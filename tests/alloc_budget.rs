@@ -31,6 +31,7 @@ use mm_net::{
     SocketAddr, SocketApp, SocketEvent, TcpConfig, TcpFlags, TcpHandle, TcpSegment,
 };
 use mm_record::{RequestResponsePair, Scheme, StoredSite};
+use mm_replay::{Matcher, StoreIndex};
 use mm_shells::{DelayLink, DropTail, ObservedQdisc, Qdisc, ShellStack, TraceLink, TraceLinkSink};
 use mm_sim::{RngStream, SimDuration, Simulator, Timer, TimerMux, Timestamp};
 use mm_trace::{constant_rate, TraceBuffer};
@@ -121,11 +122,12 @@ fn median_site() -> StoredSite {
 /// cloned per request; 7 392 with five timer blocks per socket and two
 /// `String`s per header field; 4 935 while each connection that carried
 /// a request grew a queue for it; 4 890 while the replay shell built two
-/// maps and a listener per origin (15 here); it makes 4 867 now. The
-/// budget is that plus ~10 %.
+/// maps and a listener per origin (15 here); 4 867 while every load's
+/// replay index copied the recording (58 pairs) and each fetch split its
+/// host into a `Vec`; it makes 4 187 now. The budget is that plus ~10 %.
 #[test]
 fn a_page_load_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 5_400;
+    const BUDGET: u64 = 4_600;
     let site = median_site();
     let load = || {
         let mut spec = LoadSpec::new(&site);
@@ -151,11 +153,12 @@ fn a_page_load_stays_within_its_allocation_budget() {
 /// name into every sample, each span was copied once per sink, and a
 /// flow's name regrew as it was formatted; 7 377 with that per-connection
 /// queue and each resource span's URL copied twice; 7 274 with the replay
-/// shell's two maps and listener per origin; it makes 7 251 now. The
-/// budget is that plus ~10 %.
+/// shell's two maps and listener per origin; 7 251 with the replay
+/// index's copy of the recording and a `Vec` per resolved URL; it makes
+/// 6 571 now. The budget is that plus ~10 %.
 #[test]
 fn an_observed_page_load_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 8_100;
+    const BUDGET: u64 = 7_250;
     let site = median_site();
     let capture = Capture::for_load(0);
     let load = || {
@@ -198,11 +201,12 @@ fn an_observed_page_load_stays_within_its_allocation_budget() {
 /// twice, every header field was two `String`s and every response was
 /// cloned out of the index; 4 642 while each request's URL was formatted
 /// for a tap none had attached; 4 410 with the replay shell's two maps
-/// and listener per origin and a request handler per connection; it
-/// makes 4 372 now. The budget is that plus ~10 %.
+/// and listener per origin and a request handler per connection; 4 372
+/// with the replay index's copy of the recording and a `Vec` per
+/// resolved URL; it makes 3 750 now. The budget is that plus ~10 %.
 #[test]
 fn a_mux_page_load_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 5_100;
+    const BUDGET: u64 = 4_150;
     let site = median_site();
     let load = || {
         let mut spec = LoadSpec::new(&site);
@@ -507,6 +511,45 @@ fn a_connection_costs_one_timer_block_per_socket() {
         allocs <= BUDGET,
         "one connection made {allocs} allocator calls, budget {BUDGET}"
     );
+}
+
+/// A site of `n` small pairs spread over four hosts.
+fn many_pairs(n: usize) -> StoredSite {
+    let mut site = StoredSite::new("many.example", "http://10.0.0.1:80/");
+    for i in 0..n {
+        let host = format!("10.0.0.{}", 1 + i % 4);
+        site.push(RequestResponsePair {
+            origin: SocketAddr::new(host.parse().expect("an address"), 80),
+            scheme: Scheme::Http,
+            request: Request::get(format!("/object/{i}?v={}", i % 3), host),
+            response: Response::ok(Bytes::from_static(b"x"), "text/plain"),
+        });
+    }
+    site
+}
+
+/// Indexing a recording for replay reads it where it lies: the index
+/// shares the site's pairs and keeps one sorted key list, so it costs the
+/// same allocator calls for 256 pairs as for 64. It was about ten per
+/// pair while every load's index copied and normalized each pair and
+/// keyed two levels of maps by owned strings.
+#[test]
+fn a_replay_index_allocates_the_same_for_four_times_the_pairs() {
+    let cost = |n: usize| {
+        let site = many_pairs(n);
+        let (allocs, index) = allocs_of(|| StoreIndex::build(&site));
+        let matcher = Matcher::new(index);
+        let last = &site.pairs[n - 1].request;
+        assert_eq!(
+            matcher.lookup(last),
+            Some(site.pairs[n - 1].response.clone())
+        );
+        allocs
+    };
+    let (n, four_n) = (cost(64), cost(256));
+    println!("replay index: {n} allocator calls for 64 pairs, {four_n} for 256");
+    assert_eq!(n, four_n);
+    assert!(n <= 3, "{n}");
 }
 
 // ------------------------------------------------------ one message head

@@ -52,7 +52,7 @@ fn load_through_recordshell() -> (mm_record::StoredSite, PageLoadResult, mm_reco
     let resolver: Resolver = {
         let s = origin_servers.clone();
         Rc::new(move |url: &mm_http::Url| {
-            s.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port))
+            Some(s.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
         })
     };
     let browser = Browser::new(browser_host, resolver, BrowserConfig::default());
@@ -77,7 +77,7 @@ fn recording_captures_the_whole_page() {
         "one recorded pair per fetched resource"
     );
     // Every recorded body matches the original site's content.
-    for pair in &recording.pairs {
+    for pair in recording.pairs.iter() {
         let matching = original
             .pairs
             .iter()

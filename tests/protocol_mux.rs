@@ -133,7 +133,7 @@ fn sharded_fig2_matches_serial_run() {
 fn a_header_field_past_64_kib_replays_over_mux() {
     let mut site = many_small_objects_site();
     // The corpus writes the root document first.
-    site.pairs[0]
+    site.pairs_mut()[0]
         .response
         .headers
         .append("Set-Cookie", "c".repeat(70_000));
