@@ -227,6 +227,8 @@ enum Transport {
 }
 
 struct Pool {
+    /// The origin's authority, shared by its connections' apps.
+    name: Rc<str>,
     /// Where this origin's connections actually go (post-resolver).
     addr: SocketAddr,
     transport: Transport,
@@ -393,6 +395,7 @@ impl Browser {
             };
             load.outstanding += 1;
             let pool = load.pools.entry(authority.clone()).or_insert_with(|| Pool {
+                name: Rc::from(authority.as_str()),
                 addr,
                 transport: match &config.protocol {
                     ProtocolMode::Http1 { pool_size } => Transport::Http1 {
@@ -429,8 +432,8 @@ impl Browser {
             // Find one step under the borrow; do socket work outside it.
             enum Step {
                 Send(ConnRef, FetchJob),
-                Submit(MuxClient, FetchJob),
-                Open(SocketAddr),
+                Submit(Rc<str>, MuxClient, FetchJob),
+                Open(Rc<str>, SocketAddr),
                 Connect(SocketAddr, MuxConfig),
             }
             let step = {
@@ -440,6 +443,7 @@ impl Browser {
                     return;
                 };
                 let Pool {
+                    name,
                     addr,
                     transport,
                     queue,
@@ -458,7 +462,7 @@ impl Browser {
                             Some(conn) => {
                                 Step::Send(conn.clone(), queue.pop_front().expect("queued"))
                             }
-                            None if conns.len() < *pool_size => Step::Open(*addr),
+                            None if conns.len() < *pool_size => Step::Open(name.clone(), *addr),
                             None => return, // every conn busy or still connecting
                         }
                     }
@@ -468,7 +472,8 @@ impl Browser {
                         }
                         match client {
                             Some(c) if !c.is_dead() => {
-                                Step::Submit(c.clone(), queue.pop_front().expect("queued"))
+                                let job = queue.pop_front().expect("queued");
+                                Step::Submit(name.clone(), c.clone(), job)
                             }
                             _ => Step::Connect(*addr, config.clone()),
                         }
@@ -495,7 +500,7 @@ impl Browser {
                     conn.borrow_mut().job = Some(job);
                     handle.send(sim, wire);
                 }
-                Step::Submit(client, job) => {
+                Step::Submit(name, client, job) => {
                     let conn_id = client.local_addr().map_or(0, SocketAddr::conn_id);
                     self.stamp(now, job.timing_idx, Milestone::Sent { conn: conn_id });
                     // The root document preempts everything; discovery-
@@ -509,27 +514,27 @@ impl Browser {
                     };
                     let req = request_for(&job.url);
                     let tag = job.timing_idx as u32;
-                    let (me, auth) = (self.downgrade(), authority.to_string());
+                    let me = self.downgrade();
                     client.request(sim, req, priority, tag, move |sim, result| {
                         if let Some(me) = me.upgrade() {
-                            me.settle(sim, &auth, job, result.ok());
+                            me.settle(sim, &name, job, result.ok());
                         }
                     });
                 }
-                Step::Open(addr) => self.open_connection(sim, authority, addr),
+                Step::Open(name, addr) => self.open_connection(sim, name, addr),
                 Step::Connect(addr, config) => self.connect_mux(sim, authority, addr, config),
             }
         }
     }
 
-    fn open_connection(&self, sim: &mut Simulator, authority: &str, addr: SocketAddr) {
+    fn open_connection(&self, sim: &mut Simulator, authority: Rc<str>, addr: SocketAddr) {
         let host = self.inner.borrow().host.clone();
         let browser = self.downgrade();
         let conn: ConnRef = Rc::new_cyclic(|conn| {
             let app = Rc::new(ConnApp {
                 browser,
                 conn: conn.clone(),
-                authority: authority.to_string(),
+                authority: authority.clone(),
                 parser: RefCell::new(ResponseParser::new()),
             });
             RefCell::new(Conn {
@@ -544,7 +549,7 @@ impl Browser {
         if let Some(Transport::Http1 { conns, .. }) = inner
             .load
             .as_mut()
-            .and_then(|l| l.pools.get_mut(authority))
+            .and_then(|l| l.pools.get_mut(&*authority))
             .map(|p| &mut p.transport)
         {
             conns.push(conn);
@@ -932,7 +937,7 @@ fn record_resource(
 struct ConnApp {
     browser: WeakBrowser,
     conn: Weak<RefCell<Conn>>,
-    authority: String,
+    authority: Rc<str>,
     parser: RefCell<ResponseParser>,
 }
 
@@ -971,9 +976,18 @@ impl SocketApp for ConnApp {
                     }
                 }
             }
-            SocketEvent::PeerClosed | SocketEvent::Reset => {
+            SocketEvent::PeerClosed => {
+                // The close ends a response framed by neither a length
+                // nor chunked coding (RFC 9112 §6.3). It completes on a
+                // connection the pump no longer offers.
+                let last = self.parser.borrow_mut().finish();
+                if let Ok(Some(resp)) = last {
+                    conn.borrow_mut().dead = true;
+                    browser.on_response(sim, &self.authority, &conn, resp);
+                }
                 browser.on_conn_dead(sim, &self.authority, &conn);
             }
+            SocketEvent::Reset => browser.on_conn_dead(sim, &self.authority, &conn),
             // Requests are tiny; the browser never paces its writes.
             SocketEvent::SendQueueDrained => {}
         }

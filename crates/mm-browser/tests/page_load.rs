@@ -437,10 +437,16 @@ enum Rogue {
     /// Answer with bytes that are neither an HTTP/1.1 response nor mux
     /// frames.
     Garbage,
+    /// Answer with [`CLOSE_DELIMITED`], then close.
+    CloseDelimited,
 }
 
 /// Neither an HTTP/1.1 status line nor a mux frame head.
 const GARBAGE: &[u8] = b"NONSENSE\xff\xff\xff\xff\xff\xff\xff\xff\r\n\r\n";
+
+/// A response framed by neither a length nor chunked coding: its body
+/// ends where the connection does (RFC 9112 §6.3).
+const CLOSE_DELIMITED: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nhello";
 
 const ROGUE: SocketAddr = SocketAddr {
     ip: IpAddr::new(10, 0, 0, 9),
@@ -459,6 +465,10 @@ impl SocketApp for Rogue {
             match self {
                 Rogue::Abort => h.abort(sim),
                 Rogue::Garbage => h.send(sim, Bytes::from_static(GARBAGE)),
+                Rogue::CloseDelimited => {
+                    h.send(sim, Bytes::from_static(CLOSE_DELIMITED));
+                    h.close(sim);
+                }
             }
         }
     }
@@ -668,4 +678,26 @@ fn a_garbage_response_aborts_its_connection() {
         o.client.reap_closed();
         assert_eq!(o.client.socket_count(), 0, "{protocol:?}");
     }
+}
+
+/// A response whose body the server ends by closing the connection is
+/// complete at the close, not a failure to retry.
+#[test]
+fn a_close_delimited_response_completes_at_the_close() {
+    let o = load_with_rogue(
+        &test_site(),
+        "http://10.0.0.9:80/",
+        Rogue::CloseDelimited,
+        ProtocolMode::default(),
+    );
+    let r = &o.result;
+    assert_eq!(r.resource_count(), 1);
+    assert_eq!(r.failures, 0);
+    assert_eq!((r.resources[0].status, r.total_body_bytes), (200, 5));
+    let phases: Vec<HttpPhase> = o.capture.data().https.iter().map(|e| e.phase).collect();
+    assert_eq!(
+        phases,
+        [HttpPhase::Queued, HttpPhase::Sent, HttpPhase::Done],
+        "sent once, not retried"
+    );
 }

@@ -7,7 +7,12 @@
 //!
 //! Supported body framings: `Content-Length`, `Transfer-Encoding: chunked`
 //! (with trailers), bodyless statuses (1xx/204/304 and HEAD responses), and
-//! read-until-close for HTTP/1.0-style responses.
+//! read-until-close for responses with neither (RFC 9112 §6.3).
+//!
+//! A head, chunk-size line or trailer line longer than 256 KiB is a
+//! [`ParseError`], and each search for its end resumes where the previous
+//! feed's stopped: a peer that never ends its head costs bounded memory
+//! and linear time.
 
 use bytes::{Buf, Bytes, BytesMut};
 
@@ -30,9 +35,34 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError(msg.into()))
 }
 
-/// Find `\r\n\r\n`, returning the offset just past it.
-fn find_header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+/// Longest message head, chunk-size line or trailer line accepted, its
+/// terminator included. Chromium's `HttpStreamParser` gives up on response
+/// heads at the same size.
+const MAX_LINE: usize = 256 * 1024;
+
+/// The offset just past the first `end` in `buf`, which terminates the
+/// head or line at its front. The search starts past the `scanned` bytes
+/// the previous one covered, and records how far this one got. A line that
+/// has passed [`MAX_LINE`] without its end is an error, and its bytes are
+/// dropped.
+fn line_end(
+    buf: &mut BytesMut,
+    scanned: &mut usize,
+    end: &[u8],
+) -> Result<Option<usize>, ParseError> {
+    let from = scanned.saturating_sub(end.len() - 1);
+    let window = &buf[from..buf.len().min(MAX_LINE)];
+    if let Some(at) = window.windows(end.len()).position(|w| w == end) {
+        *scanned = 0;
+        return Ok(Some(from + at + end.len()));
+    }
+    if buf.len() >= MAX_LINE {
+        buf.clear();
+        *scanned = 0;
+        return err(format!("no line end in the first {MAX_LINE} bytes"));
+    }
+    *scanned = buf.len();
+    Ok(None)
 }
 
 /// Split raw header bytes (without the trailing blank line) into the start
@@ -147,6 +177,9 @@ struct Machine {
     /// Parsed head awaiting its body.
     body: Option<BodyState>,
     body_acc: BytesMut,
+    /// Bytes at the front of `buf` already searched for the end of the
+    /// head or line being read, without finding it.
+    scanned: usize,
 }
 
 impl Machine {
@@ -155,7 +188,13 @@ impl Machine {
             buf: BytesMut::new(),
             body: None,
             body_acc: BytesMut::new(),
+            scanned: 0,
         }
+    }
+
+    /// The end of the head at the buffer's front (see [`line_end`]).
+    fn head_end(&mut self) -> Result<Option<usize>, ParseError> {
+        line_end(&mut self.buf, &mut self.scanned, b"\r\n\r\n")
     }
 
     /// Most body bytes reserved on the strength of a declared length
@@ -220,11 +259,11 @@ impl Machine {
                 }
                 BodyState::Chunked(chunk) => match chunk {
                     ChunkState::Size => {
-                        let Some(pos) = self.buf.windows(2).position(|w| w == b"\r\n") else {
+                        let Some(end) = line_end(&mut self.buf, &mut self.scanned, b"\r\n")? else {
                             return Ok(None);
                         };
-                        let line = self.buf.split_to(pos + 2);
-                        let size_text = std::str::from_utf8(&line[..pos])
+                        let line = self.buf.split_to(end);
+                        let size_text = std::str::from_utf8(&line[..end - 2])
                             .map_err(|_| ParseError("bad chunk size".into()))?;
                         // Chunk extensions after ';' are ignored per RFC.
                         let size_text = size_text.split(';').next().unwrap().trim();
@@ -262,11 +301,11 @@ impl Machine {
                         // Trailers end at an empty line. We discard them
                         // (the recorder stores the de-chunked body with a
                         // Content-Length).
-                        let Some(pos) = self.buf.windows(2).position(|w| w == b"\r\n") else {
+                        let Some(end) = line_end(&mut self.buf, &mut self.scanned, b"\r\n")? else {
                             return Ok(None);
                         };
-                        let line = self.buf.split_to(pos + 2);
-                        if pos == 0 {
+                        let line = self.buf.split_to(end);
+                        if end == 2 {
                             // Empty line: done.
                             self.body = None;
                             return Ok(Some(self.body_acc.split().freeze()));
@@ -307,7 +346,7 @@ impl RequestParser {
         self.machine.push(data);
         loop {
             if self.pending_head.is_none() {
-                let Some(end) = find_header_end(&self.machine.buf) else {
+                let Some(end) = self.machine.head_end()? else {
                     break;
                 };
                 let parsed = parse_request_head(&self.machine.buf[..end - 4]);
@@ -380,7 +419,7 @@ impl ResponseParser {
         self.machine.push(data);
         loop {
             if self.pending_head.is_none() {
-                let Some(end) = find_header_end(&self.machine.buf) else {
+                let Some(end) = self.machine.head_end()? else {
                     break;
                 };
                 let parsed = parse_response_head(&self.machine.buf[..end - 4]);
@@ -619,5 +658,76 @@ mod tests {
             .unwrap();
         assert_eq!(resps.len(), 1);
         assert!(resps[0].body.is_empty());
+    }
+
+    /// Feed `head`, then filler in 1 460-byte segments until `feed` fails,
+    /// checking the bytes buffered (what `feed` returns) stay within the
+    /// cap. Twice the cap without a failure fails the test.
+    fn feed_endless(mut feed: impl FnMut(&[u8]) -> Result<usize, ParseError>, head: &[u8]) {
+        let mut buffered = feed(head).expect("the head so far is fine");
+        let filler = [b'a'; 1460];
+        for _ in 0..(2 * MAX_LINE / filler.len()) {
+            assert!(buffered <= MAX_LINE, "{buffered} bytes buffered");
+            match feed(&filler) {
+                Ok(now) => buffered = now,
+                Err(_) => return,
+            }
+        }
+        panic!("twice the cap fed without an error");
+    }
+
+    #[test]
+    fn an_endless_head_is_an_error_past_the_cap() {
+        let mut p = RequestParser::new();
+        feed_endless(
+            |data| p.feed(data).map(|_| p.buffered()),
+            b"GET / HTTP/1.1\r\nX-Long: ",
+        );
+        assert!(p.buffered() <= MAX_LINE);
+        let mut p = ResponseParser::new();
+        feed_endless(
+            |data| p.feed(data).map(|_| p.machine.buf.len()),
+            b"HTTP/1.1 200 OK\r\nX-Long: ",
+        );
+        assert!(p.machine.buf.len() <= MAX_LINE);
+    }
+
+    #[test]
+    fn an_endless_chunk_size_line_is_an_error_past_the_cap() {
+        let mut p = RequestParser::new();
+        feed_endless(
+            |data| p.feed(data).map(|_| p.buffered()),
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1;",
+        );
+        assert!(p.buffered() <= MAX_LINE);
+        let mut p = ResponseParser::new();
+        feed_endless(
+            |data| p.feed(data).map(|_| p.machine.buf.len()),
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1;",
+        );
+        assert!(p.machine.buf.len() <= MAX_LINE);
+    }
+
+    #[test]
+    fn a_head_just_under_the_cap_parses() {
+        let start = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Long: ";
+        let pad = MAX_LINE - start.len() - b"\r\n\r\n".len();
+        let mut wire = start.to_vec();
+        wire.resize(start.len() + pad, b'a');
+        wire.extend_from_slice(b"\r\n\r\nok");
+        let mut p = ResponseParser::new();
+        let mut got = Vec::new();
+        for chunk in wire.chunks(1460) {
+            got.extend(p.feed(chunk).unwrap());
+        }
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].headers.get("x-long").map(str::len), Some(pad));
+        assert_eq!(&got[0].body[..], b"ok");
+        // One byte more does not.
+        let mut wire = start.to_vec();
+        wire.resize(start.len() + pad + 1, b'a');
+        wire.extend_from_slice(b"\r\n\r\nok");
+        let mut p = ResponseParser::new();
+        assert!(wire.chunks(1460).any(|chunk| p.feed(chunk).is_err()));
     }
 }

@@ -368,27 +368,9 @@ impl Host {
             inner.stats.connections_accepted += 1;
             (inner.config.clone(), inner.links())
         };
-        // Two-phase accept: the placeholder app is replaced before any
-        // event can fire (SYN-ACK produces no app events).
-        struct NoApp;
-        impl SocketApp for NoApp {
-            fn on_event(
-                &self,
-                _: &mut Simulator,
-                _: &TcpHandle,
-                _: crate::tcp::socket::SocketEvent,
-            ) {
-            }
-        }
-        let handle = TcpHandle::accept(
-            sim,
-            pkt.dst,
-            pkt.src,
-            &pkt.segment,
-            config,
-            links,
-            Rc::new(NoApp),
-        );
+        // Two-phase accept: the listener's app is installed before any
+        // event can fire (the SYN-ACK raises none).
+        let handle = TcpHandle::accept(sim, pkt.dst, pkt.src, &pkt.segment, config, links);
         let app = listener.on_connection(sim, handle.clone());
         handle.set_app(app);
         self.inner

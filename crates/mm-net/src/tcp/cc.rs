@@ -690,13 +690,48 @@ impl CongestionControl for Bbr {
     }
 }
 
-/// Construct a boxed controller for the given algorithm with the given
-/// initial window in bytes.
-pub(crate) fn make_controller(alg: CcAlgorithm, initial_window: u64) -> Box<dyn CongestionControl> {
-    match alg {
-        CcAlgorithm::Reno => Box::new(Reno::with_initial_window(initial_window)),
-        CcAlgorithm::Cubic => Box::new(Cubic::with_initial_window(initial_window)),
-        CcAlgorithm::Bbr => Box::new(Bbr::with_initial_window(initial_window)),
+/// A socket's congestion controller. The default, Reno, lives in the
+/// socket's own allocation; CUBIC (twice Reno's size) and BBR (four
+/// times) are boxed, so a default socket does not carry their room — every
+/// inline byte is held until the socket's host lets it go (DESIGN.md §3).
+pub(crate) enum Controller {
+    Reno(Reno),
+    Cubic(Box<Cubic>),
+    Bbr(Box<Bbr>),
+}
+
+impl Controller {
+    /// The controller for `alg` with the given initial window in bytes.
+    pub(crate) fn new(alg: CcAlgorithm, initial_window: u64) -> Controller {
+        match alg {
+            CcAlgorithm::Reno => Controller::Reno(Reno::with_initial_window(initial_window)),
+            CcAlgorithm::Cubic => {
+                Controller::Cubic(Box::new(Cubic::with_initial_window(initial_window)))
+            }
+            CcAlgorithm::Bbr => Controller::Bbr(Box::new(Bbr::with_initial_window(initial_window))),
+        }
+    }
+}
+
+impl std::ops::Deref for Controller {
+    type Target = dyn CongestionControl;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Controller::Reno(c) => c,
+            Controller::Cubic(c) => &**c,
+            Controller::Bbr(c) => &**c,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Controller {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            Controller::Reno(c) => c,
+            Controller::Cubic(c) => &mut **c,
+            Controller::Bbr(c) => &mut **c,
+        }
     }
 }
 
@@ -820,9 +855,9 @@ mod tests {
 
     #[test]
     fn factory_produces_all() {
-        let r = make_controller(CcAlgorithm::Reno, INITIAL_WINDOW);
-        let c = make_controller(CcAlgorithm::Cubic, INITIAL_WINDOW);
-        let b = make_controller(CcAlgorithm::Bbr, INITIAL_WINDOW);
+        let r = Controller::new(CcAlgorithm::Reno, INITIAL_WINDOW);
+        let c = Controller::new(CcAlgorithm::Cubic, INITIAL_WINDOW);
+        let b = Controller::new(CcAlgorithm::Bbr, INITIAL_WINDOW);
         assert_eq!(r.cwnd(), INITIAL_WINDOW);
         assert_eq!(c.cwnd(), INITIAL_WINDOW);
         assert_eq!(b.cwnd(), INITIAL_WINDOW);

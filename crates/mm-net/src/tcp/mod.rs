@@ -8,6 +8,7 @@
 //! simplification, is DESIGN.md §3.
 
 mod cc;
+mod deque;
 pub mod pacing;
 pub mod rack;
 pub mod rate;

@@ -593,7 +593,8 @@ impl TcpInner {
                 Verdict::RetransmitHead => {
                     self.stats.fast_retransmits += 1;
                     self.metric_count("tcp_fast_retransmits_total");
-                    self.cc.on_fast_retransmit(self.flight_size(), now);
+                    let flight = self.flight_size();
+                    self.cc.on_fast_retransmit(flight, now);
                     self.retransmit_head(now, out);
                 }
                 Verdict::Prr => self.prr_send(now, out),

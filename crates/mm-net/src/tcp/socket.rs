@@ -24,7 +24,8 @@ use mm_trace::{Span, SpanHandle, SpanKind, NO_RESOURCE};
 use crate::addr::SocketAddr;
 use crate::packet::{Packet, SackOption, TcpFlags, TcpSegment};
 use crate::sink::SinkRef;
-use crate::tcp::cc::{make_controller, CcAlgorithm, CongestionControl};
+use crate::tcp::cc::{CcAlgorithm, Controller};
+use crate::tcp::deque::InlineDeque;
 use crate::tcp::pacing::Pacer;
 use crate::tcp::rate::{RateEstimator, TxRecord};
 use crate::tcp::recovery::LossRecovery;
@@ -72,6 +73,12 @@ const INITIAL_RTO: SimDuration = SimDuration::from_secs(3);
 
 /// Consecutive RTOs before the connection is reset.
 const MAX_RETRIES: u32 = 15;
+
+/// Entries the event and send queues reserve when they first spill past
+/// their inline slots, as the reassembly queue does. Grown from four by
+/// doubling instead, they cost a lossy SACK transfer 3 allocator calls per
+/// 67 retransmissions instead of 1.
+const SPILL: usize = 16;
 
 /// Socket configuration.
 #[derive(Debug, Clone)]
@@ -252,8 +259,9 @@ pub(crate) struct TcpInner {
     pub(super) snd_nxt: u64,
     /// Peer's advertised window.
     pub(super) snd_wnd: u64,
-    /// App data accepted but not yet segmented, FIFO of chunks.
-    pub(super) send_queue: VecDeque<Bytes>,
+    /// App data accepted but not yet segmented, FIFO of chunks. Two
+    /// inline: a replayed response is written as its head and its body.
+    pub(super) send_queue: InlineDeque<Bytes, 2, SPILL>,
     /// Bytes queued in `send_queue`.
     pub(super) send_queued_bytes: u64,
     /// Transmitted, unacknowledged segments and their pipe count.
@@ -262,7 +270,7 @@ pub(crate) struct TcpInner {
     pub(super) fin_pending: bool,
     /// Sequence number of our FIN, once sent.
     pub(super) fin_seq: Option<u64>,
-    pub(super) cc: Box<dyn CongestionControl>,
+    pub(super) cc: Controller,
     pub(super) rtt: RttEstimator,
     pub(super) consecutive_timeouts: u32,
     /// Loss recovery at the negotiated tier (recovery.rs).
@@ -315,8 +323,9 @@ pub(crate) struct TcpInner {
     /// timeouts.
     pub(super) rearm_rto: bool,
     app: Option<Rc<dyn SocketApp>>,
-    /// Events waiting to be dispatched once the borrow is released.
-    pub(super) pending_events: VecDeque<SocketEvent>,
+    /// Events waiting to be dispatched once the borrow is released. One
+    /// inline: an entry point usually raises at most one.
+    pub(super) pending_events: InlineDeque<SocketEvent, 1, SPILL>,
     /// Statistics.
     pub(crate) stats: TcpStats,
     /// Flow id in the sink's tracer, when `config.metrics` carries one.
@@ -458,7 +467,7 @@ impl TcpInner {
         config: TcpConfig,
         host: HostLinks,
     ) -> Self {
-        let cc = make_controller(
+        let cc = Controller::new(
             config.cc,
             match config.initial_cwnd_segments {
                 Some(segments) => segments as u64 * crate::packet::MSS as u64,
@@ -488,7 +497,7 @@ impl TcpInner {
             snd_una: 0,
             snd_nxt: 0,
             snd_wnd: u64::MAX,
-            send_queue: VecDeque::new(),
+            send_queue: InlineDeque::default(),
             send_queued_bytes: 0,
             retx: RetxQueue::default(),
             fin_pending: false,
@@ -514,7 +523,7 @@ impl TcpInner {
             timers,
             rearm_rto: false,
             app: None,
-            pending_events: VecDeque::new(),
+            pending_events: InlineDeque::default(),
             stats: TcpStats::default(),
             trace_flow,
             conn_t0: None,
@@ -714,7 +723,7 @@ impl TcpInner {
         for slot in [RTO, ACK, TLP, REO, PACING] {
             self.timers.cancel(slot);
         }
-        self.send_queue = VecDeque::new();
+        self.send_queue = InlineDeque::default();
         self.send_queued_bytes = 0;
         self.retx.release();
         self.pace_deadline = None;
@@ -734,7 +743,7 @@ impl TcpInner {
         if self.state != TcpState::Closed || !self.pending_events.is_empty() {
             return None;
         }
-        self.pending_events = VecDeque::new();
+        self.pending_events = InlineDeque::default();
         self.app.take()
     }
 
@@ -814,14 +823,14 @@ impl TcpHandle {
         state: TcpState,
         config: TcpConfig,
         host: HostLinks,
-        app: Rc<dyn SocketApp>,
+        app: Option<Rc<dyn SocketApp>>,
         init: impl FnOnce(&mut TcpInner, Timestamp) -> Packet,
     ) -> TcpHandle {
         let now = sim.now();
         let mut first = None;
         let inner = Rc::new_cyclic(|me| {
             let mut inner = TcpInner::new(me, local, remote, state, config, host);
-            inner.app = Some(app);
+            inner.app = app;
             let pkt = init(&mut inner, now);
             inner.snd_nxt = 1;
             inner.insert_retx(pkt.segment.clone(), now);
@@ -852,7 +861,7 @@ impl TcpHandle {
             state,
             config,
             host,
-            app,
+            Some(app),
             |inner, now| {
                 inner.conn_t0 = Some(now);
                 // The SYN offers SACK whenever the configured tier uses it.
@@ -865,7 +874,10 @@ impl TcpHandle {
         )
     }
 
-    /// Create the server half in response to a SYN; emits SYN-ACK.
+    /// Create the server half in response to a SYN; emits SYN-ACK. The
+    /// socket has no application until [`TcpHandle::set_app`] installs
+    /// one, which the host does before any event can fire (the SYN-ACK
+    /// raises none).
     pub(crate) fn accept(
         sim: &mut Simulator,
         local: SocketAddr,
@@ -873,10 +885,9 @@ impl TcpHandle {
         syn: &TcpSegment,
         config: TcpConfig,
         host: HostLinks,
-        app: Rc<dyn SocketApp>,
     ) -> TcpHandle {
         let state = TcpState::SynReceived;
-        TcpHandle::open(sim, local, remote, state, config, host, app, |inner, _| {
+        TcpHandle::open(sim, local, remote, state, config, host, None, |inner, _| {
             inner.rcv_nxt = syn.seq + 1;
             inner.snd_wnd = syn.window;
             // Settle the tier before the SYN-ACK so it carries the
@@ -1009,8 +1020,8 @@ impl TcpHandle {
         self.inner.borrow().recovery.tier.uses_sack()
     }
 
-    /// Replace the application observer (used by the host's two-phase
-    /// accept, before any event can have fired).
+    /// Install the application of an accepted socket (the host's
+    /// two-phase accept, before any event can have fired).
     pub(crate) fn set_app(&self, app: Rc<dyn SocketApp>) {
         self.inner.borrow_mut().app = Some(app);
     }
@@ -1212,7 +1223,7 @@ mod tests {
 
     fn collect_data(inner: &mut TcpInner) -> Vec<u8> {
         let mut out = Vec::new();
-        for ev in inner.pending_events.drain(..) {
+        while let Some(ev) = inner.pending_events.pop_front() {
             if let SocketEvent::Data(b) = ev {
                 out.extend_from_slice(&b);
             }
@@ -1477,7 +1488,7 @@ mod tests {
             seg(TcpFlags::FIN_ACK, 0, 0, b"bye"),
             &mut out,
         );
-        let events: Vec<_> = inner.pending_events.drain(..).collect();
+        let events: Vec<_> = std::iter::from_fn(|| inner.pending_events.pop_front()).collect();
         assert!(matches!(events[0], SocketEvent::Data(ref b) if &b[..] == b"bye"));
         assert!(matches!(events[1], SocketEvent::PeerClosed));
         assert_eq!(inner.rcv_nxt, 4);
