@@ -45,16 +45,16 @@ const MAX_LINE: usize = 256 * 1024;
 /// the previous one covered, and records how far this one got. A line that
 /// has passed [`MAX_LINE`] without its end is an error, and its bytes are
 /// dropped.
-fn line_end(
+fn line_end<const L: usize>(
     buf: &mut BytesMut,
     scanned: &mut usize,
-    end: &[u8],
+    end: &[u8; L],
 ) -> Result<Option<usize>, ParseError> {
-    let from = scanned.saturating_sub(end.len() - 1);
+    let from = scanned.saturating_sub(L - 1);
     let window = &buf[from..buf.len().min(MAX_LINE)];
-    if let Some(at) = window.windows(end.len()).position(|w| w == end) {
+    if let Some(at) = window.windows(L).position(|w| w == end) {
         *scanned = 0;
-        return Ok(Some(from + at + end.len()));
+        return Ok(Some(from + at + L));
     }
     if buf.len() >= MAX_LINE {
         buf.clear();
