@@ -211,8 +211,8 @@ impl World {
             // Recorded origins are IP literals; a host name has no
             // address here, and that fetch fails like an NXDOMAIN.
             Rc::new(move |url: &mm_http::Url| {
-                let ip: IpAddr = url.host.parse().ok()?;
-                Some(shell.resolve(SocketAddr::new(ip, url.port)))
+                let ip: IpAddr = url.host().parse().ok()?;
+                Some(shell.resolve(SocketAddr::new(ip, url.port())))
             })
         };
 

@@ -19,13 +19,16 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::{Rc, Weak};
 
+use bytes::Bytes;
 use mm_capture::{HttpEvent, HttpPhase, TapHandle};
-use mm_http::{write_request, Request, Response, ResponseParser, Url};
+use mm_http::{
+    write_request_fields, Header, Method, Request, Response, ResponseParser, Url, Version,
+};
 use mm_mux::{
     MuxClient, MuxConfig, StreamEvent, PRIORITY_BULK, PRIORITY_ROOT, PRIORITY_SUBRESOURCE,
 };
 use mm_net::{Host, SocketAddr, SocketApp, SocketEvent, TcpHandle};
-use mm_sim::{SimDuration, Simulator, Timestamp};
+use mm_sim::{EventTarget, SimDuration, Simulator, Timestamp, UNTAGGED_EVENT};
 use mm_trace::{Span, SpanHandle, SpanKind};
 
 use crate::scan::{extract_urls, is_scannable};
@@ -110,7 +113,8 @@ pub type Resolver = Rc<dyn Fn(&Url) -> Option<SocketAddr>>;
 /// Outcome of one resource fetch.
 #[derive(Debug, Clone)]
 pub struct ResourceTiming {
-    pub url: String,
+    /// The URL's canonical text, shared with the load's seen-set.
+    pub url: Rc<str>,
     /// When the fetch was queued.
     pub queued_at: Timestamp,
     /// When the response completed (or failed).
@@ -137,19 +141,34 @@ impl PageLoadResult {
     }
 }
 
-/// The GET the browser sends for `url` (`Host` with the port elided
-/// when default).
+/// The fields of the GET the browser sends for `url`: `Host` with the
+/// port elided when default, and `Accept`.
+fn get_fields(url: &Url) -> [Header<'_>; 2] {
+    [
+        Header {
+            name: "Host",
+            value: url.host_field(),
+        },
+        Header {
+            name: "Accept",
+            value: "*/*",
+        },
+    ]
+}
+
+/// The GET for `url`, as a mux client takes it.
 fn request_for(url: &Url) -> Request {
-    let default =
-        (url.scheme == "http" && url.port == 80) || (url.scheme == "https" && url.port == 443);
-    let host = if default {
-        url.host.clone()
-    } else {
-        format!("{}:{}", url.host, url.port)
-    };
-    let mut req = Request::get(url.target.clone(), host);
-    req.headers.append("Accept", "*/*");
+    let [host, accept] = get_fields(url);
+    let mut req = Request::get(url.target(), host.value);
+    req.headers.append(accept.name, accept.value);
     req
+}
+
+/// The wire form of [`request_for`]'s request, written from the URL's
+/// own text: one buffer, and no `Request`.
+fn write_get(url: &Url) -> Bytes {
+    let fields = get_fields(url).into_iter();
+    write_request_fields(&Method::Get, url.target(), Version::Http11, fields, &[])
 }
 
 struct FetchJob {
@@ -241,10 +260,12 @@ type DoneCallback = Box<dyn FnOnce(&mut Simulator, PageLoadResult)>;
 
 struct LoadState {
     started: Timestamp,
-    seen: HashSet<String>,
+    /// The canonical text of every URL fetched, shared with `timings`.
+    seen: HashSet<Rc<str>>,
     outstanding: usize,
-    /// Pools keyed by URL authority (`host:port`).
-    pools: HashMap<String, Pool>,
+    /// Pools keyed by URL authority (`host:port`), each key its pool's
+    /// `name`.
+    pools: HashMap<Rc<str>, Pool>,
     timings: Vec<ResourceTiming>,
     /// Span id of this load's `Page` span (0 when no sink).
     page_span: u64,
@@ -254,7 +275,19 @@ struct LoadState {
     /// The renderer main thread is busy until this instant; parse jobs
     /// serialize behind it.
     cpu_busy_until: Timestamp,
+    /// Resources on the main thread, in the order their parses end:
+    /// each ends no earlier than the one before, so this is also the
+    /// order in which the browser's events fire.
+    parsing: VecDeque<Parsing>,
     done: Option<DoneCallback>,
+}
+
+/// A fetched resource whose parse has not ended.
+struct Parsing {
+    /// The body to scan for subresources, when it can reference any.
+    scan: Option<Bytes>,
+    /// Span id of the resource, parent of what its scan discovers.
+    span: u64,
 }
 
 struct BrowserInner {
@@ -277,13 +310,32 @@ struct BrowserInner {
 /// was dropped are ignored.
 #[derive(Clone)]
 pub struct Browser {
-    inner: Rc<RefCell<BrowserInner>>,
+    inner: Rc<Shared>,
+}
+
+/// The state a browser's handles share; the target of the events that
+/// end its parses.
+struct Shared(RefCell<BrowserInner>);
+
+impl std::ops::Deref for Shared {
+    type Target = RefCell<BrowserInner>;
+
+    fn deref(&self) -> &RefCell<BrowserInner> {
+        &self.0
+    }
+}
+
+/// A parse has ended on the main thread.
+impl EventTarget for Shared {
+    fn on_event(self: Rc<Self>, sim: &mut Simulator, _token: u64) {
+        Browser { inner: self }.parse_ended(sim);
+    }
 }
 
 /// What a callback owned by the browser's own sockets or mux clients
 /// holds instead of a [`Browser`].
 #[derive(Clone)]
-struct WeakBrowser(Weak<RefCell<BrowserInner>>);
+struct WeakBrowser(Weak<Shared>);
 
 impl WeakBrowser {
     fn upgrade(&self) -> Option<Browser> {
@@ -296,13 +348,13 @@ impl Browser {
     /// connections take the host's TCP configuration.
     pub fn new(host: Host, resolver: Resolver, config: BrowserConfig) -> Browser {
         Browser {
-            inner: Rc::new(RefCell::new(BrowserInner {
+            inner: Rc::new(Shared(RefCell::new(BrowserInner {
                 host,
                 resolver,
                 config,
                 cpu_jitter: None,
                 load: None,
-            })),
+            }))),
         }
     }
 
@@ -340,6 +392,7 @@ impl Browser {
                 spans: Vec::new(),
                 finished_at: sim.now(),
                 cpu_busy_until: sim.now(),
+                parsing: VecDeque::new(),
                 done: Some(Box::new(done)),
             });
             page_span
@@ -356,7 +409,7 @@ impl Browser {
     /// else (0 when no sink is attached).
     fn fetch(&self, sim: &mut Simulator, url: Url, parent_span: u64) {
         let now = sim.now();
-        let (authority, idx, queued) = 'queue: {
+        let (idx, pool) = 'queue: {
             let mut inner = self.inner.borrow_mut();
             let BrowserInner {
                 config,
@@ -368,16 +421,15 @@ impl Browser {
             let Some(load) = load.as_mut() else {
                 return;
             };
-            let key = url.to_string();
-            if load.seen.contains(&key) || load.seen.len() >= MAX_RESOURCES {
+            let key = url.shared();
+            if load.seen.contains(key) || load.seen.len() >= MAX_RESOURCES {
                 return;
             }
             load.seen.insert(key.clone());
-            let authority = url.authority();
             let addr = resolver(&url);
             let idx = load.timings.len();
             load.timings.push(ResourceTiming {
-                url: key,
+                url: key.clone(),
                 queued_at: now,
                 finished_at: now,
                 status: 0,
@@ -391,35 +443,39 @@ impl Browser {
             });
             let Some(addr) = addr else {
                 // Failed already: the load has nothing to wait for.
-                break 'queue (authority, idx, false);
+                break 'queue (idx, None);
             };
             load.outstanding += 1;
-            let pool = load.pools.entry(authority.clone()).or_insert_with(|| Pool {
-                name: Rc::from(authority.as_str()),
-                addr,
-                transport: match &config.protocol {
-                    ProtocolMode::Http1 { pool_size } => Transport::Http1 {
-                        conns: Vec::new(),
-                        pool_size: *pool_size,
+            if !load.pools.contains_key(url.authority()) {
+                let name: Rc<str> = Rc::from(url.authority());
+                let pool = Pool {
+                    name: name.clone(),
+                    addr,
+                    transport: match &config.protocol {
+                        ProtocolMode::Http1 { pool_size } => Transport::Http1 {
+                            conns: Vec::new(),
+                            pool_size: *pool_size,
+                        },
+                        ProtocolMode::Mux(mux) => Transport::Mux {
+                            client: None,
+                            config: mux.clone(),
+                        },
                     },
-                    ProtocolMode::Mux(mux) => Transport::Mux {
-                        client: None,
-                        config: mux.clone(),
-                    },
-                },
-                queue: VecDeque::new(),
-            });
+                    queue: VecDeque::new(),
+                };
+                load.pools.insert(name, pool);
+            }
+            let pool = load.pools.get_mut(url.authority()).expect("inserted");
             pool.queue.push_back(FetchJob {
                 url,
                 timing_idx: idx,
             });
-            (authority, idx, true)
+            (idx, Some(pool.name.clone()))
         };
         self.stamp(now, idx, Milestone::Queued);
-        if queued {
-            self.pump(sim, &authority);
-        } else {
-            self.stamp(now, idx, Milestone::Failed);
+        match pool {
+            Some(authority) => self.pump(sim, &authority),
+            None => self.stamp(now, idx, Milestone::Failed),
         }
     }
 
@@ -488,7 +544,7 @@ impl Browser {
                         (c.handle.clone(), c.connect_started, c.connected_at)
                     };
                     let idx = job.timing_idx;
-                    let wire = write_request(&request_for(&job.url));
+                    let wire = write_get(&job.url);
                     let conn_id = handle.local_addr().conn_id();
                     self.stamp(now, idx, Milestone::Sent { conn: conn_id });
                     // Written the instant the handshake completed: the
@@ -671,7 +727,7 @@ impl Browser {
     /// main thread, and scan it for subresources once parsed.
     fn complete_resource(&self, sim: &mut Simulator, idx: usize, resp: Response) {
         let now = sim.now();
-        let (parse, parent_span) = {
+        let parse = {
             let mut inner = self.inner.borrow_mut();
             let BrowserInner {
                 config,
@@ -704,29 +760,43 @@ impl Browser {
             // Serialize on the renderer main thread.
             let start = load.cpu_busy_until.max(now);
             load.cpu_busy_until = start + cost;
-            ((start, load.cpu_busy_until), load.spans[idx].span_id)
+            let scannable = is_scannable(&resp) && resp.status == 200;
+            load.parsing.push_back(Parsing {
+                scan: scannable.then_some(resp.body),
+                span: load.spans[idx].span_id,
+            });
+            (start, load.cpu_busy_until)
         };
         self.stamp(now, idx, Milestone::Done { parse });
         // Parse for subresources once the main thread has processed this
-        // resource, then retire it.
-        let me = self.clone();
-        let scannable = is_scannable(&resp) && resp.status == 200;
-        let body = resp.body;
-        sim.schedule_at(parse.1, move |sim| {
-            if scannable {
-                for url in extract_urls(&body) {
-                    me.fetch(sim, url, parent_span);
-                }
+        // resource (`parse_ended`), then retire it.
+        let me: Rc<dyn EventTarget> = self.inner.clone();
+        sim.schedule_target_at(UNTAGGED_EVENT, parse.1, me, 0);
+    }
+
+    /// The oldest parse on the main thread has ended: fetch what its
+    /// body references, and retire its resource.
+    fn parse_ended(&self, sim: &mut Simulator) {
+        let parsed = {
+            let mut inner = self.inner.borrow_mut();
+            let Some(load) = inner.load.as_mut() else {
+                return;
+            };
+            load.parsing.pop_front().expect("a parse has ended")
+        };
+        if let Some(body) = parsed.scan {
+            for url in extract_urls(&body) {
+                self.fetch(sim, url, parsed.span);
             }
-            {
-                let mut inner = me.inner.borrow_mut();
-                if let Some(load) = inner.load.as_mut() {
-                    load.outstanding -= 1;
-                    load.finished_at = sim.now();
-                }
+        }
+        {
+            let mut inner = self.inner.borrow_mut();
+            if let Some(load) = inner.load.as_mut() {
+                load.outstanding -= 1;
+                load.finished_at = sim.now();
             }
-            me.maybe_finish(sim);
-        });
+        }
+        self.maybe_finish(sim);
     }
 
     /// Stamp milestone `m` of resource `idx` at `now`: emit its capture
@@ -756,7 +826,7 @@ impl Browser {
                 t_ns: now.as_nanos(),
                 phase,
                 resource: idx as u32,
-                url: t.url.clone(),
+                url: t.url.to_string(),
                 status: t.status,
                 bytes: t.body_bytes,
             });
@@ -824,7 +894,7 @@ impl Browser {
                         url: load
                             .timings
                             .first()
-                            .map(|t| t.url.clone())
+                            .map(|t| t.url.to_string())
                             .unwrap_or_default(),
                         detail: arm.to_string(),
                     });
@@ -911,7 +981,7 @@ fn record_resource(
         t1_ns: end.as_nanos(),
         res,
         conn: rec.conn,
-        url: timing.url.clone(),
+        url: timing.url.to_string(),
         detail: detail.to_string(),
     });
     for &(kind, a, b) in phases {
@@ -990,6 +1060,51 @@ impl SocketApp for ConnApp {
             SocketEvent::Reset => browser.on_conn_dead(sim, &self.authority, &conn),
             // Requests are tiny; the browser never paces its writes.
             SocketEvent::SendQueueDrained => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mm_http::write_request;
+    use proptest::prelude::*;
+
+    /// The request this module built before it wrote GETs from the URL's
+    /// text: a `Request` from copies of the URL's parts, serialised.
+    fn oracle_get(url: &Url) -> Bytes {
+        let (scheme, host, port) = (url.scheme(), url.host(), url.port());
+        let default = (scheme == "http" && port == 80) || (scheme == "https" && port == 443);
+        let host = if default {
+            host.to_string()
+        } else {
+            format!("{host}:{port}")
+        };
+        let mut req = Request::get(url.target().to_string(), host);
+        req.headers.append("Accept", "*/*");
+        write_request(&req)
+    }
+
+    proptest! {
+        #[test]
+        fn a_get_written_from_a_url_is_the_request_it_replaces(
+            https in any::<bool>(),
+            port in prop_oneof![
+                Just(None),
+                Just(Some(80u16)),
+                Just(Some(443u16)),
+                (1u16..=u16::MAX).prop_map(Some),
+            ],
+            host in "[a-z0-9]{1,8}(\\.[a-z0-9]{1,8}){0,3}",
+            path in "(/[a-zA-Z0-9._]{0,8}){0,4}",
+            query in (any::<bool>(), "[a-z0-9=&%._]{0,16}"),
+        ) {
+            let scheme = if https { "https" } else { "http" };
+            let port = port.map(|p| format!(":{p}")).unwrap_or_default();
+            let query = if query.0 { format!("?{}", query.1) } else { String::new() };
+            let url = Url::parse(&format!("{scheme}://{host}{port}{path}{query}")).unwrap();
+            prop_assert_eq!(write_get(&url), oracle_get(&url));
+            prop_assert_eq!(write_request(&request_for(&url)), oracle_get(&url));
         }
     }
 }

@@ -29,13 +29,12 @@ pub(crate) fn is_scannable(resp: &Response) -> bool {
 /// requested ahead of leaf content so the dependency closure unrolls as
 /// fast as possible.
 pub(crate) fn likely_scannable_url(url: &Url) -> bool {
-    let path = url.target.split('?').next().unwrap_or("");
+    let path = url.target().split('?').next().unwrap_or("");
     let last_segment = path.rsplit('/').next().unwrap_or("");
     match last_segment.rsplit_once('.') {
-        Some((_, ext)) => matches!(
-            ext.to_ascii_lowercase().as_str(),
-            "html" | "htm" | "css" | "js" | "json" | "xml" | "svg"
-        ),
+        Some((_, ext)) => ["html", "htm", "css", "js", "json", "xml", "svg"]
+            .iter()
+            .any(|known| ext.eq_ignore_ascii_case(known)),
         // Extension-less paths are typically documents.
         None => true,
     }
@@ -206,7 +205,7 @@ mod tests {
         let urls = extract_urls(&body);
         let took = started.elapsed();
         assert_eq!(urls.len(), 50_000);
-        assert_eq!(urls[49_999].target, "/r49999");
+        assert_eq!(urls[49_999].target(), "/r49999");
         assert!(took.as_secs_f64() < 2.0, "scan took {took:?}");
     }
 
@@ -225,8 +224,8 @@ mod tests {
         let body = b"http://1.1.1.1/x http://1.1.1.1/y\nhttp://2.2.2.2:8080/z?q=1";
         let urls = extract_urls(body);
         assert_eq!(urls.len(), 3);
-        assert_eq!(urls[2].port, 8080);
-        assert_eq!(urls[2].target, "/z?q=1");
+        assert_eq!(urls[2].port(), 8080);
+        assert_eq!(urls[2].target(), "/z?q=1");
     }
 
     #[test]
@@ -234,7 +233,7 @@ mod tests {
         let body = b"see http:// and http://:80/ but also http://3.3.3.3/ok";
         let urls = extract_urls(body);
         assert_eq!(urls.len(), 1);
-        assert_eq!(urls[0].host, "3.3.3.3");
+        assert_eq!(urls[0].host(), "3.3.3.3");
     }
 
     #[test]
@@ -259,9 +258,17 @@ mod tests {
     }
 
     #[test]
+    fn discovery_bearing_urls_are_told_by_extension_in_any_case() {
+        let likely = |s: &str| likely_scannable_url(&Url::parse(s).unwrap());
+        assert!(likely("http://h/app.JS?v=2") && likely("http://h/a/style.Css"));
+        assert!(likely("http://h/") && likely("http://h/page"));
+        assert!(!likely("http://h/img.PNG") && !likely("http://h/font.woff?x=a.js"));
+    }
+
+    #[test]
     fn url_at_end_of_body() {
         let urls = extract_urls(b"tail: http://9.9.9.9/last");
         assert_eq!(urls.len(), 1);
-        assert_eq!(urls[0].target, "/last");
+        assert_eq!(urls[0].target(), "/last");
     }
 }

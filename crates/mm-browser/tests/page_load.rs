@@ -93,7 +93,7 @@ fn world_speaking(
     let resolver: mm_browser::Resolver = {
         let shell = shell.clone();
         Rc::new(move |url: &Url| {
-            let origin = SocketAddr::new(url.host.parse().ok()?, url.port);
+            let origin = SocketAddr::new(url.host().parse().ok()?, url.port());
             Some(shell.resolve(origin))
         })
     };
@@ -143,6 +143,38 @@ fn loads_full_dependency_closure() {
 /// The browser owns its sockets, not the other way round: once the caller
 /// lets go of it mid-load, what its connections still receive has no one
 /// to report to, and the load simply never completes.
+/// Two links to one image that differ only in their fragment are one
+/// resource, fetched once; a link whose authority a query ends reaches
+/// that host.
+#[test]
+fn a_fragment_names_no_new_resource_and_a_query_ends_the_authority() {
+    let (o1, o2) = (IpAddr::new(10, 0, 0, 1), IpAddr::new(10, 0, 0, 2));
+    let mut site = StoredSite::new("fragments", "http://10.0.0.1:80/");
+    site.push(pair(
+        o1,
+        80,
+        "/",
+        "<img src=\"http://10.0.0.2/a.png#one\"><img src=\"http://10.0.0.2/a.png#two\">\
+         <script src=\"http://10.0.0.2?v=1\"></script>",
+        "text/html",
+    ));
+    site.push(pair(o2, 80, "/a.png", "AAAA", "image/png"));
+    site.push(pair(o2, 80, "/?v=1", "1", "application/octet-stream"));
+    let (mut w, _, _) = world_speaking(&site, ReplayMode::MultiOrigin, ProtocolMode::default());
+    let r = run_load(&mut w);
+    let urls: Vec<&str> = r.resources.iter().map(|t| &*t.url).collect();
+    assert_eq!(
+        urls,
+        [
+            "http://10.0.0.1:80/",
+            "http://10.0.0.2:80/a.png",
+            "http://10.0.0.2:80/?v=1"
+        ]
+    );
+    assert_eq!(r.failures, 0);
+    assert!(r.resources.iter().all(|t| t.status == 200));
+}
+
 #[test]
 fn events_for_a_dropped_browser_are_ignored() {
     for mode in [
@@ -209,7 +241,7 @@ fn unrecorded_subresource_is_404_not_hang() {
     let resolver: mm_browser::Resolver = {
         let shell = shell.clone();
         Rc::new(move |url: &Url| {
-            Some(shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
+            Some(shell.resolve(SocketAddr::new(url.host().parse().unwrap(), url.port())))
         })
     };
     let browser = Browser::new(client, resolver, BrowserConfig::default());
@@ -275,7 +307,7 @@ fn connection_pool_respects_limit() {
     let resolver: mm_browser::Resolver = {
         let shell = shell.clone();
         Rc::new(move |url: &Url| {
-            Some(shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
+            Some(shell.resolve(SocketAddr::new(url.host().parse().unwrap(), url.port())))
         })
     };
     let browser = Browser::new(client.clone(), resolver, BrowserConfig::default());
@@ -345,7 +377,7 @@ fn more_origins_means_more_parallelism() {
         let resolver: mm_browser::Resolver = {
             let shell = shell.clone();
             Rc::new(move |url: &Url| {
-                Some(shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
+                Some(shell.resolve(SocketAddr::new(url.host().parse().unwrap(), url.port())))
             })
         };
         // Minimal CPU model so the test isolates the *network* effect of
@@ -400,7 +432,7 @@ fn mux_load_uses_one_connection_per_origin() {
     let resolver: mm_browser::Resolver = {
         let shell = shell.clone();
         Rc::new(move |url: &Url| {
-            Some(shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
+            Some(shell.resolve(SocketAddr::new(url.host().parse().unwrap(), url.port())))
         })
     };
     let browser = Browser::new(
@@ -519,7 +551,7 @@ fn load_with_rogue(
     rogue_host.listen(ROGUE.port, Rc::new(rogue));
     let client = Host::new_in(IpAddr::new(100, 64, 0, 2), ids, &root);
     let resolver: mm_browser::Resolver = Rc::new(move |url: &Url| {
-        let origin = SocketAddr::new(url.host.parse().unwrap(), url.port);
+        let origin = SocketAddr::new(url.host().parse().unwrap(), url.port());
         if origin == ROGUE {
             Some(origin)
         } else {

@@ -135,6 +135,39 @@ mod tests {
         }
     }
 
+    /// What `Url::parse` then `Display` made of `s` while a URL was
+    /// three `String`s and its authority ended only at `/`.
+    fn display_before(s: &str) -> Option<String> {
+        let (scheme, rest) = s.split_once("://")?;
+        if scheme != "http" && scheme != "https" {
+            return None;
+        }
+        let (authority, target) = match rest.find('/') {
+            Some(i) => (&rest[..i], &rest[i..]),
+            None => (rest, "/"),
+        };
+        let (host, port) = match authority.rsplit_once(':') {
+            Some((h, p)) => (h, p.parse::<u16>().ok()?),
+            None => (authority, if scheme == "https" { 443 } else { 80 }),
+        };
+        (!host.is_empty()).then(|| format!("{scheme}://{host}:{port}{target}"))
+    }
+
+    #[test]
+    fn every_corpus_url_displays_as_it_did() {
+        let plans = crate::generate_plans(&crate::CorpusConfig::default());
+        let mut urls = 0;
+        for plan in &plans {
+            for idx in 0..plan.objects.len() {
+                let s = plan.url_of(idx);
+                let url = mm_http::Url::parse(&s).expect("a corpus URL parses");
+                assert_eq!(Some(url.to_string()), display_before(&s), "{s}");
+                urls += 1;
+            }
+        }
+        assert!(urls > 10_000, "{urls} URLs");
+    }
+
     #[test]
     fn server_ip_count_matches_plan() {
         let (plan, site) = sample();

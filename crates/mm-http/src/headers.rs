@@ -7,7 +7,8 @@
 //! A map is one `String` holding every field's name and value back to
 //! back, plus one span per field saying where they are (DESIGN.md §4):
 //! building, cloning and dropping a map costs a constant number of
-//! allocations, not two per field.
+//! allocations, not two per field. The first four spans live inside the
+//! map, so a head of up to four fields is one heap block.
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
@@ -22,11 +23,84 @@ pub struct Header<'a> {
 
 /// Where one field sits in [`HeaderMap::buf`]: its name is
 /// `buf[start..mid]`, its value `buf[mid..end]`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Span {
-    start: usize,
-    mid: usize,
-    end: usize,
+    start: u32,
+    mid: u32,
+    end: u32,
+}
+
+/// Spans kept inside the map: a request the browser sends has two
+/// fields, a replayed response four.
+const INLINE_SPANS: usize = 4;
+
+/// The live fields' spans, in order: inside the map while they fit,
+/// then on the heap.
+#[derive(Clone)]
+enum Spans {
+    Inline {
+        len: u8,
+        spans: [Span; INLINE_SPANS],
+    },
+    Heap(Vec<Span>),
+}
+
+impl Default for Spans {
+    fn default() -> Self {
+        Spans::Inline {
+            len: 0,
+            spans: [Span::default(); INLINE_SPANS],
+        }
+    }
+}
+
+impl Spans {
+    fn with_capacity(fields: usize) -> Self {
+        if fields <= INLINE_SPANS {
+            Spans::default()
+        } else {
+            Spans::Heap(Vec::with_capacity(fields))
+        }
+    }
+
+    fn as_slice(&self) -> &[Span] {
+        match self {
+            Spans::Inline { len, spans } => &spans[..usize::from(*len)],
+            Spans::Heap(spans) => spans,
+        }
+    }
+
+    fn push(&mut self, span: Span) {
+        match self {
+            Spans::Inline { len, spans } if usize::from(*len) < INLINE_SPANS => {
+                spans[usize::from(*len)] = span;
+                *len += 1;
+            }
+            Spans::Inline { spans, .. } => {
+                let mut heap = Vec::with_capacity(2 * INLINE_SPANS);
+                heap.extend_from_slice(spans);
+                heap.push(span);
+                *self = Spans::Heap(heap);
+            }
+            Spans::Heap(spans) => spans.push(span),
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&Span) -> bool) {
+        match self {
+            Spans::Inline { len, spans } => {
+                let mut kept = 0;
+                for i in 0..usize::from(*len) {
+                    if keep(&spans[i]) {
+                        spans[kept] = spans[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            Spans::Heap(spans) => spans.retain(keep),
+        }
+    }
 }
 
 /// An ordered multimap of HTTP headers.
@@ -36,7 +110,7 @@ pub struct HeaderMap {
     /// bytes here, unreferenced, until the map is dropped.
     buf: String,
     /// The live fields, in order.
-    spans: Vec<Span>,
+    spans: Spans,
 }
 
 impl HeaderMap {
@@ -49,25 +123,31 @@ impl HeaderMap {
     pub fn with_capacity(fields: usize, bytes: usize) -> Self {
         HeaderMap {
             buf: String::with_capacity(bytes),
-            spans: Vec::with_capacity(fields),
+            spans: Spans::with_capacity(fields),
         }
     }
 
     fn field(&self, span: &Span) -> Header<'_> {
+        let [start, mid, end] = [span.start, span.mid, span.end].map(|at| at as usize);
         Header {
-            name: &self.buf[span.start..span.mid],
-            value: &self.buf[span.mid..span.end],
+            name: &self.buf[start..mid],
+            value: &self.buf[mid..end],
         }
+    }
+
+    /// The current end of the buffer, as a span offset.
+    fn offset(&self) -> u32 {
+        u32::try_from(self.buf.len()).expect("a header map under 4 GiB")
     }
 
     /// Append a field named `name` whose value `write_value` appends to
     /// the buffer.
     fn push_field(&mut self, name: &str, write_value: impl FnOnce(&mut String)) {
-        let start = self.buf.len();
+        let start = self.offset();
         self.buf.push_str(name);
-        let mid = self.buf.len();
+        let mid = self.offset();
         write_value(&mut self.buf);
-        let end = self.buf.len();
+        let end = self.offset();
         self.spans.push(Span { start, mid, end });
     }
 
@@ -84,10 +164,9 @@ impl HeaderMap {
 
     /// First value for `name`, case-insensitive.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.spans
-            .iter()
-            .find(|s| self.buf[s.start..s.mid].eq_ignore_ascii_case(name))
-            .map(|s| &self.buf[s.mid..s.end])
+        self.iter()
+            .find(|h| h.name.eq_ignore_ascii_case(name))
+            .map(|h| h.value)
     }
 
     /// All values for `name`, in order.
@@ -105,26 +184,26 @@ impl HeaderMap {
 
     /// Remove all fields named `name`; returns how many were removed.
     pub fn remove(&mut self, name: &str) -> usize {
-        let before = self.spans.len();
+        let before = self.len();
         let buf = &self.buf;
         self.spans
-            .retain(|s| !buf[s.start..s.mid].eq_ignore_ascii_case(name));
-        before - self.spans.len()
+            .retain(|s| !buf[s.start as usize..s.mid as usize].eq_ignore_ascii_case(name));
+        before - self.len()
     }
 
     /// Number of fields (counting duplicates).
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.spans.as_slice().len()
     }
 
     /// True if there are no fields.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.len() == 0
     }
 
     /// Iterate fields in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = Header<'_>> + Clone {
-        self.spans.iter().map(|span| self.field(span))
+        self.spans.as_slice().iter().map(|span| self.field(span))
     }
 
     /// Set `Content-Length` to `len`, replacing any there is — `set` of
@@ -355,6 +434,24 @@ mod tests {
         h.append("Host", "example.com");
         h.append("Accept", "*/*");
         assert_eq!(h.to_string(), "Host: example.com\nAccept: */*\n");
+    }
+
+    #[test]
+    fn spans_spill_past_four_fields_and_keep_their_order() {
+        let mut h = HeaderMap::new();
+        for i in 0..9 {
+            h.append(format!("X-{}", i % 3), i.to_string());
+        }
+        assert!(matches!(h.spans, Spans::Heap(_)));
+        assert_eq!(h.remove("x-0"), 3);
+        assert_eq!(h.get_all("x-1"), vec!["1", "4", "7"]);
+        let mut small = HeaderMap::with_capacity(2, 16);
+        small.append("A", "1");
+        small.append("B", "2");
+        small.append("A", "3");
+        assert_eq!(small.remove("a"), 2);
+        assert!(matches!(small.spans, Spans::Inline { len: 1, .. }));
+        assert_eq!(small.to_string(), "B: 2\n");
     }
 
     #[test]

@@ -16,8 +16,9 @@ pub mod url;
 
 pub use headers::{Decimal, Header, HeaderMap};
 pub use message::{Method, Request, Response, Version};
-pub use parser::{ParseError, RequestParser, ResponseParser};
+pub use parser::{Completed, ParseError, RequestParser, ResponseParser};
 pub use serialize::{
-    chunk_body, write_request, write_response, write_response_fields, write_response_parts,
+    chunk_body, write_request, write_request_fields, write_response, write_response_fields,
+    write_response_parts,
 };
 pub use url::{Url, UrlParseError};

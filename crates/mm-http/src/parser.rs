@@ -40,28 +40,30 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
 /// heads at the same size.
 const MAX_LINE: usize = 256 * 1024;
 
-/// The offset just past the first `end` in `buf`, which terminates the
-/// head or line at its front. The search starts past the `scanned` bytes
-/// the previous one covered, and records how far this one got. A line that
-/// has passed [`MAX_LINE`] without its end is an error, and its bytes are
-/// dropped.
+/// The offset in `input` just past the first `end` after `at`, which
+/// terminates the head or line starting there. The search starts past the
+/// `scanned` bytes the previous one covered, and records how far this one
+/// got. A line that has passed [`MAX_LINE`] without its end is an error,
+/// and `at` moves past every byte of `input`: they are dropped.
 fn line_end<const L: usize>(
-    buf: &mut BytesMut,
+    input: &[u8],
+    at: &mut usize,
     scanned: &mut usize,
     end: &[u8; L],
 ) -> Result<Option<usize>, ParseError> {
+    let line = &input[*at..];
     let from = scanned.saturating_sub(L - 1);
-    let window = &buf[from..buf.len().min(MAX_LINE)];
-    if let Some(at) = window.windows(L).position(|w| w == end) {
+    let window = &line[from..line.len().min(MAX_LINE)];
+    if let Some(i) = window.windows(L).position(|w| w == end) {
         *scanned = 0;
-        return Ok(Some(from + at + L));
+        return Ok(Some(*at + from + i + L));
     }
-    if buf.len() >= MAX_LINE {
-        buf.clear();
-        *scanned = 0;
+    *scanned = 0;
+    if line.len() >= MAX_LINE {
+        *at = input.len();
         return err(format!("no line end in the first {MAX_LINE} bytes"));
     }
-    *scanned = buf.len();
+    *scanned = line.len();
     Ok(None)
 }
 
@@ -93,7 +95,12 @@ fn parse_head(raw: &[u8]) -> Result<(&str, HeaderMap), ParseError> {
 }
 
 /// A request head: request line and fields.
-fn parse_request_head(raw: &[u8]) -> Result<(Method, String, Version, HeaderMap), ParseError> {
+type RequestHead = (Method, String, Version, HeaderMap);
+
+/// A response head: status line and fields.
+type ResponseHead = (Version, u16, String, HeaderMap);
+
+fn parse_request_head(raw: &[u8]) -> Result<RequestHead, ParseError> {
     let (start, headers) = parse_head(raw)?;
     let mut parts = start.split(' ');
     let (m, t, v) = (parts.next(), parts.next(), parts.next());
@@ -104,8 +111,7 @@ fn parse_request_head(raw: &[u8]) -> Result<(Method, String, Version, HeaderMap)
     Ok((Method::from_token(m), t.to_string(), version, headers))
 }
 
-/// A response head: status line and fields.
-fn parse_response_head(raw: &[u8]) -> Result<(Version, u16, String, HeaderMap), ParseError> {
+fn parse_response_head(raw: &[u8]) -> Result<ResponseHead, ParseError> {
     let (start, headers) = parse_head(raw)?;
     let mut parts = start.splitn(3, ' ');
     let (v, code, reason) = (parts.next(), parts.next(), parts.next());
@@ -144,37 +150,130 @@ enum ChunkState {
     Trailers,
 }
 
+/// The length the `Content-Length` fields declare, `None` without one.
+/// A value must be `1*DIGIT`, and a repeated field must repeat it
+/// exactly: anything else cannot frame a message (RFC 9112 §6.3), and
+/// reading it as "absent" would let the two ends of a connection
+/// disagree on where the message ends.
+fn declared_length(headers: &HeaderMap) -> Result<Option<u64>, ParseError> {
+    let mut declared: Option<&str> = None;
+    for h in headers.iter() {
+        if !h.name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        if h.value.is_empty() || !h.value.bytes().all(|b| b.is_ascii_digit()) {
+            return err(format!("invalid Content-Length {:?}", h.value));
+        }
+        if declared.is_some_and(|d| d != h.value) {
+            return err("conflicting Content-Length fields");
+        }
+        declared = Some(h.value);
+    }
+    declared
+        .map(|d| {
+            d.parse()
+                .map_err(|_| ParseError(format!("Content-Length {d:?} out of range")))
+        })
+        .transpose()
+}
+
 /// How a response's body is framed, from its status, its head and the
 /// request it answers.
-fn response_framing(status: u16, headers: &HeaderMap, responding_to_head: bool) -> BodyState {
+fn response_framing(
+    status: u16,
+    headers: &HeaderMap,
+    responding_to_head: bool,
+) -> Result<BodyState, ParseError> {
     if Response::bodyless_status(status) || responding_to_head {
-        return BodyState::None;
+        return Ok(BodyState::None);
     }
     if headers.is_chunked() {
-        return BodyState::Chunked(ChunkState::Size);
+        return Ok(BodyState::Chunked(ChunkState::Size));
     }
-    match headers.content_length() {
+    Ok(match declared_length(headers)? {
         Some(0) => BodyState::None,
         Some(n) => BodyState::Sized { remaining: n },
         None => BodyState::UntilClose,
-    }
+    })
 }
 
 /// How a request's body is framed: a request without a length has none.
-fn request_framing(headers: &HeaderMap) -> BodyState {
+fn request_framing(headers: &HeaderMap) -> Result<BodyState, ParseError> {
     if headers.is_chunked() {
-        return BodyState::Chunked(ChunkState::Size);
+        return Ok(BodyState::Chunked(ChunkState::Size));
     }
-    match headers.content_length() {
+    Ok(match declared_length(headers)? {
         Some(0) | None => BodyState::None,
         Some(n) => BodyState::Sized { remaining: n },
+    })
+}
+
+/// The messages one `feed` completed, in order. A feed completes none or
+/// one almost always, and those are held inline: only a second message
+/// in the same feed (pipelining) puts the rest in a `Vec`.
+#[derive(Debug)]
+pub struct Completed<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Completed<T> {
+    fn new() -> Self {
+        Completed {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, message: T) {
+        match self.first {
+            None => self.first = Some(message),
+            Some(_) => self.rest.push(message),
+        }
+    }
+
+    /// How many messages completed.
+    pub fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    /// True if none did.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
     }
 }
 
-/// Generic incremental machinery shared by request/response parsers.
-struct Machine {
+impl<T> IntoIterator for Completed<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
+impl<T> std::ops::Index<usize> for Completed<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        match i.checked_sub(1) {
+            None => self.first.as_ref().expect("message 0 of none"),
+            Some(i) => &self.rest[i],
+        }
+    }
+}
+
+/// Generic incremental machinery shared by request/response parsers: the
+/// head of type `H` awaiting its body, and the body being read.
+struct Machine<H> {
+    /// What arrived before the head or line it starts could be read
+    /// whole: a head split across feeds. Empty otherwise: a head that
+    /// arrives whole is parsed from the feed's own bytes, and body bytes
+    /// go straight to the body.
     buf: BytesMut,
     /// Parsed head awaiting its body.
+    pending: Option<H>,
+    /// How the pending head's body is framed.
     body: Option<BodyState>,
     body_acc: BytesMut,
     /// Bytes at the front of `buf` already searched for the end of the
@@ -182,60 +281,90 @@ struct Machine {
     scanned: usize,
 }
 
-impl Machine {
+impl<H> Machine<H> {
     fn new() -> Self {
         Machine {
             buf: BytesMut::new(),
+            pending: None,
             body: None,
             body_acc: BytesMut::new(),
             scanned: 0,
         }
     }
 
-    /// The end of the head at the buffer's front (see [`line_end`]).
-    fn head_end(&mut self) -> Result<Option<usize>, ParseError> {
-        line_end(&mut self.buf, &mut self.scanned, b"\r\n\r\n")
-    }
-
     /// Most body bytes reserved on the strength of a declared length
     /// alone; longer bodies grow as they arrive.
     const MAX_BODY_RESERVE: u64 = 1 << 24;
 
-    /// A head has been parsed: expect its body next.
-    fn begin_body(&mut self, body: BodyState) {
-        if let BodyState::Sized { remaining } = body {
-            self.body_acc
-                .reserve(remaining.min(Self::MAX_BODY_RESERVE) as usize);
+    /// Take in `data`: `parse` reads each complete head and says how its
+    /// body is framed, and `done` takes each head with its whole body.
+    /// What the bytes left over start is staged for the next feed. A head
+    /// or chunk line that fails is dropped, and reading goes on after it.
+    fn feed(
+        &mut self,
+        data: &[u8],
+        mut parse: impl FnMut(&[u8]) -> Result<(H, BodyState), ParseError>,
+        mut done: impl FnMut(H, Bytes),
+    ) -> Result<(), ParseError> {
+        let mut used = 0;
+        if self.buf.is_empty() {
+            let read = self.run(data, &mut used, &mut parse, &mut done);
+            self.buf.extend_from_slice(&data[used..]);
+            read
+        } else {
+            let mut buf = std::mem::take(&mut self.buf);
+            buf.extend_from_slice(data);
+            let read = self.run(&buf, &mut used, &mut parse, &mut done);
+            buf.advance(used);
+            self.buf = buf;
+            read
         }
-        self.body = Some(body);
     }
 
-    fn push(&mut self, mut data: &[u8]) {
-        // In the middle of a sized body with nothing buffered, the bytes
-        // belong to the body: skip the staging buffer.
-        if self.buf.is_empty() {
-            if let Some(BodyState::Sized { remaining }) = &mut self.body {
-                let take = (*remaining).min(data.len() as u64) as usize;
-                self.body_acc.extend_from_slice(&data[..take]);
-                *remaining -= take as u64;
-                data = &data[take..];
+    /// Read heads and bodies from `input`, moving `at` past what was
+    /// used. The rest start a head or line not yet whole.
+    fn run(
+        &mut self,
+        input: &[u8],
+        at: &mut usize,
+        parse: &mut impl FnMut(&[u8]) -> Result<(H, BodyState), ParseError>,
+        done: &mut impl FnMut(H, Bytes),
+    ) -> Result<(), ParseError> {
+        loop {
+            if self.pending.is_none() {
+                let Some(end) = line_end(input, at, &mut self.scanned, b"\r\n\r\n")? else {
+                    return Ok(());
+                };
+                let raw = &input[*at..end - 4];
+                *at = end;
+                let (head, body) = parse(raw)?;
+                if let BodyState::Sized { remaining } = body {
+                    self.body_acc
+                        .reserve(remaining.min(Self::MAX_BODY_RESERVE) as usize);
+                }
+                self.pending = Some(head);
+                self.body = Some(body);
+            }
+            match self.drive_body(input, at)? {
+                Some(body) => done(self.pending.take().expect("a parsed head"), body),
+                None => return Ok(()),
             }
         }
-        self.buf.extend_from_slice(data);
     }
 
-    /// Move the first `take` buffered bytes to the body.
-    fn take_body(&mut self, take: usize) {
-        self.body_acc.extend_from_slice(&self.buf[..take]);
-        self.buf.advance(take);
+    /// Move `take` bytes of `input` from `at` to the body.
+    fn take_body(&mut self, input: &[u8], at: &mut usize, take: usize) {
+        self.body_acc.extend_from_slice(&input[*at..*at + take]);
+        *at += take;
     }
 
-    /// Try to advance the body machine; returns Some(body) when complete.
-    fn drive_body(&mut self) -> Result<Option<Bytes>, ParseError> {
+    /// Advance the body machine over `input` from `at`; returns the body
+    /// once complete.
+    fn drive_body(&mut self, input: &[u8], at: &mut usize) -> Result<Option<Bytes>, ParseError> {
         loop {
-            let state = match self.body.as_mut() {
-                None => return Ok(None),
-                Some(s) => s,
+            let avail = input.len() - *at;
+            let Some(state) = self.body.as_mut() else {
+                return Ok(None);
             };
             match state {
                 BodyState::None => {
@@ -243,10 +372,10 @@ impl Machine {
                     return Ok(Some(Bytes::new()));
                 }
                 BodyState::Sized { remaining } => {
-                    let take = (*remaining).min(self.buf.len() as u64) as usize;
+                    let take = (*remaining).min(avail as u64) as usize;
                     *remaining -= take as u64;
                     let done = *remaining == 0;
-                    self.take_body(take);
+                    self.take_body(input, at, take);
                     if done {
                         self.body = None;
                         return Ok(Some(self.body_acc.split().freeze()));
@@ -254,16 +383,17 @@ impl Machine {
                     return Ok(None); // need more bytes
                 }
                 BodyState::UntilClose => {
-                    self.take_body(self.buf.len());
+                    self.take_body(input, at, avail);
                     return Ok(None); // completes only on EOF
                 }
                 BodyState::Chunked(chunk) => match chunk {
                     ChunkState::Size => {
-                        let Some(end) = line_end(&mut self.buf, &mut self.scanned, b"\r\n")? else {
+                        let Some(end) = line_end(input, at, &mut self.scanned, b"\r\n")? else {
                             return Ok(None);
                         };
-                        let line = self.buf.split_to(end);
-                        let size_text = std::str::from_utf8(&line[..end - 2])
+                        let line = &input[*at..end - 2];
+                        *at = end;
+                        let size_text = std::str::from_utf8(line)
                             .map_err(|_| ParseError("bad chunk size".into()))?;
                         // Chunk extensions after ';' are ignored per RFC.
                         let size_text = size_text.split(';').next().unwrap().trim();
@@ -276,41 +406,41 @@ impl Machine {
                         };
                     }
                     ChunkState::Data { remaining } => {
-                        let take = (*remaining).min(self.buf.len() as u64) as usize;
+                        let take = (*remaining).min(avail as u64) as usize;
                         *remaining -= take as u64;
                         let done = *remaining == 0;
                         if done {
                             *chunk = ChunkState::DataCrlf;
                         }
-                        self.take_body(take);
+                        self.take_body(input, at, take);
                         if !done {
                             return Ok(None);
                         }
                     }
                     ChunkState::DataCrlf => {
-                        if self.buf.len() < 2 {
+                        if avail < 2 {
                             return Ok(None);
                         }
-                        if &self.buf[..2] != b"\r\n" {
+                        if &input[*at..*at + 2] != b"\r\n" {
                             return err("missing CRLF after chunk data");
                         }
                         *chunk = ChunkState::Size;
-                        self.buf.advance(2);
+                        *at += 2;
                     }
                     ChunkState::Trailers => {
                         // Trailers end at an empty line. We discard them
                         // (the recorder stores the de-chunked body with a
                         // Content-Length).
-                        let Some(end) = line_end(&mut self.buf, &mut self.scanned, b"\r\n")? else {
+                        let Some(end) = line_end(input, at, &mut self.scanned, b"\r\n")? else {
                             return Ok(None);
                         };
-                        let line = self.buf.split_to(end);
-                        if end == 2 {
+                        let empty = end - *at == 2;
+                        *at = end;
+                        if empty {
                             // Empty line: done.
                             self.body = None;
                             return Ok(Some(self.body_acc.split().freeze()));
                         }
-                        let _ = line; // discard trailer field
                     }
                 },
             }
@@ -320,9 +450,7 @@ impl Machine {
 
 /// Incremental parser for a stream of HTTP requests (one connection).
 pub struct RequestParser {
-    machine: Machine,
-    pending_head: Option<(Method, String, Version, HeaderMap)>,
-    complete: Vec<Request>,
+    machine: Machine<RequestHead>,
 }
 
 impl Default for RequestParser {
@@ -336,40 +464,28 @@ impl RequestParser {
     pub fn new() -> Self {
         RequestParser {
             machine: Machine::new(),
-            pending_head: None,
-            complete: Vec::new(),
         }
     }
 
     /// Feed bytes; returns any requests completed by this feed.
-    pub fn feed(&mut self, data: &[u8]) -> Result<Vec<Request>, ParseError> {
-        self.machine.push(data);
-        loop {
-            if self.pending_head.is_none() {
-                let Some(end) = self.machine.head_end()? else {
-                    break;
-                };
-                let parsed = parse_request_head(&self.machine.buf[..end - 4]);
-                self.machine.buf.advance(end);
-                let head = parsed?;
-                self.machine.begin_body(request_framing(&head.3));
-                self.pending_head = Some(head);
-            }
-            match self.machine.drive_body()? {
-                Some(body) => {
-                    let (method, target, version, headers) = self.pending_head.take().unwrap();
-                    self.complete.push(Request {
-                        method,
-                        target,
-                        version,
-                        headers,
-                        body,
-                    });
-                }
-                None => break,
-            }
-        }
-        Ok(std::mem::take(&mut self.complete))
+    pub fn feed(&mut self, data: &[u8]) -> Result<Completed<Request>, ParseError> {
+        let mut complete = Completed::new();
+        let parse = |raw: &[u8]| {
+            let head = parse_request_head(raw)?;
+            let body = request_framing(&head.3)?;
+            Ok((head, body))
+        };
+        self.machine.feed(data, parse, |head, body| {
+            let (method, target, version, headers) = head;
+            complete.push(Request {
+                method,
+                target,
+                version,
+                headers,
+                body,
+            });
+        })?;
+        Ok(complete)
     }
 
     /// Bytes buffered but not yet consumed by a complete message.
@@ -384,11 +500,9 @@ impl RequestParser {
 /// request (HEAD responses carry headers describing a body that is not
 /// sent) via [`ResponseParser::expect_head`].
 pub struct ResponseParser {
-    machine: Machine,
-    pending_head: Option<(Version, u16, String, HeaderMap)>,
+    machine: Machine<ResponseHead>,
     /// FIFO of "is the next response to a HEAD request?" flags.
     head_queue: std::collections::VecDeque<bool>,
-    complete: Vec<Response>,
 }
 
 impl Default for ResponseParser {
@@ -397,14 +511,22 @@ impl Default for ResponseParser {
     }
 }
 
+fn response((version, status, reason, headers): ResponseHead, body: Bytes) -> Response {
+    Response {
+        version,
+        status,
+        reason,
+        headers,
+        body,
+    }
+}
+
 impl ResponseParser {
     /// Fresh parser.
     pub fn new() -> Self {
         ResponseParser {
             machine: Machine::new(),
-            pending_head: None,
             head_queue: std::collections::VecDeque::new(),
-            complete: Vec::new(),
         }
     }
 
@@ -415,56 +537,34 @@ impl ResponseParser {
     }
 
     /// Feed bytes; returns any responses completed by this feed.
-    pub fn feed(&mut self, data: &[u8]) -> Result<Vec<Response>, ParseError> {
-        self.machine.push(data);
-        loop {
-            if self.pending_head.is_none() {
-                let Some(end) = self.machine.head_end()? else {
-                    break;
-                };
-                let parsed = parse_response_head(&self.machine.buf[..end - 4]);
-                self.machine.buf.advance(end);
-                let head = parsed?;
-                let to_head = self.head_queue.pop_front().unwrap_or(false);
-                self.machine
-                    .begin_body(response_framing(head.1, &head.3, to_head));
-                self.pending_head = Some(head);
-            }
-            match self.machine.drive_body()? {
-                Some(body) => {
-                    let (version, status, reason, headers) = self.pending_head.take().unwrap();
-                    self.complete.push(Response {
-                        version,
-                        status,
-                        reason,
-                        headers,
-                        body,
-                    });
-                }
-                None => break,
-            }
-        }
-        Ok(std::mem::take(&mut self.complete))
+    pub fn feed(&mut self, data: &[u8]) -> Result<Completed<Response>, ParseError> {
+        let mut complete = Completed::new();
+        let head_queue = &mut self.head_queue;
+        let parse = |raw: &[u8]| {
+            let head = parse_response_head(raw)?;
+            let to_head = head_queue.pop_front().unwrap_or(false);
+            let body = response_framing(head.1, &head.3, to_head)?;
+            Ok((head, body))
+        };
+        self.machine.feed(data, parse, |head, body| {
+            complete.push(response(head, body))
+        })?;
+        Ok(complete)
     }
 
     /// The peer closed the connection: completes an `UntilClose` body.
     pub fn finish(&mut self) -> Result<Option<Response>, ParseError> {
-        if let Some(BodyState::UntilClose) = self.machine.body {
-            self.machine.body = None;
-            let body = self.machine.body_acc.split().freeze();
-            let (version, status, reason, headers) = self
-                .pending_head
+        let machine = &mut self.machine;
+        if let Some(BodyState::UntilClose) = machine.body {
+            machine.body = None;
+            let body = machine.body_acc.split().freeze();
+            let head = machine
+                .pending
                 .take()
                 .expect("UntilClose implies a pending head");
-            return Ok(Some(Response {
-                version,
-                status,
-                reason,
-                headers,
-                body,
-            }));
+            return Ok(Some(response(head, body)));
         }
-        if self.pending_head.is_some() || !self.machine.buf.is_empty() {
+        if machine.pending.is_some() || !machine.buf.is_empty() {
             return err("connection closed mid-message");
         }
         Ok(None)
@@ -658,6 +758,81 @@ mod tests {
             .unwrap();
         assert_eq!(resps.len(), 1);
         assert!(resps[0].body.is_empty());
+    }
+
+    #[test]
+    fn a_signed_content_length_is_an_error() {
+        let mut p = RequestParser::new();
+        assert!(p
+            .feed(b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello")
+            .is_err());
+        let mut p = ResponseParser::new();
+        assert!(p
+            .feed(b"HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\nhello")
+            .is_err());
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_an_error() {
+        let mut p = RequestParser::new();
+        assert!(p
+            .feed(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 7\r\n\r\nhello")
+            .is_err());
+        let mut p = ResponseParser::new();
+        assert!(p
+            .feed(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length: 7\r\n\r\nhello")
+            .is_err());
+        // The same value twice frames the message once.
+        let mut p = ResponseParser::new();
+        let resps = p
+            .feed(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap();
+        assert_eq!(&resps[0].body[..], b"hello");
+    }
+
+    #[test]
+    fn an_unparseable_content_length_is_an_error_not_an_absence() {
+        for value in ["abc", "", "5 5", "0x5", "-1", "99999999999999999999999"] {
+            let request = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\n");
+            assert!(
+                RequestParser::new().feed(request.as_bytes()).is_err(),
+                "{value:?}"
+            );
+            let response = format!("HTTP/1.1 200 OK\r\nContent-Length: {value}\r\n\r\nbody");
+            let mut p = ResponseParser::new();
+            assert!(p.feed(response.as_bytes()).is_err(), "{value:?}");
+        }
+    }
+
+    #[test]
+    fn a_head_that_fails_is_dropped_and_reading_goes_on_after_it() {
+        let mut p = RequestParser::new();
+        assert!(p
+            .feed(b"NONSENSE\r\n\r\nGET /a HTTP/1.1\r\nHost: h\r\n\r\n")
+            .is_err());
+        let reqs = p.feed(b"GET /b HTTP/1.1\r\nHost: h\r\n\r\n").unwrap();
+        let targets: Vec<String> = reqs.into_iter().map(|r| r.target).collect();
+        assert_eq!(targets, ["/a", "/b"]);
+    }
+
+    #[test]
+    fn a_head_split_anywhere_parses_as_it_does_whole() {
+        let wire =
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhelloHTTP/1.1 204 No Content\r\n\r\n\
+                     HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
+        let whole: Vec<Response> = ResponseParser::new()
+            .feed(wire)
+            .unwrap()
+            .into_iter()
+            .collect();
+        assert_eq!(whole.len(), 3);
+        for cut in 0..wire.len() {
+            let mut p = ResponseParser::new();
+            let mut got: Vec<Response> = p.feed(&wire[..cut]).unwrap().into_iter().collect();
+            got.extend(p.feed(&wire[cut..]).unwrap());
+            assert_eq!(got, whole, "cut at {cut}");
+            assert_eq!(p.machine.buf.len(), 0);
+        }
     }
 
     /// Feed `head`, then filler in 1 460-byte segments until `feed` fails,

@@ -3,25 +3,43 @@
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::headers::{names_chunked, Decimal, Header};
-use crate::message::{Request, Response};
+use crate::message::{Method, Request, Response, Version};
 
 /// Serialize a request (start line, headers, body) to wire form.
 pub fn write_request(req: &Request) -> Bytes {
-    let mut out = BytesMut::with_capacity(256 + req.body.len());
-    out.put_slice(req.method.as_str().as_bytes());
+    write_request_fields(
+        &req.method,
+        &req.target,
+        req.version,
+        req.headers.iter(),
+        &req.body,
+    )
+}
+
+/// [`write_request`] from borrowed parts: how a client writes a request
+/// it never builds, such as the browser's GET from a URL's own text.
+pub fn write_request_fields<'a>(
+    method: &Method,
+    target: &str,
+    version: Version,
+    fields: impl Iterator<Item = Header<'a>>,
+    body: &[u8],
+) -> Bytes {
+    let mut out = BytesMut::with_capacity(256 + body.len());
+    out.put_slice(method.as_str().as_bytes());
     out.put_u8(b' ');
-    out.put_slice(req.target.as_bytes());
+    out.put_slice(target.as_bytes());
     out.put_u8(b' ');
-    out.put_slice(req.version.as_str().as_bytes());
+    out.put_slice(version.as_str().as_bytes());
     out.put_slice(b"\r\n");
-    for h in req.headers.iter() {
+    for h in fields {
         out.put_slice(h.name.as_bytes());
         out.put_slice(b": ");
         out.put_slice(h.value.as_bytes());
         out.put_slice(b"\r\n");
     }
     out.put_slice(b"\r\n");
-    out.put_slice(&req.body);
+    out.put_slice(body);
     out.freeze()
 }
 
@@ -110,7 +128,6 @@ pub fn chunk_body(body: &[u8], chunk_size: usize) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Method, Version};
     use crate::parser::{RequestParser, ResponseParser};
 
     #[test]

@@ -349,11 +349,13 @@ impl<'a> FieldBlock<'a> {
     }
 
     /// A header map of `first` then every regular (non-pseudo) field,
-    /// sized from the block in one go.
+    /// sized from the block in one go: as many fields as it will hold, so
+    /// a head of up to four keeps its spans inside the map.
     fn header_map(self, first: Option<(&str, &str)>) -> HeaderMap {
-        let mut headers = HeaderMap::with_capacity(self.iter().count(), self.0.len());
-        let regular = self.iter().filter(|(name, _)| !name.starts_with(':'));
-        for (name, value) in first.into_iter().chain(regular) {
+        let regular = |(name, _): &(&str, &str)| !name.starts_with(':');
+        let fields = usize::from(first.is_some()) + self.iter().filter(regular).count();
+        let mut headers = HeaderMap::with_capacity(fields, self.0.len());
+        for (name, value) in first.into_iter().chain(self.iter().filter(regular)) {
             headers.append(name, value);
         }
         headers

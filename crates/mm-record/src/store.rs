@@ -93,10 +93,10 @@ impl StoredSite {
     /// Find the pair answering the root document request, if recorded.
     pub fn root_pair(&self) -> Option<&RequestResponsePair> {
         let root = mm_http::Url::parse(&self.root_url).ok()?;
-        let origin = SocketAddr::new(root.host.parse().ok()?, root.port);
+        let origin = SocketAddr::new(root.host().parse().ok()?, root.port());
         self.pairs
             .iter()
-            .find(|p| p.origin == origin && p.request.target == root.target)
+            .find(|p| p.origin == origin && p.request.target == root.target())
     }
 
     /// Serialize to the on-disk JSON format.

@@ -16,7 +16,7 @@
 //! it takes, over either protocol, lives through [`Server::serve`].
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 use mm_capture::{HttpEvent, HttpPhase, TapHandle, NO_RESOURCE};
@@ -24,9 +24,9 @@ use mm_http::{write_response_fields, Request, RequestParser, Response};
 use mm_mux::{MuxConfig, MuxHandler, MuxResponder, MuxServerConn};
 use mm_net::{
     Host, Listener, Namespace, Origin, PacketIdGen, SocketAddr, SocketApp, SocketEvent, TcpHandle,
-    TcpState,
+    TcpState, WeakTcpHandle,
 };
-use mm_sim::{SimDuration, Simulator, Timestamp};
+use mm_sim::{EventTarget, SimDuration, Simulator, Timestamp, UNTAGGED_EVENT};
 use mm_trace::{Span, SpanHandle, SpanKind};
 
 use crate::matcher::Matcher;
@@ -188,9 +188,33 @@ struct Server {
     /// the contention this models is a large part of why consolidating
     /// origins hurts.
     cpu: Cell<Timestamp>,
+    /// Requests waiting out the CPU, in the order their answers are due:
+    /// each answer is due a think time after the one before, so this is
+    /// also the order in which the server's events fire.
+    waiting: RefCell<VecDeque<Waiting>>,
     /// This server, for the connections it accepts and the answers it
     /// schedules.
     me: Weak<Server>,
+}
+
+/// A request the server has read and not yet answered.
+struct Waiting {
+    req: Request,
+    /// The span layer's id of the connection's initiator.
+    conn: u64,
+    recv_at: Timestamp,
+    reply: Reply,
+}
+
+/// Where an answer goes.
+enum Reply {
+    /// Head and recorded body, as one write on an HTTP/1.1 connection.
+    /// Held weakly: the connection holds the server, which holds what
+    /// waits. A connection its host has let go of was closed, and would
+    /// send nothing.
+    Http1(Weak<Http1Conn>, WeakTcpHandle),
+    /// A mux stream's response.
+    Mux(MuxResponder),
 }
 
 impl Server {
@@ -202,6 +226,7 @@ impl Server {
             tap: config.capture.clone(),
             span: config.span.clone(),
             cpu: Cell::new(Timestamp::ZERO),
+            waiting: RefCell::new(VecDeque::new()),
             me: me.clone(),
         })
     }
@@ -211,55 +236,77 @@ impl Server {
     /// every request before it on this server (at once without think
     /// time); look the request up; stamp `ServerSent` and the
     /// `ServerThink` span; hand the response, normalized for replay, to
-    /// the transport's `send`. `conn` is the span layer's id of the
+    /// the transport (`reply`). `conn` is the span layer's id of the
     /// connection's initiator.
-    fn serve(
-        &self,
-        sim: &mut Simulator,
-        req: Request,
-        conn: u64,
-        send: impl FnOnce(&mut Simulator, &Replayed<'_>) + 'static,
-    ) {
+    fn serve(&self, sim: &mut Simulator, req: Request, conn: u64, reply: Reply) {
         let recv_at = sim.now();
         self.stamp_http(recv_at, HttpPhase::ServerRecv, &req.target, 0, 0);
-        let server = self.me.upgrade().expect("a serving server is alive");
-        let answer = move |sim: &mut Simulator| {
-            // The recording's own response, looked up now: the recording
-            // never changes, so this finds what a lookup on receipt would
-            // have. Only a miss builds one.
-            let not_found;
-            let resp = match server.matcher.find(&req) {
-                Some(stored) => stored,
-                None => {
-                    not_found = Response::not_found();
-                    &not_found
-                }
-            };
-            let now = sim.now();
-            let bytes = resp.body.len() as u64;
-            server.stamp_http(now, HttpPhase::ServerSent, &req.target, resp.status, bytes);
-            if let Some(sp) = &server.span {
-                sp.record(Span {
-                    load: 0, // stamped by the recording buffer
-                    id: sp.next_id(),
-                    parent: 0,
-                    kind: SpanKind::ServerThink,
-                    t0_ns: recv_at.as_nanos(),
-                    t1_ns: now.as_nanos(),
-                    res: mm_trace::NO_RESOURCE,
-                    conn,
-                    url: req.target.clone(),
-                    detail: String::new(),
-                });
-            }
-            send(sim, &Replayed::new(resp));
+        let waiting = Waiting {
+            req,
+            conn,
+            recv_at,
+            reply,
         };
         if self.think_time.is_zero() {
-            return answer(sim);
+            return self.answer(sim, waiting);
         }
         let done = self.cpu.get().max(recv_at) + self.think_time;
         self.cpu.set(done);
-        sim.schedule_at(done, answer);
+        self.waiting.borrow_mut().push_back(waiting);
+        let me: Rc<dyn EventTarget> = self.me.upgrade().expect("a serving server is alive");
+        sim.schedule_target_at(UNTAGGED_EVENT, done, me, 0);
+    }
+
+    /// Answer `w` now.
+    fn answer(&self, sim: &mut Simulator, w: Waiting) {
+        // The recording's own response, looked up now: the recording
+        // never changes, so this finds what a lookup on receipt would
+        // have. Only a miss builds one.
+        let not_found;
+        let resp = match self.matcher.find(&w.req) {
+            Some(stored) => stored,
+            None => {
+                not_found = Response::not_found();
+                &not_found
+            }
+        };
+        let now = sim.now();
+        let bytes = resp.body.len() as u64;
+        self.stamp_http(
+            now,
+            HttpPhase::ServerSent,
+            &w.req.target,
+            resp.status,
+            bytes,
+        );
+        if let Some(sp) = &self.span {
+            sp.record(Span {
+                load: 0, // stamped by the recording buffer
+                id: sp.next_id(),
+                parent: 0,
+                kind: SpanKind::ServerThink,
+                t0_ns: w.recv_at.as_nanos(),
+                t1_ns: now.as_nanos(),
+                res: mm_trace::NO_RESOURCE,
+                conn: w.conn,
+                url: w.req.target.clone(),
+                detail: String::new(),
+            });
+        }
+        let resp = Replayed::new(resp);
+        match w.reply {
+            Reply::Http1(conn, h) => {
+                let (Some(conn), Some(h)) = (conn.upgrade(), h.upgrade()) else {
+                    return;
+                };
+                // Head and recorded body go out as one write; the body
+                // is the store's buffer, never copied.
+                h.send_vectored(sim, write_response_fields(resp.resp, resp.fields()));
+                conn.unanswered.set(conn.unanswered.get() - 1);
+                conn.close_when_answered(sim, &h);
+            }
+            Reply::Mux(responder) => responder.respond_with(sim, resp.resp, resp.fields()),
+        }
     }
 
     /// Emit an [`HttpEvent`] if a tap is attached (server side: no
@@ -275,6 +322,14 @@ impl Server {
                 bytes,
             });
         }
+    }
+}
+
+/// A think time has passed: the oldest waiting request is answered.
+impl EventTarget for Server {
+    fn on_event(self: Rc<Self>, sim: &mut Simulator, _token: u64) {
+        let next = self.waiting.borrow_mut().pop_front();
+        self.answer(sim, next.expect("an answer is due"));
     }
 }
 
@@ -295,9 +350,7 @@ impl Listener for Server {
 
 impl MuxHandler for Server {
     fn handle(&self, sim: &mut Simulator, peer: SocketAddr, req: Request, responder: MuxResponder) {
-        self.serve(sim, req, peer.conn_id(), |sim, resp| {
-            responder.respond_with(sim, resp.resp, resp.fields())
-        });
+        self.serve(sim, req, peer.conn_id(), Reply::Mux(responder));
     }
 }
 
@@ -334,15 +387,8 @@ impl SocketApp for Http1Conn {
                 let conn = h.remote_addr().conn_id();
                 for req in reqs {
                     self.unanswered.set(self.unanswered.get() + 1);
-                    let me = self.me.upgrade().expect("a connection in use is alive");
-                    let h = h.clone();
-                    self.server.serve(sim, req, conn, move |sim, resp| {
-                        // Head and recorded body go out as one write; the
-                        // body is the store's buffer, never copied.
-                        h.send_vectored(sim, write_response_fields(resp.resp, resp.fields()));
-                        me.unanswered.set(me.unanswered.get() - 1);
-                        me.close_when_answered(sim, &h);
-                    });
+                    let reply = Reply::Http1(self.me.clone(), h.downgrade());
+                    self.server.serve(sim, req, conn, reply);
                 }
             }
             SocketEvent::PeerClosed => self.close_when_answered(sim, h),

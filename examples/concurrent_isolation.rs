@@ -60,7 +60,7 @@ fn build_stack(sim_seed: u64, site_idx: usize, world: &Namespace, sim: &mut Simu
     let resolver: mahimahi::browser::Resolver = {
         let shell = shell.clone();
         Rc::new(move |url: &mm_http::Url| {
-            Some(shell.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
+            Some(shell.resolve(SocketAddr::new(url.host().parse().unwrap(), url.port())))
         })
     };
     let browser = Browser::new(host, resolver, BrowserConfig::default());

@@ -52,7 +52,7 @@ fn load_through_recordshell() -> (mm_record::StoredSite, PageLoadResult, mm_reco
     let resolver: Resolver = {
         let s = origin_servers.clone();
         Rc::new(move |url: &mm_http::Url| {
-            Some(s.resolve(SocketAddr::new(url.host.parse().unwrap(), url.port)))
+            Some(s.resolve(SocketAddr::new(url.host().parse().unwrap(), url.port())))
         })
     };
     let browser = Browser::new(browser_host, resolver, BrowserConfig::default());

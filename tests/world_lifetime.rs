@@ -32,6 +32,7 @@ use mm_net::{
     SocketEvent, TcpConfig, TcpHandle,
 };
 use mm_record::{fetch_via, RecordShell, StoredSite};
+use mm_replay::{ReplayConfig, ReplayShell};
 use mm_shells::{DropTail, Qdisc, QueueLimit, ShellStack};
 use mm_sim::{RngStream, SimDuration, Simulator, Timestamp};
 use mm_trace::{cellular, constant_rate, CellularParams, TraceBuffer};
@@ -412,6 +413,30 @@ fn world_stopped_mid_transfer_is_freed() {
     assert_frees_its_worlds("two hosts, stopped at 100 ms", || {
         let (received, _) = hand_built_transfer(&payload, Some(Timestamp::from_millis(100)));
         assert!(received > 0 && received < payload.len());
+    });
+}
+
+/// A world stopped while its replay server thinks: the request waiting
+/// on the server's CPU goes with it, though the connection it waits to
+/// answer holds the server.
+#[test]
+fn world_stopped_while_its_server_thinks_is_freed() {
+    let site = small_site();
+    assert_frees_its_worlds("replay server stopped mid-think", || {
+        let mut sim = Simulator::new();
+        let ns = Namespace::root("thinking");
+        let ids = PacketIdGen::new();
+        let config = ReplayConfig {
+            think_time: SimDuration::from_millis(50),
+            ..ReplayConfig::default()
+        };
+        let shell = ReplayShell::new(&ns, &site, config, &ids);
+        let client = Host::new_in(IpAddr::new(100, 64, 0, 2), ids, &ns);
+        let root = site.root_pair().expect("the site has a root");
+        let addr = shell.resolve(root.origin);
+        let reply = fetch_via(&mut sim, &client, addr, root.request.clone());
+        sim.run_until(Timestamp::from_millis(30));
+        assert!(reply.borrow().is_empty(), "the answer is still due");
     });
 }
 
