@@ -15,18 +15,14 @@
 //! single machine, whose serialized request matching (one Apache + CGI)
 //! becomes the bottleneck Table 2 and Figure 3 quantify.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{RefCell, RefMut};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::{Rc, Weak};
 
 use bytes::Bytes;
 use mm_capture::{HttpEvent, HttpPhase, TapHandle};
-use mm_http::{
-    write_request_fields, Header, Method, Request, Response, ResponseParser, Url, Version,
-};
-use mm_mux::{
-    MuxClient, MuxConfig, StreamEvent, PRIORITY_BULK, PRIORITY_ROOT, PRIORITY_SUBRESOURCE,
-};
+use mm_http::{write_request_fields, Method, Response, ResponseParser, Url, Version};
+use mm_mux::{MuxClient, MuxConfig, MuxOwner, PRIORITY_BULK, PRIORITY_ROOT, PRIORITY_SUBRESOURCE};
 use mm_net::{Host, SocketAddr, SocketApp, SocketEvent, TcpHandle};
 use mm_sim::{EventTarget, SimDuration, Simulator, Timestamp, UNTAGGED_EVENT};
 use mm_trace::{Span, SpanHandle, SpanKind};
@@ -141,33 +137,11 @@ impl PageLoadResult {
     }
 }
 
-/// The fields of the GET the browser sends for `url`: `Host` with the
-/// port elided when default, and `Accept`.
-fn get_fields(url: &Url) -> [Header<'_>; 2] {
-    [
-        Header {
-            name: "Host",
-            value: url.host_field(),
-        },
-        Header {
-            name: "Accept",
-            value: "*/*",
-        },
-    ]
-}
-
-/// The GET for `url`, as a mux client takes it.
-fn request_for(url: &Url) -> Request {
-    let [host, accept] = get_fields(url);
-    let mut req = Request::get(url.target(), host.value);
-    req.headers.append(accept.name, accept.value);
-    req
-}
-
-/// The wire form of [`request_for`]'s request, written from the URL's
-/// own text: one buffer, and no `Request`.
+/// The HTTP/1.1 GET for `url`, written from the URL's own text and its
+/// GET fields ([`Url::get_fields`], which mux HEADERS carry too): one
+/// buffer, and no `Request`.
 fn write_get(url: &Url) -> Bytes {
-    let fields = get_fields(url).into_iter();
+    let fields = url.get_fields().into_iter();
     write_request_fields(&Method::Get, url.target(), Version::Http11, fields, &[])
 }
 
@@ -241,6 +215,8 @@ enum Transport {
     /// streams beyond it in priority order.
     Mux {
         client: Option<MuxClient>,
+        /// When `client`'s handshake completed.
+        connected_at: Option<Timestamp>,
         config: MuxConfig,
     },
 }
@@ -304,7 +280,7 @@ struct BrowserInner {
 /// A browser instance bound to a virtual host.
 ///
 /// The browser owns its host handle, its connection pools and (through
-/// the host) its sockets; the socket applications and mux callbacks it
+/// the host) its sockets; the socket applications and mux owners it
 /// installs refer back to it weakly. A load therefore runs for as long as
 /// the caller holds the `Browser` (or a clone): events for a browser that
 /// was dropped are ignored.
@@ -458,6 +434,7 @@ impl Browser {
                         },
                         ProtocolMode::Mux(mux) => Transport::Mux {
                             client: None,
+                            connected_at: None,
                             config: mux.clone(),
                         },
                     },
@@ -488,9 +465,9 @@ impl Browser {
             // Find one step under the borrow; do socket work outside it.
             enum Step {
                 Send(ConnRef, FetchJob),
-                Submit(Rc<str>, MuxClient, FetchJob),
+                Submit(MuxClient, FetchJob),
                 Open(Rc<str>, SocketAddr),
-                Connect(SocketAddr, MuxConfig),
+                Connect(Rc<str>, SocketAddr, MuxConfig),
             }
             let step = {
                 let mut inner = self.inner.borrow_mut();
@@ -522,16 +499,16 @@ impl Browser {
                             None => return, // every conn busy or still connecting
                         }
                     }
-                    Transport::Mux { client, config } => {
+                    Transport::Mux { client, config, .. } => {
                         if queue.is_empty() {
                             return;
                         }
                         match client {
                             Some(c) if !c.is_dead() => {
                                 let job = queue.pop_front().expect("queued");
-                                Step::Submit(name.clone(), c.clone(), job)
+                                Step::Submit(c.clone(), job)
                             }
-                            _ => Step::Connect(*addr, config.clone()),
+                            _ => Step::Connect(name.clone(), *addr, config.clone()),
                         }
                     }
                 }
@@ -556,7 +533,7 @@ impl Browser {
                     conn.borrow_mut().job = Some(job);
                     handle.send(sim, wire);
                 }
-                Step::Submit(name, client, job) => {
+                Step::Submit(client, job) => {
                     let conn_id = client.local_addr().map_or(0, SocketAddr::conn_id);
                     self.stamp(now, job.timing_idx, Milestone::Sent { conn: conn_id });
                     // The root document preempts everything; discovery-
@@ -568,17 +545,10 @@ impl Browser {
                     } else {
                         PRIORITY_BULK
                     };
-                    let req = request_for(&job.url);
-                    let tag = job.timing_idx as u32;
-                    let me = self.downgrade();
-                    client.request(sim, req, priority, tag, move |sim, result| {
-                        if let Some(me) = me.upgrade() {
-                            me.settle(sim, &name, job, result.ok());
-                        }
-                    });
+                    client.request(sim, job.url, priority, job.timing_idx as u32);
                 }
                 Step::Open(name, addr) => self.open_connection(sim, name, addr),
-                Step::Connect(addr, config) => self.connect_mux(sim, authority, addr, config),
+                Step::Connect(name, addr, config) => self.connect_mux(sim, name, addr, config),
             }
         }
     }
@@ -601,58 +571,44 @@ impl Browser {
                 dead: false,
             })
         });
-        let mut inner = self.inner.borrow_mut();
-        if let Some(Transport::Http1 { conns, .. }) = inner
-            .load
-            .as_mut()
-            .and_then(|l| l.pools.get_mut(&*authority))
-            .map(|p| &mut p.transport)
-        {
+        if let Some(Transport::Http1 { conns, .. }) = self.transport(&authority).as_deref_mut() {
             conns.push(conn);
         }
     }
 
-    /// Open `authority`'s multiplexed connection. With a span sink, its
-    /// observer stamps each stream's opening (and the handshake wait of
-    /// a stream opened the instant the handshake completed) and first
-    /// byte.
+    /// Open `authority`'s multiplexed connection, reporting to a
+    /// [`MuxApp`].
     fn connect_mux(
         &self,
         sim: &mut Simulator,
-        authority: &str,
+        authority: Rc<str>,
         addr: SocketAddr,
         config: MuxConfig,
     ) {
         let host = self.inner.borrow().host.clone();
-        let client = MuxClient::connect(sim, &host, addr, config);
-        let mut inner = self.inner.borrow_mut();
-        if inner.config.span.is_some() {
-            let (me, ready_at) = (self.downgrade(), Cell::new(None));
-            client.set_observer(Rc::new(move |ev, t| {
-                let Some(me) = me.upgrade() else {
-                    return;
-                };
-                match ev {
-                    StreamEvent::ConnReady => ready_at.set(Some(t)),
-                    StreamEvent::Opened(tag) => {
-                        me.stamp(t, tag as usize, Milestone::StreamOpened);
-                        if ready_at.get() == Some(t) {
-                            let wait = Milestone::HandshakeWait { since: None };
-                            me.stamp(t, tag as usize, wait);
-                        }
-                    }
-                    StreamEvent::FirstByte(tag) => me.stamp(t, tag as usize, Milestone::FirstByte),
-                }
-            }));
-        }
-        if let Some(Transport::Mux { client: slot, .. }) = inner
-            .load
-            .as_mut()
-            .and_then(|l| l.pools.get_mut(authority))
-            .map(|p| &mut p.transport)
+        let owner = MuxApp {
+            browser: self.downgrade(),
+            authority: authority.clone(),
+        };
+        let client = MuxClient::connect(sim, &host, addr, config, owner);
+        if let Some(Transport::Mux {
+            client: slot,
+            connected_at,
+            ..
+        }) = self.transport(&authority).as_deref_mut()
         {
             *slot = Some(client);
+            *connected_at = None;
         }
+    }
+
+    /// `authority`'s transport, while the load holds its pool.
+    fn transport(&self, authority: &str) -> Option<RefMut<'_, Transport>> {
+        RefMut::filter_map(self.inner.borrow_mut(), |inner| {
+            let pool = inner.load.as_mut()?.pools.get_mut(authority)?;
+            Some(&mut pool.transport)
+        })
+        .ok()
     }
 
     /// A response completed `job`, or (`None`) its transport lost the
@@ -1064,10 +1020,64 @@ impl SocketApp for ConnApp {
     }
 }
 
+/// The per-connection mux owner, the twin of [`ConnApp`]: owned by the
+/// client, so it only *refers* to the browser, and reports each of the
+/// client's milestones to the same [`Browser::stamp`] and
+/// [`Browser::settle`] that HTTP/1.1 connections report to.
+struct MuxApp {
+    browser: WeakBrowser,
+    authority: Rc<str>,
+}
+
+impl MuxOwner for MuxApp {
+    fn connected(&self, sim: &mut Simulator) {
+        let Some(browser) = self.browser.upgrade() else {
+            return;
+        };
+        let mut transport = browser.transport(&self.authority);
+        if let Some(Transport::Mux { connected_at, .. }) = transport.as_deref_mut() {
+            *connected_at = Some(sim.now());
+        }
+    }
+
+    fn opened(&self, sim: &mut Simulator, tag: u32) {
+        let Some(browser) = self.browser.upgrade() else {
+            return;
+        };
+        let (now, idx) = (sim.now(), tag as usize);
+        browser.stamp(now, idx, Milestone::StreamOpened);
+        // Opened the instant the handshake completed: the request waited
+        // on it.
+        let connected_at = match browser.transport(&self.authority).as_deref() {
+            Some(Transport::Mux { connected_at, .. }) => *connected_at,
+            _ => None,
+        };
+        if connected_at == Some(now) {
+            browser.stamp(now, idx, Milestone::HandshakeWait { since: None });
+        }
+    }
+
+    fn first_byte(&self, sim: &mut Simulator, tag: u32) {
+        if let Some(browser) = self.browser.upgrade() {
+            browser.stamp(sim.now(), tag as usize, Milestone::FirstByte);
+        }
+    }
+
+    fn settled(&self, sim: &mut Simulator, url: Url, tag: u32, response: Option<Response>) {
+        if let Some(browser) = self.browser.upgrade() {
+            let job = FetchJob {
+                url,
+                timing_idx: tag as usize,
+            };
+            browser.settle(sim, &self.authority, job, response);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_http::write_request;
+    use mm_http::{write_request, Request};
     use proptest::prelude::*;
 
     /// The request this module built before it wrote GETs from the URL's
@@ -1104,7 +1114,6 @@ mod tests {
             let query = if query.0 { format!("?{}", query.1) } else { String::new() };
             let url = Url::parse(&format!("{scheme}://{host}{port}{path}{query}")).unwrap();
             prop_assert_eq!(write_get(&url), oracle_get(&url));
-            prop_assert_eq!(write_request(&request_for(&url)), oracle_get(&url));
         }
     }
 }

@@ -13,7 +13,7 @@
 use std::fmt;
 use std::rc::Rc;
 
-use crate::headers::Decimal;
+use crate::headers::{Decimal, Header};
 
 /// A parsed absolute URL (`scheme://host[:port]/target`), canonical: the
 /// port always written, the target always starting `/`, no fragment.
@@ -137,6 +137,22 @@ impl Url {
         } else {
             self.authority()
         }
+    }
+
+    /// The fields of the GET a browser sends for this URL: `Host` (see
+    /// [`host_field`](Self::host_field)), then `Accept`. Both of the
+    /// browser's transports write its GET from these.
+    pub fn get_fields(&self) -> [Header<'_>; 2] {
+        [
+            Header {
+                name: "Host",
+                value: self.host_field(),
+            },
+            Header {
+                name: "Accept",
+                value: "*/*",
+            },
+        ]
     }
 }
 

@@ -14,12 +14,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 use bytes::{Bytes, BytesMut};
-use mm_http::{Request, Response};
+use mm_http::{Response, Url};
 use mm_net::{Host, SocketAddr, SocketApp, SocketEvent, TcpHandle};
-use mm_sim::{Simulator, Timestamp};
+use mm_sim::Simulator;
 
 use crate::flow::WindowRefill;
-use crate::frame::{request_headers, Frame, FrameDecoder, FrameRef};
+use crate::frame::{get_headers, Frame, FrameDecoder, FrameRef};
 use crate::MuxConfig;
 
 /// Most body bytes reserved on the strength of a declared
@@ -27,54 +27,29 @@ use crate::MuxConfig;
 /// as they arrive.
 const MAX_BODY_RESERVE: u64 = 1 << 24;
 
-/// Why a request could not be completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MuxError {
-    /// The connection died (reset, closed, or refused) with the request
-    /// outstanding.
-    ConnectionClosed,
-    /// The peer sent bytes that do not decode as frames.
-    Protocol,
-}
-
-impl std::fmt::Display for MuxError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MuxError::ConnectionClosed => f.write_str("mux connection closed"),
-            MuxError::Protocol => f.write_str("mux protocol error"),
-        }
-    }
-}
-
-impl std::error::Error for MuxError {}
-
-/// Completion callback for one request.
-pub(crate) type DoneFn = Box<dyn FnOnce(&mut Simulator, Result<Response, MuxError>)>;
-
-/// Stream-scheduler milestones surfaced to a `StreamObserver`: the
-/// edges a span layer needs to split "waiting for a stream slot" from
-/// "request on the wire" without reaching into the client's state. A
-/// stream's milestones carry the tag its request was submitted with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamEvent {
+/// What a [`MuxClient`] reports to: its one owner, given at
+/// [`MuxClient::connect`]. Each report names a request by the tag it was
+/// submitted with, and runs after the client has released its state, so
+/// an owner may submit further requests from it. The client holds its
+/// owner, so an owner refers back to whatever holds the client weakly.
+pub trait MuxOwner {
     /// The connection finished its handshake.
-    ConnReady,
-    /// A queued request left the scheduler: its HEADERS hit the socket.
-    Opened(u32),
-    /// The first response byte (the response HEADERS frame) arrived.
-    FirstByte(u32),
+    fn connected(&self, _sim: &mut Simulator) {}
+    /// Request `tag` left the client's queue: its HEADERS hit the socket.
+    fn opened(&self, _sim: &mut Simulator, _tag: u32) {}
+    /// The first response byte (the response HEADERS frame) of request
+    /// `tag` arrived.
+    fn first_byte(&self, _sim: &mut Simulator, _tag: u32) {}
+    /// Request `tag` for `url` is over: answered with `response`, or
+    /// (`None`) lost, because the connection died or the peer broke the
+    /// protocol.
+    fn settled(&self, sim: &mut Simulator, url: Url, tag: u32, response: Option<Response>);
 }
-
-/// Observer of the connection's and its streams' scheduling milestones.
-/// Purely observational: called after the client releases its borrow,
-/// must not touch the client.
-pub(crate) type StreamObserver = Rc<dyn Fn(StreamEvent, Timestamp)>;
 
 struct PendingRequest {
-    req: Request,
+    url: Url,
     priority: u8,
     tag: u32,
-    done: DoneFn,
 }
 
 struct ActiveStream {
@@ -82,9 +57,12 @@ struct ActiveStream {
     head: Option<Response>,
     body: BytesMut,
     refill: WindowRefill,
+    url: Url,
     tag: u32,
-    done: Option<DoneFn>,
 }
+
+/// A request that is over: its URL, tag and response (`None`: lost).
+type Settled = (Url, u32, Option<Response>);
 
 struct ClientInner {
     config: MuxConfig,
@@ -101,7 +79,15 @@ struct ClientInner {
     pending: BTreeMap<u8, VecDeque<PendingRequest>>,
     active: BTreeMap<u32, ActiveStream>,
     conn_refill: WindowRefill,
-    observer: Option<StreamObserver>,
+    /// Tags whose first byte arrived in the batch being decoded; kept
+    /// between batches so reporting them allocates once per connection.
+    first_bytes: Vec<u32>,
+}
+
+/// A client's state and, last so that any owner fits, its owner.
+struct Shared<O: ?Sized> {
+    state: RefCell<ClientInner>,
+    owner: O,
 }
 
 impl ClientInner {
@@ -121,179 +107,143 @@ impl ClientInner {
     }
 }
 
-/// A multiplexed connection to one origin. The client owns its socket;
-/// the socket's application only refers back to it, so the connection
-/// lives exactly as long as the caller holds the client (or a clone):
-/// events for a client that was dropped are ignored.
+/// A multiplexed connection to one origin. The client owns its socket
+/// and its owner; the socket's application only refers back to it, so
+/// the connection lives exactly as long as the caller holds the client
+/// (or a clone): events for a client that was dropped are ignored.
 #[derive(Clone)]
 pub struct MuxClient {
-    inner: Rc<RefCell<ClientInner>>,
+    inner: Rc<Shared<dyn MuxOwner>>,
 }
 
 impl MuxClient {
-    /// Open a multiplexed connection from `host` to `addr`.
+    /// Open a multiplexed connection from `host` to `addr`, reporting to
+    /// `owner` for as long as it lives.
     pub fn connect(
         sim: &mut Simulator,
         host: &Host,
         addr: SocketAddr,
         config: MuxConfig,
+        owner: impl MuxOwner + 'static,
     ) -> MuxClient {
         let connection_window = config.connection_window;
         let peer_max = config.max_concurrent_streams;
         let client = MuxClient {
-            inner: Rc::new(RefCell::new(ClientInner {
-                config,
-                handle: None,
-                connected: false,
-                dead: false,
-                decoder: FrameDecoder::new(),
-                peer_max_streams: peer_max,
-                next_stream: 1,
-                pending: BTreeMap::new(),
-                active: BTreeMap::new(),
-                conn_refill: WindowRefill::new(connection_window),
-                observer: None,
-            })),
+            inner: Rc::new(Shared {
+                state: RefCell::new(ClientInner {
+                    config,
+                    handle: None,
+                    connected: false,
+                    dead: false,
+                    decoder: FrameDecoder::new(),
+                    peer_max_streams: peer_max,
+                    next_stream: 1,
+                    pending: BTreeMap::new(),
+                    active: BTreeMap::new(),
+                    conn_refill: WindowRefill::new(connection_window),
+                    first_bytes: Vec::new(),
+                }),
+                owner,
+            }),
         };
         let app = Rc::new(ClientApp {
             client: Rc::downgrade(&client.inner),
         });
         let handle = host.connect(sim, addr, app);
-        client.inner.borrow_mut().handle = Some(handle);
+        client.inner.state.borrow_mut().handle = Some(handle);
         client
     }
 
-    /// Submit `req` as a new stream; `done` fires with the response (or
-    /// the error that killed the connection). Queues behind the
-    /// concurrent-stream limit in `priority` order. The installed
-    /// `StreamObserver` sees the stream's milestones under `tag`, so
-    /// callers can attribute scheduler waits to their own requests.
-    pub fn request(
-        &self,
-        sim: &mut Simulator,
-        req: Request,
-        priority: u8,
-        tag: u32,
-        done: impl FnOnce(&mut Simulator, Result<Response, MuxError>) + 'static,
-    ) {
-        let done: DoneFn = Box::new(done);
-        let dead = self.inner.borrow().dead;
+    /// Submit a GET for `url` as a new stream, to be reported under
+    /// `tag`. Queues behind the concurrent-stream limit in `priority`
+    /// order. On a dead client the request is settled as lost at once.
+    pub fn request(&self, sim: &mut Simulator, url: Url, priority: u8, tag: u32) {
+        let dead = self.inner.state.borrow().dead;
         if dead {
-            done(sim, Err(MuxError::ConnectionClosed));
+            self.inner.owner.settled(sim, url, tag, None);
             return;
         }
         self.inner
+            .state
             .borrow_mut()
             .pending
             .entry(priority)
             .or_default()
-            .push_back(PendingRequest {
-                req,
-                priority,
-                tag,
-                done,
-            });
+            .push_back(PendingRequest { url, priority, tag });
         self.pump(sim);
-    }
-
-    /// Install the milestone observer (replacing any previous one).
-    pub fn set_observer(&self, observer: StreamObserver) {
-        self.inner.borrow_mut().observer = Some(observer);
     }
 
     /// Local address of the underlying socket — the span layer's
     /// connection identity.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        let inner = self.inner.borrow();
+        let inner = self.inner.state.borrow();
         inner.handle.as_ref().map(|h| h.local_addr())
     }
 
     /// True once the connection has failed; outstanding and future
-    /// requests on a dead client fail with `ConnectionClosed`.
+    /// requests on a dead client are settled as lost.
     pub fn is_dead(&self) -> bool {
-        self.inner.borrow().dead
+        self.inner.state.borrow().dead
     }
 
     /// Streams currently in flight (tests/diagnostics).
     pub fn active_streams(&self) -> usize {
-        self.inner.borrow().active.len()
+        self.inner.state.borrow().active.len()
     }
 
     /// Requests queued behind the concurrent-stream limit.
     pub fn queued_requests(&self) -> usize {
-        self.inner.borrow().pending.values().map(|q| q.len()).sum()
+        self.inner
+            .state
+            .borrow()
+            .pending
+            .values()
+            .map(|q| q.len())
+            .sum()
     }
 
     /// Dispatch queued requests while stream slots are free.
     fn pump(&self, sim: &mut Simulator) {
         loop {
-            let step = {
-                let mut inner = self.inner.borrow_mut();
+            let (handle, headers, tag) = {
+                let mut inner = self.inner.state.borrow_mut();
                 if !inner.connected || inner.dead || inner.active.len() >= inner.stream_limit() {
-                    None
-                } else {
-                    match inner.pop_pending() {
-                        None => None,
-                        Some(p) => {
-                            let stream = inner.next_stream;
-                            inner.next_stream += 2;
-                            let headers =
-                                request_headers(stream, p.req.body.is_empty(), p.priority, &p.req);
-                            // Request bodies ride un-flow-controlled DATA:
-                            // the page-load workload only sends GETs, and
-                            // upload flow control would model a direction
-                            // the experiments never stress.
-                            let body = (!p.req.body.is_empty()).then(|| {
-                                Frame::Data {
-                                    stream,
-                                    end_stream: true,
-                                    payload: p.req.body.clone(),
-                                }
-                                .encode()
-                            });
-                            let window = inner.config.initial_stream_window;
-                            inner.active.insert(
-                                stream,
-                                ActiveStream {
-                                    head: None,
-                                    body: BytesMut::new(),
-                                    refill: WindowRefill::new(window),
-                                    tag: p.tag,
-                                    done: Some(p.done),
-                                },
-                            );
-                            let handle = inner.handle.clone().expect("connected client has handle");
-                            Some((handle, headers, body, p.tag, inner.observer.clone()))
-                        }
-                    }
+                    return;
                 }
+                let Some(p) = inner.pop_pending() else {
+                    return;
+                };
+                let stream = inner.next_stream;
+                inner.next_stream += 2;
+                let headers = get_headers(stream, p.priority, &p.url);
+                let window = inner.config.initial_stream_window;
+                inner.active.insert(
+                    stream,
+                    ActiveStream {
+                        head: None,
+                        body: BytesMut::new(),
+                        refill: WindowRefill::new(window),
+                        url: p.url,
+                        tag: p.tag,
+                    },
+                );
+                let handle = inner.handle.clone().expect("connected client has handle");
+                (handle, headers, p.tag)
             };
-            match step {
-                None => return,
-                Some((handle, headers, body, tag, observer)) => {
-                    handle.send(sim, headers);
-                    if let Some(body) = body {
-                        handle.send(sim, body);
-                    }
-                    if let Some(obs) = observer {
-                        obs(StreamEvent::Opened(tag), sim.now());
-                    }
-                }
-            }
+            handle.send(sim, headers);
+            self.inner.owner.opened(sim, tag);
         }
     }
 
     /// Decode and act on inbound bytes.
     fn on_data(&self, sim: &mut Simulator, bytes: &[u8]) {
-        type Completion = (DoneFn, Result<Response, MuxError>);
         let mut outgoing: Vec<Bytes> = Vec::new();
-        let mut completions: Vec<Completion> = Vec::new();
-        let mut first_bytes: Vec<u32> = Vec::new();
+        let mut settled: Vec<Settled> = Vec::new();
         let mut protocol_error = false;
-        let (handle, observer) = {
-            let mut guard = self.inner.borrow_mut();
+        let (handle, mut first_bytes) = {
+            let mut guard = self.inner.state.borrow_mut();
             let inner = &mut *guard;
-            let observed = inner.observer.is_some();
+            let mut first_bytes = std::mem::take(&mut inner.first_bytes);
             let mut decoder = std::mem::take(&mut inner.decoder);
             let fed = decoder.feed_with(bytes, |frame| {
                 if protocol_error {
@@ -319,7 +269,7 @@ impl MuxClient {
                         let Some(active) = inner.active.get_mut(&stream) else {
                             return; // stale stream; ignore
                         };
-                        if active.head.is_none() && observed {
+                        if active.head.is_none() {
                             first_bytes.push(active.tag);
                         }
                         // Room for the declared body, so DATA lands in it
@@ -331,9 +281,7 @@ impl MuxClient {
                             .reserve(declared.saturating_sub(active.body.len()));
                         active.head = Some(head);
                         if end_stream {
-                            if let Some(c) = inner.complete_stream(stream) {
-                                completions.push(c);
-                            }
+                            settled.extend(inner.complete_stream(stream));
                         }
                     }
                     FrameRef::Data {
@@ -342,20 +290,21 @@ impl MuxClient {
                         payload,
                     } => {
                         let n = payload.len() as u64;
-                        let Some(active) = inner.active.get_mut(&stream) else {
-                            return;
-                        };
-                        active.body.extend_from_slice(payload);
-                        if !end_stream {
-                            let inc = active.refill.consumed(n);
-                            outgoing.extend(inc.map(|inc| window_update(stream, inc)));
+                        if let Some(active) = inner.active.get_mut(&stream) {
+                            active.body.extend_from_slice(payload);
+                            if !end_stream {
+                                let inc = active.refill.consumed(n);
+                                outgoing.extend(inc.map(|inc| window_update(stream, inc)));
+                            }
                         }
+                        // Every DATA frame counts against the connection
+                        // window, on a stream the client knows or not
+                        // (RFC 9113 §6.9): a stray one's payload is
+                        // dropped, its credit returned.
                         let inc = inner.conn_refill.consumed(n);
                         outgoing.extend(inc.map(|inc| window_update(0, inc)));
                         if end_stream {
-                            if let Some(c) = inner.complete_stream(stream) {
-                                completions.push(c);
-                            }
+                            settled.extend(inner.complete_stream(stream));
                         }
                     }
                     // The client sends nothing flow controlled, so inbound
@@ -365,26 +314,22 @@ impl MuxClient {
             });
             inner.decoder = decoder;
             protocol_error |= fed.is_err();
-            (inner.handle.clone(), inner.observer.clone())
+            (inner.handle.clone(), first_bytes)
         };
-        if let Some(obs) = &observer {
-            let now = sim.now();
-            for tag in first_bytes {
-                obs(StreamEvent::FirstByte(tag), now);
-            }
+        for &tag in &first_bytes {
+            self.inner.owner.first_byte(sim, tag);
         }
+        first_bytes.clear();
+        self.inner.state.borrow_mut().first_bytes = first_bytes;
         if protocol_error {
             if let Some(h) = &handle {
                 h.abort(sim);
             }
             // Streams completed by valid frames earlier in this batch
-            // already left `active`; deliver their results before failing
-            // the rest, or their callbacks would be dropped and the page
-            // load would never settle.
-            for (done, result) in completions {
-                done(sim, result);
-            }
-            self.fail_all(sim, MuxError::Protocol);
+            // already left `active`; settle them before losing the rest,
+            // or the page load would never hear of them.
+            self.report(sim, settled);
+            self.fail_all(sim);
             return;
         }
         if let Some(h) = &handle {
@@ -392,32 +337,34 @@ impl MuxClient {
                 h.send(sim, wire);
             }
         }
-        for (done, result) in completions {
-            done(sim, result);
-        }
+        self.report(sim, settled);
         self.pump(sim);
     }
 
-    /// Fail every outstanding and queued request.
-    fn fail_all(&self, sim: &mut Simulator, err: MuxError) {
-        let callbacks: Vec<DoneFn> = {
-            let mut inner = self.inner.borrow_mut();
-            inner.dead = true;
-            let mut cbs: Vec<DoneFn> = Vec::new();
-            for s in std::mem::take(&mut inner.active).into_values() {
-                if let Some(done) = s.done {
-                    cbs.push(done);
+    /// Report each of `settled` to the owner, in order.
+    fn report(&self, sim: &mut Simulator, settled: Vec<Settled>) {
+        for (url, tag, response) in settled {
+            self.inner.owner.settled(sim, url, tag, response);
+        }
+    }
+
+    /// Mark the connection dead and settle every outstanding and queued
+    /// request as lost: streams in id order, then the queue in dispatch
+    /// order.
+    fn fail_all(&self, sim: &mut Simulator) {
+        self.inner.state.borrow_mut().dead = true;
+        loop {
+            let (url, tag) = {
+                let mut inner = self.inner.state.borrow_mut();
+                if let Some((_, s)) = inner.active.pop_first() {
+                    (s.url, s.tag)
+                } else if let Some(p) = inner.pop_pending() {
+                    (p.url, p.tag)
+                } else {
+                    return;
                 }
-            }
-            for q in std::mem::take(&mut inner.pending).into_values() {
-                for p in q {
-                    cbs.push(p.done);
-                }
-            }
-            cbs
-        };
-        for done in callbacks {
-            done(sim, Err(err));
+            };
+            self.inner.owner.settled(sim, url, tag, None);
         }
     }
 }
@@ -430,23 +377,20 @@ fn window_update(stream: u32, inc: u64) -> Bytes {
 }
 
 impl ClientInner {
-    /// Retire `stream`, producing its completion callback and response.
-    fn complete_stream(&mut self, stream: u32) -> Option<(DoneFn, Result<Response, MuxError>)> {
+    /// Retire `stream`: the request it carried is over.
+    fn complete_stream(&mut self, stream: u32) -> Option<Settled> {
         let s = self.active.remove(&stream)?;
-        let done = s.done?;
-        match s.head {
-            Some(mut resp) => {
-                resp.body = s.body.freeze();
-                Some((done, Ok(resp)))
-            }
-            // DATA before HEADERS: the peer is broken.
-            None => Some((done, Err(MuxError::Protocol))),
-        }
+        // DATA before HEADERS: the peer is broken, and the request lost.
+        let response = s.head.map(|mut resp| {
+            resp.body = s.body.freeze();
+            resp
+        });
+        Some((s.url, s.tag, response))
     }
 }
 
 struct ClientApp {
-    client: Weak<RefCell<ClientInner>>,
+    client: Weak<Shared<dyn MuxOwner>>,
 }
 
 impl SocketApp for ClientApp {
@@ -457,21 +401,17 @@ impl SocketApp for ClientApp {
         let client = MuxClient { inner };
         match ev {
             SocketEvent::Connected => {
-                let (wire, observer) = {
-                    let mut inner = client.inner.borrow_mut();
+                let wire = {
+                    let mut inner = client.inner.state.borrow_mut();
                     inner.connected = true;
-                    (inner.config.settings(), inner.observer.clone())
+                    inner.config.settings()
                 };
-                if let Some(obs) = observer {
-                    obs(StreamEvent::ConnReady, sim.now());
-                }
+                client.inner.owner.connected(sim);
                 handle.send(sim, wire);
                 client.pump(sim);
             }
             SocketEvent::Data(bytes) => client.on_data(sim, &bytes),
-            SocketEvent::PeerClosed | SocketEvent::Reset => {
-                client.fail_all(sim, MuxError::ConnectionClosed);
-            }
+            SocketEvent::PeerClosed | SocketEvent::Reset => client.fail_all(sim),
             // The client's writes (requests, WINDOW_UPDATEs) are small
             // and unpaced; drain edges carry no information for it.
             SocketEvent::SendQueueDrained => {}

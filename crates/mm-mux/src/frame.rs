@@ -28,7 +28,7 @@
 //! crate's property tests exercise by re-chunking encoded streams.
 
 use bytes::{Buf, Bytes, BytesMut};
-use mm_http::{Decimal, Header, HeaderMap, Method, Request, Response, Version};
+use mm_http::{Decimal, Header, HeaderMap, Method, Request, Response, Url, Version};
 
 /// Frame type codes (the HTTP/2 values, for familiarity).
 const TYPE_DATA: u8 = 0x0;
@@ -182,9 +182,28 @@ where
     })
 }
 
+/// The HEADERS frame opening `stream` with the GET for `url`, written
+/// from the URL's own text: pseudo-fields first, then the GET's fields
+/// ([`Url::get_fields`]) with `Host` elided in favour of `:authority`.
+/// A GET has no body, so the frame ends the stream.
+pub(crate) fn get_headers(stream: u32, priority: u8, url: &Url) -> Bytes {
+    let [host, accept] = url.get_fields();
+    write_headers(stream, true, priority, || {
+        [
+            (":method", Method::Get.as_str()),
+            (":path", url.target()),
+            (":authority", host.value),
+            (accept.name, accept.value),
+        ]
+        .into_iter()
+    })
+}
+
 /// The HEADERS frame opening `stream` with `req`: pseudo-fields first,
-/// Host elided in favour of `:authority` (its body travels as DATA).
-pub(crate) fn request_headers(stream: u32, end: bool, priority: u8, req: &Request) -> Bytes {
+/// Host elided in favour of `:authority`. The oracle [`get_headers`] is
+/// checked against.
+#[cfg(test)]
+fn request_headers(stream: u32, end: bool, priority: u8, req: &Request) -> Bytes {
     let authority = req.host().unwrap_or_default();
     write_headers(stream, end, priority, || {
         let pseudo = [
@@ -815,7 +834,47 @@ mod tests {
         (name, value)
     }
 
+    /// The request a mux client once took for `url`, built from copies of
+    /// the URL's parts: `Host` without the scheme's default port, and
+    /// `Accept`.
+    fn request_for(url: &Url) -> Request {
+        let (scheme, host, port) = (url.scheme(), url.host(), url.port());
+        let default = (scheme == "http" && port == 80) || (scheme == "https" && port == 443);
+        let host = if default {
+            host.to_string()
+        } else {
+            format!("{host}:{port}")
+        };
+        let mut req = Request::get(url.target().to_string(), host);
+        req.headers.append("Accept", "*/*");
+        req
+    }
+
     proptest! {
+        /// A GET's HEADERS written from the URL's own text are the bytes
+        /// of the request they replace.
+        #[test]
+        fn get_headers_written_from_a_url_are_the_request_they_replace(
+            https in any::<bool>(),
+            port in prop_oneof![
+                Just(None),
+                Just(Some(80u16)),
+                Just(Some(443u16)),
+                (1u16..=u16::MAX).prop_map(Some),
+            ],
+            host in "[a-z0-9]{1,8}(\\.[a-z0-9]{1,8}){0,3}",
+            path in "(/[a-zA-Z0-9._]{0,8}){0,4}",
+            query in (any::<bool>(), "[a-z0-9=&%._]{0,16}"),
+            (stream, priority) in (1u32..1000, 0u8..3),
+        ) {
+            let scheme = if https { "https" } else { "http" };
+            let port = port.map(|p| format!(":{p}")).unwrap_or_default();
+            let query = if query.0 { format!("?{}", query.1) } else { String::new() };
+            let url = Url::parse(&format!("{scheme}://{host}{port}{path}{query}")).unwrap();
+            let oracle = request_headers(stream, true, priority, &request_for(&url));
+            prop_assert_eq!(get_headers(stream, priority, &url), oracle);
+        }
+
         /// The borrowed writers put on the wire exactly the bytes the
         /// owned `Frame::Headers` encodes, so a frame built from a field
         /// list measures what the simulator sends.

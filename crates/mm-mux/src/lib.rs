@@ -32,7 +32,7 @@ pub mod flow;
 pub mod frame;
 pub mod server;
 
-pub use client::{MuxClient, MuxError, StreamEvent};
+pub use client::{MuxClient, MuxOwner};
 pub use frame::{DecodeError, Frame, FrameDecoder};
 pub use server::{MuxHandler, MuxResponder, MuxServerConn};
 

@@ -5,9 +5,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use mm_http::{Request, Response};
-use mm_mux::{MuxClient, MuxConfig, MuxError, MuxHandler, MuxResponder, MuxServerConn};
-use mm_net::{Host, IpAddr, Listener, Namespace, PacketIdGen, SocketAddr, SocketApp, TcpHandle};
+use mm_http::{Request, Response, Url};
+use mm_mux::{
+    Frame, FrameDecoder, MuxClient, MuxConfig, MuxHandler, MuxOwner, MuxResponder, MuxServerConn,
+};
+use mm_net::{
+    Host, IpAddr, Listener, Namespace, PacketIdGen, SocketAddr, SocketApp, SocketEvent, TcpHandle,
+};
 use mm_sim::{SimDuration, Simulator};
 
 /// Serves `/echo/<n>` with an `n`-byte body; tracks peak concurrency.
@@ -102,30 +106,49 @@ fn world(config: &MuxConfig, server_delay: SimDuration) -> World {
     }
 }
 
-type Results = Rc<RefCell<Vec<(String, Result<Response, MuxError>)>>>;
+/// Each settled request's path and response (`None`: lost), in the
+/// order they settled.
+type Results = Rc<RefCell<Vec<(String, Option<Response>)>>>;
 
-fn fetch(w: &mut World, client: &MuxClient, path: &str, priority: u8, out: &Results) {
-    let slot = out.clone();
-    let label = path.to_string();
-    client.request(
-        &mut w.sim,
-        Request::get(path, "10.0.0.1"),
-        priority,
-        0,
-        move |_sim, result| {
-            slot.borrow_mut().push((label, result));
-        },
-    );
+/// The test owner: records what settles.
+struct Recorder(Results);
+
+impl MuxOwner for Recorder {
+    fn settled(&self, _sim: &mut Simulator, url: Url, _tag: u32, response: Option<Response>) {
+        self.0
+            .borrow_mut()
+            .push((url.target().to_string(), response));
+    }
+}
+
+/// A client of `addr` whose settled requests land in the results.
+fn connect_to(w: &mut World, addr: SocketAddr, cfg: MuxConfig) -> (MuxClient, Results) {
+    let out: Results = Rc::default();
+    let client = MuxClient::connect(&mut w.sim, &w.client_host, addr, cfg, Recorder(out.clone()));
+    (client, out)
+}
+
+fn connect(w: &mut World, cfg: MuxConfig) -> (MuxClient, Results) {
+    let addr = w.server_addr;
+    connect_to(w, addr, cfg)
+}
+
+/// The server's URL for `path`.
+fn url(path: &str) -> Url {
+    Url::parse(&format!("http://10.0.0.1{path}")).expect("a test URL")
+}
+
+fn fetch(w: &mut World, client: &MuxClient, path: &str, priority: u8) {
+    client.request(&mut w.sim, url(path), priority, 0);
 }
 
 #[test]
 fn many_streams_one_connection() {
     let cfg = MuxConfig::default();
     let mut w = world(&cfg, SimDuration::ZERO);
-    let client = MuxClient::connect(&mut w.sim, &w.client_host, w.server_addr, cfg);
-    let out: Results = Rc::new(RefCell::new(Vec::new()));
+    let (client, out) = connect(&mut w, cfg);
     for i in 0..20 {
-        fetch(&mut w, &client, &format!("/echo/{}", 100 + i), 1, &out);
+        fetch(&mut w, &client, &format!("/echo/{}", 100 + i), 1);
     }
     w.sim.run();
     let results = out.borrow();
@@ -153,10 +176,9 @@ fn concurrent_streams_capped() {
     };
     // Server think time keeps streams open long enough to overlap.
     let mut w = world(&cfg, SimDuration::from_millis(50));
-    let client = MuxClient::connect(&mut w.sim, &w.client_host, w.server_addr, cfg);
-    let out: Results = Rc::new(RefCell::new(Vec::new()));
+    let (client, out) = connect(&mut w, cfg);
     for _ in 0..12 {
-        fetch(&mut w, &client, "/echo/64", 1, &out);
+        fetch(&mut w, &client, "/echo/64", 1);
     }
     assert_eq!(
         client.queued_requests(),
@@ -177,13 +199,12 @@ fn priority_jumps_the_queue() {
         ..MuxConfig::default()
     };
     let mut w = world(&cfg, SimDuration::from_millis(10));
-    let client = MuxClient::connect(&mut w.sim, &w.client_host, w.server_addr, cfg);
-    let out: Results = Rc::new(RefCell::new(Vec::new()));
+    let (client, out) = connect(&mut w, cfg);
     // Three subresources queued first, then the "root" at priority 0.
-    fetch(&mut w, &client, "/echo/8", 1, &out);
-    fetch(&mut w, &client, "/echo/9", 1, &out);
-    fetch(&mut w, &client, "/echo/10", 1, &out);
-    fetch(&mut w, &client, "/root", 0, &out);
+    fetch(&mut w, &client, "/echo/8", 1);
+    fetch(&mut w, &client, "/echo/9", 1);
+    fetch(&mut w, &client, "/echo/10", 1);
+    fetch(&mut w, &client, "/root", 0);
     w.sim.run();
     let order: Vec<String> = out.borrow().iter().map(|(p, _)| p.clone()).collect();
     // One stream at a time, so completion order == dispatch order; the
@@ -202,9 +223,8 @@ fn large_body_flow_controlled() {
         ..MuxConfig::default()
     };
     let mut w = world(&cfg, SimDuration::ZERO);
-    let client = MuxClient::connect(&mut w.sim, &w.client_host, w.server_addr, cfg);
-    let out: Results = Rc::new(RefCell::new(Vec::new()));
-    fetch(&mut w, &client, "/echo/200000", 1, &out);
+    let (client, out) = connect(&mut w, cfg);
+    fetch(&mut w, &client, "/echo/200000", 1);
     w.sim.run();
     let results = out.borrow();
     let resp = results[0].1.as_ref().expect("completed");
@@ -223,10 +243,9 @@ fn two_streams_interleave_under_tiny_frames() {
         ..MuxConfig::default()
     };
     let mut w = world(&cfg, SimDuration::ZERO);
-    let client = MuxClient::connect(&mut w.sim, &w.client_host, w.server_addr, cfg);
-    let out: Results = Rc::new(RefCell::new(Vec::new()));
-    fetch(&mut w, &client, "/echo/50000", 1, &out);
-    fetch(&mut w, &client, "/echo/50000", 1, &out);
+    let (client, out) = connect(&mut w, cfg);
+    fetch(&mut w, &client, "/echo/50000", 1);
+    fetch(&mut w, &client, "/echo/50000", 1);
     w.sim.run();
     let results = out.borrow();
     assert_eq!(results.len(), 2);
@@ -241,17 +260,16 @@ fn refused_connection_fails_requests() {
     let mut w = world(&cfg, SimDuration::ZERO);
     // Port 81 has no listener: the SYN is refused with RST.
     let addr = SocketAddr::new(IpAddr::new(10, 0, 0, 1), 81);
-    let client = MuxClient::connect(&mut w.sim, &w.client_host, addr, cfg);
-    let out: Results = Rc::new(RefCell::new(Vec::new()));
-    fetch(&mut w, &client, "/echo/1", 1, &out);
+    let (client, out) = connect_to(&mut w, addr, cfg);
+    fetch(&mut w, &client, "/echo/1", 1);
     w.sim.run();
     assert!(client.is_dead());
     let results = out.borrow();
     assert_eq!(results.len(), 1);
-    assert_eq!(results[0].1, Err(MuxError::ConnectionClosed));
+    assert_eq!(results[0].1, None, "the request was lost");
     // Requests after death fail immediately, too.
     drop(results);
-    fetch(&mut w, &client, "/echo/2", 1, &out);
+    fetch(&mut w, &client, "/echo/2", 1);
     assert_eq!(out.borrow().len(), 2);
 }
 
@@ -260,16 +278,9 @@ fn deterministic_across_runs() {
     let run = || {
         let cfg = MuxConfig::default();
         let mut w = world(&cfg, SimDuration::from_millis(5));
-        let client = MuxClient::connect(&mut w.sim, &w.client_host, w.server_addr, cfg);
-        let out: Results = Rc::new(RefCell::new(Vec::new()));
+        let (client, _out) = connect(&mut w, cfg);
         for i in 0..10 {
-            fetch(
-                &mut w,
-                &client,
-                &format!("/echo/{}", 1000 * (i + 1)),
-                1,
-                &out,
-            );
+            fetch(&mut w, &client, &format!("/echo/{}", 1000 * (i + 1)), 1);
         }
         w.sim.run();
         w.sim.now()
@@ -290,9 +301,8 @@ fn mismatched_connection_windows_negotiate() {
         ..MuxConfig::default()
     };
     let mut w = world(&server_cfg, SimDuration::ZERO);
-    let client = MuxClient::connect(&mut w.sim, &w.client_host, w.server_addr, client_cfg);
-    let out: Results = Rc::new(RefCell::new(Vec::new()));
-    fetch(&mut w, &client, "/echo/500000", 1, &out);
+    let (client, out) = connect(&mut w, client_cfg);
+    fetch(&mut w, &client, "/echo/500000", 1);
     w.sim.run();
     let results = out.borrow();
     let resp = results[0].1.as_ref().expect("completed despite mismatch");
@@ -306,9 +316,8 @@ fn mismatched_connection_windows_negotiate() {
 fn events_for_a_dropped_client_are_ignored() {
     let cfg = MuxConfig::default();
     let mut w = world(&cfg, SimDuration::from_millis(5));
-    let client = MuxClient::connect(&mut w.sim, &w.client_host, w.server_addr, cfg);
-    let out: Results = Rc::new(RefCell::new(Vec::new()));
-    fetch(&mut w, &client, "/echo/50000", 1, &out);
+    let (client, out) = connect(&mut w, cfg);
+    fetch(&mut w, &client, "/echo/50000", 1);
     // Handshake done and the request out; the server is thinking.
     w.sim.run_until(mm_sim::Timestamp::from_millis(2));
     assert_eq!(client.active_streams(), 1);
@@ -334,16 +343,15 @@ fn a_responder_that_outlives_its_connection_writes_nothing() {
         server_addr,
         in_flight,
     } = world(&cfg, SimDuration::from_millis(5));
-    let client = MuxClient::connect(&mut sim, &client_host, server_addr, cfg);
-    let out: Results = Rc::new(RefCell::new(Vec::new()));
-    let slot = out.clone();
-    client.request(
+    let out: Results = Rc::default();
+    let client = MuxClient::connect(
         &mut sim,
-        Request::get("/echo/50000", "10.0.0.1"),
-        1,
-        0,
-        move |_sim, result| slot.borrow_mut().push(("/echo/50000".to_string(), result)),
+        &client_host,
+        server_addr,
+        cfg,
+        Recorder(out.clone()),
     );
+    client.request(&mut sim, url("/echo/50000"), 1, 0);
     sim.run_until(mm_sim::Timestamp::from_millis(2));
     assert_eq!(in_flight.borrow().0, 1, "the handler holds a responder");
     drop(server);
@@ -352,5 +360,82 @@ fn a_responder_that_outlives_its_connection_writes_nothing() {
     // Nothing was written, so the client (its request long acknowledged)
     // is still waiting.
     assert!(out.borrow().is_empty());
+    assert_eq!(client.active_streams(), 1);
+}
+
+/// A server that answers the client's first bytes with SETTINGS and
+/// 12 KiB of DATA on stream 99, which the client never opened, and keeps
+/// every byte the client sends.
+#[derive(Clone)]
+struct StrayData {
+    heard: Rc<RefCell<Vec<u8>>>,
+}
+
+impl Listener for StrayData {
+    fn on_connection(&self, _sim: &mut Simulator, _h: TcpHandle) -> Rc<dyn SocketApp> {
+        Rc::new(self.clone())
+    }
+}
+
+impl SocketApp for StrayData {
+    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
+        let SocketEvent::Data(bytes) = ev else {
+            return;
+        };
+        let first = self.heard.borrow().is_empty();
+        self.heard.borrow_mut().extend_from_slice(&bytes);
+        if first {
+            let settings = Frame::Settings {
+                max_concurrent_streams: 32,
+                initial_window: 1 << 16,
+                connection_window: 1 << 16,
+            };
+            let stray = Frame::Data {
+                stream: 99,
+                end_stream: false,
+                payload: Bytes::from(vec![0u8; 12 * 1024]),
+            };
+            h.send(sim, settings.encode());
+            h.send(sim, stray.encode());
+        }
+    }
+}
+
+/// DATA on a stream the client does not know still counts against the
+/// connection window (RFC 9113 §6.9): with a 16 KiB window, 12 KiB of
+/// it earn the server a connection WINDOW_UPDATE. Were it dropped
+/// uncounted, the window would shrink for good and later streams wedge.
+#[test]
+fn stray_data_is_credited_to_the_connection_window() {
+    let mut sim = Simulator::new();
+    let ns = Namespace::root("mux-stray");
+    let ids = PacketIdGen::new();
+    let server = Host::new_in(IpAddr::new(10, 0, 0, 1), ids.clone(), &ns);
+    let client_host = Host::new_in(IpAddr::new(10, 0, 0, 2), ids, &ns);
+    let heard = Rc::new(RefCell::new(Vec::new()));
+    server.listen(
+        80,
+        Rc::new(StrayData {
+            heard: heard.clone(),
+        }),
+    );
+    let cfg = MuxConfig {
+        connection_window: 16 * 1024,
+        ..MuxConfig::default()
+    };
+    let out: Results = Rc::default();
+    let addr = SocketAddr::new(IpAddr::new(10, 0, 0, 1), 80);
+    let client = MuxClient::connect(&mut sim, &client_host, addr, cfg, Recorder(out.clone()));
+    client.request(&mut sim, url("/never/answered"), 1, 0);
+    sim.run_until(mm_sim::Timestamp::from_millis(100));
+    let sent = FrameDecoder::new()
+        .feed(&heard.borrow())
+        .expect("the client's bytes decode");
+    let update = Frame::WindowUpdate {
+        stream: 0,
+        increment: 12 * 1024,
+    };
+    assert!(sent.contains(&update), "the client sent only {sent:?}");
+    assert!(!client.is_dead() && out.borrow().is_empty());
     assert_eq!(client.active_streams(), 1);
 }

@@ -23,16 +23,16 @@ use mahimahi::fleet::{run_fleet, CcMix, FleetSpec};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
 use mahimahi::soak::{run_soak, SoakSpec};
 use mm_audit::Auditor;
-use mm_browser::{MuxConfig, ProtocolMode};
+use mm_browser::{Browser, BrowserConfig, MuxConfig, ProtocolMode, Resolver};
 use mm_capture::Capture;
-use mm_http::{write_response, Request, Response};
+use mm_http::{write_response, Request, Response, Url};
 use mm_metrics::{FlowTracer, MetricsHandle, Registry, RegistrySink};
 use mm_net::{
     Host, IpAddr, Listener, Namespace, PacketIdGen, RecoveryTier, SocketAddr, SocketApp,
     SocketEvent, TcpConfig, TcpHandle,
 };
 use mm_record::{fetch_via, RecordShell, StoredSite};
-use mm_replay::{ReplayConfig, ReplayShell};
+use mm_replay::{ReplayConfig, ReplayShell, ServerProtocol};
 use mm_shells::{DropTail, Qdisc, QueueLimit, ShellStack};
 use mm_sim::{RngStream, SimDuration, Simulator, Timestamp};
 use mm_trace::{cellular, constant_rate, CellularParams, TraceBuffer};
@@ -437,6 +437,44 @@ fn world_stopped_while_its_server_thinks_is_freed() {
         let reply = fetch_via(&mut sim, &client, addr, root.request.clone());
         sim.run_until(Timestamp::from_millis(30));
         assert!(reply.borrow().is_empty(), "the answer is still due");
+    });
+}
+
+/// A mux page load stopped while its replay server thinks: the browser
+/// holds its pool's mux client and the client its owner, which refers
+/// back to the browser weakly, so dropping the browser frees the load.
+#[test]
+fn mux_page_load_stopped_mid_load_is_freed() {
+    let site = small_site();
+    assert_frees_its_worlds("mux page load stopped mid-load", || {
+        let mut sim = Simulator::new();
+        let ns = Namespace::root("mux-stopped");
+        let ids = PacketIdGen::new();
+        let mux = MuxConfig::default();
+        let config = ReplayConfig {
+            think_time: SimDuration::from_millis(50),
+            protocol: ServerProtocol::Mux(mux.clone()),
+            ..ReplayConfig::default()
+        };
+        let shell = Rc::new(ReplayShell::new(&ns, &site, config, &ids));
+        let host = Host::new_in(IpAddr::new(100, 64, 0, 2), ids, &ns);
+        let resolver: Resolver = Rc::new(move |url: &Url| {
+            let ip: IpAddr = url.host().parse().ok()?;
+            Some(shell.resolve(SocketAddr::new(ip, url.port())))
+        });
+        let browser = Browser::new(
+            host,
+            resolver,
+            BrowserConfig {
+                protocol: ProtocolMode::Mux(mux),
+                ..BrowserConfig::default()
+            },
+        );
+        let done = Rc::new(Cell::new(false));
+        let flag = done.clone();
+        browser.navigate(&mut sim, &site.root_url, move |_, _| flag.set(true));
+        sim.run_until(Timestamp::from_millis(30));
+        assert!(!done.get(), "the load is still running");
     });
 }
 
