@@ -11,8 +11,9 @@
 //! - a baseline metric key that disappeared from the candidate
 //!   (renames must update the committed baseline in the same change),
 //! - a paired-median regression: a `*_median_ms` key whose candidate
-//!   value exceeds baseline by more than 25% (`THRESHOLD_PCT`),
-//!   checked only when `seed` and `sites` match — medians from
+//!   value exceeds baseline by more than 25% (`THRESHOLD_PCT`), or is
+//!   `null` (a NaN or infinite median) where the baseline's is finite —
+//!   checked only when `seed` and `sites` match, since medians from
 //!   different scales are not comparable.
 //!
 //! New candidate keys and improvements are reported but never fail the
@@ -62,8 +63,59 @@ fn parse_bench(text: &str) -> BenchFile {
     }
 }
 
-fn load(path: &Path) -> Option<BenchFile> {
-    std::fs::read_to_string(path).ok().map(|t| parse_bench(&t))
+/// Compare one baseline BENCH file's text with its candidate's: the
+/// report lines, and whether the file fails the gate.
+fn compare(name: &str, base: &str, cand: &str) -> (Vec<String>, bool) {
+    let (base, cand) = (parse_bench(base), parse_bench(cand));
+    let mut lines = Vec::new();
+    let mut failed = false;
+    for key in base.metrics.keys() {
+        if !cand.metrics.contains_key(key) {
+            lines.push(format!("FAIL {name}: key {key:?} disappeared"));
+            failed = true;
+        }
+    }
+    if base.seed != cand.seed || base.sites != cand.sites {
+        lines.push(format!(
+            "skip {name}: medians not compared (seed/sites differ: \
+             baseline {:?}/{:?}, candidate {:?}/{:?})",
+            base.seed, base.sites, cand.seed, cand.sites
+        ));
+    } else {
+        for (key, bval) in &base.metrics {
+            if !key.ends_with("_median_ms") || !bval.is_finite() || *bval <= 0.0 {
+                continue;
+            }
+            let Some(&cval) = cand.metrics.get(key) else {
+                continue;
+            };
+            // `write_bench_json` writes a NaN or infinite value as null.
+            if !cval.is_finite() {
+                lines.push(format!(
+                    "FAIL {name}: {key} became null ({bval:.1} ms -> {cval})"
+                ));
+                failed = true;
+                continue;
+            }
+            let pct = (cval - bval) / bval * 100.0;
+            if pct > THRESHOLD_PCT {
+                lines.push(format!(
+                    "FAIL {name}: {key} regressed {pct:+.1}% \
+                     ({bval:.1} ms -> {cval:.1} ms, threshold {THRESHOLD_PCT}%)"
+                ));
+                failed = true;
+            } else if pct < -THRESHOLD_PCT {
+                lines.push(format!(
+                    "note {name}: {key} improved {pct:+.1}% \
+                     ({bval:.1} ms -> {cval:.1} ms)"
+                ));
+            }
+        }
+    }
+    if !failed {
+        lines.push(format!("ok   {name}"));
+    }
+    (lines, failed)
 }
 
 fn main() -> ExitCode {
@@ -95,58 +147,21 @@ fn main() -> ExitCode {
         // A listed file can still fail to read (permissions, races);
         // name it instead of panicking.
         let base_path = Path::new(baseline_dir).join(name);
-        let Some(base) = load(&base_path) else {
+        let Ok(base) = std::fs::read_to_string(&base_path) else {
             println!("FAIL {name}: cannot read baseline {}", base_path.display());
             failures += 1;
             continue;
         };
-        let Some(cand) = load(&Path::new(candidate_dir).join(name)) else {
+        let Ok(cand) = std::fs::read_to_string(Path::new(candidate_dir).join(name)) else {
             println!("FAIL {name}: candidate file missing");
             failures += 1;
             continue;
         };
-        let mut file_fail = false;
-        for key in base.metrics.keys() {
-            if !cand.metrics.contains_key(key) {
-                println!("FAIL {name}: key {key:?} disappeared");
-                file_fail = true;
-            }
+        let (lines, failed) = compare(name, &base, &cand);
+        for line in lines {
+            println!("{line}");
         }
-        let comparable = base.seed == cand.seed && base.sites == cand.sites;
-        if !comparable {
-            println!(
-                "skip {name}: medians not compared (seed/sites differ: \
-                 baseline {:?}/{:?}, candidate {:?}/{:?})",
-                base.seed, base.sites, cand.seed, cand.sites
-            );
-        } else {
-            for (key, bval) in &base.metrics {
-                if !key.ends_with("_median_ms") || !bval.is_finite() || *bval <= 0.0 {
-                    continue;
-                }
-                let Some(cval) = cand.metrics.get(key).filter(|v| v.is_finite()) else {
-                    continue;
-                };
-                let pct = (cval - bval) / bval * 100.0;
-                if pct > THRESHOLD_PCT {
-                    println!(
-                        "FAIL {name}: {key} regressed {pct:+.1}% \
-                         ({bval:.1} ms -> {cval:.1} ms, threshold {THRESHOLD_PCT}%)"
-                    );
-                    file_fail = true;
-                } else if pct < -THRESHOLD_PCT {
-                    println!(
-                        "note {name}: {key} improved {pct:+.1}% \
-                         ({bval:.1} ms -> {cval:.1} ms)"
-                    );
-                }
-            }
-        }
-        if file_fail {
-            failures += 1;
-        } else {
-            println!("ok   {name}");
-        }
+        failures += usize::from(failed);
     }
     if failures > 0 {
         println!("benchdiff: {failures}/{} bench file(s) failed", names.len());
@@ -154,5 +169,86 @@ fn main() -> ExitCode {
     } else {
         println!("benchdiff: all {} bench file(s) within bounds", names.len());
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::compare;
+
+    /// A BENCH file as `write_bench_json` writes it, at `sites` sites.
+    fn bench(sites: u32, metrics: &[(&str, &str)]) -> String {
+        let mut out = format!("{{\n  \"bench\": \"x\",\n  \"seed\": 2014,\n  \"sites\": {sites}");
+        for (key, value) in metrics {
+            out.push_str(&format!(",\n  \"{key}\": {value}"));
+        }
+        out + "\n}\n"
+    }
+
+    const BASE: &[(&str, &str)] = &[("a_median_ms", "100.000"), ("a_p95_ms", "200.000")];
+
+    #[test]
+    fn an_unchanged_file_passes() {
+        let (lines, failed) = compare("f", &bench(2, BASE), &bench(2, BASE));
+        assert!(!failed);
+        assert_eq!(lines, ["ok   f"]);
+    }
+
+    #[test]
+    fn a_vanished_key_fails() {
+        let cand = bench(2, &[("a_median_ms", "100.000")]);
+        let (lines, failed) = compare("f", &bench(2, BASE), &cand);
+        assert!(failed);
+        assert_eq!(lines, ["FAIL f: key \"a_p95_ms\" disappeared"]);
+    }
+
+    #[test]
+    fn a_median_that_became_null_fails() {
+        let cand = bench(2, &[("a_median_ms", "null"), ("a_p95_ms", "200.000")]);
+        let (lines, failed) = compare("f", &bench(2, BASE), &cand);
+        assert!(failed);
+        assert_eq!(lines, ["FAIL f: a_median_ms became null (100.0 ms -> NaN)"]);
+    }
+
+    #[test]
+    fn a_regression_over_the_threshold_fails() {
+        let cand = bench(2, &[("a_median_ms", "125.100"), ("a_p95_ms", "200.000")]);
+        let (lines, failed) = compare("f", &bench(2, BASE), &cand);
+        assert!(failed);
+        assert_eq!(
+            lines,
+            ["FAIL f: a_median_ms regressed +25.1% (100.0 ms -> 125.1 ms, threshold 25%)"]
+        );
+        let cand = bench(2, &[("a_median_ms", "125.000"), ("a_p95_ms", "200.000")]);
+        assert!(!compare("f", &bench(2, BASE), &cand).1);
+    }
+
+    #[test]
+    fn an_improvement_is_noted_and_passes() {
+        let cand = bench(2, &[("a_median_ms", "50.000"), ("a_p95_ms", "200.000")]);
+        let (lines, failed) = compare("f", &bench(2, BASE), &cand);
+        assert!(!failed);
+        assert_eq!(
+            lines,
+            [
+                "note f: a_median_ms improved -50.0% (100.0 ms -> 50.0 ms)",
+                "ok   f"
+            ]
+        );
+    }
+
+    #[test]
+    fn medians_at_another_scale_are_not_compared() {
+        let cand = bench(4, &[("a_median_ms", "null"), ("a_p95_ms", "200.000")]);
+        let (lines, failed) = compare("f", &bench(2, BASE), &cand);
+        assert!(!failed);
+        assert_eq!(
+            lines,
+            [
+                "skip f: medians not compared (seed/sites differ: \
+                 baseline Some(2014.0)/Some(2.0), candidate Some(2014.0)/Some(4.0))",
+                "ok   f"
+            ]
+        );
     }
 }

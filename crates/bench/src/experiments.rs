@@ -12,7 +12,7 @@ use mm_trace::constant_rate;
 use mm_web::{HostProfile, LiveWebConfig};
 
 use crate::parallel::parallel_map;
-use crate::sweep::{FIGBBR_QDISCS, FIGCELL_DELAY_MS};
+use crate::sweep::FIGCELL_DELAY_MS;
 
 /// E1/E6 — Figure 2: PLT CDFs for bare ReplayShell, ReplayShell inside
 /// DelayShell 0 ms, and ReplayShell inside LinkShell at 1000 Mbit/s.
@@ -249,6 +249,14 @@ pub const FIGSHARE_UP_MBPS: f64 = 12.0;
 /// Users arrive staggered across this window.
 pub(crate) const FIGSHARE_ARRIVAL_WINDOW_MS: u64 = 2_000;
 
+/// The swept queue disciplines of the shared bottleneck: a bounded
+/// device buffer, a deep bufferbloat buffer and the AQM answer.
+const FIGSHARE_QDISCS: &[(&str, QdiscKind)] = &[
+    ("droptail32", QdiscKind::DropTailPackets(32)),
+    ("droptail256", QdiscKind::DropTailPackets(256)),
+    ("codel", QdiscKind::Codel),
+];
+
 /// The swept CC population mixes.
 pub fn figshare_mixes() -> Vec<mahimahi::fleet::CcMix> {
     use mahimahi::fleet::CcMix;
@@ -297,7 +305,7 @@ pub fn figshare(n: usize, smoke: bool, seed: u64) -> FigShareResult {
     }
     let mut grid = Vec::new();
     for &n_users in &populations {
-        for &(qdisc_name, qdisc) in FIGBBR_QDISCS {
+        for &(qdisc_name, qdisc) in FIGSHARE_QDISCS {
             for mix in figshare_mixes() {
                 for protocol in ["http1", "mux"] {
                     if smoke

@@ -1,5 +1,5 @@
-//! The paired-arm sweeps — table2, figmux, figcell, figrack, figbbr — as
-//! five tables over one engine.
+//! The paired-arm sweeps — table2, figmux, figcell — as three tables
+//! over one engine.
 //!
 //! Each loads every site of every network **cell** once per **arm** — a
 //! (protocol, congestion control, recovery tier, replay mode)
@@ -15,9 +15,9 @@
 //!
 //! A load depends only on (cell, arm configuration, site index, seed),
 //! so an arm two tables share yields the same per-site PLTs in both:
-//! Table 2's `multi` is figmux's `http1`; figcell's `mux`/`mux_sack` are
-//! figrack's `reno`/`sack` are figbbr's `reno_reno`/`reno_sack`, cell
-//! for cell (`tests/cellular_sweeps.rs` holds that relation).
+//! Table 2's `multi` is figmux's `http1`, cell for cell
+//! (`tests/cellular_sweeps.rs` holds that relation). The one cellular
+//! table, [`FIGCELL`], loads each (cell, arm) pair once.
 
 use mahimahi::browser::{MuxConfig, ProtocolMode};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
@@ -307,125 +307,52 @@ columns are one-way delays: the RTT is twice the label.",
 }
 .checked();
 
-/// E8 — figcell: does modern (SACK) loss recovery restore the
-/// multiplexing win under loss? Multiplexing concentrates a page onto
-/// one connection, so one loss event stalls everything. The sweep
-/// crosses cellular regime × queue discipline × protocol × SACK,
-/// loading every site under all four (protocol, recovery) arms.
+/// E8 — figcell, the one cellular table: page loads over cellular
+/// regime × queue discipline × protocol × congestion control × loss
+/// recovery. Every arm without an `http1` prefix runs mux, its label
+/// `<cc>_<tier>`; every site is loaded once per (cell, arm), and the
+/// table answers three questions from the same loads.
+///
+/// Does modern (SACK) loss recovery restore the multiplexing win under
+/// loss? Multiplexing concentrates a page onto one connection, so one
+/// loss event stalls everything (`mux_sack_speedup_pct`,
+/// `http1_sack_speedup_pct`, `mux_vs_http1_sack_pct`).
+///
+/// Does time-based loss detection (RACK-TLP + F-RTO,
+/// `RecoveryTier::RackTlp`) fix the CoDel cells, where SACK did not pay?
+/// AQM keeps queues short, so recovery *speed* buys little, and without
+/// spurious-RTO detection the RTO tail — and its unrecoverable backoff —
+/// dominates serial mux chains. SACK is the baseline the RACK-TLP
+/// columns must not fall below (`racktlp_speedup_pct`,
+/// `racktlp_vs_sack_pct`).
+///
+/// Congestion control × buffer depth: does a sender that never causes
+/// the damage (delivery-rate model + pacing, `CcAlgorithm::Bbr`) beat
+/// loss-based CC where the damage is worst (deep droptail buffers),
+/// without giving back the AQM column, and how does CUBIC (the era's
+/// Linux default) interact with the recovery tiers? The CC columns hold
+/// recovery at the RACK-TLP tier (`bbr_vs_reno_pct`, `cubic_vs_reno_pct`,
+/// `bbr_vs_cubic_pct`).
 pub const FIGCELL: Sweep = Sweep {
-    title: "figcell — protocol × recovery over cellular traces",
+    title: "figcell — protocol × CC × recovery × buffer depth over cellular traces",
     // Infinite droptail is the paper's configuration (no loss, deep
     // bufferbloat); 32-packet droptail models a bounded device buffer
     // (loss under bursts — where loss recovery matters); CoDel is the
-    // AQM answer.
+    // AQM answer; 256 packets ≈ several seconds at cellular rates, the
+    // bufferbloat regime where a loss-based sender must fill the whole
+    // queue before it learns anything and a model-based one should
+    // never build the queue at all. It comes last so the first three
+    // cells of a regime keep their order.
     grid: Grid::Cellular(&[
         ("inf-droptail", QdiscKind::Infinite),
         ("droptail32", QdiscKind::DropTailPackets(32)),
         ("codel", QdiscKind::Codel),
+        ("droptail256", QdiscKind::DropTailPackets(256)),
     ]),
     arms: &[
         arm("http1", Http1, Cc::Reno, Tier::Reno),
         arm("http1_sack", Http1, Cc::Reno, Tier::Sack),
-        arm("mux", Mux, Cc::Reno, Tier::Reno),
-        arm("mux_sack", Mux, Cc::Reno, Tier::Sack),
-    ],
-    columns: &[
-        Plt(0),
-        Plt(1),
-        Plt(2),
-        Plt(3),
-        // The experiment's headline number.
-        paired("mux_sack_speedup_pct", 2, 3),
-        paired("http1_sack_speedup_pct", 0, 1),
-        paired("mux_vs_http1_sack_pct", 1, 3),
-    ],
-    legend: "\
-mux_sack_speedup_pct   = median per-site paired speedup of SACK over NewReno under mux;
-http1_sack_speedup_pct = the same pairing for the HTTP/1.1 pool (positive = SACK faster);
-mux_vs_http1_sack_pct  = mux+SACK over HTTP/1.1+SACK.",
-}
-.checked();
-
-/// E9 — figrack: does modern time-based loss detection (RACK-TLP +
-/// F-RTO, `RecoveryTier::RackTlp`) fix the cells where plain SACK did
-/// not pay? The figcell sweep left an honest mixed result under CoDel
-/// (0%, −23%, +5% across cellular regimes): AQM keeps queues short, so
-/// recovery *speed* buys little, and without spurious-RTO detection the
-/// RTO tail — and its unrecoverable backoff — dominates serial mux
-/// chains. figrack reruns the cellular regimes over the two
-/// loss-producing qdiscs with the recovery *tier* as the swept axis,
-/// under the mux protocol. Its `reno` and `sack` arms are figcell's
-/// `mux` and `mux_sack`, so `sack_speedup_pct` reproduces figcell's
-/// `mux_sack_speedup_pct` — the SACK baseline the RackTlp columns must
-/// not fall below.
-pub const FIGRACK: Sweep = Sweep {
-    title: "figrack — recovery tier × qdisc over cellular traces, mux protocol",
-    // Infinite droptail never drops, so recovery tiers cannot differ
-    // there beyond outage-RTO tails figcell already measures.
-    grid: Grid::Cellular(&[
-        ("droptail32", QdiscKind::DropTailPackets(32)),
-        ("codel", QdiscKind::Codel),
-    ]),
-    arms: &[
-        arm("reno", Mux, Cc::Reno, Tier::Reno),
-        arm("sack", Mux, Cc::Reno, Tier::Sack),
-        arm("racktlp", Mux, Cc::Reno, Tier::RackTlp),
-        // The arm that exercises CUBIC's F-RTO `on_spurious_timeout`
-        // undo in an experiment, not just unit tests.
-        arm("cubic_racktlp", Mux, Cc::Cubic, Tier::RackTlp),
-    ],
-    columns: &[
-        Plt(0),
-        Plt(1),
-        Plt(2),
-        paired("sack_speedup_pct", 0, 1),
-        paired("racktlp_speedup_pct", 0, 2),
-        paired("racktlp_vs_sack_pct", 1, 2),
-        // The CUBIC-CC arm rides after the original columns so the
-        // pre-existing keys keep their values and relative order.
-        Plt(3),
-        paired("cubic_vs_reno_cc_pct", 2, 3),
-    ],
-    legend: "\
-sack_speedup_pct     = median per-site paired speedup of SACK over NewReno
-                       (figcell's mux_sack_speedup_pct, reproduced cell for cell);
-racktlp_speedup_pct  = the same pairing for RACK-TLP + F-RTO over NewReno;
-racktlp_vs_sack_pct  = RACK-TLP over SACK (positive = the time-based machinery pays);
-cubic_vs_reno_cc_pct = CUBIC over Reno congestion control, both at the racktlp tier
-                       (every other column runs Reno CC).",
-}
-.checked();
-
-/// figbbr's queue disciplines, which the figshare fleets sweep too.
-pub(crate) const FIGBBR_QDISCS: &[(&str, QdiscKind)] = &[
-    ("droptail32", QdiscKind::DropTailPackets(32)),
-    ("droptail256", QdiscKind::DropTailPackets(256)),
-    ("codel", QdiscKind::Codel),
-];
-
-/// E10 — figbbr: the buffer sweep for model-based congestion control.
-/// The figcell/figrack story is loss-*recovery*: how fast a loss-based
-/// sender repairs the damage its own bursts cause. figbbr asks the
-/// question one layer down — does a sender that never causes the damage
-/// (delivery-rate model + pacing, `CcAlgorithm::Bbr`) beat loss-based
-/// CC where the damage is worst (deep droptail buffers), without giving
-/// back the AQM column, and how does CUBIC (the era's Linux default,
-/// previously unswept — ROADMAP's open question) slot in? The sweep
-/// crosses the cellular regimes × {droptail32, droptail256, CoDel} ×
-/// CC {Reno, Cubic, Bbr} × the full recovery-tier ladder (CUBIC ×
-/// recovery interactions are half the experiment's point), under mux.
-/// Its `reno_*` and `cubic_racktlp` arms are figrack's four, so over
-/// droptail32/CoDel those columns reproduce figrack's cell for cell.
-pub const FIGBBR: Sweep = Sweep {
-    title: "figbbr — CC × recovery × buffer depth over cellular traces, mux protocol",
-    // figrack's two loss-producing qdiscs plus a *deep* bounded buffer —
-    // 256 packets ≈ several seconds at cellular rates, the bufferbloat
-    // regime where a loss-based sender must fill the whole queue before
-    // it learns anything and a model-based one should never build the
-    // queue at all.
-    grid: Grid::Cellular(FIGBBR_QDISCS),
-    // `<cc>_<tier>`, cc-major.
-    arms: &[
+        // Mux, `<cc>_<tier>`, cc-major.
         arm("reno_reno", Mux, Cc::Reno, Tier::Reno),
         arm("reno_sack", Mux, Cc::Reno, Tier::Sack),
         arm("reno_racktlp", Mux, Cc::Reno, Tier::RackTlp),
@@ -441,22 +368,36 @@ pub const FIGBBR: Sweep = Sweep {
         Plt(1),
         Plt(2),
         Plt(3),
+        paired("mux_sack_speedup_pct", 2, 3),
+        paired("http1_sack_speedup_pct", 0, 1),
+        paired("mux_vs_http1_sack_pct", 1, 3),
         Plt(4),
         Plt(5),
         Plt(6),
         Plt(7),
         Plt(8),
-        // The headline: model-based pacing vs loss-based CC with
-        // recovery held at the modern tier.
-        paired("bbr_vs_reno_pct", 2, 8),
-        paired("cubic_vs_reno_pct", 2, 5),
-        paired("bbr_vs_cubic_pct", 5, 8),
+        Plt(9),
+        Plt(10),
+        paired("racktlp_speedup_pct", 2, 4),
+        paired("racktlp_vs_sack_pct", 3, 4),
+        paired("bbr_vs_reno_pct", 4, 10),
+        paired("cubic_vs_reno_pct", 4, 7),
+        paired("bbr_vs_cubic_pct", 7, 10),
     ],
     legend: "\
-bbr_vs_reno_pct = median per-site paired speedup of BBR (paced, model-based) over
-                  Reno CC, recovery held at the racktlp tier; cubic_vs_reno_pct and
-                  bbr_vs_cubic_pct are the same pairing for the other CC pairs;
-droptail256 is the deep-buffer bufferbloat column.",
+Every arm without an http1 prefix runs mux, labelled <cc>_<tier>.
+Does SACK restore the multiplexing win?
+mux_sack_speedup_pct   = median per-site paired speedup of SACK over NewReno under mux
+                         (positive = SACK faster);
+http1_sack_speedup_pct = the same pairing for the HTTP/1.1 pool;
+mux_vs_http1_sack_pct  = mux+SACK over HTTP/1.1+SACK.
+Does RACK-TLP fix the CoDel cells?
+racktlp_speedup_pct    = RACK-TLP + F-RTO over NewReno, Reno CC;
+racktlp_vs_sack_pct    = RACK-TLP over SACK (positive = the time-based machinery pays).
+CC x buffer depth (droptail256 is the deep-buffer bufferbloat column):
+bbr_vs_reno_pct        = BBR (paced, model-based) over Reno CC, recovery held at the
+                         racktlp tier; cubic_vs_reno_pct and bbr_vs_cubic_pct are the
+                         same pairing for the other CC pairs.",
 }
 .checked();
 

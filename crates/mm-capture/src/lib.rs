@@ -39,6 +39,17 @@ impl Dir {
             Dir::Down => "down",
         }
     }
+
+    /// The variant whose token `as_str` writes. An inherent method (not
+    /// `FromStr`) so call sites get `Option` without an error type.
+    #[allow(clippy::should_implement_trait)]
+    pub fn from_str(s: &str) -> Option<Dir> {
+        Some(match s {
+            "up" => Dir::Up,
+            "down" => Dir::Down,
+            _ => return None,
+        })
+    }
 }
 
 /// Which kind of shell layer a tap point sits on.
@@ -60,6 +71,18 @@ impl PointKind {
             PointKind::Delay => "delay",
             PointKind::Loss => "loss",
         }
+    }
+
+    /// The variant whose token `as_str` writes. An inherent method (not
+    /// `FromStr`) so call sites get `Option` without an error type.
+    #[allow(clippy::should_implement_trait)]
+    pub fn from_str(s: &str) -> Option<PointKind> {
+        Some(match s {
+            "link" => PointKind::Link,
+            "delay" => PointKind::Delay,
+            "loss" => PointKind::Loss,
+            _ => return None,
+        })
     }
 }
 
@@ -104,6 +127,19 @@ impl PacketEventKind {
             PacketEventKind::Drop => "drop",
             PacketEventKind::Deliver => "del",
         }
+    }
+
+    /// The variant whose token `as_str` writes. An inherent method (not
+    /// `FromStr`) so call sites get `Option` without an error type.
+    #[allow(clippy::should_implement_trait)]
+    pub fn from_str(s: &str) -> Option<PacketEventKind> {
+        Some(match s {
+            "enq" => PacketEventKind::Enqueue,
+            "deq" => PacketEventKind::Dequeue,
+            "drop" => PacketEventKind::Drop,
+            "del" => PacketEventKind::Deliver,
+            _ => return None,
+        })
     }
 }
 
@@ -154,6 +190,21 @@ impl HttpPhase {
             HttpPhase::ServerRecv => "srv_recv",
             HttpPhase::ServerSent => "srv_sent",
         }
+    }
+
+    /// The variant whose token `as_str` writes. An inherent method (not
+    /// `FromStr`) so call sites get `Option` without an error type.
+    #[allow(clippy::should_implement_trait)]
+    pub fn from_str(s: &str) -> Option<HttpPhase> {
+        Some(match s {
+            "queued" => HttpPhase::Queued,
+            "sent" => HttpPhase::Sent,
+            "done" => HttpPhase::Done,
+            "failed" => HttpPhase::Failed,
+            "srv_recv" => HttpPhase::ServerRecv,
+            "srv_sent" => HttpPhase::ServerSent,
+            _ => return None,
+        })
     }
 }
 
@@ -306,5 +357,39 @@ mod tests {
         assert_eq!(p.label(), "delay2-down");
         assert_eq!(PacketEventKind::Dequeue.as_str(), "deq");
         assert_eq!(HttpPhase::ServerRecv.as_str(), "srv_recv");
+    }
+
+    /// Every token the capture format writes reads back as the variant
+    /// that wrote it; anything else reads as `None`.
+    #[test]
+    fn tokens_round_trip() {
+        for d in [Dir::Up, Dir::Down] {
+            assert_eq!(Dir::from_str(d.as_str()), Some(d));
+        }
+        for k in [PointKind::Link, PointKind::Delay, PointKind::Loss] {
+            assert_eq!(PointKind::from_str(k.as_str()), Some(k));
+        }
+        for k in [
+            PacketEventKind::Enqueue,
+            PacketEventKind::Dequeue,
+            PacketEventKind::Drop,
+            PacketEventKind::Deliver,
+        ] {
+            assert_eq!(PacketEventKind::from_str(k.as_str()), Some(k));
+        }
+        for p in [
+            HttpPhase::Queued,
+            HttpPhase::Sent,
+            HttpPhase::Done,
+            HttpPhase::Failed,
+            HttpPhase::ServerRecv,
+            HttpPhase::ServerSent,
+        ] {
+            assert_eq!(HttpPhase::from_str(p.as_str()), Some(p));
+        }
+        assert_eq!(Dir::from_str("Up"), None);
+        assert_eq!(PointKind::from_str(""), None);
+        assert_eq!(PacketEventKind::from_str("enqueue"), None);
+        assert_eq!(HttpPhase::from_str("server_recv"), None);
     }
 }

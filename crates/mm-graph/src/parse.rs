@@ -14,22 +14,23 @@ use mm_capture::{
 };
 use mm_trace::jsonl::{get_str, get_u16, get_u32, get_u64, get_u64_array};
 
+/// The capture-format token under `key`, read back by `from_str`;
+/// `what` names it in the error.
+fn get_token<T>(
+    line: &str,
+    key: &str,
+    what: &str,
+    from_str: fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let token = get_str(line, key)?;
+    from_str(&token).ok_or_else(|| format!("unknown {what} {token:?}"))
+}
+
 fn get_point(line: &str) -> Result<TapPoint, String> {
-    let kind = match get_str(line, "at")?.as_str() {
-        "link" => PointKind::Link,
-        "delay" => PointKind::Delay,
-        "loss" => PointKind::Loss,
-        other => return Err(format!("unknown tap point kind {other:?}")),
-    };
-    let dir = match get_str(line, "dir")?.as_str() {
-        "up" => Dir::Up,
-        "down" => Dir::Down,
-        other => return Err(format!("unknown direction {other:?}")),
-    };
     Ok(TapPoint {
-        kind,
+        kind: get_token(line, "at", "tap point kind", PointKind::from_str)?,
         index: get_u32(line, "i")?,
-        dir,
+        dir: get_token(line, "dir", "direction", Dir::from_str)?,
     })
 }
 
@@ -49,13 +50,7 @@ fn parse_line(line: &str, by_load: &mut BTreeMap<u64, CaptureData>) -> Result<()
         }),
         "pkt" => data.packets.push(PacketEvent {
             t_ns: get_u64(line, "t_ns")?,
-            kind: match get_str(line, "kind")?.as_str() {
-                "enq" => PacketEventKind::Enqueue,
-                "deq" => PacketEventKind::Dequeue,
-                "drop" => PacketEventKind::Drop,
-                "del" => PacketEventKind::Deliver,
-                other => return Err(format!("unknown packet event kind {other:?}")),
-            },
+            kind: get_token(line, "kind", "packet event kind", PacketEventKind::from_str)?,
             point: get_point(line)?,
             pkt_id: get_u64(line, "pkt")?,
             size_bytes: get_u32(line, "size")?,
@@ -65,15 +60,7 @@ fn parse_line(line: &str, by_load: &mut BTreeMap<u64, CaptureData>) -> Result<()
         }),
         "http" => data.https.push(HttpEvent {
             t_ns: get_u64(line, "t_ns")?,
-            phase: match get_str(line, "phase")?.as_str() {
-                "queued" => HttpPhase::Queued,
-                "sent" => HttpPhase::Sent,
-                "done" => HttpPhase::Done,
-                "failed" => HttpPhase::Failed,
-                "srv_recv" => HttpPhase::ServerRecv,
-                "srv_sent" => HttpPhase::ServerSent,
-                other => return Err(format!("unknown http phase {other:?}")),
-            },
+            phase: get_token(line, "phase", "http phase", HttpPhase::from_str)?,
             resource: get_u32(line, "res")?,
             url: get_str(line, "url")?,
             status: get_u16(line, "status")?,

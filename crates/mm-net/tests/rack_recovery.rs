@@ -2,7 +2,8 @@
 //! Tail Loss Probe without waiting out the RTO, and a spurious
 //! retransmission timeout (delay, not loss) is detected and undone —
 //! congestion window restored, RTO backoff dropped. These are the two
-//! mechanisms the figrack experiment measures at page-load scale.
+//! mechanisms figcell's RACK-TLP columns (`racktlp_speedup_pct`,
+//! `racktlp_vs_sack_pct`) measure at page-load scale.
 
 use bytes::Bytes;
 use mm_net::{

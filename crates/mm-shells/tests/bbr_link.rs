@@ -2,8 +2,8 @@
 //! links: BBR converges to the bottleneck rate, BBR holds a far smaller
 //! standing queue than a loss-based sender in a deep buffer, and pacing
 //! under a classic controller trades nothing away while flattening the
-//! queue — the mechanisms the figbbr experiment measures at page-load
-//! scale.
+//! queue — the mechanisms figcell's CC columns (`bbr_vs_reno_pct` and
+//! its siblings) measure at page-load scale.
 
 use bytes::Bytes;
 use mm_net::{
@@ -223,7 +223,7 @@ fn bbr_standing_queue_below_reno_in_deep_buffer() {
 /// alone does not *speed up* AIMD — spreading the bursts mostly
 /// re-times which packets a droptail queue drops — so this pins
 /// mechanism and correctness, not a speedup; the win from a paced
-/// model-based sender is BBR's, measured above and in figbbr.
+/// model-based sender is BBR's, measured above and in figcell.
 #[test]
 fn pacing_engages_and_preserves_correctness_under_loss_based_cc() {
     for cc in [CcAlgorithm::Reno, CcAlgorithm::Cubic] {

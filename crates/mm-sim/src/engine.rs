@@ -233,17 +233,6 @@ impl Simulator {
         self.schedule_at(self.now + delay, f);
     }
 
-    /// [`schedule_in`](Self::schedule_in) with a component tag for the
-    /// event-loop profiler (see `schedule_at_tagged`).
-    pub fn schedule_in_tagged(
-        &mut self,
-        tag: &'static str,
-        delay: SimDuration,
-        f: impl FnOnce(&mut Simulator) + 'static,
-    ) {
-        self.schedule_at_tagged(tag, self.now + delay, f);
-    }
-
     /// Schedule `f` to run at the current instant, after all handlers
     /// already queued for this instant.
     pub fn schedule_now(&mut self, f: impl FnOnce(&mut Simulator) + 'static) {

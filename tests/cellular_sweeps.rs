@@ -1,8 +1,8 @@
-//! The paired-arm sweeps are five tables over one engine
+//! The paired-arm sweeps are three tables over one engine
 //! (`bench::sweep`): what the tables promise each other, and what they
 //! promise readers of the committed `BENCH_*.json` baselines.
 
-use bench::{Column, Sweep, SweepCell, FIGBBR, FIGCELL, FIGMUX, FIGRACK, TABLE2};
+use bench::{Column, Sweep, SweepCell, FIGCELL, FIGMUX, TABLE2};
 
 /// A cell with made-up PLTs — one site, arm `k` took `1000 + k` ms —
 /// per grid cell of `table`: enough to derive metrics from without
@@ -27,14 +27,14 @@ fn bench_file_keys(json: &str) -> Vec<&str> {
         .collect()
 }
 
-/// Table 2 ⊂ figmux and figcell ⊂ figrack ⊂ figbbr: an arm two tables
-/// share — the same (protocol, CC, recovery tier, replay mode) — yields
-/// identical per-site PLTs on every cell both tables sweep. A load
-/// depends on its configuration, site and seed only, never on which
-/// table ran it or at which position.
+/// Table 2 ⊂ figmux: an arm two tables share — the same (protocol, CC,
+/// recovery tier, replay mode) — yields identical per-site PLTs on
+/// every cell both tables sweep. A load depends on its configuration,
+/// site and seed only, never on which table ran it or at which
+/// position. (The cellular arms share one table, so each runs once.)
 #[test]
 fn shared_arms_reproduce_across_tables() {
-    let tables = [&TABLE2, &FIGMUX, &FIGCELL, &FIGRACK, &FIGBBR];
+    let tables = [&TABLE2, &FIGMUX];
     let runs = tables.map(|table| (table, table.run(2, 2014)));
     let mut compared = 0;
     for (a, (table_a, cells_a)) in runs.iter().enumerate() {
@@ -68,10 +68,8 @@ fn shared_arms_reproduce_across_tables() {
         }
     }
     // Table 2's `multi` is figmux's `http1` on all 9 (rate, delay)
-    // cells. Two arms shared by all three cellular tables, two more by
-    // figrack and figbbr; every pair of them shares 3 regimes ×
-    // {droptail32, codel}.
-    assert_eq!(compared, 9 + (2 + 2 + 4) * 6);
+    // cells.
+    assert_eq!(compared, 9);
 }
 
 /// The keys each table emits, in order, are the keys of its committed
@@ -82,8 +80,6 @@ fn emitted_keys_match_committed_baselines() {
         (&TABLE2, include_str!("../BENCH_table2.json")),
         (&FIGMUX, include_str!("../BENCH_figmux.json")),
         (&FIGCELL, include_str!("../BENCH_figcell.json")),
-        (&FIGRACK, include_str!("../BENCH_figrack.json")),
-        (&FIGBBR, include_str!("../BENCH_figbbr.json")),
     ] {
         let emitted = table.metrics(&placeholder_cells(table));
         let emitted: Vec<&str> = emitted.iter().map(|(key, _)| key.as_str()).collect();
@@ -99,7 +95,7 @@ fn an_arm_paired_with_itself_gains_nothing() {
             base: 1,
             other: 1,
         }],
-        ..FIGRACK
+        ..FIGCELL
     }
     .checked();
     let cells = placeholder_cells(&table);
@@ -112,9 +108,9 @@ fn an_arm_paired_with_itself_gains_nothing() {
 #[test]
 #[should_panic(expected = "column names an arm outside the table")]
 fn a_column_outside_the_table_is_rejected() {
-    assert_eq!(FIGCELL.arms.len(), 4);
+    assert_eq!(FIGCELL.arms.len(), 11);
     let _ = Sweep {
-        columns: &[Column::Plt(4)],
+        columns: &[Column::Plt(11)],
         ..FIGCELL
     }
     .checked();

@@ -33,6 +33,7 @@ use mm_replay::ReplayMode;
 use mm_sim::{RngStream, SimDuration};
 use mm_trace::{cellular, constant_rate, CellularParams, TraceBuffer};
 use mm_web::{live_think_time, HostProfile, LiveWebConfig};
+use std::sync::{Mutex, MutexGuard};
 
 const HTTP1_PAGE_LOAD: u64 = 0x69c6_2fa0_7c85_a266;
 const MUX_CELLULAR_CODEL: u64 = 0x1469_574c_ff61_fd7a;
@@ -44,6 +45,17 @@ const PIE_PAGE_LOAD: u64 = 0x50bf_e238_fd37_029c;
 const SOAK_DROPTAIL: u64 = 0xbd29_7d7f_4137_02c9;
 const OBSERVER_ARTEFACTS: u64 = 0xad66_43af_a766_b01a;
 const REPLAY_TOPOLOGIES: u64 = 0xccbc_5730_92ea_0157;
+const TABLE1: u64 = 0x61e0_5cfa_4acb_d873;
+
+/// Held by the rows that build worlds without an explicit auditor (the
+/// soak and Table 1): while the soak row enables the process-global
+/// audit channel, every such world in the process reports into it.
+static GLOBAL_CHANNELS: Mutex<()> = Mutex::new(());
+
+/// Take [`GLOBAL_CHANNELS`], whether or not a row panicked holding it.
+fn global_channels() -> MutexGuard<'static, ()> {
+    GLOBAL_CHANNELS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// fnv1a64 over the little-endian bytes of everything folded in.
 struct Fold(u64);
@@ -382,6 +394,26 @@ fn replay_topologies() {
     check("replay_topologies", fold.0, REPLAY_TOPOLOGIES);
 }
 
+/// Table 1 as its bin computes it, at 2 loads per (site, machine) cell:
+/// each cell's site, machine and PLT samples, in load order. Its loads
+/// take no explicit auditor, so they run under [`GLOBAL_CHANNELS`]: the
+/// soak row's global audit must not see them.
+#[test]
+fn table1() {
+    let _channels = global_channels();
+    let result = bench::table1(2, 2014);
+    assert_eq!(result.cells.len(), 4);
+    let mut fold = Fold::new();
+    for (site, machine, plts) in &result.cells {
+        fold.str(site).str(machine);
+        assert_eq!(plts.samples().len(), 2);
+        for plt in plts.samples() {
+            fold.u64(plt.to_bits());
+        }
+    }
+    check("table1", fold.0, TABLE1);
+}
+
 /// Eight users sharing one bottleneck, each loading the page (over
 /// HTTP/1.1, or one mux connection per origin with `mux`) beside a bulk
 /// download: the multi-flow world with per-host timer muxes.
@@ -512,7 +544,7 @@ fn soak_over_droptail() {
     };
     let bare = Registry::new();
     let bare_result = run_soak(&spec(), &bare);
-    // Only this row builds a world without an explicit auditor.
+    let _channels = global_channels();
     Artefact::Audit.enable();
     let registry = Registry::new();
     let result = run_soak(&spec(), &registry);
