@@ -85,8 +85,9 @@ impl ExperimentSpec {
     /// (after any positional arguments). Each turns on one
     /// process-global channel of [`mahimahi::obs::Artefact`], so the
     /// first [`Artefact::budget`] worlds the body builds — page loads,
-    /// fleets and soaks alike — record that artefact, and the
-    /// accumulated JSONL is written after the run:
+    /// fleets and soaks alike — record that artefact. After the run
+    /// each channel's accumulated JSONL is taken, which turns the
+    /// channel off again, and written:
     ///
     /// - `--trace-out <file>`: per-flow TCP samples (cwnd, srtt,
     ///   in-flight, delivered, state transitions);

@@ -99,8 +99,8 @@ pub struct Arm {
     /// Metric-key stem of the arm's PLT column.
     pub label: &'static str,
     pub protocol: Protocol,
-    /// BBR implies pacing (see `TcpConfig::pacing`); the loss-based
-    /// controllers run unpaced, as deployed.
+    /// Only BBR paces (it is the one controller that models a rate);
+    /// the loss-based controllers run unpaced, as deployed.
     pub cc: CcAlgorithm,
     pub recovery: RecoveryTier,
     /// Multi-origin replay, or Table 2's single-server ablation.

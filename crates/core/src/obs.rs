@@ -87,7 +87,8 @@ impl Artefact {
 
     /// Turn the channel on: the next `Artefact::budget` worlds built
     /// without an explicit handle for this artefact on their spec get a
-    /// private recorder whose output accumulates for [`Artefact::take`].
+    /// private recorder whose output accumulates for [`Artefact::take`],
+    /// until that take.
     pub fn enable(self) {
         let ch = self.channel();
         ch.budget.store(self.budget(), Ordering::SeqCst);
@@ -125,9 +126,15 @@ impl Artefact {
         }
     }
 
-    /// Take everything merged so far (the `--*-out` writers).
+    /// End the recording and take everything merged so far (the
+    /// `--*-out` writers): the channel is off, with no budget left,
+    /// until the next [`Artefact::enable`]. Ids keep counting, so a
+    /// later recording never reuses one.
     pub fn take(self) -> String {
-        std::mem::take(&mut *self.channel().buffer.lock().expect("obs buffer poisoned"))
+        let ch = self.channel();
+        ch.enabled.store(false, Ordering::SeqCst);
+        ch.budget.store(0, Ordering::SeqCst);
+        std::mem::take(&mut *ch.buffer.lock().expect("obs buffer poisoned"))
     }
 }
 

@@ -149,21 +149,20 @@ impl World {
         };
 
         tcp.metrics = metrics;
-        tcp.span = tcp.span.or_else(|| span.clone());
+        tcp.span = span.clone();
 
         // Outermost: ReplayShell's world. The browser's protocol choice
         // is passed through to the servers so both ends of a connection
         // speak the same wire format — one knob on the spec drives the
         // whole stack. The observers flow through ReplayConfig/
         // BrowserConfig so replay worlds and browsers built outside this
-        // builder wire up the same way; an explicit handle on either
-        // side wins.
+        // builder wire up the same way.
         let mut replay = spec.replay.clone();
         if let ProtocolMode::Mux(mux) = &spec.browser.protocol {
             replay.protocol = ServerProtocol::Mux(mux.clone());
         }
-        replay.capture = replay.capture.or_else(|| tap.clone());
-        replay.span = replay.span.or_else(|| span.clone());
+        replay.capture = tap.clone();
+        replay.span = span.clone();
         let shell = Rc::new(ReplayShell::new(
             &Namespace::root("replayshell"),
             spec.site,
@@ -217,8 +216,8 @@ impl World {
         };
 
         let mut browser = spec.browser.clone();
-        browser.capture = browser.capture.or(tap);
-        browser.span = browser.span.or(span).or(runner.span);
+        browser.capture = tap;
+        browser.span = span.or(runner.span);
 
         World {
             rng,

@@ -71,7 +71,9 @@ pub struct BrowserConfig {
     /// Per-request observability tap: reports `Queued`/`Sent`/`Done`/
     /// `Failed` [`HttpEvent`]s at the browser boundary, keyed by the
     /// resource's index in [`PageLoadResult::resources`]. `None` (the
-    /// default) costs one branch per transition; taps observe only.
+    /// default) costs one branch per transition; taps observe only. A
+    /// harness world (`mahimahi`'s `World::build`) sets it from the
+    /// world's observers.
     pub capture: Option<TapHandle>,
     /// Causal-span sink: emits a `Page` span per load, a `Resource`
     /// span per fetch parented to the resource whose parse discovered
@@ -80,7 +82,8 @@ pub struct BrowserConfig {
     /// `RenderQueue` → `Parse`) that tiles queued → parse-complete —
     /// the exact-tiling property `mmpath`'s critical-path walk sums to
     /// PLT. `None` (the default) costs one branch per transition;
-    /// sinks observe only.
+    /// sinks observe only. A harness world (`mahimahi`'s `World::build`)
+    /// sets it from the world's observers.
     pub span: Option<SpanHandle>,
 }
 

@@ -65,9 +65,8 @@ pub(crate) trait CongestionControl {
     /// no-op default keeps Reno/Cubic untouched.
     fn on_rate_sample(&mut self, _rs: &RateSample, _inflight: u64, _now: Timestamp) {}
     /// The rate (bytes/second) the controller wants the pacer to release
-    /// at, when it models one. `None` (the default) lets the socket fall
-    /// back to `gain × bw_estimate` from the delivery-rate estimator —
-    /// or not pace at all when pacing is off.
+    /// at, when it models one. `None` (the default) leaves the socket
+    /// unpaced: a socket paces exactly when this is `Some`.
     fn pacing_rate(&self) -> Option<u64> {
         None
     }

@@ -10,11 +10,10 @@
 //! schedule a fair-queue qdisc (Linux `fq`) would impose, minus any
 //! TSO-style burst quantum (one segment per release; DESIGN.md §3).
 //!
-//! The pacer does not own a rate: the socket derives one per transmission
-//! opportunity — `CongestionControl::pacing_rate` when the controller
-//! models one (BBR), else `gain × bw_estimate` from the delivery-rate
-//! estimator (`PACING_GAIN_SS`/`PACING_GAIN_CA`, the Linux sysctl
-//! defaults). With no bandwidth estimate yet there is nothing to pace
+//! The pacer does not own a rate: the socket asks its controller for one
+//! per transmission opportunity (`CongestionControl::pacing_rate`). Only
+//! a controller that models the path (BBR) has one; the loss-based ones
+//! never pace. With no bandwidth estimate yet there is nothing to pace
 //! against and transmission is immediate (the initial window leaves as a
 //! burst, as deployed stacks do before the first RTT of feedback).
 //!
@@ -23,16 +22,6 @@
 //! what the window permits (property-tested).
 
 use mm_sim::{SimDuration, Timestamp};
-
-/// Pacing gain while the controller reports slow start: transmit at
-/// twice the estimated bandwidth so the window can still grow
-/// exponentially (Linux `sysctl_tcp_pacing_ss_ratio` = 200%).
-pub(crate) const PACING_GAIN_SS: f64 = 2.0;
-
-/// Pacing gain in congestion avoidance: 20% headroom over the estimate
-/// so pacing never becomes the clamp that starves window growth (Linux
-/// `sysctl_tcp_pacing_ca_ratio` = 120%).
-pub(crate) const PACING_GAIN_CA: f64 = 1.2;
 
 /// The token clock. `next_release` is the earliest instant the next
 /// segment may leave; it only moves forward while transmissions happen,

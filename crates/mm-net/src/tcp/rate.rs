@@ -1,6 +1,5 @@
-//! Per-connection delivery-rate estimation (the model behind
-//! [`TcpConfig::pacing`](crate::tcp::socket::TcpConfig) and the
-//! `Bbr` congestion controller).
+//! Per-connection delivery-rate estimation (the model behind the `Bbr`
+//! congestion controller, and so behind its pacing).
 //!
 //! Implements the sampler of draft-cheng-iccrg-delivery-rate-estimation
 //! (the algorithm Linux ships as `tcp_rate.c`, and the measurement layer
@@ -40,8 +39,8 @@ use crate::tcp::deque::InlineDeque;
 /// Sliding window of the min-RTT filter (BBR's 10 s horizon).
 pub const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
 
-/// Sliding window of the estimator's own bandwidth filter, used for the
-/// generic (non-BBR) pacing-rate fallback.
+/// Sliding window of the estimator's own bandwidth filter, the one
+/// `TcpHandle::delivery_rate` reports.
 pub const BW_WINDOW: SimDuration = SimDuration::from_secs(10);
 
 /// Per-segment state stamped at transmission time (draft-cheng §3.1:
@@ -190,7 +189,7 @@ impl<K: Copy + PartialOrd> WindowedMaxBw<K> {
 
 /// The per-connection delivery-rate estimator (draft-cheng's connection
 /// state `C.*`), plus the windowed min-RTT filter and a windowed-max
-/// bandwidth estimate for the generic pacing fallback.
+/// bandwidth estimate for diagnostics.
 #[derive(Debug)]
 pub struct RateEstimator {
     /// Total bytes delivered (cumulatively acked + newly sacked).
@@ -297,7 +296,7 @@ impl RateEstimator {
         }
         let bw = ((delivered_delta as u128 * 1_000_000_000) / interval.as_nanos() as u128) as u64;
         let is_app_limited = rec.is_app_limited;
-        // The estimator's own windowed-max bandwidth (pacing fallback).
+        // The estimator's own windowed-max bandwidth (diagnostics).
         self.bw.update(now, bw, is_app_limited);
         self.bw.expire_before(Timestamp::from_nanos(
             now.as_nanos().saturating_sub(BW_WINDOW.as_nanos()),

@@ -1,14 +1,14 @@
 //! The receive direction of a [`TcpInner`]: in-order delivery and
-//! out-of-order reassembly, the peer's FIN, immediate and delayed ACKs,
-//! RFC 2018 SACK blocks while holes remain, and the `HolWait` spans that
-//! time each reassembly gap.
+//! out-of-order reassembly, the peer's FIN, one immediate ACK per data
+//! segment, RFC 2018 SACK blocks while holes remain, and the `HolWait`
+//! spans that time each reassembly gap.
 
 use bytes::Bytes;
 use mm_sim::Timestamp;
 use mm_trace::SpanKind;
 
 use crate::packet::{Packet, SackOption, TcpFlags, TcpSegment};
-use crate::tcp::socket::{SocketEvent, TcpInner, ACK, RECV_WINDOW};
+use crate::tcp::socket::{SocketEvent, TcpInner, RECV_WINDOW};
 
 impl TcpInner {
     /// Take in the payload (and FIN) of `seg`, acknowledging it.
@@ -21,7 +21,7 @@ impl TcpInner {
             let overlap = (self.rcv_nxt - seq) as usize;
             if overlap >= payload.len() && !seg.flags.fin {
                 // Entirely duplicate data: re-ack.
-                self.queue_ack(now, out, true);
+                self.queue_ack(now, out);
                 return;
             }
             payload = payload.slice(overlap.min(payload.len())..);
@@ -31,7 +31,7 @@ impl TcpInner {
             // Beyond the window (RFC 793 §3.3): not acceptable. Never
             // parked, so nothing a peer sends grows the queue past the
             // window, and every SACK edge stays within 2^31 of the ack.
-            self.queue_ack(now, out, true);
+            self.queue_ack(now, out);
             return;
         }
         if seg.flags.fin {
@@ -61,7 +61,7 @@ impl TcpInner {
                     self.ooo.insert(at, (seq, payload));
                 }
             }
-            self.queue_ack(now, out, true);
+            self.queue_ack(now, out);
             return;
         }
         // In-order: deliver, then drain contiguous out-of-order data.
@@ -95,13 +95,7 @@ impl TcpInner {
                 self.on_peer_fin();
             }
         }
-        // While holes remain above this in-order data, every ACK must go
-        // out immediately and carry SACK blocks (RFC 2018) — the sender's
-        // recovery is clocked by them, and delayed-ACK batching here
-        // would stall it by a delayed-ack interval per hole. With no
-        // holes (or without SACK) the normal batching applies.
-        let hole_above = sack && !self.ooo.is_empty();
-        self.queue_ack(now, out, hole_above);
+        self.queue_ack(now, out);
     }
 
     /// Hand in-order bytes to the application.
@@ -111,27 +105,10 @@ impl TcpInner {
         self.pending_events.push_back(SocketEvent::Data(data));
     }
 
-    /// Send or schedule an ACK. `force` bypasses delayed-ACK batching
-    /// (used for out-of-order arrivals, which must dup-ack immediately).
-    fn queue_ack(&mut self, now: Timestamp, out: &mut Vec<Packet>, force: bool) {
-        match self.config.delayed_ack {
-            Some(_) if !force => {
-                self.unacked_segments += 1;
-                if self.unacked_segments >= 2 {
-                    self.unacked_segments = 0;
-                    self.timers.cancel(ACK);
-                    let pkt = self.ack_packet(now);
-                    out.push(pkt);
-                }
-                // else: the timer planning after `drive` arms the
-                // delayed-ack timer.
-            }
-            _ => {
-                self.unacked_segments = 0;
-                let pkt = self.ack_packet(now);
-                out.push(pkt);
-            }
-        }
+    /// Acknowledge the segment just taken in, at once.
+    fn queue_ack(&mut self, now: Timestamp, out: &mut Vec<Packet>) {
+        let pkt = self.ack_packet(now);
+        out.push(pkt);
     }
 
     /// Build a pure ACK, attaching SACK blocks while the reassembly queue

@@ -12,8 +12,6 @@ use mm_metrics::FlowSample;
 use mm_sim::{SimDuration, Timestamp};
 
 use crate::packet::{Packet, SackBlock, SackOption, TcpFlags, TcpSegment, MSS};
-use crate::tcp::cc::CcAlgorithm;
-use crate::tcp::pacing::{PACING_GAIN_CA, PACING_GAIN_SS};
 use crate::tcp::rate::TxRecord;
 use crate::tcp::recovery::{Frto, LossRecovery, NextSeg, Verdict};
 use crate::tcp::socket::{SocketEvent, TcpHandle, TcpInner, RTO};
@@ -308,14 +306,13 @@ impl TcpInner {
     }
 
     /// Transmit as much new data as the window allows — released one
-    /// serialization interval at a time when pacing is active.
+    /// serialization interval at a time when the controller paces.
     pub(super) fn transmit_new(&mut self, now: Timestamp, out: &mut Vec<Packet>) {
         let had_backlog = self.send_queued_bytes > 0;
         let out_before = out.len();
         // One rate lookup per transmission opportunity; `None` means
-        // unpaced (pacing off, or no bandwidth estimate yet to pace
-        // against) and the loop below is byte-identical to its
-        // pre-pacing self.
+        // unpaced (a loss-based controller, or no bandwidth estimate yet
+        // to pace against) and the loop below never consults the pacer.
         let pace_rate = self.current_pacing_rate();
         self.pace_deadline = None;
         // App-limited marking must precede the sends it covers (Linux
@@ -725,35 +722,14 @@ impl TcpInner {
         }
     }
 
-    /// Whether new-data transmissions go through the pacer: the config
-    /// asked, or the controller is BBR (whose model assumes paced
-    /// release — an unpaced BBR would burst the very queues it exists
-    /// to avoid).
-    fn pacing_active(&self) -> bool {
-        self.config.pacing || matches!(self.config.cc, CcAlgorithm::Bbr)
-    }
-
-    /// The rate (bytes/second) the pacer releases at right now, if any:
-    /// the controller's own model when it has one, else `gain ×
-    /// bw_estimate` from the delivery-rate estimator ([`PACING_GAIN_SS`]
-    /// in slow start, [`PACING_GAIN_CA`] after — the Linux defaults).
-    /// `None` (pacing off, or no estimate yet) means unpaced. Floored,
-    /// unconditionally, at one initial window per smoothed RTT — a
-    /// deliberate deviation from Linux, for the measured reason in
-    /// DESIGN.md §3.
+    /// The rate (bytes/second) the pacer releases at right now: the
+    /// controller's own model, when it has one (only BBR's does, and
+    /// only once it has a bandwidth estimate). `None` means unpaced.
+    /// Floored, unconditionally, at one initial window per smoothed
+    /// RTT — a deliberate deviation from Linux, for the measured reason
+    /// in DESIGN.md §3.
     fn current_pacing_rate(&self) -> Option<u64> {
-        if !self.pacing_active() {
-            return None;
-        }
-        let model = self.cc.pacing_rate().or_else(|| {
-            let bw = self.rate.bw_estimate()?;
-            let gain = if self.cc.in_slow_start() {
-                PACING_GAIN_SS
-            } else {
-                PACING_GAIN_CA
-            };
-            Some((bw as f64 * gain) as u64)
-        })?;
+        let model = self.cc.pacing_rate()?;
         let iw = match self.config.initial_cwnd_segments {
             Some(segments) => segments as u64 * MSS as u64,
             None => crate::tcp::cc::INITIAL_WINDOW,

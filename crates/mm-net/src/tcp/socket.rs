@@ -1,5 +1,5 @@
 //! The TCP connection: its public types, the handshake and close state
-//! machine, teardown, and the five timers. `TcpInner` is one struct
+//! machine, teardown, and the timers. `TcpInner` is one struct
 //! implemented across this file, `sender.rs`, `receiver.rs` and
 //! `recovery.rs`; what it implements, and where it departs from the RFCs,
 //! is DESIGN.md §3.
@@ -8,8 +8,8 @@
 //! callbacks while `self` is borrowed. Every entry point goes through
 //! `TcpHandle::drive`, which performs socket work, releases the borrow,
 //! sends the produced packets, plans the timers, and only then fires
-//! application events — except the two that send one packet and raise
-//! nothing (the delayed-ACK timer and `abort`), which use `send_one`.
+//! application events — except `abort`, which sends one RST and raises
+//! nothing.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -87,9 +87,6 @@ pub struct TcpConfig {
     pub(crate) cc: CcAlgorithm,
     /// Floor on the RTO (Linux: 200 ms).
     pub min_rto: SimDuration,
-    /// Delay ACKs for this long, acking every second segment immediately.
-    /// `None` (default) acks every data segment at once.
-    pub(crate) delayed_ack: Option<SimDuration>,
     /// Initial congestion window in segments; `None` = IW10 (RFC 6928,
     /// the era's Linux default). Raised by servers deploying multiplexed
     /// protocols — Google's SPDY servers ran IW32 so one connection could
@@ -97,15 +94,13 @@ pub struct TcpConfig {
     pub initial_cwnd_segments: Option<u32>,
     /// Loss-recovery tier; default `Reno`.
     pub recovery: RecoveryTier,
-    /// Pace new-data transmissions at the delivery-rate estimate instead
-    /// of bursting the window (DESIGN.md §3). BBR paces regardless.
-    pub(crate) pacing: bool,
     /// Metrics and flow-trace sink; `None` (default) emits nothing.
     /// Sinks observe only (`mm_metrics::MetricsSink`).
     pub metrics: Option<MetricsHandle>,
     /// Causal-span sink; `None` (default) emits nothing. The initiator
     /// side of a connection emits its `ConnSetup`, `Conn` and `HolWait`
-    /// spans. Sinks observe only.
+    /// spans. Sinks observe only. A harness world (`mahimahi`'s
+    /// `World::build`) sets it from the world's observers.
     pub span: Option<SpanHandle>,
 }
 
@@ -114,10 +109,8 @@ impl Default for TcpConfig {
         TcpConfig {
             cc: CcAlgorithm::default(),
             min_rto: SimDuration::from_millis(200),
-            delayed_ack: None,
             initial_cwnd_segments: None,
             recovery: RecoveryTier::default(),
-            pacing: false,
             metrics: None,
             span: None,
         }
@@ -132,7 +125,6 @@ impl TcpConfig {
     /// let config = TcpConfig::builder()
     ///     .cc(CcAlgorithm::Bbr)
     ///     .recovery(RecoveryTier::RackTlp)
-    ///     .pacing(true)
     ///     .build();
     /// assert_eq!(config.recovery, RecoveryTier::RackTlp);
     /// ```
@@ -169,21 +161,9 @@ impl TcpConfigBuilder {
         self
     }
 
-    /// Pace new-data transmissions (see `TcpConfig::pacing`).
-    pub fn pacing(mut self, pacing: bool) -> Self {
-        self.config.pacing = pacing;
-        self
-    }
-
     /// Floor on the RTO.
     pub fn min_rto(mut self, rto: SimDuration) -> Self {
         self.config.min_rto = rto;
-        self
-    }
-
-    /// Delay ACKs for this long, acking every second segment immediately.
-    pub fn delayed_ack(mut self, delay: SimDuration) -> Self {
-        self.config.delayed_ack = Some(delay);
         self
     }
 
@@ -276,14 +256,15 @@ pub(crate) struct TcpInner {
     /// Loss recovery at the negotiated tier (recovery.rs).
     pub(super) recovery: LossRecovery,
     /// Delivery-rate estimator (always maintained — pure bookkeeping —
-    /// but only consumed when pacing or a model-based controller runs).
+    /// but only consumed by a model-based controller).
     pub(super) rate: RateEstimator,
     /// The most recently *sent* segment this ack delivered: the packet
     /// whose stamped [`TxRecord`] closes into this ack's rate sample
     /// (draft-cheng picks exactly this one). Retransmitted entries are
     /// excluded — which copy the ack covers is Karn-ambiguous.
     pub(super) rate_candidate: Option<(Timestamp, u64, TxRecord)>,
-    /// Pacing release clock (active only when pacing is).
+    /// Pacing release clock (active only when the controller models a
+    /// rate).
     pub(super) pacer: Pacer,
     /// Release instant the last paced transmission stopped at, consumed
     /// by the timer planning (timer arming needs the simulator, which
@@ -300,8 +281,6 @@ pub(crate) struct TcpInner {
     pub(super) rcv_sack: ReceiverSack,
     /// Peer FIN's sequence number, if received out of order.
     pub(super) peer_fin_seq: Option<u64>,
-    /// Segments since last ACK (delayed-ACK accounting).
-    pub(super) unacked_segments: u32,
     /// Start of the current receive-side reassembly gap: set when data
     /// first parks in `ooo`, cleared (emitting a `HolWait` span) when
     /// the hole fills and the queue drains.
@@ -314,9 +293,9 @@ pub(crate) struct TcpInner {
     /// to the egress, put back empty. One per host, kept for its
     /// capacity — a host runs one socket's entry point at a time.
     out: Rc<RefCell<Vec<Packet>>>,
-    /// The socket's five timers (`RTO` … `PACING`), bound at construction
-    /// to the methods they run.
-    pub(super) timers: TimerBank<SocketFire, 5>,
+    /// The socket's timers (`RTO` … `PACING`), bound at construction to
+    /// the methods they run.
+    pub(super) timers: TimerBank<SocketFire, 4>,
     /// Set when new data was acked: RFC 6298 (5.3) restarts the RTO timer
     /// so it measures time since the *latest* forward progress, not since
     /// the oldest transmission — otherwise deep queues cause spurious
@@ -399,14 +378,12 @@ impl WeakTcpHandle {
 
 /// Slots of [`TcpInner::timers`].
 pub(super) const RTO: usize = 0;
-/// Delayed ACK.
-pub(super) const ACK: usize = 1;
 /// Tail Loss Probe (RackTlp tier only).
-pub(super) const TLP: usize = 2;
+pub(super) const TLP: usize = 1;
 /// RACK reordering window (RackTlp tier only).
-pub(super) const REO: usize = 3;
-/// Pacing release (pacing only).
-pub(super) const PACING: usize = 4;
+pub(super) const REO: usize = 2;
+/// Pacing release (a controller that models a rate only).
+pub(super) const PACING: usize = 3;
 
 /// What a socket's timers do when they fire. It holds the socket weakly —
 /// the timers are the socket's own, and a shared [`TimerMux`] is reachable
@@ -423,11 +400,10 @@ impl BankHandler for SocketFire {
         };
         match slot {
             RTO => socket.on_rto(sim),
-            ACK => socket.on_ack_timer(sim),
             TLP => socket.on_tlp(sim),
             REO => socket.on_reo_timer(sim),
             PACING => socket.on_pace_timer(sim),
-            _ => unreachable!("a socket has five timers"),
+            _ => unreachable!("a socket has four timers"),
         }
     }
 }
@@ -475,7 +451,7 @@ impl TcpInner {
             },
         );
         let rtt = RttEstimator::new(INITIAL_RTO, config.min_rto);
-        // All five per-socket timers share the host's mux when one is
+        // All the per-socket timers share the host's mux when one is
         // installed — one dispatcher slot in the global heap per host
         // instead of a dead entry per (re)arm per socket.
         let socket = WeakTcpHandle { inner: me.clone() };
@@ -515,7 +491,6 @@ impl TcpInner {
             ooo: VecDeque::new(),
             rcv_sack: ReceiverSack::new(),
             peer_fin_seq: None,
-            unacked_segments: 0,
             hole_since: None,
             egress: host.egress,
             packet_ids: host.packet_ids,
@@ -720,7 +695,7 @@ impl TcpInner {
         }
         self.hole_since = None;
         self.state = TcpState::Closed;
-        for slot in [RTO, ACK, TLP, REO, PACING] {
+        for slot in [RTO, TLP, REO, PACING] {
             self.timers.cancel(slot);
         }
         self.send_queue = InlineDeque::default();
@@ -747,7 +722,7 @@ impl TcpInner {
         self.app.take()
     }
 
-    /// Bring the five timers in line with the socket after an entry
+    /// Bring the timers in line with the socket after an entry
     /// point's work. A closed socket has none (teardown cancelled them).
     fn plan_timers(&mut self, sim: &mut Simulator) {
         if self.state == TcpState::Closed {
@@ -781,10 +756,6 @@ impl TcpInner {
         // latest transmission opportunity); the fire handler simply
         // re-runs the transmit loop.
         self.plan(sim, PACING, self.pace_deadline, |armed, at| armed == at);
-        if let (true, Some(delay)) = (self.unacked_segments > 0, self.config.delayed_ack) {
-            let at = now + delay;
-            self.plan(sim, ACK, Some(at), |armed, _| armed != Timestamp::NEVER);
-        }
     }
 
     /// The one timer-planning rule: arm `slot` at `want` unless `keep`
@@ -978,16 +949,23 @@ impl TcpHandle {
         });
     }
 
-    /// Abort: send RST and drop all state.
+    /// Abort: send RST and drop all state. The one entry point that
+    /// bypasses `drive`: it sends one packet, raises no event and leaves
+    /// no timer to plan.
     pub fn abort(&self, sim: &mut Simulator) {
-        self.send_one(sim, |inner, _| {
-            (inner.state != TcpState::Closed).then(|| {
+        let (rst, egress) = {
+            let mut inner = self.inner.borrow_mut();
+            let rst = (inner.state != TcpState::Closed).then(|| {
                 let seq = inner.snd_nxt;
                 let rst = inner.packet(TcpFlags::RST, seq, Bytes::new(), SackOption::default());
                 inner.teardown();
                 rst
-            })
-        });
+            });
+            (rst, inner.egress.clone())
+        };
+        if let Some(rst) = rst {
+            egress.deliver(sim, rst);
+        }
         // An abort reports nothing to the app. (Called from inside an event
         // callback with more events queued, the dispatch loop that is
         // running delivers them and releases the app itself.)
@@ -1039,33 +1017,6 @@ impl TcpHandle {
                 inner.transmit_new(now, out);
             }
             true
-        });
-    }
-
-    /// The entry point of the two that send one packet, raise no event
-    /// and leave the timers alone: the delayed-ACK timer and `abort`.
-    fn send_one(
-        &self,
-        sim: &mut Simulator,
-        make: impl FnOnce(&mut TcpInner, Timestamp) -> Option<Packet>,
-    ) {
-        let (pkt, egress) = {
-            let mut inner = self.inner.borrow_mut();
-            (make(&mut inner, sim.now()), inner.egress.clone())
-        };
-        if let Some(pkt) = pkt {
-            egress.deliver(sim, pkt);
-        }
-    }
-
-    /// Delayed-ACK timer fire: acknowledge whatever is still unacked.
-    fn on_ack_timer(&self, sim: &mut Simulator) {
-        self.send_one(sim, |inner, now| {
-            if inner.unacked_segments == 0 || inner.state == TcpState::Closed {
-                return None;
-            }
-            inner.unacked_segments = 0;
-            Some(inner.ack_packet(now))
         });
     }
 

@@ -4,8 +4,8 @@
 //! interleavings; SACK and RACK-TLP loss recovery terminate with the
 //! incremental pipe estimate equal to the definitional walk and bounded
 //! by the bytes in flight; the RACK state machine keeps its
-//! reordering-window and delivery-clock invariants; delayed-ACK × SACK
-//! interaction acks immediately, with blocks, while holes exist.
+//! reordering-window and delivery-clock invariants; a SACK receiver acks
+//! every arrival immediately, with blocks, while holes exist.
 
 use bytes::Bytes;
 use mm_net::tcp::pacing::Pacer;
@@ -379,9 +379,9 @@ proptest! {
 }
 
 /// Mirror of the receiver's reassembly state, maintained by the wires on
-/// either side of the server, used to check the delayed-ACK × SACK
-/// contract: while holes exist, every ACK leaves immediately (no
-/// delayed-ACK batching) and carries SACK blocks.
+/// either side of the server, used to check the receiver's SACK contract
+/// (RFC 2018): while holes exist, every arrival is acked before the next
+/// one is taken in, and every ACK carries SACK blocks.
 #[derive(Default)]
 struct ReceiverModel {
     rcv_nxt: u64,
@@ -502,9 +502,9 @@ impl PacketSink for AckCheckWire {
     }
 }
 
-/// Transfer with delayed ACKs + the given recovery tier under arbitrary
-/// drops, returning the model's violations.
-fn delayed_ack_sack_transfer(
+/// Transfer at the given recovery tier under arbitrary drops, returning
+/// the model's violations.
+fn modelled_receiver_transfer(
     tier: RecoveryTier,
     total: usize,
     drops: &[u64],
@@ -514,10 +514,7 @@ fn delayed_ack_sack_transfer(
     let ids = PacketIdGen::new();
     let client = Host::new(IpAddr::new(10, 0, 0, 1), ids.clone());
     let server = Host::new(IpAddr::new(10, 0, 0, 2), ids);
-    let config = TcpConfig::builder()
-        .recovery(tier)
-        .delayed_ack(SimDuration::from_millis(40))
-        .build();
+    let config = TcpConfig::builder().recovery(tier).build();
     client.set_tcp_config(config.clone());
     server.set_tcp_config(config);
 
@@ -582,24 +579,24 @@ fn delayed_ack_sack_transfer(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
-    fn delayed_ack_sack_acks_immediately_with_blocks_while_holes(
+    fn sack_receiver_acks_immediately_with_blocks_while_holes(
         total in 10_000usize..100_000,
         drops in prop::collection::vec(0u64..50, 0..10),
     ) {
         let (payload, got, violations, _) =
-            delayed_ack_sack_transfer(RecoveryTier::Sack, total, &drops);
+            modelled_receiver_transfer(RecoveryTier::Sack, total, &drops);
         prop_assert_eq!(&got[..], &payload[..]);
         prop_assert!(violations.is_empty(), "{:?}", violations);
     }
 }
 
 /// Deterministic end-to-end pin of the same contract: one mid-stream
-/// drop under delayed ACKs, holes provably existed, every in-hole ACK
-/// left immediately and carried blocks, and the stream arrived intact.
+/// drop, holes provably existed, every in-hole ACK left immediately and
+/// carried blocks, and the stream arrived intact.
 #[test]
-fn delayed_ack_sack_single_drop_e2e() {
+fn sack_receiver_single_drop_e2e() {
     let (payload, got, violations, holes_seen) =
-        delayed_ack_sack_transfer(RecoveryTier::Sack, 60_000, &[12]);
+        modelled_receiver_transfer(RecoveryTier::Sack, 60_000, &[12]);
     assert_eq!(&got[..], &payload[..]);
     assert!(holes_seen, "the dropped segment must have opened a hole");
     assert!(violations.is_empty(), "{violations:?}");

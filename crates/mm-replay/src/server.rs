@@ -72,7 +72,8 @@ pub struct ReplayConfig {
     /// when a request parses and `ServerSent` when its response goes on
     /// the wire (after think time). `resource` is [`NO_RESOURCE`] — the
     /// server has no notion of the browser's resource indices; analyzers
-    /// join on URL. Taps observe only.
+    /// join on URL. Taps observe only. A harness world (`mahimahi`'s
+    /// `World::build`) sets it from the world's observers.
     pub capture: Option<TapHandle>,
     /// Causal-span sink: every served request emits one `ServerThink`
     /// span covering request-parsed → response-written (the think-time
@@ -80,7 +81,8 @@ pub struct ReplayConfig {
     /// *initiator's* address id — the same id the browser-side socket
     /// stamps — and `url` the request target, so `mmpath` splits the
     /// browser's request→first-byte interval at the server's actual
-    /// service window. Sinks observe only.
+    /// service window. Sinks observe only. A harness world
+    /// (`mahimahi`'s `World::build`) sets it from the world's observers.
     pub span: Option<SpanHandle>,
 }
 

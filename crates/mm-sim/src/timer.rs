@@ -1,7 +1,7 @@
 //! Cancellable timers on top of the event engine.
 //!
 //! The raw engine only supports fire-and-forget events. Protocol code (TCP
-//! retransmission, delayed ACK, CoDel's interval timer...) needs timers that
+//! retransmission, tail loss probes, CoDel's interval timer...) needs timers that
 //! can be cancelled or rearmed. A [`Timer`] wraps a generation counter: each
 //! arm bumps the generation and the filed event only fires if its
 //! generation is still current.
@@ -12,7 +12,8 @@
 //! files `(timer state, generation)` with the engine and allocates nothing
 //! (DESIGN.md §1). An owner of several timers that run one handler keeps
 //! them in a [`TimerBank`]: the same entries in the queue, one allocation
-//! for the lot (DESIGN.md §1) — what a socket does with its five.
+//! for the lot (DESIGN.md §1) — what a socket does with its own
+//! (`mm-net`'s `tcp/socket.rs` lists them).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -351,7 +352,7 @@ impl<H: BankHandler + 'static, const N: usize> TimerBank<H, N> {
 /// `Timer::in_mux` funnel through ONE dispatcher slot in the simulator's
 /// global event queue instead of each `arm()` pushing its own closure.
 ///
-/// Two wins at population scale (thousands of sockets, five timers each):
+/// Two wins at population scale (thousands of sockets, several timers each):
 /// the global event queue holds at most one entry per mux regardless of how
 /// many timers are armed, and cancellation/rearm *removes* the pending entry
 /// from the mux's map — no dead-generation closures accumulate for the

@@ -594,7 +594,7 @@ impl SocketApp for AskOnce {
 
 /// A connection opened, used for one request and one response, and closed
 /// by both ends — two sockets, born and torn down — makes 10 allocator
-/// calls: per socket the socket itself, its one block of five timers
+/// calls: per socket the socket itself, its one block of timers
 /// (DESIGN.md §1) and its retransmission ring (the SYN's entry), plus the
 /// two applications and the two hosts' table entries. Its congestion
 /// controller, event queue and send queue live inside the socket

@@ -7,10 +7,10 @@
 //! `--span-out`/`--audit-out` must reach a fleet and a soak exactly as
 //! they reach a page load — and must only observe.
 //!
-//! The channels are process-global and cannot be turned off again, so
-//! this file is a test binary of its own with ONE `#[test]` that runs
-//! its stages in a fixed order: everything that needs the channels off
-//! first, then the stages that turn them on.
+//! The channels are process-global and stay on from `enable` until
+//! `take`, so this file is a test binary of its own with ONE `#[test]`
+//! that runs its stages in a fixed order: everything that needs the
+//! channels off first, then the stages that turn them on.
 
 use mahimahi::corpus;
 use mahimahi::fleet::{run_fleet, CcMix, FleetSpec};
@@ -171,8 +171,10 @@ fn global_channels_reach_a_soak(site: &StoredSite) {
 }
 
 /// (d) A page load under each of the four global channels writes what
-/// an explicit recorder with the same id holds — and explicit handles
-/// win: the second load leaves the channels untouched.
+/// an explicit recorder with the same id holds. Taking a channel ends
+/// its recording: a load after the takes leaves every channel empty.
+/// And explicit handles win: with the channels on again, a load whose
+/// spec carries all four leaves them untouched.
 fn page_load_writes_every_global_channel(site: &StoredSite) {
     let spec = |site| {
         let mut spec = LoadSpec::new(site);
@@ -184,10 +186,17 @@ fn page_load_writes_every_global_channel(site: &StoredSite) {
         spec.seed = 42;
         spec
     };
-    Artefact::Trace.enable();
-    Artefact::Capture.enable();
+    // (b)'s takes turned Audit and Span off again.
+    ALL.iter().for_each(|a| a.enable());
     let global = run_page_load(&spec(site));
     let written = ALL.map(Artefact::take);
+    run_page_load(&spec(site));
+    for artefact in ALL {
+        assert!(
+            artefact.take().is_empty(),
+            "{artefact:?}: recorded after its take"
+        );
+    }
     assert!(written[0].contains("\"cwnd\""), "no flow samples");
     for ev in ["link", "pkt", "http"] {
         assert!(written[1].contains(&format!("\"ev\":\"{ev}\"")), "no {ev}");
@@ -209,6 +218,7 @@ fn page_load_writes_every_global_channel(site: &StoredSite) {
     explicit.capture = Some(capture.handle());
     explicit.span = Some(spans.handle());
     explicit.audit = Some(auditor.clone());
+    ALL.iter().for_each(|a| a.enable());
     let local = run_page_load(&explicit);
 
     assert_eq!(global.plt, local.plt);

@@ -48,8 +48,10 @@ const REPLAY_TOPOLOGIES: u64 = 0xccbc_5730_92ea_0157;
 const TABLE1: u64 = 0x61e0_5cfa_4acb_d873;
 
 /// Held by the rows that build worlds without an explicit auditor (the
-/// soak and Table 1): while the soak row enables the process-global
-/// audit channel, every such world in the process reports into it.
+/// soak and Table 1). The soak row's process-global audit channel is on
+/// from its `enable` until its `take` ends the recording; rows run at
+/// the same time, so without this lock a Table 1 world built inside that
+/// window would report into the soak's audit.
 static GLOBAL_CHANNELS: Mutex<()> = Mutex::new(());
 
 /// Take [`GLOBAL_CHANNELS`], whether or not a row panicked holding it.
@@ -392,6 +394,54 @@ fn replay_topologies() {
         fold.page(&result).report(&auditor.finish());
     }
     check("replay_topologies", fold.0, REPLAY_TOPOLOGIES);
+}
+
+/// A loss shell that drops nothing is the same world as no loss shell:
+/// over a delay shell and a 32-packet droptail link, each of four sites
+/// loads to an equal result, and the auditor gives every connection the
+/// same digest, with no violation on either side. Only the connection
+/// digests are compared: the tap-point ones name the shells.
+#[test]
+fn lossless_loss_shell_is_no_loss_shell() {
+    for seed in [7, 29, 101, 2014] {
+        let stored = site(seed);
+        let run = |loss: Option<(f64, f64)>| {
+            let auditor = Auditor::for_load(0);
+            let mut spec = LoadSpec::new(&stored);
+            spec.net = NetSpec {
+                delay: Some(SimDuration::from_millis(30)),
+                link: Some(LinkSpec {
+                    uplink: constant_rate(4.0, 1_000),
+                    downlink: constant_rate(12.0, 1_000),
+                    qdisc: QdiscKind::DropTailPackets(32),
+                }),
+                loss,
+            };
+            spec.seed = seed;
+            spec.audit = Some(auditor.clone());
+            let result = run_page_load(&spec);
+            let report = auditor.finish();
+            assert!(
+                report.is_clean(),
+                "site {seed}, loss {loss:?}: {:?}",
+                report.violations
+            );
+            let conns: Vec<(String, u64)> = report
+                .digests
+                .into_iter()
+                .filter(|(scope, _)| scope.starts_with("conn:"))
+                .collect();
+            assert!(!conns.is_empty(), "site {seed}: no connection digests");
+            (format!("{result:?}"), conns)
+        };
+        let (bare, bare_conns) = run(None);
+        let (lossless, lossless_conns) = run(Some((0.0, 0.0)));
+        assert_eq!(bare, lossless, "site {seed}: the page load moved");
+        assert_eq!(
+            bare_conns, lossless_conns,
+            "site {seed}: a connection moved"
+        );
+    }
 }
 
 /// Table 1 as its bin computes it, at 2 loads per (site, machine) cell:
