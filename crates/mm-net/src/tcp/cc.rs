@@ -7,12 +7,15 @@
 //! classic tiers byte-identical — while [`Bbr`] is built entirely on
 //! them: it models the path (bottleneck bandwidth × min RTT) from
 //! delivery-rate samples and drives the socket's pacer instead of
-//! reacting to loss.
+//! reacting to loss. That model, with its bandwidth filter
+//! (`WindowedMaxBw`) here beside it, is the socket's only bandwidth
+//! and min-RTT estimate: `tcp/rate.rs` only samples.
 
 use mm_sim::{SimDuration, Timestamp};
 
 use crate::packet::MSS;
-use crate::tcp::rate::{RateSample, WindowedMaxBw};
+use crate::tcp::deque::InlineDeque;
+use crate::tcp::rate::RateSample;
 
 /// Which congestion-control algorithm a socket runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,9 +63,10 @@ pub(crate) trait CongestionControl {
     /// Fast recovery finished (the lost segment's range was acked).
     fn on_recovery_exit(&mut self);
     /// A delivery-rate sample (see [`crate::tcp::rate`]) with the
-    /// current pipe estimate. Model-based controllers (BBR) rebuild
-    /// their path model here; loss-based controllers ignore it — the
-    /// no-op default keeps Reno/Cubic untouched.
+    /// current pipe estimate. This is the samples' only consumer: BBR
+    /// rebuilds its path model — the socket's one bandwidth and min-RTT
+    /// estimate — here; loss-based controllers ignore it, and the no-op
+    /// default keeps Reno/Cubic untouched.
     fn on_rate_sample(&mut self, _rs: &RateSample, _inflight: u64, _now: Timestamp) {}
     /// The rate (bytes/second) the controller wants the pacer to release
     /// at, when it models one. `None` (the default) leaves the socket
@@ -349,8 +353,48 @@ enum BbrMode {
     ProbeBw,
     /// Periodically shrink the window to the floor so the real
     /// propagation delay (not a self-inflicted standing queue) shows
-    /// through to the min-RTT filter.
+    /// through to the min-RTT estimate.
     ProbeRtt,
+}
+
+/// BBR's windowed-maximum filter over bandwidth samples, keyed by
+/// packet-timed round: a monotone deque, increasing in round and
+/// decreasing in bandwidth, so the front is the maximum. Expiry is the
+/// caller's floor. The app-limited admission rule lives here: an
+/// app-limited sample measures the app, not the path, and may only
+/// *raise* the maximum.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WindowedMaxBw {
+    /// (round, bw). Most samples displace everything before them, so
+    /// most sockets never hold more than one: that one is inline, and
+    /// the spill grows from four (DESIGN.md §3).
+    samples: InlineDeque<(u64, u64), 1, 0>,
+}
+
+impl WindowedMaxBw {
+    /// Admit one sample taken in `round`.
+    pub(crate) fn update(&mut self, round: u64, bw: u64, is_app_limited: bool) {
+        if is_app_limited && Some(bw) <= self.max() {
+            return;
+        }
+        // Anything ≤ the new sample can never be the maximum again.
+        while self.samples.back().is_some_and(|&(_, b)| b <= bw) {
+            self.samples.pop_back();
+        }
+        self.samples.push_back((round, bw));
+    }
+
+    /// Drop samples taken before round `floor`.
+    pub(crate) fn expire_before(&mut self, floor: u64) {
+        while self.samples.front().is_some_and(|&(r, _)| r < floor) {
+            self.samples.pop_front();
+        }
+    }
+
+    /// The windowed maximum, if any in-window sample exists.
+    pub(crate) fn max(&self) -> Option<u64> {
+        self.samples.front().map(|&(_, b)| b)
+    }
 }
 
 /// BBRv1 (simplified; deviations in DESIGN.md §3): a model-based
@@ -368,7 +412,7 @@ pub(crate) struct Bbr {
     pacing_gain: f64,
     cwnd_gain: f64,
     /// Windowed-max bandwidth filter keyed by packet-timed round.
-    bw_filter: WindowedMaxBw<u64>,
+    bw_filter: WindowedMaxBw,
     /// Packet-timed round trips: a round ends when a sample's
     /// `prior_delivered` reaches the `delivered` mark of the round start.
     round_count: u64,
@@ -412,7 +456,7 @@ impl Bbr {
             initial_cwnd: iw,
             pacing_gain: BBR_HIGH_GAIN,
             cwnd_gain: BBR_HIGH_GAIN,
-            bw_filter: WindowedMaxBw::new(),
+            bw_filter: WindowedMaxBw::default(),
             round_count: 0,
             next_round_delivered: 0,
             min_rtt: None,
@@ -432,6 +476,11 @@ impl Bbr {
     /// Windowed-max bottleneck bandwidth estimate, bytes/second.
     pub(crate) fn max_bw(&self) -> Option<u64> {
         self.bw_filter.max()
+    }
+
+    /// Minimum RTT estimate.
+    pub(crate) fn min_rtt(&self) -> Option<SimDuration> {
+        self.min_rtt
     }
 
     /// Bandwidth-delay product scaled by `gain`, when both estimates

@@ -1,5 +1,5 @@
-//! Per-connection delivery-rate estimation (the model behind the `Bbr`
-//! congestion controller, and so behind its pacing).
+//! Per-connection delivery-rate sampling (the measurement behind the
+//! `Bbr` congestion controller's model, and so behind its pacing).
 //!
 //! Implements the sampler of draft-cheng-iccrg-delivery-rate-estimation
 //! (the algorithm Linux ships as `tcp_rate.c`, and the measurement layer
@@ -24,24 +24,15 @@
 //!
 //! Samples taken while the sender was **application-limited** (it ran
 //! out of data before filling the window) measure the app, not the
-//! network; they are marked so consumers (the windowed-max bandwidth
-//! filters here and in BBR) only let them *raise* the estimate, never
-//! drag it down.
+//! network; they are marked so the consumer (BBR's windowed-max
+//! bandwidth filter) only lets them *raise* its estimate, never drag it
+//! down.
 //!
-//! The module also owns the **windowed min-RTT filter** (monotone-deque
-//! minimum over a sliding time window, default 10 s — BBR's min-RTT
-//! horizon) used for BDP computation and pacing.
+//! The sampler keeps no estimate of its own: the socket's one bandwidth
+//! and min-RTT estimate is the path model of its controller (`Bbr` in
+//! `cc.rs`).
 
 use mm_sim::{SimDuration, Timestamp};
-
-use crate::tcp::deque::InlineDeque;
-
-/// Sliding window of the min-RTT filter (BBR's 10 s horizon).
-pub const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
-
-/// Sliding window of the estimator's own bandwidth filter, the one
-/// `TcpHandle::delivery_rate` reports.
-pub const BW_WINDOW: SimDuration = SimDuration::from_secs(10);
 
 /// Per-segment state stamped at transmission time (draft-cheng §3.1:
 /// `P.delivered`, `P.delivered_time`, `P.first_sent_time`,
@@ -76,120 +67,8 @@ pub struct RateSample {
     pub(crate) is_app_limited: bool,
 }
 
-/// The queue under both windowed filters. A filter is a monotone deque,
-/// and most of a short connection's samples displace everything before
-/// them, so most sockets never hold more than one: that one is inline.
-/// A filter that spills keeps its spill for the socket's life, so the
-/// spill grows from four: reserving 16 read +0.5 MB `peak_rss_mb` on
-/// `fleet_64` and +0.3 MB on `soak_open_loop` (DESIGN.md §3).
-type Samples<T> = InlineDeque<T, 1, 0>;
-
-/// Windowed minimum filter over RTT samples: a monotone deque keyed by
-/// sample time. Within a window the reported minimum is non-increasing
-/// as samples arrive (property-tested); old minima expire after
-/// [`MIN_RTT_WINDOW`] so a route change eventually shows through.
-#[derive(Debug, Clone)]
-pub struct MinRttFilter {
-    window: SimDuration,
-    /// (sample time, rtt), increasing in both fields: front is the
-    /// current minimum, later entries are successors-in-waiting.
-    samples: Samples<(Timestamp, SimDuration)>,
-}
-
-impl MinRttFilter {
-    /// Filter with an explicit window.
-    pub fn new(window: SimDuration) -> Self {
-        MinRttFilter {
-            window,
-            samples: Samples::default(),
-        }
-    }
-
-    /// Feed one RTT sample taken at `now`.
-    pub fn update(&mut self, rtt: SimDuration, now: Timestamp) {
-        self.expire(now);
-        // Anything ≥ the new sample can never be the minimum again
-        // (it is both older and larger).
-        while self.samples.back().is_some_and(|&(_, r)| r >= rtt) {
-            self.samples.pop_back();
-        }
-        self.samples.push_back((now, rtt));
-    }
-
-    /// Drop samples that fell out of the window.
-    fn expire(&mut self, now: Timestamp) {
-        while self
-            .samples
-            .front()
-            .is_some_and(|&(t, _)| now.saturating_duration_since(t) > self.window)
-        {
-            self.samples.pop_front();
-        }
-    }
-
-    /// The windowed minimum, if any in-window sample exists. (Read-only:
-    /// expiry happens on `update`, so between updates the reported
-    /// minimum is stable — deterministic regardless of when it is read.)
-    pub fn min(&self) -> Option<SimDuration> {
-        self.samples.front().map(|&(_, r)| r)
-    }
-}
-
-impl Default for MinRttFilter {
-    fn default() -> Self {
-        MinRttFilter::new(MIN_RTT_WINDOW)
-    }
-}
-
-/// Windowed-maximum filter over bandwidth samples — the same monotone-
-/// deque structure as [`MinRttFilter`] with the ordering flipped,
-/// generic over the window key so it serves both the estimator's
-/// time-keyed window and BBR's round-trip-keyed one. Expiry is the
-/// caller's floor (keys are not all subtractable), and the app-limited
-/// admission rule lives here so both consumers share it: an app-limited
-/// sample measures the app, not the path, and may only *raise* the
-/// maximum.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WindowedMaxBw<K> {
-    /// (key, bw), increasing in key, decreasing in bw: front is the max.
-    samples: Samples<(K, u64)>,
-}
-
-impl<K: Copy + PartialOrd> WindowedMaxBw<K> {
-    pub(crate) fn new() -> Self {
-        WindowedMaxBw {
-            samples: Samples::default(),
-        }
-    }
-
-    /// Admit one sample at `key`.
-    pub(crate) fn update(&mut self, key: K, bw: u64, is_app_limited: bool) {
-        if is_app_limited && Some(bw) <= self.max() {
-            return;
-        }
-        // Anything ≤ the new sample can never be the maximum again.
-        while self.samples.back().is_some_and(|&(_, b)| b <= bw) {
-            self.samples.pop_back();
-        }
-        self.samples.push_back((key, bw));
-    }
-
-    /// Drop samples whose key fell below `floor`.
-    pub(crate) fn expire_before(&mut self, floor: K) {
-        while self.samples.front().is_some_and(|&(k, _)| k < floor) {
-            self.samples.pop_front();
-        }
-    }
-
-    /// The windowed maximum, if any in-window sample exists.
-    pub(crate) fn max(&self) -> Option<u64> {
-        self.samples.front().map(|&(_, b)| b)
-    }
-}
-
-/// The per-connection delivery-rate estimator (draft-cheng's connection
-/// state `C.*`), plus the windowed min-RTT filter and a windowed-max
-/// bandwidth estimate for diagnostics.
+/// The per-connection delivery-rate sampler (draft-cheng's connection
+/// state `C.*`).
 #[derive(Debug)]
 pub struct RateEstimator {
     /// Total bytes delivered (cumulatively acked + newly sacked).
@@ -201,9 +80,6 @@ pub struct RateEstimator {
     /// Delivered count up to which samples are app-limited; 0 = not
     /// app-limited (draft-cheng's `C.app_limited`).
     app_limited_until: u64,
-    min_rtt: MinRttFilter,
-    /// Windowed-max bandwidth over sample time.
-    bw: WindowedMaxBw<Timestamp>,
 }
 
 impl RateEstimator {
@@ -213,8 +89,6 @@ impl RateEstimator {
             delivered_time: Timestamp::ZERO,
             first_sent_time: Timestamp::ZERO,
             app_limited_until: 0,
-            min_rtt: MinRttFilter::default(),
-            bw: WindowedMaxBw::new(),
         }
     }
 
@@ -250,11 +124,6 @@ impl RateEstimator {
         }
         self.delivered += bytes;
         self.delivered_time = now;
-    }
-
-    /// Feed one RTT measurement into the windowed min filter.
-    pub(crate) fn on_rtt(&mut self, rtt: SimDuration, now: Timestamp) {
-        self.min_rtt.update(rtt, now);
     }
 
     /// Generate the rate sample for an ACK that delivered the segment
@@ -295,29 +164,13 @@ impl RateEstimator {
             return None;
         }
         let bw = ((delivered_delta as u128 * 1_000_000_000) / interval.as_nanos() as u128) as u64;
-        let is_app_limited = rec.is_app_limited;
-        // The estimator's own windowed-max bandwidth (diagnostics).
-        self.bw.update(now, bw, is_app_limited);
-        self.bw.expire_before(Timestamp::from_nanos(
-            now.as_nanos().saturating_sub(BW_WINDOW.as_nanos()),
-        ));
         Some(RateSample {
             bw,
             delivered: self.delivered,
             prior_delivered: rec.delivered,
             rtt: now.saturating_duration_since(sent_at),
-            is_app_limited,
+            is_app_limited: rec.is_app_limited,
         })
-    }
-
-    /// Windowed-max delivery-rate estimate, bytes per second.
-    pub(crate) fn bw_estimate(&self) -> Option<u64> {
-        self.bw.max()
-    }
-
-    /// Windowed minimum RTT.
-    pub(crate) fn min_rtt(&self) -> Option<SimDuration> {
-        self.min_rtt.min()
     }
 
     /// Total bytes delivered on this connection.
@@ -335,6 +188,7 @@ impl Default for RateEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::cc::WindowedMaxBw;
 
     fn ms(v: u64) -> Timestamp {
         Timestamp::from_millis(v)
@@ -412,30 +266,25 @@ mod tests {
 
     #[test]
     fn app_limited_samples_only_raise_bw_estimate() {
+        // BBR's bandwidth filter, fed by this sampler.
         let mut e = RateEstimator::new();
+        let mut max_bw = WindowedMaxBw::default();
         // A genuine 100 kB/s sample.
         let r0 = e.on_send(ms(0), true);
         e.on_delivery(10_000, ms(100));
-        e.sample(&r0, ms(0), ms(100)).unwrap();
-        assert_eq!(e.bw_estimate(), Some(100_000));
-        // An app-limited trickle (1 kB/s) must not drag it down.
-        e.on_app_limited(0);
+        let s0 = e.sample(&r0, ms(0), ms(100)).unwrap();
+        max_bw.update(0, s0.bw, s0.is_app_limited);
+        assert_eq!(max_bw.max(), Some(100_000));
+        // The app queues only 100 bytes: they are marked app-limited as
+        // they are sent, and their trickle of a sample must not drag the
+        // maximum down.
+        e.on_app_limited(100);
         let r1 = e.on_send(ms(200), true);
         e.on_delivery(100, ms(300));
-        e.sample(&r1, ms(200), ms(300)).unwrap();
-        assert_eq!(e.bw_estimate(), Some(100_000));
-    }
-
-    #[test]
-    fn min_rtt_filter_tracks_window() {
-        let mut f = MinRttFilter::new(SimDuration::from_secs(1));
-        f.update(SimDuration::from_millis(50), ms(0));
-        f.update(SimDuration::from_millis(40), ms(100));
-        f.update(SimDuration::from_millis(60), ms(200));
-        assert_eq!(f.min(), Some(SimDuration::from_millis(40)));
-        // The 40 ms sample expires at t=1.2s; 60 ms becomes the minimum.
-        f.update(SimDuration::from_millis(70), ms(1200));
-        assert_eq!(f.min(), Some(SimDuration::from_millis(60)));
+        let s1 = e.sample(&r1, ms(200), ms(300)).unwrap();
+        assert!(s1.is_app_limited);
+        max_bw.update(1, s1.bw, s1.is_app_limited);
+        assert_eq!(max_bw.max(), Some(100_000));
     }
 
     #[test]
@@ -462,8 +311,6 @@ mod tests {
                 }
             }
         }
-        let bw = e.bw_estimate().unwrap();
-        assert!((90_000..=100_000).contains(&bw), "estimate {bw}");
     }
 
     #[test]

@@ -237,7 +237,7 @@ impl LossRecovery {
                 if self.is_sacked(e) {
                     if !retransmitted {
                         // Unambiguous delivery: candidate for this ack's
-                        // rate sample, and a windowed min-RTT input.
+                        // rate sample.
                         delivered(e);
                     }
                     if rack {

@@ -12,6 +12,7 @@ use mm_metrics::FlowSample;
 use mm_sim::{SimDuration, Timestamp};
 
 use crate::packet::{Packet, SackBlock, SackOption, TcpFlags, TcpSegment, MSS};
+use crate::tcp::cc::Controller;
 use crate::tcp::rate::TxRecord;
 use crate::tcp::recovery::{Frto, LossRecovery, NextSeg, Verdict};
 use crate::tcp::socket::{SocketEvent, TcpHandle, TcpInner, RTO};
@@ -541,9 +542,7 @@ impl TcpInner {
         let newly_sacked =
             self.recovery
                 .on_sack(&mut self.retx, &blocks[..n], floor, snd_nxt, now, |e| {
-                    note_delivered(&mut self.rate_candidate, e);
-                    self.rate
-                        .on_rtt(now.saturating_duration_since(e.sent_at), now);
+                    note_delivered(&mut self.rate_candidate, e)
                 });
         self.stats.max_scoreboard_ranges = self
             .stats
@@ -645,7 +644,6 @@ impl TcpInner {
 
         if let Some(rtt) = sample {
             self.rtt.on_measurement(rtt);
-            self.rate.on_rtt(rtt, now);
         }
 
         // Close this ack's deliveries into a rate sample for the
@@ -890,15 +888,22 @@ impl TcpHandle {
         self.inner.borrow().flight_size()
     }
 
-    /// Windowed-max delivery-rate estimate, bytes per second
+    /// BBR's windowed-max bottleneck bandwidth estimate, bytes per
+    /// second; `None` under Reno and CUBIC, which model no path
     /// (diagnostics/tests — e.g. asserting BBR converged to link rate).
     pub fn delivery_rate(&self) -> Option<u64> {
-        self.inner.borrow().rate.bw_estimate()
+        match &self.inner.borrow().cc {
+            Controller::Bbr(bbr) => bbr.max_bw(),
+            _ => None,
+        }
     }
 
-    /// Windowed minimum RTT from the delivery-rate estimator.
+    /// BBR's minimum RTT estimate; `None` under Reno and CUBIC.
     pub fn min_rtt_estimate(&self) -> Option<SimDuration> {
-        self.inner.borrow().rate.min_rtt()
+        match &self.inner.borrow().cc {
+            Controller::Bbr(bbr) => bbr.min_rtt(),
+            _ => None,
+        }
     }
 }
 

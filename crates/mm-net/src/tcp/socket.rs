@@ -255,8 +255,8 @@ pub(crate) struct TcpInner {
     pub(super) consecutive_timeouts: u32,
     /// Loss recovery at the negotiated tier (recovery.rs).
     pub(super) recovery: LossRecovery,
-    /// Delivery-rate estimator (always maintained — pure bookkeeping —
-    /// but only consumed by a model-based controller).
+    /// Delivery-rate sampler (always maintained — pure bookkeeping —
+    /// but its samples are only consumed by a model-based controller).
     pub(super) rate: RateEstimator,
     /// The most recently *sent* segment this ack delivered: the packet
     /// whose stamped [`TxRecord`] closes into this ack's rate sample

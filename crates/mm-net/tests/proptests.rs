@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use mm_net::tcp::pacing::Pacer;
 use mm_net::tcp::rack::RackState;
-use mm_net::tcp::rate::{MinRttFilter, RateEstimator};
+use mm_net::tcp::rate::RateEstimator;
 use mm_net::tcp::sack::Scoreboard;
 use mm_net::{
     CcAlgorithm, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, PacketSink, RecoveryTier,
@@ -781,43 +781,6 @@ proptest! {
                 budget,
                 now_ns
             );
-        }
-    }
-
-    /// The windowed min-RTT filter equals a brute-force oracle after
-    /// every update, and is monotone non-increasing between expiries:
-    /// within a window, new samples can only lower (or hold) the
-    /// minimum.
-    #[test]
-    fn min_rtt_filter_matches_oracle_and_is_monotone_within_window(
-        samples in prop::collection::vec((0u64..3000, 1u64..500), 1..80),
-    ) {
-        const WINDOW_MS: u64 = 5000;
-        let mut f = MinRttFilter::new(SimDuration::from_millis(WINDOW_MS));
-        let mut oracle: Vec<(u64, u64)> = Vec::new(); // (time ms, rtt ms)
-        let mut now_ms = 0u64;
-        let mut prev_min: Option<u64> = None;
-        for (dt_ms, rtt_ms) in samples {
-            now_ms += dt_ms;
-            let expired = oracle
-                .iter()
-                .any(|&(t, _)| now_ms.saturating_sub(t) > WINDOW_MS);
-            oracle.retain(|&(t, _)| now_ms.saturating_sub(t) <= WINDOW_MS);
-            oracle.push((now_ms, rtt_ms));
-            f.update(SimDuration::from_millis(rtt_ms), Timestamp::from_millis(now_ms));
-            let min = oracle.iter().map(|&(_, r)| r).min().unwrap();
-            prop_assert_eq!(f.min(), Some(SimDuration::from_millis(min)));
-            if let Some(prev) = prev_min {
-                if !expired {
-                    prop_assert!(
-                        min <= prev,
-                        "minimum rose from {} to {} with nothing expired",
-                        prev,
-                        min
-                    );
-                }
-            }
-            prev_min = Some(min);
         }
     }
 }

@@ -6,8 +6,8 @@
 
 use bytes::Bytes;
 use mm_net::{
-    CcAlgorithm, Host, IpAddr, Listener, Namespace, PacketIdGen, RecoveryTier, SocketAddr,
-    SocketApp, SocketEvent, TcpConfig, TcpHandle,
+    CcAlgorithm, FnSink, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, RecoveryTier,
+    SinkRef, SocketAddr, SocketApp, SocketEvent, TcpConfig, TcpHandle,
 };
 use mm_shells::{DropTail, QueueLimit, ShellLayer, ShellStack};
 use mm_sim::{SimDuration, Simulator, Timestamp};
@@ -79,6 +79,19 @@ fn bulk_upload(
     one_way: SimDuration,
     queue: QueueLimit,
 ) -> World {
+    bulk_upload_through(config, total, mbps, one_way, queue, |stack| stack)
+}
+
+/// [`bulk_upload`] with the client's packets sent to what `egress`
+/// wraps around the stack's innermost router.
+fn bulk_upload_through(
+    config: TcpConfig,
+    total: usize,
+    mbps: f64,
+    one_way: SimDuration,
+    queue: QueueLimit,
+    egress: impl FnOnce(SinkRef) -> SinkRef,
+) -> World {
     let mut sim = Simulator::new();
     let root = Namespace::root("root");
     let ids = PacketIdGen::new();
@@ -100,6 +113,7 @@ fn bulk_upload(
             Box::new(DropTail::new(queue))
         });
     let client = Host::new_in(IpAddr::new(100, 64, 0, 2), ids, &stack.innermost());
+    client.set_egress(egress(stack.innermost().router()));
     client.set_tcp_config(config);
     let handle = client.connect(
         &mut sim,
@@ -242,4 +256,55 @@ fn loss_based_controllers_never_pace() {
             );
         }
     }
+}
+
+/// ROADMAP item 2(e): a sender whose window has less than one MSS free
+/// sends what fits, so CUBIC's byte-granular window dribbles runts — the
+/// stack has no sender-side silly-window avoidance (RFC 1122 §4.2.3.4),
+/// where Linux counts cwnd in whole packets. Fails until that is fixed.
+#[test]
+#[ignore = "ROADMAP item 2(e)"]
+fn cubic_bulk_upload_sends_no_runt_segments() {
+    let total = 4_000_000;
+    let config = TcpConfig::builder()
+        .cc(CcAlgorithm::Cubic)
+        .recovery(RecoveryTier::Sack)
+        .build();
+    // Every data segment the client sends: (sequence end, payload).
+    let sent = Rc::new(RefCell::new(Vec::new()));
+    let log = sent.clone();
+    let mut w = bulk_upload_through(
+        config,
+        total,
+        8.0,
+        SimDuration::from_millis(40),
+        QueueLimit::Packets(32),
+        move |stack| {
+            FnSink::new(move |sim: &mut Simulator, p: Packet| {
+                let len = p.segment.payload.len();
+                if len > 0 {
+                    log.borrow_mut().push((p.segment.seq + len as u64, len));
+                }
+                stack.deliver(sim, p);
+            })
+        },
+    );
+    w.sim.run();
+    assert_eq!(*w.received.borrow(), total as u64);
+    let sent = sent.borrow();
+    let end = sent
+        .iter()
+        .map(|&(end, _)| end)
+        .max()
+        .expect("data was sent");
+    let runts = sent
+        .iter()
+        .filter(|&&(seq_end, len)| len < 100 && seq_end != end)
+        .count();
+    assert_eq!(
+        runts,
+        0,
+        "{runts} of {} data segments under 100 B",
+        sent.len()
+    );
 }

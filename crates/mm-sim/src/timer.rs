@@ -6,14 +6,14 @@
 //! arm bumps the generation and the filed event only fires if its
 //! generation is still current.
 //!
-//! A timer is armed one of two ways. [`Timer::arm_at`] takes a closure per
-//! arm — the general form, one allocation each. A timer built with
-//! [`Timer::bound`] was given its handler once, so [`Timer::rearm_at`]
-//! files `(timer state, generation)` with the engine and allocates nothing
-//! (DESIGN.md §1). An owner of several timers that run one handler keeps
-//! them in a [`TimerBank`]: the same entries in the queue, one allocation
-//! for the lot (DESIGN.md §1) — what a socket does with its own
-//! (`mm-net`'s `tcp/socket.rs` lists them).
+//! A [`Timer`] is armed by closure: [`Timer::arm_at`] takes one per arm —
+//! the general form, one allocation each. Timers whose handler is known
+//! up front are a [`TimerBank`]: given its handler once, it files
+//! `(bank, slot and generation)` with the engine on every
+//! [`TimerBank::rearm_at`] and allocates nothing — the same entries in
+//! the queue, one allocation for the lot (DESIGN.md §1). A socket keeps
+//! its timers so (`mm-net`'s `tcp/socket.rs` lists them); a timer with a
+//! bound handler is a bank of one.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -23,37 +23,16 @@ use std::rc::Rc;
 use crate::engine::{Event, EventTarget, Simulator};
 use crate::time::{SimDuration, Timestamp};
 
-/// What a [`Timer::bound`] timer runs each time it fires. Closures
-/// implement it; an owner that keeps its timers in a struct field names a
-/// type of its own instead. A handler that needs the timer's owner holds
-/// it weakly — the owner owns the timer, the timer its handler.
-pub trait TimerHandler {
-    /// The timer fired (it was not cancelled or re-armed since).
-    fn on_fire(&self, sim: &mut Simulator);
-}
-
-impl<F: Fn(&mut Simulator)> TimerHandler for F {
-    fn on_fire(&self, sim: &mut Simulator) {
-        self(sim)
-    }
-}
-
 /// What a [`TimerBank`] runs when one of its timers fires: one handler
-/// for all of them, told which. A [`TimerHandler`] is the bank handler of
-/// a bank of one.
+/// for all of them, told which. A handler that needs the bank's owner
+/// holds it weakly — the owner owns the bank, the bank its handler.
 pub trait BankHandler {
     /// Timer `slot` fired (it was not cancelled or re-armed since).
     fn on_fire(&self, sim: &mut Simulator, slot: usize);
 }
 
-impl<H: TimerHandler> BankHandler for H {
-    fn on_fire(&self, sim: &mut Simulator, _slot: usize) {
-        TimerHandler::on_fire(self, sim)
-    }
-}
-
-/// The handler of a timer that has none: armed by closure only.
-pub struct Unbound;
+/// The handler of a [`Timer`]: none, it is armed by closure only.
+struct Unbound;
 
 /// A cancellable, rearmable one-shot timer.
 ///
@@ -74,15 +53,16 @@ pub struct Unbound;
 /// sim.run();
 /// assert!(!fired.get());
 /// ```
-pub struct Timer<H = Unbound> {
-    bank: TimerBank<H, 1>,
+#[derive(Clone)]
+pub struct Timer {
+    bank: TimerBank<Unbound, 1>,
 }
 
 /// `N` timers that share one handler and one allocation: each slot is
-/// armed, re-armed and cancelled on its own, and files exactly the queue
-/// entries a [`Timer::bound`] timer of its own would — `(bank, slot and
-/// generation)` under the same tag — so `N` timers and a bank of `N` are
-/// indistinguishable from the queue's side (DESIGN.md §1).
+/// armed, re-armed and cancelled on its own, and files one queue entry
+/// per arm under the same tag, as a [`Timer`] of its own would — so `N`
+/// timers and a bank of `N` are indistinguishable from the queue's side
+/// (DESIGN.md §1). A timer with a bound handler is a `TimerBank<H, 1>`.
 ///
 /// Cloning a `TimerBank` yields a handle to the same timers.
 pub struct TimerBank<H, const N: usize> {
@@ -151,14 +131,6 @@ impl<H, const N: usize> Clone for TimerBank<H, N> {
     }
 }
 
-impl<H> Clone for Timer<H> {
-    fn clone(&self) -> Self {
-        Timer {
-            bank: self.bank.clone(),
-        }
-    }
-}
-
 impl Default for Timer {
     fn default() -> Self {
         Timer::new()
@@ -174,15 +146,8 @@ pub(crate) const TIMER_MUX_EVENT: &str = "sim_events_timer_mux_total";
 impl Timer {
     /// Create an unarmed timer.
     pub fn new() -> Self {
-        Timer::tagged(TIMER_EVENT)
-    }
-
-    /// Create an unarmed timer whose firings are dispatched under `tag`
-    /// in the event-loop profiler (see
-    /// [`Simulator::schedule_at_tagged`]).
-    pub(crate) fn tagged(tag: &'static str) -> Self {
         Timer {
-            bank: TimerBank::build(Unbound, None, tag),
+            bank: TimerBank::build(Unbound, None, TIMER_EVENT),
         }
     }
 
@@ -192,9 +157,7 @@ impl Timer {
             bank: TimerBank::build(Unbound, Some(mux), TIMER_EVENT),
         }
     }
-}
 
-impl<H> Timer<H> {
     /// Arm (or rearm) the timer to fire `delay` from now. Any previously
     /// armed firing is superseded.
     pub fn arm(
@@ -202,9 +165,7 @@ impl<H> Timer<H> {
         sim: &mut Simulator,
         delay: SimDuration,
         f: impl FnOnce(&mut Simulator) + 'static,
-    ) where
-        H: 'static,
-    {
+    ) {
         self.arm_at(sim, sim.now() + delay, f)
     }
 
@@ -214,9 +175,7 @@ impl<H> Timer<H> {
         sim: &mut Simulator,
         at: Timestamp,
         f: impl FnOnce(&mut Simulator) + 'static,
-    ) where
-        H: 'static,
-    {
+    ) {
         let bank = &self.bank;
         let gen = bank.supersede(0, at);
         let state = bank.state.clone();
@@ -244,23 +203,6 @@ impl<H> Timer<H> {
     /// The instant the timer will fire, or `Timestamp::NEVER` if unarmed.
     pub fn deadline(&self) -> Timestamp {
         self.bank.deadline(0)
-    }
-}
-
-impl<H: TimerHandler + 'static> Timer<H> {
-    /// Create an unarmed timer that runs `handler` whenever it fires,
-    /// routed through `mux` if given.
-    pub fn bound(handler: H, mux: Option<&TimerMux>) -> Self {
-        Timer {
-            bank: TimerBank::bound(handler, mux),
-        }
-    }
-
-    /// Arm (or rearm) the timer to run its bound handler at `at`: the
-    /// same queue entry, in the same place, as [`Timer::arm_at`] files —
-    /// without allocating.
-    pub fn rearm_at(&self, sim: &mut Simulator, at: Timestamp) {
-        self.bank.rearm_at(sim, 0, at);
     }
 }
 
@@ -337,7 +279,9 @@ impl<H: BankHandler + 'static, const N: usize> TimerBank<H, N> {
         TimerBank::build(handler, mux, TIMER_EVENT)
     }
 
-    /// Arm (or rearm) timer `slot` to fire at `at`, without allocating.
+    /// Arm (or rearm) timer `slot` to fire at `at`: the same queue entry,
+    /// in the same place, as [`Timer::arm_at`] files — without
+    /// allocating.
     pub fn rearm_at(&self, sim: &mut Simulator, slot: usize, at: Timestamp) {
         let token = self.supersede(slot, at) * N as u64 + slot as u64;
         let target: Rc<dyn EventTarget> = self.state.clone();
@@ -637,26 +581,55 @@ mod tests {
         assert_eq!(*log.borrow(), vec!["plain", "muxed"]);
     }
 
-    /// Arm a timer five times for ever-later deadlines, by closure or by
-    /// its bound handler, and report (firings, events executed).
-    fn rearm_five_times(bound: bool, mux: Option<&TimerMux>) -> (u32, u64) {
+    /// A bank handler that runs a closure.
+    struct Run<F>(F);
+
+    impl<F: Fn(&mut Simulator)> BankHandler for Run<F> {
+        fn on_fire(&self, sim: &mut Simulator, _slot: usize) {
+            (self.0)(sim)
+        }
+    }
+
+    /// A timer with a bound handler: a bank of one.
+    fn bound<F: Fn(&mut Simulator) + 'static>(
+        handler: F,
+        mux: Option<&TimerMux>,
+    ) -> TimerBank<Run<F>, 1> {
+        TimerBank::bound(Run(handler), mux)
+    }
+
+    /// A closure-armed timer, in `mux` if given.
+    fn closure_timer(mux: Option<&TimerMux>) -> Timer {
+        mux.map_or_else(Timer::new, TimerMux::timer)
+    }
+
+    /// Arm a timer five times for ever-later deadlines, by closure or as
+    /// a bank of one with a bound handler, and report (firings, events
+    /// executed).
+    fn rearm_five_times(by_handler: bool, mux: Option<&TimerMux>) -> (u32, u64) {
         let mut sim = Simulator::new();
         let fired = Rc::new(Cell::new(0u32));
         let f = fired.clone();
         let handler = move |_: &mut Simulator| f.set(f.get() + 1);
-        let timer = Timer::bound(handler.clone(), mux);
+        let timer = closure_timer(mux);
+        let bank = bound(handler.clone(), mux);
         for ms in 1..=5u64 {
             let at = Timestamp::from_millis(ms);
-            if bound {
-                timer.rearm_at(&mut sim, at);
+            if by_handler {
+                bank.rearm_at(&mut sim, 0, at);
             } else {
                 timer.arm_at(&mut sim, at, handler.clone());
             }
         }
-        assert_eq!(timer.deadline(), Timestamp::from_millis(5));
+        let deadline = if by_handler {
+            bank.deadline(0)
+        } else {
+            timer.deadline()
+        };
+        assert_eq!(deadline, Timestamp::from_millis(5));
         assert_eq!(sim.run(), crate::RunResult::QueueEmpty);
         assert_eq!(sim.now(), Timestamp::from_millis(5));
-        assert!(!timer.is_armed());
+        assert!(!timer.is_armed() && !bank.is_armed(0));
         (fired.get(), sim.events_executed())
     }
 
@@ -677,24 +650,41 @@ mod tests {
         assert_eq!(rearm_five_times(true, Some(&TimerMux::new())), by_closure);
     }
 
-    #[test]
-    fn bound_and_closure_arms_supersede_each_other() {
+    /// Arm at 2 ms, re-arm at 4 ms and run; re-arm at 6 ms, cancel and
+    /// run — by closure or as a bank of one with a bound handler — and
+    /// report (the instants it fired at, events executed).
+    fn arm_rearm_cancel(by_handler: bool) -> (Vec<u64>, u64) {
         let mut sim = Simulator::new();
         let log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
-        let timer = Timer::bound(move |_: &mut Simulator| l.borrow_mut().push("bound"), None);
-        let l = log.clone();
-        timer.arm(&mut sim, SimDuration::from_millis(2), move |_| {
-            l.borrow_mut().push("closure")
-        });
-        timer.rearm_at(&mut sim, Timestamp::from_millis(4));
+        let handler = move |sim: &mut Simulator| l.borrow_mut().push(sim.now().as_millis());
+        let timer = Timer::new();
+        let bank = bound(handler.clone(), None);
+        let arm = |sim: &mut Simulator, ms| {
+            let at = Timestamp::from_millis(ms);
+            if by_handler {
+                bank.rearm_at(sim, 0, at);
+            } else {
+                timer.arm_at(sim, at, handler.clone());
+            }
+        };
+        arm(&mut sim, 2);
+        arm(&mut sim, 4);
         sim.run();
-        assert_eq!(*log.borrow(), vec!["bound"]);
-        timer.rearm_at(&mut sim, Timestamp::from_millis(6));
+        arm(&mut sim, 6);
         timer.cancel();
+        bank.cancel(0);
         sim.run();
-        assert_eq!(*log.borrow(), vec!["bound"]);
-        assert_eq!(sim.events_executed(), 3);
+        let fired = log.borrow().clone();
+        (fired, sim.events_executed())
+    }
+
+    #[test]
+    fn bound_and_closure_arms_supersede_each_other() {
+        // A re-arm supersedes the pending firing and a cancel the re-arm,
+        // bound or by closure alike; the superseded entries still pop.
+        assert_eq!(arm_rearm_cancel(false), (vec![4], 3));
+        assert_eq!(arm_rearm_cancel(true), (vec![4], 3));
     }
 
     #[test]
@@ -707,13 +697,12 @@ mod tests {
                 let l = log.clone();
                 move |_: &mut Simulator| l.borrow_mut().push(tag)
             };
-            let timers: Vec<_> = (0..4)
-                .map(|i| Timer::bound(push(i), mux.as_ref()))
-                .collect();
-            timers[0].rearm_at(&mut sim, at);
-            timers[1].arm_at(&mut sim, at, push(11));
-            timers[2].rearm_at(&mut sim, at);
-            timers[3].arm_at(&mut sim, at, push(13));
+            let (bound0, bound2) = (bound(push(0), mux.as_ref()), bound(push(2), mux.as_ref()));
+            let (timer1, timer3) = (closure_timer(mux.as_ref()), closure_timer(mux.as_ref()));
+            bound0.rearm_at(&mut sim, 0, at);
+            timer1.arm_at(&mut sim, at, push(11));
+            bound2.rearm_at(&mut sim, 0, at);
+            timer3.arm_at(&mut sim, at, push(13));
             sim.run();
             assert_eq!(*log.borrow(), vec![0, 11, 2, 13]);
         }

@@ -4,7 +4,7 @@
 
 use mm_sim::{
     jain_fairness, BankHandler, RngStream, SimDuration, Simulator, Summary, Timer, TimerBank,
-    TimerHandler, TimerMux, Timestamp,
+    TimerMux, Timestamp,
 };
 use proptest::prelude::*;
 use rand::RngCore;
@@ -116,47 +116,44 @@ impl BankHandler for LogSlot {
     }
 }
 
-/// A lone timer's handler: log its number, and when.
-struct LogOne(usize, FireLog);
-
-impl TimerHandler for LogOne {
-    fn on_fire(&self, sim: &mut Simulator) {
-        self.1.borrow_mut().push((self.0, sim.now().as_nanos()));
-    }
-}
-
-/// Five timers, as a bank or as five bound timers of their own.
+/// Five timers, as a bank or as five closure-armed timers of their own
+/// whose closures log what the bank's handler logs.
 enum Five {
     Bank(TimerBank<LogSlot, 5>),
-    Timers(Vec<Timer<LogOne>>),
+    Timers(Vec<Timer>, FireLog),
 }
 
 impl Five {
     fn rearm_at(&self, sim: &mut Simulator, slot: usize, at: Timestamp) {
         match self {
             Five::Bank(bank) => bank.rearm_at(sim, slot, at),
-            Five::Timers(timers) => timers[slot].rearm_at(sim, at),
+            Five::Timers(timers, log) => {
+                let log = log.clone();
+                timers[slot].arm_at(sim, at, move |sim| {
+                    log.borrow_mut().push((slot, sim.now().as_nanos()))
+                });
+            }
         }
     }
 
     fn cancel(&self, slot: usize) {
         match self {
             Five::Bank(bank) => bank.cancel(slot),
-            Five::Timers(timers) => timers[slot].cancel(),
+            Five::Timers(timers, _) => timers[slot].cancel(),
         }
     }
 
     fn deadline(&self, slot: usize) -> Timestamp {
         match self {
             Five::Bank(bank) => bank.deadline(slot),
-            Five::Timers(timers) => timers[slot].deadline(),
+            Five::Timers(timers, _) => timers[slot].deadline(),
         }
     }
 
     fn is_armed(&self, slot: usize) -> bool {
         match self {
             Five::Bank(bank) => bank.is_armed(slot),
-            Five::Timers(timers) => timers[slot].is_armed(),
+            Five::Timers(timers, _) => timers[slot].is_armed(),
         }
     }
 }
@@ -176,8 +173,8 @@ impl FiveWorld {
         let five = if bank {
             Five::Bank(TimerBank::bound(LogSlot(log.clone()), mux.as_ref()))
         } else {
-            let timer = |slot| Timer::bound(LogOne(slot, log.clone()), mux.as_ref());
-            Five::Timers((0..5).map(timer).collect())
+            let timer = |_| mux.as_ref().map_or_else(Timer::new, TimerMux::timer);
+            Five::Timers((0..5).map(timer).collect(), log.clone())
         };
         FiveWorld {
             sim: Simulator::new(),
@@ -204,8 +201,8 @@ impl FiveWorld {
 }
 
 proptest! {
-    /// A bank of five files exactly the queue entries five bound timers
-    /// file: armed, re-armed, cancelled and run in any interleaving — in
+    /// A bank of five files exactly the queue entries five closure-armed
+    /// timers file: armed, re-armed, cancelled and run in any interleaving — in
     /// the engine's queue or through a `TimerMux` — the two worlds show
     /// the same clock, the same executed-event count (superseded
     /// generations pop and count in both), the same pending entries and

@@ -33,7 +33,9 @@ use mm_net::{
 use mm_record::{RequestResponsePair, Scheme, StoredSite};
 use mm_replay::{Matcher, StoreIndex};
 use mm_shells::{DelayLink, DropTail, ObservedQdisc, Qdisc, ShellStack, TraceLink, TraceLinkSink};
-use mm_sim::{RngStream, SimDuration, Simulator, Timer, TimerMux, Timestamp};
+use mm_sim::{
+    BankHandler, RngStream, SimDuration, Simulator, Timer, TimerBank, TimerMux, Timestamp,
+};
 use mm_trace::{constant_rate, TraceBuffer};
 
 // ------------------------------------------------------------ allocator
@@ -127,11 +129,13 @@ fn median_site() -> StoredSite {
 /// host into a `Vec`; 4 187 while each of its 90 connections boxed two
 /// congestion controllers, two event queues, two send queues, an accept
 /// placeholder and a copy of its origin's name; 3 572 while a fetch
-/// made about 32 calls per resource (see the per-resource row below); it
-/// makes 2 421 now. The budget is that plus ~10 %.
+/// made about 32 calls per resource (see the per-resource row below);
+/// 2 421 while each socket's rate estimator kept bandwidth and min-RTT
+/// filters of its own beside its controller's; it makes 2 274 now. The
+/// budget is that plus ~10 %.
 #[test]
 fn a_page_load_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 2_660;
+    const BUDGET: u64 = 2_500;
     let site = median_site();
     let load = || {
         let mut spec = LoadSpec::new(&site);
@@ -160,11 +164,12 @@ fn a_page_load_stays_within_its_allocation_budget() {
 /// shell's two maps and listener per origin; 7 251 with the replay
 /// index's copy of the recording and a `Vec` per resolved URL; 6 571
 /// with those boxes and queues per connection; 5 956 with the fetch path
-/// the page load's history describes; it makes 4 805 now. The budget is
-/// that plus ~10 %.
+/// the page load's history describes; 4 805 with each socket's rate
+/// estimator's own bandwidth and min-RTT filters; it makes 4 658 now.
+/// The budget is that plus ~10 %.
 #[test]
 fn an_observed_page_load_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 5_290;
+    const BUDGET: u64 = 5_120;
     let site = median_site();
     let capture = Capture::for_load(0);
     let load = || {
@@ -216,10 +221,12 @@ fn an_observed_page_load_stays_within_its_allocation_budget() {
 /// lower-cased its extension, each decoded head sized its spans for its
 /// pseudo-fields too, and each parse delay was a boxed closure; 2 799
 /// while each fetch built a `Request` and boxed a completion closure for
-/// the client; it makes 2 582 now. The budget is that plus ~10 %.
+/// the client; 2 582 with each socket's rate estimator's own bandwidth
+/// and min-RTT filters; it makes 2 513 now. The budget is that plus
+/// ~10 %.
 #[test]
 fn a_mux_page_load_stays_within_its_allocation_budget() {
-    const BUDGET: u64 = 2_840;
+    const BUDGET: u64 = 2_760;
     let site = median_site();
     let load = || {
         let mut spec = LoadSpec::new(&site);
@@ -859,22 +866,30 @@ fn a_host_inbox_dispatches_without_allocating() {
     assert_none_per_packet("host inbox", allocs, 800);
 }
 
-/// Re-arming a bound timer — directly, or through a mux that already
-/// holds its entry's node — files no allocation; arming by closure files
-/// one box per arm, which is why sockets no longer do.
+/// Counts its bank's firings.
+struct CountFires(Rc<Cell<u32>>);
+
+impl BankHandler for CountFires {
+    fn on_fire(&self, _: &mut Simulator, _slot: usize) {
+        self.0.set(self.0.get() + 1);
+    }
+}
+
+/// Re-arming a bound timer (a bank of one) — directly, or through a mux
+/// that already holds its entry's node — files no allocation; arming a
+/// `Timer` by closure files one box per arm, which is why sockets do not.
 #[test]
 fn a_bound_timer_rearms_without_allocating() {
     let rearm = |mux: Option<&TimerMux>| {
         let mut sim = Simulator::new();
         let fired = Rc::new(Cell::new(0u32));
-        let f = fired.clone();
-        let timer = Timer::bound(move |_: &mut Simulator| f.set(f.get() + 1), mux);
+        let timer: TimerBank<_, 1> = TimerBank::bound(CountFires(fired.clone()), mux);
         let round = |sim: &mut Simulator| {
             let start = sim.now();
             for ms in 1..=200u64 {
                 sim.run_until(start + SimDuration::from_millis(ms));
                 for _ in 0..10 {
-                    timer.rearm_at(sim, sim.now() + SimDuration::from_millis(30));
+                    timer.rearm_at(sim, 0, sim.now() + SimDuration::from_millis(30));
                 }
             }
             sim.run();
