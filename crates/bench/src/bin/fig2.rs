@@ -14,8 +14,8 @@ fn main() {
         name: "fig2",
         default_sites: 500,
         title: |n| format!("Figure 2 — shell overhead on page load time ({n} sites)"),
-        run: |n_sites, seed| {
-            let mut r = fig2(n_sites, seed);
+        run: |n_sites, seed, recording| {
+            let mut r = fig2(n_sites, seed, recording);
             println!("  bare ReplayShell:       median {}", ms(r.replay.median()));
             println!("  + DelayShell 0 ms:      median {}", ms(r.delay0.median()));
             println!(

@@ -14,8 +14,8 @@ fn main() {
         name: "fig3",
         default_sites: 100,
         title: |n| format!("Figure 3 — multi-origin preservation vs the real web ({n} loads/arm)"),
-        run: |loads, seed| {
-            let mut r = fig3(loads, seed);
+        run: |loads, seed, recording| {
+            let mut r = fig3(loads, seed, recording);
             println!("  actual web:             median {}", ms(r.web.median()));
             println!("  replay multi-origin:    median {}", ms(r.multi.median()));
             println!("  replay single-server:   median {}", ms(r.single.median()));

@@ -21,7 +21,7 @@ fn main() {
         name: "figcell",
         default_sites: 24,
         title: |n| FIGCELL.title(n),
-        run: |n_sites, seed| Some(FIGCELL.report(n_sites, seed)),
+        run: |n_sites, seed, recording| Some(FIGCELL.report(n_sites, seed, recording)),
     }
     .main()
 }

@@ -17,7 +17,7 @@ fn main() {
         name: "figmux",
         default_sites: 40,
         title: |n| FIGMUX.title(n),
-        run: |n_sites, seed| Some(FIGMUX.report(n_sites, seed)),
+        run: |n_sites, seed, recording| Some(FIGMUX.report(n_sites, seed, recording)),
     }
     .main()
 }

@@ -29,12 +29,12 @@ fn main() {
                 FIGSHARE_BULK_BYTES / 1000
             )
         },
-        run: |n, seed| {
+        run: |n, seed, recording| {
             let smoke = std::env::args().nth(2).is_some_and(|a| a == "smoke");
             if smoke {
                 println!("  (smoke configuration: {n} users, 2 cells)");
             }
-            let r = figshare(n, smoke, seed);
+            let r = figshare(n, smoke, seed, recording);
             println!(
                 "  {:>5} {:<12} {:<9} {:<6} | {:>6} {:>9} {:>9} {:>9} | {:>7} {:>6}",
                 "users", "qdisc", "mix", "proto", "jain", "p50", "p95", "p99", "bbr%", "maxq"

@@ -11,7 +11,7 @@
 //! invocation doubles as a memory-bounds assertion.
 //!
 //! `figsoak <minutes>` soaks for that much simulated time (default
-//! 30); `figsoak --smoke` runs the 2-minute CI configuration. Writes
+//! 30); CI runs `figsoak 2`. Writes
 //! `BENCH_figsoak.json` plus `METRICS_figsoak.prom`, the validated
 //! Prometheus text snapshot of everything the world exported.
 
@@ -29,13 +29,8 @@ fn main() {
                  {FIGSOAK_MAX_LIVE}-slot pool)"
             )
         },
-        run: |n, seed| {
-            let smoke = std::env::args().any(|a| a == "--smoke" || a == "smoke");
-            let minutes = if smoke { 2 } else { n };
-            if smoke {
-                println!("  (smoke configuration: {minutes} simulated minutes)");
-            }
-            let report = figsoak(minutes, seed);
+        run: |minutes, seed, recording| {
+            let report = figsoak(minutes, seed, recording);
             let r = &report.result;
             println!(
                 "  sessions: {} started, {} completed, {} shed | {} resources, {} failures",

@@ -12,8 +12,8 @@ fn main() {
         name: "table1",
         default_sites: 100,
         title: |n| format!("Table 1 — reproducibility across host machines ({n} loads/cell)"),
-        run: |loads, seed| {
-            let r = table1(loads, seed);
+        run: |loads, seed, recording| {
+            let r = table1(loads, seed, recording);
             println!("  {:<18} {:>14} {:>14}", "", "Machine 1", "Machine 2");
             for site in ["www.cnbc.com", "www.wikihow.com"] {
                 let row: Vec<String> = r

@@ -18,8 +18,8 @@ fn main() {
         name: "table2",
         default_sites: 60,
         title: |n| TABLE2.title(n),
-        run: |n_sites, seed| {
-            let metrics = TABLE2.report(n_sites, seed);
+        run: |n_sites, seed, recording| {
+            let metrics = TABLE2.report(n_sites, seed, recording);
             println!();
             for line in PAPER.lines() {
                 println!("  {line}");

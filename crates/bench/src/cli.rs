@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use mahimahi::obs::Artefact;
+use mahimahi::obs::{Artefact, Recording};
 
 use crate::report::{header, write_bench_json};
 
@@ -70,10 +70,11 @@ pub struct ExperimentSpec {
     pub default_sites: usize,
     /// Section-header title for the parsed scale.
     pub title: fn(n: usize) -> String,
-    /// Run the experiment at `(n, seed)`: print the human-readable
+    /// Run the experiment at `(n, seed)`, recording into `recording`
+    /// (set on every spec the body builds): print the human-readable
     /// tables, return the flat JSON metrics — or `None` for experiments
     /// that do not write a BENCH file (corpus_stats).
-    pub run: fn(n: usize, seed: u64) -> Option<Metrics>,
+    pub run: fn(n: usize, seed: u64, recording: Option<&Recording>) -> Option<Metrics>,
 }
 
 impl ExperimentSpec {
@@ -82,12 +83,10 @@ impl ExperimentSpec {
     /// returned metrics. Binaries call this from `main`.
     ///
     /// Every binary also accepts the observer flags of `OUTPUTS`
-    /// (after any positional arguments). Each turns on one
-    /// process-global channel of [`mahimahi::obs::Artefact`], so the
-    /// first [`Artefact::budget`] worlds the body builds — page loads,
-    /// fleets and soaks alike — record that artefact. After the run
-    /// each channel's accumulated JSONL is taken, which turns the
-    /// channel off again, and written:
+    /// (after any positional arguments). Each puts one [`Artefact`] in
+    /// the run's [`Recording`], so the first worlds the body builds —
+    /// page loads, fleets and soaks alike, up to the artefact's budget —
+    /// record it. After the run the recording's JSONL is written:
     ///
     /// - `--trace-out <file>`: per-flow TCP samples (cwnd, srtt,
     ///   in-flight, delivered, state transitions);
@@ -126,7 +125,6 @@ impl ExperimentSpec {
                     None if bare => ".".to_string(),
                     None => return None,
                 };
-                out.artefact.enable();
                 Some((out, value))
             })
             .collect();
@@ -139,15 +137,18 @@ impl ExperimentSpec {
             std::process::exit(2);
         }
         header(&(self.title)(n));
-        let metrics = (self.run)(n, DEFAULT_SEED);
+        let artefacts: Vec<Artefact> = outputs.iter().map(|(out, _)| out.artefact).collect();
+        let recording = Recording::of(&artefacts);
+        let metrics = (self.run)(n, DEFAULT_SEED, Some(&recording));
+        let written = recording.into_jsonl();
         for (out, value) in &outputs {
-            let jsonl = out.artefact.take();
+            let jsonl = &written[out.artefact as usize];
             let count = jsonl.lines().filter(|l| l.contains(out.counted)).count();
             let write = match out.file {
                 Some(file) => std::fs::create_dir_all(value).map(|()| Path::new(value).join(file)),
                 None => Ok(PathBuf::from(value)),
             }
-            .and_then(|path| std::fs::write(&path, &jsonl).map(|()| path));
+            .and_then(|path| std::fs::write(&path, jsonl).map(|()| path));
             match write {
                 Ok(path) => println!("\n  wrote {} ({count} {})", path.display(), out.noun),
                 Err(e) => eprintln!("\n  could not write {} output to {value}: {e}", out.flag),

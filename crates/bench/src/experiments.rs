@@ -1,7 +1,9 @@
-//! The experiment drivers, one per paper artifact.
+//! The experiment drivers, one per paper artifact. Each sets the run's
+//! recording (`None`: none) on every spec it builds.
 
 use mahimahi::browser::{MuxConfig, ProtocolMode};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
+use mahimahi::obs::Recording;
 use mm_corpus::{
     cnbc_like, generate_plans, materialize, nytimes_like, server_distribution, wikihow_like,
     CorpusConfig, ServerDistribution, SitePlan,
@@ -39,13 +41,14 @@ impl Fig2Result {
 /// Sites shard across threads; each site's three arms share one seed
 /// derived from the site index, so the summaries are byte-identical to a
 /// serial run.
-pub fn fig2(n_sites: usize, seed: u64) -> Fig2Result {
+pub fn fig2(n_sites: usize, seed: u64, recording: Option<&Recording>) -> Fig2Result {
     let plans = corpus_subset(n_sites, seed);
     let trace_1000 = constant_rate(1000.0, 1000);
     let per_site = parallel_map(&plans, |i, plan| {
         let site = materialize(plan);
         let mut spec = LoadSpec::new(&site);
         spec.seed = seed.wrapping_add(i as u64);
+        spec.recording = recording;
         // Arm 1: bare ReplayShell.
         let replay = run_page_load(&spec).plt.as_millis_f64();
         // Arm 2: DelayShell 0 ms.
@@ -106,7 +109,7 @@ impl Table1Result {
 
 /// Run Table 1. The paper's setup loads each page 100 times per machine
 /// under the same emulated conditions (30 ms delay shell here).
-pub fn table1(loads: usize, seed: u64) -> Table1Result {
+pub fn table1(loads: usize, seed: u64, recording: Option<&Recording>) -> Table1Result {
     let mut cells = Vec::new();
     for (plan, site_seed) in [(cnbc_like(seed), 1u64), (wikihow_like(seed), 2u64)] {
         let site = materialize(&plan);
@@ -117,6 +120,7 @@ pub fn table1(loads: usize, seed: u64) -> Table1Result {
             let mut spec = LoadSpec::new(&site);
             spec.net = NetSpec::delay_ms(30);
             spec.host_profile = Some(profile);
+            spec.recording = recording;
             // Machine identity changes the noise realization only; the
             // seed series per machine must differ.
             spec.seed = seed
@@ -160,7 +164,7 @@ impl Fig3Result {
 /// serially up front from the same RNG stream the serial loop used, so
 /// sharding leaves every load's conditions — and the summaries — exactly
 /// as a serial run produces them.
-pub fn fig3(loads: usize, seed: u64) -> Fig3Result {
+pub fn fig3(loads: usize, seed: u64, recording: Option<&Recording>) -> Fig3Result {
     let plan = nytimes_like(seed);
     let site = materialize(&plan);
     // "For fair comparison, we record the minimum round trip time to
@@ -182,12 +186,14 @@ pub fn fig3(loads: usize, seed: u64) -> Fig3Result {
         web_spec.live_web = Some(LiveWebConfig::default());
         web_spec.replay.think_time = mm_web::live_think_time(&LiveWebConfig::default());
         web_spec.seed = load_seed;
+        web_spec.recording = recording;
         let web = run_page_load(&web_spec).plt.as_millis_f64();
 
         // Arm 2: multi-origin replay.
         let mut multi_spec = LoadSpec::new(&site);
         multi_spec.net = delay.clone();
         multi_spec.seed = load_seed;
+        multi_spec.recording = recording;
         let multi = run_page_load(&multi_spec).plt.as_millis_f64();
 
         // Arm 3: single-server replay.
@@ -195,6 +201,7 @@ pub fn fig3(loads: usize, seed: u64) -> Fig3Result {
         single_spec.net = delay;
         single_spec.replay.mode = ReplayMode::SingleServer;
         single_spec.seed = load_seed;
+        single_spec.recording = recording;
         let single = run_page_load(&single_spec).plt.as_millis_f64();
         (web, multi, single)
     });
@@ -287,7 +294,7 @@ pub(crate) fn figshare_populations(n: usize) -> Vec<usize> {
 /// CI configuration). Cells run in parallel; each is an independent
 /// deterministic world seeded by `seed`, so user `i` arrives at the
 /// same instant in every cell (per-user pairing).
-pub fn figshare(n: usize, smoke: bool, seed: u64) -> FigShareResult {
+pub fn figshare(n: usize, smoke: bool, seed: u64, recording: Option<&Recording>) -> FigShareResult {
     use mahimahi::fleet::{run_fleet, CcMix, FleetSpec};
 
     let plan = corpus_subset(1, seed).remove(0);
@@ -345,6 +352,7 @@ pub fn figshare(n: usize, smoke: bool, seed: u64) -> FigShareResult {
             load.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
         }
         load.seed = seed;
+        load.recording = recording;
         let r = run_fleet(&FleetSpec {
             load,
             n_users: cell.n_users,
@@ -403,7 +411,7 @@ pub(crate) const FIGSOAK_CONN_BOUND: usize = FIGSOAK_MAX_LIVE * 200;
 /// invocation (CI smoke included) is a memory-bounds assertion. The
 /// world is audited like every other bin's: `--audit-out`, gated by
 /// `mmaudit`.
-pub fn figsoak(minutes: usize, seed: u64) -> FigSoakReport {
+pub fn figsoak(minutes: usize, seed: u64, recording: Option<&Recording>) -> FigSoakReport {
     use mahimahi::metrics::{validate_text, Registry};
     use mahimahi::soak::{run_soak, SoakSpec};
 
@@ -421,6 +429,7 @@ pub fn figsoak(minutes: usize, seed: u64) -> FigSoakReport {
     spec.duration = SimDuration::from_secs(minutes as u64 * 60);
     spec.max_live_sessions = FIGSOAK_MAX_LIVE;
     spec.seed = seed;
+    spec.recording = recording;
 
     let result = run_soak(&spec, &registry);
     let snapshot = registry.encode();

@@ -22,6 +22,7 @@
 use mahimahi::browser::{MuxConfig, ProtocolMode};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
 use mahimahi::net::{CcAlgorithm, RecoveryTier, TcpConfig};
+use mahimahi::obs::Recording;
 use mm_corpus::materialize;
 use mm_replay::ReplayMode;
 use mm_sim::{RngStream, SimDuration, Summary};
@@ -488,7 +489,7 @@ impl Sweep {
     /// Run the sweep over `n_sites` corpus sites: per grid cell every
     /// site is materialized once and loaded once per arm. Sites shard
     /// across threads with per-site seeds (serial-identical).
-    pub fn run(&self, n_sites: usize, seed: u64) -> Vec<SweepCell> {
+    pub fn run(&self, n_sites: usize, seed: u64, recording: Option<&Recording>) -> Vec<SweepCell> {
         let plans = corpus_subset(n_sites, seed);
         let mut cells = self.grid.cells(seed);
         for (cell, net) in &mut cells {
@@ -498,6 +499,7 @@ impl Sweep {
                     let mut spec = LoadSpec::new(&site);
                     spec.net = net.clone();
                     spec.seed = seed.wrapping_add(i as u64);
+                    spec.recording = recording;
                     if arm.protocol == Mux {
                         spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
                     }
@@ -568,8 +570,8 @@ impl Sweep {
 
     /// The body of an experiment binary: run, print, hand back the
     /// BENCH metrics.
-    pub fn report(&self, n_sites: usize, seed: u64) -> Metrics {
-        let cells = self.run(n_sites, seed);
+    pub fn report(&self, n_sites: usize, seed: u64, recording: Option<&Recording>) -> Metrics {
+        let cells = self.run(n_sites, seed, recording);
         self.print(&cells);
         self.metrics(&cells)
     }

@@ -15,8 +15,8 @@
 //! dedicated bulk server (the data sender), so a 50/50 BBR+Reno
 //! population genuinely races BBRv1 against NewReno through one queue.
 //! The embedded [`LoadSpec`]'s observers (`capture`, `span`, `audit`, or
-//! the process-global channels) see the whole world: one recorder, one
-//! id, however many users.
+//! its `recording`) see the whole world: one recorder, one id, however
+//! many users.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -318,7 +318,7 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
     }
 
     sim.run();
-    world.finish();
+    world.finish(load.recording);
 
     let users = (0..spec.n_users)
         .map(|i| {

@@ -115,14 +115,14 @@ pub struct LoadSpec<'a> {
     pub tcp: Option<mm_net::TcpConfig>,
     /// Explicit per-packet/per-request tap for this load, attached to
     /// every shell layer plus the browser and replay boundaries. `None`
-    /// falls back to the process-global `--capture-out` capture (see
+    /// falls back to [`LoadSpec::recording`]'s capture (see
     /// [`crate::obs::Artefact::Capture`]). Taps only observe: results are
     /// byte-identical with or without one.
     pub capture: Option<mm_capture::TapHandle>,
     /// Explicit causal-span sink for this load, attached to the browser
     /// (page/resource/phase spans), the replay servers (`ServerThink`)
     /// and every host's TCP layer (`ConnSetup`/`HolWait`/`Conn`). `None`
-    /// falls back to the process-global `--span-out` channel (see
+    /// falls back to [`LoadSpec::recording`]'s spans (see
     /// [`crate::obs::Artefact::Span`]). Sinks only observe: results are
     /// byte-identical with or without one.
     pub span: Option<mm_trace::SpanHandle>,
@@ -130,10 +130,13 @@ pub struct LoadSpec<'a> {
     /// world's metrics sink, packet tap and span sink at once (fanned
     /// out alongside any other sinks). The caller keeps the auditor and
     /// calls [`mm_audit::Auditor::finish`] after the load. `None` falls
-    /// back to the process-global `--audit` channel (see
+    /// back to [`LoadSpec::recording`]'s audit (see
     /// [`crate::obs::Artefact::Audit`]). Auditors only observe: results
     /// are byte-identical with or without one.
     pub audit: Option<mm_audit::Auditor>,
+    /// The run's recording, for each artefact no explicit handle above
+    /// (or `tcp.metrics`, for flow traces) covers. `None` records nothing.
+    pub recording: Option<&'a crate::obs::Recording>,
     /// Seed for all stochastic elements of this load.
     pub seed: u64,
 }
@@ -152,6 +155,7 @@ impl<'a> LoadSpec<'a> {
             capture: None,
             span: None,
             audit: None,
+            recording: None,
             seed: 0,
         }
     }
@@ -193,7 +197,7 @@ pub fn run_page_load(spec: &LoadSpec<'_>) -> PageLoadResult {
         *slot.borrow_mut() = Some(r);
     });
     sim.run();
-    world.finish();
+    world.finish(spec.recording);
     let r = result
         .borrow_mut()
         .take()

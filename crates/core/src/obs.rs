@@ -1,56 +1,30 @@
 //! Observability glue for the harness layers: registry export helpers
-//! for page-load and fleet results, and the process-global channel
-//! table behind the experiment binaries' `--trace-out`, `--capture-out`,
-//! `--span-out` and `--audit[-out]` flags.
+//! for page-load and fleet results, and the [`Recording`] behind the
+//! experiment binaries' `--trace-out`, `--capture-out`, `--span-out`
+//! and `--audit[-out]` flags.
 //!
-//! The channels are process-global because experiment bodies shard
-//! site loops across threads (`bench::parallel_map`) and every world is
-//! built on its own thread: `crate::world::World` gives each
-//! instrumented world a private single-threaded recorder
-//! ([`mm_metrics::FlowTracer`], [`mm_capture::Capture`],
-//! [`mm_trace::TraceBuffer`], [`mm_audit::Auditor`]) and drains its JSONL
-//! into the shared buffer when the world ends. All four artefacts share
-//! one `ObsChannel` shape — an enable flag, a CAS-claimed budget
-//! handing out process-unique ids, and the merge buffer — in one table
-//! keyed by [`Artefact`]. Recorders only observe; simulation results
-//! (and therefore BENCH outputs) are byte-identical with them on or off.
+//! A recording is a value, filled only by the worlds whose spec names
+//! it (`LoadSpec::recording`, `SoakSpec::recording`), so two filled at
+//! once stay apart. Site loops shard across threads and every world is
+//! built on its own: `crate::world::World` gives each recorded world a
+//! private single-threaded recorder ([`mm_metrics::FlowTracer`],
+//! [`mm_capture::Capture`], [`mm_trace::TraceBuffer`],
+//! [`mm_audit::Auditor`]) and appends its JSONL to the recording when the
+//! world ends. Recorders only observe; simulation results (and therefore
+//! BENCH outputs) are byte-identical with them on or off.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use mm_metrics::{Registry, LATENCY_BUCKETS_S};
 use mm_trace::{Span, SpanKind, SpanSink, NO_RESOURCE};
 
-/// One process-global observability channel: an on/off flag, a budget
-/// of worlds still to record (claimed by CAS so threaded site loops
-/// never over-record), a process-unique id allocator, and the buffer
-/// finished worlds merge their JSONL into.
-struct ObsChannel {
-    enabled: AtomicBool,
-    budget: AtomicU64,
-    next_id: AtomicU64,
-    buffer: Mutex<String>,
-}
-
-impl ObsChannel {
-    const fn new() -> ObsChannel {
-        ObsChannel {
-            enabled: AtomicBool::new(false),
-            budget: AtomicU64::new(0),
-            next_id: AtomicU64::new(0),
-            buffer: Mutex::new(String::new()),
-        }
-    }
-}
-
-static CHANNELS: [ObsChannel; 4] = [const { ObsChannel::new() }; 4];
-
-/// What a run can leave behind besides its results — the key of the
-/// channel table. One *world* spends one claim per artefact, however
-/// many users it holds: a 64-user fleet is one capture slot and one id,
-/// not 64, and the recorders' own bounds ([`mm_capture::Capture`]'s
-/// event caps, [`mm_trace::TraceBuffer`]'s span cap) count what
-/// overflows them as they do for a single load.
+/// What a run can leave behind besides its results — the key of a
+/// [`Recording`]'s channels. One *world* spends one claim per artefact,
+/// however many users it holds: a 64-user fleet is one capture slot and
+/// one id, not 64, and the recorders' own bounds
+/// ([`mm_capture::Capture`]'s event caps, [`mm_trace::TraceBuffer`]'s
+/// span cap) count what overflows them as they do for a single load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Artefact {
     /// Per-flow TCP time series (`--trace-out`).
@@ -64,19 +38,15 @@ pub enum Artefact {
 }
 
 impl Artefact {
-    fn channel(self) -> &'static ObsChannel {
-        &CHANNELS[self as usize]
-    }
-
-    /// How many worlds an enabled channel records. Flow traces are a few
-    /// samples per ack and auditors keep bounded ledgers rather than
-    /// logs, so neither is rationed. Packet captures are far denser
-    /// (every enqueue/dequeue/deliver at every shell): eight worlds keep
-    /// a many-hundred-load sweep from writing gigabytes while still
-    /// giving `mmgraph` several complete loads to draw. Spans are
-    /// per-resource (a few hundred per load), so 64 worlds is affordable
-    /// — enough for `mmpath --diff` to pair both arms of a protocol
-    /// comparison across several sites.
+    /// How many worlds a recording records this artefact for. Flow
+    /// traces are a few samples per ack and auditors keep bounded
+    /// ledgers rather than logs, so neither is rationed. Packet captures
+    /// are far denser (every enqueue/dequeue/deliver at every shell):
+    /// eight worlds keep a many-hundred-load sweep from writing gigabytes
+    /// while still giving `mmgraph` several complete loads to draw. Spans
+    /// are per-resource (a few hundred per load), so 64 worlds is
+    /// affordable — enough for `mmpath --diff` to pair both arms of a
+    /// protocol comparison across several sites.
     pub(crate) fn budget(self) -> u64 {
         match self {
             Artefact::Trace | Artefact::Audit => u64::MAX,
@@ -84,57 +54,61 @@ impl Artefact {
             Artefact::Span => 64,
         }
     }
+}
 
-    /// Turn the channel on: the next `Artefact::budget` worlds built
-    /// without an explicit handle for this artefact on their spec get a
-    /// private recorder whose output accumulates for [`Artefact::take`],
-    /// until that take.
-    pub fn enable(self) {
-        let ch = self.channel();
-        ch.budget.store(self.budget(), Ordering::SeqCst);
-        ch.enabled.store(true, Ordering::SeqCst);
-    }
+/// One artefact's share of a [`Recording`]: worlds still to record (0
+/// is off; claimed by CAS, so threaded site loops never over-record),
+/// the next id, and the JSONL finished worlds appended.
+#[derive(Default)]
+struct Channel {
+    budget: AtomicU64,
+    next_id: AtomicU64,
+    jsonl: Mutex<String>,
+}
 
-    /// Claim a recording slot for one world, returning its
-    /// process-unique id, or `None` when the channel is off or the
-    /// budget is spent.
-    pub(crate) fn claim(self) -> Option<u64> {
-        let ch = self.channel();
-        if !ch.enabled.load(Ordering::SeqCst) {
-            return None;
-        }
-        let mut budget = ch.budget.load(Ordering::SeqCst);
-        loop {
-            if budget == 0 {
-                return None;
-            }
-            match ch
+/// One run's recording: the artefacts it holds, each recorded by the
+/// first `Artefact::budget` worlds whose spec names this recording and
+/// carries no explicit handle for it.
+pub struct Recording {
+    channels: [Channel; 4],
+}
+
+impl Recording {
+    /// A recording that holds `artefacts`, and only those.
+    pub fn of(artefacts: &[Artefact]) -> Recording {
+        let recording = Recording {
+            channels: Default::default(),
+        };
+        for &artefact in artefacts {
+            recording.channels[artefact as usize]
                 .budget
-                .compare_exchange(budget, budget - 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return Some(ch.next_id.fetch_add(1, Ordering::SeqCst)),
-                Err(seen) => budget = seen,
-            }
+                .store(artefact.budget(), Ordering::SeqCst);
         }
+        recording
     }
 
-    /// Append one finished world's JSONL to the channel's buffer.
-    pub(crate) fn append(self, jsonl: &str) {
-        if !jsonl.is_empty() {
-            let mut buffer = self.channel().buffer.lock().expect("obs buffer poisoned");
-            buffer.push_str(jsonl);
-        }
+    /// Claim a slot for one world, returning its id (unique within this
+    /// recording), or `None` when the recording does not hold
+    /// `artefact` or its budget is spent.
+    pub(crate) fn claim(&self, artefact: Artefact) -> Option<u64> {
+        let ch = &self.channels[artefact as usize];
+        ch.budget
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1))
+            .ok()?;
+        Some(ch.next_id.fetch_add(1, Ordering::SeqCst))
     }
 
-    /// End the recording and take everything merged so far (the
-    /// `--*-out` writers): the channel is off, with no budget left,
-    /// until the next [`Artefact::enable`]. Ids keep counting, so a
-    /// later recording never reuses one.
-    pub fn take(self) -> String {
-        let ch = self.channel();
-        ch.enabled.store(false, Ordering::SeqCst);
-        ch.budget.store(0, Ordering::SeqCst);
-        std::mem::take(&mut *ch.buffer.lock().expect("obs buffer poisoned"))
+    /// Append one finished world's JSONL to `artefact`'s buffer.
+    pub(crate) fn append(&self, artefact: Artefact, jsonl: &str) {
+        let buffer = &self.channels[artefact as usize].jsonl;
+        buffer.lock().expect("obs buffer poisoned").push_str(jsonl);
+    }
+
+    /// End the recording: everything appended, per [`Artefact`] in
+    /// declaration order.
+    pub fn into_jsonl(self) -> [String; 4] {
+        self.channels
+            .map(|ch| ch.jsonl.into_inner().expect("obs buffer poisoned"))
     }
 }
 
@@ -189,17 +163,29 @@ impl SpanSink for PhaseSink {
 mod tests {
     use super::*;
 
-    /// One marker line through one channel's buffer and out again.
-    /// The flags are process-global, so unit tests leave every channel
-    /// off (enabling one here would leak recording work into every
-    /// concurrently running harness test; `tests/audit_every_world.rs`
-    /// turns them on in a process of its own) and only assert on their
-    /// own marker surviving the round trip.
+    /// One artefact through a recording: a recording that does not hold
+    /// it claims nothing, one that does hands out ids `0, 1, ..`, and
+    /// what worlds append accumulates in order and comes out of
+    /// `into_jsonl` under that artefact alone.
     fn roundtrip(artefact: Artefact, marker: &str) {
-        assert!(artefact.claim().is_none(), "{artefact:?} must start off");
-        artefact.append(&format!("{{\"load\":{marker}}}\n"));
-        assert!(artefact.take().contains(marker));
-        assert!(!artefact.take().contains(marker));
+        assert!(
+            Recording::of(&[]).claim(artefact).is_none(),
+            "{artefact:?} must start off"
+        );
+        let recording = Recording::of(&[artefact]);
+        assert_eq!(recording.claim(artefact), Some(0));
+        assert_eq!(recording.claim(artefact), Some(1));
+        let line = format!("{{\"load\":{marker}}}\n");
+        recording.append(artefact, &line);
+        recording.append(artefact, &line);
+        let jsonl = recording.into_jsonl();
+        for (i, buffer) in jsonl.iter().enumerate() {
+            if i == artefact as usize {
+                assert_eq!(*buffer, line.repeat(2), "{artefact:?}");
+            } else {
+                assert!(buffer.is_empty(), "{artefact:?} leaked into channel {i}");
+            }
+        }
     }
 
     #[test]
@@ -216,6 +202,41 @@ mod tests {
     fn span_claim_requires_enable_and_buffer_roundtrips() {
         roundtrip(Artefact::Span, "654321");
         roundtrip(Artefact::Audit, "424242");
+    }
+
+    /// Claims race on a capture-only recording: of 32, exactly the
+    /// budget's eight succeed, with ids `0..8`, each once. An artefact
+    /// the recording does not hold claims nothing, and what worlds
+    /// append comes back out.
+    #[test]
+    fn claims_share_one_budget_and_hand_out_each_id_once() {
+        let recording = Recording::of(&[Artefact::Capture]);
+        let mut ids: Vec<u64> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..8)
+                            .filter_map(|_| recording.claim(Artefact::Capture))
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect()
+        });
+        ids.sort_unstable();
+        assert_eq!(ids, (0..8).collect::<Vec<u64>>());
+        for artefact in [Artefact::Trace, Artefact::Span, Artefact::Audit] {
+            assert_eq!(recording.claim(artefact), None, "{artefact:?}");
+        }
+        recording.append(Artefact::Capture, "{\"load\":0}\n");
+        recording.append(Artefact::Audit, "");
+        recording.append(Artefact::Capture, "{\"load\":1}\n");
+        let [trace, capture, span, audit] = recording.into_jsonl();
+        assert_eq!(capture, "{\"load\":0}\n{\"load\":1}\n");
+        assert!(trace.is_empty() && span.is_empty() && audit.is_empty());
     }
 
     #[test]

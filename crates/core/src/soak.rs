@@ -24,8 +24,8 @@
 //! `tcp_*` counter set (a [`RegistrySink`] is installed into the
 //! world's TCP configs unless the caller supplied an explicit sink).
 //! The registry's sinks are members of the world's observer fan-outs
-//! like any other (`world.rs`), so the process-global trace, capture,
-//! span and audit channels reach a soak as they reach a page load.
+//! like any other (`world.rs`), so a recording's trace, capture,
+//! span and audit reach a soak as they reach a page load.
 //!
 //! [`TcpStats`]: mm_net::TcpStats
 
@@ -76,6 +76,8 @@ pub struct SoakSpec<'a> {
     pub max_live_sessions: usize,
     /// Seed for the arrival process (and anything stochastic below).
     pub seed: u64,
+    /// The run's recording, as [`LoadSpec::recording`].
+    pub recording: Option<&'a crate::obs::Recording>,
 }
 
 impl<'a> SoakSpec<'a> {
@@ -92,6 +94,7 @@ impl<'a> SoakSpec<'a> {
             duration: SimDuration::from_secs(600),
             max_live_sessions: 64,
             seed: 0,
+            recording: None,
         }
     }
 }
@@ -451,6 +454,7 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
                 ..NetSpec::default()
             },
             seed: spec.seed,
+            recording: spec.recording,
             ..LoadSpec::new(spec.site)
         },
         Runner {
@@ -526,7 +530,7 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
 
     // Final sweep: catch anything that closed after the last pass.
     world.scan_and_reap();
-    world.world.finish();
+    world.world.finish(spec.recording);
 
     if let Some(profile) = sim.profile() {
         profile.export(&RegistrySink::new(registry.clone()));

@@ -16,9 +16,9 @@
 //! [`crate::fleet::run_fleet`] and [`crate::soak::run_soak`] only place
 //! users, run, and collect. Observers resolve in one order for every
 //! artefact — an explicit handle on the spec, else a claim on the
-//! process-global channel ([`Artefact`]), else none — and every consumer
-//! of one stream (a recorder, the auditor, the runner's own sinks) is a
-//! member of one fan-out per observer trait.
+//! spec's [`Recording`], else none — and every consumer of one stream
+//! (a recorder, the auditor, the runner's own sinks) is a member of one
+//! fan-out per observer trait.
 //!
 //! The world holds the serving side and the shells; the runner holds
 //! the hosts and browsers it places for as long as they must route
@@ -38,7 +38,7 @@ use mm_sim::RngStream;
 use mm_trace::{FanoutSpan, SpanHandle, TraceBuffer};
 
 use crate::harness::LoadSpec;
-use crate::obs::Artefact;
+use crate::obs::{Artefact, Recording};
 
 /// What the runner that is building brings besides the spec.
 #[derive(Default)]
@@ -74,8 +74,8 @@ pub(crate) struct World {
     /// The spec's browser configuration, wired likewise.
     pub(crate) browser: BrowserConfig,
     timer_mux: bool,
-    /// Recorders this world claimed from the global channels, merged
-    /// back by [`World::finish`]. Explicit handles are their owner's.
+    /// Recorders this world claimed from the spec's recording, appended
+    /// to it by [`World::finish`]. Explicit handles are their owner's.
     tracer: Option<FlowTracer>,
     capture: Option<Capture>,
     spans: Option<Rc<TraceBuffer>>,
@@ -109,7 +109,7 @@ impl World {
         // The auditor is one instance behind all three traits: its
         // cross-stream checks (qdisc gauge vs packet ledger, server
         // bytes vs browser bytes) need one shared view.
-        let claim = |explicit: bool, a: Artefact| if explicit { None } else { a.claim() };
+        let claim = |explicit: bool, a| spec.recording.filter(|_| !explicit)?.claim(a);
         let tracer = claim(tcp.metrics.is_some(), Artefact::Trace).map(|_| FlowTracer::new());
         let capture = claim(spec.capture.is_some(), Artefact::Capture).map(Capture::for_load);
         let spans = claim(spec.span.is_some(), Artefact::Span).map(TraceBuffer::for_load);
@@ -246,20 +246,22 @@ impl World {
         host
     }
 
-    /// The run is over: merge what this world's claimed recorders hold
-    /// into the global channels.
-    pub(crate) fn finish(&self) {
+    /// The run is over: append what this world's claimed recorders hold
+    /// to its spec's `recording` (not kept here: a soak's world lives in
+    /// the simulator's `'static` callbacks).
+    pub(crate) fn finish(&self, recording: Option<&Recording>) {
+        let Some(recording) = recording else { return };
         if let Some(tracer) = &self.tracer {
-            Artefact::Trace.append(&tracer.take_jsonl());
+            recording.append(Artefact::Trace, &tracer.take_jsonl());
         }
         if let Some(capture) = &self.capture {
-            Artefact::Capture.append(&capture.take_jsonl());
+            recording.append(Artefact::Capture, &capture.take_jsonl());
         }
         if let Some(spans) = &self.spans {
-            Artefact::Span.append(&spans.to_jsonl());
+            recording.append(Artefact::Span, &spans.to_jsonl());
         }
         if let Some(audit) = &self.audit {
-            Artefact::Audit.append(&audit.finish().to_jsonl());
+            recording.append(Artefact::Audit, &audit.finish().to_jsonl());
         }
     }
 }

@@ -35,8 +35,9 @@
 //! *order-insensitive* — a serial site loop and a thread-sharded one
 //! (`bench::parallel_map`) must produce identical digests, and
 //! `mmaudit --compare a/ b/` exits nonzero when any scope differs.
-//! Process-global load ids are deliberately excluded from the hash:
-//! they are claim-order-dependent and would differ across shardings.
+//! The load ids a recording hands out are deliberately excluded from
+//! the hash: they are claim-order-dependent and would differ across
+//! shardings.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -136,8 +137,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Hash of one packet event for the equivalence digest. Everything
-/// deterministic about the event participates; the process-global load
-/// id does not (it depends on claim order across threads).
+/// deterministic about the event participates; the load id a recording
+/// hands out does not (it depends on claim order across threads).
 fn packet_digest(ev: &PacketEvent) -> u64 {
     let mut buf = [0u8; 41];
     buf[0] = match ev.kind {

@@ -3,19 +3,16 @@
 //!
 //! `run_page_load`, `run_fleet` and `run_soak` build their worlds with
 //! one builder, so the explicit observer handles on a spec and the
-//! process-global channels behind `--trace-out`/`--capture-out`/
-//! `--span-out`/`--audit-out` must reach a fleet and a soak exactly as
-//! they reach a page load — and must only observe.
-//!
-//! The channels are process-global and stay on from `enable` until
-//! `take`, so this file is a test binary of its own with ONE `#[test]`
-//! that runs its stages in a fixed order: everything that needs the
-//! channels off first, then the stages that turn them on.
+//! [`Recording`] behind `--trace-out`/`--capture-out`/`--span-out`/
+//! `--audit-out` must reach a fleet and a soak exactly as they reach a
+//! page load — and must only observe. Each test records into a
+//! recording of its own, so they run at the same time, and two
+//! recordings filled at once must each read as if filled alone.
 
 use mahimahi::corpus;
 use mahimahi::fleet::{run_fleet, CcMix, FleetSpec};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
-use mahimahi::obs::Artefact;
+use mahimahi::obs::{Artefact, Recording};
 use mahimahi::soak::{run_soak, SoakSpec};
 use mm_audit::{parse_audit_jsonl, Auditor};
 use mm_browser::{MuxConfig, ProtocolMode};
@@ -81,10 +78,30 @@ fn soak_spec(site: &StoredSite) -> SoakSpec<'_> {
     spec
 }
 
-/// (a) The observers on a fleet's embedded `LoadSpec` see the whole
-/// shared world, perturb nothing, and the world audits clean — including
-/// span tiling across users whose resource indices alias.
-fn fleet_honours_the_observers_on_its_load_spec(site: &StoredSite) {
+/// A page load through loss and a bottleneck, recording into
+/// `recording`.
+fn lossy_load<'a>(
+    site: &'a StoredSite,
+    seed: u64,
+    recording: Option<&'a Recording>,
+) -> LoadSpec<'a> {
+    let mut spec = LoadSpec::new(site);
+    spec.net = NetSpec {
+        delay: Some(SimDuration::from_millis(20)),
+        link: Some(bottleneck()),
+        loss: Some((0.01, 0.01)),
+    };
+    spec.seed = seed;
+    spec.recording = recording;
+    spec
+}
+
+/// The observers on a fleet's embedded `LoadSpec` see the whole shared
+/// world, perturb nothing, and the world audits clean — including span
+/// tiling across users whose resource indices alias.
+#[test]
+fn fleet_honours_the_observers_on_its_load_spec() {
+    let site = &small_site();
     let bare = run_fleet(&fleet_spec(site));
 
     let auditor = Auditor::for_load(0);
@@ -123,11 +140,12 @@ fn fleet_honours_the_observers_on_its_load_spec(site: &StoredSite) {
     assert_eq!(pages.count(), 8, "one page span per user");
 }
 
-/// (c) A mux soak's servers carry the mux deployment's initial window,
-/// as a mux page load's and a mux fleet's do: the default world differs
-/// from one on stock TCP. (Which hosts carry it is `world.rs`'s unit
-/// test.)
-fn mux_soak_servers_carry_the_mux_initial_window(site: &StoredSite) {
+/// A mux soak's servers carry the mux deployment's initial window, as a
+/// mux page load's and a mux fleet's do: the default world differs from
+/// one on stock TCP. (Which hosts carry it is `world.rs`'s unit test.)
+#[test]
+fn mux_soak_servers_carry_the_mux_initial_window() {
+    let site = &small_site();
     let soak = |mux: MuxConfig| {
         let mut spec = soak_spec(site);
         spec.browser.protocol = ProtocolMode::Mux(mux);
@@ -144,72 +162,61 @@ fn mux_soak_servers_carry_the_mux_initial_window(site: &StoredSite) {
     );
 }
 
-/// (b) The global audit and span channels reach a soak, change nothing
-/// it measures or exports, and its one report is clean with all three
-/// event streams present.
-fn global_channels_reach_a_soak(site: &StoredSite) {
-    let run = || {
+/// A recording's audit and spans reach a soak, change nothing it
+/// measures or exports, and its one report is clean with all three event
+/// streams present.
+#[test]
+fn a_recording_reaches_a_soak() {
+    let site = &small_site();
+    let run = |recording| {
         let registry = Registry::new();
-        let result = run_soak(&soak_spec(site), &registry);
+        let mut spec = soak_spec(site);
+        spec.recording = recording;
+        let result = run_soak(&spec, &registry);
         (format!("{result:?}"), registry.encode())
     };
-    let off = run();
-    Artefact::Audit.enable();
-    Artefact::Span.enable();
-    let on = run();
-    assert_eq!(off.0, on.0, "channels perturbed the soak");
-    assert_eq!(off.1, on.1, "channels changed the soak's own snapshot");
+    let off = run(None);
+    let recording = Recording::of(&[Artefact::Audit, Artefact::Span]);
+    let on = run(Some(&recording));
+    assert_eq!(off.0, on.0, "the recording perturbed the soak");
+    assert_eq!(off.1, on.1, "the recording changed the soak's own snapshot");
 
-    let audit = parse_audit_jsonl(&Artefact::Audit.take()).expect("audit JSONL parses");
+    let [trace, capture, spans, audit] = recording.into_jsonl();
+    assert!(
+        trace.is_empty() && capture.is_empty(),
+        "not in the recording"
+    );
+    let audit = parse_audit_jsonl(&audit).expect("audit JSONL parses");
     assert_eq!(audit.loads, 1, "one world, one report");
     assert!(audit.violations.is_empty(), "{:?}", audit.violations);
     assert_eq!(audit.dropped_violations, 0);
     assert!(audit.packets > 0 && audit.samples > 0 && audit.spans > 0);
-    let spans = Artefact::Span.take();
     assert!(spans.contains("\"kind\":\"page\""), "no browser spans");
     assert!(spans.contains("\"kind\":\"conn\""), "no TCP spans");
 }
 
-/// (d) A page load under each of the four global channels writes what
-/// an explicit recorder with the same id holds. Taking a channel ends
-/// its recording: a load after the takes leaves every channel empty.
-/// And explicit handles win: with the channels on again, a load whose
-/// spec carries all four leaves them untouched.
-fn page_load_writes_every_global_channel(site: &StoredSite) {
-    let spec = |site| {
-        let mut spec = LoadSpec::new(site);
-        spec.net = NetSpec {
-            delay: Some(SimDuration::from_millis(20)),
-            link: Some(bottleneck()),
-            loss: Some((0.01, 0.01)),
-        };
-        spec.seed = 42;
-        spec
-    };
-    // (b)'s takes turned Audit and Span off again.
-    ALL.iter().for_each(|a| a.enable());
-    let global = run_page_load(&spec(site));
-    let written = ALL.map(Artefact::take);
-    run_page_load(&spec(site));
-    for artefact in ALL {
-        assert!(
-            artefact.take().is_empty(),
-            "{artefact:?}: recorded after its take"
-        );
-    }
+/// A page load writes into each of its recording's four artefacts what
+/// an explicit recorder with the same id holds. And explicit handles
+/// win: a load whose spec carries all four leaves its recording empty.
+#[test]
+fn a_page_load_writes_every_artefact_of_its_recording() {
+    let site = &small_site();
+    let recording = Recording::of(&ALL);
+    let recorded = run_page_load(&lossy_load(site, 42, Some(&recording)));
+    let written = recording.into_jsonl();
     assert!(written[0].contains("\"cwnd\""), "no flow samples");
     for ev in ["link", "pkt", "http"] {
         assert!(written[1].contains(&format!("\"ev\":\"{ev}\"")), "no {ev}");
     }
 
-    // The ids the global claims handed out: the first capture, and the
-    // second span buffer and auditor (the soak above took the first).
+    // A fresh recording's first claim is id 0.
     let tracer = FlowTracer::new();
     let sink = RegistrySink::with_tracer(Registry::new(), tracer.clone());
     let capture = Capture::for_load(0);
-    let spans = TraceBuffer::for_load(1);
-    let auditor = Auditor::for_load(1);
-    let mut explicit = spec(site);
+    let spans = TraceBuffer::for_load(0);
+    let auditor = Auditor::for_load(0);
+    let unused = Recording::of(&ALL);
+    let mut explicit = lossy_load(site, 42, Some(&unused));
     explicit.tcp = Some(
         TcpConfig::builder()
             .metrics(MetricsHandle::new(sink))
@@ -218,32 +225,58 @@ fn page_load_writes_every_global_channel(site: &StoredSite) {
     explicit.capture = Some(capture.handle());
     explicit.span = Some(spans.handle());
     explicit.audit = Some(auditor.clone());
-    ALL.iter().for_each(|a| a.enable());
     let local = run_page_load(&explicit);
 
-    assert_eq!(global.plt, local.plt);
+    assert_eq!(recorded.plt, local.plt);
     let held = [
         tracer.take_jsonl(),
         capture.take_jsonl(),
         spans.to_jsonl(),
         auditor.finish().to_jsonl(),
     ];
-    for (artefact, (written, held)) in ALL.iter().zip(written.iter().zip(&held)) {
-        assert!(!held.is_empty(), "{artefact:?}: explicit recorder is empty");
-        assert!(written == held, "{artefact:?}: global output differs");
+    let untouched = unused.into_jsonl();
+    for (i, artefact) in ALL.iter().enumerate() {
         assert!(
-            artefact.take().is_empty(),
-            "{artefact:?}: explicit must win"
+            !held[i].is_empty(),
+            "{artefact:?}: explicit recorder is empty"
         );
+        assert!(
+            written[i] == held[i],
+            "{artefact:?}: recorded output differs"
+        );
+        assert!(untouched[i].is_empty(), "{artefact:?}: explicit must win");
     }
     assert!(parse_audit_jsonl(&held[3]).unwrap().violations.is_empty());
 }
 
+/// Three recorded page loads through loss and a bottleneck, one after
+/// another, into a recording of their own: its four JSONL texts.
+fn three_recorded_loads(site: &StoredSite, seed: u64) -> [String; 4] {
+    let recording = Recording::of(&ALL);
+    for i in 0..3 {
+        run_page_load(&lossy_load(site, seed + i, Some(&recording)));
+    }
+    recording.into_jsonl()
+}
+
+/// Measurement is isolated (the paper's namespaces are "separate from
+/// ... every other namespace"): two threads filling their own
+/// recordings at the same time each write exactly what the same thread
+/// writes alone.
 #[test]
-fn every_world_is_observable_and_audits_clean() {
-    let site = small_site();
-    fleet_honours_the_observers_on_its_load_spec(&site);
-    mux_soak_servers_carry_the_mux_initial_window(&site);
-    global_channels_reach_a_soak(&site);
-    page_load_writes_every_global_channel(&site);
+fn two_recordings_filled_at_once_are_isolated() {
+    let site = &small_site();
+    let alone = [7, 70].map(|seed| three_recorded_loads(site, seed));
+    let together = std::thread::scope(|s| {
+        [7, 70]
+            .map(|seed| s.spawn(move || three_recorded_loads(site, seed)))
+            .map(|thread| thread.join().expect("recording thread panicked"))
+    });
+    for (alone, together) in alone.iter().zip(&together) {
+        for (i, artefact) in ALL.iter().enumerate() {
+            assert!(!alone[i].is_empty(), "{artefact:?}: nothing recorded");
+            assert!(alone[i] == together[i], "{artefact:?}: recordings mixed");
+        }
+    }
+    assert!(alone[0] != alone[1], "the two threads load alike");
 }

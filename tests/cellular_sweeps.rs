@@ -35,7 +35,7 @@ fn bench_file_keys(json: &str) -> Vec<&str> {
 #[test]
 fn shared_arms_reproduce_across_tables() {
     let tables = [&TABLE2, &FIGMUX];
-    let runs = tables.map(|table| (table, table.run(2, 2014)));
+    let runs = tables.map(|table| (table, table.run(2, 2014, None)));
     let mut compared = 0;
     for (a, (table_a, cells_a)) in runs.iter().enumerate() {
         for (table_b, cells_b) in &runs[a + 1..] {

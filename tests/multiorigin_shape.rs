@@ -6,7 +6,7 @@ use bench::{fig3, TABLE2};
 
 #[test]
 fn table2_bandwidth_trend() {
-    let metrics = TABLE2.metrics(&TABLE2.run(6, 2014));
+    let metrics = TABLE2.metrics(&TABLE2.run(6, 2014, None));
     let median_diff_pct = |cell: &str| {
         let key = format!("median_diff_pct_{cell}");
         metrics.iter().find(|(k, _)| *k == key).unwrap().1
@@ -31,7 +31,7 @@ fn table2_bandwidth_trend() {
 
 #[test]
 fn fig3_ordering() {
-    let mut r = fig3(8, 2014);
+    let mut r = fig3(8, 2014, None);
     let web = r.web.median();
     let multi = r.multi.median();
     let single = r.single.median();

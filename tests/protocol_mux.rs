@@ -94,7 +94,7 @@ fn mux_stock_tcp_ablation_still_completes() {
 fn sharded_fig2_matches_serial_run() {
     let n_sites = 4;
     let seed = 2014;
-    let mut sharded = bench::fig2(n_sites, seed);
+    let mut sharded = bench::fig2(n_sites, seed, None);
 
     // The serial reference: the same per-site computation, in a plain
     // loop on this thread.

@@ -21,7 +21,7 @@
 use mahimahi::corpus;
 use mahimahi::fleet::{run_fleet, CcMix, FleetResult, FleetSpec};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
-use mahimahi::obs::Artefact;
+use mahimahi::obs::{Artefact, Recording};
 use mahimahi::soak::{run_soak, SoakResult, SoakSpec};
 use mm_audit::{parse_audit_jsonl, AuditReport, Auditor};
 use mm_browser::{MuxConfig, PageLoadResult, ProtocolMode};
@@ -33,7 +33,6 @@ use mm_replay::ReplayMode;
 use mm_sim::{RngStream, SimDuration};
 use mm_trace::{cellular, constant_rate, CellularParams, TraceBuffer};
 use mm_web::{live_think_time, HostProfile, LiveWebConfig};
-use std::sync::{Mutex, MutexGuard};
 
 const HTTP1_PAGE_LOAD: u64 = 0x69c6_2fa0_7c85_a266;
 const MUX_CELLULAR_CODEL: u64 = 0x1469_574c_ff61_fd7a;
@@ -46,18 +45,6 @@ const SOAK_DROPTAIL: u64 = 0xbd29_7d7f_4137_02c9;
 const OBSERVER_ARTEFACTS: u64 = 0xad66_43af_a766_b01a;
 const REPLAY_TOPOLOGIES: u64 = 0xccbc_5730_92ea_0157;
 const TABLE1: u64 = 0x61e0_5cfa_4acb_d873;
-
-/// Held by the rows that build worlds without an explicit auditor (the
-/// soak and Table 1). The soak row's process-global audit channel is on
-/// from its `enable` until its `take` ends the recording; rows run at
-/// the same time, so without this lock a Table 1 world built inside that
-/// window would report into the soak's audit.
-static GLOBAL_CHANNELS: Mutex<()> = Mutex::new(());
-
-/// Take [`GLOBAL_CHANNELS`], whether or not a row panicked holding it.
-fn global_channels() -> MutexGuard<'static, ()> {
-    GLOBAL_CHANNELS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// fnv1a64 over the little-endian bytes of everything folded in.
 struct Fold(u64);
@@ -445,13 +432,10 @@ fn lossless_loss_shell_is_no_loss_shell() {
 }
 
 /// Table 1 as its bin computes it, at 2 loads per (site, machine) cell:
-/// each cell's site, machine and PLT samples, in load order. Its loads
-/// take no explicit auditor, so they run under [`GLOBAL_CHANNELS`]: the
-/// soak row's global audit must not see them.
+/// each cell's site, machine and PLT samples, in load order.
 #[test]
 fn table1() {
-    let _channels = global_channels();
-    let result = bench::table1(2, 2014);
+    let result = bench::table1(2, 2014, None);
     assert_eq!(result.cells.len(), 4);
     let mut fold = Fold::new();
     for (site, machine, plts) in &result.cells {
@@ -572,7 +556,7 @@ fn pie_page_load_observed() {
 
 /// A soak world over a bounded droptail link, whose qdiscs report into
 /// the soak's registry. It runs twice: bare, so the queue carries the
-/// instruments alone, then audited through the process-global channel
+/// instruments alone, then audited through a [`Recording`] of its own
 /// (a soak has no explicit auditor). Both runs must read the same result
 /// and the same registry text; the row folds the audited run's result,
 /// its audit report and that text.
@@ -594,11 +578,13 @@ fn soak_over_droptail() {
     };
     let bare = Registry::new();
     let bare_result = run_soak(&spec(), &bare);
-    let _channels = global_channels();
-    Artefact::Audit.enable();
+    let recording = Recording::of(&[Artefact::Audit]);
+    let mut audited = spec();
+    audited.recording = Some(&recording);
     let registry = Registry::new();
-    let result = run_soak(&spec(), &registry);
-    let audit = parse_audit_jsonl(&Artefact::Audit.take()).expect("the auditor's own JSONL");
+    let result = run_soak(&audited, &registry);
+    let [.., audit] = recording.into_jsonl();
+    let audit = parse_audit_jsonl(&audit).expect("the auditor's own JSONL");
     let text = registry.encode();
     assert_eq!(bare.encode(), text, "the auditor moved the registry");
     let fold_result = |r: &SoakResult| Fold::new().soak(r).0;
