@@ -12,8 +12,9 @@ fn main() {
     ExperimentSpec {
         name: "corpus_stats",
         default_sites: 500,
+        word: None,
         title: |n| format!("§4 corpus statistics ({n} sites)"),
-        run: |n_sites, seed, _| {
+        run: |n_sites, _, seed, _| {
             let d = corpus_stats(n_sites, seed);
             paper_vs_measured("median servers per site", "20", &d.median.to_string());
             paper_vs_measured("95th percentile servers", "51", &d.p95.to_string());

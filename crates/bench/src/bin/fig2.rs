@@ -13,8 +13,9 @@ fn main() {
     ExperimentSpec {
         name: "fig2",
         default_sites: 500,
+        word: None,
         title: |n| format!("Figure 2 — shell overhead on page load time ({n} sites)"),
-        run: |n_sites, seed, recording| {
+        run: |n_sites, _, seed, recording| {
             let mut r = fig2(n_sites, seed, recording);
             println!("  bare ReplayShell:       median {}", ms(r.replay.median()));
             println!("  + DelayShell 0 ms:      median {}", ms(r.delay0.median()));

@@ -13,8 +13,9 @@ fn main() {
     ExperimentSpec {
         name: "fig3",
         default_sites: 100,
+        word: None,
         title: |n| format!("Figure 3 — multi-origin preservation vs the real web ({n} loads/arm)"),
-        run: |loads, seed, recording| {
+        run: |loads, _, seed, recording| {
             let mut r = fig3(loads, seed, recording);
             println!("  actual web:             median {}", ms(r.web.median()));
             println!("  replay multi-origin:    median {}", ms(r.multi.median()));

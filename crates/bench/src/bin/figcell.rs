@@ -20,8 +20,9 @@ fn main() {
     ExperimentSpec {
         name: "figcell",
         default_sites: 24,
+        word: None,
         title: |n| FIGCELL.title(n),
-        run: |n_sites, seed, recording| Some(FIGCELL.report(n_sites, seed, recording)),
+        run: |n_sites, _, seed, recording| Some(FIGCELL.report(n_sites, seed, recording)),
     }
     .main()
 }

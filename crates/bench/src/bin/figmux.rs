@@ -16,8 +16,9 @@ fn main() {
     ExperimentSpec {
         name: "figmux",
         default_sites: 40,
+        word: None,
         title: |n| FIGMUX.title(n),
-        run: |n_sites, seed, recording| Some(FIGMUX.report(n_sites, seed, recording)),
+        run: |n_sites, _, seed, recording| Some(FIGMUX.report(n_sites, seed, recording)),
     }
     .main()
 }

@@ -21,6 +21,7 @@ fn main() {
     ExperimentSpec {
         name: "figshare",
         default_sites: 64,
+        word: Some("smoke"),
         title: |n| {
             format!(
                 "figshare — many-flow contention on one bottleneck (up to {n} users, \
@@ -29,8 +30,7 @@ fn main() {
                 FIGSHARE_BULK_BYTES / 1000
             )
         },
-        run: |n, seed, recording| {
-            let smoke = std::env::args().nth(2).is_some_and(|a| a == "smoke");
+        run: |n, smoke, seed, recording| {
             if smoke {
                 println!("  (smoke configuration: {n} users, 2 cells)");
             }

@@ -22,6 +22,7 @@ fn main() {
     ExperimentSpec {
         name: "figsoak",
         default_sites: 30,
+        word: None,
         title: |n| {
             format!(
                 "figsoak — long-lived serving soak ({n} simulated minutes, \
@@ -29,7 +30,7 @@ fn main() {
                  {FIGSOAK_MAX_LIVE}-slot pool)"
             )
         },
-        run: |minutes, seed, recording| {
+        run: |minutes, _, seed, recording| {
             let report = figsoak(minutes, seed, recording);
             let r = &report.result;
             println!(

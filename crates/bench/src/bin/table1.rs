@@ -11,8 +11,9 @@ fn main() {
     ExperimentSpec {
         name: "table1",
         default_sites: 100,
+        word: None,
         title: |n| format!("Table 1 — reproducibility across host machines ({n} loads/cell)"),
-        run: |loads, seed, recording| {
+        run: |loads, _, seed, recording| {
             let r = table1(loads, seed, recording);
             println!("  {:<18} {:>14} {:>14}", "", "Machine 1", "Machine 2");
             for site in ["www.cnbc.com", "www.wikihow.com"] {

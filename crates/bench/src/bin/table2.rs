@@ -17,8 +17,9 @@ fn main() {
     ExperimentSpec {
         name: "table2",
         default_sites: 60,
+        word: None,
         title: |n| TABLE2.title(n),
-        run: |n_sites, seed, recording| {
+        run: |n_sites, _, seed, recording| {
             let metrics = TABLE2.report(n_sites, seed, recording);
             println!();
             for line in PAPER.lines() {

@@ -21,9 +21,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use mm_browser::{Browser, PageLoadResult};
-use mm_net::{CcAlgorithm, IpAddr, Listener, SocketAddr, SocketApp, SocketEvent, TcpHandle};
+use mm_net::{CcAlgorithm, IpAddr, SocketAddr};
+use mm_shells::transfer::{payload, Receiver, Sender, Serve};
 use mm_shells::ShellLayer;
 use mm_sim::{jain_fairness, SimDuration, Simulator, Summary, Timestamp};
 
@@ -174,67 +174,6 @@ fn bulk_ip(i: usize) -> IpAddr {
 
 const BULK_PORT: u16 = 5001;
 
-/// Server side of a bulk transfer: on connect, push `bytes` and close.
-struct BulkListener {
-    bytes: u64,
-}
-
-impl Listener for BulkListener {
-    fn on_connection(&self, _sim: &mut Simulator, _h: TcpHandle) -> Rc<dyn SocketApp> {
-        struct Sender {
-            bytes: u64,
-        }
-        impl SocketApp for Sender {
-            fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-                if let SocketEvent::Connected = ev {
-                    h.send(sim, Bytes::from(vec![0u8; self.bytes as usize]));
-                    h.close(sim);
-                }
-            }
-        }
-        Rc::new(Sender { bytes: self.bytes })
-    }
-}
-
-/// Client side: counts delivered bytes, stamps completion.
-struct BulkClient {
-    started: Timestamp,
-    expected: u64,
-    received: RefCell<u64>,
-    /// `(last data timestamp, bytes so far)` — completion uses the final
-    /// entry even if the transfer dies short of `expected`.
-    progress: Rc<RefCell<Option<(Timestamp, u64)>>>,
-}
-
-impl SocketApp for BulkClient {
-    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-        match ev {
-            SocketEvent::Data(b) => {
-                let mut recv = self.received.borrow_mut();
-                *recv += b.len() as u64;
-                *self.progress.borrow_mut() = Some((sim.now(), *recv));
-                if *recv >= self.expected {
-                    h.close(sim);
-                }
-            }
-            SocketEvent::PeerClosed => h.close(sim),
-            _ => {}
-        }
-    }
-}
-
-impl BulkClient {
-    fn goodput_bps(&self) -> (f64, u64) {
-        match *self.progress.borrow() {
-            Some((at, bytes)) if at > self.started => {
-                let secs = (at - self.started).as_secs_f64();
-                ((bytes as f64) * 8.0 / secs, bytes)
-            }
-            _ => (0.0, 0),
-        }
-    }
-}
-
 /// Run one fleet world to completion.
 ///
 /// Panics if any user's page load never finishes — a world where loads
@@ -258,18 +197,16 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
     let user_tcp = |i: usize| world.tcp.to_builder().cc(spec.cc_mix.cc_for(i)).build();
 
     // One bulk server per user, also outermost: the user's long-running
-    // sender, carrying that user's congestion control.
+    // sender, carrying that user's congestion control. Every sender
+    // sends the one payload and closes.
     let mut bulk_servers = Vec::with_capacity(spec.n_users);
+    let bulk = payload(spec.bulk_bytes as usize);
     if spec.bulk_bytes > 0 {
+        let serve: Rc<Serve> = Rc::new(Serve(Sender::new(bulk.clone())));
         for i in 0..spec.n_users {
             let host = world.host(&world.shell.ns, bulk_ip(i));
             host.set_tcp_config(user_tcp(i));
-            host.listen(
-                BULK_PORT,
-                Rc::new(BulkListener {
-                    bytes: spec.bulk_bytes,
-                }),
-            );
+            host.listen(BULK_PORT, serve.clone());
             bulk_servers.push(host);
         }
     }
@@ -281,7 +218,8 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
     let plt_slots: Vec<Rc<RefCell<Option<PageLoadResult>>>> = (0..spec.n_users)
         .map(|_| Rc::new(RefCell::new(None)))
         .collect();
-    let mut bulk_clients: Vec<Rc<BulkClient>> = Vec::with_capacity(spec.n_users);
+    // Each user's bulk download: when it started, and its receiver.
+    let mut bulk_clients: Vec<(Timestamp, Rc<Receiver>)> = Vec::with_capacity(spec.n_users);
     // The runner holds its users: a browser (and through it the user's host)
     // lives until the run is over, not until its arrival event has fired.
     let mut browsers: Vec<Browser> = Vec::with_capacity(spec.n_users);
@@ -303,13 +241,8 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
         });
 
         if spec.bulk_bytes > 0 {
-            let client = Rc::new(BulkClient {
-                started: start,
-                expected: spec.bulk_bytes,
-                received: RefCell::new(0),
-                progress: Rc::new(RefCell::new(None)),
-            });
-            bulk_clients.push(client.clone());
+            let client = Receiver::new(bulk.clone());
+            bulk_clients.push((start, client.clone()));
             let bulk_addr = SocketAddr::new(bulk_ip(i), BULK_PORT);
             sim.schedule_at(start, move |sim| {
                 host.connect(sim, bulk_addr, client);
@@ -326,8 +259,15 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
                 .borrow_mut()
                 .take()
                 .unwrap_or_else(|| panic!("user {i}: page load did not complete"));
+            // Goodput runs from the user's arrival to the last data.
             let (goodput_bps, bulk_bytes) = match bulk_clients.get(i) {
-                Some(c) => c.goodput_bps(),
+                Some((started, rx)) => match rx.last_data() {
+                    Some(at) if at > *started => {
+                        let bytes = rx.received() as u64;
+                        (bytes as f64 * 8.0 / (at - *started).as_secs_f64(), bytes)
+                    }
+                    _ => (0.0, 0),
+                },
                 None => (0.0, 0),
             };
             UserOutcome {

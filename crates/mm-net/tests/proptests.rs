@@ -16,32 +16,11 @@ use mm_net::{
     CcAlgorithm, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, PacketSink, RecoveryTier,
     SackBlock, SinkRef, SocketAddr, SocketApp, SocketEvent, TcpConfig, TcpHandle,
 };
+use mm_shells::transfer::{payload, Receiver, Sender, Serve};
 use mm_sim::{SimDuration, Simulator, Timestamp};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-struct Collect {
-    buf: Rc<RefCell<Vec<u8>>>,
-}
-impl SocketApp for Collect {
-    fn on_event(&self, _sim: &mut Simulator, _h: &TcpHandle, ev: SocketEvent) {
-        if let SocketEvent::Data(b) = ev {
-            self.buf.borrow_mut().extend_from_slice(&b);
-        }
-    }
-}
-
-struct Sink {
-    buf: Rc<RefCell<Vec<u8>>>,
-}
-impl Listener for Sink {
-    fn on_connection(&self, _sim: &mut Simulator, _h: TcpHandle) -> Rc<dyn SocketApp> {
-        Rc::new(Collect {
-            buf: self.buf.clone(),
-        })
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -53,9 +32,11 @@ proptest! {
         let ids = PacketIdGen::new();
         let client = Host::new_in(IpAddr::new(10, 0, 0, 1), ids.clone(), &ns);
         let server = Host::new_in(IpAddr::new(10, 0, 0, 2), ids, &ns);
-        let received = Rc::new(RefCell::new(Vec::new()));
-        server.listen(80, Rc::new(Sink { buf: received.clone() }));
+        let expected = Bytes::from(chunks.concat());
+        let receiver = Receiver::new(expected);
+        server.listen(80, Rc::new(Serve(receiver.clone())));
 
+        /// Several writes, one per chunk: the shared `Sender` makes one.
         struct SendAll {
             chunks: RefCell<Vec<Vec<u8>>>,
         }
@@ -68,14 +49,13 @@ proptest! {
                 }
             }
         }
-        let expected: Vec<u8> = chunks.concat();
         client.connect(
             &mut sim,
             SocketAddr::new(server.ip(), 80),
             Rc::new(SendAll { chunks: RefCell::new(chunks) }),
         );
         sim.run();
-        prop_assert_eq!(&received.borrow()[..], &expected[..]);
+        prop_assert!(receiver.intact());
     }
 }
 
@@ -286,38 +266,19 @@ fn recovery_terminates(config: TcpConfig, total: usize, drops: &[u64]) {
     ns.add_host(client.ip(), client.sink());
     client.set_egress(wire.clone());
 
-    let received = Rc::new(RefCell::new(Vec::new()));
-    server.listen(
-        80,
-        Rc::new(Sink {
-            buf: received.clone(),
-        }),
-    );
-    let payload: Vec<u8> = (0..total as u32).map(|i| (i % 251) as u8).collect();
-    struct SendAll {
-        data: RefCell<Option<Bytes>>,
-    }
-    impl SocketApp for SendAll {
-        fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-            if matches!(ev, SocketEvent::Connected) {
-                if let Some(d) = self.data.borrow_mut().take() {
-                    h.send(sim, d);
-                }
-            }
-        }
-    }
+    let data = payload(total);
+    let receiver = Receiver::new(data.clone());
+    server.listen(80, Rc::new(Serve(receiver.clone())));
     let h = client.connect(
         &mut sim,
         SocketAddr::new(server.ip(), 80),
-        Rc::new(SendAll {
-            data: RefCell::new(Some(Bytes::from(payload.clone()))),
-        }),
+        Sender::new(data),
     );
     *wire.handle.borrow_mut() = Some(h.clone());
     sim.run();
     // Recovery terminated: the whole stream arrived intact (the
     // simulator ran out of events, so nothing is stuck retrying).
-    assert_eq!(&received.borrow()[..], &payload[..]);
+    assert!(receiver.intact());
     assert!(h.sack_enabled());
     assert!(
         violations.borrow().is_empty(),
@@ -508,7 +469,7 @@ fn modelled_receiver_transfer(
     tier: RecoveryTier,
     total: usize,
     drops: &[u64],
-) -> (Vec<u8>, Vec<u8>, Vec<String>, bool) {
+) -> (bool, Vec<String>, bool) {
     let mut sim = Simulator::new();
     let ns = Namespace::root("w");
     let ids = PacketIdGen::new();
@@ -542,38 +503,18 @@ fn modelled_receiver_transfer(
         model: model.clone(),
     }));
 
-    let received = Rc::new(RefCell::new(Vec::new()));
-    server.listen(
-        80,
-        Rc::new(Sink {
-            buf: received.clone(),
-        }),
-    );
-    let payload: Vec<u8> = (0..total as u32).map(|i| (i % 251) as u8).collect();
-    struct SendAll {
-        data: RefCell<Option<Bytes>>,
-    }
-    impl SocketApp for SendAll {
-        fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-            if matches!(ev, SocketEvent::Connected) {
-                if let Some(d) = self.data.borrow_mut().take() {
-                    h.send(sim, d);
-                }
-            }
-        }
-    }
+    let data = payload(total);
+    let receiver = Receiver::new(data.clone());
+    server.listen(80, Rc::new(Serve(receiver.clone())));
     client.connect(
         &mut sim,
         SocketAddr::new(server.ip(), 80),
-        Rc::new(SendAll {
-            data: RefCell::new(Some(Bytes::from(payload.clone()))),
-        }),
+        Sender::new(data),
     );
     sim.run();
     let violations = model.borrow().violations.clone();
     let holes_seen = model.borrow().holes_seen;
-    let got = received.borrow().clone();
-    (payload, got, violations, holes_seen)
+    (receiver.intact(), violations, holes_seen)
 }
 
 proptest! {
@@ -583,9 +524,9 @@ proptest! {
         total in 10_000usize..100_000,
         drops in prop::collection::vec(0u64..50, 0..10),
     ) {
-        let (payload, got, violations, _) =
+        let (intact, violations, _) =
             modelled_receiver_transfer(RecoveryTier::Sack, total, &drops);
-        prop_assert_eq!(&got[..], &payload[..]);
+        prop_assert!(intact);
         prop_assert!(violations.is_empty(), "{:?}", violations);
     }
 }
@@ -595,9 +536,9 @@ proptest! {
 /// carried blocks, and the stream arrived intact.
 #[test]
 fn sack_receiver_single_drop_e2e() {
-    let (payload, got, violations, holes_seen) =
+    let (intact, violations, holes_seen) =
         modelled_receiver_transfer(RecoveryTier::Sack, 60_000, &[12]);
-    assert_eq!(&got[..], &payload[..]);
+    assert!(intact);
     assert!(holes_seen, "the dropped segment must have opened a hole");
     assert!(violations.is_empty(), "{violations:?}");
 }
@@ -836,29 +777,13 @@ proptest! {
         });
         ns.add_host(client.ip(), client.sink());
         client.set_egress(wire.clone());
-        let received = Rc::new(RefCell::new(Vec::new()));
-        server.listen(80, Rc::new(Sink { buf: received.clone() }));
-        let payload: Vec<u8> = (0..total as u32).map(|i| (i % 251) as u8).collect();
-        struct SendAll {
-            data: RefCell<Option<Bytes>>,
-        }
-        impl SocketApp for SendAll {
-            fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-                if matches!(ev, SocketEvent::Connected) {
-                    if let Some(d) = self.data.borrow_mut().take() {
-                        h.send(sim, d);
-                    }
-                }
-            }
-        }
-        let h = client.connect(
-            &mut sim,
-            SocketAddr::new(server.ip(), 80),
-            Rc::new(SendAll { data: RefCell::new(Some(Bytes::from(payload.clone()))) }),
-        );
+        let data = payload(total);
+        let receiver = Receiver::new(data.clone());
+        server.listen(80, Rc::new(Serve(receiver.clone())));
+        let h = client.connect(&mut sim, SocketAddr::new(server.ip(), 80), Sender::new(data));
         *wire.handle.borrow_mut() = Some(h.clone());
         sim.run();
-        prop_assert_eq!(&received.borrow()[..], &payload[..]);
+        prop_assert!(receiver.intact());
         prop_assert!(
             violations.borrow().is_empty(),
             "flight exceeded cwnd on a clean paced transfer: {:?}",

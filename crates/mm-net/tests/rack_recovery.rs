@@ -5,56 +5,18 @@
 //! mechanisms figcell's RACK-TLP columns (`racktlp_speedup_pct`,
 //! `racktlp_vs_sack_pct`) measure at page-load scale.
 
+mod common;
+
 use bytes::Bytes;
+use common::{hosts, scripted_upload};
 use mm_net::{
-    Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, PacketSink, RecoveryTier, SinkRef,
-    SocketAddr, SocketApp, SocketEvent, TcpConfig, TcpHandle,
+    Packet, PacketSink, RecoveryTier, SinkRef, SocketAddr, SocketApp, SocketEvent, TcpConfig,
+    TcpHandle,
 };
+use mm_shells::transfer::{payload, Receiver, Sender, Serve};
 use mm_sim::{SimDuration, Simulator, Timestamp};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// A symmetric-delay wire dropping a chosen contiguous run of the
-/// sender's data segments on their first transmission only (same shape
-/// as the sack_recovery tests).
-struct LossyWire {
-    next: SinkRef,
-    delay: SimDuration,
-    data_seen: RefCell<u64>,
-    drop_from: u64,
-    drop_to: u64,
-    dropped: RefCell<Vec<u64>>,
-}
-
-impl PacketSink for LossyWire {
-    fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
-        if !pkt.segment.payload.is_empty() {
-            let mut seen = self.data_seen.borrow_mut();
-            let idx = *seen;
-            *seen += 1;
-            let first_transmission = self.dropped.borrow().iter().all(|&s| s != pkt.segment.seq);
-            if first_transmission && idx >= self.drop_from && idx < self.drop_to {
-                self.dropped.borrow_mut().push(pkt.segment.seq);
-                return;
-            }
-        }
-        let next = self.next.clone();
-        sim.schedule_in(self.delay, move |sim| next.deliver(sim, pkt));
-    }
-}
-
-/// A fixed-delay wire (reverse path).
-struct DelayWire {
-    next: SinkRef,
-    delay: SimDuration,
-}
-
-impl PacketSink for DelayWire {
-    fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
-        let next = self.next.clone();
-        sim.schedule_in(self.delay, move |sim| next.deliver(sim, pkt));
-    }
-}
 
 /// A delay wire that additionally *stalls*: packets entering during
 /// `[stall_from, stall_until)` are released, order preserved, no earlier
@@ -97,46 +59,16 @@ impl PacketSink for StallWire {
     }
 }
 
-struct Collect {
-    buf: Rc<RefCell<Vec<u8>>>,
-    done_at: Rc<RefCell<Option<Timestamp>>>,
-    expect: usize,
-}
-impl SocketApp for Collect {
-    fn on_event(&self, sim: &mut Simulator, _h: &TcpHandle, ev: SocketEvent) {
-        if let SocketEvent::Data(b) = ev {
-            self.buf.borrow_mut().extend_from_slice(&b);
-            if self.buf.borrow().len() >= self.expect {
-                *self.done_at.borrow_mut() = Some(sim.now());
-            }
-        }
-    }
-}
+/// Writes its payload on `Connected` and never closes. The tail-loss
+/// tests drop the last data segments; with a FIN riding them (the shared
+/// `Sender` closes) `tail_burst_recovered_by_probe_plus_rack_marks`
+/// reads two timeouts, not zero.
+struct SendOnConnect(Bytes);
 
-struct Accept {
-    buf: Rc<RefCell<Vec<u8>>>,
-    done_at: Rc<RefCell<Option<Timestamp>>>,
-    expect: usize,
-}
-impl Listener for Accept {
-    fn on_connection(&self, _sim: &mut Simulator, _h: TcpHandle) -> Rc<dyn SocketApp> {
-        Rc::new(Collect {
-            buf: self.buf.clone(),
-            done_at: self.done_at.clone(),
-            expect: self.expect,
-        })
-    }
-}
-
-struct SendOnConnect {
-    data: RefCell<Option<Bytes>>,
-}
 impl SocketApp for SendOnConnect {
     fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-        if matches!(ev, SocketEvent::Connected) {
-            if let Some(d) = self.data.borrow_mut().take() {
-                h.send(sim, d);
-            }
+        if let SocketEvent::Connected = ev {
+            h.send(sim, self.0.clone());
         }
     }
 }
@@ -190,56 +122,15 @@ fn tail_loss_transfer_with(
     drop_from: u64,
     drop_to: u64,
 ) -> (Timestamp, mm_net::TcpStats) {
-    let mut sim = Simulator::new();
-    let ns = Namespace::root("w");
-    let ids = PacketIdGen::new();
-    let client = Host::new(IpAddr::new(10, 0, 0, 1), ids.clone());
-    let server = Host::new_in(IpAddr::new(10, 0, 0, 2), ids, &ns);
     let server_cfg = {
         let mut c = client_cfg.clone();
         c.metrics = None;
         c
     };
-    client.set_tcp_config(client_cfg);
-    server.set_tcp_config(server_cfg);
-    ns.add_host(
-        client.ip(),
-        Rc::new(DelayWire {
-            next: client.sink(),
-            delay: one_way,
-        }),
-    );
-    client.set_egress(Rc::new(LossyWire {
-        next: ns.router(),
-        delay: one_way,
-        data_seen: RefCell::new(0),
-        drop_from,
-        drop_to,
-        dropped: RefCell::new(Vec::new()),
-    }));
-
-    let received = Rc::new(RefCell::new(Vec::new()));
-    let done_at = Rc::new(RefCell::new(None));
-    server.listen(
-        80,
-        Rc::new(Accept {
-            buf: received.clone(),
-            done_at: done_at.clone(),
-            expect: total,
-        }),
-    );
-    let payload: Vec<u8> = (0..total as u32).map(|i| (i % 251) as u8).collect();
-    let h = client.connect(
-        &mut sim,
-        SocketAddr::new(server.ip(), 80),
-        Rc::new(SendOnConnect {
-            data: RefCell::new(Some(Bytes::from(payload.clone()))),
-        }),
-    );
-    sim.run();
-    assert_eq!(&received.borrow()[..], &payload[..], "stream corrupted");
-    let finished = done_at.borrow().expect("transfer never completed");
-    (finished, h.stats())
+    let sender = |data| Rc::new(SendOnConnect(data));
+    scripted_upload(
+        sender, client_cfg, server_cfg, total, one_way, drop_from, drop_to,
+    )
 }
 
 /// 60 KB is 42 MSS segments; the last data segment has index 41.
@@ -372,24 +263,12 @@ fn stalled_transfer_with(
     let one_way = SimDuration::from_millis(20);
     let total = 1_000_000usize;
     let mut sim = Simulator::new();
-    let ns = Namespace::root("w");
-    let ids = PacketIdGen::new();
-    let client = Host::new(IpAddr::new(10, 0, 0, 1), ids.clone());
-    let server = Host::new_in(IpAddr::new(10, 0, 0, 2), ids, &ns);
     let server_cfg = {
         let mut c = client_cfg.clone();
         c.metrics = None;
         c
     };
-    client.set_tcp_config(client_cfg);
-    server.set_tcp_config(server_cfg);
-    ns.add_host(
-        client.ip(),
-        Rc::new(DelayWire {
-            next: client.sink(),
-            delay: one_way,
-        }),
-    );
+    let (client, server, ns) = hosts(client_cfg, server_cfg, one_way);
     let samples = Rc::new(RefCell::new(Vec::new()));
     let wire = Rc::new(StallWire {
         next: ns.router(),
@@ -405,28 +284,18 @@ fn stalled_transfer_with(
     });
     client.set_egress(wire.clone());
 
-    let received = Rc::new(RefCell::new(Vec::new()));
-    let done_at = Rc::new(RefCell::new(None));
-    server.listen(
-        80,
-        Rc::new(Accept {
-            buf: received.clone(),
-            done_at: done_at.clone(),
-            expect: total,
-        }),
-    );
-    let payload: Vec<u8> = (0..total as u32).map(|i| (i % 251) as u8).collect();
+    let data = payload(total);
+    let receiver = Receiver::new(data.clone());
+    server.listen(80, Rc::new(Serve(receiver.clone())));
     let h = client.connect(
         &mut sim,
         SocketAddr::new(server.ip(), 80),
-        Rc::new(SendOnConnect {
-            data: RefCell::new(Some(Bytes::from(payload.clone()))),
-        }),
+        Sender::new(data),
     );
     *wire.handle.borrow_mut() = Some(h.clone());
     sim.run();
-    assert_eq!(&received.borrow()[..], &payload[..], "stream corrupted");
-    let finished = done_at.borrow().expect("transfer never completed");
+    assert!(receiver.intact(), "stream corrupted");
+    let finished = receiver.last_data().expect("transfer never completed");
     let s = samples.borrow().clone();
     (finished, h.stats(), s)
 }

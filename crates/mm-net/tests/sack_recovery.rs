@@ -3,118 +3,12 @@
 //! NewReno) without — the mechanism the figcell experiment measures at
 //! page-load scale.
 
-use bytes::Bytes;
-use mm_net::{
-    Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, PacketSink, RecoveryTier, SinkRef,
-    SocketAddr, SocketApp, SocketEvent, TcpConfig, TcpHandle,
-};
-use mm_sim::{SimDuration, Simulator, Timestamp};
-use std::cell::RefCell;
-use std::rc::Rc;
+mod common;
 
-/// A symmetric-delay "wire" that drops a chosen contiguous run of the
-/// sender's data segments on their first transmission only.
-struct LossyWire {
-    next: SinkRef,
-    delay: SimDuration,
-    /// Data segments (non-empty payload) seen so far from the sender.
-    data_seen: RefCell<u64>,
-    /// Drop data segments with 0-based index in `[from, to)` once.
-    drop_from: u64,
-    drop_to: u64,
-    dropped: RefCell<Vec<u64>>,
-}
-
-impl LossyWire {
-    fn new(next: SinkRef, delay: SimDuration, drop_from: u64, drop_to: u64) -> Rc<Self> {
-        Rc::new(LossyWire {
-            next,
-            delay,
-            data_seen: RefCell::new(0),
-            drop_from,
-            drop_to,
-            dropped: RefCell::new(Vec::new()),
-        })
-    }
-}
-
-impl PacketSink for LossyWire {
-    fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
-        if !pkt.segment.payload.is_empty() {
-            let mut seen = self.data_seen.borrow_mut();
-            let idx = *seen;
-            *seen += 1;
-            // First transmissions arrive in seq order; a retransmission
-            // revisits an already-counted seq and is never dropped here.
-            let first_transmission = self.dropped.borrow().iter().all(|&s| s != pkt.segment.seq)
-                && idx < self.drop_to + 1000; // indices only grow
-            if first_transmission && idx >= self.drop_from && idx < self.drop_to {
-                self.dropped.borrow_mut().push(pkt.segment.seq);
-                return;
-            }
-        }
-        let next = self.next.clone();
-        let delay = self.delay;
-        sim.schedule_in(delay, move |sim| next.deliver(sim, pkt));
-    }
-}
-
-/// A plain fixed-delay wire (the reverse path).
-struct DelayWire {
-    next: SinkRef,
-    delay: SimDuration,
-}
-
-impl PacketSink for DelayWire {
-    fn deliver(&self, sim: &mut Simulator, pkt: Packet) {
-        let next = self.next.clone();
-        sim.schedule_in(self.delay, move |sim| next.deliver(sim, pkt));
-    }
-}
-
-struct Collect {
-    buf: Rc<RefCell<Vec<u8>>>,
-    done_at: Rc<RefCell<Option<Timestamp>>>,
-    expect: usize,
-}
-impl SocketApp for Collect {
-    fn on_event(&self, sim: &mut Simulator, _h: &TcpHandle, ev: SocketEvent) {
-        if let SocketEvent::Data(b) = ev {
-            self.buf.borrow_mut().extend_from_slice(&b);
-            if self.buf.borrow().len() >= self.expect {
-                *self.done_at.borrow_mut() = Some(sim.now());
-            }
-        }
-    }
-}
-
-struct Accept {
-    buf: Rc<RefCell<Vec<u8>>>,
-    done_at: Rc<RefCell<Option<Timestamp>>>,
-    expect: usize,
-}
-impl Listener for Accept {
-    fn on_connection(&self, _sim: &mut Simulator, _h: TcpHandle) -> Rc<dyn SocketApp> {
-        Rc::new(Collect {
-            buf: self.buf.clone(),
-            done_at: self.done_at.clone(),
-            expect: self.expect,
-        })
-    }
-}
-
-struct SendOnConnect {
-    data: RefCell<Option<Bytes>>,
-}
-impl SocketApp for SendOnConnect {
-    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-        if matches!(ev, SocketEvent::Connected) {
-            if let Some(d) = self.data.borrow_mut().take() {
-                h.send(sim, d);
-            }
-        }
-    }
-}
+use common::scripted_upload;
+use mm_net::{RecoveryTier, TcpConfig};
+use mm_shells::transfer::Sender;
+use mm_sim::{SimDuration, Timestamp};
 
 /// Transfer `total` bytes over an RTT of `2 * one_way`, dropping data
 /// segments `[drop_from, drop_to)` once. Returns (completion time,
@@ -144,7 +38,8 @@ fn lossy_transfer_cfg(
             RecoveryTier::Reno
         }
     };
-    lossy_transfer_with(
+    scripted_upload(
+        Sender::new,
         TcpConfig::builder().recovery(tier(client_sack)).build(),
         TcpConfig::builder().recovery(tier(server_sack)).build(),
         total,
@@ -152,56 +47,6 @@ fn lossy_transfer_cfg(
         drop_from,
         drop_to,
     )
-}
-
-fn lossy_transfer_with(
-    client_cfg: TcpConfig,
-    server_cfg: TcpConfig,
-    total: usize,
-    one_way: SimDuration,
-    drop_from: u64,
-    drop_to: u64,
-) -> (Timestamp, mm_net::TcpStats) {
-    let mut sim = Simulator::new();
-    let ns = Namespace::root("w");
-    let ids = PacketIdGen::new();
-    let client = Host::new(IpAddr::new(10, 0, 0, 1), ids.clone());
-    let server = Host::new_in(IpAddr::new(10, 0, 0, 2), ids, &ns);
-    client.set_tcp_config(client_cfg);
-    server.set_tcp_config(server_cfg);
-    // Client → (lossy delayed wire) → namespace; namespace → (delayed
-    // wire) → client.
-    ns.add_host(
-        client.ip(),
-        Rc::new(DelayWire {
-            next: client.sink(),
-            delay: one_way,
-        }),
-    );
-    client.set_egress(LossyWire::new(ns.router(), one_way, drop_from, drop_to));
-
-    let received = Rc::new(RefCell::new(Vec::new()));
-    let done_at = Rc::new(RefCell::new(None));
-    server.listen(
-        80,
-        Rc::new(Accept {
-            buf: received.clone(),
-            done_at: done_at.clone(),
-            expect: total,
-        }),
-    );
-    let payload: Vec<u8> = (0..total as u32).map(|i| (i % 251) as u8).collect();
-    let h = client.connect(
-        &mut sim,
-        SocketAddr::new(server.ip(), 80),
-        Rc::new(SendOnConnect {
-            data: RefCell::new(Some(Bytes::from(payload.clone()))),
-        }),
-    );
-    sim.run();
-    assert_eq!(&received.borrow()[..], &payload[..], "stream corrupted");
-    let finished = done_at.borrow().expect("transfer never completed");
-    (finished, h.stats())
 }
 
 const RTT_MS: u64 = 80;
@@ -268,7 +113,8 @@ fn metrics_counters_match_stats_ground_truth() {
     let registry = Registry::new();
     let sink = MetricsHandle::new(RegistrySink::new(registry.clone()));
     let one_way = SimDuration::from_millis(RTT_MS / 2);
-    let (_, stats) = lossy_transfer_with(
+    let (_, stats) = scripted_upload(
+        Sender::new,
         TcpConfig::builder()
             .recovery(RecoveryTier::Sack)
             .metrics(sink)
@@ -304,8 +150,16 @@ fn metrics_sink_does_not_change_timing() {
         .to_builder()
         .metrics(MetricsHandle::new(RegistrySink::new(Registry::new())))
         .build();
-    let (without, _) = lossy_transfer_with(plain.clone(), plain.clone(), 60_000, one_way, 12, 17);
-    let (with, _) = lossy_transfer_with(sinked, plain, 60_000, one_way, 12, 17);
+    let (without, _) = scripted_upload(
+        Sender::new,
+        plain.clone(),
+        plain.clone(),
+        60_000,
+        one_way,
+        12,
+        17,
+    );
+    let (with, _) = scripted_upload(Sender::new, sinked, plain, 60_000, one_way, 12, 17);
     assert_eq!(with, without, "metrics sink altered the simulation");
 }
 

@@ -13,11 +13,11 @@
 //! Tail Loss Probe, the RTO's §5.1 marking and the F-RTO undo —
 //! `mechanisms_are_reached` asserts it through the counters that exist.
 
-use bytes::Bytes;
 use mm_net::{
-    CcAlgorithm, Host, IpAddr, Listener, Packet, PacketIdGen, PacketSink, RecoveryTier, SinkRef,
-    SocketAddr, SocketApp, SocketEvent, TcpConfig, TcpHandle, TcpStats,
+    CcAlgorithm, Host, IpAddr, Packet, PacketIdGen, PacketSink, RecoveryTier, SinkRef, SocketAddr,
+    TcpConfig, TcpStats,
 };
+use mm_shells::transfer::{payload, Receiver, Sender, Serve};
 use mm_sim::{RngStream, SimDuration, Simulator, Timestamp};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -131,50 +131,6 @@ impl PacketSink for Wire {
     }
 }
 
-/// Sends the payload on `Connected`, closes right after (the FIN rides
-/// the last segment), and answers the peer's FIN with its own.
-struct Client {
-    data: RefCell<Option<Bytes>>,
-}
-
-impl SocketApp for Client {
-    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-        if matches!(ev, SocketEvent::Connected) {
-            if let Some(d) = self.data.borrow_mut().take() {
-                h.send(sim, d);
-                h.close(sim);
-            }
-        }
-    }
-}
-
-/// Counts what arrives, closes on the peer's FIN, and keeps the
-/// accepted socket so the test can read its counters.
-struct Server {
-    received: Rc<Cell<usize>>,
-    socket: Rc<RefCell<Option<TcpHandle>>>,
-}
-
-impl SocketApp for Server {
-    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-        match ev {
-            SocketEvent::Data(b) => self.received.set(self.received.get() + b.len()),
-            SocketEvent::PeerClosed => h.close(sim),
-            _ => {}
-        }
-    }
-}
-
-impl Listener for Server {
-    fn on_connection(&self, _sim: &mut Simulator, h: TcpHandle) -> Rc<dyn SocketApp> {
-        *self.socket.borrow_mut() = Some(h);
-        Rc::new(Server {
-            received: self.received.clone(),
-            socket: self.socket.clone(),
-        })
-    }
-}
-
 fn fold_stats(mut h: u64, s: &TcpStats) -> u64 {
     for v in [
         s.segments_sent,
@@ -225,27 +181,20 @@ fn run(config: &TcpConfig, forward: Shape, reverse: Shape) -> (u64, TcpStats) {
     };
     client.set_egress(wire(server.sink(), 0, forward));
     server.set_egress(wire(client.sink(), 1, reverse));
-    let received = Rc::new(Cell::new(0));
-    let accepted = Rc::new(RefCell::new(None));
-    server.listen(
-        80,
-        Rc::new(Server {
-            received: received.clone(),
-            socket: accepted.clone(),
-        }),
-    );
-    let payload: Vec<u8> = (0..TOTAL as u32).map(|i| (i % 251) as u8).collect();
+    // The client sends and closes (the FIN rides the last segment); the
+    // server closes on the client's FIN.
+    let data = payload(TOTAL);
+    let receiver = Receiver::new(data.clone());
+    server.listen(80, Rc::new(Serve(receiver.clone())));
     let h = client.connect(
         &mut sim,
         SocketAddr::new(server.ip(), 80),
-        Rc::new(Client {
-            data: RefCell::new(Some(Bytes::from(payload))),
-        }),
+        Sender::new(data),
     );
     sim.run();
-    assert_eq!(received.get(), TOTAL, "transfer incomplete");
-    let server_stats = accepted.borrow().as_ref().expect("accepted").stats();
-    let d = fold_stats(fold_stats(digest.get(), &h.stats()), &server_stats);
+    assert_eq!(receiver.received(), TOTAL, "transfer incomplete");
+    let accepted = server.socket(server.socket_ids()[0]).expect("accepted");
+    let d = fold_stats(fold_stats(digest.get(), &h.stats()), &accepted.stats());
     (fnv(d, sim.now().as_nanos()), h.stats())
 }
 

@@ -123,11 +123,11 @@ pub(crate) fn observed_delay_shell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DropTail, QueueLimit, ShellStack};
+    use crate::transfer::{Transfer, TransferSpec};
+    use crate::{DropTail, QueueLimit};
     use bytes::Bytes;
     use mm_net::{
-        CcAlgorithm, FnSink, Host, IpAddr, Listener, PacketIdGen, RecoveryTier, SocketAddr,
-        SocketApp, SocketEvent, TcpConfig, TcpFlags, TcpHandle, TcpSegment,
+        CcAlgorithm, FnSink, IpAddr, RecoveryTier, SocketAddr, TcpConfig, TcpFlags, TcpSegment,
     };
     use mm_sim::Timestamp;
     use mm_trace::constant_rate;
@@ -321,67 +321,6 @@ mod tests {
         assert_eq!(*inner_arrivals.borrow(), vec![exit]);
     }
 
-    /// A server's delivery log: `(instant, length)` of every chunk any
-    /// of its connections hands up, in order.
-    type DeliveryLog = Rc<RefCell<Vec<(Timestamp, usize)>>>;
-
-    struct LogData(DeliveryLog);
-
-    impl SocketApp for LogData {
-        fn on_event(&self, sim: &mut Simulator, _: &TcpHandle, ev: SocketEvent) {
-            if let SocketEvent::Data(chunk) = ev {
-                self.0.borrow_mut().push((sim.now(), chunk.len()));
-            }
-        }
-    }
-
-    impl Listener for LogData {
-        fn on_connection(&self, _: &mut Simulator, _: TcpHandle) -> Rc<dyn SocketApp> {
-            Rc::new(LogData(self.0.clone()))
-        }
-    }
-
-    struct SendOnConnect(RefCell<Option<Bytes>>);
-
-    impl SocketApp for SendOnConnect {
-        fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-            if let (SocketEvent::Connected, Some(data)) = (ev, self.0.borrow_mut().take()) {
-                h.send(sim, data);
-            }
-        }
-    }
-
-    /// Four uploads of 0.3–1.2 MB from inside `stack` to a server at
-    /// `root`: the server's delivery log, the instant the run ends, and
-    /// each flow's sender counters.
-    fn four_uploads(
-        root: &Namespace,
-        stack: &ShellStack,
-        config: TcpConfig,
-    ) -> (Vec<(Timestamp, usize)>, Timestamp, Vec<String>) {
-        let mut sim = Simulator::new();
-        let ids = PacketIdGen::new();
-        let server = Host::new_in(IpAddr::new(8, 8, 8, 8), ids.clone(), root);
-        server.set_tcp_config(config.clone());
-        let log = DeliveryLog::default();
-        server.listen(80, Rc::new(LogData(log.clone())));
-        let client = Host::new_in(IpAddr::new(100, 64, 0, 2), ids, &stack.innermost());
-        client.set_tcp_config(config);
-        let flows: Vec<TcpHandle> = (1..=4)
-            .map(|n| {
-                let data = Bytes::from(vec![n as u8; n * 300_000]);
-                let app = Rc::new(SendOnConnect(RefCell::new(Some(data))));
-                client.connect(&mut sim, SocketAddr::new(server.ip(), 80), app)
-            })
-            .collect();
-        assert_eq!(sim.run(), mm_sim::RunResult::QueueEmpty);
-        let delivered: usize = log.borrow().iter().map(|&(_, len)| len).sum();
-        assert_eq!(delivered, 3_000_000);
-        let stats = flows.iter().map(|f| format!("{:?}", f.stats())).collect();
-        let log = log.borrow().clone();
-        (log, sim.now(), stats)
-    }
-
     #[test]
     fn nested_delays_compose_into_one_with_their_overheads() {
         // Each DelayShell adds its forwarding overhead, so 10 ms inside
@@ -395,19 +334,32 @@ mod tests {
         ];
         for (cc, tier) in arms {
             for bottleneck in [false, true] {
+                // Uploads of 0.3–1.2 MB, each alone in its world: every
+                // run's delivery log, end instant and counters.
                 let run = |delays: &[SimDuration]| {
-                    let root = Namespace::root("root");
-                    let mut stack = ShellStack::new(&root);
-                    for &delay in delays {
-                        stack = stack.delay(delay);
-                    }
-                    if bottleneck {
-                        stack = stack.link(constant_rate(8.0, 1000), &|| {
-                            Box::new(DropTail::new(QueueLimit::Packets(32)))
-                        });
-                    }
-                    let config = TcpConfig::builder().cc(cc).recovery(tier).build();
-                    four_uploads(&root, &stack, config)
+                    let uploads = (1..=4).map(|n| {
+                        let spec = TransferSpec {
+                            tcp: TcpConfig::builder().cc(cc).recovery(tier).build(),
+                            bytes: n * 300_000,
+                        };
+                        let r = Transfer::new(&spec, |mut stack| {
+                            for &delay in delays {
+                                stack = stack.delay(delay);
+                            }
+                            if bottleneck {
+                                stack = stack.link(constant_rate(8.0, 1000), &|| {
+                                    Box::new(DropTail::new(QueueLimit::Packets(32)))
+                                });
+                            }
+                            stack
+                        })
+                        .run();
+                        assert!(r.intact);
+                        // A shell more is more events, not another outcome.
+                        let stats = format!("{:?} {:?}", r.sender, r.receiver);
+                        (r.digest, r.completed_at, stats)
+                    });
+                    uploads.collect::<Vec<_>>()
                 };
                 let nested = run(&[ms(10), ms(30)]);
                 let single = run(&[ms(40) + SHELL_OVERHEAD]);

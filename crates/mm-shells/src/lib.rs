@@ -5,6 +5,7 @@
 //! opportunities with pluggable [`Qdisc`] disciplines), [`LossShell`]
 //! (i.i.d. loss) and [`ShellStack`] (nesting, like nesting mahimahi
 //! processes). [`ObservedQdisc`] is how a link's queue is observed.
+//! [`transfer`] is the one bulk TCP transfer built over them.
 
 mod compose;
 mod delay;
@@ -12,6 +13,7 @@ mod link;
 mod loss;
 mod queue;
 mod tap;
+pub mod transfer;
 
 pub use compose::{ShellLayer, ShellStack};
 pub use delay::{delay_shell, DelayLink, DelayShell};

@@ -4,71 +4,13 @@
 //! BBR paces — the mechanisms figcell's CC columns (`bbr_vs_reno_pct`
 //! and its siblings) measure at page-load scale.
 
-use bytes::Bytes;
-use mm_net::{
-    CcAlgorithm, FnSink, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, RecoveryTier,
-    SinkRef, SocketAddr, SocketApp, SocketEvent, TcpConfig, TcpHandle,
-};
+use mm_net::{CcAlgorithm, FnSink, Packet, RecoveryTier, SinkRef, TcpConfig};
+use mm_shells::transfer::{Transfer, TransferSpec};
 use mm_shells::{DropTail, QueueLimit, ShellLayer, ShellStack};
 use mm_sim::{SimDuration, Simulator, Timestamp};
 use mm_trace::constant_rate;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-struct Collect {
-    bytes: Rc<RefCell<u64>>,
-    done_at: Rc<RefCell<Option<Timestamp>>>,
-    expect: u64,
-}
-impl SocketApp for Collect {
-    fn on_event(&self, sim: &mut Simulator, _h: &TcpHandle, ev: SocketEvent) {
-        if let SocketEvent::Data(b) = ev {
-            let mut total = self.bytes.borrow_mut();
-            *total += b.len() as u64;
-            if *total >= self.expect {
-                *self.done_at.borrow_mut() = Some(sim.now());
-            }
-        }
-    }
-}
-
-struct Accept {
-    bytes: Rc<RefCell<u64>>,
-    done_at: Rc<RefCell<Option<Timestamp>>>,
-    expect: u64,
-}
-impl Listener for Accept {
-    fn on_connection(&self, _sim: &mut Simulator, _h: TcpHandle) -> Rc<dyn SocketApp> {
-        Rc::new(Collect {
-            bytes: self.bytes.clone(),
-            done_at: self.done_at.clone(),
-            expect: self.expect,
-        })
-    }
-}
-
-struct SendOnConnect {
-    data: RefCell<Option<Bytes>>,
-}
-impl SocketApp for SendOnConnect {
-    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
-        if matches!(ev, SocketEvent::Connected) {
-            if let Some(d) = self.data.borrow_mut().take() {
-                h.send(sim, d);
-            }
-        }
-    }
-}
-
-struct World {
-    sim: Simulator,
-    stack: ShellStack,
-    received: Rc<RefCell<u64>>,
-    client: TcpHandle,
-    /// Held, not used: a namespace only knows its hosts, it does not
-    /// keep them.
-    _hosts: [Host; 2],
-}
 
 /// A bulk upload through `mm-delay <one_way> mm-link <rate>` with the
 /// given uplink queue: client inside the stack, server at the root.
@@ -78,7 +20,7 @@ fn bulk_upload(
     mbps: f64,
     one_way: SimDuration,
     queue: QueueLimit,
-) -> World {
+) -> Transfer {
     bulk_upload_through(config, total, mbps, one_way, queue, |stack| stack)
 }
 
@@ -91,44 +33,19 @@ fn bulk_upload_through(
     one_way: SimDuration,
     queue: QueueLimit,
     egress: impl FnOnce(SinkRef) -> SinkRef,
-) -> World {
-    let mut sim = Simulator::new();
-    let root = Namespace::root("root");
-    let ids = PacketIdGen::new();
-    let server = Host::new_in(IpAddr::new(8, 8, 8, 8), ids.clone(), &root);
-    server.set_tcp_config(config.clone());
-    let received = Rc::new(RefCell::new(0u64));
-    let done_at = Rc::new(RefCell::new(None));
-    server.listen(
-        80,
-        Rc::new(Accept {
-            bytes: received.clone(),
-            done_at,
-            expect: total as u64,
-        }),
-    );
-    let stack = ShellStack::new(&root)
-        .delay(one_way)
-        .link(constant_rate(mbps, 1000), &move || {
-            Box::new(DropTail::new(queue))
-        });
-    let client = Host::new_in(IpAddr::new(100, 64, 0, 2), ids, &stack.innermost());
-    client.set_egress(egress(stack.innermost().router()));
-    client.set_tcp_config(config);
-    let handle = client.connect(
-        &mut sim,
-        SocketAddr::new(server.ip(), 80),
-        Rc::new(SendOnConnect {
-            data: RefCell::new(Some(Bytes::from(vec![7u8; total]))),
-        }),
-    );
-    World {
-        sim,
-        stack,
-        received,
-        client: handle,
-        _hosts: [server, client],
-    }
+) -> Transfer {
+    let spec = TransferSpec {
+        tcp: config,
+        bytes: total,
+    };
+    let shells = |stack: ShellStack| {
+        stack
+            .delay(one_way)
+            .link(constant_rate(mbps, 1000), &move || {
+                Box::new(DropTail::new(queue))
+            })
+    };
+    Transfer::through(&spec, shells, egress)
 }
 
 fn uplink_max_backlog(stack: &ShellStack) -> usize {
@@ -162,9 +79,9 @@ fn bbr_converges_to_link_rate() {
         QueueLimit::Infinite,
     );
     w.sim.run_until(Timestamp::from_secs(2));
-    let at_2s = *w.received.borrow();
+    let at_2s = w.received() as u64;
     w.sim.run_until(Timestamp::from_secs(10));
-    let delta = *w.received.borrow() - at_2s;
+    let delta = w.received() as u64 - at_2s;
     // 90% of the 14 Mbit/s *wire* rate over 8 s (payload goodput is
     // ~97.3% of wire, so this demands ≥ 92.5% utilization).
     let floor = (0.9 * 14e6 / 8.0 * 8.0) as u64;
@@ -209,7 +126,7 @@ fn bbr_standing_queue_below_reno_in_deep_buffer() {
             QueueLimit::Packets(256),
         );
         w.sim.run_until(Timestamp::from_secs(5));
-        let received = *w.received.borrow();
+        let received = w.received() as u64;
         (uplink_max_backlog(&w.stack), received)
     };
     let (reno_queue, reno_bytes) = run(reno);
@@ -245,8 +162,8 @@ fn loss_based_controllers_never_pace() {
             let mut w = bulk_upload(config, total, 10.0, SimDuration::from_millis(20), queue);
             w.sim.run();
             assert_eq!(
-                *w.received.borrow(),
-                total as u64,
+                w.received(),
+                total,
                 "{cc:?} under {queue:?}: transfer completes intact"
             );
             assert_eq!(
@@ -290,7 +207,7 @@ fn cubic_bulk_upload_sends_no_runt_segments() {
         },
     );
     w.sim.run();
-    assert_eq!(*w.received.borrow(), total as u64);
+    assert_eq!(w.received(), total);
     let sent = sent.borrow();
     let end = sent
         .iter()

@@ -77,6 +77,14 @@ impl EngineProfile {
         self.counts.push((tag, 1));
     }
 
+    /// Events dispatched under `tag`.
+    pub fn count(&self, tag: &str) -> u64 {
+        self.counts
+            .iter()
+            .find(|(t, _)| *t == tag)
+            .map_or(0, |&(_, n)| n)
+    }
+
     /// Most events ever pending in the event queue at once.
     pub fn heap_high_water(&self) -> usize {
         self.heap_high_water

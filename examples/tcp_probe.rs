@@ -1,0 +1,224 @@
+//! The measured TCP tables of ROADMAP.md, rebuilt from the setup each
+//! item states, on `mm_shells::transfer`'s one upload world. Each arm
+//! prints its table in the ROADMAP's markdown shape, so a change to
+//! `mm-net/src/tcp` can show its before/after by running the arm on both
+//! trees.
+//!
+//! Run with: `cargo run --release --example tcp_probe -- <arm>`, where
+//! `<arm>` is one of `item2e`, `item19`, `item20` or `item21`.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::time::Instant;
+
+use mm_net::{CcAlgorithm, FnSink, Packet, RecoveryTier, TcpConfig, MSS};
+use mm_shells::transfer::{Transfer, TransferResult, TransferSpec};
+use mm_shells::{DropTail, QueueLimit, ShellStack};
+use mm_sim::{RngStream, SimDuration, Simulator, Timestamp};
+use mm_trace::constant_rate;
+
+fn config(cc: CcAlgorithm, tier: RecoveryTier) -> TcpConfig {
+    TcpConfig::builder().cc(cc).recovery(tier).build()
+}
+
+fn ms(n: u64) -> SimDuration {
+    SimDuration::from_millis(n)
+}
+
+/// `mm-delay <one_way> mm-link <mbps>` with a droptail `queue`.
+fn delay_link(
+    one_way: SimDuration,
+    mbps: f64,
+    queue: QueueLimit,
+) -> impl FnOnce(ShellStack) -> ShellStack {
+    move |stack| {
+        stack
+            .delay(one_way)
+            .link(constant_rate(mbps, 1000), &move || {
+                Box::new(DropTail::new(queue))
+            })
+    }
+}
+
+/// Item 2(e): one 4 MB upload behind 40 ms + 8 Mbit/s + droptail 32;
+/// every data segment the client puts on the wire, by size.
+fn item2e() {
+    println!("| controller / tier | data segments | under 100 B | under MSS | retransmissions |");
+    println!("|---|---|---|---|---|");
+    let arms = [
+        (CcAlgorithm::Reno, RecoveryTier::Sack),
+        (CcAlgorithm::Cubic, RecoveryTier::Reno),
+        (CcAlgorithm::Cubic, RecoveryTier::Sack),
+        (CcAlgorithm::Cubic, RecoveryTier::RackTlp),
+        (CcAlgorithm::Bbr, RecoveryTier::RackTlp),
+    ];
+    for (cc, tier) in arms {
+        let spec = TransferSpec {
+            tcp: config(cc, tier),
+            bytes: 4_000_000,
+        };
+        let sizes = Rc::new(RefCell::new(Vec::new()));
+        let log = sizes.clone();
+        let path = delay_link(ms(40), 8.0, QueueLimit::Packets(32));
+        let mut w = Transfer::through(&spec, path, |next| {
+            FnSink::new(move |sim: &mut Simulator, p: Packet| {
+                if !p.segment.payload.is_empty() {
+                    log.borrow_mut().push(p.segment.payload.len());
+                }
+                next.deliver(sim, p);
+            })
+        });
+        let r = w.run();
+        assert!(r.intact);
+        let sizes = sizes.borrow();
+        let under = |n: usize| sizes.iter().filter(|&&len| len < n).count();
+        println!(
+            "| {cc:?}/`{tier:?}` | {} | {} | {} | {} |",
+            sizes.len(),
+            under(100),
+            under(MSS),
+            r.sender.retransmissions
+        );
+    }
+}
+
+/// Item 19: one clean 1 MiB upload, default TCP, over three paths; the
+/// engine's dispatches by tag.
+fn item19() {
+    println!("| path | events | host | delay | link | timer |");
+    println!("|---|---|---|---|---|---|");
+    type Path = fn(ShellStack) -> ShellStack;
+    let paths: [(&str, Path); 3] = [
+        ("bare", |s| s),
+        ("delay 40 ms", |s| s.delay(ms(40))),
+        ("delay 40 ms + 14 Mbit/s link", |s| {
+            delay_link(ms(40), 14.0, QueueLimit::Infinite)(s)
+        }),
+    ];
+    for (name, path) in paths {
+        let spec = TransferSpec {
+            tcp: TcpConfig::default(),
+            bytes: 1 << 20,
+        };
+        let mut w = Transfer::new(&spec, path);
+        w.sim.enable_profiler();
+        let r = w.run();
+        assert!(r.intact);
+        let profile = r.profile.as_ref().expect("profiled");
+        let tag = |t: &str| match profile.count(&format!("sim_events_{t}_total")) {
+            0 => "–".to_string(),
+            n => n.to_string(),
+        };
+        println!(
+            "| {name} | {} | {} | {} | {} | {} |",
+            r.events_executed,
+            tag("host"),
+            tag("delay"),
+            tag("link"),
+            tag("timer")
+        );
+    }
+}
+
+/// Item 20: one upload behind a 20 ms delay shell, a 100 Mbit/s link
+/// with droptail 64 and 1 % loss each way (perf `transfer_lossy`'s path;
+/// loss stream seed 1). ns/event is the best of five runs.
+fn item20() {
+    println!("| arm (controller/tier) | transfer @ link | events | ns/event | max retx queue |");
+    println!("|---|---|---|---|---|");
+    let arms = [
+        (CcAlgorithm::Reno, RecoveryTier::Reno, 16),
+        (CcAlgorithm::Cubic, RecoveryTier::Sack, 16),
+        (CcAlgorithm::Cubic, RecoveryTier::RackTlp, 16),
+        (CcAlgorithm::Bbr, RecoveryTier::Sack, 16),
+        (CcAlgorithm::Bbr, RecoveryTier::RackTlp, 4),
+        (CcAlgorithm::Bbr, RecoveryTier::RackTlp, 16),
+    ];
+    for (cc, tier, mb) in arms {
+        let spec = TransferSpec {
+            tcp: config(cc, tier),
+            bytes: mb * 1_000_000,
+        };
+        let run = || {
+            let mut w = Transfer::new(&spec, |stack| {
+                delay_link(ms(20), 100.0, QueueLimit::Packets(64))(stack).loss(
+                    0.01,
+                    0.01,
+                    &RngStream::from_seed(1).fork("loss"),
+                )
+            });
+            let start = Instant::now();
+            let r = w.run();
+            (start.elapsed().as_nanos() as f64, r)
+        };
+        let (mut best, r) = run();
+        for _ in 1..5 {
+            best = best.min(run().0);
+        }
+        assert!(r.intact);
+        println!(
+            "| {cc:?}/`{tier:?}` | {mb} MB @ 100 Mbit/s | {} | {:.0} | {} |",
+            r.events_executed,
+            best / r.events_executed as f64,
+            r.sender.max_retx_queue
+        );
+    }
+}
+
+/// Item 21: one 32 MB upload through a delay shell, a 1 Gbit/s link with
+/// an infinite queue and uplink-only loss `p`; goodput (the payload over
+/// the last data instant) over Mathis et al.'s `MSS/RTT · sqrt(3/(2p))`, mean of loss
+/// seeds 1–3.
+fn item21() {
+    let arms = [
+        (CcAlgorithm::Reno, RecoveryTier::Reno),
+        (CcAlgorithm::Reno, RecoveryTier::Sack),
+        (CcAlgorithm::Cubic, RecoveryTier::Sack),
+        (CcAlgorithm::Cubic, RecoveryTier::RackTlp),
+    ];
+    print!("| RTT | p |");
+    for (cc, tier) in arms {
+        print!(" {cc:?}/`{tier:?}` |");
+    }
+    println!("\n|---|---|---|---|---|---|");
+    for rtt_ms in [20, 80] {
+        for p in [0.005, 0.01, 0.02] {
+            print!("| {rtt_ms} ms | {} % |", p * 100.0);
+            for (cc, tier) in arms {
+                let ratio =
+                    |seed: u64| {
+                        let spec = TransferSpec {
+                            tcp: config(cc, tier),
+                            bytes: 32_000_000,
+                        };
+                        let r: TransferResult =
+                            Transfer::new(&spec, |stack| {
+                                delay_link(ms(rtt_ms / 2), 1000.0, QueueLimit::Infinite)(stack)
+                                    .loss(p, 0.0, &RngStream::from_seed(seed).fork("loss"))
+                            })
+                            .run();
+                        assert!(r.intact);
+                        let secs = (r.last_data - Timestamp::ZERO).as_secs_f64();
+                        let mathis = MSS as f64 / (rtt_ms as f64 / 1e3) * (1.5 / p).sqrt();
+                        32e6 / secs / mathis
+                    };
+                print!(" ×{:.2} |", (1..=3).map(ratio).sum::<f64>() / 3.0);
+            }
+            println!();
+        }
+    }
+}
+
+fn main() {
+    let arm = std::env::args().nth(1).unwrap_or_default();
+    match arm.as_str() {
+        "item2e" => item2e(),
+        "item19" => item19(),
+        "item20" => item20(),
+        "item21" => item21(),
+        _ => {
+            eprintln!("usage: tcp_probe item2e|item19|item20|item21");
+            std::process::exit(2);
+        }
+    }
+}
