@@ -16,7 +16,7 @@ use mm_net::{
     CcAlgorithm, Host, IpAddr, Listener, Namespace, Packet, PacketIdGen, PacketSink, RecoveryTier,
     SackBlock, SinkRef, SocketAddr, SocketApp, SocketEvent, TcpConfig, TcpHandle,
 };
-use mm_shells::transfer::{payload, Receiver, Sender, Serve};
+use mm_shells::transfer::{payload, upload, Receiver, Serve};
 use mm_sim::{SimDuration, Simulator, Timestamp};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -266,14 +266,7 @@ fn recovery_terminates(config: TcpConfig, total: usize, drops: &[u64]) {
     ns.add_host(client.ip(), client.sink());
     client.set_egress(wire.clone());
 
-    let data = payload(total);
-    let receiver = Receiver::new(data.clone());
-    server.listen(80, Rc::new(Serve(receiver.clone())));
-    let h = client.connect(
-        &mut sim,
-        SocketAddr::new(server.ip(), 80),
-        Sender::new(data),
-    );
+    let (h, receiver) = upload(&mut sim, &client, &server, 80, payload(total));
     *wire.handle.borrow_mut() = Some(h.clone());
     sim.run();
     // Recovery terminated: the whole stream arrived intact (the
@@ -503,14 +496,7 @@ fn modelled_receiver_transfer(
         model: model.clone(),
     }));
 
-    let data = payload(total);
-    let receiver = Receiver::new(data.clone());
-    server.listen(80, Rc::new(Serve(receiver.clone())));
-    client.connect(
-        &mut sim,
-        SocketAddr::new(server.ip(), 80),
-        Sender::new(data),
-    );
+    let (_, receiver) = upload(&mut sim, &client, &server, 80, payload(total));
     sim.run();
     let violations = model.borrow().violations.clone();
     let holes_seen = model.borrow().holes_seen;
@@ -777,10 +763,7 @@ proptest! {
         });
         ns.add_host(client.ip(), client.sink());
         client.set_egress(wire.clone());
-        let data = payload(total);
-        let receiver = Receiver::new(data.clone());
-        server.listen(80, Rc::new(Serve(receiver.clone())));
-        let h = client.connect(&mut sim, SocketAddr::new(server.ip(), 80), Sender::new(data));
+        let (h, receiver) = upload(&mut sim, &client, &server, 80, payload(total));
         *wire.handle.borrow_mut() = Some(h.clone());
         sim.run();
         prop_assert!(receiver.intact());

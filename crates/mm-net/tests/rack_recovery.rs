@@ -10,10 +10,9 @@ mod common;
 use bytes::Bytes;
 use common::{hosts, scripted_upload};
 use mm_net::{
-    Packet, PacketSink, RecoveryTier, SinkRef, SocketAddr, SocketApp, SocketEvent, TcpConfig,
-    TcpHandle,
+    Packet, PacketSink, RecoveryTier, SinkRef, SocketApp, SocketEvent, TcpConfig, TcpHandle,
 };
-use mm_shells::transfer::{payload, Receiver, Sender, Serve};
+use mm_shells::transfer::{payload, upload};
 use mm_sim::{SimDuration, Simulator, Timestamp};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -284,14 +283,7 @@ fn stalled_transfer_with(
     });
     client.set_egress(wire.clone());
 
-    let data = payload(total);
-    let receiver = Receiver::new(data.clone());
-    server.listen(80, Rc::new(Serve(receiver.clone())));
-    let h = client.connect(
-        &mut sim,
-        SocketAddr::new(server.ip(), 80),
-        Sender::new(data),
-    );
+    let (h, receiver) = upload(&mut sim, &client, &server, 80, payload(total));
     *wire.handle.borrow_mut() = Some(h.clone());
     sim.run();
     assert!(receiver.intact(), "stream corrupted");

@@ -14,10 +14,10 @@
 //! `mechanisms_are_reached` asserts it through the counters that exist.
 
 use mm_net::{
-    CcAlgorithm, Host, IpAddr, Packet, PacketIdGen, PacketSink, RecoveryTier, SinkRef, SocketAddr,
-    TcpConfig, TcpStats,
+    CcAlgorithm, Host, IpAddr, Packet, PacketIdGen, PacketSink, RecoveryTier, SinkRef, TcpConfig,
+    TcpStats,
 };
-use mm_shells::transfer::{payload, Receiver, Sender, Serve};
+use mm_shells::transfer::{fnv, payload, upload, FNV_OFFSET};
 use mm_sim::{RngStream, SimDuration, Simulator, Timestamp};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -27,16 +27,6 @@ const TOTAL: usize = 256 * 1024;
 /// Data segments of a loss-free transfer.
 const SEGMENTS: u64 = 180;
 const ONE_WAY: SimDuration = SimDuration::from_millis(20);
-
-fn fnv(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// What a wire does to the packets entering it.
 #[derive(Clone, Copy)]
@@ -183,14 +173,7 @@ fn run(config: &TcpConfig, forward: Shape, reverse: Shape) -> (u64, TcpStats) {
     server.set_egress(wire(client.sink(), 1, reverse));
     // The client sends and closes (the FIN rides the last segment); the
     // server closes on the client's FIN.
-    let data = payload(TOTAL);
-    let receiver = Receiver::new(data.clone());
-    server.listen(80, Rc::new(Serve(receiver.clone())));
-    let h = client.connect(
-        &mut sim,
-        SocketAddr::new(server.ip(), 80),
-        Sender::new(data),
-    );
+    let (h, receiver) = upload(&mut sim, &client, &server, 80, payload(TOTAL));
     sim.run();
     assert_eq!(receiver.received(), TOTAL, "transfer incomplete");
     let accepted = server.socket(server.socket_ids()[0]).expect("accepted");

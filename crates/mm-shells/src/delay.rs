@@ -123,11 +123,12 @@ pub(crate) fn observed_delay_shell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transfer::{Transfer, TransferSpec};
-    use crate::{DropTail, QueueLimit};
+    use crate::transfer::{payload, upload, Receiver};
+    use crate::{DropTail, QueueLimit, ShellStack};
     use bytes::Bytes;
     use mm_net::{
-        CcAlgorithm, FnSink, IpAddr, RecoveryTier, SocketAddr, TcpConfig, TcpFlags, TcpSegment,
+        CcAlgorithm, FnSink, Host, IpAddr, PacketIdGen, RecoveryTier, SocketAddr, TcpConfig,
+        TcpFlags, TcpHandle, TcpSegment,
     };
     use mm_sim::Timestamp;
     use mm_trace::constant_rate;
@@ -321,46 +322,71 @@ mod tests {
         assert_eq!(*inner_arrivals.borrow(), vec![exit]);
     }
 
+    /// Four concurrent uploads of 0.3–1.2 MB of `data` from inside
+    /// `delays` (and an 8 Mbit/s droptail-32 link, if `bottleneck`) to a
+    /// server at the root, one port each: every flow's delivery digest
+    /// and both ends' counters, and the instant the run ends.
+    fn four_uploads(
+        delays: &[SimDuration],
+        bottleneck: bool,
+        config: &TcpConfig,
+        data: &Bytes,
+    ) -> (Vec<String>, Timestamp) {
+        let root = Namespace::root("root");
+        let mut stack = ShellStack::new(&root);
+        for &delay in delays {
+            stack = stack.delay(delay);
+        }
+        if bottleneck {
+            stack = stack.link(constant_rate(8.0, 1000), &|| {
+                Box::new(DropTail::new(QueueLimit::Packets(32)))
+            });
+        }
+        let mut sim = Simulator::new();
+        let ids = PacketIdGen::new();
+        let server = Host::new_in(IpAddr::new(8, 8, 8, 8), ids.clone(), &root);
+        server.set_tcp_config(config.clone());
+        let client = Host::new_in(IpAddr::new(100, 64, 0, 2), ids, &stack.innermost());
+        client.set_tcp_config(config.clone());
+        let flows: Vec<(TcpHandle, Rc<Receiver>)> = (1..=4)
+            .map(|n| {
+                upload(
+                    &mut sim,
+                    &client,
+                    &server,
+                    80 + n as u16,
+                    data.slice(..n * 300_000),
+                )
+            })
+            .collect();
+        assert_eq!(sim.run(), mm_sim::RunResult::QueueEmpty);
+        let delivered: usize = flows.iter().map(|(_, r)| r.received()).sum();
+        assert_eq!(delivered, 3_000_000);
+        assert!(flows.iter().all(|(_, r)| r.intact()));
+        let senders = flows
+            .iter()
+            .map(|(h, r)| format!("{:x} {:?}", r.digest(), h.stats()));
+        let receivers = (server.socket_ids().into_iter())
+            .map(|id| format!("{:?}", server.socket(id).expect("accepted").stats()));
+        (senders.chain(receivers).collect(), sim.now())
+    }
+
     #[test]
     fn nested_delays_compose_into_one_with_their_overheads() {
         // Each DelayShell adds its forwarding overhead, so 10 ms inside
         // 30 ms is one 40 ms shell with one extra overhead — bit for bit,
         // with or without a bottleneck link inside them.
         let ms = SimDuration::from_millis;
+        let data = payload(1_200_000);
         let arms = [
             (CcAlgorithm::Reno, RecoveryTier::Reno),
             (CcAlgorithm::Cubic, RecoveryTier::Sack),
             (CcAlgorithm::Bbr, RecoveryTier::RackTlp),
         ];
         for (cc, tier) in arms {
+            let config = TcpConfig::builder().cc(cc).recovery(tier).build();
             for bottleneck in [false, true] {
-                // Uploads of 0.3–1.2 MB, each alone in its world: every
-                // run's delivery log, end instant and counters.
-                let run = |delays: &[SimDuration]| {
-                    let uploads = (1..=4).map(|n| {
-                        let spec = TransferSpec {
-                            tcp: TcpConfig::builder().cc(cc).recovery(tier).build(),
-                            bytes: n * 300_000,
-                        };
-                        let r = Transfer::new(&spec, |mut stack| {
-                            for &delay in delays {
-                                stack = stack.delay(delay);
-                            }
-                            if bottleneck {
-                                stack = stack.link(constant_rate(8.0, 1000), &|| {
-                                    Box::new(DropTail::new(QueueLimit::Packets(32)))
-                                });
-                            }
-                            stack
-                        })
-                        .run();
-                        assert!(r.intact);
-                        // A shell more is more events, not another outcome.
-                        let stats = format!("{:?} {:?}", r.sender, r.receiver);
-                        (r.digest, r.completed_at, stats)
-                    });
-                    uploads.collect::<Vec<_>>()
-                };
+                let run = |delays: &[SimDuration]| four_uploads(delays, bottleneck, &config, &data);
                 let nested = run(&[ms(10), ms(30)]);
                 let single = run(&[ms(40) + SHELL_OVERHEAD]);
                 assert!(nested == single, "{cc:?}/{tier:?}, link {bottleneck}");

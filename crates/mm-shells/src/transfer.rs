@@ -5,7 +5,8 @@
 //! and closes; a [`Receiver`] checks every delivered chunk against the
 //! payload at its offset, folds `(instant, length)` into a digest, and
 //! closes on the peer's FIN. [`Serve`] hands the connections a
-//! listener accepts to one of them. And one world, [`Transfer`]: an
+//! listener accepts to one of them; [`upload`] pairs them between two
+//! hosts a caller has wired. And one world, [`Transfer`]: an
 //! upload from a client in a [`ShellStack`]'s innermost namespace to a
 //! server at its root.
 
@@ -54,13 +55,14 @@ pub struct Receiver {
     received: Cell<usize>,
     matched: Cell<bool>,
     digest: Cell<u64>,
-    first_data: Cell<Option<Timestamp>>,
     last_data: Cell<Option<Timestamp>>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// fnv1a64's offset basis: a digest before anything is folded in.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv(mut h: u64, v: u64) -> u64 {
+/// Fold `v`'s little-endian bytes into the fnv1a64 hash `h`.
+pub fn fnv(mut h: u64, v: u64) -> u64 {
     for byte in v.to_le_bytes() {
         h ^= byte as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -75,7 +77,6 @@ impl Receiver {
             received: Cell::new(0),
             matched: Cell::new(true),
             digest: Cell::new(FNV_OFFSET),
-            first_data: Cell::new(None),
             last_data: Cell::new(None),
         })
     }
@@ -93,11 +94,6 @@ impl Receiver {
     /// fnv1a64 over `(instant, length)` of every delivered chunk.
     pub fn digest(&self) -> u64 {
         self.digest.get()
-    }
-
-    /// When the first chunk arrived.
-    pub fn first_data(&self) -> Option<Timestamp> {
-        self.first_data.get()
     }
 
     /// When the last chunk so far arrived.
@@ -120,9 +116,6 @@ impl SocketApp for Receiver {
                     fnv(self.digest.get(), now.as_nanos()),
                     chunk.len() as u64,
                 ));
-                if self.first_data.get().is_none() {
-                    self.first_data.set(Some(now));
-                }
                 self.last_data.set(Some(now));
             }
             SocketEvent::PeerClosed => h.close(sim),
@@ -141,13 +134,29 @@ impl Listener for Serve {
     }
 }
 
+/// An upload of `data` between two hosts already on one path: a
+/// [`Receiver`] listening at `server`'s `port`, and a [`Sender`] that
+/// `client` connects to it. Returns the sending socket and the receiver.
+pub fn upload(
+    sim: &mut Simulator,
+    client: &Host,
+    server: &Host,
+    port: u16,
+    data: Bytes,
+) -> (TcpHandle, Rc<Receiver>) {
+    let receiver = Receiver::new(data.clone());
+    server.listen(port, Rc::new(Serve(receiver.clone())));
+    let to = SocketAddr::new(server.ip(), port);
+    (client.connect(sim, to, Sender::new(data)), receiver)
+}
+
 /// What a [`Transfer`] is: both ends' TCP and the payload's size.
 pub struct TransferSpec {
     pub tcp: TcpConfig,
     pub bytes: usize,
 }
 
-const SERVER: SocketAddr = SocketAddr::new(IpAddr::new(10, 0, 0, 2), 80);
+const SERVER_IP: IpAddr = IpAddr::new(10, 0, 0, 2);
 const CLIENT_IP: IpAddr = IpAddr::new(10, 0, 0, 1);
 
 /// One upload of [`payload`]`(bytes)`, connected and ready to run: a
@@ -199,16 +208,13 @@ impl Transfer {
         let mut sim = Simulator::new();
         let root = Namespace::root("root");
         let ids = PacketIdGen::new();
-        let server = Host::new_in(SERVER.ip, ids.clone(), &root);
+        let server = Host::new_in(SERVER_IP, ids.clone(), &root);
         server.set_tcp_config(spec.tcp.clone());
-        let data = payload(spec.bytes);
-        let receiver = Receiver::new(data.clone());
-        server.listen(SERVER.port, Rc::new(Serve(receiver.clone())));
         let stack = shells(ShellStack::new(&root));
         let client_host = Host::new_in(CLIENT_IP, ids, &stack.innermost());
         client_host.set_egress(egress(stack.innermost().router()));
         client_host.set_tcp_config(spec.tcp.clone());
-        let client = client_host.connect(&mut sim, SERVER, Sender::new(data));
+        let (client, receiver) = upload(&mut sim, &client_host, &server, 80, payload(spec.bytes));
         Transfer {
             sim,
             stack,
@@ -230,16 +236,17 @@ impl Transfer {
         let accepted = server
             .socket_ids()
             .first()
-            .and_then(|&id| server.socket(id));
+            .and_then(|&id| server.socket(id))
+            .expect("the server accepted the upload");
         TransferResult {
             sender: self.client.stats(),
-            receiver: accepted.map(|h| h.stats()).unwrap_or_default(),
+            receiver: accepted.stats(),
             digest: self.receiver.digest(),
             intact: self.receiver.intact(),
             events_executed: self.sim.events_executed(),
             profile: self.sim.profile().cloned(),
             completed_at: self.sim.now(),
-            last_data: self.receiver.last_data().unwrap_or(Timestamp::ZERO),
+            last_data: self.receiver.last_data().expect("data arrived"),
         }
     }
 }

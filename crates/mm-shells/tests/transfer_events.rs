@@ -4,80 +4,68 @@
 //! events a packet hop or a timer costs, and says so here.
 
 use mm_net::TcpConfig;
-use mm_shells::transfer::{Transfer, TransferResult, TransferSpec};
+use mm_shells::transfer::{Transfer, TransferSpec};
 use mm_shells::{DropTail, ShellStack};
 use mm_sim::SimDuration;
 use mm_trace::constant_rate;
 
-/// `(events, host, delay, link, timer)` dispatches.
-type Counts = (u64, u64, u64, u64, u64);
+/// A path, the shells that make it, and its `(events, host, delay, link,
+/// timer)` dispatches.
+type Row = (
+    &'static str,
+    fn(ShellStack) -> ShellStack,
+    (u64, u64, u64, u64, u64),
+);
 
-fn upload(shells: impl FnOnce(ShellStack) -> ShellStack) -> TransferResult {
+const DELAY: SimDuration = SimDuration::from_millis(40);
+
+#[test]
+fn a_clean_upload_costs_these_events() {
+    let rows: [Row; 3] = [
+        // Item 19(a) (inline host dispatch) removes the host column;
+        // item 4(b) (physical timer cancel) shrinks the timer column.
+        ("bare", |stack| stack, (2_165, 1_443, 0, 0, 722)),
+        // Items 19(a) and 4(b), as above.
+        (
+            "delay 40 ms",
+            |stack| stack.delay(DELAY),
+            (3_608, 1_443, 1_443, 0, 722),
+        ),
+        // Items 19(a) and 4(b), as above.
+        (
+            "delay 40 ms + 14 Mbit/s",
+            |stack| {
+                let link = constant_rate(14.0, 1000);
+                stack
+                    .delay(DELAY)
+                    .link(link, &|| Box::new(DropTail::infinite()))
+            },
+            (4_842, 1_443, 1_443, 1_234, 722),
+        ),
+    ];
     let spec = TransferSpec {
         tcp: TcpConfig::default(),
         bytes: 1 << 20,
     };
-    let mut world = Transfer::new(&spec, shells);
-    world.sim.enable_profiler();
-    let r = world.run();
-    assert!(r.intact);
-    r
-}
-
-fn counts(r: &TransferResult) -> Counts {
-    let profile = r.profile.as_ref().expect("profiled");
-    let tag = |t| profile.count(t);
-    (
-        r.events_executed,
-        tag("sim_events_host_total"),
-        tag("sim_events_delay_total"),
-        tag("sim_events_link_total"),
-        tag("sim_events_timer_total"),
-    )
-}
-
-fn check(path: &str, r: &TransferResult, expected: Counts) {
-    assert_eq!(
-        counts(r),
-        expected,
-        "{path}: (events, host, delay, link, timer)"
-    );
-    // The engine's clock runs past the last data: superseded timers still
-    // pop, as no-ops, at their old deadlines (ROADMAP finding 8).
-    assert!(r.completed_at > r.last_data, "{path}");
-}
-
-const DELAY: SimDuration = SimDuration::from_millis(40);
-
-/// ROADMAP item 19(a) (inline host dispatch) removes the host column;
-/// item 4(b) (physical timer cancel) shrinks the timer column.
-#[test]
-fn bare() {
-    let r = upload(|stack| stack);
-    check("bare", &r, (2_165, 1_443, 0, 0, 722));
-}
-
-/// ROADMAP item 19(a) removes the host column; item 4(b) shrinks the
-/// timer column.
-#[test]
-fn delay_40ms() {
-    let r = upload(|stack| stack.delay(DELAY));
-    check("delay 40 ms", &r, (3_608, 1_443, 1_443, 0, 722));
-}
-
-/// ROADMAP item 19(a) removes the host column; item 4(b) shrinks the
-/// timer column.
-#[test]
-fn delay_40ms_and_14_mbits() {
-    let r = upload(|stack| {
-        stack.delay(DELAY).link(
-            constant_rate(14.0, 1000),
-            &|| Box::new(DropTail::infinite()),
-        )
-    });
-    check(
-        "delay 40 ms + 14 Mbit/s",
-        &r,
-        (4_842, 1_443, 1_443, 1_234, 722),
-    );
+    for (path, shells, expected) in rows {
+        let mut world = Transfer::new(&spec, shells);
+        world.sim.enable_profiler();
+        let r = world.run();
+        assert!(r.intact, "{path}");
+        let tag = |t| r.profile.as_ref().expect("profiled").count(t);
+        let counts = (
+            r.events_executed,
+            tag("sim_events_host_total"),
+            tag("sim_events_delay_total"),
+            tag("sim_events_link_total"),
+            tag("sim_events_timer_total"),
+        );
+        assert_eq!(
+            counts, expected,
+            "{path}: (events, host, delay, link, timer)"
+        );
+        // The engine's clock runs past the last data: superseded timers
+        // still pop, as no-ops, at their old deadlines (ROADMAP finding 8).
+        assert!(r.completed_at > r.last_data, "{path}");
+    }
 }

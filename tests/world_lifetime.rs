@@ -14,7 +14,7 @@
 //! each `#[test]` measures only itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -33,7 +33,6 @@ use mm_net::{
 };
 use mm_record::{fetch_via, RecordShell, StoredSite};
 use mm_replay::{ReplayConfig, ReplayShell, ServerProtocol};
-use mm_shells::transfer::{Receiver, Sender, Serve};
 use mm_shells::{DropTail, Qdisc, QueueLimit, ShellStack};
 use mm_sim::{RngStream, SimDuration, Simulator, Timestamp};
 use mm_trace::{cellular, constant_rate, CellularParams, TraceBuffer};
@@ -302,6 +301,47 @@ fn a_longer_soak_needs_no_more_memory_at_its_peak() {
 
 // ------------------------------------------------ a world built by hand
 
+/// Server side of a transfer: on the client's request, push the payload
+/// and close. Keeps the accepted handle where the builder can read the
+/// sender's statistics after the run.
+struct PushOnRequest {
+    payload: Bytes,
+    sender: Rc<RefCell<Option<TcpHandle>>>,
+}
+
+impl Listener for PushOnRequest {
+    fn on_connection(&self, _sim: &mut Simulator, handle: TcpHandle) -> Rc<dyn SocketApp> {
+        struct Push(RefCell<Option<Bytes>>);
+        impl SocketApp for Push {
+            fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
+                if let SocketEvent::Data(_) = ev {
+                    if let Some(data) = self.0.borrow_mut().take() {
+                        h.send(sim, data);
+                        h.close(sim);
+                    }
+                }
+            }
+        }
+        *self.sender.borrow_mut() = Some(handle);
+        Rc::new(Push(RefCell::new(Some(self.payload.clone()))))
+    }
+}
+
+struct CountingReceiver {
+    received: Cell<usize>,
+}
+
+impl SocketApp for CountingReceiver {
+    fn on_event(&self, sim: &mut Simulator, h: &TcpHandle, ev: SocketEvent) {
+        match ev {
+            SocketEvent::Connected => h.send(sim, Bytes::from_static(b"GET /bulk\r\n\r\n")),
+            SocketEvent::Data(b) => self.received.set(self.received.get() + b.len()),
+            SocketEvent::PeerClosed => h.close(sim),
+            _ => {}
+        }
+    }
+}
+
 /// Written the way the benchmark's `run_transfer` is: the builder holds
 /// the namespace, the stack, both hosts and the simulator, reads what it
 /// wants after `run()`, and returns. No teardown call. With `stop_at`,
@@ -325,8 +365,17 @@ fn hand_built_transfer(payload: &Bytes, stop_at: Option<Timestamp>) -> (usize, u
         server.enable_timer_mux();
         client.enable_timer_mux();
     }
-    server.listen(80, Rc::new(Serve(Sender::new(payload.clone()))));
-    let receiver = Receiver::new(payload.clone());
+    let sender = Rc::new(RefCell::new(None));
+    server.listen(
+        80,
+        Rc::new(PushOnRequest {
+            payload: payload.clone(),
+            sender: sender.clone(),
+        }),
+    );
+    let receiver = Rc::new(CountingReceiver {
+        received: Cell::new(0),
+    });
     client.connect(&mut sim, SocketAddr::new(SERVER_IP, 80), receiver.clone());
     match stop_at {
         None => {
@@ -338,12 +387,11 @@ fn hand_built_transfer(payload: &Bytes, stop_at: Option<Timestamp>) -> (usize, u
             assert!(armed(&server) > 0 && sim.pending_events() > 0);
         }
     }
-    let accepted = server
-        .socket_ids()
-        .first()
-        .and_then(|&id| server.socket(id));
-    let sent = accepted.map_or(0, |h| h.stats().segments_sent);
-    (receiver.received(), sent)
+    let sent = sender
+        .borrow()
+        .as_ref()
+        .map_or(0, |h| h.stats().segments_sent);
+    (receiver.received.get(), sent)
 }
 
 #[test]
