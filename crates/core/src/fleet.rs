@@ -177,9 +177,19 @@ const BULK_PORT: u16 = 5001;
 /// Run one fleet world to completion.
 ///
 /// Panics if any user's page load never finishes — a world where loads
-/// hang is a harness bug, not a measurable outcome.
+/// hang is a harness bug, not a measurable outcome — and if the load
+/// spec sets `host_profile` or `live_web`, which only `run_page_load`
+/// applies.
 pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
     assert!(spec.n_users >= 1, "a fleet needs at least one user");
+    assert!(
+        spec.load.host_profile.is_none(),
+        "a fleet does not apply LoadSpec::host_profile"
+    );
+    assert!(
+        spec.load.live_web.is_none(),
+        "a fleet does not apply LoadSpec::live_web"
+    );
     let mut sim = Simulator::new();
 
     // A uniform population's algorithm also drives the shared replay
@@ -301,18 +311,7 @@ pub fn run_fleet(spec: &FleetSpec<'_>) -> FleetResult {
 mod tests {
     use super::*;
     use crate::harness::{LinkSpec, NetSpec};
-    use mm_corpus::{materialize, plan_site, SiteParams};
     use mm_trace::constant_rate;
-
-    fn small_site() -> mm_record::StoredSite {
-        let params = SiteParams {
-            servers: Some(4),
-            median_objects: 10.0,
-            ..SiteParams::default()
-        };
-        let plan = plan_site(960, &params, &mut mm_sim::RngStream::from_seed(17));
-        materialize(&plan)
-    }
 
     fn base_spec(site: &mm_record::StoredSite, n: usize) -> FleetSpec<'_> {
         let mut load = LoadSpec::new(site);
@@ -333,7 +332,7 @@ mod tests {
 
     #[test]
     fn two_user_fleet_completes_with_positive_goodputs() {
-        let site = small_site();
+        let site = crate::test_site(17, 4, 10.0);
         let r = run_fleet(&base_spec(&site, 2));
         assert_eq!(r.users.len(), 2);
         for (i, u) in r.users.iter().enumerate() {
@@ -347,20 +346,26 @@ mod tests {
     }
 
     #[test]
-    fn fleet_determinism_same_seed_same_outcomes() {
-        let site = small_site();
-        let a = run_fleet(&base_spec(&site, 3));
-        let b = run_fleet(&base_spec(&site, 3));
-        for (x, y) in a.users.iter().zip(&b.users) {
-            assert_eq!(x.plt_ms, y.plt_ms);
-            assert_eq!(x.goodput_bps, y.goodput_bps);
-        }
-        assert_eq!(a.max_downlink_queue_packets, b.max_downlink_queue_packets);
+    #[should_panic(expected = "a fleet does not apply LoadSpec::host_profile")]
+    fn a_fleet_refuses_a_host_profile() {
+        let site = crate::test_site(17, 4, 10.0);
+        let mut spec = base_spec(&site, 2);
+        spec.load.host_profile = Some(mm_web::HostProfile::machine_1());
+        run_fleet(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "a fleet does not apply LoadSpec::live_web")]
+    fn a_fleet_refuses_live_web_variability() {
+        let site = crate::test_site(17, 4, 10.0);
+        let mut spec = base_spec(&site, 2);
+        spec.load.live_web = Some(mm_web::LiveWebConfig::default());
+        run_fleet(&spec);
     }
 
     #[test]
     fn contention_slows_loads_down() {
-        let site = small_site();
+        let site = crate::test_site(17, 4, 10.0);
         let solo = run_fleet(&base_spec(&site, 1));
         let crowd = run_fleet(&base_spec(&site, 8));
         // Under 8-way contention on the same link, the median PLT must
@@ -375,7 +380,7 @@ mod tests {
 
     #[test]
     fn split_mix_assigns_both_algorithms() {
-        let site = small_site();
+        let site = crate::test_site(17, 4, 10.0);
         let mut spec = base_spec(&site, 4);
         spec.cc_mix = CcMix::BbrRenoSplit;
         let r = run_fleet(&spec);

@@ -223,23 +223,12 @@ pub fn run_loads(spec: &LoadSpec<'_>, n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_corpus::{materialize, plan_site, SiteParams};
     use mm_replay::ReplayMode;
     use mm_trace::constant_rate;
 
-    fn small_site() -> StoredSite {
-        let params = SiteParams {
-            servers: Some(6),
-            median_objects: 18.0,
-            ..SiteParams::default()
-        };
-        let plan = plan_site(950, &params, &mut RngStream::from_seed(7));
-        materialize(&plan)
-    }
-
     #[test]
     fn bare_replay_load_completes() {
-        let site = small_site();
+        let site = crate::test_site(7, 6, 18.0);
         let r = run_page_load(&LoadSpec::new(&site));
         assert_eq!(r.failures, 0);
         assert!(r.resource_count() >= 19);
@@ -251,7 +240,7 @@ mod tests {
     /// an NXDOMAIN, the audited load completes, and nothing panics.
     #[test]
     fn a_host_name_link_fails_one_resource() {
-        let mut site = small_site();
+        let mut site = crate::test_site(7, 6, 18.0);
         let root = &mut site.pairs_mut()[0].response;
         let html = String::from_utf8(root.body.to_vec()).expect("HTML");
         let linked = html.replacen(
@@ -261,7 +250,7 @@ mod tests {
         );
         assert_ne!(linked, html, "the root document opens with <html>");
         *root = mm_http::Response::ok(linked.into(), "text/html");
-        let clean = run_page_load(&LoadSpec::new(&small_site()));
+        let clean = run_page_load(&LoadSpec::new(&crate::test_site(7, 6, 18.0)));
         let mut spec = LoadSpec::new(&site);
         let auditor = mm_audit::Auditor::for_load(0);
         spec.audit = Some(auditor.clone());
@@ -274,7 +263,7 @@ mod tests {
 
     #[test]
     fn delay_shell_increases_plt() {
-        let site = small_site();
+        let site = crate::test_site(7, 6, 18.0);
         let bare = run_page_load(&LoadSpec::new(&site)).plt;
         let mut spec = LoadSpec::new(&site);
         spec.net = NetSpec::delay_ms(100);
@@ -287,7 +276,7 @@ mod tests {
 
     #[test]
     fn slow_link_increases_plt() {
-        let site = small_site();
+        let site = crate::test_site(7, 6, 18.0);
         let mut fast = LoadSpec::new(&site);
         fast.net.link = Some(LinkSpec::symmetric(constant_rate(100.0, 1000)));
         let mut slow = LoadSpec::new(&site);
@@ -301,7 +290,7 @@ mod tests {
 
     #[test]
     fn loss_increases_plt() {
-        let site = small_site();
+        let site = crate::test_site(7, 6, 18.0);
         let mut clean = LoadSpec::new(&site);
         clean.net = NetSpec::delay_ms(20);
         let mut lossy = LoadSpec::new(&site);
@@ -316,13 +305,7 @@ mod tests {
     fn single_server_slower_at_high_bandwidth() {
         // Needs a site big enough for single-server CGI contention to
         // outrun the browser's own CPU time (the Table 2 mechanism).
-        let params = SiteParams {
-            servers: Some(20),
-            median_objects: 120.0,
-            ..SiteParams::default()
-        };
-        let plan = plan_site(951, &params, &mut RngStream::from_seed(8));
-        let site = materialize(&plan);
+        let site = crate::test_site(8, 20, 120.0);
         let net = NetSpec {
             delay: Some(SimDuration::from_millis(30)),
             link: Some(LinkSpec::symmetric(constant_rate(25.0, 1000))),
@@ -340,7 +323,7 @@ mod tests {
 
     #[test]
     fn determinism_same_seed_same_plt() {
-        let site = small_site();
+        let site = crate::test_site(7, 6, 18.0);
         let mut a = LoadSpec::new(&site);
         a.net = NetSpec::delay_ms(30);
         a.seed = 42;
@@ -355,7 +338,7 @@ mod tests {
         // The per-packet tap must only observe: the same spec with a
         // capture attached produces the exact same simulation, while the
         // capture itself fills with link/packet/http events.
-        let site = small_site();
+        let site = crate::test_site(7, 6, 18.0);
         let net = NetSpec {
             delay: Some(SimDuration::from_millis(20)),
             link: Some(LinkSpec::symmetric(constant_rate(8.0, 1000))),
@@ -388,7 +371,7 @@ mod tests {
 
     #[test]
     fn host_noise_perturbs_but_barely() {
-        let site = small_site();
+        let site = crate::test_site(7, 6, 18.0);
         let mut base = LoadSpec::new(&site);
         base.net = NetSpec::delay_ms(30);
         let quiet = run_page_load(&base).plt;
@@ -403,7 +386,7 @@ mod tests {
 
     #[test]
     fn run_loads_varies_with_noise() {
-        let site = small_site();
+        let site = crate::test_site(7, 6, 18.0);
         let mut spec = LoadSpec::new(&site);
         spec.net = NetSpec::delay_ms(10);
         spec.host_profile = Some(HostProfile::machine_1());

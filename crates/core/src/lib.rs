@@ -34,6 +34,21 @@ pub mod obs;
 pub mod soak;
 mod world;
 
+/// The corpus site every unit test here loads.
+#[cfg(test)]
+pub(crate) fn test_site(seed: u64, servers: usize, median_objects: f64) -> mm_record::StoredSite {
+    let params = mm_corpus::SiteParams {
+        servers: Some(servers),
+        median_objects,
+        ..mm_corpus::SiteParams::default()
+    };
+    mm_corpus::materialize(&mm_corpus::plan_site(
+        seed as usize,
+        &params,
+        &mut mm_sim::RngStream::from_seed(seed),
+    ))
+}
+
 /// Re-exports of the subsystems measurements are built from.
 pub use mm_browser as browser;
 pub use mm_corpus as corpus;

@@ -628,17 +628,6 @@ pub fn run_soak(spec: &SoakSpec<'_>, registry: &Registry) -> SoakResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_corpus::{materialize, plan_site, SiteParams};
-
-    fn small_site() -> StoredSite {
-        let params = SiteParams {
-            servers: Some(4),
-            median_objects: 8.0,
-            ..SiteParams::default()
-        };
-        let plan = plan_site(970, &params, &mut RngStream::from_seed(23));
-        materialize(&plan)
-    }
 
     fn short_spec(site: &StoredSite) -> SoakSpec<'_> {
         let mut spec = SoakSpec::new(site);
@@ -651,7 +640,7 @@ mod tests {
 
     #[test]
     fn soak_completes_and_drains() {
-        let site = small_site();
+        let site = crate::test_site(23, 4, 8.0);
         let registry = Registry::new();
         let r = run_soak(&short_spec(&site), &registry);
         assert!(r.sessions_started >= 5, "started {}", r.sessions_started);
@@ -706,19 +695,8 @@ mod tests {
     }
 
     #[test]
-    fn soak_is_deterministic() {
-        let site = small_site();
-        let a = run_soak(&short_spec(&site), &Registry::new());
-        let b = run_soak(&short_spec(&site), &Registry::new());
-        assert_eq!(a.sessions_started, b.sessions_started);
-        assert_eq!(a.resources_fetched, b.resources_fetched);
-        assert_eq!(a.plt_p50_ms, b.plt_p50_ms);
-        assert_eq!(a.server_conn_high_water, b.server_conn_high_water);
-    }
-
-    #[test]
     fn overloaded_pool_sheds_arrivals() {
-        let site = small_site();
+        let site = crate::test_site(23, 4, 8.0);
         let mut spec = short_spec(&site);
         spec.duration = SimDuration::from_secs(5);
         spec.arrival_mean = SimDuration::from_millis(20);

@@ -270,7 +270,6 @@ impl World {
 mod tests {
     use super::*;
     use mm_browser::MuxConfig;
-    use mm_corpus::{materialize, plan_site, SiteParams};
     use mm_net::RecoveryTier;
 
     /// The TCP configurations of a world built from `spec`: its servers',
@@ -284,11 +283,7 @@ mod tests {
 
     #[test]
     fn the_spec_tcp_config_reaches_every_host() {
-        let params = SiteParams {
-            servers: Some(4),
-            ..SiteParams::default()
-        };
-        let site = materialize(&plan_site(970, &params, &mut RngStream::from_seed(23)));
+        let site = crate::test_site(23, 4, 55.0);
         let mut spec = LoadSpec::new(&site);
         let rack = TcpConfig::builder().recovery(RecoveryTier::RackTlp);
         spec.tcp = Some(rack.clone().build());

@@ -244,28 +244,6 @@ struct FlowState {
     samples: u64,
 }
 
-type PointKey = (u8, u32, u8);
-
-fn point_key(p: TapPoint) -> PointKey {
-    let kind = match p.kind {
-        PointKind::Link => 0,
-        PointKind::Delay => 1,
-        PointKind::Loss => 2,
-    };
-    let dir = match p.dir {
-        Dir::Up => 0,
-        Dir::Down => 1,
-    };
-    (kind, p.index, dir)
-}
-
-fn dir_index(d: Dir) -> usize {
-    match d {
-        Dir::Up => 0,
-        Dir::Down => 1,
-    }
-}
-
 /// The bounded violation list: past [`MAX_VIOLATIONS`] only a count.
 #[derive(Clone, Default)]
 struct Violations {
@@ -291,7 +269,7 @@ struct State {
     load: u64,
     violations: Violations,
     /// Points are reported in key order at finish, so they stay a tree.
-    points: BTreeMap<PointKey, Ledger>,
+    points: BTreeMap<TapPoint, Ledger>,
     /// Per-connection digests keyed by the packet flow fingerprint.
     conn_digests: U64Map<u64>,
     /// The single instrumented link point per direction, if unique.
@@ -485,11 +463,11 @@ impl State {
                 continue;
             };
             let dir = if di == 0 { Dir::Up } else { Dir::Down };
-            let key = point_key(TapPoint {
+            let key = TapPoint {
                 kind: PointKind::Link,
                 index,
                 dir,
-            });
+            };
             let Some(led) = self.points.get(&key) else {
                 continue;
             };
@@ -537,7 +515,7 @@ impl PacketTap for Auditor {
             *d = d.wrapping_add(h);
         }
         if ev.point.kind == PointKind::Link {
-            let di = dir_index(ev.point.dir);
+            let di = ev.point.dir as usize;
             match st.link_point[di] {
                 None => st.link_point[di] = Some(ev.point.index),
                 Some(i) if i == ev.point.index => {}
@@ -551,7 +529,7 @@ impl PacketTap for Auditor {
         }
         let led = st
             .points
-            .entry(point_key(ev.point))
+            .entry(ev.point)
             .or_insert_with(|| Ledger::new(ev.point));
         led.digest = led.digest.wrapping_add(h);
         let mut bad: Option<(&'static str, String)> = None;
@@ -671,11 +649,11 @@ impl MetricsSink for Auditor {
         // this gauge closes.
         let ledger_backlog = st.link_point[di].and_then(|index| {
             let dir = if di == 0 { Dir::Up } else { Dir::Down };
-            let key = point_key(TapPoint {
+            let key = TapPoint {
                 kind: PointKind::Link,
                 index,
                 dir,
-            });
+            };
             st.points.get(&key).map(Ledger::backlog_packets)
         });
         let track = &mut st.gauges[di];

@@ -24,6 +24,7 @@ use mm_capture::{HttpEvent, HttpPhase, TapHandle};
 use mm_http::{write_request_fields, Method, Response, ResponseParser, Url, Version};
 use mm_mux::{MuxClient, MuxConfig, MuxOwner, PRIORITY_BULK, PRIORITY_ROOT, PRIORITY_SUBRESOURCE};
 use mm_net::{Host, SocketAddr, SocketApp, SocketEvent, TcpHandle};
+use mm_sim::dist::{Distribution, LogNormal};
 use mm_sim::{EventTarget, SimDuration, Simulator, Timestamp, UNTAGGED_EVENT};
 use mm_trace::{Span, SpanHandle, SpanKind};
 
@@ -708,12 +709,7 @@ impl Browser {
                     .saturating_mul(t.body_bytes / 1024);
             if let Some((rng, sigma)) = cpu_jitter {
                 if *sigma > 0.0 {
-                    // Mean-one lognormal factor (mu = -sigma^2/2).
-                    let u1 = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-                    let u2 = rng.next_f64();
-                    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                    let factor = (*sigma * z - *sigma * *sigma / 2.0).exp();
-                    cost = cost.mul_f64(factor);
+                    cost = cost.mul_f64(LogNormal::mean_one(*sigma).sample(rng));
                 }
             }
             // Serialize on the renderer main thread.

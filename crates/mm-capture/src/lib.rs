@@ -25,7 +25,7 @@ use std::rc::Rc;
 
 /// Packet direction through a shell: `Up` is client → server (egress
 /// from the innermost namespace), `Down` is server → client.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Dir {
     Up,
     Down,
@@ -53,7 +53,7 @@ impl Dir {
 }
 
 /// Which kind of shell layer a tap point sits on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PointKind {
     /// A trace-driven `TraceLink` (and the qdisc in front of it).
     Link,
@@ -88,7 +88,7 @@ impl PointKind {
 
 /// Identifies one instrumented location: a shell layer (by kind and
 /// per-stack index) in one direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TapPoint {
     pub kind: PointKind,
     /// Layer index within the shell stack (matches the `-<n>` suffix of

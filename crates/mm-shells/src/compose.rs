@@ -130,8 +130,7 @@ impl ShellStack {
 mod tests {
     use super::*;
     use crate::queue::DropTail;
-    use bytes::Bytes;
-    use mm_net::{FnSink, IpAddr, Packet, SocketAddr, TcpFlags, TcpSegment};
+    use mm_net::{FnSink, IpAddr, Packet, SocketAddr};
     use mm_sim::{Simulator, Timestamp};
     use mm_trace::constant_rate;
     use std::cell::RefCell;
@@ -156,18 +155,9 @@ mod tests {
             FnSink::new(move |sim: &mut Simulator, _| a.borrow_mut().push(sim.now())),
         );
         let pkt = Packet {
-            id: 0,
             src: SocketAddr::new(IpAddr::new(100, 64, 0, 2), 1000),
             dst: SocketAddr::new(IpAddr::new(8, 8, 8, 8), 80),
-            segment: TcpSegment {
-                flags: TcpFlags::ACK,
-                seq: 0,
-                ack: 0,
-                window: 0,
-                sack: Default::default(),
-                payload: Bytes::from(vec![0u8; 1460]),
-            },
-            corrupted: false,
+            ..crate::pkt(0, 1460)
         };
         inner.router().deliver(&mut sim, pkt);
         sim.run();
@@ -205,18 +195,9 @@ mod tests {
             FnSink::new(move |_: &mut Simulator, _| *sc.borrow_mut() += 1),
         );
         let pkt = Packet {
-            id: 0,
             src: SocketAddr::new(IpAddr::new(100, 64, 0, 2), 1000),
             dst: SocketAddr::new(IpAddr::new(8, 8, 8, 8), 80),
-            segment: TcpSegment {
-                flags: TcpFlags::ACK,
-                seq: 0,
-                ack: 0,
-                window: 0,
-                sack: Default::default(),
-                payload: Bytes::new(),
-            },
-            corrupted: false,
+            ..crate::pkt(0, 0)
         };
         stack_a.innermost().router().deliver(&mut sim, pkt);
         sim.run();

@@ -123,32 +123,16 @@ pub(crate) fn observed_delay_shell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pkt;
     use crate::transfer::{payload, upload, Receiver};
     use crate::{DropTail, QueueLimit, ShellStack};
     use bytes::Bytes;
     use mm_net::{
         CcAlgorithm, FnSink, Host, IpAddr, PacketIdGen, RecoveryTier, SocketAddr, TcpConfig,
-        TcpFlags, TcpHandle, TcpSegment,
+        TcpHandle,
     };
     use mm_sim::Timestamp;
     use mm_trace::constant_rate;
-
-    fn pkt(id: u64) -> Packet {
-        Packet {
-            id,
-            src: SocketAddr::new(IpAddr::new(1, 1, 1, 1), 1),
-            dst: SocketAddr::new(IpAddr::new(2, 2, 2, 2), 2),
-            segment: TcpSegment {
-                flags: TcpFlags::ACK,
-                seq: 0,
-                ack: 0,
-                window: 0,
-                sack: Default::default(),
-                payload: Bytes::new(),
-            },
-            corrupted: false,
-        }
-    }
 
     #[test]
     fn packets_delayed_exactly() {
@@ -160,7 +144,7 @@ mod tests {
         });
         let link = DelayLink::new(SimDuration::from_millis(30), sink);
         sim.schedule_at(Timestamp::from_millis(5), move |sim| {
-            link.deliver(sim, pkt(1))
+            link.deliver(sim, pkt(1, 0))
         });
         sim.run();
         assert_eq!(*arrivals.borrow(), vec![(1, Timestamp::from_millis(35))]);
@@ -176,7 +160,7 @@ mod tests {
         let l = link.clone();
         sim.schedule_now(move |sim| {
             for i in 0..10 {
-                l.deliver(sim, pkt(i));
+                l.deliver(sim, pkt(i, 0));
             }
         });
         sim.run();
@@ -227,7 +211,7 @@ mod tests {
                 for _ in 0..n {
                     let (leg, l) = (leg.clone(), log.clone());
                     sim.schedule_at(Timestamp::from_nanos(at), move |sim| {
-                        leg.deliver(sim, pkt(id));
+                        leg.deliver(sim, pkt(id, 0));
                         // A bystander due at the packet's release instant,
                         // filed right after it: it must run right after.
                         sim.schedule_in(total, move |sim| {
@@ -259,7 +243,7 @@ mod tests {
             FnSink::new(move |_: &mut Simulator, _| *s.borrow_mut() += 1),
         );
         let to_inner = |id| {
-            let mut p = pkt(id);
+            let mut p = pkt(id, 0);
             p.dst = SocketAddr::new(inner_ip, 80);
             p
         };
@@ -285,7 +269,7 @@ mod tests {
         let c = count.clone();
         let sink = FnSink::new(move |_: &mut Simulator, _| *c.borrow_mut() += 1);
         let link = DelayLink::new(SimDuration::ZERO, sink);
-        link.deliver(&mut sim, pkt(0));
+        link.deliver(&mut sim, pkt(0, 0));
         assert_eq!(*count.borrow(), 1, "no event round-trip needed");
     }
 
@@ -309,11 +293,11 @@ mod tests {
         );
 
         // Inner → outer takes 25 ms plus the forwarding overhead.
-        let mut p = pkt(1);
+        let mut p = pkt(1, 0);
         p.dst = SocketAddr::new(IpAddr::new(8, 8, 8, 8), 80);
         shell.inner_ns.router().deliver(&mut sim, p);
         // And so does outer → inner.
-        let mut q = pkt(2);
+        let mut q = pkt(2, 0);
         q.dst = SocketAddr::new(IpAddr::new(100, 64, 0, 2), 80);
         parent.router().deliver(&mut sim, q);
         sim.run();

@@ -15,6 +15,27 @@ mod queue;
 mod tap;
 pub mod transfer;
 
+/// What the unit tests push through a shell: packet `id`, an ACK from
+/// 1.1.1.1:1 to 2.2.2.2:2 carrying `payload` zero bytes.
+#[cfg(test)]
+pub(crate) fn pkt(id: u64, payload: usize) -> mm_net::Packet {
+    use mm_net::{IpAddr, SocketAddr, TcpFlags, TcpSegment};
+    mm_net::Packet {
+        id,
+        src: SocketAddr::new(IpAddr::new(1, 1, 1, 1), 1),
+        dst: SocketAddr::new(IpAddr::new(2, 2, 2, 2), 2),
+        segment: TcpSegment {
+            flags: TcpFlags::ACK,
+            seq: 0,
+            ack: 0,
+            window: 0,
+            sack: Default::default(),
+            payload: bytes::Bytes::from(vec![0; payload]),
+        },
+        corrupted: false,
+    }
+}
+
 pub use compose::{ShellLayer, ShellStack};
 pub use delay::{delay_shell, DelayLink, DelayShell};
 pub use link::{LinkShell, TraceLink, TraceLinkSink};

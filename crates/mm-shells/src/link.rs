@@ -217,27 +217,10 @@ pub(crate) fn link_shell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pkt;
     use crate::queue::DropTail;
-    use bytes::Bytes;
-    use mm_net::{FnSink, IpAddr, SocketAddr, TcpFlags, TcpSegment};
+    use mm_net::{FnSink, IpAddr, SocketAddr};
     use mm_trace::constant_rate;
-
-    fn pkt(id: u64, payload: usize) -> Packet {
-        Packet {
-            id,
-            src: SocketAddr::new(IpAddr::new(1, 1, 1, 1), 1),
-            dst: SocketAddr::new(IpAddr::new(2, 2, 2, 2), 2),
-            segment: TcpSegment {
-                flags: TcpFlags::ACK,
-                seq: 0,
-                ack: 0,
-                window: 0,
-                sack: Default::default(),
-                payload: Bytes::from(vec![0; payload]),
-            },
-            corrupted: false,
-        }
-    }
 
     type Arrivals = Rc<RefCell<Vec<(u64, Timestamp)>>>;
 

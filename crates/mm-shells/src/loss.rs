@@ -105,25 +105,8 @@ pub(crate) fn loss_shell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use mm_net::{FnSink, IpAddr, SocketAddr, TcpFlags, TcpSegment};
-
-    fn pkt(id: u64) -> Packet {
-        Packet {
-            id,
-            src: SocketAddr::new(IpAddr::new(1, 1, 1, 1), 1),
-            dst: SocketAddr::new(IpAddr::new(2, 2, 2, 2), 2),
-            segment: TcpSegment {
-                flags: TcpFlags::ACK,
-                seq: 0,
-                ack: 0,
-                window: 0,
-                sack: Default::default(),
-                payload: Bytes::new(),
-            },
-            corrupted: false,
-        }
-    }
+    use crate::pkt;
+    use mm_net::{FnSink, IpAddr, SocketAddr};
 
     #[test]
     fn loss_rate_approximates_p() {
@@ -133,7 +116,7 @@ mod tests {
         let sink = FnSink::new(move |_: &mut Simulator, _| *d.borrow_mut() += 1);
         let link = LossLink::new(0.25, RngStream::from_seed(5), sink, None);
         for i in 0..20_000 {
-            link.deliver(&mut sim, pkt(i));
+            link.deliver(&mut sim, pkt(i, 0));
         }
         let dropped = link.stats().dropped;
         let rate = dropped as f64 / 20_000.0;
@@ -149,7 +132,7 @@ mod tests {
         let sink = FnSink::new(move |_: &mut Simulator, _| *d.borrow_mut() += 1);
         let link = LossLink::new(0.0, RngStream::from_seed(5), sink, None);
         for i in 0..100 {
-            link.deliver(&mut sim, pkt(i));
+            link.deliver(&mut sim, pkt(i, 0));
         }
         assert_eq!(*delivered.borrow(), 100);
         assert_eq!(link.stats().dropped, 0);
@@ -176,13 +159,13 @@ mod tests {
         );
         // Uplink loses 100%: nothing reaches the outer host.
         for i in 0..10 {
-            let mut p = pkt(i);
+            let mut p = pkt(i, 0);
             p.dst = SocketAddr::new(IpAddr::new(8, 8, 8, 8), 80);
             shell.inner_ns.router().deliver(&mut sim, p);
         }
         // Downlink loses 0%: everything reaches the inner host.
         for i in 0..10 {
-            let mut p = pkt(100 + i);
+            let mut p = pkt(100 + i, 0);
             p.dst = SocketAddr::new(IpAddr::new(100, 64, 0, 2), 80);
             parent.router().deliver(&mut sim, p);
         }

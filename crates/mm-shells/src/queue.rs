@@ -464,27 +464,9 @@ impl Qdisc for Pie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pkt;
     use crate::tap::InstrumentedQdisc;
-    use bytes::Bytes;
     use mm_metrics::{MetricsHandle, Registry, RegistrySink};
-    use mm_net::{IpAddr, SocketAddr, TcpFlags, TcpSegment};
-
-    fn pkt(id: u64, payload: usize) -> Packet {
-        Packet {
-            id,
-            src: SocketAddr::new(IpAddr::new(1, 1, 1, 1), 1),
-            dst: SocketAddr::new(IpAddr::new(2, 2, 2, 2), 2),
-            segment: TcpSegment {
-                flags: TcpFlags::ACK,
-                seq: 0,
-                ack: 0,
-                window: 0,
-                sack: Default::default(),
-                payload: Bytes::from(vec![0; payload]),
-            },
-            corrupted: false,
-        }
-    }
 
     fn t(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)

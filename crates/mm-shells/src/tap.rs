@@ -338,29 +338,11 @@ impl TappedQdisc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pkt;
     use crate::queue::{CoDel, DropHead, DropTail, QueueLimit};
-    use bytes::Bytes;
     use mm_capture::Capture;
     use mm_metrics::{Registry, RegistrySink};
-    use mm_net::{IpAddr, SocketAddr, TcpFlags, TcpSegment};
     use mm_sim::SimDuration;
-
-    fn pkt(id: u64, payload: usize) -> Packet {
-        Packet {
-            id,
-            src: SocketAddr::new(IpAddr::new(1, 1, 1, 1), 1),
-            dst: SocketAddr::new(IpAddr::new(2, 2, 2, 2), 2),
-            segment: TcpSegment {
-                flags: TcpFlags::ACK,
-                seq: 0,
-                ack: 0,
-                window: 0,
-                sack: Default::default(),
-                payload: Bytes::from(vec![0; payload]),
-            },
-            corrupted: false,
-        }
-    }
 
     fn t(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)

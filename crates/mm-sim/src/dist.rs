@@ -97,6 +97,13 @@ impl LogNormal {
         assert!(median > 0.0, "LogNormal median must be positive");
         LogNormal::new(median.ln(), sigma)
     }
+
+    /// The log-normal with mean one and the underlying σ (μ = −σ²/2): a
+    /// multiplicative jitter that leaves the mean where it was. `sigma`
+    /// must be non-negative.
+    pub fn mean_one(sigma: f64) -> Self {
+        LogNormal::new(-sigma * sigma / 2.0, sigma)
+    }
 }
 
 impl Distribution for LogNormal {

@@ -7,6 +7,7 @@
 //! with outages) from a seeded Markov-modulated process. DESIGN.md records
 //! this substitution.
 
+use mm_sim::dist::{Distribution, LogNormal};
 use mm_sim::RngStream;
 
 use crate::format::{Trace, TRACE_MTU};
@@ -84,13 +85,7 @@ pub fn cellular(params: &CellularParams, rng: &mut RngStream) -> Trace {
             if rng.gen_bool(params.outage_prob) {
                 state_rate = 0.0;
             } else {
-                // Lognormal factor with mean 1 (mu = -sigma^2/2).
-                let sigma = params.volatility;
-                let u1 = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-                let u2 = rng.next_f64();
-                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                let factor = (sigma * z - sigma * sigma / 2.0).exp();
-                state_rate = mean_opps_per_ms * factor;
+                state_rate = mean_opps_per_ms * LogNormal::mean_one(params.volatility).sample(rng);
             }
         }
         state_left -= 1;

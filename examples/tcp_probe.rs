@@ -165,10 +165,56 @@ fn item20() {
     }
 }
 
-/// Item 21: one 32 MB upload through a delay shell, a 1 Gbit/s link with
-/// an infinite queue and uplink-only loss `p`; goodput (the payload over
-/// the last data instant) over Mathis et al.'s `MSS/RTT · sqrt(3/(2p))`, mean of loss
-/// seeds 1–3.
+/// Goodput in bytes/s of one `bytes` upload at `cc`/`tier` through a
+/// `one_way` delay shell, a `mbps` link with a droptail `queue` and
+/// uplink-only loss `p` (stream `seed`): the payload over the last data
+/// instant, mean of loss seeds 1–3.
+fn goodput(
+    (cc, tier): (CcAlgorithm, RecoveryTier),
+    bytes: usize,
+    one_way: SimDuration,
+    (mbps, queue): (f64, QueueLimit),
+    p: f64,
+) -> f64 {
+    let run = |seed: u64| {
+        let spec = TransferSpec {
+            tcp: config(cc, tier),
+            bytes,
+        };
+        let r: TransferResult = Transfer::new(&spec, |stack| {
+            delay_link(one_way, mbps, queue)(stack).loss(
+                p,
+                0.0,
+                &RngStream::from_seed(seed).fork("loss"),
+            )
+        })
+        .run();
+        assert!(r.intact);
+        bytes as f64 / (r.last_data - Timestamp::ZERO).as_secs_f64()
+    };
+    (1..=3).map(run).sum::<f64>() / 3.0
+}
+
+/// Mathis et al.'s `MSS/RTT · sqrt(3/(2p))`, bytes/s.
+fn mathis(rtt_s: f64, p: f64) -> f64 {
+    MSS as f64 / rtt_s * (1.5 / p).sqrt()
+}
+
+/// RFC 8312 §5.1's average CUBIC window, `(C(3+β)/(4(1−β)))^¼ ·
+/// (RTT/p)^¾` segments with C = 0.4 and β = 0.7, as bytes/s.
+fn cubic_average(rtt_s: f64, p: f64) -> f64 {
+    let (c, beta): (f64, f64) = (0.4, 0.7);
+    let window = (c * (3.0 + beta) / (4.0 * (1.0 - beta))).powf(0.25) * (rtt_s / p).powf(0.75);
+    window * MSS as f64 / rtt_s
+}
+
+/// Item 21: goodput against the laws its controllers were designed to.
+/// First the Mathis grid: 32 MB uploads through a delay shell and a
+/// 1 Gbit/s link with an infinite queue, in RFC 8312's TCP-friendly
+/// region. Then the cubic-region cell (200 ms RTT, p 0.05 %, 64 MB):
+/// Reno over Mathis, CUBIC over RFC 8312 §5.1's average window. Then
+/// BBR's share of the link (`RackTlp`, 40 ms RTT, a droptail of at least
+/// one BDP, about 4 s of data).
 fn item21() {
     let arms = [
         (CcAlgorithm::Reno, RecoveryTier::Reno),
@@ -176,6 +222,7 @@ fn item21() {
         (CcAlgorithm::Cubic, RecoveryTier::Sack),
         (CcAlgorithm::Cubic, RecoveryTier::RackTlp),
     ];
+    let gigabit = (1000.0, QueueLimit::Infinite);
     print!("| RTT | p |");
     for (cc, tier) in arms {
         print!(" {cc:?}/`{tier:?}` |");
@@ -184,28 +231,49 @@ fn item21() {
     for rtt_ms in [20, 80] {
         for p in [0.005, 0.01, 0.02] {
             print!("| {rtt_ms} ms | {} % |", p * 100.0);
-            for (cc, tier) in arms {
-                let ratio =
-                    |seed: u64| {
-                        let spec = TransferSpec {
-                            tcp: config(cc, tier),
-                            bytes: 32_000_000,
-                        };
-                        let r: TransferResult =
-                            Transfer::new(&spec, |stack| {
-                                delay_link(ms(rtt_ms / 2), 1000.0, QueueLimit::Infinite)(stack)
-                                    .loss(p, 0.0, &RngStream::from_seed(seed).fork("loss"))
-                            })
-                            .run();
-                        assert!(r.intact);
-                        let secs = (r.last_data - Timestamp::ZERO).as_secs_f64();
-                        let mathis = MSS as f64 / (rtt_ms as f64 / 1e3) * (1.5 / p).sqrt();
-                        32e6 / secs / mathis
-                    };
-                print!(" ×{:.2} |", (1..=3).map(ratio).sum::<f64>() / 3.0);
+            for arm in arms {
+                let g = goodput(arm, 32_000_000, ms(rtt_ms / 2), gigabit, p);
+                print!(" ×{:.2} |", g / mathis(rtt_ms as f64 / 1e3, p));
             }
             println!();
         }
+    }
+
+    println!();
+    print!("| cubic region |");
+    for (cc, tier) in arms {
+        print!(" {cc:?}/`{tier:?}` |");
+    }
+    println!("\n|---|---|---|---|---|");
+    print!("| 200 ms, 0.05 %, 64 MB |");
+    let (rtt_s, p) = (0.2, 0.0005);
+    for arm in arms {
+        let g = goodput(arm, 64_000_000, ms(100), gigabit, p);
+        let law = match arm.0 {
+            CcAlgorithm::Cubic => cubic_average(rtt_s, p),
+            _ => mathis(rtt_s, p),
+        };
+        print!(" ×{:.2} |", g / law);
+    }
+    println!();
+
+    let losses = [0.0, 0.005, 0.01, 0.02, 0.05];
+    println!();
+    print!("| BBR share of the link | queue |");
+    for p in losses {
+        print!(" p {} % |", p * 100.0);
+    }
+    println!("\n|---|---|---|---|---|---|---|");
+    for (mbps, queue) in [(10.0, 100), (50.0, 200), (100.0, 400)] {
+        print!("| {mbps} Mbit/s | {queue} |");
+        let bytes = (mbps * 1e6 / 8.0 * 4.0) as usize;
+        for p in losses {
+            let link = (mbps, QueueLimit::Packets(queue));
+            let bbr = (CcAlgorithm::Bbr, RecoveryTier::RackTlp);
+            let g = goodput(bbr, bytes, ms(20), link, p);
+            print!(" {:.2} |", g * 8.0 / (mbps * 1e6));
+        }
+        println!();
     }
 }
 

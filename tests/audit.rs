@@ -11,29 +11,12 @@
 //! - the equivalence digests are a fingerprint of simulated behavior:
 //!   identical runs agree scope-for-scope, a perturbed run does not.
 
-use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec};
-use mahimahi::{corpus, trace};
+mod common;
+
+use common::{lossy_net, site};
+use mahimahi::harness::{run_page_load, LoadSpec, NetSpec};
 use mm_audit::{AuditReport, Auditor};
 use mm_browser::{MuxConfig, ProtocolMode};
-use mm_sim::{RngStream, SimDuration};
-
-fn small_site(seed: u64) -> mahimahi::record::StoredSite {
-    let params = corpus::SiteParams {
-        servers: Some(3),
-        median_objects: 12.0,
-        ..corpus::SiteParams::default()
-    };
-    let plan = corpus::plan_site(seed as usize, &params, &mut RngStream::from_seed(seed));
-    corpus::materialize(&plan)
-}
-
-fn lossy_net(loss: f64) -> NetSpec {
-    NetSpec {
-        delay: Some(SimDuration::from_millis(40)),
-        link: Some(LinkSpec::symmetric(trace::constant_rate(12.0, 1_500))),
-        loss: if loss > 0.0 { Some((loss, loss)) } else { None },
-    }
-}
 
 /// Run one audited load and return (result, finished report).
 fn audited_load(
@@ -59,7 +42,7 @@ fn audited_load(
 /// digests covering both link directions and at least one connection.
 #[test]
 fn audited_load_is_byte_identical_and_clean() {
-    let site = small_site(41);
+    let site = site(41, 3, 12.0);
     for mux in [false, true] {
         let mut plain = LoadSpec::new(&site);
         plain.net = lossy_net(0.02);
@@ -91,7 +74,7 @@ fn audited_load_is_byte_identical_and_clean() {
 /// them.
 #[test]
 fn equivalence_digests_match_identical_runs_and_split_different_ones() {
-    let site = small_site(17);
+    let site = site(17, 3, 12.0);
     let (_, a) = audited_load(&site, lossy_net(0.03), true, 5);
     let (_, b) = audited_load(&site, lossy_net(0.03), true, 5);
     assert!(a.is_clean() && b.is_clean());
@@ -106,7 +89,7 @@ fn equivalence_digests_match_identical_runs_and_split_different_ones() {
 /// their streams, and the load is still byte-identical.
 #[test]
 fn auditor_composes_with_capture_and_trace() {
-    let site = small_site(23);
+    let site = site(23, 3, 12.0);
     let mut plain = LoadSpec::new(&site);
     plain.net = lossy_net(0.02);
     plain.seed = 3;

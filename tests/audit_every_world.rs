@@ -9,7 +9,9 @@
 //! recording of its own, so they run at the same time, and two
 //! recordings filled at once must each read as if filled alone.
 
-use mahimahi::corpus;
+mod common;
+
+use common::{site, Observers, ALL};
 use mahimahi::fleet::{run_fleet, CcMix, FleetSpec};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
 use mahimahi::obs::{Artefact, Recording};
@@ -17,31 +19,10 @@ use mahimahi::soak::{run_soak, SoakSpec};
 use mm_audit::{parse_audit_jsonl, Auditor};
 use mm_browser::{MuxConfig, ProtocolMode};
 use mm_capture::Capture;
-use mm_metrics::{FlowTracer, MetricsHandle, Registry, RegistrySink};
-use mm_net::TcpConfig;
+use mm_metrics::Registry;
 use mm_record::StoredSite;
-use mm_sim::{RngStream, SimDuration};
+use mm_sim::SimDuration;
 use mm_trace::{constant_rate, SpanKind, TraceBuffer};
-
-const ALL: [Artefact; 4] = [
-    Artefact::Trace,
-    Artefact::Capture,
-    Artefact::Span,
-    Artefact::Audit,
-];
-
-fn small_site() -> StoredSite {
-    let params = corpus::SiteParams {
-        servers: Some(4),
-        median_objects: 10.0,
-        ..corpus::SiteParams::default()
-    };
-    corpus::materialize(&corpus::plan_site(
-        960,
-        &params,
-        &mut RngStream::from_seed(17),
-    ))
-}
 
 fn bottleneck() -> LinkSpec {
     LinkSpec {
@@ -101,7 +82,7 @@ fn lossy_load<'a>(
 /// tiling across users whose resource indices alias.
 #[test]
 fn fleet_honours_the_observers_on_its_load_spec() {
-    let site = &small_site();
+    let site = &site(17, 4, 10.0);
     let bare = run_fleet(&fleet_spec(site));
 
     let auditor = Auditor::for_load(0);
@@ -145,7 +126,7 @@ fn fleet_honours_the_observers_on_its_load_spec() {
 /// one on stock TCP. (Which hosts carry it is `world.rs`'s unit test.)
 #[test]
 fn mux_soak_servers_carry_the_mux_initial_window() {
-    let site = &small_site();
+    let site = &site(17, 4, 10.0);
     let soak = |mux: MuxConfig| {
         let mut spec = soak_spec(site);
         spec.browser.protocol = ProtocolMode::Mux(mux);
@@ -167,7 +148,7 @@ fn mux_soak_servers_carry_the_mux_initial_window() {
 /// streams present.
 #[test]
 fn a_recording_reaches_a_soak() {
-    let site = &small_site();
+    let site = &site(17, 4, 10.0);
     let run = |recording| {
         let registry = Registry::new();
         let mut spec = soak_spec(site);
@@ -200,7 +181,7 @@ fn a_recording_reaches_a_soak() {
 /// win: a load whose spec carries all four leaves its recording empty.
 #[test]
 fn a_page_load_writes_every_artefact_of_its_recording() {
-    let site = &small_site();
+    let site = &site(17, 4, 10.0);
     let recording = Recording::of(&ALL);
     let recorded = run_page_load(&lossy_load(site, 42, Some(&recording)));
     let written = recording.into_jsonl();
@@ -210,29 +191,17 @@ fn a_page_load_writes_every_artefact_of_its_recording() {
     }
 
     // A fresh recording's first claim is id 0.
-    let tracer = FlowTracer::new();
-    let sink = RegistrySink::with_tracer(Registry::new(), tracer.clone());
-    let capture = Capture::for_load(0);
-    let spans = TraceBuffer::for_load(0);
-    let auditor = Auditor::for_load(0);
     let unused = Recording::of(&ALL);
     let mut explicit = lossy_load(site, 42, Some(&unused));
-    explicit.tcp = Some(
-        TcpConfig::builder()
-            .metrics(MetricsHandle::new(sink))
-            .build(),
-    );
-    explicit.capture = Some(capture.handle());
-    explicit.span = Some(spans.handle());
-    explicit.audit = Some(auditor.clone());
+    let observers = Observers::attach(&mut explicit);
     let local = run_page_load(&explicit);
 
     assert_eq!(recorded.plt, local.plt);
     let held = [
-        tracer.take_jsonl(),
-        capture.take_jsonl(),
-        spans.to_jsonl(),
-        auditor.finish().to_jsonl(),
+        observers.tracer.take_jsonl(),
+        observers.capture.take_jsonl(),
+        observers.spans.to_jsonl(),
+        observers.auditor.finish().to_jsonl(),
     ];
     let untouched = unused.into_jsonl();
     for (i, artefact) in ALL.iter().enumerate() {
@@ -265,7 +234,7 @@ fn three_recorded_loads(site: &StoredSite, seed: u64) -> [String; 4] {
 /// writes alone.
 #[test]
 fn two_recordings_filled_at_once_are_isolated() {
-    let site = &small_site();
+    let site = &site(17, 4, 10.0);
     let alone = [7, 70].map(|seed| three_recorded_loads(site, seed));
     let together = std::thread::scope(|s| {
         [7, 70]

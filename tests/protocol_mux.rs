@@ -1,25 +1,19 @@
 //! The protocol-comparison workload end to end: HTTP/1.1 vs the mm-mux
 //! multiplexed transport through the full harness, checking the paper's
 //! qualitative SPDY claim — multiplexing wins where round trips
-//! dominate — plus determinism and the sharded-experiment equivalence.
+//! dominate — plus the sharded-experiment equivalence.
 
+mod common;
+
+use common::site;
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec};
 use mahimahi::{corpus, trace};
 use mm_browser::{MuxConfig, ProtocolMode};
-use mm_sim::{RngStream, SimDuration};
+use mm_sim::SimDuration;
 
-/// A high-RTT, many-small-objects site on few origins: the workload
-/// where HTTP/1.1's one-request-per-connection rounds dominate PLT.
-fn many_small_objects_site() -> mahimahi::record::StoredSite {
-    let params = corpus::SiteParams {
-        servers: Some(4),
-        median_objects: 60.0,
-        ..corpus::SiteParams::default()
-    };
-    let plan = corpus::plan_site(77, &params, &mut RngStream::from_seed(77));
-    corpus::materialize(&plan)
-}
-
+/// The path every load here crosses: with `site(77, 4, 60.0)`, many
+/// small objects on few origins, the workload where HTTP/1.1's
+/// one-request-per-connection rounds dominate PLT.
 fn high_rtt_net() -> NetSpec {
     NetSpec {
         delay: Some(SimDuration::from_millis(200)), // 400 ms RTT
@@ -30,7 +24,7 @@ fn high_rtt_net() -> NetSpec {
 
 #[test]
 fn mux_beats_http1_on_high_rtt_many_small_objects() {
-    let site = many_small_objects_site();
+    let site = site(77, 4, 60.0);
     let mut h1 = LoadSpec::new(&site);
     h1.net = high_rtt_net();
     h1.seed = 7;
@@ -59,23 +53,10 @@ fn mux_beats_http1_on_high_rtt_many_small_objects() {
 }
 
 #[test]
-fn mux_load_is_deterministic() {
-    let site = many_small_objects_site();
-    let run = || {
-        let mut spec = LoadSpec::new(&site);
-        spec.net = high_rtt_net();
-        spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
-        spec.seed = 11;
-        run_page_load(&spec).plt
-    };
-    assert_eq!(run(), run());
-}
-
-#[test]
 fn mux_stock_tcp_ablation_still_completes() {
     // With the SPDY-era server IW raise disabled, the comparison runs on
     // stock TCP both sides and still completes cleanly.
-    let site = many_small_objects_site();
+    let site = site(77, 4, 60.0);
     let mut spec = LoadSpec::new(&site);
     spec.net = high_rtt_net();
     spec.browser.protocol = ProtocolMode::Mux(MuxConfig {
@@ -131,7 +112,7 @@ fn sharded_fig2_matches_serial_run() {
 /// instead of aborting its origin's connection.
 #[test]
 fn a_header_field_past_64_kib_replays_over_mux() {
-    let mut site = many_small_objects_site();
+    let mut site = site(77, 4, 60.0);
     // The corpus writes the root document first.
     site.pairs_mut()[0]
         .response

@@ -11,31 +11,14 @@
 //!   (receive-side reassembly stalls — the HoL cost the paper's SPDY
 //!   comparison is about), while a clean in-order link records none.
 
-use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec};
-use mahimahi::{corpus, trace};
+mod common;
+
+use common::{lossy_net, site};
+use mahimahi::harness::{run_page_load, LoadSpec, NetSpec};
 use mm_browser::{MuxConfig, ProtocolMode};
 use mm_graph::{build_pages, critical_path, validate};
-use mm_sim::{RngStream, SimDuration};
 use mm_trace::{SpanKind, TraceBuffer};
 use proptest::prelude::*;
-
-fn small_site(seed: u64) -> mahimahi::record::StoredSite {
-    let params = corpus::SiteParams {
-        servers: Some(3),
-        median_objects: 12.0,
-        ..corpus::SiteParams::default()
-    };
-    let plan = corpus::plan_site(seed as usize, &params, &mut RngStream::from_seed(seed));
-    corpus::materialize(&plan)
-}
-
-fn lossy_net(loss: f64) -> NetSpec {
-    NetSpec {
-        delay: Some(SimDuration::from_millis(40)),
-        link: Some(LinkSpec::symmetric(trace::constant_rate(12.0, 1_500))),
-        loss: if loss > 0.0 { Some((loss, loss)) } else { None },
-    }
-}
 
 /// Run one traced load and return (result, recorded spans).
 fn traced_load(
@@ -86,7 +69,7 @@ fn assert_path_sums_to_plt(result: &mm_browser::PageLoadResult, spans: &[mm_trac
 /// with tracing on and off.
 #[test]
 fn traced_load_is_byte_identical_to_untraced() {
-    let site = small_site(41);
+    let site = site(41, 3, 12.0);
     for mux in [false, true] {
         let mut plain = LoadSpec::new(&site);
         plain.net = lossy_net(0.02);
@@ -115,7 +98,7 @@ proptest! {
         mux in any::<bool>(),
         seed in 0u64..1_000,
     ) {
-        let site = small_site(17);
+        let site = site(17, 3, 12.0);
         let (result, spans) = traced_load(&site, lossy_net(loss), mux, seed);
         prop_assert_eq!(result.failures, 0);
         assert_path_sums_to_plt(&result, &spans);
@@ -128,7 +111,7 @@ proptest! {
 /// property mux trades away for fewer connections.
 #[test]
 fn http1_transfers_never_overlap_per_connection() {
-    let site = small_site(23);
+    let site = site(23, 3, 12.0);
     let (result, spans) = traced_load(&site, lossy_net(0.03), false, 5);
     assert_path_sums_to_plt(&result, &spans);
     let mut per_conn: std::collections::HashMap<u64, Vec<(u64, u64)>> =
@@ -157,7 +140,7 @@ fn http1_transfers_never_overlap_per_connection() {
 /// over a clean in-order link the same load records none.
 #[test]
 fn mux_records_hol_wait_under_loss_but_not_clean() {
-    let site = small_site(31);
+    let site = site(31, 3, 12.0);
 
     let (clean_result, clean_spans) = traced_load(&site, lossy_net(0.0), true, 3);
     assert_eq!(clean_result.failures, 0);

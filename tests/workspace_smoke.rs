@@ -3,26 +3,18 @@
 //! This is the CI gate that proves the whole stack is wired together —
 //! corpus synthesis (`plan_site` → `materialize`), ReplayShell serving the
 //! recorded site, the browser model loading it through a DelayShell, and
-//! PLT measurement — not just that every crate compiles. It intentionally
-//! mirrors the crate-root example in `crates/core/src/lib.rs`.
+//! PLT measurement — not just that every crate compiles. It follows the
+//! crate-root example in `crates/core/src/lib.rs`.
 
-use mahimahi::corpus;
+mod common;
+
+use common::site;
 use mahimahi::harness::{run_page_load, LoadSpec, NetSpec};
-use mm_sim::RngStream;
 
 #[test]
 fn quickstart_page_load_takes_at_least_one_rtt() {
     // Build a small synthetic recorded site...
-    let plan = corpus::plan_site(
-        990,
-        &corpus::SiteParams {
-            servers: Some(4),
-            median_objects: 10.0,
-            ..Default::default()
-        },
-        &mut RngStream::from_seed(1),
-    );
-    let site = corpus::materialize(&plan);
+    let site = site(1, 4, 10.0);
     assert!(
         !site.pairs.is_empty(),
         "materialized site should contain recorded pairs"
@@ -50,24 +42,4 @@ fn quickstart_page_load_takes_at_least_one_rtt() {
         !result.resources.is_empty(),
         "page load should fetch at least the root document"
     );
-}
-
-#[test]
-fn quickstart_is_deterministic() {
-    let build = || {
-        let plan = corpus::plan_site(
-            990,
-            &corpus::SiteParams {
-                servers: Some(4),
-                median_objects: 10.0,
-                ..Default::default()
-            },
-            &mut RngStream::from_seed(1),
-        );
-        let site = corpus::materialize(&plan);
-        let mut spec = LoadSpec::new(&site);
-        spec.net = NetSpec::delay_ms(30);
-        run_page_load(&spec).plt
-    };
-    assert_eq!(build(), build(), "same seed must give bit-identical PLT");
 }

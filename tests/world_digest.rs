@@ -15,23 +15,34 @@
 //! registry's Prometheus text, which pins the qdisc instruments' backlog
 //! and sojourn histograms byte for byte.
 //!
+//! The bin rows run the experiment drivers behind `fig2`, `fig3`,
+//! `figshare` and `figsoak` at tier-1 scale, each with a recording of
+//! all four artefacts, and fold what the bin prints plus that
+//! recording. Site loops shard across threads, so artefact lines and
+//! load ids follow claim order: each artefact folds as the sorted
+//! multiset of its lines with the load id cut out, and the audit
+//! channel through its own digests, which leave load ids out. Each bin
+//! row records at most `Artefact::budget`'s eight captured worlds, so
+//! the captured set does not depend on thread timing either.
+//!
 //! On a mismatch the assertion prints the value the row now reads. Only
 //! a declared behaviour change re-records a constant, and says so.
 
-use mahimahi::corpus;
+mod common;
+
+use common::{lossy_net, record, site, Observers, ALL};
 use mahimahi::fleet::{run_fleet, CcMix, FleetResult, FleetSpec};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
 use mahimahi::obs::{Artefact, Recording};
 use mahimahi::soak::{run_soak, SoakResult, SoakSpec};
-use mm_audit::{parse_audit_jsonl, AuditReport, Auditor};
+use mm_audit::{parse_audit_jsonl, AuditReport, Auditor, ParsedAudit};
 use mm_browser::{MuxConfig, PageLoadResult, ProtocolMode};
-use mm_capture::{Capture, PacketEventKind};
-use mm_metrics::{FlowTracer, MetricsHandle, Registry, RegistrySink};
-use mm_net::TcpConfig;
+use mm_capture::PacketEventKind;
+use mm_metrics::Registry;
 use mm_record::StoredSite;
 use mm_replay::ReplayMode;
-use mm_sim::{RngStream, SimDuration};
-use mm_trace::{cellular, constant_rate, CellularParams, TraceBuffer};
+use mm_sim::{RngStream, SimDuration, Summary};
+use mm_trace::{cellular, constant_rate, CellularParams};
 use mm_web::{live_think_time, HostProfile, LiveWebConfig};
 
 const HTTP1_PAGE_LOAD: u64 = 0x69c6_2fa0_7c85_a266;
@@ -45,6 +56,12 @@ const SOAK_DROPTAIL: u64 = 0xbd29_7d7f_4137_02c9;
 const OBSERVER_ARTEFACTS: u64 = 0xad66_43af_a766_b01a;
 const REPLAY_TOPOLOGIES: u64 = 0xccbc_5730_92ea_0157;
 const TABLE1: u64 = 0x61e0_5cfa_4acb_d873;
+const LOSSY_PAGE_LOAD: u64 = 0x04f1_c080_a23d_3a10;
+const FIG2: u64 = 0x55c0_db57_a06e_f300;
+const FIG3: u64 = 0x76ab_c515_78c8_0077;
+const FIGSHARE_SMOKE: u64 = 0xde63_459a_4cb8_acc4;
+const FIGSOAK: u64 = 0x1227_fc54_f5cd_25f6;
+const RECORD_REPLAY: u64 = 0x6411_b19c_7753_6578;
 
 /// fnv1a64 over the little-endian bytes of everything folded in.
 struct Fold(u64);
@@ -81,6 +98,49 @@ impl Fold {
         self.u64(report.packets)
             .u64(report.samples)
             .u64(report.spans)
+    }
+
+    /// A parsed audit JSONL: every scope digest and event count, which
+    /// leave load ids out. It must be clean.
+    fn parsed(&mut self, audit: &ParsedAudit) -> &mut Fold {
+        assert!(
+            audit.violations.is_empty(),
+            "violations: {:?}",
+            audit.violations
+        );
+        assert_eq!(audit.dropped_violations, 0);
+        for (scope, digest) in &audit.digests {
+            self.str(scope).u64(*digest);
+        }
+        self.u64(audit.packets).u64(audit.samples).u64(audit.spans)
+    }
+
+    /// A summary's samples, in the order they were taken.
+    fn samples(&mut self, s: &Summary) -> &mut Fold {
+        self.u64(s.samples().len() as u64);
+        for x in s.samples() {
+            self.u64(x.to_bits());
+        }
+        self
+    }
+
+    /// Everything `recording` holds. The flow trace, capture and span
+    /// JSONL each fold as the sorted multiset of their lines with the
+    /// `"load"` id cut out; the audit JSONL folds through its parsed
+    /// digests and counts, with the number of worlds it audited.
+    fn recording(&mut self, recording: Recording) -> &mut Fold {
+        let [trace, capture, span, audit] = recording.into_jsonl();
+        for (channel, jsonl) in [("flow trace", trace), ("capture", capture), ("span", span)] {
+            assert!(!jsonl.is_empty(), "{channel} saw nothing");
+            let mut lines: Vec<(&str, &str)> = jsonl.lines().map(without_load).collect();
+            lines.sort_unstable();
+            self.str(channel).u64(lines.len() as u64);
+            for (head, tail) in lines {
+                self.str(head).str(tail);
+            }
+        }
+        let audit = parse_audit_jsonl(&audit).expect("the auditor's own JSONL");
+        self.u64(audit.loads).parsed(&audit)
     }
 
     fn page(&mut self, r: &PageLoadResult) -> &mut Fold {
@@ -140,69 +200,29 @@ impl Fold {
     }
 }
 
-/// The observer channels besides the auditor, attached to one load.
-struct Observers {
-    tracer: FlowTracer,
-    capture: Capture,
-    spans: std::rc::Rc<TraceBuffer>,
-}
-
-impl Observers {
-    fn attach(spec: &mut LoadSpec<'_>) -> Observers {
-        let tracer = FlowTracer::new();
-        let sink = RegistrySink::with_tracer(Registry::new(), tracer.clone());
-        spec.tcp = Some(
-            TcpConfig::builder()
-                .metrics(MetricsHandle::new(sink))
-                .build(),
-        );
-        let capture = Capture::for_load(0);
-        let spans = TraceBuffer::for_load(0);
-        spec.capture = Some(capture.handle());
-        spec.span = Some(spans.handle());
-        Observers {
-            tracer,
-            capture,
-            spans,
-        }
-    }
-
-    /// Every channel saw the run.
-    fn check(&self) {
-        assert!(
-            !self.tracer.take_jsonl().is_empty(),
-            "flow trace saw nothing"
-        );
-        assert!(self.capture.packet_count() > 0, "capture saw nothing");
-        assert!(!self.spans.spans().is_empty(), "span buffer saw nothing");
-    }
-
-    /// Fold the artefacts themselves: the capture's, the span buffer's
-    /// and the flow trace's JSONL, each of which saw the run.
-    fn fold_artefacts(&self, fold: &mut Fold) {
-        let artefacts = [
-            ("capture", self.capture.take_jsonl()),
-            ("span buffer", self.spans.to_jsonl()),
-            ("flow trace", self.tracer.take_jsonl()),
-        ];
-        for (channel, jsonl) in artefacts {
-            assert!(!jsonl.is_empty(), "{channel} saw nothing");
-            fold.str(&jsonl);
-        }
-    }
-}
-
-fn site(seed: u64) -> StoredSite {
-    let params = corpus::SiteParams {
-        servers: Some(3),
-        median_objects: 12.0,
-        ..corpus::SiteParams::default()
+/// A JSONL line around its `"load":<id>,` field: what comes before it
+/// and what comes after (all of the line, and nothing, without one).
+fn without_load(line: &str) -> (&str, &str) {
+    let Some(at) = line.find("\"load\":") else {
+        return (line, "");
     };
-    corpus::materialize(&corpus::plan_site(
-        seed as usize,
-        &params,
-        &mut RngStream::from_seed(seed),
-    ))
+    let rest = &line[at + "\"load\":".len()..];
+    let id_len = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let rest = &rest[id_len..];
+    (&line[..at], rest.strip_prefix(',').unwrap_or(rest))
+}
+
+/// The auditor alone, or with `observed` all four observers, attached
+/// to `spec`.
+fn observe(spec: &mut LoadSpec<'_>, observed: bool) -> (Auditor, Option<Observers>) {
+    if observed {
+        let observers = Observers::attach(spec);
+        (observers.auditor.clone(), Some(observers))
+    } else {
+        let auditor = Auditor::for_load(0);
+        spec.audit = Some(auditor.clone());
+        (auditor, None)
+    }
 }
 
 fn check(row: &str, got: u64, want: u64) {
@@ -213,8 +233,7 @@ fn check(row: &str, got: u64, want: u64) {
 /// here with a 24-packet droptail so loss recovery runs too. With
 /// `observed`, every observer channel is attached as well, and returned.
 fn http1_world(observed: bool) -> (u64, Option<Observers>) {
-    let site = site(41);
-    let auditor = Auditor::for_load(0);
+    let site = site(41, 3, 12.0);
     let mut spec = LoadSpec::new(&site);
     spec.net = NetSpec {
         delay: Some(SimDuration::from_millis(40)),
@@ -226,8 +245,7 @@ fn http1_world(observed: bool) -> (u64, Option<Observers>) {
         ..NetSpec::default()
     };
     spec.seed = 9;
-    spec.audit = Some(auditor.clone());
-    let observers = observed.then(|| Observers::attach(&mut spec));
+    let (auditor, observers) = observe(&mut spec, observed);
     let result = run_page_load(&spec);
     let digest = Fold::new().page(&result).report(&auditor.finish()).0;
     (digest, observers)
@@ -242,13 +260,12 @@ fn http1_page_load() {
 /// `observed`, every observer channel is attached as well, and returned.
 /// The replay servers think for `think_time` before each response.
 fn mux_cellular_codel(observed: bool, think_time: SimDuration) -> (u64, Option<Observers>) {
-    let site = site(23);
+    let site = site(23, 3, 12.0);
     let mut rng = RngStream::from_seed(2014);
     let params = CellularParams {
         mean_mbps: 6.0,
         ..CellularParams::default()
     };
-    let auditor = Auditor::for_load(0);
     let mut spec = LoadSpec::new(&site);
     spec.browser.protocol = ProtocolMode::Mux(MuxConfig::default());
     spec.replay.think_time = think_time;
@@ -262,8 +279,7 @@ fn mux_cellular_codel(observed: bool, think_time: SimDuration) -> (u64, Option<O
         ..NetSpec::default()
     };
     spec.seed = 5;
-    spec.audit = Some(auditor.clone());
-    let observers = observed.then(|| Observers::attach(&mut spec));
+    let (auditor, observers) = observe(&mut spec, observed);
     let result = run_page_load(&spec);
     let digest = Fold::new().page(&result).report(&auditor.finish()).0;
     (digest, observers)
@@ -320,7 +336,10 @@ fn observer_artefacts() {
     ];
     for (row, (digest, observers), want) in worlds {
         check(row, digest, want);
-        observers.expect("observed").fold_artefacts(&mut fold);
+        for (channel, jsonl) in observers.expect("observed").jsonl() {
+            assert!(!jsonl.is_empty(), "{channel} saw nothing");
+            fold.str(&jsonl);
+        }
     }
     check("observer_artefacts", fold.0, OBSERVER_ARTEFACTS);
 }
@@ -333,7 +352,7 @@ fn observer_artefacts() {
 #[test]
 fn replay_topologies() {
     // Three servers on ports 80, 443 and 80: the single server binds two.
-    let site = site(33);
+    let site = site(33, 3, 12.0);
     let ports = |port| site.origins().iter().filter(|o| o.port == port).count();
     assert_eq!((ports(80), ports(443)), (2, 1));
     let delay_and_link = NetSpec {
@@ -391,7 +410,7 @@ fn replay_topologies() {
 #[test]
 fn lossless_loss_shell_is_no_loss_shell() {
     for seed in [7, 29, 101, 2014] {
-        let stored = site(seed);
+        let stored = site(seed, 3, 12.0);
         let run = |loss: Option<(f64, f64)>| {
             let auditor = Auditor::for_load(0);
             let mut spec = LoadSpec::new(&stored);
@@ -452,7 +471,7 @@ fn table1() {
 /// HTTP/1.1, or one mux connection per origin with `mux`) beside a bulk
 /// download: the multi-flow world with per-host timer muxes.
 fn fleet_of_eight(qdisc: QdiscKind, cc_mix: CcMix, mux: bool) -> u64 {
-    let site = site(17);
+    let site = site(17, 3, 12.0);
     let auditor = Auditor::for_load(0);
     let mut load = LoadSpec::new(&site);
     if mux {
@@ -498,8 +517,7 @@ fn mux_fleet_of_eight_users() {
 /// early drops — on a link tight enough that it must; with `observed`,
 /// every observer channel is attached as well.
 fn dropping_page_load(qdisc: QdiscKind, observed: bool) -> u64 {
-    let site = site(31);
-    let auditor = Auditor::for_load(0);
+    let site = site(31, 3, 12.0);
     let mut spec = LoadSpec::new(&site);
     spec.net = NetSpec {
         delay: Some(SimDuration::from_millis(20)),
@@ -511,8 +529,7 @@ fn dropping_page_load(qdisc: QdiscKind, observed: bool) -> u64 {
         ..NetSpec::default()
     };
     spec.seed = 11;
-    spec.audit = Some(auditor.clone());
-    let observers = observed.then(|| Observers::attach(&mut spec));
+    let (auditor, observers) = observe(&mut spec, observed);
     let result = run_page_load(&spec);
     if let Some(observers) = observers {
         observers.check();
@@ -562,7 +579,7 @@ fn pie_page_load_observed() {
 /// its audit report and that text.
 #[test]
 fn soak_over_droptail() {
-    let site = site(29);
+    let site = site(29, 3, 12.0);
     let spec = || {
         let mut spec = SoakSpec::new(&site);
         spec.link = Some(LinkSpec {
@@ -596,17 +613,138 @@ fn soak_over_droptail() {
     );
     assert!(result.sessions_completed > 10, "{result:?}");
     assert_eq!(audit.loads, 1);
-    assert!(
-        audit.violations.is_empty(),
-        "violations: {:?}",
-        audit.violations
-    );
-    assert_eq!(audit.dropped_violations, 0);
-    let mut fold = Fold::new();
-    fold.soak(&result).str(&text);
-    for (scope, digest) in &audit.digests {
-        fold.str(scope).u64(*digest);
+    let digest = Fold::new().soak(&result).str(&text).parsed(&audit).0;
+    check("soak_over_droptail", digest, SOAK_DROPTAIL);
+}
+
+/// The audit and span tests' lossy world: HTTP/1.1 over 40 ms each way,
+/// 12 Mbit/s and 1 % loss each way; with `observed`, every observer
+/// channel is attached as well.
+fn lossy_page_load(observed: bool) -> u64 {
+    let site = site(41, 3, 12.0);
+    let mut spec = LoadSpec::new(&site);
+    spec.net = lossy_net(0.01);
+    spec.seed = 9;
+    let (auditor, observers) = observe(&mut spec, observed);
+    let result = run_page_load(&spec);
+    if let Some(observers) = observers {
+        observers.check();
     }
-    fold.u64(audit.packets).u64(audit.samples).u64(audit.spans);
-    check("soak_over_droptail", fold.0, SOAK_DROPTAIL);
+    Fold::new().page(&result).report(&auditor.finish()).0
+}
+
+#[test]
+fn lossy_page_load_bare() {
+    check("lossy_page_load", lossy_page_load(false), LOSSY_PAGE_LOAD);
+}
+
+#[test]
+fn lossy_page_load_observed() {
+    check(
+        "lossy_page_load_observed",
+        lossy_page_load(true),
+        LOSSY_PAGE_LOAD,
+    );
+}
+
+/// Figure 2 over two sites (six worlds): each arm's PLT samples, and
+/// the recording of every world.
+#[test]
+fn fig2() {
+    let recording = Recording::of(&ALL);
+    let r = bench::fig2(2, 2014, Some(&recording));
+    let mut fold = Fold::new();
+    fold.samples(&r.replay)
+        .samples(&r.delay0)
+        .samples(&r.link1000)
+        .recording(recording);
+    check("fig2", fold.0, FIG2);
+}
+
+/// Figure 3 at two loads per arm (six worlds): each arm's PLT samples,
+/// and the recording of every world.
+#[test]
+fn fig3() {
+    let recording = Recording::of(&ALL);
+    let r = bench::fig3(2, 2014, Some(&recording));
+    let mut fold = Fold::new();
+    fold.samples(&r.web)
+        .samples(&r.multi)
+        .samples(&r.single)
+        .recording(recording);
+    check("fig3", fold.0, FIG3);
+}
+
+/// `figshare 4 smoke`, CI's configuration: two 4-user fleet cells, each
+/// cell's printed figures, and the recording of both worlds.
+#[test]
+fn figshare_smoke() {
+    let recording = Recording::of(&ALL);
+    let r = bench::figshare(4, true, 2014, Some(&recording));
+    assert_eq!(r.cells.len(), 2);
+    let mut fold = Fold::new();
+    for c in &r.cells {
+        fold.u64(c.n_users as u64)
+            .str(&c.qdisc)
+            .str(&c.cc_mix)
+            .str(&c.protocol)
+            .u64(c.fairness.to_bits())
+            .u64(c.plt_p50_ms.to_bits())
+            .u64(c.plt_p95_ms.to_bits())
+            .u64(c.plt_p99_ms.to_bits())
+            .u64(c.bbr_share.to_bits())
+            .u64(c.max_queue_packets as u64);
+    }
+    fold.recording(recording);
+    check("figshare_smoke", fold.0, FIGSHARE_SMOKE);
+}
+
+/// One simulated minute of `figsoak`: its result, its Prometheus
+/// snapshot and the recording of its one world.
+#[test]
+fn figsoak() {
+    let recording = Recording::of(&ALL);
+    let report = bench::figsoak(1, 2014, Some(&recording));
+    let mut fold = Fold::new();
+    fold.soak(&report.result)
+        .str(&report.snapshot)
+        .recording(recording);
+    check("figsoak", fold.0, FIGSOAK);
+}
+
+/// The record → store → replay circle: a browser loads a corpus site
+/// through a RecordShell; the recording goes through its JSON store
+/// format and is served in a fresh world, through a second RecordShell.
+/// Every request the replay served has the recorded body, byte for byte.
+/// The row folds both loads and the recording.
+#[test]
+fn record_store_replay() {
+    let original = site(42, 7, 22.0);
+    let (live, recorded) = record(&original);
+    assert_eq!(live.failures, 0);
+    let stored = StoredSite::from_json(&recorded.to_json()).expect("the store's own JSON");
+    let (replayed, rerecorded) = record(&stored);
+    assert_eq!(replayed.failures, 0);
+    assert_eq!(rerecorded.pairs.len(), recorded.pairs.len());
+    for pair in rerecorded.pairs.iter() {
+        let served = recorded
+            .pairs
+            .iter()
+            .find(|p| p.origin == pair.origin && p.request.target == pair.request.target)
+            .expect("every replayed request was recorded");
+        assert_eq!(
+            served.response.body, pair.response.body,
+            "{}: replayed body differs",
+            pair.request.target
+        );
+    }
+    let mut fold = Fold::new();
+    fold.page(&live).page(&replayed);
+    for pair in recorded.pairs.iter() {
+        fold.str(&format!("{:?}", pair.origin))
+            .str(&pair.request.target)
+            .u64(pair.response.status as u64)
+            .bytes(&pair.response.body);
+    }
+    check("record_store_replay", fold.0, RECORD_REPLAY);
 }

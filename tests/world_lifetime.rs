@@ -13,20 +13,20 @@
 //! The counters are per thread (cargo runs tests on parallel threads), so
 //! each `#[test]` measures only itself.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use mahimahi::corpus;
+use common::{site, Observers};
 use mahimahi::fleet::{run_fleet, CcMix, FleetSpec};
 use mahimahi::harness::{run_page_load, LinkSpec, LoadSpec, NetSpec, QdiscKind};
 use mahimahi::soak::{run_soak, SoakSpec};
-use mm_audit::Auditor;
 use mm_browser::{Browser, BrowserConfig, MuxConfig, ProtocolMode, Resolver};
-use mm_capture::Capture;
 use mm_http::{write_response, Request, Response, Url};
-use mm_metrics::{FlowTracer, MetricsHandle, Registry, RegistrySink};
+use mm_metrics::Registry;
 use mm_net::{
     Host, IpAddr, Listener, Namespace, PacketIdGen, RecoveryTier, SocketAddr, SocketApp,
     SocketEvent, TcpConfig, TcpHandle,
@@ -35,7 +35,7 @@ use mm_record::{fetch_via, RecordShell, StoredSite};
 use mm_replay::{ReplayConfig, ReplayShell, ServerProtocol};
 use mm_shells::{DropTail, Qdisc, QueueLimit, ShellStack};
 use mm_sim::{RngStream, SimDuration, Simulator, Timestamp};
-use mm_trace::{cellular, constant_rate, CellularParams, TraceBuffer};
+use mm_trace::{cellular, constant_rate, CellularParams};
 
 // ------------------------------------------------------------ allocator
 
@@ -124,16 +124,6 @@ fn assert_frees_its_worlds(what: &str, mut world: impl FnMut()) {
 
 // --------------------------------------------------------------- inputs
 
-fn small_site() -> StoredSite {
-    let params = corpus::SiteParams {
-        servers: Some(4),
-        median_objects: 14.0,
-        ..corpus::SiteParams::default()
-    };
-    let plan = corpus::plan_site(970, &params, &mut RngStream::from_seed(13));
-    corpus::materialize(&plan)
-}
-
 fn wired_net() -> NetSpec {
     NetSpec {
         delay: Some(SimDuration::from_millis(40)),
@@ -150,7 +140,7 @@ fn wired_net() -> NetSpec {
 
 #[test]
 fn http1_page_load_world_is_freed() {
-    let site = small_site();
+    let site = site(13, 4, 14.0);
     assert_frees_its_worlds("run_page_load http/1.1", || {
         let mut spec = LoadSpec::new(&site);
         spec.net = wired_net();
@@ -161,7 +151,7 @@ fn http1_page_load_world_is_freed() {
 
 #[test]
 fn mux_cellular_codel_page_load_world_is_freed() {
-    let site = small_site();
+    let site = site(13, 4, 14.0);
     let downlink = cellular(
         &CellularParams {
             mean_mbps: 6.0,
@@ -192,30 +182,15 @@ fn mux_cellular_codel_page_load_world_is_freed() {
 
 #[test]
 fn observed_page_load_world_is_freed() {
-    let site = small_site();
+    let site = site(13, 4, 14.0);
     assert_frees_its_worlds("run_page_load with all four observers", || {
-        let capture = Capture::for_load(0);
-        let spans = TraceBuffer::for_load(0);
-        let auditor = Auditor::for_load(0);
-        let (registry, tracer) = (Registry::new(), FlowTracer::new());
         let mut spec = LoadSpec::new(&site);
         spec.net = wired_net();
-        spec.capture = Some(capture.handle());
-        spec.span = Some(spans.handle());
-        spec.audit = Some(auditor.clone());
-        spec.tcp = Some(
-            TcpConfig::builder()
-                .metrics(MetricsHandle::new(RegistrySink::with_tracer(
-                    registry.clone(),
-                    tracer.clone(),
-                )))
-                .build(),
-        );
+        let observers = Observers::attach(&mut spec);
         let r = run_page_load(&spec);
         assert_eq!(r.failures, 0);
-        assert!(capture.packet_count() > 0 && !spans.spans().is_empty());
-        assert!(tracer.sample_count() > 0);
-        assert!(auditor.finish().is_clean());
+        observers.check();
+        assert!(observers.auditor.finish().is_clean());
     });
 }
 
@@ -223,7 +198,7 @@ fn observed_page_load_world_is_freed() {
 
 #[test]
 fn fleet_worlds_are_freed() {
-    let site = small_site();
+    let site = site(13, 4, 14.0);
     for (mix, mux) in [(CcMix::BbrRenoSplit, false), (CcMix::AllReno, true)] {
         assert_frees_its_worlds(&format!("run_fleet {} mux={mux}", mix.label()), || {
             let mut load = LoadSpec::new(&site);
@@ -269,7 +244,7 @@ fn soak_spec(site: &StoredSite, seconds: u64) -> SoakSpec<'_> {
 
 #[test]
 fn soak_world_is_freed() {
-    let site = small_site();
+    let site = site(13, 4, 14.0);
     assert_frees_its_worlds("run_soak", || {
         let r = run_soak(&soak_spec(&site, 10), &Registry::new());
         assert!(r.sessions_completed >= 5 && r.sessions_completed == r.sessions_started);
@@ -280,7 +255,7 @@ fn soak_world_is_freed() {
 /// the sessions it has finished, so its peak does not grow with its age.
 #[test]
 fn a_longer_soak_needs_no_more_memory_at_its_peak() {
-    let site = small_site();
+    let site = site(13, 4, 14.0);
     let run = |seconds: u64| {
         let mut sessions = 0;
         let high = high_water_of(|| {
@@ -421,7 +396,7 @@ fn world_stopped_mid_transfer_is_freed() {
 /// answer holds the server.
 #[test]
 fn world_stopped_while_its_server_thinks_is_freed() {
-    let site = small_site();
+    let site = site(13, 4, 14.0);
     assert_frees_its_worlds("replay server stopped mid-think", || {
         let mut sim = Simulator::new();
         let ns = Namespace::root("thinking");
@@ -445,7 +420,7 @@ fn world_stopped_while_its_server_thinks_is_freed() {
 /// back to the browser weakly, so dropping the browser frees the load.
 #[test]
 fn mux_page_load_stopped_mid_load_is_freed() {
-    let site = small_site();
+    let site = site(13, 4, 14.0);
     assert_frees_its_worlds("mux page load stopped mid-load", || {
         let mut sim = Simulator::new();
         let ns = Namespace::root("mux-stopped");
