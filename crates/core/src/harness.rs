@@ -322,54 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism_same_seed_same_plt() {
-        let site = crate::test_site(7, 6, 18.0);
-        let mut a = LoadSpec::new(&site);
-        a.net = NetSpec::delay_ms(30);
-        a.seed = 42;
-        let mut b = LoadSpec::new(&site);
-        b.net = NetSpec::delay_ms(30);
-        b.seed = 42;
-        assert_eq!(run_page_load(&a).plt, run_page_load(&b).plt);
-    }
-
-    #[test]
-    fn capture_tap_is_byte_identical_and_nonempty() {
-        // The per-packet tap must only observe: the same spec with a
-        // capture attached produces the exact same simulation, while the
-        // capture itself fills with link/packet/http events.
-        let site = crate::test_site(7, 6, 18.0);
-        let net = NetSpec {
-            delay: Some(SimDuration::from_millis(20)),
-            link: Some(LinkSpec::symmetric(constant_rate(8.0, 1000))),
-            loss: Some((0.01, 0.01)),
-        };
-        let mut bare = LoadSpec::new(&site);
-        bare.net = net.clone();
-        bare.seed = 42;
-        let mut tapped = LoadSpec::new(&site);
-        tapped.net = net;
-        tapped.seed = 42;
-        let capture = mm_capture::Capture::for_load(7);
-        tapped.capture = Some(capture.handle());
-        let a = run_page_load(&bare);
-        let b = run_page_load(&tapped);
-        assert_eq!(a.plt, b.plt, "tap must not perturb the simulation");
-        assert_eq!(a.total_body_bytes, b.total_body_bytes);
-        let data = capture.data();
-        assert!(!data.links.is_empty(), "link meta recorded");
-        let has = |k| data.packets.iter().any(|p| p.kind == k);
-        assert!(has(mm_capture::PacketEventKind::Enqueue));
-        assert!(has(mm_capture::PacketEventKind::Dequeue));
-        assert!(has(mm_capture::PacketEventKind::Deliver));
-        assert!(!data.https.is_empty(), "http events recorded");
-        let jsonl = capture.take_jsonl();
-        assert!(jsonl.contains("\"ev\":\"link\""));
-        assert!(jsonl.contains("\"ev\":\"pkt\""));
-        assert!(jsonl.contains("\"ev\":\"http\""));
-    }
-
-    #[test]
     fn host_noise_perturbs_but_barely() {
         let site = crate::test_site(7, 6, 18.0);
         let mut base = LoadSpec::new(&site);

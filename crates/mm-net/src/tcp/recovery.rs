@@ -44,6 +44,14 @@ pub(super) struct LossRecovery {
     /// space — anything below a lost segment is lost or sacked — so the
     /// per-ack scan resumes here instead of rewalking the queue.
     loss_frontier: u64,
+    /// NextSeg cursor (Linux's retransmit hint; DESIGN.md §3): no entry
+    /// starting below it is a rule-1 candidate. It moves back when an
+    /// entry becomes lost (`lost_at`), and to 0 when an RTO clears the
+    /// retransmission marks.
+    retx_hint: u64,
+    /// RACK's resolved prefix: every entry starting below it is sacked
+    /// or RACK-marked, and both last until the entry leaves the queue.
+    rack_resolved: u64,
     /// RACK delivery-time state (active only at the `RackTlp` tier).
     pub(super) rack: RackState,
     /// Earliest pending RACK reordering-window expiry, consumed by the
@@ -133,6 +141,8 @@ impl LossRecovery {
             rescue_done: false,
             lost_point: 0,
             loss_frontier: 0,
+            retx_hint: 0,
+            rack_resolved: 0,
             rack: RackState::new(),
             reo_deadline: None,
             rack_mark_high: None,
@@ -164,6 +174,18 @@ impl LossRecovery {
             return true;
         }
         e.rack_lost || self.scoreboard.is_lost(seq, end)
+    }
+
+    /// NextSeg rule 1's test: unsacked, never retransmitted (since the
+    /// last RTO), and presumed lost.
+    fn is_candidate(&self, e: &RetxEntry) -> bool {
+        !e.retransmitted && !self.is_sacked(e) && self.is_lost(e)
+    }
+
+    /// The entry starting at `seq` just became lost: NextSeg must look
+    /// at it again.
+    fn lost_at(&mut self, seq: u64) {
+        self.retx_hint = self.retx_hint.min(seq);
     }
 
     /// Is the first outstanding segment presumed lost? (RFC 6675's
@@ -274,6 +296,9 @@ impl LossRecovery {
             if self.is_sacked(e) {
                 self.loss_frontier = end;
             } else if self.is_lost(e) {
+                // `IsLost` is monotone downward and the frontier moves on
+                // every SACK delta, so every scoreboard loss passes here.
+                self.lost_at(e.segment.seq);
                 self.loss_frontier = end;
                 retx.refresh(index, self);
             } else {
@@ -503,15 +528,30 @@ impl LossRecovery {
     ///    blind retransmission of in-flight, not-yet-lost segments — is
     ///    deliberately omitted, as in Linux: under AQM it turns every
     ///    recovery into spurious duplicate traffic on a loaded link.)
-    pub(super) fn next_seg(&mut self, retx: &RetxQueue, new_data_ok: bool) -> NextSeg {
+    pub(super) fn next_seg(
+        &mut self,
+        retx: &RetxQueue,
+        new_data_ok: bool,
+        stats: &mut TcpStats,
+    ) -> NextSeg {
         let Some(rp) = self.recovery_point else {
             return NextSeg::Nothing;
         };
         let below_rp = retx.lower_bound(rp);
-        let rule1 = retx
-            .iter()
-            .take(below_rp)
-            .position(|e| !e.retransmitted && !self.is_sacked(e) && self.is_lost(e));
+        let from = retx.lower_bound(self.retx_hint);
+        let rule1 = (from..below_rp).find(|&index| {
+            stats.next_seg_visits += 1;
+            self.is_candidate(&retx[index])
+        });
+        stats.next_seg_calls += 1;
+        debug_assert_eq!(
+            rule1,
+            retx.iter()
+                .take(below_rp)
+                .position(|e| self.is_candidate(e)),
+            "the NextSeg cursor skipped a candidate"
+        );
+        self.retx_hint = rule1.map_or(rp, |index| retx[index].segment.seq);
         if let Some(index) = rule1 {
             return NextSeg::Retransmit(index);
         }
@@ -549,45 +589,93 @@ impl LossRecovery {
             return;
         }
         self.rack_dirty = false;
-        let Some((clock_ts, clock_end)) = self.rack.clock() else {
+        let Some(clock) = self.rack.clock() else {
             return;
         };
-        let mut next: Option<Timestamp> = None;
-        for index in 0..retx.len() {
+        stats.rack_scans += 1;
+        let walk = cfg!(debug_assertions).then(|| self.rack_walk(retx, now, clock));
+        // The scan starts past the resolved prefix and jumps over each
+        // sacked range with one search, so it visits the unresolved
+        // entries below the delivery clock, not the flight.
+        let (mut resolved, mut marks, mut next) = (true, 0, None);
+        let mut index = retx.lower_bound(self.rack_resolved);
+        while index < retx.len() {
+            stats.rack_scan_visits += 1;
             let e = &retx[index];
-            let end = e.segment.seq_end();
-            // First-transmission (time, end) pairs are monotone in
-            // sequence order: once an entry's first transmission is at
-            // or past the delivery clock (same tiebreak as
-            // `sent_after`), so is everything above it — no further
-            // candidates. This keeps the common in-order case O(1): the
-            // head's first transmission already postdates the newest
-            // delivery, including in zero-latency worlds where whole
-            // windows share one timestamp.
-            if e.first_sent_at > clock_ts || (e.first_sent_at == clock_ts && end >= clock_end) {
+            let (seq, end) = (e.segment.seq, e.segment.seq_end());
+            if first_sent_since(e, clock) {
                 break;
             }
-            if e.rack_lost || self.is_sacked(e) || !self.rack.sent_after(e.sent_at, end) {
-                continue;
-            }
-            let sent_at = e.sent_at;
-            let deadline = self.rack.lost_deadline(sent_at);
-            if deadline <= now {
-                // A mark touches nothing the rest of the scan reads.
-                retx[index].rack_lost = true;
-                stats.rack_loss_marks += 1;
-                if self.rack_mark_high.is_none_or(|high| high < (sent_at, end)) {
-                    self.rack_mark_high = Some((sent_at, end));
-                }
-                retx.refresh(index, self);
+            if let Some(range_end) = self.sacked_range_end(e) {
+                // Every entry inside the range is sacked; one straddling
+                // its end is not, and is visited next.
+                index = retx.lower_bound(range_end);
+                index -= usize::from(retx[index - 1].segment.seq_end() > range_end);
             } else {
-                next = Some(match next {
-                    Some(d) => d.min(deadline),
-                    None => deadline,
-                });
+                index += 1;
+                if !e.rack_lost && self.rack.sent_after(e.sent_at, end) {
+                    let sent_at = e.sent_at;
+                    let deadline = self.rack.lost_deadline(sent_at);
+                    if deadline <= now {
+                        // A mark touches nothing the rest of the scan reads.
+                        retx[index - 1].rack_lost = true;
+                        stats.rack_loss_marks += 1;
+                        marks = fold_mark(marks, seq);
+                        if self.rack_mark_high.is_none_or(|high| high < (sent_at, end)) {
+                            self.rack_mark_high = Some((sent_at, end));
+                        }
+                        self.lost_at(seq);
+                        retx.refresh(index - 1, self);
+                    } else {
+                        next = Some(next.map_or(deadline, |d: Timestamp| d.min(deadline)));
+                    }
+                }
+                resolved &= retx[index - 1].rack_lost;
+            }
+            if resolved {
+                self.rack_resolved = retx[index - 1].segment.seq_end();
             }
         }
+        debug_assert!(
+            walk.is_none_or(|walk| walk == (marks, next)),
+            "the RACK scan disagrees with the full walk"
+        );
         self.reo_deadline = next;
+    }
+
+    /// The end of the scoreboard range wholly covering `e`, if one does
+    /// (`Scoreboard::is_sacked`'s search, keeping the range).
+    fn sacked_range_end(&self, e: &RetxEntry) -> Option<u64> {
+        let (seq, end) = (e.segment.seq, e.segment.seq_end());
+        let ranges = self.scoreboard.ranges();
+        let r = ranges.get(ranges.partition_point(|r| r.end < end))?;
+        (r.start <= seq).then_some(r.end)
+    }
+
+    /// The definitional RACK walk from the head, marking nothing: the
+    /// marks a scan should fold and its earliest pending deadline.
+    fn rack_walk(
+        &self,
+        retx: &RetxQueue,
+        now: Timestamp,
+        clock: (Timestamp, u64),
+    ) -> (u64, Option<Timestamp>) {
+        let (mut marks, mut next) = (0, None);
+        for e in retx.iter().take_while(|e| !first_sent_since(e, clock)) {
+            if e.rack_lost
+                || self.is_sacked(e)
+                || !self.rack.sent_after(e.sent_at, e.segment.seq_end())
+            {
+                continue;
+            }
+            let deadline = self.rack.lost_deadline(e.sent_at);
+            if deadline <= now {
+                marks = fold_mark(marks, e.segment.seq);
+            } else {
+                next = Some(next.map_or(deadline, |d: Timestamp| d.min(deadline)));
+            }
+        }
+        (marks, next)
     }
 
     /// The Tail Loss Probe deadline the timer should hold now, recorded
@@ -688,6 +776,7 @@ impl LossRecovery {
         for e in retx.iter_mut() {
             e.retransmitted = false;
         }
+        self.retx_hint = 0;
         self.lost_point = snd_nxt;
         self.reset_prr(flight);
         // The mass-marking flips most contributions at once; rebuild the
@@ -710,6 +799,23 @@ impl LossRecovery {
         self.frto = FrtoState::Inactive;
         self.scoreboard.clear();
     }
+}
+
+/// Fold a RACK mark's start into a scan's record of its marks, in scan
+/// order: the debug cross-check compares two such records.
+fn fold_mark(marks: u64, seq: u64) -> u64 {
+    marks.wrapping_mul(0x0000_0100_0000_01b3) ^ (seq + 1)
+}
+
+/// Was `e` first sent at or after the delivery clock (same tiebreak as
+/// `RackState::sent_after`)? First-transmission (time, end) pairs are
+/// monotone in sequence order, so then is everything above it, and a
+/// RACK scan has no further candidates. This keeps the common in-order
+/// case O(1): the head's first transmission already postdates the
+/// newest delivery, including in zero-latency worlds where whole
+/// windows share one timestamp.
+fn first_sent_since(e: &RetxEntry, (ts, end): (Timestamp, u64)) -> bool {
+    e.first_sent_at > ts || (e.first_sent_at == ts && e.segment.seq_end() >= end)
 }
 
 #[cfg(test)]
@@ -742,7 +848,17 @@ mod tests {
     /// Fold one SACK block `[start, end)` (in segments) into `rec`.
     fn sack(rec: &mut LossRecovery, retx: &mut RetxQueue, start: u64, end: u64) -> u64 {
         let block = SackBlock::new(start * M, end * M);
-        rec.on_sack(retx, &[block], 0, retx.len() as u64 * M, T0, |_| {})
+        rec.on_sack(retx, &[block], 0, snd_nxt(retx), T0, |_| {})
+    }
+
+    /// Where the queue's last entry ends.
+    fn snd_nxt(retx: &RetxQueue) -> u64 {
+        retx.iter().last().map_or(0, |e| e.segment.seq_end())
+    }
+
+    /// NextSeg's choice, its visit counters thrown away.
+    fn next_seg(rec: &mut LossRecovery, retx: &RetxQueue, new_data_ok: bool) -> NextSeg {
+        rec.next_seg(retx, new_data_ok, &mut TcpStats::default())
     }
 
     /// What the sender does with a retransmission NextSeg picked.
@@ -761,18 +877,146 @@ mod tests {
         assert!(rec.head_is_lost(&retx));
         rec.enter(6 * M, 6 * M);
         for hole in 0..3 {
-            assert_eq!(rec.next_seg(&retx, true), NextSeg::Retransmit(hole));
+            assert_eq!(next_seg(&mut rec, &retx, true), NextSeg::Retransmit(hole));
             retransmitted(&rec, &mut retx, hole);
         }
         // No unretransmitted hole is left: new data while the peer's
         // window takes it…
-        assert_eq!(rec.next_seg(&retx, true), NextSeg::NewData);
+        assert_eq!(next_seg(&mut rec, &retx, true), NextSeg::NewData);
         // …else one rescue of the highest unsacked segment, and only one.
-        assert_eq!(rec.next_seg(&retx, false), NextSeg::Retransmit(2));
-        assert_eq!(rec.next_seg(&retx, false), NextSeg::Nothing);
+        assert_eq!(next_seg(&mut rec, &retx, false), NextSeg::Retransmit(2));
+        assert_eq!(next_seg(&mut rec, &retx, false), NextSeg::Nothing);
         // A new recovery earns a new rescue.
         rec.enter(6 * M, 6 * M);
-        assert_eq!(rec.next_seg(&retx, false), NextSeg::Retransmit(2));
+        assert_eq!(next_seg(&mut rec, &retx, false), NextSeg::Retransmit(2));
+    }
+
+    /// Fold SACK blocks, given in segments, into `rec` at `now`.
+    fn sack_at(
+        rec: &mut LossRecovery,
+        retx: &mut RetxQueue,
+        blocks: &[(f64, f64)],
+        now: Timestamp,
+    ) {
+        let m = M as f64;
+        let blocks: Vec<_> = blocks
+            .iter()
+            .map(|&(start, end)| SackBlock::new((start * m) as u64, (end * m) as u64))
+            .collect();
+        rec.on_sack(retx, &blocks, 0, snd_nxt(retx), now, |_| {});
+    }
+
+    /// Retransmit NextSeg's picks until it offers new data; the picks.
+    fn repair_holes(rec: &mut LossRecovery, retx: &mut RetxQueue) -> Vec<usize> {
+        let mut picks = Vec::new();
+        while let NextSeg::Retransmit(index) = next_seg(rec, retx, true) {
+            retransmitted(rec, retx, index);
+            picks.push(index);
+        }
+        picks
+    }
+
+    #[test]
+    fn an_rto_puts_retransmitted_holes_below_the_cursor_back_in_play() {
+        let mut rec = LossRecovery::new(RecoveryTier::Sack);
+        let mut retx = flight(6);
+        sack(&mut rec, &mut retx, 3, 6);
+        rec.enter(6 * M, 6 * M);
+        assert_eq!(repair_holes(&mut rec, &mut retx), [0, 1, 2]);
+        // The cursor now sits at the recovery point. The timeout clears
+        // every retransmission mark: the three holes are candidates again.
+        assert_eq!(rec.on_rto(&mut retx, 6 * M, 3 * M, true), Some(0));
+        retransmitted(&rec, &mut retx, 0);
+        assert_eq!(next_seg(&mut rec, &retx, true), NextSeg::Retransmit(1));
+    }
+
+    #[test]
+    fn a_rack_mark_below_the_cursor_puts_that_entry_in_play() {
+        let mut rec = LossRecovery::new(RecoveryTier::RackTlp);
+        let mut retx = flight(4);
+        rec.enter(4 * M, 4 * M);
+        // Nothing is lost yet: the cursor passes every entry.
+        assert_eq!(next_seg(&mut rec, &retx, true), NextSeg::NewData);
+        // One segment sacked above two holes: no scoreboard loss, but
+        // RACK marks both once the reordering window has passed.
+        let (ms, mut stats) = (Timestamp::from_millis, TcpStats::default());
+        sack_at(&mut rec, &mut retx, &[(2.0, 3.0)], ms(10));
+        rec.rack_detect(&mut retx, ms(10), &mut stats);
+        assert!(!rec.is_lost(&retx[0]));
+        rec.rack_detect(&mut retx, ms(13), &mut stats);
+        assert_eq!(stats.rack_loss_marks, 2);
+        assert_eq!(next_seg(&mut rec, &retx, true), NextSeg::Retransmit(0));
+    }
+
+    #[test]
+    fn a_sack_above_an_earlier_entry_puts_it_in_play() {
+        let mut rec = LossRecovery::new(RecoveryTier::Sack);
+        let mut retx = flight(8);
+        rec.enter(8 * M, 8 * M);
+        assert_eq!(next_seg(&mut rec, &retx, true), NextSeg::NewData);
+        // Three segments sacked above the first three make them lost.
+        sack(&mut rec, &mut retx, 3, 6);
+        assert_eq!(repair_holes(&mut rec, &mut retx), [0, 1, 2]);
+    }
+
+    /// An undo only retracts losses, so it needs no hook: nothing below
+    /// the cursor can become a candidate.
+    #[test]
+    fn an_frto_undo_leaves_the_cursor_right() {
+        let mut rec = LossRecovery::new(RecoveryTier::RackTlp);
+        let mut retx = flight(6);
+        assert_eq!(rec.on_rto(&mut retx, 6 * M, 6 * M, true), Some(0));
+        retransmitted(&rec, &mut retx, 0);
+        // Every unsacked entry is presumed lost: the cursor moves to the
+        // second.
+        assert_eq!(next_seg(&mut rec, &retx, true), NextSeg::Retransmit(1));
+        retransmitted(&rec, &mut retx, 1);
+        // The original head arrives: spurious, and the §5.1 marks go.
+        assert_eq!(rec.frto_on_ack(&mut retx, M, M), Frto::Spurious);
+        retx.pop_front();
+        rec.advance(M);
+        // Three segments sacked above the third make it lost again.
+        sack(&mut rec, &mut retx, 3, 6);
+        rec.enter(6 * M, 5 * M);
+        assert_eq!(next_seg(&mut rec, &retx, false), NextSeg::Retransmit(1));
+    }
+
+    /// The new recovery's holes lie above the old recovery point, and so
+    /// above the cursor: `enter` needs no hook. The cursor is a sequence
+    /// number, so the acked head's removal needs no fix-up either.
+    #[test]
+    fn a_second_recovery_with_a_higher_recovery_point_finds_its_holes() {
+        let mut rec = LossRecovery::new(RecoveryTier::Sack);
+        let mut retx = flight(6);
+        sack(&mut rec, &mut retx, 3, 6);
+        rec.enter(6 * M, 6 * M);
+        assert_eq!(repair_holes(&mut rec, &mut retx), [0, 1, 2]);
+        // Recovery sends four new segments and ends at its point.
+        let more = flight(10);
+        for e in more.iter().skip(6) {
+            retx.push(e.segment.clone(), T0, TxRecord::default());
+        }
+        while retx.front().is_some_and(|e| e.segment.seq < 6 * M) {
+            retx.pop_front();
+        }
+        rec.advance(6 * M);
+        assert_eq!(rec.on_cumulative_ack(6 * M, 0), Verdict::Done);
+        // The head of the new flight is lost under a higher point.
+        sack(&mut rec, &mut retx, 7, 10);
+        rec.enter(10 * M, 4 * M);
+        assert_eq!(repair_holes(&mut rec, &mut retx), [0]);
+    }
+
+    #[test]
+    fn the_rack_scan_visits_an_entry_straddling_a_sacked_range() {
+        let mut rec = LossRecovery::new(RecoveryTier::RackTlp);
+        let mut retx = flight(5);
+        let (ms, mut stats) = (Timestamp::from_millis, TcpStats::default());
+        // The first block ends inside entry 2, which is not sacked.
+        sack_at(&mut rec, &mut retx, &[(1.0, 2.5), (4.0, 5.0)], ms(10));
+        rec.rack_detect(&mut retx, ms(13), &mut stats);
+        let marked: Vec<bool> = retx.iter().map(|e| e.rack_lost).collect();
+        assert_eq!(marked, [true, false, true, true, false]);
     }
 
     #[test]

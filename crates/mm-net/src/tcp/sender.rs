@@ -452,7 +452,10 @@ impl TcpInner {
     /// Send what RFC 6675 NextSeg picks. Returns the sequence space sent.
     fn send_next_seg(&mut self, now: Timestamp, out: &mut Vec<Packet>) -> u64 {
         let new_data_ok = self.peer_window_allows_new();
-        match self.recovery.next_seg(&self.retx, new_data_ok) {
+        match self
+            .recovery
+            .next_seg(&self.retx, new_data_ok, &mut self.stats)
+        {
             NextSeg::Retransmit(index) => self.retransmit_at(index, now, out),
             NextSeg::NewData => self.send_new(MSS, now, out),
             NextSeg::Nothing => 0,

@@ -352,6 +352,14 @@ pub struct TcpStats {
     /// High-water mark of the SACK scoreboard (ranges) — the other
     /// per-connection structure whose growth soak tests bound.
     pub max_scoreboard_ranges: u64,
+    /// RFC 6675 NextSeg rule-1 searches in SACK recovery, and the
+    /// retransmission-queue entries they visited. Host-cost accounting
+    /// only: no digest folds these four.
+    pub next_seg_calls: u64,
+    pub next_seg_visits: u64,
+    /// RACK detection scans run, and the entries they visited.
+    pub rack_scans: u64,
+    pub rack_scan_visits: u64,
 }
 
 /// Shared handle to a TCP connection.

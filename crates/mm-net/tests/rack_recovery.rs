@@ -12,7 +12,7 @@ use common::{hosts, scripted_upload};
 use mm_net::{
     Packet, PacketSink, RecoveryTier, SinkRef, SocketApp, SocketEvent, TcpConfig, TcpHandle,
 };
-use mm_shells::transfer::{payload, upload};
+use mm_shells::transfer::{payload, upload, Sender};
 use mm_sim::{SimDuration, Simulator, Timestamp};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -178,6 +178,32 @@ fn tail_burst_recovered_by_probe_plus_rack_marks() {
     assert_eq!(rack_stats.timeouts, 0, "{rack_stats:?}");
     assert!(rack_stats.tlp_probes >= 1, "{rack_stats:?}");
     assert!(rack_stats.rack_loss_marks >= 2, "{rack_stats:?}");
+}
+
+/// The same tail burst from the shared closing `Sender`: the FIN rides
+/// the last dropped segment. It should recover as the non-closing run
+/// does, with one probe and RACK marks and no timeout; it reads two
+/// timeouts, two probes and no marks (ROADMAP item 2(g)).
+#[test]
+#[ignore = "ROADMAP item 2"]
+fn tail_burst_with_a_fin_recovered_by_probe_plus_rack_marks() {
+    let one_way = SimDuration::from_millis(RTT_MS / 2);
+    let config = TcpConfig::builder().recovery(RecoveryTier::RackTlp).build();
+    let (_, stats) = scripted_upload(
+        Sender::new,
+        config.clone(),
+        config,
+        60_000,
+        one_way,
+        SEGS_60K - 3,
+        SEGS_60K,
+    );
+    assert_eq!(
+        (stats.timeouts, stats.tlp_probes),
+        (0, 1),
+        "(timeouts, probes): {stats:?}"
+    );
+    assert!(stats.rack_loss_marks > 0, "{stats:?}");
 }
 
 #[test]

@@ -69,3 +69,49 @@ fn a_clean_upload_costs_these_events() {
         assert!(r.completed_at > r.last_data, "{path}");
     }
 }
+
+/// What loss recovery's two walks cost per call on ROADMAP item 20's
+/// deepest world: one 16 MB BBR/`RackTlp` upload behind 20 ms, a
+/// 100 Mbit/s link with droptail 64 and 1 % loss each way (loss seed 1;
+/// `tcp_probe item20`'s last row). Walking from the queue head, NextSeg's
+/// rule 1 visited 315.0 entries per call and RACK's scan 271.6 per scan;
+/// with the cursors, which resume where the last call left off and skip
+/// sacked ranges, they visit 2.0 and 19.3.
+#[test]
+fn loss_recovery_walks_visit_what_changed() {
+    use mm_net::{CcAlgorithm, RecoveryTier};
+    use mm_shells::QueueLimit;
+    use mm_sim::RngStream;
+
+    let spec = TransferSpec {
+        tcp: TcpConfig::builder()
+            .cc(CcAlgorithm::Bbr)
+            .recovery(RecoveryTier::RackTlp)
+            .build(),
+        bytes: 16_000_000,
+    };
+    let r = Transfer::new(&spec, |stack| {
+        stack
+            .delay(SimDuration::from_millis(20))
+            .link(constant_rate(100.0, 1000), &|| {
+                Box::new(DropTail::new(QueueLimit::Packets(64)))
+            })
+            .loss(0.01, 0.01, &RngStream::from_seed(1).fork("loss"))
+    })
+    .run();
+    assert!(r.intact);
+    assert_eq!(r.events_executed, 52_159);
+    let s = &r.sender;
+    let walks = (
+        (s.next_seg_visits, s.next_seg_calls),
+        (s.rack_scan_visits, s.rack_scans),
+    );
+    assert_eq!(
+        walks,
+        ((21_329, 10_490), (208_711, 10_802)),
+        "(NextSeg, RACK) (visits, calls)"
+    );
+    let per_call = |(visits, calls): (u64, u64)| visits as f64 / calls as f64;
+    assert!(per_call(walks.0) * 10.0 <= 315.0);
+    assert!(per_call(walks.1) * 10.0 <= 272.0);
+}

@@ -5,7 +5,8 @@
 //! trees.
 //!
 //! Run with: `cargo run --release --example tcp_probe -- <arm>`, where
-//! `<arm>` is one of `item2e`, `item19`, `item20` or `item21`.
+//! `<arm>` is one of `item2e`, `item19`, `item20`, `item21` or
+//! `lossy_grid`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -120,12 +121,30 @@ fn item19() {
     }
 }
 
+/// Entries a loss-recovery walk visited per call and per ACK the sender
+/// received, as `per call / per ACK` (`–` when it never ran).
+fn walk_cost(visits: u64, calls: u64, acks: u64) -> String {
+    match calls {
+        0 => "–".to_string(),
+        _ => format!(
+            "{:.1} / {:.1}",
+            visits as f64 / calls as f64,
+            visits as f64 / acks as f64
+        ),
+    }
+}
+
 /// Item 20: one upload behind a 20 ms delay shell, a 100 Mbit/s link
 /// with droptail 64 and 1 % loss each way (perf `transfer_lossy`'s path;
-/// loss stream seed 1). ns/event is the best of five runs.
+/// loss stream seed 1). ns/event is the best of five runs; the walks'
+/// columns are retransmission-queue entries visited by NextSeg's rule 1
+/// and by RACK's detection scan.
 fn item20() {
-    println!("| arm (controller/tier) | transfer @ link | events | ns/event | max retx queue |");
-    println!("|---|---|---|---|---|");
+    println!(
+        "| arm (controller/tier) | transfer @ link | events | ns/event | max retx queue \
+         | NextSeg entries per call / ACK | RACK entries per scan / ACK |"
+    );
+    println!("|---|---|---|---|---|---|---|");
     let arms = [
         (CcAlgorithm::Reno, RecoveryTier::Reno, 16),
         (CcAlgorithm::Cubic, RecoveryTier::Sack, 16),
@@ -156,12 +175,110 @@ fn item20() {
             best = best.min(run().0);
         }
         assert!(r.intact);
+        let s = &r.sender;
         println!(
-            "| {cc:?}/`{tier:?}` | {mb} MB @ 100 Mbit/s | {} | {:.0} | {} |",
+            "| {cc:?}/`{tier:?}` | {mb} MB @ 100 Mbit/s | {} | {:.0} | {} | {} | {} |",
             r.events_executed,
             best / r.events_executed as f64,
-            r.sender.max_retx_queue
+            s.max_retx_queue,
+            walk_cost(s.next_seg_visits, s.next_seg_calls, s.segments_received),
+            walk_cost(s.rack_scan_visits, s.rack_scans, s.segments_received)
         );
+    }
+}
+
+/// The four recovery arms of perf `transfer_lossy`'s grid.
+const LOSSY_ARMS: [(CcAlgorithm, RecoveryTier); 4] = [
+    (CcAlgorithm::Reno, RecoveryTier::Reno),
+    (CcAlgorithm::Reno, RecoveryTier::Sack),
+    (CcAlgorithm::Cubic, RecoveryTier::RackTlp),
+    (CcAlgorithm::Bbr, RecoveryTier::RackTlp),
+];
+
+/// perf `transfer_lossy`'s grid as uploads: {256 KiB, 1 MiB, 4 MiB} ×
+/// {5, 20, 100} Mbit/s × loss seeds 1–3, behind a 20 ms delay shell and
+/// droptail 64 with 1 % loss each way. Each arm's host time is the best
+/// of ten passes over its 27 transfers; its share is of the four arms'
+/// sum. Then the 4 MiB transfers' segments sent on loss seed 1, by rate.
+fn lossy_grid() {
+    const SIZES: [usize; 3] = [256 << 10, 1 << 20, 4 << 20];
+    const MBPS: [f64; 3] = [5.0, 20.0, 100.0];
+    let run = |(cc, tier): (CcAlgorithm, RecoveryTier), bytes: usize, mbps: f64, seed: u64| {
+        let spec = TransferSpec {
+            tcp: config(cc, tier),
+            bytes,
+        };
+        let r = Transfer::new(&spec, |stack| {
+            delay_link(ms(20), mbps, QueueLimit::Packets(64))(stack).loss(
+                0.01,
+                0.01,
+                &RngStream::from_seed(seed).fork("loss"),
+            )
+        })
+        .run();
+        assert!(r.intact);
+        r
+    };
+    let cells = || {
+        SIZES.into_iter().flat_map(|b| {
+            MBPS.into_iter()
+                .flat_map(move |m| (1..=3).map(move |s| (b, m, s)))
+        })
+    };
+    let mut rows = Vec::new();
+    for arm in LOSSY_ARMS {
+        let mut best = f64::INFINITY;
+        let mut totals = [0u64; 6];
+        for pass in 0..10 {
+            let start = Instant::now();
+            for (bytes, mbps, seed) in cells() {
+                let r = run(arm, bytes, mbps, seed);
+                if pass == 0 {
+                    let s = &r.sender;
+                    let counts = [
+                        r.events_executed,
+                        s.next_seg_visits,
+                        s.next_seg_calls,
+                        s.rack_scan_visits,
+                        s.rack_scans,
+                        s.segments_received,
+                    ];
+                    for (total, n) in totals.iter_mut().zip(counts) {
+                        *total += n;
+                    }
+                }
+            }
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        rows.push((arm, best, totals));
+    }
+    let sum: f64 = rows.iter().map(|r| r.1).sum();
+    println!(
+        "| arm (controller/tier) | host ms | share | events \
+         | NextSeg entries per call / ACK | RACK entries per scan / ACK |"
+    );
+    println!("|---|---|---|---|---|---|");
+    for ((cc, tier), best, [events, nv, nc, rv, rc, acks]) in rows {
+        println!(
+            "| {cc:?}/`{tier:?}` | {:.0} | {:.0} % | {events} | {} | {} |",
+            best * 1e3,
+            best / sum * 100.0,
+            walk_cost(nv, nc, acks),
+            walk_cost(rv, rc, acks)
+        );
+    }
+    println!();
+    print!("| 4 MiB, loss seed 1: segments sent |");
+    for mbps in MBPS {
+        print!(" {mbps} Mbit/s |");
+    }
+    println!("\n|---|---|---|---|");
+    for arm in LOSSY_ARMS {
+        print!("| {:?}/`{:?}` |", arm.0, arm.1);
+        for mbps in MBPS {
+            print!(" {} |", run(arm, 4 << 20, mbps, 1).sender.segments_sent);
+        }
+        println!();
     }
 }
 
@@ -284,8 +401,9 @@ fn main() {
         "item19" => item19(),
         "item20" => item20(),
         "item21" => item21(),
+        "lossy_grid" => lossy_grid(),
         _ => {
-            eprintln!("usage: tcp_probe item2e|item19|item20|item21");
+            eprintln!("usage: tcp_probe item2e|item19|item20|item21|lossy_grid");
             std::process::exit(2);
         }
     }

@@ -13,7 +13,7 @@ use mahimahi::corpus;
 use mahimahi::harness::{LinkSpec, LoadSpec, NetSpec};
 use mahimahi::obs::Artefact;
 use mm_audit::Auditor;
-use mm_capture::Capture;
+use mm_capture::{Capture, PacketEventKind};
 use mm_metrics::{FlowTracer, MetricsHandle, Registry, RegistrySink};
 use mm_net::{Host, IpAddr, Namespace, PacketIdGen, SocketAddr, TcpConfig};
 use mm_record::{RecordShell, StoredSite};
@@ -86,11 +86,45 @@ impl Observers {
         }
     }
 
-    /// Every recorder besides the auditor saw the run.
+    /// Every recorder saw the run: the flow trace and the span buffer
+    /// something, the capture its link meta, packets entering, leaving
+    /// and crossing a link and HTTP events, and the auditor the same
+    /// packet stream as the capture, TCP samples, spans, and digests for
+    /// both link directions and the connections.
     pub fn check(&self) {
         assert!(self.tracer.sample_count() > 0, "flow trace saw nothing");
-        assert!(self.capture.packet_count() > 0, "capture saw nothing");
         assert!(!self.spans.spans().is_empty(), "span buffer saw nothing");
+        let data = self.capture.data();
+        assert!(!data.links.is_empty(), "capture recorded no link meta");
+        assert!(!data.https.is_empty(), "capture recorded no http events");
+        for kind in [
+            PacketEventKind::Enqueue,
+            PacketEventKind::Dequeue,
+            PacketEventKind::Deliver,
+        ] {
+            assert!(
+                data.packets.iter().any(|p| p.kind == kind),
+                "capture saw no {kind:?}"
+            );
+        }
+        let report = self.auditor.finish();
+        assert_eq!(
+            report.packets,
+            data.packets.len() as u64,
+            "auditor vs capture packets"
+        );
+        assert!(report.samples > 0, "auditor saw no TCP samples");
+        assert!(report.spans > 0, "auditor saw no spans");
+        for (scope, found) in [
+            ("-up", report.digests.keys().any(|k| k.ends_with("-up"))),
+            ("-down", report.digests.keys().any(|k| k.ends_with("-down"))),
+            (
+                "conn:",
+                report.digests.keys().any(|k| k.starts_with("conn:")),
+            ),
+        ] {
+            assert!(found, "no {scope} audit digest");
+        }
     }
 
     /// What the recorders besides the auditor wrote, each named:
