@@ -986,7 +986,7 @@ impl SocketApp for ConnApp {
                 // The browser only issues GETs, and the parser defaults to
                 // "not a HEAD response" when its queue is empty, so no
                 // expect_head bookkeeping is required.
-                let resps = self.parser.borrow_mut().feed(&bytes);
+                let resps = self.parser.borrow_mut().feed_bytes(&bytes);
                 match resps {
                     Ok(resps) => {
                         for resp in resps {

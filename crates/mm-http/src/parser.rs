@@ -9,6 +9,10 @@
 //! (with trailers), bodyless statuses (1xx/204/304 and HEAD responses), and
 //! read-until-close for responses with neither (RFC 9112 §6.3).
 //!
+//! [`ResponseParser::feed_bytes`] reads a stream delivered as shared
+//! buffers, as TCP delivers it: a body whose pieces continue one buffer
+//! is a view of it, not a copy.
+//!
 //! A head, chunk-size line or trailer line longer than 256 KiB is a
 //! [`ParseError`], and each search for its end resumes where the previous
 //! feed's stopped: a peer that never ends its head costs bounded memory
@@ -263,6 +267,11 @@ impl<T> std::ops::Index<usize> for Completed<T> {
     }
 }
 
+/// Where a feed's bytes are shared: `Some((bytes, from))` when
+/// `input[from..]` is `bytes`, so a body read from there may be a view of
+/// it. Bytes before `from` were staged from earlier feeds.
+type Shared<'a> = Option<(&'a Bytes, usize)>;
+
 /// Generic incremental machinery shared by request/response parsers: the
 /// head of type `H` awaiting its body, and the body being read.
 struct Machine<H> {
@@ -275,6 +284,14 @@ struct Machine<H> {
     pending: Option<H>,
     /// How the pending head's body is framed.
     body: Option<BodyState>,
+    /// The body so far while every piece of it has continued the last:
+    /// a view of the buffers the feeds shared, never a copy.
+    body_view: Bytes,
+    /// Whether `body_view` has joined its second piece, after which its
+    /// buffer's bytes are compared no more (see [`Machine::take_body`]).
+    view_joined: bool,
+    /// The body so far once a piece did not continue the view. Empty
+    /// while `body_view` holds it.
     body_acc: BytesMut,
     /// Bytes at the front of `buf` already searched for the end of the
     /// head or line being read, without finding it.
@@ -287,6 +304,8 @@ impl<H> Machine<H> {
             buf: BytesMut::new(),
             pending: None,
             body: None,
+            body_view: Bytes::new(),
+            view_joined: false,
             body_acc: BytesMut::new(),
             scanned: 0,
         }
@@ -300,21 +319,26 @@ impl<H> Machine<H> {
     /// body is framed, and `done` takes each head with its whole body.
     /// What the bytes left over start is staged for the next feed. A head
     /// or chunk line that fails is dropped, and reading goes on after it.
+    /// `shared`, when given, holds `data`'s bytes, and the body may be a
+    /// view of it; otherwise body bytes are copied.
     fn feed(
         &mut self,
         data: &[u8],
+        shared: Option<&Bytes>,
         mut parse: impl FnMut(&[u8]) -> Result<(H, BodyState), ParseError>,
         mut done: impl FnMut(H, Bytes),
     ) -> Result<(), ParseError> {
         let mut used = 0;
         if self.buf.is_empty() {
-            let read = self.run(data, &mut used, &mut parse, &mut done);
+            let shared = shared.map(|bytes| (bytes, 0));
+            let read = self.run(data, shared, &mut used, &mut parse, &mut done);
             self.buf.extend_from_slice(&data[used..]);
             read
         } else {
             let mut buf = std::mem::take(&mut self.buf);
+            let shared = shared.map(|bytes| (bytes, buf.len()));
             buf.extend_from_slice(data);
-            let read = self.run(&buf, &mut used, &mut parse, &mut done);
+            let read = self.run(&buf, shared, &mut used, &mut parse, &mut done);
             buf.advance(used);
             self.buf = buf;
             read
@@ -326,6 +350,7 @@ impl<H> Machine<H> {
     fn run(
         &mut self,
         input: &[u8],
+        shared: Shared,
         at: &mut usize,
         parse: &mut impl FnMut(&[u8]) -> Result<(H, BodyState), ParseError>,
         done: &mut impl FnMut(H, Bytes),
@@ -338,29 +363,73 @@ impl<H> Machine<H> {
                 let raw = &input[*at..end - 4];
                 *at = end;
                 let (head, body) = parse(raw)?;
-                if let BodyState::Sized { remaining } = body {
-                    self.body_acc
-                        .reserve(remaining.min(Self::MAX_BODY_RESERVE) as usize);
-                }
                 self.pending = Some(head);
                 self.body = Some(body);
             }
-            match self.drive_body(input, at)? {
+            match self.drive_body(input, shared, at)? {
                 Some(body) => done(self.pending.take().expect("a parsed head"), body),
                 None => return Ok(()),
             }
         }
     }
 
-    /// Move `take` bytes of `input` from `at` to the body.
-    fn take_body(&mut self, input: &[u8], at: &mut usize, take: usize) {
-        self.body_acc.extend_from_slice(&input[*at..*at + take]);
+    /// Move `take` bytes of `input` from `at` to the body, `more` bytes
+    /// of which are still declared to follow.
+    ///
+    /// The body stays a view while each piece continues it
+    /// ([`Bytes::continued_by`]). Bytes are compared at most once per
+    /// body, when the second piece joins the first: that is how a segment
+    /// that carried the head and the body's first bytes joins the body's
+    /// own buffer. After that, a piece that does not continue the view is
+    /// copied, as is one staged from an earlier feed, so comparing costs
+    /// at most the first piece's length, never more. The copy reserves
+    /// for the declared rest of the body.
+    fn take_body(&mut self, input: &[u8], shared: Shared, at: &mut usize, take: usize, more: u64) {
+        let range = *at..*at + take;
         *at += take;
+        if take == 0 {
+            return;
+        }
+        if self.body_acc.is_empty() {
+            let first_only = !self.view_joined && !self.body_view.is_empty();
+            let view = shared
+                .filter(|&(_, from)| range.start >= from)
+                .and_then(|(bytes, from)| {
+                    let piece = bytes.slice(range.start - from..range.end - from);
+                    self.body_view.continued_by(&piece, first_only)
+                });
+            if let Some(view) = view {
+                self.view_joined |= !self.body_view.is_empty();
+                self.body_view = view;
+                return;
+            }
+            let declared = (self.body_view.len() + take) as u64 + more;
+            self.body_acc
+                .reserve(declared.min(Self::MAX_BODY_RESERVE) as usize);
+            self.body_acc.extend_from_slice(&self.body_view);
+            self.body_view = Bytes::new();
+        }
+        self.body_acc.extend_from_slice(&input[range]);
+    }
+
+    /// The body read so far, leaving none.
+    fn take_whole_body(&mut self) -> Bytes {
+        self.view_joined = false;
+        if self.body_acc.is_empty() {
+            std::mem::take(&mut self.body_view)
+        } else {
+            self.body_acc.split().freeze()
+        }
     }
 
     /// Advance the body machine over `input` from `at`; returns the body
     /// once complete.
-    fn drive_body(&mut self, input: &[u8], at: &mut usize) -> Result<Option<Bytes>, ParseError> {
+    fn drive_body(
+        &mut self,
+        input: &[u8],
+        shared: Shared,
+        at: &mut usize,
+    ) -> Result<Option<Bytes>, ParseError> {
         loop {
             let avail = input.len() - *at;
             let Some(state) = self.body.as_mut() else {
@@ -374,16 +443,16 @@ impl<H> Machine<H> {
                 BodyState::Sized { remaining } => {
                     let take = (*remaining).min(avail as u64) as usize;
                     *remaining -= take as u64;
-                    let done = *remaining == 0;
-                    self.take_body(input, at, take);
-                    if done {
+                    let more = *remaining;
+                    self.take_body(input, shared, at, take, more);
+                    if more == 0 {
                         self.body = None;
-                        return Ok(Some(self.body_acc.split().freeze()));
+                        return Ok(Some(self.take_whole_body()));
                     }
                     return Ok(None); // need more bytes
                 }
                 BodyState::UntilClose => {
-                    self.take_body(input, at, avail);
+                    self.take_body(input, shared, at, avail, 0);
                     return Ok(None); // completes only on EOF
                 }
                 BodyState::Chunked(chunk) => match chunk {
@@ -412,7 +481,7 @@ impl<H> Machine<H> {
                         if done {
                             *chunk = ChunkState::DataCrlf;
                         }
-                        self.take_body(input, at, take);
+                        self.take_body(input, shared, at, take, 0);
                         if !done {
                             return Ok(None);
                         }
@@ -439,7 +508,7 @@ impl<H> Machine<H> {
                         if empty {
                             // Empty line: done.
                             self.body = None;
-                            return Ok(Some(self.body_acc.split().freeze()));
+                            return Ok(Some(self.take_whole_body()));
                         }
                     }
                 },
@@ -475,7 +544,7 @@ impl RequestParser {
             let body = request_framing(&head.3)?;
             Ok((head, body))
         };
-        self.machine.feed(data, parse, |head, body| {
+        self.machine.feed(data, None, parse, |head, body| {
             let (method, target, version, headers) = head;
             complete.push(Request {
                 method,
@@ -536,8 +605,26 @@ impl ResponseParser {
         self.head_queue.push_back(is_head);
     }
 
-    /// Feed bytes; returns any responses completed by this feed.
+    /// Feed bytes; returns any responses completed by this feed. Bodies
+    /// are copies: use [`ResponseParser::feed_bytes`] where the bytes
+    /// arrive as a [`Bytes`].
     pub fn feed(&mut self, data: &[u8]) -> Result<Completed<Response>, ParseError> {
+        self.feed_from(data, None)
+    }
+
+    /// Feed bytes delivered as a shared buffer; returns any responses
+    /// completed by this feed, as [`ResponseParser::feed`] does. A body
+    /// whose pieces continue each other in one buffer is a view of it,
+    /// not a copy (see `Machine::take_body` for the rule).
+    pub fn feed_bytes(&mut self, data: &Bytes) -> Result<Completed<Response>, ParseError> {
+        self.feed_from(data, Some(data))
+    }
+
+    fn feed_from(
+        &mut self,
+        data: &[u8],
+        shared: Option<&Bytes>,
+    ) -> Result<Completed<Response>, ParseError> {
         let mut complete = Completed::new();
         let head_queue = &mut self.head_queue;
         let parse = |raw: &[u8]| {
@@ -546,7 +633,7 @@ impl ResponseParser {
             let body = response_framing(head.1, &head.3, to_head)?;
             Ok((head, body))
         };
-        self.machine.feed(data, parse, |head, body| {
+        self.machine.feed(data, shared, parse, |head, body| {
             complete.push(response(head, body))
         })?;
         Ok(complete)
@@ -557,7 +644,7 @@ impl ResponseParser {
         let machine = &mut self.machine;
         if let Some(BodyState::UntilClose) = machine.body {
             machine.body = None;
-            let body = machine.body_acc.split().freeze();
+            let body = machine.take_whole_body();
             let head = machine
                 .pending
                 .take()
@@ -833,6 +920,117 @@ mod tests {
             assert_eq!(got, whole, "cut at {cut}");
             assert_eq!(p.machine.buf.len(), 0);
         }
+    }
+
+    /// Whether `body` lies inside `source`'s bytes.
+    fn within(body: &Bytes, source: &Bytes) -> bool {
+        let range = source.as_ptr_range();
+        range.start <= body.as_ptr() && body.as_ptr_range().end <= range.end
+    }
+
+    #[test]
+    fn a_body_of_consecutive_slices_is_a_view_of_their_buffer() {
+        let wire = Bytes::from(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 26\r\n\r\nabcdefghijklmnopqrstuvwxyz".to_vec(),
+        );
+        for size in [1, 7, 40, wire.len()] {
+            let mut p = ResponseParser::new();
+            let mut got = Vec::new();
+            for at in (0..wire.len()).step_by(size) {
+                got.extend(
+                    p.feed_bytes(&wire.slice(at..wire.len().min(at + size)))
+                        .unwrap(),
+                );
+            }
+            assert_eq!(got.len(), 1, "slices of {size}");
+            assert_eq!(&got[0].body[..], b"abcdefghijklmnopqrstuvwxyz");
+            assert!(within(&got[0].body, &wire), "slices of {size}: a copy");
+        }
+    }
+
+    /// The pieces a sender's segments make of `parts` sent back to back,
+    /// `mss` bytes each: a slice of a part, or a fresh buffer joining the
+    /// end of one part to the start of the next.
+    fn segments(parts: &[Bytes], mss: usize) -> Vec<Bytes> {
+        let stream: Vec<(usize, usize)> = parts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, part)| (0..part.len()).map(move |at| (i, at)))
+            .collect();
+        stream
+            .chunks(mss)
+            .map(|seg| {
+                let (first, last) = (seg[0], seg[seg.len() - 1]);
+                if first.0 == last.0 {
+                    parts[first.0].slice(first.1..=last.1)
+                } else {
+                    seg.iter().map(|&(i, at)| parts[i][at]).collect()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_body_joined_to_its_head_in_one_segment_is_a_view_of_the_stored_body() {
+        let stored = Bytes::from((0..5000u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        let resp = Response::ok(stored.clone(), "image/png");
+        let mut p = ResponseParser::new();
+        let mut got = Vec::new();
+        for segment in segments(&crate::write_response_parts(&resp), 1460) {
+            got.extend(p.feed_bytes(&segment).unwrap());
+        }
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].body, stored);
+        assert!(within(&got[0].body, &stored), "a copy of the stored body");
+        assert_eq!(got[0].body.as_ptr(), stored.as_ptr());
+    }
+
+    #[test]
+    fn only_the_second_piece_is_compared_and_other_pieces_are_copied() {
+        let head = b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n";
+        let stored = Bytes::from(b"0123456789ab".to_vec());
+        let fed = |pieces: &[Bytes]| {
+            let mut p = ResponseParser::new();
+            p.feed(head).unwrap();
+            let mut got: Vec<Response> = Vec::new();
+            for piece in pieces {
+                got.extend(p.feed_bytes(piece).unwrap());
+            }
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].body, stored);
+            got.pop().unwrap().body
+        };
+        // A fresh first piece joins a slice of the stored body.
+        let first = Bytes::from(b"0123".to_vec());
+        let body = fed(&[first.clone(), stored.slice(4..8), stored.slice(8..)]);
+        assert!(within(&body, &stored));
+        // A third piece from another buffer is not compared: copied,
+        // though the bytes before it equal the view.
+        let other = Bytes::from(b"0123456789ab".to_vec());
+        let body = fed(&[first.clone(), stored.slice(4..8), other.slice(8..)]);
+        assert!(!within(&body, &stored) && !within(&body, &other));
+        // A second piece whose bytes before differ is copied too.
+        let differs = Bytes::from(b"xxxx456789ab".to_vec());
+        let body = fed(&[first, differs.slice(4..8), stored.slice(8..)]);
+        assert!(!within(&body, &stored) && !within(&body, &differs));
+    }
+
+    #[test]
+    fn a_chunked_body_is_copied_and_an_until_close_body_is_a_view() {
+        let wire = Bytes::from_static(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n2\r\nde\r\n0\r\n\r\n",
+        );
+        let mut p = ResponseParser::new();
+        let got = p.feed_bytes(&wire).unwrap();
+        assert_eq!(&got[0].body[..], b"abcde");
+        assert!(!within(&got[0].body, &wire));
+        let wire = Bytes::from_static(b"HTTP/1.0 200 OK\r\n\r\npartial data");
+        let mut p = ResponseParser::new();
+        assert!(p.feed_bytes(&wire.slice(..25)).unwrap().is_empty());
+        assert!(p.feed_bytes(&wire.slice(25..)).unwrap().is_empty());
+        let last = p.finish().unwrap().expect("completed by EOF");
+        assert_eq!(&last.body[..], b"partial data");
+        assert!(within(&last.body, &wire));
     }
 
     /// Feed `head`, then filler in 1 460-byte segments until `feed` fails,

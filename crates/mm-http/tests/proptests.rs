@@ -3,8 +3,8 @@
 
 use bytes::Bytes;
 use mm_http::{
-    chunk_body, write_request, write_response, HeaderMap, Method, Request, RequestParser, Response,
-    ResponseParser, Version,
+    chunk_body, write_request, write_response, write_response_parts, HeaderMap, Method, Request,
+    RequestParser, Response, ResponseParser, Version,
 };
 use proptest::prelude::*;
 
@@ -260,5 +260,94 @@ proptest! {
         }
         resp.body = Bytes::from(body);
         prop_assert_eq!(write_response(&resp).to_vec(), reference_response_wire(&resp));
+    }
+}
+
+/// A response and the pieces a server sends for it, in order: `framing`
+/// 0 is a `Content-Length` body, 1 a chunked body as one chunk between
+/// shared pieces, 2 a chunked body of `chunk`-byte chunks in one fresh
+/// buffer, and 3 a body that ends at the close.
+fn sent(framing: u8, body: Vec<u8>, chunk: usize) -> (Response, Vec<Bytes>) {
+    let mut resp = Response::ok(Bytes::from(body), "text/plain");
+    if framing == 3 {
+        resp.headers.remove("content-length");
+        return (resp.clone(), write_response_parts(&resp).to_vec());
+    }
+    if framing == 0 {
+        return (resp.clone(), write_response_parts(&resp).to_vec());
+    }
+    resp.headers.remove("content-length");
+    resp.headers.append("Transfer-Encoding", "chunked");
+    if framing == 1 && !resp.body.is_empty() {
+        return (resp.clone(), write_response_parts(&resp).to_vec());
+    }
+    let mut bare = resp.clone();
+    bare.body = Bytes::new();
+    let [head, ..] = write_response_parts(&bare);
+    (resp.clone(), vec![head, chunk_body(&resp.body, chunk)])
+}
+
+/// `parts` sent back to back, cut into segments of the `sizes` in turn:
+/// a segment inside one part is a slice of it unless its `fresh` entry
+/// is 0; otherwise it is a fresh buffer.
+fn segments(parts: &[Bytes], sizes: &[usize], fresh: &[u8]) -> Vec<Bytes> {
+    let stream: Vec<(usize, usize)> = parts
+        .iter()
+        .enumerate()
+        .flat_map(|(i, part)| (0..part.len()).map(move |at| (i, at)))
+        .collect();
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < stream.len() {
+        let n = out.len();
+        let seg = &stream[at..stream.len().min(at + sizes[n % sizes.len()])];
+        at += seg.len();
+        let (first, last) = (seg[0], seg[seg.len() - 1]);
+        out.push(if first.0 == last.0 && fresh[n % fresh.len()] != 0 {
+            parts[first.0].slice(first.1..=last.1)
+        } else {
+            seg.iter().map(|&(i, at)| parts[i][at]).collect()
+        });
+    }
+    out
+}
+
+proptest! {
+    /// `feed_bytes` reads what `feed` reads: pipelined responses of every
+    /// framing, cut anywhere, fed as slices of the buffers sent mixed
+    /// with fresh copies, complete the same responses at the same feeds,
+    /// and the close completes the same last one.
+    #[test]
+    fn feed_bytes_reads_what_feed_reads(
+        responses in prop::collection::vec((0u8..3, arb_body(), 1usize..300), 1..4),
+        until_close in 0u8..2,
+        last_body in arb_body(),
+        sizes in prop::collection::vec(1usize..1500, 1..12),
+        fresh in prop::collection::vec(0u8..3, 1..12),
+    ) {
+        let mut expected = Vec::new();
+        let mut parts = Vec::new();
+        for (framing, body, chunk) in responses {
+            let (resp, sent) = sent(framing, body, chunk);
+            expected.push(resp);
+            parts.extend(sent);
+        }
+        if until_close == 1 {
+            let (resp, sent) = sent(3, last_body, 1);
+            expected.push(resp);
+            parts.extend(sent);
+        }
+        let (mut shared, mut copied) = (ResponseParser::new(), ResponseParser::new());
+        let mut got = Vec::new();
+        for segment in segments(&parts, &sizes, &fresh) {
+            let viewed: Vec<Response> = shared.feed_bytes(&segment).unwrap().into_iter().collect();
+            let read: Vec<Response> = copied.feed(&segment).unwrap().into_iter().collect();
+            prop_assert_eq!(&viewed, &read);
+            got.extend(viewed);
+        }
+        let last = shared.finish().unwrap();
+        prop_assert_eq!(&last, &copied.finish().unwrap());
+        got.extend(last);
+        prop_assert_eq!(got, expected);
     }
 }

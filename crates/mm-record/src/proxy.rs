@@ -258,7 +258,7 @@ impl SocketApp for WanSide {
                 SocketEvent::Data(bytes) => {
                     // Forwarding is unconditional: an unparseable
                     // response is simply not recorded.
-                    if let Ok(resps) = s.resp_parser.feed(&bytes) {
+                    if let Ok(resps) = s.resp_parser.feed_bytes(&bytes) {
                         for resp in resps {
                             s.record_response(resp);
                         }
